@@ -102,11 +102,15 @@ func (f *Frame) AddDelta(dst []float64) {
 
 // Encoder compresses per-client round updates under one Spec. When the spec
 // enables error feedback the encoder carries each client's residual across
-// rounds, so it must be reused for the whole run; without EF it is
-// stateless. Encode is not safe for concurrent use.
+// rounds, so it must be reused for the whole run; without EF its only state
+// is scratch. Encode is not safe for concurrent use.
 type Encoder struct {
 	spec Spec
 	res  map[int][]float64
+	// delta, abs and sel are the O(d) work arrays of one encode (the delta,
+	// its magnitudes, the quickselect copy), kept across calls; only what a
+	// returned Frame references is allocated per encode.
+	delta, abs, sel []float64
 }
 
 // NewEncoder returns an encoder for the spec, or nil for a disabled spec.
@@ -144,22 +148,28 @@ func (e *Encoder) Encode(clientID, round int, global, weights []float64) *Frame 
 		return &Frame{Spec: e.spec, Dim: dim, Val: val}
 	}
 
-	delta := make([]float64, dim)
-	for i := range delta {
-		delta[i] = weights[i] - global[i]
-	}
-	if e.spec.EF {
-		if r := e.res[clientID]; r != nil {
-			for i := range delta {
-				delta[i] += r[i]
-			}
+	// With error feedback the delta is built in the client's residual buffer,
+	// which it then becomes again; otherwise in scratch.
+	delta := e.res[clientID]
+	if delta != nil {
+		for i := range delta {
+			delta[i] = weights[i] - global[i] + delta[i]
+		}
+	} else {
+		if e.spec.EF {
+			delta = make([]float64, dim)
+		} else {
+			delta = scratch(&e.delta, dim)
+		}
+		for i := range delta {
+			delta[i] = weights[i] - global[i]
 		}
 	}
 
 	f := &Frame{Spec: e.spec, Dim: dim}
 	vals := delta
 	if e.spec.TopK > 0 {
-		f.Idx = topKIndices(delta, e.spec.TopK)
+		f.Idx = e.topKIndices(delta, e.spec.TopK)
 		vals = make([]float64, len(f.Idx))
 		for t, id := range f.Idx {
 			vals[t] = delta[id]
@@ -209,13 +219,22 @@ func (e *Encoder) Encode(clientID, round int, global, weights []float64) *Frame 
 	return f
 }
 
+// scratch returns *buf resized to n, growing it only when too small. The
+// contents are unspecified.
+func scratch(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	return (*buf)[:n]
+}
+
 // topKIndices returns the ⌈frac·d⌉ largest-|v| coordinate indices in
 // ascending index order. Magnitude ties break toward the lower index, so
 // the selection is a pure function of the delta. The (|v| desc, index asc)
 // ranking is a total order, so the kept set is unique and any selection
 // algorithm yields it; a k-bounded min-heap does so in O(d log k) instead
 // of sorting all d coordinates.
-func topKIndices(delta []float64, frac float64) []int32 {
+func (e *Encoder) topKIndices(delta []float64, frac float64) []int32 {
 	d := len(delta)
 	k := int(math.Ceil(frac * float64(d)))
 	if k < 1 {
@@ -224,7 +243,7 @@ func topKIndices(delta []float64, frac float64) []int32 {
 	if k > d {
 		k = d
 	}
-	abs := make([]float64, d)
+	abs := scratch(&e.abs, d)
 	for i, v := range delta {
 		abs[i] = math.Abs(v)
 	}
@@ -233,7 +252,7 @@ func topKIndices(delta []float64, frac float64) []int32 {
 	// threshold until k are chosen. Selecting the threshold value first
 	// (O(d) expected) and then collecting in two sequential passes is
 	// cache-friendly and allocation-light.
-	t := kthLargest(abs, k)
+	t := kthLargest(abs, k, scratch(&e.sel, d))
 	idx := make([]int32, 0, k)
 	for i, a := range abs {
 		if a > t {
@@ -252,11 +271,10 @@ func topKIndices(delta []float64, frac float64) []int32 {
 
 // kthLargest returns the k-th largest value of vals (1 ≤ k ≤ len(vals))
 // without reordering the input: Hoare-partition quickselect with
-// median-of-three pivots on a scratch copy. Deterministic, and the selected
-// value is algorithm-independent, so any future rewrite keeps results
-// bit-identical.
-func kthLargest(vals []float64, k int) float64 {
-	v := make([]float64, len(vals))
+// median-of-three pivots on the scratch copy v (len(vals)). Deterministic,
+// and the selected value is algorithm-independent, so any future rewrite
+// keeps results bit-identical.
+func kthLargest(vals []float64, k int, v []float64) float64 {
 	copy(v, vals)
 	target := len(v) - k // ascending rank
 	lo, hi := 0, len(v)-1

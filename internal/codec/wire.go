@@ -54,14 +54,20 @@ func WireSize(f *Frame) int {
 
 // EncodeWire serializes the frame.
 func EncodeWire(f *Frame) []byte {
-	out := make([]byte, 0, WireSize(f))
-	out = append(out, wireMagic, wireVersion, byte(f.Spec.Quant), 0)
+	return AppendWire(make([]byte, 0, WireSize(f)), f)
+}
+
+// AppendWire appends the frame's wire bytes (exactly WireSize(f) of them) to
+// out, so a sender can render frame after frame into one reused buffer.
+func AppendWire(out []byte, f *Frame) []byte {
+	var flags byte
 	if f.Idx != nil {
-		out[3] |= flagSparse
+		flags |= flagSparse
 	}
 	if f.Spec.EF {
-		out[3] |= flagEF
+		flags |= flagEF
 	}
+	out = append(out, wireMagic, wireVersion, byte(f.Spec.Quant), flags)
 	out = binary.LittleEndian.AppendUint32(out, uint32(f.Dim))
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(f.Spec.TopK))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(f.Idx)))

@@ -18,7 +18,11 @@ import (
 // adversarial behaviour.
 type Trainer interface {
 	// Train receives the round's global and previous-global weights and
-	// returns the local weights plus the reported sample count.
+	// returns the local weights plus the reported sample count. global and
+	// prevGlobal are the client's receive buffers: they are valid — and must
+	// be left unmodified — only for the duration of the call, and are
+	// overwritten by the next request. A trainer that needs them later
+	// copies them.
 	Train(round int, global, prevGlobal []float64) (weights []float64, numSamples int, err error)
 }
 
@@ -123,10 +127,19 @@ type Client struct {
 	enc     *codec.Encoder
 	// ID is the server-assigned identity, valid after Join.
 	ID int
+
+	// global and prev double-buffer the broadcast models: global holds the
+	// last request's w(t), so when the next request elides w(t−1) (PrevLast)
+	// the buffers swap and only the new global is decoded. held reports
+	// whether a request has been received at all.
+	global, prev []float64
+	held         bool
+	// frame is the scratch the codec wire frame is rendered into.
+	frame []byte
 }
 
 // Dial connects to the server and performs the join handshake with no
-// codec (legacy dense updates).
+// codec (dense float64 updates).
 func Dial(addr string, trainer Trainer, timeout time.Duration) (*Client, error) {
 	return DialCodec(addr, trainer, timeout, codec.Spec{})
 }
@@ -141,9 +154,9 @@ func DialCodec(addr string, trainer Trainer, timeout time.Duration, spec codec.S
 // DialFederation connects to a (possibly multi-tenant) host and joins the
 // named federation, negotiating the given update codec at the handshake. An
 // empty federation joins a single-tenant server, or the sole federation of
-// a host — exactly what a legacy client's handshake asks for. Codec
-// refusals surface as *CodecRejectedError; every other typed rejection
-// (unknown federation, admission control, closed) as *JoinRejectedError.
+// a host. Codec refusals surface as *CodecRejectedError; every other typed
+// rejection (unknown federation, admission control, closed, wire version)
+// as *JoinRejectedError.
 func DialFederation(addr, federation string, trainer Trainer, timeout time.Duration, spec codec.Spec) (*Client, error) {
 	if trainer == nil {
 		return nil, errors.New("flnet: trainer must not be nil")
@@ -161,24 +174,63 @@ func DialFederation(addr, federation string, trainer Trainer, timeout time.Durat
 		return nil, err
 	}
 	ack, err := conn.Recv()
-	if err != nil {
+	if err != nil || ack.Type != MsgJoinAck {
 		_ = conn.Close()
-		return nil, fmt.Errorf("flnet: join ack: %w", err)
+		return nil, joinError(ack, err, federation, spec)
 	}
-	if ack.Type == MsgJoinReject {
-		_ = conn.Close()
-		// Legacy servers predate RejectCode; the only rejection they could
-		// produce was a codec refusal.
-		if ack.RejectCode == "" || ack.RejectCode == RejectCodec {
-			return nil, &CodecRejectedError{Codec: spec.String(), Reason: ack.Err}
+	conn.dim = ack.Dim
+	buf := make([]float64, 2*ack.Dim)
+	return &Client{
+		conn: conn, trainer: trainer, enc: codec.NewEncoder(spec), ID: ack.ClientID,
+		global: buf[:ack.Dim:ack.Dim], prev: buf[ack.Dim:],
+	}, nil
+}
+
+// joinError types a handshake that did not end in a JoinAck.
+func joinError(reply *Envelope, err error, federation string, spec codec.Spec) error {
+	var ve *VersionError
+	switch {
+	case errors.As(err, &ve):
+		return &JoinRejectedError{Federation: federation, Code: RejectVersion, Reason: ve.Error()}
+	case err != nil:
+		return fmt.Errorf("flnet: join ack: %w", err)
+	case reply.Type != MsgJoinReject:
+		return fmt.Errorf("flnet: expected %s, got %s", MsgJoinAck, reply.Type)
+	case reply.RejectCode == RejectCodec:
+		return &CodecRejectedError{Codec: spec.String(), Reason: reply.Err}
+	}
+	return &JoinRejectedError{Federation: federation, Code: reply.RejectCode, Reason: reply.Err}
+}
+
+// recv reads the next message. A TrainRequest lands in the client's own
+// double buffer — c.global and c.prev hold w(t) and w(t−1) on return — so a
+// steady-state request allocates nothing; a Done body is returned as is
+// (valid until the next read).
+func (c *Client) recv() (header, []byte, error) {
+	if err := c.conn.armRead(); err != nil {
+		return header{}, nil, err
+	}
+	h, body, err := c.conn.next()
+	if err != nil || h.typ != MsgTrainRequest {
+		return h, body, err
+	}
+	d := len(c.global)
+	switch h.flags {
+	case PrevLast:
+		if !c.held {
+			return h, nil, errors.New("flnet: server elided a previous global this client never received")
 		}
-		return nil, &JoinRejectedError{Federation: federation, Code: ack.RejectCode, Reason: ack.Err}
+		c.global, c.prev = c.prev, c.global
+		decodeF64s(c.global, body)
+	case PrevSame:
+		decodeF64s(c.global, body)
+		copy(c.prev, c.global)
+	case PrevInline:
+		decodeF64s(c.global, body)
+		decodeF64s(c.prev, body[8*d:])
 	}
-	if ack.Type != MsgJoinAck {
-		_ = conn.Close()
-		return nil, errProtocol(MsgJoinAck, ack)
-	}
-	return &Client{conn: conn, trainer: trainer, enc: codec.NewEncoder(spec), ID: ack.ClientID}, nil
+	c.held = true
+	return h, nil, nil
 }
 
 // Run serves training requests until the server sends Done (returning the
@@ -186,39 +238,34 @@ func DialFederation(addr, federation string, trainer Trainer, timeout time.Durat
 func (c *Client) Run() ([]float64, error) {
 	defer func() { _ = c.conn.Close() }()
 	for {
-		msg, err := c.conn.Recv()
+		h, body, err := c.recv()
 		if err != nil {
 			return nil, fmt.Errorf("flnet: client %d: %w", c.ID, err)
 		}
-		switch msg.Type {
+		switch h.typ {
 		case MsgDone:
-			return msg.Weights, nil
+			final := make([]float64, len(c.global))
+			decodeF64s(final, body)
+			return final, nil
 		case MsgTrainRequest:
-			weights, n, err := c.trainer.Train(msg.Round, msg.Weights, msg.PrevWeights)
+			weights, n, err := c.trainer.Train(h.round, c.global, c.prev)
 			if err != nil {
 				return nil, fmt.Errorf("flnet: client %d train: %w", c.ID, err)
 			}
-			resp := &Envelope{
-				Type:       MsgUpdate,
-				Round:      msg.Round,
-				ClientID:   c.ID,
-				NumSamples: n,
-			}
+			resp := Envelope{Type: MsgUpdate, Round: h.round, ClientID: c.ID, NumSamples: n, Weights: weights}
 			if c.enc != nil {
 				// Compressed session: ship the codec frame instead of the
 				// dense vector. The rounding stream is keyed by the
 				// server-assigned ID and the round, so a re-run of the
 				// same federation encodes identically.
-				frame := c.enc.Encode(c.ID, msg.Round, msg.Weights, weights)
-				resp.Frame = codec.EncodeWire(frame)
-			} else {
-				resp.Weights = weights
+				c.frame = codec.AppendWire(c.frame[:0], c.enc.Encode(c.ID, h.round, c.global, weights))
+				resp.Flags, resp.Weights, resp.Frame = UpdateFrame, nil, c.frame
 			}
-			if err := c.conn.Send(resp); err != nil {
+			if err := c.conn.Send(&resp); err != nil {
 				return nil, fmt.Errorf("flnet: client %d reply: %w", c.ID, err)
 			}
 		default:
-			return nil, fmt.Errorf("flnet: client %d: unexpected %s", c.ID, msg.Type)
+			return nil, fmt.Errorf("flnet: client %d: unexpected %s", c.ID, h.typ)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package flnet
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -36,6 +37,9 @@ type Federation struct {
 	// eval reuses its worker clones and scratch arenas across the
 	// per-round evaluations.
 	eval *fl.Evaluator
+	// dim is the model dimension, resolved by prepare before any member is
+	// admitted; the JoinAck announces it.
+	dim int
 
 	mu       sync.Mutex
 	sessions []*session
@@ -125,14 +129,14 @@ func (f *Federation) admit(conn *Conn, hello *Envelope) bool {
 }
 
 func (f *Federation) doAdmit(conn *Conn, hello *Envelope) bool {
-	// A named join must match; an empty one is the legacy protocol and
-	// always targets this federation (the host routed it here).
+	// A named join must match; an anonymous one always targets this
+	// federation (the host routed it here).
 	if hello.Federation != "" && hello.Federation != f.id {
 		reject(conn, RejectUnknownFederation, fmt.Sprintf("no federation %q here (serving %q)", hello.Federation, f.id))
 		return false
 	}
 	// Codec negotiation: a client is served iff it requests no codec
-	// (legacy dense updates) or exactly the federation's codec. Anything
+	// (dense updates) or exactly the federation's codec. Anything
 	// else is rejected here, with a typed reason, before round start —
 	// a mismatched client must never burn rounds as a permanent
 	// straggler. Rejected connections do not count toward MinClients.
@@ -153,13 +157,14 @@ func (f *Federation) doAdmit(conn *Conn, hello *Envelope) bool {
 		return false
 	}
 	id := len(f.sessions)
-	if err := conn.Send(&Envelope{Type: MsgJoinAck, ClientID: id, Codec: hello.Codec, Federation: f.id}); err != nil {
+	if err := conn.Send(&Envelope{Type: MsgJoinAck, ClientID: id, Dim: f.dim, Codec: hello.Codec, Federation: f.id}); err != nil {
 		f.mu.Unlock()
 		_ = conn.Close()
 		return false
 	}
-	// The session survives the handshake: switch to the round deadline.
-	conn.Timeout = f.cfg.RoundTimeout
+	// The session survives the handshake: switch to the round deadline and
+	// to the bodies the model dimension fixes.
+	conn.Timeout, conn.dim = f.cfg.RoundTimeout, f.dim
 	f.sessions = append(f.sessions, &session{id: id, conn: conn, spec: spec})
 	if len(f.sessions) == f.cfg.MinClients {
 		f.full = true
@@ -231,6 +236,7 @@ func (f *Federation) prepare() (*startState, error) {
 		weights:     global.WeightVector(),
 		resumeFinal: -1.0,
 	}
+	f.dim = len(st.weights)
 	cp, err := f.loadCheckpoint(len(st.weights))
 	if err != nil {
 		return nil, err
@@ -308,6 +314,7 @@ func (f *Federation) runEngine(st *startState) (*ServerResult, error) {
 		}
 	}()
 
+	tr := &netTransport{fed: f, sessions: sessions}
 	eng := &fl.Engine{
 		TotalClients: len(sessions),
 		PerRound:     f.cfg.PerRound,
@@ -316,7 +323,7 @@ func (f *Federation) runEngine(st *startState) (*ServerResult, error) {
 		EvalEvery:    1,
 		Seed:         f.cfg.Seed,
 		Scenario:     f.cfg.Scenario,
-		Transport:    &netTransport{fed: f, sessions: sessions},
+		Transport:    tr,
 		Aggregator:   f.agg,
 		Observer:     f.cfg.Observer,
 		InitialMax:   st.resumeMax,
@@ -379,10 +386,14 @@ func (f *Federation) runEngine(st *startState) (*ServerResult, error) {
 		})
 	}
 
-	// Graceful shutdown: hand every client the final model.
-	final := &Envelope{Type: MsgDone, Weights: finalWeights}
-	for _, cl := range sessions {
-		_ = cl.conn.Send(final) // best effort; client may have vanished
+	// Graceful shutdown: hand every client the final model, encoded once.
+	final := Envelope{Type: MsgDone, Weights: finalWeights}
+	if msg, err := final.appendTo(tr.msg[:0]); err == nil {
+		for _, cl := range sessions {
+			if !cl.broken {
+				_ = cl.conn.write(msg) // best effort; client may have vanished
+			}
+		}
 	}
 	return res, nil
 }
@@ -434,59 +445,80 @@ func (f *Federation) loadCheckpoint(wantLen int) (*persist.Checkpoint, error) {
 	return cp, nil
 }
 
-// collectRound sends TrainRequests to the selected sessions concurrently
-// and gathers the updates that arrive before the deadline. Replies are
-// returned in selection order, not arrival order — the same contract as the
-// in-process simulator's transport — so aggregation sees a deterministic
-// update sequence regardless of scheduling (floating-point summation is
-// order-sensitive; arrival order would make co-tenant load leak into this
-// federation's bits).
-func (f *Federation) collectRound(sessions []*session, selected []int, round int, weights, prev []float64) []fl.Update {
+// netTransport exposes the socket round-trip as an engine Transport: the
+// engine's responder set is contacted concurrently, and clients that miss
+// the RoundTimeout are simply absent from the returned updates.
+//
+// The round's global is encoded once, header included, and the same bytes
+// are written to every session. w(t−1) is not shipped when the session
+// provably retains it: sent is the body of the last broadcast, and a session
+// whose last request was that broadcast (sentGen == gen) is told PrevLast iff
+// prev is bit-equal to it. Every other case — a session that sat out the
+// last round, the first round after a checkpoint resume, an async step that
+// flushed more than once — inlines prev, so clients see exactly the engine's
+// prev whatever the schedule.
+type netTransport struct {
+	fed      *Federation
+	sessions []*session
+	// msg is this round's shared TrainRequest (header + global) and sent the
+	// previous one; they swap every round. inline holds the encoded prev for
+	// the sessions that need it, and gen counts broadcasts.
+	msg, sent, inline []byte
+	gen               uint64
+}
+
+// Collect implements fl.Transport: it sends TrainRequests to the selected
+// sessions concurrently and gathers the updates that arrive before the
+// deadline. Replies are returned in selection order, not arrival order — the
+// same contract as the in-process simulator's transport — so aggregation
+// sees a deterministic update sequence regardless of scheduling
+// (floating-point summation is order-sensitive; arrival order would make
+// co-tenant load leak into this federation's bits).
+func (t *netTransport) Collect(round int, ids []int, global, prev []float64) ([]fl.Update, error) {
+	t.msg, t.sent = t.sent, t.msg
+	req := Envelope{Type: MsgTrainRequest, Round: round, Weights: global}
+	msg, err := req.appendTo(t.msg[:0])
+	if err != nil {
+		return nil, err
+	}
+	t.msg = msg
+	t.gen++
+	body := msg[headerSize:]
+	// shared is the prev mode the one shared message claims; PrevInline means
+	// no session may be told to use a retained prev this round.
+	shared := PrevInline
+	switch {
+	case equalF64s(body, prev):
+		shared = PrevSame
+	case len(t.sent) == len(msg) && equalF64s(t.sent[headerSize:], prev):
+		shared = PrevLast
+	}
+	msg[3] = shared
+	t.inline = t.inline[:0]
+
 	type reply struct {
 		update fl.Update
 		ok     bool
 	}
-	replies := make([]reply, len(selected))
+	replies := make([]reply, len(ids))
 	var wg sync.WaitGroup
-	for slot, idx := range selected {
-		cl := sessions[idx]
+	for slot, idx := range ids {
+		cl := t.sessions[idx]
+		if cl.broken {
+			continue
+		}
+		bufs := [][]byte{msg}
+		if shared == PrevInline || (shared == PrevLast && cl.sentGen != t.gen-1) {
+			if len(t.inline) == 0 {
+				t.inline = appendF64s(t.inline, prev)
+			}
+			hdr := appendHeader(cl.hdr[:0], MsgTrainRequest, PrevInline, round, 0, 0, 2*len(body))
+			bufs = [][]byte{hdr, body, t.inline}
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			req := &Envelope{
-				Type:        MsgTrainRequest,
-				Round:       round,
-				ClientID:    cl.id,
-				Weights:     weights,
-				PrevWeights: prev,
-			}
-			if err := cl.conn.Send(req); err != nil {
-				return
-			}
-			resp, err := cl.conn.Recv()
-			if err != nil || resp.Type != MsgUpdate || resp.Round != round {
-				return
-			}
-			u := fl.Update{ClientID: cl.id, NumSamples: resp.NumSamples}
-			if cl.spec.Enabled() {
-				// A compressed session must deliver a frame of exactly the
-				// negotiated spec; anything else fails closed and the
-				// client is treated as a straggler for the round.
-				frame, err := codec.DecodeWire(resp.Frame, len(weights))
-				if err != nil || frame.Dim != len(weights) || frame.Spec != cl.spec {
-					return
-				}
-				f.tel.bytesIn(len(resp.Frame))
-				u.Frame = frame
-				u.Weights = frame.Reconstruct(weights)
-			} else {
-				if len(resp.Weights) != len(weights) {
-					return
-				}
-				f.tel.bytesIn(8 * len(resp.Weights))
-				u.Weights = resp.Weights
-			}
-			replies[slot] = reply{update: u, ok: true}
+			replies[slot].update, replies[slot].ok = t.exchange(cl, round, global, bufs)
 		}()
 	}
 	wg.Wait()
@@ -496,20 +528,92 @@ func (f *Federation) collectRound(sessions []*session, selected []int, round int
 			updates = append(updates, r.update)
 		}
 	}
-	return updates
+	return updates, nil
 }
 
-// netTransport exposes the socket round-trip as an engine Transport: the
-// engine's responder set is contacted concurrently, and clients that miss
-// the RoundTimeout are simply absent from the returned updates.
-type netTransport struct {
-	fed      *Federation
-	sessions []*session
+// equalF64s reports whether the encoded float64s in b are bit-equal to v.
+func equalF64s(b []byte, v []float64) bool {
+	if len(b) != 8*len(v) {
+		return false
+	}
+	for i, x := range v {
+		if binary.LittleEndian.Uint64(b[8*i:]) != math.Float64bits(x) {
+			return false
+		}
+	}
+	return true
 }
 
-// Collect implements fl.Transport.
-func (t *netTransport) Collect(round int, ids []int, global, prev []float64) ([]fl.Update, error) {
-	return t.fed.collectRound(t.sessions, ids, round, global, prev), nil
+// exchange runs one session's round trip and decodes its Update. Any
+// failure that leaves the byte stream out of sync — a failed or partial
+// write, a deadline inside a message, a malformed header, an out-of-protocol
+// message — breaks the session: it is closed and never contacted again. A
+// deadline between messages (errQuiet) is a plain straggler.
+func (t *netTransport) exchange(cl *session, round int, global []float64, bufs [][]byte) (fl.Update, bool) {
+	tel := t.fed.tel
+	h, body, err := cl.roundTrip(round, t.gen, bufs)
+	if err != nil {
+		if !errors.Is(err, errQuiet) {
+			cl.broken = true
+			_ = cl.conn.Close()
+			tel.sessionBroken()
+		}
+		return fl.Update{}, false
+	}
+	u, ok := cl.decodeUpdate(h, body, global)
+	if ok {
+		tel.bytesIn(len(body))
+	} else {
+		tel.updateRejected()
+	}
+	return u, ok
+}
+
+// roundTrip writes the round's TrainRequest (broadcast generation gen) and
+// reads until the round's Update or the deadline. Late replies to earlier
+// rounds are discarded by their round number, so a client that straggled
+// once answers again as soon as it catches up.
+func (cl *session) roundTrip(round int, gen uint64, bufs [][]byte) (header, []byte, error) {
+	if err := cl.conn.write(bufs...); err != nil {
+		return header{}, nil, err
+	}
+	cl.sentGen = gen
+	if err := cl.conn.armRead(); err != nil {
+		return header{}, nil, err
+	}
+	for {
+		h, body, err := cl.conn.next()
+		switch {
+		case err != nil:
+			return h, nil, err
+		case h.typ != MsgUpdate || h.round > round:
+			return h, nil, fmt.Errorf("flnet: unexpected %s for round %d in round %d", h.typ, h.round, round)
+		case h.round == round:
+			return h, body, nil
+		}
+	}
+}
+
+// decodeUpdate validates a well-framed Update against the session. Bad
+// content — a foreign client ID, a negative sample count, non-finite weights
+// (checked while decoding), the wrong body kind, a frame of another dimension
+// or spec — fails closed: the client is absent for the round, like a
+// straggler, but the stream stays in sync and the session usable.
+func (cl *session) decodeUpdate(h header, body []byte, global []float64) (fl.Update, bool) {
+	u := fl.Update{ClientID: cl.id, NumSamples: h.samples}
+	if h.client != cl.id || h.samples < 0 || (h.flags == UpdateFrame) != cl.spec.Enabled() {
+		return u, false
+	}
+	if !cl.spec.Enabled() {
+		u.Weights = make([]float64, len(global))
+		return u, decodeF64s(u.Weights, body)
+	}
+	frame, err := codec.DecodeWire(body, len(global))
+	if err != nil || frame.Dim != len(global) || frame.Spec != cl.spec {
+		return u, false
+	}
+	u.Frame, u.Weights = frame, frame.Reconstruct(global)
+	return u, true
 }
 
 // Host multiplexes several federations over one listener: every accepted
@@ -537,7 +641,7 @@ func NewHost() *Host {
 }
 
 // Add registers a federation under its ID. IDs must be unique; a host with
-// exactly one federation also serves legacy clients whose hello names no
+// exactly one federation also serves clients whose hello names no
 // federation at all.
 func (h *Host) Add(f *Federation) error {
 	h.mu.Lock()
@@ -555,7 +659,7 @@ func (h *Host) Add(f *Federation) error {
 }
 
 // route resolves the federation a hello targets: the named one, or the sole
-// registered federation when the hello is anonymous (legacy client).
+// registered federation when the hello is anonymous.
 func (h *Host) route(name string) *Federation {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -592,10 +696,8 @@ func (h *Host) Serve(lis net.Listener) error {
 		go func() {
 			defer wg.Done()
 			sp := h.Tracer.Start(hostTrack, "accept-handshake")
-			conn := NewConn(raw, hsTimeout)
-			hello, err := conn.Recv()
-			if err != nil || hello.Type != MsgJoin {
-				_ = conn.Close() // a scanner, half-open dial or silent peer
+			conn, hello := readHello(raw, hsTimeout)
+			if conn == nil {
 				sp.End()
 				return
 			}

@@ -3,6 +3,8 @@ package flnet
 import (
 	"math/rand"
 	"net"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -24,14 +26,14 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	client, server := pipeConns(t)
 	defer client.Close()
 	defer server.Close()
+	server.dim = 3
 
+	// An inlined-prev TrainRequest carries w(t) then w(t−1) in one body.
 	sent := &Envelope{
-		Type:        MsgTrainRequest,
-		Round:       4,
-		ClientID:    7,
-		Weights:     []float64{1, 2, 3},
-		PrevWeights: []float64{0, 1, 2},
-		NumSamples:  50,
+		Type:    MsgTrainRequest,
+		Flags:   PrevInline,
+		Round:   4,
+		Weights: []float64{1, 2, 3, 0, 1, 2},
 	}
 	done := make(chan error, 1)
 	go func() { done <- client.Send(sent) }()
@@ -42,17 +44,42 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if got.Type != sent.Type || got.Round != 4 || got.ClientID != 7 || got.NumSamples != 50 {
+	if got.Type != sent.Type || got.Flags != PrevInline || got.Round != 4 {
 		t.Fatalf("envelope fields lost: %+v", got)
 	}
-	for i, w := range sent.Weights {
-		if got.Weights[i] != w {
-			t.Fatal("weights corrupted in transit")
-		}
+	if !slices.Equal(got.Weights, sent.Weights) {
+		t.Fatal("weights corrupted in transit")
 	}
-	for i, w := range sent.PrevWeights {
-		if got.PrevWeights[i] != w {
-			t.Fatal("prev weights corrupted in transit")
+}
+
+// TestHandshakeRoundTrip pins the variable-length bodies: every string and
+// the announced dimension survive, and an Update's header fields with them.
+func TestHandshakeRoundTrip(t *testing.T) {
+	client, server := pipeConns(t)
+	defer client.Close()
+	defer server.Close()
+	server.dim = 2
+
+	msgs := []*Envelope{
+		{Type: MsgJoin, Codec: "int8,topk=0.1,ef", Federation: "alpha"},
+		{Type: MsgJoinAck, ClientID: 7, Dim: 10010, Codec: "raw", Federation: "alpha"},
+		{Type: MsgJoinReject, RejectCode: RejectAdmission, Err: "queue full"},
+		{Type: MsgUpdate, Round: 3, ClientID: 7, NumSamples: 50, Weights: []float64{0.5, -2}},
+		{Type: MsgUpdate, Flags: UpdateFrame, Round: 3, ClientID: 7, NumSamples: 50, Frame: []byte{1, 2, 3}},
+		{Type: MsgDone, Weights: []float64{0.25, 4}},
+	}
+	go func() {
+		for _, m := range msgs {
+			_ = client.Send(m)
+		}
+	}()
+	for _, want := range msgs {
+		got, err := server.Recv()
+		if err != nil {
+			t.Fatalf("%s: %v", want.Type, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: got %+v, want %+v", want.Type, got, want)
 		}
 	}
 }
@@ -61,6 +88,7 @@ func TestMultipleEnvelopesSameConn(t *testing.T) {
 	client, server := pipeConns(t)
 	defer client.Close()
 	defer server.Close()
+	server.dim = 1
 
 	go func() {
 		for i := 0; i < 5; i++ {

@@ -3,7 +3,6 @@ package flnet
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"net"
 	"testing"
 	"time"
@@ -27,111 +26,152 @@ func (c *byteConn) SetDeadline(t time.Time) error      { return nil }
 func (c *byteConn) SetReadDeadline(t time.Time) error  { return nil }
 func (c *byteConn) SetWriteDeadline(t time.Time) error { return nil }
 
-// encodeEnvelopes renders envelopes to wire bytes through the real Send
+// encodeEnvelopes renders envelopes to wire bytes through the real encode
 // path, for seed corpus construction.
 func encodeEnvelopes(tb testing.TB, envs ...*Envelope) []byte {
 	tb.Helper()
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&lengthPrefixWriter{raw: &buf})
+	var out []byte
 	for _, e := range envs {
-		if err := enc.Encode(e); err != nil {
+		var err error
+		if out, err = e.appendTo(out); err != nil {
 			tb.Fatalf("encode seed: %v", err)
 		}
 	}
-	return buf.Bytes()
+	return out
 }
+
+// fuzzDim is the model dimension of the seed sessions (the codec seed's).
+const fuzzDim = 70
 
 // codecFrameSeed builds the wire bytes of one real compressed update for
 // the corpus: an int8 top-k frame over a small synthetic delta.
 func codecFrameSeed(tb testing.TB) []byte {
 	tb.Helper()
 	enc := codec.NewEncoder(codec.Spec{Quant: codec.Int8, TopK: 0.5})
-	global := make([]float64, 70)
-	weights := make([]float64, 70)
+	global := make([]float64, fuzzDim)
+	weights := make([]float64, fuzzDim)
 	for i := range weights {
 		weights[i] = float64(i%13) - 6
 	}
 	return codec.EncodeWire(enc.Encode(1, 0, global, weights))
 }
 
-// FuzzProtocolDecode feeds arbitrary bytes to the server-facing decode
-// path (length-prefix reassembly + gob) and checks it fails closed: Recv
-// never panics and never spins — every call either yields an envelope or
-// a terminal error, and corrupted length prefixes are rejected before
-// allocation, not trusted. Envelopes that carry a codec Frame are pushed
-// through the second decode stage the server runs (codec.DecodeWire),
-// which must equally fail closed: no panic, allocations bounded by the
-// frame size, and any accepted frame re-encodes to valid bytes.
+// FuzzProtocolDecode is the one fuzzer of the one wire format. It feeds
+// arbitrary bytes to the decode path both peers share (header validation,
+// exact-length body read, typed body decode) and checks it fails closed:
+// Recv never panics and never spins — every call either yields a message
+// that consumed at least a header or a terminal error — and a declared
+// length is checked against the session's dimension before any buffer is
+// sized by it. The stream plays both directions of a session: a JoinAck
+// fixes the dimension for what follows, as Dial does. Updates that carry a
+// codec frame go through the second stage the server runs
+// (codec.DecodeWire), which must equally fail closed: no panic, allocations
+// bounded by the frame size, and any accepted frame re-encodes to valid
+// bytes.
 func FuzzProtocolDecode(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0})             // zero-length frame: invalid
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // frame beyond maxFrameSize
-	f.Add([]byte{0, 0, 0, 4, 1, 2})       // truncated frame body
-	f.Add(encodeEnvelopes(f, &Envelope{Type: MsgJoin}))
-	f.Add(encodeEnvelopes(f,
-		&Envelope{Type: MsgJoinAck, ClientID: 3},
-		&Envelope{Type: MsgTrainRequest, Round: 1, Weights: []float64{0.5, -2}, PrevWeights: []float64{0, 0}},
-		&Envelope{Type: MsgUpdate, Round: 1, ClientID: 3, Weights: []float64{1, 2}, NumSamples: 7},
-		&Envelope{Type: MsgDone, Weights: []float64{0.25}},
-	))
-	// A valid session with its final length prefix corrupted upward.
-	tail := encodeEnvelopes(f, &Envelope{Type: MsgJoin})
-	binary.BigEndian.PutUint32(tail[len(tail)-4:], maxFrameSize+1)
-	f.Add(tail)
-
-	// Codec sessions: Update envelopes whose Frame field carries the
-	// compressed payload the server hands to codec.DecodeWire. Seed an
-	// intact frame plus the hostile shapes the decoder must reject.
+	ack := &Envelope{Type: MsgJoinAck, ClientID: 3, Dim: fuzzDim, Codec: "int8,topk=0.5"}
+	global := make([]float64, fuzzDim)
+	global[1], global[fuzzDim-1] = 0.5, -2
 	frame := codecFrameSeed(f)
-	f.Add(encodeEnvelopes(f,
-		&Envelope{Type: MsgJoin, Codec: "int8,topk=0.5"},
-		&Envelope{Type: MsgUpdate, Round: 0, ClientID: 1, Frame: frame, NumSamples: 9},
-	))
+	withLength := func(msg []byte, n uint32) []byte {
+		binary.LittleEndian.PutUint32(msg[16:], n)
+		return msg
+	}
+
+	f.Add([]byte{})
+	// A valid session, both directions in order.
+	session := encodeEnvelopes(f,
+		&Envelope{Type: MsgJoin, Codec: "int8,topk=0.5", Federation: "alpha"},
+		ack,
+		&Envelope{Type: MsgTrainRequest, Flags: PrevSame, Weights: global},
+		&Envelope{Type: MsgUpdate, ClientID: 3, NumSamples: 7, Weights: global},
+		&Envelope{Type: MsgTrainRequest, Flags: PrevLast, Round: 1, Weights: global},
+		&Envelope{Type: MsgUpdate, Flags: UpdateFrame, Round: 1, ClientID: 3, NumSamples: 9, Frame: frame},
+		&Envelope{Type: MsgTrainRequest, Flags: PrevInline, Round: 2, Weights: append(global[:fuzzDim:fuzzDim], global...)},
+		&Envelope{Type: MsgDone, Weights: global},
+	)
+	f.Add(session)
+	f.Add(session[:7])                // truncated header
+	f.Add(session[:len(session)-100]) // truncated body
+	f.Add(encodeEnvelopes(f, &Envelope{Type: MsgJoinReject, RejectCode: RejectCodec, Err: "no"}))
+	// Length beyond the maximum: a handshake body over its bound, and a
+	// TrainRequest claiming 4 GiB.
+	f.Add(withLength(encodeEnvelopes(f, &Envelope{Type: MsgJoin}), maxHandshakeBody+1))
+	f.Add(append(encodeEnvelopes(f, ack), withLength(encodeEnvelopes(f, &Envelope{Type: MsgTrainRequest}), 0xFFFFFFFF)...))
+	// A length that is not the type's exact size for the session's dim.
+	f.Add(encodeEnvelopes(f, ack, &Envelope{Type: MsgTrainRequest, Weights: global[:fuzzDim-1]}))
+	f.Add(encodeEnvelopes(f, ack, &Envelope{Type: MsgDone, Weights: append(global[:fuzzDim:fuzzDim], 1)}))
+	// A model-sized message before any JoinAck fixed the dimension.
+	f.Add(encodeEnvelopes(f, &Envelope{Type: MsgUpdate, Weights: global}))
+	// Another wire version; an unknown type; unknown flags.
+	other := encodeEnvelopes(f, &Envelope{Type: MsgJoin})
+	other[1]++
+	f.Add(other)
+	f.Add(encodeEnvelopes(f, &Envelope{Type: MsgType(99)}))
+	f.Add(encodeEnvelopes(f, ack, &Envelope{Type: MsgTrainRequest, Flags: PrevInline + 1, Weights: global}))
+
+	// Codec sessions: the hostile frame shapes the second stage must reject.
+	update := func(frame []byte) []byte {
+		return encodeEnvelopes(f, ack, &Envelope{Type: MsgUpdate, Flags: UpdateFrame, ClientID: 3, Frame: frame})
+	}
+	// Dim mismatch: a frame encoded for a model one coordinate larger.
+	wide := codec.NewEncoder(codec.Spec{Quant: codec.Raw}).Encode(3, 0, make([]float64, fuzzDim+1), make([]float64, fuzzDim+1))
+	f.Add(update(codec.EncodeWire(wide)))
 	// Truncated scale section: drop bytes from the tail, which for a
 	// sparse int8 frame cuts into scales/quantized values.
-	f.Add(encodeEnvelopes(f, &Envelope{Type: MsgUpdate, Frame: frame[:len(frame)-10]}))
+	f.Add(update(frame[:len(frame)-10]))
 	// Out-of-range top-k index: the first stored index (right after the
 	// 20-byte header) patched far beyond dim.
 	oob := bytes.Clone(frame)
 	binary.LittleEndian.PutUint32(oob[20:], 1<<30)
-	f.Add(encodeEnvelopes(f, &Envelope{Type: MsgUpdate, Frame: oob}))
+	f.Add(update(oob))
 	// Zero-length block section: a dense int8 frame with a correctly sized
-	// body that declares zero scale blocks for its 256 coordinates.
-	zb := make([]byte, 0, 20+4+8+256)
+	// body that declares zero scale blocks for its 64 coordinates.
+	zb := make([]byte, 0, 20+4+8+64)
 	zb = append(zb, 0xC6, 0x01, byte(codec.Int8), 0)
-	zb = binary.LittleEndian.AppendUint32(zb, 256) // dim
-	zb = binary.LittleEndian.AppendUint64(zb, 0)   // topk
-	zb = binary.LittleEndian.AppendUint32(zb, 0)   // k
-	zb = binary.LittleEndian.AppendUint32(zb, 0)   // nblocks: liar, 1 block stored
-	zb = append(zb, make([]byte, 8+256)...)
-	f.Add(encodeEnvelopes(f, &Envelope{Type: MsgUpdate, Frame: zb}))
+	zb = binary.LittleEndian.AppendUint32(zb, 64) // dim
+	zb = binary.LittleEndian.AppendUint64(zb, 0)  // topk
+	zb = binary.LittleEndian.AppendUint32(zb, 0)  // k
+	zb = binary.LittleEndian.AppendUint32(zb, 0)  // nblocks: liar, 1 block stored
+	zb = append(zb, make([]byte, 8+64)...)
+	f.Add(update(zb))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		conn := NewConn(&byteConn{r: bytes.NewReader(bytes.Clone(data))}, 0)
 		defer conn.Close()
-		// The input holds at most len(data) frames; anything still decoding
-		// after that many Recvs is consuming zero bytes per call.
-		for i := 0; i <= len(data)+1; i++ {
+		// Every message consumes at least its header, so the input holds at
+		// most len(data)/headerSize of them; anything still decoding after
+		// that is consuming zero bytes per call.
+		for i := 0; i <= len(data)/headerSize; i++ {
 			e, err := conn.Recv()
+			if bound := max(maxHandshakeBody, 16*conn.dim, maxFrameBytes(conn.dim)); cap(conn.rbuf) > bound {
+				t.Fatalf("read buffer grew to %d bytes, bound %d at dim %d", cap(conn.rbuf), bound, conn.dim)
+			}
 			if err != nil {
 				return // fail-closed: decoding stopped with a terminal error
 			}
 			if e == nil {
 				t.Fatal("Recv returned nil envelope with nil error")
 			}
+			if e.Type == MsgJoinAck {
+				if e.Dim > 1<<12 {
+					return // a legal but large model: keep the harness fast
+				}
+				conn.dim = e.Dim
+			}
 			if len(e.Frame) > 0 {
 				// Second decode stage: the server feeds Update frames to the
 				// codec decoder with the model dimension as the bound. It
 				// must fail closed — reject or yield a frame that survives a
 				// canonical re-encode — never panic or over-allocate.
-				fr, err := codec.DecodeWire(e.Frame, 1<<20)
+				fr, err := codec.DecodeWire(e.Frame, conn.dim)
 				if err == nil {
-					if _, err := codec.DecodeWire(codec.EncodeWire(fr), 1<<20); err != nil {
+					if _, err := codec.DecodeWire(codec.EncodeWire(fr), conn.dim); err != nil {
 						t.Fatalf("accepted frame fails canonical re-encode: %v", err)
 					}
 				}
 			}
 		}
-		t.Fatalf("Recv yielded more envelopes than input frames (%d bytes)", len(data))
+		t.Fatalf("Recv yielded more messages than the input has headers (%d bytes)", len(data))
 	})
 }

@@ -1,23 +1,52 @@
 // Package flnet is the networked deployment of the federated-learning
 // system: a TCP server that drives the paper's round loop (select clients,
 // broadcast the global model, collect updates, robust-aggregate) and client
-// processes — benign trainers or attack adversaries — that speak a
-// length-prefixed gob protocol. The in-process simulator (internal/fl) and
-// this package share the Aggregator/Attack interfaces, so every defense and
-// attack of the reproduction also runs over a real network boundary.
+// processes — benign trainers or attack adversaries — that speak one
+// length-exact binary protocol in both directions. The in-process simulator
+// (internal/fl) and this package share the Aggregator/Attack interfaces, so
+// every defense and attack of the reproduction also runs over a real network
+// boundary.
+//
+// Wire format, version 2. Every message is a fixed 20-byte little-endian
+// header followed by exactly `length` body bytes:
+//
+//	[0]     magic 0xF1
+//	[1]     version 0x02
+//	[2]     type (MsgType)
+//	[3]     flags — train: Prev* mode; update: Update* body kind; else 0
+//	[4:8]   round   uint32 (train, update)
+//	[8:12]  client  uint32 (joinack assigns it, update echoes it; else 0)
+//	[12:16] samples int32  (update: the reported n_i; else 0)
+//	[16:20] length  uint32
+//
+// Bodies, with d the session's model dimension (fixed by the joinack) and
+// str a uint16 length followed by that many bytes:
+//
+//	join        str codec, str federation
+//	joinack     uint32 d, str codec, str federation
+//	joinreject  str code, str reason
+//	train       d × f64 global, then d × f64 prev iff flags = PrevInline
+//	update      d × f64 weights (UpdateDense) | one codec wire frame (UpdateFrame)
+//	done        d × f64 final global
+//
+// The decoder is fail-closed: the header is validated — magic, version,
+// type, flags, and the body length against the exact size the type has for
+// the session's d — before a single body byte is read or allocated.
 package flnet
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"time"
+
+	"repro/internal/codec"
 )
 
-// MsgType discriminates protocol envelopes.
+// MsgType discriminates protocol messages.
 type MsgType int
 
 // Protocol message types. A session is: client sends Join; server replies
@@ -32,13 +61,11 @@ const (
 	MsgDone
 	// MsgJoinReject closes the handshake before round start when the
 	// server cannot serve the client; Err carries the reason and RejectCode
-	// (when set) a machine-readable class.
+	// a machine-readable class.
 	MsgJoinReject
 )
 
-// Typed join-rejection codes carried in Envelope.RejectCode. Legacy servers
-// send none (the field decodes empty), which clients treat as RejectCodec —
-// the only rejection the pre-federation protocol could produce.
+// Typed join-rejection codes carried in Envelope.RejectCode.
 const (
 	// RejectCodec: the requested update codec is not served.
 	RejectCodec = "codec"
@@ -51,6 +78,27 @@ const (
 	// RejectClosed: the federation is full, training, or draining — it will
 	// not admit members again.
 	RejectClosed = "closed"
+	// RejectVersion: the peer speaks another version of the wire format.
+	RejectVersion = "version"
+)
+
+// TrainRequest flags: how the client obtains w(t−1). The server elides prev
+// whenever the client provably retains it, and inlines it otherwise.
+const (
+	// PrevSame: prev equals this request's global (a fresh start).
+	PrevSame uint8 = iota
+	// PrevLast: prev is the global of the last request this client received.
+	PrevLast
+	// PrevInline: prev follows the global in the body.
+	PrevInline
+)
+
+// Update flags: the body kind.
+const (
+	// UpdateDense: the body is the dense float64 weight vector.
+	UpdateDense uint8 = iota
+	// UpdateFrame: the body is one codec wire frame.
+	UpdateFrame
 )
 
 // String returns the message-type name.
@@ -73,153 +121,346 @@ func (t MsgType) String() string {
 	}
 }
 
-// Envelope is the single wire message of the protocol; fields are used
-// depending on Type.
+// Envelope is the decoded form of one message; fields are used depending on
+// Type.
 type Envelope struct {
 	// Type discriminates the message.
 	Type MsgType
+	// Flags is the header flag byte (Prev* for TrainRequest, Update* for
+	// Update).
+	Flags uint8
 	// Round is the round index of TrainRequest/Update messages.
 	Round int
 	// ClientID is assigned by the server in JoinAck and echoed in Update.
 	ClientID int
-	// Weights carries the global model (TrainRequest, Done) or the local
-	// update (Update).
-	Weights []float64
-	// PrevWeights carries w(t−1) in TrainRequest so data-free attackers can
-	// evaluate their distance regularization, exactly the information a
-	// real client would have retained from the previous round.
-	PrevWeights []float64
 	// NumSamples is the client's reported n_i in Update messages.
 	NumSamples int
+	// Weights carries the global model (TrainRequest — followed by w(t−1)
+	// when Flags is PrevInline — and Done) or the dense local update.
+	Weights []float64
+	// Frame carries the compressed update (codec wire format) in Update
+	// messages flagged UpdateFrame.
+	Frame []byte
+	// Dim is the model dimension the server announces in JoinAck; it fixes
+	// the exact size of every later body of the session.
+	Dim int
 	// Codec is the canonical codec spec token (codec.Spec.String) the
 	// client requests in Join and the server confirms in JoinAck. Empty
-	// means uncompressed — every legacy client is a valid "" negotiation.
+	// means dense float64 updates.
 	Codec string
-	// Frame carries the compressed update (codec wire format) in Update
-	// messages when a codec was negotiated; Weights is then left empty.
-	Frame []byte
-	// Err carries the rejection reason in JoinReject.
-	Err string
-	// Federation names the federation the client wants to join (Join
-	// messages on a multi-tenant host). Empty joins the host's sole
-	// federation — which is how every legacy client decodes, so old binaries
-	// keep working against single-tenant hosts.
+	// Federation names the federation the client wants to join (Join) or
+	// was admitted to (JoinAck). Empty joins a single-tenant server, or the
+	// sole federation of a host.
 	Federation string
-	// RejectCode is the machine-readable rejection class in JoinReject
-	// (see the Reject* constants); empty from legacy servers.
-	RejectCode string
+	// RejectCode is the machine-readable rejection class in JoinReject (see
+	// the Reject* constants) and Err the human-readable reason.
+	RejectCode, Err string
 }
 
-// maxFrameSize bounds a frame to guard against corrupted length prefixes.
-const maxFrameSize = 64 << 20 // 64 MiB
+const (
+	wireMagic   = 0xF1
+	wireVersion = 0x02
+	headerSize  = 20
+	// maxHandshakeBody bounds join/joinack/joinreject bodies, the only ones
+	// whose size the model dimension does not fix.
+	maxHandshakeBody = 4 << 10
+	// maxDim bounds the model dimension a peer may announce, so the largest
+	// body (a TrainRequest with an inlined prev) stays within 64 MiB.
+	maxDim = 4 << 20
+)
 
-// Conn wraps a net.Conn with length-prefixed gob framing and deadline
-// handling. It is not safe for concurrent use.
+// VersionError reports a peer whose header carries the protocol magic but
+// another wire-format version.
+type VersionError struct{ Got byte }
+
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("flnet: peer speaks wire version %d, this build speaks %d", e.Got, wireVersion)
+}
+
+// errQuiet reports a read deadline that passed between messages: nothing was
+// consumed, so the stream is still in sync.
+var errQuiet = errors.New("flnet: no message before the deadline")
+
+// ErrSessionClosed is returned by client loops when the server finished the
+// training and closed the session cleanly.
+var ErrSessionClosed = errors.New("flnet: session closed")
+
+// header is a validated message header.
+type header struct {
+	typ                    MsgType
+	flags                  uint8
+	round, client, samples int
+	n                      int // body length
+}
+
+// maxFrameBytes bounds a codec wire frame of dimension d: the header, k ≤ d
+// indices, d float64 values (the widest quantization) and the int8 scales.
+func maxFrameBytes(d int) int { return 24 + 12*d + 8*((d+codec.Block-1)/codec.Block) }
+
+// parseHeader validates b against the session's model dimension (0 while
+// the handshake is pending) and returns the header. Every error is terminal.
+func parseHeader(b []byte, dim int) (header, error) {
+	if b[0] != wireMagic {
+		return header{}, fmt.Errorf("flnet: bad magic %#02x", b[0])
+	}
+	if b[1] != wireVersion {
+		return header{}, &VersionError{Got: b[1]}
+	}
+	h := header{
+		typ:     MsgType(b[2]),
+		flags:   b[3],
+		round:   int(binary.LittleEndian.Uint32(b[4:])),
+		client:  int(binary.LittleEndian.Uint32(b[8:])),
+		samples: int(int32(binary.LittleEndian.Uint32(b[12:]))),
+		n:       int(binary.LittleEndian.Uint32(b[16:])),
+	}
+	// lo..hi is the exact body size the type has for this session.
+	lo, hi, maxFlag, handshake := 8*dim, 8*dim, uint8(0), false
+	switch h.typ {
+	case MsgJoin, MsgJoinAck, MsgJoinReject:
+		lo, hi, handshake = 0, maxHandshakeBody, true
+	case MsgTrainRequest:
+		maxFlag = PrevInline
+		if h.flags == PrevInline {
+			lo, hi = 16*dim, 16*dim
+		}
+	case MsgUpdate:
+		maxFlag = UpdateFrame
+		if h.flags == UpdateFrame {
+			lo, hi = 0, maxFrameBytes(dim)
+		}
+	case MsgDone:
+	default:
+		return header{}, fmt.Errorf("flnet: unknown message type %d", b[2])
+	}
+	if h.flags > maxFlag {
+		return header{}, fmt.Errorf("flnet: %s with unknown flags %#02x", h.typ, h.flags)
+	}
+	if dim == 0 && !handshake {
+		return header{}, fmt.Errorf("flnet: %s before the join handshake", h.typ)
+	}
+	if h.n < lo || h.n > hi {
+		return header{}, fmt.Errorf("flnet: %s body of %d bytes, want %d..%d (dim %d)", h.typ, h.n, lo, hi, dim)
+	}
+	return h, nil
+}
+
+// appendHeader appends one header.
+func appendHeader(dst []byte, typ MsgType, flags uint8, round, client, samples, n int) []byte {
+	dst = append(dst, wireMagic, wireVersion, byte(typ), flags)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(round))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(client))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(samples)))
+	return binary.LittleEndian.AppendUint32(dst, uint32(n))
+}
+
+// appendF64s appends v as little-endian float64 bits.
+func appendF64s(dst []byte, v []float64) []byte {
+	for _, x := range v {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
+	}
+	return dst
+}
+
+// decodeF64s fills dst from src (8·len(dst) bytes) and reports whether every
+// value is finite — checked on the bits in the same loop, no second pass.
+func decodeF64s(dst []float64, src []byte) (finite bool) {
+	const expMask = 0x7FF << 52
+	finite = true
+	for i := range dst {
+		bits := binary.LittleEndian.Uint64(src)
+		src = src[8:]
+		if bits&expMask == expMask {
+			finite = false
+		}
+		dst[i] = math.Float64frombits(bits)
+	}
+	return finite
+}
+
+func appendString(dst []byte, s string) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
+	return append(dst, s...)
+}
+
+// readString consumes one str from src; ok is false on a short body.
+func readString(src []byte) (s string, rest []byte, ok bool) {
+	if len(src) < 2 {
+		return "", nil, false
+	}
+	n := int(binary.LittleEndian.Uint16(src))
+	if len(src) < 2+n {
+		return "", nil, false
+	}
+	return string(src[2 : 2+n]), src[2+n:], true
+}
+
+// appendTo appends the message's wire bytes (header and body) to dst.
+func (e *Envelope) appendTo(dst []byte) ([]byte, error) {
+	// Every header field must fit its wire width, strings their uint16
+	// lengths and the body its uint32 one.
+	if uint64(e.Round) > math.MaxInt32 || uint64(e.ClientID) > math.MaxInt32 ||
+		int(int32(e.NumSamples)) != e.NumSamples || uint64(e.Dim) > maxDim ||
+		len(e.Codec)+len(e.Federation)+len(e.RejectCode) > 1<<10 ||
+		len(e.Weights) > 2*maxDim || len(e.Frame) > 16*maxDim {
+		return dst, fmt.Errorf("flnet: %s field out of range", e.Type)
+	}
+	start := len(dst)
+	dst = appendHeader(dst, e.Type, e.Flags, e.Round, e.ClientID, e.NumSamples, 0)
+	switch e.Type {
+	case MsgJoin:
+		dst = appendString(appendString(dst, e.Codec), e.Federation)
+	case MsgJoinAck:
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Dim))
+		dst = appendString(appendString(dst, e.Codec), e.Federation)
+	case MsgJoinReject:
+		// The reason may quote a peer-chosen name: truncated, not refused.
+		dst = appendString(appendString(dst, e.RejectCode), e.Err[:min(len(e.Err), 1<<10)])
+	default:
+		if e.Type == MsgUpdate && e.Flags == UpdateFrame {
+			dst = append(dst, e.Frame...)
+		} else {
+			dst = appendF64s(dst, e.Weights)
+		}
+	}
+	binary.LittleEndian.PutUint32(dst[start+16:], uint32(len(dst)-start-headerSize))
+	return dst, nil
+}
+
+// decodeEnvelope renders a validated message into a fresh Envelope that
+// shares no memory with body.
+func decodeEnvelope(h header, body []byte) (*Envelope, error) {
+	e := &Envelope{Type: h.typ, Flags: h.flags, Round: h.round, ClientID: h.client, NumSamples: h.samples}
+	ok := true
+	switch h.typ {
+	case MsgJoin:
+		e.Codec, body, ok = readString(body)
+		if ok {
+			e.Federation, body, ok = readString(body)
+		}
+	case MsgJoinAck:
+		if ok = len(body) >= 4; ok {
+			e.Dim = int(binary.LittleEndian.Uint32(body))
+			e.Codec, body, ok = readString(body[4:])
+		}
+		if ok {
+			e.Federation, body, ok = readString(body)
+		}
+		ok = ok && e.Dim > 0 && e.Dim <= maxDim
+	case MsgJoinReject:
+		e.RejectCode, body, ok = readString(body)
+		if ok {
+			e.Err, body, ok = readString(body)
+		}
+	default:
+		if h.typ == MsgUpdate && h.flags == UpdateFrame {
+			e.Frame = append([]byte(nil), body...)
+		} else {
+			e.Weights = make([]float64, len(body)/8)
+			decodeF64s(e.Weights, body)
+		}
+		body = nil
+	}
+	if !ok || len(body) != 0 {
+		return nil, fmt.Errorf("flnet: malformed %s body", h.typ)
+	}
+	return e, nil
+}
+
+// Conn frames messages over a net.Conn with deadline handling. Reads go
+// through one reusable body buffer and writes through another, so a session
+// in steady state allocates nothing for framing. It is not safe for
+// concurrent use.
 type Conn struct {
 	raw net.Conn
-	enc *gob.Encoder
-	dec *gob.Decoder
 	// Timeout bounds each read or write; 0 means no deadline.
 	Timeout time.Duration
+	// dim is the session's model dimension; 0 until the handshake sets it,
+	// and until then only handshake messages decode.
+	dim int
 
-	wbuf lengthPrefixWriter
-	rbuf lengthPrefixReader
+	hdr        [headerSize]byte
+	rbuf, wbuf []byte
 }
 
 // NewConn wraps a network connection.
 func NewConn(raw net.Conn, timeout time.Duration) *Conn {
-	c := &Conn{raw: raw, Timeout: timeout}
-	c.wbuf.raw = raw
-	c.rbuf.raw = raw
-	c.enc = gob.NewEncoder(&c.wbuf)
-	c.dec = gob.NewDecoder(&c.rbuf)
-	return c
+	return &Conn{raw: raw, Timeout: timeout}
 }
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.raw.Close() }
 
-// Send writes one envelope.
+// Send writes one message.
 func (c *Conn) Send(e *Envelope) error {
+	buf, err := e.appendTo(c.wbuf[:0])
+	if err != nil {
+		return err
+	}
+	c.wbuf = buf
+	if err := c.write(buf); err != nil {
+		return fmt.Errorf("flnet: send %s: %w", e.Type, err)
+	}
+	return nil
+}
+
+// write sends already-encoded message bytes under the write deadline, as
+// one vectored write (one plain Write per buffer on a non-socket net.Conn).
+func (c *Conn) write(bufs ...[]byte) error {
 	if c.Timeout > 0 {
 		//lint:allow telemetryclock socket write deadline feeds the OS, not results
 		if err := c.raw.SetWriteDeadline(time.Now().Add(c.Timeout)); err != nil {
 			return err
 		}
 	}
-	if err := c.enc.Encode(e); err != nil {
-		return fmt.Errorf("flnet: send %s: %w", e.Type, err)
-	}
-	return nil
+	v := net.Buffers(bufs)
+	_, err := v.WriteTo(c.raw)
+	return err
 }
 
-// Recv reads one envelope.
+// Recv reads one message into a fresh Envelope.
 func (c *Conn) Recv() (*Envelope, error) {
-	if c.Timeout > 0 {
-		//lint:allow telemetryclock socket read deadline feeds the OS, not results
-		if err := c.raw.SetReadDeadline(time.Now().Add(c.Timeout)); err != nil {
-			return nil, err
-		}
-	}
-	var e Envelope
-	if err := c.dec.Decode(&e); err != nil {
+	if err := c.armRead(); err != nil {
 		return nil, err
 	}
-	return &e, nil
-}
-
-// lengthPrefixWriter frames every gob segment with a uint32 length so the
-// reader can validate frame sizes before decoding.
-type lengthPrefixWriter struct {
-	raw io.Writer
-}
-
-func (w *lengthPrefixWriter) Write(p []byte) (int, error) {
-	if len(p) > maxFrameSize {
-		return 0, fmt.Errorf("flnet: frame of %d bytes exceeds limit", len(p))
+	h, body, err := c.next()
+	if err != nil {
+		return nil, err
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(p)))
-	if _, err := w.raw.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	if _, err := w.raw.Write(p); err != nil {
-		return 0, err
-	}
-	return len(p), nil
+	return decodeEnvelope(h, body)
 }
 
-// lengthPrefixReader reassembles the frames written by lengthPrefixWriter.
-type lengthPrefixReader struct {
-	raw     io.Reader
-	pending []byte
+// armRead sets the read deadline Timeout from now.
+func (c *Conn) armRead() error {
+	if c.Timeout <= 0 {
+		return nil
+	}
+	//lint:allow telemetryclock socket read deadline feeds the OS, not results
+	return c.raw.SetReadDeadline(time.Now().Add(c.Timeout))
 }
 
-func (r *lengthPrefixReader) Read(p []byte) (int, error) {
-	if len(r.pending) == 0 {
-		var hdr [4]byte
-		if _, err := io.ReadFull(r.raw, hdr[:]); err != nil {
-			return 0, err
+// next reads one message under whatever read deadline is armed: the
+// validated header, and the body in the connection's reusable buffer (valid
+// until the following call). errQuiet means the deadline passed before the
+// first header byte; every other error leaves the stream out of sync.
+func (c *Conn) next() (header, []byte, error) {
+	if n, err := io.ReadFull(c.raw, c.hdr[:]); err != nil {
+		var ne net.Error
+		if n == 0 && errors.As(err, &ne) && ne.Timeout() {
+			err = errQuiet
 		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n == 0 || n > maxFrameSize {
-			return 0, fmt.Errorf("flnet: invalid frame length %d", n)
-		}
-		r.pending = make([]byte, n)
-		if _, err := io.ReadFull(r.raw, r.pending); err != nil {
-			return 0, err
-		}
+		return header{}, nil, err
 	}
-	n := copy(p, r.pending)
-	r.pending = r.pending[n:]
-	return n, nil
+	h, err := parseHeader(c.hdr[:], c.dim)
+	if err != nil {
+		return header{}, nil, err
+	}
+	if cap(c.rbuf) < h.n {
+		c.rbuf = make([]byte, h.n)
+	}
+	body := c.rbuf[:h.n]
+	if _, err := io.ReadFull(c.raw, body); err != nil {
+		return header{}, nil, fmt.Errorf("flnet: %s body: %w", h.typ, err)
+	}
+	return h, body, nil
 }
-
-// errProtocol reports an unexpected message.
-func errProtocol(want MsgType, got *Envelope) error {
-	return fmt.Errorf("flnet: expected %s, got %s", want, got.Type)
-}
-
-// ErrSessionClosed is returned by client loops when the server finished the
-// training and closed the session cleanly.
-var ErrSessionClosed = errors.New("flnet: session closed")

@@ -71,8 +71,8 @@ type ServerConfig struct {
 	// unless the caller knows the deployment's adversaries.
 	Observer fl.AggregationObserver
 	// Codec is the canonical codec spec token (codec.Spec.String) the
-	// server supports. A joining client must request either "" (legacy
-	// uncompressed updates, always accepted) or exactly this token; any
+	// server supports. A joining client must request either "" (dense
+	// float64 updates, always accepted) or exactly this token; any
 	// other request is rejected at the handshake with MsgJoinReject,
 	// before round start. Compression is client-side: the server decodes
 	// frames, it never fabricates them.
@@ -148,10 +148,18 @@ type ServerResult struct {
 type session struct {
 	id   int
 	conn *Conn
-	// spec is the codec the client negotiated at join ("" = legacy dense
-	// updates). The server enforces it per update: a compressed session
-	// must send frames of exactly this spec, a legacy one plain weights.
+	// spec is the codec the client negotiated at join ("" = dense updates).
+	// The server enforces it per update: a compressed session must send
+	// frames of exactly this spec, a dense one plain weights.
 	spec codec.Spec
+	// sentGen is the broadcast generation of the last TrainRequest written
+	// to this session (0 = none): what the client retains as its last global.
+	sentGen uint64
+	// broken marks a session whose byte stream lost sync; it is closed and
+	// never contacted again.
+	broken bool
+	// hdr is the scratch for a per-session header (inlined-prev requests).
+	hdr [headerSize]byte
 }
 
 // Server drives federated training over real connections: the single-tenant
@@ -220,10 +228,8 @@ func (s *Server) acceptClients(lis net.Listener) error {
 			}
 			return fmt.Errorf("flnet: accept: %w", err)
 		}
-		conn := NewConn(raw, s.cfg.HandshakeTimeout)
-		hello, err := conn.Recv()
-		if err != nil || hello.Type != MsgJoin {
-			_ = conn.Close() // a scanner, half-open dial or silent peer
+		conn, hello := readHello(raw, s.cfg.HandshakeTimeout)
+		if conn == nil {
 			continue
 		}
 		// Admission (federation identity, codec negotiation, JoinAck) is the
@@ -232,4 +238,22 @@ func (s *Server) acceptClients(lis net.Listener) error {
 		s.fed.admit(conn, hello)
 	}
 	return nil
+}
+
+// readHello reads the Join that opens a freshly accepted connection. A peer
+// that speaks another wire-format version gets a typed reject; a scanner,
+// half-open dial or silent peer is closed without a reply. Both return nil.
+func readHello(raw net.Conn, timeout time.Duration) (*Conn, *Envelope) {
+	conn := NewConn(raw, timeout)
+	hello, err := conn.Recv()
+	if err == nil && hello.Type == MsgJoin {
+		return conn, hello
+	}
+	var ve *VersionError
+	if errors.As(err, &ve) {
+		reject(conn, RejectVersion, ve.Error())
+	} else {
+		_ = conn.Close()
+	}
+	return nil, nil
 }

@@ -19,6 +19,8 @@ type fedTelemetry struct {
 	queueDepth *telemetry.Gauge
 	queueWait  *telemetry.Histogram
 	drains     *telemetry.Counter
+	rejected   *telemetry.Counter
+	broken     *telemetry.Counter
 }
 
 // newFedTelemetry registers one federation's instruments from its config;
@@ -48,6 +50,10 @@ func newFedTelemetry(cfg ServerConfig, id string) *fedTelemetry {
 			"Time a handshake waited in the admission queue before being served.", labels...),
 		drains: reg.Counter("flnet_drains_total",
 			"Graceful drain requests.", labels...),
+		rejected: reg.Counter("flnet_updates_rejected_total",
+			"Well-framed updates dropped for bad content (non-finite weights, negative samples, wrong dimension, spec or client).", labels...),
+		broken: reg.Counter("flnet_sessions_broken_total",
+			"Sessions closed because their byte stream lost sync (I/O error, deadline inside a message, protocol violation).", labels...),
 	}
 }
 
@@ -117,8 +123,22 @@ func (t *fedTelemetry) drained() {
 	t.tracer.Emit(t.track, "drain-requested", telemetry.Nanos(), 0)
 }
 
+// updateRejected counts an update dropped for bad content.
+func (t *fedTelemetry) updateRejected() {
+	if t != nil {
+		t.rejected.Inc()
+	}
+}
+
+// sessionBroken counts a session lost to a desynchronized stream.
+func (t *fedTelemetry) sessionBroken() {
+	if t != nil {
+		t.broken.Inc()
+	}
+}
+
 // bytesIn counts real update wire bytes received (codec frame length, or
-// 8 bytes per coordinate for legacy dense updates). Safe from the
+// 8 bytes per coordinate for dense updates). Safe from the
 // concurrent per-session collect goroutines — counters are atomic.
 func (t *fedTelemetry) bytesIn(n int) {
 	if t != nil {
