@@ -116,18 +116,9 @@ func trainAdversary(ctx *fl.AttackContext, cfg DFAConfig, images *tensor.Tensor,
 			model.ResetScratch()
 			logits := model.Forward(xb, true)
 			_, grad := nn.CrossEntropy(logits, yb)
-			model.Backward(grad)
+			model.BackwardParams(grad)
 			if cfg.RegLambda > 0 {
-				// ∂L_d/∂w = 2(w − w(t)); the second term of Eq. 3 is
-				// constant in w and contributes no gradient.
-				w := model.WeightVector()
-				delta := vec.Sub(w, ctx.Global)
-				for i := range delta {
-					delta[i] *= 2 * cfg.RegLambda
-				}
-				if err := model.AddToGrads(delta); err != nil {
-					return nil, err
-				}
+				addDistanceGrad(model, ctx.Global, 2*cfg.RegLambda)
 			}
 			opt.Step(model)
 		}
@@ -148,14 +139,33 @@ func gatherBatch(images *tensor.Tensor, labels []int, idx []int) (*tensor.Tensor
 	return xb, yb
 }
 
-// frozenModel loads the global weights into a fresh network used purely for
-// forward/backward passes (its own parameters are never stepped).
-func frozenModel(ctx *fl.AttackContext) (*nn.Network, error) {
-	m := ctx.NewModel(rand.New(rand.NewSource(1)))
-	if err := m.SetWeightVector(ctx.Global); err != nil {
-		return nil, err
+// addDistanceGrad adds ∂(λ·L_d)/∂w = scale·(w − w(t)), scale = 2λ, to the
+// model's gradient tensors in place; the second term of Eq. 3 is constant
+// in w and contributes no gradient. global is walked by offset in
+// parameter order, the layout of WeightVector.
+func addDistanceGrad(model *nn.Network, global []float64, scale float64) {
+	grads := model.Grads()
+	off := 0
+	for i, p := range model.Params() {
+		g := grads[i].Data
+		for j, w := range p.Data {
+			// The conversion rounds the product before the add, so no
+			// platform fuses the two into one differently rounded FMA.
+			g[j] += float64((w - global[off+j]) * scale)
+		}
+		off += len(p.Data)
 	}
-	return m, nil
+}
+
+// newFrozen builds a replica of the task model for forward and
+// input-gradient passes only, drawing its activations from arena. Its owner
+// loads the round's global weights with SetWeightVector and never steps
+// it, so its Grads stay zero; the initial weights are never read, hence
+// the fixed seed that leaves ctx.Rng alone.
+func newFrozen(ctx *fl.AttackContext, arena *tensor.Pool) *nn.Network {
+	m := ctx.NewModel(rand.New(rand.NewSource(1)))
+	m.SetScratch(arena)
+	return m
 }
 
 // replicate returns ctx.NumAttackers copies of v with optional Gaussian

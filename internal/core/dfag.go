@@ -22,6 +22,7 @@ type DFAG struct {
 	// synthetic data different from class Ỹ").
 	gen         *nn.Network
 	genOpt      *nn.SGD
+	frozen      *nn.Network // replica of the global model, reloaded each round
 	latent      *tensor.Tensor
 	targetClass int
 
@@ -68,6 +69,9 @@ func (a *DFAG) ensureState(ctx *fl.AttackContext) {
 	a.gen = nn.NewGenerator(ctx.Rng, a.cfg.ImgC, a.cfg.ImgSize)
 	a.gen.SetScratch(tensor.NewPool())
 	a.genOpt = nn.NewSGD(a.cfg.SynthesisLR, 0.9)
+	// The frozen model shares the generator's arena: both run in this
+	// goroutine and their activations die together at each epoch reset.
+	a.frozen = newFrozen(ctx, a.gen.Scratch())
 	c, h, w := nn.GeneratorLatentSize(a.cfg.ImgSize)
 	a.latent = tensor.New(a.cfg.SampleCount, c, h, w)
 	a.latent.FillNormal(ctx.Rng, 0, 1)
@@ -78,8 +82,7 @@ func (a *DFAG) ensureState(ctx *fl.AttackContext) {
 func (a *DFAG) Craft(ctx *fl.AttackContext) ([][]float64, error) {
 	cfg := a.cfg
 	a.ensureState(ctx)
-	frozen, err := frozenModel(ctx)
-	if err != nil {
+	if err := a.frozen.SetWeightVector(ctx.Global); err != nil {
 		return nil, err
 	}
 	labels := make([]int, cfg.SampleCount)
@@ -87,23 +90,17 @@ func (a *DFAG) Craft(ctx *fl.AttackContext) ([][]float64, error) {
 		labels[i] = a.targetClass
 	}
 
-	// The frozen model shares the generator's arena: both run in this
-	// goroutine and their activations die together at each epoch reset.
-	frozen.SetScratch(a.gen.Scratch())
-
 	if cfg.Trained {
 		epochLoss := make([]float64, cfg.SynthesisEpochs)
 		for e := 0; e < cfg.SynthesisEpochs; e++ {
 			a.gen.ResetScratch()
 			s := a.gen.Forward(a.latent, true)
-			logits := frozen.Forward(s, true)
+			logits := a.frozen.Forward(s, true)
 			loss, grad := nn.CrossEntropy(logits, labels)
 			// maxθ F(w(t), (S, Ỹ)): gradient *ascent* on the cross-entropy,
 			// steering generated images away from class Ỹ.
 			grad.ScaleInPlace(-1)
-			ds := frozen.Backward(grad)
-			frozen.ZeroGrads()
-			a.gen.Backward(ds)
+			a.gen.BackwardParams(a.frozen.BackwardInput(grad))
 			a.genOpt.Step(a.gen)
 			epochLoss[e] = loss
 		}

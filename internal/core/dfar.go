@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"repro/internal/fl"
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -16,6 +18,11 @@ import (
 type DFAR struct {
 	cfg       DFAConfig
 	lossTrace [][]float64
+
+	// frozen holds one replica of the global model, with its own arena, per
+	// synthesis worker. The replicas persist across rounds; each Craft only
+	// reloads their weights.
+	frozen []*nn.Network
 }
 
 var _ fl.Attack = (*DFAR)(nil)
@@ -50,54 +57,10 @@ func (a *DFAR) LossTrace() [][]float64 {
 // Craft implements fl.Attack.
 func (a *DFAR) Craft(ctx *fl.AttackContext) ([][]float64, error) {
 	cfg := a.cfg
-	frozen, err := frozenModel(ctx)
+	images, err := a.synthesizeSet(ctx)
 	if err != nil {
 		return nil, err
 	}
-	images := tensor.New(cfg.SampleCount, cfg.ImgC, cfg.ImgSize, cfg.ImgSize)
-	per := cfg.ImgC * cfg.ImgSize * cfg.ImgSize
-	uniform := nn.UniformTarget(cfg.Classes)
-	epochLoss := make([]float64, cfg.SynthesisEpochs)
-	// One arena serves the filter network and the frozen model across all
-	// samples; it is recycled at every optimization step.
-	pool := tensor.NewPool()
-	frozen.SetScratch(pool)
-
-	for s := 0; s < cfg.SampleCount; s++ {
-		// Static random dummy image A; the filter layer is the only
-		// trainable component (Section III-C keeps A and the global model
-		// fixed to minimize the trainable parameter count).
-		dummy := tensor.New(1, cfg.ImgC, cfg.ImgSize, cfg.ImgSize)
-		dummy.FillUniform(ctx.Rng, -1, 1)
-		filter := nn.NewConv2D(ctx.Rng, cfg.ImgC, cfg.ImgC, 3, 1, 1)
-		fnet := nn.NewNetwork(filter)
-		fnet.SetScratch(pool)
-		opt := nn.NewSGD(cfg.SynthesisLR, 0.9)
-
-		if cfg.Trained {
-			for e := 0; e < cfg.SynthesisEpochs; e++ {
-				pool.Reset()
-				b := fnet.Forward(dummy, true)
-				logits := frozen.Forward(b, true)
-				loss, grad := nn.CrossEntropySoft(logits, uniform)
-				db := frozen.Backward(grad)
-				frozen.ZeroGrads() // the global model is never updated
-				fnet.Backward(db)
-				opt.Step(fnet)
-				epochLoss[e] += loss
-			}
-		}
-		pool.Reset()
-		b := fnet.Forward(dummy, false)
-		copy(images.Data[s*per:(s+1)*per], b.Data)
-	}
-	if cfg.Trained {
-		for e := range epochLoss {
-			epochLoss[e] /= float64(cfg.SampleCount)
-		}
-		a.lossTrace = append(a.lossTrace, epochLoss)
-	}
-
 	// Step 2: pair S with a per-round random class Ỹ and train the
 	// adversarial classifier.
 	yTilde := ctx.Rng.Intn(cfg.Classes)
@@ -110,4 +73,94 @@ func (a *DFAR) Craft(ctx *fl.AttackContext) ([][]float64, error) {
 		return nil, err
 	}
 	return replicate(ctx, w, cfg.PerturbStd), nil
+}
+
+// synthesizeSet performs step 1: it returns the round's synthetic set S
+// and, for the trained attack, appends the round's losses to the trace.
+func (a *DFAR) synthesizeSet(ctx *fl.AttackContext) (*tensor.Tensor, error) {
+	cfg := a.cfg
+	per := cfg.ImgC * cfg.ImgSize * cfg.ImgSize
+
+	// Every sample's static random dummy image A and filter layer come
+	// from ctx.Rng here, dummy then filter, sample by sample; the
+	// optimizations below draw nothing, so they can run in any order.
+	dummies := make([]*tensor.Tensor, cfg.SampleCount)
+	filters := make([]*nn.Network, cfg.SampleCount)
+	for s := range dummies {
+		dummies[s] = tensor.New(1, cfg.ImgC, cfg.ImgSize, cfg.ImgSize)
+		dummies[s].FillUniform(ctx.Rng, -1, 1)
+		filters[s] = nn.NewNetwork(nn.NewConv2D(ctx.Rng, cfg.ImgC, cfg.ImgC, 3, 1, 1))
+	}
+
+	workers := tensor.Workers()
+	if workers > cfg.SampleCount {
+		workers = cfg.SampleCount
+	}
+	for len(a.frozen) < workers {
+		a.frozen = append(a.frozen, newFrozen(ctx, tensor.NewPool()))
+	}
+	for _, m := range a.frozen[:workers] {
+		if err := m.SetWeightVector(ctx.Global); err != nil {
+			return nil, err
+		}
+	}
+
+	// The |S| optimizations are independent and a few milliseconds each,
+	// so they fan out here, once per craft: worker w drains the sample
+	// counter with its own replica and arena and writes image s and its
+	// losses into slot s.
+	images := tensor.New(cfg.SampleCount, cfg.ImgC, cfg.ImgSize, cfg.ImgSize)
+	losses := make([]float64, cfg.SampleCount*cfg.SynthesisEpochs)
+	uniform := nn.UniformTarget(cfg.Classes)
+	var next atomic.Int64
+	tensor.FanOut(workers, func(w int) {
+		frozen := a.frozen[w]
+		for {
+			s := int(next.Add(1)) - 1
+			if s >= cfg.SampleCount {
+				return
+			}
+			a.synthesize(frozen, filters[s], dummies[s], uniform,
+				images.Data[s*per:(s+1)*per], losses[s*cfg.SynthesisEpochs:(s+1)*cfg.SynthesisEpochs])
+		}
+	})
+	if cfg.Trained {
+		// Folded in sample order, so the trace does not depend on which
+		// worker ran which sample.
+		epochLoss := make([]float64, cfg.SynthesisEpochs)
+		for s := 0; s < cfg.SampleCount; s++ {
+			for e := range epochLoss {
+				epochLoss[e] += losses[s*cfg.SynthesisEpochs+e]
+			}
+		}
+		for e := range epochLoss {
+			epochLoss[e] /= float64(cfg.SampleCount)
+		}
+		a.lossTrace = append(a.lossTrace, epochLoss)
+	}
+	return images, nil
+}
+
+// synthesize optimizes one sample's filter layer against the frozen global
+// model — the filter is the only trainable component; Section III-C keeps
+// A and the global model fixed to minimize the trainable parameter count —
+// and writes the resulting image B and the per-epoch losses. The filter
+// net borrows the frozen model's arena, recycled at every step.
+func (a *DFAR) synthesize(frozen, fnet *nn.Network, dummy *tensor.Tensor, uniform, image, losses []float64) {
+	pool := frozen.Scratch()
+	fnet.SetScratch(pool)
+	if a.cfg.Trained {
+		opt := nn.NewSGD(a.cfg.SynthesisLR, 0.9)
+		for e := range losses {
+			pool.Reset()
+			b := fnet.Forward(dummy, true)
+			logits := frozen.Forward(b, true)
+			loss, grad := nn.CrossEntropySoftPool(pool, logits, uniform)
+			fnet.BackwardParams(frozen.BackwardInput(grad))
+			opt.Step(fnet)
+			losses[e] = loss
+		}
+	}
+	pool.Reset()
+	copy(image, fnet.Forward(dummy, false).Data)
 }

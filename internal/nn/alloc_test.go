@@ -45,3 +45,32 @@ func TestTrainBatchZeroSteadyStateAlloc(t *testing.T) {
 		})
 	}
 }
+
+// TestFrozenStepZeroSteadyStateAlloc extends the guarantee to the step DFA-R
+// repeats |S|·E times per craft: a frozen forward, the soft-target loss
+// and the input-only backward, all drawing from one arena.
+func TestFrozenStepZeroSteadyStateAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under -race")
+	}
+	tensor.SetWorkers(1)
+	defer tensor.SetWorkers(0)
+	rng := rand.New(rand.NewSource(2))
+	frozen := NewDeepCNN(rng, 3, 16, 10)
+	pool := tensor.NewPool()
+	frozen.SetScratch(pool)
+	x := tensor.New(1, 3, 16, 16)
+	x.FillNormal(rng, 0, 1)
+	uniform := UniformTarget(10)
+	step := func() {
+		pool.Reset()
+		_, grad := CrossEntropySoftPool(pool, frozen.Forward(x, true), uniform)
+		frozen.BackwardInput(grad)
+	}
+	for i := 0; i < 3; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(10, step); allocs > 0 {
+		t.Errorf("steady-state frozen step allocates %v times per run", allocs)
+	}
+}

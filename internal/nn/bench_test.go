@@ -41,6 +41,25 @@ func BenchmarkDeepCNNTrainBatch(b *testing.B) {
 	benchNet(b, net, x, 10)
 }
 
+// BenchmarkDeepCNNFrozenInputBackward measures what DFA synthesis asks of
+// the frozen global model: a forward pass and the input gradient alone, on
+// DFA-G's 20-image synthetic set.
+func BenchmarkDeepCNNFrozenInputBackward(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	net := NewDeepCNN(rng, 3, 16, 10)
+	net.SetScratch(tensor.NewPool())
+	x := tensor.New(20, 3, 16, 16)
+	x.FillNormal(rng, 0, 1)
+	labels := make([]int, 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.ResetScratch()
+		_, grad := crossEntropyPool(net.Scratch(), net.Forward(x, true), labels)
+		_ = net.BackwardInput(grad)
+	}
+}
+
 // BenchmarkGeneratorForward measures the DFA-G generator synthesizing a
 // 20-image set.
 func BenchmarkGeneratorForward(b *testing.B) {

@@ -161,13 +161,28 @@ func (c *Conv2D) forwardChunk(x, out *tensor.Tensor, lo, hi, ch int) {
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return c.backward(grad, true, true)
+}
+
+// backward implements halfBackward. The parameter half is the patch
+// expansion of the cached input, one weight-gradient partial per sample and
+// their in-order reduction; the input half is weightᵀ times the output
+// gradient scattered back by col2im. Neither reads the other's result.
+func (c *Conv2D) backward(grad *tensor.Tensor, params, input bool) *tensor.Tensor {
 	x := c.lastInput
 	batch, inC, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	outH, outW := grad.Shape[2], grad.Shape[3]
 	oHW := outH * outW
 	ck2 := inC * c.Kernel * c.Kernel
-	dx := c.scratch.GetTensor(batch, inC, h, w)
-	c.colsBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.dwBufs, batch, ck2*oHW, c.OutC*ck2)
+	var dx *tensor.Tensor
+	if input {
+		dx = c.scratch.GetTensor(batch, inC, h, w)
+	}
+	dwSize := 0
+	if params {
+		dwSize = c.OutC * ck2
+	}
+	c.colsBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.dwBufs, batch, ck2*oHW, dwSize)
 	if len(c.colsBufs) == 1 {
 		c.backwardChunk(x, grad, dx, 0, batch, 0)
 	} else {
@@ -175,13 +190,16 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			c.backwardChunk(x, grad, dx, lo, hi, ch)
 		})
 	}
-	reduceConvPartials(c.gradW.Data, c.gradB.Data, c.dwBufs, grad.Data, batch, c.OutC, oHW)
+	if params {
+		reduceConvPartials(c.gradW.Data, c.gradB.Data, c.dwBufs, grad.Data, batch, c.OutC, oHW)
+	}
 	return dx
 }
 
 // backwardChunk runs the GEMM-lowered backward pass for samples [lo, hi):
-// the sample's weight-gradient partial, then the input gradient via
-// col2im of weightᵀ times the output gradient.
+// the sample's weight-gradient partial when partials were staged, then the
+// input gradient via col2im of weightᵀ times the output gradient when dx
+// was.
 func (c *Conv2D) backwardChunk(x, grad, dx *tensor.Tensor, lo, hi, ch int) {
 	inC, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
 	outH, outW := grad.Shape[2], grad.Shape[3]
@@ -190,13 +208,17 @@ func (c *Conv2D) backwardChunk(x, grad, dx *tensor.Tensor, lo, hi, ch int) {
 	ck2 := inC * k * k
 	cols := c.colsBufs[ch]
 	for b := lo; b < hi; b++ {
-		im2col(cols, x.Data[b*inC*h*w:(b+1)*inC*h*w], inC, h, w, k, s, p, outH, outW)
 		gb := grad.Data[b*c.OutC*oHW : (b+1)*c.OutC*oHW]
-		// dW_b = dOut_b · colsᵀ, into this sample's partial.
-		tensor.GemmNT(c.dwBufs[b], gb, cols, c.OutC, oHW, ck2, false)
-		// dCols = weightᵀ · dOut_b, overwriting the patch buffer.
-		tensor.GemmTN(cols, c.weight.Data, gb, ck2, c.OutC, oHW, false)
-		col2im(dx.Data[b*inC*h*w:(b+1)*inC*h*w], cols, inC, h, w, k, s, p, outH, outW)
+		if len(c.dwBufs) > 0 {
+			im2col(cols, x.Data[b*inC*h*w:(b+1)*inC*h*w], inC, h, w, k, s, p, outH, outW)
+			// dW_b = dOut_b · colsᵀ, into this sample's partial.
+			tensor.GemmNT(c.dwBufs[b], gb, cols, c.OutC, oHW, ck2, false)
+		}
+		if dx != nil {
+			// dCols = weightᵀ · dOut_b, overwriting the patch buffer.
+			tensor.GemmTN(cols, c.weight.Data, gb, ck2, c.OutC, oHW, false)
+			col2im(dx.Data[b*inC*h*w:(b+1)*inC*h*w], cols, inC, h, w, k, s, p, outH, outW)
+		}
 	}
 }
 
@@ -429,14 +451,28 @@ func (c *ConvTranspose2D) forwardChunk(x, out *tensor.Tensor, lo, hi, ch int) {
 
 // Backward implements Layer.
 func (c *ConvTranspose2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return c.backward(grad, true, true)
+}
+
+// backward implements halfBackward. Both halves read the im2col expansion
+// of the output gradient; the parameter half multiplies it with the cached
+// input, the input half with the weights.
+func (c *ConvTranspose2D) backward(grad *tensor.Tensor, params, input bool) *tensor.Tensor {
 	x := c.lastInput
 	batch, inC, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	outH, outW := grad.Shape[2], grad.Shape[3]
 	hw := h * w
 	oHW := outH * outW
 	ock2 := c.OutC * c.Kernel * c.Kernel
-	dx := c.scratch.GetTensor(batch, inC, h, w)
-	c.colsBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.dwBufs, batch, ock2*hw, inC*ock2)
+	var dx *tensor.Tensor
+	if input {
+		dx = c.scratch.GetTensor(batch, inC, h, w)
+	}
+	dwSize := 0
+	if params {
+		dwSize = inC * ock2
+	}
+	c.colsBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.dwBufs, batch, ock2*hw, dwSize)
 	if len(c.colsBufs) == 1 {
 		c.backwardChunk(x, grad, dx, 0, batch, 0)
 	} else {
@@ -444,13 +480,15 @@ func (c *ConvTranspose2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			c.backwardChunk(x, grad, dx, lo, hi, ch)
 		})
 	}
-	reduceConvPartials(c.gradW.Data, c.gradB.Data, c.dwBufs, grad.Data, batch, c.OutC, oHW)
+	if params {
+		reduceConvPartials(c.gradW.Data, c.gradB.Data, c.dwBufs, grad.Data, batch, c.OutC, oHW)
+	}
 	return dx
 }
 
 // backwardChunk runs the GEMM-lowered backward pass for samples [lo, hi):
 // im2col of the output gradient, then the sample's weight-gradient partial
-// and the input gradient.
+// when partials were staged and the input gradient when dx was.
 func (c *ConvTranspose2D) backwardChunk(x, grad, dx *tensor.Tensor, lo, hi, ch int) {
 	inC, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
 	outH, outW := grad.Shape[2], grad.Shape[3]
@@ -463,11 +501,14 @@ func (c *ConvTranspose2D) backwardChunk(x, grad, dx *tensor.Tensor, lo, hi, ch i
 		// dCols = im2col(dOut_b) with the layer's geometry reversed:
 		// output positions of the scatter are the input positions here.
 		im2col(cols, grad.Data[b*c.OutC*oHW:(b+1)*c.OutC*oHW], c.OutC, outH, outW, k, s, p, h, w)
-		xb := x.Data[b*inC*hw : (b+1)*inC*hw]
-		// dW_b = x_b · dColsᵀ.
-		tensor.GemmNT(c.dwBufs[b], xb, cols, inC, hw, ock2, false)
-		// dx_b = weight · dCols.
-		tensor.GemmNN(dx.Data[b*inC*hw:(b+1)*inC*hw], c.weight.Data, cols, inC, ock2, hw, false)
+		if len(c.dwBufs) > 0 {
+			// dW_b = x_b · dColsᵀ.
+			tensor.GemmNT(c.dwBufs[b], x.Data[b*inC*hw:(b+1)*inC*hw], cols, inC, hw, ock2, false)
+		}
+		if dx != nil {
+			// dx_b = weight · dCols.
+			tensor.GemmNN(dx.Data[b*inC*hw:(b+1)*inC*hw], c.weight.Data, cols, inC, ock2, hw, false)
+		}
 	}
 }
 

@@ -69,18 +69,28 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return d.backward(grad, true, true)
+}
+
+// backward implements halfBackward: xᵀ·grad and the column sums of grad
+// for the parameters, grad·Wᵀ for the input.
+func (d *Dense) backward(grad *tensor.Tensor, params, input bool) *tensor.Tensor {
 	if len(grad.Shape) != 2 || grad.Shape[1] != d.Out {
 		panic(fmt.Sprintf("nn: dense gradient shape %v, want [batch %d]", grad.Shape, d.Out))
 	}
-	x := d.lastInput
 	batch := grad.Shape[0]
-	// gradW += xᵀ·grad, accumulated element-wise onto the existing values.
-	tensor.GemmTN(d.gradW.Data, x.Data, grad.Data, d.In, batch, d.Out, true)
-	for b := 0; b < batch; b++ {
-		row := grad.Data[b*d.Out : (b+1)*d.Out]
-		for j := 0; j < d.Out; j++ {
-			d.gradB.Data[j] += row[j]
+	if params {
+		// gradW += xᵀ·grad, accumulated element-wise onto the existing values.
+		tensor.GemmTN(d.gradW.Data, d.lastInput.Data, grad.Data, d.In, batch, d.Out, true)
+		for b := 0; b < batch; b++ {
+			row := grad.Data[b*d.Out : (b+1)*d.Out]
+			for j := 0; j < d.Out; j++ {
+				d.gradB.Data[j] += row[j]
+			}
 		}
+	}
+	if !input {
+		return nil
 	}
 	dx := d.scratch.GetTensor(batch, d.In)
 	tensor.GemmNT(dx.Data, grad.Data, d.weight.Data, batch, d.Out, d.In, false)

@@ -81,12 +81,20 @@ func crossEntropyPool(p *tensor.Pool, logits *tensor.Tensor, labels []int) (floa
 // global model toward the uniform output Y_D = [1/L, …, 1/L] — uses this
 // with a uniform target.
 func CrossEntropySoft(logits *tensor.Tensor, target []float64) (float64, *tensor.Tensor) {
+	return CrossEntropySoftPool(nil, logits, target)
+}
+
+// CrossEntropySoftPool is CrossEntropySoft with its temporaries and the
+// returned gradient drawn from a scratch arena (nil falls back to the
+// heap), so a DFA-R synthesis step that passes its frozen model's arena
+// allocates nothing.
+func CrossEntropySoftPool(p *tensor.Pool, logits *tensor.Tensor, target []float64) (float64, *tensor.Tensor) {
 	batch, classes := logits.Shape[0], logits.Shape[1]
 	if len(target) != classes {
 		panic(fmt.Sprintf("nn: CrossEntropySoft target length %d, want %d", len(target), classes))
 	}
-	probs := Softmax(logits)
-	grad := probs.Clone()
+	probs := softmaxPool(p, logits)
+	grad := cloneInto(p, probs)
 	loss := 0.0
 	invB := 1.0 / float64(batch)
 	for b := 0; b < batch; b++ {

@@ -108,13 +108,50 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// Backward propagates the output gradient through every layer in reverse and
-// returns the gradient with respect to the network input. Parameter
-// gradients accumulate into each layer's Grads tensors.
+// Backward propagates the output gradient through every layer in reverse,
+// accumulates parameter gradients into each layer's Grads tensors and
+// returns the gradient with respect to the network input. It is the full
+// pass the two entry points below are halves of; no caller outside the
+// tests needs both halves at once.
 func (n *Network) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return n.backward(grad, true, true)
+}
+
+// BackwardInput returns the gradient with respect to the network input and
+// computes nothing else: no patch expansion of the cached inputs, no weight
+// or bias gradients, Grads left exactly as they were. It is the backward
+// pass of a frozen model — DFA synthesis differentiates the global model
+// with respect to the synthetic image and never steps it.
+func (n *Network) BackwardInput(grad *tensor.Tensor) *tensor.Tensor {
+	return n.backward(grad, false, true)
+}
+
+// BackwardParams accumulates parameter gradients into each layer's Grads
+// tensors and skips the input gradient of the first layer, which training
+// never reads (the batch is data, not a parameter).
+func (n *Network) BackwardParams(grad *tensor.Tensor) {
+	n.backward(grad, true, false)
+}
+
+// halfBackward is implemented by the parametrised layers, whose backward
+// pass has two separable halves: the parameter gradients (params) and the
+// input gradient (input). With input false the result is nil.
+type halfBackward interface {
+	backward(grad *tensor.Tensor, params, input bool) *tensor.Tensor
+}
+
+// backward walks the layers in reverse. Every layer but the first must
+// produce its input gradient, since the layer below consumes it; the
+// parameter-free layers have only that half, so their Backward serves both
+// entry points.
+func (n *Network) backward(grad *tensor.Tensor, params, input bool) *tensor.Tensor {
 	g := grad
 	for i := len(n.layers) - 1; i >= 0; i-- {
-		g = n.layers[i].Backward(g)
+		if l, ok := n.layers[i].(halfBackward); ok {
+			g = l.backward(g, params, input || i > 0)
+		} else {
+			g = n.layers[i].Backward(g)
+		}
 	}
 	return g
 }
@@ -177,33 +214,6 @@ func (n *Network) SetWeightVector(v []float64) error {
 	for _, p := range n.Params() {
 		copy(p.Data, v[off:off+p.Len()])
 		off += p.Len()
-	}
-	return nil
-}
-
-// GradVector flattens all parameter gradients into a single []float64,
-// aligned with WeightVector.
-func (n *Network) GradVector() []float64 {
-	out := make([]float64, 0, n.NumParams())
-	for _, g := range n.Grads() {
-		out = append(out, g.Data...)
-	}
-	return out
-}
-
-// AddToGrads adds delta (a flat vector aligned with WeightVector) to the
-// accumulated gradients. The DFA distance-based regularization term enters
-// adversarial training through this hook.
-func (n *Network) AddToGrads(delta []float64) error {
-	if len(delta) != n.NumParams() {
-		return fmt.Errorf("nn: gradient delta length %d does not match %d parameters", len(delta), n.NumParams())
-	}
-	off := 0
-	for _, g := range n.Grads() {
-		for i := range g.Data {
-			g.Data[i] += delta[off+i]
-		}
-		off += g.Len()
 	}
 	return nil
 }

@@ -342,28 +342,6 @@ func TestSGDReducesLoss(t *testing.T) {
 	}
 }
 
-func TestAddToGrads(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	n := NewNetwork(NewDense(rng, 2, 2))
-	n.ZeroGrads()
-	delta := make([]float64, n.NumParams())
-	for i := range delta {
-		delta[i] = float64(i)
-	}
-	if err := n.AddToGrads(delta); err != nil {
-		t.Fatal(err)
-	}
-	gv := n.GradVector()
-	for i := range delta {
-		if gv[i] != delta[i] {
-			t.Fatalf("grad[%d] = %v, want %v", i, gv[i], delta[i])
-		}
-	}
-	if err := n.AddToGrads(make([]float64, 3)); err == nil {
-		t.Fatal("expected error for wrong-length delta")
-	}
-}
-
 func TestConvOutSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	tests := []struct {

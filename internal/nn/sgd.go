@@ -57,7 +57,7 @@ func TrainBatch(n *Network, opt *SGD, x *tensor.Tensor, labels []int) float64 {
 	n.ResetScratch()
 	logits := n.Forward(x, true)
 	loss, grad := crossEntropyPool(n.Scratch(), logits, labels)
-	n.Backward(grad)
+	n.BackwardParams(grad)
 	opt.Step(n)
 	return loss
 }
