@@ -6,9 +6,10 @@ import (
 )
 
 // PoolEscape machine-checks the tensor.Pool arena ownership rules that
-// were previously README prose: storage handed out by Get/GetTensor/
-// GetView is valid only until the owning pool's next Reset and the arena
-// is single-goroutine. A pooled buffer must never (a) be stored into a
+// were previously README prose: storage handed out by Get/GetTensor, by
+// their non-clearing twins GetUninit/GetTensorUninit and by GetView is
+// valid only until the owning pool's next Reset and the arena is
+// single-goroutine. A pooled buffer must never (a) be stored into a
 // struct field that outlives the call frame, (b) be captured by a spawned
 // goroutine, (c) be sent on a channel, or (d) be returned from a function
 // that owns the pool itself — the caller cannot see the Reset that kills
@@ -25,7 +26,8 @@ var PoolEscape = &Analyzer{
 	Name: "poolescape",
 	Doc: `forbid tensor.Pool buffers from escaping their arena frame
 
-Values obtained from tensor.Pool Get/GetTensor/GetView are arena scratch,
+Values obtained from tensor.Pool Get/GetTensor/GetUninit/GetTensorUninit/
+GetView are arena scratch,
 recycled wholesale at Reset. Storing them into struct fields, capturing
 them in go statements, sending them on channels, or returning them from
 the function that owns the pool makes a buffer outlive its arena cycle —
@@ -35,8 +37,13 @@ results without ever crashing. Returning scratch from a caller-supplied
 	Run: runPoolEscape,
 }
 
-// poolMethods are the arena hand-out entry points.
-var poolMethods = map[string]bool{"Get": true, "GetTensor": true, "GetView": true}
+// poolMethods are the arena hand-out entry points: the zeroed ones, their
+// contents-undefined twins, and the view over existing storage.
+var poolMethods = map[string]bool{
+	"Get": true, "GetTensor": true,
+	"GetUninit": true, "GetTensorUninit": true,
+	"GetView": true,
+}
 
 func runPoolEscape(pass *Pass) error {
 	if pass.Pkg.Name() == "tensor" {

@@ -40,6 +40,33 @@ func sendChan(ch chan []float32) {
 	ch <- buf // want `sent on a channel`
 }
 
+// The non-clearing hand-outs are arena storage like any other: a buffer
+// that survives the owner's Reset aliases the next cycle's scratch.
+func returnOwnedUninit() []float32 {
+	var p tensor.Pool
+	buf := p.GetUninit(8)
+	p.Reset()
+	return buf // want `function-owned tensor.Pool is returned`
+}
+
+func storeFieldUninit(h *holder) {
+	h.t = pkgPool.GetTensorUninit(2, 4) // want `stored into a struct field`
+	pkgPool.Reset()
+}
+
+func goCaptureUninit() {
+	t := pkgPool.GetTensorUninit(8)
+	go func() { // want `captured by a spawned goroutine`
+		_ = t.Data[0]
+	}()
+}
+
+func (l *layer) forwardUninit(x []float32) []float32 {
+	out := l.scratch.GetUninit(len(x))
+	copy(out, x)
+	return out
+}
+
 // borrowReturn returns scratch carved from a caller-supplied pool: the
 // caller owns Reset, so the return stays inside one arena cycle.
 func borrowReturn(p *tensor.Pool) []float32 {

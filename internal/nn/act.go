@@ -6,17 +6,23 @@ import (
 	"repro/internal/tensor"
 )
 
-// cloneInto returns a pooled (or heap, without a pool) copy of x.
-func cloneInto(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
-	out := p.GetTensor(x.Shape...)
-	copy(out.Data, x.Data)
-	return out
+// keepMask returns all ones when the float64 with the given bit pattern is
+// greater than zero and 0 otherwise. Subtracting one sends ±0 to the top of
+// the unsigned range, so one compare rejects ±0, negatives and NaNs
+// together; an integer select compiles to a conditional move, where
+// comparing the floats would branch on data that is positive half the time.
+func keepMask(bits uint64) uint64 {
+	var m uint64
+	if bits-1 < 0x7FF0000000000000 {
+		m = ^uint64(0)
+	}
+	return m
 }
 
 // ReLU is the rectified-linear activation max(0, x).
 type ReLU struct {
-	mask    []bool
-	scratch *tensor.Pool
+	lastInput *tensor.Tensor
+	scratch   *tensor.Pool
 }
 
 var _ Layer = (*ReLU)(nil)
@@ -26,34 +32,29 @@ func NewReLU() *ReLU { return &ReLU{} }
 
 func (r *ReLU) setScratch(p *tensor.Pool) { r.scratch = p }
 
-// Forward implements Layer.
+// Forward implements Layer. Everything that is not greater than zero —
+// negatives, −0 and NaN — becomes +0.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := cloneInto(r.scratch, x)
 	if train {
-		if cap(r.mask) < len(out.Data) {
-			r.mask = make([]bool, len(out.Data))
-		}
-		r.mask = r.mask[:len(out.Data)]
+		r.lastInput = x
 	}
-	for i, v := range out.Data {
-		pos := v > 0
-		if !pos {
-			out.Data[i] = 0
-		}
-		if train {
-			r.mask[i] = pos
-		}
+	out := r.scratch.GetTensorUninit(x.Shape...)
+	dst := out.Data[:len(x.Data)]
+	for i, v := range x.Data {
+		b := math.Float64bits(v)
+		dst[i] = math.Float64frombits(b & keepMask(b))
 	}
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer: the gradient passes where the cached input
+// was greater than zero and is +0 elsewhere.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := cloneInto(r.scratch, grad)
-	for i := range out.Data {
-		if !r.mask[i] {
-			out.Data[i] = 0
-		}
+	out := r.scratch.GetTensorUninit(grad.Shape...)
+	dst := out.Data[:len(grad.Data)]
+	in := r.lastInput.Data[:len(grad.Data)]
+	for i, g := range grad.Data {
+		dst[i] = math.Float64frombits(math.Float64bits(g) & keepMask(math.Float64bits(in[i])))
 	}
 	return out
 }
@@ -72,8 +73,8 @@ func (r *ReLU) Clone() Layer { return NewReLU() }
 type LeakyReLU struct {
 	Alpha float64
 
-	mask    []bool
-	scratch *tensor.Pool
+	lastInput *tensor.Tensor
+	scratch   *tensor.Pool
 }
 
 var _ Layer = (*LeakyReLU)(nil)
@@ -83,35 +84,30 @@ func NewLeakyReLU(alpha float64) *LeakyReLU { return &LeakyReLU{Alpha: alpha} }
 
 func (r *LeakyReLU) setScratch(p *tensor.Pool) { r.scratch = p }
 
+// leak writes v[i] where in[i] > 0 and alpha*v[i] elsewhere: the forward
+// pass with v = in, the backward pass with v = the output gradient.
+func leak(dst, v, in []float64, alpha float64) {
+	dst, in = dst[:len(v)], in[:len(v)]
+	for i, x := range v {
+		pass, scaled := math.Float64bits(x), math.Float64bits(alpha*x)
+		dst[i] = math.Float64frombits(scaled ^ (scaled^pass)&keepMask(math.Float64bits(in[i])))
+	}
+}
+
 // Forward implements Layer.
 func (r *LeakyReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := cloneInto(r.scratch, x)
 	if train {
-		if cap(r.mask) < len(out.Data) {
-			r.mask = make([]bool, len(out.Data))
-		}
-		r.mask = r.mask[:len(out.Data)]
+		r.lastInput = x
 	}
-	for i, v := range out.Data {
-		pos := v > 0
-		if !pos {
-			out.Data[i] = r.Alpha * v
-		}
-		if train {
-			r.mask[i] = pos
-		}
-	}
+	out := r.scratch.GetTensorUninit(x.Shape...)
+	leak(out.Data, x.Data, x.Data, r.Alpha)
 	return out
 }
 
 // Backward implements Layer.
 func (r *LeakyReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := cloneInto(r.scratch, grad)
-	for i := range out.Data {
-		if !r.mask[i] {
-			out.Data[i] *= r.Alpha
-		}
-	}
+	out := r.scratch.GetTensorUninit(grad.Shape...)
+	leak(out.Data, grad.Data, r.lastInput.Data, r.Alpha)
 	return out
 }
 
@@ -140,11 +136,12 @@ func (a *Tanh) setScratch(p *tensor.Pool) { a.scratch = p }
 
 // Forward implements Layer.
 func (a *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := cloneInto(a.scratch, x)
-	for i, v := range out.Data {
+	out := a.scratch.GetTensorUninit(x.Shape...)
+	for i, v := range x.Data {
 		out.Data[i] = math.Tanh(v)
 	}
 	if train {
+		//lint:allow poolescape read back by the Backward of the same arena cycle, like the lastInput of the other layers
 		a.lastOutput = out
 	}
 	return out
@@ -152,10 +149,10 @@ func (a *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (a *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := cloneInto(a.scratch, grad)
-	for i := range out.Data {
+	out := a.scratch.GetTensorUninit(grad.Shape...)
+	for i, g := range grad.Data {
 		y := a.lastOutput.Data[i]
-		out.Data[i] *= 1 - y*y
+		out.Data[i] = g * (1 - y*y)
 	}
 	return out
 }

@@ -92,3 +92,74 @@ func BenchmarkWeightVectorRoundTrip(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReLU measures the activation pair of a train step at the size of
+// FashionCNN's first ReLU on a 16-image batch (16×8×8×8), on pre-activations
+// of mixed sign as a convolution produces them.
+func BenchmarkReLU(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	r := NewReLU()
+	pool := tensor.NewPool()
+	r.setScratch(pool)
+	x := tensor.New(16, 8, 8, 8)
+	grad := tensor.New(16, 8, 8, 8)
+	x.FillNormal(rng, 0, 1)
+	grad.FillNormal(rng, 0, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pool.Reset()
+		r.Forward(x, true)
+		r.Backward(grad)
+	}
+}
+
+// BenchmarkFashionCNNShard32 measures one population_100k client at the
+// default mean shard size: load the global weights, one local pass of
+// batch-16 steps over a 32-sample shard, and flatten the result.
+func BenchmarkFashionCNNShard32(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	net := NewFashionCNN(rng, 1, 16, 10)
+	net.SetScratch(tensor.NewPool())
+	global := net.WeightVector()
+	opt := NewSGD(0.05, 0)
+	var xs [2]*tensor.Tensor
+	var labels [2][]int
+	for i := range xs {
+		xs[i] = tensor.New(16, 1, 16, 16)
+		xs[i].FillNormal(rng, 0, 1)
+		labels[i] = make([]int, 16)
+		for j := range labels[i] {
+			labels[i][j] = rng.Intn(10)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := net.SetWeightVector(global); err != nil {
+			b.Fatal(err)
+		}
+		for j := range xs {
+			TrainBatch(net, opt, xs[j], labels[j])
+		}
+		_ = net.WeightVector()
+	}
+}
+
+// BenchmarkIm2colStride2 measures the patch expansion of FashionCNN's two
+// stride-2 convolutions on one 16×16 sample: 1×16×16 → 9×64 and
+// 8×8×8 → 72×16.
+func BenchmarkIm2colStride2(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	x1 := tensor.New(1, 16, 16)
+	x2 := tensor.New(8, 8, 8)
+	x1.FillNormal(rng, 0, 1)
+	x2.FillNormal(rng, 0, 1)
+	cols := make([]float64, 72*16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		im2col(cols, x1.Data, 1, 16, 16, 3, 2, 1, 8, 8)
+		im2col(cols, x2.Data, 8, 8, 8, 3, 2, 1, 4, 4)
+	}
+}

@@ -20,7 +20,10 @@ import (
 // per sample, the forward pass is weight[outC, inC·k²] times the patch
 // matrix, the weight gradient is the output gradient times the transposed
 // patch matrix, and the input gradient is col2im of weightᵀ times the
-// output gradient. Samples are fanned out over the kernel worker pool with
+// output gradient. The weights are the left operand of the forward and the
+// input-gradient products: they are packed once per layer call (PackA),
+// before the batch fan-out, and every sample multiplies against the same
+// panels. Samples are fanned out over the kernel worker pool with
 // per-chunk patch buffers; the per-sample weight-gradient partials are
 // reduced in batch order so results do not depend on the worker count. The
 // original scalar loops are retained as forwardNaive/backwardNaive for the
@@ -76,17 +79,20 @@ func (c *Conv2D) setScratch(p *tensor.Pool) { c.scratch = p }
 // stageConvBufs refills the persistent buffer holders of a convolution
 // layer from its scratch pool: one patch buffer per parallel chunk and,
 // when dwSize > 0, one weight-gradient partial per sample. Both Conv2D and
-// ConvTranspose2D stage through this one helper.
+// ConvTranspose2D stage through this one helper. The buffers are handed
+// out uninitialised: a patch buffer is first the target of im2col or of a
+// non-accumulating GEMM, a partial of a non-accumulating GEMM, and each
+// writes every element.
 func stageConvBufs(pool *tensor.Pool, colsBufs, dwBufs [][]float64, batch, colsSize, dwSize int) (cols, dw [][]float64) {
 	nch := tensor.ChunkCount(batch, 1)
 	colsBufs = colsBufs[:0]
 	for i := 0; i < nch; i++ {
-		colsBufs = append(colsBufs, pool.Get(colsSize))
+		colsBufs = append(colsBufs, pool.GetUninit(colsSize))
 	}
 	dwBufs = dwBufs[:0]
 	if dwSize > 0 {
 		for i := 0; i < batch; i++ {
-			dwBufs = append(dwBufs, pool.Get(dwSize))
+			dwBufs = append(dwBufs, pool.GetUninit(dwSize))
 		}
 	}
 	return colsBufs, dwBufs
@@ -124,26 +130,27 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	outH, outW := c.OutSize(h), c.OutSize(w)
 	oHW := outH * outW
 	ck2 := inC * c.Kernel * c.Kernel
-	out := c.scratch.GetTensor(batch, c.OutC, outH, outW)
+	out := c.scratch.GetTensorUninit(batch, c.OutC, outH, outW) // forwardChunk bias-fills every row
 	c.colsBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.dwBufs, batch, ck2*oHW, 0)
+	wp := tensor.PackA(c.weight.Data, c.OutC, ck2, oHW, false)
 	if len(c.colsBufs) == 1 {
-		c.forwardChunk(x, out, 0, batch, 0) // no closure on the serial path
+		c.forwardChunk(x, out, wp, 0, batch, 0) // no closure on the serial path
 	} else {
 		tensor.ParallelForChunksCap(batch, 1, len(c.colsBufs), func(lo, hi, ch int) {
-			c.forwardChunk(x, out, lo, hi, ch)
+			c.forwardChunk(x, out, wp, lo, hi, ch)
 		})
 	}
+	wp.Release()
 	return out
 }
 
 // forwardChunk runs the GEMM-lowered forward pass for samples [lo, hi)
-// using the chunk's staged patch buffer.
-func (c *Conv2D) forwardChunk(x, out *tensor.Tensor, lo, hi, ch int) {
+// using the chunk's staged patch buffer and the packed weights wp.
+func (c *Conv2D) forwardChunk(x, out *tensor.Tensor, wp tensor.PackedA, lo, hi, ch int) {
 	inC, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
 	outH, outW := out.Shape[2], out.Shape[3]
 	oHW := outH * outW
 	k, s, p := c.Kernel, c.Stride, c.Pad
-	ck2 := inC * k * k
 	cols := c.colsBufs[ch]
 	for b := lo; b < hi; b++ {
 		im2col(cols, x.Data[b*inC*h*w:(b+1)*inC*h*w], inC, h, w, k, s, p, outH, outW)
@@ -155,7 +162,7 @@ func (c *Conv2D) forwardChunk(x, out *tensor.Tensor, lo, hi, ch int) {
 				row[i] = bv
 			}
 		}
-		tensor.GemmNN(ob, c.weight.Data, cols, c.OutC, ck2, oHW, true)
+		tensor.GemmPackedA(ob, wp, cols, false, true)
 	}
 }
 
@@ -183,13 +190,18 @@ func (c *Conv2D) backward(grad *tensor.Tensor, params, input bool) *tensor.Tenso
 		dwSize = c.OutC * ck2
 	}
 	c.colsBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.dwBufs, batch, ck2*oHW, dwSize)
+	var wtp tensor.PackedA // weightᵀ, the left operand of the input half
+	if input {
+		wtp = tensor.PackA(c.weight.Data, ck2, c.OutC, oHW, true)
+	}
 	if len(c.colsBufs) == 1 {
-		c.backwardChunk(x, grad, dx, 0, batch, 0)
+		c.backwardChunk(x, grad, dx, wtp, 0, batch, 0)
 	} else {
 		tensor.ParallelForChunksCap(batch, 1, len(c.colsBufs), func(lo, hi, ch int) {
-			c.backwardChunk(x, grad, dx, lo, hi, ch)
+			c.backwardChunk(x, grad, dx, wtp, lo, hi, ch)
 		})
 	}
+	wtp.Release()
 	if params {
 		reduceConvPartials(c.gradW.Data, c.gradB.Data, c.dwBufs, grad.Data, batch, c.OutC, oHW)
 	}
@@ -198,9 +210,9 @@ func (c *Conv2D) backward(grad *tensor.Tensor, params, input bool) *tensor.Tenso
 
 // backwardChunk runs the GEMM-lowered backward pass for samples [lo, hi):
 // the sample's weight-gradient partial when partials were staged, then the
-// input gradient via col2im of weightᵀ times the output gradient when dx
-// was.
-func (c *Conv2D) backwardChunk(x, grad, dx *tensor.Tensor, lo, hi, ch int) {
+// input gradient via col2im of the packed weightᵀ times the output gradient
+// when dx was.
+func (c *Conv2D) backwardChunk(x, grad, dx *tensor.Tensor, wtp tensor.PackedA, lo, hi, ch int) {
 	inC, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
 	outH, outW := grad.Shape[2], grad.Shape[3]
 	oHW := outH * outW
@@ -216,7 +228,7 @@ func (c *Conv2D) backwardChunk(x, grad, dx *tensor.Tensor, lo, hi, ch int) {
 		}
 		if dx != nil {
 			// dCols = weightᵀ · dOut_b, overwriting the patch buffer.
-			tensor.GemmTN(cols, c.weight.Data, gb, ck2, c.OutC, oHW, false)
+			tensor.GemmPackedA(cols, wtp, gb, false, false)
 			col2im(dx.Data[b*inC*h*w:(b+1)*inC*h*w], cols, inC, h, w, k, s, p, outH, outW)
 		}
 	}
@@ -346,8 +358,9 @@ func (c *Conv2D) Clone() Layer {
 // The DFA-G generator follows the WGAN recipe cited by the paper: two
 // transposed convolutions upsample a latent noise block into an image.
 //
-// Like Conv2D, both passes are GEMM-lowered: the forward pass col2im-scatters
-// weightᵀ·x, the backward pass im2col-expands the output gradient. The
+// Like Conv2D, both passes are GEMM-lowered with the weights packed once
+// per layer call: the forward pass col2im-scatters weightᵀ·x, the backward
+// pass im2col-expands the output gradient. The
 // original scatter loops are retained as forwardNaive/backwardNaive.
 type ConvTranspose2D struct {
 	InC, OutC   int
@@ -413,30 +426,32 @@ func (c *ConvTranspose2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	hw := h * w
 	ock2 := c.OutC * c.Kernel * c.Kernel
-	out := c.scratch.GetTensor(batch, c.OutC, outH, outW)
+	out := c.scratch.GetTensorUninit(batch, c.OutC, outH, outW) // forwardChunk bias-fills every row
 	c.colsBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.dwBufs, batch, ock2*hw, 0)
+	wtp := tensor.PackA(c.weight.Data, ock2, inC, hw, true)
 	if len(c.colsBufs) == 1 {
-		c.forwardChunk(x, out, 0, batch, 0)
+		c.forwardChunk(x, out, wtp, 0, batch, 0)
 	} else {
 		tensor.ParallelForChunksCap(batch, 1, len(c.colsBufs), func(lo, hi, ch int) {
-			c.forwardChunk(x, out, lo, hi, ch)
+			c.forwardChunk(x, out, wtp, lo, hi, ch)
 		})
 	}
+	wtp.Release()
 	return out
 }
 
-// forwardChunk runs the GEMM-lowered forward scatter for samples [lo, hi).
-func (c *ConvTranspose2D) forwardChunk(x, out *tensor.Tensor, lo, hi, ch int) {
+// forwardChunk runs the GEMM-lowered forward scatter for samples [lo, hi)
+// with the packed weightᵀ.
+func (c *ConvTranspose2D) forwardChunk(x, out *tensor.Tensor, wtp tensor.PackedA, lo, hi, ch int) {
 	inC, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
 	outH, outW := out.Shape[2], out.Shape[3]
 	k, s, p := c.Kernel, c.Stride, c.Pad
 	hw := h * w
 	oHW := outH * outW
-	ock2 := c.OutC * k * k
 	cols := c.colsBufs[ch]
 	for b := lo; b < hi; b++ {
 		// cols = weightᵀ · x_b over [inC, outC·k²] × [inC, hw].
-		tensor.GemmTN(cols, c.weight.Data, x.Data[b*inC*hw:(b+1)*inC*hw], ock2, inC, hw, false)
+		tensor.GemmPackedA(cols, wtp, x.Data[b*inC*hw:(b+1)*inC*hw], false, false)
 		ob := out.Data[b*c.OutC*oHW : (b+1)*c.OutC*oHW]
 		for oc := 0; oc < c.OutC; oc++ {
 			row := ob[oc*oHW : (oc+1)*oHW]
@@ -465,8 +480,10 @@ func (c *ConvTranspose2D) backward(grad *tensor.Tensor, params, input bool) *ten
 	oHW := outH * outW
 	ock2 := c.OutC * c.Kernel * c.Kernel
 	var dx *tensor.Tensor
+	var wp tensor.PackedA // the left operand of the input half
 	if input {
-		dx = c.scratch.GetTensor(batch, inC, h, w)
+		dx = c.scratch.GetTensorUninit(batch, inC, h, w) // a non-accumulating GEMM per sample writes it
+		wp = tensor.PackA(c.weight.Data, inC, ock2, hw, false)
 	}
 	dwSize := 0
 	if params {
@@ -474,12 +491,13 @@ func (c *ConvTranspose2D) backward(grad *tensor.Tensor, params, input bool) *ten
 	}
 	c.colsBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.dwBufs, batch, ock2*hw, dwSize)
 	if len(c.colsBufs) == 1 {
-		c.backwardChunk(x, grad, dx, 0, batch, 0)
+		c.backwardChunk(x, grad, dx, wp, 0, batch, 0)
 	} else {
 		tensor.ParallelForChunksCap(batch, 1, len(c.colsBufs), func(lo, hi, ch int) {
-			c.backwardChunk(x, grad, dx, lo, hi, ch)
+			c.backwardChunk(x, grad, dx, wp, lo, hi, ch)
 		})
 	}
+	wp.Release()
 	if params {
 		reduceConvPartials(c.gradW.Data, c.gradB.Data, c.dwBufs, grad.Data, batch, c.OutC, oHW)
 	}
@@ -489,7 +507,7 @@ func (c *ConvTranspose2D) backward(grad *tensor.Tensor, params, input bool) *ten
 // backwardChunk runs the GEMM-lowered backward pass for samples [lo, hi):
 // im2col of the output gradient, then the sample's weight-gradient partial
 // when partials were staged and the input gradient when dx was.
-func (c *ConvTranspose2D) backwardChunk(x, grad, dx *tensor.Tensor, lo, hi, ch int) {
+func (c *ConvTranspose2D) backwardChunk(x, grad, dx *tensor.Tensor, wp tensor.PackedA, lo, hi, ch int) {
 	inC, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
 	outH, outW := grad.Shape[2], grad.Shape[3]
 	k, s, p := c.Kernel, c.Stride, c.Pad
@@ -507,7 +525,7 @@ func (c *ConvTranspose2D) backwardChunk(x, grad, dx *tensor.Tensor, lo, hi, ch i
 		}
 		if dx != nil {
 			// dx_b = weight · dCols.
-			tensor.GemmNN(dx.Data[b*inC*hw:(b+1)*inC*hw], c.weight.Data, cols, inC, ock2, hw, false)
+			tensor.GemmPackedA(dx.Data[b*inC*hw:(b+1)*inC*hw], wp, cols, false, false)
 		}
 	}
 }

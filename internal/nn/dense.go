@@ -56,7 +56,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		d.lastInput = x
 	}
 	batch := x.Shape[0]
-	out := d.scratch.GetTensor(batch, d.Out)
+	out := d.scratch.GetTensorUninit(batch, d.Out)
 	tensor.GemmNN(out.Data, x.Data, d.weight.Data, batch, d.In, d.Out, false)
 	for b := 0; b < batch; b++ {
 		row := out.Data[b*d.Out : (b+1)*d.Out]
@@ -92,7 +92,7 @@ func (d *Dense) backward(grad *tensor.Tensor, params, input bool) *tensor.Tensor
 	if !input {
 		return nil
 	}
-	dx := d.scratch.GetTensor(batch, d.In)
+	dx := d.scratch.GetTensorUninit(batch, d.In)
 	tensor.GemmNT(dx.Data, grad.Data, d.weight.Data, batch, d.Out, d.In, false)
 	return dx
 }

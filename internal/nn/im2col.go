@@ -1,53 +1,65 @@
 package nn
 
+// tapSpan returns the output positions [lo, hi) along one axis whose kernel
+// tap reads a real pixel: those p in [0, pos) with 0 <= p*stride-pad+tap <
+// size. It depends on the tap alone, so im2col and col2im compute it once
+// per tap and run the inner loops without a bounds test.
+func tapSpan(tap, size, pos, stride, pad int) (lo, hi int) {
+	if pad > tap { // smallest p with p*stride >= pad-tap
+		lo = min((pad-tap+stride-1)/stride, pos)
+	}
+	hi = lo
+	if end := size + pad - tap; end > 0 { // smallest p with p*stride >= end
+		hi = max(lo, min((end+stride-1)/stride, pos))
+	}
+	return lo, hi
+}
+
 // im2col expands one sample x ([ch, h, w], flat) into the patch matrix
 // cols ([ch*kk*kk, posH*posW], flat): cols[(c*kk+ki)*kk+kj][i*posW+j] is the
 // pixel the kernel tap (ki, kj) sees at output position (i, j), or 0 where
-// the tap falls into padding. With this layout a convolution forward pass is
-// the single product weight[outC, ch*kk*kk] · cols, and the transposed
-// convolution's backward pass is the same expansion applied to the output
-// gradient.
+// the tap falls into padding. Every element of cols is written. With this
+// layout a convolution forward pass is the single product
+// weight[outC, ch*kk*kk] · cols, and the transposed convolution's backward
+// pass is the same expansion applied to the output gradient.
 func im2col(cols, x []float64, ch, h, w, kk, stride, pad, posH, posW int) {
 	posHW := posH * posW
-	for c := 0; c < ch; c++ {
-		xc := x[c*h*w : (c+1)*h*w]
-		for ki := 0; ki < kk; ki++ {
-			for kj := 0; kj < kk; kj++ {
+	for ki := 0; ki < kk; ki++ {
+		iLo, iHi := tapSpan(ki, h, posH, stride, pad)
+		for kj := 0; kj < kk; kj++ {
+			jLo, jHi := tapSpan(kj, w, posW, stride, pad)
+			n := jHi - jLo
+			rows := iHi - iLo
+			if n == 0 {
+				rows = 0 // the tap sees padding only
+			}
+			// A tap that sees any padding has its block cleared whole before
+			// the real pixels go in: on rows of 4–16 values one clear costs
+			// less than zeroing the margins row by row.
+			padded := rows < posH || n < posW
+			// The first real pixel the tap reads and where it lands; one
+			// output row further is stride image rows further.
+			src0 := (iLo*stride-pad+ki)*w + jLo*stride - pad + kj
+			dst0 := iLo*posW + jLo
+			for c := 0; c < ch; c++ {
 				row := cols[((c*kk+ki)*kk+kj)*posHW : ((c*kk+ki)*kk+kj+1)*posHW]
-				for i := 0; i < posH; i++ {
-					ih := i*stride - pad + ki
-					dst := row[i*posW : (i+1)*posW]
-					if ih < 0 || ih >= h {
-						clear(dst)
-						continue
-					}
-					src := xc[ih*w : (ih+1)*w]
+				if padded {
+					clear(row)
+				}
+				si, di := c*h*w+src0, dst0
+				for i := 0; i < rows; i++ {
+					d, s := row[di:di+n], x[si:]
 					if stride == 1 {
-						// iw = j - pad + kj; copy the contiguous valid span.
-						lo := pad - kj
-						if lo < 0 {
-							lo = 0
-						}
-						hi := w + pad - kj
-						if hi > posW {
-							hi = posW
-						}
-						if hi < lo {
-							hi = lo
-						}
-						clear(dst[:lo])
-						copy(dst[lo:hi], src[lo-pad+kj:hi-pad+kj])
-						clear(dst[hi:])
-						continue
-					}
-					for j := 0; j < posW; j++ {
-						iw := j*stride - pad + kj
-						if iw < 0 || iw >= w {
-							dst[j] = 0
-						} else {
-							dst[j] = src[iw]
+						copy(d, s)
+					} else {
+						sj := 0
+						for j := range d {
+							d[j] = s[sj]
+							sj += stride
 						}
 					}
+					si += stride * w
+					di += posW
 				}
 			}
 		}
@@ -62,43 +74,27 @@ func im2col(cols, x []float64, ch, h, w, kk, stride, pad, posH, posW int) {
 // and the transposed convolution's forward scatter.
 func col2im(x, cols []float64, ch, h, w, kk, stride, pad, posH, posW int) {
 	posHW := posH * posW
-	for c := 0; c < ch; c++ {
-		xc := x[c*h*w : (c+1)*h*w]
-		for ki := 0; ki < kk; ki++ {
-			for kj := 0; kj < kk; kj++ {
+	for ki := 0; ki < kk; ki++ {
+		iLo, iHi := tapSpan(ki, h, posH, stride, pad)
+		for kj := 0; kj < kk; kj++ {
+			jLo, jHi := tapSpan(kj, w, posW, stride, pad)
+			n := jHi - jLo
+			if n == 0 {
+				continue
+			}
+			dst0 := (iLo*stride-pad+ki)*w + jLo*stride - pad + kj
+			src0 := iLo*posW + jLo
+			for c := 0; c < ch; c++ {
 				row := cols[((c*kk+ki)*kk+kj)*posHW : ((c*kk+ki)*kk+kj+1)*posHW]
-				for i := 0; i < posH; i++ {
-					ih := i*stride - pad + ki
-					if ih < 0 || ih >= h {
-						continue
+				di, si := c*h*w+dst0, src0
+				for i := iLo; i < iHi; i++ {
+					d, dj := x[di:], 0
+					for _, v := range row[si : si+n] {
+						d[dj] += v
+						dj += stride
 					}
-					dst := xc[ih*w : (ih+1)*w]
-					src := row[i*posW : (i+1)*posW]
-					if stride == 1 {
-						lo := pad - kj
-						if lo < 0 {
-							lo = 0
-						}
-						hi := w + pad - kj
-						if hi > posW {
-							hi = posW
-						}
-						if hi < lo {
-							hi = lo
-						}
-						off := kj - pad
-						for j := lo; j < hi; j++ {
-							dst[j+off] += src[j]
-						}
-						continue
-					}
-					for j := 0; j < posW; j++ {
-						iw := j*stride - pad + kj
-						if iw < 0 || iw >= w {
-							continue
-						}
-						dst[iw] += src[j]
-					}
+					di += stride * w
+					si += posW
 				}
 			}
 		}

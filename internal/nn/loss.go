@@ -7,6 +7,13 @@ import (
 	"repro/internal/tensor"
 )
 
+// cloneInto returns a pooled (or heap, without a pool) copy of x.
+func cloneInto(p *tensor.Pool, x *tensor.Tensor) *tensor.Tensor {
+	out := p.GetTensorUninit(x.Shape...)
+	copy(out.Data, x.Data)
+	return out
+}
+
 // Softmax returns the row-wise softmax of logits (shape [batch, classes])
 // computed with the max-subtraction trick for numerical stability.
 func Softmax(logits *tensor.Tensor) *tensor.Tensor {
@@ -20,7 +27,7 @@ func softmaxPool(p *tensor.Pool, logits *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Softmax needs rank-2 logits, got %v", logits.Shape))
 	}
 	batch, classes := logits.Shape[0], logits.Shape[1]
-	out := p.GetTensor(batch, classes)
+	out := p.GetTensorUninit(batch, classes)
 	for b := 0; b < batch; b++ {
 		row := logits.Data[b*classes : (b+1)*classes]
 		orow := out.Data[b*classes : (b+1)*classes]

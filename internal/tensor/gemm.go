@@ -1,12 +1,17 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Blocked, register-tiled matrix kernels. All three product shapes
-// (A·B, Aᵀ·B, A·Bᵀ) share the same structure: the output is partitioned
-// into 4×4 register tiles, each tile accumulates over the shared dimension
-// in ascending order, and row-tile blocks are distributed over the package
-// worker pool for large problems.
+// (A·B, Aᵀ·B, A·Bᵀ) are one routine: PackA prepares the left operand,
+// GemmPackedA multiplies it by a right operand. The output is partitioned
+// into register tiles (4×8 on the SIMD microkernel, 4×4 on the scalar
+// path), each tile accumulates over the shared dimension in ascending
+// order, and row-tile blocks are distributed over the package worker pool
+// for large problems.
 //
 // Determinism: every output element is produced by exactly one goroutine and
 // its accumulation order over the shared dimension is fixed (ascending, one
@@ -159,54 +164,116 @@ func checkRaw(op string, c, a, b []float64, am, an, bm, bn, m, n int) {
 // GemmNN computes the row-major product C (m×n) = A (m×k) · B (k×n) over
 // raw slices, accumulating onto C's existing values when acc is set. The
 // raw Gemm entry points are the header-free core used by the neural-network
-// layers; the MatMul* wrappers add tensor shape checking on top.
+// layers; the MatMul* wrappers add tensor shape checking on top. All three
+// are PackA followed by one GemmPackedA.
 func GemmNN(c, a, b []float64, m, k, n int, acc bool) {
 	checkRaw("GemmNN", c, a, b, m, k, k, n, m, n)
-	if simdWorthIt(m, k, n) {
-		gemmSIMD(c, a, b, m, k, n, false, false, acc)
-		return
-	}
-	if ChunkCount(rowTiles(m), tileGrain(k, n)) <= 1 {
-		gemmNN(c, a, b, k, n, 0, m, acc) // no closure on the serial path
-		return
-	}
-	ParallelFor(rowTiles(m), tileGrain(k, n), func(lo, hi int) {
-		gemmNN(c, a, b, k, n, lo*4, min(hi*4, m), acc)
-	})
+	pa := PackA(a, m, k, n, false)
+	GemmPackedA(c, pa, b, false, acc)
+	pa.Release()
 }
 
 // GemmTN computes C (m×n) = Aᵀ·B for row-major A (k×m) and B (k×n) over
 // raw slices, accumulating onto C when acc is set.
 func GemmTN(c, a, b []float64, m, k, n int, acc bool) {
 	checkRaw("GemmTN", c, a, b, k, m, k, n, m, n)
-	if simdWorthIt(m, k, n) {
-		gemmSIMD(c, a, b, m, k, n, true, false, acc)
-		return
-	}
-	if ChunkCount(rowTiles(m), tileGrain(k, n)) <= 1 {
-		gemmTN(c, a, b, k, m, n, 0, m, acc)
-		return
-	}
-	ParallelFor(rowTiles(m), tileGrain(k, n), func(lo, hi int) {
-		gemmTN(c, a, b, k, m, n, lo*4, min(hi*4, m), acc)
-	})
+	pa := PackA(a, m, k, n, true)
+	GemmPackedA(c, pa, b, false, acc)
+	pa.Release()
 }
 
 // GemmNT computes C (m×n) = A·Bᵀ for row-major A (m×k) and B (n×k) over
 // raw slices, accumulating onto C when acc is set.
 func GemmNT(c, a, b []float64, m, k, n int, acc bool) {
 	checkRaw("GemmNT", c, a, b, m, k, n, k, m, n)
+	pa := PackA(a, m, k, n, false)
+	GemmPackedA(c, pa, b, true, acc)
+	pa.Release()
+}
+
+// packBufs recycles packing panels across GEMM calls; sync.Pool keeps the
+// steady state allocation-free while staying safe for concurrent workers.
+var packBufs = sync.Pool{New: func() any { s := make([]float64, 0, 8192); return &s }}
+
+func getPackBuf(n int) *[]float64 {
+	p := packBufs.Get().(*[]float64)
+	if cap(*p) < n {
+		*p = make([]float64, n)
+	}
+	*p = (*p)[:n]
+	return p
+}
+
+// PackedA is the left operand A_eff (m×k) of products C (m×n) = A_eff·B_eff,
+// prepared once by PackA and multiplied against any number of right
+// operands by GemmPackedA — a convolution's weights against every sample
+// of a batch. It is read-only after PackA, so concurrent GemmPackedA calls
+// may share it. It borrows the caller's slice and, where the shape runs on
+// the SIMD microkernel, a panel buffer from the package recycler: the
+// caller must not modify a before Release, and must call Release exactly
+// once, after the last product.
+type PackedA struct {
+	a       []float64
+	m, k, n int
+	trans   bool
+	panels  *[]float64 // zero-padded 4-row panels for the microkernel; nil where the scalar tiles run
+}
+
+// PackA prepares A_eff (m×k) for products with n-column right operands.
+// With trans set A_eff = aᵀ for a stored k×m.
+func PackA(a []float64, m, k, n int, trans bool) PackedA {
+	if len(a) < m*k || m <= 0 || n <= 0 {
+		panic(fmt.Sprintf("tensor: PackA slice length %d for a %dx%d left operand of a %dx%d product", len(a), m, k, m, n))
+	}
+	pa := PackedA{a: a, m: m, k: k, n: n, trans: trans}
 	if simdWorthIt(m, k, n) {
-		gemmSIMD(c, a, b, m, k, n, false, true, acc)
+		pa.panels = packPanels(a, m, k, trans)
+	}
+	return pa
+}
+
+// Release returns the panel buffer to the recycler.
+func (pa PackedA) Release() {
+	if pa.panels != nil {
+		packBufs.Put(pa.panels)
+	}
+}
+
+// GemmPackedA computes C (m×n) = A_eff·B_eff for the left operand and shape
+// fixed by PackA, over row-major B (k×n) — or B (n×k) with B_eff = Bᵀ when
+// transB is set — accumulating onto C's existing values when acc is set.
+// Aᵀ·Bᵀ is not offered: no layer asks for it.
+func GemmPackedA(c []float64, pa PackedA, b []float64, transB, acc bool) {
+	m, k, n := pa.m, pa.k, pa.n
+	if len(b) < k*n || len(c) < m*n || (pa.trans && transB) {
+		panic(fmt.Sprintf("tensor: GemmPackedA slice lengths %d/%d for %dx%d · %dx%d (transA %v, transB %v)",
+			len(b), len(c), m, k, k, n, pa.trans, transB))
+	}
+	if pa.panels != nil {
+		gemmPanels(c, *pa.panels, b, m, k, n, transB, acc)
 		return
 	}
-	if ChunkCount(rowTiles(m), tileGrain(k, n)) <= 1 {
-		gemmNT(c, a, b, k, n, 0, m, acc)
+	tiles, grain := rowTiles(m), tileGrain(k, n)
+	if ChunkCount(tiles, grain) <= 1 {
+		pa.scalarRows(c, b, transB, acc, 0, m) // no closure on the serial path
 		return
 	}
-	ParallelFor(rowTiles(m), tileGrain(k, n), func(lo, hi int) {
-		gemmNT(c, a, b, k, n, lo*4, min(hi*4, m), acc)
+	ParallelFor(tiles, grain, func(lo, hi int) {
+		pa.scalarRows(c, b, transB, acc, lo*4, min(hi*4, m))
 	})
+}
+
+// scalarRows runs rows [i0, i1) of the product on the scalar tiles, which
+// read A in place.
+func (pa PackedA) scalarRows(c, b []float64, transB, acc bool, i0, i1 int) {
+	switch {
+	case pa.trans:
+		gemmTN(c, pa.a, b, pa.k, pa.m, pa.n, i0, i1, acc)
+	case transB:
+		gemmNT(c, pa.a, b, pa.k, pa.n, i0, i1, acc)
+	default:
+		gemmNN(c, pa.a, b, pa.k, pa.n, i0, i1, acc)
+	}
 }
 
 // gemmNN computes rows [i0, i1) of C = A·B (or C += A·B when acc is set)

@@ -2,30 +2,52 @@
 
 #include "textflag.h"
 
-// func dgemmKernel4x8(k int, a, b, c *float64)
+// func dgemmKernel4x8(k int, a, b, c *float64, ldc int, acc bool)
 //
-// Computes the 4×8 register tile c += aᵀ·b over the packed panels
+// Computes the 4×8 register tile c (+)= aᵀ·b over the packed panels
 //   a: [k][4]  (column of the A row-tile at each depth step)
 //   b: [k][8]  (row of the B col-tile at each depth step)
-//   c: [4][8]  contiguous, preloaded with the initial tile values.
+//   c: [4][8]  in place, rows ldc elements apart; the accumulators start
+//              from the tile's values when acc is set and from +0 otherwise.
 //
 // Accumulation runs in ascending depth order with one FMA chain per output
 // element, so results are identical for any row/col tiling of the caller.
-TEXT ·dgemmKernel4x8(SB), NOSPLIT, $0-32
+TEXT ·dgemmKernel4x8(SB), NOSPLIT, $0-41
 	MOVQ k+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DI
 	MOVQ c+24(FP), DX
+	MOVQ ldc+32(FP), R8
+	SHLQ $3, R8             // row stride in bytes
+	LEAQ (DX)(R8*1), R9     // row 1
+	LEAQ (R9)(R8*1), R10    // row 2
+	LEAQ (R10)(R8*1), R11   // row 3
+
+	MOVBLZX acc+40(FP), AX
+	TESTL   AX, AX
+	JZ      zero
 
 	VMOVUPD (DX), Y0
 	VMOVUPD 32(DX), Y1
-	VMOVUPD 64(DX), Y2
-	VMOVUPD 96(DX), Y3
-	VMOVUPD 128(DX), Y4
-	VMOVUPD 160(DX), Y5
-	VMOVUPD 192(DX), Y6
-	VMOVUPD 224(DX), Y7
+	VMOVUPD (R9), Y2
+	VMOVUPD 32(R9), Y3
+	VMOVUPD (R10), Y4
+	VMOVUPD 32(R10), Y5
+	VMOVUPD (R11), Y6
+	VMOVUPD 32(R11), Y7
+	JMP     depth
 
+zero:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+depth:
 	TESTQ CX, CX
 	JZ    done
 
@@ -57,12 +79,12 @@ loop:
 done:
 	VMOVUPD Y0, (DX)
 	VMOVUPD Y1, 32(DX)
-	VMOVUPD Y2, 64(DX)
-	VMOVUPD Y3, 96(DX)
-	VMOVUPD Y4, 128(DX)
-	VMOVUPD Y5, 160(DX)
-	VMOVUPD Y6, 192(DX)
-	VMOVUPD Y7, 224(DX)
+	VMOVUPD Y2, (R9)
+	VMOVUPD Y3, 32(R9)
+	VMOVUPD Y4, (R10)
+	VMOVUPD Y5, 32(R10)
+	VMOVUPD Y6, (R11)
+	VMOVUPD Y7, 32(R11)
 	VZEROUPPER
 	RET
 

@@ -8,8 +8,12 @@ var simdOn = false
 
 func simdWorthIt(m, k, n int) bool { return false }
 
-func gemmSIMD(c, a, b []float64, m, k, n int, transA, transB, acc bool) {
-	panic("tensor: gemmSIMD unavailable")
+func packPanels(a []float64, m, k int, transA bool) *[]float64 {
+	panic("tensor: packPanels unavailable")
+}
+
+func gemmPanels(c, pa, b []float64, m, k, n int, transB, acc bool) {
+	panic("tensor: gemmPanels unavailable")
 }
 
 func sqDistSIMD(a, b []float64) float64 { panic("tensor: sqDistSIMD unavailable") }

@@ -2,17 +2,16 @@
 
 package tensor
 
-import "sync"
-
 // AVX2+FMA fast path: the three product variants are lowered onto one 4×8
-// register-tile microkernel (gemm_amd64.s) over zero-padded packed panels.
+// register-tile microkernel (gemm_amd64.s) over zero-padded packed panels —
+// A once per PackA, B once per product — that writes its C tile in place.
 // Packing fixes the depth-ascending accumulation order per output element,
 // so the SIMD path is — like the scalar path — bit-identical for any worker
 // count; versus the scalar path it differs only by the fused rounding of
 // hardware FMA.
 
 //go:noescape
-func dgemmKernel4x8(k int, a, b, c *float64)
+func dgemmKernel4x8(k int, a, b, c *float64, ldc int, acc bool)
 
 func cpuidx(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
@@ -37,19 +36,6 @@ func detectAVX2FMA() bool {
 	}
 	_, b7, _, _ := cpuidx(7, 0)
 	return b7&(1<<5) != 0 // AVX2
-}
-
-// packBufs recycles packing panels across GEMM calls; sync.Pool keeps the
-// steady state allocation-free while staying safe for concurrent workers.
-var packBufs = sync.Pool{New: func() any { s := make([]float64, 0, 8192); return &s }}
-
-func getPackBuf(n int) *[]float64 {
-	p := packBufs.Get().(*[]float64)
-	if cap(*p) < n {
-		*p = make([]float64, n)
-	}
-	*p = (*p)[:n]
-	return p
 }
 
 // packB8 packs B_eff (k×n) into zero-padded 8-column panels, tile-major:
@@ -128,9 +114,21 @@ func packA4(pa, a []float64, i0, m, k int, transA bool) {
 	}
 }
 
-// gemmSIMD computes rows of C (m×n) = A_eff·B_eff via the packed 4×8
-// microkernel; acc accumulates onto the existing C values.
-func gemmSIMD(c, a, b []float64, m, k, n int, transA, transB, acc bool) {
+// packPanels packs every 4-row tile of A_eff (m×k) into one recycled
+// buffer, tile t at [t*k*4, (t+1)*k*4).
+func packPanels(a []float64, m, k int, transA bool) *[]float64 {
+	tiles := rowTiles(m)
+	pap := getPackBuf(tiles * k * 4)
+	for t := 0; t < tiles; t++ {
+		packA4((*pap)[t*k*4:(t+1)*k*4], a, t*4, m, k, transA)
+	}
+	return pap
+}
+
+// gemmPanels computes C (m×n) = A_eff·B_eff via the 4×8 microkernel, with
+// A_eff already packed by packPanels; acc accumulates onto the existing C
+// values.
+func gemmPanels(c, pa, b []float64, m, k, n int, transB, acc bool) {
 	nt := (n + 7) / 8
 	pbp := getPackBuf(nt * k * 8)
 	pb := *pbp
@@ -138,56 +136,45 @@ func gemmSIMD(c, a, b []float64, m, k, n int, transA, transB, acc bool) {
 	tiles := rowTiles(m)
 	grain := tileGrain(k, n)
 	if ChunkCount(tiles, grain) <= 1 {
-		simdRowTiles(c, a, pb, m, k, n, transA, acc, 0, tiles)
+		simdRowTiles(c, pa, pb, m, k, n, acc, 0, tiles)
 	} else {
 		ParallelFor(tiles, grain, func(lo, hi int) {
-			simdRowTiles(c, a, pb, m, k, n, transA, acc, lo, hi)
+			simdRowTiles(c, pa, pb, m, k, n, acc, lo, hi)
 		})
 	}
 	packBufs.Put(pbp)
 }
 
 // simdRowTiles runs the 4-row tiles [lo, hi) of the packed-panel product.
-func simdRowTiles(c, a, pb []float64, m, k, n int, transA, acc bool, lo, hi int) {
+// Full 4×8 tiles are computed in place in C; a tile cut by the last rows or
+// columns goes through a zero-padded staging copy so the kernel never
+// touches memory outside the m×n block.
+func simdRowTiles(c, pa, pb []float64, m, k, n int, acc bool, lo, hi int) {
 	nt := (n + 7) / 8
-	pap := getPackBuf(k * 4)
-	pa := *pap
-	var ct [32]float64
 	for t := lo; t < hi; t++ {
 		i0 := t * 4
-		rows := m - i0
-		if rows > 4 {
-			rows = 4
-		}
-		packA4(pa, a, i0, m, k, transA)
+		rows := min(m-i0, 4)
+		pat := &pa[t*k*4]
 		for t2 := 0; t2 < nt; t2++ {
 			j0 := t2 * 8
-			w := n - j0
-			if w > 8 {
-				w = 8
+			w := min(n-j0, 8)
+			ctile := c[i0*n+j0:]
+			if rows == 4 && w == 8 {
+				dgemmKernel4x8(k, pat, &pb[t2*k*8], &ctile[0], n, acc)
+				continue
 			}
+			var ct [32]float64
 			if acc {
 				for r := 0; r < rows; r++ {
-					copy(ct[r*8:r*8+w], c[(i0+r)*n+j0:(i0+r)*n+j0+w])
-					for cc := w; cc < 8; cc++ {
-						ct[r*8+cc] = 0
-					}
+					copy(ct[r*8:r*8+w], ctile[r*n:r*n+w])
 				}
-				for r := rows; r < 4; r++ {
-					for cc := 0; cc < 8; cc++ {
-						ct[r*8+cc] = 0
-					}
-				}
-			} else {
-				ct = [32]float64{}
 			}
-			dgemmKernel4x8(k, &pa[0], &pb[t2*k*8], &ct[0])
+			dgemmKernel4x8(k, pat, &pb[t2*k*8], &ct[0], 8, acc)
 			for r := 0; r < rows; r++ {
-				copy(c[(i0+r)*n+j0:(i0+r)*n+j0+w], ct[r*8:r*8+w])
+				copy(ctile[r*n:r*n+w], ct[r*8:r*8+w])
 			}
 		}
 	}
-	packBufs.Put(pap)
 }
 
 // simdWorthIt reports whether the packing overhead of the SIMD path is

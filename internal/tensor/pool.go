@@ -2,17 +2,29 @@ package tensor
 
 // Pool is a grow-only scratch arena for the tensors a forward/backward pass
 // allocates and immediately discards: activations, im2col buffers, gradient
-// temporaries. Get and GetTensor hand out zeroed storage carved from large
-// reusable slabs; Reset recycles everything at once. After the first pass
-// has sized the slabs, a training step that allocates the same sequence of
-// scratch tensors performs zero heap allocation.
+// temporaries. Storage is carved from large reusable slabs; Reset recycles
+// everything at once. After the first pass has sized the slabs, a training
+// step that allocates the same sequence of scratch tensors performs zero
+// heap allocation.
+//
+// Hand-outs differ in what the storage holds:
+//
+//   - Get and GetTensor return zeroed storage, for buffers that are
+//     accumulated into (a col2im target, a += destination).
+//   - GetUninit and GetTensorUninit return storage whose contents are
+//     undefined — whatever the previous cycle left there. They are for
+//     buffers whose every element the caller overwrites before reading any
+//     (an im2col patch matrix, the destination of a non-accumulating GEMM,
+//     an activation output), and save the clear that the overwrite makes
+//     redundant.
+//   - GetView wraps existing storage and touches no data.
 //
 // Ownership rules:
 //
 //   - A Pool is owned by a single goroutine; it is not safe for concurrent
 //     use. Concurrent workers (training clients, evaluators, defense
 //     scorers) each own their own Pool.
-//   - Storage returned by Get/GetTensor is valid only until the next Reset.
+//   - Storage returned by any hand-out is valid only until the next Reset.
 //     Nothing that outlives a training step — parameters, gradients,
 //     optimizer state, returned weight vectors — may live in a Pool.
 //   - A nil *Pool is valid and falls back to plain heap allocation, so
@@ -49,18 +61,32 @@ func (p *Pool) Reset() {
 // Get returns a zeroed []float64 of length n, valid until the next Reset.
 // On a nil Pool it simply allocates.
 func (p *Pool) Get(n int) []float64 {
+	out, dirty := p.carve(n)
+	if dirty {
+		clear(out)
+	}
+	return out
+}
+
+// GetUninit is Get without the zeroing: the contents are undefined and the
+// caller must overwrite every element before reading any.
+func (p *Pool) GetUninit(n int) []float64 {
+	out, _ := p.carve(n)
+	return out
+}
+
+// carve hands out n float64s and reports whether they may hold a previous
+// cycle's values (storage from make is already zero).
+func (p *Pool) carve(n int) (out []float64, dirty bool) {
 	if p == nil {
-		return make([]float64, n)
+		return make([]float64, n), false
 	}
 	for p.cur < len(p.slabs) {
 		s := p.slabs[p.cur]
 		if len(s)-p.off >= n {
 			out := s[p.off : p.off+n : p.off+n]
 			p.off += n
-			if p.cur < p.fresh {
-				clear(out)
-			}
-			return out
+			return out, p.cur < p.fresh
 		}
 		p.cur++
 		p.off = 0
@@ -73,12 +99,18 @@ func (p *Pool) Get(n int) []float64 {
 	p.slabs = append(p.slabs, s)
 	p.cur = len(p.slabs) - 1
 	p.off = n
-	return s[:n:n]
+	return s[:n:n], false
 }
 
 // GetTensor returns a zeroed tensor of the given shape whose storage,
 // header and shape slice all live in the arena, valid until the next Reset.
-func (p *Pool) GetTensor(shape ...int) *Tensor {
+func (p *Pool) GetTensor(shape ...int) *Tensor { return p.tensor(shape, true) }
+
+// GetTensorUninit is GetTensor over GetUninit storage: the caller must
+// overwrite every element of Data before reading any.
+func (p *Pool) GetTensorUninit(shape ...int) *Tensor { return p.tensor(shape, false) }
+
+func (p *Pool) tensor(shape []int, zero bool) *Tensor {
 	n := 1
 	for _, s := range shape {
 		if s <= 0 {
@@ -96,7 +128,11 @@ func (p *Pool) GetTensor(shape ...int) *Tensor {
 	t := p.header()
 	t.Shape = p.shape(len(shape))
 	copy(t.Shape, shape)
-	t.Data = p.Get(n)
+	data, dirty := p.carve(n)
+	if zero && dirty {
+		clear(data)
+	}
+	t.Data = data
 	return t
 }
 
