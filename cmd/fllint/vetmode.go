@@ -13,15 +13,15 @@ import (
 // in a .cfg file (cmd/go's vet protocol). Only the fields fllint needs are
 // decoded.
 type vetConfig struct {
-	ID          string
-	Compiler    string
-	Dir         string
-	ImportPath  string
-	GoFiles     []string
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	VetxOnly    bool
-	VetxOutput  string
+	ID                        string
+	Compiler                  string
+	Dir                       string
+	ImportPath                string
+	GoFiles                   []string
+	ImportMap                 map[string]string
+	PackageFile               map[string]string
+	VetxOnly                  bool
+	VetxOutput                string
 	SucceedOnTypecheckFailure bool
 }
 

@@ -165,5 +165,3 @@ func marshalsItself(t types.Type) bool {
 	}
 	return false
 }
-
-

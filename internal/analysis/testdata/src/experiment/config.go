@@ -18,10 +18,10 @@ type Config struct {
 	Partition string `json:",omitempty"`
 
 	Rounds  int    // want `field Rounds extends experiment.Config without a json tag`
-	Sampler string `json:"sampler"` // want `serialized without omitempty`
+	Sampler string `json:"sampler"`    // want `serialized without omitempty`
 	Ghost   string `json:",omitempty"` // want `not reachable from Normalize or cleanKey`
 	hidden  int    // want `unexported field hidden`
-	Extra   // want `embedded field in experiment.Config`
+	Extra          // want `embedded field in experiment.Config`
 
 	// Never serialized: json:"-" is always legal.
 	AuditPath string `json:"-"`

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"iter"
 	"sync"
 
 	"repro/internal/tensor"
@@ -15,10 +16,13 @@ import (
 //     where the per-block integer dots are exact int64 (tensor.Int8BlockDots,
 //     SIMD and scalar bit-identical) and the scale combination runs in
 //     ascending block order — worker-count invariant by construction;
-//   - all frames sparse: each row's delta is scattered once into pooled
-//     dense scratch and every partner frame takes a sparse·dense dot against
-//     it (O(d + Σk) per row, cheaper than an O(k_i+k_j) merge re-walked per
-//     pair), with norms precomputed per frame.
+//   - all frames sparse: a row's delta is scattered into the worker's dense
+//     scratch and partner frames take a sparse·dense dot against it (cheaper
+//     than an O(k_i+k_j) merge re-walked per pair), with norms precomputed
+//     per frame.
+//
+// Both walk the upper triangle through vec.PairTiles, the tile walk the
+// dense matrices use, with their scratch taken once per worker per walk.
 //
 // Distances are over deltas; pairwise they equal weight-vector distances
 // (the shared global model cancels), which defines the codec-on geometry.
@@ -78,38 +82,38 @@ func sparseSqDist(frames []*Frame) [][]float64 {
 		}
 	})
 	m := newSquare(n)
-	// Row-parallel upper triangle: each row scatters its delta into dense
-	// scratch once, then every later frame dots against it. Every (i,j)
-	// value is a pure function of the two frames, so the row partition
-	// cannot affect the result.
-	tensor.ParallelFor(n, 1, func(lo, hi int) {
+	// Each row of a tile is scattered into the worker's dense scratch and
+	// the tile's partner frames, hot after the tile's first row, stream
+	// past it. Every (i,j) value is a pure function of the two frames —
+	// row i dense, partner j sparse, as i < j — so neither the tiling nor
+	// the worker that claimed the tile can affect the result.
+	vec.PairTiles(n, func(tiles iter.Seq[vec.Tile]) {
 		scratch := getScratch(dim)
 		defer putScratch(scratch)
 		dense := (*scratch)[:dim]
-		for i := lo; i < hi; i++ {
-			fi := frames[i]
-			for t, id := range fi.Idx {
-				dense[id] = fi.Val[t]
-			}
-			for j := i + 1; j < n; j++ {
-				fj := frames[j]
-				d := norms[i] + norms[j] - 2*SparseDotDense(fj.Idx, fj.Val, dense)
-				if d < 0 {
-					d = 0 // FP cancellation below true 0; distances are nonneg
+		for t := range tiles {
+			for i := t.I0; i < t.I1; i++ {
+				fi := frames[i]
+				for k, id := range fi.Idx {
+					dense[id] = fi.Val[k]
 				}
-				m[i][j] = d
-				m[j][i] = d
-			}
-			for _, id := range fi.Idx {
-				dense[id] = 0
+				for j := max(t.J0, i+1); j < t.J1; j++ {
+					fj := frames[j]
+					d := norms[i] + norms[j] - 2*SparseDotDense(fj.Idx, fj.Val, dense)
+					if d < 0 {
+						d = 0 // FP cancellation below true 0; distances are nonneg
+					}
+					m[i][j] = d
+					m[j][i] = d
+				}
+				for _, id := range fi.Idx {
+					dense[id] = 0
+				}
 			}
 		}
 	})
 	return m
 }
-
-// dotsPool hands out per-pair int64 block-dot scratch.
-var dotsPool sync.Pool
 
 // int8SqDist computes the matrix for all-dense-int8 frames.
 func int8SqDist(frames []*Frame) [][]float64 {
@@ -125,9 +129,7 @@ func int8SqDist(frames []*Frame) [][]float64 {
 	// Per-frame quantized norms A_i = Σ_b s_b²·⟨q,q⟩_b, ascending blocks.
 	norms := make([]float64, n)
 	tensor.ParallelFor(n, 2, func(lo, hi int) {
-		dp := getDots(nb)
-		defer dotsPool.Put(dp)
-		dots := (*dp)[:nb]
+		dots := make([]int64, nb)
 		for i := lo; i < hi; i++ {
 			f := frames[i]
 			blockDots(f.Q, f.Q, blocks, tail, dots)
@@ -140,32 +142,29 @@ func int8SqDist(frames []*Frame) [][]float64 {
 	})
 
 	m := newSquare(n)
-	vec.PairRange(n, func(i, j int) {
-		dp := getDots(nb)
-		defer dotsPool.Put(dp)
-		dots := (*dp)[:nb]
-		fi, fj := frames[i], frames[j]
-		blockDots(fi.Q, fj.Q, blocks, tail, dots)
-		cross := 0.0
-		for b := 0; b < nb; b++ {
-			cross += fi.Scales[b] * fj.Scales[b] * float64(dots[b])
+	vec.PairTiles(n, func(tiles iter.Seq[vec.Tile]) {
+		dots := make([]int64, nb)
+		for t := range tiles {
+			for i := t.I0; i < t.I1; i++ {
+				fi := frames[i]
+				for j := max(t.J0, i+1); j < t.J1; j++ {
+					fj := frames[j]
+					blockDots(fi.Q, fj.Q, blocks, tail, dots)
+					cross := 0.0
+					for b := 0; b < nb; b++ {
+						cross += fi.Scales[b] * fj.Scales[b] * float64(dots[b])
+					}
+					d := norms[i] + norms[j] - 2*cross
+					if d < 0 {
+						d = 0
+					}
+					m[i][j] = d
+					m[j][i] = d
+				}
+			}
 		}
-		d := norms[i] + norms[j] - 2*cross
-		if d < 0 {
-			d = 0
-		}
-		m[i][j] = d
-		m[j][i] = d
 	})
 	return m
-}
-
-func getDots(nb int) *[]int64 {
-	if p, ok := dotsPool.Get().(*[]int64); ok && cap(*p) >= nb {
-		return p
-	}
-	d := make([]int64, nb)
-	return &d
 }
 
 // blockDots fills dots with the exact per-block integer dot products,

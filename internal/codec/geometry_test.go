@@ -68,16 +68,78 @@ func TestSqDistMatrixMatchesDense(t *testing.T) {
 	}
 }
 
-func TestSqDistMatrixWorkerInvariance(t *testing.T) {
+// refSparseSqDist is the pair-at-a-time sparse matrix the tile walk
+// replaced, kept as the reference: row i scattered dense, every later frame
+// dotted against it.
+func refSparseSqDist(frames []*Frame) [][]float64 {
+	n := len(frames)
+	m := newSquare(n)
+	dense := make([]float64, frames[0].Dim)
+	for i, fi := range frames {
+		for k, id := range fi.Idx {
+			dense[id] = fi.Val[k]
+		}
+		for j := i + 1; j < n; j++ {
+			fj := frames[j]
+			d := dot4(fi.Val, fi.Val) + dot4(fj.Val, fj.Val) - 2*SparseDotDense(fj.Idx, fj.Val, dense)
+			m[i][j], m[j][i] = max(d, 0), max(d, 0)
+		}
+		for _, id := range fi.Idx {
+			dense[id] = 0
+		}
+	}
+	return m
+}
+
+// refInt8SqDist is the pair-at-a-time int8 matrix, likewise: exact block
+// dots combined with the scales in ascending block order.
+func refInt8SqDist(frames []*Frame) [][]float64 {
+	n := len(frames)
+	dim := frames[0].Dim
+	blocks, tail := dim/Block, dim%Block
+	dots := make([]int64, (dim+Block-1)/Block)
+	cross := func(fi, fj *Frame) float64 {
+		blockDots(fi.Q, fj.Q, blocks, tail, dots)
+		s := 0.0
+		for b, dot := range dots {
+			s += fi.Scales[b] * fj.Scales[b] * float64(dot)
+		}
+		return s
+	}
+	m := newSquare(n)
+	for i, fi := range frames {
+		for j := i + 1; j < n; j++ {
+			fj := frames[j]
+			d := cross(fi, fi) + cross(fj, fj) - 2*cross(fi, fj)
+			m[i][j], m[j][i] = max(d, 0), max(d, 0)
+		}
+	}
+	return m
+}
+
+// TestSqDistMatrixBitEqualPairAtATime is the tile walk's contract for the
+// compressed-domain kernels: at sizes around the tile edge, dimensions
+// around the quantization block and the dense kernels' boundaries, and any
+// worker count, both matrices are == their pair-at-a-time reference.
+func TestSqDistMatrixBitEqualPairAtATime(t *testing.T) {
 	defer tensor.SetWorkers(0)
-	for _, spec := range []Spec{{Quant: Int8}, {Quant: Raw, TopK: 0.15}} {
-		frames, _ := encodeRound(t, spec, 11, 3*Block+5)
-		tensor.SetWorkers(1)
-		serial := SqDistMatrix(frames)
-		for _, w := range []int{2, 5, 8} {
-			tensor.SetWorkers(w)
-			if got := SqDistMatrix(frames); !reflect.DeepEqual(got, serial) {
-				t.Fatalf("spec %q: workers=%d differs from serial", spec, w)
+	for _, tc := range []struct {
+		spec Spec
+		ref  func([]*Frame) [][]float64
+	}{
+		{Spec{Quant: Int8}, refInt8SqDist},
+		{Spec{Quant: Int8, TopK: 0.1, EF: true}, refSparseSqDist},
+	} {
+		for _, dim := range []int{1, 63, 64, 65, 4096, 8192, 8193, 10010} {
+			for _, n := range []int{1, 2, 3, vec.TileEdge - 1, vec.TileEdge, vec.TileEdge + 1, 67} {
+				frames, _ := encodeRound(t, tc.spec, n, dim)
+				want := tc.ref(frames)
+				for _, w := range []int{1, 2, 8} {
+					tensor.SetWorkers(w)
+					if got := SqDistMatrix(frames); !reflect.DeepEqual(got, want) {
+						t.Fatalf("spec %q n=%d dim=%d workers=%d differs from the pair-at-a-time reference", tc.spec, n, dim, w)
+					}
+				}
 			}
 		}
 	}

@@ -18,8 +18,9 @@ import (
 	"sort"
 
 	"repro/internal/codec"
-	"repro/internal/telemetry"
 	"repro/internal/fl"
+	"repro/internal/telemetry"
+	"repro/internal/tensor"
 	"repro/internal/vec"
 )
 
@@ -109,7 +110,7 @@ func (t TrimmedMean) Aggregate(_ []float64, updates []fl.Update) ([]float64, fl.
 
 // roundSqDist returns the round's pairwise squared-distance geometry:
 // computed in the compressed domain when every update carries a compatible
-// codec frame (sparse·dense dots over pooled scratch, exact int8 block
+// codec frame (sparse·dense dots against a scattered row, exact int8 block
 // dots — see internal/codec), from the dense weight vectors otherwise.
 // Both paths are bit-deterministic at any worker count; compressed-domain
 // distances are over deltas, which pairwise equal weight distances up to
@@ -165,7 +166,9 @@ func negate(scores []float64) []float64 {
 
 // krumScoresFrom scores the subset of updates given by idx against each
 // other using a precomputed pairwise squared-distance matrix, so iterative
-// selections (Bulyan) re-score without recomputing any distance.
+// selections (Bulyan) re-score without recomputing any distance. Rows fan
+// out over the kernel pool; each score is the ascending sum of its own
+// sorted row, so the chunking cannot change it.
 func krumScoresFrom(dist [][]float64, idx []int, f int) []float64 {
 	n := len(idx)
 	neighbours := n - f - 2
@@ -176,22 +179,24 @@ func krumScoresFrom(dist [][]float64, idx []int, f int) []float64 {
 		neighbours = n - 1
 	}
 	scores := make([]float64, n)
-	row := make([]float64, 0, n-1)
-	for i := 0; i < n; i++ {
-		row = row[:0]
-		di := dist[idx[i]]
-		for j := 0; j < n; j++ {
-			if j != i {
-				row = append(row, di[idx[j]])
+	tensor.ParallelFor(n, 32, func(lo, hi int) {
+		row := make([]float64, 0, n-1)
+		for i := lo; i < hi; i++ {
+			row = row[:0]
+			di := dist[idx[i]]
+			for j := 0; j < n; j++ {
+				if j != i {
+					row = append(row, di[idx[j]])
+				}
 			}
+			sort.Float64s(row)
+			s := 0.0
+			for k := 0; k < neighbours; k++ {
+				s += row[k]
+			}
+			scores[i] = s
 		}
-		sort.Float64s(row)
-		s := 0.0
-		for k := 0; k < neighbours; k++ {
-			s += row[k]
-		}
-		scores[i] = s
-	}
+	})
 	return scores
 }
 

@@ -132,6 +132,95 @@ sqdone:
 	VZEROUPPER
 	RET
 
+// func avxSqDist3Blocks(a, b0, b1, b2, sums *float64, blocks int)
+//
+// The shared-operand form of avxSqDistBlocks: three squared distances
+// against one a, each a block loaded once and subtracted from all three
+// partners. Pair p keeps avxSqDistBlocks' four lane accumulators
+// (Y[4p]..Y[4p+3]), block order and final (Y0+Y1)+(Y2+Y3) reduction, written
+// to sums[4p:4p+4], so every pair's lanes are bit-identical to a
+// avxSqDistBlocks call on that pair. 12 accumulators + Y12 (a) + Y13..Y15
+// (differences) use all 16 YMM registers.
+TEXT ·avxSqDist3Blocks(SB), NOSPLIT, $0-48
+	MOVQ a+0(FP), SI
+	MOVQ b0+8(FP), DI
+	MOVQ b1+16(FP), R8
+	MOVQ b2+24(FP), R9
+	MOVQ sums+32(FP), DX
+	MOVQ blocks+40(FP), CX
+
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+
+	TESTQ CX, CX
+	JZ    sq3done
+
+sq3loop:
+	VMOVUPD (SI), Y12
+	VSUBPD  (DI), Y12, Y13
+	VSUBPD  (R8), Y12, Y14
+	VSUBPD  (R9), Y12, Y15
+	VFMADD231PD Y13, Y13, Y0
+	VFMADD231PD Y14, Y14, Y4
+	VFMADD231PD Y15, Y15, Y8
+
+	VMOVUPD 32(SI), Y12
+	VSUBPD  32(DI), Y12, Y13
+	VSUBPD  32(R8), Y12, Y14
+	VSUBPD  32(R9), Y12, Y15
+	VFMADD231PD Y13, Y13, Y1
+	VFMADD231PD Y14, Y14, Y5
+	VFMADD231PD Y15, Y15, Y9
+
+	VMOVUPD 64(SI), Y12
+	VSUBPD  64(DI), Y12, Y13
+	VSUBPD  64(R8), Y12, Y14
+	VSUBPD  64(R9), Y12, Y15
+	VFMADD231PD Y13, Y13, Y2
+	VFMADD231PD Y14, Y14, Y6
+	VFMADD231PD Y15, Y15, Y10
+
+	VMOVUPD 96(SI), Y12
+	VSUBPD  96(DI), Y12, Y13
+	VSUBPD  96(R8), Y12, Y14
+	VSUBPD  96(R9), Y12, Y15
+	VFMADD231PD Y13, Y13, Y3
+	VFMADD231PD Y14, Y14, Y7
+	VFMADD231PD Y15, Y15, Y11
+
+	ADDQ $128, SI
+	ADDQ $128, DI
+	ADDQ $128, R8
+	ADDQ $128, R9
+	DECQ CX
+	JNZ  sq3loop
+
+sq3done:
+	VADDPD Y1, Y0, Y0
+	VADDPD Y3, Y2, Y2
+	VADDPD Y2, Y0, Y0
+	VMOVUPD Y0, (DX)
+	VADDPD Y5, Y4, Y4
+	VADDPD Y7, Y6, Y6
+	VADDPD Y6, Y4, Y4
+	VMOVUPD Y4, 32(DX)
+	VADDPD Y9, Y8, Y8
+	VADDPD Y11, Y10, Y10
+	VADDPD Y10, Y8, Y8
+	VMOVUPD Y8, 64(DX)
+	VZEROUPPER
+	RET
+
 // func avxDotBlocks(a, b, sums *float64, blocks int)
 //
 // Accumulates the dot product of blocks*16 elements into sums[0:4].

@@ -18,6 +18,10 @@ func gemmPanels(c, pa, b []float64, m, k, n int, transB, acc bool) {
 
 func sqDistSIMD(a, b []float64) float64 { panic("tensor: sqDistSIMD unavailable") }
 
+func sqDist3SIMD(a, b0, b1, b2 []float64) (d0, d1, d2 float64) {
+	panic("tensor: sqDist3SIMD unavailable")
+}
+
 func dotSIMD(a, b []float64) float64 { panic("tensor: dotSIMD unavailable") }
 
 func addSIMD(dst, src []float64) { panic("tensor: addSIMD unavailable") }

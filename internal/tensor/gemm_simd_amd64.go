@@ -187,6 +187,9 @@ func simdWorthIt(m, k, n int) bool {
 func avxSqDistBlocks(a, b, sums *float64, blocks int)
 
 //go:noescape
+func avxSqDist3Blocks(a, b0, b1, b2, sums *float64, blocks int)
+
+//go:noescape
 func avxDotBlocks(a, b, sums *float64, blocks int)
 
 //go:noescape
@@ -198,6 +201,19 @@ func sqDistSIMD(a, b []float64) float64 {
 	avxSqDistBlocks(&a[0], &b[0], &sums[0], blocks)
 	s := ((sums[0] + sums[1]) + sums[2]) + sums[3]
 	return s + sqDistScalar(a, b, blocks<<4)
+}
+
+// sqDist3SIMD is three sqDistSIMD calls sharing their a operand: the same
+// lanes, the same reduction and the same scalar tail per pair.
+func sqDist3SIMD(a, b0, b1, b2 []float64) (d0, d1, d2 float64) {
+	blocks := len(a) >> 4
+	var sums [12]float64
+	avxSqDist3Blocks(&a[0], &b0[0], &b1[0], &b2[0], &sums[0], blocks)
+	t0, t1, t2 := sqDist3Scalar(a, b0, b1, b2, blocks<<4)
+	d0 = ((sums[0] + sums[1]) + sums[2]) + sums[3] + t0
+	d1 = ((sums[4] + sums[5]) + sums[6]) + sums[7] + t1
+	d2 = ((sums[8] + sums[9]) + sums[10]) + sums[11] + t2
+	return d0, d1, d2
 }
 
 func dotSIMD(a, b []float64) float64 {

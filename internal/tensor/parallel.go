@@ -8,7 +8,7 @@ import (
 
 // The package-level worker pool bounds the total number of goroutines the
 // kernel layer (GEMM row blocks, convolution batch fan-out, distance-matrix
-// rows, …) may run concurrently, across every simultaneous caller. It is a
+// tiles, …) may run concurrently, across every simultaneous caller. It is a
 // semaphore rather than a fixed set of worker goroutines so that nested
 // parallel sections (a parallel GEMM inside a concurrently trained client)
 // degrade gracefully: when no slot is free the work runs inline in the

@@ -23,6 +23,33 @@ func SqDistSlice(a, b []float64) float64 {
 	return sqDistScalar(a, b, 0)
 }
 
+// SqDistRow writes out[k] = SqDistSlice(a, bs[k]) for every partner,
+// bit-identical to that call per partner. Partners are taken three at a
+// time through a shared-operand kernel that loads each element of a once
+// for all three, which is what lets a tile of a distance matrix run near
+// the pair kernel's L2 rate; a remainder of one or two goes through
+// SqDistSlice itself.
+func SqDistRow(a []float64, bs [][]float64, out []float64) {
+	if len(out) != len(bs) {
+		panic(fmt.Sprintf("tensor: SqDistRow has %d partners, %d outputs", len(bs), len(out)))
+	}
+	k := 0
+	for ; k+3 <= len(bs); k += 3 {
+		b0, b1, b2 := bs[k], bs[k+1], bs[k+2]
+		checkSameLen("SqDistRow", a, b0)
+		checkSameLen("SqDistRow", a, b1)
+		checkSameLen("SqDistRow", a, b2)
+		if simdOn && len(a) >= 64 {
+			out[k], out[k+1], out[k+2] = sqDist3SIMD(a, b0, b1, b2)
+		} else {
+			out[k], out[k+1], out[k+2] = sqDist3Scalar(a, b0, b1, b2, 0)
+		}
+	}
+	for ; k < len(bs); k++ {
+		out[k] = SqDistSlice(a, bs[k])
+	}
+}
+
 // DotSlice returns the inner product of a and b.
 func DotSlice(a, b []float64) float64 {
 	checkSameLen("DotSlice", a, b)
@@ -62,6 +89,43 @@ func sqDistScalar(a, b []float64, i int) float64 {
 		s0 += d * d
 	}
 	return ((s0 + s1) + s2) + s3
+}
+
+// sqDist3Scalar is sqDistScalar for three partners of one a: each pair
+// keeps sqDistScalar's four chains, tail and reduction, so every result is
+// bit-identical to its own sqDistScalar call; a[i] is loaded once for all
+// three.
+func sqDist3Scalar(a, b0, b1, b2 []float64, i int) (d0, d1, d2 float64) {
+	var p0, p1, p2, p3 float64
+	var q0, q1, q2, q3 float64
+	var r0, r1, r2, r3 float64
+	b0, b1, b2 = b0[:len(a)], b1[:len(a)], b2[:len(a)]
+	for ; i+4 <= len(a); i += 4 {
+		a0, a1, a2, a3 := a[i], a[i+1], a[i+2], a[i+3]
+		e0, e1, e2, e3 := a0-b0[i], a1-b0[i+1], a2-b0[i+2], a3-b0[i+3]
+		p0 += e0 * e0
+		p1 += e1 * e1
+		p2 += e2 * e2
+		p3 += e3 * e3
+		e0, e1, e2, e3 = a0-b1[i], a1-b1[i+1], a2-b1[i+2], a3-b1[i+3]
+		q0 += e0 * e0
+		q1 += e1 * e1
+		q2 += e2 * e2
+		q3 += e3 * e3
+		e0, e1, e2, e3 = a0-b2[i], a1-b2[i+1], a2-b2[i+2], a3-b2[i+3]
+		r0 += e0 * e0
+		r1 += e1 * e1
+		r2 += e2 * e2
+		r3 += e3 * e3
+	}
+	for ; i < len(a); i++ {
+		ai := a[i]
+		e0, e1, e2 := ai-b0[i], ai-b1[i], ai-b2[i]
+		p0 += e0 * e0
+		q0 += e1 * e1
+		r0 += e2 * e2
+	}
+	return ((p0 + p1) + p2) + p3, ((q0 + q1) + q2) + q3, ((r0 + r1) + r2) + r3
 }
 
 func dotScalar(a, b []float64, i int) float64 {

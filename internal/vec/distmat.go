@@ -2,92 +2,148 @@
 // geometry — the Krum-family scorers, Bulyan's iterative selection,
 // FoolsGold's similarity matrix, the Min-Max/Min-Sum attack bounds —
 // computes the round's n×n matrix once through these helpers instead of
-// re-deriving O(n²·d) distances per use. Rows are fanned out over the
-// tensor worker pool; per-element accumulation order is fixed, so results
-// do not depend on the worker count.
+// re-deriving O(n²·d) distances per use. The upper triangle is walked in
+// cache-sized tiles of pairs that workers claim dynamically (PairTiles);
+// every pair's value is a fixed function of its two operands, so results
+// depend on neither the tile edge nor the worker count.
 package vec
 
 import (
+	"iter"
+	"sync/atomic"
+
 	"repro/internal/tensor"
 )
 
-// PairRange visits the strict upper triangle of an n×n matrix in parallel:
-// fn(i, j) is called exactly once per pair i < j. Pairs are flattened so
-// the fan-out is balanced even though early rows hold more pairs. The codec
-// geometry kernels share this fan-out with the dense distance matrices.
-func PairRange(n int, fn func(i, j int)) {
-	pairs := n * (n - 1) / 2
-	if pairs <= 0 {
+// dBlock is the length of the dimension blocks SqDistMatrix accumulates a
+// high-dimensional pair over.
+const dBlock = 4096
+
+// l2Budget is the working set a tile may keep hot: half of the 2 MB L2 a
+// core has on the machines this runs on, leaving the rest to the matrix
+// rows being written and to whatever else the round has in flight.
+const l2Budget = 1 << 20
+
+// TileEdge is the edge T of the T×T tiles of pairs PairTiles hands out. A
+// tile reads 2·T vectors; T is the largest edge at which one dBlock-long
+// float64 block of each fits in l2Budget, so a worker that consumes a tile
+// block by block streams every partner from L2, not from L3. Geometry
+// kernels size their per-worker scratch by it.
+const TileEdge = l2Budget / (2 * dBlock * 8)
+
+// Tile is one rectangle of the strict upper triangle: the pairs i < j with
+// i in [I0, I1) and j in [J0, J1). Tiles on the diagonal have I0 == J0; all
+// others have J0 >= I1.
+type Tile struct{ I0, I1, J0, J1 int }
+
+// PairTiles walks the strict upper triangle of an n×n matrix in tiles of at
+// most TileEdge×TileEdge pairs. It runs worker on up to tensor.Workers()
+// goroutines; each ranges over tiles, which claims one tile at a time from
+// a counter the goroutines share — a triangle has no static split that
+// balances — and allocates whatever scratch it needs once, outside that
+// loop. Every pair lies in exactly one tile, so workers that write only
+// their own pairs' outputs never race. For small n the edge is halved until
+// there are four tiles per worker, so a K = 10 round still fans out; a
+// pair's value must not depend on the tile it arrived in.
+func PairTiles(n int, worker func(tiles iter.Seq[Tile])) {
+	if n < 2 {
 		return
 	}
-	tensor.ParallelFor(pairs, 8, func(lo, hi int) {
-		// Recover (i, j) from the flattened pair index: pairs are laid out
-		// row-major over the upper triangle.
-		i, base := 0, 0
-		for base+(n-1-i) <= lo {
-			base += n - 1 - i
-			i++
-		}
-		j := i + 1 + (lo - base)
-		for p := lo; p < hi; p++ {
-			fn(i, j)
-			j++
-			if j == n {
-				i++
-				j = i + 1
+	workers := tensor.Workers()
+	t := TileEdge
+	tileRows := func() int { return (n + t - 1) / t }
+	for t > 1 && tileRows()*(tileRows()+1)/2 < 4*workers {
+		t /= 2
+	}
+	nt := tileRows()
+	count := nt * (nt + 1) / 2
+	var next atomic.Int64
+	tiles := func(yield func(Tile) bool) {
+		for {
+			p := int(next.Add(1)) - 1
+			if p >= count {
+				return
+			}
+			// Tiles are numbered row-major over the upper triangle, so
+			// consecutive claims mostly share their row block.
+			ti := 0
+			for ; p >= nt-ti; ti++ {
+				p -= nt - ti
+			}
+			tj := ti + p
+			if !yield(Tile{ti * t, min(ti*t+t, n), tj * t, min(tj*t+t, n)}) {
+				return
 			}
 		}
-	})
+	}
+	tensor.FanOut(min(workers, count), func(int) { worker(tiles) })
+}
+
+// mustSameLens panics unless every vector has the length of the first, and
+// returns that length (0 for no vectors).
+func mustSameLens(op string, vs [][]float64) int {
+	if len(vs) == 0 {
+		return 0
+	}
+	for _, v := range vs[1:] {
+		mustSameLen(op, vs[0], v)
+	}
+	return len(vs[0])
 }
 
 // SqDistMatrix returns the symmetric n×n matrix of pairwise squared
 // Euclidean distances between the vectors, with zeros on the diagonal.
-// The backing storage is one contiguous allocation.
+// The backing storage is one contiguous allocation. Vectors of unequal
+// length panic.
 //
-// For high-dimensional vectors the computation is blocked over the
-// dimension: every block of all n vectors is brought into cache once and
-// all pairs consume it, so each element is streamed from memory once
-// rather than once per pair. Each pair accumulates its block partials in
-// ascending dimension order, so the result does not depend on the worker
-// count.
+// High-dimensional vectors are consumed in dBlock-long blocks: a worker
+// runs a tile's pairs over one block of the tile's vectors before moving
+// to the next block, so the blocks it is reading stay in its L2, and each
+// row's partners go through the shared-operand kernel three at a time.
+// Each pair accumulates its block partials in ascending dimension order.
 func SqDistMatrix(vs [][]float64) [][]float64 {
 	n := len(vs)
 	m := newSquare(n)
-	if n < 2 {
-		return m
-	}
-	const dBlock = 4096
-	dim := len(vs[0])
+	dim := mustSameLens("SqDistMatrix", vs)
+	block := dBlock
 	if dim <= 2*dBlock {
-		PairRange(n, func(i, j int) {
-			d := tensor.SqDistSlice(vs[i], vs[j])
-			m[i][j] = d
-			m[j][i] = d
-		})
-		return m
+		block = dim // short enough for one kernel call per pair
 	}
-	for d0 := 0; d0 < dim; d0 += dBlock {
-		d1 := d0 + dBlock
-		if d1 > dim {
-			d1 = dim
+	PairTiles(n, func(tiles iter.Seq[Tile]) {
+		cols := make([][]float64, TileEdge)
+		dists := make([]float64, TileEdge)
+		for t := range tiles {
+			for d0 := 0; d0 < dim; d0 += block {
+				d1 := min(d0+block, dim)
+				for j := t.J0; j < t.J1; j++ {
+					cols[j-t.J0] = vs[j][d0:d1]
+				}
+				for i := t.I0; i < t.I1; i++ {
+					lo := max(t.J0, i+1)
+					part := dists[:t.J1-lo]
+					tensor.SqDistRow(vs[i][d0:d1], cols[lo-t.J0:t.J1-t.J0], part)
+					row := m[i][lo:t.J1]
+					for k, d := range part {
+						row[k] += d
+					}
+				}
+			}
+			for i := t.I0; i < t.I1; i++ {
+				for j := max(t.J0, i+1); j < t.J1; j++ {
+					m[j][i] = m[i][j]
+				}
+			}
 		}
-		PairRange(n, func(i, j int) {
-			m[i][j] += tensor.SqDistSlice(vs[i][d0:d1], vs[j][d0:d1])
-		})
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			m[j][i] = m[i][j]
-		}
-	}
+	})
 	return m
 }
 
 // CosineMatrix returns the symmetric n×n matrix of pairwise cosine
 // similarities (1 on the diagonal, 0 against zero vectors), computing every
-// norm once instead of once per pair.
+// norm once instead of once per pair. Vectors of unequal length panic.
 func CosineMatrix(vs [][]float64) [][]float64 {
 	n := len(vs)
+	mustSameLens("CosineMatrix", vs)
 	norms := make([]float64, n)
 	tensor.ParallelFor(n, 2, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -98,13 +154,19 @@ func CosineMatrix(vs [][]float64) [][]float64 {
 	for i := range m {
 		m[i][i] = 1
 	}
-	PairRange(n, func(i, j int) {
-		var s float64
-		if norms[i] != 0 && norms[j] != 0 {
-			s = tensor.DotSlice(vs[i], vs[j]) / (norms[i] * norms[j])
+	PairTiles(n, func(tiles iter.Seq[Tile]) {
+		for t := range tiles {
+			for i := t.I0; i < t.I1; i++ {
+				for j := max(t.J0, i+1); j < t.J1; j++ {
+					var s float64
+					if norms[i] != 0 && norms[j] != 0 {
+						s = tensor.DotSlice(vs[i], vs[j]) / (norms[i] * norms[j])
+					}
+					m[i][j] = s
+					m[j][i] = s
+				}
+			}
 		}
-		m[i][j] = s
-		m[j][i] = s
 	})
 	return m
 }

@@ -1,8 +1,12 @@
 package vec
 
 import (
+	"fmt"
+	"iter"
 	"math"
 	"math/rand"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/tensor"
@@ -70,23 +74,137 @@ func TestCosineMatrixMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestSqDistMatrixWorkerInvariance asserts the matrix is bit-identical for
-// any worker count.
-func TestSqDistMatrixWorkerInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	vs := randVecs(rng, 12, 501)
-	defer tensor.SetWorkers(0)
-	tensor.SetWorkers(1)
-	ref := SqDistMatrix(vs)
-	for _, w := range []int{2, 5, 16} {
-		tensor.SetWorkers(w)
-		got := SqDistMatrix(vs)
-		for i := range ref {
-			for j := range ref[i] {
-				if got[i][j] != ref[i][j] {
-					t.Fatalf("workers=%d: [%d][%d] differs", w, i, j)
+// refSqDistMatrix is the pair-at-a-time matrix the tile walk replaced, kept
+// as the reference: one SqDistSlice per pair up to 2·dBlock dimensions, and
+// beyond that dBlock-long partials summed per pair in ascending order.
+func refSqDistMatrix(vs [][]float64) [][]float64 {
+	n := len(vs)
+	m := newSquare(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			dim := len(vs[i])
+			var d float64
+			if dim <= 2*dBlock {
+				d = tensor.SqDistSlice(vs[i], vs[j])
+			} else {
+				for d0 := 0; d0 < dim; d0 += dBlock {
+					d1 := min(d0+dBlock, dim)
+					d += tensor.SqDistSlice(vs[i][d0:d1], vs[j][d0:d1])
 				}
 			}
+			m[i][j], m[j][i] = d, d
+		}
+	}
+	return m
+}
+
+// refCosineMatrix is the pair-at-a-time cosine matrix, likewise.
+func refCosineMatrix(vs [][]float64) [][]float64 {
+	n := len(vs)
+	m := newSquare(n)
+	for i := 0; i < n; i++ {
+		m[i][i] = 1
+		for j := i + 1; j < n; j++ {
+			var s float64
+			if ni, nj := Norm2(vs[i]), Norm2(vs[j]); ni != 0 && nj != 0 {
+				s = tensor.DotSlice(vs[i], vs[j]) / (ni * nj)
+			}
+			m[i][j], m[j][i] = s, s
+		}
+	}
+	return m
+}
+
+// The matrix sizes and dimensions the tile walk is pinned on: sizes around the tile edge plus a ragged 67, dimensions around the
+// SIMD threshold, the block length and the one-call/blocked boundary.
+var (
+	walkSizes = []int{1, 2, 3, TileEdge - 1, TileEdge, TileEdge + 1, 67}
+	walkDims  = []int{1, 63, 64, 65, 4096, 8192, 8193, 10010}
+)
+
+// TestMatricesBitEqualPairAtATime is the walk's contract: at any size,
+// dimension and worker count both matrices are == the pair-at-a-time
+// reference, element for element.
+func TestMatricesBitEqualPairAtATime(t *testing.T) {
+	defer tensor.SetWorkers(0)
+	rng := rand.New(rand.NewSource(3))
+	for _, dim := range walkDims {
+		for _, n := range walkSizes {
+			vs := randVecs(rng, n, dim)
+			if n > 2 {
+				vs[2] = make([]float64, dim) // zero vector: cosine's 0 branch
+			}
+			wantSq, wantCos := refSqDistMatrix(vs), refCosineMatrix(vs)
+			for _, w := range []int{1, 2, 8} {
+				tensor.SetWorkers(w)
+				if got := SqDistMatrix(vs); !reflect.DeepEqual(got, wantSq) {
+					t.Fatalf("SqDistMatrix n=%d dim=%d workers=%d differs from the pair-at-a-time reference", n, dim, w)
+				}
+				if got := CosineMatrix(vs); !reflect.DeepEqual(got, wantCos) {
+					t.Fatalf("CosineMatrix n=%d dim=%d workers=%d differs from the pair-at-a-time reference", n, dim, w)
+				}
+			}
+		}
+	}
+}
+
+// TestPairTilesCoversEveryPairOnce checks the walk itself: every pair of
+// the strict upper triangle arrives in exactly one tile, no tile is larger
+// than TileEdge on a side, and several workers get tiles even at n = 10.
+func TestPairTilesCoversEveryPairOnce(t *testing.T) {
+	defer tensor.SetWorkers(0)
+	for _, w := range []int{1, 2, 8} {
+		tensor.SetWorkers(w)
+		for n := 0; n <= 70; n++ {
+			seen := make([]atomic.Int32, n*n)
+			var tiles atomic.Int32
+			PairTiles(n, func(claimed iter.Seq[Tile]) {
+				for tl := range claimed {
+					tiles.Add(1)
+					if tl.I1-tl.I0 > TileEdge || tl.J1-tl.J0 > TileEdge {
+						t.Errorf("n=%d: tile %+v exceeds edge %d", n, tl, TileEdge)
+					}
+					for i := tl.I0; i < tl.I1; i++ {
+						for j := max(tl.J0, i+1); j < tl.J1; j++ {
+							seen[i*n+j].Add(1)
+						}
+					}
+				}
+			})
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					want := int32(0)
+					if i < j {
+						want = 1
+					}
+					if got := seen[i*n+j].Load(); got != want {
+						t.Fatalf("workers=%d n=%d: pair (%d,%d) visited %d times, want %d", w, n, i, j, got, want)
+					}
+				}
+			}
+			if n == 10 && int(tiles.Load()) < w {
+				t.Fatalf("workers=%d: n=10 split into %d tiles, fewer than the workers", w, tiles.Load())
+			}
+		}
+	}
+}
+
+// TestMatricesPanicOnLengthMismatch covers both directions (a partner
+// longer and shorter than the first vector) on both sides of the
+// one-call/blocked boundary at 2·dBlock.
+func TestMatricesPanicOnLengthMismatch(t *testing.T) {
+	for _, tc := range []struct{ first, partner int }{{100, 90}, {100, 110}, {9000, 8500}, {9000, 9500}} {
+		vs := [][]float64{make([]float64, tc.first), make([]float64, tc.first), make([]float64, tc.partner)}
+		for name, matrix := range map[string]func([][]float64) [][]float64{"SqDistMatrix": SqDistMatrix, "CosineMatrix": CosineMatrix} {
+			func() {
+				defer func() {
+					want := fmt.Sprintf("vec: %s length mismatch %d vs %d", name, tc.first, tc.partner)
+					if r := recover(); r != want {
+						t.Fatalf("%s(%d, %d, %d): recovered %v, want panic %q", name, tc.first, tc.first, tc.partner, r, want)
+					}
+				}()
+				matrix(vs)
+			}()
 		}
 	}
 }

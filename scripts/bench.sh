@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# bench.sh — run the kernel-layer benchmarks (tensor, nn, defense, fl) and
+# bench.sh — run the kernel-layer benchmarks (tensor, vec, nn, defense, fl) and
 # emit a JSON record of ns/op per benchmark for the repo's perf trajectory.
 #
 # Usage:
@@ -17,7 +17,7 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 go test -run '^$' -bench . -benchtime "$benchtime" \
-	./internal/tensor ./internal/nn ./internal/defense ./internal/fl \
+	./internal/tensor ./internal/vec ./internal/nn ./internal/defense ./internal/fl \
 	./internal/forensics ./internal/codec \
 	./internal/persist ./internal/experiment ./internal/flnet \
 	| tee "$tmp" >&2
