@@ -146,20 +146,44 @@ func BenchmarkFashionCNNShard32(b *testing.B) {
 	}
 }
 
-// BenchmarkIm2colStride2 measures the patch expansion of FashionCNN's two
-// stride-2 convolutions on one 16×16 sample: 1×16×16 → 9×64 and
-// 8×8×8 → 72×16.
-func BenchmarkIm2colStride2(b *testing.B) {
+// BenchmarkPatchPanels measures what a convolution does to one sample
+// before each of its two patch-matrix products, per conv layer of the two
+// zoo models on 16×16 inputs: the padded copy and the expansion into panels
+// as the forward product reads them (forward) and as the weight-gradient
+// product does (dW). tensor.BenchmarkGemmZoo's panelB rows are the products.
+func BenchmarkPatchPanels(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	x1 := tensor.New(1, 16, 16)
-	x2 := tensor.New(8, 8, 8)
-	x1.FillNormal(rng, 0, 1)
-	x2.FillNormal(rng, 0, 1)
-	cols := make([]float64, 72*16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		im2col(cols, x1.Data, 1, 16, 16, 3, 2, 1, 8, 8)
-		im2col(cols, x2.Data, 8, 8, 8, 3, 2, 1, 4, 4)
+	for _, l := range []struct {
+		name            string
+		ch, size        int
+		kk, stride, pad int
+	}{
+		{"fashion1", 1, 16, 3, 2, 1},
+		{"fashion2", 8, 8, 3, 2, 1},
+		{"deep1", 3, 16, 3, 1, 1},
+		{"deep2", 8, 16, 3, 2, 1},
+		{"deep3", 8, 8, 3, 1, 1},
+		{"deep4", 16, 8, 3, 2, 1},
+		{"deep5", 16, 4, 3, 1, 1},
+		{"deep6", 32, 4, 3, 2, 1},
+	} {
+		x := tensor.New(l.ch, l.size, l.size)
+		x.FillNormal(rng, 0, 1)
+		var g patchGeom
+		g.at(l.ch, l.size, l.size, l.kk, l.stride, l.pad)
+		xp := make([]float64, g.xpLen)
+		pb := make([]float64, max(tensor.PanelBLen(len(g.off), len(g.pos)), tensor.PanelBLen(len(g.pos), len(g.off))))
+		for _, order := range []struct {
+			name        string
+			depth, cols []int
+		}{{"forward", g.off, g.pos}, {"dW", g.pos, g.off}} {
+			b.Run(l.name+"/"+order.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					padInto(xp, x.Data, l.ch, l.size, l.size, l.pad)
+					patchPanels(pb, xp, order.depth, order.cols)
+				}
+			})
+		}
 	}
 }

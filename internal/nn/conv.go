@@ -16,17 +16,20 @@ import (
 // a single convolution mapping a static random image A to the synthetic
 // image B, trained through the frozen global model.
 //
-// Both passes are lowered onto im2col/col2im plus the blocked GEMM kernels:
-// per sample, the forward pass is weight[outC, inC·k²] times the patch
-// matrix, the weight gradient is the output gradient times the transposed
-// patch matrix, and the input gradient is col2im of weightᵀ times the
-// output gradient. The weights are the left operand of the forward and the
-// input-gradient products: they are packed once per layer call (PackA),
-// before the batch fan-out, and every sample multiplies against the same
-// panels. Samples are fanned out over the kernel worker pool with
-// per-chunk patch buffers; the per-sample weight-gradient partials are
-// reduced in batch order so results do not depend on the worker count. The
-// original scalar loops are retained as forwardNaive/backwardNaive for the
+// Both passes are GEMMs against the patch matrix of the sample, which is
+// never stored row-major: the sample is zero-padded once (padInto) and
+// patchPanels expands it straight into the panels the GEMM kernel reads.
+// Per sample, the forward pass is weight[outC, inC·k²] times the patch
+// matrix, the weight gradient is the output gradient times the patch matrix
+// transposed — the same expansion with its two offset tables swapped — and
+// the input gradient is col2im of weightᵀ times the output gradient. The
+// weights are the left operand of the forward and the input-gradient
+// products: they are packed once per layer call (PackA), before the batch
+// fan-out, and every sample multiplies against the same panels. Samples are
+// fanned out over the kernel worker pool with per-chunk panel buffers and
+// padded copies; the per-sample weight-gradient partials are reduced in
+// batch order so results do not depend on the worker count. The original
+// scalar loops are retained as forwardNaive/backwardNaive for the
 // equivalence tests.
 type Conv2D struct {
 	InC, OutC   int
@@ -39,9 +42,11 @@ type Conv2D struct {
 	gradB  *tensor.Tensor
 
 	lastInput *tensor.Tensor
+	geom      patchGeom // of the input
 
 	scratch  *tensor.Pool
 	colsBufs [][]float64
+	xpBufs   [][]float64
 	dwBufs   [][]float64
 }
 
@@ -77,17 +82,19 @@ func (c *Conv2D) OutSize(in int) int {
 func (c *Conv2D) setScratch(p *tensor.Pool) { c.scratch = p }
 
 // stageConvBufs refills the persistent buffer holders of a convolution
-// layer from its scratch pool: one patch buffer per parallel chunk and,
-// when dwSize > 0, one weight-gradient partial per sample. Both Conv2D and
-// ConvTranspose2D stage through this one helper. The buffers are handed
-// out uninitialised: a patch buffer is first the target of im2col or of a
-// non-accumulating GEMM, a partial of a non-accumulating GEMM, and each
-// writes every element.
-func stageConvBufs(pool *tensor.Pool, colsBufs, dwBufs [][]float64, batch, colsSize, dwSize int) (cols, dw [][]float64) {
+// layer from its scratch pool: per parallel chunk one patch buffer and one
+// padded sample (empty for a pass that expands nothing); when dwSize > 0,
+// one weight-gradient partial per sample. Both Conv2D and ConvTranspose2D
+// stage through this one helper. Patch buffers and partials are handed out uninitialised:
+// patchPanels or a non-accumulating GEMM writes every element of the one, a
+// non-accumulating GEMM of the other. A padded sample is handed out zeroed:
+// padInto writes its interior per sample and its border stays zero.
+func stageConvBufs(pool *tensor.Pool, colsBufs, xpBufs, dwBufs [][]float64, batch, colsSize, xpSize, dwSize int) (cols, xp, dw [][]float64) {
 	nch := tensor.ChunkCount(batch, 1)
-	colsBufs = colsBufs[:0]
+	colsBufs, xpBufs = colsBufs[:0], xpBufs[:0]
 	for i := 0; i < nch; i++ {
 		colsBufs = append(colsBufs, pool.GetUninit(colsSize))
+		xpBufs = append(xpBufs, pool.Get(xpSize))
 	}
 	dwBufs = dwBufs[:0]
 	if dwSize > 0 {
@@ -95,7 +102,7 @@ func stageConvBufs(pool *tensor.Pool, colsBufs, dwBufs [][]float64, batch, colsS
 			dwBufs = append(dwBufs, pool.GetUninit(dwSize))
 		}
 	}
-	return colsBufs, dwBufs
+	return colsBufs, xpBufs, dwBufs
 }
 
 // reduceConvPartials folds the per-sample weight-gradient partials and the
@@ -127,11 +134,11 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if inC != c.InC {
 		panic(fmt.Sprintf("nn: conv input channels %d, want %d", inC, c.InC))
 	}
-	outH, outW := c.OutSize(h), c.OutSize(w)
-	oHW := outH * outW
+	g := c.geom.at(inC, h, w, c.Kernel, c.Stride, c.Pad)
+	oHW := g.posH * g.posW
 	ck2 := inC * c.Kernel * c.Kernel
-	out := c.scratch.GetTensorUninit(batch, c.OutC, outH, outW) // forwardChunk bias-fills every row
-	c.colsBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.dwBufs, batch, ck2*oHW, 0)
+	out := c.scratch.GetTensorUninit(batch, c.OutC, g.posH, g.posW) // forwardChunk bias-fills every row
+	c.colsBufs, c.xpBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.xpBufs, c.dwBufs, batch, tensor.PanelBLen(ck2, oHW), g.xpLen, 0)
 	wp := tensor.PackA(c.weight.Data, c.OutC, ck2, oHW, false)
 	if len(c.colsBufs) == 1 {
 		c.forwardChunk(x, out, wp, 0, batch, 0) // no closure on the serial path
@@ -145,15 +152,14 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // forwardChunk runs the GEMM-lowered forward pass for samples [lo, hi)
-// using the chunk's staged patch buffer and the packed weights wp.
+// using the chunk's staged buffers and the packed weights wp.
 func (c *Conv2D) forwardChunk(x, out *tensor.Tensor, wp tensor.PackedA, lo, hi, ch int) {
 	inC, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
-	outH, outW := out.Shape[2], out.Shape[3]
-	oHW := outH * outW
-	k, s, p := c.Kernel, c.Stride, c.Pad
-	cols := c.colsBufs[ch]
+	oHW := out.Shape[2] * out.Shape[3]
+	g, cols, xp := &c.geom, c.colsBufs[ch], c.xpBufs[ch]
 	for b := lo; b < hi; b++ {
-		im2col(cols, x.Data[b*inC*h*w:(b+1)*inC*h*w], inC, h, w, k, s, p, outH, outW)
+		padInto(xp, x.Data[b*inC*h*w:(b+1)*inC*h*w], inC, h, w, c.Pad)
+		patchPanels(cols, xp, g.off, g.pos)
 		ob := out.Data[b*c.OutC*oHW : (b+1)*c.OutC*oHW]
 		for oc := 0; oc < c.OutC; oc++ {
 			row := ob[oc*oHW : (oc+1)*oHW]
@@ -162,7 +168,7 @@ func (c *Conv2D) forwardChunk(x, out *tensor.Tensor, wp tensor.PackedA, lo, hi, 
 				row[i] = bv
 			}
 		}
-		tensor.GemmPackedA(ob, wp, cols, false, true)
+		tensor.GemmPanelB(ob, wp, cols, true)
 	}
 }
 
@@ -171,10 +177,11 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return c.backward(grad, true, true)
 }
 
-// backward implements halfBackward. The parameter half is the patch
-// expansion of the cached input, one weight-gradient partial per sample and
-// their in-order reduction; the input half is weightᵀ times the output
-// gradient scattered back by col2im. Neither reads the other's result.
+// backward implements halfBackward. The parameter half is the transposed
+// patch expansion of the cached input, one weight-gradient partial per
+// sample and their in-order reduction; the input half is weightᵀ times the
+// output gradient, written row-major into the storage the parameter half is
+// done with and scattered back by col2im. Neither reads the other's result.
 func (c *Conv2D) backward(grad *tensor.Tensor, params, input bool) *tensor.Tensor {
 	x := c.lastInput
 	batch, inC, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
@@ -185,11 +192,13 @@ func (c *Conv2D) backward(grad *tensor.Tensor, params, input bool) *tensor.Tenso
 	if input {
 		dx = c.scratch.GetTensor(batch, inC, h, w)
 	}
-	dwSize := 0
+	colsSize, xpSize, dwSize := ck2*oHW, 0, 0
 	if params {
+		colsSize = tensor.PanelBLen(oHW, ck2) // at least ck2*oHW
+		xpSize = c.geom.at(inC, h, w, c.Kernel, c.Stride, c.Pad).xpLen
 		dwSize = c.OutC * ck2
 	}
-	c.colsBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.dwBufs, batch, ck2*oHW, dwSize)
+	c.colsBufs, c.xpBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.xpBufs, c.dwBufs, batch, colsSize, xpSize, dwSize)
 	var wtp tensor.PackedA // weightᵀ, the left operand of the input half
 	if input {
 		wtp = tensor.PackA(c.weight.Data, ck2, c.OutC, oHW, true)
@@ -218,16 +227,19 @@ func (c *Conv2D) backwardChunk(x, grad, dx *tensor.Tensor, wtp tensor.PackedA, l
 	oHW := outH * outW
 	k, s, p := c.Kernel, c.Stride, c.Pad
 	ck2 := inC * k * k
-	cols := c.colsBufs[ch]
+	g, cols, xp := &c.geom, c.colsBufs[ch], c.xpBufs[ch]
 	for b := lo; b < hi; b++ {
 		gb := grad.Data[b*c.OutC*oHW : (b+1)*c.OutC*oHW]
 		if len(c.dwBufs) > 0 {
-			im2col(cols, x.Data[b*inC*h*w:(b+1)*inC*h*w], inC, h, w, k, s, p, outH, outW)
-			// dW_b = dOut_b · colsᵀ, into this sample's partial.
-			tensor.GemmNT(c.dwBufs[b], gb, cols, c.OutC, oHW, ck2, false)
+			padInto(xp, x.Data[b*inC*h*w:(b+1)*inC*h*w], inC, h, w, p)
+			patchPanels(cols, xp, g.pos, g.off)
+			// dW_b = dOut_b · patchesᵀ, into this sample's partial.
+			gp := tensor.PackA(gb, c.OutC, oHW, ck2, false)
+			tensor.GemmPanelB(c.dwBufs[b], gp, cols, false)
+			gp.Release()
 		}
 		if dx != nil {
-			// dCols = weightᵀ · dOut_b, overwriting the patch buffer.
+			// dCols = weightᵀ · dOut_b, row-major over the patch buffer.
 			tensor.GemmPackedA(cols, wtp, gb, false, false)
 			col2im(dx.Data[b*inC*h*w:(b+1)*inC*h*w], cols, inC, h, w, k, s, p, outH, outW)
 		}
@@ -360,8 +372,10 @@ func (c *Conv2D) Clone() Layer {
 //
 // Like Conv2D, both passes are GEMM-lowered with the weights packed once
 // per layer call: the forward pass col2im-scatters weightᵀ·x, the backward
-// pass im2col-expands the output gradient. The
-// original scatter loops are retained as forwardNaive/backwardNaive.
+// pass expands the output gradient with Conv2D's padInto and patchPanels —
+// one padded copy per sample, its transposed patch matrix for the weight
+// gradient and its patch matrix for the input gradient. The original
+// scatter loops are retained as forwardNaive/backwardNaive.
 type ConvTranspose2D struct {
 	InC, OutC   int
 	Kernel      int
@@ -373,9 +387,11 @@ type ConvTranspose2D struct {
 	gradB  *tensor.Tensor
 
 	lastInput *tensor.Tensor
+	geom      patchGeom // of the output gradient
 
 	scratch  *tensor.Pool
 	colsBufs [][]float64
+	xpBufs   [][]float64
 	dwBufs   [][]float64
 }
 
@@ -427,7 +443,7 @@ func (c *ConvTranspose2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	hw := h * w
 	ock2 := c.OutC * c.Kernel * c.Kernel
 	out := c.scratch.GetTensorUninit(batch, c.OutC, outH, outW) // forwardChunk bias-fills every row
-	c.colsBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.dwBufs, batch, ock2*hw, 0)
+	c.colsBufs, c.xpBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.xpBufs, c.dwBufs, batch, ock2*hw, 0, 0)
 	wtp := tensor.PackA(c.weight.Data, ock2, inC, hw, true)
 	if len(c.colsBufs) == 1 {
 		c.forwardChunk(x, out, wtp, 0, batch, 0)
@@ -469,9 +485,9 @@ func (c *ConvTranspose2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return c.backward(grad, true, true)
 }
 
-// backward implements halfBackward. Both halves read the im2col expansion
-// of the output gradient; the parameter half multiplies it with the cached
-// input, the input half with the weights.
+// backward implements halfBackward. Both halves expand the padded output
+// gradient: the parameter half multiplies the cached input with its
+// transposed patch matrix, the input half the weights with its patch matrix.
 func (c *ConvTranspose2D) backward(grad *tensor.Tensor, params, input bool) *tensor.Tensor {
 	x := c.lastInput
 	batch, inC, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
@@ -485,11 +501,13 @@ func (c *ConvTranspose2D) backward(grad *tensor.Tensor, params, input bool) *ten
 		dx = c.scratch.GetTensorUninit(batch, inC, h, w) // a non-accumulating GEMM per sample writes it
 		wp = tensor.PackA(c.weight.Data, inC, ock2, hw, false)
 	}
-	dwSize := 0
+	g := c.geom.at(c.OutC, outH, outW, c.Kernel, c.Stride, c.Pad) // its positions are the input's h×w
+	colsSize, dwSize := tensor.PanelBLen(ock2, hw), 0
 	if params {
+		colsSize = max(colsSize, tensor.PanelBLen(hw, ock2))
 		dwSize = inC * ock2
 	}
-	c.colsBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.dwBufs, batch, ock2*hw, dwSize)
+	c.colsBufs, c.xpBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.xpBufs, c.dwBufs, batch, colsSize, g.xpLen, dwSize)
 	if len(c.colsBufs) == 1 {
 		c.backwardChunk(x, grad, dx, wp, 0, batch, 0)
 	} else {
@@ -505,27 +523,29 @@ func (c *ConvTranspose2D) backward(grad *tensor.Tensor, params, input bool) *ten
 }
 
 // backwardChunk runs the GEMM-lowered backward pass for samples [lo, hi):
-// im2col of the output gradient, then the sample's weight-gradient partial
-// when partials were staged and the input gradient when dx was.
+// the padded copy of the output gradient, then the sample's weight-gradient
+// partial when partials were staged and the input gradient when dx was.
+// dCols is the patch matrix of dOut_b with the layer's geometry reversed:
+// output positions of the scatter are the input positions here.
 func (c *ConvTranspose2D) backwardChunk(x, grad, dx *tensor.Tensor, wp tensor.PackedA, lo, hi, ch int) {
-	inC, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
+	inC, hw := x.Shape[1], x.Shape[2]*x.Shape[3]
 	outH, outW := grad.Shape[2], grad.Shape[3]
-	k, s, p := c.Kernel, c.Stride, c.Pad
-	hw := h * w
 	oHW := outH * outW
-	ock2 := c.OutC * k * k
-	cols := c.colsBufs[ch]
+	ock2 := c.OutC * c.Kernel * c.Kernel
+	g, cols, xp := &c.geom, c.colsBufs[ch], c.xpBufs[ch]
 	for b := lo; b < hi; b++ {
-		// dCols = im2col(dOut_b) with the layer's geometry reversed:
-		// output positions of the scatter are the input positions here.
-		im2col(cols, grad.Data[b*c.OutC*oHW:(b+1)*c.OutC*oHW], c.OutC, outH, outW, k, s, p, h, w)
+		padInto(xp, grad.Data[b*c.OutC*oHW:(b+1)*c.OutC*oHW], c.OutC, outH, outW, c.Pad)
 		if len(c.dwBufs) > 0 {
 			// dW_b = x_b · dColsᵀ.
-			tensor.GemmNT(c.dwBufs[b], x.Data[b*inC*hw:(b+1)*inC*hw], cols, inC, hw, ock2, false)
+			patchPanels(cols, xp, g.pos, g.off)
+			xa := tensor.PackA(x.Data[b*inC*hw:(b+1)*inC*hw], inC, hw, ock2, false)
+			tensor.GemmPanelB(c.dwBufs[b], xa, cols, false)
+			xa.Release()
 		}
 		if dx != nil {
 			// dx_b = weight · dCols.
-			tensor.GemmPackedA(dx.Data[b*inC*hw:(b+1)*inC*hw], wp, cols, false, false)
+			patchPanels(cols, xp, g.off, g.pos)
+			tensor.GemmPanelB(dx.Data[b*inC*hw:(b+1)*inC*hw], wp, cols, false)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -192,6 +193,164 @@ func TestConvWorkerCountInvariance(t *testing.T) {
 		for i := range l.gradW.Data {
 			if l.gradW.Data[i] != ref.gradW.Data[i] {
 				t.Fatalf("workers=%d: gradW differs at %d", w, i)
+			}
+		}
+	}
+}
+
+// rowMajorConv is the lowering both convolution layers ran before their
+// patch matrix was written in kernel panels: refIm2col's row-major matrix
+// through the public row-major GEMM entry points, refCol2im for the scatter,
+// per-sample partials reduced in batch order onto zero gradients. It is kept
+// as the reference the panel lowering must equal bit for bit.
+func rowMajorConv(x, grad *tensor.Tensor, weight, bias []float64, inC, outC, kk, stride, pad int) (out, dx, gradW, gradB []float64) {
+	batch, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
+	outH, outW := grad.Shape[2], grad.Shape[3]
+	hw, oHW, ck2 := h*w, outH*outW, inC*kk*kk
+	out = make([]float64, batch*outC*oHW)
+	dx = make([]float64, batch*inC*hw)
+	gradW, gradB = make([]float64, outC*ck2), make([]float64, outC)
+	dw, dCols := make([]float64, outC*ck2), make([]float64, ck2*oHW)
+	for b := 0; b < batch; b++ {
+		cols := refIm2col(x.Data[b*inC*hw:(b+1)*inC*hw], inC, h, w, kk, stride, pad, outH, outW)
+		ob, gb := out[b*outC*oHW:(b+1)*outC*oHW], grad.Data[b*outC*oHW:(b+1)*outC*oHW]
+		for i := range ob {
+			ob[i] = bias[i/oHW]
+		}
+		tensor.GemmNN(ob, weight, cols, outC, ck2, oHW, true)
+		tensor.GemmNT(dw, gb, cols, outC, oHW, ck2, false)
+		tensor.GemmTN(dCols, weight, gb, ck2, outC, oHW, false)
+		refCol2im(dx[b*inC*hw:(b+1)*inC*hw], dCols, inC, h, w, kk, stride, pad, outH, outW)
+		reduceRef(gradW, gradB, dw, gb, oHW)
+	}
+	return out, dx, gradW, gradB
+}
+
+// rowMajorConvT is rowMajorConv for the transposed convolution, whose
+// backward pass expands the output gradient and whose forward pass scatters.
+func rowMajorConvT(x, grad *tensor.Tensor, weight, bias []float64, inC, outC, kk, stride, pad int) (out, dx, gradW, gradB []float64) {
+	batch, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
+	outH, outW := grad.Shape[2], grad.Shape[3]
+	hw, oHW, ock2 := h*w, outH*outW, outC*kk*kk
+	out = make([]float64, batch*outC*oHW)
+	dx = make([]float64, batch*inC*hw)
+	gradW, gradB = make([]float64, inC*ock2), make([]float64, outC)
+	dw, scat := make([]float64, inC*ock2), make([]float64, ock2*hw)
+	for b := 0; b < batch; b++ {
+		xb := x.Data[b*inC*hw : (b+1)*inC*hw]
+		ob, gb := out[b*outC*oHW:(b+1)*outC*oHW], grad.Data[b*outC*oHW:(b+1)*outC*oHW]
+		for i := range ob {
+			ob[i] = bias[i/oHW]
+		}
+		tensor.GemmTN(scat, weight, xb, ock2, inC, hw, false)
+		refCol2im(ob, scat, outC, outH, outW, kk, stride, pad, h, w)
+		dCols := refIm2col(gb, outC, outH, outW, kk, stride, pad, h, w)
+		tensor.GemmNT(dw, xb, dCols, inC, hw, ock2, false)
+		tensor.GemmNN(dx[b*inC*hw:(b+1)*inC*hw], weight, dCols, inC, ock2, hw, false)
+		reduceRef(gradW, gradB, dw, gb, oHW)
+	}
+	return out, dx, gradW, gradB
+}
+
+// reduceRef adds one sample's weight-gradient partial and its per-channel
+// output-gradient sums, each one running sum in element order.
+func reduceRef(gradW, gradB, dw, gb []float64, oHW int) {
+	for i := range gradW {
+		gradW[i] += dw[i]
+	}
+	for i, v := range gb {
+		gradB[i/oHW] += v
+	}
+}
+
+// TestConvBitEqualRowMajorLowering holds forward, dW, dB and dx of Conv2D
+// and ConvTranspose2D to the row-major lowering with ==: the zoo's conv
+// layers, the generator's transposed convolutions, DFA-R's filter layer,
+// shapes whose products stay below the microkernel's threshold, ragged
+// panels in both orders and a single-pixel output, at 1, 2 and 8 workers,
+// pooled and not. It runs on the purego build too, where both sides are the
+// scalar tiles.
+func TestConvBitEqualRowMajorLowering(t *testing.T) {
+	defer tensor.SetWorkers(0)
+	equal := func(t *testing.T, what string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s[%d] = %v, want %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	for _, c := range []struct {
+		name                   string
+		transposed             bool
+		batch, inC, outC, size int
+		kk, stride, pad        int
+	}{
+		{"fashion1", false, 16, 1, 8, 16, 3, 2, 1},
+		{"fashion2", false, 16, 8, 16, 8, 3, 2, 1},
+		{"deep1", false, 5, 3, 8, 16, 3, 1, 1},
+		{"deep2", false, 3, 8, 8, 16, 3, 2, 1},
+		{"deep3", false, 3, 8, 16, 8, 3, 1, 1},
+		{"deep4", false, 3, 16, 16, 8, 3, 2, 1},
+		{"deep5", false, 3, 16, 32, 4, 3, 1, 1},
+		{"deep6", false, 20, 32, 32, 4, 3, 2, 1},
+		{"generator-conv", false, 4, 8, 3, 16, 3, 1, 1},
+		{"dfar-filter", false, 1, 3, 3, 16, 3, 1, 1},
+		{"below-simd", false, 3, 1, 2, 5, 3, 1, 1},        // 2×9×25 MACs
+		{"below-simd-ragged", false, 2, 2, 3, 5, 2, 2, 0}, // 4 positions, 8 patch rows
+		{"one-pixel", false, 2, 3, 5, 3, 3, 1, 0},
+		{"wide-pad", false, 2, 2, 4, 5, 5, 1, 4},
+		{"generatorT1", true, 20, 8, 16, 4, 4, 2, 1},
+		{"generatorT2", true, 4, 16, 8, 8, 4, 2, 1},
+		{"T-below-simd", true, 2, 2, 1, 3, 3, 1, 0},
+		{"T-stride3", true, 2, 2, 3, 4, 3, 3, 0},
+		{"T-heavy-pad", true, 3, 2, 2, 5, 4, 2, 2},
+	} {
+		rng := rand.New(rand.NewSource(16))
+		var layer interface {
+			Layer
+			scratchUser
+			OutSize(int) int
+		}
+		if c.transposed {
+			layer = NewConvTranspose2D(rng, c.inC, c.outC, c.kk, c.stride, c.pad)
+		} else {
+			layer = NewConv2D(rng, c.inC, c.outC, c.kk, c.stride, c.pad)
+		}
+		weight, bias := layer.Params()[0].Data, layer.Params()[1].Data
+		for i := range bias {
+			bias[i] = rng.NormFloat64()
+		}
+		x := tensor.New(c.batch, c.inC, c.size, c.size)
+		x.FillNormal(rng, 0, 1)
+		outSize := layer.OutSize(c.size)
+		grad := tensor.New(c.batch, c.outC, outSize, outSize)
+		grad.FillNormal(rng, 0, 1)
+		ref := rowMajorConv
+		if c.transposed {
+			ref = rowMajorConvT
+		}
+		tensor.SetWorkers(1)
+		wantOut, wantDx, wantW, wantB := ref(x, grad, weight, bias, c.inC, c.outC, c.kk, c.stride, c.pad)
+		for _, workers := range []int{1, 2, 8} {
+			for _, pool := range []*tensor.Pool{nil, tensor.NewPool()} {
+				t.Run(fmt.Sprintf("%s/workers=%d/pooled=%v", c.name, workers, pool != nil), func(t *testing.T) {
+					tensor.SetWorkers(workers)
+					layer.setScratch(pool)
+					for pass := 0; pass < 2; pass++ { // the second pass reads a dirty arena
+						pool.Reset()
+						for _, g := range layer.Grads() {
+							g.Zero()
+						}
+						equal(t, "out", layer.Forward(x, true).Data, wantOut)
+						equal(t, "dx", layer.Backward(grad).Data, wantDx)
+						equal(t, "gradW", layer.Grads()[0].Data, wantW)
+						equal(t, "gradB", layer.Grads()[1].Data, wantB)
+					}
+				})
 			}
 		}
 	}

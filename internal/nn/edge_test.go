@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -57,6 +58,26 @@ func TestConvChannelMismatchPanics(t *testing.T) {
 		}
 	}()
 	c.Forward(tensor.New(1, 2, 8, 8), false)
+}
+
+// An image the kernel does not fit is a geometry error named as one, on the
+// heap and in an arena alike — also where truncating division would have
+// made the output size look positive (2+0−3 over stride 2).
+func TestConvKernelLargerThanImagePanics(t *testing.T) {
+	for _, stride := range []int{1, 2} {
+		for _, pool := range []*tensor.Pool{nil, tensor.NewPool()} {
+			net := NewNetwork(NewConv2D(rand.New(rand.NewSource(1)), 1, 4, 3, stride, 0))
+			net.SetScratch(pool)
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.HasPrefix(msg, "nn: conv output size 0x0 not positive") {
+						t.Errorf("stride %d, pooled %v: panic %q", stride, pool != nil, msg)
+					}
+				}()
+				net.Forward(tensor.New(1, 1, 2, 2), false)
+			}()
+		}
+	}
 }
 
 func TestConvInvalidConfigPanics(t *testing.T) {

@@ -4,10 +4,15 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
-// refIm2col is im2col one element at a time, with the bounds test on every
-// element that the production loops hoisted out per kernel tap.
+// refIm2col is the row-major patch matrix ([ch*kk*kk, posH*posW], flat) the
+// layers were lowered onto before they wrote panels, one element at a time
+// with a bounds test on every element: cols[(c*kk+ki)*kk+kj][i*posW+j] is
+// the pixel the kernel tap (ki, kj) sees at output position (i, j), or 0
+// where the tap falls into padding.
 func refIm2col(x []float64, ch, h, w, kk, stride, pad, posH, posW int) []float64 {
 	cols := make([]float64, ch*kk*kk*posH*posW)
 	for c := 0; c < ch; c++ {
@@ -25,6 +30,22 @@ func refIm2col(x []float64, ch, h, w, kk, stride, pad, posH, posW int) []float64
 		}
 	}
 	return cols
+}
+
+// refPanels packs row-major B (k×n) — or, with trans, Bᵀ of a stored n×k —
+// into tensor.GemmPanelB's layout from the formula in its comment.
+func refPanels(b []float64, k, n int, trans bool) []float64 {
+	pb := make([]float64, tensor.PanelBLen(k, n))
+	for j := 0; j < n; j++ {
+		for p := 0; p < k; p++ {
+			v := b[p*n+j]
+			if trans {
+				v = b[j*k+p]
+			}
+			pb[((j/8)*k+p)*8+j%8] = v
+		}
+	}
+	return pb
 }
 
 // refCol2im accumulates in the order col2im documents: taps outermost per
@@ -46,16 +67,20 @@ func refCol2im(x, cols []float64, ch, h, w, kk, stride, pad, posH, posW int) {
 	}
 }
 
-// TestIm2colCol2imGeometryProperty drives both routines over random
-// geometry — kernels 1–5, strides 1–3, padding 0–3 (so also padding at least
-// as wide as the kernel, where whole taps see no pixel), non-square images,
-// widths that are no multiple of anything — against the per-element
-// references, bit for bit on random reals, and checks that they are adjoint:
-// ⟨im2col(x), y⟩ = ⟨x, col2im(y)⟩ exactly, on small integers whose sums
-// float64 represents without rounding.
+// TestIm2colCol2imGeometryProperty drives the patch expansion and col2im
+// over random geometry — kernels 1–5, strides 1–3, padding 0–3 (so also
+// padding at least as wide as the kernel, where whole taps see no pixel),
+// non-square images, widths that are no multiple of anything, position and
+// patch-row counts that leave a ragged last panel, single-pixel outputs —
+// against the per-element references, bit for bit on random reals:
+// padInto + patchPanels in both call orders against refIm2col packed by
+// refPanels, zero columns of the last panel included. It also checks that
+// the two are adjoint, ⟨patches(x), y⟩ = ⟨x, col2im(y)⟩ exactly, on small
+// integers whose sums float64 represents without rounding.
 func TestIm2colCol2imGeometryProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	poison := math.Float64frombits(0x7FF8_0000_0BAD_F00D)
+	var seen struct{ raggedPos, raggedRows, onePixel, widePad int }
 	cases := 0
 	for cases < 600 {
 		ch, kk, stride, pad := 1+rng.Intn(3), 1+rng.Intn(5), 1+rng.Intn(3), rng.Intn(4)
@@ -66,24 +91,52 @@ func TestIm2colCol2imGeometryProperty(t *testing.T) {
 		cases++
 		posH, posW := (h+2*pad-kk)/stride+1, (w+2*pad-kk)/stride+1
 		geom := [8]int{ch, h, w, kk, stride, pad, posH, posW}
+		rows, npos := ch*kk*kk, posH*posW
+		if npos%8 != 0 {
+			seen.raggedPos++
+		}
+		if rows%8 != 0 {
+			seen.raggedRows++
+		}
+		if npos == 1 {
+			seen.onePixel++
+		}
+		if pad >= kk {
+			seen.widePad++
+		}
 
 		x := make([]float64, ch*h*w)
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		want := refIm2col(x, ch, h, w, kk, stride, pad, posH, posW)
-		got := make([]float64, len(want))
-		for i := range got {
-			got[i] = poison // im2col must write every element
+		var g patchGeom
+		g.at(ch, h, w, kk, stride, pad)
+		if g.posH != posH || g.posW != posW || len(g.off) != rows || len(g.pos) != npos {
+			t.Fatalf("patchGeom %v: %dx%d positions, %d rows", geom, g.posH, g.posW, len(g.off))
 		}
-		im2col(got, x, ch, h, w, kk, stride, pad, posH, posW)
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("im2col %v: cols[%d] = %v, want %v", geom, i, got[i], want[i])
+		xp := make([]float64, g.xpLen)
+		padInto(xp, x, ch, h, w, pad)
+		cols := refIm2col(x, ch, h, w, kk, stride, pad, posH, posW)
+		got := make([]float64, max(tensor.PanelBLen(rows, npos), tensor.PanelBLen(npos, rows)))
+		for name, order := range map[string]struct {
+			depth, cols []int
+			want        []float64
+		}{
+			"patchPanels(off, pos)": {g.off, g.pos, refPanels(cols, rows, npos, false)},
+			"patchPanels(pos, off)": {g.pos, g.off, refPanels(cols, npos, rows, true)},
+		} {
+			for i := range got {
+				got[i] = poison // patchPanels must write every element
+			}
+			patchPanels(got, xp, order.depth, order.cols)
+			for i, want := range order.want {
+				if math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("%s %v: pb[%d] = %v, want %v", name, geom, i, got[i], want)
+				}
 			}
 		}
 
-		y := make([]float64, len(want))
+		y := make([]float64, len(cols))
 		for i := range y {
 			y[i] = rng.NormFloat64()
 		}
@@ -106,18 +159,24 @@ func TestIm2colCol2imGeometryProperty(t *testing.T) {
 		for i := range y {
 			y[i] = float64(rng.Intn(17) - 8)
 		}
-		im2col(got, x, ch, h, w, kk, stride, pad, posH, posW)
+		padInto(xp, x, ch, h, w, pad)
+		patchPanels(got, xp, g.off, g.pos)
 		clear(gotX)
 		col2im(gotX, y, ch, h, w, kk, stride, pad, posH, posW)
 		var lhs, rhs float64
-		for i := range got {
-			lhs += got[i] * y[i]
+		for r := 0; r < rows; r++ {
+			for p := 0; p < npos; p++ {
+				lhs += got[((p/8)*rows+r)*8+p%8] * y[r*npos+p]
+			}
 		}
 		for i := range x {
 			rhs += x[i] * gotX[i]
 		}
 		if lhs != rhs {
-			t.Fatalf("adjoint %v: <im2col(x), y> = %v, <x, col2im(y)> = %v", geom, lhs, rhs)
+			t.Fatalf("adjoint %v: <patches(x), y> = %v, <x, col2im(y)> = %v", geom, lhs, rhs)
 		}
+	}
+	if seen.raggedPos == 0 || seen.raggedRows == 0 || seen.onePixel == 0 || seen.widePad == 0 {
+		t.Fatalf("geometry classes not all drawn: %+v", seen)
 	}
 }

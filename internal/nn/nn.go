@@ -118,8 +118,9 @@ func (n *Network) Backward(grad *tensor.Tensor) *tensor.Tensor {
 }
 
 // BackwardInput returns the gradient with respect to the network input and
-// computes nothing else: no patch expansion of the cached inputs, no weight
-// or bias gradients, Grads left exactly as they were. It is the backward
+// computes nothing else: a convolution neither pads nor expands its cached
+// input into panels, no layer forms weight or bias gradients, and Grads are
+// left exactly as they were. It is the backward
 // pass of a frozen model — DFA synthesis differentiates the global model
 // with respect to the synthetic image and never steps it.
 func (n *Network) BackwardInput(grad *tensor.Tensor) *tensor.Tensor {

@@ -7,7 +7,7 @@ import (
 
 // zooLayers are the layers whose products make up a train step of the two
 // zoo models on 16×16 inputs: FashionCNN's two convolutions and DeepCNN's
-// first and last, each one sample's im2col product (out-channels ×
+// first and last, each one sample's patch-matrix product (out-channels ×
 // in-channels·9 × output pixels), and DeepCNN's first dense layer at batch
 // 16 (batch × in × out).
 var zooLayers = []struct {
@@ -24,10 +24,14 @@ var zooLayers = []struct {
 
 // BenchmarkGemmZoo times each layer's three products the way the layer
 // calls them. A convolution multiplies its packed weights by the patch
-// matrix (forward, NN onto the bias), the output gradient by the patch
-// matrix transposed (dW, NT) and the packed weightᵀ by the output gradient
-// (dX, TN); the weights are packed once per 16-sample batch, so one
-// iteration is PackA, 16 products and Release. A dense layer multiplies the
+// matrix (forward, onto the bias), the output gradient by the patch matrix
+// transposed (dW) and the packed weightᵀ by the output gradient (dX, TN);
+// the weights are packed once per 16-sample batch, so one iteration is
+// PackA, 16 products and Release. The patch matrix reaches the first two
+// already in panels (forward-panelB, dW-panelB; the expansion that writes
+// them is nn.BenchmarkPatchPanels); the NN and NT rows beside them are the
+// same products over a row-major matrix, packing included, as the harness's
+// tensor.gemm_*_gflops probes run them. A dense layer multiplies the
 // batch by the weights (forward, NN), the batchᵀ by the gradient onto gradW
 // (dW, TN) and the gradient by the weightsᵀ (dX, NT), once per batch.
 func BenchmarkGemmZoo(b *testing.B) {
@@ -54,6 +58,8 @@ func BenchmarkGemmZoo(b *testing.B) {
 			run("dX-NT", func() { GemmNT(dw, g, x, m, n, k, false) })
 			continue
 		}
+		xp := make([]float64, PanelBLen(k, n))  // the patch matrix in panels
+		xtp := make([]float64, PanelBLen(n, k)) // and its transpose
 		run("forward-NN", func() {
 			wp := PackA(w, m, k, n, false)
 			for s := 0; s < 16; s++ {
@@ -61,9 +67,23 @@ func BenchmarkGemmZoo(b *testing.B) {
 			}
 			wp.Release()
 		})
+		run("forward-panelB", func() {
+			wp := PackA(w, m, k, n, false)
+			for s := 0; s < 16; s++ {
+				GemmPanelB(out, wp, xp, true)
+			}
+			wp.Release()
+		})
 		run("dW-NT", func() {
 			for s := 0; s < 16; s++ {
 				GemmNT(dw, g, x, m, n, k, false)
+			}
+		})
+		run("dW-panelB", func() {
+			for s := 0; s < 16; s++ {
+				gp := PackA(g, m, n, k, false)
+				GemmPanelB(dw, gp, xtp, false)
+				gp.Release()
 			}
 		})
 		run("dX-TN", func() {

@@ -7,7 +7,8 @@ import (
 
 // Blocked, register-tiled matrix kernels. All three product shapes
 // (A·B, Aᵀ·B, A·Bᵀ) are one routine: PackA prepares the left operand,
-// GemmPackedA multiplies it by a right operand. The output is partitioned
+// GemmPackedA multiplies it by a row-major right operand, GemmPanelB by one
+// its producer wrote in the panel layout. The output is partitioned
 // into register tiles (4×8 on the SIMD microkernel, 4×4 on the scalar
 // path), each tile accumulates over the shared dimension in ascending
 // order, and row-tile blocks are distributed over the package worker pool
@@ -250,35 +251,82 @@ func GemmPackedA(c []float64, pa PackedA, b []float64, transB, acc bool) {
 			len(b), len(c), m, k, k, n, pa.trans, transB))
 	}
 	if pa.panels != nil {
-		gemmPanels(c, *pa.panels, b, m, k, n, transB, acc)
+		pbp := getPackBuf(PanelBLen(k, n))
+		packB8(*pbp, b, k, n, transB)
+		gemmPanels(c, *pa.panels, *pbp, m, k, n, acc)
+		packBufs.Put(pbp)
 		return
 	}
-	tiles, grain := rowTiles(m), tileGrain(k, n)
+	pa.scalarTiles(c, b, transB, false, acc)
+}
+
+// PanelBLen returns the length of a k×n right operand in the panel layout
+// GemmPanelB reads: ⌈n/8⌉ panels of k rows of 8 columns.
+func PanelBLen(k, n int) int { return 8 * k * ((n + 7) / 8) }
+
+// GemmPanelB is GemmPackedA for a right operand B_eff (k×n) that is not
+// stored row-major but was written by its producer in zero-padded 8-column
+// panels, pb[(t*k+p)*8+c] = B_eff[p][8t+c] with columns past n zero — the
+// layout the microkernel reads, so nothing is packed per product. This is
+// how a convolution hands over its patch matrix on every build: where
+// PackA packed nothing, the scalar tiles of A·B index B through the same
+// formula (bColumn).
+// A transposed left operand is not offered: no layer asks for it.
+func GemmPanelB(c []float64, pa PackedA, pb []float64, acc bool) {
+	m, k, n := pa.m, pa.k, pa.n
+	if len(pb) < PanelBLen(k, n) || len(c) < m*n || pa.trans {
+		panic(fmt.Sprintf("tensor: GemmPanelB slice lengths %d/%d for %dx%d · %dx%d (transA %v)",
+			len(pb), len(c), m, k, k, n, pa.trans))
+	}
+	if pa.panels != nil {
+		gemmPanels(c, *pa.panels, pb, m, k, n, acc)
+		return
+	}
+	pa.scalarTiles(c, pb, false, true, acc)
+}
+
+// scalarTiles fans the 4-row tiles of the product out over the worker pool
+// on the scalar tiles, which read A in place.
+func (pa PackedA) scalarTiles(c, b []float64, transB, panelB, acc bool) {
+	m := pa.m
+	tiles, grain := rowTiles(m), tileGrain(pa.k, pa.n)
 	if ChunkCount(tiles, grain) <= 1 {
-		pa.scalarRows(c, b, transB, acc, 0, m) // no closure on the serial path
+		pa.scalarRows(c, b, transB, panelB, acc, 0, m) // no closure on the serial path
 		return
 	}
 	ParallelFor(tiles, grain, func(lo, hi int) {
-		pa.scalarRows(c, b, transB, acc, lo*4, min(hi*4, m))
+		pa.scalarRows(c, b, transB, panelB, acc, lo*4, min(hi*4, m))
 	})
 }
 
-// scalarRows runs rows [i0, i1) of the product on the scalar tiles, which
-// read A in place.
-func (pa PackedA) scalarRows(c, b []float64, transB, acc bool, i0, i1 int) {
+// scalarRows runs rows [i0, i1) of the product.
+func (pa PackedA) scalarRows(c, b []float64, transB, panelB, acc bool, i0, i1 int) {
 	switch {
 	case pa.trans:
 		gemmTN(c, pa.a, b, pa.k, pa.m, pa.n, i0, i1, acc)
 	case transB:
 		gemmNT(c, pa.a, b, pa.k, pa.n, i0, i1, acc)
 	default:
-		gemmNN(c, pa.a, b, pa.k, pa.n, i0, i1, acc)
+		gemmNN(c, pa.a, b, pa.k, pa.n, i0, i1, acc, panelB)
 	}
 }
 
+// bColumn returns B_eff from element (0, j) on and the distance between
+// consecutive depths of a column: b[j:] and n for row-major B (k×n); for B
+// in GemmPanelB's layout the panel holding column j from that column on, and
+// 8. A 4-column tile starts at a multiple of 4 and so never straddles an
+// 8-column panel: either way its four values of depth p are bj[p*ldb:p*ldb+4].
+func bColumn(b []float64, k, n, j int, panelB bool) (bj []float64, ldb int) {
+	if panelB {
+		return b[(j>>3)*k*8+j&7:], 8
+	}
+	return b[j:], n
+}
+
 // gemmNN computes rows [i0, i1) of C = A·B (or C += A·B when acc is set)
-// for row-major A (lda = k), B (ldb = n), C (ldc = n).
-func gemmNN(c, a, b []float64, k, n, i0, i1 int, acc bool) {
+// for row-major A (lda = k) and C (ldc = n), and B either row-major
+// (ldb = n) or, with panelB, in GemmPanelB's layout.
+func gemmNN(c, a, b []float64, k, n, i0, i1 int, acc, panelB bool) {
 	n4 := n &^ 3
 	for i := i0; i < i1; i += 4 {
 		if i+4 <= i1 {
@@ -291,6 +339,7 @@ func gemmNN(c, a, b []float64, k, n, i0, i1 int, acc bool) {
 			c2 := c[(i+2)*n : (i+2)*n+n]
 			c3 := c[(i+3)*n : (i+3)*n+n]
 			for j := 0; j < n4; j += 4 {
+				bj, ldb := bColumn(b, k, n, j, panelB)
 				var s00, s01, s02, s03 float64
 				var s10, s11, s12, s13 float64
 				var s20, s21, s22, s23 float64
@@ -302,7 +351,7 @@ func gemmNN(c, a, b []float64, k, n, i0, i1 int, acc bool) {
 					s30, s31, s32, s33 = c3[j], c3[j+1], c3[j+2], c3[j+3]
 				}
 				for p := 0; p < k; p++ {
-					bp := b[p*n+j : p*n+j+4]
+					bp := bj[p*ldb : p*ldb+4]
 					b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
 					av := a0[p]
 					s00 += av * b0
@@ -331,12 +380,13 @@ func gemmNN(c, a, b []float64, k, n, i0, i1 int, acc bool) {
 				c3[j], c3[j+1], c3[j+2], c3[j+3] = s30, s31, s32, s33
 			}
 			for j := n4; j < n; j++ {
+				bj, ldb := bColumn(b, k, n, j, panelB)
 				var s0, s1, s2, s3 float64
 				if acc {
 					s0, s1, s2, s3 = c0[j], c1[j], c2[j], c3[j]
 				}
 				for p := 0; p < k; p++ {
-					bv := b[p*n+j]
+					bv := bj[p*ldb]
 					s0 += a0[p] * bv
 					s1 += a1[p] * bv
 					s2 += a2[p] * bv
@@ -350,12 +400,13 @@ func gemmNN(c, a, b []float64, k, n, i0, i1 int, acc bool) {
 			ar := a[i*k : i*k+k]
 			cr := c[i*n : i*n+n]
 			for j := 0; j < n4; j += 4 {
+				bj, ldb := bColumn(b, k, n, j, panelB)
 				var s0, s1, s2, s3 float64
 				if acc {
 					s0, s1, s2, s3 = cr[j], cr[j+1], cr[j+2], cr[j+3]
 				}
 				for p := 0; p < k; p++ {
-					bp := b[p*n+j : p*n+j+4]
+					bp := bj[p*ldb : p*ldb+4]
 					av := ar[p]
 					s0 += av * bp[0]
 					s1 += av * bp[1]
@@ -365,12 +416,13 @@ func gemmNN(c, a, b []float64, k, n, i0, i1 int, acc bool) {
 				cr[j], cr[j+1], cr[j+2], cr[j+3] = s0, s1, s2, s3
 			}
 			for j := n4; j < n; j++ {
+				bj, ldb := bColumn(b, k, n, j, panelB)
 				var s float64
 				if acc {
 					s = cr[j]
 				}
 				for p := 0; p < k; p++ {
-					s += ar[p] * b[p*n+j]
+					s += ar[p] * bj[p*ldb]
 				}
 				cr[j] = s
 			}

@@ -35,13 +35,35 @@ func exactGemm(c []float64, m, k, n int, acc, fused bool, at, bt func(i, j int) 
 	return want
 }
 
+// refPanelB writes B_eff (k×n) in GemmPanelB's layout from the formula in
+// its comment, one element at a time; the buffer is poisoned first so a
+// padding column left unwritten would show.
+func refPanelB(k, n int, bt func(p, j int) float64) []float64 {
+	pb := make([]float64, PanelBLen(k, n))
+	for i := range pb {
+		pb[i] = math.NaN()
+	}
+	for t := 0; t*8 < n; t++ {
+		for p := 0; p < k; p++ {
+			for c := 0; c < 8; c++ {
+				v := 0.0
+				if 8*t+c < n {
+					v = bt(p, 8*t+c)
+				}
+				pb[(t*k+p)*8+c] = v
+			}
+		}
+	}
+	return pb
+}
+
 // modelShapes are the (m, k, n) the zoo's layers run per sample or per
 // batch: FashionCNN's two convolutions, DeepCNN's first and last, and
 // DeepCNN's first dense layer at batch 16.
 var modelShapes = [][3]int{{8, 9, 64}, {16, 72, 16}, {8, 27, 256}, {32, 288, 4}, {16, 256, 10}}
 
-// TestGEMMBitExact holds GemmNN, GemmTN, GemmNT and the packed-A entry
-// point to the reference bit for bit, over every small shape (each edge-tile
+// TestGEMMBitExact holds GemmNN, GemmTN, GemmNT and the two packed-A entry
+// points (row-major B and panelled B) to the reference bit for bit, over every small shape (each edge-tile
 // combination of the 4×8 microkernel and of the 4×4 scalar tiles) and the
 // model shapes, accumulating and not, serial and fanned out. C sits inside
 // a buffer of sentinels, so a tile stored outside the m×n block fails.
@@ -119,6 +141,11 @@ func TestGEMMBitExact(t *testing.T) {
 						func(c []float64) { GemmPackedA(c, pa, b2, false, acc) })
 					if !trans {
 						check(name+" transB", exactGemm(c0, m, k, n, acc, fused, at, bNT), func(c []float64) { GemmPackedA(c, pa, b, true, acc) })
+						// The panelled right operand in both roles a convolution
+						// gives it: the patch matrix and its transpose.
+						pb, pbT := refPanelB(k, n, bNN), refPanelB(k, n, bNT)
+						check("GemmPanelB", exactGemm(c0, m, k, n, acc, fused, at, bNN), func(c []float64) { GemmPanelB(c, pa, pb, acc) })
+						check("GemmPanelB transposed source", exactGemm(c0, m, k, n, acc, fused, at, bNT), func(c []float64) { GemmPanelB(c, pa, pbT, acc) })
 					}
 					pa.Release()
 				}
@@ -127,16 +154,23 @@ func TestGEMMBitExact(t *testing.T) {
 	}
 }
 
-// TestGemmPackedARejectsDoubleTranspose pins the one product shape the
+// TestGemmPackedARejectsDoubleTranspose pins the one product shape each
 // packed entry point refuses, on every build.
 func TestGemmPackedARejectsDoubleTranspose(t *testing.T) {
-	a, b, c := make([]float64, 6), make([]float64, 6), make([]float64, 4)
+	a, b, c := make([]float64, 6), make([]float64, PanelBLen(3, 2)), make([]float64, 4)
 	pa := PackA(a, 2, 3, 2, true)
 	defer pa.Release()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("GemmPackedA accepted Aᵀ·Bᵀ")
-		}
-	}()
-	GemmPackedA(c, pa, b, true, false)
+	for name, run := range map[string]func(){
+		"GemmPackedA accepted Aᵀ·Bᵀ":             func() { GemmPackedA(c, pa, b, true, false) },
+		"GemmPanelB accepted a transposed PackA": func() { GemmPanelB(c, pa, b, false) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error(name)
+				}
+			}()
+			run()
+		}()
+	}
 }

@@ -12,7 +12,9 @@ func packPanels(a []float64, m, k int, transA bool) *[]float64 {
 	panic("tensor: packPanels unavailable")
 }
 
-func gemmPanels(c, pa, b []float64, m, k, n int, transB, acc bool) {
+func packB8(pb, b []float64, k, n int, transB bool) { panic("tensor: packB8 unavailable") }
+
+func gemmPanels(c, pa, pb []float64, m, k, n int, acc bool) {
 	panic("tensor: gemmPanels unavailable")
 }
 

@@ -4,7 +4,8 @@ package tensor
 
 // AVX2+FMA fast path: the three product variants are lowered onto one 4×8
 // register-tile microkernel (gemm_amd64.s) over zero-padded packed panels —
-// A once per PackA, B once per product — that writes its C tile in place.
+// A once per PackA; a row-major B once per product (packB8), a B that
+// arrives in panels (GemmPanelB) never — that writes its C tile in place.
 // Packing fixes the depth-ascending accumulation order per output element,
 // so the SIMD path is — like the scalar path — bit-identical for any worker
 // count; versus the scalar path it differs only by the fused rounding of
@@ -126,13 +127,9 @@ func packPanels(a []float64, m, k int, transA bool) *[]float64 {
 }
 
 // gemmPanels computes C (m×n) = A_eff·B_eff via the 4×8 microkernel, with
-// A_eff already packed by packPanels; acc accumulates onto the existing C
-// values.
-func gemmPanels(c, pa, b []float64, m, k, n int, transB, acc bool) {
-	nt := (n + 7) / 8
-	pbp := getPackBuf(nt * k * 8)
-	pb := *pbp
-	packB8(pb, b, k, n, transB)
+// A_eff already packed by packPanels and B_eff in packB8's layout; acc
+// accumulates onto the existing C values.
+func gemmPanels(c, pa, pb []float64, m, k, n int, acc bool) {
 	tiles := rowTiles(m)
 	grain := tileGrain(k, n)
 	if ChunkCount(tiles, grain) <= 1 {
@@ -142,7 +139,6 @@ func gemmPanels(c, pa, b []float64, m, k, n int, transB, acc bool) {
 			simdRowTiles(c, pa, pb, m, k, n, acc, lo, hi)
 		})
 	}
-	packBufs.Put(pbp)
 }
 
 // simdRowTiles runs the 4-row tiles [lo, hi) of the packed-panel product.

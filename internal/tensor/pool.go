@@ -1,8 +1,8 @@
 package tensor
 
 // Pool is a grow-only scratch arena for the tensors a forward/backward pass
-// allocates and immediately discards: activations, im2col buffers, gradient
-// temporaries. Storage is carved from large reusable slabs; Reset recycles
+// allocates and immediately discards: activations, a convolution's patch
+// panels and padded samples, gradient temporaries. Storage is carved from large reusable slabs; Reset recycles
 // everything at once. After the first pass has sized the slabs, a training
 // step that allocates the same sequence of scratch tensors performs zero
 // heap allocation.
@@ -10,13 +10,14 @@ package tensor
 // Hand-outs differ in what the storage holds:
 //
 //   - Get and GetTensor return zeroed storage, for buffers that are
-//     accumulated into (a col2im target, a += destination).
+//     accumulated into (a col2im target, a += destination) or only partly
+//     written (a padded sample, whose border must read zero).
 //   - GetUninit and GetTensorUninit return storage whose contents are
 //     undefined — whatever the previous cycle left there. They are for
 //     buffers whose every element the caller overwrites before reading any
-//     (an im2col patch matrix, the destination of a non-accumulating GEMM,
-//     an activation output), and save the clear that the overwrite makes
-//     redundant.
+//     (a patch matrix written in panels, the destination of a
+//     non-accumulating GEMM, an activation output), and save the clear that
+//     the overwrite makes redundant.
 //   - GetView wraps existing storage and touches no data.
 //
 // Ownership rules:
