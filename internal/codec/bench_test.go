@@ -99,6 +99,19 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeGaussian is the same encode at the ladder's shape (d = 10k)
+// on Gaussian deltas: benchWeights has 31 distinct delta values, so
+// BenchmarkEncode's top-k selection resolves ties, not magnitudes.
+func BenchmarkEncodeGaussian(b *testing.B) {
+	global, ws := roundWeights(1, 10000)
+	enc := NewEncoder(Spec{Quant: Int8, TopK: 0.1, EF: true})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enc.Encode(0, i, global, ws[0])
+	}
+}
+
 // BenchmarkSqDistMatrixSparse isolates the compressed-domain geometry for a
 // 50-frame sparse round at d=100k.
 func BenchmarkSqDistMatrixSparse(b *testing.B) {
@@ -109,6 +122,18 @@ func BenchmarkSqDistMatrixSparse(b *testing.B) {
 	for c := range ws {
 		frames[c] = enc.Encode(c, 0, global, ws[c])
 	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if SqDistMatrix(frames) == nil {
+			b.Fatal("sparse geometry fell back to dense")
+		}
+	}
+}
+
+// BenchmarkSqDistMatrixSparseK500 is the same geometry at the ladder's
+// socket_k500_int8topk shape: 500 frames of 1 000 kept coordinates, d = 10k.
+func BenchmarkSqDistMatrixSparseK500(b *testing.B) {
+	frames, _ := encodeRound(b, Spec{Quant: Int8, TopK: 0.1, EF: true}, 500, 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if SqDistMatrix(frames) == nil {

@@ -107,10 +107,11 @@ func (f *Frame) AddDelta(dst []float64) {
 type Encoder struct {
 	spec Spec
 	res  map[int][]float64
-	// delta, abs and sel are the O(d) work arrays of one encode (the delta,
-	// its magnitudes, the quickselect copy), kept across calls; only what a
+	// delta and cand are the O(d) work arrays of one encode (the delta, the
+	// radix select's candidate magnitudes), kept across calls; only what a
 	// returned Frame references is allocated per encode.
-	delta, abs, sel []float64
+	delta []float64
+	cand  []uint64
 }
 
 // NewEncoder returns an encoder for the spec, or nil for a disabled spec.
@@ -221,104 +222,129 @@ func (e *Encoder) Encode(clientID, round int, global, weights []float64) *Frame 
 
 // scratch returns *buf resized to n, growing it only when too small. The
 // contents are unspecified.
-func scratch(buf *[]float64, n int) []float64 {
+func scratch[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]float64, n)
+		*buf = make([]T, n)
 	}
 	return (*buf)[:n]
 }
+
+// keepCount is the number of coordinates a top-k frame of a dim-coordinate
+// model carries: ⌈frac·dim⌉, within [1, dim]. Encoder and DecodeWire share
+// it, so a frame of any other size is malformed.
+func keepCount(frac float64, dim int) int {
+	return min(max(int(math.Ceil(frac*float64(dim))), 1), dim)
+}
+
+// magBits returns the bit pattern of |v|. Among non-negative floats the
+// patterns order as the values do, so magnitudes can be ranked as integers;
+// that ranking also places every NaN above +Inf, which makes top-k selection
+// total — it terminates, and keeps the NaNs, on any input.
+func magBits(v float64) uint64 { return math.Float64bits(v) &^ (1 << 63) }
 
 // topKIndices returns the ⌈frac·d⌉ largest-|v| coordinate indices in
 // ascending index order. Magnitude ties break toward the lower index, so
 // the selection is a pure function of the delta. The (|v| desc, index asc)
 // ranking is a total order, so the kept set is unique and any selection
-// algorithm yields it; a k-bounded min-heap does so in O(d log k) instead
-// of sorting all d coordinates.
+// algorithm yields it: exactly the coordinates whose magnitude exceeds the
+// k-th largest, plus the lowest-index ones at that magnitude until k are
+// chosen — one ascending pass once kthMagnitude has found the threshold.
 func (e *Encoder) topKIndices(delta []float64, frac float64) []int32 {
-	d := len(delta)
-	k := int(math.Ceil(frac * float64(d)))
-	if k < 1 {
-		k = 1
-	}
-	if k > d {
-		k = d
-	}
-	abs := scratch(&e.abs, d)
-	for i, v := range delta {
-		abs[i] = math.Abs(v)
-	}
-	// The kept set is exactly: every coordinate whose magnitude strictly
-	// exceeds the k-th largest, plus the lowest-index coordinates at that
-	// threshold until k are chosen. Selecting the threshold value first
-	// (O(d) expected) and then collecting in two sequential passes is
-	// cache-friendly and allocation-light.
-	t := kthLargest(abs, k, scratch(&e.sel, d))
+	k := keepCount(frac, len(delta))
+	t, ties := e.kthMagnitude(delta, k)
 	idx := make([]int32, 0, k)
-	for i, a := range abs {
-		if a > t {
+	for i, v := range delta {
+		if m := magBits(v); m > t {
 			idx = append(idx, int32(i))
+		} else if m == t && ties > 0 {
+			idx = append(idx, int32(i))
+			ties--
 		}
 	}
-	for i, need := 0, k-len(idx); need > 0; i++ {
-		if abs[i] == t {
-			idx = append(idx, int32(i))
-			need--
-		}
-	}
-	slices.Sort(idx)
 	return idx
 }
 
-// kthLargest returns the k-th largest value of vals (1 ≤ k ≤ len(vals))
-// without reordering the input: Hoare-partition quickselect with
-// median-of-three pivots on the scratch copy v (len(vals)). Deterministic,
-// and the selected value is algorithm-independent, so any future rewrite
-// keeps results bit-identical.
-func kthLargest(vals []float64, k int, v []float64) float64 {
-	copy(v, vals)
-	target := len(v) - k // ascending rank
-	lo, hi := 0, len(v)-1
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if v[mid] < v[lo] {
-			v[mid], v[lo] = v[lo], v[mid]
-		}
-		if v[hi] < v[lo] {
-			v[hi], v[lo] = v[lo], v[hi]
-		}
-		if v[hi] < v[mid] {
-			v[hi], v[mid] = v[mid], v[hi]
-		}
-		pivot := v[mid]
-		i, j := lo, hi
-		for i <= j {
-			for v[i] < pivot {
-				i++
-			}
-			for v[j] > pivot {
-				j--
-			}
-			if i <= j {
-				v[i], v[j] = v[j], v[i]
-				i++
-				j--
-			}
-		}
-		switch {
-		case target <= j:
-			hi = j
-		case target >= i:
-			lo = i
-		default:
-			return v[target]
-		}
+// radixBits is the digit width of kthMagnitude's radix select: the first
+// digit of a magnitude's 63 bits is exactly the float64 exponent.
+const (
+	radixBits = 11
+	radixMask = 1<<radixBits - 1
+)
+
+// kthMagnitude returns the bit pattern t of the k-th largest magnitude of
+// delta (1 ≤ k ≤ len(delta)) and how many of the coordinates whose
+// magnitude equals t are among the k largest. It is an MSD radix select on
+// magBits: histogram the candidates' current digit, find the bucket that
+// holds rank k, keep only that bucket's members and descend one digit —
+// each pass shrinks the candidates by the bucket's share (the exponent
+// digit leaves about a third of a Gaussian delta, the next a handful) and
+// none has a data-dependent branch to mispredict. The value is
+// algorithm-independent, so frames do not depend on how it is found.
+func (e *Encoder) kthMagnitude(delta []float64, k int) (t uint64, ties int) {
+	var hist [1 << radixBits]int
+	// The first digit is read off the delta itself: only the members of its
+	// bucket are ever stored as candidates.
+	shift := 63 - radixBits
+	for _, v := range delta {
+		hist[magBits(v)>>shift]++
 	}
-	return v[target]
+	digit, k := rankBucket(&hist, k)
+	cand := scratch(&e.cand, len(delta))
+	n := 0
+	for _, v := range delta {
+		m := magBits(v)
+		cand[n] = m
+		n += isDigit(m>>shift, digit)
+	}
+	cand = cand[:n]
+	// Candidates agree on every bit from shift up. A few dozen are cheaper
+	// to sort than to histogram again; with no bits left they are all equal.
+	for shift > 0 && len(cand) > 32 {
+		shift = max(shift-radixBits, 0)
+		clear(hist[:])
+		for _, m := range cand {
+			hist[m>>shift&radixMask]++
+		}
+		digit, k = rankBucket(&hist, k)
+		n = 0
+		for _, m := range cand {
+			cand[n] = m
+			n += isDigit(m>>shift&radixMask, digit)
+		}
+		cand = cand[:n]
+	}
+	slices.Sort(cand)
+	t = cand[len(cand)-k]
+	above := 0
+	for i := len(cand) - 1; cand[i] > t; i-- {
+		above++
+	}
+	return t, k - above
 }
+
+// rankBucket returns the digit whose bucket holds the k-th largest of the
+// histogrammed candidates, and k's rank among that bucket's members.
+func rankBucket(hist *[1 << radixBits]int, k int) (digit uint64, rank int) {
+	digit = radixMask
+	for ; hist[digit] < k; digit-- {
+		k -= hist[digit]
+	}
+	return digit, k
+}
+
+// isDigit is 1 if x == digit and 0 otherwise, for digits below 2^63, by
+// arithmetic: kthMagnitude compacts its candidates by storing every one and
+// advancing the write position by isDigit, where a conditional append would
+// mispredict on a third of a Gaussian delta's coordinates.
+func isDigit(x, digit uint64) int { return int((x ^ digit - 1) >> 63) }
 
 // quantizeInt8 quantizes vals with one scale per Block elements:
 // scale = maxabs/127, q = stochastic-round(v/scale) clamped to ±127. Every
-// element consumes exactly one draw from the stream, in ascending order.
+// element consumes exactly one draw from the stream, in ascending order. A
+// block holding a NaN or an infinity gets that non-finite magnitude as its
+// scale and zero quantized values: it decodes to NaN throughout, and the
+// wire decoder rejects the scale — a diverged client's update is not
+// laundered into finite numbers.
 func quantizeInt8(vals []float64, rs *roundStream) (q []int8, scales []float64) {
 	n := len(vals)
 	nb := (n + Block - 1) / Block
@@ -331,13 +357,15 @@ func quantizeInt8(vals []float64, rs *roundStream) (q []int8, scales []float64) 
 		}
 		maxabs := 0.0
 		for _, v := range vals[lo:hi] {
-			if a := math.Abs(v); a > maxabs {
+			if a := math.Abs(v); a > maxabs || math.IsNaN(a) { // a NaN sticks: nothing compares above it
 				maxabs = a
 			}
 		}
-		if maxabs == 0 {
-			// All-zero block: scale 0, still consume the draws so stream
-			// positions stay aligned with element positions.
+		if maxabs == 0 || math.IsNaN(maxabs) || math.IsInf(maxabs, 1) {
+			// All-zero block (scale 0) or non-finite block (scale Inf/NaN):
+			// nothing to round, still consume the draws so stream positions
+			// stay aligned with element positions.
+			scales[b] = maxabs
 			for i := lo; i < hi; i++ {
 				rs.next()
 			}

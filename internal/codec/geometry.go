@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"fmt"
 	"iter"
 	"sync"
 
@@ -16,10 +17,12 @@ import (
 //     where the per-block integer dots are exact int64 (tensor.Int8BlockDots,
 //     SIMD and scalar bit-identical) and the scale combination runs in
 //     ascending block order — worker-count invariant by construction;
-//   - all frames sparse: a row's delta is scattered into the worker's dense
-//     scratch and partner frames take a sparse·dense dot against it (cheaper
-//     than an O(k_i+k_j) merge re-walked per pair), with norms precomputed
-//     per frame.
+//   - all frames sparse: four rows' deltas at a time are scattered
+//     interleaved into the worker's scratch and every partner frame takes its
+//     four sparse·dense dots against them in one pass over its coordinates
+//     (tensor.SparseDot4, SIMD and scalar bit-identical, each dot the
+//     four-chain sum a single-row dot would be), with norms precomputed per
+//     frame.
 //
 // Both walk the upper triangle through vec.PairTiles, the tile walk the
 // dense matrices use, with their scratch taken once per worker per walk.
@@ -75,6 +78,7 @@ func putScratch(p *[]float64) { scratchPool.Put(p) }
 func sparseSqDist(frames []*Frame) [][]float64 {
 	n := len(frames)
 	dim := frames[0].Dim
+	mustGatherable(frames)
 	norms := make([]float64, n)
 	tensor.ParallelFor(n, 4, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -82,37 +86,91 @@ func sparseSqDist(frames []*Frame) [][]float64 {
 		}
 	})
 	m := newSquare(n)
-	// Each row of a tile is scattered into the worker's dense scratch and
-	// the tile's partner frames, hot after the tile's first row, stream
-	// past it. Every (i,j) value is a pure function of the two frames —
-	// row i dense, partner j sparse, as i < j — so neither the tiling nor
-	// the worker that claimed the tile can affect the result.
+	// A tile's rows are taken four at a time: scattered interleaved into the
+	// worker's scratch, rows[4·id+r] = row r's value at id, so each of the
+	// tile's partner frames, hot after the tile's first group, meets all
+	// four in one walk of its coordinates. Every (i,j) value is a pure
+	// function of the two frames — row i dense, partner j sparse, as i < j —
+	// so neither the grouping, the tiling nor the worker that claimed the
+	// tile can affect the result. Lanes without a row below j (diagonal
+	// tiles, a ragged last group) are computed against zeros or a later row
+	// and dropped.
 	vec.PairTiles(n, func(tiles iter.Seq[vec.Tile]) {
-		scratch := getScratch(dim)
-		defer putScratch(scratch)
-		dense := (*scratch)[:dim]
+		scratch := getScratch(4 * dim)
+		rows := (*scratch)[:4*dim]
+		// The scratch holds one group, held = frames[heldAt:…], from one
+		// tile to the next: a worker's consecutive tiles mostly share their
+		// rows, and a tile walks its groups from whichever end is the group
+		// already there, which saves that group's clear and scatter — as
+		// costly, per coordinate, as a partner's dot.
+		var held []*Frame
+		heldAt := -1
+		hold := func(i0 int, group []*Frame) {
+			if i0 == heldAt {
+				return
+			}
+			for r, f := range held {
+				for _, id := range f.Idx {
+					rows[4*int(id)+r] = 0
+				}
+			}
+			held, heldAt = group, i0
+			for r, f := range held {
+				for k, id := range f.Idx {
+					rows[4*int(id)+r] = f.Val[k]
+				}
+			}
+		}
+		defer func() {
+			hold(-1, nil)
+			putScratch(scratch)
+		}()
 		for t := range tiles {
-			for i := t.I0; i < t.I1; i++ {
-				fi := frames[i]
-				for k, id := range fi.Idx {
-					dense[id] = fi.Val[k]
-				}
-				for j := max(t.J0, i+1); j < t.J1; j++ {
+			first, step := t.I0, 4
+			if last := t.I0 + (t.I1-t.I0-1)&^3; heldAt == last {
+				first, step = last, -4
+			}
+			for i0 := first; i0 >= t.I0 && i0 < t.I1; i0 += step {
+				group := frames[i0:min(i0+4, t.I1)]
+				hold(i0, group)
+				for j := max(t.J0, i0+1); j < t.J1; j++ {
 					fj := frames[j]
-					d := norms[i] + norms[j] - 2*SparseDotDense(fj.Idx, fj.Val, dense)
-					if d < 0 {
-						d = 0 // FP cancellation below true 0; distances are nonneg
+					dots := tensor.SparseDot4(fj.Idx, fj.Val, rows)
+					for i := i0; i < min(i0+len(group), j); i++ {
+						d := norms[i] + norms[j] - 2*dots[i-i0]
+						if d < 0 {
+							d = 0 // FP cancellation below true 0; distances are nonneg
+						}
+						m[i][j] = d
+						m[j][i] = d
 					}
-					m[i][j] = d
-					m[j][i] = d
-				}
-				for _, id := range fi.Idx {
-					dense[id] = 0
 				}
 			}
 		}
 	})
 	return m
+}
+
+// mustGatherable panics unless every sparse frame can be walked by the
+// unchecked gather kernel: as many values as indices, indices strictly
+// ascending and all in [0, Dim). Wire frames (DecodeWire) and encoder frames
+// satisfy this already; the check covers a frame built by hand.
+func mustGatherable(frames []*Frame) {
+	for i, f := range frames {
+		if len(f.Val) != len(f.Idx) {
+			panic(fmt.Sprintf("codec: SqDistMatrix frame %d has %d indices, %d values", i, len(f.Idx), len(f.Val)))
+		}
+		prev := int32(-1)
+		for t, id := range f.Idx {
+			if id <= prev {
+				panic(fmt.Sprintf("codec: SqDistMatrix frame %d index %d at position %d is negative or not above its predecessor", i, id, t))
+			}
+			prev = id
+		}
+		if int(prev) >= f.Dim {
+			panic(fmt.Sprintf("codec: SqDistMatrix frame %d index %d outside dim %d", i, prev, f.Dim))
+		}
+	}
 }
 
 // int8SqDist computes the matrix for all-dense-int8 frames.
@@ -177,8 +235,8 @@ func blockDots(a, b []int8, blocks, tail int, dots []int64) {
 	}
 }
 
-// dot4 is a fixed-order four-chain dot product, the accumulation shape
-// shared with SparseDotDense so norms and cross terms round identically.
+// dot4 is a fixed-order four-chain dot product, the accumulation shape of
+// every tensor.SparseDot4 lane, so norms and cross terms round identically.
 func dot4(a, b []float64) float64 {
 	var s0, s1, s2, s3 float64
 	i := 0
@@ -190,25 +248,6 @@ func dot4(a, b []float64) float64 {
 	}
 	for ; i < len(a); i++ {
 		s0 += a[i] * b[i]
-	}
-	return ((s0 + s1) + s2) + s3
-}
-
-// SparseDotDense returns Σ_t val[t]·dense[idx[t]] — the sparse·dense inner
-// product. Accumulation runs over positions in ascending order with four
-// independent chains, so the result is a pure function of the operands
-// (never of worker count or call site).
-func SparseDotDense(idx []int32, val, dense []float64) float64 {
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= len(idx); i += 4 {
-		s0 += val[i] * dense[idx[i]]
-		s1 += val[i+1] * dense[idx[i+1]]
-		s2 += val[i+2] * dense[idx[i+2]]
-		s3 += val[i+3] * dense[idx[i+3]]
-	}
-	for ; i < len(idx); i++ {
-		s0 += val[i] * dense[idx[i]]
 	}
 	return ((s0 + s1) + s2) + s3
 }

@@ -4,26 +4,37 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/tensor"
 	"repro/internal/vec"
 )
 
-// encodeRound builds one round of frames plus the dense deltas they encode.
-func encodeRound(tb testing.TB, spec Spec, n, dim int) (frames []*Frame, deltas [][]float64) {
-	tb.Helper()
+// roundWeights draws one round's global model and n client weight vectors a
+// small Gaussian step away from it.
+func roundWeights(n, dim int) (global []float64, ws [][]float64) {
 	rng := rand.New(rand.NewSource(29))
-	global := make([]float64, dim)
+	global = make([]float64, dim)
 	for i := range global {
 		global[i] = rng.NormFloat64()
 	}
-	enc := NewEncoder(spec)
-	for c := 0; c < n; c++ {
-		weights := make([]float64, dim)
-		for i := range weights {
-			weights[i] = global[i] + 0.05*rng.NormFloat64()
+	ws = make([][]float64, n)
+	for c := range ws {
+		ws[c] = make([]float64, dim)
+		for i := range ws[c] {
+			ws[c][i] = global[i] + 0.05*rng.NormFloat64()
 		}
+	}
+	return global, ws
+}
+
+// encodeRound builds one round of frames plus the dense deltas they encode.
+func encodeRound(tb testing.TB, spec Spec, n, dim int) (frames []*Frame, deltas [][]float64) {
+	tb.Helper()
+	global, ws := roundWeights(n, dim)
+	enc := NewEncoder(spec)
+	for c, weights := range ws {
 		f := enc.Encode(c, 1, global, weights)
 		frames = append(frames, f)
 		delta := make([]float64, dim)
@@ -66,6 +77,25 @@ func TestSqDistMatrixMatchesDense(t *testing.T) {
 			}
 		})
 	}
+}
+
+// SparseDotDense returns Σ_t val[t]·dense[idx[t]] — the single-row
+// sparse·dense inner product the four-row kernel replaced, kept as the
+// reference its lanes must equal: positions in ascending order over four
+// independent chains.
+func SparseDotDense(idx []int32, val, dense []float64) float64 {
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(idx); i += 4 {
+		s0 += val[i] * dense[idx[i]]
+		s1 += val[i+1] * dense[idx[i+1]]
+		s2 += val[i+2] * dense[idx[i+2]]
+		s3 += val[i+3] * dense[idx[i+3]]
+	}
+	for ; i < len(idx); i++ {
+		s0 += val[i] * dense[idx[i]]
+	}
+	return ((s0 + s1) + s2) + s3
 }
 
 // refSparseSqDist is the pair-at-a-time sparse matrix the tile walk
@@ -117,31 +147,96 @@ func refInt8SqDist(frames []*Frame) [][]float64 {
 	return m
 }
 
+// handSparseFrames builds n sparse frames whose kept counts differ per frame
+// (1, 3, 4, 5 and every coordinate, clamped to dim) and that all keep the
+// last coordinate, dim-1 — shapes no Encoder emits in one round.
+func handSparseFrames(n, dim int) []*Frame {
+	rng := rand.New(rand.NewSource(37))
+	frames := make([]*Frame, n)
+	for c := range frames {
+		k := min([]int{1, 3, 4, 5, dim}[c%5], dim)
+		keep := make([]bool, dim)
+		keep[dim-1] = true
+		for _, p := range rng.Perm(dim - 1)[:k-1] {
+			keep[p] = true
+		}
+		f := &Frame{Spec: Spec{Quant: Raw, TopK: 0.5}, Dim: dim}
+		for id, ok := range keep {
+			if ok {
+				f.Idx = append(f.Idx, int32(id))
+				f.Val = append(f.Val, rng.NormFloat64())
+			}
+		}
+		frames[c] = f
+	}
+	return frames
+}
+
 // TestSqDistMatrixBitEqualPairAtATime is the tile walk's contract for the
-// compressed-domain kernels: at sizes around the tile edge, dimensions
-// around the quantization block and the dense kernels' boundaries, and any
-// worker count, both matrices are == their pair-at-a-time reference.
+// compressed-domain kernels: at sizes around the tile edge and the sparse
+// walk's groups of four rows, dimensions around the quantization block and
+// the dense kernels' boundaries, and any worker count, both matrices are ==
+// their pair-at-a-time reference.
 func TestSqDistMatrixBitEqualPairAtATime(t *testing.T) {
 	defer tensor.SetWorkers(0)
+	encoded := func(spec Spec) func(n, dim int) []*Frame {
+		return func(n, dim int) []*Frame {
+			frames, _ := encodeRound(t, spec, n, dim)
+			return frames
+		}
+	}
 	for _, tc := range []struct {
-		spec Spec
-		ref  func([]*Frame) [][]float64
+		name   string
+		frames func(n, dim int) []*Frame
+		ref    func([]*Frame) [][]float64
 	}{
-		{Spec{Quant: Int8}, refInt8SqDist},
-		{Spec{Quant: Int8, TopK: 0.1, EF: true}, refSparseSqDist},
+		{"int8", encoded(Spec{Quant: Int8}), refInt8SqDist},
+		{"int8,topk=0.1,ef", encoded(Spec{Quant: Int8, TopK: 0.1, EF: true}), refSparseSqDist},
+		{"hand-built sparse", handSparseFrames, refSparseSqDist},
 	} {
 		for _, dim := range []int{1, 63, 64, 65, 4096, 8192, 8193, 10010} {
-			for _, n := range []int{1, 2, 3, vec.TileEdge - 1, vec.TileEdge, vec.TileEdge + 1, 67} {
-				frames, _ := encodeRound(t, tc.spec, n, dim)
+			for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, vec.TileEdge - 1, vec.TileEdge, vec.TileEdge + 1, 67} {
+				frames := tc.frames(n, dim)
 				want := tc.ref(frames)
 				for _, w := range []int{1, 2, 8} {
 					tensor.SetWorkers(w)
 					if got := SqDistMatrix(frames); !reflect.DeepEqual(got, want) {
-						t.Fatalf("spec %q n=%d dim=%d workers=%d differs from the pair-at-a-time reference", tc.spec, n, dim, w)
+						t.Fatalf("%s n=%d dim=%d workers=%d differs from the pair-at-a-time reference", tc.name, n, dim, w)
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestSqDistMatrixRejectsUngatherableFrames pins the verification that makes
+// the sparse walk's unchecked gathers safe: a hand-built frame that is
+// unsorted, repeats an index, has one outside [0, dim) or carries more
+// indices than values panics, naming the frame, before any row is scattered.
+func TestSqDistMatrixRejectsUngatherableFrames(t *testing.T) {
+	const dim = 32
+	good := func() *Frame {
+		return &Frame{Spec: Spec{Quant: Raw, TopK: 0.1}, Dim: dim, Idx: []int32{2, 9, 31}, Val: []float64{1, -2, 3}}
+	}
+	for name, breakIt := range map[string]func(*Frame){
+		"unsorted":       func(f *Frame) { f.Idx = []int32{9, 2, 31} },
+		"duplicate":      func(f *Frame) { f.Idx = []int32{2, 9, 9} },
+		"negative":       func(f *Frame) { f.Idx = []int32{-1, 9, 31} },
+		"at dim":         func(f *Frame) { f.Idx = []int32{2, 9, dim} },
+		"missing values": func(f *Frame) { f.Val = f.Val[:2] },
+		"extra values":   func(f *Frame) { f.Val = append(f.Val, 4) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			frames := []*Frame{good(), good(), good(), good(), good()}
+			breakIt(frames[3])
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "SqDistMatrix frame 3") {
+					t.Fatalf("want a panic naming frame 3, got %q", msg)
+				}
+			}()
+			SqDistMatrix(frames)
+		})
 	}
 }
 

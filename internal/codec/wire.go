@@ -2,9 +2,15 @@ package codec
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 )
+
+// ErrNonFinite is the error DecodeWire wraps when a frame carries a NaN or
+// an infinity as a value or a scale — what an Encoder emits for a diverged
+// client's weights.
+var ErrNonFinite = errors.New("codec: non-finite value")
 
 // Wire layout of one codec frame (all integers little-endian):
 //
@@ -14,7 +20,7 @@ import (
 //	[3]    flags: bit0 sparse, bit1 error-feedback
 //	[4:8]  dim   uint32
 //	[8:16] topk  float64 bits (0 when dense)
-//	[16:20] k    uint32 — kept-coordinate count; 0 when dense
+//	[16:20] k    uint32 — kept-coordinate count, exactly ⌈topk·dim⌉; 0 when dense
 //	— sparse only — k × uint32 coordinate indices, strictly ascending < dim
 //	— values, n = k (sparse) or dim (dense) —
 //	  raw:  n × float64
@@ -129,9 +135,11 @@ func DecodeWire(data []byte, maxDim int) (*Frame, error) {
 	if sparse != (topk > 0) {
 		return nil, fmt.Errorf("codec: sparse flag %v inconsistent with topk %v", sparse, topk)
 	}
+	// Every Encoder keeps exactly keepCount coordinates; a frame that claims
+	// more would multiply its sender's share of the O(K²·k) geometry.
 	k := int(k64)
-	if sparse && (k == 0 || k > dim) {
-		return nil, fmt.Errorf("codec: sparse count %d out of [1,%d]", k, dim)
+	if want := keepCount(topk, dim); sparse && k != want {
+		return nil, fmt.Errorf("codec: sparse count %d, want %d for topk %v of dim %d", k, want, topk, dim)
 	}
 	if !sparse && k != 0 {
 		return nil, fmt.Errorf("codec: dense frame with sparse count %d", k)
@@ -187,7 +195,7 @@ func DecodeWire(data []byte, maxDim int) (*Frame, error) {
 		for i := range f.Val {
 			v := math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("codec: non-finite value at %d", i)
+				return nil, fmt.Errorf("%w at %d", ErrNonFinite, i)
 			}
 			f.Val[i] = v
 		}
@@ -196,7 +204,7 @@ func DecodeWire(data []byte, maxDim int) (*Frame, error) {
 		for i := range f.Val {
 			v := f16ToF64(binary.LittleEndian.Uint16(body[2*i:]))
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("codec: non-finite fp16 value at %d", i)
+				return nil, fmt.Errorf("%w (fp16) at %d", ErrNonFinite, i)
 			}
 			f.Val[i] = v
 		}
@@ -209,8 +217,11 @@ func DecodeWire(data []byte, maxDim int) (*Frame, error) {
 		f.Scales = make([]float64, nb)
 		for b := range f.Scales {
 			s := math.Float64frombits(binary.LittleEndian.Uint64(body[8*b:]))
-			if math.IsNaN(s) || math.IsInf(s, 0) || s < 0 {
-				return nil, fmt.Errorf("codec: bad scale %v at block %d", s, b)
+			if math.IsNaN(s) || math.IsInf(s, 0) {
+				return nil, fmt.Errorf("%w: scale %v at block %d", ErrNonFinite, s, b)
+			}
+			if s < 0 {
+				return nil, fmt.Errorf("codec: negative scale %v at block %d", s, b)
 			}
 			f.Scales[b] = s
 		}

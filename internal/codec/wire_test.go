@@ -2,6 +2,8 @@ package codec
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -79,6 +81,17 @@ func put32(data []byte, off int, v uint32) []byte {
 	return out
 }
 
+// overfullFrame returns the wire bytes of a well-formed sparse int8 frame
+// that declares topk but keeps every one of its dim coordinates: an encode
+// at topk just under 1 with the header's topk field rewritten.
+func overfullFrame(dim int, topk float64) []byte {
+	f := NewEncoder(Spec{Quant: Int8, TopK: 1 - 1/float64(2*dim)}).
+		Encode(0, 0, make([]float64, dim), filled(dim, 1))
+	data := EncodeWire(f)
+	binary.LittleEndian.PutUint64(data[8:], math.Float64bits(topk))
+	return data
+}
+
 func TestDecodeWireFailClosed(t *testing.T) {
 	sparseInt8 := NewEncoder(Spec{Quant: Int8, TopK: 0.1}).
 		Encode(1, 1, make([]float64, 4*Block), filled(4*Block, 0.3))
@@ -97,6 +110,7 @@ func TestDecodeWireFailClosed(t *testing.T) {
 		"huge dim":          put32(good, 4, 1<<31-1),
 		"zero-length k":     put32(good, 16, 0),     // sparse with no coords
 		"k beyond dim":      put32(good, 16, 1<<30), // allocation probe
+		"k = dim at topk":   overfullFrame(4*Block, 0.1),
 		"oob index":         put32(good, wireHeader, 1e9),
 		"descending index":  put32(good, wireHeader+4, 0),
 		"truncated indices": good[:wireHeader+5],
@@ -110,6 +124,12 @@ func TestDecodeWireFailClosed(t *testing.T) {
 			t.Fatalf("%s: decode accepted (%+v)", name, f)
 		}
 	}
+	// The over-full frame is rejected for its count alone: declaring the
+	// fraction that count is the ceiling of makes the same bytes decode.
+	honest := overfullFrame(4*Block, 1-1/float64(8*Block))
+	if f, err := DecodeWire(honest, 1<<20); err != nil || len(f.Idx) != 4*Block {
+		t.Fatalf("frame keeping ⌈topk·dim⌉ = dim coordinates: %v", err)
+	}
 	// NaN scale: find the scales region of the dense int8 frame.
 	nanScale := append([]byte(nil), denseInt8...)
 	binary.LittleEndian.PutUint64(nanScale[wireHeader+4:], math.Float64bits(math.NaN()))
@@ -119,6 +139,41 @@ func TestDecodeWireFailClosed(t *testing.T) {
 	// maxDim enforcement: the session's dimension bounds what decodes.
 	if _, err := DecodeWire(good, sparseInt8.Dim-1); err == nil {
 		t.Fatal("decode accepted a frame beyond maxDim")
+	}
+}
+
+// TestEncodeNonFiniteWeights: a diverged client's weights — NaN and ±Inf
+// among them — encode without panic under every codec, and the frame is not
+// laundered into finite numbers: the wire decoder rejects it as non-finite.
+func TestEncodeNonFiniteWeights(t *testing.T) {
+	const dim = 2000
+	for _, quant := range []Kind{Raw, FP16, Int8} {
+		for _, topk := range []float64{0, 0.1} {
+			spec := Spec{Quant: quant, TopK: topk, EF: topk > 0}
+			for name, poison := range map[string]func(w []float64){
+				"NaN first half": func(w []float64) {
+					for i := range w[:dim/2] {
+						w[i] = math.NaN()
+					}
+				},
+				"all NaN": func(w []float64) {
+					for i := range w {
+						w[i] = math.NaN()
+					}
+				},
+				"NaN and ±Inf": func(w []float64) { w[3], w[700], w[dim-1] = math.NaN(), math.Inf(1), math.Inf(-1) },
+				"one +Inf":     func(w []float64) { w[1234] = math.Inf(1) },
+			} {
+				t.Run(fmt.Sprintf("%s/%s", spec, name), func(t *testing.T) {
+					weights := filled(dim, 0.05)
+					poison(weights)
+					f := NewEncoder(spec).Encode(0, 1, make([]float64, dim), weights)
+					if _, err := DecodeWire(EncodeWire(f), dim); !errors.Is(err, ErrNonFinite) {
+						t.Fatalf("DecodeWire of a non-finite update: %v, want ErrNonFinite", err)
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -144,6 +199,7 @@ func FuzzDecodeWire(f *testing.F) {
 	f.Add(put32(sparse, wireHeader, 1<<29)) // out-of-range index
 	f.Add(sparse[:len(sparse)-10])          // truncated int8 payload
 	f.Add([]byte{wireMagic, wireVersion})   // bare header stub
+	f.Add(overfullFrame(2*Block, 0.1))      // k = dim in a topk=0.1 frame
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := DecodeWire(data, 1<<16)
 		if err != nil {

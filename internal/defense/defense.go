@@ -110,8 +110,9 @@ func (t TrimmedMean) Aggregate(_ []float64, updates []fl.Update) ([]float64, fl.
 
 // roundSqDist returns the round's pairwise squared-distance geometry:
 // computed in the compressed domain when every update carries a compatible
-// codec frame (sparse·dense dots against a scattered row, exact int8 block
-// dots — see internal/codec), from the dense weight vectors otherwise.
+// codec frame (sparse·dense dots against four scattered rows at a time,
+// exact int8 block dots — see internal/codec), from the dense weight vectors
+// otherwise.
 // Both paths are bit-deterministic at any worker count; compressed-domain
 // distances are over deltas, which pairwise equal weight distances up to
 // FP rounding — the documented codec-on semantics.

@@ -3,6 +3,7 @@ package flnet
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -125,6 +126,13 @@ func FuzzProtocolDecode(f *testing.F) {
 	oob := bytes.Clone(frame)
 	binary.LittleEndian.PutUint32(oob[20:], 1<<30)
 	f.Add(update(oob))
+	// Over-full top-k frame: every coordinate kept (an encode at topk just
+	// under 1) under a header that declares the session's topk=0.5, whose
+	// frames carry exactly ⌈0.5·dim⌉ coordinates.
+	full := codec.EncodeWire(codec.NewEncoder(codec.Spec{Quant: codec.Int8, TopK: 0.999}).
+		Encode(3, 0, make([]float64, fuzzDim), global))
+	binary.LittleEndian.PutUint64(full[8:], math.Float64bits(0.5))
+	f.Add(update(full))
 	// Zero-length block section: a dense int8 frame with a correctly sized
 	// body that declares zero scale blocks for its 64 coordinates.
 	zb := make([]byte, 0, 20+4+8+64)
