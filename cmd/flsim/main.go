@@ -65,7 +65,7 @@ func run(args []string) error {
 	fs.StringVar(&cfg.Population, "population", "eager", "client-population backend: eager (all shards up front), virtual (lazy O(active)-memory population for N up to 10^6)")
 	fs.IntVar(&cfg.MeanShard, "mean-shard", 0, "virtual population's expected per-client shard size in samples (0 = 32)")
 	fs.IntVar(&cfg.PopCache, "pop-cache", 0, "virtual population's LRU shard-materialization cache in shards (0 = max(4*K, 64)); memory only, never results")
-	fs.StringVar(&cfg.Placement, "placement", "first", "attacker placement: first (legacy first-K IDs), scatter (seeded spread), sybil (contiguous burst-join block), sizecorr (proportional to shard size)")
+	fs.StringVar(&cfg.Placement, "placement", "first", "attacker placement: first (the first floor(frac*N) IDs), scatter (seeded spread), sybil (contiguous burst-join block), sizecorr (proportional to shard size)")
 	fs.IntVar(&cfg.Groups, "groups", 0, "hierarchical aggregation with this many group aggregators (0 = flat server)")
 	fs.StringVar(&cfg.GroupDefense, "group-defense", "", "per-group tier-1 rule for -groups (empty = same as -defense)")
 	fs.StringVar(&cfg.Codec, "codec", "none", "update compression: none, raw (lossless transport reshaping), fp16 (half-precision deltas), int8 (block-scaled stochastic 8-bit deltas)")

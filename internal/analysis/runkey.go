@@ -8,16 +8,19 @@ import (
 )
 
 // RunKey machine-checks the run-store key-stability contract on
-// experiment.Config: runKey hashes the JSON of a normalized Config, so the
-// struct's serialized shape IS the identity of every journaled run. The
-// contract has three clauses:
+// experiment.Config: runKey hashes a version constant ("v2|") and the JSON
+// of a normalized Config, so within one key version the struct's serialized
+// shape IS the identity of every journaled run. The version is bumped when
+// a code change moves existing outcomes; this contract is what lets a new
+// sweep axis arrive without a bump. It has three clauses:
 //
-//  1. The untagged field prefix is the frozen legacy shape — pre-engine
-//     journals hash it byte-for-byte. Every field added after the first
-//     json-tagged field must carry ",omitempty" (zero default ⇒ legacy
+//  1. The untagged field prefix is the base shape every store of the
+//     current key version hashes. Every field added after the first
+//     json-tagged field must carry ",omitempty" (zero default ⇒ existing
 //     configs marshal unchanged) or `json:"-"` (never serialized).
-//  2. A tag without omitempty (and not "-") changes every legacy key the
-//     moment the field exists, breaking -resume against old journals.
+//  2. A tag without omitempty (and not "-") changes every existing key the
+//     moment the field exists, breaking -resume against journals written
+//     before it.
 //  3. Every tagged field must be reachable from Normalize or cleanKey:
 //     omitempty only preserves keys if the default canonicalizes to the
 //     zero value, and that canonicalization (or an explicit keying/validity
@@ -26,10 +29,11 @@ var RunKey = &Analyzer{
 	Name: "runkey",
 	Doc: `enforce run-store key stability on experiment.Config
 
-Every field of experiment.Config added after the frozen legacy prefix must
+Every field of experiment.Config added after the untagged base prefix must
 carry json:",omitempty" or json:"-", and every tagged field must be
 referenced from Normalize or cleanKey, so a new sweep axis can never
-silently re-key legacy journals or skip zero-default canonicalization.`,
+silently re-key the journals of the current key version (v2) or skip
+zero-default canonicalization.`,
 	Run: runRunKey,
 }
 
@@ -66,7 +70,7 @@ func runRunKey(pass *Pass) error {
 					pass.Reportf(name.Pos(),
 						"field %s extends experiment.Config without a json tag: new fields must carry json:\",omitempty\" or json:\"-\" so legacy run-store keys survive", name.Name)
 				}
-				// Untagged legacy prefix: frozen shape, nothing to check.
+				// Untagged base prefix: nothing to check.
 				continue
 			}
 			parts := strings.Split(tag, ",")

@@ -80,10 +80,11 @@ type Config struct {
 	// Parallel trains the selected clients of a round concurrently.
 	Parallel bool
 
-	// The participation axes below canonicalize their legacy default to the
-	// zero value ("label", "uniform", "plain" normalize to "") and carry
-	// omitempty JSON tags, so a legacy-shaped config marshals — and hashes
-	// into run-store keys — exactly as it did before the engine existed.
+	// The participation axes below canonicalize their default to the zero
+	// value ("label", "uniform", "plain" normalize to "") and carry omitempty
+	// JSON tags, so a config that leaves them unset marshals — and hashes
+	// into run-store keys — as if they did not exist: a new axis never
+	// re-keys the stores of the current key version (see keyVersion).
 
 	// Partition selects the shard assignment protocol: "" or "label" (the
 	// paper's Dirichlet label skew when Beta > 0, i.i.d. otherwise) or
@@ -117,13 +118,13 @@ type Config struct {
 
 	// The population axes below follow the same key-stability contract:
 	// defaults canonicalize to zero values and carry omitempty tags, so a
-	// legacy-shaped config still marshals — and hashes into run-store keys —
-	// exactly as before the population subsystem existed.
+	// config that leaves them unset marshals — and hashes into run-store
+	// keys — as if they did not exist.
 
-	// Population selects the client-population backend: "" or "eager"
-	// (every shard materialized up front — the legacy path) or "virtual"
-	// (internal/population's lazy O(active)-memory population, the only
-	// backend that scales TotalClients to 10⁶).
+	// Population selects the client source the round driver trains over:
+	// "" or "eager" (fl.Shards, every shard materialized up front) or
+	// "virtual" (internal/population's lazy O(active)-memory population, the
+	// only source that scales TotalClients to 10⁶). Same driver either way.
 	Population string `json:",omitempty"`
 	// MeanShard is the virtual population's expected per-client shard size
 	// in samples (0 = 32; virtual only).
@@ -132,12 +133,12 @@ type Config struct {
 	// cache in shards (0 = max(4×PerRound, 64)). Pure cache: never changes
 	// results, only memory.
 	PopCache int `json:",omitempty"`
-	// Placement assigns the malicious client IDs: "" or "first" (the legacy
-	// first ⌊frac·N⌋ IDs), "scatter" (seeded hash spread through the ID
-	// space — the production model, exact at 0.1%/0.01% fractions), "sybil"
-	// (one contiguous burst-join block) or "sizecorr" (probability
-	// proportional to shard size). Non-default placements require the
-	// virtual population.
+	// Placement assigns the malicious client IDs on either backend: "" or
+	// "first" (the first ⌊frac·N⌋ IDs), "scatter" (seeded hash spread
+	// through the ID space — the production model, exact at 0.1%/0.01%
+	// fractions), "sybil" (one contiguous burst-join block) or "sizecorr"
+	// (probability proportional to shard size). Non-default placements
+	// require the virtual population.
 	Placement string `json:",omitempty"`
 	// Groups > 0 switches to hierarchical two-tier aggregation: Groups
 	// group aggregators each apply the group rule to their clients' updates
@@ -206,8 +207,8 @@ type Config struct {
 
 	// The compression axes below follow the same key-stability contract:
 	// defaults canonicalize to zero values and carry omitempty tags, so a
-	// legacy-shaped config still marshals — and hashes into run-store keys —
-	// exactly as before the update codec existed.
+	// config that leaves them unset marshals — and hashes into run-store
+	// keys — as if they did not exist.
 
 	// Codec names the update-compression quantizer: "" or "none"
 	// (uncompressed — bit-identical to the pre-codec pipeline), "raw"
@@ -257,6 +258,10 @@ func (c *Config) Normalize() error {
 	}
 	if c.AttackerFrac == 0 && c.Attack != "none" {
 		c.AttackerFrac = 0.2
+	}
+	if c.AttackerFrac < 0 || c.AttackerFrac > 0.5 {
+		// The threat model caps attackers at 50% of clients.
+		return fmt.Errorf("experiment: AttackerFrac %v outside [0, 0.5]", c.AttackerFrac)
 	}
 	if c.TotalClients == 0 {
 		c.TotalClients = 100
@@ -352,9 +357,6 @@ func (c *Config) Normalize() error {
 		if c.MeanShard == 0 {
 			c.MeanShard = 32
 		}
-		if c.AttackerFrac < 0 || c.AttackerFrac > 0.5 {
-			return fmt.Errorf("experiment: AttackerFrac %v outside [0, 0.5]", c.AttackerFrac)
-		}
 		if c.Sampler == "weighted" {
 			// Weighted selection holds one weight per client — O(N) state
 			// the virtual population exists to avoid.
@@ -427,8 +429,8 @@ func (c Config) cleanKey() string {
 		c.Dataset, c.Beta, c.Seed, c.Rounds, c.TotalClients, c.PerRound, c.LR, c.BatchSize,
 		c.LocalEpochs, c.TrainN, c.TestN, c.EvalLimit)
 	// The participation/aggregation axes change the clean trajectory too,
-	// but the legacy shape must keep its legacy key so pre-engine run
-	// stores still resolve their baselines.
+	// but each joins the key only off its default, so adding an axis never
+	// re-keys the baselines an existing store holds for the default shape.
 	if c.Partition != "" && c.Partition != "label" {
 		key += "|part=" + c.Partition
 	}
@@ -454,7 +456,7 @@ func (c Config) cleanKey() string {
 	// The codec reshapes every surviving update (lossy kinds change the
 	// clean trajectory; raw is bit-identical but keeping the keys separate
 	// is cheaper than proving it per cell), so it joins the baseline key —
-	// except for codec-off, which must keep the legacy key.
+	// except for codec-off, which adds nothing.
 	if c.Codec != "" {
 		key += fmt.Sprintf("|codec=%s|topk=%g|ef=%t", c.Codec, c.TopK, c.ErrorFeedback)
 	}
@@ -496,29 +498,21 @@ type Outcome struct {
 	Detection *forensics.Summary
 }
 
-// buildTask resolves the dataset, partition (eager shards or a lazy virtual
-// population) and model factory of a config.
+// task is the resolved dataset, client source (the eager shard table or a
+// lazy virtual population) and model factory of a config.
 type task struct {
-	spec  dataset.Spec
-	train *dataset.Dataset
-	test  *dataset.Dataset
-	// shards is the eager per-client partition; nil on the virtual path.
-	shards [][]int
-	// pop is the lazy virtual population; nil on the eager path.
-	pop      *population.Population
+	spec     dataset.Spec
+	train    *dataset.Dataset
+	test     *dataset.Dataset
+	src      fl.ClientSource
 	newModel func(rng *rand.Rand) *nn.Network
 }
 
 // adversaryShard returns the data shard the data-holding attacks
-// (labelflip, real-data) train on: client 0's shard on either path — a
-// representative client-sized sample, independently of which IDs the
-// placement model actually compromises.
-func (tk *task) adversaryShard() []int {
-	if tk.pop != nil {
-		return tk.pop.Shard(0)
-	}
-	return tk.shards[0]
-}
+// (labelflip, real-data) train on: client 0's shard — a representative
+// client-sized sample, independently of which IDs the placement model
+// actually compromises.
+func (tk *task) adversaryShard() []int { return tk.src.Shard(0) }
 
 func buildTask(cfg Config) (*task, error) {
 	spec, err := dataset.SpecByName(cfg.Dataset)
@@ -559,16 +553,16 @@ func buildTask(cfg Config) (*task, error) {
 		if err != nil {
 			return nil, err
 		}
-		tk.pop = pop
+		tk.src = pop
 	} else {
 		prng := rand.New(rand.NewSource(cfg.Seed ^ 0x7054))
 		switch {
 		case cfg.Partition == "quantity":
-			tk.shards = dataset.PartitionQuantity(prng, train.Len(), cfg.TotalClients, cfg.Beta)
+			tk.src = fl.Shards(dataset.PartitionQuantity(prng, train.Len(), cfg.TotalClients, cfg.Beta))
 		case cfg.Beta > 0:
-			tk.shards = dataset.PartitionDirichlet(prng, train.Labels, cfg.TotalClients, cfg.Beta)
+			tk.src = fl.Shards(dataset.PartitionDirichlet(prng, train.Labels, cfg.TotalClients, cfg.Beta))
 		default:
-			tk.shards = dataset.PartitionIID(prng, train.Len(), cfg.TotalClients)
+			tk.src = fl.Shards(dataset.PartitionIID(prng, train.Len(), cfg.TotalClients))
 		}
 	}
 	switch spec.Name {
@@ -703,19 +697,18 @@ func buildDefense(cfg Config, tk *task) (fl.Aggregator, error) {
 
 // BuildScenario maps a normalized config's participation/aggregation axes
 // onto the engine's pluggable layers; it is the single flags-to-engine
-// mapping shared by the simulator path and cmd/flserver. Legacy defaults
-// map to the zero-value Scenario, preserving the pre-engine RNG streams
-// bit-exactly. shards supplies the per-client weights of the "weighted"
-// sampler and may be nil otherwise.
-func BuildScenario(cfg Config, shards [][]int) fl.Scenario {
+// mapping shared by the simulator path and cmd/flserver. Defaults map to
+// the zero-value Scenario. src supplies the per-client weights of the
+// "weighted" sampler and may be nil otherwise.
+func BuildScenario(cfg Config, src fl.ClientSource) fl.Scenario {
 	var sc fl.Scenario
 	switch cfg.Sampler {
 	case "bernoulli":
 		sc.Sampler = fl.BernoulliSampler{P: cfg.SampleRate}
 	case "weighted":
-		weights := make([]float64, len(shards))
-		for i, s := range shards {
-			weights[i] = float64(len(s))
+		weights := make([]float64, src.Len())
+		for i := range weights {
+			weights[i] = float64(len(src.Shard(i)))
 		}
 		sc.Sampler = fl.WeightedSampler{K: cfg.PerRound, Weights: weights}
 	}
@@ -866,7 +859,6 @@ func Run(cfg Config) (out *Outcome, retErr error) {
 	flCfg := fl.Config{
 		TotalClients: cfg.TotalClients,
 		PerRound:     cfg.PerRound,
-		AttackerFrac: cfg.AttackerFrac,
 		Rounds:       cfg.Rounds,
 		LocalEpochs:  cfg.LocalEpochs,
 		BatchSize:    cfg.BatchSize,
@@ -875,30 +867,28 @@ func Run(cfg Config) (out *Outcome, retErr error) {
 		EvalEvery:    1,
 		EvalLimit:    cfg.EvalLimit,
 		Parallel:     cfg.Parallel,
-		Scenario:     BuildScenario(cfg, tk.shards),
+		Scenario:     BuildScenario(cfg, tk.src),
 		Codec:        cfg.codecSpec(),
 		Telemetry:    engTel,
 	}
 	if col != nil {
 		flCfg.Observer = col
 	}
-	if atk == nil {
-		flCfg.AttackerFrac = 0
+	pop, _ := tk.src.(*population.Population)
+	if pop != nil && flCfg.Scenario.Sampler == nil {
+		// The engine's default, fl.UniformSampler, permutes all N IDs per
+		// round: 8 MB at N = 10⁶, the O(N) cost the virtual backend avoids.
+		flCfg.Scenario.Sampler = population.FloydSampler{K: cfg.PerRound}
 	}
-	var sim interface{ Run() (*fl.Result, error) }
-	if tk.pop != nil {
-		var place population.Placement
-		if atk != nil {
-			place, err = population.PlacementByName(cfg.Placement, cfg.TotalClients,
-				cfg.AttackerFrac, cfg.Seed^0x506C61, tk.pop)
-			if err != nil {
-				return nil, err
-			}
+	var place fl.Placement
+	if atk != nil {
+		place, err = population.PlacementByName(cfg.Placement, cfg.TotalClients,
+			cfg.AttackerFrac, cfg.Seed^0x506C61, pop)
+		if err != nil {
+			return nil, err
 		}
-		sim, err = population.NewSimulation(flCfg, tk.train, tk.test, tk.pop, place, tk.newModel, agg, atk)
-	} else {
-		sim, err = fl.NewSimulation(flCfg, tk.train, tk.test, tk.shards, tk.newModel, agg, atk)
 	}
+	sim, err := fl.NewSimulation(flCfg, tk.train, tk.test, tk.src, place, tk.newModel, agg, atk)
 	if err != nil {
 		return nil, err
 	}

@@ -165,6 +165,10 @@ func TestNormalizeScenarioDefaults(t *testing.T) {
 		{Groups: -1},
 		{GroupDefense: "mkrum"},                      // requires Groups > 0
 		{Population: "virtual", Sampler: "weighted"}, // O(N) weights
+		{AttackerFrac: 0.7},                          // attackers capped at 50 %, on both backends
+		{AttackerFrac: -0.1},
+		{Population: "virtual", AttackerFrac: 0.7},
+		{Population: "virtual", AttackerFrac: -0.1},
 		{Codec: "zstd"},
 		{TopK: 0.1},                         // requires Codec
 		{ErrorFeedback: true},               // requires Codec

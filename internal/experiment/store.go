@@ -22,10 +22,17 @@ type RunStore interface {
 	Record(key string, out *Outcome) error
 }
 
-// runKey is the canonical identity of one grid cell: a hash of the
-// normalized configuration plus the seed-averaging width, so the same cell
-// resolves to the same key across processes while any parameter change
-// (including AverageSeeds) yields a fresh one.
+// keyVersion is hashed into every run key and prefixed to every baseline
+// key. Bump it when a code change moves the outcomes existing configurations
+// produce, so a store written before the change recomputes instead of
+// replaying numbers the code can no longer reproduce. v2: one round driver
+// (per-(seed, round, id) training streams on the eager backend too).
+const keyVersion = "v2|"
+
+// runKey is the canonical identity of one grid cell: a hash of the key
+// version, the normalized configuration and the seed-averaging width, so the
+// same cell resolves to the same key across processes while any parameter
+// change (including AverageSeeds) yields a fresh one.
 func runKey(cfg Config, seeds int) (string, error) {
 	c := cfg
 	if err := c.Normalize(); err != nil {
@@ -33,9 +40,8 @@ func runKey(cfg Config, seeds int) (string, error) {
 	}
 	// Forensics is pure observation (it never changes a run's results), so
 	// it is stripped from the identity: a forensics-on cell resolves to the
-	// same stored run as its forensics-off twin, and legacy journals stay
-	// byte-for-byte resolvable. A replayed entry from a forensics-off run
-	// simply carries no Detection summary.
+	// same stored run as its forensics-off twin. A replayed entry from a
+	// forensics-off run simply carries no Detection summary.
 	c.Forensics = false
 	c.ForensicsRing = 0
 	c.ForensicsReservoir = 0
@@ -49,7 +55,7 @@ func runKey(cfg Config, seeds int) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("experiment: key: %w", err)
 	}
-	sum := sha256.Sum256(append(raw, []byte(fmt.Sprintf("|seeds=%d", seeds))...))
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%s%s|seeds=%d", keyVersion, raw, seeds)))
 	return hex.EncodeToString(sum[:]), nil
 }
 
@@ -64,7 +70,7 @@ func baselineKey(clean Config) (string, error) {
 	if err := clean.Normalize(); err != nil {
 		return "", err
 	}
-	return "baseline|" + clean.cleanKey(), nil
+	return "baseline|" + keyVersion + clean.cleanKey(), nil
 }
 
 // storedOutcome is the JSON shape of an Outcome in the run store. The

@@ -1,8 +1,12 @@
 package experiment
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"math"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -319,6 +323,29 @@ func TestRunKey(t *testing.T) {
 	}
 	if k2, _ := runKey(a, 2); k2 == ka {
 		t.Fatal("different seed-averaging width must change the key")
+	}
+	// The key carries the store version: the pre-v2 derivation of the same
+	// cell (no version in the hash, none in the baseline prefix) can never
+	// match, so a store written before the single round driver recomputes
+	// under -resume instead of replaying outcomes the code no longer makes.
+	norm := a
+	if err := norm.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(norm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := sha256.Sum256(append(raw, []byte("|seeds=1")...))
+	if ka == hex.EncodeToString(v1[:]) {
+		t.Fatal("run key equals the unversioned v1 derivation")
+	}
+	bk, err := baselineKey(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(bk, "baseline|v2|") {
+		t.Fatalf("baseline key %q lacks the baseline|v2| prefix", bk)
 	}
 }
 

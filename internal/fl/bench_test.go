@@ -13,7 +13,7 @@ func benchSetup(b *testing.B, parallel bool) *Simulation {
 	spec := dataset.TinySpec()
 	train, test := dataset.Generate(spec, 1)
 	rng := rand.New(rand.NewSource(1))
-	shards := dataset.PartitionIID(rng, train.Len(), 20)
+	shards := Shards(dataset.PartitionIID(rng, train.Len(), 20))
 	newModel := func(r *rand.Rand) *nn.Network {
 		return nn.NewFashionCNN(r, spec.Channels, spec.Size, spec.Classes)
 	}
@@ -29,7 +29,7 @@ func benchSetup(b *testing.B, parallel bool) *Simulation {
 		EvalLimit:    128,
 		Parallel:     parallel,
 	}
-	sim, err := NewSimulation(cfg, train, test, shards, newModel, meanAggregator{}, nil)
+	sim, err := NewSimulation(cfg, train, test, shards, nil, newModel, meanAggregator{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func BenchmarkTrainBenignRound(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.trainBenign(ids, global); err != nil {
+		if _, err := sim.Collect(i, ids, global, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,7 +18,7 @@ func runTinyCodec(t *testing.T, spec codec.Spec, parallel bool, workers int) *Re
 	cfg := tinyConfig()
 	cfg.Parallel = parallel
 	cfg.Codec = spec
-	sim, err := NewSimulation(cfg, train, test, shards, newModel, meanAggregator{reportSelection: true}, zeroAttack{})
+	sim, err := NewSimulation(cfg, train, test, shards, firstK(3), newModel, meanAggregator{reportSelection: true}, zeroAttack{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCodecConfigValidate(t *testing.T) {
 	train, test, shards, newModel := tinySetup(t, 7)
 	cfg := tinyConfig()
 	cfg.Codec = codec.Spec{Quant: codec.Raw, EF: true} // EF needs a lossy codec
-	if _, err := NewSimulation(cfg, train, test, shards, newModel, meanAggregator{}, zeroAttack{}); err == nil {
+	if _, err := NewSimulation(cfg, train, test, shards, firstK(3), newModel, meanAggregator{}, zeroAttack{}); err == nil {
 		t.Fatal("expected codec validation error")
 	}
 }

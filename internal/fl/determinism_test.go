@@ -16,7 +16,7 @@ func runTiny(t *testing.T, parallel bool, workers int) *Result {
 	train, test, shards, newModel := tinySetup(t, 7)
 	cfg := tinyConfig()
 	cfg.Parallel = parallel
-	sim, err := NewSimulation(cfg, train, test, shards, newModel, meanAggregator{reportSelection: true}, zeroAttack{})
+	sim, err := NewSimulation(cfg, train, test, shards, firstK(3), newModel, meanAggregator{reportSelection: true}, zeroAttack{})
 	if err != nil {
 		t.Fatal(err)
 	}

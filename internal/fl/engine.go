@@ -12,11 +12,12 @@ import (
 )
 
 // Transport abstracts how the engine obtains updates from a set of clients:
-// in-process worker-pool training (fl.Simulation) or real socket
-// round-trips (flnet.Server). The engine has already applied sampling and
-// the simulated participation model; Collect receives only the clients
-// expected to respond, and may return fewer updates when the transport
-// itself loses clients (real stragglers missing a network deadline).
+// in-process worker-pool training over a ClientSource (fl.Simulation) or
+// real socket round-trips (flnet.Server). The engine has already applied
+// sampling and the simulated participation model; Collect receives only the
+// clients expected to respond, and may return fewer updates when the
+// transport itself loses clients (real stragglers missing a network
+// deadline).
 type Transport interface {
 	// Collect obtains updates from ids, training from global (with prev
 	// available to adversarial trainers). Clients that fail to deliver in
@@ -28,12 +29,9 @@ type Transport interface {
 // owns client selection, the participation model, attack-context
 // construction, aggregation, the server optimizer, DPR/ASR metric
 // accounting, evaluation cadence, previous-global tracking, the async
-// update buffer, and the per-round checkpoint hook. fl.Simulation and
-// flnet.Server are thin adapters over it.
-//
-// With the zero-value Scenario the engine consumes its RNG streams exactly
-// as the two pre-engine round loops did, so fixed-seed runs reproduce the
-// pre-refactor results bit-identically (see TestParallelDeterminism).
+// update buffer, and the per-round checkpoint hook. fl.Simulation (the one
+// in-process driver, whatever the client source) and flnet.Server are thin
+// adapters over it.
 type Engine struct {
 	// TotalClients is N, the population size.
 	TotalClients int
@@ -61,19 +59,16 @@ type Engine struct {
 	Aggregator Aggregator
 
 	// Attack, when non-nil, crafts updates for the responding clients
-	// flagged in Malicious — the simulator's server-side adversary. Nil when
+	// IsMalicious flags — the simulator's server-side adversary. Nil when
 	// adversaries live behind the transport (flnet), in which case every
 	// responder is contacted through Collect.
 	Attack Attack
-	// Malicious flags the adversary-controlled client IDs (may be nil).
-	Malicious []bool
-	// IsMalicious, when non-nil, replaces the Malicious slice lookup with an
-	// O(1) predicate so population-scale runs never hold O(N) flag storage
-	// (see internal/population's placement models). Requires TotalAttackers.
+	// IsMalicious reports whether a client ID is adversary-controlled: an
+	// O(1) predicate, so population-scale runs never hold O(N) flag storage
+	// (see internal/population's placement models). Required with Attack.
 	IsMalicious func(id int) bool
-	// TotalAttackers overrides the Malicious scan when positive — the
-	// population-wide attacker count the AttackContext reports. Required
-	// alongside IsMalicious, which cannot be cheaply counted.
+	// TotalAttackers is the population-wide attacker count the AttackContext
+	// reports; the predicate cannot be cheaply counted.
 	TotalAttackers int
 	// NewModel hands the attack the experiment's architecture.
 	NewModel func(rng *rand.Rand) *nn.Network
@@ -141,6 +136,9 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 	if e.Aggregator == nil {
 		return nil, nil, errors.New("fl: engine aggregator must not be nil")
 	}
+	if e.Attack != nil && e.IsMalicious == nil {
+		return nil, nil, errors.New("fl: engine attack requires an IsMalicious predicate")
+	}
 	if err := e.Scenario.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -178,19 +176,6 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 	for r := 0; r < e.StartRound; r++ {
 		for _, id := range sampler.Sample(selRng, r, e.TotalClients) {
 			_ = part.Outcome(partRng, r, id)
-		}
-	}
-
-	isMalicious := e.IsMalicious
-	if isMalicious == nil {
-		isMalicious = func(id int) bool { return id < len(e.Malicious) && e.Malicious[id] }
-	}
-	totalAttackers := e.TotalAttackers
-	if totalAttackers == 0 {
-		for _, m := range e.Malicious {
-			if m {
-				totalAttackers++
-			}
 		}
 	}
 
@@ -247,7 +232,7 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 		var benignIDs, attackerIDs []int
 		if e.Attack != nil {
 			for _, id := range responders {
-				if isMalicious(id) {
+				if e.IsMalicious(id) {
 					attackerIDs = append(attackerIDs, id)
 				} else {
 					benignIDs = append(benignIDs, id)
@@ -281,7 +266,7 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 				NumAttackers:   len(attackerIDs),
 				NumSelected:    len(selected),
 				TotalClients:   e.TotalClients,
-				TotalAttackers: totalAttackers,
+				TotalAttackers: e.TotalAttackers,
 				NewModel:       e.NewModel,
 				Rng:            atkRng,
 			}

@@ -19,7 +19,7 @@ func runScenario(t *testing.T, sc Scenario) *Result {
 	train, test, shards, newModel := tinySetup(t, 7)
 	cfg := tinyConfig()
 	cfg.Scenario = sc
-	sim, err := NewSimulation(cfg, train, test, shards, newModel, meanAggregator{reportSelection: true}, zeroAttack{})
+	sim, err := NewSimulation(cfg, train, test, shards, firstK(3), newModel, meanAggregator{reportSelection: true}, zeroAttack{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestZeroResponderRoundsLeaveGlobalUnchanged(t *testing.T) {
 	train, test, shards, newModel := tinySetup(t, 7)
 	cfg := tinyConfig()
 	cfg.Scenario = Scenario{Participation: RandomChurn{DropoutProb: 1}}
-	sim, err := NewSimulation(cfg, train, test, shards, newModel, meanAggregator{}, nil)
+	sim, err := NewSimulation(cfg, train, test, shards, nil, newModel, meanAggregator{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestAsyncLearns(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Rounds = 10
 	cfg.Scenario = Scenario{Async: &AsyncConfig{Buffer: 4, MaxDelay: 1}}
-	sim, err := NewSimulation(cfg, train, test, shards, newModel, meanAggregator{}, nil)
+	sim, err := NewSimulation(cfg, train, test, shards, nil, newModel, meanAggregator{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,6 +242,22 @@ func TestAsyncResumeRejected(t *testing.T) {
 	}
 	if _, _, err := eng.Run([]float64{0}); err == nil {
 		t.Fatal("async resume must be rejected")
+	}
+}
+
+// TestEngineAttackRequiresPredicate: an engine attack with no IsMalicious
+// predicate is a typed configuration error, not a nil call mid-round.
+func TestEngineAttackRequiresPredicate(t *testing.T) {
+	eng := &Engine{
+		TotalClients: 4,
+		PerRound:     2,
+		Rounds:       1,
+		Transport:    transportFunc(func(int, []int, []float64, []float64) ([]Update, error) { return nil, nil }),
+		Aggregator:   meanAggregator{},
+		Attack:       zeroAttack{},
+	}
+	if _, _, err := eng.Run([]float64{0}); err == nil {
+		t.Fatal("attack without IsMalicious must be rejected")
 	}
 }
 

@@ -77,9 +77,8 @@ func mustSim(t *testing.T, agg Aggregator, atk Attack) *Simulation {
 	train, test, shards, newModel := tinySetup(t, 42)
 	cfg := tinyConfig()
 	cfg.Rounds = 4
-	// Guarantee attacker participation quickly.
-	cfg.AttackerFrac = 0.5
-	sim, err := NewSimulation(cfg, train, test, shards, newModel, agg, atk)
+	// Half the clients are malicious: attacker participation comes quickly.
+	sim, err := NewSimulation(cfg, train, test, shards, firstK(6), newModel, agg, atk)
 	if err != nil {
 		t.Fatal(err)
 	}

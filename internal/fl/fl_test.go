@@ -9,23 +9,29 @@ import (
 	"repro/internal/nn"
 )
 
-func tinySetup(t *testing.T, seed int64) (*dataset.Dataset, *dataset.Dataset, [][]int, func(*rand.Rand) *nn.Network) {
+func tinySetup(t *testing.T, seed int64) (*dataset.Dataset, *dataset.Dataset, Shards, func(*rand.Rand) *nn.Network) {
 	t.Helper()
 	spec := dataset.TinySpec()
 	train, test := dataset.Generate(spec, seed)
 	rng := rand.New(rand.NewSource(seed))
-	shards := dataset.PartitionIID(rng, train.Len(), 12)
+	shards := Shards(dataset.PartitionIID(rng, train.Len(), 12))
 	newModel := func(r *rand.Rand) *nn.Network {
 		return nn.NewFashionCNN(r, spec.Channels, spec.Size, spec.Classes)
 	}
 	return train, test, shards, newModel
 }
 
+// firstK is the tests' placement: clients 0..k−1 are malicious (attacked
+// runs over the 12-client setup use firstK(3), 25 %).
+type firstK int
+
+func (k firstK) IsMalicious(id int) bool { return id < int(k) }
+func (k firstK) Total() int              { return int(k) }
+
 func tinyConfig() Config {
 	return Config{
 		TotalClients: 12,
 		PerRound:     4,
-		AttackerFrac: 0.25,
 		Rounds:       6,
 		LocalEpochs:  1,
 		BatchSize:    8,
@@ -80,8 +86,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.TotalClients = 0 },
 		func(c *Config) { c.PerRound = 0 },
 		func(c *Config) { c.PerRound = 99 },
-		func(c *Config) { c.AttackerFrac = 0.7 },
-		func(c *Config) { c.AttackerFrac = -0.1 },
 		func(c *Config) { c.Rounds = 0 },
 		func(c *Config) { c.LocalEpochs = 0 },
 		func(c *Config) { c.BatchSize = 0 },
@@ -100,15 +104,21 @@ func TestConfigValidate(t *testing.T) {
 func TestNewSimulationErrors(t *testing.T) {
 	train, test, shards, newModel := tinySetup(t, 3)
 	cfg := tinyConfig()
-	if _, err := NewSimulation(cfg, train, test, shards[:3], newModel, meanAggregator{}, nil); err == nil {
+	if _, err := NewSimulation(cfg, train, test, shards[:3], nil, newModel, meanAggregator{}, nil); err == nil {
 		t.Fatal("expected error for shard count mismatch")
 	}
-	if _, err := NewSimulation(cfg, train, test, shards, newModel, nil, nil); err == nil {
+	if _, err := NewSimulation(cfg, train, test, nil, nil, newModel, meanAggregator{}, nil); err == nil {
+		t.Fatal("expected error for nil client source")
+	}
+	if _, err := NewSimulation(cfg, train, test, shards, nil, newModel, meanAggregator{}, zeroAttack{}); err == nil {
+		t.Fatal("expected error for an attack without a placement")
+	}
+	if _, err := NewSimulation(cfg, train, test, shards, nil, newModel, nil, nil); err == nil {
 		t.Fatal("expected error for nil aggregator")
 	}
 	badCfg := cfg
 	badCfg.Rounds = 0
-	if _, err := NewSimulation(badCfg, train, test, shards, newModel, meanAggregator{}, nil); err == nil {
+	if _, err := NewSimulation(badCfg, train, test, shards, nil, newModel, meanAggregator{}, nil); err == nil {
 		t.Fatal("expected error for invalid config")
 	}
 }
@@ -117,12 +127,9 @@ func TestCleanRunLearns(t *testing.T) {
 	train, test, shards, newModel := tinySetup(t, 3)
 	cfg := tinyConfig()
 	cfg.Rounds = 10
-	sim, err := NewSimulation(cfg, train, test, shards, newModel, meanAggregator{}, nil)
+	sim, err := NewSimulation(cfg, train, test, shards, nil, newModel, meanAggregator{}, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sim.NumAttackers() != 0 {
-		t.Fatalf("clean run has %d attackers, want 0", sim.NumAttackers())
 	}
 	res, err := sim.Run()
 	if err != nil {
@@ -147,7 +154,7 @@ func TestAttackDegradesUndefendedRun(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Rounds = 10
 
-	clean, err := NewSimulation(cfg, train, test, shards, newModel, meanAggregator{}, nil)
+	clean, err := NewSimulation(cfg, train, test, shards, nil, newModel, meanAggregator{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,12 +163,9 @@ func TestAttackDegradesUndefendedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	attacked, err := NewSimulation(cfg, train, test, shards, newModel, meanAggregator{}, zeroAttack{})
+	attacked, err := NewSimulation(cfg, train, test, shards, firstK(3), newModel, meanAggregator{}, zeroAttack{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if attacked.NumAttackers() != 3 {
-		t.Fatalf("attackers = %d, want 3 (25%% of 12)", attacked.NumAttackers())
 	}
 	attackedRes, err := attacked.Run()
 	if err != nil {
@@ -179,7 +183,7 @@ func TestAttackDegradesUndefendedRun(t *testing.T) {
 func TestDPRAccounting(t *testing.T) {
 	train, test, shards, newModel := tinySetup(t, 5)
 	cfg := tinyConfig()
-	sim, err := NewSimulation(cfg, train, test, shards, newModel, meanAggregator{reportSelection: true}, zeroAttack{})
+	sim, err := NewSimulation(cfg, train, test, shards, firstK(3), newModel, meanAggregator{reportSelection: true}, zeroAttack{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +211,7 @@ func TestDeterminismAndParallelEquivalence(t *testing.T) {
 		train, test, shards, newModel := tinySetup(t, 6)
 		cfg := tinyConfig()
 		cfg.Parallel = parallel
-		sim, err := NewSimulation(cfg, train, test, shards, newModel, meanAggregator{}, zeroAttack{})
+		sim, err := NewSimulation(cfg, train, test, shards, firstK(3), newModel, meanAggregator{}, zeroAttack{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,8 +19,6 @@ type Config struct {
 	TotalClients int
 	// PerRound is K, the number of clients selected each round (paper: 10).
 	PerRound int
-	// AttackerFrac is the fraction of malicious clients (paper: 0.2).
-	AttackerFrac float64
 	// Rounds is R, the number of global training rounds.
 	Rounds int
 	// LocalEpochs is the number of local epochs per round (paper: 1).
@@ -62,9 +60,6 @@ func (c *Config) Validate() error {
 		return errors.New("fl: TotalClients must be positive")
 	case c.PerRound <= 0 || c.PerRound > c.TotalClients:
 		return fmt.Errorf("fl: PerRound %d out of range (1..%d)", c.PerRound, c.TotalClients)
-	case c.AttackerFrac < 0 || c.AttackerFrac > 0.5:
-		// The threat model caps attackers at 50% of clients.
-		return fmt.Errorf("fl: AttackerFrac %v outside [0, 0.5]", c.AttackerFrac)
 	case c.Rounds <= 0:
 		return errors.New("fl: Rounds must be positive")
 	case c.LocalEpochs <= 0:
@@ -82,78 +77,110 @@ func (c *Config) Validate() error {
 	return c.Scenario.Validate()
 }
 
-// Simulation wires a dataset, a model architecture, an aggregation rule and
-// optionally an attack into the federated round loop.
+// ClientSource answers "which samples does client id hold" for the round
+// driver. Two implementations exist: Shards, the eager table behind the
+// paper's N = 100 federation, and *population.Population, which derives a
+// shard on demand so a million enrolled clients cost O(active) memory.
+type ClientSource interface {
+	// Len returns N, the number of clients.
+	Len() int
+	// Shard returns client id's training-sample indices. The slice is
+	// shared: callers must treat it as read-only.
+	Shard(id int) []int
+	// MeanShardSize returns the mean shard size, the plausible sample count
+	// crafted updates report.
+	MeanShardSize() int
+}
+
+// Shards is the eager ClientSource: one materialized index slice per client
+// (see dataset.PartitionDirichlet).
+type Shards [][]int
+
+// Len implements ClientSource.
+func (s Shards) Len() int { return len(s) }
+
+// Shard implements ClientSource.
+func (s Shards) Shard(id int) []int { return s[id] }
+
+// MeanShardSize implements ClientSource.
+func (s Shards) MeanShardSize() int {
+	if len(s) == 0 {
+		return 0
+	}
+	total := 0
+	for _, shard := range s {
+		total += len(shard)
+	}
+	return total / len(s)
+}
+
+// Placement decides which client IDs the adversary controls, in O(1) per
+// query and without O(N) flag storage (see internal/population's models).
+type Placement interface {
+	// IsMalicious reports whether client id is adversary-controlled.
+	IsMalicious(id int) bool
+	// Total returns the total number of adversary-controlled clients.
+	Total() int
+}
+
+// Simulation is the in-process round driver: it wires a dataset, a client
+// source, a model architecture, an aggregation rule and optionally an
+// attack into the shared round engine, and serves as the engine's Transport.
+// It holds no per-client state, so memory is O(PerRound) participants plus
+// whatever the source caches — never O(TotalClients).
 //
 // Client training runs on a bounded worker pool: each worker owns one model
 // replica with an attached scratch arena, both reused across clients and
 // rounds, so per-round cost does not include model construction and the
 // steady-state training path does not allocate. A client's result depends
-// only on the global weights and its private randomness, never on which
-// worker trains it, so Parallel changes wall-clock only — see
-// TestParallelDeterminism.
+// only on the global weights and its (seed, round, id) training stream,
+// never on which worker trains it, so Parallel changes wall-clock only —
+// see TestParallelDeterminism.
 type Simulation struct {
 	cfg        Config
 	train      *dataset.Dataset
-	test       *dataset.Dataset
-	shards     [][]int
-	malicious  []bool
+	src        ClientSource
+	place      Placement
 	newModel   func(rng *rand.Rand) *nn.Network
 	aggregator Aggregator
 	attack     Attack
 
-	clients []*BenignClient
 	global  *nn.Network
 	workers []*nn.Network
 	eval    *Evaluator
 }
 
-// NewSimulation constructs a simulation. shards assigns training-sample
-// indices to each of cfg.TotalClients clients (see dataset.PartitionDirichlet);
-// attack may be nil for a clean run. The first ⌊AttackerFrac·N⌋ client IDs
-// are designated malicious; because selection each round is uniform, which
-// IDs carry the flag is immaterial.
-func NewSimulation(cfg Config, train, test *dataset.Dataset, shards [][]int,
+// NewSimulation constructs a simulation over src's cfg.TotalClients clients.
+// attack may be nil for a clean run, and place may be nil exactly then: the
+// placement is the authoritative attacker assignment of an attacked run.
+func NewSimulation(cfg Config, train, test *dataset.Dataset, src ClientSource, place Placement,
 	newModel func(rng *rand.Rand) *nn.Network, agg Aggregator, attack Attack) (*Simulation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(shards) != cfg.TotalClients {
-		return nil, fmt.Errorf("fl: %d shards for %d clients", len(shards), cfg.TotalClients)
+	if src == nil {
+		return nil, errors.New("fl: simulation requires a client source")
+	}
+	if src.Len() != cfg.TotalClients {
+		return nil, fmt.Errorf("fl: client source holds %d clients, config TotalClients is %d", src.Len(), cfg.TotalClients)
 	}
 	if agg == nil {
 		return nil, errors.New("fl: aggregator must not be nil")
 	}
-	s := &Simulation{
+	if attack != nil && place == nil {
+		return nil, errors.New("fl: an attacked run requires a placement")
+	}
+	return &Simulation{
 		cfg:        cfg,
 		train:      train,
-		test:       test,
-		shards:     shards,
+		src:        src,
+		place:      place,
 		newModel:   newModel,
 		aggregator: agg,
 		attack:     attack,
-	}
-	numAttackers := int(float64(cfg.TotalClients) * cfg.AttackerFrac)
-	if attack == nil {
-		numAttackers = 0
-	}
-	s.malicious = make([]bool, cfg.TotalClients)
-	for i := 0; i < numAttackers; i++ {
-		s.malicious[i] = true
-	}
-	s.clients = make([]*BenignClient, cfg.TotalClients)
-	for i := 0; i < cfg.TotalClients; i++ {
-		if s.malicious[i] {
-			continue
-		}
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919 + 1))
-		// Clients hold no model of their own; the worker pool's reused
-		// replicas are passed in per round via TrainWith.
-		s.clients[i] = NewBenignClient(i, train, shards[i], nil, cfg.LR, cfg.LocalEpochs, cfg.BatchSize, rng)
-	}
-	s.global = newModel(rand.New(rand.NewSource(cfg.Seed)))
-	s.eval = NewEvaluator(test, cfg.EvalLimit)
-	return s, nil
+		global:     newModel(rand.New(rand.NewSource(cfg.Seed))),
+		eval:       NewEvaluator(test, cfg.EvalLimit),
+	}, nil
 }
 
 // ensureWorkers grows the training worker pool to n reusable model
@@ -173,29 +200,8 @@ func (s *Simulation) GlobalWeights() []float64 {
 	return s.global.WeightVector()
 }
 
-// NumAttackers returns the number of malicious clients in the population.
-func (s *Simulation) NumAttackers() int {
-	n := 0
-	for _, m := range s.malicious {
-		if m {
-			n++
-		}
-	}
-	return n
-}
-
-// simTransport exposes the simulation's bounded worker-pool training as an
-// engine Transport.
-type simTransport struct{ s *Simulation }
-
-// Collect implements Transport.
-func (t simTransport) Collect(_ int, ids []int, global, _ []float64) ([]Update, error) {
-	return t.s.trainBenign(ids, global)
-}
-
 // Run executes the configured number of rounds on the shared round engine
-// and returns the result. The zero-value Scenario reproduces the
-// pre-engine loop bit-identically (see TestParallelDeterminism).
+// and returns the result.
 func (s *Simulation) Run() (*Result, error) {
 	eng := &Engine{
 		TotalClients: s.cfg.TotalClients,
@@ -204,23 +210,26 @@ func (s *Simulation) Run() (*Result, error) {
 		EvalEvery:    s.cfg.EvalEvery,
 		Seed:         s.cfg.Seed,
 		Scenario:     s.cfg.Scenario,
-		Transport:    simTransport{s},
+		Transport:    s,
 		Aggregator:   s.aggregator,
 		Attack:       s.attack,
-		Malicious:    s.malicious,
 		NewModel:     s.newModel,
 		Observer:     s.cfg.Observer,
 		Codec:        s.cfg.Codec,
 		Telemetry:    s.cfg.Telemetry,
-		// Attackers report a plausible sample count (the mean benign shard
-		// size) so weighted aggregation cannot trivially expose them.
-		AttackSamples: s.meanShardSize(),
+		// Attackers report a plausible sample count (the mean shard size) so
+		// weighted aggregation cannot trivially expose them.
+		AttackSamples: s.src.MeanShardSize(),
 		Evaluate: func(weights []float64) (float64, error) {
 			if err := s.global.SetWeightVector(weights); err != nil {
 				return 0, err
 			}
 			return s.eval.Accuracy(s.global, s.cfg.Parallel), nil
 		},
+	}
+	if s.attack != nil {
+		eng.IsMalicious = s.place.IsMalicious
+		eng.TotalAttackers = s.place.Total()
 	}
 	res, final, err := eng.Run(s.global.WeightVector())
 	if err != nil {
@@ -232,26 +241,36 @@ func (s *Simulation) Run() (*Result, error) {
 	return res, nil
 }
 
-func (s *Simulation) meanShardSize() int {
-	total, n := 0, 0
-	for i, c := range s.clients {
-		if s.malicious[i] || c == nil {
-			continue
-		}
-		total += c.NumSamples()
-		n++
-	}
-	if n == 0 {
-		return 1
-	}
-	return total / n
+// Mix64 is the SplitMix64 finalizer over two mixed words: a cheap,
+// high-quality hash from (seed, client) to an RNG seed. The population
+// package derives its per-client shard streams from the same function.
+func Mix64(a, b uint64) int64 {
+	x := a ^ (b+1)*0x9E3779B97F4A7C15
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	x ^= x >> 31
+	return int64(x >> 1) // rand.NewSource ignores sign; keep it non-negative for readability
 }
 
-// trainBenign trains the selected benign clients on the bounded worker
-// pool: at most tensor.Workers() goroutines run, each owning one reused
-// model replica and arena. Serial and parallel execution produce identical
-// updates.
-func (s *Simulation) trainBenign(ids []int, global []float64) ([]Update, error) {
+// trainClient trains client id for one round on one worker model. The
+// client's training randomness is a pure function of (seed, round, id) —
+// persistent per-client RNGs cannot exist for a million clients — so results
+// are independent of which clients earlier rounds touched, of shard
+// materialization and of scheduling order. The 0x7 tag keeps the stream
+// disjoint from the population's per-client shard-derivation streams.
+func (s *Simulation) trainClient(round, id int, global []float64, model *nn.Network) (Update, error) {
+	rng := rand.New(rand.NewSource(Mix64(uint64(s.cfg.Seed)^uint64(round)*0x9E3779B97F4A7C15, uint64(id)<<8|0x7)))
+	client := NewBenignClient(id, s.train, s.src.Shard(id), nil, s.cfg.LR, s.cfg.LocalEpochs, s.cfg.BatchSize, rng)
+	return client.TrainWith(global, model)
+}
+
+// Collect implements Transport: it trains the selected benign clients on
+// the bounded worker pool. At most tensor.Workers() goroutines run, each
+// owning one reused model replica and arena; serial and parallel execution
+// produce identical updates.
+func (s *Simulation) Collect(round int, ids []int, global, _ []float64) ([]Update, error) {
 	updates := make([]Update, len(ids))
 	if len(ids) == 0 {
 		return updates, nil
@@ -268,7 +287,7 @@ func (s *Simulation) trainBenign(ids []int, global []float64) ([]Update, error) 
 	if workers <= 1 {
 		model := s.workers[0]
 		for i, id := range ids {
-			u, err := s.clients[id].TrainWith(global, model)
+			u, err := s.trainClient(round, id, global, model)
 			if err != nil {
 				return nil, err
 			}
@@ -288,7 +307,7 @@ func (s *Simulation) trainBenign(ids []int, global []float64) ([]Update, error) 
 			if i >= len(ids) {
 				return
 			}
-			updates[i], errs[i] = s.clients[ids[i]].TrainWith(global, model)
+			updates[i], errs[i] = s.trainClient(round, ids[i], global, model)
 		}
 	})
 	for _, err := range errs {

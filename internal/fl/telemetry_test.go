@@ -20,7 +20,7 @@ func runTinyTelemetry(t *testing.T, tel *telemetry.EngineTelemetry) *Result {
 	cfg := tinyConfig()
 	cfg.Codec = codec.Spec{Quant: codec.Int8, TopK: 0.25, EF: true}
 	cfg.Telemetry = tel
-	sim, err := NewSimulation(cfg, train, test, shards, newModel, meanAggregator{reportSelection: true}, zeroAttack{})
+	sim, err := NewSimulation(cfg, train, test, shards, firstK(3), newModel, meanAggregator{reportSelection: true}, zeroAttack{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,6 +46,10 @@ func TestDashboardObservationBitExactOverSockets(t *testing.T) {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
+	// No keep-alive pool: http.DefaultClient can leave a dialed-but-unused
+	// connection behind, which http.Server.Shutdown counts as active for 5 s
+	// — longer than the endpoint's drain deadline, failing shutdownHTTP.
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
 	var hammer sync.WaitGroup
 	for _, path := range []string{"/forensics/metrics", "/forensics/rounds?since=0"} {
 		hammer.Add(1)
@@ -57,7 +61,7 @@ func TestDashboardObservationBitExactOverSockets(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Get("http://" + httpAddr + path)
+				resp, err := client.Get("http://" + httpAddr + path)
 				if err == nil {
 					io.Copy(io.Discard, resp.Body)
 					resp.Body.Close()
@@ -74,7 +78,7 @@ func TestDashboardObservationBitExactOverSockets(t *testing.T) {
 				return
 			default:
 			}
-			resp, err := http.Get("http://" + httpAddr + "/forensics/stream")
+			resp, err := client.Get("http://" + httpAddr + "/forensics/stream")
 			if err != nil {
 				continue
 			}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/defense"
 	"repro/internal/fl"
 	"repro/internal/nn"
+	"repro/internal/population"
 )
 
 // benchRound builds a production-shaped round: K updates of dimension d.
@@ -74,7 +75,6 @@ func benchSim(b *testing.B, obs fl.AggregationObserver) *fl.Simulation {
 	cfg := fl.Config{
 		TotalClients: 20,
 		PerRound:     8,
-		AttackerFrac: 0.25,
 		Rounds:       3,
 		LocalEpochs:  1,
 		BatchSize:    8,
@@ -85,7 +85,7 @@ func benchSim(b *testing.B, obs fl.AggregationObserver) *fl.Simulation {
 		Parallel:     true,
 		Observer:     obs,
 	}
-	sim, err := fl.NewSimulation(cfg, train, test, shards, newModel, defense.MultiKrum{F: 2}, benchAttack{})
+	sim, err := fl.NewSimulation(cfg, train, test, fl.Shards(shards), population.FirstK{K: 5}, newModel, defense.MultiKrum{F: 2}, benchAttack{})
 	if err != nil {
 		b.Fatal(err)
 	}

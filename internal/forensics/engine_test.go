@@ -12,6 +12,7 @@ import (
 	"repro/internal/defense"
 	"repro/internal/fl"
 	"repro/internal/nn"
+	"repro/internal/population"
 	"repro/internal/vec"
 )
 
@@ -26,7 +27,6 @@ func tinySim(t *testing.T, seed int64, agg fl.Aggregator, atk fl.Attack, obs fl.
 	cfg := fl.Config{
 		TotalClients: 12,
 		PerRound:     6,
-		AttackerFrac: 0.25,
 		Rounds:       5,
 		LocalEpochs:  1,
 		BatchSize:    8,
@@ -36,7 +36,7 @@ func tinySim(t *testing.T, seed int64, agg fl.Aggregator, atk fl.Attack, obs fl.
 		EvalLimit:    64,
 		Observer:     obs,
 	}
-	sim, err := fl.NewSimulation(cfg, train, test, shards, newModel, agg, atk)
+	sim, err := fl.NewSimulation(cfg, train, test, fl.Shards(shards), population.FirstK{K: 3}, newModel, agg, atk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestAsyncZeroResponderRoundsRecorded(t *testing.T) {
 			Async:         &fl.AsyncConfig{Buffer: 2, MaxDelay: 1},
 		},
 	}
-	asim, err := fl.NewSimulation(cfg, train, test, shards, newModel, defense.MultiKrum{F: 2}, nil)
+	asim, err := fl.NewSimulation(cfg, train, test, fl.Shards(shards), nil, newModel, defense.MultiKrum{F: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/defense"
+	"repro/internal/fl"
 )
 
 func newBenchRNG() *rand.Rand { return rand.New(rand.NewSource(1)) }
@@ -25,7 +26,7 @@ func millionRun(tb testing.TB, rounds int) *Population {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sim, err := NewSimulation(cfg, train, test, pop, place, newModel, defense.MultiKrum{F: 2}, attackStub{})
+	sim, err := fl.NewSimulation(cfg, train, test, pop, place, newModel, defense.MultiKrum{F: 2}, attackStub{})
 	if err != nil {
 		tb.Fatal(err)
 	}

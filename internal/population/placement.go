@@ -3,13 +3,15 @@ package population
 import (
 	"fmt"
 	"sync"
+
+	"repro/internal/fl"
 )
 
-// Placement decides which client IDs the adversary controls. It replaces
-// the simulator's static "first K clients are malicious" assignment with
-// production-relevant models, and answers membership queries in O(1) with
-// no O(N) flag storage — the engine asks per responder, never for the whole
-// population.
+// Placement decides which client IDs the adversary controls: the "first K
+// clients are malicious" default and production-relevant alternatives. It
+// answers membership queries in O(1) with no O(N) flag storage — the engine
+// asks per responder, never for the whole population. Every Placement is an
+// fl.Placement, the two methods fl.Simulation reads.
 type Placement interface {
 	// Name returns the placement's display name.
 	Name() string
@@ -19,7 +21,7 @@ type Placement interface {
 	Total() int
 }
 
-// FirstK is the legacy placement: clients 0..K−1 are malicious. Under
+// FirstK is the default placement: clients 0..K−1 are malicious. Under
 // uniform selection which IDs carry the flag is immaterial, which is why
 // the paper's simulator could afford it; the other placements exist because
 // samplers and topologies that *do* look at IDs (weighted sampling,
@@ -96,7 +98,7 @@ func NewSybilBurst(n, k int, seed int64) SybilBurst {
 	span := n - k + 1
 	start := 0
 	if span > 0 {
-		start = int(uint64(mix64(uint64(seed), 0x53)) % uint64(span))
+		start = int(uint64(fl.Mix64(uint64(seed), 0x53)) % uint64(span))
 	}
 	return SybilBurst{Start: start, K: k}
 }
@@ -150,12 +152,12 @@ func (p *SizeCorrelated) Total() int {
 
 // hashFloat maps (seed, id) to a uniform float64 in [0, 1).
 func hashFloat(seed int64, id uint64) float64 {
-	return float64(uint64(mix64(uint64(seed), id))>>10) / float64(1<<53)
+	return float64(uint64(fl.Mix64(uint64(seed), id))>>10) / float64(1<<53)
 }
 
 // PlacementByName resolves the placement models the experiment config
-// exposes. frac is the attacker fraction; pop is required by "sizecorr" and
-// supplies N elsewhere.
+// exposes, for either client source. frac is the attacker fraction; pop is
+// required by "sizecorr" only and is nil on the eager backend.
 func PlacementByName(name string, n int, frac float64, seed int64, pop *Population) (Placement, error) {
 	k := int(frac * float64(n))
 	switch name {

@@ -15,10 +15,13 @@
 // active clients so a round over 1,000,000 virtual clients allocates only
 // for its PerRound participants.
 //
-// On top of the population sit the attacker placement models
-// (placement.go), which replace the static "first K clients are malicious"
-// assignment with production-relevant alternatives, and the hierarchical
-// two-tier aggregation topology (hierarchy.go).
+// A Population is one of the two fl.ClientSource implementations the single
+// round driver, fl.Simulation, trains over (the other is the eager
+// fl.Shards table). Beside it sit the attacker placement models
+// (placement.go) — "first K clients are malicious" and the
+// production-relevant alternatives, for either source — the O(K) client
+// sampler (sampler.go) and the hierarchical two-tier aggregation topology
+// (hierarchy.go).
 package population
 
 import (
@@ -30,6 +33,7 @@ import (
 	"sync"
 
 	"repro/internal/dataset"
+	"repro/internal/fl"
 )
 
 // Kind selects the lazy partition protocol.
@@ -113,6 +117,8 @@ type Population struct {
 	derivations int64
 }
 
+var _ fl.ClientSource = (*Population)(nil)
+
 // cacheEntry is one LRU slot.
 type cacheEntry struct {
 	id    int
@@ -169,28 +175,14 @@ func (p *Population) MeanShardSize() int { return p.spec.MeanShard }
 // decorrelated by a SplitMix64 finalizer over (seed, id, stream), so
 // neighbouring IDs share no structure.
 func (p *Population) clientRNG(id int, stream uint64) *rand.Rand {
-	return rand.New(rand.NewSource(mix64(uint64(p.spec.Seed), uint64(id)<<8|stream)))
+	return rand.New(rand.NewSource(fl.Mix64(uint64(p.spec.Seed), uint64(id)<<8|stream)))
 }
 
-// mix64 is the SplitMix64 finalizer over two mixed words: a cheap,
-// high-quality hash from (seed, client) to an RNG seed.
-func mix64(a, b uint64) int64 {
-	x := a ^ (b+1)*0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return int64(x >> 1) // rand.NewSource ignores sign; keep it non-negative for readability
-}
-
-// Per-client stream tags. Shard derivation and shard-size derivation use
-// the same stream (size is the first draw); training randomness (see
-// Transport) uses a disjoint tag so adding rounds never perturbs shards.
-const (
-	streamShard = 0x5
-	streamTrain = 0x7
-)
+// streamShard tags the per-client derivation stream. Shard derivation and
+// shard-size derivation share it (size is the first draw); training
+// randomness (fl.Simulation) uses the disjoint tag 0x7, so adding rounds
+// never perturbs shards.
+const streamShard = 0x5
 
 // ShardSize returns client id's shard size without materializing the shard:
 // O(1) for IID/Label (the size is the spec constant) and one Gamma draw for
@@ -311,8 +303,8 @@ func (p *Population) CacheLen() int {
 }
 
 // MaterializeAll eagerly derives every client's shard — the O(N) reference
-// the lazy path is tested against, and a convenience for small populations
-// that want the legacy [][]int shape (e.g. to hand to fl.NewSimulation).
+// the lazy path is tested against: fl.Shards(p.MaterializeAll()) is the
+// eager source holding the same shards (see TestLazyEqualsEagerDriver).
 func (p *Population) MaterializeAll() [][]int {
 	shards := make([][]int, p.spec.TotalClients)
 	for i := range shards {

@@ -14,10 +14,11 @@
 //     and Dirichlet partitioning
 //   - internal/fl — the unified federated round engine (client samplers,
 //     participation/churn models, server optimizers, sync and FedBuff-style
-//     async buffered aggregation) and ASR/DPR metric accounting
-//   - internal/population — lazy million-client virtual populations
-//     (O(active)-memory shard materialization, attacker placement models,
-//     hierarchical two-tier aggregation)
+//     async buffered aggregation), its one in-process driver over any
+//     client source, and ASR/DPR metric accounting
+//   - internal/population — the lazy million-client source of that driver
+//     (O(active)-memory shard materialization), attacker placement models,
+//     hierarchical two-tier aggregation
 //   - internal/defense — FedAvg, Median, Trimmed mean, Krum/mKrum, Bulyan
 //   - internal/attack — LIE, Fang, Min-Max, Min-Sum, random, label-flip
 //   - internal/core — DFA-R, DFA-G, L_d regularization, REFD (the paper's
@@ -47,10 +48,12 @@ import (
 // participation axes — Partition, Sampler/SampleRate, DropoutProb/
 // StragglerProb, ServerOpt/ServerLR/ServerMomentum, AsyncBuffer/
 // AsyncMaxDelay — and the population axes: Population/MeanShard/PopCache
-// (lazy O(active)-memory client populations up to 10⁶ clients), Placement
-// (attacker placement models) and Groups/GroupDefense (hierarchical
-// two-tier aggregation). Zero values reproduce the paper's fixed
-// federation shape bit-exactly.
+// (which client source the one round driver trains over: the eager shard
+// table, or a lazy O(active)-memory population of up to 10⁶ clients),
+// Placement (attacker placement models) and Groups/GroupDefense
+// (hierarchical two-tier aggregation). Zero values select the paper's
+// fixed federation shape; the numbers a fixed seed produces on the eager
+// backend moved once, with run-key version v2.
 type Config = experiment.Config
 
 // Outcome is a simulation result with the paper's metrics (ASR, DPR, clean
