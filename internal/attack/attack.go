@@ -5,9 +5,11 @@
 // attack the paper uses to motivate optimization-based synthesis
 // (Section III-B) and a classic label-flipping attack.
 //
-// All baselines here require extra adversarial knowledge that DFA does not:
-// they read the current round's benign updates through the
-// fl.AttackContext oracle, exactly the assumption gap Table I documents.
+// The four baselines and SignFlip require adversarial knowledge that DFA
+// does not: they read the current round's benign updates through the
+// fl.AttackContext oracle, exactly the assumption gap Table I documents,
+// and declare it by implementing fl.OracleAttack. RandomWeights, FreeRider
+// and LabelFlip read no benign update and do not.
 package attack
 
 import (
@@ -90,7 +92,10 @@ type LIE struct {
 	ZOverride float64
 }
 
-var _ fl.Attack = LIE{}
+var _ fl.OracleAttack = LIE{}
+
+// ReadsBenignUpdates implements fl.OracleAttack.
+func (LIE) ReadsBenignUpdates() {}
 
 // Name implements fl.Attack.
 func (LIE) Name() string { return "lie" }
@@ -143,7 +148,10 @@ type Fang struct {
 	B float64
 }
 
-var _ fl.Attack = Fang{}
+var _ fl.OracleAttack = Fang{}
+
+// ReadsBenignUpdates implements fl.OracleAttack.
+func (Fang) ReadsBenignUpdates() {}
 
 // Name implements fl.Attack.
 func (Fang) Name() string { return "fang" }
@@ -253,7 +261,10 @@ type MinMax struct {
 	GammaInit float64
 }
 
-var _ fl.Attack = MinMax{}
+var _ fl.OracleAttack = MinMax{}
+
+// ReadsBenignUpdates implements fl.OracleAttack.
+func (MinMax) ReadsBenignUpdates() {}
 
 // Name implements fl.Attack.
 func (MinMax) Name() string { return "minmax" }
@@ -304,7 +315,10 @@ type MinSum struct {
 	GammaInit float64
 }
 
-var _ fl.Attack = MinSum{}
+var _ fl.OracleAttack = MinSum{}
+
+// ReadsBenignUpdates implements fl.OracleAttack.
+func (MinSum) ReadsBenignUpdates() {}
 
 // Name implements fl.Attack.
 func (MinSum) Name() string { return "minsum" }

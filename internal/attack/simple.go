@@ -35,7 +35,10 @@ type SignFlip struct {
 	Gamma float64
 }
 
-var _ fl.Attack = SignFlip{}
+var _ fl.OracleAttack = SignFlip{}
+
+// ReadsBenignUpdates implements fl.OracleAttack.
+func (SignFlip) ReadsBenignUpdates() {}
 
 // Name implements fl.Attack.
 func (SignFlip) Name() string { return "signflip" }

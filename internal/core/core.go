@@ -92,10 +92,12 @@ func (c *DFAConfig) Validate() error {
 
 // trainAdversary performs step 2 of the framework: train a classifier from
 // the global weights on the synthetic set with the distance-regularized
-// loss, and return its weight vector.
-func trainAdversary(ctx *fl.AttackContext, cfg DFAConfig, images *tensor.Tensor, labels []int) ([]float64, error) {
+// loss, and return its weight vector. The classifier is built anew each
+// craft — its construction draws from the attack stream — but its
+// activations live in arena, which the attack keeps across rounds.
+func trainAdversary(ctx *fl.AttackContext, cfg DFAConfig, arena *tensor.Pool, images *tensor.Tensor, labels []int) ([]float64, error) {
 	model := ctx.NewModel(ctx.Rng)
-	model.SetScratch(tensor.NewPool())
+	model.SetScratch(arena)
 	if err := model.SetWeightVector(ctx.Global); err != nil {
 		return nil, err
 	}

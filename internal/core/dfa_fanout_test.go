@@ -129,7 +129,8 @@ func TestDFARMatchesSerialReference(t *testing.T) {
 				for i := range labels {
 					labels[i] = yTilde
 				}
-				w, err := trainAdversary(refCtx, cfg, wantImages, labels)
+				// A fresh arena every round, where Craft reuses the attack's.
+				w, err := trainAdversary(refCtx, cfg, tensor.NewPool(), wantImages, labels)
 				if err != nil {
 					t.Fatal(err)
 				}

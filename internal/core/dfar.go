@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"repro/internal/fl"
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -23,6 +21,8 @@ type DFAR struct {
 	// synthesis worker. The replicas persist across rounds; each Craft only
 	// reloads their weights.
 	frozen []*nn.Network
+	// arena is the adversarial classifier's scratch.
+	arena *tensor.Pool
 }
 
 var _ fl.Attack = (*DFAR)(nil)
@@ -33,7 +33,7 @@ func NewDFAR(cfg DFAConfig) (*DFAR, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &DFAR{cfg: cfg}, nil
+	return &DFAR{cfg: cfg, arena: tensor.NewPool()}, nil
 }
 
 // Name implements fl.Attack.
@@ -68,7 +68,7 @@ func (a *DFAR) Craft(ctx *fl.AttackContext) ([][]float64, error) {
 	for i := range labels {
 		labels[i] = yTilde
 	}
-	w, err := trainAdversary(ctx, cfg, images, labels)
+	w, err := trainAdversary(ctx, cfg, a.arena, images, labels)
 	if err != nil {
 		return nil, err
 	}
@@ -106,23 +106,15 @@ func (a *DFAR) synthesizeSet(ctx *fl.AttackContext) (*tensor.Tensor, error) {
 	}
 
 	// The |S| optimizations are independent and a few milliseconds each,
-	// so they fan out here, once per craft: worker w drains the sample
-	// counter with its own replica and arena and writes image s and its
-	// losses into slot s.
+	// so they fan out here, once per craft: worker w optimizes sample s
+	// with its own replica and arena and writes image s and its losses
+	// into slot s.
 	images := tensor.New(cfg.SampleCount, cfg.ImgC, cfg.ImgSize, cfg.ImgSize)
 	losses := make([]float64, cfg.SampleCount*cfg.SynthesisEpochs)
 	uniform := nn.UniformTarget(cfg.Classes)
-	var next atomic.Int64
-	tensor.FanOut(workers, func(w int) {
-		frozen := a.frozen[w]
-		for {
-			s := int(next.Add(1)) - 1
-			if s >= cfg.SampleCount {
-				return
-			}
-			a.synthesize(frozen, filters[s], dummies[s], uniform,
-				images.Data[s*per:(s+1)*per], losses[s*cfg.SynthesisEpochs:(s+1)*cfg.SynthesisEpochs])
-		}
+	tensor.Drain(workers, cfg.SampleCount, func(w, s int) {
+		a.synthesize(a.frozen[w], filters[s], dummies[s], uniform,
+			images.Data[s*per:(s+1)*per], losses[s*cfg.SynthesisEpochs:(s+1)*cfg.SynthesisEpochs])
 	})
 	if cfg.Trained {
 		// Folded in sample order, so the trace does not depend on which

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/fl"
@@ -139,40 +138,21 @@ func combineD(b, v, alpha float64) float64 {
 func (r *REFD) signalsAll(updates []fl.Update) (bs, vs []float64, err error) {
 	bs = make([]float64, len(updates))
 	vs = make([]float64, len(updates))
-	workers := tensor.Workers()
-	if workers > len(updates) {
-		workers = len(updates)
-	}
-	if workers <= 1 {
-		for i, u := range updates {
-			bs[i], vs[i], err = r.signals(u.Weights)
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		return bs, vs, nil
-	}
-	// Workers drain a shared counter within the global slot budget, keeping
-	// the total compute goroutines within the -threads pin. Helper scorers
+	// Workers drain the updates within the global slot budget, keeping the
+	// total compute goroutines within the -threads pin. Helper scorers
 	// (with their scratch models and arenas) persist on the receiver, so
 	// repeated rounds reuse them like the simulation's training workers.
+	workers := min(tensor.Workers(), len(updates))
 	for len(r.helpers) < workers-1 {
 		r.helpers = append(r.helpers, &REFD{ref: r.ref, newModel: r.newModel, alpha: r.alpha, rejectX: r.rejectX})
 	}
 	errs := make([]error, len(updates))
-	var next atomic.Int64
-	tensor.FanOut(workers, func(w int) {
+	tensor.Drain(workers, len(updates), func(w, i int) {
 		worker := r
 		if w > 0 {
 			worker = r.helpers[w-1]
 		}
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(updates) {
-				return
-			}
-			bs[i], vs[i], errs[i] = worker.signals(updates[i].Weights)
-		}
+		bs[i], vs[i], errs[i] = worker.signals(updates[i].Weights)
 	})
 	for _, werr := range errs {
 		if werr != nil {

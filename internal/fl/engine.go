@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/codec"
 	"repro/internal/nn"
 	"repro/internal/telemetry"
+	"repro/internal/tensor"
 )
 
 // Transport abstracts how the engine obtains updates from a set of clients:
@@ -244,51 +246,15 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 		stats.SelectedMalicious = len(attackerIDs)
 		spSelect.End()
 
-		spCollect := e.Telemetry.Phase(telemetry.PhaseCollect)
-		e.Telemetry.AddBytesOut(8 * len(global) * len(benignIDs))
-		updates, err := e.Transport.Collect(round, benignIDs, global, prev)
-		spCollect.End()
-		if err != nil {
-			return nil, nil, fmt.Errorf("round %d: %w", round, err)
+		var updates []Update
+		var err error
+		if len(attackerIDs) == 0 {
+			updates, err = e.collect(round, benignIDs, global, prev)
+		} else {
+			updates, err = e.collectAttacked(round, len(selected), benignIDs, attackerIDs, global, prev, atkRng)
 		}
-
-		if len(attackerIDs) > 0 && e.Attack != nil {
-			spAttack := e.Telemetry.Phase(telemetry.PhaseAttack)
-			benignVecs := make([][]float64, len(updates))
-			for i, u := range updates {
-				benignVecs[i] = u.Weights
-			}
-			ctx := &AttackContext{
-				Round:          round,
-				Global:         global,
-				PrevGlobal:     prev,
-				BenignUpdates:  benignVecs,
-				NumAttackers:   len(attackerIDs),
-				NumSelected:    len(selected),
-				TotalClients:   e.TotalClients,
-				TotalAttackers: e.TotalAttackers,
-				NewModel:       e.NewModel,
-				Rng:            atkRng,
-			}
-			malVecs, err := e.Attack.Craft(ctx)
-			spAttack.End()
-			if err != nil {
-				return nil, nil, fmt.Errorf("round %d: attack %s: %w", round, e.Attack.Name(), err)
-			}
-			if len(malVecs) != len(attackerIDs) {
-				return nil, nil, fmt.Errorf("round %d: attack returned %d vectors for %d attackers", round, len(malVecs), len(attackerIDs))
-			}
-			for i, id := range attackerIDs {
-				if len(malVecs[i]) != len(global) {
-					return nil, nil, fmt.Errorf("round %d: malicious vector %d has length %d, want %d", round, i, len(malVecs[i]), len(global))
-				}
-				updates = append(updates, Update{
-					ClientID:   id,
-					Weights:    malVecs[i],
-					NumSamples: e.AttackSamples,
-					Malicious:  true,
-				})
-			}
+		if err != nil {
+			return nil, nil, err
 		}
 		// Compress the round's submissions: attackers ride the same wire
 		// format as everyone else, and the server's view of each update
@@ -410,6 +376,97 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 		roundSpan.End()
 	}
 	return res, global, nil
+}
+
+// collect is the transport round-trip for the round's benign responders.
+func (e *Engine) collect(round int, ids []int, global, prev []float64) ([]Update, error) {
+	sp := e.Telemetry.Phase(telemetry.PhaseCollect)
+	e.Telemetry.AddBytesOut(8 * len(global) * len(ids))
+	updates, err := e.Transport.Collect(round, ids, global, prev)
+	sp.End()
+	if err != nil {
+		return nil, fmt.Errorf("round %d: %w", round, err)
+	}
+	return updates, nil
+}
+
+// collectAttacked is collect for a round that selected attackers: it
+// returns the benign updates followed by one crafted update per attacker.
+// An attack that is no OracleAttack needs nothing the round produces, so
+// its Craft starts now, on a helper goroutine holding one slot of tensor's
+// budget, beside the transport round-trip — as a real attacker computes
+// beside the honest clients — and cannot eavesdrop: BenignUpdates is nil.
+// An oracle, or any attack when no slot is free, runs the same closure on
+// this goroutine once Collect has returned. Either way the craft alone
+// draws from atkRng and the crafted updates follow the benign ones, so
+// where it ran changes no number. Kept apart from Run so the variables the
+// closure captures cost an unattacked round nothing.
+func (e *Engine) collectAttacked(round, numSelected int, benignIDs, attackerIDs []int, global, prev []float64, atkRng *rand.Rand) ([]Update, error) {
+	ctx := &AttackContext{
+		Round:          round,
+		Global:         global,
+		PrevGlobal:     prev,
+		NumAttackers:   len(attackerIDs),
+		NumSelected:    numSelected,
+		TotalClients:   e.TotalClients,
+		TotalAttackers: e.TotalAttackers,
+		NewModel:       e.NewModel,
+		Rng:            atkRng,
+	}
+	var (
+		malVecs  [][]float64
+		craftErr error
+		panicked any
+	)
+	craft := func() {
+		sp := e.Telemetry.Phase(telemetry.PhaseAttack)
+		malVecs, craftErr = e.Attack.Craft(ctx)
+		sp.End()
+	}
+	_, oracle := e.Attack.(OracleAttack)
+	var wg sync.WaitGroup
+	beside := !oracle && tensor.TryGo(&wg, func() {
+		defer func() { panicked = recover() }()
+		craft()
+	})
+	updates, err := e.collect(round, benignIDs, global, prev)
+	// The craft owns atkRng until it returns: not even a failed Collect
+	// leaves it running, and its panic is raised here, where an inline
+	// craft's would be.
+	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if !beside {
+		if oracle {
+			ctx.BenignUpdates = make([][]float64, len(updates))
+			for i, u := range updates {
+				ctx.BenignUpdates[i] = u.Weights
+			}
+		}
+		craft()
+	}
+	if craftErr != nil {
+		return nil, fmt.Errorf("round %d: attack %s: %w", round, e.Attack.Name(), craftErr)
+	}
+	if len(malVecs) != len(attackerIDs) {
+		return nil, fmt.Errorf("round %d: attack returned %d vectors for %d attackers", round, len(malVecs), len(attackerIDs))
+	}
+	for i, id := range attackerIDs {
+		if len(malVecs[i]) != len(global) {
+			return nil, fmt.Errorf("round %d: malicious vector %d has length %d, want %d", round, i, len(malVecs[i]), len(global))
+		}
+		updates = append(updates, Update{
+			ClientID:   id,
+			Weights:    malVecs[i],
+			NumSamples: e.AttackSamples,
+			Malicious:  true,
+		})
+	}
+	return updates, nil
 }
 
 // applyAggregation runs one server aggregation: the robust rule, the DPR

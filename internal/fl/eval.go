@@ -1,8 +1,6 @@
 package fl
 
 import (
-	"sync/atomic"
-
 	"repro/internal/dataset"
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -96,37 +94,11 @@ func (e *Evaluator) Accuracy(model *nn.Network, parallel bool) float64 {
 		syncWeights(w.model, model)
 	}
 
-	if workers <= 1 {
-		w := e.workers[0]
-		correct := 0
-		for start := 0; start < n; start += evalBatch {
-			end := start + evalBatch
-			if end > n {
-				end = n
-			}
-			correct += w.countCorrect(e.ds, start, end)
-		}
-		return float64(correct) / float64(n)
-	}
-
-	// Workers drain a shared chunk counter within the global slot budget,
-	// keeping the total compute goroutines within the -threads pin.
+	// Workers drain the chunks within the global slot budget, keeping the
+	// total compute goroutines within the -threads pin.
 	results := make([]int, chunks)
-	var next atomic.Int64
-	tensor.FanOut(workers, func(wi int) {
-		w := e.workers[wi]
-		for {
-			c := int(next.Add(1)) - 1
-			if c >= chunks {
-				return
-			}
-			start := c * evalBatch
-			end := start + evalBatch
-			if end > n {
-				end = n
-			}
-			results[c] = w.countCorrect(e.ds, start, end)
-		}
+	tensor.Drain(workers, chunks, func(wi, c int) {
+		results[c] = e.workers[wi].countCorrect(e.ds, c*evalBatch, min(c*evalBatch+evalBatch, n))
 	})
 	correct := 0
 	for _, r := range results {

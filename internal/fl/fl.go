@@ -134,7 +134,7 @@ type AggregationObserver interface {
 // AttackContext is everything the adversary may see in one round. The
 // fields mirror Table I of the paper: DFA uses only the global models and
 // task metadata, whereas the baseline attacks additionally read the benign
-// updates oracle.
+// updates oracle — and say so by implementing OracleAttack.
 type AttackContext struct {
 	// Round is the current round index, starting at 0.
 	Round int
@@ -144,8 +144,9 @@ type AttackContext struct {
 	// to Global in round 0.
 	PrevGlobal []float64
 	// BenignUpdates holds the weight vectors of this round's benign
-	// updates. Only knowledge-assuming baseline attacks (LIE, Fang,
-	// Min-Max/Min-Sum) may read it; DFA must not.
+	// updates, for an OracleAttack only. The engine leaves it nil for every
+	// other attack, whose Craft may be running before any benign update
+	// exists (see Engine.collectAttacked).
 	BenignUpdates [][]float64
 	// NumAttackers is the number of malicious clients selected this round.
 	NumAttackers int
@@ -161,7 +162,9 @@ type AttackContext struct {
 	Rng *rand.Rand
 }
 
-// Attack crafts the adversary's submissions for a round.
+// Attack crafts the adversary's submissions for a round. The engine may
+// call Craft from a helper goroutine, beside the round's benign training,
+// but never from two goroutines at once and never past the end of Run.
 type Attack interface {
 	// Name returns the attack's display name.
 	Name() string
@@ -169,6 +172,16 @@ type Attack interface {
 	// paper allows all attackers to submit the same update; implementations
 	// may instead add small perturbations to evade Sybil defenses.
 	Craft(ctx *AttackContext) ([][]float64, error)
+}
+
+// OracleAttack is an Attack that reads AttackContext.BenignUpdates — the
+// "knowledge of benign updates" column of the paper's Table I, as code. The
+// engine fills the field for declarers only, and they craft after Collect;
+// an attack that reads the field without declaring it sees nil.
+type OracleAttack interface {
+	Attack
+	// ReadsBenignUpdates is the declaration; it is never called.
+	ReadsBenignUpdates()
 }
 
 // ASR computes the attack success rate of Eq. 4: the relative accuracy drop

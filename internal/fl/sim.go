@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"repro/internal/codec"
 	"repro/internal/dataset"
@@ -268,47 +267,20 @@ func (s *Simulation) trainClient(round, id int, global []float64, model *nn.Netw
 
 // Collect implements Transport: it trains the selected benign clients on
 // the bounded worker pool. At most tensor.Workers() goroutines run, each
-// owning one reused model replica and arena; serial and parallel execution
-// produce identical updates.
+// owning one reused model replica and arena, and tensor.Drain starts a
+// replica whenever a slot is free while clients remain — so the slot the
+// round's craft (see Engine.collectAttacked) gives back joins the queue.
+// Every update lands in its selection slot, whichever replica trained it.
 func (s *Simulation) Collect(round int, ids []int, global, _ []float64) ([]Update, error) {
 	updates := make([]Update, len(ids))
-	if len(ids) == 0 {
-		return updates, nil
-	}
 	workers := 1
 	if s.cfg.Parallel {
-		workers = tensor.Workers()
-	}
-	if workers > len(ids) {
-		workers = len(ids)
+		workers = min(tensor.Workers(), len(ids))
 	}
 	s.ensureWorkers(workers)
-
-	if workers <= 1 {
-		model := s.workers[0]
-		for i, id := range ids {
-			u, err := s.trainClient(round, id, global, model)
-			if err != nil {
-				return nil, err
-			}
-			updates[i] = u
-		}
-		return updates, nil
-	}
-
-	// Workers drain a shared counter within the global slot budget, so the
-	// -threads pin bounds the total compute goroutines.
 	errs := make([]error, len(ids))
-	var next atomic.Int64
-	tensor.FanOut(workers, func(w int) {
-		model := s.workers[w]
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(ids) {
-				return
-			}
-			updates[i], errs[i] = s.trainClient(round, ids[i], global, model)
-		}
+	tensor.Drain(workers, len(ids), func(w, i int) {
+		updates[i], errs[i] = s.trainClient(round, ids[i], global, s.workers[w])
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -6,7 +6,9 @@ import "sync/atomic"
 // covers the transport round-trip — broadcast, client training and codec
 // decode — for both the in-process simulator and the socket server; the
 // distance-matrix geometry inside robust aggregation is reported
-// separately through the defense hook (DistanceSpan).
+// separately through the defense hook (DistanceSpan). Phases may overlap:
+// an attack that reads no benign update crafts beside collect (see
+// fl.Engine), so the phase durations of a round can sum past the round's.
 type Phase int
 
 const (
@@ -44,6 +46,9 @@ func (p Phase) Name() string {
 type EngineTelemetry struct {
 	tracer *Tracer
 	track  int32
+	// attackTrack carries the attack phase alone: it can overlap collect
+	// only partly, and trace viewers mis-nest such spans on one track.
+	attackTrack int32
 
 	rounds   *Counter
 	roundDur *Histogram
@@ -69,8 +74,9 @@ func NewEngineTelemetry(reg *Registry, tracer *Tracer, federation string) *Engin
 		track = "federation/" + federation
 	}
 	t := &EngineTelemetry{
-		tracer: tracer,
-		track:  tracer.Track(track),
+		tracer:      tracer,
+		track:       tracer.Track(track),
+		attackTrack: tracer.Track(track + "/attack"),
 		rounds: reg.Counter("fl_rounds_total",
 			"Completed federated rounds.", labels...),
 		roundDur: reg.Histogram("fl_round_seconds",
@@ -84,7 +90,7 @@ func NewEngineTelemetry(reg *Registry, tracer *Tracer, federation string) *Engin
 	}
 	for p := Phase(0); p < phaseCount; p++ {
 		t.phaseDur[p] = reg.Histogram("fl_phase_seconds",
-			"Wall-clock duration of one engine phase.",
+			"Wall-clock duration of one engine phase; attack may run beside collect, so phases need not sum to the round.",
 			append([]Label{{Key: "phase", Value: p.Name()}}, labels...)...)
 	}
 	return t
@@ -104,7 +110,11 @@ func (t *EngineTelemetry) Phase(p Phase) Span {
 	if t == nil {
 		return Span{}
 	}
-	return Span{tracer: t.tracer, hist: t.phaseDur[p], name: p.Name(), track: t.track, start: Nanos()}
+	track := t.track
+	if p == PhaseAttack {
+		track = t.attackTrack
+	}
+	return Span{tracer: t.tracer, hist: t.phaseDur[p], name: p.Name(), track: track, start: Nanos()}
 }
 
 // AddBytesIn counts received update payload bytes.

@@ -60,25 +60,74 @@ func releaseSlot() { extraSlots.Add(-1) }
 // gauges. Purely observational; the value is stale the moment it returns.
 func InUse() int { return int(extraSlots.Load()) }
 
+// TryGo runs fn on a helper goroutine that holds one slot of the global
+// budget until fn returns, and counts it in wg. When no slot is free it
+// starts nothing and reports false: the caller runs fn itself, later, or
+// goes without the helper.
+func TryGo(wg *sync.WaitGroup, fn func()) bool {
+	if !acquireSlot() {
+		return false
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer releaseSlot()
+		fn()
+	}()
+	return true
+}
+
 // FanOut runs fn in up to workers goroutines: fn(0) in the calling
 // goroutine and fn(w) for w = 1.. in one helper goroutine per slot
 // acquired from the same global budget the kernel helpers draw from, so
 // the -threads pin bounds the process's total compute goroutines. When the
 // budget is exhausted some worker indices never run, so fn must
-// cooperatively drain a shared work queue (e.g. an atomic counter) and use
-// its index only to select per-worker state. Coarse fan-outs — client
-// training, evaluation, defense scoring — are built on this.
+// cooperatively drain a shared work queue and use its index only to select
+// per-worker state. Drain is the form for a queue of n indexed jobs.
 func FanOut(workers int, fn func(worker int)) {
 	var wg sync.WaitGroup
-	for w := 1; w < workers && acquireSlot(); w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer releaseSlot()
-			fn(w)
-		}(w)
+	for w := 1; w < workers; w++ {
+		if !TryGo(&wg, func() { fn(w) }) {
+			break
+		}
 	}
 	fn(0)
+	wg.Wait()
+}
+
+// Drain runs job(w, i) for every i in [0, n): the caller, as worker 0, and
+// up to workers-1 helpers claim indices from one counter, and w only
+// selects per-worker state (a model replica, an arena). Coarse fan-outs —
+// client training, evaluation, defense scoring, DFA synthesis — are built
+// on it. The pool is elastic: whoever claims a job while more remain starts
+// the next helper if a slot is free, so a slot another goroutine gives back
+// mid-drain (the round's craft, a finished kernel) joins this queue instead
+// of idling, and the total stays within the global budget throughout.
+func Drain(workers, n int, job func(worker, i int)) {
+	var (
+		wg      sync.WaitGroup
+		next    atomic.Int64
+		mu      sync.Mutex // guards started
+		started = 1
+	)
+	var run func(w int)
+	run = func(w int) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if i+1 < n {
+				mu.Lock()
+				if h := started; h < workers && TryGo(&wg, func() { run(h) }) {
+					started++
+				}
+				mu.Unlock()
+			}
+			job(w, i)
+		}
+	}
+	run(0)
 	wg.Wait()
 }
 
