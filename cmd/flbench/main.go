@@ -24,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"repro"
 	"repro/internal/report"
@@ -40,16 +39,15 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("flbench", flag.ContinueOnError)
 	expID := fs.String("exp", "all", "experiment id (see -list) or \"all\"")
-	profile := fs.String("profile", "quick", "scaling profile: quick or full")
-	storePath := fs.String("store", "", "JSONL run-store path; completed cells are journaled for resume (empty = off)")
-	resume := fs.Bool("resume", false, "replay cells already present in -store instead of recomputing them")
-	worker := fs.Bool("worker", false, "drain the grid cooperatively with other -worker processes sharing -store, claiming cells under crash-tolerant leases (implies resume semantics)")
-	owner := fs.String("owner", "", "worker name recorded in lease records (diagnostics only; default hostname-pid)")
+	var opts repro.RunOptions
+	fs.StringVar(&opts.Profile, "profile", "quick", "scaling profile: quick or full")
+	fs.StringVar(&opts.StorePath, "store", "", "JSONL run-store path; completed cells are journaled for resume (empty = off)")
+	fs.BoolVar(&opts.Resume, "resume", false, "replay cells already present in -store instead of recomputing them")
+	fs.BoolVar(&opts.Worker, "worker", false, "drain the grid cooperatively with other -worker processes sharing -store, claiming cells under crash-tolerant leases (implies resume semantics)")
+	fs.StringVar(&opts.Owner, "owner", "", "worker name recorded in lease records (diagnostics only; default hostname-pid)")
 	progress := fs.Bool("progress", false, "stream per-cell completion lines with ETA to stderr")
-	opsAddr := fs.String("ops-addr", "", "serve the sweep's ops endpoint over HTTP at this address, e.g. :9090: Prometheus metrics at /metrics (cells, lease protocol, kernel pool) and pprof under /debug/pprof/ (empty = off)")
-	dash := fs.Bool("dash", false, "mount the embedded operator dashboard at /dash/ on the ops endpoint: fleet panel over the sweep metrics, plus replay/diff when -dash-replay is set (defaults -ops-addr to 127.0.0.1:0 when unset)")
-	dashReplay := fs.String("dash-replay", "", "comma-separated journal paths (audit journals or run stores) to load into the dashboard's time-travel/diff tab (requires -dash)")
-	threads := fs.Int("threads", 0, "kernel worker-pool size for training/defense compute (0 = GOMAXPROCS); never changes results")
+	opts.Watch.BindFlags(fs)
+	fs.IntVar(&opts.Threads, "threads", 0, "kernel worker-pool size for training/defense compute (0 = GOMAXPROCS); never changes results")
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -60,36 +58,19 @@ func run(args []string) error {
 		}
 		return nil
 	}
-	if *resume && *storePath == "" {
+	if opts.Resume && opts.StorePath == "" {
 		return fmt.Errorf("-resume requires -store")
 	}
-	if *worker && *storePath == "" {
+	if opts.Worker && opts.StorePath == "" {
 		return fmt.Errorf("-worker requires -store")
 	}
-	if *owner != "" && !*worker {
+	if opts.Owner != "" && !opts.Worker {
 		return fmt.Errorf("-owner requires -worker")
 	}
-	if *dashReplay != "" && !*dash {
-		return fmt.Errorf("-dash-replay requires -dash")
-	}
-	if *dash && *opsAddr == "" {
-		*opsAddr = "127.0.0.1:0"
-	}
-	opts := repro.RunOptions{
-		Profile:    *profile,
-		StorePath:  *storePath,
-		Resume:     *resume,
-		Worker:     *worker,
-		Owner:      *owner,
-		Threads:    *threads,
-		OpsAddr:    *opsAddr,
-		Dash:       *dash,
-		DashReplay: *dashReplay,
-	}
-	if *dash {
+	if opts.Watch.Dash {
 		// The hint goes to stderr with the progress stream; stdout stays
 		// the paper-table surface.
-		opts.OnOpsBound = func(addr string) { report.DashboardHint(os.Stderr, addr) }
+		opts.Watch.OnBound = func(addr string) { report.DashboardHint(os.Stderr, addr) }
 	}
 	if *progress {
 		opts.Progress = repro.ProgressWriter(os.Stderr)
@@ -98,12 +79,7 @@ func run(args []string) error {
 	if *expID != "all" {
 		ids = []string{*expID}
 	}
-	for _, id := range ids {
-		start := time.Now()
-		if err := repro.RunExperimentOpts(id, opts, os.Stdout); err != nil {
-			return err
-		}
-		fmt.Printf("## %s done in %v\n\n", id, time.Since(start).Round(time.Millisecond))
-	}
-	return nil
+	// One call for the whole list: store and ops plane (one -ops-addr bind,
+	// one set of sweep counters, one dashboard hint) live across experiments.
+	return repro.RunExperimentOpts(ids, opts, os.Stdout)
 }

@@ -16,10 +16,10 @@
 //	flserver -addr :7070 -federations alpha=mkrum,beta=refd -clients 4
 //	flclient -addr localhost:7070 -federation alpha -role benign -shard 0 -of 4
 //
-// Observability: -ops-addr (alias -forensics-addr) serves the unified ops
-// endpoint — Prometheus metrics at /metrics with per-federation labels,
-// pprof under /debug/pprof/, and the defense-decision audit JSON under
-// /forensics/ (single-tenant) or /forensics/<id>/ (multi-tenant):
+// Observability: -ops-addr serves the ops endpoint — Prometheus metrics at
+// /metrics with per-federation labels, pprof under /debug/pprof/, and the
+// defense-decision audit JSON under /forensics/ (single-tenant) or
+// /forensics/<id>/ (multi-tenant):
 //
 //	flserver -addr :7070 -federations alpha,beta -ops-addr :9090
 //	curl localhost:9090/metrics                  # flnet_joins_total{federation="alpha"} …
@@ -37,10 +37,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
-	"net/http"
 	"os"
 	"strings"
 	"sync"
@@ -48,7 +48,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/core"
-	"repro/internal/dashboard"
 	"repro/internal/dataset"
 	"repro/internal/defense"
 	"repro/internal/experiment"
@@ -57,18 +56,24 @@ import (
 	"repro/internal/forensics"
 	"repro/internal/nn"
 	"repro/internal/report"
-	"repro/internal/telemetry"
-	"repro/internal/tensor"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "flserver:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) (retErr error) {
+// tenant is one federation this process serves: the sole anonymous one
+// (id "") or an entry of -federations.
+type tenant struct {
+	id, defense string
+	agg         fl.Aggregator
+	cfg         flnet.ServerConfig
+}
+
+func run(args []string, stdout io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("flserver", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:7070", "listen address")
 	dsName := fs.String("dataset", "fashion-sim", "dataset spec (fashion-sim, cifar-sim, svhn-sim, tiny-sim)")
@@ -93,12 +98,9 @@ func run(args []string) (retErr error) {
 	serverMomentum := fs.Float64("server-momentum", 0, "FedAvgM velocity decay (0 = 0.9)")
 	asyncBuffer := fs.Int("async-buffer", 0, "FedBuff-style async aggregation buffer size B (0 = synchronous)")
 	asyncDelay := fs.Int("async-delay", 0, "max simulated update arrival delay in rounds for async mode (0 = 2)")
-	var opsAddr string
-	fs.StringVar(&opsAddr, "ops-addr", "", "serve the unified ops endpoint over HTTP at this address, e.g. :9090: Prometheus metrics at /metrics (per-federation labels when multi-tenant), pprof under /debug/pprof/, forensics JSON under /forensics/ — or /forensics/<id>/ with -federations (empty = off)")
-	fs.StringVar(&opsAddr, "forensics-addr", "", "alias for -ops-addr: the forensics endpoint is unified with the ops plane; the decision-audit JSON lives under /forensics/ and /metrics is Prometheus text")
-	auditPath := fs.String("audit", "", "JSONL audit-journal path for per-round defense decisions and update fingerprints (empty = off)")
-	dash := fs.Bool("dash", false, "mount the embedded operator dashboard at /dash/ on the ops endpoint: live SSE-streamed decision audits per federation, fleet metrics panel, and replay/diff when -dash-replay is set (defaults -ops-addr to 127.0.0.1:0 when unset)")
-	dashReplay := fs.String("dash-replay", "", "comma-separated journal paths (audit journals or run stores) to load into the dashboard's time-travel/diff tab (requires -dash)")
+	var watch experiment.Watch
+	watch.BindFlags(fs)
+	fs.StringVar(&watch.AuditPath, "audit", "", "JSONL audit-journal path for per-round defense decisions and update fingerprints (empty = off; multi-tenant: one journal per federation, suffix -<id>)")
 	codecToken := fs.String("codec", "", "update codec served to clients, as a codec spec token: raw, fp16, int8, optionally with ,topk=<frac> and ,ef — e.g. int8,topk=0.1,ef (empty = legacy dense updates only; legacy clients are always served)")
 	federations := fs.String("federations", "", "serve several federations over one listener, as comma-separated id or id=defense entries, e.g. alpha=mkrum,beta=refd (empty = single-tenant; entries without =defense use -defense)")
 	pendingJoins := fs.Int("pending-joins", 0, "multi-tenant admission control: per-federation bound on handshakes queued for admission; joins beyond it are rejected with a typed retryable error (0 = max(clients, 16))")
@@ -107,12 +109,6 @@ func run(args []string) (retErr error) {
 	}
 	if *federations == "" && *pendingJoins != 0 {
 		return fmt.Errorf("-pending-joins requires -federations (the single-tenant server admits inline and never queues)")
-	}
-	if *dashReplay != "" && !*dash {
-		return fmt.Errorf("-dash-replay requires -dash")
-	}
-	if *dash && opsAddr == "" {
-		opsAddr = "127.0.0.1:0"
 	}
 	codecSpec, err := codec.ParseSpec(*codecToken)
 	if err != nil {
@@ -142,7 +138,35 @@ func run(args []string) (retErr error) {
 	if scfg.Sampler == "weighted" {
 		return fmt.Errorf("weighted sampling needs client shard sizes the networked server does not know; use uniform or bernoulli")
 	}
-	scenario := experiment.BuildScenario(scfg, nil)
+
+	tenants := []tenant{{defense: *defName}}
+	title, forensicsAt := "fl server — "+*defName, "/forensics/"
+	if *federations != "" {
+		if tenants, err = parseFederations(*federations, *defName); err != nil {
+			return err
+		}
+		title, forensicsAt = "fl host — "+*federations, "/forensics/<id>/"
+	}
+	ids := make([]string, len(tenants))
+	for i, tn := range tenants {
+		ids[i] = tn.id
+	}
+	watch.OnBound = func(bound string) {
+		fmt.Fprintf(stdout, "flserver: ops endpoint at http://%s/metrics (forensics JSON under %s)\n", bound, forensicsAt)
+		if watch.Dash {
+			report.DashboardHint(stdout, bound)
+		}
+	}
+	// One plane for the process, opened before any federation exists: it
+	// owns the registry every tenant labels its instruments on, the
+	// distance hook, the listener, and each tenant's collector. It closes
+	// last; a drain failure is a real fault (stuck SSE subscribers, a lost
+	// audit line), reported unless the run itself already failed.
+	plane, err := experiment.OpenPlane(watch, title, ids...)
+	if err != nil {
+		return err
+	}
+	defer plane.CloseInto(&retErr)
 
 	spec, err := dataset.SpecByName(*dsName)
 	if err != nil {
@@ -150,114 +174,50 @@ func run(args []string) (retErr error) {
 	}
 	_, test := dataset.Generate(spec, *seed)
 	newModel := modelFactory(spec)
-
-	buildAgg := func(name string) (fl.Aggregator, error) {
-		if name == "refd" {
+	for i := range tenants {
+		tn := &tenants[i]
+		if tn.defense == "refd" {
 			ref, err := core.BalancedReference(test, *refPerClass)
 			if err != nil {
-				return nil, err
-			}
-			return core.NewREFD(ref, newModel, 1, *rejectX)
-		}
-		return defense.ByName(name, *fproxy)
-	}
-	cfg := flnet.ServerConfig{
-		MinClients:       *clients,
-		PerRound:         *perRound,
-		Rounds:           *rounds,
-		RoundTimeout:     *timeout,
-		HandshakeTimeout: *handshake,
-		AcceptTimeout:    *acceptTimeout,
-		PendingJoins:     *pendingJoins,
-		Seed:             *seed,
-		CheckpointPath:   *checkpoint,
-		DatasetName:      spec.Name,
-		ModelName:        "paper-cnn",
-		Scenario:         scenario,
-		Codec:            codecSpec.String(),
-	}
-
-	if *federations != "" {
-		return runHost(hostOptions{
-			list:       *federations,
-			base:       cfg,
-			buildAgg:   buildAgg,
-			defense:    *defName,
-			auditPath:  *auditPath,
-			opsAddr:    opsAddr,
-			addr:       *addr,
-			dash:       *dash,
-			dashReplay: *dashReplay,
-		}, newModel, test)
-	}
-
-	agg, err := buildAgg(*defName)
-	if err != nil {
-		return err
-	}
-
-	// The ops endpoint and the forensics JSON share one mux: Prometheus
-	// owns /metrics, the decision-audit analytics live under /forensics/.
-	var reg *telemetry.Registry
-	if opsAddr != "" {
-		reg = telemetry.NewRegistry()
-		telemetry.RegisterPoolGauges(reg, tensor.Workers, tensor.InUse)
-		cfg.Metrics = reg
-	}
-
-	// The networked server has no ground-truth Malicious flags, so the
-	// collector provides decision auditing (who was filtered, with what
-	// score and fingerprint) rather than TPR/FPR joins.
-	var col *forensics.Collector
-	if opsAddr != "" || *auditPath != "" {
-		var err error
-		col, err = forensics.NewCollector(forensics.Options{
-			Defense:   agg.Name(),
-			Seed:      *seed,
-			AuditPath: *auditPath,
-		})
-		if err != nil {
-			return err
-		}
-		defer col.Close() // idempotent; the success path closes and checks below
-		cfg.Observer = col
-	}
-	if opsAddr != "" {
-		mux := telemetry.NewOpsMux(reg)
-		if col != nil {
-			col.Mount(mux, "/forensics")
-			mux.Handle("/rounds", http.RedirectHandler("/forensics/rounds", http.StatusPermanentRedirect))
-		}
-		if *dash {
-			var feds []string
-			if col != nil {
-				feds = []string{"/forensics"}
-			}
-			if err := mountDashboard(mux, "fl server — "+*defName, feds, *dashReplay, col != nil); err != nil {
 				return err
 			}
+			tn.agg, err = core.NewREFD(ref, newModel, 1, *rejectX)
+		} else {
+			tn.agg, err = defense.ByName(tn.defense, *fproxy)
 		}
-		bound, shutdown, err := telemetry.ServeOps(opsAddr, mux)
 		if err != nil {
-			return err
+			return fmt.Errorf("federation %q: %w", tn.id, err)
 		}
-		defer func() {
-			// A drain failure is a real fault (stuck SSE subscribers, a
-			// listener that died mid-run); surface it unless the run itself
-			// already failed.
-			if cerr := shutdown(); cerr != nil && retErr == nil {
-				retErr = fmt.Errorf("ops shutdown: %w", cerr)
+		tn.cfg = flnet.ServerConfig{
+			MinClients:       *clients,
+			PerRound:         *perRound,
+			Rounds:           *rounds,
+			RoundTimeout:     *timeout,
+			HandshakeTimeout: *handshake,
+			AcceptTimeout:    *acceptTimeout,
+			PendingJoins:     *pendingJoins,
+			Seed:             *seed,
+			CheckpointPath:   *checkpoint,
+			DatasetName:      spec.Name,
+			ModelName:        "paper-cnn",
+			Scenario:         experiment.BuildScenario(scfg, nil),
+			Codec:            codecSpec.String(),
+			Metrics:          plane.Registry(),
+		}
+		if tn.id != "" && *checkpoint != "" {
+			tn.cfg.CheckpointPath += "-" + tn.id
+		}
+		if plane != nil {
+			// The networked server has no ground-truth Malicious flags, so
+			// a watched server's collector provides decision auditing (who
+			// was filtered, with what score and fingerprint) rather than
+			// TPR/FPR joins.
+			col, err := plane.Collector(tn.id, forensics.Options{Defense: tn.agg.Name(), Seed: *seed})
+			if err != nil {
+				return fmt.Errorf("federation %q: %w", tn.id, err)
 			}
-		}()
-		fmt.Printf("flserver: ops endpoint at http://%s/metrics (forensics JSON under /forensics/)\n", bound)
-		if *dash {
-			report.DashboardHint(os.Stdout, bound)
+			tn.cfg.Observer = col
 		}
-	}
-
-	srv, err := flnet.NewServer(cfg, agg, newModel, test)
-	if err != nil {
-		return err
 	}
 
 	lis, err := net.Listen("tcp", *addr)
@@ -265,208 +225,113 @@ func run(args []string) (retErr error) {
 		return err
 	}
 	defer lis.Close()
+	if *federations != "" {
+		return serveHost(lis, tenants, newModel, test, stdout)
+	}
+	tn := tenants[0]
+	srv, err := flnet.NewServer(tn.cfg, tn.agg, newModel, test)
+	if err != nil {
+		return err
+	}
 	serveCodec := codecSpec.String()
 	if serveCodec == "" {
 		serveCodec = "none"
 	}
-	fmt.Printf("flserver: listening on %s, waiting for %d clients (defense=%s dataset=%s codec=%s)\n",
-		lis.Addr(), *clients, *defName, spec.Name, serveCodec)
-
+	fmt.Fprintf(stdout, "flserver: listening on %s, waiting for %d clients (defense=%s dataset=%s codec=%s)\n",
+		lis.Addr(), *clients, tn.defense, spec.Name, serveCodec)
 	res, err := srv.Serve(lis)
 	if err != nil {
 		return err
 	}
-	printResult("", res)
-	if col != nil {
-		// A lost audit line must not pass silently: fail the process if any
-		// journal append or the final sync failed.
-		if err := col.Close(); err != nil {
-			return fmt.Errorf("forensics audit: %w", err)
-		}
-	}
+	printResult(stdout, "", res)
 	return nil
 }
 
-// hostOptions carries the flag-derived configuration of a multi-tenant run.
-type hostOptions struct {
-	list       string
-	base       flnet.ServerConfig
-	buildAgg   func(string) (fl.Aggregator, error)
-	defense    string
-	auditPath  string
-	opsAddr    string
-	addr       string
-	dash       bool
-	dashReplay string
-}
-
-// runHost serves several federations over one listener. Each entry of the
-// -federations list becomes an independent Federation: its own defense,
-// round state, checkpoint file (suffix "-<id>") and audit journal (same
-// suffix). With -ops-addr, one shared registry carries every federation's
-// instruments under federation="<id>" labels on a single /metrics endpoint,
-// and each tenant's forensics JSON mounts under /forensics/<id>/ — which is
-// exactly the prefix list the dashboard turns into per-federation tabs.
-func runHost(opt hostOptions, newModel func(rng *rand.Rand) *nn.Network, test *dataset.Dataset) (retErr error) {
-	var reg *telemetry.Registry
-	var mux *http.ServeMux
-	if opt.opsAddr != "" {
-		reg = telemetry.NewRegistry()
-		telemetry.RegisterPoolGauges(reg, tensor.Workers, tensor.InUse)
-		mux = telemetry.NewOpsMux(reg)
-	}
-	type tenant struct {
-		fed *flnet.Federation
-		col *forensics.Collector
-	}
-	host := flnet.NewHost()
+// parseFederations reads the -federations list: comma-separated id or
+// id=defense entries; an entry without a defense takes fallback.
+func parseFederations(list, fallback string) ([]tenant, error) {
 	var tenants []tenant
-	var fedPrefixes []string
-	ids := map[string]bool{}
-	for _, entry := range strings.Split(opt.list, ",") {
+	seen := map[string]bool{}
+	for _, entry := range strings.Split(list, ",") {
 		entry = strings.TrimSpace(entry)
 		if entry == "" {
 			continue
 		}
-		id, defName, hasDef := strings.Cut(entry, "=")
-		id = strings.TrimSpace(id)
+		id, defName, _ := strings.Cut(entry, "=")
+		id, defName = strings.TrimSpace(id), strings.TrimSpace(defName)
 		if id == "" {
-			return fmt.Errorf("-federations entry %q has no federation id", entry)
+			return nil, fmt.Errorf("-federations entry %q has no federation id", entry)
 		}
-		if ids[id] {
-			return fmt.Errorf("-federations names federation %q twice", id)
+		if seen[id] {
+			return nil, fmt.Errorf("-federations names federation %q twice", id)
 		}
-		ids[id] = true
-		if !hasDef || strings.TrimSpace(defName) == "" {
-			defName = opt.defense
-		} else {
-			defName = strings.TrimSpace(defName)
+		seen[id] = true
+		if defName == "" {
+			defName = fallback
 		}
-		agg, err := opt.buildAgg(defName)
+		tenants = append(tenants, tenant{id: id, defense: defName})
+	}
+	if len(tenants) == 0 {
+		return nil, fmt.Errorf("-federations lists no federations")
+	}
+	return tenants, nil
+}
+
+// serveHost serves several federations over one listener: each tenant is an
+// independent Federation with its own defense, round state, checkpoint file
+// and audit journal, sharing the plane's one registry (federation="<id>"
+// labels on a single /metrics) and one /forensics/<id>/ subtree each — the
+// prefix list the dashboard turns into per-federation tabs.
+func serveHost(lis net.Listener, tenants []tenant, newModel func(rng *rand.Rand) *nn.Network, test *dataset.Dataset, stdout io.Writer) error {
+	host := flnet.NewHost()
+	feds := make([]*flnet.Federation, len(tenants))
+	for i, tn := range tenants {
+		fed, err := flnet.NewFederation(tn.id, tn.cfg, tn.agg, newModel, test)
 		if err != nil {
-			return fmt.Errorf("federation %q: %w", id, err)
-		}
-		cfg := opt.base
-		if cfg.CheckpointPath != "" {
-			cfg.CheckpointPath += "-" + id
-		}
-		cfg.Metrics = reg
-		var col *forensics.Collector
-		if opt.auditPath != "" || opt.opsAddr != "" {
-			perFedAudit := ""
-			if opt.auditPath != "" {
-				perFedAudit = opt.auditPath + "-" + id
-			}
-			col, err = forensics.NewCollector(forensics.Options{
-				Defense:   agg.Name(),
-				Seed:      cfg.Seed,
-				AuditPath: perFedAudit,
-			})
-			if err != nil {
-				return fmt.Errorf("federation %q: %w", id, err)
-			}
-			defer col.Close()
-			cfg.Observer = col
-			if mux != nil {
-				col.Mount(mux, "/forensics/"+id)
-				fedPrefixes = append(fedPrefixes, "/forensics/"+id)
-			}
-		}
-		fed, err := flnet.NewFederation(id, cfg, agg, newModel, test)
-		if err != nil {
-			return fmt.Errorf("federation %q: %w", id, err)
+			return fmt.Errorf("federation %q: %w", tn.id, err)
 		}
 		if err := host.Add(fed); err != nil {
 			return err
 		}
-		tenants = append(tenants, tenant{fed: fed, col: col})
-		fmt.Printf("flserver: federation %s (defense=%s)\n", id, defName)
+		feds[i] = fed
+		fmt.Fprintf(stdout, "flserver: federation %s (defense=%s)\n", tn.id, tn.defense)
 	}
-	if len(tenants) == 0 {
-		return fmt.Errorf("-federations lists no federations")
-	}
-	if mux != nil {
-		if opt.dash {
-			if err := mountDashboard(mux, "fl host — "+opt.list, fedPrefixes, opt.dashReplay, len(fedPrefixes) > 0); err != nil {
-				return err
-			}
-		}
-		bound, shutdown, err := telemetry.ServeOps(opt.opsAddr, mux)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if cerr := shutdown(); cerr != nil && retErr == nil {
-				retErr = fmt.Errorf("ops shutdown: %w", cerr)
-			}
-		}()
-		fmt.Printf("flserver: ops endpoint at http://%s/metrics (per-federation forensics JSON under /forensics/<id>/)\n", bound)
-		if opt.dash {
-			report.DashboardHint(os.Stdout, bound)
-		}
-	}
-
-	lis, err := net.Listen("tcp", opt.addr)
-	if err != nil {
-		return err
-	}
-	defer lis.Close()
-	fmt.Printf("flserver: hosting %d federations on %s, waiting for %d clients each\n",
-		len(tenants), lis.Addr(), opt.base.MinClients)
-	go func() {
-		if err := host.Serve(lis); err != nil {
-			fmt.Fprintln(os.Stderr, "flserver: host:", err)
-		}
-	}()
+	fmt.Fprintf(stdout, "flserver: hosting %d federations on %s, waiting for %d clients each\n",
+		len(feds), lis.Addr(), tenants[0].cfg.MinClients)
+	served := make(chan error, 1)
+	go func() { served <- host.Serve(lis) }()
 
 	var wg sync.WaitGroup
-	errs := make([]error, len(tenants))
-	for i, tn := range tenants {
+	var out sync.Mutex // one federation's report at a time
+	errs := make([]error, len(feds)+1)
+	for i, fed := range feds {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := tn.fed.Run()
+			res, err := fed.Run()
 			if err != nil {
-				errs[i] = fmt.Errorf("federation %q: %w", tn.fed.ID(), err)
+				errs[i] = fmt.Errorf("federation %q: %w", fed.ID(), err)
 				return
 			}
-			printResult(tn.fed.ID()+"  ", res)
-			if tn.col != nil {
-				if err := tn.col.Close(); err != nil {
-					errs[i] = fmt.Errorf("federation %q forensics audit: %w", tn.fed.ID(), err)
-				}
-			}
+			out.Lock()
+			defer out.Unlock()
+			printResult(stdout, fed.ID()+"  ", res)
 		}()
 	}
 	wg.Wait()
+	// Closing the listener is what ends the accept loop; wait for it so no
+	// handshake goroutine outlives the process's run.
+	_ = lis.Close()
+	if err := <-served; err != nil {
+		errs[len(feds)] = fmt.Errorf("host: %w", err)
+	}
 	return errors.Join(errs...)
-}
-
-// mountDashboard mounts the embedded operator dashboard on the ops mux:
-// one live tab per federation forensics prefix, the fleet metrics panel,
-// and — when replaySpec names journals — the time-travel/diff tab.
-func mountDashboard(mux *http.ServeMux, title string, feds []string, replaySpec string, live bool) error {
-	replayRuns, err := experiment.LoadDashReplay(replaySpec)
-	if err != nil {
-		return err
-	}
-	if len(replayRuns) > 0 {
-		forensics.NewReplay(replayRuns).Mount(mux, dashboard.Prefix+"/api/replay")
-	}
-	dashboard.Mount(mux, dashboard.Config{
-		Title:       title,
-		Federations: feds,
-		Fleet:       true,
-		Replay:      len(replayRuns) > 0,
-		Live:        live,
-	})
-	return nil
 }
 
 // printResult writes the per-round reports and final metrics, each line
 // prefixed (multi-tenant runs prefix the federation ID so interleaved
 // output stays attributable).
-func printResult(prefix string, res *flnet.ServerResult) {
+func printResult(w io.Writer, prefix string, res *flnet.ServerResult) {
 	for _, rr := range res.Rounds {
 		acc := "n/a"
 		if !math.IsNaN(rr.Accuracy) {
@@ -476,10 +341,10 @@ func printResult(prefix string, res *flnet.ServerResult) {
 		if rr.Dropped+rr.Straggled > 0 {
 			churn = fmt.Sprintf("  dropped %d  straggled %d", rr.Dropped, rr.Straggled)
 		}
-		fmt.Printf("%sround %3d  selected %d  responded %d%s  accuracy %s\n",
+		fmt.Fprintf(w, "%sround %3d  selected %d  responded %d%s  accuracy %s\n",
 			prefix, rr.Round+1, rr.Selected, rr.Responded, churn, acc)
 	}
-	fmt.Printf("%sfinal accuracy %.4f (max %.4f)\n", prefix, res.FinalAccuracy, res.MaxAccuracy)
+	fmt.Fprintf(w, "%sfinal accuracy %.4f (max %.4f)\n", prefix, res.FinalAccuracy, res.MaxAccuracy)
 }
 
 func modelFactory(spec dataset.Spec) func(rng *rand.Rand) *nn.Network {

@@ -10,8 +10,8 @@
 //	flsim -async-buffer 5 -async-delay 2           # FedBuff-style buffered aggregation
 //	flsim -population virtual -total-clients 1000000 -per-round 50 \
 //	      -placement scatter -frac 0.001 -groups 10   # production-scale lazy population
-//	flsim -defense refd -forensics -forensics-addr :8790 -audit audit.jsonl
-//	                                               # audit every defense decision, live metrics over HTTP
+//	flsim -defense refd -forensics -ops-addr :9090 -audit audit.jsonl
+//	                                               # audit every defense decision, live at /forensics/
 //	flsim -trace trace.json -ops-addr :9090        # per-phase Chrome trace + Prometheus/pprof ops endpoint
 //	flsim -attack dfa-r -defense krum -dash        # live operator dashboard (prints its /dash/ URL on stderr)
 //	flsim -dash -dash-replay audit.jsonl,run.jsonl # … with the time-travel/diff tab over finished runs
@@ -71,35 +71,30 @@ func run(args []string) error {
 	fs.StringVar(&cfg.Codec, "codec", "none", "update compression: none, raw (lossless transport reshaping), fp16 (half-precision deltas), int8 (block-scaled stochastic 8-bit deltas)")
 	fs.Float64Var(&cfg.TopK, "topk", 0, "keep only this fraction of largest-magnitude delta coordinates per update, in (0,1) (0 = dense; requires -codec)")
 	fs.BoolVar(&cfg.ErrorFeedback, "error-feedback", false, "carry each round's quantization/sparsification residual into the client's next update (requires a lossy -codec)")
-	fs.BoolVar(&cfg.Forensics, "forensics", false, "audit every defense decision and stream detection metrics (TPR/FPR/AUC vs ground truth)")
-	fs.StringVar(&cfg.AuditPath, "audit", "", "JSONL audit-journal path: one line per aggregation with per-update fingerprints, decisions and scores (implies -forensics)")
-	fs.StringVar(&cfg.ForensicsAddr, "forensics-addr", "", "serve live detection metrics over HTTP at this address for the run's duration, e.g. :8790 (implies -forensics)")
+	fs.BoolVar(&cfg.Forensics, "forensics", false, "audit every defense decision and stream detection metrics (TPR/FPR/AUC vs ground truth); implied by -audit and -dash")
 	fs.IntVar(&cfg.ForensicsRing, "forensics-ring", 0, "in-memory round-audit ring size for the HTTP endpoint (0 = 64)")
 	fs.IntVar(&cfg.ForensicsReservoir, "forensics-reservoir", 0, "score-pair reservoir bound for cumulative AUC/TPR@FPR (0 = 4096); memory only, metrics stay deterministic")
-	fs.StringVar(&cfg.TracePath, "trace", "", "write the run's per-round/per-phase spans as a Chrome trace-event JSON file, loadable in Perfetto or chrome://tracing (implies telemetry; never changes results)")
-	fs.StringVar(&cfg.TraceJournal, "trace-journal", "", "append the run's spans to a JSONL trace journal at this path (implies telemetry)")
-	fs.StringVar(&cfg.OpsAddr, "ops-addr", "", "serve the ops endpoint over HTTP at this address for the run's duration, e.g. :9090: Prometheus metrics at /metrics, pprof under /debug/pprof/, forensics JSON under /forensics/ when enabled (implies telemetry)")
-	fs.BoolVar(&cfg.Dash, "dash", false, "mount the embedded operator dashboard at /dash/ on the ops endpoint, with live SSE streaming of the forensics feed (implies -forensics; defaults -ops-addr to 127.0.0.1:0 when unset)")
-	fs.StringVar(&cfg.DashReplay, "dash-replay", "", "comma-separated journal paths (audit journals or run stores) to load into the dashboard's time-travel/diff tab (requires -dash)")
-	storePath := fs.String("store", "", "JSONL run-store path; the completed run is journaled for resume (empty = off)")
-	resume := fs.Bool("resume", false, "replay the run from -store if already journaled instead of recomputing it")
-	threads := fs.Int("threads", 0, "kernel worker-pool size for training/defense compute (0 = GOMAXPROCS); never changes results")
+	var opts repro.RunOptions
+	opts.Watch.BindFlags(fs)
+	fs.StringVar(&opts.Watch.AuditPath, "audit", "", "JSONL audit-journal path: one line per aggregation with per-update fingerprints, decisions and scores")
+	fs.StringVar(&opts.Watch.TracePath, "trace", "", "write the run's per-round/per-phase spans as a Chrome trace-event JSON file, loadable in Perfetto or chrome://tracing (never changes results)")
+	fs.StringVar(&opts.Watch.TraceJournal, "trace-journal", "", "append the run's spans to a JSONL trace journal at this path")
+	fs.StringVar(&opts.StorePath, "store", "", "JSONL run-store path; the completed run is journaled for resume (empty = off)")
+	fs.BoolVar(&opts.Resume, "resume", false, "replay the run from -store if already journaled instead of recomputing it")
+	fs.IntVar(&opts.Threads, "threads", 0, "kernel worker-pool size for training/defense compute (0 = GOMAXPROCS); never changes results")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *resume && *storePath == "" {
+	if opts.Resume && opts.StorePath == "" {
 		return fmt.Errorf("-resume requires -store")
 	}
-	if cfg.Dash {
-		if cfg.OpsAddr == "" {
-			cfg.OpsAddr = "127.0.0.1:0"
-		}
+	if opts.Watch.Dash {
 		// The hint goes to stderr so piped stdout keeps its machine shape.
-		cfg.OnOpsBound = func(addr string) { report.DashboardHint(os.Stderr, addr) }
+		opts.Watch.OnBound = func(addr string) { report.DashboardHint(os.Stderr, addr) }
 	}
 
 	start := time.Now()
-	out, err := runConfig(cfg, *storePath, *resume, *threads)
+	out, err := repro.RunConfigOpts(cfg, opts)
 	if err != nil {
 		return err
 	}
@@ -160,11 +155,4 @@ func run(args []string) error {
 		out.CleanAcc*100, out.MaxAcc*100, out.FinalAcc*100, out.ASR, dpr,
 		time.Since(start).Round(time.Millisecond))
 	return nil
-}
-
-// runConfig executes the single configuration, optionally journaling it to
-// (and resuming it from) a durable run store, with the kernel worker pool
-// pinned to threads when positive.
-func runConfig(cfg repro.Config, storePath string, resume bool, threads int) (*repro.Outcome, error) {
-	return repro.RunConfigOpts(cfg, repro.RunOptions{StorePath: storePath, Resume: resume, Threads: threads})
 }

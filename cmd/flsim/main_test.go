@@ -45,7 +45,7 @@ func TestBernoulliChurnFedAvgMCell(t *testing.T) {
 	cfg.StragglerProb = 0.1
 	cfg.ServerOpt = "fedavgm"
 
-	out, err := runConfig(cfg, "", false, 0)
+	out, err := repro.RunConfigOpts(cfg, repro.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestBernoulliChurnFedAvgMCell(t *testing.T) {
 		t.Fatal("churn scenario produced no dropped/straggled clients")
 	}
 
-	again, err := runConfig(cfg, "", false, 0)
+	again, err := repro.RunConfigOpts(cfg, repro.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestAsyncBufferedCell(t *testing.T) {
 	cfg.AsyncBuffer = 3
 	cfg.AsyncMaxDelay = 2
 
-	out, err := runConfig(cfg, "", false, 0)
+	out, err := repro.RunConfigOpts(cfg, repro.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestAsyncBufferedCell(t *testing.T) {
 		t.Fatal("async cell never aggregated")
 	}
 
-	again, err := runConfig(cfg, "", false, 0)
+	again, err := repro.RunConfigOpts(cfg, repro.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,9 +119,9 @@ func TestForensicsCell(t *testing.T) {
 	cfg := tinyCell()
 	cfg.AttackerFrac = 0.3
 	cfg.Forensics = true
-	cfg.AuditPath = filepath.Join(t.TempDir(), "audit.jsonl")
+	watch := repro.Watch{AuditPath: filepath.Join(t.TempDir(), "audit.jsonl")}
 
-	out, err := runConfig(cfg, "", false, 0)
+	out, err := repro.RunConfigOpts(cfg, repro.RunOptions{Watch: watch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,14 +139,13 @@ func TestForensicsCell(t *testing.T) {
 	if d.Confusion.FN != passed {
 		t.Fatalf("audit FN %d != trace passed-malicious %d", d.Confusion.FN, passed)
 	}
-	if fi, err := os.Stat(cfg.AuditPath); err != nil || fi.Size() == 0 {
+	if fi, err := os.Stat(watch.AuditPath); err != nil || fi.Size() == 0 {
 		t.Fatalf("audit journal missing or empty: %v", err)
 	}
 
 	off := cfg
 	off.Forensics = false
-	off.AuditPath = ""
-	plain, err := runConfig(off, "", false, 0)
+	plain, err := repro.RunConfigOpts(off, repro.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +169,7 @@ func TestMillionClientPopulationCell(t *testing.T) {
 	cfg.Placement = "scatter"
 	cfg.Groups = 2
 
-	out, err := runConfig(cfg, "", false, 0)
+	out, err := repro.RunConfigOpts(cfg, repro.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +185,7 @@ func TestMillionClientPopulationCell(t *testing.T) {
 		}
 	}
 
-	again, err := runConfig(cfg, "", false, 0)
+	again, err := repro.RunConfigOpts(cfg, repro.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

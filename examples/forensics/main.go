@@ -10,7 +10,8 @@
 // joined against ground truth, and the streaming metrics engine maintains
 // TPR/FPR/F1 plus ROC AUC over REFD's D-scores — the Shejwalkar-style
 // detection view. The same data is written to a JSONL audit journal and,
-// in a real run, can be served live over HTTP (flsim -forensics-addr).
+// in a real run, can be served live over HTTP (flsim -ops-addr, under
+// /forensics/).
 package main
 
 import (
@@ -39,10 +40,11 @@ func main() {
 		RefPerClass:  8,
 		Parallel:     true,
 		Forensics:    true,
-		AuditPath:    auditPath,
 	}
 
-	out, err := repro.RunConfig(cfg)
+	// Where the audit is written is how the run is watched, not what it is:
+	// it travels in the options, never in the Config.
+	out, err := repro.RunConfigOpts(cfg, repro.RunOptions{Watch: repro.Watch{AuditPath: auditPath}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,28 +12,32 @@ import (
 // of a normalized Config, so within one key version the struct's serialized
 // shape IS the identity of every journaled run. The version is bumped when
 // a code change moves existing outcomes; this contract is what lets a new
-// sweep axis arrive without a bump. It has three clauses:
+// sweep axis arrive without a bump. It has four clauses:
 //
 //  1. The untagged field prefix is the base shape every store of the
 //     current key version hashes. Every field added after the first
 //     json-tagged field must carry ",omitempty" (zero default ⇒ existing
-//     configs marshal unchanged) or `json:"-"` (never serialized).
-//  2. A tag without omitempty (and not "-") changes every existing key the
-//     moment the field exists, breaking -resume against journals written
-//     before it.
+//     configs marshal unchanged).
+//  2. A tag without omitempty changes every existing key the moment the
+//     field exists, breaking -resume against journals written before it.
 //  3. Every tagged field must be reachable from Normalize or cleanKey:
 //     omitempty only preserves keys if the default canonicalizes to the
 //     zero value, and that canonicalization (or an explicit keying/validity
 //     decision) lives in those two functions.
+//  4. Config holds only what identifies a run. A field that never
+//     serializes (`json:"-"`, or unexported) says how a run is watched, not
+//     what it is: it belongs in experiment.Watch, where no key derivation,
+//     baseline or later seed has to remember to strip it.
 var RunKey = &Analyzer{
 	Name: "runkey",
 	Doc: `enforce run-store key stability on experiment.Config
 
 Every field of experiment.Config added after the untagged base prefix must
-carry json:",omitempty" or json:"-", and every tagged field must be
-referenced from Normalize or cleanKey, so a new sweep axis can never
-silently re-key the journals of the current key version (v2) or skip
-zero-default canonicalization.`,
+carry json:",omitempty", every tagged field must be referenced from
+Normalize or cleanKey, and no field may be json:"-" (what does not identify
+a run belongs in experiment.Watch), so a new sweep axis can never silently
+re-key the journals of the current key version (v2), skip zero-default
+canonicalization, or need stripping by hand.`,
 	Run: runRunKey,
 }
 
@@ -68,22 +72,26 @@ func runRunKey(pass *Pass) error {
 			if !hasTag {
 				if seenTagged {
 					pass.Reportf(name.Pos(),
-						"field %s extends experiment.Config without a json tag: new fields must carry json:\",omitempty\" or json:\"-\" so legacy run-store keys survive", name.Name)
+						"field %s extends experiment.Config without a json tag: new fields must carry json:\",omitempty\" so legacy run-store keys survive", name.Name)
 				}
 				// Untagged base prefix: nothing to check.
 				continue
 			}
 			parts := strings.Split(tag, ",")
-			skip := parts[0] == "-" && len(parts) == 1
+			if parts[0] == "-" && len(parts) == 1 {
+				pass.Reportf(name.Pos(),
+					"field %s of experiment.Config is json:\"-\": it does not identify a run — it belongs in the watch value (experiment.Watch)", name.Name)
+				continue
+			}
 			omitempty := false
 			for _, opt := range parts[1:] {
 				if opt == "omitempty" {
 					omitempty = true
 				}
 			}
-			if !skip && !omitempty {
+			if !omitempty {
 				pass.Reportf(name.Pos(),
-					"field %s of experiment.Config is serialized without omitempty: its presence re-keys every legacy config; tag it json:\",omitempty\" or json:\"-\"", name.Name)
+					"field %s of experiment.Config is serialized without omitempty: its presence re-keys every legacy config; tag it json:\",omitempty\"", name.Name)
 			}
 			if !mentioned[name.Name] {
 				pass.Reportf(name.Pos(),

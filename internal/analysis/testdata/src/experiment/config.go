@@ -23,8 +23,8 @@ type Config struct {
 	hidden  int    // want `unexported field hidden`
 	Extra          // want `embedded field in experiment.Config`
 
-	// Never serialized: json:"-" is always legal.
-	AuditPath string `json:"-"`
+	// Never serialized: how a run is watched, not which run it is.
+	AuditPath string `json:"-"` // want `does not identify a run`
 
 	// Exempted violation (omitempty but unreachable from Normalize).
 	Legacy string `json:",omitempty"` //lint:allow runkey fixture exercises the exemption path
@@ -40,8 +40,4 @@ func (c *Config) Normalize() error {
 	return nil
 }
 
-func (c Config) cleanKey() Config {
-	k := c
-	k.AuditPath = ""
-	return k
-}
+func (c Config) cleanKey() string { return c.Dataset }

@@ -18,61 +18,32 @@ import (
 )
 
 // TestDashboardRunKeyInvariant pins the store contract: the dashboard is
-// pure observation, so a dashboard-on cell must hash to the same run key as
-// its dashboard-off twin, and the canonical config JSON must not leak the
-// new fields.
+// how a run is watched, so it has no Config field to strip, and a run
+// served on the dashboard is stored under its unwatched twin's key.
 func TestDashboardRunKeyInvariant(t *testing.T) {
-	off := tinyCfg("lie", "mkrum")
-	on := tinyCfg("lie", "mkrum")
-	on.Dash = true
-	on.DashReplay = ""
-	on.OpsAddr = "127.0.0.1:0"
-	on.OnOpsBound = func(string) {}
-	kOff, err := runKey(off, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kOn, err := runKey(on, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kOff != kOn {
-		t.Fatalf("dashboard changed the run key: %s vs %s", kOff, kOn)
-	}
-	legacy := tinyCfg("lie", "mkrum")
-	if err := legacy.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := json.Marshal(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, field := range []string{"Dash", "DashReplay", "OnOpsBound"} {
-		if strings.Contains(string(raw), field) {
-			t.Errorf("canonical config JSON leaks dashboard field %s: %s", field, raw)
-		}
-	}
+	assertWatchKeepsIdentity(t, tinyCfg("lie", "mkrum"),
+		Watch{Dash: true, OnBound: func(string) {}},
+		tinyCfg("lie", "mkrum"))
 }
 
+// TestDashboardConfigValidation: the replay tab needs the dashboard, and a
+// dashboard asked for without an endpoint gets an ephemeral loopback one,
+// with the run behind it audited and instrumented.
 func TestDashboardConfigValidation(t *testing.T) {
-	cfg := tinyCfg("lie", "mkrum")
-	cfg.DashReplay = "x.jsonl"
-	if err := cfg.Normalize(); err == nil {
+	if _, err := OpenPlane(Watch{DashReplay: "x.jsonl"}, "test"); err == nil {
 		t.Fatal("DashReplay without Dash should fail validation")
 	}
-	cfg = tinyCfg("lie", "mkrum")
-	cfg.Dash = true
-	if err := cfg.Normalize(); err == nil {
-		t.Fatal("Dash without OpsAddr should fail validation")
+	var addr string
+	p := openTestPlane(t, Watch{Dash: true, OnBound: func(a string) { addr = a }})
+	if !strings.HasPrefix(addr, "127.0.0.1:") {
+		t.Fatalf("Dash without OpsAddr bound %q, want an ephemeral loopback port", addr)
 	}
-	cfg = tinyCfg("lie", "mkrum")
-	cfg.Dash = true
-	cfg.OpsAddr = "127.0.0.1:0"
-	if err := cfg.Normalize(); err != nil {
+	out, err := run(tinyCfg("lie", "mkrum"), p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !cfg.Telemetry || !cfg.Forensics {
-		t.Fatal("Dash should imply Telemetry and Forensics")
+	if out.Detection == nil || p.Registry() == nil {
+		t.Fatal("Dash should imply an audited, instrumented run")
 	}
 }
 
@@ -82,19 +53,14 @@ func TestDashboardConfigValidation(t *testing.T) {
 // JSON metrics snapshot and the SSE stream — and the outcome must still be
 // bit-identical to the dashboard-off twin.
 func TestDashboardOnOffBitIdentical(t *testing.T) {
-	on := tinyCfg("minmax", "mkrum")
-	on.Dash = true
-	on.OpsAddr = "127.0.0.1:0"
 	var addr string
-	ready := make(chan struct{})
-	on.OnOpsBound = func(a string) { addr = a; close(ready) } // write happens-before close
+	p := openTestPlane(t, Watch{Dash: true, OnBound: func(a string) { addr = a }})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		<-ready
 		paths := []string{
 			"/dash/", "/dash/api/config", "/metrics.json",
 			"/forensics/metrics", "/forensics/rounds", "/forensics/rounds?since=0",
@@ -115,7 +81,6 @@ func TestDashboardOnOffBitIdentical(t *testing.T) {
 	wg.Add(1)
 	go func() { // SSE churn
 		defer wg.Done()
-		<-ready
 		for {
 			select {
 			case <-stop:
@@ -130,22 +95,18 @@ func TestDashboardOnOffBitIdentical(t *testing.T) {
 		}
 	}()
 
-	a, err := Run(on)
+	a, err := run(tinyCfg("minmax", "mkrum"), p)
 	close(stop)
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	off := tinyCfg("minmax", "mkrum")
-	b, err := Run(off)
+	b, err := Run(tinyCfg("minmax", "mkrum"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Bit-level comparison: NaN (ASR is NaN for untargeted cells) must
-	// match NaN, and any real drift must fail.
-	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	if !same(a.MaxAcc, b.MaxAcc) || !same(a.FinalAcc, b.FinalAcc) || !same(a.DPR, b.DPR) || !same(a.ASR, b.ASR) {
+	if !sameBits(a.MaxAcc, b.MaxAcc) || !sameBits(a.FinalAcc, b.FinalAcc) || !sameBits(a.DPR, b.DPR) || !sameBits(a.ASR, b.ASR) {
 		t.Fatalf("dashboard changed results: acc %v/%v vs %v/%v, DPR %v vs %v, ASR %v vs %v",
 			a.MaxAcc, a.FinalAcc, b.MaxAcc, b.FinalAcc, a.DPR, b.DPR, a.ASR, b.ASR)
 	}
@@ -166,17 +127,9 @@ func TestDashboardServesDuringRun(t *testing.T) {
 	// First produce an audit journal to replay.
 	auditPath := filepath.Join(t.TempDir(), "audit.jsonl")
 	seedCfg := tinyCfg("lie", "mkrum")
-	seedCfg.AuditPath = auditPath
-	if _, err := Run(seedCfg); err != nil {
-		t.Fatal(err)
-	}
+	runWatched(t, seedCfg, Watch{AuditPath: auditPath})
 
-	cfg := tinyCfg("lie", "mkrum")
-	cfg.Dash = true
-	cfg.OpsAddr = "127.0.0.1:0"
-	cfg.DashReplay = auditPath
-
-	// OnOpsBound runs synchronously once the listener serves and before the
+	// OnBound runs synchronously once the listener serves and before the
 	// simulation starts, so fetching from inside it is guaranteed to hit a
 	// live endpoint (the run itself can finish in milliseconds).
 	type fetch struct {
@@ -184,28 +137,23 @@ func TestDashboardServesDuringRun(t *testing.T) {
 		err                error
 	}
 	var f fetch
-	cfg.OnOpsBound = func(addr string) {
+	watch := Watch{Dash: true, DashReplay: auditPath}
+	watch.OnBound = func(addr string) {
 		read := func(path string) string {
-			resp, err := http.Get("http://" + addr + path)
+			status, body, err := httpGet(addr, path)
+			if err == nil && status != http.StatusOK {
+				err = fmt.Errorf("%s: status %d", path, status)
+			}
 			if err != nil {
 				f.err = err
-				return ""
 			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				f.err = fmt.Errorf("%s: status %d", path, resp.StatusCode)
-				return ""
-			}
-			b, _ := io.ReadAll(resp.Body)
-			return string(b)
+			return body
 		}
 		f.page = read("/dash/")
 		f.config = read("/dash/api/config")
 		f.runs = read("/dash/api/replay/runs")
 	}
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
+	runWatched(t, tinyCfg("lie", "mkrum"), watch)
 	if f.err != nil {
 		t.Fatal(f.err)
 	}
@@ -244,11 +192,7 @@ func TestLoadDashReplaySniffsSources(t *testing.T) {
 	storePath := filepath.Join(dir, "store.jsonl")
 
 	cfg := tinyCfg("minmax", "mkrum")
-	cfg.AuditPath = auditPath
-	out, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := runWatched(t, cfg, Watch{AuditPath: auditPath})
 	store, err := OpenStore(storePath)
 	if err != nil {
 		t.Fatal(err)

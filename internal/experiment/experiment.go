@@ -10,21 +10,16 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net/http"
-	"os"
 
 	"repro/internal/attack"
 	"repro/internal/codec"
 	"repro/internal/core"
-	"repro/internal/dashboard"
 	"repro/internal/dataset"
 	"repro/internal/defense"
 	"repro/internal/fl"
 	"repro/internal/forensics"
 	"repro/internal/nn"
 	"repro/internal/population"
-	"repro/internal/telemetry"
-	"repro/internal/tensor"
 )
 
 // Config describes one simulation run. Zero fields are filled with the
@@ -151,7 +146,10 @@ type Config struct {
 	// The forensics axes below are pure observation: enabling them never
 	// changes DPR/ASR, accuracies, or any RNG stream, so runKey strips them
 	// — a forensics-on cell resolves to the same stored run as its
-	// forensics-off twin (TestForensicsRunKeyInvariant).
+	// forensics-off twin (TestForensicsRunKeyInvariant). They are the only
+	// observation a Config carries, because they shape what a run reports
+	// (Outcome.Detection); where the audit is written and how the run is
+	// served while it executes is a Watch, which no Config ever holds.
 
 	// Forensics enables the per-round defense-decision audit pipeline and
 	// streaming detection metrics (internal/forensics).
@@ -161,49 +159,6 @@ type Config struct {
 	// ForensicsReservoir bounds the cumulative score-pair reservoir the
 	// AUC/TPR@FPR metrics are computed over (0 = 4096).
 	ForensicsReservoir int `json:",omitempty"`
-	// AuditPath, when non-empty, journals every defense decision to a JSONL
-	// audit journal; ForensicsAddr, when non-empty, serves live detection
-	// metrics over HTTP for the run's duration. Both imply Forensics and
-	// never serialize — an ephemeral path or socket does not identify a run.
-	AuditPath     string `json:"-"`
-	ForensicsAddr string `json:"-"`
-
-	// The telemetry axes follow the forensics discipline exactly: pure
-	// observation (fixed-seed runs are bit-identical with telemetry on or
-	// off — TestTelemetryOnOffBitIdentical), and none of them serialize, so
-	// a telemetry-on cell resolves to the same stored run as its
-	// telemetry-off twin (TestTelemetryRunKeyInvariant).
-
-	// Telemetry enables the runtime metrics registry and per-phase round
-	// instrumentation (internal/telemetry) for the run.
-	Telemetry bool `json:"-"`
-	// OpsAddr, when non-empty, serves the ops endpoint (/metrics Prometheus
-	// text, /debug/pprof, and /forensics/* when Forensics is on) over HTTP
-	// for the run's duration. Implies Telemetry.
-	OpsAddr string `json:"-"`
-	// TracePath, when non-empty, writes the run's spans as a Chrome
-	// trace-event JSON file (load in Perfetto / chrome://tracing). Implies
-	// Telemetry.
-	TracePath string `json:"-"`
-	// TraceJournal, when non-empty, appends the run's spans to a JSONL
-	// journal via the persist append-only stream. Implies Telemetry.
-	TraceJournal string `json:"-"`
-	// Dash mounts the embedded operator dashboard (internal/dashboard) at
-	// /dash/ on the ops endpoint, with live SSE streaming of the forensics
-	// feed. Implies Telemetry and Forensics; requires OpsAddr (the
-	// dashboard rides the ops listener). Pure observation like the rest of
-	// this block: bit-identical on/off, stripped from run-store keys.
-	Dash bool `json:"-"`
-	// DashReplay lists journal paths (comma-separated; audit journals or
-	// run stores) loaded into the dashboard's time-travel/diff tab.
-	// Requires Dash.
-	DashReplay string `json:"-"`
-	// OnOpsBound, when non-nil, receives the ops listener's resolved
-	// address once serving — the hook the -dash startup hint prints the
-	// dashboard URL through. Never serializes (and must not: a func field
-	// would fail the config marshal run keys are derived from).
-	//lint:allow runkey runtime callback, json:"-" excluded from the key marshal, no canonical form to normalize
-	OnOpsBound func(addr string) `json:"-"`
 
 	// The compression axes below follow the same key-stability contract:
 	// defaults canonicalize to zero values and carry omitempty tags, so a
@@ -384,27 +339,11 @@ func (c *Config) Normalize() error {
 	if c.GroupDefense != "" && c.Groups == 0 {
 		return fmt.Errorf("experiment: GroupDefense requires Groups > 0")
 	}
-	if c.AuditPath != "" || c.ForensicsAddr != "" {
-		c.Forensics = true
-	}
 	if c.ForensicsRing < 0 || c.ForensicsReservoir < 0 {
 		return fmt.Errorf("experiment: forensics bounds (%d, %d) must be non-negative", c.ForensicsRing, c.ForensicsReservoir)
 	}
 	if !c.Forensics && (c.ForensicsRing != 0 || c.ForensicsReservoir != 0) {
 		return fmt.Errorf("experiment: ForensicsRing/ForensicsReservoir require Forensics")
-	}
-	if c.OpsAddr != "" || c.TracePath != "" || c.TraceJournal != "" {
-		c.Telemetry = true
-	}
-	if c.DashReplay != "" && !c.Dash {
-		return fmt.Errorf("experiment: DashReplay requires Dash")
-	}
-	if c.Dash {
-		if c.OpsAddr == "" {
-			return fmt.Errorf("experiment: Dash requires OpsAddr (the dashboard rides the ops listener)")
-		}
-		c.Telemetry = true
-		c.Forensics = true
 	}
 	switch c.Codec {
 	case "", "none":
@@ -728,42 +667,16 @@ func BuildScenario(cfg Config, src fl.ClientSource) fl.Scenario {
 	return sc
 }
 
-// writeChromeTrace exports the tracer's buffered spans as a Chrome
-// trace-event JSON file (loadable in Perfetto / chrome://tracing).
-func writeChromeTrace(tr *telemetry.Tracer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("experiment: trace: %w", err)
-	}
-	if err := tr.WriteChrome(f); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("experiment: trace: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("experiment: trace: %w", err)
-	}
-	return nil
-}
+// Run executes a single configuration, unwatched and without clean-baseline
+// bookkeeping; most callers want Runner.Run, which also fills CleanAcc and
+// ASR.
+func Run(cfg Config) (*Outcome, error) { return run(cfg, nil) }
 
-// Run executes a single configuration without clean-baseline bookkeeping;
-// most callers want Runner.Run, which also fills CleanAcc and ASR.
-func Run(cfg Config) (out *Outcome, retErr error) {
-	// shutdowns collects the run's HTTP endpoint closers; they drain at
-	// exit (newest first) and surface their errors — an ops plane that
-	// failed to serve or drain is a real fault, not something to discard
-	// on the way out.
-	type closer struct {
-		what string
-		fn   func() error
-	}
-	var shutdowns []closer
-	defer func() {
-		for i := len(shutdowns) - 1; i >= 0; i-- {
-			if cerr := shutdowns[i].fn(); cerr != nil && retErr == nil {
-				out, retErr = nil, fmt.Errorf("experiment: %s shutdown: %w", shutdowns[i].what, cerr)
-			}
-		}
-	}()
+// run is Run observed through p (see Runner.Watch for the watched entry):
+// the run's engine instruments land on the plane's registry and tracer, and
+// its decision audit — when the config or the watch asks for one — is
+// journaled and served by the plane. A nil plane changes no result bit.
+func run(cfg Config, p *Plane) (*Outcome, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
@@ -780,80 +693,18 @@ func Run(cfg Config) (out *Outcome, retErr error) {
 		return nil, err
 	}
 	var col *forensics.Collector
-	if cfg.Forensics {
-		col, err = forensics.NewCollector(forensics.Options{
+	if cfg.Forensics || p.auditsRuns() {
+		col, err = p.Collector("", forensics.Options{
 			Defense:      agg.Name(),
 			Ring:         cfg.ForensicsRing,
 			ReservoirCap: cfg.ForensicsReservoir,
 			// A forensics-private seed derivation: the collector consumes no
 			// engine RNG stream, so results stay bit-identical to
 			// forensics-off runs.
-			Seed:      cfg.Seed ^ 0x464F52,
-			AuditPath: cfg.AuditPath,
+			Seed: cfg.Seed ^ 0x464F52,
 		})
 		if err != nil {
 			return nil, err
-		}
-		defer col.Close() // idempotent; the success path closes explicitly
-		if cfg.ForensicsAddr != "" {
-			_, shutdown, err := col.Serve(cfg.ForensicsAddr)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: forensics endpoint: %w", err)
-			}
-			shutdowns = append(shutdowns, closer{"forensics endpoint", shutdown})
-		}
-	}
-	var engTel *telemetry.EngineTelemetry
-	var tracer *telemetry.Tracer
-	if cfg.Telemetry {
-		// Pure observation: the registry, tracer, and distance hook never
-		// touch the engine's RNG streams or the aggregation order, so the
-		// run stays bit-identical to its telemetry-off twin.
-		reg := telemetry.NewRegistry()
-		telemetry.RegisterPoolGauges(reg, tensor.Workers, tensor.InUse)
-		if cfg.TracePath != "" || cfg.TraceJournal != "" {
-			tracer = telemetry.NewTracer(0)
-		}
-		engTel = telemetry.NewEngineTelemetry(reg, tracer, "")
-		telemetry.SetDistanceHook(reg, tracer)
-		defer telemetry.ClearDistanceHook()
-		if cfg.OpsAddr != "" {
-			mux := telemetry.NewOpsMux(reg)
-			if col != nil {
-				// The ops plane owns /metrics (Prometheus text); the forensics
-				// JSON lives under /forensics/* with the legacy /rounds alias
-				// redirected there.
-				col.Mount(mux, "/forensics")
-				mux.Handle("/rounds", http.RedirectHandler("/forensics/rounds", http.StatusPermanentRedirect))
-			}
-			if cfg.Dash {
-				replayRuns, err := LoadDashReplay(cfg.DashReplay)
-				if err != nil {
-					return nil, err
-				}
-				if len(replayRuns) > 0 {
-					forensics.NewReplay(replayRuns).Mount(mux, dashboard.Prefix+"/api/replay")
-				}
-				var feds []string
-				if col != nil {
-					feds = []string{"/forensics"}
-				}
-				dashboard.Mount(mux, dashboard.Config{
-					Title:       "fl run — " + cfg.Dataset + "/" + cfg.Defense,
-					Federations: feds,
-					Fleet:       true,
-					Replay:      len(replayRuns) > 0,
-					Live:        col != nil,
-				})
-			}
-			bound, shutdown, err := telemetry.ServeOps(cfg.OpsAddr, mux)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: ops endpoint: %w", err)
-			}
-			shutdowns = append(shutdowns, closer{"ops endpoint", shutdown})
-			if cfg.OnOpsBound != nil {
-				cfg.OnOpsBound(bound)
-			}
 		}
 	}
 	flCfg := fl.Config{
@@ -869,7 +720,7 @@ func Run(cfg Config) (out *Outcome, retErr error) {
 		Parallel:     cfg.Parallel,
 		Scenario:     BuildScenario(cfg, tk.src),
 		Codec:        cfg.codecSpec(),
-		Telemetry:    engTel,
+		Telemetry:    p.Engine(""),
 	}
 	if col != nil {
 		flCfg.Observer = col
@@ -896,17 +747,7 @@ func Run(cfg Config) (out *Outcome, retErr error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.TracePath != "" {
-		if err := writeChromeTrace(tracer, cfg.TracePath); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.TraceJournal != "" {
-		if err := tracer.WriteJournal(cfg.TraceJournal); err != nil {
-			return nil, fmt.Errorf("experiment: %w", err)
-		}
-	}
-	out = &Outcome{
+	out := &Outcome{
 		Config:   cfg,
 		CleanAcc: math.NaN(),
 		MaxAcc:   res.MaxAccuracy,
@@ -924,8 +765,9 @@ func Run(cfg Config) (out *Outcome, retErr error) {
 	if col != nil {
 		s := col.Summary()
 		out.Detection = &s
-		// A lost audit line is lost evidence: surface it as the run's error
-		// rather than shipping a silently incomplete journal.
+		// The audit is complete when the run is, and a lost audit line is lost
+		// evidence: surface it as the run's error rather than shipping a
+		// silently incomplete journal.
 		if err := col.Close(); err != nil {
 			return nil, fmt.Errorf("experiment: forensics audit: %w", err)
 		}

@@ -7,6 +7,8 @@ package experiment
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -27,28 +29,18 @@ func forensicsCfg() Config {
 }
 
 // TestForensicsRunKeyInvariant pins the store contract: forensics is pure
-// observation, so a forensics-on cell must hash to the same run key as its
-// forensics-off twin — and the legacy config JSON must not leak the new
-// fields.
+// observation, so a forensics-on cell — its three serializable axes set and
+// its audit journaled through a Watch — is stored under the key of its
+// forensics-off, unwatched twin, and a default config's JSON (what older
+// stores hashed) does not mention the axes at all.
 func TestForensicsRunKeyInvariant(t *testing.T) {
-	off := tinyCfg("lie", "mkrum")
 	on := tinyCfg("lie", "mkrum")
 	on.Forensics = true
 	on.ForensicsRing = 16
 	on.ForensicsReservoir = 256
-	on.AuditPath = "/tmp/never-touched.jsonl"
-	on.ForensicsAddr = "127.0.0.1:0"
-	kOff, err := runKey(off, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kOn, err := runKey(on, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kOff != kOn {
-		t.Fatalf("forensics changed the run key: %s vs %s", kOff, kOn)
-	}
+	assertWatchKeepsIdentity(t, on,
+		Watch{AuditPath: filepath.Join(t.TempDir(), "audit.jsonl")},
+		tinyCfg("lie", "mkrum"))
 
 	legacy := tinyCfg("lie", "mkrum")
 	if err := legacy.Normalize(); err != nil {
@@ -58,10 +50,8 @@ func TestForensicsRunKeyInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"Forensics", "ForensicsRing", "ForensicsReservoir", "AuditPath", "ForensicsAddr"} {
-		if strings.Contains(string(raw), field) {
-			t.Errorf("legacy config JSON leaks forensics field %s: %s", field, raw)
-		}
+	if strings.Contains(string(raw), "Forensics") {
+		t.Errorf("legacy config JSON leaks a forensics field: %s", raw)
 	}
 }
 
@@ -77,14 +67,18 @@ func TestForensicsConfigValidation(t *testing.T) {
 	if err := cfg.Normalize(); err == nil {
 		t.Fatal("negative reservoir should fail validation")
 	}
-	// AuditPath implies Forensics.
-	cfg = tinyCfg("lie", "mkrum")
-	cfg.AuditPath = "x.jsonl"
-	if err := cfg.Normalize(); err != nil {
-		t.Fatal(err)
+	// An audit path makes the watched run audited, and says so in its
+	// outcome — but is never normalized into the run's Config.
+	auditPath := filepath.Join(t.TempDir(), "x.jsonl")
+	out := runWatched(t, tinyCfg("lie", "mkrum"), Watch{AuditPath: auditPath})
+	if out.Detection == nil {
+		t.Fatal("AuditPath should make the watched run audited")
 	}
-	if !cfg.Forensics {
-		t.Fatal("AuditPath should imply Forensics")
+	if out.Config.Forensics {
+		t.Fatal("the watch leaked into the run's Config")
+	}
+	if fi, err := os.Stat(auditPath); err != nil || fi.Size() == 0 {
+		t.Fatalf("audit journal missing or empty: %v", err)
 	}
 }
 

@@ -106,6 +106,20 @@ func NewRunner() *Runner {
 	return &Runner{cleanCache: make(map[string]*baselineCell), runFn: Run}
 }
 
+// Watch hands p to the first run this runner starts — the first seed of its
+// first cell — and to nothing else: baselines, later seeds and every other
+// cell run unwatched because nobody gives them a plane. It is for a runner
+// that executes one cell (repro.RunConfigOpts); a grid's cells would race
+// for the plane.
+func (r *Runner) Watch(p *Plane) {
+	var first sync.Once
+	r.runFn = func(cfg Config) (*Outcome, error) {
+		var watched *Plane
+		first.Do(func() { watched = p })
+		return run(cfg, watched)
+	}
+}
+
 // CleanAccuracy returns the cached or freshly computed clean baseline
 // accuracy for cfg's dataset/heterogeneity/seed. Concurrent callers sharing
 // a baseline block only each other: the first computes, the rest wait on
@@ -121,24 +135,13 @@ func (r *Runner) CleanAccuracy(cfg Config) (float64, error) {
 	// The paper's acc baseline is flat no-defense FedAvg: strip the
 	// attack-side placement and the aggregation topology too, so every
 	// topology of a cell compares against the same clean run. Forensics is
-	// stripped as well — auditing a no-attack FedAvg run yields nothing,
-	// and a shared AuditPath must not be double-opened by the baseline.
+	// stripped as well — auditing a no-attack FedAvg run yields nothing.
 	clean.Placement = ""
 	clean.Groups = 0
 	clean.GroupDefense = ""
 	clean.Forensics = false
 	clean.ForensicsRing = 0
 	clean.ForensicsReservoir = 0
-	clean.AuditPath, clean.ForensicsAddr = "", ""
-	// Telemetry follows the same rule: the baseline is a shared background
-	// computation, and a cell's OpsAddr or trace path must not be
-	// double-bound by the clean run it happens to trigger.
-	clean.Telemetry = false
-	clean.OpsAddr, clean.TracePath, clean.TraceJournal = "", "", ""
-	// The dashboard rides the ops listener the baseline just gave up, and
-	// its bound-address hook belongs to the triggering cell, not to a
-	// shared background run.
-	clean.Dash, clean.DashReplay, clean.OnOpsBound = false, "", nil
 	key := clean.cleanKey()
 
 	r.mu.Lock()
@@ -222,19 +225,10 @@ func (r *Runner) Run(cfg Config) (*Outcome, error) {
 			// Forensics follows first-seed semantics like SynthesisLoss:
 			// only the first seed's Detection summary is kept, so later
 			// seeds skip the whole pipeline — paying per-round
-			// fingerprinting for a discarded summary would be waste, and
-			// re-running the audit journal against one path would
-			// interleave streams under colliding r<round>.<seq> keys.
+			// fingerprinting for a discarded summary would be waste.
 			// runKey strips these fields, so store identity is unaffected.
 			c.Forensics = false
 			c.ForensicsRing, c.ForensicsReservoir = 0, 0
-			c.AuditPath, c.ForensicsAddr = "", ""
-			// Telemetry likewise: the ops listener and trace files are
-			// single-bind resources owned by the first seed's run — and with
-			// them the dashboard, which rides that listener.
-			c.Telemetry = false
-			c.OpsAddr, c.TracePath, c.TraceJournal = "", "", ""
-			c.Dash, c.DashReplay, c.OnOpsBound = false, "", nil
 		}
 		out, err := r.runOne(c)
 		if err != nil {

@@ -45,7 +45,6 @@ func runKey(cfg Config, seeds int) (string, error) {
 	c.Forensics = false
 	c.ForensicsRing = 0
 	c.ForensicsReservoir = 0
-	c.AuditPath, c.ForensicsAddr = "", ""
 	if seeds < 1 {
 		seeds = 1
 	}

@@ -349,6 +349,45 @@ func TestRunKey(t *testing.T) {
 	}
 }
 
+// TestRunKeyGolden pins run keys to the bytes the parent of the
+// Config/Watch split produced (seed-averaging widths 1 and 3): a store
+// written before the split resumes under it with zero recomputed cells.
+// A change that moves one of these re-keys every existing v2 store — bump
+// keyVersion instead of editing the table.
+func TestRunKeyGolden(t *testing.T) {
+	for _, tc := range []struct {
+		cfg        Config
+		one, three string
+	}{
+		{Config{},
+			"f21ea6f0847ed8c281d51ce5c7aae3fd181470719e324f2f9ddeefb1aa037d66",
+			"0fc21285e91b509e93b3ac78ae8fcecd02d5179392aa4c8287ec014cc90c6be1"},
+		{Config{Dataset: "cifar-sim", Attack: "dfa-g", Defense: "bulyan", Beta: .5, Seed: 7},
+			"3601c5a611cadfed5ae0c5f63351444ce9cceb506de0b717f5025b095339f3f2",
+			"412f873f147463ee8622f53b8fd62ca6e754a85b97e2842b63377650aede0554"},
+		{Config{Dataset: "fashion-sim", Attack: "dfa-r", Defense: "mkrum", Beta: .5, Seed: 3,
+			TotalClients: 100000, PerRound: 50, AttackerFrac: .01, Population: "virtual",
+			Placement: "scatter", Groups: 10, Forensics: true},
+			"53bf8bb8e62df46d49fa1b891a2f9e4e46f4bb38cd9a34b23e1340e3ef93c849",
+			"76d20844500df92251e78c4e966fae15a72ef3c24fb9925eb34f7e10004b6bed"},
+		{Config{Dataset: "tiny-sim", Attack: "minmax", Defense: "refd", Seed: 11, Codec: "int8",
+			TopK: .1, ErrorFeedback: true, Sampler: "bernoulli", DropoutProb: .1,
+			ServerOpt: "fedavgm", AsyncBuffer: 5},
+			"b0e9925abbaffe48076ec9dcdb7468aa15ae7f2a36db0863f4336116aee1d8ef",
+			"42ad2956ea70fe8baaad5c6dacd5101a3937073a774d2f92d5bf52a7619297c6"},
+	} {
+		for seeds, want := range map[int]string{1: tc.one, 3: tc.three} {
+			got, err := runKey(tc.cfg, seeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("runKey(%+v, %d) = %s, want %s", tc.cfg, seeds, got, want)
+			}
+		}
+	}
+}
+
 // TestStoreRoundTrip: the journal-backed store survives a reopen and
 // preserves NaN metrics via nullable encoding.
 func TestStoreRoundTrip(t *testing.T) {

@@ -1,9 +1,9 @@
 package experiment
 
 // Telemetry wiring tests: the observation-only contract at the experiment
-// layer (identical run-store keys and bit-identical outcomes with telemetry
-// on or off), the config implications, the trace-export plumbing, and the
-// fleet instrumentation of the sweep runner.
+// layer (identical run-store keys and bit-identical outcomes watched or
+// not), which watch values turn telemetry on, the trace-export plumbing,
+// and the fleet instrumentation of the sweep runner.
 
 import (
 	"encoding/json"
@@ -15,58 +15,46 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestTelemetryRunKeyInvariant pins the store contract: telemetry is pure
-// observation, so a telemetry-on cell must hash to the same run key as its
-// telemetry-off twin — and the legacy config JSON must not leak the new
-// fields.
+// TestTelemetryRunKeyInvariant pins the store contract: telemetry is how a
+// run is watched, so it has no Config field to strip, and a run watched
+// through every telemetry sink is stored under its unwatched twin's key.
 func TestTelemetryRunKeyInvariant(t *testing.T) {
-	off := tinyCfg("lie", "mkrum")
-	on := tinyCfg("lie", "mkrum")
-	on.Telemetry = true
-	on.OpsAddr = "127.0.0.1:0"
-	on.TracePath = "/tmp/never-touched.json"
-	on.TraceJournal = "/tmp/never-touched.jsonl"
-	kOff, err := runKey(off, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kOn, err := runKey(on, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kOff != kOn {
-		t.Fatalf("telemetry changed the run key: %s vs %s", kOff, kOn)
-	}
-
-	legacy := tinyCfg("lie", "mkrum")
-	if err := legacy.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := json.Marshal(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, field := range []string{"Telemetry", "OpsAddr", "TracePath", "TraceJournal"} {
-		if strings.Contains(string(raw), field) {
-			t.Errorf("legacy config JSON leaks telemetry field %s: %s", field, raw)
-		}
-	}
+	dir := t.TempDir()
+	assertWatchKeepsIdentity(t, tinyCfg("lie", "mkrum"), Watch{
+		OpsAddr:      "127.0.0.1:0",
+		TracePath:    filepath.Join(dir, "trace.json"),
+		TraceJournal: filepath.Join(dir, "spans.jsonl"),
+	}, tinyCfg("lie", "mkrum"))
 }
 
+// TestTelemetryConfigImplication: telemetry is on exactly when a sink
+// exists — each of OpsAddr, TracePath and TraceJournal alone instruments
+// the watched run, and nothing else does.
 func TestTelemetryConfigImplication(t *testing.T) {
-	for _, set := range []func(*Config){
-		func(c *Config) { c.OpsAddr = "127.0.0.1:0" },
-		func(c *Config) { c.TracePath = "x.json" },
-		func(c *Config) { c.TraceJournal = "x.jsonl" },
+	dir := t.TempDir()
+	for _, w := range []Watch{
+		{OpsAddr: "127.0.0.1:0"},
+		{TracePath: filepath.Join(dir, "x.json")},
+		{TraceJournal: filepath.Join(dir, "x.jsonl")},
 	} {
-		cfg := tinyCfg("lie", "mkrum")
-		set(&cfg)
-		if err := cfg.Normalize(); err != nil {
+		p, err := OpenPlane(w, "test", "")
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !cfg.Telemetry {
-			t.Fatal("OpsAddr/TracePath/TraceJournal should imply Telemetry")
+		_, err = run(tinyCfg("lie", "mkrum"), p)
+		var b strings.Builder
+		if werr := p.Registry().WritePrometheus(&b); werr != nil {
+			t.Fatal(werr)
 		}
+		if cerr := p.Close(); err != nil || cerr != nil {
+			t.Fatal(err, cerr)
+		}
+		if !strings.Contains(b.String(), "fl_rounds_total 3") {
+			t.Fatalf("watch %+v did not instrument the run:\n%s", w, b.String())
+		}
+	}
+	if p := openTestPlane(t, Watch{AuditPath: filepath.Join(dir, "a.jsonl")}); p.Registry() != nil {
+		t.Fatal("an audit journal is not a telemetry sink")
 	}
 }
 
@@ -83,13 +71,12 @@ func TestTelemetryRunWiring(t *testing.T) {
 	dir := t.TempDir()
 	cfg := tinyCfg("lie", "mkrum")
 	cfg.Forensics = true
-	cfg.OpsAddr = "127.0.0.1:0"
-	cfg.TracePath = filepath.Join(dir, "trace.json")
-	cfg.TraceJournal = filepath.Join(dir, "spans.jsonl")
-	out, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	watch := Watch{
+		OpsAddr:      "127.0.0.1:0",
+		TracePath:    filepath.Join(dir, "trace.json"),
+		TraceJournal: filepath.Join(dir, "spans.jsonl"),
 	}
+	out := runWatched(t, cfg, watch)
 	if out.MaxAcc != plain.MaxAcc || out.FinalAcc != plain.FinalAcc || out.DPR != plain.DPR {
 		t.Fatalf("telemetry changed results: acc %v/%v vs %v/%v, DPR %v vs %v",
 			out.MaxAcc, out.FinalAcc, plain.MaxAcc, plain.FinalAcc, out.DPR, plain.DPR)
@@ -101,8 +88,8 @@ func TestTelemetryRunWiring(t *testing.T) {
 	}
 
 	// The Chrome trace must be a JSON array containing the round and phase
-	// spans of a 3-round run.
-	raw, err := os.ReadFile(cfg.TracePath)
+	// spans of a 3-round run, and the defense layer's distance-matrix spans.
+	raw, err := os.ReadFile(watch.TracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +103,7 @@ func TestTelemetryRunWiring(t *testing.T) {
 			names[n]++
 		}
 	}
-	for _, want := range []string{"round", "select", "aggregate", "eval"} {
+	for _, want := range []string{"round", "select", "aggregate", "eval", "distance-matrix"} {
 		if names[want] == 0 {
 			t.Errorf("trace has no %q spans (saw %v)", want, names)
 		}
@@ -126,7 +113,7 @@ func TestTelemetryRunWiring(t *testing.T) {
 	}
 
 	// The span journal must be line-delimited JSON with one record per span.
-	journal, err := os.ReadFile(cfg.TraceJournal)
+	journal, err := os.ReadFile(watch.TraceJournal)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/defense"
 	"repro/internal/forensics"
+	"repro/internal/telemetry"
 )
 
 func TestDashboardObservationBitExactOverSockets(t *testing.T) {
@@ -41,7 +42,9 @@ func TestDashboardObservationBitExactOverSockets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	httpAddr, shutdownHTTP, err := col.Serve("127.0.0.1:0")
+	mux := http.NewServeMux()
+	col.Mount(mux, "/forensics")
+	httpAddr, shutdownHTTP, err := telemetry.ServeOps("127.0.0.1:0", mux)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/fl"
 	"repro/internal/persist"
+	"repro/internal/telemetry"
 )
 
 // feedRound pushes one synthetic aggregation into c: benign updates score
@@ -230,6 +231,14 @@ func TestCollectorAuditJournal(t *testing.T) {
 	}
 }
 
+// mounted serves the collector the way the ops plane does: on a mux, under
+// /forensics (the collector has no listener of its own).
+func mounted(c *Collector) http.Handler {
+	mux := http.NewServeMux()
+	c.Mount(mux, "/forensics")
+	return mux
+}
+
 func TestHTTPEndpoints(t *testing.T) {
 	c, err := NewCollector(Options{Defense: "stub", Seed: 1})
 	if err != nil {
@@ -238,7 +247,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		feedRound(c, r, 4, 1)
 	}
-	srv := httptest.NewServer(c.Handler())
+	srv := httptest.NewServer(mounted(c))
 	defer srv.Close()
 
 	get := func(path string, v any) {
@@ -260,46 +269,38 @@ func TestHTTPEndpoints(t *testing.T) {
 		}
 	}
 
-	// The canonical routes live under /forensics/; the legacy top-level
-	// paths answer with permanent redirects that http.Get follows, so both
-	// spellings must serve the same JSON.
-	for _, prefix := range []string{"/forensics", ""} {
-		var metrics struct {
-			Cumulative Summary           `json:"cumulative"`
-			Current    *jsonRoundMetrics `json:"current"`
-		}
-		get(prefix+"/metrics", &metrics)
-		if metrics.Cumulative.Aggregations != 4 {
-			t.Fatalf("cumulative aggregations = %d, want 4", metrics.Cumulative.Aggregations)
-		}
-		if metrics.Cumulative.AUC != 1 {
-			t.Fatalf("cumulative AUC = %v, want 1", metrics.Cumulative.AUC)
-		}
-		if metrics.Current == nil || metrics.Current.Round != 3 {
-			t.Fatalf("current round = %+v, want round 3", metrics.Current)
-		}
-
-		var rounds []jsonRoundAudit
-		get(prefix+"/rounds", &rounds)
-		if len(rounds) != 4 || len(rounds[0].Records) != 5 {
-			t.Fatalf("rounds endpoint returned %d rounds", len(rounds))
-		}
+	var metrics struct {
+		Cumulative Summary           `json:"cumulative"`
+		Current    *jsonRoundMetrics `json:"current"`
+	}
+	get("/forensics/metrics", &metrics)
+	if metrics.Cumulative.Aggregations != 4 {
+		t.Fatalf("cumulative aggregations = %d, want 4", metrics.Cumulative.Aggregations)
+	}
+	if metrics.Cumulative.AUC != 1 {
+		t.Fatalf("cumulative AUC = %v, want 1", metrics.Cumulative.AUC)
+	}
+	if metrics.Current == nil || metrics.Current.Round != 3 {
+		t.Fatalf("current round = %+v, want round 3", metrics.Current)
 	}
 
-	// The legacy paths must redirect (not duplicate) so scrapers migrate.
-	noRedirect := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-	resp, err := noRedirect.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	var rounds []jsonRoundAudit
+	get("/forensics/rounds", &rounds)
+	if len(rounds) != 4 || len(rounds[0].Records) != 5 {
+		t.Fatalf("rounds endpoint returned %d rounds", len(rounds))
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusPermanentRedirect {
-		t.Fatalf("/metrics status %d, want %d", resp.StatusCode, http.StatusPermanentRedirect)
-	}
-	if loc := resp.Header.Get("Location"); loc != "/forensics/metrics" {
-		t.Fatalf("/metrics redirects to %q, want /forensics/metrics", loc)
+
+	// The top-level spellings are gone, not redirected: /metrics belongs to
+	// the ops plane's Prometheus text.
+	for _, path := range []string{"/metrics", "/rounds"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s status %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 
@@ -309,12 +310,12 @@ func TestServeEphemeral(t *testing.T) {
 		t.Fatal(err)
 	}
 	feedRound(c, 0, 2, 1)
-	addr, shutdown, err := c.Serve("127.0.0.1:0")
+	addr, shutdown, err := telemetry.ServeOps("127.0.0.1:0", mounted(c))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer shutdown()
-	resp, err := http.Get("http://" + addr + "/metrics")
+	resp, err := http.Get("http://" + addr + "/forensics/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-
-	"repro/internal/telemetry"
 )
 
 // jf encodes a possibly-NaN float for JSON as a nullable pointer, the
@@ -142,9 +140,9 @@ func jsonHeaders(w http.ResponseWriter) {
 //	GET <prefix>/rounds?since=N  → {"cursor": C, "rounds": [{"cursor": n, "audit": RoundAudit}…]}
 //	GET <prefix>/stream          → text/event-stream of RoundAudit events (see ServeSSE)
 //
-// All JSON responses are uncacheable; NaN-able metrics are null. Mounting
-// under a prefix (canonically "/forensics") lets the forensics surface share
-// one ops mux with the Prometheus /metrics endpoint without a route clash.
+// All JSON responses are uncacheable; NaN-able metrics are null. The
+// collector has no listener of its own: the ops plane mounts it under
+// "/forensics" (or "/forensics/<id>") beside the Prometheus /metrics.
 func (c *Collector) Mount(mux *http.ServeMux, prefix string) {
 	mux.HandleFunc(prefix+"/metrics", func(w http.ResponseWriter, r *http.Request) {
 		rounds := c.Rounds()
@@ -285,26 +283,4 @@ func (c *Collector) ServeSSE(w http.ResponseWriter, r *http.Request) {
 func writeSSE(w io.Writer, ev StreamEvent) bool {
 	_, err := fmt.Fprintf(w, "id: %d\nevent: round\ndata: %s\n\n", ev.Cursor, ev.Data)
 	return err == nil
-}
-
-// Handler serves the standalone forensics endpoint: the analytics live under
-// /forensics/ (the canonical routes shared with the unified ops endpoint),
-// with permanent redirects from the legacy top-level /metrics and /rounds so
-// existing scrapers keep working.
-func (c *Collector) Handler() http.Handler {
-	mux := http.NewServeMux()
-	c.Mount(mux, "/forensics")
-	mux.Handle("/metrics", http.RedirectHandler("/forensics/metrics", http.StatusPermanentRedirect))
-	mux.Handle("/rounds", http.RedirectHandler("/forensics/rounds", http.StatusPermanentRedirect))
-	return mux
-}
-
-// Serve starts the live metrics endpoint on addr (e.g. ":8790", or ":0"
-// for an ephemeral port). It returns the bound address and a shutdown
-// function; the server itself runs in a background goroutine for the
-// lifetime of the run. Shutdown drains gracefully — in-flight pollers
-// finish and SSE subscribers see their contexts cancelled — and reports
-// real serve/drain errors (see telemetry.ServeOps).
-func (c *Collector) Serve(addr string) (string, func() error, error) {
-	return telemetry.ServeOps(addr, c.Handler())
 }

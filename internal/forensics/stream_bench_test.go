@@ -15,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // benchBroadcast measures broadcastLocked with n attached subscribers whose
@@ -53,7 +55,7 @@ func BenchmarkSSEDeliveryLatency(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := httptest.NewServer(c.Handler())
+	srv := httptest.NewServer(mounted(c))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/forensics/stream")
 	if err != nil {
@@ -85,7 +87,7 @@ func BenchmarkSSEDeliveryLatency(b *testing.B) {
 // the whole run — a metrics scraper and a cursor-carrying /rounds?since
 // poller at 20× the embedded page's cadence, plus (when sse is set) a
 // persistent SSE subscriber receiving every round event. Served via
-// col.Serve so shutdown cancels the open SSE request (httptest.Server.Close
+// telemetry.ServeOps so shutdown cancels the open SSE request (httptest.Server.Close
 // would block on it forever).
 func benchPolledSim(b *testing.B, sse bool) {
 	col, err := NewCollector(Options{Defense: "mkrum", Seed: 1})
@@ -93,7 +95,7 @@ func benchPolledSim(b *testing.B, sse bool) {
 		b.Fatal(err)
 	}
 	sim := benchSim(b, col)
-	addr, shutdownHTTP, err := col.Serve("127.0.0.1:0")
+	addr, shutdownHTTP, err := telemetry.ServeOps("127.0.0.1:0", mounted(col))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -207,7 +207,7 @@ func TestServeSSERoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	feedRound(c, 0, 2, 1)
-	srv := httptest.NewServer(c.Handler())
+	srv := httptest.NewServer(mounted(c))
 	defer srv.Close()
 
 	req, err := http.NewRequest("GET", srv.URL+"/forensics/stream", nil)
@@ -260,7 +260,7 @@ func TestServeSSEResume(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		feedRound(c, r, 2, 1)
 	}
-	srv := httptest.NewServer(c.Handler())
+	srv := httptest.NewServer(mounted(c))
 	defer srv.Close()
 	req, err := http.NewRequest("GET", srv.URL+"/forensics/stream", nil)
 	if err != nil {
@@ -289,7 +289,7 @@ func TestJSONEndpointsUncacheable(t *testing.T) {
 		t.Fatal(err)
 	}
 	feedRound(c, 0, 2, 1)
-	srv := httptest.NewServer(c.Handler())
+	srv := httptest.NewServer(mounted(c))
 	defer srv.Close()
 	for _, path := range []string{"/forensics/metrics", "/forensics/rounds", "/forensics/rounds?since=0"} {
 		resp, err := http.Get(srv.URL + path)
@@ -315,7 +315,7 @@ func TestRoundsSinceEndpoint(t *testing.T) {
 	for r := 0; r < 3; r++ {
 		feedRound(c, r, 2, 1)
 	}
-	srv := httptest.NewServer(c.Handler())
+	srv := httptest.NewServer(mounted(c))
 	defer srv.Close()
 	var got struct {
 		Cursor uint64 `json:"cursor"`
@@ -366,7 +366,7 @@ func TestStreamHammerObservationOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(hammered.Handler())
+	srv := httptest.NewServer(mounted(hammered))
 	defer srv.Close()
 
 	stop := make(chan struct{})

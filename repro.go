@@ -33,12 +33,10 @@ package repro
 import (
 	"fmt"
 	"io"
+	"time"
 
-	"repro/internal/dashboard"
 	"repro/internal/experiment"
-	"repro/internal/forensics"
 	"repro/internal/report"
-	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -56,6 +54,11 @@ import (
 // backend moved once, with run-key version v2.
 type Config = experiment.Config
 
+// Watch says how a run or sweep is watched while it executes — ops endpoint,
+// dashboard, audit journal, trace files; see the field documentation in
+// internal/experiment. It never enters a Config, a run key or a result.
+type Watch = experiment.Watch
+
 // Outcome is a simulation result with the paper's metrics (ASR, DPR, clean
 // and attacked accuracies).
 type Outcome = experiment.Outcome
@@ -68,8 +71,8 @@ type Profile = experiment.Profile
 type ProgressEvent = experiment.ProgressEvent
 
 // RunOptions configures RunExperimentOpts beyond the profile: a durable
-// run store for crash-resumable sweeps, a streaming progress callback and
-// the kernel worker-pool width.
+// run store for crash-resumable sweeps, a streaming progress callback, the
+// kernel worker-pool width and how the work is watched.
 type RunOptions struct {
 	// Profile names the scaling profile ("quick" or "full"; "" = quick).
 	Profile string
@@ -94,25 +97,15 @@ type RunOptions struct {
 	// Threads pins the kernel worker-pool size (see SetThreads); 0 keeps
 	// the current setting (default: GOMAXPROCS).
 	Threads int
-	// OpsAddr, when non-empty, serves the sweep's ops endpoint over HTTP at
-	// this address for the run's duration: Prometheus metrics at /metrics
-	// (executed cells, cell durations, lease claims/conflicts/reclaims,
-	// adopted cells, kernel-pool gauges — labelled worker="<Owner>" when
-	// Owner is set) and the pprof handlers under /debug/pprof/. Pure
-	// observation: results are bit-identical with or without it.
-	OpsAddr string
-	// Dash mounts the embedded operator dashboard at /dash/ on the ops
-	// endpoint: the fleet panel renders the sweep metrics live, and with
-	// DashReplay the time-travel/diff tab serves finished runs. Requires
-	// OpsAddr. Pure observation, like the rest of the ops plane.
-	Dash bool
-	// DashReplay lists journal paths (comma-separated; audit journals or
-	// run stores) to load into the dashboard's replay tab. Requires Dash.
-	DashReplay string
-	// OnOpsBound, when non-nil, receives the ops listener's resolved
-	// address once it is serving — the hook the -dash startup hint prints
-	// the dashboard URL through.
-	OnOpsBound func(addr string)
+	// Watch opens the process's ops plane for the call's duration: with an
+	// OpsAddr, Prometheus metrics at /metrics (executed cells, cell
+	// durations, lease claims/conflicts/reclaims, adopted cells, kernel-pool
+	// gauges — labelled worker="<Owner>" when Owner is set), pprof, and the
+	// dashboard when Dash is set. RunConfigOpts also hands the plane to its
+	// one run (engine metrics, spans, decision audit); a sweep's cells are
+	// never individually watched. Pure observation: results are
+	// bit-identical with or without it.
+	Watch Watch
 }
 
 // SetThreads pins the process-global kernel worker-pool size: the bound on
@@ -134,8 +127,31 @@ func RunConfig(cfg Config) (*Outcome, error) {
 
 // RunConfigOpts executes a single simulation with run-store support: with
 // a StorePath the completed run (and its clean baseline) is journaled, and
-// with Resume a journaled run is replayed instead of recomputed.
+// with Resume a journaled run is replayed instead of recomputed. With a
+// Watch the run itself is observed (its clean baseline is not).
 func RunConfigOpts(cfg Config, opts RunOptions) (out *Outcome, retErr error) {
+	if err := cfg.Normalize(); err != nil {
+		return nil, err
+	}
+	runner, closeAll, err := openRunner(opts, "fl run — "+cfg.Dataset+"/"+cfg.Defense, "")
+	if err != nil {
+		return nil, err
+	}
+	defer closeAll(&retErr)
+	outs, err := runner.RunGrid([]Config{cfg}, 1)
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
+}
+
+// openRunner builds the runner the options describe: kernel threads pinned,
+// run store attached, ops plane opened (title heads its dashboard) with the
+// runner's sweep instruments on it. With federations — the one "" of a
+// single run — the plane is also handed to the runner's first run. The
+// returned func closes plane and store, reporting a close failure through
+// *err unless the work already failed.
+func openRunner(opts RunOptions, title string, federations ...string) (*experiment.Runner, func(err *error), error) {
 	if opts.Threads > 0 {
 		SetThreads(opts.Threads)
 	}
@@ -143,25 +159,21 @@ func RunConfigOpts(cfg Config, opts RunOptions) (out *Outcome, retErr error) {
 	runner.Progress = opts.Progress
 	closeStore, err := attachStore(runner, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer closeStore()
-	closeOps, err := attachOps(runner, opts)
+	plane, err := experiment.OpenPlane(opts.Watch, title, federations...)
 	if err != nil {
-		return nil, err
+		closeStore()
+		return nil, nil, err
 	}
-	defer func() {
-		// An ops plane that failed to drain is a real fault; don't let it
-		// vanish on the way out (but never mask the run's own error).
-		if cerr := closeOps(); cerr != nil && retErr == nil {
-			out, retErr = nil, fmt.Errorf("repro: ops shutdown: %w", cerr)
-		}
-	}()
-	outs, err := runner.RunGrid([]Config{cfg}, 1)
-	if err != nil {
-		return nil, err
+	runner.Telemetry = plane.Sweep(opts.Owner)
+	if len(federations) > 0 {
+		runner.Watch(plane)
 	}
-	return outs[0], nil
+	return runner, func(err *error) {
+		plane.CloseInto(err)
+		closeStore()
+	}, nil
 }
 
 // attachStore opens the run store the options describe — none, a
@@ -197,47 +209,6 @@ func attachStore(runner *experiment.Runner, opts RunOptions) (func(), error) {
 	return func() { _ = store.Close() }, nil
 }
 
-// attachOps serves the sweep-level ops endpoint when the options ask for
-// one, and wires the fleet instruments (cells, leases, throughput) into the
-// runner so progress lines and /metrics agree. With Dash it also mounts the
-// embedded dashboard (fleet panel, and the replay/diff tab when DashReplay
-// names journals). The returned func drains the endpoint and reports real
-// serve/drain errors.
-func attachOps(runner *experiment.Runner, opts RunOptions) (func() error, error) {
-	if opts.OpsAddr == "" {
-		if opts.Dash {
-			return nil, fmt.Errorf("repro: Dash requires OpsAddr (the dashboard rides the ops listener)")
-		}
-		return func() error { return nil }, nil
-	}
-	reg := telemetry.NewRegistry()
-	telemetry.RegisterPoolGauges(reg, tensor.Workers, tensor.InUse)
-	runner.Telemetry = telemetry.NewSweepTelemetry(reg, nil, opts.Owner)
-	mux := telemetry.NewOpsMux(reg)
-	if opts.Dash {
-		replayRuns, err := experiment.LoadDashReplay(opts.DashReplay)
-		if err != nil {
-			return nil, fmt.Errorf("repro: %w", err)
-		}
-		if len(replayRuns) > 0 {
-			forensics.NewReplay(replayRuns).Mount(mux, dashboard.Prefix+"/api/replay")
-		}
-		dashboard.Mount(mux, dashboard.Config{
-			Title:  "fl sweep dashboard",
-			Fleet:  true,
-			Replay: len(replayRuns) > 0,
-		})
-	}
-	bound, shutdown, err := telemetry.ServeOps(opts.OpsAddr, mux)
-	if err != nil {
-		return nil, fmt.Errorf("repro: ops endpoint: %w", err)
-	}
-	if opts.OnOpsBound != nil {
-		opts.OnOpsBound(bound)
-	}
-	return shutdown, nil
-}
-
 // ProgressWriter returns a RunOptions.Progress callback that streams one
 // human-readable line per completed cell to w.
 func ProgressWriter(w io.Writer) func(ProgressEvent) {
@@ -258,45 +229,46 @@ func Experiments() []string {
 // RunExperiment regenerates the named table or figure under the given
 // profile ("quick" or "full"), writing the paper-style rows to w.
 func RunExperiment(id, profileName string, w io.Writer) error {
-	return RunExperimentOpts(id, RunOptions{Profile: profileName}, w)
+	return RunExperimentOpts([]string{id}, RunOptions{Profile: profileName}, w)
 }
 
-// RunExperimentOpts regenerates the named table or figure with full control
-// over profile, run store and progress reporting, writing the paper-style
-// rows to w. With a StorePath, completed cells are journaled as they
-// finish; with Resume, a re-run against the same store executes only the
-// cells the previous (possibly killed) run did not complete.
-func RunExperimentOpts(id string, opts RunOptions, w io.Writer) (retErr error) {
-	exp, ok := experiment.ByID(id)
-	if !ok {
-		return fmt.Errorf("repro: unknown experiment %q (known: %v)", id, Experiments())
+// RunExperimentOpts regenerates the named tables and figures, in order, with
+// full control over profile, run store, progress reporting and watching,
+// writing each artifact's paper-style rows and a "## <id> done in …" line
+// to w. Store and ops plane are opened once and live for the whole call.
+// With a StorePath, completed cells are journaled as they finish; with
+// Resume, a re-run against the same store executes only the cells the
+// previous (possibly killed) run did not complete.
+func RunExperimentOpts(ids []string, opts RunOptions, w io.Writer) (retErr error) {
+	exps := make([]experiment.Experiment, len(ids))
+	for i, id := range ids {
+		exp, ok := experiment.ByID(id)
+		if !ok {
+			return fmt.Errorf("repro: unknown experiment %q (known: %v)", id, Experiments())
+		}
+		exps[i] = exp
 	}
 	profile, ok := experiment.ProfileByName(opts.Profile)
 	if !ok {
 		return fmt.Errorf("repro: unknown profile %q (known: quick, full)", opts.Profile)
 	}
-	if opts.Threads > 0 {
-		SetThreads(opts.Threads)
+	runner, closeAll, err := openRunner(opts, "fl sweep dashboard")
+	if err != nil {
+		return err
 	}
-	runner := experiment.NewRunner()
+	defer closeAll(&retErr)
 	runner.AverageSeeds = profile.SeedCount
-	runner.Progress = opts.Progress
-	closeStore, err := attachStore(runner, opts)
-	if err != nil {
-		return err
-	}
-	defer closeStore()
-	closeOps, err := attachOps(runner, opts)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := closeOps(); cerr != nil && retErr == nil {
-			retErr = fmt.Errorf("repro: ops shutdown: %w", cerr)
+	for _, exp := range exps {
+		start := time.Now()
+		if _, err := fmt.Fprintf(w, "# %s [profile=%s]\n", exp.Title, profile.Name); err != nil {
+			return err
 		}
-	}()
-	if _, err := fmt.Fprintf(w, "# %s [profile=%s]\n", exp.Title, profile.Name); err != nil {
-		return err
+		if err := exp.Run(runner, profile, w); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintf(w, "## %s done in %v\n\n", exp.ID, time.Since(start).Round(time.Millisecond)); err != nil {
+			return err
+		}
 	}
-	return exp.Run(runner, profile, w)
+	return nil
 }
