@@ -5,7 +5,7 @@
 // Example:
 //
 //	flsim -dataset cifar-sim -attack dfa-g -defense bulyan -beta 0.5 -rounds 20
-//	flsim -attack dfa-r -store run.jsonl -resume   # free re-print of a journaled run
+//	flsim -attack dfa-r -store run.jsonl           # rerun: a free re-print of the recorded run
 //	flsim -sampler bernoulli -dropout 0.2 -server-opt fedavgm   # cross-device churn
 //	flsim -async-buffer 5 -async-delay 2           # FedBuff-style buffered aggregation
 //	flsim -population virtual -total-clients 1000000 -per-round 50 \
@@ -79,14 +79,10 @@ func run(args []string) error {
 	fs.StringVar(&opts.Watch.AuditPath, "audit", "", "JSONL audit-journal path: one line per aggregation with per-update fingerprints, decisions and scores")
 	fs.StringVar(&opts.Watch.TracePath, "trace", "", "write the run's per-round/per-phase spans as a Chrome trace-event JSON file, loadable in Perfetto or chrome://tracing (never changes results)")
 	fs.StringVar(&opts.Watch.TraceJournal, "trace-journal", "", "append the run's spans to a JSONL trace journal at this path")
-	fs.StringVar(&opts.StorePath, "store", "", "JSONL run-store path; the completed run is journaled for resume (empty = off)")
-	fs.BoolVar(&opts.Resume, "resume", false, "replay the run from -store if already journaled instead of recomputing it")
+	fs.StringVar(&opts.StorePath, "store", "", "JSONL run-store path: the completed run is recorded, and a run already recorded is replayed instead of recomputed (empty = off)")
 	fs.IntVar(&opts.Threads, "threads", 0, "kernel worker-pool size for training/defense compute (0 = GOMAXPROCS); never changes results")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if opts.Resume && opts.StorePath == "" {
-		return fmt.Errorf("-resume requires -store")
 	}
 	if opts.Watch.Dash {
 		// The hint goes to stderr so piped stdout keeps its machine shape.

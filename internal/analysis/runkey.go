@@ -19,7 +19,7 @@ import (
 //     json-tagged field must carry ",omitempty" (zero default ⇒ existing
 //     configs marshal unchanged).
 //  2. A tag without omitempty changes every existing key the moment the
-//     field exists, breaking -resume against journals written before it.
+//     field exists, so stores written before it stop resuming.
 //  3. Every tagged field must be reachable from Normalize or cleanKey:
 //     omitempty only preserves keys if the default canonicalizes to the
 //     zero value, and that canonicalization (or an explicit keying/validity

@@ -23,8 +23,8 @@ func benchGrid() []Config {
 }
 
 // BenchmarkLeasedGridDrain drains a 12-cell grid through N in-process
-// "workers" — independent Runners over independently opened shared stores
-// on one path, the same shape as N flbench -worker processes. Each cell is
+// "workers" — independent Runners over independently opened stores on one
+// path, the same shape as N flbench processes sharing one -store. Each cell is
 // a fixed 5ms sleep, so the benchmark is LATENCY-BOUND by construction: it
 // measures how well the lease substrate (claim, renew, adopt, release,
 // poll) overlaps waiting, not compute scaling. On a single-CPU machine a
@@ -40,7 +40,7 @@ func BenchmarkLeasedGridDrain(b *testing.B) {
 				path := filepath.Join(b.TempDir(), fmt.Sprintf("grid-%d.jsonl", i))
 				runners := make([]*Runner, workers)
 				for w := range runners {
-					store, err := OpenSharedStore(path, fmt.Sprintf("w%d", w))
+					store, err := OpenStore(path, fmt.Sprintf("w%d", w))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -77,10 +77,9 @@ func BenchmarkLeasedGridDrain(b *testing.B) {
 }
 
 // BenchmarkGridStoreOverhead prices the substrate itself: the same 12-cell
-// grid with zero-cost cells, drained by one worker, under no store, the
-// single-owner journal, and the lease-coordinated shared store. The deltas
-// are pure bookkeeping — journal appends, lease claim/release transactions,
-// flock round-trips.
+// grid with zero-cost cells, drained by one worker, with no store and with
+// the run store. The delta is pure bookkeeping — journal appends, lease
+// claim/release transactions, flock round-trips.
 func BenchmarkGridStoreOverhead(b *testing.B) {
 	run := func(b *testing.B, attach func(r *Runner, path string) error) {
 		for i := 0; i < b.N; i++ {
@@ -101,20 +100,9 @@ func BenchmarkGridStoreOverhead(b *testing.B) {
 	b.Run("store=none", func(b *testing.B) {
 		run(b, func(r *Runner, path string) error { return nil })
 	})
-	b.Run("store=journal", func(b *testing.B) {
-		run(b, func(r *Runner, path string) error {
-			store, err := OpenStore(path)
-			if err != nil {
-				return err
-			}
-			b.Cleanup(func() { _ = store.Close() })
-			r.Store = store
-			return nil
-		})
-	})
 	b.Run("store=shared", func(b *testing.B) {
 		run(b, func(r *Runner, path string) error {
-			store, err := OpenSharedStore(path, "bench")
+			store, err := OpenStore(path, "bench")
 			if err != nil {
 				return err
 			}

@@ -35,7 +35,7 @@ func TestCrashReclaimHelper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := OpenSharedStore(path, "doomed-worker")
+	store, err := OpenStore(path, "doomed-worker")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestCrashedWorkerLeaseReclaim(t *testing.T) {
 	_ = cmd.Wait()
 
 	// The survivor: fast staleness detection, real training pipeline.
-	store, err := OpenSharedStore(path, "survivor")
+	store, err := OpenStore(path, "survivor")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,7 +193,7 @@ func TestLoadDashReplaySniffsSources(t *testing.T) {
 
 	cfg := tinyCfg("minmax", "mkrum")
 	out := runWatched(t, cfg, Watch{AuditPath: auditPath})
-	store, err := OpenStore(storePath)
+	store, err := OpenStore(storePath, "")
 	if err != nil {
 		t.Fatal(err)
 	}

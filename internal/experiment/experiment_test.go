@@ -228,7 +228,7 @@ func TestCleanKeyScenarioAxes(t *testing.T) {
 // TestRunKeyLegacyStable pins the run-store compatibility contract: a
 // legacy-shaped config must marshal — and therefore hash into runKey —
 // without any of the new scenario fields, so journals written before the
-// engine existed still resolve their cells under -resume.
+// engine existed still resolve their cells from a -store.
 func TestRunKeyLegacyStable(t *testing.T) {
 	cfg := tinyCfg("lie", "mkrum")
 	if err := cfg.Normalize(); err != nil {

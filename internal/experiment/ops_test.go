@@ -89,7 +89,7 @@ func assertWatchKeepsIdentity(t *testing.T, watched Config, w Watch, twin Config
 		t.Fatalf("Config does not marshal: %v", err)
 	}
 
-	store, err := OpenStore(filepath.Join(t.TempDir(), "run.jsonl"))
+	store, err := OpenStore(filepath.Join(t.TempDir(), "run.jsonl"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func assertWatchKeepsIdentity(t *testing.T, watched Config, w Watch, twin Config
 		t.Fatalf("watched run is not stored under its unwatched twin's key (found %v, err %v)", ok, err)
 	}
 	again := NewRunner()
-	again.Store, again.Resume = store, true
+	again.Store = store
 	again.runFn = func(Config) (*Outcome, error) {
 		return nil, errors.New("the unwatched twin recomputed instead of resuming the watched run")
 	}

@@ -23,30 +23,15 @@ type Runner struct {
 	// averages the metrics, as the paper averages over three runs.
 	// 0 means a single run.
 	AverageSeeds int
-	// Store, when non-nil, durably journals every completed grid cell and
-	// clean baseline, making sweeps crash-resumable.
-	Store RunStore
-	// Resume, together with Store, replays journaled cells instead of
-	// recomputing them: an interrupted RunGrid restarted against the same
-	// store executes only the missing cells.
-	Resume bool
+	// Store, when non-nil, records every completed grid cell and clean
+	// baseline and adopts the ones already recorded — by an earlier, killed
+	// run or by another process draining the same store right now — instead
+	// of recomputing them. Nil runs every cell.
+	Store *Store
 	// Progress, when non-nil, receives one event per completed grid cell
 	// (including cells replayed from the store). Events are delivered
 	// serially; the callback does not need its own locking.
 	Progress func(ProgressEvent)
-	// LeasePoll is how often a worker re-scans the shared store for results
-	// and claimable cells when its grid is fully leased out (LeaseStore
-	// only). Zero means 500ms.
-	LeasePoll time.Duration
-	// LeaseExpirePolls is how many consecutive polls must observe a foreign
-	// lease at an unchanged epoch before the holder is presumed dead and the
-	// lease reclaimed. Liveness is judged purely by these local observations
-	// — no wall clock ever crosses a process boundary. Zero means 5.
-	LeaseExpirePolls int
-	// LeaseRenewEvery is the heartbeat interval at which a worker bumps the
-	// epoch of leases it holds; it must be comfortably shorter than
-	// LeasePoll*LeaseExpirePolls or healthy workers get robbed. Zero means 1s.
-	LeaseRenewEvery time.Duration
 	// Telemetry, when non-nil, instruments this worker's sweep: executed
 	// cells (count, duration spans), lease claims/conflicts/reclaims, and
 	// adopted cells. It also feeds the fleet fields of ProgressEvent. Pure
@@ -55,6 +40,16 @@ type Runner struct {
 	// runFn executes a single raw configuration; tests substitute it to
 	// observe scheduling without paying for real training.
 	runFn func(Config) (*Outcome, error)
+	// leasePoll is how often a worker re-scans the store for results and
+	// claimable cells when everything left is leased by another process;
+	// leaseExpirePolls is how many consecutive polls must see a foreign
+	// lease at an unchanged epoch before its holder is presumed dead (no
+	// wall clock ever crosses a process boundary); leaseRenewEvery is the
+	// heartbeat on held leases, comfortably shorter than their product.
+	// NewRunner sets them; tests shorten them.
+	leasePoll        time.Duration
+	leaseExpirePolls int
+	leaseRenewEvery  time.Duration
 }
 
 // baselineCell is the singleflight latch for one clean baseline: the first
@@ -73,9 +68,9 @@ type ProgressEvent struct {
 	Config Config
 	// Skipped marks a cell replayed from the run store rather than executed.
 	Skipped bool
-	// Remote marks a cell completed by another worker process draining the
-	// same shared store while this sweep was running (Skipped is false:
-	// the cell finished during the sweep, it just wasn't ours).
+	// Remote marks a cell completed by another process draining the same
+	// store while this sweep was running (Skipped is false: the cell
+	// finished during the sweep, it just wasn't ours).
 	Remote bool
 	// Outcome is the completed cell's result (nil when the cell failed).
 	Outcome *Outcome
@@ -103,7 +98,13 @@ type ProgressEvent struct {
 
 // NewRunner returns a Runner with an empty baseline cache.
 func NewRunner() *Runner {
-	return &Runner{cleanCache: make(map[string]*baselineCell), runFn: Run}
+	return &Runner{
+		cleanCache:       make(map[string]*baselineCell),
+		runFn:            Run,
+		leasePoll:        500 * time.Millisecond,
+		leaseExpirePolls: 5,
+		leaseRenewEvery:  time.Second,
+	}
 }
 
 // Watch hands p to the first run this runner starts — the first seed of its
@@ -168,40 +169,32 @@ func (r *Runner) CleanAccuracy(cfg Config) (float64, error) {
 	return cell.acc, cell.err
 }
 
-// computeBaseline resolves one clean baseline: from the run store when
-// resuming, otherwise by running the clean configuration (and journaling
-// the result so the next resume skips it).
+// computeBaseline resolves one clean baseline behind CleanAccuracy's
+// in-process latch: adopted when some process recorded it, else leased, so
+// exactly one process computes it while the others poll for its record —
+// the cross-process analogue of the latch.
 func (r *Runner) computeBaseline(clean Config) (float64, error) {
-	var key string
-	if r.Store != nil {
-		k, err := baselineKey(clean)
-		if err != nil {
-			return 0, err
-		}
-		key = k
-		if ls, ok := r.Store.(LeaseStore); ok {
-			// Multi-process sweeps singleflight the baseline fleet-wide: one
-			// worker leases and computes it, the rest await its record.
-			return r.computeBaselineLeased(ls, key, clean)
-		}
-		if r.Resume {
-			if out, ok, err := r.Store.Lookup(key); err != nil {
-				return 0, fmt.Errorf("experiment: clean baseline store: %w", err)
-			} else if ok {
-				return out.MaxAcc, nil
-			}
-		}
-	}
-	out, err := r.runFn(clean)
+	key, err := baselineKey(clean)
 	if err != nil {
-		return 0, fmt.Errorf("experiment: clean baseline: %w", err)
+		return 0, err
 	}
-	if r.Store != nil {
-		if err := r.Store.Record(key, out); err != nil {
+	var obs leaseObserver
+	for {
+		if err := r.Store.Refresh(); err != nil {
 			return 0, fmt.Errorf("experiment: clean baseline store: %w", err)
 		}
+		out, mine, err := r.acquire(key, &obs)
+		if err == nil && mine {
+			out, err = r.runLeased(key, func() (*Outcome, error) { return r.runFn(clean) })
+		}
+		if err != nil {
+			return 0, fmt.Errorf("experiment: clean baseline: %w", err)
+		}
+		if out != nil {
+			return out.MaxAcc, nil
+		}
+		time.Sleep(r.leasePoll)
 	}
-	return out.MaxAcc, nil
 }
 
 // Run executes cfg (averaging over seeds when configured) and fills
@@ -350,10 +343,12 @@ func cellName(c Config) string {
 // workers <= 0 uses GOMAXPROCS) and returns outcomes in input order. Clean
 // baselines are deduplicated in-flight by CleanAccuracy's singleflight
 // latch, so the grid starts on all cells immediately instead of prewarming
-// baselines serially. With a Store configured, every completed cell is
-// journaled; with Resume also set, cells already journaled are returned
-// from the store without execution, so a killed sweep re-run against the
-// same store completes only the remaining cells.
+// baselines serially. Every cell is leased from the Store before it runs
+// and recorded when it completes; cells the store already holds are
+// returned without execution, so a killed sweep re-run against the same
+// store completes only the remaining cells, and N processes on one store
+// cover the grid exactly once between them. With a nil Store every claim
+// succeeds at once.
 func (r *Runner) RunGrid(cfgs []Config, workers int) ([]*Outcome, error) {
 	if len(cfgs) == 0 {
 		return nil, nil
@@ -361,90 +356,63 @@ func (r *Runner) RunGrid(cfgs []Config, workers int) ([]*Outcome, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	seeds := r.AverageSeeds
-	if seeds < 1 {
-		seeds = 1
-	}
-
 	// Resolve cell identities up front; a malformed config fails fast.
 	keys := make([]string, len(cfgs))
-	if r.Store != nil {
-		for i, cfg := range cfgs {
-			key, err := runKey(cfg, seeds)
-			if err != nil {
-				return nil, err
-			}
-			keys[i] = key
+	for i, cfg := range cfgs {
+		key, err := runKey(cfg, r.AverageSeeds)
+		if err != nil {
+			return nil, err
 		}
-	} else {
-		for _, cfg := range cfgs {
-			c := cfg
-			if err := c.Normalize(); err != nil {
-				return nil, err
-			}
-		}
+		keys[i] = key
 	}
 
-	// A lease-capable store switches the grid into multi-process draining:
-	// cells are claimed before execution, so N workers against one store
-	// cover the grid exactly once between them.
-	if ls, ok := r.Store.(LeaseStore); ok {
-		return r.runGridLeased(ls, cfgs, keys, workers)
-	}
-
+	// Replay recorded cells before scheduling workers.
 	outcomes := make([]*Outcome, len(cfgs))
 	errs := make([]error, len(cfgs))
-
-	// Replay journaled cells before scheduling workers.
+	if err := r.Store.Refresh(); err != nil {
+		return nil, fmt.Errorf("experiment: store refresh: %w", err)
+	}
 	var pending []int
 	for i := range cfgs {
-		if r.Store != nil && r.Resume {
-			out, ok, err := r.Store.Lookup(keys[i])
-			if err != nil {
-				return nil, fmt.Errorf("experiment: grid cell %d: store: %w", i, err)
-			}
-			if ok {
-				outcomes[i] = out
-				continue
-			}
+		out, ok, err := r.Store.Lookup(keys[i])
+		if err != nil {
+			return nil, fmt.Errorf("experiment: grid cell %d: store: %w", i, err)
+		}
+		if ok {
+			outcomes[i] = out
+			continue
 		}
 		pending = append(pending, i)
 	}
-
-	if workers > len(pending) {
-		workers = len(pending)
-	}
 	prog := newProgressTracker(r.Progress, len(cfgs), r.Telemetry)
-	for i := range cfgs {
-		if outcomes[i] != nil {
-			prog.report(outcomes[i].Config, outcomes[i], nil, true, false)
+	for _, out := range outcomes {
+		if out != nil {
+			prog.report(out.Config, out, nil, true, false)
 		}
 	}
 
-	work := make(chan int)
+	sched := &leaseScheduler{r: r, keys: keys, pending: pending, obs: make(map[string]*leaseObserver)}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, len(pending)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range work {
-				sp := r.Telemetry.Cell(cellName(cfgs[i]))
-				out, err := r.Run(cfgs[i])
-				sp.End()
-				if err == nil && r.Store != nil {
-					if rerr := r.Store.Record(keys[i], out); rerr != nil {
-						err = fmt.Errorf("store: %w", rerr)
-					}
+			for {
+				i, ok := sched.next(prog, outcomes)
+				if !ok {
+					return
 				}
+				out, err := r.runLeased(keys[i], func() (*Outcome, error) {
+					sp := r.Telemetry.Cell(cellName(cfgs[i]))
+					defer sp.End()
+					return r.Run(cfgs[i])
+				})
 				outcomes[i], errs[i] = out, err
 				if err != nil {
 					// Report the normalized config so a cell renders the
 					// same whether it executed, failed, or was resumed.
 					c := cfgs[i]
-					_ = c.Normalize() // validated before scheduling
+					_ = c.Normalize() // validated by runKey
 					prog.report(c, nil, err, false, false)
 					continue
 				}
@@ -452,11 +420,10 @@ func (r *Runner) RunGrid(cfgs []Config, workers int) ([]*Outcome, error) {
 			}
 		}()
 	}
-	for _, i := range pending {
-		work <- i
-	}
-	close(work)
 	wg.Wait()
+	if sched.err != nil {
+		return nil, sched.err
+	}
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("experiment: grid cell %d (%s/%s/%s): %w",

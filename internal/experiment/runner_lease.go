@@ -9,33 +9,13 @@ import (
 	"repro/internal/persist"
 )
 
-// Multi-process grid draining. With a LeaseStore, RunGrid becomes one worker
-// of a fleet: every cell is leased before execution, results recorded by any
+// Lease-coordinated grid draining. RunGrid is one worker of a fleet over
+// its Store: every cell is leased before execution, results recorded by any
 // process are adopted as they appear, and leases whose epoch stalls across
 // enough local polls are reclaimed from crashed workers. The store is the
 // only coordination channel — workers never talk to each other, and no wall
-// clock crosses a process boundary.
-
-func (r *Runner) leasePoll() time.Duration {
-	if r.LeasePoll > 0 {
-		return r.LeasePoll
-	}
-	return 500 * time.Millisecond
-}
-
-func (r *Runner) leaseExpirePolls() int {
-	if r.LeaseExpirePolls > 0 {
-		return r.LeaseExpirePolls
-	}
-	return 5
-}
-
-func (r *Runner) leaseRenewEvery() time.Duration {
-	if r.LeaseRenewEvery > 0 {
-		return r.LeaseRenewEvery
-	}
-	return time.Second
-}
+// clock crosses a process boundary. A nil store grants every claim, so a
+// storeless grid drains through the same path.
 
 // leaseObserver accumulates one claimer's liveness evidence about one
 // foreign lease. Polls are timed locally: an observation only counts when at
@@ -70,85 +50,70 @@ func (o *leaseObserver) stealEpoch(expirePolls int) uint64 {
 	return 0
 }
 
-// renewLoop heartbeats a held lease until stop is called. Losing the lease
-// (another worker judged us dead) quietly ends the loop: the computation
-// continues, and the duplicate-free Record makes the double compute benign.
-func (r *Runner) renewLoop(ls LeaseStore, key string) (stop func()) {
+// acquire resolves key for this worker: it returns the outcome some process
+// already recorded (there is nothing to run), or mine when the key's lease
+// is now this worker's; with neither, a live foreign lease holds key and
+// obs has noted it.
+func (r *Runner) acquire(key string, obs *leaseObserver) (recorded *Outcome, mine bool, err error) {
+	if out, ok, err := r.Store.Lookup(key); err != nil || ok {
+		return out, false, err
+	}
+	steal := obs.stealEpoch(r.leaseExpirePolls)
+	lease, err := r.Store.TryClaim(key, steal)
+	if errors.Is(err, persist.ErrLeaseHeld) {
+		r.Telemetry.Conflict()
+		obs.observe(lease, r.leasePoll)
+		return nil, false, nil
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("lease claim: %w", err)
+	}
+	// The claim replayed the journal tail, so the view is current: if the
+	// previous holder recorded the result and released between our scan
+	// and our claim, adopt it rather than recompute.
+	out, ok, err := r.Store.Lookup(key)
+	if err != nil || ok {
+		_ = r.Store.Release(key)
+		return out, false, err
+	}
+	r.Telemetry.Claim(steal > 0)
+	return nil, true, nil
+}
+
+// runLeased runs the cell whose lease this worker holds under a heartbeat,
+// records its outcome and releases the lease. Losing the lease mid-run
+// (another worker judged us dead) quietly ends the heartbeat: the
+// computation continues, and the duplicate-free Record makes the double
+// compute benign.
+func (r *Runner) runLeased(key string, run func() (*Outcome, error)) (*Outcome, error) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		t := time.NewTicker(r.leaseRenewEvery())
+		t := time.NewTicker(r.leaseRenewEvery)
 		defer t.Stop()
 		for {
 			select {
 			case <-done:
 				return
 			case <-t.C:
-				if err := ls.Renew(key); err != nil {
+				if r.Store.Renew(key) != nil {
 					return
 				}
 			}
 		}
 	}()
-	return func() { close(done); wg.Wait() }
-}
-
-// computeBaselineLeased resolves a clean baseline across the fleet: exactly
-// one worker computes it while the others poll for its record — the
-// cross-process analogue of the in-process singleflight latch.
-func (r *Runner) computeBaselineLeased(ls LeaseStore, key string, clean Config) (float64, error) {
-	var obs leaseObserver
-	for {
-		if err := ls.Refresh(); err != nil {
-			return 0, fmt.Errorf("experiment: clean baseline store: %w", err)
+	out, err := run()
+	if err == nil {
+		if rerr := r.Store.Record(key, out); rerr != nil {
+			err = fmt.Errorf("store: %w", rerr)
 		}
-		if out, ok, err := ls.Lookup(key); err != nil {
-			return 0, fmt.Errorf("experiment: clean baseline store: %w", err)
-		} else if ok {
-			return out.MaxAcc, nil
-		}
-		steal := obs.stealEpoch(r.leaseExpirePolls())
-		lease, err := ls.TryClaim(key, steal)
-		if err == nil {
-			r.Telemetry.Claim(steal > 0)
-			// The claim transaction replayed the journal tail, so the local
-			// view is now current: if the previous holder recorded the result
-			// and released between our lookup and our claim, adopt it instead
-			// of recomputing.
-			if out, ok, lerr := ls.Lookup(key); lerr != nil {
-				_ = ls.Release(key)
-				return 0, fmt.Errorf("experiment: clean baseline store: %w", lerr)
-			} else if ok {
-				if rerr := ls.Release(key); rerr != nil {
-					return 0, fmt.Errorf("experiment: clean baseline store: %w", rerr)
-				}
-				return out.MaxAcc, nil
-			}
-			stop := r.renewLoop(ls, key)
-			out, rerr := r.runFn(clean)
-			stop()
-			if rerr != nil {
-				_ = ls.Release(key)
-				return 0, fmt.Errorf("experiment: clean baseline: %w", rerr)
-			}
-			if werr := ls.Record(key, out); werr != nil {
-				_ = ls.Release(key)
-				return 0, fmt.Errorf("experiment: clean baseline store: %w", werr)
-			}
-			if err := ls.Release(key); err != nil {
-				return 0, fmt.Errorf("experiment: clean baseline store: %w", err)
-			}
-			return out.MaxAcc, nil
-		}
-		if !errors.Is(err, persist.ErrLeaseHeld) {
-			return 0, fmt.Errorf("experiment: clean baseline lease: %w", err)
-		}
-		r.Telemetry.Conflict()
-		obs.observe(lease, r.leasePoll())
-		time.Sleep(r.leasePoll())
 	}
+	close(done)
+	wg.Wait()
+	_ = r.Store.Release(key)
+	return out, err
 }
 
 // leaseScheduler hands grid cells to local workers: it adopts results other
@@ -157,7 +122,6 @@ func (r *Runner) computeBaselineLeased(ls LeaseStore, key string, clean Config) 
 type leaseScheduler struct {
 	mu      sync.Mutex
 	r       *Runner
-	ls      LeaseStore
 	keys    []string
 	pending []int
 	obs     map[string]*leaseObserver
@@ -174,152 +138,43 @@ func (s *leaseScheduler) next(prog *progressTracker, outcomes []*Outcome) (int, 
 		if s.err != nil || len(s.pending) == 0 {
 			return 0, false
 		}
-		if err := s.ls.Refresh(); err != nil {
-			s.err = fmt.Errorf("experiment: shared store refresh: %w", err)
+		if err := s.r.Store.Refresh(); err != nil {
+			s.err = fmt.Errorf("experiment: store refresh: %w", err)
 			return 0, false
 		}
-		// Adopt cells other workers finished since the last scan.
-		kept := s.pending[:0]
-		for _, i := range s.pending {
-			out, ok, err := s.ls.Lookup(s.keys[i])
-			if err != nil {
-				s.err = fmt.Errorf("experiment: shared store: %w", err)
-				return 0, false
-			}
-			if ok {
-				outcomes[i] = out
-				s.r.Telemetry.Adopt()
-				prog.report(out.Config, out, nil, false, true)
-				continue
-			}
-			kept = append(kept, i)
-		}
-		s.pending = kept
-		// Claim the first available cell; observe the holders of the rest.
-		adopted := false
-		for n, i := range s.pending {
+		// Adopt cells other workers finished since the last scan and claim
+		// the first free one, observing the holders of the rest.
+		for n := 0; n < len(s.pending); {
+			i := s.pending[n]
 			ob := s.obs[s.keys[i]]
 			if ob == nil {
 				ob = &leaseObserver{}
 				s.obs[s.keys[i]] = ob
 			}
-			steal := ob.stealEpoch(s.r.leaseExpirePolls())
-			lease, err := s.ls.TryClaim(s.keys[i], steal)
-			if err == nil {
-				// The claim replayed the tail; if the result landed between
-				// our scan and our claim, adopt it rather than recompute.
-				if out, ok, lerr := s.ls.Lookup(s.keys[i]); lerr != nil {
-					_ = s.ls.Release(s.keys[i])
-					s.err = fmt.Errorf("experiment: shared store: %w", lerr)
-					return 0, false
-				} else if ok {
-					_ = s.ls.Release(s.keys[i])
-					outcomes[i] = out
-					s.r.Telemetry.Adopt()
-					prog.report(out.Config, out, nil, false, true)
-					s.pending = append(s.pending[:n], s.pending[n+1:]...)
-					adopted = true
-					break // pending mutated; rescan from the top
-				}
-				s.r.Telemetry.Claim(steal > 0)
+			out, mine, err := s.r.acquire(s.keys[i], ob)
+			switch {
+			case err != nil:
+				s.err = fmt.Errorf("experiment: store: %w", err)
+				return 0, false
+			case mine:
 				s.pending = append(s.pending[:n], s.pending[n+1:]...)
 				return i, true
+			case out != nil:
+				outcomes[i] = out
+				s.r.Telemetry.Adopt()
+				prog.report(out.Config, out, nil, false, true)
+				s.pending = append(s.pending[:n], s.pending[n+1:]...)
+			default:
+				n++
 			}
-			if !errors.Is(err, persist.ErrLeaseHeld) {
-				s.err = fmt.Errorf("experiment: lease claim: %w", err)
-				return 0, false
-			}
-			s.r.Telemetry.Conflict()
-			ob.observe(lease, s.r.leasePoll())
 		}
 		if len(s.pending) == 0 {
 			return 0, false
 		}
-		if adopted {
-			continue // rescan immediately; more cells may be claimable
-		}
 		// Every remaining cell is leased by another process: wait for its
 		// result to appear or its lease to stale out, then rescan.
 		s.mu.Unlock()
-		time.Sleep(s.r.leasePoll())
+		time.Sleep(s.r.leasePoll)
 		s.mu.Lock()
 	}
-}
-
-// runGridLeased drains the grid as one worker of a fleet sharing ls. A
-// lease-capable store always resumes: recorded cells are the fleet's shared
-// ground truth, regardless of r.Resume.
-func (r *Runner) runGridLeased(ls LeaseStore, cfgs []Config, keys []string, workers int) ([]*Outcome, error) {
-	outcomes := make([]*Outcome, len(cfgs))
-	errs := make([]error, len(cfgs))
-
-	if err := ls.Refresh(); err != nil {
-		return nil, fmt.Errorf("experiment: shared store refresh: %w", err)
-	}
-	var pending []int
-	for i := range cfgs {
-		out, ok, err := ls.Lookup(keys[i])
-		if err != nil {
-			return nil, fmt.Errorf("experiment: grid cell %d: store: %w", i, err)
-		}
-		if ok {
-			outcomes[i] = out
-			continue
-		}
-		pending = append(pending, i)
-	}
-	prog := newProgressTracker(r.Progress, len(cfgs), r.Telemetry)
-	for i := range cfgs {
-		if outcomes[i] != nil {
-			prog.report(outcomes[i].Config, outcomes[i], nil, true, false)
-		}
-	}
-
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	sched := &leaseScheduler{r: r, ls: ls, keys: keys, pending: pending, obs: make(map[string]*leaseObserver)}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i, ok := sched.next(prog, outcomes)
-				if !ok {
-					return
-				}
-				stop := r.renewLoop(ls, keys[i])
-				sp := r.Telemetry.Cell(cellName(cfgs[i]))
-				out, err := r.Run(cfgs[i])
-				sp.End()
-				if err == nil {
-					if rerr := ls.Record(keys[i], out); rerr != nil {
-						err = fmt.Errorf("store: %w", rerr)
-					}
-				}
-				stop()
-				_ = ls.Release(keys[i])
-				outcomes[i], errs[i] = out, err
-				if err != nil {
-					c := cfgs[i]
-					_ = c.Normalize() // validated before scheduling
-					prog.report(c, nil, err, false, false)
-					continue
-				}
-				prog.report(out.Config, out, nil, false, false)
-			}
-		}()
-	}
-	wg.Wait()
-	if sched.err != nil {
-		return nil, sched.err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("experiment: grid cell %d (%s/%s/%s): %w",
-				i, cfgs[i].Dataset, cfgs[i].Attack, cfgs[i].Defense, err)
-		}
-	}
-	return outcomes, nil
 }

@@ -39,13 +39,13 @@ func countJournalLines(t *testing.T, path, key string) int {
 // fastLease tunes a Runner's lease knobs for test speed: stalls are
 // detected in tens of milliseconds instead of seconds.
 func fastLease(r *Runner) {
-	r.LeasePoll = 10 * time.Millisecond
-	r.LeaseExpirePolls = 3
-	r.LeaseRenewEvery = 5 * time.Millisecond
+	r.leasePoll = 10 * time.Millisecond
+	r.leaseExpirePolls = 3
+	r.leaseRenewEvery = 5 * time.Millisecond
 }
 
 // TestWorkersDrainSharedGrid: two worker "processes" (independent Runners
-// over independently opened SharedStores on one path) drain one grid
+// over independently opened Stores on one path) drain one grid
 // concurrently. Every cell and the shared baseline must execute exactly once
 // fleet-wide, both workers must return the complete grid, and each worker's
 // progress events must account for every cell as locally executed, remotely
@@ -79,7 +79,7 @@ func TestWorkersDrainSharedGrid(t *testing.T) {
 	results := make([]result, 2)
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
-		store, err := OpenSharedStore(path, []string{"alice", "bob"}[w])
+		store, err := OpenStore(path, []string{"alice", "bob"}[w])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestLeasedGridReclaimsStalledLease(t *testing.T) {
 	}
 	dead.Close()
 
-	store, err := OpenSharedStore(path, "live-worker")
+	store, err := OpenStore(path, "live-worker")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,8 +198,8 @@ func TestLeasedGridReclaimsStalledLease(t *testing.T) {
 	if outs[0] == nil || outs[0].Config.Attack != "lie" {
 		t.Fatalf("reclaimed cell outcome: %+v", outs[0])
 	}
-	// Reclaim requires LeaseExpirePolls observations spaced LeasePoll apart.
-	if min := time.Duration(r.LeaseExpirePolls) * r.LeasePoll; time.Since(start) < min {
+	// Reclaim requires leaseExpirePolls observations spaced leasePoll apart.
+	if min := time.Duration(r.leaseExpirePolls) * r.leasePoll; time.Since(start) < min {
 		t.Fatalf("grid finished in %v — lease stolen without %v of staleness evidence", time.Since(start), min)
 	}
 }
@@ -214,7 +214,7 @@ func TestLeasedGridDoesNotStealLiveLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	holder, err := OpenSharedStore(path, "holder")
+	holder, err := OpenStore(path, "holder")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestLeasedGridDoesNotStealLiveLease(t *testing.T) {
 		}
 	}()
 
-	store, err := OpenSharedStore(path, "waiter")
+	store, err := OpenStore(path, "waiter")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestLeasedGridDoesNotStealLiveLease(t *testing.T) {
 	// After 10× the staleness budget, the holder records the result itself;
 	// the waiter must adopt it, not have recomputed it.
 	go func() {
-		time.Sleep(10 * time.Duration(r.LeaseExpirePolls) * r.LeasePoll)
+		time.Sleep(10 * time.Duration(r.leaseExpirePolls) * r.leasePoll)
 		out, _ := fakeRun(cfgs[0].normalized(t))
 		if err := holder.Record(key, out); err != nil {
 			t.Error(err)
@@ -301,7 +301,7 @@ func TestSharedStoreRecordDuplicateFree(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s, err := OpenSharedStore(path, "w")
+			s, err := OpenStore(path, "w")
 			if err != nil {
 				t.Error(err)
 				return

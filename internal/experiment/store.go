@@ -6,21 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"os"
 
 	"repro/internal/fl"
 	"repro/internal/forensics"
 	"repro/internal/persist"
 )
-
-// RunStore persists completed runs across process restarts so an
-// interrupted grid resumes where it died instead of recomputing every cell.
-// Implementations must be safe for concurrent use by the grid workers.
-type RunStore interface {
-	// Lookup returns the stored outcome for key, if any.
-	Lookup(key string) (*Outcome, bool, error)
-	// Record durably stores the outcome under key.
-	Record(key string, out *Outcome) error
-}
 
 // keyVersion is hashed into every run key and prefixed to every baseline
 // key. Bump it when a code change moves the outcomes existing configurations
@@ -215,24 +206,50 @@ func decodeOutcome(s storedOutcome) *Outcome {
 	return o
 }
 
-// JournalStore is the persist.Journal-backed RunStore: every completed cell
-// becomes one durable JSONL line, and reopening the same path resumes from
-// whatever the previous process managed to finish.
-type JournalStore struct {
-	j *persist.Journal
+// Store is the run store: a persist.SharedJournal holding one JSONL record
+// per completed grid cell (under its runKey) and clean baseline (under its
+// baselineKey), plus the work-claiming leases under the "lease|" namespace,
+// which never collide with either. Every sweep drains its grid through it:
+// recorded cells are adopted, never recomputed, so a killed sweep rerun
+// against the same path executes only the missing cells, and N processes
+// started on one path split the grid between them — each cell runs once
+// fleet-wide (twice at most under a crash, where bit-identical determinism
+// makes the duplicate compute benign: only the first record lands).
+//
+// A nil *Store is the "no store" case: every method is inert and every
+// claim succeeds at once, so the one grid drain needs no branch for it.
+type Store struct {
+	j     *persist.SharedJournal
+	owner string
 }
 
-// OpenStore opens (creating if needed) the run store at path.
-func OpenStore(path string) (*JournalStore, error) {
-	j, err := persist.OpenJournal(path)
+// OpenStore opens (creating if needed) the run store at path, or returns
+// nil for an empty path. owner names this process in lease records
+// (diagnostics only); empty derives hostname-pid.
+func OpenStore(path, owner string) (*Store, error) {
+	if path == "" {
+		return nil, nil
+	}
+	if owner == "" {
+		host, err := os.Hostname()
+		if err != nil {
+			host = "localhost"
+		}
+		owner = fmt.Sprintf("%s-%d", host, os.Getpid())
+	}
+	j, err := persist.OpenShared(path)
 	if err != nil {
 		return nil, err
 	}
-	return &JournalStore{j: j}, nil
+	return &Store{j: j, owner: owner}, nil
 }
 
-// Lookup returns the journaled outcome for key, if present.
-func (s *JournalStore) Lookup(key string) (*Outcome, bool, error) {
+// Lookup returns the stored outcome for key in the current view; call
+// Refresh to pick up other processes' records.
+func (s *Store) Lookup(key string) (*Outcome, bool, error) {
+	if s == nil {
+		return nil, false, nil
+	}
 	var rec storedOutcome
 	ok, err := s.j.Lookup(key, &rec)
 	if err != nil || !ok {
@@ -241,13 +258,79 @@ func (s *JournalStore) Lookup(key string) (*Outcome, bool, error) {
 	return decodeOutcome(rec), true, nil
 }
 
-// Record journals the outcome under key.
-func (s *JournalStore) Record(key string, out *Outcome) error {
-	return s.j.Append(key, encodeOutcome(out))
+// Record stores the outcome under key unless some process already did: the
+// check-then-append runs inside one exclusive-lock transaction, so even a
+// worker whose lease was stolen mid-cell cannot produce a duplicate record.
+func (s *Store) Record(key string, out *Outcome) error {
+	if s == nil {
+		return nil
+	}
+	return s.j.Update(func(tx *persist.Tx) error {
+		var existing json.RawMessage
+		if ok, err := tx.Lookup(key, &existing); err != nil {
+			return err
+		} else if ok {
+			return nil // first record wins; ours is bit-identical anyway
+		}
+		return tx.Append(key, encodeOutcome(out))
+	})
 }
 
-// Len reports the number of journaled runs.
-func (s *JournalStore) Len() int { return s.j.Len() }
+// Refresh replays records other processes appended since the last look.
+func (s *Store) Refresh() error {
+	if s == nil {
+		return nil
+	}
+	return s.j.Refresh()
+}
+
+// TryClaim leases key for this store's owner. stealEpoch authorizes
+// reclaiming a lease whose epoch is at most that value (0 = never);
+// contention returns the holder's lease with persist.ErrLeaseHeld.
+func (s *Store) TryClaim(key string, stealEpoch uint64) (persist.Lease, error) {
+	if s == nil {
+		return persist.Lease{Held: true}, nil
+	}
+	return s.j.TryClaim(key, s.owner, stealEpoch)
+}
+
+// Renew proves liveness on a held lease; persist.ErrLeaseLost reports it
+// was reclaimed.
+func (s *Store) Renew(key string) error {
+	if s == nil {
+		return nil
+	}
+	_, err := s.j.Renew(key, s.owner)
+	return err
+}
+
+// Release frees the lease on key; losing it first is not an error.
+func (s *Store) Release(key string) error {
+	if s == nil {
+		return nil
+	}
+	return s.j.Release(key, s.owner)
+}
+
+// Len reports the number of stored runs and baselines (lease records
+// excluded).
+func (s *Store) Len() int {
+	if s == nil {
+		return 0
+	}
+	n := 0
+	for _, k := range s.j.Keys() {
+		if !persist.IsLeaseKey(k) {
+			n++
+		}
+	}
+	return n
+}
 
 // Close releases the underlying journal.
-func (s *JournalStore) Close() error { return s.j.Close() }
+func (s *Store) Close() error {
+	if s == nil {
+		return nil
+	}
+	return s.j.Close()
+}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
 	"path/filepath"
 	"strings"
@@ -80,7 +81,7 @@ func TestRunGridStoreResume(t *testing.T) {
 		tinyCfg("random", "fedavg"),
 	}
 
-	store1, err := OpenStore(path)
+	store1, err := OpenStore(path, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestRunGridStoreResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store2, err := OpenStore(path)
+	store2, err := OpenStore(path, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,6 @@ func TestRunGridStoreResume(t *testing.T) {
 	}
 	r2 := NewRunner()
 	r2.Store = store2
-	r2.Resume = true
 	var executed atomic.Int64
 	r2.runFn = func(cfg Config) (*Outcome, error) {
 		executed.Add(1)
@@ -157,7 +157,7 @@ func TestRunGridFullyResumedGrid(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	cfgs := []Config{tinyCfg("lie", "mkrum"), tinyCfg("fang", "median")}
 
-	store1, err := OpenStore(path)
+	store1, err := OpenStore(path, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,14 +169,13 @@ func TestRunGridFullyResumedGrid(t *testing.T) {
 	}
 	store1.Close()
 
-	store2, err := OpenStore(path)
+	store2, err := OpenStore(path, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store2.Close()
 	r2 := NewRunner()
 	r2.Store = store2
-	r2.Resume = true
 	r2.runFn = func(cfg Config) (*Outcome, error) {
 		t.Errorf("fully journaled grid executed %s/%s", cfg.Attack, cfg.Defense)
 		return fakeRun(cfg)
@@ -199,7 +198,7 @@ func TestRunGridProgressEvents(t *testing.T) {
 		tinyCfg("fang", "median"),
 		tinyCfg("minmax", "trmean"),
 	}
-	store1, err := OpenStore(path)
+	store1, err := OpenStore(path, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,14 +210,13 @@ func TestRunGridProgressEvents(t *testing.T) {
 	}
 	store1.Close()
 
-	store2, err := OpenStore(path)
+	store2, err := OpenStore(path, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store2.Close()
 	r2 := NewRunner()
 	r2.Store = store2
-	r2.Resume = true
 	r2.runFn = fakeRun
 	var events []ProgressEvent
 	r2.Progress = func(ev ProgressEvent) { events = append(events, ev) }
@@ -245,6 +243,60 @@ func TestRunGridProgressEvents(t *testing.T) {
 	}
 	if skipped != 1 {
 		t.Fatalf("%d events marked skipped, want 1 (the journaled cell)", skipped)
+	}
+}
+
+// TestRunGridStoreIsInvisible: the nil store and a real one drain a grid
+// through the one path, so the same cells give identical outcomes and
+// identical progress events (Done, Skipped, Remote) either way; rerun on
+// the filled store, every event is a replay with the same outcome.
+func TestRunGridStoreIsInvisible(t *testing.T) {
+	cfgs := []Config{
+		tinyCfg("lie", "mkrum"),
+		tinyCfg("fang", "median"),
+		tinyCfg("minmax", "trmean"),
+		tinyCfg("random", "fedavg"),
+	}
+	type mark struct {
+		done            int
+		skipped, remote bool
+	}
+	drain := func(store *Store) ([]*Outcome, []mark) {
+		t.Helper()
+		r := NewRunner()
+		r.Store = store
+		r.runFn = fakeRun
+		var marks []mark
+		r.Progress = func(ev ProgressEvent) { marks = append(marks, mark{ev.Done, ev.Skipped, ev.Remote}) }
+		outs, err := r.RunGrid(cfgs, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outs, marks
+	}
+	store, err := OpenStore(filepath.Join(t.TempDir(), "run.jsonl"), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	bare, bareMarks := drain(nil)
+	stored, storedMarks := drain(store)
+	replayed, replayMarks := drain(store)
+	for i := range cfgs {
+		for _, o := range []*Outcome{stored[i], replayed[i]} {
+			if !sameBits(o.MaxAcc, bare[i].MaxAcc) || !sameBits(o.CleanAcc, bare[i].CleanAcc) ||
+				!sameBits(o.ASR, bare[i].ASR) || !sameBits(o.DPR, bare[i].DPR) {
+				t.Fatalf("cell %d: %+v differs from the storeless %+v", i, o, bare[i])
+			}
+		}
+	}
+	if fmt.Sprint(bareMarks) != fmt.Sprint(storedMarks) {
+		t.Fatalf("progress events differ: storeless %v, stored %v", bareMarks, storedMarks)
+	}
+	for i, m := range replayMarks {
+		if m != (mark{i + 1, true, false}) {
+			t.Fatalf("rerun event %d = %+v, want a replay", i, m)
+		}
 	}
 }
 
@@ -327,7 +379,7 @@ func TestRunKey(t *testing.T) {
 	// The key carries the store version: the pre-v2 derivation of the same
 	// cell (no version in the hash, none in the baseline prefix) can never
 	// match, so a store written before the single round driver recomputes
-	// under -resume instead of replaying outcomes the code no longer makes.
+	// instead of replaying outcomes the code no longer makes.
 	norm := a
 	if err := norm.Normalize(); err != nil {
 		t.Fatal(err)
@@ -392,7 +444,7 @@ func TestRunKeyGolden(t *testing.T) {
 // preserves NaN metrics via nullable encoding.
 func TestStoreRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
-	store, err := OpenStore(path)
+	store, err := OpenStore(path, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +458,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	store.Close()
 
-	re, err := OpenStore(path)
+	re, err := OpenStore(path, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +484,7 @@ func TestRunGridRealPipelineWithStore(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	cfgs := []Config{tinyCfg("lie", "mkrum")}
 
-	store1, err := OpenStore(path)
+	store1, err := OpenStore(path, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,14 +496,13 @@ func TestRunGridRealPipelineWithStore(t *testing.T) {
 	}
 	store1.Close()
 
-	store2, err := OpenStore(path)
+	store2, err := OpenStore(path, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store2.Close()
 	r2 := NewRunner()
 	r2.Store = store2
-	r2.Resume = true
 	r2.runFn = func(cfg Config) (*Outcome, error) {
 		t.Errorf("journaled real run re-executed: %s/%s", cfg.Attack, cfg.Defense)
 		return Run(cfg)

@@ -173,7 +173,8 @@ func TestEngineTelemetryDisabledZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkEngineRoundTelemetry measures the telemetry overhead on the
-// engine's round loop over static stubs — the number BENCH_8.json records.
+// engine's round loop over static stubs (the disabled path's zero-alloc
+// bound is TestEngineTelemetryDisabledZeroAlloc).
 // The end-to-end overhead on a real training round is far smaller still,
 // since client training dominates.
 func BenchmarkEngineRoundTelemetry(b *testing.B) {

@@ -62,8 +62,7 @@ func BenchmarkObserveAggregation50x10k(b *testing.B) {
 }
 
 // benchSim builds the flsim bench cell (mkrum under attack) with or
-// without the forensics observer, for the ≤5% round-latency acceptance
-// bound recorded in BENCH_5.json.
+// without the forensics observer, to price its round-latency overhead.
 func benchSim(b *testing.B, obs fl.AggregationObserver) *fl.Simulation {
 	b.Helper()
 	spec := dataset.TinySpec()

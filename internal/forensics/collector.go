@@ -120,9 +120,8 @@ func NewCollector(opts Options) (*Collector, error) {
 	}
 	c := &Collector{opts: opts, ring: make([]RoundAudit, 0, opts.Ring)}
 	if opts.AuditPath != "" {
-		// Streaming mode: the audit journal grows with run length, so the
-		// replay map of the run-store journal would be an unbounded leak
-		// and a per-aggregation fsync a stall on the engine goroutine.
+		// The write-only stream: the audit journal grows with run length,
+		// so it keeps nothing in memory and syncs once, at Close.
 		j, err := persist.OpenJournalStream(opts.AuditPath)
 		if err != nil {
 			return nil, err

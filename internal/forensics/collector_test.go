@@ -195,18 +195,16 @@ func TestCollectorAuditJournal(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	j, err := persist.OpenJournal(path)
+	entries, err := persist.ReadEntries(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
-	if j.Len() != 3 {
-		t.Fatalf("journal has %d entries, want 3", j.Len())
+	if len(entries) != 3 {
+		t.Fatalf("journal has %d entries, want 3", len(entries))
 	}
 	var entry jsonRoundAudit
-	ok, err := j.Lookup("r00000001.0000", &entry)
-	if err != nil || !ok {
-		t.Fatalf("round 1 audit missing: %v", err)
+	if e := entries[1]; e.Key != "r00000001.0000" || json.Unmarshal(e.Payload, &entry) != nil {
+		t.Fatalf("round 1 audit missing: entry 1 is %s", e.Key)
 	}
 	if entry.Round != 1 || len(entry.Records) != 4 {
 		t.Fatalf("journaled audit = round %d with %d records", entry.Round, len(entry.Records))

@@ -1,9 +1,9 @@
 package forensics
 
-// Dashboard streaming benches, recorded in BENCH_9.json: the broadcast fan-
-// out at 0/1/4 subscribers, end-to-end SSE delivery latency over a real
-// HTTP connection, and the engine-round cell under sustained polling (the
-// ≤2% acceptance budget against the ForensicsOn baseline).
+// Dashboard streaming benches: the broadcast fan-out at 0/1/4
+// subscribers, end-to-end SSE delivery latency over a real HTTP
+// connection, and the engine-round cell under sustained polling (the ≤2%
+// acceptance budget against the ForensicsOn baseline).
 
 import (
 	"bufio"

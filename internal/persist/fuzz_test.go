@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
 // FuzzJournalRecover throws arbitrary bytes at the journal's crash-recovery
-// path and checks the durability contract survives them: Open never
-// panics; when it accepts a file, the journal must be writable, and after
-// a clean Close the file it leaves behind must reopen with the appended
-// entry intact. In other words: whatever damage Open tolerated, it must
-// have repaired — recovery is idempotent, never compounding.
+// path and checks the durability contract survives them. The three readers
+// of the format — ReadEntries, the keyed shared journal and the stream —
+// must reach one verdict on the same bytes, and the shared view must hold
+// exactly the keys ReadEntries returns. When a writer accepts a file it
+// must be writable, and the file it leaves behind must read back with every
+// entry it accepted plus the appended probe: whatever damage open
+// tolerated, the writer repaired — recovery is idempotent, never
+// compounding.
 func FuzzJournalRecover(f *testing.F) {
 	line := func(key, payload string) []byte {
 		return []byte(`{"key":"` + key + `","payload":` + payload + `}` + "\n")
@@ -26,65 +30,94 @@ func FuzzJournalRecover(f *testing.F) {
 	f.Add(append(append([]byte{}, valid...), []byte(`{"key":"b","pa`)...))
 	// Tear that ate exactly the trailing newline.
 	f.Add(bytes.TrimSuffix(valid, []byte("\n")))
+	// Newline-terminated garbage as the final line.
+	f.Add(append(append([]byte{}, valid...), []byte("garbage\n")...))
+	// A NUL-filled tail (a file extended past its last write).
+	f.Add(append(append([]byte{}, valid...), make([]byte, 16)...))
 	// Mid-file corruption: damage followed by more data (must error, not repair).
 	f.Add(append([]byte("garbage\n"), valid...))
 	// Entry with an empty key (corrupt by contract).
 	f.Add(line("", `{}`))
 
+	type probe struct {
+		N int `json:"n"`
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "journal.jsonl")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		// The shared (multi-writer) journal reads the same format; its
-		// recovery verdict must agree with the single-owner journal's on the
-		// same bytes, and an accepted file must survive an Update round-trip.
-		if s, serr := OpenShared(path); serr == nil {
-			if err := s.Append("__fuzz_shared__", struct {
-				N int `json:"n"`
-			}{N: 7}); err != nil {
-				t.Fatalf("shared append after successful open: %v", err)
+		dir := t.TempDir()
+		write := func(name string) string {
+			p := filepath.Join(dir, name)
+			if err := os.WriteFile(p, data, 0o644); err != nil {
+				t.Fatal(err)
 			}
-			var got struct {
-				N int `json:"n"`
+			return p
+		}
+		keysOf := func(path string) []string {
+			t.Helper()
+			entries, err := ReadEntries(path)
+			if err != nil {
+				t.Fatalf("read back after repair + append: %v", err)
 			}
-			if ok, err := s.Lookup("__fuzz_shared__", &got); err != nil || !ok || got.N != 7 {
-				t.Fatalf("shared probe: ok=%v err=%v got=%+v", ok, err, got)
+			keys := make([]string, len(entries))
+			for i, e := range entries {
+				keys[i] = e.Key
 			}
-			if err := s.Close(); err != nil {
-				t.Fatalf("shared close: %v", err)
-			}
+			return keys
 		}
-		j, err := OpenJournal(path)
-		if err != nil {
-			return // rejected as unrecoverable: a legal verdict for fuzz bytes
+
+		entries, rerr := ReadEntries(write("read.jsonl"))
+		sharedPath := write("shared.jsonl")
+		s, serr := OpenShared(sharedPath)
+		streamPath := write("stream.jsonl")
+		j, jerr := OpenJournalStream(streamPath)
+		if (rerr == nil) != (serr == nil) || (rerr == nil) != (jerr == nil) {
+			t.Fatalf("readers disagree: ReadEntries %v, OpenShared %v, OpenJournalStream %v", rerr, serr, jerr)
 		}
-		before := j.Len()
-		probe := struct {
-			N int `json:"n"`
-		}{N: 42}
-		if err := j.Append("__fuzz_probe__", probe); err != nil {
-			t.Fatalf("append after successful open: %v", err)
+		if rerr != nil {
+			return // rejected as unrecoverable by all three: a legal verdict
 		}
-		if err := j.Close(); err != nil {
-			t.Fatalf("close: %v", err)
+		accepted := make([]string, len(entries))
+		for i, e := range entries {
+			accepted[i] = e.Key
 		}
-		// Recovery must have left a well-formed file: reopening can no
-		// longer fail or lose the probe.
-		j2, err := OpenJournal(path)
+		distinct := slices.Clone(accepted)
+		slices.Sort(distinct)
+		distinct = slices.Compact(distinct)
+		view := s.Keys()
+		slices.Sort(view)
+		if !slices.Equal(view, distinct) {
+			t.Fatalf("shared view %q, ReadEntries keys %q", view, distinct)
+		}
+		want := append(accepted, "__fuzz_probe__")
+
+		// The keyed half: append, reopen, find the probe.
+		if err := s.Append("__fuzz_probe__", probe{N: 42}); err != nil {
+			t.Fatalf("shared append after successful open: %v", err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("shared close: %v", err)
+		}
+		if got := keysOf(sharedPath); !slices.Equal(got, want) {
+			t.Fatalf("shared journal after repair: keys %q, want %q", got, want)
+		}
+		re, err := OpenShared(sharedPath)
 		if err != nil {
 			t.Fatalf("reopen after recovery+append: %v", err)
 		}
-		defer j2.Close()
-		var got struct {
-			N int `json:"n"`
-		}
-		found, err := j2.Lookup("__fuzz_probe__", &got)
-		if err != nil || !found || got.N != 42 {
+		defer re.Close()
+		var got probe
+		if found, err := re.Lookup("__fuzz_probe__", &got); err != nil || !found || got.N != 42 {
 			t.Fatalf("probe after reopen: found=%v err=%v got=%+v", found, err, got)
 		}
-		if j2.Len() < before {
-			t.Fatalf("reopen lost entries: %d -> %d", before, j2.Len())
+
+		// The stream half: append, close, read back.
+		if err := j.Append("__fuzz_probe__", probe{N: 42}); err != nil {
+			t.Fatalf("stream append after successful open: %v", err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatalf("stream close: %v", err)
+		}
+		if got := keysOf(streamPath); !slices.Equal(got, want) {
+			t.Fatalf("stream after repair: keys %q, want %q", got, want)
 		}
 	})
 }

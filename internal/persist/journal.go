@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,32 +11,13 @@ import (
 	"sync"
 )
 
-// Journal is an append-only JSONL outcome store: one JSON object per line,
-// each carrying a caller-chosen key and an opaque payload. It is the
-// durability layer of the resumable experiment grid — a sweep appends every
-// completed cell, and a restarted sweep replays the journal to skip work it
-// already paid for. The format is deliberately crash-tolerant: a process
-// killed mid-append leaves at most one truncated final line, which Open
-// discards, so the journal never needs repair.
-type Journal struct {
-	mu      sync.Mutex
-	path    string
-	f       *os.File
-	entries map[string]json.RawMessage
-	// streaming marks a write-only journal (OpenJournalStream): payloads
-	// are not retained in memory and appends are not individually synced,
-	// so an unbounded audit stream costs O(1) memory and no fsync stalls.
-	streaming bool
-	// appended counts lines written or replayed (Len in streaming mode,
-	// where the entries map stays empty).
-	appended int
-	// off is the write offset after the last intact line; a failed append
-	// truncates back to it so partial bytes never precede later entries
-	// (mid-file corruption, unlike a torn tail, is unrecoverable).
-	off int64
-	// unlock releases the single-owner lock taken at open.
-	unlock func()
-}
+// The journal format: one JSON object per line, each carrying a
+// caller-chosen key and an opaque payload; later lines win on duplicate
+// keys. It is crash-tolerant by construction — a process killed mid-append
+// leaves at most one damaged final line — and every reader of it (the
+// write-only Journal stream, the SharedJournal behind the run store, and
+// ReadEntries) splits the bytes with the one scanner below, so all three
+// agree on what a file holds.
 
 // journalLine is the on-disk shape of one entry.
 type journalLine struct {
@@ -43,196 +25,166 @@ type journalLine struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// OpenJournal opens (creating if needed) the journal at path and replays
-// its existing entries. Later lines win on duplicate keys. A truncated or
-// corrupt final line — the signature of a crash mid-append — is dropped;
-// corruption anywhere earlier is reported as an error.
-func OpenJournal(path string) (*Journal, error) {
-	return openJournal(path, false)
+// scanResult is scanLines' verdict on a journal's bytes.
+type scanResult struct {
+	// end is the offset just past the last intact newline-terminated line.
+	end int64
+	// size is the offset where the bytes ran out.
+	size int64
+	// open marks [end, size) as one intact entry that lost only its
+	// newline: it was reported, and recovery terminates it in place.
+	open bool
+	// torn marks [end, size) as a damaged final line — the tail of a
+	// crash mid-append — which recovery truncates away.
+	torn bool
 }
 
-// OpenJournalStream opens the journal as a write-mostly audit stream: the
-// same on-disk format and crash tolerance, but appended payloads are not
-// retained in memory (Lookup reports every key absent) and appends are
-// not individually fsynced — a torn tail on power loss is exactly the
-// recoverable damage replay already handles. Use it for journals that
-// grow with run length (the forensics audit stream), where OpenJournal's
-// replay map would be an unbounded leak and a per-round fsync a stall.
+// scanLines reads journal lines from r, whose first byte sits at file
+// offset from, and hands every intact entry to fn in file order. Empty
+// lines are skipped. A line that is not a JSON object with a non-empty key
+// is damage: as the final line of the file it is a torn tail (reported in
+// the result, never an error); followed by any further byte it is mid-file
+// corruption, which no reader may silently skip.
+func scanLines(r io.Reader, from int64, fn func(Entry)) (scanResult, error) {
+	rd := bufio.NewReaderSize(r, 64<<10)
+	res := scanResult{end: from, size: from}
+	for {
+		raw, err := rd.ReadBytes('\n')
+		if err != nil && err != io.EOF {
+			return res, fmt.Errorf("persist: journal read: %w", err)
+		}
+		if len(raw) == 0 {
+			return res, nil
+		}
+		if res.torn {
+			return res, fmt.Errorf("persist: journal corrupt at offset %d", res.end)
+		}
+		res.size += int64(len(raw))
+		line, complete := bytes.CutSuffix(raw, []byte{'\n'})
+		if len(line) > 0 {
+			var jl journalLine
+			if json.Unmarshal(line, &jl) != nil || jl.Key == "" {
+				res.torn = true
+				continue
+			}
+			fn(Entry{Key: jl.Key, Payload: jl.Payload})
+		}
+		if !complete {
+			res.open = true
+			return res, nil
+		}
+		res.end = res.size
+	}
+}
+
+// repair makes the scanned tail of f a clean line boundary — a torn line is
+// truncated away, an open entry gets its newline — and returns the offset
+// the next append starts at. Only the file's writer may call it.
+func (res scanResult) repair(f *os.File) (int64, error) {
+	switch {
+	case res.torn:
+		if err := f.Truncate(res.end); err != nil {
+			return 0, fmt.Errorf("persist: journal truncate: %w", err)
+		}
+	case res.open:
+		if _, err := f.WriteAt([]byte{'\n'}, res.size); err != nil {
+			return 0, fmt.Errorf("persist: journal terminate: %w", err)
+		}
+		return res.size + 1, nil
+	}
+	return res.end, nil
+}
+
+// Journal is the write-only journal stream behind the forensics audit and
+// trace journals: appends are not individually synced (one fsync at Close)
+// and nothing is retained in memory, so an unbounded stream costs O(1)
+// memory and no fsync stalls. A torn tail on power loss is exactly the
+// damage the next open repairs. Read a stream back with ReadEntries.
+type Journal struct {
+	mu sync.Mutex
+	f  *os.File
+	// off is the write offset after the last intact line; a failed append
+	// truncates back to it so partial bytes never precede later entries.
+	off int64
+	// unlock releases the single-owner lock taken at open.
+	unlock func()
+}
+
+// OpenJournalStream opens (creating if needed) the journal stream at path,
+// repairs a torn tail and positions appends after the last intact line.
 func OpenJournalStream(path string) (*Journal, error) {
-	return openJournal(path, true)
-}
-
-func openJournal(path string, streaming bool) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("persist: open journal: %w", err)
 	}
 	// Two writers interleaving lines at overlapping offsets would corrupt
-	// the store mid-file (unrecoverable, unlike a torn tail), so the
-	// journal is single-owner: the lock is held until Close.
+	// the stream mid-file (unrecoverable, unlike a torn tail), so it is
+	// single-owner: the lock is held until Close.
 	unlock, err := lockJournal(path, f)
 	if err != nil {
 		_ = f.Close()
 		return nil, fmt.Errorf("persist: journal %s is in use by another process: %w", path, err)
 	}
-	j := &Journal{path: path, f: f, entries: make(map[string]json.RawMessage), streaming: streaming, unlock: unlock}
-	if err := j.replay(); err != nil {
+	j := &Journal{f: f, unlock: unlock}
+	res, err := scanLines(f, 0, func(Entry) {})
+	if err == nil {
+		j.off, err = res.repair(f)
+	}
+	if err != nil {
 		unlock()
 		_ = f.Close()
-		return nil, err
+		return nil, fmt.Errorf("persist: journal %s: %w", path, err)
 	}
 	return j, nil
 }
 
-// replay loads the journal into memory and positions the write offset after
-// the last intact line.
-func (j *Journal) replay() error {
-	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("persist: journal seek: %w", err)
-	}
-	sc := bufio.NewScanner(j.f)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20) // outcomes carry timelines; lines can be large
-	var goodBytes int64
-	var pendingErr error
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		raw := sc.Bytes()
-		if pendingErr != nil {
-			// A corrupt line followed by more data is real damage, not a
-			// torn final append.
-			return pendingErr
-		}
-		if len(raw) == 0 {
-			goodBytes += 1 // bare newline
-			continue
-		}
-		var line journalLine
-		if err := json.Unmarshal(raw, &line); err != nil || line.Key == "" {
-			pendingErr = fmt.Errorf("persist: journal %s line %d corrupt", j.path, lineNo)
-			continue
-		}
-		if !j.streaming {
-			j.entries[line.Key] = line.Payload
-		}
-		j.appended++
-		goodBytes += int64(len(raw)) + 1
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("persist: journal read: %w", err)
-	}
-	// pendingErr here means the damage was the final line: a crash mid-append.
-	// Truncate it away so subsequent appends start on a clean boundary.
-	if pendingErr != nil {
-		if err := j.f.Truncate(goodBytes); err != nil {
-			return fmt.Errorf("persist: journal truncate: %w", err)
-		}
-	}
-	// A tear that ate exactly the trailing newline leaves a valid final line
-	// shorter than our newline-inclusive count: terminate it in place.
-	if st, err := j.f.Stat(); err == nil && goodBytes > st.Size() {
-		if _, err := j.f.WriteAt([]byte{'\n'}, st.Size()); err != nil {
-			return fmt.Errorf("persist: journal terminate: %w", err)
-		}
-	}
-	if _, err := j.f.Seek(goodBytes, io.SeekStart); err != nil {
-		return fmt.Errorf("persist: journal seek: %w", err)
-	}
-	j.off = goodBytes
-	return nil
-}
-
-// Append durably records payload under key: the line is written and synced
-// before Append returns, and the in-memory view is updated.
+// Append writes payload under key after the last intact line.
 func (j *Journal) Append(key string, payload any) error {
-	if key == "" {
-		return errors.New("persist: journal key must not be empty")
-	}
-	raw, err := json.Marshal(payload)
+	line, err := marshalLine(key, payload)
 	if err != nil {
-		return fmt.Errorf("persist: journal payload: %w", err)
+		return err
 	}
-	line, err := json.Marshal(journalLine{Key: key, Payload: raw})
-	if err != nil {
-		return fmt.Errorf("persist: journal line: %w", err)
-	}
-	line = append(line, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return errors.New("persist: journal closed")
 	}
-	if _, err := j.f.Write(line); err != nil {
+	if _, err := j.f.WriteAt(line, j.off); err != nil {
 		// Roll back any partial bytes: a later successful append must land
-		// on a clean line boundary, or replay would see unrecoverable
+		// on a clean line boundary, or a reader would see unrecoverable
 		// mid-file corruption instead of a torn (recoverable) tail.
 		_ = j.f.Truncate(j.off)
-		_, _ = j.f.Seek(j.off, io.SeekStart)
 		return fmt.Errorf("persist: journal write: %w", err)
 	}
-	if !j.streaming {
-		if err := j.f.Sync(); err != nil {
-			_ = j.f.Truncate(j.off)
-			_, _ = j.f.Seek(j.off, io.SeekStart)
-			return fmt.Errorf("persist: journal sync: %w", err)
-		}
-	}
 	j.off += int64(len(line))
-	if !j.streaming {
-		j.entries[key] = raw
-	}
-	j.appended++
 	return nil
 }
 
-// Lookup returns the most recent payload recorded under key.
-func (j *Journal) Lookup(key string, payload any) (bool, error) {
-	j.mu.Lock()
-	raw, ok := j.entries[key]
-	j.mu.Unlock()
-	if !ok {
-		return false, nil
+// marshalLine encodes one newline-terminated journal line.
+func marshalLine(key string, payload any) ([]byte, error) {
+	if key == "" {
+		return nil, errors.New("persist: journal key must not be empty")
 	}
-	if err := json.Unmarshal(raw, payload); err != nil {
-		return false, fmt.Errorf("persist: journal decode %q: %w", key, err)
+	raw, err := json.Marshal(payload)
+	if err != nil {
+		return nil, fmt.Errorf("persist: journal payload: %w", err)
 	}
-	return true, nil
+	line, err := json.Marshal(journalLine{Key: key, Payload: raw})
+	if err != nil {
+		return nil, fmt.Errorf("persist: journal line: %w", err)
+	}
+	return append(line, '\n'), nil
 }
 
-// Len reports the number of distinct keys in the journal (in streaming
-// mode, the number of lines written or replayed).
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.streaming {
-		return j.appended
-	}
-	return len(j.entries)
-}
-
-// Keys returns the distinct keys currently journaled, in no particular order.
-func (j *Journal) Keys() []string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	keys := make([]string, 0, len(j.entries))
-	for k := range j.entries {
-		keys = append(keys, k)
-	}
-	return keys
-}
-
-// Close releases the lock and the underlying file, syncing buffered
-// stream appends first. Further Appends fail.
+// Close syncs the stream and releases the lock and the file. Further
+// Appends fail.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return nil
 	}
-	var err error
-	if j.streaming {
-		err = j.f.Sync()
-	}
+	err := j.f.Sync()
 	j.unlock()
 	if cerr := j.f.Close(); err == nil {
 		err = cerr

@@ -14,8 +14,7 @@ import (
 // when the descriptor closes — including on crash, so a dead owner never
 // wedges the journal. The returned release is a no-op: closing f is the
 // release. Contention surfaces as ErrLeaseHeld so callers can distinguish
-// "another worker owns this store" (retry/backoff, or switch to the shared
-// journal) from corruption.
+// "another process owns this stream" from corruption.
 func lockJournal(_ string, f *os.File) (func(), error) {
 	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
 		if errors.Is(err, syscall.EWOULDBLOCK) || errors.Is(err, syscall.EAGAIN) {

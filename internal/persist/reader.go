@@ -1,10 +1,8 @@
 package persist
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 )
 
@@ -15,50 +13,22 @@ type Entry struct {
 }
 
 // ReadEntries loads every intact line of the journal at path without
-// taking the single-owner lock or mutating the file: the read-only view a
-// replay or dashboard service needs over a journal some past (or even
-// live) run produced. Lines appear in file order — for duplicate keys the
-// caller sees every version, unlike Journal's last-wins map — and a torn
-// final line is skipped exactly as Open would discard it, but corruption
-// followed by more data is a real error.
+// taking any lock or mutating the file: the read-only view a replay or
+// dashboard service needs over a journal some past (or even live) run
+// produced. Lines appear in file order — for duplicate keys the caller sees
+// every version, unlike the last-wins view of a SharedJournal — and the
+// tail verdict is the writers' own: a torn final line is skipped, an intact
+// one that lost only its newline is kept, and corruption followed by more
+// data is an error.
 func ReadEntries(path string) ([]Entry, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("persist: read journal: %w", err)
 	}
 	defer f.Close()
-	return readEntries(f, path)
-}
-
-func readEntries(r io.Reader, path string) ([]Entry, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20) // audit lines carry full per-update records
 	var out []Entry
-	var pendingErr error
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		raw := sc.Bytes()
-		if pendingErr != nil {
-			// Damage followed by more data is mid-file corruption, which no
-			// replay may silently skip.
-			return nil, pendingErr
-		}
-		if len(raw) == 0 {
-			continue
-		}
-		var line journalLine
-		if err := json.Unmarshal(raw, &line); err != nil || line.Key == "" {
-			pendingErr = fmt.Errorf("persist: journal %s line %d corrupt", path, lineNo)
-			continue
-		}
-		// Scanner reuses its buffer; the payload must own its bytes.
-		out = append(out, Entry{Key: line.Key, Payload: append(json.RawMessage(nil), line.Payload...)})
+	if _, err := scanLines(f, 0, func(e Entry) { out = append(out, e) }); err != nil {
+		return nil, fmt.Errorf("persist: journal %s: %w", path, err)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("persist: journal read: %w", err)
-	}
-	// pendingErr still set here means the damage was the final line: the
-	// torn tail of a crash mid-append, which replay tolerates.
 	return out, nil
 }

@@ -12,7 +12,7 @@ import (
 
 func TestReadEntriesFileOrder(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
-	j, err := OpenJournal(path)
+	j, err := OpenJournalStream(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestReadEntriesFileOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(entries) != 3 {
-		t.Fatalf("read %d entries, want 3 (duplicates preserved, unlike last-wins Open)", len(entries))
+		t.Fatalf("read %d entries, want 3 (duplicates preserved, unlike the last-wins shared view)", len(entries))
 	}
 	wantKeys := []string{"a", "b", "a"}
 	wantPayloads := []string{"1", "2", "3"}

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -23,22 +22,19 @@ var ErrLeaseHeld = errors.New("persist: lease held by another owner")
 // presence-checked append so at most one copy lands.
 var ErrLeaseLost = errors.New("persist: lease lost to another owner")
 
-// SharedJournal is the multi-writer variant of Journal: the same
-// append-only JSONL format and crash tolerance, but instead of one
-// exclusive lock held from open to close, every operation takes a
-// short-lived advisory file lock (shared for reads, exclusive for
-// read-modify-append transactions). N processes can therefore drain one
-// store concurrently — the work-claiming substrate of distributed sweeps.
+// SharedJournal is the keyed, multi-writer journal behind the run store:
+// the journal format and crash tolerance of the stream, a last-wins view of
+// every key in memory, and instead of one exclusive lock held from open to
+// close, a short-lived advisory file lock per operation (shared for reads,
+// exclusive for read-modify-append transactions). Any number of processes
+// can therefore drain one store concurrently — the work-claiming substrate
+// of every sweep.
 //
 // Consistency model: all mutations happen under the exclusive lock and
 // start by replaying any lines other writers appended since this process
 // last looked, so an Update transaction always sees the latest state —
 // claims are linearizable. Plain Lookup reads the possibly stale local
 // view; call Refresh to pull in other writers' appends.
-//
-// The on-disk format is byte-compatible with Journal: a file written by N
-// workers reopens fine under OpenJournal (single-owner resume), and legacy
-// single-owner journals open fine here.
 type SharedJournal struct {
 	mu      sync.Mutex
 	path    string
@@ -81,78 +77,37 @@ func (s *SharedJournal) Refresh() error {
 	return s.replayLocked(false)
 }
 
-// replayLocked scans [s.off, EOF), applying intact lines to the view. With
-// repair set (exclusive lock held) a torn tail is truncated away and a tail
-// whose trailing newline was lost is terminated in place, exactly like the
-// single-owner journal's recovery.
+// replayLocked applies the lines appended since s.off to the view. An
+// intact final entry that lost only its newline is applied at once; with
+// repair set (exclusive lock held) it is terminated in place and a torn
+// tail is truncated away, so the next append lands on a clean boundary.
+// Without repair the tail is left for a writer and rescanned next time.
 func (s *SharedJournal) replayLocked(repair bool) error {
 	st, err := s.f.Stat()
 	if err != nil {
 		return fmt.Errorf("persist: shared journal stat: %w", err)
 	}
-	size := st.Size()
-	if size < s.off {
-		// Another writer repaired a tear that our view had already consumed
-		// past — impossible for intact lines (they are never rewritten), so
-		// our offset was inside the torn tail. Rescan from scratch.
+	if st.Size() < s.off {
+		// The file shrank under the view: intact lines are never rewritten,
+		// so rebuild the view from scratch.
 		s.off = 0
 		s.entries = make(map[string]json.RawMessage)
 	}
-	if size == s.off {
+	if st.Size() == s.off {
 		return nil
 	}
-	rd := bufio.NewReaderSize(io.NewSectionReader(s.f, s.off, size-s.off), 1<<20)
-	good := s.off
-	for {
-		raw, err := rd.ReadBytes('\n')
-		if err != nil && err != io.EOF {
-			return fmt.Errorf("persist: shared journal read: %w", err)
-		}
-		complete := len(raw) > 0 && raw[len(raw)-1] == '\n'
-		line := bytes.TrimSuffix(raw, []byte("\n"))
-		if len(line) > 0 {
-			var jl journalLine
-			if jerr := json.Unmarshal(line, &jl); jerr != nil || jl.Key == "" {
-				// Damage. At the tail it is a torn append (recoverable);
-				// anywhere earlier it is real corruption.
-				if complete || rd.Buffered() > 0 {
-					return fmt.Errorf("persist: shared journal %s corrupt at offset %d", s.path, good)
-				}
-				if repair {
-					if terr := s.f.Truncate(good); terr != nil {
-						return fmt.Errorf("persist: shared journal truncate: %w", terr)
-					}
-				}
-				s.off = good
-				return nil
-			}
-			if !complete {
-				// A valid final line missing only its newline: the tear ate
-				// exactly the terminator. Terminate it in place when allowed;
-				// until then leave it unconsumed.
-				if repair {
-					if _, werr := s.f.WriteAt([]byte{'\n'}, size); werr != nil {
-						return fmt.Errorf("persist: shared journal terminate: %w", werr)
-					}
-					s.entries[jl.Key] = jl.Payload
-					s.off = size + 1
-					return nil
-				}
-				s.off = good
-				return nil
-			}
-			s.entries[jl.Key] = jl.Payload
-		}
-		if err == io.EOF {
-			if complete || len(raw) == 0 {
-				good += int64(len(raw))
-			}
-			break
-		}
-		good += int64(len(raw))
+	res, err := scanLines(io.NewSectionReader(s.f, s.off, st.Size()-s.off), s.off, func(e Entry) {
+		s.entries[e.Key] = e.Payload
+	})
+	if err != nil {
+		return fmt.Errorf("persist: shared journal %s: %w", s.path, err)
 	}
-	s.off = good
-	return nil
+	if !repair {
+		s.off = res.end
+		return nil
+	}
+	s.off, err = res.repair(s.f)
+	return err
 }
 
 // Lookup returns the most recent payload recorded under key in this

@@ -67,8 +67,8 @@ func TestMillionClientHeapBounded(t *testing.T) {
 // BenchmarkPopulationRound1M measures one full federated round over a
 // 1,000,000-client lazy population (50 participants, mKrum, scattered
 // 0.1% attackers) including engine selection, shard materialization, local
-// training and robust aggregation. The recorded numbers live in
-// BENCH_4.json.
+// training and robust aggregation. Its memory bound is asserted by
+// TestMillionClientHeapBounded.
 func BenchmarkPopulationRound1M(b *testing.B) {
 	b.ReportAllocs()
 	before := heapAlloc()

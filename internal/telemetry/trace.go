@@ -184,7 +184,7 @@ type journalSpan struct {
 }
 
 // WriteJournal appends the buffered spans to a JSONL trace journal at path
-// via persist's streaming journal mode (O(1) memory, one fsync at close).
+// via persist's journal stream (O(1) memory, one fsync at close).
 // Keys are span.<seq>, in emission order.
 func (t *Tracer) WriteJournal(path string) error {
 	if t == nil {

@@ -71,26 +71,21 @@ type Profile = experiment.Profile
 type ProgressEvent = experiment.ProgressEvent
 
 // RunOptions configures RunExperimentOpts beyond the profile: a durable
-// run store for crash-resumable sweeps, a streaming progress callback, the
-// kernel worker-pool width and how the work is watched.
+// run store for crash-resumable, shareable sweeps, a streaming progress
+// callback, the kernel worker-pool width and how the work is watched.
 type RunOptions struct {
 	// Profile names the scaling profile ("quick" or "full"; "" = quick).
 	Profile string
-	// StorePath, when non-empty, journals every completed grid cell (and
-	// clean baseline) to an append-only JSONL store at this path.
+	// StorePath, when non-empty, opens the append-only JSONL run store at
+	// this path: every completed grid cell (and clean baseline) is recorded,
+	// and cells already recorded — by an earlier, killed run or by another
+	// process draining the same store right now — are replayed instead of
+	// recomputed. Each cell is claimed under a crash-tolerant lease before
+	// it runs, so any number of processes on one path split the grid.
 	StorePath string
-	// Resume replays cells already present in the store instead of
-	// recomputing them; requires StorePath.
-	Resume bool
-	// Worker opens StorePath as a shared lease-coordinated store so several
-	// processes can drain one grid concurrently: each cell is claimed under
-	// a crash-tolerant lease before it runs, results already recorded by
-	// other workers are adopted instead of recomputed, and expired leases of
-	// crashed workers are reclaimed. Implies resume semantics (the shared
-	// store is the fleet's ground truth); requires StorePath.
-	Worker bool
-	// Owner names this worker in lease records (diagnostics only; it never
-	// affects results). Empty defaults to hostname-pid.
+	// Owner names this process in lease records and labels its sweep
+	// metrics (diagnostics only; it never affects results). Empty defaults
+	// to hostname-pid.
 	Owner string
 	// Progress, when non-nil, receives one event per completed cell.
 	Progress func(ProgressEvent)
@@ -126,8 +121,8 @@ func RunConfig(cfg Config) (*Outcome, error) {
 }
 
 // RunConfigOpts executes a single simulation with run-store support: with
-// a StorePath the completed run (and its clean baseline) is journaled, and
-// with Resume a journaled run is replayed instead of recomputed. With a
+// a StorePath the completed run (and its clean baseline) is recorded, and a
+// run already recorded there is replayed instead of recomputed. With a
 // Watch the run itself is observed (its clean baseline is not).
 func RunConfigOpts(cfg Config, opts RunOptions) (out *Outcome, retErr error) {
 	if err := cfg.Normalize(); err != nil {
@@ -155,58 +150,26 @@ func openRunner(opts RunOptions, title string, federations ...string) (*experime
 	if opts.Threads > 0 {
 		SetThreads(opts.Threads)
 	}
-	runner := experiment.NewRunner()
-	runner.Progress = opts.Progress
-	closeStore, err := attachStore(runner, opts)
+	store, err := experiment.OpenStore(opts.StorePath, opts.Owner)
 	if err != nil {
 		return nil, nil, err
 	}
 	plane, err := experiment.OpenPlane(opts.Watch, title, federations...)
 	if err != nil {
-		closeStore()
+		_ = store.Close()
 		return nil, nil, err
 	}
+	runner := experiment.NewRunner()
+	runner.Progress = opts.Progress
+	runner.Store = store
 	runner.Telemetry = plane.Sweep(opts.Owner)
 	if len(federations) > 0 {
 		runner.Watch(plane)
 	}
 	return runner, func(err *error) {
 		plane.CloseInto(err)
-		closeStore()
+		_ = store.Close()
 	}, nil
-}
-
-// attachStore opens the run store the options describe — none, a
-// single-owner journal, or (Worker) a shared lease-coordinated store — and
-// wires it into the runner. The returned func closes whatever was opened.
-func attachStore(runner *experiment.Runner, opts RunOptions) (func(), error) {
-	if opts.StorePath == "" {
-		switch {
-		case opts.Resume:
-			return nil, fmt.Errorf("repro: Resume requires StorePath")
-		case opts.Worker:
-			return nil, fmt.Errorf("repro: Worker requires StorePath")
-		}
-		return func() {}, nil
-	}
-	if opts.Worker {
-		store, err := experiment.OpenSharedStore(opts.StorePath, opts.Owner)
-		if err != nil {
-			return nil, err
-		}
-		runner.Store = store
-		// The leased grid always resumes: the shared store is the fleet's
-		// ground truth, so recorded cells are adopted, never recomputed.
-		runner.Resume = true
-		return func() { _ = store.Close() }, nil
-	}
-	store, err := experiment.OpenStore(opts.StorePath)
-	if err != nil {
-		return nil, err
-	}
-	runner.Store = store
-	runner.Resume = opts.Resume
-	return func() { _ = store.Close() }, nil
 }
 
 // ProgressWriter returns a RunOptions.Progress callback that streams one
@@ -236,9 +199,9 @@ func RunExperiment(id, profileName string, w io.Writer) error {
 // full control over profile, run store, progress reporting and watching,
 // writing each artifact's paper-style rows and a "## <id> done in …" line
 // to w. Store and ops plane are opened once and live for the whole call.
-// With a StorePath, completed cells are journaled as they finish; with
-// Resume, a re-run against the same store executes only the cells the
-// previous (possibly killed) run did not complete.
+// With a StorePath, completed cells are recorded as they finish, and a
+// re-run against the same store executes only the cells no earlier
+// (possibly killed) or concurrent run recorded.
 func RunExperimentOpts(ids []string, opts RunOptions, w io.Writer) (retErr error) {
 	exps := make([]experiment.Experiment, len(ids))
 	for i, id := range ids {

@@ -1,11 +1,13 @@
 package repro_test
 
 import (
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/persist"
 )
 
 // TestRunExperimentOptsOpensStoreAndPlaneOnce pins what `flbench -exp all`
@@ -21,7 +23,6 @@ func TestRunExperimentOptsOpensStoreAndPlaneOnce(t *testing.T) {
 	var resumed, executed int
 	opts := repro.RunOptions{
 		StorePath: filepath.Join(t.TempDir(), "run.jsonl"),
-		Resume:    true,
 		Watch:     repro.Watch{Dash: true, OnBound: func(string) { bound++ }},
 		Progress: func(ev repro.ProgressEvent) {
 			if ev.Skipped {
@@ -47,5 +48,56 @@ func TestRunExperimentOptsOpensStoreAndPlaneOnce(t *testing.T) {
 	if err := repro.RunExperimentOpts([]string{"samplesize", "no-such-artifact"}, opts, &out); err == nil ||
 		!strings.Contains(err.Error(), "no-such-artifact") || bound != 1 {
 		t.Fatalf("an unknown id must fail before anything opens: err %v, bound %d", err, bound)
+	}
+}
+
+// TestRunConfigOptsReplaysFromStore: a store always resumes. The second
+// call on one StorePath — with no other option — replays the recorded run
+// instead of recomputing it, returns a bit-equal outcome, and leaves the
+// cell in the store exactly once.
+func TestRunConfigOptsReplaysFromStore(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	cfg := repro.Config{Dataset: "tiny-sim", Attack: "lie", Defense: "mkrum", Beta: 0.5,
+		Rounds: 2, TotalClients: 10, PerRound: 4, EvalLimit: 40, Seed: 3}
+	run := func() (*repro.Outcome, []repro.ProgressEvent) {
+		t.Helper()
+		var events []repro.ProgressEvent
+		out, err := repro.RunConfigOpts(cfg, repro.RunOptions{
+			StorePath: path,
+			Progress:  func(ev repro.ProgressEvent) { events = append(events, ev) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, events
+	}
+	first, ev1 := run()
+	second, ev2 := run()
+	if len(ev1) != 1 || ev1[0].Skipped || len(ev2) != 1 || !ev2[0].Skipped {
+		t.Fatalf("want one executed then one skipped event, got %+v then %+v", ev1, ev2)
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if !same(first.MaxAcc, second.MaxAcc) || !same(first.FinalAcc, second.FinalAcc) ||
+		!same(first.CleanAcc, second.CleanAcc) || !same(first.ASR, second.ASR) || !same(first.DPR, second.DPR) ||
+		len(first.AccTimeline) != len(second.AccTimeline) {
+		t.Fatalf("replayed outcome differs:\n%+v\n%+v", first, second)
+	}
+	for i := range first.AccTimeline {
+		if !same(first.AccTimeline[i], second.AccTimeline[i]) {
+			t.Fatalf("timeline differs at round %d", i)
+		}
+	}
+	entries, err := persist.ReadEntries(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := 0
+	for _, e := range entries {
+		if !persist.IsLeaseKey(e.Key) && !strings.HasPrefix(e.Key, "baseline|") {
+			cells++
+		}
+	}
+	if cells != 1 {
+		t.Fatalf("store holds the cell %d times, want exactly once", cells)
 	}
 }
