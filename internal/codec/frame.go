@@ -58,18 +58,24 @@ func (f *Frame) quantLen() int {
 // Reconstruct returns the dense weight vector the frame encodes, given the
 // round's global model. The result is freshly allocated.
 func (f *Frame) Reconstruct(global []float64) []float64 {
-	if len(global) != f.Dim {
-		panic(fmt.Sprintf("codec: Reconstruct dim %d against global of %d", f.Dim, len(global)))
+	out := make([]float64, f.Dim)
+	f.ReconstructInto(out, global)
+	return out
+}
+
+// ReconstructInto writes the dense weight vector the frame encodes, given
+// the round's global model, into dst (len Dim), overwriting whatever dst
+// held — so one scratch vector serves any number of frames.
+func (f *Frame) ReconstructInto(dst, global []float64) {
+	if len(global) != f.Dim || len(dst) != f.Dim {
+		panic(fmt.Sprintf("codec: Reconstruct dim %d into %d against global of %d", f.Dim, len(dst), len(global)))
 	}
 	if !f.IsDelta() {
-		out := make([]float64, f.Dim)
-		copy(out, f.Val)
-		return out
+		copy(dst, f.Val)
+		return
 	}
-	out := make([]float64, f.Dim)
-	copy(out, global)
-	f.AddDelta(out)
-	return out
+	copy(dst, global)
+	f.AddDelta(dst)
 }
 
 // AddDelta adds the frame's delta into dst in place. It panics on dense raw

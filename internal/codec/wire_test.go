@@ -188,7 +188,8 @@ func filled(n int, amp float64) []float64 {
 
 // FuzzDecodeWire drives the frame decoder with arbitrary bytes: it must
 // fail closed — no panics, no allocation driven by unvalidated declared
-// sizes — and anything it accepts must re-encode to the same bytes.
+// sizes — and anything it accepts must re-encode to the same bytes and
+// reconstruct into a dirty scratch vector exactly as into a fresh one.
 func FuzzDecodeWire(f *testing.F) {
 	for _, fr := range testFrames(f) {
 		f.Add(EncodeWire(fr))
@@ -210,6 +211,19 @@ func FuzzDecodeWire(f *testing.F) {
 		}
 		if again := EncodeWire(fr); !reflect.DeepEqual(again, data) {
 			t.Fatalf("accepted frame does not re-encode canonically")
+		}
+		global := make([]float64, fr.Dim)
+		dirty := make([]float64, fr.Dim)
+		for i := range global {
+			global[i] = float64(i%7) - 3.25
+			dirty[i] = math.Float64frombits(0x7FF8_0000_DEAD_0000 | uint64(i)) // NaN with a payload
+		}
+		want := fr.Reconstruct(global)
+		fr.ReconstructInto(dirty, global)
+		for i := range want {
+			if math.Float64bits(dirty[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("ReconstructInto over garbage: coordinate %d = %v, Reconstruct gives %v", i, dirty[i], want[i])
+			}
 		}
 	})
 }

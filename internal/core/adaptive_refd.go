@@ -60,7 +60,7 @@ func (a *AdaptiveREFD) Aggregate(global []float64, updates []fl.Update) ([]float
 	}
 	// First pass: collect both signals for every update, through the same
 	// parallel scoring path REFD aggregates with.
-	bs, vs, err := a.inner.signalsAll(updates)
+	bs, vs, err := a.inner.signalsAll(global, updates)
 	if err != nil {
 		return nil, fl.Selection{}, err
 	}
@@ -102,7 +102,7 @@ func (a *AdaptiveREFD) Aggregate(global []float64, updates []fl.Update) ([]float
 	chosen := make([][]float64, len(selected))
 	weights := make([]float64, len(selected))
 	for i, idx := range selected {
-		chosen[i] = updates[idx].Weights
+		chosen[i] = updates[idx].Vector(global)
 		n := updates[idx].NumSamples
 		if n <= 0 {
 			n = 1

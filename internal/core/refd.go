@@ -133,9 +133,10 @@ func combineD(b, v, alpha float64) float64 {
 
 // signalsAll computes the (B, V) signals of every update, spreading the
 // reference-set inference over the kernel worker pool: each worker scores
-// with its own scratch model and arena, so no layer state is shared. Both
-// REFD and AdaptiveREFD aggregate through this one scoring path.
-func (r *REFD) signalsAll(updates []fl.Update) (bs, vs []float64, err error) {
+// with its own scratch model and arena, so no layer state is shared, and
+// reconstructs a frame-only update against global just for its scoring.
+// Both REFD and AdaptiveREFD aggregate through this one scoring path.
+func (r *REFD) signalsAll(global []float64, updates []fl.Update) (bs, vs []float64, err error) {
 	bs = make([]float64, len(updates))
 	vs = make([]float64, len(updates))
 	// Workers drain the updates within the global slot budget, keeping the
@@ -152,7 +153,7 @@ func (r *REFD) signalsAll(updates []fl.Update) (bs, vs []float64, err error) {
 		if w > 0 {
 			worker = r.helpers[w-1]
 		}
-		bs[i], vs[i], errs[i] = worker.signals(updates[i].Weights)
+		bs[i], vs[i], errs[i] = worker.signals(updates[i].Vector(global))
 	})
 	for _, werr := range errs {
 		if werr != nil {
@@ -171,11 +172,11 @@ var errRefdNoUpdates = errors.New("core: REFD has no updates to aggregate")
 // reference set — worker scheduling in signalsAll never reorders or
 // perturbs the vector, so audit journals are bit-reproducible at any
 // tensor worker count.
-func (r *REFD) Aggregate(_ []float64, updates []fl.Update) ([]float64, fl.Selection, error) {
+func (r *REFD) Aggregate(global []float64, updates []fl.Update) ([]float64, fl.Selection, error) {
 	if len(updates) == 0 {
 		return nil, fl.Selection{}, errRefdNoUpdates
 	}
-	scores, err := r.scoreAll(updates)
+	scores, err := r.scoreAll(global, updates)
 	if err != nil {
 		return nil, fl.Selection{}, err
 	}
@@ -194,7 +195,7 @@ func (r *REFD) Aggregate(_ []float64, updates []fl.Update) ([]float64, fl.Select
 	vs := make([][]float64, len(selected))
 	weights := make([]float64, len(selected))
 	for i, idx := range selected {
-		vs[i] = updates[idx].Weights
+		vs[i] = updates[idx].Vector(global)
 		n := updates[idx].NumSamples
 		if n <= 0 {
 			n = 1
@@ -207,8 +208,8 @@ func (r *REFD) Aggregate(_ []float64, updates []fl.Update) ([]float64, fl.Select
 
 // scoreAll computes the D-score of every update via the shared parallel
 // scoring path.
-func (r *REFD) scoreAll(updates []fl.Update) ([]float64, error) {
-	bs, vs, err := r.signalsAll(updates)
+func (r *REFD) scoreAll(global []float64, updates []fl.Update) ([]float64, error) {
+	bs, vs, err := r.signalsAll(global, updates)
 	if err != nil {
 		return nil, err
 	}

@@ -26,10 +26,12 @@ import (
 
 var errNoUpdates = errors.New("defense: no updates to aggregate")
 
-func updateVectors(updates []fl.Update) [][]float64 {
+// updateVectors returns every update's dense weight vector, reconstructing
+// frame-only updates against global.
+func updateVectors(global []float64, updates []fl.Update) [][]float64 {
 	vs := make([][]float64, len(updates))
 	for i, u := range updates {
-		vs[i] = u.Weights
+		vs[i] = u.Vector(global)
 	}
 	return vs
 }
@@ -47,7 +49,7 @@ func (FedAvg) Name() string { return "fedavg" }
 // Aggregate implements fl.Aggregator. FedAvg applies no filtering, so it
 // reports no Selection (Accepted nil, DPR "N/A") — reporting "all accepted"
 // would redefine the paper's DPR semantics for the attack-free baseline.
-func (FedAvg) Aggregate(_ []float64, updates []fl.Update) ([]float64, fl.Selection, error) {
+func (FedAvg) Aggregate(global []float64, updates []fl.Update) ([]float64, fl.Selection, error) {
 	if len(updates) == 0 {
 		return nil, fl.Selection{}, errNoUpdates
 	}
@@ -59,7 +61,7 @@ func (FedAvg) Aggregate(_ []float64, updates []fl.Update) ([]float64, fl.Selecti
 		}
 		weights[i] = float64(n)
 	}
-	return vec.WeightedMean(updateVectors(updates), weights), fl.Selection{}, nil
+	return vec.WeightedMean(updateVectors(global, updates), weights), fl.Selection{}, nil
 }
 
 // Median is the coordinate-wise median aggregation of Yin et al.
@@ -71,11 +73,11 @@ var _ fl.Aggregator = Median{}
 func (Median) Name() string { return "median" }
 
 // Aggregate implements fl.Aggregator.
-func (Median) Aggregate(_ []float64, updates []fl.Update) ([]float64, fl.Selection, error) {
+func (Median) Aggregate(global []float64, updates []fl.Update) ([]float64, fl.Selection, error) {
 	if len(updates) == 0 {
 		return nil, fl.Selection{}, errNoUpdates
 	}
-	return vec.Median(updateVectors(updates)), fl.Selection{}, nil
+	return vec.Median(updateVectors(global, updates)), fl.Selection{}, nil
 }
 
 // TrimmedMean is the coordinate-wise trimmed mean of Yin et al.: the Trim
@@ -94,7 +96,7 @@ var _ fl.Aggregator = TrimmedMean{}
 func (TrimmedMean) Name() string { return "trmean" }
 
 // Aggregate implements fl.Aggregator.
-func (t TrimmedMean) Aggregate(_ []float64, updates []fl.Update) ([]float64, fl.Selection, error) {
+func (t TrimmedMean) Aggregate(global []float64, updates []fl.Update) ([]float64, fl.Selection, error) {
 	if len(updates) == 0 {
 		return nil, fl.Selection{}, errNoUpdates
 	}
@@ -105,39 +107,40 @@ func (t TrimmedMean) Aggregate(_ []float64, updates []fl.Update) ([]float64, fl.
 	for 2*trim >= len(updates) {
 		trim--
 	}
-	return vec.TrimmedMean(updateVectors(updates), trim), fl.Selection{}, nil
+	return vec.TrimmedMean(updateVectors(global, updates), trim), fl.Selection{}, nil
 }
 
 // roundSqDist returns the round's pairwise squared-distance geometry:
 // computed in the compressed domain when every update carries a compatible
 // codec frame (sparse·dense dots against four scattered rows at a time,
-// exact int8 block dots — see internal/codec), from the dense weight vectors
-// otherwise.
+// exact int8 block dots — see internal/codec), so a frame-only round builds
+// no dense vector here; otherwise from the dense vectors (Update.Vector,
+// which reconstructs dense fp16/raw frames against global).
 // Both paths are bit-deterministic at any worker count; compressed-domain
 // distances are over deltas, which pairwise equal weight distances up to
 // FP rounding — the documented codec-on semantics.
 // Timing reports through the process-global telemetry distance hook — the
 // aggregators are pure functions of the updates with no injection seam, and
 // this one routine is the geometry they all share.
-func roundSqDist(updates []fl.Update, vs [][]float64) [][]float64 {
+func roundSqDist(global []float64, updates []fl.Update) [][]float64 {
 	sp := telemetry.DistanceSpan()
-	m := sqDistGeometry(updates, vs)
+	m := sqDistGeometry(global, updates)
 	sp.End()
 	return m
 }
 
-func sqDistGeometry(updates []fl.Update, vs [][]float64) [][]float64 {
+func sqDistGeometry(global []float64, updates []fl.Update) [][]float64 {
 	frames := make([]*codec.Frame, len(updates))
 	for i := range updates {
 		if updates[i].Frame == nil {
-			return vec.SqDistMatrix(vs)
+			return vec.SqDistMatrix(updateVectors(global, updates))
 		}
 		frames[i] = updates[i].Frame
 	}
 	if m := codec.SqDistMatrix(frames); m != nil {
 		return m
 	}
-	return vec.SqDistMatrix(vs)
+	return vec.SqDistMatrix(updateVectors(global, updates))
 }
 
 // krumScores returns, for every update, the sum of squared distances to its
@@ -223,7 +226,7 @@ func (k MultiKrum) Name() string {
 }
 
 // Aggregate implements fl.Aggregator.
-func (k MultiKrum) Aggregate(_ []float64, updates []fl.Update) ([]float64, fl.Selection, error) {
+func (k MultiKrum) Aggregate(global []float64, updates []fl.Update) ([]float64, fl.Selection, error) {
 	n := len(updates)
 	if n == 0 {
 		return nil, fl.Selection{}, errNoUpdates
@@ -238,22 +241,45 @@ func (k MultiKrum) Aggregate(_ []float64, updates []fl.Update) ([]float64, fl.Se
 	if m > n {
 		m = n
 	}
-	vs := updateVectors(updates)
-	dist := roundSqDist(updates, vs)
+	dist := roundSqDist(global, updates)
 	scores := krumScores(dist, k.F)
 	order := argsort(scores)
 	selected := append([]int(nil), order[:m]...)
-	chosen := make([][]float64, m)
-	for i, idx := range selected {
-		chosen[i] = vs[idx]
-	}
 	sel := fl.Selection{
 		Accepted:  selected,
 		Scores:    negate(scores),
 		ScoreName: "neg-krum-distance",
 		Distances: dist,
 	}
-	return vec.Mean(chosen), sel, nil
+	return selectedMean(global, updates, selected), sel, nil
+}
+
+// selectedMean is vec.Mean over the selected updates' dense vectors, bit for
+// bit: the same adds in selection order, then one 1/m scale. A frame-only
+// update is reconstructed into one scratch vector reused across the
+// selection, so the mean of m compressed updates costs one dense vector, not
+// m; a round of dense updates allocates no scratch.
+func selectedMean(global []float64, updates []fl.Update, selected []int) []float64 {
+	var out, scratch []float64
+	for _, idx := range selected {
+		v := updates[idx].Weights
+		if f := updates[idx].Frame; v == nil && f != nil {
+			if scratch == nil {
+				scratch = make([]float64, f.Dim)
+			}
+			f.ReconstructInto(scratch, global)
+			v = scratch
+		}
+		if out == nil {
+			out = make([]float64, len(v))
+		}
+		tensor.AddSlice(out, v)
+	}
+	inv := 1.0 / float64(len(selected))
+	for i := range out {
+		out[i] *= inv
+	}
+	return out
 }
 
 // Bulyan implements the two-stage defense of El Mhamdi et al.: first an
@@ -271,7 +297,7 @@ var _ fl.Aggregator = Bulyan{}
 func (Bulyan) Name() string { return "bulyan" }
 
 // Aggregate implements fl.Aggregator.
-func (b Bulyan) Aggregate(_ []float64, updates []fl.Update) ([]float64, fl.Selection, error) {
+func (b Bulyan) Aggregate(global []float64, updates []fl.Update) ([]float64, fl.Selection, error) {
 	n := len(updates)
 	if n == 0 {
 		return nil, fl.Selection{}, errNoUpdates
@@ -280,13 +306,12 @@ func (b Bulyan) Aggregate(_ []float64, updates []fl.Update) ([]float64, fl.Selec
 	if theta < 1 {
 		theta = 1
 	}
-	vs := updateVectors(updates)
 
 	// Stage 1: iterative Krum selection of theta updates. The O(n²·d)
 	// pairwise distances are computed once (compressed-domain when the
 	// round's frames allow); each iteration re-scores the shrinking
 	// remainder from the shared matrix.
-	dist := roundSqDist(updates, vs)
+	dist := roundSqDist(global, updates)
 	remaining := make([]int, n)
 	for i := range remaining {
 		remaining[i] = i
@@ -305,20 +330,25 @@ func (b Bulyan) Aggregate(_ []float64, updates []fl.Update) ([]float64, fl.Selec
 	}
 
 	// Stage 2: coordinate-wise trimmed average around the median of the
-	// selected updates. The column buffers are reused across coordinates.
+	// selected updates, whose dense vectors are the only ones built. The
+	// column buffers are reused across coordinates.
 	beta := theta - 2*b.F
 	if beta < 1 {
 		beta = 1
 	}
-	dim := len(vs[0])
+	chosen := make([][]float64, theta)
+	for i, idx := range selected {
+		chosen[i] = updates[idx].Vector(global)
+	}
+	dim := len(chosen[0])
 	out := make([]float64, dim)
 	type kv struct{ dev, val float64 }
 	col := make([]kv, theta)
 	vals := make([]float64, theta)
 	med := make([]float64, theta)
 	for d := 0; d < dim; d++ {
-		for i, idx := range selected {
-			vals[i] = vs[idx][d]
+		for i, v := range chosen {
+			vals[i] = v[d]
 		}
 		m := medianOf(vals, med)
 		for i, v := range vals {

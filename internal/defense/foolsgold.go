@@ -60,7 +60,7 @@ func (f *FoolsGold) Aggregate(global []float64, updates []fl.Update) ([]float64,
 		if u.Frame != nil && u.Frame.IsDelta() {
 			u.Frame.AddDelta(hist)
 		} else {
-			vec.Axpy(hist, 1, vec.Sub(u.Weights, global))
+			vec.Axpy(hist, 1, vec.Sub(u.Vector(global), global))
 		}
 		f.history[u.ClientID] = hist
 		dirs[i] = hist
@@ -140,7 +140,7 @@ func (f *FoolsGold) Aggregate(global []float64, updates []fl.Update) ([]float64,
 		if weights[i] == 0 {
 			continue
 		}
-		vec.Axpy(out, norm[i], u.Weights)
+		vec.Axpy(out, norm[i], u.Vector(global))
 	}
 	return out, sel, nil
 }

@@ -1,8 +1,11 @@
 package experiment
 
 // Shape tests: slower end-to-end checks that the reproduction exhibits the
-// paper's qualitative claims on the real (non-tiny) fashion task. These are
-// the invariants EXPERIMENTS.md relies on.
+// paper's qualitative claims on the real (non-tiny) fashion task. They pin
+// two orderings the artifacts of the README's "Reproducing a paper
+// artifact" section rest on: DFA-R cuts an undefended federation's
+// accuracy (the attack premise of Table II, `flbench -exp table2`), and
+// REFD recovers accuracy lost to DFA-G (§V, Fig. 10, `flbench -exp fig10`).
 
 import (
 	"testing"

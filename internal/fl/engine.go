@@ -84,11 +84,12 @@ type Engine struct {
 	Observer AggregationObserver
 
 	// Codec, when enabled, compresses every update the round produced
-	// before aggregation: each update gains a codec frame and its Weights
-	// are replaced by the frame's reconstruction, so the simulator
-	// exercises exactly the lossy view a compressed socket run gives the
-	// server. Updates that already carry a frame (decoded off the wire by
-	// the flnet transport) pass through untouched.
+	// before aggregation: each update becomes frame-only (Frame set,
+	// Weights nil), so the simulator hands the aggregator exactly the lossy
+	// view a compressed socket run gives the server, and a dense vector is
+	// built only where a consumer asks Update.Vector for one. Updates that
+	// already carry a frame (decoded off the wire by the flnet transport)
+	// pass through untouched.
 	Codec codec.Spec
 
 	// Evaluate measures the global model's accuracy; nil disables
@@ -258,9 +259,9 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 		}
 		// Compress the round's submissions: attackers ride the same wire
 		// format as everyone else, and the server's view of each update
-		// becomes the frame's reconstruction — exactly what a compressed
-		// socket run would decode. Updates that already carry a frame
-		// (flnet decoded them off the wire) pass through untouched.
+		// becomes its frame alone — exactly what a compressed socket run
+		// would decode. Updates that already carry a frame (flnet decoded
+		// them off the wire) pass through untouched.
 		if enc != nil {
 			spEncode := e.Telemetry.Phase(telemetry.PhaseEncode)
 			for i := range updates {
@@ -268,8 +269,7 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 					continue
 				}
 				f := enc.Encode(updates[i].ClientID, round, global, updates[i].Weights)
-				updates[i].Frame = f
-				updates[i].Weights = f.Reconstruct(global)
+				updates[i].Frame, updates[i].Weights = f, nil
 				e.Telemetry.AddBytesIn(codec.WireSize(f))
 			}
 			spEncode.End()
@@ -326,11 +326,13 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 					// Staleness-discounted virtual weight vector: the
 					// client's movement away from the global it trained
 					// from, scaled by FedBuff's 1/√(1+τ), re-anchored at
-					// the current global.
+					// the current global. A frame reconstructs against the
+					// global it was encoded from.
 					discount := 1 / math.Sqrt(1+float64(round-p.dispatched))
+					uw := p.u.Vector(p.base)
 					w := make([]float64, len(global))
 					for j := range w {
-						w[j] = global[j] + discount*(p.u.Weights[j]-p.base[j])
+						w[j] = global[j] + discount*(uw[j]-p.base[j])
 					}
 					virt[i] = Update{
 						ClientID:   p.u.ClientID,
@@ -444,7 +446,7 @@ func (e *Engine) collectAttacked(round, numSelected int, benignIDs, attackerIDs 
 		if oracle {
 			ctx.BenignUpdates = make([][]float64, len(updates))
 			for i, u := range updates {
-				ctx.BenignUpdates[i] = u.Weights
+				ctx.BenignUpdates[i] = u.Vector(global)
 			}
 		}
 		craft()

@@ -19,18 +19,31 @@ import (
 type Update struct {
 	// ClientID identifies the submitting client.
 	ClientID int
-	// Weights is the flat local model weight vector.
+	// Weights is the flat local model weight vector; nil for a frame-only
+	// update (see Frame).
 	Weights []float64
 	// NumSamples is the client's reported training-set size n_i (Eq. 2).
 	NumSamples int
 	// Malicious marks updates crafted by the adversary. The server never
 	// reads this field; it exists purely for metric accounting.
 	Malicious bool
-	// Frame is the compressed form of the update when a codec is active
-	// (Weights then holds the reconstruction the server decoded from it).
-	// Codec-aware defenses read geometry from it; everything else ignores
-	// it and sees only the reconstructed Weights.
+	// Frame is the compressed form of the update when a codec is active.
+	// A compressed update reaches the aggregator as its frame alone
+	// (Weights nil): codec-aware defenses read geometry from the frame, and
+	// a consumer that needs the dense vector asks Vector for it, against the
+	// global the frame was encoded from. An update carrying both uses
+	// Weights as its dense vector.
 	Frame *codec.Frame
+}
+
+// Vector returns the update's dense weight vector: Weights when set,
+// otherwise the frame reconstructed against global — the round's global
+// model the frame was encoded from — freshly allocated.
+func (u Update) Vector(global []float64) []float64 {
+	if u.Weights != nil || u.Frame == nil {
+		return u.Weights
+	}
+	return u.Frame.Reconstruct(global)
 }
 
 // Selection is the uniform per-round decision report of an aggregation

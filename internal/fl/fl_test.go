@@ -47,10 +47,10 @@ type meanAggregator struct{ reportSelection bool }
 
 func (meanAggregator) Name() string { return "mean" }
 
-func (m meanAggregator) Aggregate(_ []float64, updates []Update) ([]float64, Selection, error) {
-	out := make([]float64, len(updates[0].Weights))
+func (m meanAggregator) Aggregate(global []float64, updates []Update) ([]float64, Selection, error) {
+	out := make([]float64, len(global))
 	for _, u := range updates {
-		for i, w := range u.Weights {
+		for i, w := range u.Vector(global) {
 			out[i] += w
 		}
 	}

@@ -1,7 +1,11 @@
 package flnet
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -11,15 +15,17 @@ import (
 	"repro/internal/codec"
 	"repro/internal/dataset"
 	"repro/internal/defense"
+	"repro/internal/fl"
 	"repro/internal/nn"
 )
 
-// runCodecFederation runs a small benign federation over loopback TCP with
-// the given server codec token and one client per spec. Clients join
-// sequentially so server-assigned IDs (and therefore shards and rounding
-// streams) are deterministic across runs — the raw-vs-legacy bit-identity
-// test below depends on it.
-func runCodecFederation(t *testing.T, serverCodec string, clientSpecs []codec.Spec, rounds int) *ServerResult {
+// runCodecFederation runs a small benign federation over loopback TCP under
+// cfg (its Rounds, Codec and Scenario; PerRound 0 selects every client)
+// with one client per spec, each training through wrap (nil = as is).
+// Clients join sequentially so server-assigned IDs (and therefore shards and
+// rounding streams) are deterministic across runs — the bit-identity tests
+// below depend on it.
+func runCodecFederation(t *testing.T, cfg ServerConfig, agg fl.Aggregator, clientSpecs []codec.Spec, wrap func(id int, tr Trainer) Trainer) *ServerResult {
 	t.Helper()
 	spec := dataset.TinySpec()
 	train, test := dataset.Generate(spec, 11)
@@ -34,14 +40,11 @@ func runCodecFederation(t *testing.T, serverCodec string, clientSpecs []codec.Sp
 		t.Fatal(err)
 	}
 	defer lis.Close()
-	srv, err := NewServer(ServerConfig{
-		MinClients:   n,
-		PerRound:     n,
-		Rounds:       rounds,
-		RoundTimeout: 10 * time.Second,
-		Seed:         7,
-		Codec:        serverCodec,
-	}, defense.MultiKrum{F: 1}, newModel, test)
+	cfg.MinClients, cfg.RoundTimeout, cfg.Seed = n, 10*time.Second, 7
+	if cfg.PerRound == 0 {
+		cfg.PerRound = n
+	}
+	srv, err := NewServer(cfg, agg, newModel, test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +62,10 @@ func runCodecFederation(t *testing.T, serverCodec string, clientSpecs []codec.Sp
 	clients := make([]*Client, n)
 	for i, cs := range clientSpecs {
 		rng := rand.New(rand.NewSource(int64(100 + i)))
-		trainer := NewBenignTrainer(train, shards[i], newModel, 0.05, 1, 8, rng)
+		var trainer Trainer = NewBenignTrainer(train, shards[i], newModel, 0.05, 1, 8, rng)
+		if wrap != nil {
+			trainer = wrap(i, trainer)
+		}
 		client, err := DialCodec(addr, trainer, 10*time.Second, cs)
 		if err != nil {
 			t.Fatalf("client %d: %v", i, err)
@@ -90,8 +96,8 @@ func runCodecFederation(t *testing.T, serverCodec string, clientSpecs []codec.Sp
 			t.Fatalf("client %d: %v", i, err)
 		}
 	}
-	if len(out.res.Rounds) != rounds {
-		t.Fatalf("server ran %d rounds, want %d", len(out.res.Rounds), rounds)
+	if len(out.res.Rounds) != cfg.Rounds {
+		t.Fatalf("server ran %d rounds, want %d", len(out.res.Rounds), cfg.Rounds)
 	}
 	for _, rr := range out.res.Rounds {
 		if rr.Responded != rr.Selected {
@@ -112,21 +118,21 @@ func runCodecFederation(t *testing.T, serverCodec string, clientSpecs []codec.Sp
 }
 
 // TestCodecSessionEndToEnd runs a lossy int8+top-k+EF federation over real
-// sockets: every update travels as a codec frame, the mKrum server
-// aggregates from reconstructions, and no round drops a client.
+// sockets: every update travels as a codec frame and reaches the mKrum
+// server as that frame alone, and no round drops a client.
 func TestCodecSessionEndToEnd(t *testing.T) {
 	cs := codec.Spec{Quant: codec.Int8, TopK: 0.25, EF: true}
 	specs := []codec.Spec{cs, cs, cs, cs}
-	runCodecFederation(t, cs.String(), specs, 3)
+	runCodecFederation(t, ServerConfig{Rounds: 3, Codec: cs.String()}, defense.MultiKrum{F: 1}, specs, nil)
 }
 
 // TestCodecRawMatchesLegacyBitExact: the raw codec is the lossless control —
 // a federation that ships raw frames must finish with weights bit-identical
 // to the same federation shipping legacy dense envelopes.
 func TestCodecRawMatchesLegacyBitExact(t *testing.T) {
-	legacy := runCodecFederation(t, "", make([]codec.Spec, 3), 2)
-	raw := runCodecFederation(t, "raw",
-		[]codec.Spec{{Quant: codec.Raw}, {Quant: codec.Raw}, {Quant: codec.Raw}}, 2)
+	legacy := runCodecFederation(t, ServerConfig{Rounds: 2}, defense.MultiKrum{F: 1}, make([]codec.Spec, 3), nil)
+	raw := runCodecFederation(t, ServerConfig{Rounds: 2, Codec: "raw"}, defense.MultiKrum{F: 1},
+		[]codec.Spec{{Quant: codec.Raw}, {Quant: codec.Raw}, {Quant: codec.Raw}}, nil)
 	if len(legacy.FinalWeights) != len(raw.FinalWeights) {
 		t.Fatalf("weight length mismatch: %d vs %d", len(legacy.FinalWeights), len(raw.FinalWeights))
 	}
@@ -143,7 +149,86 @@ func TestCodecRawMatchesLegacyBitExact(t *testing.T) {
 // and frame-carrying updates and the defense falls back to dense geometry.
 func TestCodecMixedLegacyAndCompressed(t *testing.T) {
 	cs := codec.Spec{Quant: codec.FP16}
-	runCodecFederation(t, cs.String(), []codec.Spec{{}, cs, cs}, 2)
+	runCodecFederation(t, ServerConfig{Rounds: 2, Codec: cs.String()}, defense.MultiKrum{F: 1}, []codec.Spec{{}, cs, cs}, nil)
+}
+
+// wrappedAggregator exposes only fl.Aggregator's methods, as a decorator
+// around a rule (a timing wrapper, say) does.
+type wrappedAggregator struct{ fl.Aggregator }
+
+// TestCodecWrappedAggregatorBitExact: a compressed federation whose mKrum
+// sits behind a wrapper embedding fl.Aggregator finishes with the same final
+// weights as the bare rule. How a round is aggregated follows from its
+// updates — frame-only or dense — never from the aggregator's type, so
+// decorating a defense cannot move a bit.
+func TestCodecWrappedAggregatorBitExact(t *testing.T) {
+	cs := codec.Spec{Quant: codec.Int8, TopK: 0.25, EF: true}
+	specs := []codec.Spec{cs, cs, cs, cs}
+	cfg := ServerConfig{Rounds: 3, Codec: cs.String()}
+	bare := runCodecFederation(t, cfg, defense.MultiKrum{F: 1}, specs, nil)
+	wrapped := runCodecFederation(t, cfg, wrappedAggregator{defense.MultiKrum{F: 1}}, specs, nil)
+	if got, want := weightsDigest(wrapped.FinalWeights), weightsDigest(bare.FinalWeights); got != want {
+		t.Fatalf("wrapped mKrum final weights %s, bare %s", got, want)
+	}
+}
+
+// TestAsyncBufferedCompressedOverSockets is the compressed twin of
+// TestAsyncBufferedOverSockets: int8+top-k+EF frames wait in the async
+// buffer as they arrived and are reconstructed at flush, against the global
+// their clients trained from. Its reference is the same federation over a
+// dense session whose clients send what the server would reconstruct on
+// receipt — each frame's Reconstruct against the global it was encoded
+// from — and the two must end bit for bit equal.
+func TestAsyncBufferedCompressedOverSockets(t *testing.T) {
+	cs := codec.Spec{Quant: codec.Int8, TopK: 0.25, EF: true}
+	cfg := ServerConfig{
+		Rounds:   4,
+		PerRound: 2,
+		Scenario: fl.Scenario{Async: &fl.AsyncConfig{Buffer: 3, MaxDelay: 1}},
+	}
+	eager := runCodecFederation(t, cfg, defense.FedAvg{}, make([]codec.Spec, 3), func(id int, tr Trainer) Trainer {
+		return &reconstructingTrainer{inner: tr, id: id, enc: codec.NewEncoder(cs)}
+	})
+	cfg.Codec = cs.String()
+	res := runCodecFederation(t, cfg, defense.FedAvg{}, []codec.Spec{cs, cs, cs}, nil)
+	aggs := 0
+	for _, rr := range res.Rounds {
+		aggs += rr.Aggregations
+	}
+	if aggs == 0 {
+		t.Fatal("async federation never aggregated")
+	}
+	if got, want := weightsDigest(res.FinalWeights), weightsDigest(eager.FinalWeights); got != want {
+		t.Fatalf("async compressed final weights %s, reconstructed on receipt %s", got, want)
+	}
+}
+
+// reconstructingTrainer sends, over a dense session, the reconstruction of
+// the frame a compressed client with the same ID would send.
+type reconstructingTrainer struct {
+	inner Trainer
+	id    int
+	enc   *codec.Encoder
+}
+
+func (r *reconstructingTrainer) Train(round int, global, prev []float64) ([]float64, int, error) {
+	w, n, err := r.inner.Train(round, global, prev)
+	if err != nil {
+		return nil, 0, err
+	}
+	return r.enc.Encode(r.id, round, global, w).Reconstruct(global), n, nil
+}
+
+// weightsDigest is the first 16 hex digits of SHA-256 over the weights'
+// Float64bits, 64-bit little-endian.
+func weightsDigest(w []float64) string {
+	h := sha256.New()
+	var word [8]byte
+	for _, v := range w {
+		binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+		h.Write(word[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
 // TestCodecNegotiationReject is the handshake satellite: a client whose

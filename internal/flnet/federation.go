@@ -598,7 +598,9 @@ func (cl *session) roundTrip(round int, gen uint64, bufs [][]byte) (header, []by
 // content — a foreign client ID, a negative sample count, non-finite weights
 // (checked while decoding), the wrong body kind, a frame of another dimension
 // or spec — fails closed: the client is absent for the round, like a
-// straggler, but the stream stays in sync and the session usable.
+// straggler, but the stream stays in sync and the session usable. A frame
+// body decodes to a frame-only update; the defense builds whatever dense
+// vectors it needs (fl.Update.Vector).
 func (cl *session) decodeUpdate(h header, body []byte, global []float64) (fl.Update, bool) {
 	u := fl.Update{ClientID: cl.id, NumSamples: h.samples}
 	if h.client != cl.id || h.samples < 0 || (h.flags == UpdateFrame) != cl.spec.Enabled() {
@@ -612,7 +614,7 @@ func (cl *session) decodeUpdate(h header, body []byte, global []float64) (fl.Upd
 	if err != nil || frame.Dim != len(global) || frame.Spec != cl.spec {
 		return u, false
 	}
-	u.Frame, u.Weights = frame, frame.Reconstruct(global)
+	u.Frame = frame
 	return u, true
 }
 

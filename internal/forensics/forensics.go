@@ -69,10 +69,13 @@ func Fingerprints(global []float64, updates []fl.Update, dist [][]float64) []Fin
 	if n == 0 {
 		return fps
 	}
-	// Mean displacement of the round, computed once.
+	// Dense vectors (frame-only updates reconstructed against global) and
+	// the mean displacement of the round, computed once.
+	vs := make([][]float64, n)
 	meanDelta := make([]float64, len(global))
-	for _, u := range updates {
-		for j, w := range u.Weights {
+	for i, u := range updates {
+		vs[i] = u.Vector(global)
+		for j, w := range vs[i] {
 			meanDelta[j] += w
 		}
 	}
@@ -83,17 +86,13 @@ func Fingerprints(global []float64, updates []fl.Update, dist [][]float64) []Fin
 	mdNorm := math.Sqrt(tensor.DotSlice(meanDelta, meanDelta))
 
 	if len(dist) != n {
-		vs := make([][]float64, n)
-		for i, u := range updates {
-			vs[i] = u.Weights
-		}
 		dist = vec.SqDistMatrix(vs)
 	}
 
 	tensor.ParallelFor(n, 1, func(lo, hi int) {
 		row := make([]float64, 0, n-1)
 		for i := lo; i < hi; i++ {
-			w := updates[i].Weights
+			w := vs[i]
 			var dot, sq float64
 			for j, g := range global {
 				d := w[j] - g

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"sync"
 	"time"
 )
 
@@ -68,20 +69,50 @@ const opsDrainTimeout = 3 * time.Second
 // responses, and only hard-closes connections that outlive the deadline.
 // It reports the first real error from either the serve loop or the
 // shutdown itself (http.ErrServerClosed is the normal exit, not an error).
+//
+// A connection that was dialed but has not sent a request yet (StateNew —
+// an HTTP client's spare parallel dial parks exactly such a connection in
+// its idle pool) carries nothing to drain, yet http.Server.Shutdown counts
+// it as active for five seconds, longer than the drain deadline. The
+// shutdown function closes such connections first, as http.Server.Shutdown
+// itself closes keep-alive connections between requests (StateIdle).
 func ServeOps(addr string, h http.Handler) (string, func() error, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
 	}
 	baseCtx, cancel := context.WithCancel(context.Background())
+	var (
+		mu      sync.Mutex
+		closing bool
+		fresh   = make(map[net.Conn]struct{})
+	)
 	srv := &http.Server{
 		Handler:     h,
 		BaseContext: func(net.Listener) context.Context { return baseCtx },
+		ConnState: func(c net.Conn, s http.ConnState) {
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case s != http.StateNew:
+				delete(fresh, c)
+			case closing:
+				_ = c.Close() // accepted during shutdown: nothing sent yet
+			default:
+				fresh[c] = struct{}{}
+			}
+		},
 	}
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(lis) }()
 	shutdown := func() error {
 		cancel()
+		mu.Lock()
+		closing = true
+		for c := range fresh {
+			_ = c.Close() // no request read yet: nothing in flight to drain
+		}
+		mu.Unlock()
 		ctx, done := context.WithTimeout(context.Background(), opsDrainTimeout)
 		defer done()
 		err := srv.Shutdown(ctx)

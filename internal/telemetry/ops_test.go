@@ -2,9 +2,11 @@ package telemetry
 
 import (
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestOpsMuxServesMetricsAndPprof(t *testing.T) {
@@ -44,5 +46,43 @@ func TestOpsMuxServesMetricsAndPprof(t *testing.T) {
 	code, body, _ = get("/debug/pprof/")
 	if code != http.StatusOK || !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/ status %d", code)
+	}
+}
+
+// TestServeOpsShutdownClosesSilentConn: a connection dialed but never sent
+// a request must not hold shutdown for http.Server's five-second StateNew
+// grace — past the drain deadline, which then failed the close.
+func TestServeOpsShutdownClosesSilentConn(t *testing.T) {
+	bound, shutdown, err := ServeOps("127.0.0.1:0", NewOpsMux(NewRegistry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent, err := net.Dial("tcp", bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// The server accepts in dial order, so once a later connection has been
+	// served, the silent one is accepted and sits in StateNew.
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	resp, err := client.Get("http://" + bound + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+
+	start := time.Now()
+	if err := shutdown(); err != nil {
+		t.Fatalf("shutdown with a silent connection open: %v", err)
+	}
+	if took := time.Since(start); took >= opsDrainTimeout {
+		t.Fatalf("shutdown took %v, at least the %v drain deadline", took, opsDrainTimeout)
+	}
+	// The server side closed the silent connection: a read sees EOF.
+	_ = silent.SetReadDeadline(time.Now().Add(time.Second))
+	if n, err := silent.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("silent connection read after shutdown: n=%d err=%v, want EOF", n, err)
 	}
 }
