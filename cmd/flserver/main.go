@@ -67,11 +67,7 @@ func main() {
 
 // tenant is one federation this process serves: the sole anonymous one
 // (id "") or an entry of -federations.
-type tenant struct {
-	id, defense string
-	agg         fl.Aggregator
-	cfg         flnet.ServerConfig
-}
+type tenant struct{ id, defense string }
 
 func run(args []string, stdout io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("flserver", flag.ContinueOnError)
@@ -103,12 +99,9 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	fs.StringVar(&watch.AuditPath, "audit", "", "JSONL audit-journal path for per-round defense decisions and update fingerprints (empty = off; multi-tenant: one journal per federation, suffix -<id>)")
 	codecToken := fs.String("codec", "", "update codec served to clients, as a codec spec token: raw, fp16, int8, optionally with ,topk=<frac> and ,ef — e.g. int8,topk=0.1,ef (empty = legacy dense updates only; legacy clients are always served)")
 	federations := fs.String("federations", "", "serve several federations over one listener, as comma-separated id or id=defense entries, e.g. alpha=mkrum,beta=refd (empty = single-tenant; entries without =defense use -defense)")
-	pendingJoins := fs.Int("pending-joins", 0, "multi-tenant admission control: per-federation bound on handshakes queued for admission; joins beyond it are rejected with a typed retryable error (0 = max(clients, 16))")
+	pendingJoins := fs.Int("pending-joins", 0, "admission control: per-federation bound on handshakes queued for admission; joins beyond it are rejected with a typed retryable error (0 = max(clients, 16))")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *federations == "" && *pendingJoins != 0 {
-		return fmt.Errorf("-pending-joins requires -federations (the single-tenant server admits inline and never queues)")
 	}
 	codecSpec, err := codec.ParseSpec(*codecToken)
 	if err != nil {
@@ -174,49 +167,58 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	}
 	_, test := dataset.Generate(spec, *seed)
 	newModel := modelFactory(spec)
-	for i := range tenants {
-		tn := &tenants[i]
+	// Every deployment is a Host: one anonymous federation, or one per
+	// -federations entry.
+	host := flnet.NewHost()
+	host.HandshakeTimeout = *handshake
+	feds := make([]*flnet.Federation, len(tenants))
+	for i, tn := range tenants {
+		var agg fl.Aggregator
 		if tn.defense == "refd" {
-			ref, err := core.BalancedReference(test, *refPerClass)
-			if err != nil {
-				return err
+			var ref *dataset.Dataset
+			if ref, err = core.BalancedReference(test, *refPerClass); err == nil {
+				agg, err = core.NewREFD(ref, newModel, 1, *rejectX)
 			}
-			tn.agg, err = core.NewREFD(ref, newModel, 1, *rejectX)
 		} else {
-			tn.agg, err = defense.ByName(tn.defense, *fproxy)
+			agg, err = defense.ByName(tn.defense, *fproxy)
 		}
 		if err != nil {
 			return fmt.Errorf("federation %q: %w", tn.id, err)
 		}
-		tn.cfg = flnet.ServerConfig{
-			MinClients:       *clients,
-			PerRound:         *perRound,
-			Rounds:           *rounds,
-			RoundTimeout:     *timeout,
-			HandshakeTimeout: *handshake,
-			AcceptTimeout:    *acceptTimeout,
-			PendingJoins:     *pendingJoins,
-			Seed:             *seed,
-			CheckpointPath:   *checkpoint,
-			DatasetName:      spec.Name,
-			ModelName:        "paper-cnn",
-			Scenario:         experiment.BuildScenario(scfg, nil),
-			Codec:            codecSpec.String(),
-			Metrics:          plane.Registry(),
+		cfg := flnet.ServerConfig{
+			MinClients:     *clients,
+			PerRound:       *perRound,
+			Rounds:         *rounds,
+			RoundTimeout:   *timeout,
+			AcceptTimeout:  *acceptTimeout,
+			PendingJoins:   *pendingJoins,
+			Seed:           *seed,
+			CheckpointPath: *checkpoint,
+			DatasetName:    spec.Name,
+			ModelName:      "paper-cnn",
+			Scenario:       experiment.BuildScenario(scfg, nil),
+			Codec:          codecSpec.String(),
+			Metrics:        plane.Registry(),
 		}
 		if tn.id != "" && *checkpoint != "" {
-			tn.cfg.CheckpointPath += "-" + tn.id
+			cfg.CheckpointPath += "-" + tn.id
 		}
 		if plane != nil {
 			// The networked server has no ground-truth Malicious flags, so
 			// a watched server's collector provides decision auditing (who
 			// was filtered, with what score and fingerprint) rather than
 			// TPR/FPR joins.
-			col, err := plane.Collector(tn.id, forensics.Options{Defense: tn.agg.Name(), Seed: *seed})
+			col, err := plane.Collector(tn.id, forensics.Options{Defense: agg.Name(), Seed: *seed})
 			if err != nil {
 				return fmt.Errorf("federation %q: %w", tn.id, err)
 			}
-			tn.cfg.Observer = col
+			cfg.Observer = col
+		}
+		if feds[i], err = flnet.NewFederation(tn.id, cfg, agg, newModel, test); err != nil {
+			return fmt.Errorf("federation %q: %w", tn.id, err)
+		}
+		if err := host.Add(feds[i]); err != nil {
+			return err
 		}
 	}
 
@@ -225,26 +227,21 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		return err
 	}
 	defer lis.Close()
-	if *federations != "" {
-		return serveHost(lis, tenants, newModel, test, stdout)
+	if *federations == "" {
+		serveCodec := codecSpec.String()
+		if serveCodec == "" {
+			serveCodec = "none"
+		}
+		fmt.Fprintf(stdout, "flserver: listening on %s, waiting for %d clients (defense=%s dataset=%s codec=%s)\n",
+			lis.Addr(), *clients, *defName, spec.Name, serveCodec)
+	} else {
+		for _, tn := range tenants {
+			fmt.Fprintf(stdout, "flserver: federation %s (defense=%s)\n", tn.id, tn.defense)
+		}
+		fmt.Fprintf(stdout, "flserver: hosting %d federations on %s, waiting for %d clients each\n",
+			len(feds), lis.Addr(), *clients)
 	}
-	tn := tenants[0]
-	srv, err := flnet.NewServer(tn.cfg, tn.agg, newModel, test)
-	if err != nil {
-		return err
-	}
-	serveCodec := codecSpec.String()
-	if serveCodec == "" {
-		serveCodec = "none"
-	}
-	fmt.Fprintf(stdout, "flserver: listening on %s, waiting for %d clients (defense=%s dataset=%s codec=%s)\n",
-		lis.Addr(), *clients, tn.defense, spec.Name, serveCodec)
-	res, err := srv.Serve(lis)
-	if err != nil {
-		return err
-	}
-	printResult(stdout, "", res)
-	return nil
+	return serveHost(lis, host, feds, stdout)
 }
 
 // parseFederations reads the -federations list: comma-separated id or
@@ -277,27 +274,12 @@ func parseFederations(list, fallback string) ([]tenant, error) {
 	return tenants, nil
 }
 
-// serveHost serves several federations over one listener: each tenant is an
-// independent Federation with its own defense, round state, checkpoint file
-// and audit journal, sharing the plane's one registry (federation="<id>"
-// labels on a single /metrics) and one /forensics/<id>/ subtree each — the
-// prefix list the dashboard turns into per-federation tabs.
-func serveHost(lis net.Listener, tenants []tenant, newModel func(rng *rand.Rand) *nn.Network, test *dataset.Dataset, stdout io.Writer) error {
-	host := flnet.NewHost()
-	feds := make([]*flnet.Federation, len(tenants))
-	for i, tn := range tenants {
-		fed, err := flnet.NewFederation(tn.id, tn.cfg, tn.agg, newModel, test)
-		if err != nil {
-			return fmt.Errorf("federation %q: %w", tn.id, err)
-		}
-		if err := host.Add(fed); err != nil {
-			return err
-		}
-		feds[i] = fed
-		fmt.Fprintf(stdout, "flserver: federation %s (defense=%s)\n", tn.id, tn.defense)
-	}
-	fmt.Fprintf(stdout, "flserver: hosting %d federations on %s, waiting for %d clients each\n",
-		len(feds), lis.Addr(), tenants[0].cfg.MinClients)
+// serveHost runs every federation on host over lis: each is independent,
+// with its own defense, round state, checkpoint file and audit journal,
+// sharing the plane's one registry (federation="<id>" labels on a single
+// /metrics) and one /forensics/<id>/ subtree each — the prefix list the
+// dashboard turns into per-federation tabs.
+func serveHost(lis net.Listener, host *flnet.Host, feds []*flnet.Federation, stdout io.Writer) error {
 	served := make(chan error, 1)
 	go func() { served <- host.Serve(lis) }()
 
@@ -313,9 +295,13 @@ func serveHost(lis net.Listener, tenants []tenant, newModel func(rng *rand.Rand)
 				errs[i] = fmt.Errorf("federation %q: %w", fed.ID(), err)
 				return
 			}
+			prefix := ""
+			if fed.ID() != "" {
+				prefix = fed.ID() + "  "
+			}
 			out.Lock()
 			defer out.Unlock()
-			printResult(stdout, fed.ID()+"  ", res)
+			printResult(stdout, prefix, res)
 		}()
 	}
 	wg.Wait()

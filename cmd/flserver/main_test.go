@@ -252,3 +252,13 @@ func TestRunRejectsBadWatch(t *testing.T) {
 		t.Fatalf("run error = %v, want the -dash-replay rule", err)
 	}
 }
+
+// TestRunRejectsBadREFD: a REFD the flags cannot build is an error before
+// any port is bound, not a server that starts with no defense.
+func TestRunRejectsBadREFD(t *testing.T) {
+	err := run([]string{"-addr", "127.0.0.1:0", "-dataset", "tiny-sim", "-defense", "refd",
+		"-ref-per-class", "2", "-reject", "-1", "-accept-timeout", "1s"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "rejectX -1") {
+		t.Fatalf("run error = %v, want the REFD rejectX error", err)
+	}
+}

@@ -231,10 +231,11 @@ func weightsDigest(w []float64) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// TestCodecNegotiationReject is the handshake satellite: a client whose
-// codec the server does not serve is rejected with a typed error before any
-// round starts, the rejected connection does not consume a MinClients slot,
-// and compatible clients that follow complete the session normally.
+// TestCodecNegotiationReject: a client whose codec the server does not serve
+// is rejected with a typed error before any round starts, the rejected
+// connection does not consume a MinClients slot, compatible clients that
+// follow complete the session normally, and a join after the federation has
+// filled gets a typed RejectClosed instead of sitting in the backlog.
 func TestCodecNegotiationReject(t *testing.T) {
 	spec := dataset.TinySpec()
 	train, test := dataset.Generate(spec, 13)
@@ -286,11 +287,28 @@ func TestCodecNegotiationReject(t *testing.T) {
 	// a matching-codec client now fill MinClients and the session completes.
 	var wg sync.WaitGroup
 	var runErrs [2]error
+	var clients []*Client
 	for i, cs := range []codec.Spec{{}, {Quant: codec.Int8}} {
 		client, err := DialCodec(addr, mk(i), 10*time.Second, cs)
 		if err != nil {
 			t.Fatalf("compatible client %d: %v", i, err)
 		}
+		clients = append(clients, client)
+	}
+
+	// The federation is full and its first round is waiting on the two
+	// members: a late join must be refused within the handshake deadline.
+	start := time.Now()
+	_, err = Dial(addr, mk(0), 10*time.Second)
+	var jr *JoinRejectedError
+	if !errors.As(err, &jr) || jr.Code != RejectClosed {
+		t.Fatalf("late join: got %v, want a RejectClosed *JoinRejectedError", err)
+	}
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Fatalf("late join answered after %v, beyond the handshake deadline", waited)
+	}
+
+	for i, client := range clients {
 		wg.Add(1)
 		go func(i int, client *Client) {
 			defer wg.Done()

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -285,6 +286,53 @@ func TestAcceptTimeoutFailsFast(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("AcceptTimeout did not unblock the join phase")
+	}
+}
+
+// TestServeStopsAcceptLoopKeepsListener pins who owns the listener: Serve on
+// a plain TCP listener returns with its accept loop gone while the listener
+// stays open, and a second Serve on the same listener, with fresh clients,
+// completes.
+func TestServeStopsAcceptLoopKeepsListener(t *testing.T) {
+	f := newNetFixture(t, 26, 1)
+	lis := f.listen(t)
+	before := runtime.NumGoroutine()
+	for pass := 0; pass < 2; pass++ {
+		srv, err := NewServer(ServerConfig{
+			MinClients: 1, PerRound: 1, Rounds: 1,
+			RoundTimeout: 10 * time.Second, Seed: 8,
+		}, defense.FedAvg{}, f.newModel, f.test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := srv.Serve(lis)
+			done <- err
+		}()
+		client := make(chan struct{})
+		go func() {
+			defer close(client)
+			f.runBenign(lis.Addr().String(), 0, int64(50+pass))
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("pass %d: %v", pass, err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("pass %d: Serve never returned", pass)
+		}
+		<-client
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("pass %d: %d goroutines before Serve, %d after it returned:\n%s",
+				pass, before, n, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 

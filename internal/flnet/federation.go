@@ -22,9 +22,9 @@ import (
 
 // Federation owns the per-tenant round state of one federated training run:
 // the engine configuration, aggregation rule, codec negotiation, checkpoint
-// path, evaluator and member sessions. A single-tenant Server wraps exactly
-// one Federation; a multi-tenant Host multiplexes several over one listener,
-// routed by the join handshake's Federation field. Heavy tensor math from
+// path, evaluator and member sessions. A Host multiplexes federations over
+// one listener, routed by the join handshake's Federation field; a Server is
+// a Host with one anonymous Federation. Heavy tensor math from
 // all federations in one process drains through the shared process-global
 // worker pool (internal/tensor), so co-hosted tenants share one compute
 // budget instead of oversubscribing the machine.
@@ -43,11 +43,14 @@ type Federation struct {
 
 	mu       sync.Mutex
 	sessions []*session
-	full     bool
+	// closed marks a federation that admits no further members: it has
+	// filled, or Run has returned.
+	closed bool
 	// filled is closed once MinClients members are admitted.
 	filled chan struct{}
 	// pending is the bounded admission queue for host-routed joins; Offer
-	// rejects (typed) rather than blocking when it is full.
+	// rejects (typed) rather than blocking when it is full. Entries are
+	// added under mu, so none arrives after close has drained it.
 	pending chan pendingJoin
 	// draining requests a graceful stop at the next round boundary.
 	draining atomic.Bool
@@ -151,7 +154,7 @@ func (f *Federation) doAdmit(conn *Conn, hello *Envelope) bool {
 	}
 
 	f.mu.Lock()
-	if f.full || f.draining.Load() {
+	if f.closed || f.draining.Load() {
 		f.mu.Unlock()
 		reject(conn, RejectClosed, fmt.Sprintf("federation %q is not admitting members", f.id))
 		return false
@@ -167,7 +170,7 @@ func (f *Federation) doAdmit(conn *Conn, hello *Envelope) bool {
 	conn.Timeout, conn.dim = f.cfg.RoundTimeout, f.dim
 	f.sessions = append(f.sessions, &session{id: id, conn: conn, spec: spec})
 	if len(f.sessions) == f.cfg.MinClients {
-		f.full = true
+		f.closed = true
 		close(f.filled)
 	}
 	f.mu.Unlock()
@@ -187,24 +190,28 @@ func (f *Federation) memberCount() int {
 // half-open state; Run admits queued joins in arrival order.
 func (f *Federation) Offer(conn *Conn, hello *Envelope) {
 	f.mu.Lock()
-	closed := f.full || f.draining.Load()
-	f.mu.Unlock()
-	if closed {
+	if f.closed || f.draining.Load() {
+		f.mu.Unlock()
 		reject(conn, RejectClosed, fmt.Sprintf("federation %q is not admitting members", f.id))
 		return
 	}
 	j := pendingJoin{conn: conn, hello: hello, enqueuedNs: f.tel.enqueueNanos()}
 	select {
 	case f.pending <- j:
+		f.mu.Unlock()
 	default:
+		f.mu.Unlock()
 		f.tel.unqueued() // never entered the queue: depth back down, no wait sample
 		f.tel.admitted(false)
 		reject(conn, RejectAdmission, fmt.Sprintf("federation %q join queue is full; retry later", f.id))
 	}
 }
 
-// rejectQueued drains the pending queue, rejecting every waiting handshake.
-func (f *Federation) rejectQueued() {
+// close stops admission and rejects every handshake still queued.
+func (f *Federation) close() {
+	f.mu.Lock()
+	f.closed = true
+	f.mu.Unlock()
 	for {
 		select {
 		case j := <-f.pending:
@@ -271,9 +278,15 @@ func (f *Federation) prepare() (*startState, error) {
 // Run waits for the federation to fill (admitting host-routed joins from the
 // pending queue, bounded by AcceptTimeout when configured), runs the
 // configured rounds, and returns the result. Call it once, after
-// registering the federation with a Host (or use Server for the
-// single-tenant accept loop).
-func (f *Federation) Run() (*ServerResult, error) {
+// registering the federation with a Host.
+func (f *Federation) Run() (*ServerResult, error) { return f.run(nil) }
+
+// run is Run for a federation with an accept loop of its own: once loopDone
+// closes, no member can join any more, so an unfilled join phase fails.
+func (f *Federation) run(loopDone <-chan struct{}) (*ServerResult, error) {
+	// However Run ends, the federation admits no one afterwards and no
+	// handshake stays parked in its queue.
+	defer f.close()
 	st, err := f.prepare()
 	if err != nil {
 		return nil, err
@@ -295,10 +308,12 @@ joining:
 		case <-timeout:
 			return nil, fmt.Errorf("flnet: federation %q: join phase timed out after %v with %d/%d clients",
 				f.id, f.cfg.AcceptTimeout, f.memberCount(), f.cfg.MinClients)
+		case <-loopDone:
+			return nil, fmt.Errorf("flnet: federation %q: accept loop ended with %d/%d clients",
+				f.id, f.memberCount(), f.cfg.MinClients)
 		}
 	}
-	f.rejectQueued()
-	defer f.rejectQueued()
+	f.close() // joins queued while the federation filled
 	return f.runEngine(st)
 }
 
@@ -674,10 +689,11 @@ func (h *Host) route(name string) *Federation {
 	return nil
 }
 
-// Serve accepts and routes connections until the listener closes. Each
-// handshake is read in its own goroutine under HandshakeTimeout, so a slow
-// peer stalls neither the accept loop nor the other federations. The
-// listener is not closed; the caller owns it and ends Serve by closing it.
+// Serve accepts and routes connections until the listener closes or its
+// deadline expires; both are a clean stop. Each handshake is read in its own
+// goroutine under HandshakeTimeout, so a slow peer stalls neither the accept
+// loop nor the other federations. The listener is not closed; the caller
+// owns it.
 func (h *Host) Serve(lis net.Listener) error {
 	hsTimeout := h.HandshakeTimeout
 	if hsTimeout <= 0 {
@@ -689,7 +705,8 @@ func (h *Host) Serve(lis net.Listener) error {
 	for {
 		raw, err := lis.Accept()
 		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
+			var ne net.Error
+			if errors.Is(err, net.ErrClosed) || (errors.As(err, &ne) && ne.Timeout()) {
 				return nil
 			}
 			return fmt.Errorf("flnet: host accept: %w", err)

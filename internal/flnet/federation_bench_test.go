@@ -93,10 +93,9 @@ func BenchmarkHostedFederations(b *testing.B) {
 	}
 }
 
-// BenchmarkSingleTenantServer is the pre-multi-tenant baseline: the same
-// single federation served by the plain Server (inline accept loop, no
-// admission queue). The delta against BenchmarkHostedFederations/tenants=1
-// is the cost of the Host routing layer.
+// BenchmarkSingleTenantServer serves the same single federation through
+// Server, a Host with one anonymous federation. Against
+// BenchmarkHostedFederations/tenants=1 the delta is the Server wrapper alone.
 func BenchmarkSingleTenantServer(b *testing.B) {
 	const rounds = 3
 	tn := tenant{

@@ -14,8 +14,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ServerConfig configures one federation (whether served single-tenant by
-// Server or multiplexed with others by Host).
+// ServerConfig configures one federation (whether served alone by Server or
+// multiplexed with others on a Host).
 type ServerConfig struct {
 	// MinClients is the population size the server waits for before
 	// training starts (the paper's N).
@@ -28,22 +28,19 @@ type ServerConfig struct {
 	// that miss it are treated as offline for the round (cross-device FL
 	// explicitly tolerates stragglers).
 	RoundTimeout time.Duration
-	// HandshakeTimeout bounds each join handshake (the first Recv/Send on a
-	// freshly accepted connection), so a half-open or garbage connection
-	// cannot hold the join phase for a full RoundTimeout. 0 defaults to 5s.
+	// HandshakeTimeout is the Server's Host.HandshakeTimeout: it bounds the
+	// hello read on each accepted connection, so a half-open or garbage
+	// connection cannot hold the join phase for a full RoundTimeout.
 	HandshakeTimeout time.Duration
 	// AcceptTimeout, when positive, bounds the whole join phase: if
-	// MinClients have not completed the handshake within it, Serve (or
-	// Federation.Run) fails instead of waiting forever. Single-tenant Serve
-	// requires a deadline-capable listener (TCP/Unix); 0 preserves the
-	// legacy wait-forever behaviour.
+	// MinClients have not been admitted within it, Federation.Run (and so
+	// Serve) fails instead of waiting forever. 0 waits forever.
 	AcceptTimeout time.Duration
-	// PendingJoins bounds the queue of handshakes awaiting admission on a
-	// multi-tenant host — the admission control for join storms: joins
-	// beyond the bound are rejected immediately with RejectAdmission (the
-	// client may retry) instead of accumulating unbounded half-open state.
-	// 0 defaults to max(MinClients, 16). Single-tenant Serve admits inline
-	// off the accept loop and never queues.
+	// PendingJoins bounds the federation's queue of handshakes awaiting
+	// admission — the admission control for join storms: joins beyond the
+	// bound are rejected immediately with RejectAdmission (the client may
+	// retry) instead of accumulating unbounded half-open state. 0 defaults
+	// to max(MinClients, 16).
 	PendingJoins int
 	// EvalLimit caps test samples per evaluation (0 = all).
 	EvalLimit int
@@ -103,9 +100,6 @@ func (c *ServerConfig) Validate() error {
 	if c.RoundTimeout <= 0 {
 		c.RoundTimeout = 30 * time.Second
 	}
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = 5 * time.Second
-	}
 	if spec, err := codec.ParseSpec(c.Codec); err != nil {
 		return fmt.Errorf("flnet: codec: %w", err)
 	} else if c.Codec != "" && c.Codec != spec.String() {
@@ -162,13 +156,12 @@ type session struct {
 	hdr [headerSize]byte
 }
 
-// Server drives federated training over real connections: the single-tenant
-// deployment, owning one anonymous Federation and the accept loop that
-// fills it. Multi-tenant deployments build Federations directly and
-// multiplex them with a Host.
+// Server is the single-tenant deployment: a Host with one anonymous
+// Federation, so its joins take the same accept loop, handshake reader,
+// admission queue and typed rejects as a multi-tenant host's.
 type Server struct {
-	cfg ServerConfig
-	fed *Federation
+	host *Host
+	fed  *Federation
 }
 
 // NewServer builds a server with the given aggregation rule, model
@@ -178,66 +171,41 @@ func NewServer(cfg ServerConfig, agg fl.Aggregator, newModel func(rng *rand.Rand
 	if err != nil {
 		return nil, err
 	}
-	return &Server{cfg: fed.cfg, fed: fed}, nil
+	host := NewHost()
+	host.HandshakeTimeout, host.Tracer = cfg.HandshakeTimeout, cfg.Tracer
+	if err := host.Add(fed); err != nil {
+		return nil, err
+	}
+	return &Server{host: host, fed: fed}, nil
 }
 
 // Serve accepts MinClients clients on lis, runs the configured rounds, and
-// returns the result. The listener is not closed; the caller owns it.
+// returns the result. The listener is not closed; the caller owns it. On a
+// deadline-capable listener (TCP, Unix) Serve stops its accept loop before
+// returning, by setting an expired deadline and clearing it once the loop
+// has exited, so the listener can serve again. On any other listener the
+// loop ends when the caller closes it, and a join it accepts before then
+// gets a typed RejectClosed.
 func (s *Server) Serve(lis net.Listener) (*ServerResult, error) {
-	// Resolve the starting state before any client joins, so an
-	// incompatible checkpoint fails fast instead of after the handshakes.
-	st, err := s.fed.prepare()
-	if err != nil {
-		return nil, err
+	var loopErr error
+	loopDone := make(chan struct{})
+	go func() {
+		defer close(loopDone)
+		loopErr = s.host.Serve(lis)
+	}()
+	res, err := s.fed.run(loopDone)
+	if d, ok := lis.(interface{ SetDeadline(time.Time) error }); ok && d.SetDeadline(time.Unix(1, 0)) == nil {
+		<-loopDone
+		_ = d.SetDeadline(time.Time{})
 	}
-	if err := s.acceptClients(lis); err != nil {
-		return nil, err
-	}
-	return s.fed.runEngine(st)
-}
-
-// acceptClients performs the join handshake for MinClients connections.
-// Each handshake runs under HandshakeTimeout, so a half-open or garbage
-// connection cannot hold the join phase for a full RoundTimeout, and the
-// whole phase is bounded by AcceptTimeout when configured.
-func (s *Server) acceptClients(lis net.Listener) error {
-	var deadline time.Time
-	if s.cfg.AcceptTimeout > 0 {
-		//lint:allow telemetryclock accept deadline feeds the OS listener, not results
-		deadline = time.Now().Add(s.cfg.AcceptTimeout)
-		if d, ok := lis.(interface{ SetDeadline(time.Time) error }); ok {
-			if err := d.SetDeadline(deadline); err == nil {
-				defer func() { _ = d.SetDeadline(time.Time{}) }()
-			}
+	select {
+	case <-loopDone:
+		if err != nil && loopErr != nil {
+			err = fmt.Errorf("%w (%w)", err, loopErr)
 		}
+	default:
 	}
-	timedOut := func(n int) error {
-		return fmt.Errorf("flnet: accept: join phase timed out after %v with %d/%d clients",
-			s.cfg.AcceptTimeout, n, s.cfg.MinClients)
-	}
-	for s.fed.memberCount() < s.cfg.MinClients {
-		//lint:allow telemetryclock join-phase wall deadline gates accepts, not results
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return timedOut(s.fed.memberCount())
-		}
-		raw, err := lis.Accept()
-		if err != nil {
-			var ne net.Error
-			if !deadline.IsZero() && errors.As(err, &ne) && ne.Timeout() {
-				return timedOut(s.fed.memberCount())
-			}
-			return fmt.Errorf("flnet: accept: %w", err)
-		}
-		conn, hello := readHello(raw, s.cfg.HandshakeTimeout)
-		if conn == nil {
-			continue
-		}
-		// Admission (federation identity, codec negotiation, JoinAck) is the
-		// federation's own; rejected connections do not count toward
-		// MinClients.
-		s.fed.admit(conn, hello)
-	}
-	return nil
+	return res, err
 }
 
 // readHello reads the Join that opens a freshly accepted connection. A peer
