@@ -98,7 +98,3 @@ func BenchmarkSybilEvasion(b *testing.B) { benchExperiment(b, "sybil") }
 // BenchmarkAdaptiveAlpha runs the Section V future-work extension: REFD's
 // fixed α = 1 vs the per-round adaptive α.
 func BenchmarkAdaptiveAlpha(b *testing.B) { benchExperiment(b, "adaptivealpha") }
-
-// BenchmarkTextDFA runs the Section VI future-work extension: DFA against a
-// recurrent text classifier via embedding-space synthesis.
-func BenchmarkTextDFA(b *testing.B) { benchExperiment(b, "textdfa") }

@@ -36,7 +36,7 @@ func dfarReferenceSet(ctx *fl.AttackContext, cfg DFAConfig) (*tensor.Tensor, []f
 		if cfg.Trained {
 			for e := 0; e < cfg.SynthesisEpochs; e++ {
 				logits := frozen.Forward(fnet.Forward(dummy, true), true)
-				loss, grad := nn.CrossEntropySoft(logits, uniform)
+				loss, grad := nn.CrossEntropySoftPool(nil, logits, uniform)
 				db := frozen.Backward(grad)
 				frozen.ZeroGrads()
 				fnet.Backward(db)

@@ -158,7 +158,7 @@ func TestLearnability(t *testing.T) {
 		}
 	}
 	x, labels := test.Batch(seq(test.Len()))
-	preds := nn.Predict(net.Forward(x, false))
+	preds := nn.PredictInto(nil, net.Forward(x, false))
 	correct := 0
 	for i, p := range preds {
 		if p == labels[i] {

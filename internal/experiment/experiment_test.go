@@ -458,8 +458,8 @@ func TestRunGridPropagatesErrors(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 19 {
-		t.Fatalf("registry has %d experiments, want 19", len(all))
+	if len(all) != 18 {
+		t.Fatalf("registry has %d experiments, want 18", len(all))
 	}
 	ids := map[string]bool{}
 	for _, e := range all {
@@ -476,8 +476,10 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("experiment %q not registered", want)
 		}
 	}
-	if _, ok := ByID("table99"); ok {
-		t.Error("unknown id should not resolve")
+	for _, gone := range []string{"table99", "textdfa"} {
+		if _, ok := ByID(gone); ok {
+			t.Errorf("unknown id %q should not resolve", gone)
+		}
 	}
 }
 

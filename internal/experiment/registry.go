@@ -37,7 +37,6 @@ func All() []Experiment {
 		{ID: "samplesize", Title: "§IV-A: |S| sensitivity of DFA (Fashion, mKrum)", Run: runSampleSize},
 		{ID: "sybil", Title: "§III-A extension: DFA vs the FoolsGold Sybil defense, with and without perturbation noise", Run: runSybil},
 		{ID: "adaptivealpha", Title: "§V extension: fixed vs adaptive REFD α (the paper's future-work direction)", Run: runAdaptiveAlpha},
-		{ID: "textdfa", Title: "§VI extension: DFA on text classification (RNN + embedding-space synthesis)", Run: runTextDFA},
 		{ID: "participation", Title: "Production extension: DFA-R vs mKrum under cross-device participation (sampler × churn × server optimizer × sync/async)", Run: runParticipation},
 		{ID: "productionscale", Title: "Production extension: attacker dilution at cross-device scale (100k-client lazy population, attacker fraction × topology × attack, mKrum)", Run: runProductionScale},
 		{ID: "detection", Title: "Forensics extension: detection quality (AUC, TPR@1%FPR) of every defense across attacks and attacker fractions on a 100k-client population", Run: runDetection},

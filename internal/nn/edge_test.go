@@ -46,7 +46,7 @@ func TestCrossEntropySoftTargetLengthPanics(t *testing.T) {
 			t.Fatal("expected panic for wrong-length soft target")
 		}
 	}()
-	CrossEntropySoft(logits, []float64{0.5, 0.5})
+	CrossEntropySoftPool(nil, logits, []float64{0.5, 0.5})
 }
 
 func TestConvChannelMismatchPanics(t *testing.T) {

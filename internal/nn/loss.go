@@ -82,23 +82,17 @@ func crossEntropyPool(p *tensor.Pool, logits *tensor.Tensor, labels []int) (floa
 	return loss * invB, grad
 }
 
-// CrossEntropySoft computes the mean cross-entropy of logits against a soft
-// target distribution (shape [classes], broadcast across the batch) and the
-// gradient with respect to the logits. DFA-R's objective — steering the
+// CrossEntropySoftPool computes the mean cross-entropy of logits against a
+// soft target distribution (shape [classes], broadcast across the batch) and
+// the gradient with respect to the logits. DFA-R's objective — steering the
 // global model toward the uniform output Y_D = [1/L, …, 1/L] — uses this
-// with a uniform target.
-func CrossEntropySoft(logits *tensor.Tensor, target []float64) (float64, *tensor.Tensor) {
-	return CrossEntropySoftPool(nil, logits, target)
-}
-
-// CrossEntropySoftPool is CrossEntropySoft with its temporaries and the
-// returned gradient drawn from a scratch arena (nil falls back to the
-// heap), so a DFA-R synthesis step that passes its frozen model's arena
-// allocates nothing.
+// with a uniform target. Its temporaries and the returned gradient are drawn
+// from a scratch arena (nil falls back to the heap), so a DFA-R synthesis
+// step that passes its frozen model's arena allocates nothing.
 func CrossEntropySoftPool(p *tensor.Pool, logits *tensor.Tensor, target []float64) (float64, *tensor.Tensor) {
 	batch, classes := logits.Shape[0], logits.Shape[1]
 	if len(target) != classes {
-		panic(fmt.Sprintf("nn: CrossEntropySoft target length %d, want %d", len(target), classes))
+		panic(fmt.Sprintf("nn: CrossEntropySoftPool target length %d, want %d", len(target), classes))
 	}
 	probs := softmaxPool(p, logits)
 	grad := cloneInto(p, probs)
@@ -127,25 +121,9 @@ func UniformTarget(classes int) []float64 {
 	return t
 }
 
-// Predict returns the argmax class for every row of logits.
-func Predict(logits *tensor.Tensor) []int {
-	batch, classes := logits.Shape[0], logits.Shape[1]
-	out := make([]int, batch)
-	for b := 0; b < batch; b++ {
-		row := logits.Data[b*classes : (b+1)*classes]
-		best := 0
-		for j, v := range row {
-			if v > row[best] {
-				best = j
-			}
-		}
-		out[b] = best
-	}
-	return out
-}
-
-// PredictInto is Predict writing into a caller-owned slice, for evaluation
-// loops that run allocation-free.
+// PredictInto writes the argmax class for every row of logits into dst's
+// backing array (a nil dst allocates) and returns it, so evaluation loops
+// run allocation-free.
 func PredictInto(dst []int, logits *tensor.Tensor) []int {
 	batch, classes := logits.Shape[0], logits.Shape[1]
 	dst = dst[:0]

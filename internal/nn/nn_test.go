@@ -167,7 +167,7 @@ func TestSoftCrossEntropyGradients(t *testing.T) {
 
 	n.ZeroGrads()
 	logits := n.Forward(x, true)
-	_, g := CrossEntropySoft(logits, target)
+	_, g := CrossEntropySoftPool(nil, logits, target)
 	n.Backward(g)
 
 	const eps = 1e-5
@@ -177,9 +177,9 @@ func TestSoftCrossEntropyGradients(t *testing.T) {
 		i := rng.Intn(p.Len())
 		orig := p.Data[i]
 		p.Data[i] = orig + eps
-		lp, _ := CrossEntropySoft(n.Forward(x, false), target)
+		lp, _ := CrossEntropySoftPool(nil, n.Forward(x, false), target)
 		p.Data[i] = orig - eps
-		lm, _ := CrossEntropySoft(n.Forward(x, false), target)
+		lm, _ := CrossEntropySoftPool(nil, n.Forward(x, false), target)
 		p.Data[i] = orig
 		numeric := (lp - lm) / (2 * eps)
 		if math.Abs(numeric-grad.Data[i]) > 1e-4 {
@@ -224,7 +224,7 @@ func TestUniformTargetSoftCEAtUniformIsLogL(t *testing.T) {
 	// When the model outputs the uniform distribution, the soft CE against
 	// the uniform target equals ln(L) — the optimum of DFA-R's objective.
 	logits := tensor.New(2, 10) // all-zero logits -> uniform softmax
-	loss, _ := CrossEntropySoft(logits, UniformTarget(10))
+	loss, _ := CrossEntropySoftPool(nil, logits, UniformTarget(10))
 	if math.Abs(loss-math.Log(10)) > 1e-9 {
 		t.Fatalf("uniform soft CE = %v, want ln(10) = %v", loss, math.Log(10))
 	}
@@ -232,9 +232,9 @@ func TestUniformTargetSoftCEAtUniformIsLogL(t *testing.T) {
 
 func TestPredict(t *testing.T) {
 	logits := tensor.FromSlice([]float64{1, 3, 2, 9, 0, 1}, 2, 3)
-	got := Predict(logits)
+	got := PredictInto(nil, logits)
 	if got[0] != 1 || got[1] != 0 {
-		t.Fatalf("Predict = %v, want [1 0]", got)
+		t.Fatalf("PredictInto = %v, want [1 0]", got)
 	}
 }
 
@@ -330,7 +330,7 @@ func TestSGDReducesLoss(t *testing.T) {
 	if last > first/4 {
 		t.Fatalf("SGD failed to learn: first loss %.4f, last loss %.4f", first, last)
 	}
-	preds := Predict(n.Forward(x, false))
+	preds := PredictInto(nil, n.Forward(x, false))
 	correct := 0
 	for i, p := range preds {
 		if p == labels[i] {

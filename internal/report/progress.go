@@ -1,3 +1,7 @@
+// Package report renders a run for the operator watching it: one progress
+// line per completed grid cell and the startup line pointing at the
+// dashboard. The machine-readable record of every outcome is the run store
+// (experiment.Store, the -store JSONL journal), not this package.
 package report
 
 import (
@@ -62,10 +66,10 @@ func Progress(w io.Writer) func(experiment.ProgressEvent) {
 // dataset/attack/defense/beta, it appends whichever parameters distinguish
 // cells in single-axis sweeps — the paper's (attacker fraction, |S|,
 // regularization, perturbation, seed), the engine's scenario axes
-// (partition, sampler, churn, server optimizer, async) and the population
-// axes (backend, placement, hierarchy) — so progress/ETA lines stay unique
-// in grids like samplesize, participation or productionscale where the
-// headline fields are constant.
+// (partition, sampler, churn, server optimizer, async), the population
+// axes (backend, placement, hierarchy) and the update codec — so
+// progress/ETA lines stay unique in grids like samplesize, participation,
+// productionscale or compression where the headline fields are constant.
 func cellLabel(c experiment.Config) string {
 	label := fmt.Sprintf("%s/%s/%s beta=%g", c.Dataset, c.Attack, c.Defense, c.Beta)
 	if c.AttackerFrac > 0 {
@@ -106,6 +110,15 @@ func cellLabel(c experiment.Config) string {
 	}
 	if c.Groups > 0 {
 		label += fmt.Sprintf(" groups=%d", c.Groups)
+	}
+	if c.Codec != "" {
+		label += " codec=" + c.Codec
+		if c.TopK > 0 {
+			label += fmt.Sprintf(",topk=%g", c.TopK)
+		}
+		if c.ErrorFeedback {
+			label += ",ef"
+		}
 	}
 	if c.Seed != 1 {
 		label += fmt.Sprintf(" seed=%d", c.Seed)

@@ -96,28 +96,16 @@ func BenchmarkGemmZoo(b *testing.B) {
 	}
 }
 
-func BenchmarkMatMulTransA(b *testing.B) {
+// BenchmarkGemmTN times a dense layer's weight-gradient product at batch 64
+// (inputᵀ·gradient, 256×64 · 64×10).
+func BenchmarkGemmTN(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
-	x := New(64, 256)
-	y := New(64, 10)
-	x.FillNormal(rng, 0, 1)
-	y.FillNormal(rng, 0, 1)
+	x := randTensor(rng, 64, 256)
+	y := randTensor(rng, 64, 10)
+	c := make([]float64, 256*10)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = MatMulTransA(x, y)
-	}
-}
-
-func BenchmarkAxpyInPlace(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	x := New(27000)
-	y := New(27000)
-	x.FillNormal(rng, 0, 1)
-	y.FillNormal(rng, 0, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.AxpyInPlace(0.001, y)
+		GemmTN(c, x.Data, y.Data, 256, 64, 10, false)
 	}
 }

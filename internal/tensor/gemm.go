@@ -40,118 +40,6 @@ func tileGrain(k, n int) int {
 	return g
 }
 
-func checkRank2(op string, a, b *Tensor) {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 {
-		panic(fmt.Sprintf("tensor: %s needs rank-2 tensors, got %v and %v", op, a.Shape, b.Shape))
-	}
-}
-
-func checkDst(op string, dst *Tensor, m, n int) {
-	if len(dst.Shape) != 2 || dst.Shape[0] != m || dst.Shape[1] != n || len(dst.Data) != m*n {
-		panic(fmt.Sprintf("tensor: %s destination shape %v, want [%d %d]", op, dst.Shape, m, n))
-	}
-}
-
-// MatMul computes the matrix product of a (m×k) and b (k×n) into a new m×n
-// tensor. Both arguments must be rank-2.
-func MatMul(a, b *Tensor) *Tensor {
-	checkRank2("MatMul", a, b)
-	out := New(a.Shape[0], b.Shape[1])
-	return MatMulInto(out, a, b)
-}
-
-// MatMulInto computes dst = a·b where a is m×k, b is k×n and dst is a
-// preallocated m×n tensor, and returns dst. dst is overwritten.
-func MatMulInto(dst, a, b *Tensor) *Tensor {
-	checkRank2("MatMulInto", a, b)
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v vs %v", a.Shape, b.Shape))
-	}
-	checkDst("MatMulInto", dst, m, n)
-	GemmNN(dst.Data, a.Data, b.Data, m, k, n, false)
-	return dst
-}
-
-// MatMulAccInto computes dst += a·b with the shapes of MatMulInto and
-// returns dst. Each output element is accumulated onto its existing value in
-// ascending order of the shared dimension, matching element-wise incremental
-// accumulation bit for bit.
-func MatMulAccInto(dst, a, b *Tensor) *Tensor {
-	checkRank2("MatMulAccInto", a, b)
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v vs %v", a.Shape, b.Shape))
-	}
-	checkDst("MatMulAccInto", dst, m, n)
-	GemmNN(dst.Data, a.Data, b.Data, m, k, n, true)
-	return dst
-}
-
-// MatMulTransA computes aᵀ·b where a is k×m and b is k×n, yielding m×n.
-func MatMulTransA(a, b *Tensor) *Tensor {
-	checkRank2("MatMulTransA", a, b)
-	out := New(a.Shape[1], b.Shape[1])
-	return MatMulTransAInto(out, a, b)
-}
-
-// MatMulTransAInto computes dst = aᵀ·b where a is k×m, b is k×n and dst is
-// a preallocated m×n tensor, and returns dst.
-func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
-	return matMulTransAInto(dst, a, b, false)
-}
-
-// MatMulTransAAccInto computes dst += aᵀ·b with the shapes of
-// MatMulTransAInto and returns dst.
-func MatMulTransAAccInto(dst, a, b *Tensor) *Tensor {
-	return matMulTransAInto(dst, a, b, true)
-}
-
-func matMulTransAInto(dst, a, b *Tensor, acc bool) *Tensor {
-	checkRank2("MatMulTransAInto", a, b)
-	k, m := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransA dimension mismatch %v vs %v", a.Shape, b.Shape))
-	}
-	checkDst("MatMulTransAInto", dst, m, n)
-	GemmTN(dst.Data, a.Data, b.Data, m, k, n, acc)
-	return dst
-}
-
-// MatMulTransB computes a·bᵀ where a is m×k and b is n×k, yielding m×n.
-func MatMulTransB(a, b *Tensor) *Tensor {
-	checkRank2("MatMulTransB", a, b)
-	out := New(a.Shape[0], b.Shape[0])
-	return MatMulTransBInto(out, a, b)
-}
-
-// MatMulTransBInto computes dst = a·bᵀ where a is m×k, b is n×k and dst is
-// a preallocated m×n tensor, and returns dst.
-func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
-	return matMulTransBInto(dst, a, b, false)
-}
-
-// MatMulTransBAccInto computes dst += a·bᵀ with the shapes of
-// MatMulTransBInto and returns dst.
-func MatMulTransBAccInto(dst, a, b *Tensor) *Tensor {
-	return matMulTransBInto(dst, a, b, true)
-}
-
-func matMulTransBInto(dst, a, b *Tensor, acc bool) *Tensor {
-	checkRank2("MatMulTransBInto", a, b)
-	m, k := a.Shape[0], a.Shape[1]
-	n, k2 := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransB dimension mismatch %v vs %v", a.Shape, b.Shape))
-	}
-	checkDst("MatMulTransBInto", dst, m, n)
-	GemmNT(dst.Data, a.Data, b.Data, m, k, n, acc)
-	return dst
-}
-
 func checkRaw(op string, c, a, b []float64, am, an, bm, bn, m, n int) {
 	if len(a) < am*an || len(b) < bm*bn || len(c) < m*n {
 		panic(fmt.Sprintf("tensor: %s slice lengths %d/%d/%d too short for %dx%d · %dx%d",
@@ -165,8 +53,7 @@ func checkRaw(op string, c, a, b []float64, am, an, bm, bn, m, n int) {
 // GemmNN computes the row-major product C (m×n) = A (m×k) · B (k×n) over
 // raw slices, accumulating onto C's existing values when acc is set. The
 // raw Gemm entry points are the header-free core used by the neural-network
-// layers; the MatMul* wrappers add tensor shape checking on top. All three
-// are PackA followed by one GemmPackedA.
+// layers. All three are PackA followed by one GemmPackedA.
 func GemmNN(c, a, b []float64, m, k, n int, acc bool) {
 	checkRaw("GemmNN", c, a, b, m, k, k, n, m, n)
 	pa := PackA(a, m, k, n, false)

@@ -30,6 +30,33 @@ func randTensor(rng *rand.Rand, shape ...int) *Tensor {
 	return t
 }
 
+// The products below run the raw entry points into a fresh m×n tensor, so
+// they compare directly against the naive references' tensors.
+
+// mulNN returns a·b for a m×k and b k×n through GemmNN.
+func mulNN(a, b *Tensor) *Tensor {
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	c := New(m, n)
+	GemmNN(c.Data, a.Data, b.Data, m, k, n, false)
+	return c
+}
+
+// mulTN returns aᵀ·b for a k×m and b k×n through GemmTN.
+func mulTN(a, b *Tensor) *Tensor {
+	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	c := New(m, n)
+	GemmTN(c.Data, a.Data, b.Data, m, k, n, false)
+	return c
+}
+
+// mulNT returns a·bᵀ for a m×k and b n×k through GemmNT.
+func mulNT(a, b *Tensor) *Tensor {
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
+	c := New(m, n)
+	GemmNT(c.Data, a.Data, b.Data, m, k, n, false)
+	return c
+}
+
 // TestGEMMEquivalence checks the blocked kernels against the retained naive
 // references over randomized shapes, including single-row/column edges and
 // shapes not divisible by the 4×4 tile.
@@ -43,21 +70,21 @@ func TestGEMMEquivalence(t *testing.T) {
 		m, k, n := s[0], s[1], s[2]
 		a := randTensor(rng, m, k)
 		b := randTensor(rng, k, n)
-		if d := relDiff(t, MatMul(a, b), NaiveMatMul(a, b)); d > 1e-9 {
-			t.Errorf("MatMul %v rel diff %g", s, d)
+		if d := relDiff(t, mulNN(a, b), NaiveMatMul(a, b)); d > 1e-9 {
+			t.Errorf("GemmNN %v rel diff %g", s, d)
 		}
 		at := randTensor(rng, k, m)
-		if d := relDiff(t, MatMulTransA(at, b), NaiveMatMulTransA(at, b)); d > 1e-9 {
-			t.Errorf("MatMulTransA %v rel diff %g", s, d)
+		if d := relDiff(t, mulTN(at, b), NaiveMatMulTransA(at, b)); d > 1e-9 {
+			t.Errorf("GemmTN %v rel diff %g", s, d)
 		}
 		bt := randTensor(rng, n, k)
-		if d := relDiff(t, MatMulTransB(a, bt), NaiveMatMulTransB(a, bt)); d > 1e-9 {
-			t.Errorf("MatMulTransB %v rel diff %g", s, d)
+		if d := relDiff(t, mulNT(a, bt), NaiveMatMulTransB(a, bt)); d > 1e-9 {
+			t.Errorf("GemmNT %v rel diff %g", s, d)
 		}
 	}
 }
 
-// TestGEMMAccumulate checks that the accumulate variants add the product on
+// TestGEMMAccumulate checks that the accumulate mode adds the product on
 // top of the destination's existing values.
 func TestGEMMAccumulate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -65,32 +92,23 @@ func TestGEMMAccumulate(t *testing.T) {
 	a := randTensor(rng, m, k)
 	b := randTensor(rng, k, n)
 	init := randTensor(rng, m, n)
-
-	dst := init.Clone()
-	MatMulAccInto(dst, a, b)
-	want := NaiveMatMul(a, b)
-	want.AddInPlace(init)
-	if d := relDiff(t, dst, want); d > 1e-9 {
-		t.Errorf("MatMulAccInto rel diff %g", d)
+	check := func(name string, run func(c []float64), want *Tensor) {
+		t.Helper()
+		dst := init.Clone()
+		run(dst.Data)
+		for i, v := range init.Data {
+			want.Data[i] += v
+		}
+		if d := relDiff(t, dst, want); d > 1e-9 {
+			t.Errorf("%s rel diff %g", name, d)
+		}
 	}
 
+	check("GemmNN acc", func(c []float64) { GemmNN(c, a.Data, b.Data, m, k, n, true) }, NaiveMatMul(a, b))
 	at := randTensor(rng, k, m)
-	dst = init.Clone()
-	MatMulTransAAccInto(dst, at, b)
-	want = NaiveMatMulTransA(at, b)
-	want.AddInPlace(init)
-	if d := relDiff(t, dst, want); d > 1e-9 {
-		t.Errorf("MatMulTransAAccInto rel diff %g", d)
-	}
-
+	check("GemmTN acc", func(c []float64) { GemmTN(c, at.Data, b.Data, m, k, n, true) }, NaiveMatMulTransA(at, b))
 	bt := randTensor(rng, n, k)
-	dst = init.Clone()
-	MatMulTransBAccInto(dst, a, bt)
-	want = NaiveMatMulTransB(a, bt)
-	want.AddInPlace(init)
-	if d := relDiff(t, dst, want); d > 1e-9 {
-		t.Errorf("MatMulTransBAccInto rel diff %g", d)
-	}
+	check("GemmNT acc", func(c []float64) { GemmNT(c, a.Data, bt.Data, m, k, n, true) }, NaiveMatMulTransB(a, bt))
 }
 
 // TestGEMMScalarPathEquivalence re-runs the randomized equivalence checks
@@ -105,16 +123,16 @@ func TestGEMMScalarPathEquivalence(t *testing.T) {
 		m, k, n := 1+rng.Intn(30), 1+rng.Intn(30), 1+rng.Intn(30)
 		a := randTensor(rng, m, k)
 		b := randTensor(rng, k, n)
-		if d := relDiff(t, MatMul(a, b), NaiveMatMul(a, b)); d > 1e-9 {
-			t.Errorf("scalar MatMul %dx%dx%d rel diff %g", m, k, n, d)
+		if d := relDiff(t, mulNN(a, b), NaiveMatMul(a, b)); d > 1e-9 {
+			t.Errorf("scalar GemmNN %dx%dx%d rel diff %g", m, k, n, d)
 		}
 		at := randTensor(rng, k, m)
-		if d := relDiff(t, MatMulTransA(at, b), NaiveMatMulTransA(at, b)); d > 1e-9 {
-			t.Errorf("scalar MatMulTransA %dx%dx%d rel diff %g", m, k, n, d)
+		if d := relDiff(t, mulTN(at, b), NaiveMatMulTransA(at, b)); d > 1e-9 {
+			t.Errorf("scalar GemmTN %dx%dx%d rel diff %g", m, k, n, d)
 		}
 		bt := randTensor(rng, n, k)
-		if d := relDiff(t, MatMulTransB(a, bt), NaiveMatMulTransB(a, bt)); d > 1e-9 {
-			t.Errorf("scalar MatMulTransB %dx%dx%d rel diff %g", m, k, n, d)
+		if d := relDiff(t, mulNT(a, bt), NaiveMatMulTransB(a, bt)); d > 1e-9 {
+			t.Errorf("scalar GemmNT %dx%dx%d rel diff %g", m, k, n, d)
 		}
 	}
 }
@@ -128,10 +146,10 @@ func TestGEMMWorkerCountInvariance(t *testing.T) {
 	b := randTensor(rng, 33, 21)
 	defer SetWorkers(0)
 	SetWorkers(1)
-	serial := MatMul(a, b)
+	serial := mulNN(a, b)
 	for _, w := range []int{2, 3, 8, 64} {
 		SetWorkers(w)
-		got := MatMul(a, b)
+		got := mulNN(a, b)
 		for i := range got.Data {
 			if got.Data[i] != serial.Data[i] {
 				t.Fatalf("workers=%d: element %d = %v, want %v (bit-exact)", w, i, got.Data[i], serial.Data[i])
@@ -140,16 +158,17 @@ func TestGEMMWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestMatMulIntoShapeChecks exercises the destination validation.
+// TestMatMulIntoShapeChecks exercises the raw entry points' validation: a
+// destination too short for the m×n product panics.
 func TestMatMulIntoShapeChecks(t *testing.T) {
 	a := New(3, 4)
 	b := New(4, 5)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic for wrong destination shape")
+			t.Fatal("expected panic for a short destination")
 		}
 	}()
-	MatMulInto(New(3, 4), a, b)
+	GemmNN(New(3, 4).Data, a.Data, b.Data, 3, 4, 5, false)
 }
 
 // TestParallelForCoversRange checks every index is visited exactly once for

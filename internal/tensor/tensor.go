@@ -58,19 +58,6 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// Reshape returns a view of t with a new shape. The element count must match;
-// the underlying data is shared.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := 1
-	for _, s := range shape {
-		n *= s
-	}
-	if n != len(t.Data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.Shape, shape))
-	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
-}
-
 // At returns the element at the given multi-dimensional index.
 func (t *Tensor) At(idx ...int) float64 {
 	return t.Data[t.offset(idx)]
@@ -124,30 +111,10 @@ func (t *Tensor) FillNormal(rng *rand.Rand, mean, std float64) {
 	}
 }
 
-// AddInPlace adds o to t element-wise. Shapes must have equal element counts.
-func (t *Tensor) AddInPlace(o *Tensor) {
-	if len(t.Data) != len(o.Data) {
-		panic(fmt.Sprintf("tensor: add shape mismatch %v vs %v", t.Shape, o.Shape))
-	}
-	for i, v := range o.Data {
-		t.Data[i] += v
-	}
-}
-
 // ScaleInPlace multiplies every element of t by s.
 func (t *Tensor) ScaleInPlace(s float64) {
 	for i := range t.Data {
 		t.Data[i] *= s
-	}
-}
-
-// AxpyInPlace performs t += a*o element-wise.
-func (t *Tensor) AxpyInPlace(a float64, o *Tensor) {
-	if len(t.Data) != len(o.Data) {
-		panic(fmt.Sprintf("tensor: axpy shape mismatch %v vs %v", t.Shape, o.Shape))
-	}
-	for i, v := range o.Data {
-		t.Data[i] += a * v
 	}
 }
 
@@ -203,6 +170,7 @@ func Equal(a, b *Tensor, eps float64) bool {
 	return true
 }
 
-// The matrix kernels (MatMul, MatMulTransA, MatMulTransB and their Into /
-// accumulate variants) live in gemm.go; the original scalar loops are
-// retained in naive.go as reference implementations for equivalence tests.
+// The matrix kernels (the raw-slice GemmNN, GemmTN and GemmNT, and the
+// packed-operand GemmPackedA and GemmPanelB beneath them) live in gemm.go;
+// the original scalar loops are retained in naive.go as reference
+// implementations for equivalence tests.

@@ -179,7 +179,7 @@ func ProgressWriter(w io.Writer) func(ProgressEvent) {
 }
 
 // Experiments lists the IDs of all reproducible paper artifacts in paper
-// order (table2, fig4, … samplesize).
+// order (table2, fig4, … compression).
 func Experiments() []string {
 	all := experiment.All()
 	ids := make([]string, len(all))
