@@ -1,10 +1,11 @@
 // Command fllint runs the repro's invariant analyzers (determinism,
-// runkey, poolescape, nanjson — see internal/analysis) over Go packages.
+// poolescape, nanjson, telemetryclock, zerodep — see internal/analysis)
+// over Go packages.
 //
 // Standalone:
 //
 //	go run ./cmd/fllint ./...             # whole repo, all analyzers
-//	go run ./cmd/fllint -checks runkey ./internal/experiment
+//	go run ./cmd/fllint -checks nanjson ./internal/experiment
 //
 // As a go vet tool (unitchecker-compatible driver protocol):
 //

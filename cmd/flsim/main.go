@@ -8,7 +8,7 @@
 //	flsim -attack dfa-r -store run.jsonl           # rerun: a free re-print of the recorded run
 //	flsim -sampler bernoulli -dropout 0.2 -server-opt fedavgm   # cross-device churn
 //	flsim -async-buffer 5 -async-delay 2           # FedBuff-style buffered aggregation
-//	flsim -population virtual -total-clients 1000000 -per-round 50 \
+//	flsim -population virtual -clients 1000000 -per-round 50 \
 //	      -placement scatter -frac 0.001 -groups 10   # production-scale lazy population
 //	flsim -defense refd -forensics -ops-addr :9090 -audit audit.jsonl
 //	                                               # audit every defense decision, live at /forensics/
@@ -45,7 +45,6 @@ func run(args []string) error {
 	fs.Float64Var(&cfg.AttackerFrac, "frac", 0.2, "fraction of malicious clients")
 	fs.IntVar(&cfg.Rounds, "rounds", 15, "federated rounds")
 	fs.IntVar(&cfg.TotalClients, "clients", 100, "total clients N")
-	fs.IntVar(&cfg.TotalClients, "total-clients", 100, "alias for -clients (population-scale cookbook spelling)")
 	fs.IntVar(&cfg.PerRound, "per-round", 10, "clients selected per round K")
 	fs.IntVar(&cfg.SampleCount, "samples", 50, "DFA synthetic set size |S|")
 	fs.IntVar(&cfg.SynthesisEpochs, "synth-epochs", 0, "DFA synthesis epochs E (0 = paper default)")
@@ -72,8 +71,6 @@ func run(args []string) error {
 	fs.Float64Var(&cfg.TopK, "topk", 0, "keep only this fraction of largest-magnitude delta coordinates per update, in (0,1) (0 = dense; requires -codec)")
 	fs.BoolVar(&cfg.ErrorFeedback, "error-feedback", false, "carry each round's quantization/sparsification residual into the client's next update (requires a lossy -codec)")
 	fs.BoolVar(&cfg.Forensics, "forensics", false, "audit every defense decision and stream detection metrics (TPR/FPR/AUC vs ground truth); implied by -audit and -dash")
-	fs.IntVar(&cfg.ForensicsRing, "forensics-ring", 0, "in-memory round-audit ring size for the HTTP endpoint (0 = 64)")
-	fs.IntVar(&cfg.ForensicsReservoir, "forensics-reservoir", 0, "score-pair reservoir bound for cumulative AUC/TPR@FPR (0 = 4096); memory only, metrics stay deterministic")
 	var opts repro.RunOptions
 	opts.Watch.BindFlags(fs)
 	fs.StringVar(&opts.Watch.AuditPath, "audit", "", "JSONL audit-journal path: one line per aggregation with per-update fingerprints, decisions and scores")

@@ -1,7 +1,8 @@
 // Package analysis is fllint's machine-checkable encoding of the repo's
 // reproducibility invariants: the properties the DFA/DFA-R results rest on
-// — bit-identical runs at any worker count, stable run-store keys, arena
-// buffer ownership, NaN-safe JSON at every persistence boundary — are
+// — bit-identical runs at any worker count, arena buffer ownership,
+// NaN-safe JSON at every persistence boundary, hot-path wall-clock reads
+// through the telemetry clock, a standard-library-only dashboard — are
 // enforced here as vet-style analyzers instead of review convention.
 //
 // The package mirrors the golang.org/x/tools/go/analysis API surface
@@ -166,7 +167,19 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 
 // All returns fllint's analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, RunKey, PoolEscape, NaNJSON, TelemetryClock, ZeroDep}
+	return []*Analyzer{Determinism, PoolEscape, NaNJSON, TelemetryClock, ZeroDep}
+}
+
+// derefNamed unwraps pointers and aliases to the underlying named type.
+func derefNamed(t types.Type) (*types.Named, bool) {
+	if t == nil {
+		return nil, false
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := types.Unalias(t).(*types.Named)
+	return named, ok
 }
 
 // ByName resolves analyzer names (comma-separated lists accepted by the

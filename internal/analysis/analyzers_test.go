@@ -11,10 +11,6 @@ func TestDeterminism(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Determinism, "fl")
 }
 
-func TestRunKey(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.RunKey, "experiment")
-}
-
 func TestPoolEscape(t *testing.T) {
 	// The arena package itself is exempt (no want comments in tensor);
 	// loading it alongside the client asserts that exemption holds.
@@ -35,12 +31,12 @@ func TestZeroDep(t *testing.T) {
 
 func TestByName(t *testing.T) {
 	all, err := analysis.ByName("")
-	if err != nil || len(all) != 6 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 6, nil", len(all), err)
+	if err != nil || len(all) != 5 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 5, nil", len(all), err)
 	}
-	subset, err := analysis.ByName("runkey, nanjson")
-	if err != nil || len(subset) != 2 || subset[0].Name != "runkey" || subset[1].Name != "nanjson" {
-		t.Fatalf("ByName(\"runkey, nanjson\") = %v, err %v", subset, err)
+	subset, err := analysis.ByName("zerodep, nanjson")
+	if err != nil || len(subset) != 2 || subset[0].Name != "zerodep" || subset[1].Name != "nanjson" {
+		t.Fatalf("ByName(\"zerodep, nanjson\") = %v, err %v", subset, err)
 	}
 	if _, err := analysis.ByName("nosuch"); err == nil {
 		t.Fatal("ByName(\"nosuch\") succeeded; want error")

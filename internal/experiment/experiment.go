@@ -23,7 +23,10 @@ import (
 )
 
 // Config describes one simulation run. Zero fields are filled with the
-// paper's defaults (scaled to the pure-Go simulator) by Normalize.
+// paper's defaults (scaled to the pure-Go simulator) by Normalize. The
+// normalized Config is the run's identity: the run store keys a cell by the
+// JSON of every field (runKey), so a field added later re-keys the store by
+// itself.
 type Config struct {
 	// Dataset names the task: fashion-sim, cifar-sim, svhn-sim, tiny-sim.
 	Dataset string
@@ -75,107 +78,82 @@ type Config struct {
 	// Parallel trains the selected clients of a round concurrently.
 	Parallel bool
 
-	// The participation axes below canonicalize their default to the zero
-	// value ("label", "uniform", "plain" normalize to "") and carry omitempty
-	// JSON tags, so a config that leaves them unset marshals — and hashes
-	// into run-store keys — as if they did not exist: a new axis never
-	// re-keys the stores of the current key version (see keyVersion).
-
 	// Partition selects the shard assignment protocol: "" or "label" (the
 	// paper's Dirichlet label skew when Beta > 0, i.i.d. otherwise) or
 	// "quantity" (Dirichlet shard-size skew, requires Beta > 0).
-	Partition string `json:",omitempty"`
+	Partition string
 	// Sampler selects per-round participation: "" or "uniform" (K of N,
 	// the paper's shape), "bernoulli" (each client independently with
 	// probability SampleRate) or "weighted" (K of N, probability
 	// proportional to shard size).
-	Sampler string `json:",omitempty"`
+	Sampler string
 	// SampleRate is the Bernoulli participation probability (0 = K/N).
-	SampleRate float64 `json:",omitempty"`
+	SampleRate float64
 	// DropoutProb and StragglerProb simulate cross-device churn: each
 	// selected client is unavailable (never trains) or misses the round
 	// deadline (trains, update discarded) with these probabilities.
-	DropoutProb   float64 `json:",omitempty"`
-	StragglerProb float64 `json:",omitempty"`
+	DropoutProb   float64
+	StragglerProb float64
 	// ServerOpt post-processes the aggregate: "" or "plain" (the paper's
 	// behaviour), "lr" (server learning rate ServerLR) or "fedavgm"
 	// (server momentum with rate ServerLR and decay ServerMomentum).
-	ServerOpt string `json:",omitempty"`
+	ServerOpt string
 	// ServerLR is the server learning rate (0 = 1 for lr/fedavgm).
-	ServerLR float64 `json:",omitempty"`
+	ServerLR float64
 	// ServerMomentum is FedAvgM's velocity decay (0 = 0.9).
-	ServerMomentum float64 `json:",omitempty"`
+	ServerMomentum float64
 	// AsyncBuffer > 0 enables FedBuff-style buffered async aggregation
 	// with buffer size B; AsyncMaxDelay bounds the simulated arrival delay
 	// in rounds (0 = 2 when async).
-	AsyncBuffer   int `json:",omitempty"`
-	AsyncMaxDelay int `json:",omitempty"`
-
-	// The population axes below follow the same key-stability contract:
-	// defaults canonicalize to zero values and carry omitempty tags, so a
-	// config that leaves them unset marshals — and hashes into run-store
-	// keys — as if they did not exist.
+	AsyncBuffer   int
+	AsyncMaxDelay int
 
 	// Population selects the client source the round driver trains over:
 	// "" or "eager" (fl.Shards, every shard materialized up front) or
 	// "virtual" (internal/population's lazy O(active)-memory population, the
 	// only source that scales TotalClients to 10⁶). Same driver either way.
-	Population string `json:",omitempty"`
+	Population string
 	// MeanShard is the virtual population's expected per-client shard size
 	// in samples (0 = 32; virtual only).
-	MeanShard int `json:",omitempty"`
+	MeanShard int
 	// PopCache bounds the virtual population's LRU shard-materialization
 	// cache in shards (0 = max(4×PerRound, 64)). Pure cache: never changes
 	// results, only memory.
-	PopCache int `json:",omitempty"`
+	PopCache int
 	// Placement assigns the malicious client IDs on either backend: "" or
 	// "first" (the first ⌊frac·N⌋ IDs), "scatter" (seeded hash spread
 	// through the ID space — the production model, exact at 0.1%/0.01%
 	// fractions), "sybil" (one contiguous burst-join block) or "sizecorr"
 	// (probability proportional to shard size). Non-default placements
 	// require the virtual population.
-	Placement string `json:",omitempty"`
+	Placement string
 	// Groups > 0 switches to hierarchical two-tier aggregation: Groups
 	// group aggregators each apply the group rule to their clients' updates
 	// and the server applies Defense to the group results. Composes with
 	// both population backends.
-	Groups int `json:",omitempty"`
+	Groups int
 	// GroupDefense names the per-group tier-1 rule ("" = Defense).
-	GroupDefense string `json:",omitempty"`
-
-	// The forensics axes below are pure observation: enabling them never
-	// changes DPR/ASR, accuracies, or any RNG stream, so runKey strips them
-	// — a forensics-on cell resolves to the same stored run as its
-	// forensics-off twin (TestForensicsRunKeyInvariant). They are the only
-	// observation a Config carries, because they shape what a run reports
-	// (Outcome.Detection); where the audit is written and how the run is
-	// served while it executes is a Watch, which no Config ever holds.
+	GroupDefense string
 
 	// Forensics enables the per-round defense-decision audit pipeline and
-	// streaming detection metrics (internal/forensics).
-	Forensics bool `json:",omitempty"`
-	// ForensicsRing bounds the in-memory round-audit ring (0 = 64).
-	ForensicsRing int `json:",omitempty"`
-	// ForensicsReservoir bounds the cumulative score-pair reservoir the
-	// AUC/TPR@FPR metrics are computed over (0 = 4096).
-	ForensicsReservoir int `json:",omitempty"`
-
-	// The compression axes below follow the same key-stability contract:
-	// defaults canonicalize to zero values and carry omitempty tags, so a
-	// config that leaves them unset marshals — and hashes into run-store
-	// keys — as if they did not exist.
+	// streaming detection metrics (internal/forensics). It never changes
+	// DPR/ASR, accuracies or any RNG stream, but it decides whether the
+	// outcome carries Detection, so it identifies the run like every other
+	// field; where the audit is written and how the run is served while it
+	// executes is a Watch, which no Config ever holds.
+	Forensics bool
 
 	// Codec names the update-compression quantizer: "" or "none"
 	// (uncompressed — bit-identical to the pre-codec pipeline), "raw"
 	// (lossless transport reshaping, still bit-identical), "fp16" (half-
 	// precision deltas) or "int8" (block-scaled stochastic 8-bit deltas).
-	Codec string `json:",omitempty"`
+	Codec string
 	// TopK keeps only the ⌈TopK·d⌉ largest-magnitude delta coordinates
 	// per update, in (0,1); 0 means dense. Requires Codec.
-	TopK float64 `json:",omitempty"`
+	TopK float64
 	// ErrorFeedback carries each round's quantization/sparsification
 	// residual into the client's next update. Requires a lossy Codec.
-	ErrorFeedback bool `json:",omitempty"`
+	ErrorFeedback bool
 }
 
 // codecSpec maps the config's compression axes onto the codec package's
@@ -303,8 +281,7 @@ func (c *Config) Normalize() error {
 	switch c.Population {
 	case "", "eager":
 		c.Population = ""
-	case "virtual", "lazy":
-		c.Population = "virtual"
+	case "virtual":
 	default:
 		return fmt.Errorf("experiment: unknown population %q (known: eager, virtual)", c.Population)
 	}
@@ -339,12 +316,6 @@ func (c *Config) Normalize() error {
 	if c.GroupDefense != "" && c.Groups == 0 {
 		return fmt.Errorf("experiment: GroupDefense requires Groups > 0")
 	}
-	if c.ForensicsRing < 0 || c.ForensicsReservoir < 0 {
-		return fmt.Errorf("experiment: forensics bounds (%d, %d) must be non-negative", c.ForensicsRing, c.ForensicsReservoir)
-	}
-	if !c.Forensics && (c.ForensicsRing != 0 || c.ForensicsReservoir != 0) {
-		return fmt.Errorf("experiment: ForensicsRing/ForensicsReservoir require Forensics")
-	}
 	switch c.Codec {
 	case "", "none":
 		c.Codec = ""
@@ -361,45 +332,18 @@ func (c *Config) Normalize() error {
 	return nil
 }
 
-// cleanKey identifies a clean-baseline run: everything that affects the
-// no-attack accuracy.
-func (c Config) cleanKey() string {
-	key := fmt.Sprintf("%s|beta=%g|seed=%d|rounds=%d|N=%d|K=%d|lr=%g|bs=%d|ep=%d|train=%d|test=%d|eval=%d",
-		c.Dataset, c.Beta, c.Seed, c.Rounds, c.TotalClients, c.PerRound, c.LR, c.BatchSize,
-		c.LocalEpochs, c.TrainN, c.TestN, c.EvalLimit)
-	// The participation/aggregation axes change the clean trajectory too,
-	// but each joins the key only off its default, so adding an axis never
-	// re-keys the baselines an existing store holds for the default shape.
-	if c.Partition != "" && c.Partition != "label" {
-		key += "|part=" + c.Partition
-	}
-	if c.Sampler != "" && c.Sampler != "uniform" {
-		key += fmt.Sprintf("|samp=%s|rate=%g", c.Sampler, c.SampleRate)
-	}
-	if c.DropoutProb > 0 || c.StragglerProb > 0 {
-		key += fmt.Sprintf("|drop=%g|strag=%g", c.DropoutProb, c.StragglerProb)
-	}
-	if c.ServerOpt != "" && c.ServerOpt != "plain" {
-		key += fmt.Sprintf("|sopt=%s|slr=%g|smom=%g", c.ServerOpt, c.ServerLR, c.ServerMomentum)
-	}
-	if c.AsyncBuffer > 0 {
-		key += fmt.Sprintf("|async=%d|delay=%d", c.AsyncBuffer, c.AsyncMaxDelay)
-	}
-	// The virtual population reshapes every client's shard, so it changes
-	// the clean trajectory; PopCache is a pure cache and Placement only
-	// matters under attack, so neither joins the key. Groups are stripped
-	// from baselines (the paper's acc is flat no-defense FedAvg).
-	if c.Population != "" {
-		key += fmt.Sprintf("|pop=%s|shard=%d", c.Population, c.MeanShard)
-	}
-	// The codec reshapes every surviving update (lossy kinds change the
-	// clean trajectory; raw is bit-identical but keeping the keys separate
-	// is cheaper than proving it per cell), so it joins the baseline key —
-	// except for codec-off, which adds nothing.
-	if c.Codec != "" {
-		key += fmt.Sprintf("|codec=%s|topk=%g|ef=%t", c.Codec, c.TopK, c.ErrorFeedback)
-	}
-	return key
+// cleanOf projects a cell onto its clean baseline, the paper's acc: the same
+// federation with no attack, flat no-defense FedAvg and no audit. It clears
+// the attack, the defense, their topology and the parameters only they read,
+// then normalizes; every other field — any added later included — survives,
+// so it splits baselines by default instead of aliasing them.
+func cleanOf(cfg Config) (Config, error) {
+	c := cfg
+	c.Attack, c.Defense, c.AttackerFrac, c.Placement = "none", "fedavg", 0, ""
+	c.Groups, c.GroupDefense, c.Forensics = 0, "", false
+	c.SampleCount, c.SynthesisEpochs, c.NoReg, c.PerturbStd = 0, 0, false, 0
+	c.FProxy, c.RefPerClass, c.RejectX = 0, 0, 0
+	return c, c.Normalize()
 }
 
 // Outcome reports one run together with its clean baseline and the paper's
@@ -695,9 +639,7 @@ func run(cfg Config, p *Plane) (*Outcome, error) {
 	var col *forensics.Collector
 	if cfg.Forensics || p.auditsRuns() {
 		col, err = p.Collector("", forensics.Options{
-			Defense:      agg.Name(),
-			Ring:         cfg.ForensicsRing,
-			ReservoirCap: cfg.ForensicsReservoir,
+			Defense: agg.Name(),
 			// A forensics-private seed derivation: the collector consumes no
 			// engine RNG stream, so results stay bit-identical to
 			// forensics-off runs.

@@ -1,9 +1,8 @@
 package experiment
 
 import (
-	"encoding/json"
 	"math"
-	"strings"
+	"reflect"
 	"testing"
 )
 
@@ -117,17 +116,16 @@ func TestNormalizeScenarioDefaults(t *testing.T) {
 	if err := cfg.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	// The legacy defaults canonicalize to the zero value so run-store keys
-	// of pre-engine configs stay stable.
+	// The default axes canonicalize to the zero value.
 	if cfg.Partition != "" || cfg.Sampler != "" || cfg.ServerOpt != "" {
-		t.Fatalf("legacy scenario defaults must canonicalize to empty: %+v", cfg)
+		t.Fatalf("default scenario axes must canonicalize to empty: %+v", cfg)
 	}
 	explicit := Config{Partition: "label", Sampler: "uniform", ServerOpt: "plain"}
 	if err := explicit.Normalize(); err != nil {
 		t.Fatal(err)
 	}
 	if explicit.Partition != "" || explicit.Sampler != "" || explicit.ServerOpt != "" {
-		t.Fatalf("explicit legacy names must canonicalize to empty: %+v", explicit)
+		t.Fatalf("explicit default names must canonicalize to empty: %+v", explicit)
 	}
 	bern := Config{Sampler: "bernoulli"}
 	if err := bern.Normalize(); err != nil {
@@ -158,6 +156,7 @@ func TestNormalizeScenarioDefaults(t *testing.T) {
 		{DropoutProb: 0.8, StragglerProb: 0.5},
 		{AsyncBuffer: -1},
 		{Population: "cloud"},
+		{Population: "lazy"},
 		{Placement: "scatter"}, // requires Population=virtual
 		{Placement: "wormhole", Population: "virtual"},
 		{MeanShard: 16}, // requires Population=virtual
@@ -183,15 +182,25 @@ func TestNormalizeScenarioDefaults(t *testing.T) {
 	}
 }
 
-// TestCleanKeyScenarioAxes: participation axes change the clean baseline,
-// so they must split the baseline cache — while the legacy defaults must
-// keep the legacy key.
-func TestCleanKeyScenarioAxes(t *testing.T) {
-	base := tinyCfg("none", "fedavg")
-	if err := base.Normalize(); err != nil {
+// baselineKeyOf is the baseline key of cfg's clean projection.
+func baselineKeyOf(t *testing.T, cfg Config) string {
+	t.Helper()
+	clean, err := cleanOf(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
+	key, err := baselineKey(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
+}
+
+// TestCleanKeyScenarioAxes: participation axes change the clean baseline,
+// so they must split the baseline cache.
+func TestCleanKeyScenarioAxes(t *testing.T) {
 	variants := []func(*Config){
+		func(c *Config) {},
 		func(c *Config) { c.Sampler = "bernoulli"; c.SampleRate = 0.2 },
 		func(c *Config) { c.DropoutProb = 0.3 },
 		func(c *Config) { c.ServerOpt = "fedavgm" },
@@ -204,76 +213,97 @@ func TestCleanKeyScenarioAxes(t *testing.T) {
 		func(c *Config) { c.Codec = "int8"; c.TopK = 0.1 },
 		func(c *Config) { c.Codec = "int8"; c.TopK = 0.1; c.ErrorFeedback = true },
 	}
-	seen := map[string]bool{base.cleanKey(): true}
+	seen := map[string]bool{}
 	for i, mut := range variants {
 		cfg := tinyCfg("none", "fedavg")
 		mut(&cfg)
-		if err := cfg.Normalize(); err != nil {
-			t.Fatal(err)
-		}
-		key := cfg.cleanKey()
+		key := baselineKeyOf(t, cfg)
 		if seen[key] {
 			t.Errorf("variant %d: clean key collides: %s", i, key)
 		}
 		seen[key] = true
 	}
-	// The normalized legacy shape must not grow new key segments, so
-	// pre-engine run stores still resolve their baselines.
-	if key := base.cleanKey(); strings.Contains(key, "samp=") || strings.Contains(key, "sopt=") ||
-		strings.Contains(key, "pop=") || strings.Contains(key, "codec=") {
-		t.Fatalf("legacy clean key changed: %s", key)
-	}
 }
 
-// TestRunKeyLegacyStable pins the run-store compatibility contract: a
-// legacy-shaped config must marshal — and therefore hash into runKey —
-// without any of the new scenario fields, so journals written before the
-// engine existed still resolve their cells from a -store.
-func TestRunKeyLegacyStable(t *testing.T) {
-	cfg := tinyCfg("lie", "mkrum")
-	if err := cfg.Normalize(); err != nil {
+// cleanOnly names the fields cleanOf clears: the attack, the defense, their
+// topology and audit, and the parameters only they read.
+var cleanOnly = map[string]bool{
+	"Attack": true, "Defense": true, "AttackerFrac": true, "Placement": true,
+	"Groups": true, "GroupDefense": true, "Forensics": true,
+	"SampleCount": true, "SynthesisEpochs": true, "NoReg": true, "PerturbStd": true,
+	"FProxy": true, "RefPerClass": true, "RejectX": true,
+}
+
+// TestConfigIsIdentity: a run is its Config. Every field serializes, so
+// perturbing any one moves the run key; and every field cleanOf keeps moves
+// the baseline key too, so a field added later splits baselines instead of
+// aliasing them, while the fields it clears share one baseline.
+func TestConfigIsIdentity(t *testing.T) {
+	base := Config{
+		Dataset: "tiny-sim", Attack: "lie", Defense: "mkrum", Beta: 0.5, Seed: 1,
+		Parallel: true, Partition: "quantity", Sampler: "bernoulli", SampleRate: 0.3,
+		DropoutProb: 0.1, StragglerProb: 0.1, ServerOpt: "fedavgm", AsyncBuffer: 4,
+		Population: "virtual", Placement: "scatter", Groups: 2, GroupDefense: "trmean",
+		Forensics: true, Codec: "int8", TopK: 0.1, ErrorFeedback: true,
+	}
+	if err := base.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
+	// A string field has no generic perturbation: name a valid other value.
+	strs := map[string]func(*Config){
+		"Dataset":      func(c *Config) { c.Dataset = "fashion-sim" },
+		"Attack":       func(c *Config) { c.Attack = "minmax" },
+		"Defense":      func(c *Config) { c.Defense = "median" },
+		"Partition":    func(c *Config) { c.Partition = "" },
+		"Sampler":      func(c *Config) { c.Sampler = "" },
+		"ServerOpt":    func(c *Config) { c.ServerOpt = "lr" },
+		"Population":   func(c *Config) { c.Population, c.MeanShard, c.Placement = "", 0, "" },
+		"Placement":    func(c *Config) { c.Placement = "sybil" },
+		"GroupDefense": func(c *Config) { c.GroupDefense = "median" },
+		"Codec":        func(c *Config) { c.Codec = "fp16" },
 	}
-	for _, field := range []string{"Partition", "Sampler", "SampleRate", "DropoutProb",
-		"StragglerProb", "ServerOpt", "ServerLR", "ServerMomentum", "AsyncBuffer", "AsyncMaxDelay",
-		"Population", "MeanShard", "PopCache", "Placement", "Groups", "GroupDefense",
-		"Codec", "TopK", "ErrorFeedback"} {
-		if strings.Contains(string(raw), field) {
-			t.Errorf("legacy config JSON leaks new field %s: %s", field, raw)
+	runKeyOf := func(c Config) string {
+		key, err := runKey(c, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return key
 	}
-	scen := tinyCfg("lie", "mkrum")
-	scen.Sampler = "bernoulli"
-	if err := scen.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	k1, err := runKey(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, err := runKey(scen, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 == k2 {
-		t.Fatal("scenario config must hash to a different run key")
-	}
-	comp := tinyCfg("lie", "mkrum")
-	comp.Codec = "int8"
-	comp.TopK = 0.1
-	if err := comp.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	k3, err := runKey(comp, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k3 == k1 || k3 == k2 {
-		t.Fatal("codec config must hash to a different run key")
+	baseRun, baseClean := runKeyOf(base), baselineKeyOf(t, base)
+
+	typ := reflect.TypeOf(Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !f.IsExported() || f.Anonymous || f.Tag.Get("json") == "-" {
+			t.Errorf("Config.%s does not serialize as itself: it cannot identify a run", f.Name)
+			continue
+		}
+		c := base
+		v := reflect.ValueOf(&c).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Float64:
+			v.SetFloat(v.Float() + 0.01)
+		case reflect.String:
+			mut, ok := strs[f.Name]
+			if !ok {
+				t.Errorf("Config.%s: name a valid perturbation in strs", f.Name)
+				continue
+			}
+			mut(&c)
+		default:
+			t.Errorf("Config.%s: no perturbation for kind %s", f.Name, v.Kind())
+			continue
+		}
+		if runKeyOf(c) == baseRun {
+			t.Errorf("perturbing Config.%s leaves the run key unchanged", f.Name)
+		}
+		if split := baselineKeyOf(t, c) != baseClean; split == cleanOnly[f.Name] {
+			t.Errorf("perturbing Config.%s: baseline key split %v, want %v", f.Name, split, !cleanOnly[f.Name])
+		}
 	}
 }
 
@@ -509,15 +539,17 @@ func TestCleanKeyDistinguishesRuns(t *testing.T) {
 	a := tinyCfg("none", "fedavg")
 	b := a
 	b.Beta = 0.1
-	if a.cleanKey() == b.cleanKey() {
+	if baselineKeyOf(t, a) == baselineKeyOf(t, b) {
 		t.Fatal("different beta must produce different clean keys")
 	}
 	c := a
 	c.Seed = 99
-	if a.cleanKey() == c.cleanKey() {
+	if baselineKeyOf(t, a) == baselineKeyOf(t, c) {
 		t.Fatal("different seed must produce different clean keys")
 	}
-	if !strings.Contains(a.cleanKey(), "tiny-sim") {
-		t.Fatal("clean key should embed the dataset")
+	d := a
+	d.Dataset = "fashion-sim"
+	if baselineKeyOf(t, a) == baselineKeyOf(t, d) {
+		t.Fatal("different dataset must produce different clean keys")
 	}
 }

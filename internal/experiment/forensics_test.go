@@ -1,16 +1,14 @@
 package experiment
 
 // Forensics wiring tests: the observation-only contract (bit-identical
-// results and run-store keys with forensics on or off), the fixed-seed
-// stability of the detection metrics, and the bounded-heap contract on a
-// production-scale population.
+// results with forensics on or off, Detection only with it on), the
+// fixed-seed stability of the detection metrics, and the bounded-heap
+// contract on a production-scale population.
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"testing"
 )
 
@@ -28,45 +26,37 @@ func forensicsCfg() Config {
 	return cfg
 }
 
-// TestForensicsRunKeyInvariant pins the store contract: forensics is pure
-// observation, so a forensics-on cell — its three serializable axes set and
-// its audit journaled through a Watch — is stored under the key of its
-// forensics-off, unwatched twin, and a default config's JSON (what older
-// stores hashed) does not mention the axes at all.
+// TestForensicsRunKeyInvariant pins the store contract for forensics: it
+// decides whether the outcome carries Detection, so it is part of the run's
+// identity — in one store a forensics-on cell runs and reports Detection
+// instead of replaying its forensics-off twin's record — while journaling
+// that cell's audit through a Watch stores it under its unwatched key.
 func TestForensicsRunKeyInvariant(t *testing.T) {
-	on := tinyCfg("lie", "mkrum")
+	off := tinyCfg("lie", "mkrum")
+	on := off
 	on.Forensics = true
-	on.ForensicsRing = 16
-	on.ForensicsReservoir = 256
-	assertWatchKeepsIdentity(t, on,
-		Watch{AuditPath: filepath.Join(t.TempDir(), "audit.jsonl")},
-		tinyCfg("lie", "mkrum"))
-
-	legacy := tinyCfg("lie", "mkrum")
-	if err := legacy.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := json.Marshal(legacy)
+	store, err := OpenStore(filepath.Join(t.TempDir(), "run.jsonl"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(raw), "Forensics") {
-		t.Errorf("legacy config JSON leaks a forensics field: %s", raw)
+	defer store.Close()
+	r := NewRunner()
+	r.Store = store
+	for _, cfg := range []Config{off, on} {
+		outs, err := r.RunGrid([]Config{cfg}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := outs[0].Detection != nil; got != cfg.Forensics {
+			t.Fatalf("Forensics=%v cell: Detection present %v", cfg.Forensics, got)
+		}
 	}
+
+	assertWatchKeepsIdentity(t, on,
+		Watch{AuditPath: filepath.Join(t.TempDir(), "audit.jsonl")}, on)
 }
 
 func TestForensicsConfigValidation(t *testing.T) {
-	cfg := tinyCfg("lie", "mkrum")
-	cfg.ForensicsRing = 8 // without Forensics
-	if err := cfg.Normalize(); err == nil {
-		t.Fatal("ForensicsRing without Forensics should fail validation")
-	}
-	cfg = tinyCfg("lie", "mkrum")
-	cfg.Forensics = true
-	cfg.ForensicsReservoir = -1
-	if err := cfg.Normalize(); err == nil {
-		t.Fatal("negative reservoir should fail validation")
-	}
 	// An audit path makes the watched run audited, and says so in its
 	// outcome — but is never normalized into the run's Config.
 	auditPath := filepath.Join(t.TempDir(), "x.jsonl")

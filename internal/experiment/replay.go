@@ -118,7 +118,7 @@ func outcomeReplayRuns(entries []persist.Entry, source string) ([]forensics.Repl
 
 // replayRunName labels a stored cell for the run picker: the experiment
 // axes an operator tells cells apart by, plus a key prefix to break ties
-// between cells differing only in stripped or unusual axes.
+// between cells differing only in axes the label does not show.
 func replayRunName(key string, out *Outcome) string {
 	c := out.Config
 	name := fmt.Sprintf("%s/%s/%s f=%.2f s=%d", c.Dataset, c.Attack, c.Defense, c.AttackerFrac, c.Seed)

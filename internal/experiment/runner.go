@@ -121,29 +121,19 @@ func (r *Runner) Watch(p *Plane) {
 	}
 }
 
-// CleanAccuracy returns the cached or freshly computed clean baseline
-// accuracy for cfg's dataset/heterogeneity/seed. Concurrent callers sharing
-// a baseline block only each other: the first computes, the rest wait on
-// its latch, and callers with different keys proceed independently.
+// CleanAccuracy returns the cached or freshly computed accuracy of cfg's
+// clean baseline (cleanOf). Concurrent callers sharing a baseline block
+// only each other: the first computes, the rest wait on its latch, and
+// callers with different keys proceed independently.
 func (r *Runner) CleanAccuracy(cfg Config) (float64, error) {
-	if err := cfg.Normalize(); err != nil {
+	clean, err := cleanOf(cfg)
+	if err != nil {
 		return 0, err
 	}
-	clean := cfg
-	clean.Attack = "none"
-	clean.Defense = "fedavg"
-	clean.AttackerFrac = 0
-	// The paper's acc baseline is flat no-defense FedAvg: strip the
-	// attack-side placement and the aggregation topology too, so every
-	// topology of a cell compares against the same clean run. Forensics is
-	// stripped as well — auditing a no-attack FedAvg run yields nothing.
-	clean.Placement = ""
-	clean.Groups = 0
-	clean.GroupDefense = ""
-	clean.Forensics = false
-	clean.ForensicsRing = 0
-	clean.ForensicsReservoir = 0
-	key := clean.cleanKey()
+	key, err := baselineKey(clean)
+	if err != nil {
+		return 0, err
+	}
 
 	r.mu.Lock()
 	cell, ok := r.cleanCache[key]
@@ -154,7 +144,7 @@ func (r *Runner) CleanAccuracy(cfg Config) (float64, error) {
 	r.mu.Unlock()
 
 	cell.once.Do(func() {
-		cell.acc, cell.err = r.computeBaseline(clean)
+		cell.acc, cell.err = r.computeBaseline(key, clean)
 	})
 	if cell.err != nil {
 		// Evict the failed cell so a later caller retries instead of
@@ -173,11 +163,7 @@ func (r *Runner) CleanAccuracy(cfg Config) (float64, error) {
 // in-process latch: adopted when some process recorded it, else leased, so
 // exactly one process computes it while the others poll for its record —
 // the cross-process analogue of the latch.
-func (r *Runner) computeBaseline(clean Config) (float64, error) {
-	key, err := baselineKey(clean)
-	if err != nil {
-		return 0, err
-	}
+func (r *Runner) computeBaseline(key string, clean Config) (float64, error) {
 	var obs leaseObserver
 	for {
 		if err := r.Store.Refresh(); err != nil {
@@ -218,10 +204,9 @@ func (r *Runner) Run(cfg Config) (*Outcome, error) {
 			// Forensics follows first-seed semantics like SynthesisLoss:
 			// only the first seed's Detection summary is kept, so later
 			// seeds skip the whole pipeline — paying per-round
-			// fingerprinting for a discarded summary would be waste.
-			// runKey strips these fields, so store identity is unaffected.
+			// fingerprinting for a discarded summary would be waste. The
+			// cell's key is derived from cfg, so its identity is unaffected.
 			c.Forensics = false
-			c.ForensicsRing, c.ForensicsReservoir = 0, 0
 		}
 		out, err := r.runOne(c)
 		if err != nil {

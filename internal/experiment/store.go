@@ -16,26 +16,21 @@ import (
 // keyVersion is hashed into every run key and prefixed to every baseline
 // key. Bump it when a code change moves the outcomes existing configurations
 // produce, so a store written before the change recomputes instead of
-// replaying numbers the code can no longer reproduce. v2: one round driver
-// (per-(seed, round, id) training streams on the eager backend too).
-const keyVersion = "v2|"
+// replaying numbers the code can no longer reproduce. A new Config field
+// needs no bump: it re-keys every cell by itself. v3: every field of the
+// normalized Config is hashed, Forensics included, and baselines are keyed
+// by the run key of their own clean config.
+const keyVersion = "v3|"
 
 // runKey is the canonical identity of one grid cell: a hash of the key
-// version, the normalized configuration and the seed-averaging width, so the
-// same cell resolves to the same key across processes while any parameter
-// change (including AverageSeeds) yields a fresh one.
+// version, the whole normalized configuration and the seed-averaging width,
+// so the same cell resolves to the same key across processes while any
+// parameter change (including AverageSeeds) yields a fresh one.
 func runKey(cfg Config, seeds int) (string, error) {
 	c := cfg
 	if err := c.Normalize(); err != nil {
 		return "", err
 	}
-	// Forensics is pure observation (it never changes a run's results), so
-	// it is stripped from the identity: a forensics-on cell resolves to the
-	// same stored run as its forensics-off twin. A replayed entry from a
-	// forensics-off run simply carries no Detection summary.
-	c.Forensics = false
-	c.ForensicsRing = 0
-	c.ForensicsReservoir = 0
 	if seeds < 1 {
 		seeds = 1
 	}
@@ -49,18 +44,17 @@ func runKey(cfg Config, seeds int) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// baselineKey is the journal identity of a clean baseline. It is derived
-// from cleanKey — the fields that actually affect a no-attack run — rather
-// than the full config hash, so cells that differ only in attack-side
-// parameters (SampleCount, NoReg, …) resolve to the same journaled
-// baseline no matter which cell's latch computed it. The "baseline|"
-// namespace keeps a clean grid cell's own outcome (which carries filled
-// CleanAcc/ASR) from colliding with its raw baseline record.
+// baselineKey is the journal identity of the clean baseline cleanOf
+// returned: its run key, so cells that differ only in attack-side
+// parameters (SampleCount, NoReg, …) share one journaled baseline. The
+// "baseline|" namespace keeps a clean grid cell's own outcome (which
+// carries filled CleanAcc/ASR) from colliding with its raw baseline record.
 func baselineKey(clean Config) (string, error) {
-	if err := clean.Normalize(); err != nil {
+	key, err := runKey(clean, 1)
+	if err != nil {
 		return "", err
 	}
-	return "baseline|" + keyVersion + clean.cleanKey(), nil
+	return "baseline|" + keyVersion + key, nil
 }
 
 // storedOutcome is the JSON shape of an Outcome in the run store. The

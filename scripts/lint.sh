@@ -8,7 +8,7 @@
 #   2. staticcheck, if installed (CI pins honnef.co/go/tools @2025.1.1;
 #      check set comes from staticcheck.conf at the repo root)
 #   3. fllint — the repo's own invariant analyzers (internal/analysis):
-#      determinism, runkey, poolescape, nanjson
+#      determinism, poolescape, nanjson, telemetryclock, zerodep
 #
 # Exits nonzero on the first failing stage.
 set -euo pipefail
