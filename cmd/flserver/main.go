@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"net"
 	"os"
 	"strings"
@@ -47,14 +46,10 @@ import (
 	"time"
 
 	"repro/internal/codec"
-	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/defense"
 	"repro/internal/experiment"
-	"repro/internal/fl"
 	"repro/internal/flnet"
 	"repro/internal/forensics"
-	"repro/internal/nn"
 	"repro/internal/report"
 )
 
@@ -73,7 +68,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("flserver", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:7070", "listen address")
 	dsName := fs.String("dataset", "fashion-sim", "dataset spec (fashion-sim, cifar-sim, svhn-sim, tiny-sim)")
-	defName := fs.String("defense", "mkrum", "defense: fedavg, median, trmean, krum, mkrum, bulyan, foolsgold, refd")
+	defName := fs.String("defense", "mkrum", "defense, by the simulator's names: fedavg, median, trmean, krum, mkrum, bulyan, foolsgold, refd, refd-adaptive")
 	clients := fs.Int("clients", 8, "population size to wait for")
 	perRound := fs.Int("per-round", 4, "clients selected per round")
 	rounds := fs.Int("rounds", 10, "federated rounds")
@@ -107,8 +102,8 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	if err != nil {
 		return err
 	}
-	// The scenario flags share experiment.Config's normalization and
-	// mapping, so flsim and flserver cannot drift. Weighted sampling needs
+	// The scenario and defense flags share experiment.Config's normalization
+	// and mapping, so flsim and flserver cannot drift. Weighted sampling needs
 	// per-client shard sizes, which only the clients know in the networked
 	// deployment, so it stays simulator-only.
 	scfg := experiment.Config{
@@ -131,6 +126,9 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	if scfg.Sampler == "weighted" {
 		return fmt.Errorf("weighted sampling needs client shard sizes the networked server does not know; use uniform or bernoulli")
 	}
+	// Normalize reads a zero as "default"; these flags keep their meaning
+	// (-f 0 assumes no attackers, -reject 0 rejects nobody).
+	scfg.FProxy, scfg.RefPerClass, scfg.RejectX = *fproxy, *refPerClass, *rejectX
 
 	tenants := []tenant{{defense: *defName}}
 	title, forensicsAt := "fl server — "+*defName, "/forensics/"
@@ -166,22 +164,16 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		return err
 	}
 	_, test := dataset.Generate(spec, *seed)
-	newModel := modelFactory(spec)
+	newModel := experiment.NewModel(spec)
 	// Every deployment is a Host: one anonymous federation, or one per
 	// -federations entry.
 	host := flnet.NewHost()
 	host.HandshakeTimeout = *handshake
 	feds := make([]*flnet.Federation, len(tenants))
 	for i, tn := range tenants {
-		var agg fl.Aggregator
-		if tn.defense == "refd" {
-			var ref *dataset.Dataset
-			if ref, err = core.BalancedReference(test, *refPerClass); err == nil {
-				agg, err = core.NewREFD(ref, newModel, 1, *rejectX)
-			}
-		} else {
-			agg, err = defense.ByName(tn.defense, *fproxy)
-		}
+		tcfg := scfg
+		tcfg.Defense = tn.defense
+		agg, err := experiment.NewDefense(tcfg, test)
 		if err != nil {
 			return fmt.Errorf("federation %q: %w", tn.id, err)
 		}
@@ -331,17 +323,4 @@ func printResult(w io.Writer, prefix string, res *flnet.ServerResult) {
 			prefix, rr.Round+1, rr.Selected, rr.Responded, churn, acc)
 	}
 	fmt.Fprintf(w, "%sfinal accuracy %.4f (max %.4f)\n", prefix, res.FinalAccuracy, res.MaxAccuracy)
-}
-
-func modelFactory(spec dataset.Spec) func(rng *rand.Rand) *nn.Network {
-	switch spec.Name {
-	case "cifar-sim", "svhn-sim":
-		return func(rng *rand.Rand) *nn.Network {
-			return nn.NewDeepCNN(rng, spec.Channels, spec.Size, spec.Classes)
-		}
-	default:
-		return func(rng *rand.Rand) *nn.Network {
-			return nn.NewFashionCNN(rng, spec.Channels, spec.Size, spec.Classes)
-		}
-	}
 }

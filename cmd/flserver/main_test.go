@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/dataset"
+	"repro/internal/experiment"
 	"repro/internal/flnet"
 )
 
@@ -135,7 +136,7 @@ func serveAndCheck(t *testing.T, federations []string, extra ...string) {
 	clientErrs := make(chan error, len(federations)*testClients)
 	for _, fed := range federations {
 		for i := 0; i < testClients; i++ {
-			var trainer flnet.Trainer = flnet.NewBenignTrainer(train, shards[i], modelFactory(spec),
+			var trainer flnet.Trainer = flnet.NewBenignTrainer(train, shards[i], experiment.NewModel(spec),
 				0.05, 1, 16, rand.New(rand.NewSource(int64(100+i))))
 			if i == 0 {
 				trainer = gatedTrainer{trainer, reached, release}

@@ -1,9 +1,10 @@
 // Package experiment wires datasets, models, attacks and defenses into the
 // named experimental configurations of the paper's evaluation (Section IV
 // and V). It owns the mapping from human-readable names ("fashion-sim",
-// "dfa-r", "bulyan") to concrete components, caches the clean "no attack,
-// no defense" accuracy baselines the ASR metric needs, and runs grids of
-// configurations concurrently for the benchmark harness.
+// "dfa-r", "bulyan") to concrete components — NewModel, NewAttack and
+// NewDefense, which the simulator and the networked binaries share — caches
+// the clean "no attack, no defense" accuracy baselines the ASR metric needs,
+// and runs grids of configurations concurrently for the benchmark harness.
 package experiment
 
 import (
@@ -384,18 +385,11 @@ type Outcome struct {
 // task is the resolved dataset, client source (the eager shard table or a
 // lazy virtual population) and model factory of a config.
 type task struct {
-	spec     dataset.Spec
 	train    *dataset.Dataset
 	test     *dataset.Dataset
 	src      fl.ClientSource
 	newModel func(rng *rand.Rand) *nn.Network
 }
-
-// adversaryShard returns the data shard the data-holding attacks
-// (labelflip, real-data) train on: client 0's shard — a representative
-// client-sized sample, independently of which IDs the placement model
-// actually compromises.
-func (tk *task) adversaryShard() []int { return tk.src.Shard(0) }
 
 func buildTask(cfg Config) (*task, error) {
 	spec, err := dataset.SpecByName(cfg.Dataset)
@@ -409,7 +403,7 @@ func buildTask(cfg Config) (*task, error) {
 		spec.TestN = cfg.TestN
 	}
 	train, test := dataset.Generate(spec, cfg.Seed)
-	tk := &task{spec: spec, train: train, test: test}
+	tk := &task{train: train, test: test, newModel: NewModel(spec)}
 	if cfg.Population == "virtual" {
 		kind := population.IID
 		switch {
@@ -448,17 +442,22 @@ func buildTask(cfg Config) (*task, error) {
 			tk.src = fl.Shards(dataset.PartitionIID(prng, train.Len(), cfg.TotalClients))
 		}
 	}
+	return tk, nil
+}
+
+// NewModel returns the model factory of a dataset: the paper's deep CNN for
+// the CIFAR-10 and SVHN stand-ins, its Fashion-MNIST CNN otherwise.
+func NewModel(spec dataset.Spec) func(rng *rand.Rand) *nn.Network {
 	switch spec.Name {
 	case "cifar-sim", "svhn-sim":
-		tk.newModel = func(rng *rand.Rand) *nn.Network {
+		return func(rng *rand.Rand) *nn.Network {
 			return nn.NewDeepCNN(rng, spec.Channels, spec.Size, spec.Classes)
 		}
 	default:
-		tk.newModel = func(rng *rand.Rand) *nn.Network {
+		return func(rng *rand.Rand) *nn.Network {
 			return nn.NewFashionCNN(rng, spec.Channels, spec.Size, spec.Classes)
 		}
 	}
-	return tk, nil
 }
 
 // lossTracer is implemented by the DFA attacks to expose Fig. 7 data.
@@ -466,11 +465,18 @@ type lossTracer interface {
 	LossTrace() [][]float64
 }
 
-func buildAttack(cfg Config, tk *task) (fl.Attack, error) {
+// NewAttack builds the adversary a normalized cfg names, or nil for "none".
+// train and shard are the data the data-holding attacks (labelflip,
+// real-data) train on; the data-free ones never read them.
+func NewAttack(cfg Config, train *dataset.Dataset, shard []int) (fl.Attack, error) {
+	spec, err := dataset.SpecByName(cfg.Dataset)
+	if err != nil {
+		return nil, err
+	}
 	dfaCfg := core.DFAConfig{
-		Classes:         tk.spec.Classes,
-		ImgC:            tk.spec.Channels,
-		ImgSize:         tk.spec.Size,
+		Classes:         spec.Classes,
+		ImgC:            spec.Channels,
+		ImgSize:         spec.Size,
 		SampleCount:     cfg.SampleCount,
 		SynthesisEpochs: cfg.SynthesisEpochs,
 		ClassifierLR:    cfg.LR,
@@ -501,8 +507,8 @@ func buildAttack(cfg Config, tk *task) (fl.Attack, error) {
 		return attack.MinSum{}, nil
 	case "labelflip":
 		return &attack.LabelFlip{
-			Data:      tk.train,
-			Shard:     tk.adversaryShard(),
+			Data:      train,
+			Shard:     shard,
 			LR:        cfg.LR,
 			Epochs:    cfg.LocalEpochs,
 			BatchSize: cfg.BatchSize,
@@ -518,49 +524,53 @@ func buildAttack(cfg Config, tk *task) (fl.Attack, error) {
 		dfaCfg.Trained = false
 		return core.NewDFAG(dfaCfg)
 	case "real-data":
-		// The adversary's real images follow the same Dirichlet assignment
-		// as benign users: it receives the shard of (malicious) client 0.
-		return core.NewRealData(dfaCfg, tk.train, tk.adversaryShard())
+		return core.NewRealData(dfaCfg, train, shard)
 	default:
 		return nil, fmt.Errorf("experiment: unknown attack %q", cfg.Attack)
 	}
 }
 
 // buildRule resolves one aggregation rule by name with the given assumed
-// attacker count f.
-func buildRule(cfg Config, tk *task, name string, f int) (fl.Aggregator, error) {
+// attacker count f; REFD draws its reference set from test.
+func buildRule(cfg Config, test *dataset.Dataset, newModel func(rng *rand.Rand) *nn.Network, name string, f int) (fl.Aggregator, error) {
 	switch name {
 	case "refd":
-		ref, err := core.BalancedReference(tk.test, cfg.RefPerClass)
+		ref, err := core.BalancedReference(test, cfg.RefPerClass)
 		if err != nil {
 			return nil, err
 		}
-		return core.NewREFD(ref, tk.newModel, 1, cfg.RejectX)
+		return core.NewREFD(ref, newModel, 1, cfg.RejectX)
 	case "refd-adaptive":
-		ref, err := core.BalancedReference(tk.test, cfg.RefPerClass)
+		ref, err := core.BalancedReference(test, cfg.RefPerClass)
 		if err != nil {
 			return nil, err
 		}
-		return core.NewAdaptiveREFD(ref, tk.newModel, cfg.RejectX, 0.25, 4)
+		return core.NewAdaptiveREFD(ref, newModel, cfg.RejectX, 0.25, 4)
 	default:
 		return defense.ByName(name, f)
 	}
 }
 
-// buildDefense resolves the configured aggregation topology: the flat rule,
-// or — with Groups > 0 — the hierarchical two-tier composition of the group
-// rule (GroupDefense, defaulting to Defense, with the full FProxy) under a
-// server tier running Defense with its assumed attacker count clamped to a
-// minority of the Groups aggregates.
-func buildDefense(cfg Config, tk *task) (fl.Aggregator, error) {
+// NewDefense builds the aggregation topology a normalized cfg names: the
+// flat rule, or — with Groups > 0 — the hierarchical two-tier composition
+// of the group rule (GroupDefense, defaulting to Defense, with the full
+// FProxy) under a server tier running Defense with its assumed attacker
+// count clamped to a minority of the Groups aggregates. test is the held-out
+// set REFD draws its balanced reference from.
+func NewDefense(cfg Config, test *dataset.Dataset) (fl.Aggregator, error) {
+	spec, err := dataset.SpecByName(cfg.Dataset)
+	if err != nil {
+		return nil, err
+	}
+	newModel := NewModel(spec)
 	if cfg.Groups <= 0 {
-		return buildRule(cfg, tk, cfg.Defense, cfg.FProxy)
+		return buildRule(cfg, test, newModel, cfg.Defense, cfg.FProxy)
 	}
 	groupName := cfg.GroupDefense
 	if groupName == "" {
 		groupName = cfg.Defense
 	}
-	group, err := buildRule(cfg, tk, groupName, cfg.FProxy)
+	group, err := buildRule(cfg, test, newModel, groupName, cfg.FProxy)
 	if err != nil {
 		return nil, err
 	}
@@ -571,7 +581,7 @@ func buildDefense(cfg Config, tk *task) (fl.Aggregator, error) {
 	if serverF < 1 {
 		serverF = 1
 	}
-	server, err := buildRule(cfg, tk, cfg.Defense, serverF)
+	server, err := buildRule(cfg, test, newModel, cfg.Defense, serverF)
 	if err != nil {
 		return nil, err
 	}
@@ -628,11 +638,14 @@ func run(cfg Config, p *Plane) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	atk, err := buildAttack(cfg, tk)
+	// The data-holding attacks train on client 0's shard: a representative
+	// client-sized sample with the benign users' assignment, independently
+	// of which IDs the placement model actually compromises.
+	atk, err := NewAttack(cfg, tk.train, tk.src.Shard(0))
 	if err != nil {
 		return nil, err
 	}
-	agg, err := buildDefense(cfg, tk)
+	agg, err := NewDefense(cfg, tk.test)
 	if err != nil {
 		return nil, err
 	}

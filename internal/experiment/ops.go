@@ -99,10 +99,12 @@ func forensicsPrefix(id string) string {
 // OpenPlane assembles the ops plane w asks for, or returns nil when w
 // watches nothing. federations names the federations that will ask for a
 // Collector — "" for a single run or a single-tenant server, the tenant ids
-// for a host, none for a sweep — so the dashboard can open one live tab
-// each. Telemetry is on exactly when a sink exists (OpsAddr, TracePath or
-// TraceJournal), and the process-global defense distance hook belongs to
-// the plane from here to Close: open one plane per process.
+// for a host, none for a sweep or a client — so the dashboard can open one
+// live tab each. Telemetry is on exactly when a sink exists (OpsAddr,
+// TracePath or TraceJournal). A plane that serves federations owns the
+// process-global defense distance hook from here to Close (open one plane
+// per process); one that serves none leaves it unset, because a sweep's
+// cells are never individually watched.
 func OpenPlane(w Watch, title string, federations ...string) (*Plane, error) {
 	if err := w.normalize(); err != nil {
 		return nil, err
@@ -152,7 +154,9 @@ func OpenPlane(w Watch, title string, federations ...string) (*Plane, error) {
 			w.OnBound(bound)
 		}
 	}
-	telemetry.SetDistanceHook(p.reg, p.tracer)
+	if len(federations) > 0 {
+		telemetry.SetDistanceHook(p.reg, p.tracer)
+	}
 	return p, nil
 }
 

@@ -198,7 +198,7 @@ func TestPlaneOwnsDistanceHook(t *testing.T) {
 	distanceCount := func(reg *telemetry.Registry) int64 {
 		return reg.Histogram("defense_distance_seconds", "").Count()
 	}
-	p, err := OpenPlane(Watch{OpsAddr: "127.0.0.1:0"}, "test")
+	p, err := OpenPlane(Watch{OpsAddr: "127.0.0.1:0"}, "test", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,6 +230,37 @@ func TestPlaneOwnsDistanceHook(t *testing.T) {
 	}
 	if got := distanceCount(reg); got != closed {
 		t.Fatalf("distance spans still reported after Close: %d → %d", closed, got)
+	}
+}
+
+// TestSweepPlaneLeavesDistanceHook: a sweep's cells are never individually
+// watched, so a plane that serves no federation must not collect their
+// distance matrices either — an mKrum grid drained under it leaves
+// defense_distance_seconds at 0, just as it leaves fl_rounds_total absent.
+func TestSweepPlaneLeavesDistanceHook(t *testing.T) {
+	p, err := OpenPlane(Watch{OpsAddr: "127.0.0.1:0"}, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := p.Close(); err != nil {
+			t.Errorf("plane close: %v", err)
+		}
+	}()
+	r := NewRunner()
+	r.Telemetry = p.Sweep("w0")
+	if _, err := r.RunGrid([]Config{tinyCfg("lie", "mkrum")}, 1); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := p.Registry().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(b.String(), "fl_rounds_total") {
+		t.Errorf("a sweep plane instrumented an unwatched cell's rounds:\n%s", b.String())
+	}
+	if got := p.Registry().Histogram("defense_distance_seconds", "").Count(); got != 0 {
+		t.Fatalf("a sweep plane collected %d distance-matrix spans from unwatched cells", got)
 	}
 }
 

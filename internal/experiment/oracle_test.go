@@ -13,10 +13,10 @@ import (
 	"repro/internal/fl"
 )
 
-// buildAttackNames reads the attack names out of buildAttack's own switch,
+// attackNames reads the attack names out of NewAttack's own switch,
 // so an attack added there is under the guard below without anyone having
 // to remember a second list.
-func buildAttackNames(t *testing.T) []string {
+func attackNames(t *testing.T) []string {
 	t.Helper()
 	file, err := parser.ParseFile(token.NewFileSet(), "experiment.go", nil, 0)
 	if err != nil {
@@ -25,7 +25,7 @@ func buildAttackNames(t *testing.T) []string {
 	var names []string
 	for _, decl := range file.Decls {
 		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Name.Name != "buildAttack" {
+		if !ok || fn.Name.Name != "NewAttack" {
 			continue
 		}
 		ast.Inspect(fn, func(n ast.Node) bool {
@@ -51,9 +51,9 @@ func buildAttackNames(t *testing.T) []string {
 // undeclared would silently craft its no-benign-updates fallback for ever;
 // one that declared it needlessly would give up crafting beside Collect.
 func TestOracleDeclarationMatchesBehaviour(t *testing.T) {
-	names := buildAttackNames(t)
+	names := attackNames(t)
 	if len(names) < 14 {
-		t.Fatalf("found only %d attack names in buildAttack: %v", len(names), names)
+		t.Fatalf("found only %d attack names in NewAttack: %v", len(names), names)
 	}
 	var oracles []string
 	for _, name := range names {
@@ -81,7 +81,7 @@ func TestOracleDeclarationMatchesBehaviour(t *testing.T) {
 		// A fresh attack and an equally seeded stream per craft, so the
 		// benign updates are the only thing that differs.
 		craft := func(benign [][]float64) [][]float64 {
-			atk, err := buildAttack(cfg, tk)
+			atk, err := NewAttack(cfg, tk.train, tk.src.Shard(0))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestOracleDeclarationMatchesBehaviour(t *testing.T) {
 			return out
 		}
 		reads := !reflect.DeepEqual(craft(nil), craft(benign))
-		atk, err := buildAttack(cfg, tk)
+		atk, err := NewAttack(cfg, tk.train, tk.src.Shard(0))
 		if err != nil {
 			t.Fatal(err)
 		}
