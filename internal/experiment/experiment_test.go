@@ -493,13 +493,22 @@ func TestRegistry(t *testing.T) {
 	}
 	ids := map[string]bool{}
 	for _, e := range all {
-		if e.ID == "" || e.Title == "" || e.Run == nil {
+		if e.ID == "" || e.Title == "" || e.Grid == nil || len(e.Columns) == 0 {
 			t.Fatalf("malformed experiment %+v", e)
 		}
 		if ids[e.ID] {
 			t.Fatalf("duplicate experiment id %q", e.ID)
 		}
 		ids[e.ID] = true
+		// Every claim side names exactly one row of the grid it is read
+		// off, under every profile.
+		for _, p := range []Profile{QuickProfile(), FullProfile()} {
+			for _, c := range e.Claims {
+				if _, err := claimCells(e, c, p); err != nil {
+					t.Errorf("%s [%s] %s: %v", e.ID, p.Name, e.describe(c), err)
+				}
+			}
+		}
 	}
 	for _, want := range []string{"table2", "table3", "table4", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "randomweights", "samplesize", "sybil", "participation", "compression"} {
 		if _, ok := ByID(want); !ok {

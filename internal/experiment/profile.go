@@ -17,8 +17,6 @@ type Profile struct {
 	SampleCount int
 	// SeedCount averages runs over this many seeds (paper: 3).
 	SeedCount int
-	// Workers bounds grid concurrency (0 = GOMAXPROCS).
-	Workers int
 }
 
 // QuickProfile is the default: paper-shaped results in minutes.
