@@ -6,6 +6,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/fl"
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // LabelFlip is the classic data-poisoning baseline (Tolpegin et al.,
@@ -21,6 +22,12 @@ type LabelFlip struct {
 	LR        float64
 	Epochs    int
 	BatchSize int
+
+	// order, x and labels are the training run's shuffle order and
+	// minibatch, reused from craft to craft.
+	order  []int
+	x      *tensor.Tensor
+	labels []int
 }
 
 var _ fl.Attack = (*LabelFlip)(nil)
@@ -38,7 +45,8 @@ func (a *LabelFlip) Craft(ctx *fl.AttackContext) ([][]float64, error) {
 		return nil, err
 	}
 	opt := nn.NewSGD(a.LR, 0)
-	idx := append([]int(nil), a.Shard...)
+	a.order = append(a.order[:0], a.Shard...)
+	idx := a.order
 	batch := a.BatchSize
 	if batch <= 0 {
 		batch = 16
@@ -54,11 +62,11 @@ func (a *LabelFlip) Craft(ctx *fl.AttackContext) ([][]float64, error) {
 			if end > len(idx) {
 				end = len(idx)
 			}
-			x, labels := a.Data.Batch(idx[start:end])
-			for i, l := range labels {
-				labels[i] = a.Data.Classes - 1 - l
+			a.x, a.labels = a.Data.BatchInto(a.x, a.labels, idx[start:end])
+			for i, l := range a.labels {
+				a.labels[i] = a.Data.Classes - 1 - l
 			}
-			nn.TrainBatch(model, opt, x, labels)
+			nn.TrainBatch(model, opt, a.x, a.labels)
 		}
 	}
 	return replicate(ctx, model.WeightVector(), 0), nil

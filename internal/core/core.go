@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/fl"
 	"repro/internal/nn"
@@ -90,14 +91,25 @@ func (c *DFAConfig) Validate() error {
 	return nil
 }
 
-// trainAdversary performs step 2 of the framework: train a classifier from
-// the global weights on the synthetic set with the distance-regularized
-// loss, and return its weight vector. The classifier is built anew each
-// craft — its construction draws from the attack stream — but its
-// activations live in arena, which the attack keeps across rounds.
-func trainAdversary(ctx *fl.AttackContext, cfg DFAConfig, arena *tensor.Pool, images *tensor.Tensor, labels []int) ([]float64, error) {
+// classifier is the storage an attack keeps across rounds for step 2: the
+// adversarial classifier's activation arena and the minibatch its training
+// set is gathered into.
+type classifier struct {
+	arena *tensor.Pool
+	xb    *tensor.Tensor
+	yb    []int
+}
+
+func newClassifier() *classifier { return &classifier{arena: tensor.NewPool()} }
+
+// train performs step 2 of the framework: train a classifier from the
+// global weights on the synthetic set with the distance-regularized loss,
+// and return its weight vector. The classifier is built anew each craft —
+// its construction draws from the attack stream — but its activations and
+// minibatches live in c's storage.
+func (c *classifier) train(ctx *fl.AttackContext, cfg DFAConfig, images *tensor.Tensor, labels []int) ([]float64, error) {
 	model := ctx.NewModel(ctx.Rng)
-	model.SetScratch(arena)
+	model.SetScratch(c.arena)
 	if err := model.SetWeightVector(ctx.Global); err != nil {
 		return nil, err
 	}
@@ -114,10 +126,10 @@ func trainAdversary(ctx *fl.AttackContext, cfg DFAConfig, arena *tensor.Pool, im
 			if end > n {
 				end = n
 			}
-			xb, yb := gatherBatch(images, labels, order[start:end])
+			c.gather(images, labels, order[start:end])
 			model.ResetScratch()
-			logits := model.Forward(xb, true)
-			_, grad := nn.CrossEntropy(logits, yb)
+			logits := model.Forward(c.xb, true)
+			_, grad := nn.CrossEntropy(logits, c.yb)
 			model.BackwardParams(grad)
 			if cfg.RegLambda > 0 {
 				addDistanceGrad(model, ctx.Global, 2*cfg.RegLambda)
@@ -128,17 +140,21 @@ func trainAdversary(ctx *fl.AttackContext, cfg DFAConfig, arena *tensor.Pool, im
 	return model.WeightVector(), nil
 }
 
-// gatherBatch assembles the given sample indices of a [N, C, H, W] tensor
-// into a fresh batch tensor plus the matching labels.
-func gatherBatch(images *tensor.Tensor, labels []int, idx []int) (*tensor.Tensor, []int) {
+// gather assembles the given sample indices of a [N, C, H, W] tensor and
+// their labels into the minibatch, growing its storage only for a larger
+// batch than it has held.
+func (c *classifier) gather(images *tensor.Tensor, labels []int, idx []int) {
 	per := images.Len() / images.Shape[0]
-	xb := tensor.New(len(idx), images.Shape[1], images.Shape[2], images.Shape[3])
-	yb := make([]int, len(idx))
-	for i, j := range idx {
-		copy(xb.Data[i*per:(i+1)*per], images.Data[j*per:(j+1)*per])
-		yb[i] = labels[j]
+	if c.xb == nil || cap(c.xb.Data) < len(idx)*per {
+		c.xb = tensor.New(len(idx), images.Shape[1], images.Shape[2], images.Shape[3])
+	} else {
+		c.xb.Data, c.xb.Shape[0] = c.xb.Data[:len(idx)*per], len(idx)
 	}
-	return xb, yb
+	c.yb = slices.Grow(c.yb[:0], len(idx))[:len(idx)]
+	for i, j := range idx {
+		copy(c.xb.Data[i*per:(i+1)*per], images.Data[j*per:(j+1)*per])
+		c.yb[i] = labels[j]
+	}
 }
 
 // addDistanceGrad adds ∂(λ·L_d)/∂w = scale·(w − w(t)), scale = 2λ, to the

@@ -8,6 +8,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -115,7 +116,7 @@ func TestDFARMatchesSerialReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !tensor.Equal(images, wantImages, 0) {
+				if !slices.Equal(images.Shape, wantImages.Shape) || !slices.Equal(images.Data, wantImages.Data) {
 					t.Errorf("%s trained=%v round %d: synthetic images differ from the serial reference", spec.Name, trained, r)
 				}
 				if trained && !reflect.DeepEqual(forSet.LossTrace()[r], wantLoss) {
@@ -129,8 +130,8 @@ func TestDFARMatchesSerialReference(t *testing.T) {
 				for i := range labels {
 					labels[i] = yTilde
 				}
-				// A fresh arena every round, where Craft reuses the attack's.
-				w, err := trainAdversary(refCtx, cfg, tensor.NewPool(), wantImages, labels)
+				// A fresh classifier every round, where Craft reuses the attack's.
+				w, err := newClassifier().train(refCtx, cfg, wantImages, labels)
 				if err != nil {
 					t.Fatal(err)
 				}

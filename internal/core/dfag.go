@@ -22,8 +22,8 @@ type DFAG struct {
 	// synthetic data different from class Ỹ").
 	gen         *nn.Network
 	genOpt      *nn.SGD
-	frozen      *nn.Network  // replica of the global model, reloaded each round
-	arena       *tensor.Pool // the adversarial classifier's scratch
+	frozen      *nn.Network // replica of the global model, reloaded each round
+	clf         *classifier // the adversarial classifier's storage
 	latent      *tensor.Tensor
 	targetClass int
 
@@ -38,7 +38,7 @@ func NewDFAG(cfg DFAConfig) (*DFAG, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &DFAG{cfg: cfg, arena: tensor.NewPool(), targetClass: -1}, nil
+	return &DFAG{cfg: cfg, clf: newClassifier(), targetClass: -1}, nil
 }
 
 // Name implements fl.Attack.
@@ -110,7 +110,7 @@ func (a *DFAG) Craft(ctx *fl.AttackContext) ([][]float64, error) {
 
 	a.gen.ResetScratch()
 	images := a.gen.Forward(a.latent, false)
-	w, err := trainAdversary(ctx, cfg, a.arena, images, labels)
+	w, err := a.clf.train(ctx, cfg, images, labels)
 	if err != nil {
 		return nil, err
 	}

@@ -21,8 +21,8 @@ type DFAR struct {
 	// synthesis worker. The replicas persist across rounds; each Craft only
 	// reloads their weights.
 	frozen []*nn.Network
-	// arena is the adversarial classifier's scratch.
-	arena *tensor.Pool
+	// clf is the adversarial classifier's storage.
+	clf *classifier
 }
 
 var _ fl.Attack = (*DFAR)(nil)
@@ -33,7 +33,7 @@ func NewDFAR(cfg DFAConfig) (*DFAR, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &DFAR{cfg: cfg, arena: tensor.NewPool()}, nil
+	return &DFAR{cfg: cfg, clf: newClassifier()}, nil
 }
 
 // Name implements fl.Attack.
@@ -68,7 +68,7 @@ func (a *DFAR) Craft(ctx *fl.AttackContext) ([][]float64, error) {
 	for i := range labels {
 		labels[i] = yTilde
 	}
-	w, err := trainAdversary(ctx, cfg, a.arena, images, labels)
+	w, err := a.clf.train(ctx, cfg, images, labels)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/fl"
-	"repro/internal/tensor"
 )
 
 // RealData is the Fig. 8 comparison attack: instead of synthetic images, the
@@ -19,7 +18,7 @@ type RealData struct {
 	cfg   DFAConfig
 	data  *dataset.Dataset
 	shard []int
-	arena *tensor.Pool // the adversarial classifier's scratch
+	clf   *classifier // the adversarial classifier's storage
 }
 
 var _ fl.Attack = (*RealData)(nil)
@@ -32,7 +31,7 @@ func NewRealData(cfg DFAConfig, data *dataset.Dataset, shard []int) (*RealData, 
 	if data == nil || len(shard) == 0 {
 		return nil, errors.New("core: real-data attack requires a data shard")
 	}
-	return &RealData{cfg: cfg, data: data, shard: append([]int(nil), shard...), arena: tensor.NewPool()}, nil
+	return &RealData{cfg: cfg, data: data, shard: append([]int(nil), shard...), clf: newClassifier()}, nil
 }
 
 // Name implements fl.Attack.
@@ -50,7 +49,7 @@ func (a *RealData) Craft(ctx *fl.AttackContext) ([][]float64, error) {
 	for i := range labels {
 		labels[i] = yTilde
 	}
-	w, err := trainAdversary(ctx, a.cfg, a.arena, images, labels)
+	w, err := a.clf.train(ctx, a.cfg, images, labels)
 	if err != nil {
 		return nil, err
 	}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/tensor"
@@ -33,15 +34,28 @@ type Dataset struct {
 // Len returns the number of samples.
 func (d *Dataset) Len() int { return len(d.Images) }
 
-// Batch assembles the samples at the given indices into a single
+// Batch assembles the samples at the given indices into a fresh
 // [len(idx), C, H, W] tensor plus the matching label slice.
 func (d *Dataset) Batch(idx []int) (*tensor.Tensor, []int) {
+	return d.BatchInto(nil, nil, idx)
+}
+
+// BatchInto is Batch into storage the caller keeps: x (a previous BatchInto
+// result of this dataset, or nil) and labels are reused when they can hold
+// len(idx) samples, and grown otherwise. It returns them resized to the
+// batch, so a trainer that gathers every minibatch through it allocates
+// only for its largest one.
+func (d *Dataset) BatchInto(x *tensor.Tensor, labels, idx []int) (*tensor.Tensor, []int) {
 	if len(idx) == 0 {
 		panic("dataset: Batch of zero indices")
 	}
-	x := tensor.New(len(idx), d.C, d.H, d.W)
-	labels := make([]int, len(idx))
 	per := d.C * d.H * d.W
+	if x == nil || cap(x.Data) < len(idx)*per {
+		x = tensor.New(len(idx), d.C, d.H, d.W)
+	} else {
+		x.Data, x.Shape[0] = x.Data[:len(idx)*per], len(idx)
+	}
+	labels = slices.Grow(labels[:0], len(idx))[:len(idx)]
 	for i, j := range idx {
 		copy(x.Data[i*per:(i+1)*per], d.Images[j].Data)
 		labels[i] = d.Labels[j]

@@ -3,6 +3,7 @@ package dataset
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -106,6 +107,33 @@ func TestBatchAssembly(t *testing.T) {
 				t.Fatalf("pixel mismatch at sample %d", i)
 			}
 		}
+	}
+}
+
+// TestBatchIntoSteadyStateZeroAlloc: BatchInto gathers what Batch does, and
+// once its storage has held the largest batch, a trainer's minibatches of
+// any size up to it allocate nothing.
+func TestBatchIntoSteadyStateZeroAlloc(t *testing.T) {
+	train, _ := Generate(TinySpec(), 7)
+	batches := [][]int{{4, 1, 7, 2}, {9, 3}, {0, 5, 6, 8}}
+	x, labels := train.BatchInto(nil, nil, batches[0])
+	gather := func() {
+		for _, idx := range batches {
+			x, labels = train.BatchInto(x, labels, idx)
+			wantX, wantLabels := train.Batch(idx)
+			if !slices.Equal(x.Shape, wantX.Shape) || !slices.Equal(x.Data, wantX.Data) || !slices.Equal(labels, wantLabels) {
+				t.Fatalf("BatchInto(%v) differs from Batch", idx)
+			}
+		}
+	}
+	gather()
+	reuse := func() {
+		for _, idx := range batches {
+			x, labels = train.BatchInto(x, labels, idx)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, reuse); allocs != 0 {
+		t.Fatalf("steady-state BatchInto allocates %v times per pass, want 0", allocs)
 	}
 }
 

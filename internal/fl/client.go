@@ -12,11 +12,12 @@ import (
 // training (Eq. 1): initialize from the global model, run LocalEpochs of
 // minibatch SGD on the shard, and return the resulting weights.
 //
-// A client does not have to own a model: the simulation's bounded worker
-// pool passes a reused per-worker model (with its scratch arena) to
-// TrainWith, so a 100-client population does not hold 100 model replicas.
-// Standalone clients (the network protocol, examples) construct one with a
-// model and call Train.
+// A client does not have to own a model: TrainWith trains on a model its
+// caller passes, so a 100-client population does not hold 100 model
+// replicas. Standalone clients (the network protocol, examples) construct
+// one with a model and call Train. The simulation's training workers are
+// BenignClients too, each re-targeted at every client it trains, so the
+// shuffle order, the minibatch and the RNG are reused across clients.
 type BenignClient struct {
 	id          int
 	data        *dataset.Dataset
@@ -26,7 +27,12 @@ type BenignClient struct {
 	localEpochs int
 	batchSize   int
 	rng         *rand.Rand
-	scratch     []int
+
+	// order is the shard in this epoch's shuffled order; x and labels hold
+	// the current minibatch. All three are reused from call to call.
+	order  []int
+	x      *tensor.Tensor
+	labels []int
 }
 
 // NewBenignClient creates a client training on data[shard]. model may be
@@ -45,7 +51,6 @@ func NewBenignClient(id int, data *dataset.Dataset, shard []int, model *nn.Netwo
 		localEpochs: localEpochs,
 		batchSize:   batchSize,
 		rng:         rng,
-		scratch:     make([]int, len(shard)),
 	}
 }
 
@@ -65,28 +70,40 @@ func (c *BenignClient) Train(global []float64) (Update, error) {
 // provided model (typically a reused worker model). The model's parameters
 // are fully overwritten before training, so which worker trains which
 // client never influences the result; the client's private randomness
-// drives the shard shuffle exactly as if it owned the model.
+// drives the shard shuffle exactly as if it owned the model. The update's
+// weight vector is freshly allocated: the caller owns it.
 func (c *BenignClient) TrainWith(global []float64, model *nn.Network) (Update, error) {
+	return c.trainInto(make([]float64, 0, model.NumParams()), global, model)
+}
+
+// retarget points the client at client id: its shard (shared, and only ever
+// read) and its training stream, seeded in place — the same stream
+// rand.New(rand.NewSource(seed)) yields.
+func (c *BenignClient) retarget(id int, shard []int, seed int64) {
+	c.id, c.shard = id, shard
+	c.rng.Seed(seed)
+}
+
+// trainInto is TrainWith writing the weights into dst's storage, which
+// holds the model's parameter count.
+func (c *BenignClient) trainInto(dst, global []float64, model *nn.Network) (Update, error) {
 	if err := model.SetWeightVector(global); err != nil {
 		return Update{}, err
 	}
-	copy(c.scratch, c.shard)
+	c.order = append(c.order[:0], c.shard...)
 	for e := 0; e < c.localEpochs; e++ {
-		c.rng.Shuffle(len(c.scratch), func(i, j int) {
-			c.scratch[i], c.scratch[j] = c.scratch[j], c.scratch[i]
+		c.rng.Shuffle(len(c.order), func(i, j int) {
+			c.order[i], c.order[j] = c.order[j], c.order[i]
 		})
-		for start := 0; start < len(c.scratch); start += c.batchSize {
-			end := start + c.batchSize
-			if end > len(c.scratch) {
-				end = len(c.scratch)
-			}
-			x, labels := c.data.Batch(c.scratch[start:end])
-			nn.TrainBatch(model, c.opt, x, labels)
+		for start := 0; start < len(c.order); start += c.batchSize {
+			end := min(start+c.batchSize, len(c.order))
+			c.x, c.labels = c.data.BatchInto(c.x, c.labels, c.order[start:end])
+			nn.TrainBatch(model, c.opt, c.x, c.labels)
 		}
 	}
 	return Update{
 		ClientID:   c.id,
-		Weights:    model.WeightVector(),
+		Weights:    model.AppendWeights(dst[:0]),
 		NumSamples: len(c.shard),
 	}, nil
 }

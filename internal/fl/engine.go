@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/codec"
@@ -20,10 +21,16 @@ import (
 // clients expected to respond, and may return fewer updates when the
 // transport itself loses clients (real stragglers missing a network
 // deadline).
+//
+// Update storage lasts one round: the transport owns the returned slice and
+// every vector its updates reference, and may overwrite them at its next
+// Collect. A consumer that keeps an update past its round — the engine's
+// async buffer is the one — copies what it keeps.
 type Transport interface {
 	// Collect obtains updates from ids, training from global (with prev
 	// available to adversarial trainers). Clients that fail to deliver in
-	// time are simply absent from the returned slice.
+	// time are simply absent from the returned slice, which is valid until
+	// the next Collect.
 	Collect(round int, ids []int, global, prev []float64) ([]Update, error)
 }
 
@@ -309,6 +316,9 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 					if at >= e.Rounds {
 						at = e.Rounds - 1
 					}
+					// The update outlives its round here, so its dense
+					// vector must outlive the transport's storage.
+					u.Weights = slices.Clone(u.Weights)
 					arrivals[at] = append(arrivals[at], pendingUpdate{u: u, dispatched: round, base: base})
 				}
 			}

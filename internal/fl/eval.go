@@ -14,16 +14,19 @@ const evalBatch = 64
 // of a simulation reuse their buffers instead of cloning the model and
 // reallocating activations every round. The evaluated weights are copied
 // into each worker clone, never shared, so workers hold no common layer
-// state.
+// state. The evaluated prefix never changes, so its batch tensors are
+// gathered once, at the first evaluation, and read by every later one.
 type Evaluator struct {
 	ds      *dataset.Dataset
 	limit   int
 	workers []*evalWorker
+	// batches and labels hold the evaluated prefix in evalBatch chunks.
+	batches []*tensor.Tensor
+	labels  [][]int
 }
 
 type evalWorker struct {
 	model *nn.Network
-	idx   []int
 	preds []int
 }
 
@@ -42,6 +45,23 @@ func (e *Evaluator) ensureWorkers(model *nn.Network, n int) {
 	}
 }
 
+// gather builds the prefix's batch tensors on first use.
+func (e *Evaluator) gather(n int) {
+	if e.batches != nil {
+		return
+	}
+	idx := make([]int, evalBatch)
+	for start := 0; start < n; start += evalBatch {
+		idx = idx[:min(evalBatch, n-start)]
+		for i := range idx {
+			idx[i] = start + i
+		}
+		x, labels := e.ds.Batch(idx)
+		e.batches = append(e.batches, x)
+		e.labels = append(e.labels, labels)
+	}
+}
+
 // syncWeights copies src's parameters into dst (architectures must match).
 func syncWeights(dst, src *nn.Network) {
 	dp, sp := dst.Params(), src.Params()
@@ -50,14 +70,9 @@ func syncWeights(dst, src *nn.Network) {
 	}
 }
 
-// countCorrect evaluates samples [start, end) and returns the number of
-// correct top-1 predictions.
-func (w *evalWorker) countCorrect(ds *dataset.Dataset, start, end int) int {
-	w.idx = w.idx[:0]
-	for i := start; i < end; i++ {
-		w.idx = append(w.idx, i)
-	}
-	x, labels := ds.Batch(w.idx)
+// countCorrect evaluates batch x and returns the number of correct top-1
+// predictions.
+func (w *evalWorker) countCorrect(x *tensor.Tensor, labels []int) int {
 	w.model.ResetScratch()
 	w.preds = nn.PredictInto(w.preds, w.model.Forward(x, false))
 	correct := 0
@@ -81,7 +96,8 @@ func (e *Evaluator) Accuracy(model *nn.Network, parallel bool) float64 {
 	if n == 0 {
 		return 0
 	}
-	chunks := (n + evalBatch - 1) / evalBatch
+	e.gather(n)
+	chunks := len(e.batches)
 	workers := 1
 	if parallel {
 		workers = tensor.Workers()
@@ -98,7 +114,7 @@ func (e *Evaluator) Accuracy(model *nn.Network, parallel bool) float64 {
 	// total compute goroutines within the -threads pin.
 	results := make([]int, chunks)
 	tensor.Drain(workers, chunks, func(wi, c int) {
-		results[c] = e.workers[wi].countCorrect(e.ds, c*evalBatch, min(c*evalBatch+evalBatch, n))
+		results[c] = e.workers[wi].countCorrect(e.batches[c], e.labels[c])
 	})
 	correct := 0
 	for _, r := range results {
@@ -110,7 +126,7 @@ func (e *Evaluator) Accuracy(model *nn.Network, parallel bool) float64 {
 // Evaluate returns the model's top-1 accuracy on the first limit samples of
 // the dataset (limit <= 0 means all). It is the one-shot form of Evaluator;
 // simulations hold an Evaluator so per-round evaluations reuse their worker
-// clones and arenas.
+// clones, arenas and batches.
 func Evaluate(model *nn.Network, ds *dataset.Dataset, limit int, parallel bool) float64 {
 	return NewEvaluator(ds, limit).Accuracy(model, parallel)
 }

@@ -97,7 +97,9 @@ func ScoreRanks(scores []float64) []float64 {
 	sort.Slice(order, func(a, b int) bool { return scores[order[a]] < scores[order[b]] })
 	out := make([]float64, n)
 	for i := 0; i < n; {
-		j := i
+		// A tie group holds at least its first score, even a NaN one,
+		// which equals nothing.
+		j := i + 1
 		for j < n && scores[order[j]] == scores[order[i]] {
 			j++
 		}

@@ -3,6 +3,7 @@ package fl
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -302,5 +303,21 @@ func TestBenignClientTrains(t *testing.T) {
 	// Wrong-length global must error.
 	if _, err := c.Train(global[:10]); err == nil {
 		t.Fatal("expected error for truncated global vector")
+	}
+}
+
+// TestScoreRanks pins the average-rank transform: ties share their average
+// rank, and a NaN score, which equals nothing, is a group of its own, so
+// the transform terminates on it.
+func TestScoreRanks(t *testing.T) {
+	got := ScoreRanks([]float64{0.3, 0.1, 0.3, 0.9})
+	if want := []float64{2.5 / 4, 1.0 / 4, 2.5 / 4, 4.0 / 4}; !slices.Equal(got, want) {
+		t.Fatalf("ScoreRanks = %v, want %v", got, want)
+	}
+	got = ScoreRanks([]float64{0.3, math.NaN(), 0.1})
+	for i, r := range got {
+		if !(r > 0 && r <= 1) {
+			t.Fatalf("rank %d of a NaN-holding round is %v, want (0, 1]", i, r)
+		}
 	}
 }

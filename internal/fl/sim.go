@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/dataset"
@@ -128,13 +129,14 @@ type Placement interface {
 // It holds no per-client state, so memory is O(PerRound) participants plus
 // whatever the source caches — never O(TotalClients).
 //
-// Client training runs on a bounded worker pool: each worker owns one model
-// replica with an attached scratch arena, both reused across clients and
-// rounds, so per-round cost does not include model construction and the
-// steady-state training path does not allocate. A client's result depends
-// only on the global weights and its (seed, round, id) training stream,
-// never on which worker trains it, so Parallel changes wall-clock only —
-// see TestParallelDeterminism.
+// Client training runs on a bounded worker pool. Each worker is a
+// BenignClient that owns a model replica with its scratch arena, an RNG,
+// the shuffle order and the minibatch, and is re-targeted at every client
+// it trains; each selection slot owns one update vector. All of it is
+// reused across clients and rounds, so a warm Collect allocates nothing per
+// client. A client's result depends only on the global weights and its
+// (seed, round, id) training stream, never on which worker trains it, so
+// Parallel changes wall-clock only — see TestParallelDeterminism.
 type Simulation struct {
 	cfg        Config
 	train      *dataset.Dataset
@@ -145,8 +147,14 @@ type Simulation struct {
 	attack     Attack
 
 	global  *nn.Network
-	workers []*nn.Network
+	workers []*BenignClient
 	eval    *Evaluator
+
+	// slots holds one update vector per selection slot; updates and errs
+	// are Collect's result storage. Valid until the next Collect.
+	slots   [][]float64
+	updates []Update
+	errs    []error
 }
 
 // NewSimulation constructs a simulation over src's cfg.TotalClients clients.
@@ -182,15 +190,15 @@ func NewSimulation(cfg Config, train, test *dataset.Dataset, src ClientSource, p
 	}, nil
 }
 
-// ensureWorkers grows the training worker pool to n reusable model
-// replicas, each with its own scratch arena. The replica weights are fully
-// overwritten at the start of every client's training, so the constructor
-// randomness is irrelevant.
+// ensureWorkers grows the training worker pool to n reusable clients, each
+// with its own model replica and scratch arena. The replica weights are
+// fully overwritten and the RNG re-seeded at the start of every client's
+// training, so the constructor randomness is irrelevant.
 func (s *Simulation) ensureWorkers(n int) {
 	for len(s.workers) < n {
 		m := s.newModel(rand.New(rand.NewSource(s.cfg.Seed)))
-		m.SetScratch(tensor.NewPool())
-		s.workers = append(s.workers, m)
+		s.workers = append(s.workers, NewBenignClient(0, s.train, nil, m,
+			s.cfg.LR, s.cfg.LocalEpochs, s.cfg.BatchSize, rand.New(rand.NewSource(0))))
 	}
 }
 
@@ -201,7 +209,11 @@ func (s *Simulation) GlobalWeights() []float64 {
 
 // Run executes the configured number of rounds on the shared round engine
 // and returns the result.
-func (s *Simulation) Run() (*Result, error) {
+func (s *Simulation) Run() (*Result, error) { return s.run(s) }
+
+// run is Run with the engine collecting through tr, the simulation itself
+// or a test's wrapper around it.
+func (s *Simulation) run(tr Transport) (*Result, error) {
 	eng := &Engine{
 		TotalClients: s.cfg.TotalClients,
 		PerRound:     s.cfg.PerRound,
@@ -209,7 +221,7 @@ func (s *Simulation) Run() (*Result, error) {
 		EvalEvery:    s.cfg.EvalEvery,
 		Seed:         s.cfg.Seed,
 		Scenario:     s.cfg.Scenario,
-		Transport:    s,
+		Transport:    tr,
 		Aggregator:   s.aggregator,
 		Attack:       s.attack,
 		NewModel:     s.newModel,
@@ -259,28 +271,33 @@ func Mix64(a, b uint64) int64 {
 // are independent of which clients earlier rounds touched, of shard
 // materialization and of scheduling order. The 0x7 tag keeps the stream
 // disjoint from the population's per-client shard-derivation streams.
-func (s *Simulation) trainClient(round, id int, global []float64, model *nn.Network) (Update, error) {
-	rng := rand.New(rand.NewSource(Mix64(uint64(s.cfg.Seed)^uint64(round)*0x9E3779B97F4A7C15, uint64(id)<<8|0x7)))
-	client := NewBenignClient(id, s.train, s.src.Shard(id), nil, s.cfg.LR, s.cfg.LocalEpochs, s.cfg.BatchSize, rng)
-	return client.TrainWith(global, model)
+// worker is re-targeted at the client and writes the weights into dst.
+func (s *Simulation) trainClient(round, id int, global, dst []float64, worker *BenignClient) (Update, error) {
+	worker.retarget(id, s.src.Shard(id), Mix64(uint64(s.cfg.Seed)^uint64(round)*0x9E3779B97F4A7C15, uint64(id)<<8|0x7))
+	return worker.trainInto(dst, global, worker.model)
 }
 
 // Collect implements Transport: it trains the selected benign clients on
 // the bounded worker pool. At most tensor.Workers() goroutines run, each
-// owning one reused model replica and arena, and tensor.Drain starts a
-// replica whenever a slot is free while clients remain — so the slot the
-// round's craft (see Engine.collectAttacked) gives back joins the queue.
-// Every update lands in its selection slot, whichever replica trained it.
+// owning one reused worker client, and tensor.Drain starts a worker
+// whenever a slot is free while clients remain — so the slot the round's
+// craft (see Engine.collectAttacked) gives back joins the queue. Every
+// update lands in its selection slot's vector, whichever worker trained it;
+// the vectors are the simulation's and valid until the next Collect.
 func (s *Simulation) Collect(round int, ids []int, global, _ []float64) ([]Update, error) {
-	updates := make([]Update, len(ids))
 	workers := 1
 	if s.cfg.Parallel {
 		workers = min(tensor.Workers(), len(ids))
 	}
 	s.ensureWorkers(workers)
-	errs := make([]error, len(ids))
+	for len(s.slots) < len(ids) {
+		s.slots = append(s.slots, make([]float64, len(global)))
+	}
+	updates := slices.Grow(s.updates[:0], len(ids))[:len(ids)]
+	errs := slices.Grow(s.errs[:0], len(ids))[:len(ids)]
+	s.updates, s.errs = updates, errs
 	tensor.Drain(workers, len(ids), func(w, i int) {
-		updates[i], errs[i] = s.trainClient(round, ids[i], global, s.workers[w])
+		updates[i], errs[i] = s.trainClient(round, ids[i], global, s.slots[i], s.workers[w])
 	})
 	for _, err := range errs {
 		if err != nil {

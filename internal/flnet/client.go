@@ -179,6 +179,11 @@ func DialFederation(addr, federation string, trainer Trainer, timeout time.Durat
 		return nil, joinError(ack, err, federation, spec)
 	}
 	conn.dim = ack.Dim
+	if !spec.Enabled() {
+		// Every dense update is the same size: size the write buffer for it
+		// once rather than growing it by doubling on the first reply.
+		conn.wbuf = make([]byte, 0, headerSize+8*ack.Dim)
+	}
 	buf := make([]float64, 2*ack.Dim)
 	return &Client{
 		conn: conn, trainer: trainer, enc: codec.NewEncoder(spec), ID: ack.ClientID,

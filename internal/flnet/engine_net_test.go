@@ -337,19 +337,42 @@ func TestServeStopsAcceptLoopKeepsListener(t *testing.T) {
 }
 
 // TestAsyncBufferedOverSockets drives the engine's FedBuff-style mode over
-// real connections: the federation completes, buffer flushes happen, and
-// the model is evaluated every round.
+// real connections, with deterministic trainers, and checks the run against
+// an oracle: the same fl.Engine over an in-process transport that returns
+// the same updates, each in a vector of its own, must end on the same final
+// weights bit for bit. Async is where an update outlives its round, so this
+// is what catches a buffered update that still points into the storage its
+// session decodes the next update into.
 func TestAsyncBufferedOverSockets(t *testing.T) {
 	f := newNetFixture(t, 25, 3)
 	lis := f.listen(t)
-	srv, err := NewServer(ServerConfig{
+	cfg := ServerConfig{
 		MinClients:   3,
 		PerRound:     2,
 		Rounds:       4,
 		RoundTimeout: 10 * time.Second,
 		Seed:         7,
 		Scenario:     fl.Scenario{Async: &fl.AsyncConfig{Buffer: 3, MaxDelay: 1}},
-	}, defense.FedAvg{}, f.newModel, f.test)
+	}
+	// Client i answers every request with global + its fixed delta.
+	initial := f.newModel(rand.New(rand.NewSource(cfg.Seed))).WeightVector()
+	rng := rand.New(rand.NewSource(3))
+	deltas := make([][]float64, cfg.MinClients)
+	for i := range deltas {
+		deltas[i] = make([]float64, len(initial))
+		for j := range deltas[i] {
+			deltas[i][j] = rng.NormFloat64() * 0.01
+		}
+	}
+	train := func(id int, global []float64) ([]float64, int) {
+		w := make([]float64, len(global))
+		for j, g := range global {
+			w[j] = g + deltas[id][j]
+		}
+		return w, 10 + id
+	}
+
+	srv, err := NewServer(cfg, defense.FedAvg{}, f.newModel, f.test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,14 +385,23 @@ func TestAsyncBufferedOverSockets(t *testing.T) {
 		res, err := srv.Serve(lis)
 		done <- out{res, err}
 	}()
-	addr := lis.Addr().String()
 	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
+	for i := 0; i < cfg.MinClients; i++ {
+		// Sequential joins get sequential IDs, so session i trains as client i.
+		client, err := Dial(lis.Addr().String(), funcTrainer(func(_ int, global []float64) ([]float64, int) {
+			return train(i, global)
+		}), 10*time.Second)
+		if err != nil {
+			t.Fatalf("client %d: %v", i, err)
+		}
+		if client.ID != i {
+			t.Fatalf("client %d assigned ID %d", i, client.ID)
+		}
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			f.runBenign(addr, i, int64(40+i))
-		}(i)
+			_, _ = client.Run()
+		}()
 	}
 	var o out
 	select {
@@ -397,4 +429,34 @@ func TestAsyncBufferedOverSockets(t *testing.T) {
 	if math.IsNaN(o.res.FinalAccuracy) {
 		t.Fatal("final accuracy missing")
 	}
+
+	eng := &fl.Engine{
+		TotalClients: cfg.MinClients,
+		PerRound:     cfg.PerRound,
+		Rounds:       cfg.Rounds,
+		Seed:         cfg.Seed,
+		Scenario:     cfg.Scenario,
+		Transport:    trainerTransport(train),
+		Aggregator:   defense.FedAvg{},
+	}
+	_, want, err := eng.Run(initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := weightsDigest(o.res.FinalWeights), weightsDigest(want); got != want {
+		t.Fatalf("async final weights over sockets %s, in-process %s", got, want)
+	}
+}
+
+// trainerTransport is the in-process twin of a socket federation whose
+// client id answers with train(id, global): each update in a fresh vector.
+type trainerTransport func(id int, global []float64) ([]float64, int)
+
+func (tr trainerTransport) Collect(_ int, ids []int, global, _ []float64) ([]fl.Update, error) {
+	updates := make([]fl.Update, len(ids))
+	for i, id := range ids {
+		w, n := tr(id, global)
+		updates[i] = fl.Update{ClientID: id, Weights: w, NumSamples: n}
+	}
+	return updates, nil
 }

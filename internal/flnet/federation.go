@@ -613,16 +613,21 @@ func (cl *session) roundTrip(round int, gen uint64, bufs [][]byte) (header, []by
 // content — a foreign client ID, a negative sample count, non-finite weights
 // (checked while decoding), the wrong body kind, a frame of another dimension
 // or spec — fails closed: the client is absent for the round, like a
-// straggler, but the stream stays in sync and the session usable. A frame
-// body decodes to a frame-only update; the defense builds whatever dense
-// vectors it needs (fl.Update.Vector).
+// straggler, but the stream stays in sync and the session usable. A dense
+// body decodes into the session's own vector, which the update references
+// until the next round (fl.Transport's lifetime rule); a frame body decodes
+// to a frame-only update, and the defense builds whatever dense vectors it
+// needs (fl.Update.Vector).
 func (cl *session) decodeUpdate(h header, body []byte, global []float64) (fl.Update, bool) {
 	u := fl.Update{ClientID: cl.id, NumSamples: h.samples}
 	if h.client != cl.id || h.samples < 0 || (h.flags == UpdateFrame) != cl.spec.Enabled() {
 		return u, false
 	}
 	if !cl.spec.Enabled() {
-		u.Weights = make([]float64, len(global))
+		if len(cl.weights) != len(global) {
+			cl.weights = make([]float64, len(global))
+		}
+		u.Weights = cl.weights
 		return u, decodeF64s(u.Weights, body)
 	}
 	frame, err := codec.DecodeWire(body, len(global))

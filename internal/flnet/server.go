@@ -154,6 +154,8 @@ type session struct {
 	broken bool
 	// hdr is the scratch for a per-session header (inlined-prev requests).
 	hdr [headerSize]byte
+	// weights is the vector a dense session's updates decode into.
+	weights []float64
 }
 
 // Server is the single-tenant deployment: a Host with one anonymous

@@ -318,6 +318,44 @@ func TestClientRecvSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestDenseUpdateDecodeSteadyStateZeroAlloc: once a dense session's read
+// buffer and update vector exist, reading and decoding an Update allocates
+// nothing, and the update is the session's own vector.
+func TestDenseUpdateDecodeSteadyStateZeroAlloc(t *testing.T) {
+	const dim = 10010
+	weights := make([]float64, dim)
+	for i := range weights {
+		weights[i] = float64(i) * 0.25
+	}
+	upd := Envelope{Type: MsgUpdate, Round: 2, ClientID: 1, NumSamples: 32, Weights: weights}
+	msg, err := upd.appendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := NewConn(&loopConn{msg: msg}, time.Second)
+	conn.dim = dim
+	cl := &session{id: 1, conn: conn}
+	global := make([]float64, dim)
+	var u fl.Update
+	decode := func() {
+		h, body, err := cl.conn.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ok bool
+		if u, ok = cl.decodeUpdate(h, body, global); !ok {
+			t.Fatal("a well-formed dense update was rejected")
+		}
+	}
+	decode() // sizes the read buffer and the session's vector
+	if allocs := testing.AllocsPerRun(50, decode); allocs != 0 {
+		t.Fatalf("steady-state dense update decode allocates %v times per update, want 0", allocs)
+	}
+	if !slices.Equal(u.Weights, weights) || &u.Weights[0] != &cl.weights[0] || u.NumSamples != 32 {
+		t.Fatal("the update is not the session's vector holding the sent weights")
+	}
+}
+
 // funcTrainer adapts a function to Trainer.
 type funcTrainer func(round int, global []float64) ([]float64, int)
 

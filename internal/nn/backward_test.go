@@ -51,7 +51,7 @@ func TestBackwardHalvesMatchFull(t *testing.T) {
 
 			inputOnly.Forward(x, true)
 			dx := inputOnly.BackwardInput(g)
-			if !tensor.Equal(dx, wantDx, 0) {
+			if !sameTensor(dx, wantDx) {
 				t.Errorf("%s workers=%d: BackwardInput dX differs from Backward", tc.name, workers)
 			}
 			for i, gr := range inputOnly.Grads() {
@@ -65,7 +65,7 @@ func TestBackwardHalvesMatchFull(t *testing.T) {
 			paramsOnly.Forward(x, true)
 			paramsOnly.BackwardParams(g)
 			for i, gr := range paramsOnly.Grads() {
-				if !tensor.Equal(gr, full.Grads()[i], 0) {
+				if !sameTensor(gr, full.Grads()[i]) {
 					t.Errorf("%s workers=%d: BackwardParams Grads[%d] differs from Backward", tc.name, workers, i)
 				}
 			}

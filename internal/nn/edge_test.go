@@ -140,7 +140,7 @@ func TestCrossEntropyGradientRowsSumToZeroProperty(t *testing.T) {
 		for b := 0; b < batch; b++ {
 			sum := 0.0
 			for j := 0; j < classes; j++ {
-				sum += grad.At(b, j)
+				sum += at(grad, b, j)
 			}
 			if math.Abs(sum) > 1e-9 {
 				return false

@@ -195,14 +195,19 @@ func (n *Network) NumParams() int {
 	return total
 }
 
-// WeightVector flattens all parameters into a single []float64 — the update
+// WeightVector flattens all parameters into a fresh []float64 — the update
 // representation exchanged with the federated server.
 func (n *Network) WeightVector() []float64 {
-	out := make([]float64, 0, n.NumParams())
+	return n.AppendWeights(make([]float64, 0, n.NumParams()))
+}
+
+// AppendWeights appends the flattened parameters to dst and returns the
+// extended slice: WeightVector into storage the caller keeps.
+func (n *Network) AppendWeights(dst []float64) []float64 {
 	for _, p := range n.Params() {
-		out = append(out, p.Data...)
+		dst = append(dst, p.Data...)
 	}
-	return out
+	return dst
 }
 
 // SetWeightVector loads a flat weight vector produced by WeightVector back

@@ -10,7 +10,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -58,30 +57,6 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// At returns the element at the given multi-dimensional index.
-func (t *Tensor) At(idx ...int) float64 {
-	return t.Data[t.offset(idx)]
-}
-
-// Set stores v at the given multi-dimensional index.
-func (t *Tensor) Set(v float64, idx ...int) {
-	t.Data[t.offset(idx)] = v
-}
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.Shape) {
-		panic(fmt.Sprintf("tensor: index %v does not match shape %v", idx, t.Shape))
-	}
-	off := 0
-	for d, i := range idx {
-		if i < 0 || i >= t.Shape[d] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.Shape))
-		}
-		off = off*t.Shape[d] + i
-	}
-	return off
-}
-
 // Zero sets every element of t to 0.
 func (t *Tensor) Zero() {
 	for i := range t.Data {
@@ -125,49 +100,6 @@ func (t *Tensor) Sum() float64 {
 		s += v
 	}
 	return s
-}
-
-// MaxIndex returns the index of the largest element (ties resolve to the
-// first occurrence). It panics on an empty tensor.
-func (t *Tensor) MaxIndex() int {
-	if len(t.Data) == 0 {
-		panic("tensor: MaxIndex of empty tensor")
-	}
-	best, bestV := 0, t.Data[0]
-	for i, v := range t.Data {
-		if v > bestV {
-			best, bestV = i, v
-		}
-	}
-	return best
-}
-
-// Norm2 returns the Euclidean norm of all elements.
-func (t *Tensor) Norm2() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// Equal reports whether two tensors have identical shapes and element-wise
-// difference within eps.
-func Equal(a, b *Tensor, eps float64) bool {
-	if len(a.Shape) != len(b.Shape) {
-		return false
-	}
-	for i := range a.Shape {
-		if a.Shape[i] != b.Shape[i] {
-			return false
-		}
-	}
-	for i := range a.Data {
-		if math.Abs(a.Data[i]-b.Data[i]) > eps {
-			return false
-		}
-	}
-	return true
 }
 
 // The matrix kernels (the raw-slice GemmNN, GemmTN and GemmNT, and the
