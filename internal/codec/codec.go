@@ -202,9 +202,9 @@ const streamQuant = 0xC0DEC
 // consumed in ascending position order over the quantized array.
 type roundStream struct{ x uint64 }
 
-func newRoundStream(clientID, round int) *roundStream {
+func newRoundStream(clientID, round int) roundStream {
 	seed := mix64raw(uint64(clientID)*0x9E3779B97F4A7C15^uint64(round), streamQuant)
-	return &roundStream{x: seed}
+	return roundStream{x: seed}
 }
 
 func (r *roundStream) next() float64 {

@@ -95,7 +95,13 @@ func TestQuantizeInt8Properties(t *testing.T) {
 	for i := Block; i < 2*Block; i++ {
 		vals[i] = 0
 	}
-	q, scales := quantizeInt8(vals, newRoundStream(3, 9))
+	quantize := func(client, round int) ([]int8, []float64) {
+		q, scales := make([]int8, len(vals)), make([]float64, (len(vals)+Block-1)/Block)
+		rs := newRoundStream(client, round)
+		quantizeInt8(vals, q, scales, &rs)
+		return q, scales
+	}
+	q, scales := quantize(3, 9)
 	if len(scales) != 4 {
 		t.Fatalf("scales = %d blocks, want 4", len(scales))
 	}
@@ -112,12 +118,12 @@ func TestQuantizeInt8Properties(t *testing.T) {
 		}
 	}
 	// Deterministic replay: same (client, round) stream, same output.
-	q2, scales2 := quantizeInt8(vals, newRoundStream(3, 9))
+	q2, scales2 := quantize(3, 9)
 	if !reflect.DeepEqual(q, q2) || !reflect.DeepEqual(scales, scales2) {
 		t.Fatal("quantizeInt8 not deterministic for a fixed stream key")
 	}
 	// Different round: different rounding decisions somewhere.
-	q3, _ := quantizeInt8(vals, newRoundStream(3, 10))
+	q3, _ := quantize(3, 10)
 	if reflect.DeepEqual(q, q3) {
 		t.Fatal("distinct rounds produced identical stochastic rounding")
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/tensor"
 )
@@ -21,6 +22,11 @@ const Block = tensor.Int8Block
 // vector w itself, verbatim, so that the lossless "raw" codec reconstructs
 // clients' updates bit-identically to an uncompressed run (g + (w−g) would
 // re-round and break that equivalence).
+//
+// EncodeInto and DecodeWireInto refill a frame in place, reusing its
+// storage, so a frame with one owner — a session, an encode slot — costs
+// nothing per round; whoever keeps a frame past its owner's next fill keeps
+// a Clone.
 type Frame struct {
 	// Spec is the codec configuration that produced the frame.
 	Spec Spec
@@ -106,18 +112,27 @@ func (f *Frame) AddDelta(dst []float64) {
 	}
 }
 
+// Clone returns a deep copy of the frame, sharing no storage with it: what a
+// consumer keeps when the frame itself belongs to a session that refills it.
+func (f *Frame) Clone() *Frame {
+	return &Frame{
+		Spec: f.Spec, Dim: f.Dim,
+		Idx: slices.Clone(f.Idx), Val: slices.Clone(f.Val),
+		Q: slices.Clone(f.Q), Scales: slices.Clone(f.Scales),
+	}
+}
+
 // Encoder compresses per-client round updates under one Spec. When the spec
 // enables error feedback the encoder carries each client's residual across
 // rounds, so it must be reused for the whole run; without EF its only state
-// is scratch. Encode is not safe for concurrent use.
+// is scratch. Encode and EncodeInto are not safe for concurrent use.
 type Encoder struct {
 	spec Spec
 	res  map[int][]float64
-	// delta and cand are the O(d) work arrays of one encode (the delta, the
-	// radix select's candidate magnitudes), kept across calls; only what a
-	// returned Frame references is allocated per encode.
+	// delta is the work array of an encode without error feedback, kept
+	// across calls; what a frame references lives in the frame (EncodeInto
+	// reuses it).
 	delta []float64
-	cand  []uint64
 }
 
 // NewEncoder returns an encoder for the spec, or nil for a disabled spec.
@@ -139,20 +154,33 @@ func NewEncoder(spec Spec) *Encoder {
 // Spec returns the encoder's configuration.
 func (e *Encoder) Spec() Spec { return e.spec }
 
-// Encode compresses one client's round update (weights trained from
-// global). Deterministic: the int8 rounding stream is keyed by (clientID,
-// round) and consumed in ascending position order, and top-k selection
-// breaks magnitude ties by lower index.
+// Encode compresses one client's round update (weights trained from global)
+// into a fresh frame; see EncodeInto.
 func (e *Encoder) Encode(clientID, round int, global, weights []float64) *Frame {
+	f := new(Frame)
+	e.EncodeInto(f, clientID, round, global, weights)
+	return f
+}
+
+// EncodeInto compresses one client's round update (weights trained from
+// global) into f, overwriting every field and reusing f's storage: frames of
+// one spec and dimension all have the same layout, so a frame refilled
+// round after round allocates only on its first encode. Deterministic: the
+// int8 rounding stream is keyed by (clientID, round) and consumed in
+// ascending position order, and top-k selection breaks magnitude ties by
+// lower index — the frame is the same whatever f held before.
+func (e *Encoder) EncodeInto(f *Frame, clientID, round int, global, weights []float64) {
 	dim := len(global)
 	if len(weights) != dim {
 		panic(fmt.Sprintf("codec: Encode weights dim %d vs global %d", len(weights), dim))
 	}
+	f.Spec, f.Dim = e.spec, dim
 	if e.spec.Quant == Raw && e.spec.TopK == 0 {
 		// Lossless dense control: ship the weights verbatim.
-		val := make([]float64, dim)
-		copy(val, weights)
-		return &Frame{Spec: e.spec, Dim: dim, Val: val}
+		f.Idx, f.Q, f.Scales = nil, nil, nil
+		f.Val = scratch(&f.Val, dim)
+		copy(f.Val, weights)
+		return
 	}
 
 	// With error feedback the delta is built in the client's residual buffer,
@@ -173,35 +201,44 @@ func (e *Encoder) Encode(clientID, round int, global, weights []float64) *Frame 
 		}
 	}
 
-	f := &Frame{Spec: e.spec, Dim: dim}
+	// vals is what gets quantized: the delta itself for a dense frame, its
+	// kept coordinates gathered into the frame's Val for a sparse one (each
+	// quantization below overwrites them in place once it has read them).
 	vals := delta
 	if e.spec.TopK > 0 {
-		f.Idx = e.topKIndices(delta, e.spec.TopK)
-		vals = make([]float64, len(f.Idx))
+		f.Idx = topKIndices(f.Idx, delta, e.spec.TopK)
+		f.Val = scratch(&f.Val, len(f.Idx))
 		for t, id := range f.Idx {
-			vals[t] = delta[id]
+			f.Val[t] = delta[id]
 		}
+		vals = f.Val
+	} else {
+		f.Idx = nil
 	}
 
 	switch e.spec.Quant {
 	case Raw:
-		f.Val = vals // sparse raw: vals is already a fresh gather
+		// Sparse raw: Val already holds the gather.
+		f.Q, f.Scales = nil, nil
 	case FP16:
-		out := make([]float64, len(vals))
+		f.Val = scratch(&f.Val, len(vals))
 		for i, v := range vals {
-			out[i] = f16ToF64(f64ToF16(v))
+			f.Val[i] = f16ToF64(f64ToF16(v))
 		}
-		f.Val = out
+		f.Q, f.Scales = nil, nil
 	case Int8:
-		f.Q, f.Scales = quantizeInt8(vals, newRoundStream(clientID, round))
+		f.Q = scratch(&f.Q, len(vals))
+		f.Scales = scratch(&f.Scales, (len(vals)+Block-1)/Block)
+		rs := newRoundStream(clientID, round)
+		quantizeInt8(vals, f.Q, f.Scales, &rs)
 		if f.Idx != nil {
 			// Sparse int8 keeps the dequantized values alongside Q so the
 			// merge geometry and AddDelta stay O(k) float operations.
-			out := make([]float64, len(vals))
-			for i := range out {
-				out[i] = f.Scales[i/Block] * float64(f.Q[i])
+			for i := range f.Val {
+				f.Val[i] = f.Scales[i/Block] * float64(f.Q[i])
 			}
-			f.Val = out
+		} else {
+			f.Val = nil
 		}
 	}
 
@@ -223,7 +260,6 @@ func (e *Encoder) Encode(clientID, round int, global, weights []float64) *Frame 
 		}
 		e.res[clientID] = delta
 	}
-	return f
 }
 
 // scratch returns *buf resized to n, growing it only when too small. The
@@ -255,10 +291,11 @@ func magBits(v float64) uint64 { return math.Float64bits(v) &^ (1 << 63) }
 // algorithm yields it: exactly the coordinates whose magnitude exceeds the
 // k-th largest, plus the lowest-index ones at that magnitude until k are
 // chosen — one ascending pass once kthMagnitude has found the threshold.
-func (e *Encoder) topKIndices(delta []float64, frac float64) []int32 {
+// The indices are written over dst's storage.
+func topKIndices(dst []int32, delta []float64, frac float64) []int32 {
 	k := keepCount(frac, len(delta))
-	t, ties := e.kthMagnitude(delta, k)
-	idx := make([]int32, 0, k)
+	t, ties := kthMagnitude(delta, k)
+	idx := scratch(&dst, k)[:0]
 	for i, v := range delta {
 		if m := magBits(v); m > t {
 			idx = append(idx, int32(i))
@@ -269,6 +306,11 @@ func (e *Encoder) topKIndices(delta []float64, frac float64) []int32 {
 	}
 	return idx
 }
+
+// candPool lends kthMagnitude its candidate scratch. An encode is short and
+// never blocks, so a process needs about one buffer per running goroutine,
+// however many encoders it holds — a socket host's clients hold one each.
+var candPool sync.Pool
 
 // radixBits is the digit width of kthMagnitude's radix select: the first
 // digit of a magnitude's 63 bits is exactly the float64 exponent.
@@ -286,7 +328,7 @@ const (
 // digit leaves about a third of a Gaussian delta, the next a handful) and
 // none has a data-dependent branch to mispredict. The value is
 // algorithm-independent, so frames do not depend on how it is found.
-func (e *Encoder) kthMagnitude(delta []float64, k int) (t uint64, ties int) {
+func kthMagnitude(delta []float64, k int) (t uint64, ties int) {
 	var hist [1 << radixBits]int
 	// The first digit is read off the delta itself: only the members of its
 	// bucket are ever stored as candidates.
@@ -295,7 +337,14 @@ func (e *Encoder) kthMagnitude(delta []float64, k int) (t uint64, ties int) {
 		hist[magBits(v)>>shift]++
 	}
 	digit, k := rankBucket(&hist, k)
-	cand := scratch(&e.cand, len(delta))
+	// The compaction below writes at most one slot past the bucket's last
+	// member, so the scratch holds the bucket, not the delta.
+	buf, _ := candPool.Get().(*[]uint64)
+	if buf == nil {
+		buf = new([]uint64)
+	}
+	defer candPool.Put(buf)
+	cand := scratch(buf, hist[digit]+1)
 	n := 0
 	for _, v := range delta {
 		m := magBits(v)
@@ -344,19 +393,16 @@ func rankBucket(hist *[1 << radixBits]int, k int) (digit uint64, rank int) {
 // mispredict on a third of a Gaussian delta's coordinates.
 func isDigit(x, digit uint64) int { return int((x ^ digit - 1) >> 63) }
 
-// quantizeInt8 quantizes vals with one scale per Block elements:
-// scale = maxabs/127, q = stochastic-round(v/scale) clamped to ±127. Every
-// element consumes exactly one draw from the stream, in ascending order. A
-// block holding a NaN or an infinity gets that non-finite magnitude as its
-// scale and zero quantized values: it decodes to NaN throughout, and the
-// wire decoder rejects the scale — a diverged client's update is not
-// laundered into finite numbers.
-func quantizeInt8(vals []float64, rs *roundStream) (q []int8, scales []float64) {
+// quantizeInt8 quantizes vals into q (len(vals)) and scales (one per Block
+// elements): scale = maxabs/127, q = stochastic-round(v/scale) clamped to
+// ±127. Every element consumes exactly one draw from the stream, in
+// ascending order. A block holding a NaN or an infinity gets that
+// non-finite magnitude as its scale and zero quantized values: it decodes
+// to NaN throughout, and the wire decoder rejects the scale — a diverged
+// client's update is not laundered into finite numbers.
+func quantizeInt8(vals []float64, q []int8, scales []float64, rs *roundStream) {
 	n := len(vals)
-	nb := (n + Block - 1) / Block
-	q = make([]int8, n)
-	scales = make([]float64, nb)
-	for b := 0; b < nb; b++ {
+	for b := range scales {
 		lo, hi := b*Block, (b+1)*Block
 		if hi > n {
 			hi = n
@@ -373,6 +419,7 @@ func quantizeInt8(vals []float64, rs *roundStream) (q []int8, scales []float64) 
 			// stay aligned with element positions.
 			scales[b] = maxabs
 			for i := lo; i < hi; i++ {
+				q[i] = 0
 				rs.next()
 			}
 			continue
@@ -393,5 +440,4 @@ func quantizeInt8(vals []float64, rs *roundStream) (q []int8, scales []float64) 
 			q[i] = int8(f)
 		}
 	}
-	return q, scales
 }

@@ -107,7 +107,9 @@ func TestTopKIndicesMatchesQuickselect(t *testing.T) {
 			return signed(math.Float64frombits(math.Float64bits(1) + uint64(rng.Intn(81)) - 40))
 		}},
 	}
-	enc := NewEncoder(Spec{Quant: Raw, TopK: 0.5})
+	// idx is handed back every trial, so selections of every size reuse one
+	// index buffer as they reuse the pooled candidate scratch.
+	var idx []int32
 	const perDist = 800 // × 4 distributions = 3 200 draws
 	for _, dist := range dists {
 		for trial := 0; trial < perDist; trial++ {
@@ -133,9 +135,9 @@ func TestTopKIndicesMatchesQuickselect(t *testing.T) {
 			if got := keepCount(frac, n); got != k {
 				t.Fatalf("keepCount(%v, %d) = %d, want %d", frac, n, got, k)
 			}
-			got, want := enc.topKIndices(delta, frac), refTopKIndices(delta, frac)
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s trial %d (n=%d k=%d): radix select keeps %v, quickselect reference %v", dist.name, trial, n, k, got, want)
+			idx = topKIndices(idx, delta, frac)
+			if want := refTopKIndices(delta, frac); !slices.Equal(idx, want) {
+				t.Fatalf("%s trial %d (n=%d k=%d): radix select keeps %v, quickselect reference %v", dist.name, trial, n, k, idx, want)
 			}
 		}
 	}
@@ -157,7 +159,9 @@ func refEncodeTopK(spec Spec, clientID, round int, global, weights []float64) *F
 		f.Val = vals
 		return f
 	}
-	f.Q, f.Scales = quantizeInt8(vals, newRoundStream(clientID, round))
+	f.Q, f.Scales = make([]int8, len(vals)), make([]float64, (len(vals)+Block-1)/Block)
+	rs := newRoundStream(clientID, round)
+	quantizeInt8(vals, f.Q, f.Scales, &rs)
 	f.Val = make([]float64, len(vals))
 	for i := range f.Val {
 		f.Val[i] = f.Scales[i/Block] * float64(f.Q[i])

@@ -101,48 +101,62 @@ func AppendWire(out []byte, f *Frame) []byte {
 	return out
 }
 
-// DecodeWire parses and validates a frame. maxDim bounds the accepted model
-// dimension (callers pass the session's known dimension). Errors are
-// terminal: a frame that fails any check yields no partial state.
+// DecodeWire parses and validates a frame into a fresh Frame; see
+// DecodeWireInto. Errors are terminal: a frame that fails any check yields
+// no partial state.
 func DecodeWire(data []byte, maxDim int) (*Frame, error) {
+	f := new(Frame)
+	if err := DecodeWireInto(f, data, maxDim); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// DecodeWireInto parses and validates a frame into f, overwriting every
+// field and reusing f's storage, so a session that decodes one frame per
+// round into the same Frame allocates only on its first. maxDim bounds the
+// accepted model dimension (callers pass the session's known dimension).
+// Errors are terminal, and f's contents are then unspecified: a caller
+// hands f out only after a nil error.
+func DecodeWireInto(f *Frame, data []byte, maxDim int) error {
 	if len(data) < wireHeader {
-		return nil, fmt.Errorf("codec: frame too short (%d bytes)", len(data))
+		return fmt.Errorf("codec: frame too short (%d bytes)", len(data))
 	}
 	if data[0] != wireMagic || data[1] != wireVersion {
-		return nil, fmt.Errorf("codec: bad magic/version %#02x %#02x", data[0], data[1])
+		return fmt.Errorf("codec: bad magic/version %#02x %#02x", data[0], data[1])
 	}
 	kind := Kind(data[2])
 	switch kind {
 	case Raw, FP16, Int8:
 	default:
-		return nil, fmt.Errorf("codec: unknown kind %d", data[2])
+		return fmt.Errorf("codec: unknown kind %d", data[2])
 	}
 	flags := data[3]
 	if flags&^(flagSparse|flagEF) != 0 {
-		return nil, fmt.Errorf("codec: unknown flags %#02x", flags)
+		return fmt.Errorf("codec: unknown flags %#02x", flags)
 	}
 	dim64 := binary.LittleEndian.Uint32(data[4:8])
 	topk := math.Float64frombits(binary.LittleEndian.Uint64(data[8:16]))
 	k64 := binary.LittleEndian.Uint32(data[16:20])
 	if dim64 == 0 || int64(dim64) > int64(maxDim) {
-		return nil, fmt.Errorf("codec: dim %d out of (0,%d]", dim64, maxDim)
+		return fmt.Errorf("codec: dim %d out of (0,%d]", dim64, maxDim)
 	}
 	dim := int(dim64)
 	if math.IsNaN(topk) || topk < 0 || topk >= 1 {
-		return nil, fmt.Errorf("codec: topk %v out of [0,1)", topk)
+		return fmt.Errorf("codec: topk %v out of [0,1)", topk)
 	}
 	sparse := flags&flagSparse != 0
 	if sparse != (topk > 0) {
-		return nil, fmt.Errorf("codec: sparse flag %v inconsistent with topk %v", sparse, topk)
+		return fmt.Errorf("codec: sparse flag %v inconsistent with topk %v", sparse, topk)
 	}
 	// Every Encoder keeps exactly keepCount coordinates; a frame that claims
 	// more would multiply its sender's share of the O(K²·k) geometry.
 	k := int(k64)
 	if want := keepCount(topk, dim); sparse && k != want {
-		return nil, fmt.Errorf("codec: sparse count %d, want %d for topk %v of dim %d", k, want, topk, dim)
+		return fmt.Errorf("codec: sparse count %d, want %d for topk %v of dim %d", k, want, topk, dim)
 	}
 	if !sparse && k != 0 {
-		return nil, fmt.Errorf("codec: dense frame with sparse count %d", k)
+		return fmt.Errorf("codec: dense frame with sparse count %d", k)
 	}
 
 	n := dim // stored value count
@@ -161,81 +175,87 @@ func DecodeWire(data []byte, maxDim int) (*Frame, error) {
 		need += 4 + 8*nb + n
 	}
 	if len(body) != need {
-		return nil, fmt.Errorf("codec: frame body %d bytes, want %d", len(body), need)
+		return fmt.Errorf("codec: frame body %d bytes, want %d", len(body), need)
+	}
+	spec := Spec{Quant: kind, TopK: topk, EF: flags&flagEF != 0}
+	if err := spec.Validate(); err != nil {
+		return err
 	}
 
-	f := &Frame{
-		Spec: Spec{Quant: kind, TopK: topk, EF: flags&flagEF != 0},
-		Dim:  dim,
-	}
-	if err := f.Spec.Validate(); err != nil {
-		return nil, err
-	}
+	// Every size below is now bounded by the body length, so growing f's
+	// storage to it stays O(len(data)).
+	f.Spec, f.Dim = spec, dim
 	if sparse {
-		f.Idx = make([]int32, k)
+		f.Idx = scratch(&f.Idx, k)
 		prev := int32(-1)
-		for t := 0; t < k; t++ {
+		for t := range f.Idx {
 			id64 := binary.LittleEndian.Uint32(body[4*t:])
 			if int64(id64) >= int64(dim) {
-				return nil, fmt.Errorf("codec: index %d out of range (dim %d)", id64, dim)
+				return fmt.Errorf("codec: index %d out of range (dim %d)", id64, dim)
 			}
 			id := int32(id64)
 			if id <= prev {
-				return nil, fmt.Errorf("codec: indices not strictly ascending at %d", t)
+				return fmt.Errorf("codec: indices not strictly ascending at %d", t)
 			}
 			f.Idx[t] = id
 			prev = id
 		}
 		body = body[4*k:]
+	} else {
+		f.Idx = nil
 	}
 
 	switch kind {
 	case Raw:
-		f.Val = make([]float64, n)
+		f.Q, f.Scales = nil, nil
+		f.Val = scratch(&f.Val, n)
 		for i := range f.Val {
 			v := math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("%w at %d", ErrNonFinite, i)
+				return fmt.Errorf("%w at %d", ErrNonFinite, i)
 			}
 			f.Val[i] = v
 		}
 	case FP16:
-		f.Val = make([]float64, n)
+		f.Q, f.Scales = nil, nil
+		f.Val = scratch(&f.Val, n)
 		for i := range f.Val {
 			v := f16ToF64(binary.LittleEndian.Uint16(body[2*i:]))
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("%w (fp16) at %d", ErrNonFinite, i)
+				return fmt.Errorf("%w (fp16) at %d", ErrNonFinite, i)
 			}
 			f.Val[i] = v
 		}
 	case Int8:
 		nb := (n + Block - 1) / Block
 		if got := binary.LittleEndian.Uint32(body[:4]); int64(got) != int64(nb) {
-			return nil, fmt.Errorf("codec: scale block count %d, want %d", got, nb)
+			return fmt.Errorf("codec: scale block count %d, want %d", got, nb)
 		}
 		body = body[4:]
-		f.Scales = make([]float64, nb)
+		f.Scales = scratch(&f.Scales, nb)
 		for b := range f.Scales {
 			s := math.Float64frombits(binary.LittleEndian.Uint64(body[8*b:]))
 			if math.IsNaN(s) || math.IsInf(s, 0) {
-				return nil, fmt.Errorf("%w: scale %v at block %d", ErrNonFinite, s, b)
+				return fmt.Errorf("%w: scale %v at block %d", ErrNonFinite, s, b)
 			}
 			if s < 0 {
-				return nil, fmt.Errorf("codec: negative scale %v at block %d", s, b)
+				return fmt.Errorf("codec: negative scale %v at block %d", s, b)
 			}
 			f.Scales[b] = s
 		}
 		body = body[8*nb:]
-		f.Q = make([]int8, n)
+		f.Q = scratch(&f.Q, n)
 		for i := range f.Q {
 			f.Q[i] = int8(body[i])
 		}
 		if sparse {
-			f.Val = make([]float64, n)
+			f.Val = scratch(&f.Val, n)
 			for i := range f.Val {
 				f.Val[i] = f.Scales[i/Block] * float64(f.Q[i])
 			}
+		} else {
+			f.Val = nil
 		}
 	}
-	return f, nil
+	return nil
 }

@@ -188,7 +188,8 @@ func filled(n int, amp float64) []float64 {
 
 // FuzzDecodeWire drives the frame decoder with arbitrary bytes: it must
 // fail closed — no panics, no allocation driven by unvalidated declared
-// sizes — and anything it accepts must re-encode to the same bytes and
+// sizes — decode into a frame that held any layout before exactly as into a
+// fresh one, and anything it accepts must re-encode to the same bytes and
 // reconstruct into a dirty scratch vector exactly as into a fresh one.
 func FuzzDecodeWire(f *testing.F) {
 	for _, fr := range testFrames(f) {
@@ -201,8 +202,19 @@ func FuzzDecodeWire(f *testing.F) {
 	f.Add(sparse[:len(sparse)-10])          // truncated int8 payload
 	f.Add([]byte{wireMagic, wireVersion})   // bare header stub
 	f.Add(overfullFrame(2*Block, 0.1))      // k = dim in a topk=0.1 frame
+	// Dense raw, dense int8 and sparse int8 between them hold and lack each
+	// of Idx, Val, Q and Scales.
+	all := testFrames(f)
+	held := []*Frame{all[0], all[2], all[5]}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := DecodeWire(data, 1<<16)
+		for _, h := range held {
+			reused := h.Clone()
+			errInto := DecodeWireInto(reused, data, 1<<16)
+			if (errInto == nil) != (err == nil) || err == nil && !reflect.DeepEqual(reused, fr) {
+				t.Fatalf("decoding into a frame that held a %q frame: %v, a fresh decode: %v", h.Spec, errInto, err)
+			}
+		}
 		if err != nil {
 			return
 		}

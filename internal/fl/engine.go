@@ -23,9 +23,9 @@ import (
 // deadline).
 //
 // Update storage lasts one round: the transport owns the returned slice and
-// every vector its updates reference, and may overwrite them at its next
-// Collect. A consumer that keeps an update past its round — the engine's
-// async buffer is the one — copies what it keeps.
+// every vector and codec frame its updates reference, and may overwrite
+// them at its next Collect. A consumer that keeps an update past its round
+// — the engine's async buffer is the one — copies what it keeps.
 type Transport interface {
 	// Collect obtains updates from ids, training from global (with prev
 	// available to adversarial trainers). Clients that fail to deliver in
@@ -317,8 +317,12 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 						at = e.Rounds - 1
 					}
 					// The update outlives its round here, so its dense
-					// vector must outlive the transport's storage.
+					// vector or frame must outlive the storage of the
+					// transport or encode slot that filled it.
 					u.Weights = slices.Clone(u.Weights)
+					if u.Frame != nil {
+						u.Frame = u.Frame.Clone()
+					}
 					arrivals[at] = append(arrivals[at], pendingUpdate{u: u, dispatched: round, base: base})
 				}
 			}

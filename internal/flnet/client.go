@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"time"
 
 	"repro/internal/codec"
@@ -134,8 +135,10 @@ type Client struct {
 	// whether a request has been received at all.
 	global, prev []float64
 	held         bool
-	// frame is the scratch the codec wire frame is rendered into.
-	frame []byte
+	// upd is the frame each round's update is encoded into, and wire the
+	// scratch its wire bytes are rendered into.
+	upd  codec.Frame
+	wire []byte
 }
 
 // Dial connects to the server and performs the join handshake with no
@@ -181,7 +184,7 @@ func DialFederation(addr, federation string, trainer Trainer, timeout time.Durat
 	conn.dim = ack.Dim
 	if !spec.Enabled() {
 		// Every dense update is the same size: size the write buffer for it
-		// once rather than growing it by doubling on the first reply.
+		// while joining rather than at the first reply.
 		conn.wbuf = make([]byte, 0, headerSize+8*ack.Dim)
 	}
 	buf := make([]float64, 2*ack.Dim)
@@ -207,35 +210,35 @@ func joinError(reply *Envelope, err error, federation string, spec codec.Spec) e
 	return &JoinRejectedError{Federation: federation, Code: reply.RejectCode, Reason: reply.Err}
 }
 
-// recv reads the next message. A TrainRequest lands in the client's own
-// double buffer — c.global and c.prev hold w(t) and w(t−1) on return — so a
-// steady-state request allocates nothing; a Done body is returned as is
-// (valid until the next read).
-func (c *Client) recv() (header, []byte, error) {
+// recv reads the next message header. A TrainRequest's body is decoded
+// straight into the client's own double buffer — c.global and c.prev hold
+// w(t) and w(t−1) on return — so a steady-state request allocates nothing; a
+// Done body is left for the caller to read.
+func (c *Client) recv() (header, error) {
 	if err := c.conn.armRead(); err != nil {
-		return header{}, nil, err
+		return header{}, err
 	}
-	h, body, err := c.conn.next()
+	h, err := c.conn.head()
 	if err != nil || h.typ != MsgTrainRequest {
-		return h, body, err
+		return h, err
 	}
-	d := len(c.global)
 	switch h.flags {
 	case PrevLast:
 		if !c.held {
-			return h, nil, errors.New("flnet: server elided a previous global this client never received")
+			return h, errors.New("flnet: server elided a previous global this client never received")
 		}
 		c.global, c.prev = c.prev, c.global
-		decodeF64s(c.global, body)
+		_, err = c.conn.readF64s(h.typ, c.global)
 	case PrevSame:
-		decodeF64s(c.global, body)
+		_, err = c.conn.readF64s(h.typ, c.global)
 		copy(c.prev, c.global)
 	case PrevInline:
-		decodeF64s(c.global, body)
-		decodeF64s(c.prev, body[8*d:])
+		if _, err = c.conn.readF64s(h.typ, c.global); err == nil {
+			_, err = c.conn.readF64s(h.typ, c.prev)
+		}
 	}
 	c.held = true
-	return h, nil, nil
+	return h, err
 }
 
 // Run serves training requests until the server sends Done (returning the
@@ -243,14 +246,18 @@ func (c *Client) recv() (header, []byte, error) {
 func (c *Client) Run() ([]float64, error) {
 	defer func() { _ = c.conn.Close() }()
 	for {
-		h, body, err := c.recv()
+		h, err := c.recv()
 		if err != nil {
 			return nil, fmt.Errorf("flnet: client %d: %w", c.ID, err)
 		}
 		switch h.typ {
 		case MsgDone:
-			final := make([]float64, len(c.global))
-			decodeF64s(final, body)
+			// The session is over, so its receive buffer becomes the
+			// caller's final model rather than being copied into one.
+			final := c.global
+			if _, err := c.conn.readF64s(h.typ, final); err != nil {
+				return nil, fmt.Errorf("flnet: client %d: %w", c.ID, err)
+			}
 			return final, nil
 		case MsgTrainRequest:
 			weights, n, err := c.trainer.Train(h.round, c.global, c.prev)
@@ -263,8 +270,9 @@ func (c *Client) Run() ([]float64, error) {
 				// dense vector. The rounding stream is keyed by the
 				// server-assigned ID and the round, so a re-run of the
 				// same federation encodes identically.
-				c.frame = codec.AppendWire(c.frame[:0], c.enc.Encode(c.ID, h.round, c.global, weights))
-				resp.Flags, resp.Weights, resp.Frame = UpdateFrame, nil, c.frame
+				c.enc.EncodeInto(&c.upd, c.ID, h.round, c.global, weights)
+				c.wire = codec.AppendWire(slices.Grow(c.wire[:0], codec.WireSize(&c.upd)), &c.upd)
+				resp.Flags, resp.Weights, resp.Frame = UpdateFrame, nil, c.wire
 			}
 			if err := c.conn.Send(&resp); err != nil {
 				return nil, fmt.Errorf("flnet: client %d reply: %w", c.ID, err)

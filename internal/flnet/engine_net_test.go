@@ -5,6 +5,7 @@ package flnet
 // zero-responder rounds, join-phase abuse, and async buffered aggregation.
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"net"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/dataset"
 	"repro/internal/defense"
 	"repro/internal/fl"
@@ -340,10 +342,22 @@ func TestServeStopsAcceptLoopKeepsListener(t *testing.T) {
 // real connections, with deterministic trainers, and checks the run against
 // an oracle: the same fl.Engine over an in-process transport that returns
 // the same updates, each in a vector of its own, must end on the same final
-// weights bit for bit. Async is where an update outlives its round, so this
-// is what catches a buffered update that still points into the storage its
-// session decodes the next update into.
+// weights bit for bit — dense, and with every update compressed (the
+// in-process engine encodes what the socket clients encode). Async is where
+// an update outlives its round, so this is what catches a buffered update
+// that still points into the vector or frame its session decodes the next
+// update into.
 func TestAsyncBufferedOverSockets(t *testing.T) {
+	for _, token := range []string{"", "int8,topk=0.1,ef"} {
+		t.Run(cmp.Or(token, "dense"), func(t *testing.T) { testAsyncBufferedOverSockets(t, token) })
+	}
+}
+
+func testAsyncBufferedOverSockets(t *testing.T, token string) {
+	spec, err := codec.ParseSpec(token)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := newNetFixture(t, 25, 3)
 	lis := f.listen(t)
 	cfg := ServerConfig{
@@ -353,6 +367,7 @@ func TestAsyncBufferedOverSockets(t *testing.T) {
 		RoundTimeout: 10 * time.Second,
 		Seed:         7,
 		Scenario:     fl.Scenario{Async: &fl.AsyncConfig{Buffer: 3, MaxDelay: 1}},
+		Codec:        token,
 	}
 	// Client i answers every request with global + its fixed delta.
 	initial := f.newModel(rand.New(rand.NewSource(cfg.Seed))).WeightVector()
@@ -388,9 +403,9 @@ func TestAsyncBufferedOverSockets(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.MinClients; i++ {
 		// Sequential joins get sequential IDs, so session i trains as client i.
-		client, err := Dial(lis.Addr().String(), funcTrainer(func(_ int, global []float64) ([]float64, int) {
+		client, err := DialCodec(lis.Addr().String(), funcTrainer(func(_ int, global []float64) ([]float64, int) {
 			return train(i, global)
-		}), 10*time.Second)
+		}), 10*time.Second, spec)
 		if err != nil {
 			t.Fatalf("client %d: %v", i, err)
 		}
@@ -438,6 +453,7 @@ func TestAsyncBufferedOverSockets(t *testing.T) {
 		Scenario:     cfg.Scenario,
 		Transport:    trainerTransport(train),
 		Aggregator:   defense.FedAvg{},
+		Codec:        spec,
 	}
 	_, want, err := eng.Run(initial)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -480,6 +481,17 @@ type netTransport struct {
 	// the sessions that need it, and gen counts broadcasts.
 	msg, sent, inline []byte
 	gen               uint64
+	// replies holds one round's per-slot outcomes and updates the slice
+	// Collect returns; both are reused every round (fl.Transport's lifetime
+	// rule).
+	replies []reply
+	updates []fl.Update
+}
+
+// reply is one selection slot's outcome of a round.
+type reply struct {
+	update fl.Update
+	ok     bool
 }
 
 // Collect implements fl.Transport: it sends TrainRequests to the selected
@@ -511,24 +523,22 @@ func (t *netTransport) Collect(round int, ids []int, global, prev []float64) ([]
 	msg[3] = shared
 	t.inline = t.inline[:0]
 
-	type reply struct {
-		update fl.Update
-		ok     bool
-	}
-	replies := make([]reply, len(ids))
+	replies := slices.Grow(t.replies[:0], len(ids))[:len(ids)]
+	clear(replies)
+	t.replies = replies
 	var wg sync.WaitGroup
 	for slot, idx := range ids {
 		cl := t.sessions[idx]
 		if cl.broken {
 			continue
 		}
-		bufs := [][]byte{msg}
+		bufs := append(cl.bufs[:0], msg)
 		if shared == PrevInline || (shared == PrevLast && cl.sentGen != t.gen-1) {
 			if len(t.inline) == 0 {
 				t.inline = appendF64s(t.inline, prev)
 			}
 			hdr := appendHeader(cl.hdr[:0], MsgTrainRequest, PrevInline, round, 0, 0, 2*len(body))
-			bufs = [][]byte{hdr, body, t.inline}
+			bufs = append(cl.bufs[:0], hdr, body, t.inline)
 		}
 		wg.Add(1)
 		go func() {
@@ -537,13 +547,13 @@ func (t *netTransport) Collect(round int, ids []int, global, prev []float64) ([]
 		}()
 	}
 	wg.Wait()
-	var updates []fl.Update
+	t.updates = t.updates[:0]
 	for _, r := range replies {
 		if r.ok {
-			updates = append(updates, r.update)
+			t.updates = append(t.updates, r.update)
 		}
 	}
-	return updates, nil
+	return t.updates, nil
 }
 
 // equalF64s reports whether the encoded float64s in b are bit-equal to v.
@@ -566,7 +576,12 @@ func equalF64s(b []byte, v []float64) bool {
 // deadline between messages (errQuiet) is a plain straggler.
 func (t *netTransport) exchange(cl *session, round int, global []float64, bufs [][]byte) (fl.Update, bool) {
 	tel := t.fed.tel
-	h, body, err := cl.roundTrip(round, t.gen, bufs)
+	h, err := cl.roundTrip(round, t.gen, bufs)
+	var u fl.Update
+	ok := false
+	if err == nil {
+		u, ok, err = cl.decodeUpdate(h, global)
+	}
 	if err != nil {
 		if !errors.Is(err, errQuiet) {
 			cl.broken = true
@@ -575,9 +590,8 @@ func (t *netTransport) exchange(cl *session, round int, global []float64, bufs [
 		}
 		return fl.Update{}, false
 	}
-	u, ok := cl.decodeUpdate(h, body, global)
 	if ok {
-		tel.bytesIn(len(body))
+		tel.bytesIn(h.n)
 	} else {
 		tel.updateRejected()
 	}
@@ -585,57 +599,68 @@ func (t *netTransport) exchange(cl *session, round int, global []float64, bufs [
 }
 
 // roundTrip writes the round's TrainRequest (broadcast generation gen) and
-// reads until the round's Update or the deadline. Late replies to earlier
-// rounds are discarded by their round number, so a client that straggled
-// once answers again as soon as it catches up.
-func (cl *session) roundTrip(round int, gen uint64, bufs [][]byte) (header, []byte, error) {
+// reads until the header of the round's Update, whose body the caller reads,
+// or the deadline. Late replies to earlier rounds are skipped by their round
+// number, so a client that straggled once answers again as soon as it
+// catches up.
+func (cl *session) roundTrip(round int, gen uint64, bufs [][]byte) (header, error) {
 	if err := cl.conn.write(bufs...); err != nil {
-		return header{}, nil, err
+		return header{}, err
 	}
 	cl.sentGen = gen
 	if err := cl.conn.armRead(); err != nil {
-		return header{}, nil, err
+		return header{}, err
 	}
 	for {
-		h, body, err := cl.conn.next()
+		h, err := cl.conn.head()
 		switch {
 		case err != nil:
-			return h, nil, err
+			return h, err
 		case h.typ != MsgUpdate || h.round > round:
-			return h, nil, fmt.Errorf("flnet: unexpected %s for round %d in round %d", h.typ, h.round, round)
+			return h, fmt.Errorf("flnet: unexpected %s for round %d in round %d", h.typ, h.round, round)
 		case h.round == round:
-			return h, body, nil
+			return h, nil
+		}
+		if err := cl.conn.skip(h); err != nil {
+			return h, err
 		}
 	}
 }
 
-// decodeUpdate validates a well-framed Update against the session. Bad
-// content — a foreign client ID, a negative sample count, non-finite weights
-// (checked while decoding), the wrong body kind, a frame of another dimension
-// or spec — fails closed: the client is absent for the round, like a
-// straggler, but the stream stays in sync and the session usable. A dense
-// body decodes into the session's own vector, which the update references
-// until the next round (fl.Transport's lifetime rule); a frame body decodes
-// to a frame-only update, and the defense builds whatever dense vectors it
-// needs (fl.Update.Vector).
-func (cl *session) decodeUpdate(h header, body []byte, global []float64) (fl.Update, bool) {
+// decodeUpdate reads the body of a well-framed Update and validates it
+// against the session. Bad content — a foreign client ID, a negative sample
+// count, non-finite weights (checked while decoding), the wrong body kind, a
+// frame of another dimension or spec — fails closed: the client is absent
+// for the round, like a straggler, but the body is consumed, so the stream
+// stays in sync and the session usable; only a failed read returns an
+// error. The body decodes into storage the session owns, which the update
+// references until the next round (fl.Transport's lifetime rule): a dense
+// body straight off the socket into its vector, a frame body into its
+// frame, making a frame-only update whose dense vectors the defense builds
+// where it needs them (fl.Update.Vector).
+func (cl *session) decodeUpdate(h header, global []float64) (fl.Update, bool, error) {
 	u := fl.Update{ClientID: cl.id, NumSamples: h.samples}
 	if h.client != cl.id || h.samples < 0 || (h.flags == UpdateFrame) != cl.spec.Enabled() {
-		return u, false
+		return u, false, cl.conn.skip(h)
 	}
 	if !cl.spec.Enabled() {
 		if len(cl.weights) != len(global) {
 			cl.weights = make([]float64, len(global))
 		}
 		u.Weights = cl.weights
-		return u, decodeF64s(u.Weights, body)
+		finite, err := cl.conn.readF64s(h.typ, u.Weights)
+		return u, finite, err
 	}
-	frame, err := codec.DecodeWire(body, len(global))
-	if err != nil || frame.Dim != len(global) || frame.Spec != cl.spec {
-		return u, false
+	body, err := cl.conn.body(h)
+	if err != nil {
+		return u, false, err
 	}
-	u.Frame = frame
-	return u, true
+	err = codec.DecodeWireInto(&cl.frame, body, len(global))
+	if err != nil || cl.frame.Dim != len(global) || cl.frame.Spec != cl.spec {
+		return u, false, nil
+	}
+	u.Frame = &cl.frame
+	return u, true, nil
 }
 
 // Host multiplexes several federations over one listener: every accepted

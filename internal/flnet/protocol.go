@@ -41,6 +41,8 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/codec"
@@ -367,9 +369,10 @@ func decodeEnvelope(h header, body []byte) (*Envelope, error) {
 	return e, nil
 }
 
-// Conn frames messages over a net.Conn with deadline handling. Reads go
-// through one reusable body buffer and writes through another, so a session
-// in steady state allocates nothing for framing. It is not safe for
+// Conn frames messages over a net.Conn with deadline handling. A float64
+// body is decoded straight into its reader's vector (readF64s), other bodies
+// are read into one reusable buffer, and writes go through another, so a
+// session in steady state allocates nothing for framing. It is not safe for
 // concurrent use.
 type Conn struct {
 	raw net.Conn
@@ -381,6 +384,10 @@ type Conn struct {
 
 	hdr        [headerSize]byte
 	rbuf, wbuf []byte
+	// iov and out hold a vectored write's buffers: out is a field, so
+	// writing through it allocates no slice header per message.
+	iov [3][]byte
+	out net.Buffers
 }
 
 // NewConn wraps a network connection.
@@ -391,9 +398,11 @@ func NewConn(raw net.Conn, timeout time.Duration) *Conn {
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.raw.Close() }
 
-// Send writes one message.
+// Send writes one message. The write buffer grows to a message's body at
+// once, not by doubling: a session's updates are all one size, so its first
+// sizes the buffer for the rest.
 func (c *Conn) Send(e *Envelope) error {
-	buf, err := e.appendTo(c.wbuf[:0])
+	buf, err := e.appendTo(slices.Grow(c.wbuf[:0], headerSize+8*len(e.Weights)+len(e.Frame)))
 	if err != nil {
 		return err
 	}
@@ -413,8 +422,8 @@ func (c *Conn) write(bufs ...[]byte) error {
 			return err
 		}
 	}
-	v := net.Buffers(bufs)
-	_, err := v.WriteTo(c.raw)
+	c.out = append(c.iov[:0], bufs...)
+	_, err := c.out.WriteTo(c.raw)
 	return err
 }
 
@@ -423,7 +432,11 @@ func (c *Conn) Recv() (*Envelope, error) {
 	if err := c.armRead(); err != nil {
 		return nil, err
 	}
-	h, body, err := c.next()
+	h, err := c.head()
+	if err != nil {
+		return nil, err
+	}
+	body, err := c.body(h)
 	if err != nil {
 		return nil, err
 	}
@@ -439,28 +452,65 @@ func (c *Conn) armRead() error {
 	return c.raw.SetReadDeadline(time.Now().Add(c.Timeout))
 }
 
-// next reads one message under whatever read deadline is armed: the
-// validated header, and the body in the connection's reusable buffer (valid
-// until the following call). errQuiet means the deadline passed before the
-// first header byte; every other error leaves the stream out of sync.
-func (c *Conn) next() (header, []byte, error) {
+// head reads and validates the next message header under whatever read
+// deadline is armed; the caller then consumes exactly its body — body,
+// readF64s or skip — before reading the next header. errQuiet means the
+// deadline passed before the first header byte; every other error, here or
+// in the body, leaves the stream out of sync.
+func (c *Conn) head() (header, error) {
 	if n, err := io.ReadFull(c.raw, c.hdr[:]); err != nil {
 		var ne net.Error
 		if n == 0 && errors.As(err, &ne) && ne.Timeout() {
 			err = errQuiet
 		}
-		return header{}, nil, err
+		return header{}, err
 	}
-	h, err := parseHeader(c.hdr[:], c.dim)
-	if err != nil {
-		return header{}, nil, err
-	}
+	return parseHeader(c.hdr[:], c.dim)
+}
+
+// body reads h's body into the connection's reusable buffer, valid until
+// the next read.
+func (c *Conn) body(h header) ([]byte, error) {
 	if cap(c.rbuf) < h.n {
 		c.rbuf = make([]byte, h.n)
 	}
 	body := c.rbuf[:h.n]
 	if _, err := io.ReadFull(c.raw, body); err != nil {
-		return header{}, nil, fmt.Errorf("flnet: %s body: %w", h.typ, err)
+		return nil, fmt.Errorf("flnet: %s body: %w", h.typ, err)
 	}
-	return h, body, nil
+	return body, nil
+}
+
+// chunk is the unit readF64s reads a float64 body in.
+type chunk [32 << 10]byte
+
+// chunks lends readF64s its chunk. A body is read a chunk at a time only
+// while its bytes arrive, so a process's connections — a host's sessions, a
+// process of clients — share a few chunks instead of each keeping a buffer
+// the size of its largest message.
+var chunks = sync.Pool{New: func() any { return new(chunk) }}
+
+// readF64s reads the next 8·len(dst) body bytes of a typ message straight
+// into dst, and reports whether every value is finite.
+func (c *Conn) readF64s(typ MsgType, dst []float64) (finite bool, err error) {
+	buf := chunks.Get().(*chunk)
+	defer chunks.Put(buf)
+	finite = true
+	for len(dst) > 0 {
+		n := min(len(dst), len(buf)/8)
+		if _, err := io.ReadFull(c.raw, buf[:8*n]); err != nil {
+			return false, fmt.Errorf("flnet: %s body: %w", typ, err)
+		}
+		finite = decodeF64s(dst[:n], buf[:8*n]) && finite
+		dst = dst[n:]
+	}
+	return finite, nil
+}
+
+// skip discards h's body.
+func (c *Conn) skip(h header) error {
+	if _, err := io.CopyN(io.Discard, c.raw, int64(h.n)); err != nil {
+		return fmt.Errorf("flnet: %s body: %w", h.typ, err)
+	}
+	return nil
 }

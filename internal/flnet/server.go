@@ -152,10 +152,14 @@ type session struct {
 	// broken marks a session whose byte stream lost sync; it is closed and
 	// never contacted again.
 	broken bool
-	// hdr is the scratch for a per-session header (inlined-prev requests).
-	hdr [headerSize]byte
-	// weights is the vector a dense session's updates decode into.
+	// hdr is the scratch for a per-session header (inlined-prev requests),
+	// bufs for the buffers a request is written from.
+	hdr  [headerSize]byte
+	bufs [3][]byte
+	// weights is the vector a dense session's updates decode into, frame the
+	// one a compressed session's do.
 	weights []float64
+	frame   codec.Frame
 }
 
 // Server is the single-tenant deployment: a Host with one anonymous

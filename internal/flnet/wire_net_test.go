@@ -1,18 +1,21 @@
 package flnet
 
 // Tests of what the version-2 wire format guarantees beyond framing: prev
-// elision that is exact under every schedule, a broadcast encoded once, an
-// allocation-free client receive path, straggler recovery, fail-closed dense
-// updates and a typed reject for other wire versions.
+// elision that is exact under every schedule, a broadcast encoded once,
+// allocation-free receives, update decodes and sends, straggler recovery,
+// fail-closed dense updates, a stream kept in sync past a rejected update
+// and a typed reject for other wire versions.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"net"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -305,7 +308,7 @@ func TestClientRecvSteadyStateZeroAlloc(t *testing.T) {
 	conn.dim = dim
 	c := &Client{conn: conn, global: make([]float64, dim), prev: make([]float64, dim), held: true}
 	recv := func() {
-		if h, _, err := c.recv(); err != nil || h.round != 3 {
+		if h, err := c.recv(); err != nil || h.round != 3 {
 			t.Fatalf("recv: %+v, %v", h, err)
 		}
 	}
@@ -338,12 +341,12 @@ func TestDenseUpdateDecodeSteadyStateZeroAlloc(t *testing.T) {
 	global := make([]float64, dim)
 	var u fl.Update
 	decode := func() {
-		h, body, err := cl.conn.next()
+		h, err := cl.conn.head()
 		if err != nil {
 			t.Fatal(err)
 		}
 		var ok bool
-		if u, ok = cl.decodeUpdate(h, body, global); !ok {
+		if u, ok, err = cl.decodeUpdate(h, global); err != nil || !ok {
 			t.Fatal("a well-formed dense update was rejected")
 		}
 	}
@@ -353,6 +356,84 @@ func TestDenseUpdateDecodeSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if !slices.Equal(u.Weights, weights) || &u.Weights[0] != &cl.weights[0] || u.NumSamples != 32 {
 		t.Fatal("the update is not the session's vector holding the sent weights")
+	}
+}
+
+// TestFrameUpdateDecodeSteadyStateZeroAlloc: once a compressed session's
+// read buffer and frame exist, reading and decoding an Update allocates
+// nothing, and the update's frame is the session's own.
+func TestFrameUpdateDecodeSteadyStateZeroAlloc(t *testing.T) {
+	const dim = 10010
+	spec := codec.Spec{Quant: codec.Int8, TopK: 0.1, EF: true}
+	global, weights := make([]float64, dim), make([]float64, dim)
+	for i := range weights {
+		weights[i] = math.Sin(float64(i))
+	}
+	sent := codec.NewEncoder(spec).Encode(1, 2, global, weights)
+	upd := Envelope{Type: MsgUpdate, Flags: UpdateFrame, Round: 2, ClientID: 1, NumSamples: 32, Frame: codec.EncodeWire(sent)}
+	msg, err := upd.appendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := NewConn(&loopConn{msg: msg}, time.Second)
+	conn.dim = dim
+	cl := &session{id: 1, conn: conn, spec: spec}
+	var u fl.Update
+	decode := func() {
+		h, err := cl.conn.head()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ok bool
+		if u, ok, err = cl.decodeUpdate(h, global); err != nil || !ok {
+			t.Fatal("a well-formed frame update was rejected")
+		}
+	}
+	decode() // sizes the read buffer and the session's frame
+	if allocs := testing.AllocsPerRun(50, decode); allocs != 0 {
+		t.Fatalf("steady-state frame update decode allocates %v times per update, want 0", allocs)
+	}
+	if u.Frame != &cl.frame || u.Weights != nil || !reflect.DeepEqual(u.Frame, sent) {
+		t.Fatal("the update is not the session's frame holding the sent frame")
+	}
+}
+
+// TestSendSteadyStateZeroAlloc: once its write buffer holds a message of the
+// session's size, sending another over a real socket allocates nothing —
+// neither the vectored write's buffer list nor a regrown buffer.
+func TestSendSteadyStateZeroAlloc(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		peer, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		defer peer.Close()
+		_, _ = io.Copy(io.Discard, peer)
+	}()
+	raw, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := NewConn(raw, 5*time.Second)
+	upd := Envelope{Type: MsgUpdate, Flags: UpdateFrame, Round: 1, ClientID: 2, NumSamples: 32, Frame: make([]byte, 5000)}
+	send := func() {
+		if err := conn.Send(&upd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send()
+	allocs := testing.AllocsPerRun(50, send)
+	_ = conn.Close()
+	<-drained
+	if allocs != 0 {
+		t.Fatalf("a steady-state Send allocates %v times per message, want 0", allocs)
 	}
 }
 
@@ -427,6 +508,51 @@ func TestDenseUpdateFailsClosed(t *testing.T) {
 		if math.IsNaN(w) || math.IsInf(w, 0) {
 			t.Fatalf("final weight %d is %v: a hostile update was aggregated", i, w)
 		}
+	}
+}
+
+// TestRejectedUpdateKeepsStreamInSync: an update rejected on its header —
+// a foreign client ID, a negative sample count, a frame from a dense
+// session — still has its body consumed, so the session's next update
+// decodes.
+func TestRejectedUpdateKeepsStreamInSync(t *testing.T) {
+	const dim = 700
+	good := make([]float64, dim)
+	for i := range good {
+		good[i] = float64(i) / 7
+	}
+	for name, bad := range map[string]Envelope{
+		"foreign client":   {Type: MsgUpdate, ClientID: 2, NumSamples: 1, Weights: make([]float64, dim)},
+		"negative samples": {Type: MsgUpdate, ClientID: 1, NumSamples: -3, Weights: make([]float64, dim)},
+		"frame body":       {Type: MsgUpdate, Flags: UpdateFrame, ClientID: 1, NumSamples: 1, Frame: make([]byte, 99)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			msg, err := bad.appendTo(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next := Envelope{Type: MsgUpdate, ClientID: 1, NumSamples: 4, Weights: good}
+			if msg, err = next.appendTo(msg); err != nil {
+				t.Fatal(err)
+			}
+			conn := NewConn(&loopConn{msg: msg}, time.Second)
+			conn.dim = dim
+			cl := &session{id: 1, conn: conn}
+			global := make([]float64, dim)
+			for i, wantOK := range []bool{false, true} {
+				h, err := cl.conn.head()
+				if err != nil {
+					t.Fatalf("update %d: %v", i, err)
+				}
+				u, ok, err := cl.decodeUpdate(h, global)
+				if err != nil || ok != wantOK {
+					t.Fatalf("update %d: accepted %v, %v; want accepted %v", i, ok, err, wantOK)
+				}
+				if ok && !slices.Equal(u.Weights, good) {
+					t.Fatal("the update after a rejected one decoded to other weights")
+				}
+			}
+		})
 	}
 }
 
