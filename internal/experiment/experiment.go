@@ -670,7 +670,6 @@ func run(cfg Config, p *Plane) (*Outcome, error) {
 		BatchSize:    cfg.BatchSize,
 		LR:           cfg.LR,
 		Seed:         cfg.Seed,
-		EvalEvery:    1,
 		EvalLimit:    cfg.EvalLimit,
 		Parallel:     cfg.Parallel,
 		Scenario:     BuildScenario(cfg, tk.src),

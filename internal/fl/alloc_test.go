@@ -34,7 +34,7 @@ func TestCollectSteadyStateAllocs(t *testing.T) {
 				shards[i] = append(shards[i], (i*minibatches*batch+j)%train.Len())
 			}
 		}
-		cfg := Config{TotalClients: clients, PerRound: k, Rounds: 1, LocalEpochs: 1, BatchSize: batch, LR: 0.05, Seed: 1, EvalEvery: 1}
+		cfg := Config{TotalClients: clients, PerRound: k, Rounds: 1, LocalEpochs: 1, BatchSize: batch, LR: 0.05, Seed: 1}
 		sim, err := NewSimulation(cfg, train, test, shards, nil, newModel, meanAggregator{}, nil)
 		if err != nil {
 			t.Fatal(err)

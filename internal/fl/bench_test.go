@@ -25,7 +25,6 @@ func benchSetup(b *testing.B, parallel bool) *Simulation {
 		BatchSize:    8,
 		LR:           0.05,
 		Seed:         1,
-		EvalEvery:    1,
 		EvalLimit:    128,
 		Parallel:     parallel,
 	}

@@ -65,7 +65,7 @@ func TestCraftBesideCollectBitIdentical(t *testing.T) {
 		}
 		cfg := fl.Config{
 			TotalClients: 12, PerRound: 6, Rounds: 4, LocalEpochs: 1, BatchSize: 8, LR: 0.05,
-			Seed: 3, EvalEvery: 1, Parallel: parallel, Scenario: fl.Scenario{Async: async}, Codec: cs,
+			Seed: 3, Parallel: parallel, Scenario: fl.Scenario{Async: async}, Codec: cs,
 		}
 		sim, err := fl.NewSimulation(cfg, train, test, shards, firstK(4), newModel, agg, atk)
 		if err != nil {

@@ -37,7 +37,7 @@ type Transport interface {
 // Engine is the single federated round loop shared by every transport. It
 // owns client selection, the participation model, attack-context
 // construction, aggregation, the server optimizer, DPR/ASR metric
-// accounting, evaluation cadence, previous-global tracking, the async
+// accounting, per-round evaluation, previous-global tracking, the async
 // update buffer, and the per-round checkpoint hook. fl.Simulation (the one
 // in-process driver, whatever the client source) and flnet.Server are thin
 // adapters over it.
@@ -52,9 +52,6 @@ type Engine struct {
 	// participation RNG streams so a checkpoint-resumed run selects the same
 	// clients per round as an uninterrupted one (sync mode only).
 	StartRound int
-	// EvalEvery evaluates every EvalEvery rounds (<= 0 means every round);
-	// the final round is always evaluated.
-	EvalEvery int
 	// Seed derives every engine RNG stream.
 	Seed int64
 
@@ -167,10 +164,6 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 	async := e.Scenario.Async
 	if async != nil && e.StartRound > 0 {
 		return nil, nil, errors.New("fl: async mode cannot resume mid-run (in-flight updates are not checkpointed)")
-	}
-	evalEvery := e.EvalEvery
-	if evalEvery <= 0 {
-		evalEvery = 1
 	}
 
 	// Three independent streams so new axes never perturb the legacy ones:
@@ -367,7 +360,7 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 			}
 		}
 
-		if e.Evaluate != nil && ((round+1)%evalEvery == 0 || round == e.Rounds-1) {
+		if e.Evaluate != nil {
 			spEval := e.Telemetry.Phase(telemetry.PhaseEval)
 			acc, err := e.Evaluate(global)
 			spEval.End()

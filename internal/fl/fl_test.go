@@ -38,7 +38,6 @@ func tinyConfig() Config {
 		BatchSize:    8,
 		LR:           0.05,
 		Seed:         1,
-		EvalEvery:    1,
 	}
 }
 
@@ -91,7 +90,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.LocalEpochs = 0 },
 		func(c *Config) { c.BatchSize = 0 },
 		func(c *Config) { c.LR = 0 },
-		func(c *Config) { c.EvalEvery = 0 },
 	}
 	for i, mutate := range bad {
 		cfg := tinyConfig()

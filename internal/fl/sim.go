@@ -29,9 +29,6 @@ type Config struct {
 	LR float64
 	// Seed drives all simulation randomness.
 	Seed int64
-	// EvalEvery evaluates the global model every EvalEvery rounds (1 =
-	// every round, which the ASR metric assumes).
-	EvalEvery int
 	// EvalLimit caps the number of test samples per evaluation (0 = all).
 	EvalLimit int
 	// Parallel trains the selected clients concurrently.
@@ -68,8 +65,6 @@ func (c *Config) Validate() error {
 		return errors.New("fl: BatchSize must be positive")
 	case c.LR <= 0:
 		return errors.New("fl: LR must be positive")
-	case c.EvalEvery <= 0:
-		return errors.New("fl: EvalEvery must be positive")
 	}
 	if err := c.Codec.Validate(); err != nil {
 		return err
@@ -218,7 +213,6 @@ func (s *Simulation) run(tr Transport) (*Result, error) {
 		TotalClients: s.cfg.TotalClients,
 		PerRound:     s.cfg.PerRound,
 		Rounds:       s.cfg.Rounds,
-		EvalEvery:    s.cfg.EvalEvery,
 		Seed:         s.cfg.Seed,
 		Scenario:     s.cfg.Scenario,
 		Transport:    tr,

@@ -210,35 +210,39 @@ func joinError(reply *Envelope, err error, federation string, spec codec.Spec) e
 	return &JoinRejectedError{Federation: federation, Code: reply.RejectCode, Reason: reply.Err}
 }
 
-// recv reads the next message header. A TrainRequest's body is decoded
-// straight into the client's own double buffer — c.global and c.prev hold
-// w(t) and w(t−1) on return — so a steady-state request allocates nothing; a
-// Done body is left for the caller to read.
+// into implements sink: a TrainRequest's body decodes into the double buffer
+// — swapped first when it elides w(t−1), so c.global and c.prev hold w(t)
+// and w(t−1) — and Done's into c.global.
+func (c *Client) into(h header) (a, b []float64) {
+	switch {
+	case h.typ == MsgUpdate:
+		return nil, nil
+	case h.flags == PrevInline:
+		return c.global, c.prev
+	case h.flags == PrevLast && c.held:
+		c.global, c.prev = c.prev, c.global
+	}
+	return c.global, nil
+}
+
+// recv reads the next message; a TrainRequest leaves w(t) and w(t−1) in
+// c.global and c.prev, so a steady-state request allocates nothing.
 func (c *Client) recv() (header, error) {
 	if err := c.conn.armRead(); err != nil {
 		return header{}, err
 	}
-	h, err := c.conn.head()
-	if err != nil || h.typ != MsgTrainRequest {
-		return h, err
+	m, err := c.conn.next(c)
+	if err != nil || m.typ != MsgTrainRequest {
+		return m.header, err
 	}
-	switch h.flags {
-	case PrevLast:
-		if !c.held {
-			return h, errors.New("flnet: server elided a previous global this client never received")
-		}
-		c.global, c.prev = c.prev, c.global
-		_, err = c.conn.readF64s(h.typ, c.global)
-	case PrevSame:
-		_, err = c.conn.readF64s(h.typ, c.global)
+	switch {
+	case m.flags == PrevLast && !c.held:
+		return m.header, errors.New("flnet: server elided a previous global this client never received")
+	case m.flags == PrevSame:
 		copy(c.prev, c.global)
-	case PrevInline:
-		if _, err = c.conn.readF64s(h.typ, c.global); err == nil {
-			_, err = c.conn.readF64s(h.typ, c.prev)
-		}
 	}
 	c.held = true
-	return h, err
+	return m.header, nil
 }
 
 // Run serves training requests until the server sends Done (returning the
@@ -254,11 +258,7 @@ func (c *Client) Run() ([]float64, error) {
 		case MsgDone:
 			// The session is over, so its receive buffer becomes the
 			// caller's final model rather than being copied into one.
-			final := c.global
-			if _, err := c.conn.readF64s(h.typ, final); err != nil {
-				return nil, fmt.Errorf("flnet: client %d: %w", c.ID, err)
-			}
-			return final, nil
+			return c.global, nil
 		case MsgTrainRequest:
 			weights, n, err := c.trainer.Train(h.round, c.global, c.prev)
 			if err != nil {

@@ -336,7 +336,6 @@ func (f *Federation) runEngine(st *startState) (*ServerResult, error) {
 		PerRound:     f.cfg.PerRound,
 		Rounds:       f.cfg.Rounds,
 		StartRound:   st.startRound,
-		EvalEvery:    1,
 		Seed:         f.cfg.Seed,
 		Scenario:     f.cfg.Scenario,
 		Transport:    tr,
@@ -543,7 +542,7 @@ func (t *netTransport) Collect(round int, ids []int, global, prev []float64) ([]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			replies[slot].update, replies[slot].ok = t.exchange(cl, round, global, bufs)
+			replies[slot].update, replies[slot].ok = t.exchange(cl, round, bufs)
 		}()
 	}
 	wg.Wait()
@@ -569,19 +568,14 @@ func equalF64s(b []byte, v []float64) bool {
 	return true
 }
 
-// exchange runs one session's round trip and decodes its Update. Any
+// exchange runs one session's round trip and validates its Update. Any
 // failure that leaves the byte stream out of sync — a failed or partial
 // write, a deadline inside a message, a malformed header, an out-of-protocol
 // message — breaks the session: it is closed and never contacted again. A
 // deadline between messages (errQuiet) is a plain straggler.
-func (t *netTransport) exchange(cl *session, round int, global []float64, bufs [][]byte) (fl.Update, bool) {
+func (t *netTransport) exchange(cl *session, round int, bufs [][]byte) (fl.Update, bool) {
 	tel := t.fed.tel
-	h, err := cl.roundTrip(round, t.gen, bufs)
-	var u fl.Update
-	ok := false
-	if err == nil {
-		u, ok, err = cl.decodeUpdate(h, global)
-	}
+	m, err := cl.roundTrip(round, t.gen, bufs)
 	if err != nil {
 		if !errors.Is(err, errQuiet) {
 			cl.broken = true
@@ -590,8 +584,9 @@ func (t *netTransport) exchange(cl *session, round int, global []float64, bufs [
 		}
 		return fl.Update{}, false
 	}
+	u, ok := cl.decodeUpdate(m)
 	if ok {
-		tel.bytesIn(h.n)
+		tel.bytesIn(m.n)
 	} else {
 		tel.updateRejected()
 	}
@@ -599,68 +594,65 @@ func (t *netTransport) exchange(cl *session, round int, global []float64, bufs [
 }
 
 // roundTrip writes the round's TrainRequest (broadcast generation gen) and
-// reads until the header of the round's Update, whose body the caller reads,
-// or the deadline. Late replies to earlier rounds are skipped by their round
-// number, so a client that straggled once answers again as soon as it
-// catches up.
-func (cl *session) roundTrip(round int, gen uint64, bufs [][]byte) (header, error) {
+// reads until the round's Update, or the deadline. Late replies to earlier
+// rounds are dropped by their round number, so a client that straggled once
+// answers again as soon as it catches up.
+func (cl *session) roundTrip(round int, gen uint64, bufs [][]byte) (message, error) {
 	if err := cl.conn.write(bufs...); err != nil {
-		return header{}, err
+		return message{}, err
 	}
 	cl.sentGen = gen
 	if err := cl.conn.armRead(); err != nil {
-		return header{}, err
+		return message{}, err
 	}
 	for {
-		h, err := cl.conn.head()
+		m, err := cl.conn.next(cl)
 		switch {
 		case err != nil:
-			return h, err
-		case h.typ != MsgUpdate || h.round > round:
-			return h, fmt.Errorf("flnet: unexpected %s for round %d in round %d", h.typ, h.round, round)
-		case h.round == round:
-			return h, nil
-		}
-		if err := cl.conn.skip(h); err != nil {
-			return h, err
+			return m, err
+		case m.typ != MsgUpdate || m.round > round:
+			return m, fmt.Errorf("flnet: unexpected %s for round %d in round %d", m.typ, m.round, round)
+		case m.round == round:
+			return m, nil
 		}
 	}
 }
 
-// decodeUpdate reads the body of a well-framed Update and validates it
-// against the session. Bad content — a foreign client ID, a negative sample
-// count, non-finite weights (checked while decoding), the wrong body kind, a
-// frame of another dimension or spec — fails closed: the client is absent
-// for the round, like a straggler, but the body is consumed, so the stream
-// stays in sync and the session usable; only a failed read returns an
-// error. The body decodes into storage the session owns, which the update
-// references until the next round (fl.Transport's lifetime rule): a dense
-// body straight off the socket into its vector, a frame body into its
-// frame, making a frame-only update whose dense vectors the defense builds
-// where it needs them (fl.Update.Vector).
-func (cl *session) decodeUpdate(h header, global []float64) (fl.Update, bool, error) {
-	u := fl.Update{ClientID: cl.id, NumSamples: h.samples}
-	if h.client != cl.id || h.samples < 0 || (h.flags == UpdateFrame) != cl.spec.Enabled() {
-		return u, false, cl.conn.skip(h)
+// into implements sink: every dense Update — this round's, a late one, or
+// one decodeUpdate rejects — decodes into the session's own vector, so no
+// body of the model's size ever lands in the connection's buffer.
+func (cl *session) into(h header) (a, b []float64) {
+	if h.typ != MsgUpdate {
+		return nil, nil
+	}
+	if len(cl.weights) != cl.conn.dim {
+		cl.weights = make([]float64, cl.conn.dim)
+	}
+	return cl.weights, nil
+}
+
+// decodeUpdate validates a read Update against the session. Bad content — a
+// foreign client ID, a negative sample count, non-finite weights, the wrong
+// body kind, a frame of another dimension or spec — fails closed: the client
+// is absent for the round, like a straggler, and the session stays usable.
+// The update references the session's vector or frame until the next round
+// (fl.Transport's lifetime rule); the defense builds a frame-only update's
+// dense vectors where it needs them (fl.Update.Vector).
+func (cl *session) decodeUpdate(m message) (fl.Update, bool) {
+	u := fl.Update{ClientID: cl.id, NumSamples: m.samples}
+	if m.client != cl.id || m.samples < 0 || (m.flags == UpdateFrame) != cl.spec.Enabled() {
+		return u, false
 	}
 	if !cl.spec.Enabled() {
-		if len(cl.weights) != len(global) {
-			cl.weights = make([]float64, len(global))
-		}
 		u.Weights = cl.weights
-		finite, err := cl.conn.readF64s(h.typ, u.Weights)
-		return u, finite, err
+		return u, m.finite
 	}
-	body, err := cl.conn.body(h)
-	if err != nil {
-		return u, false, err
-	}
-	err = codec.DecodeWireInto(&cl.frame, body, len(global))
-	if err != nil || cl.frame.Dim != len(global) || cl.frame.Spec != cl.spec {
-		return u, false, nil
+	err := codec.DecodeWireInto(&cl.frame, m.body, cl.conn.dim)
+	if err != nil || cl.frame.Dim != cl.conn.dim || cl.frame.Spec != cl.spec {
+		return u, false
 	}
 	u.Frame = &cl.frame
-	return u, true, nil
+	return u, true
 }
 
 // Host multiplexes several federations over one listener: every accepted

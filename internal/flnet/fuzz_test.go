@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -68,7 +69,8 @@ func codecFrameSeed(tb testing.TB) []byte {
 // codec frame go through the second stage the server runs
 // (codec.DecodeWire), which must equally fail closed: no panic, allocations
 // bounded by the frame size, and any accepted frame re-encodes to valid
-// bytes.
+// bytes. Each input is then replayed through the reads joined peers run
+// (replaySinks).
 func FuzzProtocolDecode(f *testing.F) {
 	ack := &Envelope{Type: MsgJoinAck, ClientID: 3, Dim: fuzzDim, Codec: "int8,topk=0.5"}
 	global := make([]float64, fuzzDim)
@@ -110,6 +112,12 @@ func FuzzProtocolDecode(f *testing.F) {
 	f.Add(other)
 	f.Add(encodeEnvelopes(f, &Envelope{Type: MsgType(99)}))
 	f.Add(encodeEnvelopes(f, ack, &Envelope{Type: MsgTrainRequest, Flags: PrevInline + 1, Weights: global}))
+	// A dense update carrying a NaN; a first request that elides a prev the
+	// client never received.
+	nan := slices.Clone(global)
+	nan[fuzzDim/2] = math.NaN()
+	f.Add(encodeEnvelopes(f, ack, &Envelope{Type: MsgUpdate, ClientID: 3, NumSamples: 1, Weights: nan}))
+	f.Add(encodeEnvelopes(f, ack, &Envelope{Type: MsgTrainRequest, Flags: PrevLast, Weights: global}))
 
 	// Codec sessions: the hostile frame shapes the second stage must reject.
 	update := func(frame []byte) []byte {
@@ -145,6 +153,7 @@ func FuzzProtocolDecode(f *testing.F) {
 	f.Add(update(zb))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		replaySinks(t, data)
 		conn := NewConn(&byteConn{r: bytes.NewReader(bytes.Clone(data))}, 0)
 		defer conn.Close()
 		// Every message consumes at least its header, so the input holds at
@@ -182,4 +191,57 @@ func FuzzProtocolDecode(f *testing.F) {
 		}
 		t.Fatalf("Recv yielded more messages than the input has headers (%d bytes)", len(data))
 	})
+}
+
+// replaySinks replays data through next as joined peers read it — into a
+// dense session, a codec session and a client (through recv) — and checks
+// that each fails closed: no float64 body lands in the connection's buffer,
+// which stays within the handshake and frame bounds; a dense update is
+// accepted only if every value is finite; every read consumes at least a
+// header.
+func replaySinks(t *testing.T, data []byte) {
+	spec, err := codec.ParseSpec("int8,topk=0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := func() *Conn {
+		conn := NewConn(&byteConn{r: bytes.NewReader(data)}, 0)
+		conn.dim = fuzzDim
+		return conn
+	}
+	c := &Client{conn: joined(), global: make([]float64, fuzzDim), prev: make([]float64, fuzzDim)}
+	reads := []func() (*Conn, error){func() (*Conn, error) {
+		_, err := c.recv()
+		return c.conn, err
+	}}
+	for _, cl := range []*session{{id: 3, conn: joined()}, {id: 3, conn: joined(), spec: spec}} {
+		reads = append(reads, func() (*Conn, error) {
+			m, err := cl.conn.next(cl)
+			if err == nil && m.f64() && m.body != nil {
+				t.Fatalf("a %s float64 body landed in the read buffer", m.typ)
+			}
+			if err != nil || m.typ != MsgUpdate {
+				return cl.conn, err
+			}
+			u, ok := cl.decodeUpdate(m)
+			if ok && slices.ContainsFunc(u.Weights, func(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) }) {
+				t.Fatal("decodeUpdate accepted a non-finite dense update")
+			}
+			return cl.conn, nil
+		})
+	}
+	for _, read := range reads {
+		for i := 0; ; i++ {
+			if i > len(data)/headerSize {
+				t.Fatalf("next yielded more messages than the input has headers (%d bytes)", len(data))
+			}
+			conn, err := read()
+			if bound := max(maxHandshakeBody, maxFrameBytes(fuzzDim)); cap(conn.rbuf) > bound {
+				t.Fatalf("read buffer grew to %d bytes, bound %d", cap(conn.rbuf), bound)
+			}
+			if err != nil {
+				break
+			}
+		}
+	}
 }

@@ -183,16 +183,18 @@ func (e *VersionError) Error() string {
 // consumed, so the stream is still in sync.
 var errQuiet = errors.New("flnet: no message before the deadline")
 
-// ErrSessionClosed is returned by client loops when the server finished the
-// training and closed the session cleanly.
-var ErrSessionClosed = errors.New("flnet: session closed")
-
 // header is a validated message header.
 type header struct {
 	typ                    MsgType
 	flags                  uint8
 	round, client, samples int
 	n                      int // body length
+}
+
+// f64 reports whether h's body is float64 values: a TrainRequest, a Done or
+// a dense Update.
+func (h header) f64() bool {
+	return h.typ == MsgTrainRequest || h.typ == MsgDone || h.typ == MsgUpdate && h.flags == UpdateDense
 }
 
 // maxFrameBytes bounds a codec wire frame of dimension d: the header, k ≤ d
@@ -355,11 +357,11 @@ func decodeEnvelope(h header, body []byte) (*Envelope, error) {
 			e.Err, body, ok = readString(body)
 		}
 	default:
-		if h.typ == MsgUpdate && h.flags == UpdateFrame {
-			e.Frame = append([]byte(nil), body...)
-		} else {
+		if h.f64() {
 			e.Weights = make([]float64, len(body)/8)
 			decodeF64s(e.Weights, body)
+		} else {
+			e.Frame = append([]byte(nil), body...)
 		}
 		body = nil
 	}
@@ -369,11 +371,11 @@ func decodeEnvelope(h header, body []byte) (*Envelope, error) {
 	return e, nil
 }
 
-// Conn frames messages over a net.Conn with deadline handling. A float64
-// body is decoded straight into its reader's vector (readF64s), other bodies
-// are read into one reusable buffer, and writes go through another, so a
-// session in steady state allocates nothing for framing. It is not safe for
-// concurrent use.
+// Conn frames messages over a net.Conn with deadline handling. Every read
+// consumes one whole message (next): a float64 body decodes straight into
+// its reader's vectors, other bodies into one reusable buffer, and writes go
+// through another, so a session in steady state allocates nothing for
+// framing. It is not safe for concurrent use.
 type Conn struct {
 	raw net.Conn
 	// Timeout bounds each read or write; 0 means no deadline.
@@ -432,15 +434,11 @@ func (c *Conn) Recv() (*Envelope, error) {
 	if err := c.armRead(); err != nil {
 		return nil, err
 	}
-	h, err := c.head()
+	m, err := c.next(nil)
 	if err != nil {
 		return nil, err
 	}
-	body, err := c.body(h)
-	if err != nil {
-		return nil, err
-	}
-	return decodeEnvelope(h, body)
+	return decodeEnvelope(m.header, m.body)
 }
 
 // armRead sets the read deadline Timeout from now.
@@ -452,65 +450,74 @@ func (c *Conn) armRead() error {
 	return c.raw.SetReadDeadline(time.Now().Add(c.Timeout))
 }
 
-// head reads and validates the next message header under whatever read
-// deadline is armed; the caller then consumes exactly its body — body,
-// readF64s or skip — before reading the next header. errQuiet means the
-// deadline passed before the first header byte; every other error, here or
-// in the body, leaves the stream out of sync.
-func (c *Conn) head() (header, error) {
+// sink is a reader that owns the vectors float64 bodies decode into: into
+// returns the ones h's body fills, in order. A body they do not exactly
+// cover is refused unread.
+type sink interface {
+	into(h header) (a, b []float64)
+}
+
+// message is one fully read message: body holds a body no sink took, valid
+// until the next read; finite, whether a sunk float64 body was all finite.
+type message struct {
+	header
+	body   []byte
+	finite bool
+}
+
+// chunk is the unit a sunk float64 body is read in, and chunks lends next
+// one. A body is read a chunk at a time only while its bytes arrive, so a
+// process's connections — a host's sessions, a process of clients — share a
+// few chunks instead of each keeping a buffer the size of its largest
+// message.
+type chunk [32 << 10]byte
+
+var chunks = sync.Pool{New: func() any { return new(chunk) }}
+
+// next reads the next message whole, under whatever read deadline is armed:
+// it is the only read of the connection, so the stream cannot fall out of
+// sync between messages. With a sink, a float64 body decodes straight into
+// the sink's vectors; every other body is read into the connection's
+// reusable buffer. errQuiet means the deadline passed before the first
+// header byte; every other error leaves the stream out of sync.
+func (c *Conn) next(s sink) (message, error) {
 	if n, err := io.ReadFull(c.raw, c.hdr[:]); err != nil {
 		var ne net.Error
 		if n == 0 && errors.As(err, &ne) && ne.Timeout() {
 			err = errQuiet
 		}
-		return header{}, err
+		return message{}, err
 	}
-	return parseHeader(c.hdr[:], c.dim)
-}
-
-// body reads h's body into the connection's reusable buffer, valid until
-// the next read.
-func (c *Conn) body(h header) ([]byte, error) {
-	if cap(c.rbuf) < h.n {
-		c.rbuf = make([]byte, h.n)
+	h, err := parseHeader(c.hdr[:], c.dim)
+	if err != nil {
+		return message{}, err
 	}
-	body := c.rbuf[:h.n]
-	if _, err := io.ReadFull(c.raw, body); err != nil {
-		return nil, fmt.Errorf("flnet: %s body: %w", h.typ, err)
-	}
-	return body, nil
-}
-
-// chunk is the unit readF64s reads a float64 body in.
-type chunk [32 << 10]byte
-
-// chunks lends readF64s its chunk. A body is read a chunk at a time only
-// while its bytes arrive, so a process's connections — a host's sessions, a
-// process of clients — share a few chunks instead of each keeping a buffer
-// the size of its largest message.
-var chunks = sync.Pool{New: func() any { return new(chunk) }}
-
-// readF64s reads the next 8·len(dst) body bytes of a typ message straight
-// into dst, and reports whether every value is finite.
-func (c *Conn) readF64s(typ MsgType, dst []float64) (finite bool, err error) {
-	buf := chunks.Get().(*chunk)
-	defer chunks.Put(buf)
-	finite = true
-	for len(dst) > 0 {
-		n := min(len(dst), len(buf)/8)
-		if _, err := io.ReadFull(c.raw, buf[:8*n]); err != nil {
-			return false, fmt.Errorf("flnet: %s body: %w", typ, err)
+	m := message{header: h}
+	if s != nil && h.f64() {
+		a, b := s.into(h)
+		if 8*(len(a)+len(b)) != h.n {
+			return m, fmt.Errorf("flnet: unexpected %s", h.typ)
 		}
-		finite = decodeF64s(dst[:n], buf[:8*n]) && finite
-		dst = dst[n:]
+		buf := chunks.Get().(*chunk)
+		defer chunks.Put(buf)
+		m.finite = true
+		for _, dst := range [2][]float64{a, b} {
+			for len(dst) > 0 && err == nil {
+				n := min(len(dst), len(buf)/8)
+				_, err = io.ReadFull(c.raw, buf[:8*n])
+				m.finite = decodeF64s(dst[:n], buf[:8*n]) && m.finite
+				dst = dst[n:]
+			}
+		}
+	} else {
+		if cap(c.rbuf) < h.n {
+			c.rbuf = make([]byte, h.n)
+		}
+		m.body = c.rbuf[:h.n]
+		_, err = io.ReadFull(c.raw, m.body)
 	}
-	return finite, nil
-}
-
-// skip discards h's body.
-func (c *Conn) skip(h header) error {
-	if _, err := io.CopyN(io.Discard, c.raw, int64(h.n)); err != nil {
-		return fmt.Errorf("flnet: %s body: %w", h.typ, err)
+	if err != nil {
+		return m, fmt.Errorf("flnet: %s body: %w", h.typ, err)
 	}
-	return nil
+	return m, nil
 }

@@ -2,9 +2,10 @@ package flnet
 
 // Tests of what the version-2 wire format guarantees beyond framing: prev
 // elision that is exact under every schedule, a broadcast encoded once,
-// allocation-free receives, update decodes and sends, straggler recovery,
-// fail-closed dense updates, a stream kept in sync past a rejected update
-// and a typed reject for other wire versions.
+// allocation-free receives, update decodes and sends, a client refusing an
+// elided prev it never held, straggler recovery, fail-closed dense updates,
+// a stream kept in sync past a rejected update and a typed reject for other
+// wire versions.
 
 import (
 	"bytes"
@@ -17,6 +18,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -321,6 +323,27 @@ func TestClientRecvSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestClientRefusesUnheldPrev: a client whose first request elides w(t−1)
+// fails, and the request's body has been consumed all the same.
+func TestClientRefusesUnheldPrev(t *testing.T) {
+	const dim = 8
+	req := Envelope{Type: MsgTrainRequest, Flags: PrevLast, Weights: make([]float64, dim)}
+	msg, err := req.appendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(msg)
+	conn := NewConn(&byteConn{r: r}, time.Second)
+	conn.dim = dim
+	c := &Client{conn: conn, global: make([]float64, dim), prev: make([]float64, dim)}
+	if _, err := c.Run(); err == nil || !strings.Contains(err.Error(), "server elided a previous global this client never received") {
+		t.Fatalf("Run: %v, want the elided-prev refusal", err)
+	}
+	if r.Len() != 0 {
+		t.Fatalf("%d bytes of the request left unread", r.Len())
+	}
+}
+
 // TestDenseUpdateDecodeSteadyStateZeroAlloc: once a dense session's read
 // buffer and update vector exist, reading and decoding an Update allocates
 // nothing, and the update is the session's own vector.
@@ -338,15 +361,14 @@ func TestDenseUpdateDecodeSteadyStateZeroAlloc(t *testing.T) {
 	conn := NewConn(&loopConn{msg: msg}, time.Second)
 	conn.dim = dim
 	cl := &session{id: 1, conn: conn}
-	global := make([]float64, dim)
 	var u fl.Update
 	decode := func() {
-		h, err := cl.conn.head()
+		m, err := cl.conn.next(cl)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var ok bool
-		if u, ok, err = cl.decodeUpdate(h, global); err != nil || !ok {
+		if u, ok = cl.decodeUpdate(m); !ok {
 			t.Fatal("a well-formed dense update was rejected")
 		}
 	}
@@ -380,12 +402,12 @@ func TestFrameUpdateDecodeSteadyStateZeroAlloc(t *testing.T) {
 	cl := &session{id: 1, conn: conn, spec: spec}
 	var u fl.Update
 	decode := func() {
-		h, err := cl.conn.head()
+		m, err := cl.conn.next(cl)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var ok bool
-		if u, ok, err = cl.decodeUpdate(h, global); err != nil || !ok {
+		if u, ok = cl.decodeUpdate(m); !ok {
 			t.Fatal("a well-formed frame update was rejected")
 		}
 	}
@@ -538,15 +560,14 @@ func TestRejectedUpdateKeepsStreamInSync(t *testing.T) {
 			conn := NewConn(&loopConn{msg: msg}, time.Second)
 			conn.dim = dim
 			cl := &session{id: 1, conn: conn}
-			global := make([]float64, dim)
 			for i, wantOK := range []bool{false, true} {
-				h, err := cl.conn.head()
+				m, err := cl.conn.next(cl)
 				if err != nil {
 					t.Fatalf("update %d: %v", i, err)
 				}
-				u, ok, err := cl.decodeUpdate(h, global)
-				if err != nil || ok != wantOK {
-					t.Fatalf("update %d: accepted %v, %v; want accepted %v", i, ok, err, wantOK)
+				u, ok := cl.decodeUpdate(m)
+				if ok != wantOK {
+					t.Fatalf("update %d: accepted %v, want %v", i, ok, wantOK)
 				}
 				if ok && !slices.Equal(u.Weights, good) {
 					t.Fatal("the update after a rejected one decoded to other weights")

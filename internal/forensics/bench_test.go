@@ -79,7 +79,6 @@ func benchSim(b *testing.B, obs fl.AggregationObserver) *fl.Simulation {
 		BatchSize:    8,
 		LR:           0.05,
 		Seed:         1,
-		EvalEvery:    1,
 		EvalLimit:    128,
 		Parallel:     true,
 		Observer:     obs,

@@ -32,7 +32,6 @@ func tinySim(t *testing.T, seed int64, agg fl.Aggregator, atk fl.Attack, obs fl.
 		BatchSize:    8,
 		LR:           0.05,
 		Seed:         seed,
-		EvalEvery:    1,
 		EvalLimit:    64,
 		Observer:     obs,
 	}
@@ -151,7 +150,6 @@ func TestAsyncZeroResponderRoundsRecorded(t *testing.T) {
 		BatchSize:    8,
 		LR:           0.05,
 		Seed:         11,
-		EvalEvery:    1,
 		EvalLimit:    40,
 		Observer:     col,
 		Scenario: fl.Scenario{

@@ -39,7 +39,6 @@ func popCfg(n, perRound, rounds int) fl.Config {
 		BatchSize:    8,
 		LR:           0.05,
 		Seed:         1,
-		EvalEvery:    1,
 		EvalLimit:    40,
 	}
 }
