@@ -150,7 +150,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	}
 	// One plane for the process, opened before any federation exists: it
 	// owns the registry every tenant labels its instruments on, the
-	// distance hook, the listener, and each tenant's collector. It closes
+	// listener, and each tenant's collector. It closes
 	// last; a drain failure is a real fault (stuck SSE subscribers, a lost
 	// audit line), reported unless the run itself already failed.
 	plane, err := experiment.OpenPlane(watch, title, ids...)

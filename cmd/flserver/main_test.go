@@ -182,11 +182,20 @@ func serveAndCheck(t *testing.T, federations []string, extra ...string) {
 			t.Errorf("GET %s/rounds = %d %.200s, want the audited first round", prefix, status, rounds)
 		}
 	}
-	// The plane owns the distance hook, so the hosted path reports the
-	// pairwise-distance matrix its Krum-family defense spends the round in.
-	m := regexp.MustCompile(`(?m)^defense_distance_seconds_count (\d+)$`).FindStringSubmatch(metrics)
-	if m == nil || m[1] == "0" {
-		t.Errorf("defense_distance_seconds_count missing or zero on a mkrum server's /metrics:\n%s", metrics)
+	// Each federation's engine reports the pairwise-distance matrix its
+	// Krum-family defense spends the round in: unlabelled on the
+	// single-tenant server, under the tenant's label on a host (whose
+	// alpha runs mkrum and beta fedavg, which computes no matrix).
+	if federations[0] == "" {
+		m := regexp.MustCompile(`(?m)^defense_distance_seconds_count (\d+)$`).FindStringSubmatch(metrics)
+		if m == nil || m[1] == "0" {
+			t.Errorf("defense_distance_seconds_count missing or zero on a mkrum server's /metrics:\n%s", metrics)
+		}
+	} else {
+		m := regexp.MustCompile(`(?m)^defense_distance_seconds_count\{federation="alpha"\} (\d+)$`).FindStringSubmatch(metrics)
+		if m == nil || m[1] == "0" || !strings.Contains(metrics, `defense_distance_seconds_count{federation="beta"} 0`+"\n") {
+			t.Errorf("want alpha's (mkrum) distance series non-zero and beta's (fedavg) zero on a host's /metrics:\n%s", metrics)
+		}
 	}
 	for path, want := range map[string]int{
 		"/dash/":  http.StatusOK,

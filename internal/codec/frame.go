@@ -151,9 +151,6 @@ func NewEncoder(spec Spec) *Encoder {
 	return e
 }
 
-// Spec returns the encoder's configuration.
-func (e *Encoder) Spec() Spec { return e.spec }
-
 // Encode compresses one client's round update (weights trained from global)
 // into a fresh frame; see EncodeInto.
 func (e *Encoder) Encode(clientID, round int, global, weights []float64) *Frame {

@@ -119,14 +119,13 @@ func (t TrimmedMean) Aggregate(global []float64, updates []fl.Update) ([]float64
 // Both paths are bit-deterministic at any worker count; compressed-domain
 // distances are over deltas, which pairwise equal weight distances up to
 // FP rounding — the documented codec-on semantics.
-// Timing reports through the process-global telemetry distance hook — the
-// aggregators are pure functions of the updates with no injection seam, and
-// this one routine is the geometry they all share.
-func roundSqDist(global []float64, updates []fl.Update) [][]float64 {
-	sp := telemetry.DistanceSpan()
+// It also returns the matrix's wall time, which the caller reports in
+// Selection.DistanceNanos for the engine to record on its federation's
+// telemetry.
+func roundSqDist(global []float64, updates []fl.Update) ([][]float64, int64) {
+	start := telemetry.Nanos()
 	m := sqDistGeometry(global, updates)
-	sp.End()
-	return m
+	return m, telemetry.Nanos() - start
 }
 
 func sqDistGeometry(global []float64, updates []fl.Update) [][]float64 {
@@ -241,15 +240,16 @@ func (k MultiKrum) Aggregate(global []float64, updates []fl.Update) ([]float64, 
 	if m > n {
 		m = n
 	}
-	dist := roundSqDist(global, updates)
+	dist, distNanos := roundSqDist(global, updates)
 	scores := krumScores(dist, k.F)
 	order := argsort(scores)
 	selected := append([]int(nil), order[:m]...)
 	sel := fl.Selection{
-		Accepted:  selected,
-		Scores:    negate(scores),
-		ScoreName: "neg-krum-distance",
-		Distances: dist,
+		Accepted:      selected,
+		Scores:        negate(scores),
+		ScoreName:     "neg-krum-distance",
+		Distances:     dist,
+		DistanceNanos: distNanos,
 	}
 	return selectedMean(global, updates, selected), sel, nil
 }
@@ -311,7 +311,7 @@ func (b Bulyan) Aggregate(global []float64, updates []fl.Update) ([]float64, fl.
 	// pairwise distances are computed once (compressed-domain when the
 	// round's frames allow); each iteration re-scores the shrinking
 	// remainder from the shared matrix.
-	dist := roundSqDist(global, updates)
+	dist, distNanos := roundSqDist(global, updates)
 	remaining := make([]int, n)
 	for i := range remaining {
 		remaining[i] = i
@@ -378,7 +378,7 @@ func (b Bulyan) Aggregate(global []float64, updates []fl.Update) ([]float64, fl.
 	// No Scores: the iterative stage-1 selection re-scores a shrinking set,
 	// so no single per-update score vector describes the decision. The
 	// shared distance matrix is still exported for forensic reuse.
-	return out, fl.Selection{Accepted: selected, Distances: dist}, nil
+	return out, fl.Selection{Accepted: selected, Distances: dist, DistanceNanos: distNanos}, nil
 }
 
 // medianOf returns the median of vals using tmp (same length) as sort

@@ -64,6 +64,8 @@ func TestFrameOnlyUpdatesMatchReconstructed(t *testing.T) {
 		}})
 	}
 
+	computesMatrix := map[string]bool{"krum": true, "mkrum": true, "bulyan": true, "hier(mkrum/mkrum)": true}
+
 	for _, token := range []string{"int8", "int8,topk=0.1,ef", "fp16", "raw"} {
 		cs, err := codec.ParseSpec(token)
 		if err != nil {
@@ -106,6 +108,13 @@ func TestFrameOnlyUpdatesMatchReconstructed(t *testing.T) {
 						t.Fatalf("round %d %s reconstructed: %v", round, r.name, err)
 					}
 					sameBits(t, r.name, got, want)
+					// The matrix's wall time is reported exactly by the rules
+					// that compute one; it is observation only, so every
+					// decision field is compared bit for bit without it.
+					if (gotSel.DistanceNanos > 0) != computesMatrix[r.name] || (wantSel.DistanceNanos > 0) != computesMatrix[r.name] {
+						t.Fatalf("round %d %s: DistanceNanos %d (frame-only), %d (reconstructed)", round, r.name, gotSel.DistanceNanos, wantSel.DistanceNanos)
+					}
+					gotSel.DistanceNanos, wantSel.DistanceNanos = 0, 0
 					if !reflect.DeepEqual(gotSel, wantSel) {
 						t.Fatalf("round %d %s: Selection differs\n frame-only:    %+v\n reconstructed: %+v", round, r.name, gotSel, wantSel)
 					}

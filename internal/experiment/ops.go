@@ -101,10 +101,7 @@ func forensicsPrefix(id string) string {
 // Collector — "" for a single run or a single-tenant server, the tenant ids
 // for a host, none for a sweep or a client — so the dashboard can open one
 // live tab each. Telemetry is on exactly when a sink exists (OpsAddr,
-// TracePath or TraceJournal). A plane that serves federations owns the
-// process-global defense distance hook from here to Close (open one plane
-// per process); one that serves none leaves it unset, because a sweep's
-// cells are never individually watched.
+// TracePath or TraceJournal).
 func OpenPlane(w Watch, title string, federations ...string) (*Plane, error) {
 	if err := w.normalize(); err != nil {
 		return nil, err
@@ -122,8 +119,8 @@ func OpenPlane(w Watch, title string, federations ...string) (*Plane, error) {
 		p.tracer = telemetry.NewTracer(0)
 	}
 	if w.OpsAddr != "" || tracing {
-		// Pure observation: the registry, tracer and distance hook never
-		// touch an RNG stream or the aggregation order.
+		// Pure observation: the registry and tracer never touch an RNG
+		// stream or the aggregation order.
 		p.reg = telemetry.NewRegistry()
 		telemetry.RegisterPoolGauges(p.reg, tensor.Workers, tensor.InUse)
 	}
@@ -153,9 +150,6 @@ func OpenPlane(w Watch, title string, federations ...string) (*Plane, error) {
 		if w.OnBound != nil {
 			w.OnBound(bound)
 		}
-	}
-	if len(federations) > 0 {
-		telemetry.SetDistanceHook(p.reg, p.tracer)
 	}
 	return p, nil
 }
@@ -217,9 +211,9 @@ func (p *Plane) Sweep(owner string) *telemetry.SweepTelemetry {
 }
 
 // Close drains the plane newest-first — the collectors (which ends their
-// SSE subscriptions), the ops listener, the distance hook — then writes the
-// trace files, and returns the first real error. It runs every step
-// whatever failed before it, so a failed run still leaves its trace.
+// SSE subscriptions), then the ops listener — then writes the trace files,
+// and returns the first real error. It runs every step whatever failed
+// before it, so a failed run still leaves its trace.
 func (p *Plane) Close() error {
 	if p == nil {
 		return nil
@@ -238,7 +232,6 @@ func (p *Plane) Close() error {
 	if p.shutdown != nil {
 		keep("ops endpoint shutdown", p.shutdown())
 	}
-	telemetry.ClearDistanceHook()
 	if p.watch.TracePath != "" {
 		keep("trace", writeChromeTrace(p.tracer, p.watch.TracePath))
 	}

@@ -118,7 +118,7 @@ func TestWatchRules(t *testing.T) {
 		wantErr   string
 		inert     bool // OpenPlane returns nil
 		opsAddr   string
-		telemetry bool // a registry (and the distance hook) exists
+		telemetry bool // a registry exists
 		audits    bool // a watched single run is audited without Config.Forensics
 	}{
 		{name: "zero", inert: true},
@@ -189,55 +189,51 @@ func TestNilPlaneIsInert(t *testing.T) {
 	}
 }
 
-// TestPlaneOwnsDistanceHook pins the satellite bugfix: the process-global
-// defense distance hook is set once by the plane and cleared once by its
-// Close — not per run, where the second watched run of a process used to
-// clear the first one's hook mid-run. Two runs through one plane both land
-// on its defense_distance_seconds series, and nothing reports after Close.
-func TestPlaneOwnsDistanceHook(t *testing.T) {
-	distanceCount := func(reg *telemetry.Registry) int64 {
-		return reg.Histogram("defense_distance_seconds", "").Count()
-	}
+// TestWatchedRunsRecordDistance: the distance-matrix time rides on each
+// watched run's own engine instruments, so two mKrum runs through one plane
+// both land on its defense_distance_seconds series, one observation per
+// aggregation, and an unwatched run of the same process (a clean baseline,
+// a later seed) adds nothing to it.
+func TestWatchedRunsRecordDistance(t *testing.T) {
 	p, err := OpenPlane(Watch{OpsAddr: "127.0.0.1:0"}, "test", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := p.Registry()
+	defer func() {
+		if err := p.Close(); err != nil {
+			t.Errorf("plane close: %v", err)
+		}
+	}()
+	distanceCount := func() int64 {
+		return p.Registry().Histogram("defense_distance_seconds", "").Count()
+	}
 	if _, err := run(tinyCfg("lie", "mkrum"), p); err != nil {
 		t.Fatal(err)
 	}
-	afterFirst := distanceCount(reg)
+	afterFirst := distanceCount()
 	if afterFirst == 0 {
-		t.Fatal("a watched mkrum run recorded no distance-matrix span")
+		t.Fatal("a watched mkrum run recorded no distance-matrix time")
 	}
-	// An unwatched run of the same process (a clean baseline, a later seed)
-	// neither owns nor clears the hook.
 	if _, err := Run(tinyCfg("lie", "mkrum")); err != nil {
 		t.Fatal(err)
+	}
+	if got := distanceCount(); got != afterFirst {
+		t.Fatalf("an unwatched run recorded distance-matrix time: %d → %d", afterFirst, got)
 	}
 	if _, err := run(tinyCfg("lie", "mkrum"), p); err != nil {
 		t.Fatal(err)
 	}
-	if got := distanceCount(reg); got <= afterFirst {
-		t.Fatalf("the hook was lost between runs: %d spans, then %d", afterFirst, got)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	closed := distanceCount(reg)
-	if _, err := Run(tinyCfg("lie", "mkrum")); err != nil {
-		t.Fatal(err)
-	}
-	if got := distanceCount(reg); got != closed {
-		t.Fatalf("distance spans still reported after Close: %d → %d", closed, got)
+	if got := distanceCount(); got != 2*afterFirst {
+		t.Fatalf("two identical watched runs recorded %d then %d observations", afterFirst, got)
 	}
 }
 
-// TestSweepPlaneLeavesDistanceHook: a sweep's cells are never individually
-// watched, so a plane that serves no federation must not collect their
-// distance matrices either — an mKrum grid drained under it leaves
-// defense_distance_seconds at 0, just as it leaves fl_rounds_total absent.
-func TestSweepPlaneLeavesDistanceHook(t *testing.T) {
+// TestSweepPlaneRecordsNoDistance: a sweep's cells are never individually
+// watched, so they get no engine instruments and a plane that serves no
+// federation collects none of their distance matrices — an mKrum grid
+// drained under it leaves defense_distance_seconds at 0, just as it leaves
+// fl_rounds_total absent.
+func TestSweepPlaneRecordsNoDistance(t *testing.T) {
 	p, err := OpenPlane(Watch{OpsAddr: "127.0.0.1:0"}, "test")
 	if err != nil {
 		t.Fatal(err)

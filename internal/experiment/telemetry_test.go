@@ -88,7 +88,8 @@ func TestTelemetryRunWiring(t *testing.T) {
 	}
 
 	// The Chrome trace must be a JSON array containing the round and phase
-	// spans of a 3-round run, and the defense layer's distance-matrix spans.
+	// spans of a 3-round run, and the distance-matrix spans nested in its
+	// aggregate spans.
 	raw, err := os.ReadFile(watch.TracePath)
 	if err != nil {
 		t.Fatal(err)

@@ -478,13 +478,15 @@ func (e *Engine) collectAttacked(round, numSelected int, benignIDs, attackerIDs 
 	return updates, nil
 }
 
-// applyAggregation runs one server aggregation: the robust rule, the DPR
-// accounting for selection-reporting defenses, the audit observer and the
-// server optimizer.
+// applyAggregation runs one server aggregation: the robust rule (and the
+// distance-matrix time it reports), the DPR accounting for
+// selection-reporting defenses, the audit observer and the server
+// optimizer.
 func (e *Engine) applyAggregation(round int, updates []Update, global, prev *[]float64, opt ServerOptimizer, stats *RoundStats, res *Result) error {
 	spAgg := e.Telemetry.Phase(telemetry.PhaseAggregate)
 	newGlobal, sel, err := e.Aggregator.Aggregate(*global, updates)
 	spAgg.End()
+	e.Telemetry.Distance(spAgg, sel.DistanceNanos)
 	if err != nil {
 		return fmt.Errorf("round %d: defense %s: %w", round, e.Aggregator.Name(), err)
 	}

@@ -77,6 +77,11 @@ type Selection struct {
 	// (Krum family, Bulyan) so forensic fingerprinting does not recompute
 	// the O(n²·d) geometry the defense already paid for.
 	Distances [][]float64
+	// DistanceNanos is the summed wall time of the pairwise distance
+	// matrices the rule computed this round (hierarchical rules sum their
+	// tiers); 0 when it computed none. It is observation only — the engine
+	// records it on the federation's telemetry — and no decision reads it.
+	DistanceNanos int64
 }
 
 // Known reports whether the defense exposed its accept/reject decisions.

@@ -32,9 +32,8 @@ func runTinyTelemetry(t *testing.T, tel *telemetry.EngineTelemetry) *Result {
 }
 
 // TestTelemetryOnOffBitIdentical locks in the telemetry discipline on the
-// in-process transport: a fixed-seed run with full telemetry (metrics,
-// tracer, defense distance hook) is bit-identical to the same run with
-// telemetry nil. Observation must never touch the RNG streams, the update
+// in-process transport: a fixed-seed run with full telemetry (metrics and
+// tracer) is bit-identical to the same run with telemetry nil. Observation must never touch the RNG streams, the update
 // set or the summation order.
 func TestTelemetryOnOffBitIdentical(t *testing.T) {
 	defer tensor.SetWorkers(0)
@@ -45,8 +44,6 @@ func TestTelemetryOnOffBitIdentical(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	tr := telemetry.NewTracer(0)
-	telemetry.SetDistanceHook(reg, tr)
-	defer telemetry.ClearDistanceHook()
 	on := runTinyTelemetry(t, telemetry.NewEngineTelemetry(reg, tr, ""))
 
 	if !reflect.DeepEqual(on, off) {
@@ -204,8 +201,6 @@ func BenchmarkSimulationRoundsTelemetry(b *testing.B) {
 	sim := benchSetup(b, true)
 	reg := telemetry.NewRegistry()
 	tr := telemetry.NewTracer(0)
-	telemetry.SetDistanceHook(reg, tr)
-	defer telemetry.ClearDistanceHook()
 	sim.cfg.Telemetry = telemetry.NewEngineTelemetry(reg, tr, "")
 	b.ReportAllocs()
 	b.ResetTimer()

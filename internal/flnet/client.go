@@ -141,12 +141,6 @@ type Client struct {
 	wire []byte
 }
 
-// Dial connects to the server and performs the join handshake with no
-// codec (dense float64 updates).
-func Dial(addr string, trainer Trainer, timeout time.Duration) (*Client, error) {
-	return DialCodec(addr, trainer, timeout, codec.Spec{})
-}
-
 // DialCodec connects to the server and negotiates the given update codec at
 // the join handshake. A server that does not serve the codec replies with a
 // rejection before round start, surfaced as *CodecRejectedError.

@@ -299,7 +299,7 @@ func TestCodecNegotiationReject(t *testing.T) {
 	// The federation is full and its first round is waiting on the two
 	// members: a late join must be refused within the handshake deadline.
 	start := time.Now()
-	_, err = Dial(addr, mk(0), 10*time.Second)
+	_, err = DialCodec(addr, mk(0), 10*time.Second, codec.Spec{})
 	var jr *JoinRejectedError
 	if !errors.As(err, &jr) || jr.Code != RejectClosed {
 		t.Fatalf("late join: got %v, want a RejectClosed *JoinRejectedError", err)

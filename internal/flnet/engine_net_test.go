@@ -56,7 +56,7 @@ func (f *netFixture) listen(t *testing.T) net.Listener {
 func (f *netFixture) runBenign(addr string, shard int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	trainer := NewBenignTrainer(f.train, f.shards[shard], f.newModel, 0.05, 1, 8, rng)
-	client, err := Dial(addr, trainer, 10*time.Second)
+	client, err := DialCodec(addr, trainer, 10*time.Second, codec.Spec{})
 	if err != nil {
 		return
 	}

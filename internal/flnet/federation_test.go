@@ -14,6 +14,7 @@ import (
 	"repro/internal/defense"
 	"repro/internal/fl"
 	"repro/internal/nn"
+	"repro/internal/telemetry"
 )
 
 // tenant describes one federation fixture of a multi-tenant test: its own
@@ -98,6 +99,69 @@ func runDedicated(t *testing.T, tn tenant) *ServerResult {
 	return o.res
 }
 
+// runHosted runs every tenant as one federation of a shared Host (whose
+// join spans go to tracer, which may be nil) on one listener, joins each
+// tenant's clients in order, and returns each federation's result.
+func runHosted(t *testing.T, tracer *telemetry.Tracer, tenants ...tenant) []*ServerResult {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	host := NewHost()
+	host.Tracer = tracer
+	feds := make([]*Federation, len(tenants))
+	type fedData struct {
+		train    *dataset.Dataset
+		newModel func(rng *rand.Rand) *nn.Network
+		shards   [][]int
+	}
+	data := make([]fedData, len(tenants))
+	for i, tn := range tenants {
+		train, test, newModel, shards := tenantData(t, tn)
+		fed, err := NewFederation(tn.id, tn.cfg, tn.agg, newModel, test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := host.Add(fed); err != nil {
+			t.Fatal(err)
+		}
+		feds[i] = fed
+		data[i] = fedData{train: train, newModel: newModel, shards: shards}
+	}
+	go func() { _ = host.Serve(lis) }()
+
+	type out struct {
+		res *ServerResult
+		err error
+	}
+	done := make([]chan out, len(tenants))
+	for i, fed := range feds {
+		done[i] = make(chan out, 1)
+		go func(i int, fed *Federation) {
+			res, err := fed.Run()
+			done[i] <- out{res, err}
+		}(i, fed)
+	}
+	var wgs []*sync.WaitGroup
+	for i, tn := range tenants {
+		wgs = append(wgs, runTenantClients(t, lis.Addr().String(), tn, data[i].train, data[i].newModel, data[i].shards))
+	}
+	for _, wg := range wgs {
+		wg.Wait()
+	}
+	results := make([]*ServerResult, len(tenants))
+	for i, tn := range tenants {
+		o := <-done[i]
+		if o.err != nil {
+			t.Fatalf("tenant %q hosted: %v", tn.id, o.err)
+		}
+		results[i] = o.res
+	}
+	return results
+}
+
 // sameResult asserts two server results are bit-identical: metrics, round
 // reports and the full final weight vector.
 func sameResult(t *testing.T, label string, a, b *ServerResult) {
@@ -163,58 +227,8 @@ func TestMultiTenantIsolationBitExact(t *testing.T) {
 		dedicated[i] = runDedicated(t, tn)
 	}
 
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	host := NewHost()
-	feds := make([]*Federation, len(tenants))
-	type fedData struct {
-		train    *dataset.Dataset
-		newModel func(rng *rand.Rand) *nn.Network
-		shards   [][]int
-	}
-	data := make([]fedData, len(tenants))
-	for i, tn := range tenants {
-		train, test, newModel, shards := tenantData(t, tn)
-		fed, err := NewFederation(tn.id, tn.cfg, tn.agg, newModel, test)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := host.Add(fed); err != nil {
-			t.Fatal(err)
-		}
-		feds[i] = fed
-		data[i] = fedData{train: train, newModel: newModel, shards: shards}
-	}
-	go func() { _ = host.Serve(lis) }()
-
-	type out struct {
-		res *ServerResult
-		err error
-	}
-	done := make([]chan out, len(tenants))
-	for i, fed := range feds {
-		done[i] = make(chan out, 1)
-		go func(i int, fed *Federation) {
-			res, err := fed.Run()
-			done[i] <- out{res, err}
-		}(i, fed)
-	}
-	var wgs []*sync.WaitGroup
-	for i, tn := range tenants {
-		wgs = append(wgs, runTenantClients(t, lis.Addr().String(), tn, data[i].train, data[i].newModel, data[i].shards))
-	}
-	for _, wg := range wgs {
-		wg.Wait()
-	}
-	for i, tn := range tenants {
-		o := <-done[i]
-		if o.err != nil {
-			t.Fatalf("tenant %q hosted: %v", tn.id, o.err)
-		}
-		sameResult(t, "tenant "+tn.id, dedicated[i], o.res)
+	for i, res := range runHosted(t, nil, tenants...) {
+		sameResult(t, "tenant "+tenants[i].id, dedicated[i], res)
 	}
 }
 
@@ -251,64 +265,13 @@ func TestMultiTenantCheckpointResume(t *testing.T) {
 	resumeTn := mkTenant(ckptB, 4)
 	trainTn := testTenants()[0] // "alpha", mkrum, training from scratch
 
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	res := runHosted(t, nil, resumeTn, trainTn)[0]
+	// The resumed federation continues at round 2 and matches the dedicated
+	// resume bit-for-bit despite the co-tenant's training.
+	if len(res.Rounds) == 0 || res.Rounds[0].Round != 2 {
+		t.Fatalf("hosted resume restarted from %+v, want round 2", res.Rounds)
 	}
-	defer lis.Close()
-	host := NewHost()
-	var feds []*Federation
-	type tData struct {
-		train    *dataset.Dataset
-		newModel func(rng *rand.Rand) *nn.Network
-		shards   [][]int
-	}
-	var data []tData
-	for _, tn := range []tenant{resumeTn, trainTn} {
-		train, test, newModel, shards := tenantData(t, tn)
-		fed, err := NewFederation(tn.id, tn.cfg, tn.agg, newModel, test)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := host.Add(fed); err != nil {
-			t.Fatal(err)
-		}
-		feds = append(feds, fed)
-		data = append(data, tData{train, newModel, shards})
-	}
-	go func() { _ = host.Serve(lis) }()
-
-	type out struct {
-		res *ServerResult
-		err error
-	}
-	done := make([]chan out, len(feds))
-	for i, fed := range feds {
-		done[i] = make(chan out, 1)
-		go func(i int, fed *Federation) {
-			res, err := fed.Run()
-			done[i] <- out{res, err}
-		}(i, fed)
-	}
-	var wgs []*sync.WaitGroup
-	for i, tn := range []tenant{resumeTn, trainTn} {
-		wgs = append(wgs, runTenantClients(t, lis.Addr().String(), tn, data[i].train, data[i].newModel, data[i].shards))
-	}
-	for _, wg := range wgs {
-		wg.Wait()
-	}
-	for i := range feds {
-		if o := <-done[i]; o.err != nil {
-			t.Fatalf("fed %d: %v", i, o.err)
-		} else if i == 0 {
-			// The resumed federation continues at round 2 and matches the
-			// dedicated resume bit-for-bit despite the co-tenant's training.
-			if len(o.res.Rounds) == 0 || o.res.Rounds[0].Round != 2 {
-				t.Fatalf("hosted resume restarted from %+v, want round 2", o.res.Rounds)
-			}
-			sameResult(t, "hosted resume", wantResumed, o.res)
-		}
-	}
+	sameResult(t, "hosted resume", wantResumed, res)
 }
 
 // TestAdmissionControlJoinStorm: joins beyond the bounded pending queue are

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/defense"
@@ -208,7 +209,7 @@ func TestEndToEndTraining(t *testing.T) {
 				}
 				trainer = NewAttackTrainer(dfa, newModel, rng, 40)
 			}
-			client, err := Dial(addr, trainer, 10*time.Second)
+			client, err := DialCodec(addr, trainer, 10*time.Second, codec.Spec{})
 			if err != nil {
 				errs[i] = err
 				return
@@ -293,7 +294,7 @@ func TestStragglerToleration(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(10 + i)))
 			trainer := NewBenignTrainer(train, shards[i], newModel, 0.05, 1, 8, rng)
-			client, err := Dial(addr, trainer, 5*time.Second)
+			client, err := DialCodec(addr, trainer, 5*time.Second, codec.Spec{})
 			if err != nil {
 				return
 			}
@@ -334,10 +335,10 @@ func TestStragglerToleration(t *testing.T) {
 }
 
 func TestDialErrors(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1", nil, time.Second); err == nil {
+	if _, err := DialCodec("127.0.0.1:1", nil, time.Second, codec.Spec{}); err == nil {
 		t.Fatal("expected error for nil trainer")
 	}
-	if _, err := Dial("127.0.0.1:0", &BenignTrainer{}, 200*time.Millisecond); err == nil {
+	if _, err := DialCodec("127.0.0.1:0", &BenignTrainer{}, 200*time.Millisecond, codec.Spec{}); err == nil {
 		t.Fatal("expected dial error for unroutable address")
 	}
 }
@@ -385,7 +386,7 @@ func TestServerRejectsBadHandshake(t *testing.T) {
 	// A real client arrives afterwards and completes the session.
 	rng := rand.New(rand.NewSource(9))
 	trainer := NewBenignTrainer(train, shards[0], newModel, 0.05, 1, 8, rng)
-	client, err := Dial(addr, trainer, 5*time.Second)
+	client, err := DialCodec(addr, trainer, 5*time.Second, codec.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}

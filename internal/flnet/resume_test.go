@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/dataset"
 	"repro/internal/defense"
 	"repro/internal/nn"
@@ -62,7 +63,7 @@ func runCheckpointedFederation(t *testing.T, ckpt string, rounds int) *ServerRes
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(20 + i)))
 			trainer := NewBenignTrainer(train, shards[i], newModel, 0.05, 1, 8, rng)
-			client, err := Dial(addr, trainer, 10*time.Second)
+			client, err := DialCodec(addr, trainer, 10*time.Second, codec.Spec{})
 			if err != nil {
 				t.Error(err)
 				return

@@ -1,14 +1,12 @@
 package flnet
 
 import (
-	"math/rand"
-	"net"
+	"fmt"
+	"regexp"
 	"strings"
-	"sync"
 	"testing"
 
-	"repro/internal/dataset"
-	"repro/internal/nn"
+	"repro/internal/defense"
 	"repro/internal/telemetry"
 )
 
@@ -28,64 +26,13 @@ func TestTelemetryOnOffBitIdenticalOverSockets(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	tr := telemetry.NewTracer(0)
-	telemetry.SetDistanceHook(reg, tr)
-	defer telemetry.ClearDistanceHook()
 
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	for i := range tenants {
+		tenants[i].cfg.Metrics = reg
+		tenants[i].cfg.Tracer = tr
 	}
-	defer lis.Close()
-	host := NewHost()
-	host.Tracer = tr
-	feds := make([]*Federation, len(tenants))
-	type fedData struct {
-		train    *dataset.Dataset
-		newModel func(rng *rand.Rand) *nn.Network
-		shards   [][]int
-	}
-	data := make([]fedData, len(tenants))
-	for i, tn := range tenants {
-		tn.cfg.Metrics = reg
-		tn.cfg.Tracer = tr
-		train, test, newModel, shards := tenantData(t, tn)
-		fed, err := NewFederation(tn.id, tn.cfg, tn.agg, newModel, test)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := host.Add(fed); err != nil {
-			t.Fatal(err)
-		}
-		feds[i] = fed
-		data[i] = fedData{train: train, newModel: newModel, shards: shards}
-	}
-	go func() { _ = host.Serve(lis) }()
-
-	type out struct {
-		res *ServerResult
-		err error
-	}
-	done := make([]chan out, len(tenants))
-	for i, fed := range feds {
-		done[i] = make(chan out, 1)
-		go func(i int, fed *Federation) {
-			res, err := fed.Run()
-			done[i] <- out{res, err}
-		}(i, fed)
-	}
-	var wgs []*sync.WaitGroup
-	for i, tn := range tenants {
-		wgs = append(wgs, runTenantClients(t, lis.Addr().String(), tn, data[i].train, data[i].newModel, data[i].shards))
-	}
-	for _, wg := range wgs {
-		wg.Wait()
-	}
-	for i, tn := range tenants {
-		o := <-done[i]
-		if o.err != nil {
-			t.Fatalf("tenant %q hosted: %v", tn.id, o.err)
-		}
-		sameResult(t, "tenant "+tn.id+" with telemetry", dedicated[i], o.res)
+	for i, res := range runHosted(t, tr, tenants...) {
+		sameResult(t, "tenant "+tenants[i].id+" with telemetry", dedicated[i], res)
 	}
 
 	var b strings.Builder
@@ -114,5 +61,49 @@ func TestTelemetryOnOffBitIdenticalOverSockets(t *testing.T) {
 	}
 	if tr.Len() == 0 {
 		t.Error("tracer buffered no spans")
+	}
+}
+
+// TestDistanceTelemetryPerFederation: the distance-matrix time rides on each
+// federation's own engine instruments, so two co-hosted mKrum federations
+// sharing one registry each report one defense_distance_seconds observation
+// per aggregation under their own federation label, a co-hosted median
+// federation (whose rule computes no matrix) reports none, and no
+// unlabelled host-wide series exists.
+func TestDistanceTelemetryPerFederation(t *testing.T) {
+	alpha := testTenants()[0] // mkrum, 3 rounds
+	gamma := alpha
+	gamma.id, gamma.cfg.Rounds, gamma.cfg.Seed, gamma.genSeed = "gamma", 2, 13, 17
+	delta := alpha
+	delta.id, delta.agg, delta.genSeed = "delta", defense.Median{}, 29
+	tenants := []tenant{alpha, gamma, delta}
+	reg := telemetry.NewRegistry()
+	for i := range tenants {
+		tenants[i].cfg.Metrics = reg
+	}
+	results := runHosted(t, nil, tenants...)
+
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	metrics := b.String()
+	for i, tn := range tenants {
+		aggs := 0
+		for _, rr := range results[i].Rounds {
+			aggs += rr.Aggregations
+		}
+		if _, median := tn.agg.(defense.Median); median {
+			aggs = 0
+		} else if aggs == 0 {
+			t.Fatalf("tenant %q never aggregated", tn.id)
+		}
+		want := fmt.Sprintf("defense_distance_seconds_count{federation=%q} %d\n", tn.id, aggs)
+		if !strings.Contains(metrics, want) {
+			t.Errorf("missing %q in shared registry:\n%s", want, metrics)
+		}
+	}
+	if regexp.MustCompile(`(?m)^defense_distance_seconds_count `).MatchString(metrics) {
+		t.Errorf("an unlabelled distance series merges the tenants:\n%s", metrics)
 	}
 }

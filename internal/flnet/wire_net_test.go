@@ -66,7 +66,7 @@ func federate(t *testing.T, cfg ServerConfig, trainers []Trainer) *ServerResult 
 	}()
 	var wg sync.WaitGroup
 	for _, tr := range trainers {
-		cl, err := Dial(lis.Addr().String(), tr, 10*time.Second)
+		cl, err := DialCodec(lis.Addr().String(), tr, 10*time.Second, codec.Spec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -602,7 +602,7 @@ func TestDeadlineInsideMessageBreaksSession(t *testing.T) {
 		done <- res
 	}()
 	addr := lis.Addr().String()
-	good, err := Dial(addr, funcTrainer(echo), 10*time.Second)
+	good, err := DialCodec(addr, funcTrainer(echo), 10*time.Second, codec.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -685,7 +685,7 @@ func TestOtherWireVersion(t *testing.T) {
 	_ = raw.Close()
 
 	// The rejected peer did not take the seat: a real client still completes.
-	cl, err := Dial(addr, funcTrainer(echo), 5*time.Second)
+	cl, err := DialCodec(addr, funcTrainer(echo), 5*time.Second, codec.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -305,15 +305,6 @@ func (c *Collector) Rounds() []RoundAudit {
 	return append(out, c.ring[:c.next]...)
 }
 
-// Err surfaces the first audit-journal failure; audit loss must not pass
-// silently, but it also must not abort a training round mid-flight, so the
-// engine keeps running and the caller checks after.
-func (c *Collector) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.journalErr
-}
-
 // Close releases the audit journal and ends every live-feed subscription
 // (their channels close, so attached SSE handlers finish), returning any
 // recorded write failure.

@@ -71,9 +71,6 @@ func NewReplay(runs []ReplayRun) *Replay {
 	return rp
 }
 
-// Runs returns the loaded runs (for callers assembling dashboard config).
-func (rp *Replay) Runs() []ReplayRun { return rp.runs }
-
 // jsonReplayRound is the wire shape of one replayed round.
 type jsonReplayRound struct {
 	Audit    jsonRoundAudit `json:"audit"`

@@ -72,12 +72,13 @@ func (h *Hierarchical) group(clientID int) int {
 }
 
 // Aggregate implements fl.Aggregator. The returned Selection always
-// carries the per-update group attribution (Selection.Groups); Accepted is
-// composed as described above. Scores are forwarded when every
-// participating group produced a score vector of the same kind, but raw
-// per-group scores are NOT comparable across groups (a Krum distance
-// depends on its group's geometry), so each group's scores are mapped to
-// their within-group average ranks normalized to (0, 1] first — the
+// carries the per-update group attribution (Selection.Groups) and both
+// tiers' summed DistanceNanos; Accepted is composed as described above.
+// Scores are forwarded when every participating group produced a score
+// vector of the same kind, but raw per-group scores are NOT comparable
+// across groups (a Krum distance depends on its group's geometry), so each
+// group's scores are mapped to their within-group average ranks
+// normalized to (0, 1] first — the
 // probability-integral transform that makes a single pooled ROC sweep
 // (the forensics AUC / TPR@FPR reservoir) well-defined. ScoreName gains a
 // "rank:" prefix to mark the transform. One blindness is inherent and
@@ -114,6 +115,7 @@ func (h *Hierarchical) Aggregate(global []float64, updates []fl.Update) ([]float
 	scoresKnown := true
 	scoreName := ""
 	scores := make([]float64, len(updates))
+	var distNanos int64
 	for g := 0; g < h.Groups; g++ {
 		if len(buckets[g]) == 0 {
 			continue
@@ -122,6 +124,7 @@ func (h *Hierarchical) Aggregate(global []float64, updates []fl.Update) ([]float
 		if err != nil {
 			return nil, fl.Selection{}, fmt.Errorf("population: group %d: %w", g, err)
 		}
+		distNanos += sel.DistanceNanos
 		samples := 0
 		for _, u := range buckets[g] {
 			samples += u.NumSamples
@@ -162,7 +165,7 @@ func (h *Hierarchical) Aggregate(global []float64, updates []fl.Update) ([]float
 	if err != nil {
 		return nil, fl.Selection{}, fmt.Errorf("population: server tier: %w", err)
 	}
-	out := fl.Selection{Groups: groupsAttr}
+	out := fl.Selection{Groups: groupsAttr, DistanceNanos: distNanos + serverSel.DistanceNanos}
 	if scoresKnown && scoreName != "" {
 		out.Scores = scores
 		out.ScoreName = scoreName

@@ -83,6 +83,29 @@ func (blendAll) Aggregate(_ []float64, updates []fl.Update) ([]float64, fl.Selec
 	return out, fl.Selection{}, nil
 }
 
+// distTier is a stub tier rule that reports a fixed distance-matrix time.
+type distTier struct{ ns int64 }
+
+func (distTier) Name() string { return "dist" }
+
+func (d distTier) Aggregate(global []float64, updates []fl.Update) ([]float64, fl.Selection, error) {
+	out, _, err := blendAll{}.Aggregate(global, updates)
+	return out, fl.Selection{DistanceNanos: d.ns}, err
+}
+
+// TestHierarchicalSumsDistanceTime: the hierarchical Selection carries the
+// distance-matrix time of every group aggregation plus the server tier's.
+func TestHierarchicalSumsDistanceTime(t *testing.T) {
+	h := &Hierarchical{Groups: 3, Group: distTier{7}, Server: distTier{5}}
+	_, sel, err := h.Aggregate([]float64{0, 0}, mkUpdates(1, 2, 3, 4, 5, 6, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sel.DistanceNanos != 3*7+5 {
+		t.Fatalf("DistanceNanos = %d, want 3 groups × 7 + server 5 = 26", sel.DistanceNanos)
+	}
+}
+
 // TestHierarchicalSelectionMapping pins the DPR attribution contract:
 // group-local selections map back to caller indices, filtered by the
 // server tier's group selection.

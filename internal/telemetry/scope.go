@@ -1,14 +1,13 @@
 package telemetry
 
-import "sync/atomic"
-
 // Phase enumerates the engine's fixed round phases. The collect phase
 // covers the transport round-trip — broadcast, client training and codec
 // decode — for both the in-process simulator and the socket server; the
 // distance-matrix geometry inside robust aggregation is reported
-// separately through the defense hook (DistanceSpan). Phases may overlap:
-// an attack that reads no benign update crafts beside collect (see
-// fl.Engine), so the phase durations of a round can sum past the round's.
+// separately, nested in the aggregate phase (EngineTelemetry.Distance).
+// Phases may overlap: an attack that reads no benign update crafts beside
+// collect (see fl.Engine), so the phase durations of a round can sum past
+// the round's.
 type Phase int
 
 const (
@@ -39,10 +38,10 @@ func (p Phase) Name() string {
 
 // EngineTelemetry bundles one federation's engine instruments: the round
 // counter and duration histogram, one duration histogram per phase, and
-// the codec byte counters, all under an optional federation label. Methods
-// are nil-safe and the enabled hot path performs only atomic operations,
-// so the engine threads one optional pointer with no conditionals and no
-// allocation when disabled.
+// the distance-matrix histogram and the codec byte counters, all under an
+// optional federation label. Methods are nil-safe and the enabled hot path
+// performs only atomic operations, so the engine threads one optional
+// pointer with no conditionals and no allocation when disabled.
 type EngineTelemetry struct {
 	tracer *Tracer
 	track  int32
@@ -53,6 +52,7 @@ type EngineTelemetry struct {
 	rounds   *Counter
 	roundDur *Histogram
 	phaseDur [phaseCount]*Histogram
+	distDur  *Histogram
 
 	bytesIn  *Counter
 	bytesOut *Counter
@@ -87,6 +87,8 @@ func NewEngineTelemetry(reg *Registry, tracer *Tracer, federation string) *Engin
 			"Model payload bytes broadcast to clients.", labels...),
 		frames: reg.Counter("fl_codec_frames_total",
 			"Codec frames carried by aggregated updates.", labels...),
+		distDur: reg.Histogram("defense_distance_seconds",
+			"Wall-clock time of the pairwise distance matrices one aggregation computed (hierarchical tiers summed).", labels...),
 	}
 	for p := Phase(0); p < phaseCount; p++ {
 		t.phaseDur[p] = reg.Histogram("fl_phase_seconds",
@@ -117,6 +119,18 @@ func (t *EngineTelemetry) Phase(p Phase) Span {
 	return Span{tracer: t.tracer, hist: t.phaseDur[p], name: p.Name(), track: track, start: Nanos()}
 }
 
+// Distance records ns of distance-matrix time that the rule reported for
+// the aggregation agg timed (fl.Selection.DistanceNanos): one histogram
+// observation and one distance-matrix span nested at the start of agg. A
+// rule that computed no matrix reports 0, which records nothing.
+func (t *EngineTelemetry) Distance(agg Span, ns int64) {
+	if t == nil || ns <= 0 {
+		return
+	}
+	t.distDur.ObserveNanos(ns)
+	t.tracer.Emit(t.track, "distance-matrix", agg.start, ns)
+}
+
 // AddBytesIn counts received update payload bytes.
 func (t *EngineTelemetry) AddBytesIn(n int) {
 	if t != nil {
@@ -136,49 +150,6 @@ func (t *EngineTelemetry) AddFrames(n int) {
 	if t != nil {
 		t.frames.Add(int64(n))
 	}
-}
-
-// distanceHook is the process-global instrument for the defense layer's
-// pairwise distance-matrix computation. The robust aggregators are built
-// without any telemetry seam (they are pure functions of the updates), so
-// the one shared geometry routine reports through this hook instead of a
-// threaded parameter. Set/Clear are cold-path; the disabled read is one
-// atomic load.
-type distanceHook struct {
-	tracer *Tracer
-	track  int32
-	dur    *Histogram
-}
-
-var distHook atomic.Pointer[distanceHook]
-
-// SetDistanceHook routes defense distance-matrix spans to reg/tracer.
-// Process-global: with co-hosted federations the hook reports the shared
-// defense layer, not one tenant. Pair with ClearDistanceHook.
-func SetDistanceHook(reg *Registry, tracer *Tracer) {
-	if reg == nil && tracer == nil {
-		ClearDistanceHook()
-		return
-	}
-	distHook.Store(&distanceHook{
-		tracer: tracer,
-		track:  tracer.Track("defense"),
-		dur: reg.Histogram("defense_distance_seconds",
-			"Wall-clock duration of one pairwise distance-matrix computation."),
-	})
-}
-
-// ClearDistanceHook disables the defense distance-matrix instrument.
-func ClearDistanceHook() { distHook.Store(nil) }
-
-// DistanceSpan opens a distance-matrix span, or an inert one when no hook
-// is set (one atomic load, no allocation).
-func DistanceSpan() Span {
-	h := distHook.Load()
-	if h == nil {
-		return Span{}
-	}
-	return Span{tracer: h.tracer, hist: h.dur, name: "distance-matrix", track: h.track, start: Nanos()}
 }
 
 // SweepTelemetry bundles one sweep worker's instruments: executed-cell

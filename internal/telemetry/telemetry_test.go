@@ -185,17 +185,16 @@ func TestTracerBound(t *testing.T) {
 // TestDisabledTelemetryZeroAlloc proves the zero-cost-when-disabled
 // contract at the instrument layer: the full per-round sequence the engine
 // executes against a nil EngineTelemetry — round span, every phase span,
-// the byte counters, the defense distance hook — allocates nothing.
+// the distance-matrix record, the byte counters — allocates nothing.
 func TestDisabledTelemetryZeroAlloc(t *testing.T) {
 	var tel *EngineTelemetry
-	ClearDistanceHook()
 	allocs := testing.AllocsPerRun(100, func() {
 		round := tel.Round()
 		for p := Phase(0); p < phaseCount; p++ {
 			sp := tel.Phase(p)
 			sp.End()
+			tel.Distance(sp, 1000)
 		}
-		DistanceSpan().End()
 		tel.AddBytesIn(1024)
 		tel.AddBytesOut(2048)
 		tel.AddFrames(8)
@@ -276,16 +275,46 @@ func TestEngineTelemetryHistograms(t *testing.T) {
 	}
 }
 
-func TestDistanceHook(t *testing.T) {
+// TestEngineTelemetryDistance: the distance-matrix time a rule reports is
+// one defense_distance_seconds observation under the federation's label and
+// one distance-matrix span on the federation's track, starting with the
+// aggregate span it nests in; a rule that computed no matrix records
+// nothing.
+func TestEngineTelemetryDistance(t *testing.T) {
 	reg := NewRegistry()
-	SetDistanceHook(reg, nil)
-	defer ClearDistanceHook()
-	DistanceSpan().End()
+	tr := NewTracer(0)
+	tel := NewEngineTelemetry(reg, tr, "alpha")
+	agg := tel.Phase(PhaseAggregate)
+	agg.End()
+	tel.Distance(agg, 2500)
+	agg = tel.Phase(PhaseAggregate)
+	agg.End()
+	tel.Distance(agg, 0)
+
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "defense_distance_seconds_count 1") {
-		t.Errorf("distance hook not recorded:\n%s", b.String())
+	for _, want := range []string{
+		`defense_distance_seconds_count{federation="alpha"} 1`,
+		`defense_distance_seconds_sum{federation="alpha"} 2.5e-06`,
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("missing %q in:\n%s", want, b.String())
+		}
+	}
+	tracks, events := tr.snapshot()
+	var spans []event
+	for _, ev := range events {
+		if ev.name == "distance-matrix" {
+			spans = append(spans, ev)
+		}
+	}
+	if len(spans) != 1 {
+		t.Fatalf("%d distance-matrix spans, want 1", len(spans))
+	}
+	if sp, first := spans[0], events[0]; tracks[sp.track] != "federation/alpha" || sp.ts != first.ts || sp.dur != 2500 {
+		t.Errorf("distance-matrix span %+v on track %q, want 2500 ns at the aggregate span's start %d on federation/alpha",
+			sp, tracks[sp.track], first.ts)
 	}
 }

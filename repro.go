@@ -110,10 +110,6 @@ type RunOptions struct {
 // it to pin sweeps on shared machines.
 func SetThreads(n int) { tensor.SetWorkers(n) }
 
-// NewRunner returns a fresh experiment runner with an empty clean-baseline
-// cache.
-func NewRunner() *experiment.Runner { return experiment.NewRunner() }
-
 // RunConfig executes a single simulation, filling the clean baseline and
 // attack success rate.
 func RunConfig(cfg Config) (*Outcome, error) {
