@@ -292,8 +292,9 @@ func (a MinMax) vector(benign [][]float64) ([]float64, error) {
 	if gInit <= 0 {
 		gInit = 50
 	}
+	cand := make([]float64, len(mean))
 	gamma := gammaSearch(gInit, 1e-4, func(g float64) bool {
-		cand := vec.Add(mean, vec.Scale(p, g))
+		shift(cand, mean, p, g)
 		worst := 0.0
 		for _, bu := range benign {
 			if d := vec.SqDist(cand, bu); d > worst {
@@ -302,7 +303,18 @@ func (a MinMax) vector(benign [][]float64) ([]float64, error) {
 		}
 		return worst <= bound
 	})
-	return vec.Add(mean, vec.Scale(p, gamma)), nil
+	return shift(cand, mean, p, gamma), nil
+}
+
+// shift fills cand with the γ-search candidate mean + g·p and returns it,
+// bit for bit vec.Add(mean, vec.Scale(p, g)): the conversion rounds the
+// product before the add, so the two cannot fuse into an FMA. Every γ step
+// of a Craft refills the one candidate.
+func shift(cand, mean, p []float64, g float64) []float64 {
+	for i := range cand {
+		cand[i] = mean[i] + float64(g*p[i])
+	}
+	return cand
 }
 
 // MinSum is the second AGR-agnostic attack of Shejwalkar & Houmansadr: like
@@ -346,13 +358,14 @@ func (a MinSum) Craft(ctx *fl.AttackContext) ([][]float64, error) {
 	if gInit <= 0 {
 		gInit = 50
 	}
+	cand := make([]float64, len(mean))
 	gamma := gammaSearch(gInit, 1e-4, func(g float64) bool {
-		cand := vec.Add(mean, vec.Scale(p, g))
+		shift(cand, mean, p, g)
 		sum := 0.0
 		for _, bu := range benign {
 			sum += vec.SqDist(cand, bu)
 		}
 		return sum <= bound
 	})
-	return replicate(ctx, vec.Add(mean, vec.Scale(p, gamma)), 0), nil
+	return replicate(ctx, shift(cand, mean, p, gamma), 0), nil
 }

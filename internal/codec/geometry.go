@@ -31,11 +31,17 @@ import (
 // (the shared global model cancels), which defines the codec-on geometry.
 
 // SqDistMatrix returns the pairwise squared-distance matrix of the frames'
-// updates computed in the compressed domain, or nil when the frame set has
-// no exact compressed-domain path — a missing frame, mixed layouts, or
+// updates computed in the compressed domain, in a fresh matrix:
+// SqDistMatrixInto(nil, frames).
+func SqDistMatrix(frames []*Frame) [][]float64 { return SqDistMatrixInto(nil, frames) }
+
+// SqDistMatrixInto returns the pairwise squared-distance matrix of the
+// frames' updates computed in the compressed domain, filling dst's storage
+// as vec.SqDistMatrixInto does, or nil — dst untouched — when the frame set
+// has no exact compressed-domain path: a missing frame, mixed layouts, or
 // dense raw/fp16 frames, whose geometry is the ordinary dense
 // vec.SqDistMatrix over the reconstructed vectors.
-func SqDistMatrix(frames []*Frame) [][]float64 {
+func SqDistMatrixInto(dst [][]float64, frames []*Frame) [][]float64 {
 	n := len(frames)
 	if n == 0 {
 		return nil
@@ -51,10 +57,10 @@ func SqDistMatrix(frames []*Frame) [][]float64 {
 		}
 	}
 	if sparse {
-		return sparseSqDist(frames)
+		return sparseSqDist(dst, frames)
 	}
 	if first.Spec.Quant == Int8 {
-		return int8SqDist(frames)
+		return int8SqDist(dst, frames)
 	}
 	return nil
 }
@@ -74,8 +80,8 @@ func getScratch(dim int) *[]float64 {
 
 func putScratch(p *[]float64) { scratchPool.Put(p) }
 
-// sparseSqDist computes the matrix for all-sparse frames.
-func sparseSqDist(frames []*Frame) [][]float64 {
+// sparseSqDist computes the matrix for all-sparse frames into dst.
+func sparseSqDist(dst [][]float64, frames []*Frame) [][]float64 {
 	n := len(frames)
 	dim := frames[0].Dim
 	mustGatherable(frames)
@@ -85,7 +91,7 @@ func sparseSqDist(frames []*Frame) [][]float64 {
 			norms[i] = dot4(frames[i].Val, frames[i].Val)
 		}
 	})
-	m := newSquare(n)
+	m := vec.SquareInto(dst, n)
 	// A tile's rows are taken four at a time: scattered interleaved into the
 	// worker's scratch, rows[4·id+r] = row r's value at id, so each of the
 	// tile's partner frames, hot after the tile's first group, meets all
@@ -173,8 +179,8 @@ func mustGatherable(frames []*Frame) {
 	}
 }
 
-// int8SqDist computes the matrix for all-dense-int8 frames.
-func int8SqDist(frames []*Frame) [][]float64 {
+// int8SqDist computes the matrix for all-dense-int8 frames into dst.
+func int8SqDist(dst [][]float64, frames []*Frame) [][]float64 {
 	n := len(frames)
 	dim := frames[0].Dim
 	blocks := dim / Block
@@ -199,7 +205,7 @@ func int8SqDist(frames []*Frame) [][]float64 {
 		}
 	})
 
-	m := newSquare(n)
+	m := vec.SquareInto(dst, n)
 	vec.PairTiles(n, func(tiles iter.Seq[vec.Tile]) {
 		dots := make([]int64, nb)
 		for t := range tiles {
@@ -250,15 +256,4 @@ func dot4(a, b []float64) float64 {
 		s0 += a[i] * b[i]
 	}
 	return ((s0 + s1) + s2) + s3
-}
-
-// newSquare allocates an n×n matrix over one contiguous backing slice
-// (mirrors vec's layout).
-func newSquare(n int) [][]float64 {
-	backing := make([]float64, n*n)
-	m := make([][]float64, n)
-	for i := range m {
-		m[i] = backing[i*n : (i+1)*n]
-	}
-	return m
 }

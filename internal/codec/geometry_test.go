@@ -103,7 +103,7 @@ func SparseDotDense(idx []int32, val, dense []float64) float64 {
 // dotted against it.
 func refSparseSqDist(frames []*Frame) [][]float64 {
 	n := len(frames)
-	m := newSquare(n)
+	m := vec.SquareInto(nil, n)
 	dense := make([]float64, frames[0].Dim)
 	for i, fi := range frames {
 		for k, id := range fi.Idx {
@@ -136,7 +136,7 @@ func refInt8SqDist(frames []*Frame) [][]float64 {
 		}
 		return s
 	}
-	m := newSquare(n)
+	m := vec.SquareInto(nil, n)
 	for i, fi := range frames {
 		for j := i + 1; j < n; j++ {
 			fj := frames[j]

@@ -39,8 +39,8 @@ func benchAggregator(b *testing.B, agg fl.Aggregator) {
 func BenchmarkFedAvg(b *testing.B)      { benchAggregator(b, FedAvg{}) }
 func BenchmarkMedian(b *testing.B)      { benchAggregator(b, Median{}) }
 func BenchmarkTrimmedMean(b *testing.B) { benchAggregator(b, TrimmedMean{Trim: 2}) }
-func BenchmarkMultiKrum(b *testing.B)   { benchAggregator(b, MultiKrum{F: 2}) }
-func BenchmarkBulyan(b *testing.B)      { benchAggregator(b, Bulyan{F: 2}) }
+func BenchmarkMultiKrum(b *testing.B)   { benchAggregator(b, &MultiKrum{F: 2}) }
+func BenchmarkBulyan(b *testing.B)      { benchAggregator(b, &Bulyan{F: 2}) }
 
 // BenchmarkMultiKrumK500 is the socket round's aggregation, the shape of the
 // ladder's defense.mkrum_k500_dense_ms and defense.mkrum_k500_frames_ms
@@ -62,7 +62,7 @@ func BenchmarkMultiKrumK500(b *testing.B) {
 	}{{"dense", dense}, {"int8-top10-ef", framed}} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := (MultiKrum{F: 100}).Aggregate(global, tc.us); err != nil {
+				if _, _, err := (&MultiKrum{F: 100}).Aggregate(global, tc.us); err != nil {
 					b.Fatal(err)
 				}
 			}

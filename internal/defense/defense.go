@@ -15,6 +15,8 @@ package defense
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/codec"
@@ -110,69 +112,74 @@ func (t TrimmedMean) Aggregate(global []float64, updates []fl.Update) ([]float64
 	return vec.TrimmedMean(updateVectors(global, updates), trim), fl.Selection{}, nil
 }
 
-// roundSqDist returns the round's pairwise squared-distance geometry:
-// computed in the compressed domain when every update carries a compatible
-// codec frame (sparse·dense dots against four scattered rows at a time,
-// exact int8 block dots — see internal/codec), so a frame-only round builds
-// no dense vector here; otherwise from the dense vectors (Update.Vector,
-// which reconstructs dense fp16/raw frames against global).
+// krumScratch is the storage a Krum-family rule refills on every
+// Aggregate: the round's distance matrix (grow-only, K×K at the largest
+// round seen), the score and index buffers, the selection, and
+// krumScoresFrom's per-chunk sorted rows. The Selection an Aggregate
+// returns aliases it, so it stays valid until the rule's next Aggregate
+// (fl.Aggregator's lifetime rule); the aggregate vector itself is fresh.
+type krumScratch struct {
+	dist     [][]float64
+	scores   []float64
+	idx      []int
+	accepted []int
+	rows     [][]float64
+}
+
+// roundSqDist returns the round's pairwise squared-distance geometry in the
+// scratch matrix: computed in the compressed domain when every update
+// carries a compatible codec frame (sparse·dense dots against four
+// scattered rows at a time, exact int8 block dots — see internal/codec), so
+// a frame-only round builds no dense vector here; otherwise from the dense
+// vectors (Update.Vector, which reconstructs dense fp16/raw frames against
+// global).
 // Both paths are bit-deterministic at any worker count; compressed-domain
 // distances are over deltas, which pairwise equal weight distances up to
 // FP rounding — the documented codec-on semantics.
 // It also returns the matrix's wall time, which the caller reports in
 // Selection.DistanceNanos for the engine to record on its federation's
 // telemetry.
-func roundSqDist(global []float64, updates []fl.Update) ([][]float64, int64) {
+func (s *krumScratch) roundSqDist(global []float64, updates []fl.Update) ([][]float64, int64) {
 	start := telemetry.Nanos()
-	m := sqDistGeometry(global, updates)
-	return m, telemetry.Nanos() - start
+	s.dist = s.sqDistGeometry(global, updates)
+	return s.dist, telemetry.Nanos() - start
 }
 
-func sqDistGeometry(global []float64, updates []fl.Update) [][]float64 {
+func (s *krumScratch) sqDistGeometry(global []float64, updates []fl.Update) [][]float64 {
 	frames := make([]*codec.Frame, len(updates))
 	for i := range updates {
 		if updates[i].Frame == nil {
-			return vec.SqDistMatrix(updateVectors(global, updates))
+			return vec.SqDistMatrixInto(s.dist, updateVectors(global, updates))
 		}
 		frames[i] = updates[i].Frame
 	}
-	if m := codec.SqDistMatrix(frames); m != nil {
+	if m := codec.SqDistMatrixInto(s.dist, frames); m != nil {
 		return m
 	}
-	return vec.SqDistMatrix(updateVectors(global, updates))
+	return vec.SqDistMatrixInto(s.dist, updateVectors(global, updates))
 }
 
-// krumScores returns, for every update, the sum of squared distances to its
-// n−f−2 nearest neighbours (Blanchard et al.), given the round's pairwise
-// squared-distance matrix (callers share the geometry via roundSqDist —
-// Selection.Distances, forensic fingerprints). The neighbour count is
-// clamped to [1, n−1] so small rounds still produce a usable score.
-func krumScores(dist [][]float64, f int) []float64 {
-	n := len(dist)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+// iota returns the scratch index buffer holding 0, 1, …, n−1.
+func (s *krumScratch) iota(n int) []int {
+	s.idx = s.idx[:0]
+	for i := range n {
+		s.idx = append(s.idx, i)
 	}
-	return krumScoresFrom(dist, idx, f)
-}
-
-// negate returns the element-wise negation of scores: the Krum family's
-// Selection.Scores convention is "higher = more benign", the opposite of
-// the raw summed-distance score.
-func negate(scores []float64) []float64 {
-	out := make([]float64, len(scores))
-	for i, s := range scores {
-		out[i] = -s
-	}
-	return out
+	return s.idx
 }
 
 // krumScoresFrom scores the subset of updates given by idx against each
 // other using a precomputed pairwise squared-distance matrix, so iterative
-// selections (Bulyan) re-score without recomputing any distance. Rows fan
-// out over the kernel pool; each score is the ascending sum of its own
-// sorted row, so the chunking cannot change it.
-func krumScoresFrom(dist [][]float64, idx []int, f int) []float64 {
+// selections (Bulyan) re-score without recomputing any distance: for every
+// update, the sum of squared distances to its n−f−2 nearest neighbours
+// (Blanchard et al.), the neighbour count clamped to [1, n−1] so small
+// rounds still produce a usable score. A NaN distance ranks as +Inf, so an
+// update with a NaN coordinate scores +Inf and never counts as anyone's
+// neighbour (sort.Float64s would put NaN first and poison every score).
+// Rows fan out over the kernel pool; each score is the ascending sum of its
+// own sorted row, so the chunking cannot change it. The scores live in the
+// scratch until the next call.
+func (s *krumScratch) krumScoresFrom(dist [][]float64, idx []int, f int) []float64 {
 	n := len(idx)
 	neighbours := n - f - 2
 	if neighbours < 1 {
@@ -181,24 +188,35 @@ func krumScoresFrom(dist [][]float64, idx []int, f int) []float64 {
 	if neighbours > n-1 {
 		neighbours = n - 1
 	}
-	scores := make([]float64, n)
-	tensor.ParallelFor(n, 32, func(lo, hi int) {
-		row := make([]float64, 0, n-1)
+	s.scores = slices.Grow(s.scores[:0], n)[:n]
+	scores := s.scores
+	chunks := tensor.ChunkCount(n, 32)
+	for len(s.rows) < chunks {
+		s.rows = append(s.rows, nil)
+	}
+	tensor.ParallelForChunksCap(n, 32, chunks, func(lo, hi, chunk int) {
+		row := slices.Grow(s.rows[chunk][:0], n-1)
 		for i := lo; i < hi; i++ {
 			row = row[:0]
 			di := dist[idx[i]]
 			for j := 0; j < n; j++ {
-				if j != i {
-					row = append(row, di[idx[j]])
+				if j == i {
+					continue
 				}
+				d := di[idx[j]]
+				if math.IsNaN(d) {
+					d = math.Inf(1)
+				}
+				row = append(row, d)
 			}
 			sort.Float64s(row)
-			s := 0.0
+			sum := 0.0
 			for k := 0; k < neighbours; k++ {
-				s += row[k]
+				sum += row[k]
 			}
-			scores[i] = s
+			scores[i] = sum
 		}
+		s.rows[chunk] = row
 	})
 	return scores
 }
@@ -206,26 +224,30 @@ func krumScoresFrom(dist [][]float64, idx []int, f int) []float64 {
 // MultiKrum implements Krum and its multi-update extension mKrum: updates
 // are scored by the summed squared distance to their nearest neighbours and
 // the M lowest-scoring updates are averaged. M = 1 is plain Krum; the paper
-// uses mKrum with M = n − F, interpolating between Krum and averaging.
+// uses mKrum with M = n − F, interpolating between Krum and averaging. A
+// *MultiKrum keeps its per-round scratch, so one goroutine drives it.
 type MultiKrum struct {
 	// F is the server's assumed number of Byzantine updates per round.
 	F int
 	// M is the number of updates selected; 0 means n − F.
 	M int
+
+	scratch krumScratch
 }
 
-var _ fl.Aggregator = MultiKrum{}
+var _ fl.Aggregator = (*MultiKrum)(nil)
 
 // Name implements fl.Aggregator.
-func (k MultiKrum) Name() string {
+func (k *MultiKrum) Name() string {
 	if k.M == 1 {
 		return "krum"
 	}
 	return "mkrum"
 }
 
-// Aggregate implements fl.Aggregator.
-func (k MultiKrum) Aggregate(global []float64, updates []fl.Update) ([]float64, fl.Selection, error) {
+// Aggregate implements fl.Aggregator. The Selection lives in k's scratch
+// until k's next Aggregate.
+func (k *MultiKrum) Aggregate(global []float64, updates []fl.Update) ([]float64, fl.Selection, error) {
 	n := len(updates)
 	if n == 0 {
 		return nil, fl.Selection{}, errNoUpdates
@@ -240,18 +262,25 @@ func (k MultiKrum) Aggregate(global []float64, updates []fl.Update) ([]float64, 
 	if m > n {
 		m = n
 	}
-	dist, distNanos := roundSqDist(global, updates)
-	scores := krumScores(dist, k.F)
-	order := argsort(scores)
-	selected := append([]int(nil), order[:m]...)
+	sc := &k.scratch
+	dist, distNanos := sc.roundSqDist(global, updates)
+	order := sc.iota(n)
+	scores := sc.krumScoresFrom(dist, order, k.F)
+	sort.Slice(order, func(a, b int) bool { return scores[order[a]] < scores[order[b]] })
+	sc.accepted = append(sc.accepted[:0], order[:m]...)
+	// Selection.Scores is "higher = more benign", the opposite of the raw
+	// summed-distance score.
+	for i, s := range scores {
+		scores[i] = -s
+	}
 	sel := fl.Selection{
-		Accepted:      selected,
-		Scores:        negate(scores),
+		Accepted:      sc.accepted,
+		Scores:        scores,
 		ScoreName:     "neg-krum-distance",
 		Distances:     dist,
 		DistanceNanos: distNanos,
 	}
-	return selectedMean(global, updates, selected), sel, nil
+	return selectedMean(global, updates, sc.accepted), sel, nil
 }
 
 // selectedMean is vec.Mean over the selected updates' dense vectors, bit for
@@ -285,19 +314,23 @@ func selectedMean(global []float64, updates []fl.Update, selected []int) []float
 // Bulyan implements the two-stage defense of El Mhamdi et al.: first an
 // iterative Multi-Krum selection of θ = n − 2F updates, then for every
 // coordinate the average of the β = θ − 2F values closest to the
-// coordinate median. Both counts are clamped for small rounds.
+// coordinate median. Both counts are clamped for small rounds. A *Bulyan
+// keeps its per-round scratch, so one goroutine drives it.
 type Bulyan struct {
 	// F is the server's assumed number of Byzantine updates per round.
 	F int
+
+	scratch krumScratch
 }
 
-var _ fl.Aggregator = Bulyan{}
+var _ fl.Aggregator = (*Bulyan)(nil)
 
 // Name implements fl.Aggregator.
-func (Bulyan) Name() string { return "bulyan" }
+func (*Bulyan) Name() string { return "bulyan" }
 
-// Aggregate implements fl.Aggregator.
-func (b Bulyan) Aggregate(global []float64, updates []fl.Update) ([]float64, fl.Selection, error) {
+// Aggregate implements fl.Aggregator. The Selection lives in b's scratch
+// until b's next Aggregate.
+func (b *Bulyan) Aggregate(global []float64, updates []fl.Update) ([]float64, fl.Selection, error) {
 	n := len(updates)
 	if n == 0 {
 		return nil, fl.Selection{}, errNoUpdates
@@ -311,14 +344,12 @@ func (b Bulyan) Aggregate(global []float64, updates []fl.Update) ([]float64, fl.
 	// pairwise distances are computed once (compressed-domain when the
 	// round's frames allow); each iteration re-scores the shrinking
 	// remainder from the shared matrix.
-	dist, distNanos := roundSqDist(global, updates)
-	remaining := make([]int, n)
-	for i := range remaining {
-		remaining[i] = i
-	}
-	var selected []int
+	sc := &b.scratch
+	dist, distNanos := sc.roundSqDist(global, updates)
+	remaining := sc.iota(n)
+	selected := sc.accepted[:0]
 	for len(selected) < theta {
-		scores := krumScoresFrom(dist, remaining, b.F)
+		scores := sc.krumScoresFrom(dist, remaining, b.F)
 		best := 0
 		for i, s := range scores {
 			if s < scores[best] {
@@ -328,6 +359,7 @@ func (b Bulyan) Aggregate(global []float64, updates []fl.Update) ([]float64, fl.
 		selected = append(selected, remaining[best])
 		remaining = append(remaining[:best], remaining[best+1:]...)
 	}
+	sc.accepted = selected
 
 	// Stage 2: coordinate-wise trimmed average around the median of the
 	// selected updates, whose dense vectors are the only ones built. The
@@ -393,15 +425,6 @@ func medianOf(vals, tmp []float64) float64 {
 	return 0.5 * (tmp[n/2-1] + tmp[n/2])
 }
 
-func argsort(scores []float64) []int {
-	order := make([]int, len(scores))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return scores[order[a]] < scores[order[b]] })
-	return order
-}
-
 // ByName resolves a defense by its canonical name; f is the server's assumed
 // per-round attacker count used by the robust rules.
 func ByName(name string, f int) (fl.Aggregator, error) {
@@ -413,11 +436,11 @@ func ByName(name string, f int) (fl.Aggregator, error) {
 	case "trmean", "trimmedmean":
 		return TrimmedMean{Trim: f}, nil
 	case "krum":
-		return MultiKrum{F: f, M: 1}, nil
+		return &MultiKrum{F: f, M: 1}, nil
 	case "mkrum":
-		return MultiKrum{F: f}, nil
+		return &MultiKrum{F: f}, nil
 	case "bulyan":
-		return Bulyan{F: f}, nil
+		return &Bulyan{F: f}, nil
 	case "foolsgold":
 		return NewFoolsGold(1), nil
 	default:

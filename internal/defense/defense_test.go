@@ -73,7 +73,7 @@ func TestKrumColludersCanPass(t *testing.T) {
 		vs = append(vs, v)
 	}
 	us := mkUpdates(vs, []bool{false, false, false, false, false, false, false, false, true, true})
-	_, sel, err := Bulyan{F: 2}.Aggregate(nil, us)
+	_, sel, err := (&Bulyan{F: 2}).Aggregate(nil, us)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestTrimmedMeanNegativeTrim(t *testing.T) {
 func TestMultiKrumExcludesOutliers(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	us, mal := cluster(rng, 20, 8, 2, 50)
-	agg := MultiKrum{F: 2}
+	agg := &MultiKrum{F: 2}
 	got, sel, err := agg.Aggregate(nil, us)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestMultiKrumExcludesOutliers(t *testing.T) {
 func TestKrumSelectsSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	us, mal := cluster(rng, 10, 7, 3, 30)
-	agg := MultiKrum{F: 3, M: 1}
+	agg := &MultiKrum{F: 3, M: 1}
 	if agg.Name() != "krum" {
 		t.Fatalf("Name = %q, want krum", agg.Name())
 	}
@@ -209,7 +209,7 @@ func TestKrumSelectsSingle(t *testing.T) {
 func TestBulyanExcludesOutliersAndStaysInHull(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	us, mal := cluster(rng, 15, 8, 2, 40)
-	agg := Bulyan{F: 2}
+	agg := &Bulyan{F: 2}
 	got, sel, err := agg.Aggregate(nil, us)
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestBulyanExcludesOutliersAndStaysInHull(t *testing.T) {
 }
 
 func TestEmptyUpdatesError(t *testing.T) {
-	aggs := []fl.Aggregator{FedAvg{}, Median{}, TrimmedMean{Trim: 1}, MultiKrum{F: 1}, Bulyan{F: 1}}
+	aggs := []fl.Aggregator{FedAvg{}, Median{}, TrimmedMean{Trim: 1}, &MultiKrum{F: 1}, &Bulyan{F: 1}}
 	for _, a := range aggs {
 		if _, _, err := a.Aggregate(nil, nil); err == nil {
 			t.Errorf("%s: expected error for empty updates", a.Name())
@@ -238,7 +238,7 @@ func TestEmptyUpdatesError(t *testing.T) {
 
 func TestSingleUpdateAllDefenses(t *testing.T) {
 	us := mkUpdates([][]float64{{1, 2, 3}}, nil)
-	aggs := []fl.Aggregator{FedAvg{}, Median{}, TrimmedMean{Trim: 2}, MultiKrum{F: 2}, Bulyan{F: 2}}
+	aggs := []fl.Aggregator{FedAvg{}, Median{}, TrimmedMean{Trim: 2}, &MultiKrum{F: 2}, &Bulyan{F: 2}}
 	for _, a := range aggs {
 		got, _, err := a.Aggregate(nil, us)
 		if err != nil {
@@ -271,7 +271,7 @@ func TestByName(t *testing.T) {
 // lies within [min, max] of the submitted values for that coordinate —
 // the defining robustness property the paper's attacks must work around.
 func TestAggregateWithinHullProperty(t *testing.T) {
-	aggs := []fl.Aggregator{Median{}, TrimmedMean{Trim: 1}, MultiKrum{F: 1}, Bulyan{F: 1}}
+	aggs := []fl.Aggregator{Median{}, TrimmedMean{Trim: 1}, &MultiKrum{F: 1}, &Bulyan{F: 1}}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(6)
@@ -317,7 +317,7 @@ func TestMultiKrumPermutationProperty(t *testing.T) {
 		for i := range vs {
 			vs[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
 		}
-		agg := MultiKrum{F: 1}
+		agg := &MultiKrum{F: 1}
 		out1, _, err := agg.Aggregate(nil, mkUpdates(vs, nil))
 		if err != nil {
 			return false
@@ -344,7 +344,7 @@ func TestBulyanStage2(t *testing.T) {
 	// 5 updates, F=1: theta=3, beta=1 → per coordinate, the single value
 	// closest to the median of the selected three.
 	us := mkUpdates([][]float64{{0}, {0.1}, {0.2}, {5}, {-5}}, nil)
-	got, sel, err := Bulyan{F: 1}.Aggregate(nil, us)
+	got, sel, err := (&Bulyan{F: 1}).Aggregate(nil, us)
 	if err != nil {
 		t.Fatal(err)
 	}

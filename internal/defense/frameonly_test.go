@@ -51,7 +51,7 @@ func TestFrameOnlyUpdatesMatchReconstructed(t *testing.T) {
 			return r
 		}},
 		{"hier(mkrum/mkrum)", func(*testing.T) fl.Aggregator {
-			return &population.Hierarchical{Groups: 3, Group: defense.MultiKrum{F: 1}, Server: defense.MultiKrum{}}
+			return &population.Hierarchical{Groups: 3, Group: &defense.MultiKrum{F: 1}, Server: &defense.MultiKrum{}}
 		}},
 	}
 	for _, name := range []string{"fedavg", "median", "trmean", "krum", "mkrum", "bulyan", "foolsgold"} {

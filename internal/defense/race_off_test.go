@@ -1,0 +1,7 @@
+//go:build !race
+
+package defense
+
+// raceEnabled reports whether the race detector is active; the allocation
+// guards skip under it because instrumentation allocates.
+const raceEnabled = false

@@ -80,14 +80,14 @@ func TestKrumScoresWorkerInvariant(t *testing.T) {
 	var one, eight fl.Selection
 	withWorkers(t, 1, func() {
 		var err error
-		_, one, err = MultiKrum{F: 2}.Aggregate(nil, updates)
+		_, one, err = (&MultiKrum{F: 2}).Aggregate(nil, updates)
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
 	withWorkers(t, 8, func() {
 		var err error
-		_, eight, err = MultiKrum{F: 2}.Aggregate(nil, updates)
+		_, eight, err = (&MultiKrum{F: 2}).Aggregate(nil, updates)
 		if err != nil {
 			t.Fatal(err)
 		}

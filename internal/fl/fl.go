@@ -50,7 +50,8 @@ func (u Update) Vector(global []float64) []float64 {
 // rule: which updates entered the aggregate, with what weight, and — for
 // score-producing defenses — the raw per-update score the decision was cut
 // from. It is the seam the forensics subsystem audits: every field indexes
-// the round's updates slice positionally.
+// the round's updates slice positionally. Its slices may be the rule's
+// scratch, valid until the rule's next Aggregate (see Aggregator).
 type Selection struct {
 	// Accepted lists the indices of updates included in the aggregate; it
 	// drives the DPR metric (Eq. 5). nil means the defense does not report
@@ -128,6 +129,14 @@ func SelectAll(n int) Selection {
 }
 
 // Aggregator is a server-side aggregation rule, possibly Byzantine-robust.
+//
+// One round lifetime: the Selection an Aggregate returns, with its
+// Accepted, Scores, Distances and every other slice, stays valid only until
+// the same aggregator's next Aggregate — the Krum-family rules and the
+// hierarchy refill scratch they own — so a consumer that keeps any of it
+// (an observer, a hierarchy tier composing its groups) copies what it
+// keeps. The returned weights are the caller's. One goroutine drives an
+// aggregator.
 type Aggregator interface {
 	// Name returns the defense's display name.
 	Name() string
@@ -143,7 +152,7 @@ type Aggregator interface {
 // AggregationObserver receives every server aggregation decision: the
 // round's updates (whose Malicious flags are the simulator's ground truth),
 // the defense's Selection, and the global weights the updates were judged
-// against. A zero-responder or all-filtered round is reported too — with an
+// against — all valid only for the call (see Aggregator, Transport). A zero-responder or all-filtered round is reported too — with an
 // empty updates slice or an empty Accepted — so audit streams never skip
 // rounds silently. Implementations are called from the engine goroutine,
 // synchronously, once per aggregation (async buffer flushes included).

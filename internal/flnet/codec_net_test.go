@@ -123,15 +123,15 @@ func runCodecFederation(t *testing.T, cfg ServerConfig, agg fl.Aggregator, clien
 func TestCodecSessionEndToEnd(t *testing.T) {
 	cs := codec.Spec{Quant: codec.Int8, TopK: 0.25, EF: true}
 	specs := []codec.Spec{cs, cs, cs, cs}
-	runCodecFederation(t, ServerConfig{Rounds: 3, Codec: cs.String()}, defense.MultiKrum{F: 1}, specs, nil)
+	runCodecFederation(t, ServerConfig{Rounds: 3, Codec: cs.String()}, &defense.MultiKrum{F: 1}, specs, nil)
 }
 
 // TestCodecRawMatchesLegacyBitExact: the raw codec is the lossless control —
 // a federation that ships raw frames must finish with weights bit-identical
 // to the same federation shipping legacy dense envelopes.
 func TestCodecRawMatchesLegacyBitExact(t *testing.T) {
-	legacy := runCodecFederation(t, ServerConfig{Rounds: 2}, defense.MultiKrum{F: 1}, make([]codec.Spec, 3), nil)
-	raw := runCodecFederation(t, ServerConfig{Rounds: 2, Codec: "raw"}, defense.MultiKrum{F: 1},
+	legacy := runCodecFederation(t, ServerConfig{Rounds: 2}, &defense.MultiKrum{F: 1}, make([]codec.Spec, 3), nil)
+	raw := runCodecFederation(t, ServerConfig{Rounds: 2, Codec: "raw"}, &defense.MultiKrum{F: 1},
 		[]codec.Spec{{Quant: codec.Raw}, {Quant: codec.Raw}, {Quant: codec.Raw}}, nil)
 	if len(legacy.FinalWeights) != len(raw.FinalWeights) {
 		t.Fatalf("weight length mismatch: %d vs %d", len(legacy.FinalWeights), len(raw.FinalWeights))
@@ -149,7 +149,7 @@ func TestCodecRawMatchesLegacyBitExact(t *testing.T) {
 // and frame-carrying updates and the defense falls back to dense geometry.
 func TestCodecMixedLegacyAndCompressed(t *testing.T) {
 	cs := codec.Spec{Quant: codec.FP16}
-	runCodecFederation(t, ServerConfig{Rounds: 2, Codec: cs.String()}, defense.MultiKrum{F: 1}, []codec.Spec{{}, cs, cs}, nil)
+	runCodecFederation(t, ServerConfig{Rounds: 2, Codec: cs.String()}, &defense.MultiKrum{F: 1}, []codec.Spec{{}, cs, cs}, nil)
 }
 
 // wrappedAggregator exposes only fl.Aggregator's methods, as a decorator
@@ -165,8 +165,8 @@ func TestCodecWrappedAggregatorBitExact(t *testing.T) {
 	cs := codec.Spec{Quant: codec.Int8, TopK: 0.25, EF: true}
 	specs := []codec.Spec{cs, cs, cs, cs}
 	cfg := ServerConfig{Rounds: 3, Codec: cs.String()}
-	bare := runCodecFederation(t, cfg, defense.MultiKrum{F: 1}, specs, nil)
-	wrapped := runCodecFederation(t, cfg, wrappedAggregator{defense.MultiKrum{F: 1}}, specs, nil)
+	bare := runCodecFederation(t, cfg, &defense.MultiKrum{F: 1}, specs, nil)
+	wrapped := runCodecFederation(t, cfg, wrappedAggregator{&defense.MultiKrum{F: 1}}, specs, nil)
 	if got, want := weightsDigest(wrapped.FinalWeights), weightsDigest(bare.FinalWeights); got != want {
 		t.Fatalf("wrapped mKrum final weights %s, bare %s", got, want)
 	}

@@ -198,7 +198,7 @@ func testTenants() []tenant {
 				MinClients: 3, PerRound: 2, Rounds: 3,
 				RoundTimeout: 10 * time.Second, Seed: 5,
 			},
-			agg:     defense.MultiKrum{F: 1},
+			agg:     &defense.MultiKrum{F: 1},
 			genSeed: 11,
 		},
 		{

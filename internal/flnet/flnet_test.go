@@ -167,7 +167,7 @@ func TestEndToEndTraining(t *testing.T) {
 		Rounds:       6,
 		RoundTimeout: 10 * time.Second,
 		Seed:         3,
-	}, defense.MultiKrum{F: 1}, newModel, test)
+	}, &defense.MultiKrum{F: 1}, newModel, test)
 	if err != nil {
 		t.Fatal(err)
 	}

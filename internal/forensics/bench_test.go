@@ -83,7 +83,7 @@ func benchSim(b *testing.B, obs fl.AggregationObserver) *fl.Simulation {
 		Parallel:     true,
 		Observer:     obs,
 	}
-	sim, err := fl.NewSimulation(cfg, train, test, fl.Shards(shards), population.FirstK{K: 5}, newModel, defense.MultiKrum{F: 2}, benchAttack{})
+	sim, err := fl.NewSimulation(cfg, train, test, fl.Shards(shards), population.FirstK{K: 5}, newModel, &defense.MultiKrum{F: 2}, benchAttack{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func TestAuditReconcilesWithDPR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := tinySim(t, 42, defense.MultiKrum{F: 2}, strongAttack{}, col)
+	sim := tinySim(t, 42, &defense.MultiKrum{F: 2}, strongAttack{}, col)
 	res, err := sim.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestAuditReconcilesWithDPR(t *testing.T) {
 // run's metrics are bit-identical with and without the collector.
 func TestObserverIsPure(t *testing.T) {
 	run := func(obs fl.AggregationObserver) *fl.Result {
-		sim := tinySim(t, 7, defense.MultiKrum{F: 2}, strongAttack{}, obs)
+		sim := tinySim(t, 7, &defense.MultiKrum{F: 2}, strongAttack{}, obs)
 		res, err := sim.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -159,7 +159,7 @@ func TestAsyncZeroResponderRoundsRecorded(t *testing.T) {
 			Async:         &fl.AsyncConfig{Buffer: 2, MaxDelay: 1},
 		},
 	}
-	asim, err := fl.NewSimulation(cfg, train, test, fl.Shards(shards), nil, newModel, defense.MultiKrum{F: 2}, nil)
+	asim, err := fl.NewSimulation(cfg, train, test, fl.Shards(shards), nil, newModel, &defense.MultiKrum{F: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,7 +101,9 @@ func detectionAUC(pairs []scorePair) float64 {
 	// Sum of malicious ranks, averaging ranks across ties.
 	rankSum := 0.0
 	for i := 0; i < len(sorted); {
-		j := i
+		// A tie group holds at least its first pair, even a NaN one, which
+		// equals nothing.
+		j := i + 1
 		for j < len(sorted) && sorted[j].suspicion == sorted[i].suspicion {
 			j++
 		}
@@ -142,8 +144,9 @@ func rocCurve(pairs []scorePair) []rocPoint {
 	curve := []rocPoint{{0, 0}}
 	tp, fp := 0, 0
 	for i := 0; i < len(sorted); {
+		// A tie group holds at least its first pair, even a NaN one.
 		j := i
-		for j < len(sorted) && sorted[j].suspicion == sorted[i].suspicion {
+		for j < len(sorted) && (j == i || sorted[j].suspicion == sorted[i].suspicion) {
 			if sorted[j].malicious {
 				tp++
 			} else {

@@ -106,6 +106,19 @@ func TestROCCurveEndpoints(t *testing.T) {
 	}
 }
 
+// TestDetectionMetricsTerminateOnNaN: a NaN suspicion equals nothing, not
+// even itself, so a tie group must still advance past it. Both sweeps used
+// to spin forever on one.
+func TestDetectionMetricsTerminateOnNaN(t *testing.T) {
+	ps := pairsOf([]float64{3, math.NaN(), 2, 0}, []bool{true, false, true, false})
+	if got := detectionAUC(ps); math.IsInf(got, 0) {
+		t.Fatalf("AUC %v", got)
+	}
+	if curve := rocCurve(ps); len(curve) != len(ps)+1 {
+		t.Fatalf("curve has %d vertices, want %d: %+v", len(curve), len(ps)+1, curve)
+	}
+}
+
 // TestSummaryJSONRoundTrip pins the one shared serialization shape (run
 // store, audit journal, HTTP): NaN rates travel as null and come back as
 // NaN; everything else is bit-exact.

@@ -26,7 +26,7 @@ func millionRun(tb testing.TB, rounds int) *Population {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sim, err := fl.NewSimulation(cfg, train, test, pop, place, newModel, defense.MultiKrum{F: 2}, attackStub{})
+	sim, err := fl.NewSimulation(cfg, train, test, pop, place, newModel, &defense.MultiKrum{F: 2}, attackStub{})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package population
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/fl"
 )
@@ -38,6 +39,16 @@ type Hierarchical struct {
 	// assignment must be a pure function so a client aggregates under the
 	// same group every round.
 	Assign func(clientID int) int
+
+	// Per-round scratch, refilled by every Aggregate; the Selection it
+	// returns aliases groups, scores and accepted until the next one.
+	buckets      [][]fl.Update // the round's updates, by group
+	indices      [][]int       // their positions in the caller's slice
+	groupUpdates []fl.Update   // the non-empty groups' aggregates
+	passed       [][]int       // the positions each of those let through
+	groups       []int
+	scores       []float64
+	accepted     []int
 }
 
 var _ fl.Aggregator = (*Hierarchical)(nil)
@@ -98,102 +109,117 @@ func (h *Hierarchical) Aggregate(global []float64, updates []fl.Update) ([]float
 
 	// Bucket the round's updates by group, remembering each update's index
 	// in the caller's slice for DPR attribution.
-	buckets := make([][]fl.Update, h.Groups)
-	indices := make([][]int, h.Groups)
-	groupsAttr := make([]int, len(updates))
+	h.buckets = emptySlots(h.buckets, h.Groups)
+	h.indices = emptySlots(h.indices, h.Groups)
+	h.passed = emptySlots(h.passed, h.Groups)
+	h.groups = h.groups[:0]
 	for i, u := range updates {
 		g := h.group(u.ClientID)
-		buckets[g] = append(buckets[g], u)
-		indices[g] = append(indices[g], i)
-		groupsAttr[i] = g
+		h.buckets[g] = append(h.buckets[g], u)
+		h.indices[g] = append(h.indices[g], i)
+		h.groups = append(h.groups, g)
 	}
 
-	// Tier 1: one robust aggregate per non-empty group.
-	var groupUpdates []fl.Update
-	var groupPassed [][]int // global update indices each group let through (nil = unknown)
+	// Tier 1: one robust aggregate per non-empty group. Each group's
+	// Selection is consumed before the group rule's next Aggregate.
+	h.groupUpdates = h.groupUpdates[:0]
 	selectionKnown := true
 	scoresKnown := true
 	scoreName := ""
-	scores := make([]float64, len(updates))
+	h.scores = slices.Grow(h.scores[:0], len(updates))[:len(updates)]
+	clear(h.scores)
 	var distNanos int64
-	for g := 0; g < h.Groups; g++ {
-		if len(buckets[g]) == 0 {
+	for g, bucket := range h.buckets {
+		if len(bucket) == 0 {
 			continue
 		}
-		agg, sel, err := h.Group.Aggregate(global, buckets[g])
+		agg, sel, err := h.Group.Aggregate(global, bucket)
 		if err != nil {
 			return nil, fl.Selection{}, fmt.Errorf("population: group %d: %w", g, err)
 		}
 		distNanos += sel.DistanceNanos
 		samples := 0
-		for _, u := range buckets[g] {
+		for _, u := range bucket {
 			samples += u.NumSamples
 		}
 		// Virtual group update: negative IDs keep group aggregates disjoint
 		// from any real client ID space.
-		groupUpdates = append(groupUpdates, fl.Update{
+		h.groupUpdates = append(h.groupUpdates, fl.Update{
 			ClientID:   -(g + 1),
 			Weights:    agg,
 			NumSamples: samples,
 		})
-		if len(sel.Scores) == len(buckets[g]) && sel.ScoreName != "" &&
+		if len(sel.Scores) == len(bucket) && sel.ScoreName != "" &&
 			(scoreName == "" || scoreName == "rank:"+sel.ScoreName) {
 			scoreName = "rank:" + sel.ScoreName
 			for i, rank := range fl.ScoreRanks(sel.Scores) {
-				scores[indices[g][i]] = rank
+				h.scores[h.indices[g][i]] = rank
 			}
 		} else {
 			scoresKnown = false
 		}
 		if sel.Accepted == nil {
 			selectionKnown = false
-			groupPassed = append(groupPassed, nil)
 			continue
 		}
-		passed := make([]int, len(sel.Accepted))
-		for i, local := range sel.Accepted {
-			if local < 0 || local >= len(buckets[g]) {
+		passed := &h.passed[len(h.groupUpdates)-1]
+		for _, local := range sel.Accepted {
+			if local < 0 || local >= len(bucket) {
 				return nil, fl.Selection{}, fmt.Errorf("population: group %d selected out-of-range update %d", g, local)
 			}
-			passed[i] = indices[g][local]
+			*passed = append(*passed, h.indices[g][local])
 		}
-		groupPassed = append(groupPassed, passed)
 	}
 
 	// Tier 2: the server's robust rule over the group aggregates.
-	final, serverSel, err := h.Server.Aggregate(global, groupUpdates)
+	final, serverSel, err := h.Server.Aggregate(global, h.groupUpdates)
 	if err != nil {
 		return nil, fl.Selection{}, fmt.Errorf("population: server tier: %w", err)
 	}
-	out := fl.Selection{Groups: groupsAttr, DistanceNanos: distNanos + serverSel.DistanceNanos}
+	out := fl.Selection{Groups: h.groups, DistanceNanos: distNanos + serverSel.DistanceNanos}
 	if scoresKnown && scoreName != "" {
-		out.Scores = scores
+		out.Scores = h.scores
 		out.ScoreName = scoreName
 	}
 	if !selectionKnown {
 		return final, out, nil
 	}
-	keep := make([]bool, len(groupUpdates))
+	keep := make([]bool, len(h.groupUpdates))
 	if serverSel.Accepted == nil {
 		for i := range keep {
 			keep[i] = true
 		}
 	} else {
 		for _, gi := range serverSel.Accepted {
-			if gi < 0 || gi >= len(groupUpdates) {
+			if gi < 0 || gi >= len(h.groupUpdates) {
 				return nil, fl.Selection{}, fmt.Errorf("population: server tier selected out-of-range group %d", gi)
 			}
 			keep[gi] = true
 		}
 	}
-	selected := []int{}
-	for gi, passed := range groupPassed {
-		if keep[gi] {
-			selected = append(selected, passed...)
-		}
-	}
 	// Selection is known (possibly empty, which DPR counts as a round where
 	// no update passed, unlike the nil "unknown").
-	out.Accepted = selected
+	if h.accepted == nil {
+		h.accepted = make([]int, 0, len(updates))
+	}
+	h.accepted = h.accepted[:0]
+	for gi, passed := range h.passed[:len(h.groupUpdates)] {
+		if keep[gi] {
+			h.accepted = append(h.accepted, passed...)
+		}
+	}
+	out.Accepted = h.accepted
 	return final, out, nil
+}
+
+// emptySlots returns s with n empty slots, each keeping its storage.
+func emptySlots[T any](s [][]T, n int) [][]T {
+	for len(s) < n {
+		s = append(s, nil)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = s[i][:0]
+	}
+	return s
 }

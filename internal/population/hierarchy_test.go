@@ -162,7 +162,7 @@ func TestHierarchicalRobustTiers(t *testing.T) {
 			ClientID: i, Weights: []float64{v, v}, NumSamples: 10, Malicious: v == 1000,
 		})
 	}
-	h := &Hierarchical{Groups: 4, Group: defense.MultiKrum{F: 1}, Server: defense.MultiKrum{F: 1}}
+	h := &Hierarchical{Groups: 4, Group: &defense.MultiKrum{F: 1}, Server: &defense.MultiKrum{F: 1}}
 	out, sel, err := h.Aggregate([]float64{0, 0}, updates)
 	if err != nil {
 		t.Fatal(err)

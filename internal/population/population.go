@@ -115,6 +115,11 @@ type Population struct {
 	cap   int
 	// derivations counts cache misses (test and diagnostics hook).
 	derivations int64
+
+	// rngs is the free list of derivation streams, re-seeded per use: a
+	// math/rand source is 4.9 kB, far more than the shard it derives.
+	rngMu sync.Mutex
+	rngs  []*rand.Rand
 }
 
 var _ fl.ClientSource = (*Population)(nil)
@@ -171,11 +176,31 @@ func (p *Population) Len() int { return p.spec.TotalClients }
 // MeanShardSize returns the expected per-client shard size.
 func (p *Population) MeanShardSize() int { return p.spec.MeanShard }
 
-// clientRNG returns client id's private derivation stream. Streams are
-// decorrelated by a SplitMix64 finalizer over (seed, id, stream), so
-// neighbouring IDs share no structure.
+// clientRNG returns client id's private derivation stream, taken from the
+// free list and seeded in place — the stream
+// rand.New(rand.NewSource(seed)) yields. Streams are decorrelated by a
+// SplitMix64 finalizer over (seed, id, stream), so neighbouring IDs share
+// no structure. The caller hands it back with putRNG.
 func (p *Population) clientRNG(id int, stream uint64) *rand.Rand {
-	return rand.New(rand.NewSource(fl.Mix64(uint64(p.spec.Seed), uint64(id)<<8|stream)))
+	seed := fl.Mix64(uint64(p.spec.Seed), uint64(id)<<8|stream)
+	p.rngMu.Lock()
+	var rng *rand.Rand
+	if n := len(p.rngs); n > 0 {
+		rng, p.rngs = p.rngs[n-1], p.rngs[:n-1]
+	}
+	p.rngMu.Unlock()
+	if rng == nil {
+		return rand.New(rand.NewSource(seed))
+	}
+	rng.Seed(seed)
+	return rng
+}
+
+// putRNG returns a stream clientRNG handed out to the free list.
+func (p *Population) putRNG(rng *rand.Rand) {
+	p.rngMu.Lock()
+	p.rngs = append(p.rngs, rng)
+	p.rngMu.Unlock()
 }
 
 // streamShard tags the per-client derivation stream. Shard derivation and
@@ -192,6 +217,7 @@ func (p *Population) ShardSize(id int) int {
 		return p.spec.MeanShard
 	}
 	rng := p.clientRNG(id, streamShard)
+	defer p.putRNG(rng)
 	return p.quantitySize(rng)
 }
 
@@ -210,6 +236,7 @@ func (p *Population) quantitySize(rng *rand.Rand) int {
 // depends only on (spec, dataset shape, id).
 func (p *Population) derive(id int) []int {
 	rng := p.clientRNG(id, streamShard)
+	defer p.putRNG(rng)
 	switch p.spec.Kind {
 	case Quantity:
 		size := p.quantitySize(rng)

@@ -2,6 +2,7 @@ package population
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -69,6 +70,44 @@ func TestLazyMatchesEager(t *testing.T) {
 				t.Fatalf("kind=%s: cache holds %d shards, cap %d", s.Kind, got, cache)
 			}
 		}
+	}
+}
+
+// TestConcurrentShardsMatchEager: goroutines deriving at once share the
+// pooled derivation streams, and each derivation still re-seeds its own —
+// every shard and shard size equals the eager one.
+func TestConcurrentShardsMatchEager(t *testing.T) {
+	train := tinyTrain(t)
+	const n, workers = 200, 4
+	for _, spec := range specs(n) {
+		spec.Cache = 1 // nearly every touch derives
+		ref, err := New(spec, train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eager := ref.MaterializeAll()
+		pop, err := New(spec, train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, id := range rand.New(rand.NewSource(int64(w))).Perm(n) {
+					if got := pop.Shard(id); !equalShards(got, eager[id]) {
+						t.Errorf("kind=%s: client %d concurrent %v != eager %v", spec.Kind, id, got, eager[id])
+						return
+					}
+					if got := pop.ShardSize(id); got != len(eager[id]) {
+						t.Errorf("kind=%s: client %d ShardSize %d != %d", spec.Kind, id, got, len(eager[id]))
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 

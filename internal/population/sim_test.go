@@ -56,7 +56,7 @@ func TestSimulationDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, err := fl.NewSimulation(cfg, train, test, pop, place, newModel, defense.MultiKrum{F: 2}, attackStub{})
+		sim, err := fl.NewSimulation(cfg, train, test, pop, place, newModel, &defense.MultiKrum{F: 2}, attackStub{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestLazyEqualsEagerDriver(t *testing.T) {
 		return res, sim.GlobalWeights()
 	}
 	for _, workers := range []int{1, 2} {
-		for _, agg := range []fl.Aggregator{defense.FedAvg{}, defense.MultiKrum{F: 2}} {
+		for _, agg := range []fl.Aggregator{defense.FedAvg{}, &defense.MultiKrum{F: 2}} {
 			for _, async := range []*fl.AsyncConfig{nil, {Buffer: 5, MaxDelay: 2}} {
 				tensor.SetWorkers(workers)
 				lazyRes, lazyW := run(t, false, agg, async)

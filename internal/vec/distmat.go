@@ -92,19 +92,23 @@ func mustSameLens(op string, vs [][]float64) int {
 }
 
 // SqDistMatrix returns the symmetric n×n matrix of pairwise squared
-// Euclidean distances between the vectors, with zeros on the diagonal.
-// The backing storage is one contiguous allocation. Vectors of unequal
-// length panic.
+// Euclidean distances between the vectors, with zeros on the diagonal, in
+// a fresh matrix: SqDistMatrixInto(nil, vs).
+func SqDistMatrix(vs [][]float64) [][]float64 { return SqDistMatrixInto(nil, vs) }
+
+// SqDistMatrixInto is SqDistMatrix filling dst's storage (see SquareInto),
+// which it grows when dst holds fewer than n² values; the returned matrix
+// replaces dst. Vectors of unequal length panic.
 //
 // High-dimensional vectors are consumed in dBlock-long blocks: a worker
 // runs a tile's pairs over one block of the tile's vectors before moving
 // to the next block, so the blocks it is reading stay in its L2, and each
 // row's partners go through the shared-operand kernel three at a time.
 // Each pair accumulates its block partials in ascending dimension order.
-func SqDistMatrix(vs [][]float64) [][]float64 {
+func SqDistMatrixInto(dst, vs [][]float64) [][]float64 {
 	n := len(vs)
-	m := newSquare(n)
 	dim := mustSameLens("SqDistMatrix", vs)
+	m := SquareInto(dst, n)
 	block := dBlock
 	if dim <= 2*dBlock {
 		block = dim // short enough for one kernel call per pair
@@ -150,7 +154,7 @@ func CosineMatrix(vs [][]float64) [][]float64 {
 			norms[i] = Norm2(vs[i])
 		}
 	})
-	m := newSquare(n)
+	m := SquareInto(nil, n)
 	for i := range m {
 		m[i][i] = 1
 	}
@@ -171,12 +175,24 @@ func CosineMatrix(vs [][]float64) [][]float64 {
 	return m
 }
 
-// newSquare allocates an n×n matrix over one contiguous backing slice.
-func newSquare(n int) [][]float64 {
-	backing := make([]float64, n*n)
-	m := make([][]float64, n)
-	for i := range m {
-		m[i] = backing[i*n : (i+1)*n]
+// SquareInto returns an n×n zero matrix over one contiguous backing slice,
+// reusing dst's storage when dst — nil or a matrix SquareInto returned —
+// holds n² values, and allocating otherwise. The returned matrix replaces
+// dst: its rows alias the same backing.
+func SquareInto(dst [][]float64, n int) [][]float64 {
+	var backing []float64
+	if len(dst) > 0 && cap(dst[0]) >= n*n {
+		backing = dst[0][:n*n]
+		clear(backing)
+	} else {
+		backing = make([]float64, n*n)
+	}
+	m := dst[:0]
+	if cap(m) < n {
+		m = make([][]float64, 0, n)
+	}
+	for i := 0; i < n; i++ {
+		m = append(m, backing[i*n:(i+1)*n])
 	}
 	return m
 }

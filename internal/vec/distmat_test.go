@@ -79,7 +79,7 @@ func TestCosineMatrixMatchesNaive(t *testing.T) {
 // beyond that dBlock-long partials summed per pair in ascending order.
 func refSqDistMatrix(vs [][]float64) [][]float64 {
 	n := len(vs)
-	m := newSquare(n)
+	m := SquareInto(nil, n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			dim := len(vs[i])
@@ -101,7 +101,7 @@ func refSqDistMatrix(vs [][]float64) [][]float64 {
 // refCosineMatrix is the pair-at-a-time cosine matrix, likewise.
 func refCosineMatrix(vs [][]float64) [][]float64 {
 	n := len(vs)
-	m := newSquare(n)
+	m := SquareInto(nil, n)
 	for i := 0; i < n; i++ {
 		m[i][i] = 1
 		for j := i + 1; j < n; j++ {
