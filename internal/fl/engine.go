@@ -16,16 +16,17 @@ import (
 
 // Transport abstracts how the engine obtains updates from a set of clients:
 // in-process worker-pool training over a ClientSource (fl.Simulation) or
-// real socket round-trips (flnet.Server). The engine has already applied
-// sampling and the simulated participation model; Collect receives only the
-// clients expected to respond, and may return fewer updates when the
-// transport itself loses clients (real stragglers missing a network
-// deadline).
+// real socket round-trips (flnet.Federation's netTransport). The engine has
+// already applied sampling and the simulated participation model; Collect
+// receives only the clients expected to respond, and may return fewer
+// updates when the transport itself loses clients (real stragglers missing
+// a network deadline).
 //
 // Update storage lasts one round: the transport owns the returned slice and
 // every vector and codec frame its updates reference, and may overwrite
-// them at its next Collect. A consumer that keeps an update past its round
-// — the engine's async buffer is the one — copies what it keeps.
+// them at its next Collect. The engine compacts the slice in place at
+// intake. A consumer that keeps an update past its round — the engine's
+// async buffer is the one — copies what it keeps.
 type Transport interface {
 	// Collect obtains updates from ids, training from global (with prev
 	// available to adversarial trainers). Clients that fail to deliver in
@@ -36,11 +37,11 @@ type Transport interface {
 
 // Engine is the single federated round loop shared by every transport. It
 // owns client selection, the participation model, attack-context
-// construction, aggregation, the server optimizer, DPR/ASR metric
-// accounting, per-round evaluation, previous-global tracking, the async
-// update buffer, and the per-round checkpoint hook. fl.Simulation (the one
-// in-process driver, whatever the client source) and flnet.Server are thin
-// adapters over it.
+// construction, the update intake (Intake), aggregation, the server
+// optimizer, DPR/ASR metric accounting, per-round evaluation,
+// previous-global tracking, the async update buffer, and the per-round
+// checkpoint hook. fl.Simulation (the one in-process driver, whatever the
+// client source) and flnet.Federation are thin adapters over it.
 type Engine struct {
 	// TotalClients is N, the population size.
 	TotalClients int
@@ -257,6 +258,10 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		var malicious int
+		updates, malicious = e.intake(updates, len(global))
+		res.MaliciousSubmitted += malicious
+		stats.Responded = len(updates)
 		// Compress the round's submissions: attackers ride the same wire
 		// format as everyone else, and the server's view of each update
 		// becomes its frame alone — exactly what a compressed socket run
@@ -286,8 +291,6 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 			}
 			e.Telemetry.AddFrames(frames)
 		}
-		res.MaliciousSubmitted += len(attackerIDs)
-		stats.Responded = len(updates)
 
 		if async == nil {
 			if len(updates) > 0 {
@@ -465,9 +468,6 @@ func (e *Engine) collectAttacked(round, numSelected int, benignIDs, attackerIDs 
 		return nil, fmt.Errorf("round %d: attack returned %d vectors for %d attackers", round, len(malVecs), len(attackerIDs))
 	}
 	for i, id := range attackerIDs {
-		if len(malVecs[i]) != len(global) {
-			return nil, fmt.Errorf("round %d: malicious vector %d has length %d, want %d", round, i, len(malVecs[i]), len(global))
-		}
 		updates = append(updates, Update{
 			ClientID:   id,
 			Weights:    malVecs[i],
@@ -476,6 +476,26 @@ func (e *Engine) collectAttacked(round, numSelected int, benignIDs, attackerIDs 
 		})
 	}
 	return updates, nil
+}
+
+// intake applies Intake to the round's updates, crafted ones included:
+// it compacts the admitted ones to the front of updates in place, in
+// order, counts each refused one under its reason, and returns the
+// admitted updates with how many of them are malicious.
+func (e *Engine) intake(updates []Update, dim int) ([]Update, int) {
+	kept, malicious := 0, 0
+	for _, u := range updates {
+		if reason, ok := Intake(u, dim); !ok {
+			e.Telemetry.Rejected(reason)
+			continue
+		}
+		if u.Malicious {
+			malicious++
+		}
+		updates[kept] = u
+		kept++
+	}
+	return updates[:kept], malicious
 }
 
 // applyAggregation runs one server aggregation: the robust rule (and the

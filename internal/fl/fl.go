@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/nn"
+	"repro/internal/telemetry"
 )
 
 // Update is one client's submission for a round: the full local model weight
@@ -44,6 +45,41 @@ func (u Update) Vector(global []float64) []float64 {
 		return u.Weights
 	}
 	return u.Frame.Reconstruct(global)
+}
+
+// Intake is the rule every update passes before aggregation (see Engine),
+// whichever transport or attack produced it: its dimension — len(Weights),
+// or Frame.Dim for a frame-only update — equals dim, the global model's;
+// its NumSamples is not negative; and a dense update's values are all
+// finite. A frame is not scanned: codec.DecodeWireInto refuses a non-finite
+// wire frame, and the engine encodes its own frames after intake. ok is
+// false for a refused update, reason says why.
+func Intake(u Update, dim int) (reason telemetry.IntakeReason, ok bool) {
+	n := len(u.Weights)
+	if u.Weights == nil && u.Frame != nil {
+		n = u.Frame.Dim
+	}
+	switch {
+	case n != dim:
+		return telemetry.IntakeDimension, false
+	case u.NumSamples < 0:
+		return telemetry.IntakeSamples, false
+	case !allFinite(u.Weights):
+		return telemetry.IntakeNonFinite, false
+	}
+	return 0, true
+}
+
+// allFinite reports whether every value of v is finite: ±Inf and NaN are
+// the values whose exponent bits are all set.
+func allFinite(v []float64) bool {
+	const expMask = 0x7FF << 52
+	for _, x := range v {
+		if math.Float64bits(x)&expMask == expMask {
+			return false
+		}
+	}
+	return true
 }
 
 // Selection is the uniform per-round decision report of an aggregation
@@ -244,10 +280,11 @@ type RoundStats struct {
 	// Straggled counts selected clients that trained but missed the round
 	// deadline, so their update was discarded.
 	Straggled int
-	// Responded is the number of updates produced this round (crafted
-	// malicious updates included). In sync mode they all reach the round's
-	// aggregation; in async mode they are dispatched into the delay buffer
-	// and may aggregate in a later round.
+	// Responded is the number of updates produced this round that passed
+	// the engine's intake (crafted malicious updates included; see Intake).
+	// In sync mode they all reach the round's aggregation; in async mode
+	// they are dispatched into the delay buffer and may aggregate in a
+	// later round.
 	Responded int
 	// Aggregations is the number of server aggregations applied this round:
 	// 1 per synchronous round with responders, 0 for a zero-responder
@@ -264,8 +301,9 @@ type Result struct {
 	MaxAccuracy float64
 	// FinalAccuracy is the accuracy after the last round.
 	FinalAccuracy float64
-	// MaliciousSubmitted and MaliciousPassed accumulate the DPR numerator
-	// and denominator of Eq. 5 over all rounds.
+	// MaliciousSubmitted and MaliciousPassed accumulate the DPR denominator
+	// and numerator of Eq. 5 over all rounds; a crafted update the intake
+	// refused was never submitted to the defense.
 	MaliciousSubmitted, MaliciousPassed int
 	// DPRKnown reports whether the defense exposes selection (mKrum,
 	// Bulyan, REFD); when false DPR is undefined ("N/A" in the paper).

@@ -568,7 +568,7 @@ func equalF64s(b []byte, v []float64) bool {
 	return true
 }
 
-// exchange runs one session's round trip and validates its Update. Any
+// exchange runs one session's round trip and frames its Update. Any
 // failure that leaves the byte stream out of sync — a failed or partial
 // write, a deadline inside a message, a malformed header, an out-of-protocol
 // message — breaks the session: it is closed and never contacted again. A
@@ -631,24 +631,24 @@ func (cl *session) into(h header) (a, b []float64) {
 	return cl.weights, nil
 }
 
-// decodeUpdate validates a read Update against the session. Bad content — a
-// foreign client ID, a negative sample count, non-finite weights, the wrong
-// body kind, a frame of another dimension or spec — fails closed: the client
-// is absent for the round, like a straggler, and the session stays usable.
-// The update references the session's vector or frame until the next round
-// (fl.Transport's lifetime rule); the defense builds a frame-only update's
-// dense vectors where it needs them (fl.Update.Vector).
+// decodeUpdate frames a read Update for the session. Bad framing — a foreign
+// client ID, the wrong body kind, a frame that does not decode or carries
+// another spec — fails closed: the client is absent for the round, like a
+// straggler, and the session stays usable. Content (values, dimension,
+// sample count) is the engine's intake's to judge (fl.Intake), as for every
+// transport. The update references the session's vector or frame until the
+// next round (fl.Transport's lifetime rule); the defense builds a frame-only
+// update's dense vectors where it needs them (fl.Update.Vector).
 func (cl *session) decodeUpdate(m message) (fl.Update, bool) {
 	u := fl.Update{ClientID: cl.id, NumSamples: m.samples}
-	if m.client != cl.id || m.samples < 0 || (m.flags == UpdateFrame) != cl.spec.Enabled() {
+	if m.client != cl.id || (m.flags == UpdateFrame) != cl.spec.Enabled() {
 		return u, false
 	}
 	if !cl.spec.Enabled() {
 		u.Weights = cl.weights
-		return u, m.finite
+		return u, true
 	}
-	err := codec.DecodeWireInto(&cl.frame, m.body, cl.conn.dim)
-	if err != nil || cl.frame.Dim != cl.conn.dim || cl.frame.Spec != cl.spec {
+	if err := codec.DecodeWireInto(&cl.frame, m.body, cl.conn.dim); err != nil || cl.frame.Spec != cl.spec {
 		return u, false
 	}
 	u.Frame = &cl.frame

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/codec"
+	"repro/internal/fl"
 )
 
 // byteConn adapts a byte buffer to net.Conn so the framing/decoding path
@@ -196,9 +197,10 @@ func FuzzProtocolDecode(f *testing.F) {
 // replaySinks replays data through next as joined peers read it — into a
 // dense session, a codec session and a client (through recv) — and checks
 // that each fails closed: no float64 body lands in the connection's buffer,
-// which stays within the handshake and frame bounds; a dense update is
-// accepted only if every value is finite; every read consumes at least a
-// header.
+// which stays within the handshake and frame bounds; an update decodeUpdate
+// accepts passes the engine's intake (fl.Intake) only if it is a dense
+// update of the session's dimension whose values are all finite, or a frame
+// of that dimension; every read consumes at least a header.
 func replaySinks(t *testing.T, data []byte) {
 	spec, err := codec.ParseSpec("int8,topk=0.5")
 	if err != nil {
@@ -224,8 +226,11 @@ func replaySinks(t *testing.T, data []byte) {
 				return cl.conn, err
 			}
 			u, ok := cl.decodeUpdate(m)
-			if ok && slices.ContainsFunc(u.Weights, func(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) }) {
-				t.Fatal("decodeUpdate accepted a non-finite dense update")
+			if !ok {
+				return cl.conn, nil
+			}
+			if _, admitted := fl.Intake(u, fuzzDim); admitted && slices.ContainsFunc(u.Weights, func(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) }) {
+				t.Fatal("intake admitted a non-finite dense update")
 			}
 			return cl.conn, nil
 		})

@@ -266,20 +266,12 @@ func appendF64s(dst []byte, v []float64) []byte {
 	return dst
 }
 
-// decodeF64s fills dst from src (8·len(dst) bytes) and reports whether every
-// value is finite — checked on the bits in the same loop, no second pass.
-func decodeF64s(dst []float64, src []byte) (finite bool) {
-	const expMask = 0x7FF << 52
-	finite = true
+// decodeF64s fills dst from src (8·len(dst) bytes).
+func decodeF64s(dst []float64, src []byte) {
 	for i := range dst {
-		bits := binary.LittleEndian.Uint64(src)
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src))
 		src = src[8:]
-		if bits&expMask == expMask {
-			finite = false
-		}
-		dst[i] = math.Float64frombits(bits)
 	}
-	return finite
 }
 
 func appendString(dst []byte, s string) []byte {
@@ -458,11 +450,10 @@ type sink interface {
 }
 
 // message is one fully read message: body holds a body no sink took, valid
-// until the next read; finite, whether a sunk float64 body was all finite.
+// until the next read.
 type message struct {
 	header
-	body   []byte
-	finite bool
+	body []byte
 }
 
 // chunk is the unit a sunk float64 body is read in, and chunks lends next
@@ -500,12 +491,11 @@ func (c *Conn) next(s sink) (message, error) {
 		}
 		buf := chunks.Get().(*chunk)
 		defer chunks.Put(buf)
-		m.finite = true
 		for _, dst := range [2][]float64{a, b} {
 			for len(dst) > 0 && err == nil {
 				n := min(len(dst), len(buf)/8)
 				_, err = io.ReadFull(c.raw, buf[:8*n])
-				m.finite = decodeF64s(dst[:n], buf[:8*n]) && m.finite
+				decodeF64s(dst[:n], buf[:8*n])
 				dst = dst[n:]
 			}
 		}

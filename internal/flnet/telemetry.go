@@ -51,7 +51,7 @@ func newFedTelemetry(cfg ServerConfig, id string) *fedTelemetry {
 		drains: reg.Counter("flnet_drains_total",
 			"Graceful drain requests.", labels...),
 		rejected: reg.Counter("flnet_updates_rejected_total",
-			"Well-framed updates dropped for bad content (non-finite weights, negative samples, wrong dimension, spec or client).", labels...),
+			"Read updates dropped for bad framing (foreign client ID, wrong body kind, undecodable frame, wrong codec spec); content is fl_updates_rejected_total's.", labels...),
 		broken: reg.Counter("flnet_sessions_broken_total",
 			"Sessions closed because their byte stream lost sync (I/O error, deadline inside a message, protocol violation).", labels...),
 	}
@@ -123,7 +123,7 @@ func (t *fedTelemetry) drained() {
 	t.tracer.Emit(t.track, "drain-requested", telemetry.Nanos(), 0)
 }
 
-// updateRejected counts an update dropped for bad content.
+// updateRejected counts an update dropped for bad framing.
 func (t *fedTelemetry) updateRejected() {
 	if t != nil {
 		t.rejected.Inc()

@@ -501,8 +501,9 @@ func TestSlowClientRecoversAfterStraggling(t *testing.T) {
 }
 
 // TestDenseUpdateFailsClosed: a dense update with non-finite weights or a
-// negative sample count never reaches the aggregator. The client is absent
-// for that round only, and the rejection is counted.
+// negative sample count never reaches the aggregator. It decodes, and the
+// engine's intake refuses it: the client is absent for that round only, and
+// the rejection is counted under its reason, not as a framing reject.
 func TestDenseUpdateFailsClosed(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	hostile := funcTrainer(func(round int, global []float64) ([]float64, int) {
@@ -523,8 +524,15 @@ func TestDenseUpdateFailsClosed(t *testing.T) {
 	if got, want := responded(res), []int{1, 1, 1, 2}; !slices.Equal(got, want) {
 		t.Fatalf("responders per round %v, want %v", got, want)
 	}
-	if n := reg.Counter("flnet_updates_rejected_total", "").Value(); n != 3 {
-		t.Fatalf("%d updates rejected, want 3", n)
+	for reason, want := range map[telemetry.IntakeReason]int64{
+		telemetry.IntakeNonFinite: 2, telemetry.IntakeSamples: 1, telemetry.IntakeDimension: 0,
+	} {
+		if n := reg.Counter("fl_updates_rejected_total", "", telemetry.Label{Key: "reason", Value: reason.Name()}).Value(); n != want {
+			t.Errorf("%d updates rejected as %s, want %d", n, reason.Name(), want)
+		}
+	}
+	if n := reg.Counter("flnet_updates_rejected_total", "").Value(); n != 0 {
+		t.Errorf("%d well-framed updates counted as framing rejects, want 0", n)
 	}
 	for i, w := range res.FinalWeights {
 		if math.IsNaN(w) || math.IsInf(w, 0) {
@@ -534,9 +542,9 @@ func TestDenseUpdateFailsClosed(t *testing.T) {
 }
 
 // TestRejectedUpdateKeepsStreamInSync: an update rejected on its header —
-// a foreign client ID, a negative sample count, a frame from a dense
-// session — still has its body consumed, so the session's next update
-// decodes.
+// a foreign client ID, a frame from a dense session — or by the engine's
+// intake after it decoded — a negative sample count — still has its body
+// consumed, so the session's next update decodes.
 func TestRejectedUpdateKeepsStreamInSync(t *testing.T) {
 	const dim = 700
 	good := make([]float64, dim)
@@ -548,6 +556,8 @@ func TestRejectedUpdateKeepsStreamInSync(t *testing.T) {
 		"negative samples": {Type: MsgUpdate, ClientID: 1, NumSamples: -3, Weights: make([]float64, dim)},
 		"frame body":       {Type: MsgUpdate, Flags: UpdateFrame, ClientID: 1, NumSamples: 1, Frame: make([]byte, 99)},
 	} {
+		// A negative count is content: it decodes, and intake refuses it.
+		decodes := bad.NumSamples < 0
 		t.Run(name, func(t *testing.T) {
 			msg, err := bad.appendTo(nil)
 			if err != nil {
@@ -566,10 +576,16 @@ func TestRejectedUpdateKeepsStreamInSync(t *testing.T) {
 					t.Fatalf("update %d: %v", i, err)
 				}
 				u, ok := cl.decodeUpdate(m)
-				if ok != wantOK {
-					t.Fatalf("update %d: accepted %v, want %v", i, ok, wantOK)
+				if ok != (wantOK || decodes) {
+					t.Fatalf("update %d: decoded %v, want %v", i, ok, wantOK || decodes)
 				}
-				if ok && !slices.Equal(u.Weights, good) {
+				if !ok {
+					continue
+				}
+				if reason, admitted := fl.Intake(u, dim); admitted != wantOK || !admitted && reason != telemetry.IntakeSamples {
+					t.Fatalf("update %d: intake (%s, %v), want admitted %v or refused as %s", i, reason.Name(), admitted, wantOK, telemetry.IntakeSamples.Name())
+				}
+				if wantOK && !slices.Equal(u.Weights, good) {
 					t.Fatal("the update after a rejected one decoded to other weights")
 				}
 			}

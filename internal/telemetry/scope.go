@@ -36,12 +36,38 @@ func (p Phase) Name() string {
 	return phaseNames[p]
 }
 
+// IntakeReason enumerates why the engine's update intake refused an
+// update (see fl.Intake): the reason label of fl_updates_rejected_total.
+type IntakeReason int
+
+const (
+	// IntakeNonFinite: a dense update holds a NaN or an infinity.
+	IntakeNonFinite IntakeReason = iota
+	// IntakeDimension: the update's dimension is not the global model's.
+	IntakeDimension
+	// IntakeSamples: the update reports a negative sample count.
+	IntakeSamples
+	intakeReasonCount
+)
+
+// intakeReasonNames are the reason label values.
+var intakeReasonNames = [intakeReasonCount]string{"non-finite", "dimension", "negative-samples"}
+
+// Name returns the reason's label value.
+func (r IntakeReason) Name() string {
+	if r < 0 || r >= intakeReasonCount {
+		return "unknown"
+	}
+	return intakeReasonNames[r]
+}
+
 // EngineTelemetry bundles one federation's engine instruments: the round
-// counter and duration histogram, one duration histogram per phase, and
-// the distance-matrix histogram and the codec byte counters, all under an
-// optional federation label. Methods are nil-safe and the enabled hot path
-// performs only atomic operations, so the engine threads one optional
-// pointer with no conditionals and no allocation when disabled.
+// counter and duration histogram, one duration histogram per phase, the
+// distance-matrix histogram, the codec byte counters and one intake
+// rejection counter per reason, all under an optional federation label.
+// Methods are nil-safe and the enabled hot path performs only atomic
+// operations, so the engine threads one optional pointer with no
+// conditionals and no allocation when disabled.
 type EngineTelemetry struct {
 	tracer *Tracer
 	track  int32
@@ -57,6 +83,7 @@ type EngineTelemetry struct {
 	bytesIn  *Counter
 	bytesOut *Counter
 	frames   *Counter
+	rejected [intakeReasonCount]*Counter
 }
 
 // NewEngineTelemetry registers one federation's engine instruments on reg
@@ -94,6 +121,11 @@ func NewEngineTelemetry(reg *Registry, tracer *Tracer, federation string) *Engin
 		t.phaseDur[p] = reg.Histogram("fl_phase_seconds",
 			"Wall-clock duration of one engine phase; attack may run beside collect, so phases need not sum to the round.",
 			append([]Label{{Key: "phase", Value: p.Name()}}, labels...)...)
+	}
+	for r := IntakeReason(0); r < intakeReasonCount; r++ {
+		t.rejected[r] = reg.Counter("fl_updates_rejected_total",
+			"Updates the engine's intake refused before aggregation, by reason (non-finite values, wrong dimension, negative sample count).",
+			append([]Label{{Key: "reason", Value: r.Name()}}, labels...)...)
 	}
 	return t
 }
@@ -149,6 +181,13 @@ func (t *EngineTelemetry) AddBytesOut(n int) {
 func (t *EngineTelemetry) AddFrames(n int) {
 	if t != nil {
 		t.frames.Add(int64(n))
+	}
+}
+
+// Rejected counts one update the intake refused, under its reason.
+func (t *EngineTelemetry) Rejected(r IntakeReason) {
+	if t != nil {
+		t.rejected[r].Inc()
 	}
 }
 
