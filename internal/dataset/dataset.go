@@ -246,11 +246,18 @@ func classSignature(spec Spec, class int, seed int64) *tensor.Tensor {
 // fully deterministic in (spec, seed): each split draws from its own stream,
 // so the test split renders on a helper slot of tensor's budget beside the
 // train split when one is free, and after it otherwise.
+//
+// A split is stored in bulk: one array of tensor headers, one of shapes, and
+// pixel blocks of blockSamples images each. Every image's Data is a
+// capacity-capped window of its block, so an append never reaches its
+// neighbour.
 func Generate(spec Spec, seed int64) (train, test *Dataset) {
 	templates := make([]*tensor.Tensor, spec.Classes)
 	for c := 0; c < spec.Classes; c++ {
 		templates[c] = classSignature(spec, c, seed)
 	}
+	per := spec.Channels * spec.Size * spec.Size
+	k := blockSamples(per)
 	gen := func(n int, rng *rand.Rand) *Dataset {
 		d := &Dataset{
 			Images:  make([]*tensor.Tensor, n),
@@ -258,11 +265,23 @@ func Generate(spec Spec, seed int64) (train, test *Dataset) {
 			Classes: spec.Classes,
 			C:       spec.Channels, H: spec.Size, W: spec.Size,
 		}
+		hdrs := make([]tensor.Tensor, n)
+		shapes := make([]int, 3*n)
 		cols := make([]int, spec.Size)
+		var block []float64
 		for i := 0; i < n; i++ {
+			j := i % k
+			if j == 0 {
+				block = make([]float64, min(k, n-i)*per)
+			}
+			img := &hdrs[i]
+			img.Shape = shapes[3*i : 3*i+3 : 3*i+3]
+			img.Shape[0], img.Shape[1], img.Shape[2] = spec.Channels, spec.Size, spec.Size
+			img.Data = block[j*per : (j+1)*per : (j+1)*per]
 			label := drawClass(spec, rng)
 			d.Labels[i] = label
-			d.Images[i] = renderSample(spec, templates[label], rng, cols)
+			d.Images[i] = img
+			renderSample(spec, templates[label], rng, cols, img)
 		}
 		return d
 	}
@@ -275,6 +294,23 @@ func Generate(spec Spec, seed int64) (train, test *Dataset) {
 	}
 	wg.Wait()
 	return train, test
+}
+
+// blockSamples is how many images of per pixels share one pixel block: the
+// most whose bytes fit 32 KiB and fill whole 8 KiB pages, so a block is
+// exactly one of the runtime's small-object size classes and its memory is
+// recycled from one generated dataset to the next. A whole-split slab is a
+// large object that is not: it raised peak RSS where many cells generate
+// in turn. A shape no such block fits gets one image per block.
+func blockSamples(per int) int {
+	const maxBlock, page = 32 << 10, 8 << 10
+	bytes := per * 8
+	for k := maxBlock / max(bytes, 1); k > 1; k-- {
+		if k*bytes%page == 0 {
+			return k
+		}
+	}
+	return 1
 }
 
 func drawClass(spec Spec, rng *rand.Rand) int {
@@ -292,11 +328,10 @@ func drawClass(spec Spec, rng *rand.Rand) int {
 	return spec.Classes - 1
 }
 
-// renderSample draws one sample of the class whose template is tpl. cols is
-// scratch of spec.Size ints: the template column each output column reads
-// under this sample's circular shift.
-func renderSample(spec Spec, tpl *tensor.Tensor, rng *rand.Rand, cols []int) *tensor.Tensor {
-	img := tensor.New(spec.Channels, spec.Size, spec.Size)
+// renderSample draws one sample of the class whose template is tpl into img,
+// overwriting every pixel. cols is scratch of spec.Size ints: the template
+// column each output column reads under this sample's circular shift.
+func renderSample(spec Spec, tpl *tensor.Tensor, rng *rand.Rand, cols []int, img *tensor.Tensor) {
 	dx, dy := 0, 0
 	if spec.Jitter > 0 {
 		dx = rng.Intn(2*spec.Jitter+1) - spec.Jitter
@@ -320,5 +355,4 @@ func renderSample(spec Spec, tpl *tensor.Tensor, rng *rand.Rand, cols []int) *te
 			}
 		}
 	}
-	return img
 }

@@ -71,6 +71,50 @@ func TestGenerateShapesAndDeterminism(t *testing.T) {
 	}
 }
 
+// TestGenerateAllocs: a split's images share bulk storage, so generating
+// fashion-sim's 7,000 samples makes fewer than one heap object per 8
+// samples, where one tensor per sample made four.
+func TestGenerateAllocs(t *testing.T) {
+	spec := FashionSpec()
+	n := spec.TrainN + spec.TestN
+	allocs := testing.AllocsPerRun(2, func() { Generate(spec, 3) })
+	if allocs*8 >= float64(n) {
+		t.Fatalf("Generate(%s) makes %v objects for %d samples, want < %d", spec.Name, allocs, n, n/8)
+	}
+}
+
+// TestBlockSamples: a pixel block fills one size class of at most 32 KiB
+// exactly; cifar-sim takes 4 images (24 KiB), not 5 (30 KiB in a 32 KiB
+// class).
+func TestBlockSamples(t *testing.T) {
+	for _, spec := range []Spec{FashionSpec(), TinySpec(), CIFARSpec(), SVHNSpec(), {Channels: 3, Size: 40}} {
+		want := map[string]int{"fashion-sim": 16, "tiny-sim": 64, "cifar-sim": 4, "svhn-sim": 4, "": 1}[spec.Name]
+		if got := blockSamples(spec.Channels * spec.Size * spec.Size); got != want {
+			t.Errorf("%q: %d images per block, want %d", spec.Name, got, want)
+		}
+	}
+}
+
+// TestImagesDoNotAlias: images that share a pixel block or a shape array
+// are still separate slices; appending to one and writing through the
+// result leaves its neighbour as it was.
+func TestImagesDoNotAlias(t *testing.T) {
+	for _, spec := range []Spec{TinySpec(), CIFARSpec()} {
+		train, _ := Generate(spec, 5)
+		for i := 0; i+1 < 40; i++ {
+			next := train.Images[i+1]
+			wantData, wantShape := slices.Clone(next.Data), slices.Clone(next.Shape)
+			data := append(train.Images[i].Data, 0)
+			data[len(data)-1] = math.Inf(1)
+			shape := append(train.Images[i].Shape, 0)
+			shape[len(shape)-1] = -1
+			if !slices.Equal(next.Data, wantData) || !slices.Equal(next.Shape, wantShape) {
+				t.Fatalf("%s: appending to image %d wrote into image %d", spec.Name, i, i+1)
+			}
+		}
+	}
+}
+
 func TestGenerateClassBalance(t *testing.T) {
 	train, _ := Generate(FashionSpec(), 1)
 	counts := train.ClassCounts()

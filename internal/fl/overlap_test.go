@@ -8,6 +8,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -226,7 +227,13 @@ func TestCraftFailuresSurfaceOnEngineGoroutine(t *testing.T) {
 					// returned on Collect's error without waiting would leak it.
 					tr.gate = func() <-chan struct{} { return probe.entered }
 				}
-				before := runtime.NumGoroutine()
+				// A bystander that exits while Run is on, as an earlier
+				// test's helper still on its way out may: the leak check
+				// below must neither count it nor miss a leak because of it.
+				bystander := make(chan struct{})
+				go func() { <-bystander }()
+				before := liveGoroutines()
+				close(bystander)
 				var err error
 				got := "ok"
 				if v := panicValue(func() { _, _, err = probeEngine(tr, atk).Run(make([]float64, 4)) }); v != nil {
@@ -242,12 +249,12 @@ func TestCraftFailuresSurfaceOnEngineGoroutine(t *testing.T) {
 				}
 				// The helper has signalled the engine but may still be on its
 				// way out; it is gone within a few scheduler turns.
-				after := runtime.NumGoroutine()
-				for end := time.Now().Add(stuck); after != before && time.Now().Before(end); after = runtime.NumGoroutine() {
+				leaked := startedSince(before)
+				for end := time.Now().Add(stuck); len(leaked) > 0 && time.Now().Before(end); leaked = startedSince(before) {
 					runtime.Gosched()
 				}
-				if after != before {
-					t.Errorf("%d goroutines before Run, %d after", before, after)
+				if len(leaked) > 0 {
+					t.Errorf("goroutines started during Run are still running:\n%s", strings.Join(leaked, "\n\n"))
 				}
 				if n := tensor.InUse(); n != 0 {
 					t.Errorf("%d helper slots still held after Run", n)
@@ -258,6 +265,30 @@ func TestCraftFailuresSurfaceOnEngineGoroutine(t *testing.T) {
 			})
 		}
 	}
+}
+
+// liveGoroutines maps the ID of every live goroutine to its stack.
+func liveGoroutines() map[string]string {
+	buf := make([]byte, 1<<20)
+	live := make(map[string]string)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		id, _, _ := strings.Cut(strings.TrimPrefix(g, "goroutine "), " ")
+		live[id] = g
+	}
+	return live
+}
+
+// startedSince returns the stacks of the live goroutines not in before.
+// Goroutine IDs are never reused, so one that exited since hides none that
+// started.
+func startedSince(before map[string]string) []string {
+	var started []string
+	for id, g := range liveGoroutines() {
+		if _, ok := before[id]; !ok {
+			started = append(started, g)
+		}
+	}
+	return started
 }
 
 // hookSource calls hook(n) on the nth Shard call, on the goroutine of the

@@ -169,7 +169,7 @@ func ChunkCount(n, minGrain int) int {
 // influence the result, which keeps every kernel built on ParallelFor
 // bit-identical regardless of the worker count.
 func ParallelFor(n, minGrain int, fn func(lo, hi int)) {
-	ParallelForChunks(n, minGrain, func(lo, hi, _ int) { fn(lo, hi) })
+	parallelFor(n, minGrain, int(^uint(0)>>1), fn, nil)
 }
 
 // ParallelForChunks is ParallelFor with the chunk index passed to fn, so
@@ -183,6 +183,14 @@ func ParallelForChunks(n, minGrain int, fn func(lo, hi, chunk int)) {
 // maxChunks, so a caller that staged buffers under an earlier ChunkCount
 // reading stays safe even if the worker-pool size grows concurrently.
 func ParallelForChunksCap(n, minGrain, maxChunks int, fn func(lo, hi, chunk int)) {
+	parallelFor(n, minGrain, maxChunks, nil, fn)
+}
+
+// parallelFor is the one body of the ParallelFor family. Exactly one of
+// span and chunked is set, and each chunk calls it directly: wrapping the
+// first in a closure of the second's signature would cost every call a heap
+// object, inline ones included.
+func parallelFor(n, minGrain, maxChunks int, span func(lo, hi int), chunked func(lo, hi, chunk int)) {
 	if n <= 0 {
 		return
 	}
@@ -196,7 +204,7 @@ func ParallelForChunksCap(n, minGrain, maxChunks int, fn func(lo, hi, chunk int)
 		chunks = (n + size - 1) / size
 	}
 	if chunks == 1 {
-		fn(0, n, 0)
+		runChunk(span, chunked, 0, n, 0)
 		return
 	}
 	var wg sync.WaitGroup
@@ -211,12 +219,22 @@ func ParallelForChunksCap(n, minGrain, maxChunks int, fn func(lo, hi, chunk int)
 			go func(lo, hi, c int) {
 				defer wg.Done()
 				defer releaseSlot()
-				fn(lo, hi, c)
+				runChunk(span, chunked, lo, hi, c)
 			}(lo, hi, c)
 		} else {
-			fn(lo, hi, c)
+			runChunk(span, chunked, lo, hi, c)
 		}
 	}
-	fn(0, size, 0)
+	runChunk(span, chunked, 0, size, 0)
 	wg.Wait()
+}
+
+// runChunk runs chunk c, [lo, hi), through whichever of span and chunked
+// is set.
+func runChunk(span func(lo, hi int), chunked func(lo, hi, chunk int), lo, hi, c int) {
+	if chunked != nil {
+		chunked(lo, hi, c)
+		return
+	}
+	span(lo, hi)
 }

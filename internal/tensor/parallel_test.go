@@ -120,3 +120,16 @@ func TestDrainIsElastic(t *testing.T) {
 		t.Errorf("%d slots still held after the drain", InUse())
 	}
 }
+
+// TestParallelForInlineAllocs: a range that runs inline calls fn directly,
+// so with a capture-free fn ParallelFor allocates nothing.
+func TestParallelForInlineAllocs(t *testing.T) {
+	defer SetWorkers(0)
+	for _, workers := range []int{1, 4} {
+		SetWorkers(workers)
+		allocs := testing.AllocsPerRun(100, func() { ParallelFor(8, 8, func(lo, hi int) {}) })
+		if allocs != 0 {
+			t.Errorf("%d workers: an inline ParallelFor allocates %v objects, want 0", workers, allocs)
+		}
+	}
+}
