@@ -36,7 +36,7 @@ func benchExperiment(b *testing.B, id string) {
 		if i == 0 {
 			w = os.Stdout
 		}
-		if err := repro.RunExperiment(id, benchProfile(), w); err != nil {
+		if err := repro.RunExperimentOpts([]string{id}, repro.RunOptions{Profile: benchProfile()}, w); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,6 @@
 // Command fllint runs the repro's invariant analyzers (determinism,
-// poolescape, nanjson, telemetryclock, zerodep — see internal/analysis)
-// over Go packages.
+// poolescape, nanjson, telemetryclock, zerodep, deadexport — see
+// internal/analysis) over Go packages.
 //
 // Standalone:
 //
@@ -11,6 +11,9 @@
 //
 //	go build -o /tmp/fllint ./cmd/fllint
 //	go vet -vettool=/tmp/fllint ./...
+//
+// deadexport checks the whole module, so it runs only standalone: a vet
+// unit is one package.
 //
 // Exit status is 0 when no violations are found, 1 otherwise. A deliberate
 // violation is exempted in place with //lint:allow <analyzer> <reason>.

@@ -66,3 +66,18 @@ func TestStandaloneClean(t *testing.T) {
 		t.Fatalf("fllint ./...: %v\n%s", err, out)
 	}
 }
+
+// TestDeadExportPartialPattern runs the whole-module check on one package:
+// the rest of the module still counts as its users, so the exports other
+// packages call are not flagged.
+func TestDeadExportPartialPattern(t *testing.T) {
+	if testing.Short() {
+		t.Skip("execs the fllint binary over the module")
+	}
+	bin := buildFllint(t)
+	cmd := exec.Command(bin, "-checks", "deadexport", "./internal/fl")
+	cmd.Dir = "../.."
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("fllint -checks deadexport ./internal/fl: %v\n%s", err, out)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -270,5 +271,33 @@ func TestRunRejectsBadREFD(t *testing.T) {
 		"-ref-per-class", "2", "-reject", "-1", "-accept-timeout", "1s"}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "rejectX -1") {
 		t.Fatalf("run error = %v, want the REFD rejectX error", err)
+	}
+}
+
+// TestRunRejectsNonFiniteFlags: a NaN or infinite float flag is refused by
+// the config's normalization, which names the field, before the server
+// binds its port: the address handed in is already taken, so reaching the
+// bind would fail with another error.
+func TestRunRejectsNonFiniteFlags(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	for _, c := range []struct {
+		flags []string
+		field string
+	}{
+		{[]string{"-server-opt", "lr", "-server-lr", "NaN"}, "ServerLR"},
+		{[]string{"-server-opt", "fedavgm", "-server-momentum", "+Inf"}, "ServerMomentum"},
+		{[]string{"-dropout", "NaN"}, "DropoutProb"},
+		{[]string{"-straggler", "-Inf"}, "StragglerProb"},
+		{[]string{"-sampler", "bernoulli", "-sample-rate", "NaN"}, "SampleRate"},
+	} {
+		args := append([]string{"-addr", held.Addr().String(), "-dataset", "tiny-sim", "-accept-timeout", "1s"}, c.flags...)
+		err := run(args, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("run %v: error %v, want one naming %s", c.flags, err, c.field)
+		}
 	}
 }

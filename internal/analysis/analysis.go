@@ -37,6 +37,11 @@ type Analyzer struct {
 	Doc string
 	// Run checks one package.
 	Run func(*Pass) error
+	// RunModule, set instead of Run, checks the loaded packages together
+	// against the rest of their module, reporting through a Pass with no
+	// package. The go vet driver hands a tool one package at a time, so
+	// such an analyzer runs only standalone.
+	RunModule func(pass *Pass, pkgs []*Package) error
 }
 
 // A Pass provides one analyzer with one type-checked package.
@@ -69,17 +74,16 @@ type Diagnostic struct {
 // allowMarker is the exemption comment prefix.
 const allowMarker = "lint:allow "
 
-// allowSet records, per file line, which analyzers an allow comment
-// exempts.
-type allowSet map[int]map[string]bool
+// allowSet records, per file line (a Position holding only those two),
+// which analyzers an allow comment exempts.
+type allowSet map[token.Position]map[string]bool
 
-// buildAllowSet scans a file's comments for lint:allow markers. A comment
-// on line L exempts diagnostics on L and on L+1, matching the two idiomatic
+// add scans a package's comments for lint:allow markers. A comment on line
+// L exempts diagnostics on L and on L+1, matching the two idiomatic
 // placements (end-of-line and line-above). Reasonless allow comments are
 // returned separately — they exempt nothing and are reported as violations
 // themselves.
-func buildAllowSet(fset *token.FileSet, files []*ast.File) (allowSet, []token.Pos) {
-	allow := allowSet{}
+func (allow allowSet) add(fset *token.FileSet, files []*ast.File) []token.Pos {
 	var reasonless []token.Pos
 	for _, f := range files {
 		for _, cg := range f.Comments {
@@ -95,36 +99,41 @@ func buildAllowSet(fset *token.FileSet, files []*ast.File) (allowSet, []token.Po
 					reasonless = append(reasonless, c.Pos())
 					continue
 				}
-				line := fset.Position(c.Pos()).Line
-				for _, l := range [2]int{line, line + 1} {
-					if allow[l] == nil {
-						allow[l] = map[string]bool{}
+				pos := fset.Position(c.Pos())
+				for _, l := range [2]int{pos.Line, pos.Line + 1} {
+					k := token.Position{Filename: pos.Filename, Line: l}
+					if allow[k] == nil {
+						allow[k] = map[string]bool{}
 					}
-					allow[l][name] = true
+					allow[k][name] = true
 				}
 			}
 		}
 	}
-	return allow, reasonless
+	return reasonless
 }
 
-// Run applies the analyzers to each loaded package and returns the
-// surviving diagnostics sorted by position. Exempted diagnostics are
-// dropped; malformed (reasonless) allow comments are reported under the
-// pseudo-analyzer "lint".
+// Run applies the analyzers to the loaded packages, which share one
+// FileSet, and returns the surviving diagnostics sorted by position.
+// Exempted diagnostics are dropped; malformed (reasonless) allow comments
+// are reported under the pseudo-analyzer "lint".
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+	if len(pkgs) == 0 {
+		return nil
+	}
+	fset := pkgs[0].Fset
+	// The invariants govern the production result path; test files are
+	// free to build adversarial values (NaN configs, raw clocks). The
+	// standalone loader never lists them, but the go vet driver hands us
+	// [test] variants, so filter by filename for identical verdicts in
+	// both modes.
+	inTest := func(pos token.Pos) bool {
+		return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
+	}
 	var out []Diagnostic
+	allow := allowSet{}
 	for _, pkg := range pkgs {
-		// The invariants govern the production result path; test files are
-		// free to build adversarial values (NaN configs, raw clocks). The
-		// standalone loader never lists them, but the go vet driver hands us
-		// [test] variants, so filter by filename for identical verdicts in
-		// both modes.
-		inTest := func(pos token.Pos) bool {
-			return strings.HasSuffix(pkg.Fset.Position(pos).Filename, "_test.go")
-		}
-		allow, reasonless := buildAllowSet(pkg.Fset, pkg.Files)
-		for _, pos := range reasonless {
+		for _, pos := range allow.add(fset, pkg.Files) {
 			if inTest(pos) {
 				continue
 			}
@@ -134,30 +143,27 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				Message:  "lint:allow exemption is missing a reason: write //lint:allow <analyzer> <reason>",
 			})
 		}
-		for _, a := range analyzers {
-			pass := &Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.Info,
-			}
-			pass.report = func(d Diagnostic) {
-				if inTest(d.Pos) {
-					return
-				}
-				line := pkg.Fset.Position(d.Pos).Line
-				if allow[line][a.Name] {
-					return
-				}
+	}
+	for _, a := range analyzers {
+		pass := &Pass{Analyzer: a, Fset: fset, report: func(d Diagnostic) {
+			pos := fset.Position(d.Pos)
+			if !inTest(d.Pos) && !allow[token.Position{Filename: pos.Filename, Line: pos.Line}][a.Name] {
 				out = append(out, d)
 			}
+		}}
+		fail := func(pkg *Package, err error) {
+			out = append(out, Diagnostic{Pos: pkg.Files[0].Pos(), Analyzer: a.Name, Message: fmt.Sprintf("internal error: %v", err)})
+		}
+		if a.RunModule != nil {
+			if err := a.RunModule(pass, pkgs); err != nil {
+				fail(pkgs[0], err)
+			}
+			continue
+		}
+		for _, pkg := range pkgs {
+			pass.Files, pass.Pkg, pass.TypesInfo = pkg.Files, pkg.Types, pkg.Info
 			if err := a.Run(pass); err != nil {
-				out = append(out, Diagnostic{
-					Pos:      pkg.Files[0].Pos(),
-					Analyzer: a.Name,
-					Message:  fmt.Sprintf("internal error: %v", err),
-				})
+				fail(pkg, err)
 			}
 		}
 	}
@@ -167,7 +173,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 
 // All returns fllint's analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, PoolEscape, NaNJSON, TelemetryClock, ZeroDep}
+	return []*Analyzer{Determinism, PoolEscape, NaNJSON, TelemetryClock, ZeroDep, DeadExport}
 }
 
 // derefNamed unwraps pointers and aliases to the underlying named type.

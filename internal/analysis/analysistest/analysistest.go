@@ -38,28 +38,39 @@ import (
 //
 // Fixture packages import each other by bare path (resolved from
 // testdata/src) and the standard library (resolved from compiler export
-// data).
+// data). A testdata directory holding a go.mod is a fixture module
+// instead: it is loaded as fllint loads a module, and pkgPaths are go list
+// patterns relative to it.
+//
+//lint:allow deadexport the harness of the analyzer tests
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
-	l := newLoader(testdata)
 	var pkgs []*analysis.Package
-	for _, p := range pkgPaths {
-		pkg, err := l.load(p)
-		if err != nil {
+	if _, err := os.Stat(filepath.Join(testdata, "go.mod")); err == nil {
+		if pkgs, err = analysis.Load(testdata, pkgPaths...); err != nil {
 			t.Fatalf("analysistest: %v", err)
 		}
-		pkgs = append(pkgs, pkg)
+	} else {
+		l := newLoader(testdata)
+		for _, p := range pkgPaths {
+			pkg, err := l.load(p)
+			if err != nil {
+				t.Fatalf("analysistest: %v", err)
+			}
+			pkgs = append(pkgs, pkg)
+		}
 	}
+	fset := pkgs[0].Fset
 	var wants []*expectation
 	for _, pkg := range pkgs {
-		ws, err := collectWants(l.fset, pkg.Files)
+		ws, err := collectWants(fset, pkg.Files)
 		if err != nil {
 			t.Fatalf("analysistest: %v", err)
 		}
 		wants = append(wants, ws...)
 	}
 	for _, d := range analysis.Run(pkgs, []*analysis.Analyzer{a}) {
-		pos := l.fset.Position(d.Pos)
+		pos := fset.Position(d.Pos)
 		if !claim(wants, pos, d.Message) {
 			t.Errorf("unexpected diagnostic at %s: %s: %s", pos, d.Analyzer, d.Message)
 		}

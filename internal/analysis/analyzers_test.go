@@ -29,10 +29,17 @@ func TestZeroDep(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.ZeroDep, "dashboard")
 }
 
+// TestDeadExport runs the whole-module check over a fixture module with a
+// second module that replaces it: only the export nothing but a test uses
+// is flagged.
+func TestDeadExport(t *testing.T) {
+	analysistest.Run(t, "testdata/deadexport", analysis.DeadExport, "./...")
+}
+
 func TestByName(t *testing.T) {
 	all, err := analysis.ByName("")
-	if err != nil || len(all) != 5 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 5, nil", len(all), err)
+	if err != nil || len(all) != 6 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 6, nil", len(all), err)
 	}
 	subset, err := analysis.ByName("zerodep, nanjson")
 	if err != nil || len(subset) != 2 || subset[0].Name != "zerodep" || subset[1].Name != "nanjson" {

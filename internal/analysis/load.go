@@ -14,7 +14,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -22,10 +21,13 @@ import (
 type Package struct {
 	PkgPath string
 	Name    string
-	Fset    *token.FileSet
-	Files   []*ast.File
-	Types   *types.Package
-	Info    *types.Info
+	// ModuleDir is the root of the package's module ("" under the go vet
+	// driver).
+	ModuleDir string
+	Fset      *token.FileSet
+	Files     []*ast.File
+	Types     *types.Package
+	Info      *types.Info
 }
 
 // listedPackage is the subset of `go list -json` output the loader needs.
@@ -37,6 +39,7 @@ type listedPackage struct {
 	GoFiles    []string
 	ImportMap  map[string]string
 	DepOnly    bool
+	Module     *struct{ Dir string }
 	Error      *struct{ Err string }
 }
 
@@ -49,7 +52,7 @@ type listedPackage struct {
 // Analyzers see each target package's syntax; dependencies contribute
 // types only.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	args := append([]string{"list", "-e", "-export", "-deps", "-json=Dir,ImportPath,Name,Export,GoFiles,ImportMap,DepOnly,Error"}, patterns...)
+	args := append([]string{"list", "-e", "-export", "-deps", "-json=Dir,ImportPath,Name,Export,GoFiles,ImportMap,DepOnly,Module,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -94,6 +97,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		pkg, err := typeCheck(fset, imp, t, importMaps[t.ImportPath])
 		if err != nil {
 			return nil, err
+		}
+		if t.Module != nil {
+			pkg.ModuleDir = t.Module.Dir
 		}
 		pkgs = append(pkgs, pkg)
 	}
@@ -239,16 +245,4 @@ func CheckFiles(importPath string, goFiles []string, importMap, packageFile map[
 	imp := newExportImporter(fset, exports)
 	lp := &listedPackage{ImportPath: importPath, GoFiles: goFiles}
 	return typeCheck(fset, imp, lp, importMap)
-}
-
-// moduleDir reports the root directory of the main module containing dir,
-// so self-check tooling can address the whole repo regardless of cwd.
-func moduleDir(dir string) (string, error) {
-	cmd := exec.Command("go", "list", "-m", "-f", "{{.Dir}}")
-	cmd.Dir = dir
-	out, err := cmd.Output()
-	if err != nil {
-		return "", fmt.Errorf("analysis: go list -m: %v", err)
-	}
-	return strings.TrimSpace(string(out)), nil
 }

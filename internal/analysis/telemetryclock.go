@@ -29,8 +29,8 @@ packages the round tracer instruments — top-level time.Now and time.Since
 calls bypass the telemetry epoch: spans timed off a private clock land on
 the wrong spot in the Chrome trace, and a second clock source is the first
 step toward time-dependent results, which the telemetry-off bit-identity
-test cannot catch if both runs take the same branch. Use telemetry.Clock
-for wall-clock timestamps and telemetry.Nanos for span durations. Reads
+test cannot catch if both runs take the same branch. Use telemetry.Nanos,
+the span time base, for durations and timestamps. Reads
 that feed the operating system rather than results — socket and accept
 deadlines — are exempted in place with //lint:allow telemetryclock.`,
 	Run: runTelemetryClock,
@@ -56,7 +56,7 @@ func runTelemetryClock(pass *Pass) error {
 			}
 			if name := fn.Name(); name == "Now" || name == "Since" {
 				pass.Reportf(call.Pos(),
-					"call to time.%s on the round hot path bypasses the telemetry epoch; use telemetry.Clock/telemetry.Nanos, or //lint:allow telemetryclock <reason> for OS deadlines",
+					"call to time.%s on the round hot path bypasses the telemetry epoch; use telemetry.Nanos, or //lint:allow telemetryclock <reason> for OS deadlines",
 					name)
 			}
 			return true

@@ -1,6 +1,6 @@
 // Fixture for the telemetryclock analyzer: package name "flnet" puts it
 // in the instrumented hot-path set, so top-level time.Now/time.Since must
-// be flagged, while telemetry.Clock/telemetry.Nanos usage, time.Time
+// be flagged, while telemetry.Nanos usage, time.Time
 // methods on already-read values, and //lint:allow exemptions for OS
 // deadlines stay silent.
 package flnet
@@ -22,8 +22,8 @@ func rawSince(start time.Time) time.Duration {
 
 // sanctioned reads go through the telemetry clock, so phase spans and
 // Chrome tracks all share one epoch.
-func sanctioned() (time.Time, int64) {
-	return telemetry.Clock(), telemetry.Nanos()
+func sanctioned() int64 {
+	return telemetry.Nanos()
 }
 
 // methodsOnValues operate on timestamps already read; only the read

@@ -212,11 +212,11 @@ func (a Fang) Craft(ctx *fl.AttackContext) ([][]float64, error) {
 // attacks.
 type PerturbKind int
 
-// Perturbation directions from Shejwalkar & Houmansadr; inverse standard
-// deviation is the strongest in their evaluation and the paper's default.
+// Perturbation directions from Shejwalkar & Houmansadr beside the zero
+// PerturbKind, inverse standard deviation: the strongest in their
+// evaluation and the paper's default.
 const (
-	PerturbStd PerturbKind = iota + 1
-	PerturbUnit
+	PerturbUnit PerturbKind = iota + 1
 	PerturbSign
 )
 

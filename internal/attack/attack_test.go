@@ -59,7 +59,7 @@ func TestRandomWeightsInGlobalRange(t *testing.T) {
 		}
 	}
 	// Different attackers get different vectors.
-	if vec.L2Dist(out[0], out[1]) == 0 {
+	if vec.SqDist(out[0], out[1]) == 0 {
 		t.Fatal("random attackers should differ")
 	}
 }
@@ -101,7 +101,7 @@ func TestLIEShiftsMeanByZStd(t *testing.T) {
 		}
 	}
 	// All attackers submit the same update.
-	if vec.L2Dist(out[0], out[1]) != 0 {
+	if vec.SqDist(out[0], out[1]) != 0 {
 		t.Fatal("LIE attackers should submit identical updates")
 	}
 }
@@ -197,7 +197,7 @@ func TestMinMaxConstraintHolds(t *testing.T) {
 		t.Fatalf("MinMax constraint violated: %v > %v", worst, bound)
 	}
 	// The attack should actually deviate from the mean (gamma > 0).
-	if vec.L2Dist(mal, vec.Mean(benign)) < 1e-6 {
+	if vec.SqDist(mal, vec.Mean(benign)) < 1e-12 {
 		t.Fatal("MinMax did not move away from the benign mean")
 	}
 }
@@ -211,10 +211,10 @@ func TestMinMaxGammaIsMaximal(t *testing.T) {
 		t.Fatal(err)
 	}
 	mean := vec.Mean(benign)
-	p := perturbation(PerturbStd, benign, mean)
+	p := perturbation(0, benign, mean)
 	bound := vec.MaxPairwiseSqDist(benign)
 	// Recover gamma and verify a slightly larger one violates the bound.
-	gamma := vec.L2Dist(mal, mean) / vec.Norm2(p)
+	gamma := math.Sqrt(vec.SqDist(mal, mean)) / vec.Norm2(p)
 	larger := vec.Add(mean, vec.Scale(p, gamma*1.05))
 	worst := 0.0
 	for _, b := range benign {
@@ -257,18 +257,22 @@ func TestPerturbationKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	benign := randVecs(rng, 5, 6, 1)
 	mean := vec.Mean(benign)
-	pStd := perturbation(PerturbStd, benign, mean)
+	pStd := perturbation(0, benign, mean)
 	std := vec.Std(benign)
 	for j := range pStd {
 		if math.Abs(pStd[j]+std[j]) > 1e-12 {
-			t.Fatal("PerturbStd should be -std")
+			t.Fatal("the zero PerturbKind should be -std")
 		}
 	}
 	pUnit := perturbation(PerturbUnit, benign, mean)
 	if math.Abs(vec.Norm2(pUnit)-1) > 1e-9 {
 		t.Fatal("PerturbUnit should have unit norm")
 	}
-	if vec.Dot(pUnit, mean) > 0 {
+	dot := 0.0
+	for j := range pUnit {
+		dot += pUnit[j] * mean[j]
+	}
+	if dot > 0 {
 		t.Fatal("PerturbUnit should oppose the mean")
 	}
 	pSign := perturbation(PerturbSign, benign, mean)
@@ -292,7 +296,7 @@ func TestOracleAttacksFallBackWithoutBenign(t *testing.T) {
 			t.Fatalf("%s: %d vectors", a.Name(), len(out))
 		}
 		for _, v := range out {
-			if vec.L2Dist(v, global) != 0 {
+			if vec.SqDist(v, global) != 0 {
 				t.Fatalf("%s: fallback should submit the global model", a.Name())
 			}
 		}
@@ -333,11 +337,11 @@ func TestLabelFlipTrainsOnFlippedLabels(t *testing.T) {
 	if len(out) != 2 {
 		t.Fatalf("got %d vectors", len(out))
 	}
-	if vec.L2Dist(out[0], global) == 0 {
+	if vec.SqDist(out[0], global) == 0 {
 		t.Fatal("labelflip should change the weights")
 	}
 	// Malicious training must not mutate the caller's global vector.
-	if vec.L2Dist(global, ctx.Global) != 0 {
+	if vec.SqDist(global, ctx.Global) != 0 {
 		t.Fatal("labelflip mutated the global weights")
 	}
 }
@@ -359,7 +363,7 @@ func TestReplicatePerturbs(t *testing.T) {
 		t.Fatalf("got %d copies", len(out))
 	}
 	for _, v := range out {
-		d := vec.L2Dist(v, base)
+		d := math.Sqrt(vec.SqDist(v, base))
 		if d == 0 || d > 1 {
 			t.Fatalf("perturbed copy distance %v out of expected range", d)
 		}

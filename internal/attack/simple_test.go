@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestFreeRiderReturnsGlobal(t *testing.T) {
 		t.Fatalf("got %d vectors", len(out))
 	}
 	for _, v := range out {
-		if vec.L2Dist(v, global) != 0 {
+		if vec.SqDist(v, global) != 0 {
 			t.Fatal("free rider without noise should return the global model")
 		}
 	}
@@ -36,11 +37,11 @@ func TestFreeRiderNoiseDisguise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := vec.L2Dist(out[0], global)
+	d := math.Sqrt(vec.SqDist(out[0], global))
 	if d == 0 || d > 1 {
 		t.Fatalf("disguise distance %v unexpected", d)
 	}
-	if vec.L2Dist(out[0], out[1]) == 0 {
+	if vec.SqDist(out[0], out[1]) == 0 {
 		t.Fatal("disguised free riders should differ from each other")
 	}
 }
@@ -83,7 +84,7 @@ func TestSignFlipFallsBackWithoutBenign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vec.L2Dist(out[0], global) != 0 {
+	if vec.SqDist(out[0], global) != 0 {
 		t.Fatal("fallback should return the global model")
 	}
 }

@@ -49,9 +49,6 @@ func NewAdaptiveREFD(ref *dataset.Dataset, newModel func(rng *rand.Rand) *nn.Net
 // Name implements fl.Aggregator.
 func (*AdaptiveREFD) Name() string { return "refd-adaptive" }
 
-// Alpha returns the α used in the most recent round (1 before any round).
-func (a *AdaptiveREFD) Alpha() float64 { return a.lastAlpha }
-
 // Aggregate implements fl.Aggregator. Like REFD it reports the per-update
 // D-scores (under the adapted α) as Selection.Scores.
 func (a *AdaptiveREFD) Aggregate(global []float64, updates []fl.Update) ([]float64, fl.Selection, error) {

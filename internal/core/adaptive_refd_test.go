@@ -22,8 +22,8 @@ func TestAdaptiveREFDConstructor(t *testing.T) {
 	if a.Name() != "refd-adaptive" {
 		t.Fatalf("Name = %q", a.Name())
 	}
-	if a.Alpha() != 1 {
-		t.Fatalf("initial alpha = %v, want 1", a.Alpha())
+	if a.lastAlpha != 1 {
+		t.Fatalf("initial alpha = %v, want 1", a.lastAlpha)
 	}
 	// Invalid bounds fall back to the defaults.
 	b, err := NewAdaptiveREFD(ref, tt.newModel, 1, -1, -2)
@@ -81,11 +81,11 @@ func TestAdaptiveREFDRejectsBiasedUpdate(t *testing.T) {
 	}
 	// A biased attacker spreads the balance values, so α should move above
 	// its initial 1 (B-dominated round) — or at minimum have been adapted.
-	if refd.Alpha() == 1 {
+	if refd.lastAlpha == 1 {
 		t.Log("alpha stayed at 1 (acceptable when dispersions tie)")
 	}
-	if refd.Alpha() < refd.MinAlpha || refd.Alpha() > refd.MaxAlpha {
-		t.Fatalf("alpha %v escaped [%v, %v]", refd.Alpha(), refd.MinAlpha, refd.MaxAlpha)
+	if refd.lastAlpha < refd.MinAlpha || refd.lastAlpha > refd.MaxAlpha {
+		t.Fatalf("alpha %v escaped [%v, %v]", refd.lastAlpha, refd.MinAlpha, refd.MaxAlpha)
 	}
 }
 

@@ -95,7 +95,7 @@ func BenchmarkREFDScore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := refd.DScore(ctx.Global); err != nil {
+		if _, _, _, err := refd.dScore(ctx.Global); err != nil {
 			b.Fatal(err)
 		}
 	}

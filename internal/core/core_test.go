@@ -128,7 +128,7 @@ func TestDFARCraftShapeAndEffect(t *testing.T) {
 			t.Fatalf("vector length %d, want %d", len(v), len(tt.global))
 		}
 	}
-	if vec.L2Dist(out[0], tt.global) == 0 {
+	if vec.SqDist(out[0], tt.global) == 0 {
 		t.Fatal("DFA-R update should differ from the global model")
 	}
 }
@@ -189,7 +189,7 @@ func TestDFAGCraftAndPersistentState(t *testing.T) {
 	if a.Name() != "dfa-g" {
 		t.Fatalf("Name = %q", a.Name())
 	}
-	if a.TargetClass() != -1 {
+	if a.targetClass != -1 {
 		t.Fatal("target class should be unset before the first round")
 	}
 	rng := rand.New(rand.NewSource(4))
@@ -200,7 +200,7 @@ func TestDFAGCraftAndPersistentState(t *testing.T) {
 	if len(out) != 2 {
 		t.Fatalf("got %d vectors", len(out))
 	}
-	y1 := a.TargetClass()
+	y1 := a.targetClass
 	if y1 < 0 || y1 >= tt.spec.Classes {
 		t.Fatalf("target class %d out of range", y1)
 	}
@@ -208,7 +208,7 @@ func TestDFAGCraftAndPersistentState(t *testing.T) {
 	if _, err := a.Craft(tt.ctx(rng, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if a.TargetClass() != y1 {
+	if a.targetClass != y1 {
 		t.Fatal("DFA-G target class must stay fixed across rounds")
 	}
 	if len(a.LossTrace()) != 2 {
@@ -249,7 +249,7 @@ func TestRegularizationImprovesStealth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return vec.L2Dist(out[0], tt.global)
+		return math.Sqrt(vec.SqDist(out[0], tt.global))
 	}
 	with := dist(1)
 	without := dist(0)
@@ -273,7 +273,7 @@ func TestRealDataAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 || vec.L2Dist(out[0], tt.global) == 0 {
+	if len(out) != 2 || vec.SqDist(out[0], tt.global) == 0 {
 		t.Fatal("real-data attack should produce modified updates")
 	}
 	if _, err := NewRealData(cfg, nil, nil); err == nil {
@@ -287,7 +287,10 @@ func TestBalancedReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := ref.ClassCounts()
+	counts := make([]int, ref.Classes)
+	for _, l := range ref.Labels {
+		counts[l]++
+	}
 	for c, n := range counts {
 		if n != 5 {
 			t.Fatalf("class %d has %d reference samples, want 5", c, n)
@@ -334,11 +337,11 @@ func TestREFDScoresAndAggregation(t *testing.T) {
 	}
 	biased := biasedModel.WeightVector()
 
-	bh, vh, dh, err := refd.DScore(honest)
+	bh, vh, dh, err := refd.dScore(honest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb, _, db, err := refd.DScore(biased)
+	bb, _, db, err := refd.dScore(biased)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +444,7 @@ func TestPerturbStdProducesDistinctUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vec.L2Dist(out[0], out[1]) == 0 {
+	if vec.SqDist(out[0], out[1]) == 0 {
 		t.Fatal("perturbed attacker copies should differ")
 	}
 }

@@ -18,8 +18,9 @@ import (
 )
 
 // dfarReferenceSet is the original DFA-R synthesis: one sample at a time,
-// draws interleaved with the optimizations, a fresh frozen model per craft
-// run through the full Backward and zeroed afterwards, heap-allocated loss.
+// draws interleaved with the optimizations, a fresh frozen model per craft,
+// heap-allocated loss. Its two backward halves are pinned bit for bit to
+// the full pass by nn's TestBackwardHalvesMatchFull.
 func dfarReferenceSet(ctx *fl.AttackContext, cfg DFAConfig) (*tensor.Tensor, []float64) {
 	frozen := ctx.NewModel(rand.New(rand.NewSource(1)))
 	if err := frozen.SetWeightVector(ctx.Global); err != nil {
@@ -38,9 +39,7 @@ func dfarReferenceSet(ctx *fl.AttackContext, cfg DFAConfig) (*tensor.Tensor, []f
 			for e := 0; e < cfg.SynthesisEpochs; e++ {
 				logits := frozen.Forward(fnet.Forward(dummy, true), true)
 				loss, grad := nn.CrossEntropySoftPool(nil, logits, uniform)
-				db := frozen.Backward(grad)
-				frozen.ZeroGrads()
-				fnet.Backward(db)
+				fnet.BackwardParams(frozen.BackwardInput(grad))
 				opt.Step(fnet)
 				epochLoss[e] += loss
 			}

@@ -49,9 +49,6 @@ func (a *DFAG) Name() string {
 	return "dfa-g"
 }
 
-// TargetClass returns the fixed flip class Ỹ, or −1 before the first round.
-func (a *DFAG) TargetClass() int { return a.targetClass }
-
 // LossTrace returns the per-round, per-epoch generator objective (the
 // cross-entropy against Ỹ, which DFA-G *maximizes*), the series plotted in
 // Fig. 7.

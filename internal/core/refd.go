@@ -59,9 +59,9 @@ func NewREFD(ref *dataset.Dataset, newModel func(rng *rand.Rand) *nn.Network, al
 // Name implements fl.Aggregator.
 func (*REFD) Name() string { return "refd" }
 
-// DScore computes the balance value, confidence value and combined D-score
+// dScore computes the balance value, confidence value and combined D-score
 // of a model given its weight vector, by inference over the reference set.
-func (r *REFD) DScore(weights []float64) (b, v, d float64, err error) {
+func (r *REFD) dScore(weights []float64) (b, v, d float64, err error) {
 	b, v, err = r.signals(weights)
 	if err != nil {
 		return 0, 0, 0, err

@@ -79,15 +79,6 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 	return s
 }
 
-// ClassCounts returns the number of samples per class label.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.Classes)
-	for _, l := range d.Labels {
-		counts[l]++
-	}
-	return counts
-}
-
 // Spec describes a synthetic dataset family.
 type Spec struct {
 	// Name identifies the dataset ("fashion-sim", "cifar-sim", "svhn-sim").

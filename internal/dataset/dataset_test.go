@@ -117,7 +117,7 @@ func TestImagesDoNotAlias(t *testing.T) {
 
 func TestGenerateClassBalance(t *testing.T) {
 	train, _ := Generate(FashionSpec(), 1)
-	counts := train.ClassCounts()
+	counts := classCounts(train)
 	for c, n := range counts {
 		expect := float64(train.Len()) / float64(train.Classes)
 		if math.Abs(float64(n)-expect) > expect*0.25 {
@@ -128,7 +128,7 @@ func TestGenerateClassBalance(t *testing.T) {
 
 func TestSVHNImbalance(t *testing.T) {
 	train, _ := Generate(SVHNSpec(), 1)
-	counts := train.ClassCounts()
+	counts := classCounts(train)
 	// Class 1 should be clearly more common than class 9 (Benford-like skew).
 	if counts[1] <= counts[9] {
 		t.Errorf("svhn-sim should be imbalanced: class1=%d class9=%d", counts[1], counts[9])
@@ -311,7 +311,7 @@ func TestDirichletHeterogeneityMonotone(t *testing.T) {
 		for seed := int64(0); seed < 3; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			shards := PartitionDirichlet(rng, labels, 50, beta)
-			sum += HeterogeneityIndex(labels, shards, 10)
+			sum += heterogeneityIndex(labels, shards, 10)
 		}
 		return sum / 3
 	}
@@ -359,7 +359,7 @@ func TestPartitionQuantityCoversAllSamples(t *testing.T) {
 // TestPartitionQuantityHeterogeneityMonotone verifies the quantity-skew
 // analogue of the Dirichlet monotonicity property: lower beta concentrates
 // the data on few clients, leaving many tiny shards whose label
-// distributions deviate more from the global one, so HeterogeneityIndex
+// distributions deviate more from the global one, so heterogeneityIndex
 // rises as beta falls. It also checks the size skew directly.
 func TestPartitionQuantityHeterogeneityMonotone(t *testing.T) {
 	labels := make([]int, 2000)
@@ -371,7 +371,7 @@ func TestPartitionQuantityHeterogeneityMonotone(t *testing.T) {
 		for seed := int64(0); seed < 3; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			shards := PartitionQuantity(rng, len(labels), 50, beta)
-			sumHI += HeterogeneityIndex(labels, shards, 10)
+			sumHI += heterogeneityIndex(labels, shards, 10)
 			largest := 0
 			for _, s := range shards {
 				if len(s) > largest {
@@ -459,7 +459,52 @@ func TestPartitionDirichletInvalidArgsPanics(t *testing.T) {
 }
 
 func TestHeterogeneityIndexEmptyShards(t *testing.T) {
-	if got := HeterogeneityIndex([]int{0, 1}, [][]int{{}, {}}, 2); got != 0 {
+	if got := heterogeneityIndex([]int{0, 1}, [][]int{{}, {}}, 2); got != 0 {
 		t.Fatalf("HeterogeneityIndex of empty shards = %v, want 0", got)
 	}
+}
+
+// classCounts returns the number of samples per class label.
+func classCounts(d *Dataset) []int {
+	counts := make([]int, d.Classes)
+	for _, l := range d.Labels {
+		counts[l]++
+	}
+	return counts
+}
+
+// heterogeneityIndex quantifies label skew of a partition as the mean
+// total-variation distance between each client's label distribution and the
+// global label distribution (0 = perfectly i.i.d., →1 = one class per
+// client), so tests can check that lower beta yields higher skew.
+func heterogeneityIndex(labels []int, shards [][]int, classes int) float64 {
+	global := make([]float64, classes)
+	for _, l := range labels {
+		global[l]++
+	}
+	total := float64(len(labels))
+	for i := range global {
+		global[i] /= total
+	}
+	sum := 0.0
+	counted := 0
+	for _, shard := range shards {
+		if len(shard) == 0 {
+			continue
+		}
+		local := make([]float64, classes)
+		for _, idx := range shard {
+			local[labels[idx]]++
+		}
+		tv := 0.0
+		for c := 0; c < classes; c++ {
+			tv += math.Abs(local[c]/float64(len(shard)) - global[c])
+		}
+		sum += tv / 2
+		counted++
+	}
+	if counted == 0 {
+		return 0
+	}
+	return sum / float64(counted)
 }

@@ -189,39 +189,3 @@ func sampleGamma(rng *rand.Rand, alpha float64) float64 {
 		}
 	}
 }
-
-// HeterogeneityIndex quantifies label skew of a partition as the mean
-// total-variation distance between each client's label distribution and the
-// global label distribution (0 = perfectly i.i.d., →1 = one class per
-// client). Used by tests to verify that lower beta yields higher skew.
-func HeterogeneityIndex(labels []int, shards [][]int, classes int) float64 {
-	global := make([]float64, classes)
-	for _, l := range labels {
-		global[l]++
-	}
-	total := float64(len(labels))
-	for i := range global {
-		global[i] /= total
-	}
-	sum := 0.0
-	counted := 0
-	for _, shard := range shards {
-		if len(shard) == 0 {
-			continue
-		}
-		local := make([]float64, classes)
-		for _, idx := range shard {
-			local[labels[idx]]++
-		}
-		tv := 0.0
-		for c := 0; c < classes; c++ {
-			tv += math.Abs(local[c]/float64(len(shard)) - global[c])
-		}
-		sum += tv / 2
-		counted++
-	}
-	if counted == 0 {
-		return 0
-	}
-	return sum / float64(counted)
-}

@@ -331,7 +331,7 @@ func TestMultiKrumPermutationProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return vec.L2Dist(out1, out2) < 1e-9
+		return vec.SqDist(out1, out2) < 1e-18
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

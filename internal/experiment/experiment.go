@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 
 	"repro/internal/attack"
 	"repro/internal/codec"
@@ -176,6 +177,14 @@ func (c Config) codecSpec() codec.Spec {
 
 // Normalize fills defaults in place and validates the names.
 func (c *Config) Normalize() error {
+	// NaN passes every range comparison below and ±Inf some of them: refuse
+	// both up front, for every float field, added later ones included.
+	v := reflect.ValueOf(c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Float64 && (math.IsNaN(f.Float()) || math.IsInf(f.Float(), 0)) {
+			return fmt.Errorf("experiment: %s %v is not a finite number", v.Type().Field(i).Name, f.Float())
+		}
+	}
 	if c.Dataset == "" {
 		c.Dataset = "fashion-sim"
 	}

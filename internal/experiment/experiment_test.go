@@ -3,6 +3,7 @@ package experiment
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -106,6 +107,33 @@ func TestRunAllAttackDefenseCombos(t *testing.T) {
 		if out.MaxAcc < 0 || out.MaxAcc > 1 {
 			t.Fatalf("defense %s: max accuracy %v out of range", def, out.MaxAcc)
 		}
+	}
+}
+
+// TestNormalizeRefusesNonFinite sets each float field of a Config to NaN,
+// +Inf and -Inf in turn: Normalize must refuse every one and name the
+// field. NaN passes the range comparisons the other checks make, so before
+// this check a NaN server learning rate or dropout probability validated.
+func TestNormalizeRefusesNonFinite(t *testing.T) {
+	fields := 0
+	typ := reflect.TypeOf(Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		if typ.Field(i).Type.Kind() != reflect.Float64 {
+			continue
+		}
+		fields++
+		name := typ.Field(i).Name
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := Config{Attack: "dfa-r", Sampler: "bernoulli", ServerOpt: "fedavgm", Codec: "int8"}
+			reflect.ValueOf(&cfg).Elem().Field(i).SetFloat(v)
+			err := cfg.Normalize()
+			if err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s = %v: Normalize error %v, want one naming %s", name, v, err, name)
+			}
+		}
+	}
+	if fields != 10 {
+		t.Fatalf("Config has %d float fields, the table expects 10", fields)
 	}
 }
 

@@ -306,9 +306,9 @@ func (s *Store) Release(key string) error {
 	return s.j.Release(key, s.owner)
 }
 
-// Len reports the number of stored runs and baselines (lease records
+// len reports the number of stored runs and baselines (lease records
 // excluded).
-func (s *Store) Len() int {
+func (s *Store) len() int {
 	if s == nil {
 		return 0
 	}

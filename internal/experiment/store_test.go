@@ -102,8 +102,8 @@ func TestRunGridStoreResume(t *testing.T) {
 	}
 	defer store2.Close()
 	// 2 grid cells + 1 shared clean baseline journaled by the first run.
-	if store2.Len() != 3 {
-		t.Fatalf("store has %d entries after half the grid, want 3", store2.Len())
+	if store2.len() != 3 {
+		t.Fatalf("store has %d entries after half the grid, want 3", store2.len())
 	}
 	r2 := NewRunner()
 	r2.Store = store2

@@ -54,12 +54,6 @@ func NewBenignClient(id int, data *dataset.Dataset, shard []int, model *nn.Netwo
 	}
 }
 
-// ID returns the client identifier.
-func (c *BenignClient) ID() int { return c.id }
-
-// NumSamples returns the client's shard size n_i.
-func (c *BenignClient) NumSamples() int { return len(c.shard) }
-
 // Train runs local training from the given global weights on the client's
 // own model and returns the client's update.
 func (c *BenignClient) Train(global []float64) (Update, error) {

@@ -111,12 +111,6 @@ type Engine struct {
 	// resume hands the w(t−1) an uninterrupted run would have had).
 	InitialPrev []float64
 
-	// Halt, when non-nil, is polled at every round boundary; returning true
-	// stops the loop before the next round starts, keeping all completed
-	// results — the graceful-drain hook. A drained run is indistinguishable
-	// from one configured with fewer rounds: no round is ever cut mid-flight.
-	Halt func() bool
-
 	// Telemetry, when non-nil, receives per-round and per-phase spans and
 	// the codec byte counts. Pure observation: it never touches the RNG
 	// streams, the update set or the summation order, so a fixed-seed run is
@@ -205,9 +199,6 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 	}
 
 	for round := e.StartRound; round < e.Rounds; round++ {
-		if e.Halt != nil && e.Halt() {
-			break
-		}
 		// Spans use explicit End calls (not defer) so the telemetry-nil path
 		// stays allocation-free; error returns may drop an open span, which
 		// is fine — the run is over.

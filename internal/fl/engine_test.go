@@ -268,6 +268,27 @@ func (f transportFunc) Collect(round int, ids []int, global, prev []float64) ([]
 	return f(round, ids, global, prev)
 }
 
+// TestScenarioValidateNonFinite: NaN passes every < and > comparison, so
+// each validator must reject a NaN (and an infinite) parameter on its own.
+func TestScenarioValidateNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for i, sc := range []Scenario{
+		{Sampler: BernoulliSampler{P: nan}},
+		{Sampler: WeightedSampler{K: 2, Weights: []float64{1, inf}}},
+		{Participation: RandomChurn{DropoutProb: nan}},
+		{Participation: RandomChurn{StragglerProb: nan}},
+		{ServerOpt: ServerLRApply{Eta: nan}},
+		{ServerOpt: ServerLRApply{Eta: inf}},
+		{ServerOpt: NewFedAvgM(nan, 0.9)},
+		{ServerOpt: NewFedAvgM(inf, 0.9)},
+		{ServerOpt: NewFedAvgM(1, nan)},
+	} {
+		if err := sc.Validate(); err == nil {
+			t.Errorf("scenario %d should fail validation", i)
+		}
+	}
+}
+
 func TestScenarioValidate(t *testing.T) {
 	bad := []Scenario{
 		{Sampler: UniformSampler{K: 0}},

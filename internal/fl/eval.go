@@ -122,11 +122,3 @@ func (e *Evaluator) Accuracy(model *nn.Network, parallel bool) float64 {
 	}
 	return float64(correct) / float64(n)
 }
-
-// Evaluate returns the model's top-1 accuracy on the first limit samples of
-// the dataset (limit <= 0 means all). It is the one-shot form of Evaluator;
-// simulations hold an Evaluator so per-round evaluations reuse their worker
-// clones, arenas and batches.
-func Evaluate(model *nn.Network, ds *dataset.Dataset, limit int, parallel bool) float64 {
-	return NewEvaluator(ds, limit).Accuracy(model, parallel)
-}

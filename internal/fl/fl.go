@@ -154,16 +154,6 @@ func ScoreRanks(scores []float64) []float64 {
 	return out
 }
 
-// SelectAll returns a Selection accepting all n updates, the report of
-// rules that aggregate everything while still exposing their decision.
-func SelectAll(n int) Selection {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return Selection{Accepted: idx}
-}
-
 // Aggregator is a server-side aggregation rule, possibly Byzantine-robust.
 //
 // One round lifetime: the Selection an Aggregate returns, with its

@@ -60,7 +60,7 @@ func (m meanAggregator) Aggregate(global []float64, updates []Update) ([]float64
 	if !m.reportSelection {
 		return out, Selection{}, nil
 	}
-	return out, SelectAll(len(updates)), nil
+	return out, selectAll(len(updates)), nil
 }
 
 // zeroAttack submits all-zero weight vectors (maximally destructive under
@@ -252,19 +252,19 @@ func TestASRFormula(t *testing.T) {
 func TestEvaluateBounds(t *testing.T) {
 	_, test, _, newModel := tinySetup(t, 7)
 	model := newModel(rand.New(rand.NewSource(1)))
-	accSeq := Evaluate(model, test, 0, false)
-	accPar := Evaluate(model, test, 0, true)
+	accSeq := NewEvaluator(test, 0).Accuracy(model, false)
+	accPar := NewEvaluator(test, 0).Accuracy(model, true)
 	if accSeq < 0 || accSeq > 1 {
 		t.Fatalf("accuracy %v out of range", accSeq)
 	}
 	if accSeq != accPar {
 		t.Fatalf("parallel evaluation %v != sequential %v", accPar, accSeq)
 	}
-	accLim := Evaluate(model, test, 10, false)
+	accLim := NewEvaluator(test, 10).Accuracy(model, false)
 	if accLim < 0 || accLim > 1 {
 		t.Fatalf("limited accuracy %v out of range", accLim)
 	}
-	if got := Evaluate(model, test.Subset(nil), 0, false); got != 0 {
+	if got := NewEvaluator(test.Subset(nil), 0).Accuracy(model, false); got != 0 {
 		t.Fatalf("empty dataset accuracy = %v, want 0", got)
 	}
 }
@@ -275,11 +275,8 @@ func TestBenignClientTrains(t *testing.T) {
 	model := newModel(rng)
 	global := model.WeightVector()
 	c := NewBenignClient(0, train, shards[0], model, 0.05, 1, 8, rng)
-	if c.ID() != 0 {
-		t.Fatalf("ID = %d", c.ID())
-	}
-	if c.NumSamples() != len(shards[0]) {
-		t.Fatalf("NumSamples = %d, want %d", c.NumSamples(), len(shards[0]))
+	if c.id != 0 || len(c.shard) != len(shards[0]) {
+		t.Fatalf("client id %d with %d samples, want 0 with %d", c.id, len(c.shard), len(shards[0]))
 	}
 	u, err := c.Train(global)
 	if err != nil {
@@ -318,4 +315,13 @@ func TestScoreRanks(t *testing.T) {
 			t.Fatalf("rank %d of a NaN-holding round is %v, want (0, 1]", i, r)
 		}
 	}
+}
+
+// selectAll returns a Selection accepting all n updates.
+func selectAll(n int) Selection {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return Selection{Accepted: idx}
 }

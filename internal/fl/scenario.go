@@ -54,8 +54,6 @@ func (sc Scenario) Validate() error {
 // Implementations must be deterministic functions of the provided RNG so
 // identical seeds reproduce identical participation traces.
 type ClientSampler interface {
-	// Name returns the sampler's display name.
-	Name() string
 	// Sample returns the participating client IDs (subset of 0..total-1).
 	// An empty return is legal and yields a round with no responders.
 	Sample(rng *rand.Rand, round, total int) []int
@@ -69,9 +67,6 @@ type UniformSampler struct {
 	// K is the number of clients selected per round.
 	K int
 }
-
-// Name implements ClientSampler.
-func (s UniformSampler) Name() string { return fmt.Sprintf("uniform-%d", s.K) }
 
 // Validate reports configuration errors.
 func (s UniformSampler) Validate() error {
@@ -99,12 +94,9 @@ type BernoulliSampler struct {
 	P float64
 }
 
-// Name implements ClientSampler.
-func (s BernoulliSampler) Name() string { return fmt.Sprintf("bernoulli-%g", s.P) }
-
 // Validate reports configuration errors.
 func (s BernoulliSampler) Validate() error {
-	if s.P <= 0 || s.P > 1 {
+	if !(s.P > 0 && s.P <= 1) {
 		return fmt.Errorf("fl: bernoulli sampler P %v outside (0, 1]", s.P)
 	}
 	return nil
@@ -132,16 +124,13 @@ type WeightedSampler struct {
 	Weights []float64
 }
 
-// Name implements ClientSampler.
-func (s WeightedSampler) Name() string { return fmt.Sprintf("weighted-%d", s.K) }
-
 // Validate reports configuration errors.
 func (s WeightedSampler) Validate() error {
 	if s.K <= 0 {
 		return errors.New("fl: weighted sampler K must be positive")
 	}
 	for i, w := range s.Weights {
-		if w < 0 || math.IsNaN(w) {
+		if !(w >= 0) || math.IsInf(w, 1) {
 			return fmt.Errorf("fl: weighted sampler weight %d is %v", i, w)
 		}
 	}
@@ -238,8 +227,6 @@ func (f ClientFate) String() string {
 // ParticipationModel decides, per selected client per round, whether the
 // client's update actually reaches the server in time.
 type ParticipationModel interface {
-	// Name returns the model's display name.
-	Name() string
 	// Outcome returns the fate of one selected client this round.
 	Outcome(rng *rand.Rand, round, client int) ClientFate
 }
@@ -248,9 +235,6 @@ type ParticipationModel interface {
 // It consumes no randomness, keeping the zero-value Scenario bit-compatible
 // with the pre-engine round loops.
 type FullParticipation struct{}
-
-// Name implements ParticipationModel.
-func (FullParticipation) Name() string { return "full" }
 
 // Outcome implements ParticipationModel.
 func (FullParticipation) Outcome(*rand.Rand, int, int) ClientFate { return FateResponds }
@@ -266,14 +250,9 @@ type RandomChurn struct {
 	StragglerProb float64
 }
 
-// Name implements ParticipationModel.
-func (m RandomChurn) Name() string {
-	return fmt.Sprintf("churn-d%g-s%g", m.DropoutProb, m.StragglerProb)
-}
-
 // Validate reports configuration errors.
 func (m RandomChurn) Validate() error {
-	if m.DropoutProb < 0 || m.StragglerProb < 0 || m.DropoutProb+m.StragglerProb > 1 {
+	if !(m.DropoutProb >= 0 && m.StragglerProb >= 0 && m.DropoutProb+m.StragglerProb <= 1) {
 		return fmt.Errorf("fl: churn probabilities (%v, %v) invalid", m.DropoutProb, m.StragglerProb)
 	}
 	return nil
@@ -328,8 +307,8 @@ func (o ServerLRApply) Name() string { return fmt.Sprintf("server-lr-%g", o.Eta)
 
 // Validate reports configuration errors.
 func (o ServerLRApply) Validate() error {
-	if o.Eta <= 0 {
-		return fmt.Errorf("fl: server learning rate %v must be positive", o.Eta)
+	if !(o.Eta > 0) || math.IsInf(o.Eta, 1) {
+		return fmt.Errorf("fl: server learning rate %v must be positive and finite", o.Eta)
 	}
 	return nil
 }
@@ -366,10 +345,10 @@ func (o *FedAvgM) Name() string { return fmt.Sprintf("fedavgm-%g-%g", o.Eta, o.M
 
 // Validate reports configuration errors.
 func (o *FedAvgM) Validate() error {
-	if o.Eta <= 0 {
-		return fmt.Errorf("fl: FedAvgM learning rate %v must be positive", o.Eta)
+	if !(o.Eta > 0) || math.IsInf(o.Eta, 1) {
+		return fmt.Errorf("fl: FedAvgM learning rate %v must be positive and finite", o.Eta)
 	}
-	if o.Momentum < 0 || o.Momentum >= 1 {
+	if !(o.Momentum >= 0 && o.Momentum < 1) {
 		return fmt.Errorf("fl: FedAvgM momentum %v outside [0, 1)", o.Momentum)
 	}
 	return nil

@@ -197,11 +197,6 @@ func (s *Simulation) ensureWorkers(n int) {
 	}
 }
 
-// GlobalWeights returns a copy of the current global weight vector.
-func (s *Simulation) GlobalWeights() []float64 {
-	return s.global.WeightVector()
-}
-
 // Run executes the configured number of rounds on the shared round engine
 // and returns the result.
 func (s *Simulation) Run() (*Result, error) { return s.run(s) }

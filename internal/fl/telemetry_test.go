@@ -69,8 +69,9 @@ func TestTelemetryOnOffBitIdentical(t *testing.T) {
 	if strings.Contains(out, "fl_codec_bytes_in_total 0\n") {
 		t.Errorf("codec bytes not accounted:\n%s", out)
 	}
-	if tr.Len() == 0 {
-		t.Error("tracer buffered no spans")
+	var trace strings.Builder
+	if err := tr.WriteChrome(&trace); err != nil || !strings.Contains(trace.String(), `"ph":"X"`) {
+		t.Errorf("tracer buffered no spans (err %v)", err)
 	}
 }
 

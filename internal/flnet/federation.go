@@ -10,7 +10,6 @@ import (
 	"net"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/codec"
@@ -53,8 +52,6 @@ type Federation struct {
 	// rejects (typed) rather than blocking when it is full. Entries are
 	// added under mu, so none arrives after close has drained it.
 	pending chan pendingJoin
-	// draining requests a graceful stop at the next round boundary.
-	draining atomic.Bool
 	// tel carries the federation's optional instruments (nil = disabled).
 	tel *fedTelemetry
 }
@@ -104,16 +101,6 @@ func NewFederation(id string, cfg ServerConfig, agg fl.Aggregator, newModel func
 // ID returns the federation's join-handshake identity.
 func (f *Federation) ID() string { return f.id }
 
-// Drain requests a graceful stop: the engine finishes the round in flight,
-// keeps every completed result, and hands members the final model exactly as
-// a naturally finished run would. Safe to call from any goroutine, more than
-// once, and before or during Run.
-func (f *Federation) Drain() {
-	if !f.draining.Swap(true) {
-		f.tel.drained()
-	}
-}
-
 // reject sends a typed join rejection and closes the connection.
 func reject(conn *Conn, code, reason string) {
 	_ = conn.Send(&Envelope{Type: MsgJoinReject, RejectCode: code, Err: reason})
@@ -155,7 +142,7 @@ func (f *Federation) doAdmit(conn *Conn, hello *Envelope) bool {
 	}
 
 	f.mu.Lock()
-	if f.closed || f.draining.Load() {
+	if f.closed {
 		f.mu.Unlock()
 		reject(conn, RejectClosed, fmt.Sprintf("federation %q is not admitting members", f.id))
 		return false
@@ -191,7 +178,7 @@ func (f *Federation) memberCount() int {
 // half-open state; Run admits queued joins in arrival order.
 func (f *Federation) Offer(conn *Conn, hello *Envelope) {
 	f.mu.Lock()
-	if f.closed || f.draining.Load() {
+	if f.closed {
 		f.mu.Unlock()
 		reject(conn, RejectClosed, fmt.Sprintf("federation %q is not admitting members", f.id))
 		return
@@ -343,7 +330,6 @@ func (f *Federation) runEngine(st *startState) (*ServerResult, error) {
 		Observer:     f.cfg.Observer,
 		InitialMax:   st.resumeMax,
 		InitialPrev:  st.prev,
-		Halt:         f.draining.Load,
 		Telemetry:    f.tel.engineTelemetry(),
 	}
 	if f.test != nil {

@@ -377,67 +377,3 @@ type stubTrainer struct{}
 func (s *stubTrainer) Train(_ int, global, _ []float64) ([]float64, int, error) {
 	return global, 1, nil
 }
-
-// drainObserver triggers a federation drain after the first aggregation.
-type drainObserver struct {
-	fed  *Federation
-	once sync.Once
-}
-
-func (d *drainObserver) ObserveAggregation(int, []float64, []fl.Update, fl.Selection) {
-	d.once.Do(d.fed.Drain)
-}
-
-// TestFederationGracefulDrain: draining mid-run stops at the next round
-// boundary, keeps the completed rounds, and still hands every member the
-// final model.
-func TestFederationGracefulDrain(t *testing.T) {
-	tn := tenant{
-		id: "drainee",
-		cfg: ServerConfig{
-			MinClients: 2, PerRound: 2, Rounds: 50, // would run long undrained
-			RoundTimeout: 10 * time.Second, Seed: 4,
-		},
-		agg:     defense.FedAvg{},
-		genSeed: 17,
-	}
-	train, test, newModel, shards := tenantData(t, tn)
-	fed, err := NewFederation(tn.id, tn.cfg, tn.agg, newModel, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs := &drainObserver{fed: fed}
-	fed.cfg.Observer = obs
-	host := NewHost()
-	if err := host.Add(fed); err != nil {
-		t.Fatal(err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	go func() { _ = host.Serve(lis) }()
-
-	type out struct {
-		res *ServerResult
-		err error
-	}
-	done := make(chan out, 1)
-	go func() {
-		res, err := fed.Run()
-		done <- out{res, err}
-	}()
-	wg := runTenantClients(t, lis.Addr().String(), tn, train, newModel, shards)
-	wg.Wait()
-	o := <-done
-	if o.err != nil {
-		t.Fatal(o.err)
-	}
-	if n := len(o.res.Rounds); n == 0 || n >= 50 {
-		t.Fatalf("drained federation ran %d rounds, want a small positive count", n)
-	}
-	if len(o.res.FinalWeights) == 0 {
-		t.Fatal("drained federation returned no final model")
-	}
-}

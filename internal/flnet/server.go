@@ -75,13 +75,13 @@ type ServerConfig struct {
 	// frames, it never fabricates them.
 	Codec string
 	// Metrics, when non-nil, registers this federation's instruments —
-	// rounds, phases, codec bytes, joins, admission-queue depth and wait,
-	// drains — on the shared registry, labelled federation="<id>" so
+	// rounds, phases, codec bytes, joins, admission-queue depth and wait —
+	// on the shared registry, labelled federation="<id>" so
 	// co-hosted tenants stay distinguishable on one /metrics endpoint.
 	// Pure observation: fixed-seed runs are bit-identical with or without.
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, records the federation's spans (rounds, phases,
-	// join handshakes, queue waits, drain marks) for post-run export.
+	// join handshakes, queue waits) for post-run export.
 	Tracer *telemetry.Tracer
 }
 

@@ -18,7 +18,6 @@ type fedTelemetry struct {
 	rejects    *telemetry.Counter
 	queueDepth *telemetry.Gauge
 	queueWait  *telemetry.Histogram
-	drains     *telemetry.Counter
 	rejected   *telemetry.Counter
 	broken     *telemetry.Counter
 }
@@ -48,8 +47,6 @@ func newFedTelemetry(cfg ServerConfig, id string) *fedTelemetry {
 			"Handshakes currently waiting in the admission queue.", labels...),
 		queueWait: reg.Histogram("flnet_join_queue_wait_seconds",
 			"Time a handshake waited in the admission queue before being served.", labels...),
-		drains: reg.Counter("flnet_drains_total",
-			"Graceful drain requests.", labels...),
 		rejected: reg.Counter("flnet_updates_rejected_total",
 			"Read updates dropped for bad framing (foreign client ID, wrong body kind, undecodable frame, wrong codec spec); content is fl_updates_rejected_total's.", labels...),
 		broken: reg.Counter("flnet_sessions_broken_total",
@@ -112,15 +109,6 @@ func (t *fedTelemetry) dequeued(enqueuedNs int64) {
 	wait := telemetry.Nanos() - enqueuedNs
 	t.queueWait.ObserveNanos(wait)
 	t.tracer.Emit(t.track, "queue-wait", enqueuedNs, wait)
-}
-
-// drained counts a graceful drain request and marks it on the trace row.
-func (t *fedTelemetry) drained() {
-	if t == nil {
-		return
-	}
-	t.drains.Inc()
-	t.tracer.Emit(t.track, "drain-requested", telemetry.Nanos(), 0)
 }
 
 // updateRejected counts an update dropped for bad framing.

@@ -59,8 +59,9 @@ func TestTelemetryOnOffBitIdenticalOverSockets(t *testing.T) {
 			t.Errorf("federation %s received no accounted bytes:\n%s", fed, metrics)
 		}
 	}
-	if tr.Len() == 0 {
-		t.Error("tracer buffered no spans")
+	var trace strings.Builder
+	if err := tr.WriteChrome(&trace); err != nil || !strings.Contains(trace.String(), `"ph":"X"`) {
+		t.Errorf("tracer buffered no spans (err %v)", err)
 	}
 }
 

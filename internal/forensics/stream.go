@@ -67,6 +67,8 @@ func (c *Collector) Subscribe(since uint64, buf int) ([]StreamEvent, <-chan Stre
 
 // Subscribers reports the attached live-feed consumers — the leak check
 // tests run after disconnect churn.
+//
+//lint:allow deadexport the subscriber-leak check of the forensics and flnet tests
 func (c *Collector) Subscribers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

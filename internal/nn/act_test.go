@@ -118,8 +118,8 @@ func TestActivationBits(t *testing.T) {
 		}
 		pool.Reset()
 	}
-	xt := tensor.FromSlice(x, 1, len(x))
-	gt := tensor.FromSlice(grad, 1, len(grad))
+	xt := &tensor.Tensor{Shape: []int{1, len(x)}, Data: x}
+	gt := &tensor.Tensor{Shape: []int{1, len(grad)}, Data: grad}
 	const alpha = 0.2
 
 	type layerCase struct {

@@ -27,7 +27,7 @@ func TestTrainBatchZeroSteadyStateAlloc(t *testing.T) {
 			net := build(rng)
 			net.SetScratch(tensor.NewPool())
 			opt := NewSGD(0.05, 0)
-			x := tensor.New(8, net.Layers()[0].(*Conv2D).InC, 16, 16)
+			x := tensor.New(8, net.layers[0].(*Conv2D).InC, 16, 16)
 			x.FillNormal(rng, 0, 1)
 			labels := make([]int, 8)
 			for i := range labels {
@@ -60,7 +60,7 @@ func TestTrainBatchZeroSteadyStateAlloc(t *testing.T) {
 			return func() {
 				gen.ResetScratch()
 				gen.Forward(z, true)
-				gen.Backward(grad)
+				gen.backward(grad, true, true)
 			}
 		},
 	} {

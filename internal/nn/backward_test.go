@@ -47,7 +47,7 @@ func TestBackwardHalvesMatchFull(t *testing.T) {
 			}
 			g := tensor.New(full.Forward(x, true).Shape...)
 			g.FillNormal(rng, 0, 1)
-			wantDx := full.Backward(g)
+			wantDx := full.backward(g, true, true)
 
 			inputOnly.Forward(x, true)
 			dx := inputOnly.BackwardInput(g)

@@ -186,7 +186,7 @@ func TestSGDStepZeroesGrads(t *testing.T) {
 	x.FillNormal(rng, 0, 1)
 	logits := n.Forward(x, true)
 	_, g := CrossEntropy(logits, []int{0})
-	n.Backward(g)
+	n.backward(g, true, true)
 	NewSGD(0.1, 0).Step(n)
 	for _, gr := range n.Grads() {
 		for _, v := range gr.Data {

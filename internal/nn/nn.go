@@ -54,17 +54,6 @@ func NewNetwork(layers ...Layer) *Network {
 	return &Network{layers: layers}
 }
 
-// Add appends a layer to the network.
-func (n *Network) Add(l Layer) {
-	n.layers = append(n.layers, l)
-	n.params, n.grads = nil, nil
-	if n.scratch != nil {
-		if su, ok := l.(scratchUser); ok {
-			su.setScratch(n.scratch)
-		}
-	}
-}
-
 // scratchUser is implemented by layers that can allocate their activations
 // and temporaries from a scratch arena instead of the heap.
 type scratchUser interface {
@@ -94,10 +83,6 @@ func (n *Network) Scratch() *tensor.Pool { return n.scratch }
 // activation tensor produced since the previous reset. No-op without one.
 func (n *Network) ResetScratch() { n.scratch.Reset() }
 
-// Layers returns the network's layers in order. The returned slice is the
-// internal one; callers must not mutate it.
-func (n *Network) Layers() []Layer { return n.layers }
-
 // Forward runs the batch through every layer and returns the final output
 // (for classifiers: the logits, shape [batch, classes]).
 func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
@@ -106,15 +91,6 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		out = l.Forward(out, train)
 	}
 	return out
-}
-
-// Backward propagates the output gradient through every layer in reverse,
-// accumulates parameter gradients into each layer's Grads tensors and
-// returns the gradient with respect to the network input. It is the full
-// pass the two entry points below are halves of; no caller outside the
-// tests needs both halves at once.
-func (n *Network) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return n.backward(grad, true, true)
 }
 
 // BackwardInput returns the gradient with respect to the network input and

@@ -23,7 +23,7 @@ func checkParamGradients(t *testing.T, n *Network, x *tensor.Tensor, labels []in
 	n.ZeroGrads()
 	logits := n.Forward(x, true)
 	_, g := CrossEntropy(logits, labels)
-	n.Backward(g)
+	n.backward(g, true, true)
 
 	const eps = 1e-5
 	const tol = 1e-4
@@ -60,7 +60,7 @@ func checkInputGradients(t *testing.T, n *Network, x *tensor.Tensor, labels []in
 	n.ZeroGrads()
 	logits := n.Forward(x, true)
 	_, g := CrossEntropy(logits, labels)
-	dx := n.Backward(g)
+	dx := n.backward(g, true, true)
 
 	const eps = 1e-5
 	const tol = 1e-4
@@ -160,7 +160,7 @@ func TestGeneratorGradients(t *testing.T) {
 	// into the generator parameters).
 	gen := NewGenerator(rng, 1, 8)
 	head := NewNetwork(NewFlatten(), NewDense(rng, 64, 3))
-	combined := NewNetwork(append(append([]Layer{}, gen.Layers()...), head.Layers()...)...)
+	combined := NewNetwork(append(append([]Layer{}, gen.layers...), head.layers...)...)
 	c, h, w := GeneratorLatentSize(8)
 	x := randBatch(rng, 2, c, h, w)
 	labels := randLabels(rng, 2, 3)
@@ -177,7 +177,7 @@ func TestSoftCrossEntropyGradients(t *testing.T) {
 	n.ZeroGrads()
 	logits := n.Forward(x, true)
 	_, g := CrossEntropySoftPool(nil, logits, target)
-	n.Backward(g)
+	n.backward(g, true, true)
 
 	const eps = 1e-5
 	p := n.Params()[0]
@@ -218,7 +218,7 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 }
 
 func TestCrossEntropyPerfectPrediction(t *testing.T) {
-	logits := tensor.FromSlice([]float64{100, 0, 0, 0, 100, 0}, 2, 3)
+	logits := &tensor.Tensor{Shape: []int{2, 3}, Data: []float64{100, 0, 0, 0, 100, 0}}
 	loss, _ := CrossEntropy(logits, []int{0, 1})
 	if loss > 1e-6 {
 		t.Fatalf("loss of perfect prediction = %v, want ~0", loss)
@@ -240,7 +240,7 @@ func TestUniformTargetSoftCEAtUniformIsLogL(t *testing.T) {
 }
 
 func TestPredict(t *testing.T) {
-	logits := tensor.FromSlice([]float64{1, 3, 2, 9, 0, 1}, 2, 3)
+	logits := &tensor.Tensor{Shape: []int{2, 3}, Data: []float64{1, 3, 2, 9, 0, 1}}
 	got := PredictInto(nil, logits)
 	if got[0] != 1 || got[1] != 0 {
 		t.Fatalf("PredictInto = %v, want [1 0]", got)
@@ -405,7 +405,7 @@ func TestZooArchitectures(t *testing.T) {
 func TestLayerCountsMatchPaper(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	countTypes := func(n *Network) (convs, denses int) {
-		for _, l := range n.Layers() {
+		for _, l := range n.layers {
 			switch l.(type) {
 			case *Conv2D:
 				convs++

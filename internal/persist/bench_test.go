@@ -76,7 +76,7 @@ func BenchmarkLeaseClaimRelease(b *testing.B) {
 func BenchmarkSharedRefresh(b *testing.B) {
 	j := benchJournal(b)
 	for i := 0; i < 512; i++ {
-		if err := j.Append(fmt.Sprintf("cell-%d", i), benchPayload{Value: float64(i)}); err != nil {
+		if err := j.append(fmt.Sprintf("cell-%d", i), benchPayload{Value: float64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,7 +103,7 @@ func BenchmarkOpenSharedReplay(b *testing.B) {
 		if _, err := seed.TryClaim(key, "seed", 0); err != nil {
 			b.Fatal(err)
 		}
-		if err := seed.Append(key, benchPayload{Value: float64(i)}); err != nil {
+		if err := seed.append(key, benchPayload{Value: float64(i)}); err != nil {
 			b.Fatal(err)
 		}
 		if err := seed.Release(key, "seed"); err != nil {
@@ -120,7 +120,7 @@ func BenchmarkOpenSharedReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if j.Len() == 0 {
+		if j.len() == 0 {
 			b.Fatal("replay found nothing")
 		}
 		if err := j.Close(); err != nil {

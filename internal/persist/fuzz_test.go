@@ -90,7 +90,7 @@ func FuzzJournalRecover(f *testing.F) {
 		want := append(accepted, "__fuzz_probe__")
 
 		// The keyed half: append, reopen, find the probe.
-		if err := s.Append("__fuzz_probe__", probe{N: 42}); err != nil {
+		if err := s.append("__fuzz_probe__", probe{N: 42}); err != nil {
 			t.Fatalf("shared append after successful open: %v", err)
 		}
 		if err := s.Close(); err != nil {

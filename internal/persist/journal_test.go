@@ -22,23 +22,23 @@ func TestJournalAppendLookupReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	acc := 0.63
-	if err := j.Append("a", payload{Attack: "lie", Acc: &acc}); err != nil {
+	if err := j.append("a", payload{Attack: "lie", Acc: &acc}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append("b", payload{Attack: "fang"}); err != nil {
+	if err := j.append("b", payload{Attack: "fang"}); err != nil {
 		t.Fatal(err)
 	}
 	// Later writes win on duplicate keys.
-	if err := j.Append("a", payload{Attack: "minmax", Acc: &acc}); err != nil {
+	if err := j.append("a", payload{Attack: "minmax", Acc: &acc}); err != nil {
 		t.Fatal(err)
 	}
-	if j.Len() != 2 {
-		t.Fatalf("journal has %d keys, want 2", j.Len())
+	if j.len() != 2 {
+		t.Fatalf("journal has %d keys, want 2", j.len())
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append("c", payload{}); err == nil {
+	if err := j.append("c", payload{}); err == nil {
 		t.Fatal("append after close must fail")
 	}
 
@@ -47,8 +47,8 @@ func TestJournalAppendLookupReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Len() != 2 {
-		t.Fatalf("reopened journal has %d keys, want 2", re.Len())
+	if re.len() != 2 {
+		t.Fatalf("reopened journal has %d keys, want 2", re.len())
 	}
 	var p payload
 	ok, err := re.Lookup("a", &p)
@@ -78,11 +78,11 @@ func TestJournalTornFinalLine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("torn final line must be tolerated: %v", err)
 	}
-	if re.Len() != 2 {
-		t.Fatalf("recovered %d entries, want 2", re.Len())
+	if re.len() != 2 {
+		t.Fatalf("recovered %d entries, want 2", re.len())
 	}
 	// The journal must stay appendable on a clean line boundary.
-	if err := re.Append("c", payload{Attack: "minsum"}); err != nil {
+	if err := re.append("c", payload{Attack: "minsum"}); err != nil {
 		t.Fatal(err)
 	}
 	re.Close()
@@ -92,8 +92,8 @@ func TestJournalTornFinalLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re2.Close()
-	if re2.Len() != 3 {
-		t.Fatalf("post-recovery journal has %d entries, want 3", re2.Len())
+	if re2.len() != 3 {
+		t.Fatalf("post-recovery journal has %d entries, want 3", re2.len())
 	}
 	var p payload
 	if ok, _ := re2.Lookup("c", &p); !ok || p.Attack != "minsum" {
@@ -152,7 +152,7 @@ func TestJournalEmptyKeyRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.Append("", payload{}); err == nil {
+	if err := s.append("", payload{}); err == nil {
 		t.Fatal("empty key must be rejected by the shared journal")
 	}
 }
@@ -171,7 +171,7 @@ func TestJournalConcurrentAppend(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			key := string(rune('a' + i))
-			if err := j.Append(key, payload{Attack: key}); err != nil {
+			if err := j.append(key, payload{Attack: key}); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -184,8 +184,8 @@ func TestJournalConcurrentAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Len() != 16 {
-		t.Fatalf("concurrent journal has %d entries, want 16", re.Len())
+	if re.len() != 16 {
+		t.Fatalf("concurrent journal has %d entries, want 16", re.len())
 	}
 }
 
@@ -317,7 +317,7 @@ func TestJournalTailRule(t *testing.T) {
 			if !slices.Equal(view, tc.keys) {
 				t.Fatalf("OpenShared view %v, want %v", view, tc.keys)
 			}
-			if err := s.Append("probe", 1); err != nil {
+			if err := s.append("probe", 1); err != nil {
 				t.Fatal(err)
 			}
 			s.Close()

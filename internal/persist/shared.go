@@ -125,8 +125,8 @@ func (s *SharedJournal) Lookup(key string, payload any) (bool, error) {
 	return true, nil
 }
 
-// Len reports the number of distinct keys in the current view.
-func (s *SharedJournal) Len() int {
+// len reports the number of distinct keys in the current view.
+func (s *SharedJournal) len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.entries)
@@ -242,8 +242,8 @@ func (s *SharedJournal) Update(fn func(tx *Tx) error) error {
 	return nil
 }
 
-// Append durably records payload under key (a single-entry Update).
-func (s *SharedJournal) Append(key string, payload any) error {
+// append durably records payload under key (a single-entry Update).
+func (s *SharedJournal) append(key string, payload any) error {
 	return s.Update(func(tx *Tx) error { return tx.Append(key, payload) })
 }
 

@@ -30,7 +30,7 @@ func TestSharedJournalBasic(t *testing.T) {
 	}
 	defer b.Close()
 
-	if err := a.Append("k1", sharedPayload{N: 1}); err != nil {
+	if err := a.append("k1", sharedPayload{N: 1}); err != nil {
 		t.Fatal(err)
 	}
 	var got sharedPayload
@@ -44,7 +44,7 @@ func TestSharedJournalBasic(t *testing.T) {
 		t.Fatalf("b after refresh: ok=%v err=%v got=%+v", ok, err, got)
 	}
 	// Later lines win, across handles.
-	if err := b.Append("k1", sharedPayload{N: 2}); err != nil {
+	if err := b.append("k1", sharedPayload{N: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Refresh(); err != nil {
@@ -77,7 +77,7 @@ func TestSharedJournalConcurrentAppends(t *testing.T) {
 			h := handles[w%2]
 			for i := 0; i < perWriter; i++ {
 				key := fmt.Sprintf("w%d.%d", w, i)
-				if err := h.Append(key, sharedPayload{N: i}); err != nil {
+				if err := h.append(key, sharedPayload{N: i}); err != nil {
 					t.Errorf("append %s: %v", key, err)
 					return
 				}
@@ -106,7 +106,7 @@ func TestSharedJournalTornTailRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append("good", sharedPayload{N: 7}); err != nil {
+	if err := s.append("good", sharedPayload{N: 7}); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -132,7 +132,7 @@ func TestSharedJournalTornTailRepair(t *testing.T) {
 		t.Fatal("torn line surfaced")
 	}
 	// The next mutation repairs the tear and lands cleanly after it.
-	if err := s2.Append("after", sharedPayload{N: 8}); err != nil {
+	if err := s2.append("after", sharedPayload{N: 8}); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := ReadEntries(path)
@@ -279,7 +279,7 @@ func TestSharedUpdateAtomicity(t *testing.T) {
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("want sentinel, got %v", err)
 	}
-	if s.Len() != 0 {
+	if s.len() != 0 {
 		t.Fatal("aborted tx leaked entries")
 	}
 	if st, _ := os.Stat(path); st.Size() != 0 {
@@ -298,7 +298,7 @@ func TestSharedUpdateAtomicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 2 {
-		t.Fatalf("want 2 entries, got %d", s.Len())
+	if s.len() != 2 {
+		t.Fatalf("want 2 entries, got %d", s.len())
 	}
 }

@@ -59,7 +59,7 @@ func TestMillionClientHeapBounded(t *testing.T) {
 	if growth > bound {
 		t.Fatalf("heap grew %d bytes over a 1M-client run, bound %d", growth, bound)
 	}
-	if got := pop.CacheLen(); got > 200 {
+	if got := pop.cacheLen(); got > 200 {
 		t.Fatalf("materialization cache holds %d shards, cap 200", got)
 	}
 }

@@ -7,19 +7,10 @@ import (
 	"repro/internal/fl"
 )
 
-// Placement decides which client IDs the adversary controls: the "first K
-// clients are malicious" default and production-relevant alternatives. It
+// The placements below are the fl.Placement models: the "first K clients
+// are malicious" default and production-relevant alternatives. Each
 // answers membership queries in O(1) with no O(N) flag storage — the engine
-// asks per responder, never for the whole population. Every Placement is an
-// fl.Placement, the two methods fl.Simulation reads.
-type Placement interface {
-	// Name returns the placement's display name.
-	Name() string
-	// IsMalicious reports whether client id is adversary-controlled.
-	IsMalicious(id int) bool
-	// Total returns the total number of adversary-controlled clients.
-	Total() int
-}
+// asks per responder, never for the whole population.
 
 // FirstK is the default placement: clients 0..K−1 are malicious. Under
 // uniform selection which IDs carry the flag is immaterial, which is why
@@ -31,13 +22,10 @@ type FirstK struct {
 	K int
 }
 
-// Name implements Placement.
-func (p FirstK) Name() string { return fmt.Sprintf("first-%d", p.K) }
-
-// IsMalicious implements Placement.
+// IsMalicious implements fl.Placement.
 func (p FirstK) IsMalicious(id int) bool { return id < p.K }
 
-// Total implements Placement.
+// Total implements fl.Placement.
 func (p FirstK) Total() int { return p.K }
 
 // Scattered places attackers by a seeded hash coin per client: client id is
@@ -58,15 +46,12 @@ type Scattered struct {
 	total int
 }
 
-// Name implements Placement.
-func (p *Scattered) Name() string { return fmt.Sprintf("scatter-%g", p.Frac) }
-
-// IsMalicious implements Placement.
+// IsMalicious implements fl.Placement.
 func (p *Scattered) IsMalicious(id int) bool {
 	return hashFloat(p.Seed, uint64(id)) < p.Frac
 }
 
-// Total implements Placement.
+// Total implements fl.Placement.
 func (p *Scattered) Total() int {
 	p.once.Do(func() {
 		for id := 0; id < p.N; id++ {
@@ -103,13 +88,10 @@ func NewSybilBurst(n, k int, seed int64) SybilBurst {
 	return SybilBurst{Start: start, K: k}
 }
 
-// Name implements Placement.
-func (p SybilBurst) Name() string { return fmt.Sprintf("sybil-%d@%d", p.K, p.Start) }
-
-// IsMalicious implements Placement.
+// IsMalicious implements fl.Placement.
 func (p SybilBurst) IsMalicious(id int) bool { return id >= p.Start && id < p.Start+p.K }
 
-// Total implements Placement.
+// Total implements fl.Placement.
 func (p SybilBurst) Total() int { return p.K }
 
 // SizeCorrelated compromises data-rich clients preferentially: client id is
@@ -129,16 +111,13 @@ type SizeCorrelated struct {
 	total int
 }
 
-// Name implements Placement.
-func (p *SizeCorrelated) Name() string { return fmt.Sprintf("sizecorr-%g", p.Frac) }
-
-// IsMalicious implements Placement.
+// IsMalicious implements fl.Placement.
 func (p *SizeCorrelated) IsMalicious(id int) bool {
 	prob := p.Frac * float64(p.Pop.ShardSize(id)) / float64(p.Pop.MeanShardSize())
 	return hashFloat(p.Seed, uint64(id)) < prob
 }
 
-// Total implements Placement.
+// Total implements fl.Placement.
 func (p *SizeCorrelated) Total() int {
 	p.once.Do(func() {
 		for id := 0; id < p.Pop.Len(); id++ {
@@ -158,7 +137,7 @@ func hashFloat(seed int64, id uint64) float64 {
 // PlacementByName resolves the placement models the experiment config
 // exposes, for either client source. frac is the attacker fraction; pop is
 // required by "sizecorr" only and is nil on the eager backend.
-func PlacementByName(name string, n int, frac float64, seed int64, pop *Population) (Placement, error) {
+func PlacementByName(name string, n int, frac float64, seed int64, pop *Population) (fl.Placement, error) {
 	k := int(frac * float64(n))
 	switch name {
 	case "", "first":

@@ -167,9 +167,6 @@ func New(spec Spec, train *dataset.Dataset) (*Population, error) {
 	return p, nil
 }
 
-// Spec returns the population's immutable spec.
-func (p *Population) Spec() Spec { return p.spec }
-
 // Len returns N, the population size.
 func (p *Population) Len() int { return p.spec.TotalClients }
 
@@ -321,18 +318,18 @@ func (p *Population) Derivations() int64 {
 	return p.derivations
 }
 
-// CacheLen returns the number of currently materialized shards (≤ the LRU
+// cacheLen returns the number of currently materialized shards (≤ the LRU
 // capacity, the subsystem's memory-bound invariant).
-func (p *Population) CacheLen() int {
+func (p *Population) cacheLen() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.lru.Len()
 }
 
-// MaterializeAll eagerly derives every client's shard — the O(N) reference
-// the lazy path is tested against: fl.Shards(p.MaterializeAll()) is the
+// materializeAll eagerly derives every client's shard — the O(N) reference
+// the lazy path is tested against: fl.Shards(p.materializeAll()) is the
 // eager source holding the same shards (see TestLazyEqualsEagerDriver).
-func (p *Population) MaterializeAll() [][]int {
+func (p *Population) materializeAll() [][]int {
 	shards := make([][]int, p.spec.TotalClients)
 	for i := range shards {
 		shards[i] = p.derive(i)

@@ -50,7 +50,7 @@ func TestLazyMatchesEager(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eager := eagerPop.MaterializeAll()
+			eager := eagerPop.materializeAll()
 
 			lazy, err := New(s, train)
 			if err != nil {
@@ -66,7 +66,7 @@ func TestLazyMatchesEager(t *testing.T) {
 						s.Kind, cache, id, got, eager[id])
 				}
 			}
-			if got := lazy.CacheLen(); got > cache {
+			if got := lazy.cacheLen(); got > cache {
 				t.Fatalf("kind=%s: cache holds %d shards, cap %d", s.Kind, got, cache)
 			}
 		}
@@ -85,7 +85,7 @@ func TestConcurrentShardsMatchEager(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eager := ref.MaterializeAll()
+		eager := ref.materializeAll()
 		pop, err := New(spec, train)
 		if err != nil {
 			t.Fatal(err)
@@ -155,12 +155,33 @@ func TestLabelSkewIncreasesWithLowerBeta(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return dataset.HeterogeneityIndex(train.Labels, pop.MaterializeAll(), train.Classes)
+		return majorityShare(train.Labels, pop.materializeAll(), train.Classes)
 	}
 	low, high := het(0.05), het(50)
 	if low <= high {
 		t.Fatalf("beta=0.05 heterogeneity %v should exceed beta=50's %v", low, high)
 	}
+}
+
+// majorityShare is the mean, over non-empty shards, of the share a shard's
+// most common label takes: about 1/classes for i.i.d. shards, 1 when every
+// client holds one class.
+func majorityShare(labels []int, shards [][]int, classes int) float64 {
+	sum, counted := 0.0, 0
+	for _, shard := range shards {
+		if len(shard) == 0 {
+			continue
+		}
+		counts := make([]int, classes)
+		top := 0
+		for _, idx := range shard {
+			counts[labels[idx]]++
+			top = max(top, counts[labels[idx]])
+		}
+		sum += float64(top) / float64(len(shard))
+		counted++
+	}
+	return sum / float64(counted)
 }
 
 // TestQuantitySkewVariance checks the Quantity kind spreads shard sizes
@@ -210,7 +231,7 @@ func TestCacheReuse(t *testing.T) {
 	for id := 0; id < 1000; id++ {
 		pop.Shard(id)
 	}
-	if got := pop.CacheLen(); got != 10 {
+	if got := pop.cacheLen(); got != 10 {
 		t.Fatalf("cache holds %d shards after sweep, cap 10", got)
 	}
 }

@@ -2,7 +2,6 @@ package population
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -20,9 +19,6 @@ type FloydSampler struct {
 }
 
 var _ fl.ClientSampler = FloydSampler{}
-
-// Name implements fl.ClientSampler.
-func (s FloydSampler) Name() string { return fmt.Sprintf("floyd-%d", s.K) }
 
 // Validate reports configuration errors.
 func (s FloydSampler) Validate() error {

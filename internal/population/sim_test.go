@@ -81,6 +81,18 @@ func TestSimulationDeterministic(t *testing.T) {
 	}
 }
 
+// lastAggregate keeps a copy of the weights its rule aggregated to last.
+type lastAggregate struct {
+	fl.Aggregator
+	out []float64
+}
+
+func (l *lastAggregate) Aggregate(global []float64, updates []fl.Update) ([]float64, fl.Selection, error) {
+	out, sel, err := l.Aggregator.Aggregate(global, updates)
+	l.out = append(l.out[:0], out...)
+	return out, sel, err
+}
+
 // attackStub crafts constant malicious vectors (cheap, deterministic).
 type attackStub struct{}
 
@@ -115,8 +127,8 @@ func TestSimulationValidation(t *testing.T) {
 
 // TestLazyEqualsEagerDriver is the differential oracle "virtual population ≡
 // eager on the same shards": the single round driver over the lazy
-// *Population and over fl.Shards(pop.MaterializeAll()) must end on
-// bit-identical weights and equal Results, at 1 and 2 workers, sync and
+// *Population and over fl.Shards(pop.materializeAll()) must aggregate to
+// bit-identical weights and end on equal Results, at 1 and 2 workers, sync and
 // async, under a sample-count-weighted rule (FedAvg, so AttackSamples
 // matters) and a selecting one (mKrum).
 func TestLazyEqualsEagerDriver(t *testing.T) {
@@ -131,12 +143,13 @@ func TestLazyEqualsEagerDriver(t *testing.T) {
 		}
 		var src fl.ClientSource = pop
 		if eager {
-			src = fl.Shards(pop.MaterializeAll())
+			src = fl.Shards(pop.materializeAll())
 		}
 		cfg := popCfg(n, k, rounds)
 		cfg.Parallel = true
 		cfg.Scenario.Async = async
-		sim, err := fl.NewSimulation(cfg, train, test, src, place, newModel, agg, attackStub{})
+		last := &lastAggregate{Aggregator: agg}
+		sim, err := fl.NewSimulation(cfg, train, test, src, place, newModel, last, attackStub{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +157,7 @@ func TestLazyEqualsEagerDriver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, sim.GlobalWeights()
+		return res, last.out
 	}
 	for _, workers := range []int{1, 2} {
 		for _, agg := range []fl.Aggregator{defense.FedAvg{}, &defense.MultiKrum{F: 2}} {

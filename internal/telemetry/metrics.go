@@ -137,8 +137,8 @@ func (c *Counter) Value() int64 {
 // *Gauge no-ops.
 type Gauge struct{ v atomic.Int64 }
 
-// Set stores v.
-func (g *Gauge) Set(v int64) {
+// set stores v.
+func (g *Gauge) set(v int64) {
 	if g != nil {
 		g.v.Store(v)
 	}
@@ -173,8 +173,8 @@ type Histogram struct {
 	sumNs   atomic.Int64
 }
 
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) { h.ObserveNanos(int64(d)) }
+// observe records one duration.
+func (h *Histogram) observe(d time.Duration) { h.ObserveNanos(int64(d)) }
 
 // ObserveNanos records one duration given in nanoseconds.
 func (h *Histogram) ObserveNanos(ns int64) {

@@ -18,12 +18,12 @@ import (
 func TestWriteJSONSnapshot(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("cells_total", "Completed cells.").Add(3)
-	reg.Gauge("pool_in_use", "Busy workers.", Label{"worker", "w1"}).Set(2)
-	reg.Gauge("pool_in_use", "Busy workers.", Label{"worker", "w0"}).Set(5)
+	reg.Gauge("pool_in_use", "Busy workers.", Label{"worker", "w1"}).set(2)
+	reg.Gauge("pool_in_use", "Busy workers.", Label{"worker", "w0"}).set(5)
 	reg.GaugeFunc("threads", "Pool width.", func() float64 { return 8 })
 	h := reg.Histogram("cell_seconds", "Cell wall time.")
-	h.Observe(1500 * time.Millisecond)
-	h.Observe(500 * time.Millisecond)
+	h.observe(1500 * time.Millisecond)
+	h.observe(500 * time.Millisecond)
 
 	var sb strings.Builder
 	if err := reg.WriteJSON(&sb); err != nil {

@@ -30,11 +30,6 @@ import "time"
 // adjustments and cheap to subtract.
 var epoch = time.Now()
 
-// Clock returns the current wall-clock time — the sanctioned clock read
-// for instrumented hot paths (see the package comment and fllint's
-// telemetryclock analyzer).
-func Clock() time.Time { return time.Now() }
-
 // Nanos returns monotonic nanoseconds since process start, the time base
 // of every span. Use it to timestamp an operation whose begin and end are
 // observed in different stack frames (e.g. an admission-queue wait).

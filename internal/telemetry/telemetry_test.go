@@ -16,11 +16,11 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 	c.Inc()
 	c.Add(2)
 	g := reg.Gauge("queue_depth", "Pending joins.")
-	g.Set(7)
+	g.set(7)
 	g.Add(-3)
 	h := reg.Histogram("fl_round_seconds", "Round duration.")
-	h.Observe(1500 * time.Microsecond)
-	h.Observe(3 * time.Millisecond)
+	h.observe(1500 * time.Microsecond)
+	h.observe(3 * time.Millisecond)
 	reg.GaugeFunc("pool_width", "Workers.", func() float64 { return 4 })
 
 	var b strings.Builder
@@ -88,9 +88,9 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 	h := reg.Histogram("c", "")
 	c.Inc()
 	c.Add(5)
-	g.Set(1)
+	g.set(1)
 	g.Add(1)
-	h.Observe(time.Second)
+	h.observe(time.Second)
 	reg.GaugeFunc("d", "", func() float64 { return 1 })
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Fatal("nil instruments must read zero")
@@ -174,11 +174,11 @@ func TestTracerBound(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tr.Start(track, "s").End()
 	}
-	if tr.Len() != 2 {
-		t.Errorf("buffered = %d, want 2", tr.Len())
+	if len(tr.events) != 2 {
+		t.Errorf("buffered = %d, want 2", len(tr.events))
 	}
-	if tr.Dropped() != 3 {
-		t.Errorf("dropped = %d, want 3", tr.Dropped())
+	if tr.dropped != 3 {
+		t.Errorf("dropped = %d, want 3", tr.dropped)
 	}
 }
 
@@ -252,8 +252,8 @@ func TestConcurrentEmission(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, b.String())
 		}
 	}
-	if tr.Len() != 8*200*2 {
-		t.Errorf("span count = %d, want %d", tr.Len(), 8*200*2)
+	if len(tr.events) != 8*200*2 {
+		t.Errorf("span count = %d, want %d", len(tr.events), 8*200*2)
 	}
 }
 

@@ -83,26 +83,6 @@ func (t *Tracer) Emit(track int32, name string, start, dur int64) {
 	t.mu.Unlock()
 }
 
-// Len returns the number of buffered spans.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
-// Dropped returns the number of spans discarded at the buffer bound.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // snapshot copies the buffered state for export.
 func (t *Tracer) snapshot() ([]string, []event) {
 	t.mu.Lock()

@@ -4,12 +4,12 @@ import "fmt"
 
 // This file retains the original scalar-loop matrix kernels as reference
 // implementations. The optimized kernels in gemm.go are validated against
-// them by randomized equivalence tests; they are exported so other packages'
-// tests can cross-check their own lowerings (e.g. im2col convolution)
-// against a known-good slow path.
+// them by randomized equivalence tests.
 
 // NaiveMatMul computes the matrix product of a (m×k) and b (k×n) into a new
 // m×n tensor with the straightforward triple loop.
+//
+//lint:allow deadexport reference kernel the GEMM equivalence tests check against
 func NaiveMatMul(a, b *Tensor) *Tensor {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 {
 		panic(fmt.Sprintf("tensor: MatMul needs rank-2 tensors, got %v and %v", a.Shape, b.Shape))
@@ -39,6 +39,8 @@ func NaiveMatMul(a, b *Tensor) *Tensor {
 
 // NaiveMatMulTransA computes aᵀ·b where a is k×m and b is k×n, yielding m×n,
 // with the straightforward triple loop.
+//
+//lint:allow deadexport reference kernel the GEMM equivalence tests check against
 func NaiveMatMulTransA(a, b *Tensor) *Tensor {
 	k, m := a.Shape[0], a.Shape[1]
 	k2, n := b.Shape[0], b.Shape[1]
@@ -65,6 +67,8 @@ func NaiveMatMulTransA(a, b *Tensor) *Tensor {
 
 // NaiveMatMulTransB computes a·bᵀ where a is m×k and b is n×k, yielding m×n,
 // with the straightforward triple loop.
+//
+//lint:allow deadexport reference kernel the GEMM equivalence tests check against
 func NaiveMatMulTransB(a, b *Tensor) *Tensor {
 	m, k := a.Shape[0], a.Shape[1]
 	n, k2 := b.Shape[0], b.Shape[1]

@@ -150,7 +150,7 @@ func chunkPlan(n, minGrain int) (chunks, size int) {
 	return chunks, size
 }
 
-// ChunkCount returns the number of chunks ParallelForChunks will split
+// ChunkCount returns the number of chunks ParallelForChunksCap will split
 // [0, n) into under the current worker-pool size, so callers can stage one
 // scratch buffer per chunk before fanning out.
 func ChunkCount(n, minGrain int) int {
@@ -172,16 +172,11 @@ func ParallelFor(n, minGrain int, fn func(lo, hi int)) {
 	parallelFor(n, minGrain, int(^uint(0)>>1), fn, nil)
 }
 
-// ParallelForChunks is ParallelFor with the chunk index passed to fn, so
+// ParallelForChunksCap is ParallelFor with the chunk index passed to fn, so
 // each chunk can use a pre-staged scratch buffer (see ChunkCount). Chunk
-// indices are dense in [0, ChunkCount(n, minGrain)).
-func ParallelForChunks(n, minGrain int, fn func(lo, hi, chunk int)) {
-	ParallelForChunksCap(n, minGrain, int(^uint(0)>>1), fn)
-}
-
-// ParallelForChunksCap is ParallelForChunks with the chunk count clamped to
-// maxChunks, so a caller that staged buffers under an earlier ChunkCount
-// reading stays safe even if the worker-pool size grows concurrently.
+// indices are dense in [0, min(ChunkCount(n, minGrain), maxChunks)): the
+// clamp keeps a caller that staged buffers under an earlier ChunkCount
+// reading safe even if the worker-pool size grows concurrently.
 func ParallelForChunksCap(n, minGrain, maxChunks int, fn func(lo, hi, chunk int)) {
 	parallelFor(n, minGrain, maxChunks, nil, fn)
 }

@@ -11,7 +11,7 @@ func TestPoolRecycles(t *testing.T) {
 		a[i] = 1
 	}
 	b := p.GetTensor(4, 25)
-	b.Fill(2)
+	b.fill(2)
 	p.Reset()
 	a2 := p.Get(100)
 	if &a[0] != &a2[0] {

@@ -34,9 +34,9 @@ func New(shape ...int) *Tensor {
 	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float64, n)}
 }
 
-// FromSlice wraps data in a tensor of the given shape. The slice is used
+// fromSlice wraps data in a tensor of the given shape. The slice is used
 // directly (not copied); it must have exactly product(shape) elements.
-func FromSlice(data []float64, shape ...int) *Tensor {
+func fromSlice(data []float64, shape ...int) *Tensor {
 	n := 1
 	for _, s := range shape {
 		n *= s
@@ -64,8 +64,8 @@ func (t *Tensor) Zero() {
 	}
 }
 
-// Fill sets every element of t to v.
-func (t *Tensor) Fill(v float64) {
+// fill sets every element of t to v.
+func (t *Tensor) fill(v float64) {
 	for i := range t.Data {
 		t.Data[i] = v
 	}
@@ -93,8 +93,8 @@ func (t *Tensor) ScaleInPlace(s float64) {
 	}
 }
 
-// Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
+// sum returns the sum of all elements.
+func (t *Tensor) sum() float64 {
 	s := 0.0
 	for _, v := range t.Data {
 		s += v

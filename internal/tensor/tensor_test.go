@@ -50,11 +50,11 @@ func TestFromSliceLengthMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic for length mismatch")
 		}
 	}()
-	FromSlice([]float64{1, 2, 3}, 2, 2)
+	fromSlice([]float64{1, 2, 3}, 2, 2)
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
+	a := fromSlice([]float64{1, 2, 3, 4}, 2, 2)
 	b := a.Clone()
 	b.Data[0] = 99
 	b.Shape[0] = 4
@@ -65,13 +65,13 @@ func TestCloneIsDeep(t *testing.T) {
 
 func TestFillAndZero(t *testing.T) {
 	a := New(4)
-	a.Fill(2.5)
-	if a.Sum() != 10 {
-		t.Fatalf("Sum after Fill = %v, want 10", a.Sum())
+	a.fill(2.5)
+	if a.sum() != 10 {
+		t.Fatalf("Sum after Fill = %v, want 10", a.sum())
 	}
 	a.Zero()
-	if a.Sum() != 0 {
-		t.Fatalf("Sum after Zero = %v, want 0", a.Sum())
+	if a.sum() != 0 {
+		t.Fatalf("Sum after Zero = %v, want 0", a.sum())
 	}
 }
 
@@ -84,7 +84,7 @@ func TestFillUniformRange(t *testing.T) {
 			t.Fatalf("uniform sample %v out of [-0.5, 0.5)", v)
 		}
 	}
-	if m := a.Sum() / 1000; math.Abs(m) > 0.05 {
+	if m := a.sum() / 1000; math.Abs(m) > 0.05 {
 		t.Errorf("uniform mean %v too far from 0", m)
 	}
 }
@@ -93,7 +93,7 @@ func TestFillNormalMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := New(20000)
 	a.FillNormal(rng, 1.0, 2.0)
-	mean := a.Sum() / float64(a.Len())
+	mean := a.sum() / float64(a.Len())
 	if math.Abs(mean-1.0) > 0.1 {
 		t.Errorf("normal mean %v, want ~1.0", mean)
 	}
@@ -108,7 +108,7 @@ func TestFillNormalMoments(t *testing.T) {
 }
 
 func TestScaleInPlace(t *testing.T) {
-	a := FromSlice([]float64{5, 7, 9}, 3)
+	a := fromSlice([]float64{5, 7, 9}, 3)
 	a.ScaleInPlace(2)
 	for i, w := range []float64{10, 14, 18} {
 		if a.Data[i] != w {
@@ -118,8 +118,8 @@ func TestScaleInPlace(t *testing.T) {
 }
 
 func TestMatMulKnown(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
+	a := fromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
+	b := fromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
 	c := mulNN(a, b)
 	want := []float64{58, 64, 139, 154}
 	for i, w := range want {

@@ -64,7 +64,11 @@ func TestCosineMatrixMatchesNaive(t *testing.T) {
 			} else {
 				na, nb := Norm2(vs[i]), Norm2(vs[j])
 				if na != 0 && nb != 0 {
-					want = Dot(vs[i], vs[j]) / (na * nb)
+					dot := 0.0
+					for k := range vs[i] {
+						dot += vs[i][k] * vs[j][k]
+					}
+					want = dot / (na * nb)
 				}
 			}
 			if math.Abs(m[i][j]-want) > 1e-9 {

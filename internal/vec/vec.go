@@ -59,32 +59,11 @@ func Axpy(dst []float64, a float64, x []float64) {
 	}
 }
 
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	mustSameLen("Dot", a, b)
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []float64) float64 {
 	s := 0.0
 	for _, x := range v {
 		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// L2Dist returns the Euclidean distance between a and b.
-func L2Dist(a, b []float64) float64 {
-	mustSameLen("L2Dist", a, b)
-	s := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
 	}
 	return math.Sqrt(s)
 }

@@ -25,8 +25,9 @@
 //     contributions)
 //   - internal/experiment — named experiments for every table and figure
 //
-// Use RunExperiment to regenerate a paper artifact, or RunConfig for a
-// single custom simulation. The cmd/flbench and cmd/flsim binaries wrap
+// Use RunExperimentOpts to regenerate paper artifacts, or RunConfigOpts for
+// a single custom simulation (its examples run the paper's headline cell
+// and the production regimes). The cmd/flbench and cmd/flsim binaries wrap
 // these entry points.
 package repro
 
@@ -62,10 +63,6 @@ type Watch = experiment.Watch
 // Outcome is a simulation result with the paper's metrics (ASR, DPR, clean
 // and attacked accuracies).
 type Outcome = experiment.Outcome
-
-// Profile scales experiments between the fast "quick" setting and the
-// paper-faithful "full" setting.
-type Profile = experiment.Profile
 
 // ProgressEvent reports the completion of one grid cell during a sweep.
 type ProgressEvent = experiment.ProgressEvent
@@ -110,16 +107,11 @@ type RunOptions struct {
 // it to pin sweeps on shared machines.
 func SetThreads(n int) { tensor.SetWorkers(n) }
 
-// RunConfig executes a single simulation, filling the clean baseline and
-// attack success rate.
-func RunConfig(cfg Config) (*Outcome, error) {
-	return experiment.NewRunner().Run(cfg)
-}
-
-// RunConfigOpts executes a single simulation with run-store support: with
-// a StorePath the completed run (and its clean baseline) is recorded, and a
-// run already recorded there is replayed instead of recomputed. With a
-// Watch the run itself is observed (its clean baseline is not).
+// RunConfigOpts executes a single simulation, filling the clean baseline
+// and attack success rate. With a StorePath the completed run (and its
+// clean baseline) is recorded, and a run already recorded there is replayed
+// instead of recomputed. With a Watch the run itself is observed (its clean
+// baseline is not).
 func RunConfigOpts(cfg Config, opts RunOptions) (out *Outcome, retErr error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
@@ -183,12 +175,6 @@ func Experiments() []string {
 		ids[i] = e.ID
 	}
 	return ids
-}
-
-// RunExperiment regenerates the named table or figure under the given
-// profile ("quick" or "full"), writing the paper-style rows to w.
-func RunExperiment(id, profileName string, w io.Writer) error {
-	return RunExperimentOpts([]string{id}, RunOptions{Profile: profileName}, w)
 }
 
 // RunExperimentOpts regenerates the named tables and figures, in order, with
