@@ -81,13 +81,11 @@ func run(args []string, stdout io.Writer) (retErr error) {
 
 	client, err := flnet.DialFederation(*addr, *federation, trainer, *timeout, codecSpec)
 	if err != nil {
-		var rej *flnet.CodecRejectedError
-		if errors.As(err, &rej) {
-			return fmt.Errorf("server refused codec %q before round start: %s (retry with a matching -codec)", rej.Codec, rej.Reason)
-		}
 		var jrej *flnet.JoinRejectedError
 		if errors.As(err, &jrej) {
 			switch jrej.Code {
+			case flnet.RejectCodec:
+				return fmt.Errorf("server refused codec %q before round start: %s (retry with a matching -codec)", codecSpec.String(), jrej.Reason)
 			case flnet.RejectAdmission:
 				return fmt.Errorf("host's join queue for federation %q is full: %s (retry after a backoff)", jrej.Federation, jrej.Reason)
 			case flnet.RejectUnknownFederation:

@@ -25,7 +25,7 @@
 //	curl localhost:9090/metrics                  # flnet_joins_total{federation="alpha"} …
 //
 // The embedded operator dashboard rides the same listener: -dash mounts it
-// at /dash/ with one live tab per federation (SSE-streamed decision audits,
+// at /dash/ with one live tab per federation (polled decision audits,
 // score histograms, fingerprint scatter) plus the fleet panel, and
 // -dash-replay loads past audit journals or run stores into its
 // time-travel/diff tab:
@@ -151,8 +151,9 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	// One plane for the process, opened before any federation exists: it
 	// owns the registry every tenant labels its instruments on, the
 	// listener, and each tenant's collector. It closes
-	// last; a drain failure is a real fault (stuck SSE subscribers, a lost
-	// audit line), reported unless the run itself already failed.
+	// last; a drain failure is a real fault (a lost audit line, a request
+	// that outlived the drain deadline), reported unless the run itself
+	// already failed.
 	plane, err := experiment.OpenPlane(watch, title, ids...)
 	if err != nil {
 		return err

@@ -236,7 +236,7 @@ func serveAndCheck(t *testing.T, federations []string, extra ...string) {
 	}
 
 	// run has returned: listener, accept loop, federations, ops server and
-	// SSE handlers must all be gone.
+	// its handlers must all be gone.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)

@@ -1,8 +1,7 @@
 // Operator dashboard: vanilla JS + hand-rolled SVG. Data contracts:
-//   GET api/config                      → {title, federations, fleet, replay, live}
+//   GET api/config                      → {title, federations, replay}
 //   GET <fed>/metrics                   → {cumulative: Summary, current: RoundMetrics|null}
 //   GET <fed>/rounds?since=N            → {cursor, rounds: [{cursor, audit}]}
-//   SSE <fed>/stream                    → id: cursor / event: round / data: audit JSON
 //   GET /metrics.json                   → {families: [{name, type, help, series}]}
 //   GET api/replay/{runs,rounds,diff}   → time-travel + diff
 "use strict";
@@ -189,7 +188,7 @@ function roundViews(rounds, summary) {
 
 // ---- tab machinery ---------------------------------------------------------
 
-let teardown = null; // active tab's cleanup (close SSE, stop timers)
+let teardown = null; // active tab's cleanup (stop timers)
 function setStatus(text, cls) {
   const s = $("#status");
   s.textContent = text;
@@ -205,49 +204,39 @@ function activate(btn, fn) {
 
 // ---- live federation tab ---------------------------------------------------
 
-function federationTab(prefix, live) {
+// federationTab polls <prefix>/rounds?since=<cursor>, scheduling each poll
+// when the previous one settles, and keeps an audit only if its cursor is
+// past the last one seen, so no audit is shown twice.
+function federationTab(prefix) {
   return main => {
     const rounds = []; // audits, oldest first, ring-bounded client-side
-    let cursor = 0, summary = null, closed = false;
+    let cursor = 0, summary = null, closed = false, timer = null;
     const view = el("div", {});
     main.append(view);
-    const render = () => view.replaceChildren(roundViews(rounds, summary));
-    const push = (audit) => {
-      rounds.push(audit);
-      if (rounds.length > 512) rounds.shift();
-    };
-    const refreshSummary = async () => {
-      try {
-        const r = await fetch(prefix + "/metrics");
-        summary = (await r.json()).cumulative;
-      } catch { /* transient; next tick retries */ }
-    };
     const poll = async () => {
       try {
-        const r = await fetch(prefix + "/rounds?since=" + cursor);
-        const body = await r.json();
-        for (const it of body.rounds) push(it.audit);
-        cursor = body.cursor;
-        if (body.rounds.length) { await refreshSummary(); render(); }
-      } catch { setStatus("poll error", "err"); }
-    };
-    let es = null, timer = null;
-    if (live && window.EventSource) {
-      es = new EventSource(prefix + "/stream");
-      es.addEventListener("round", ev => {
+        const body = await (await fetch(prefix + "/rounds?since=" + cursor)).json();
         if (closed) return;
-        push(JSON.parse(ev.data));
-        cursor = Number(ev.lastEventId) || cursor;
-        refreshSummary().then(render);
-      });
-      es.onopen = () => setStatus("live (sse)", "live");
-      es.onerror = () => setStatus("sse reconnecting…", "poll");
-    } else {
-      timer = setInterval(poll, 1000);
-      setStatus("polling", "poll");
-    }
-    refreshSummary().then(() => poll().then(render));
-    return () => { closed = true; if (es) es.close(); if (timer) clearInterval(timer); setStatus(""); };
+        let fresh = false;
+        for (const it of body.rounds) {
+          if (it.cursor <= cursor) continue;
+          rounds.push(it.audit);
+          if (rounds.length > 512) rounds.shift();
+          cursor = it.cursor;
+          fresh = true;
+        }
+        cursor = body.cursor;
+        if (fresh || !summary) {
+          summary = (await (await fetch(prefix + "/metrics")).json()).cumulative;
+          if (closed) return;
+          view.replaceChildren(roundViews(rounds, summary));
+        }
+        setStatus("live (polling)", "live");
+      } catch { if (!closed) setStatus("poll error", "err"); }
+      if (!closed) timer = setTimeout(poll, 1000);
+    };
+    poll();
+    return () => { closed = true; clearTimeout(timer); setStatus(""); };
   };
 }
 
@@ -380,16 +369,11 @@ function replayTab() {
   const add = (label, fn) => {
     const b = el("button", { onclick: () => activate(b, fn) }, label);
     tabs.append(b);
-    return b;
   };
-  let first = null;
   for (const fed of cfg.federations || []) {
-    const label = fed.replace(/^\/forensics\/?/, "") || "live";
-    const b = add(label, federationTab(fed, cfg.live));
-    first = first || b;
+    add(fed.replace(/^\/forensics\/?/, "") || "live", federationTab(fed));
   }
-  if (cfg.fleet) { const b = add("fleet", fleetTab()); first = first || b; }
-  if (cfg.replay) { const b = add("replay", replayTab()); first = first || b; }
-  if (first) first.click();
-  else $("#main").replaceChildren(el("p", { class: "muted" }, "nothing to show: no federations, fleet or replay configured"));
+  add("fleet", fleetTab());
+  if (cfg.replay) add("replay", replayTab());
+  tabs.firstElementChild.click();
 })();

@@ -18,17 +18,13 @@ import (
 type Config struct {
 	// Title heads the page (defaults to "fl operator dashboard").
 	Title string `json:"title"`
-	// Federations lists the forensics route prefixes to render, one tab
-	// each: ["/forensics"] for a single run, ["/forensics/alpha", …] for a
-	// multi-tenant host. Empty hides the live detection tabs.
+	// Federations lists the forensics route prefixes to render, one live
+	// tab each, polling <prefix>/rounds: ["/forensics"] for a single run,
+	// ["/forensics/alpha", …] for a multi-tenant host. Empty shows no live
+	// tab. The fleet tab, over the ops mux's /metrics.json, is always shown.
 	Federations []string `json:"federations"`
-	// Fleet shows the telemetry panel backed by /metrics.json.
-	Fleet bool `json:"fleet"`
 	// Replay shows the time-travel/diff tab backed by <prefix>/api/replay.
 	Replay bool `json:"replay"`
-	// Live enables SSE streaming (federation prefix + "/stream"); when
-	// false the page falls back to polling /rounds?since=.
-	Live bool `json:"live"`
 }
 
 // Prefix is the canonical mount point on the ops mux.

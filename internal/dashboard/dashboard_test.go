@@ -58,8 +58,6 @@ func TestConfigEndpoint(t *testing.T) {
 	mux := http.NewServeMux()
 	Mount(mux, Config{
 		Federations: []string{"/forensics/alpha", "/forensics/beta"},
-		Fleet:       true,
-		Live:        true,
 	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -79,7 +77,7 @@ func TestConfigEndpoint(t *testing.T) {
 	if got.Title != "fl operator dashboard" {
 		t.Fatalf("default title %q", got.Title)
 	}
-	if len(got.Federations) != 2 || !got.Fleet || !got.Live || got.Replay {
+	if len(got.Federations) != 2 || got.Replay {
 		t.Fatalf("config round trip = %+v", got)
 	}
 }

@@ -114,12 +114,15 @@ func (t TrimmedMean) Aggregate(global []float64, updates []fl.Update) ([]float64
 
 // krumScratch is the storage a Krum-family rule refills on every
 // Aggregate: the round's distance matrix (grow-only, K×K at the largest
-// round seen), the score and index buffers, the selection, and
+// round seen), the update frame and vector lists it is built from, the
+// score and index buffers, the selection, and
 // krumScoresFrom's per-chunk sorted rows. The Selection an Aggregate
 // returns aliases it, so it stays valid until the rule's next Aggregate
 // (fl.Aggregator's lifetime rule); the aggregate vector itself is fresh.
 type krumScratch struct {
 	dist     [][]float64
+	frames   []*codec.Frame
+	vecs     [][]float64
 	scores   []float64
 	idx      []int
 	accepted []int
@@ -145,18 +148,28 @@ func (s *krumScratch) roundSqDist(global []float64, updates []fl.Update) ([][]fl
 	return s.dist, telemetry.Nanos() - start
 }
 
+// sqDistGeometry fills the frame and vector lists from scratch too, and
+// clears them again so the scratch keeps no update alive past the round.
 func (s *krumScratch) sqDistGeometry(global []float64, updates []fl.Update) [][]float64 {
-	frames := make([]*codec.Frame, len(updates))
-	for i := range updates {
-		if updates[i].Frame == nil {
-			return vec.SqDistMatrixInto(s.dist, updateVectors(global, updates))
+	s.frames = s.frames[:0]
+	for _, u := range updates {
+		if u.Frame == nil {
+			break
 		}
-		frames[i] = updates[i].Frame
+		s.frames = append(s.frames, u.Frame)
 	}
-	if m := codec.SqDistMatrixInto(s.dist, frames); m != nil {
-		return m
+	defer clear(s.frames)
+	if len(s.frames) == len(updates) {
+		if m := codec.SqDistMatrixInto(s.dist, s.frames); m != nil {
+			return m
+		}
 	}
-	return vec.SqDistMatrixInto(s.dist, updateVectors(global, updates))
+	s.vecs = s.vecs[:0]
+	for _, u := range updates {
+		s.vecs = append(s.vecs, u.Vector(global))
+	}
+	defer clear(s.vecs)
+	return vec.SqDistMatrixInto(s.dist, s.vecs)
 }
 
 // iota returns the scratch index buffer holding 0, 1, …, n−1.

@@ -48,10 +48,10 @@ func TestDashboardConfigValidation(t *testing.T) {
 }
 
 // TestDashboardOnOffBitIdentical is the acceptance test's purity half, with
-// the hammer attached: while the dashboard-on run executes, goroutines
-// pound the dashboard page, the forensics JSON, the incremental poll, the
-// JSON metrics snapshot and the SSE stream — and the outcome must still be
-// bit-identical to the dashboard-off twin.
+// the hammer attached: while the dashboard-on run executes, a goroutine
+// pounds the dashboard page, the forensics JSON, the incremental poll and
+// the JSON metrics snapshot — and the outcome must still be bit-identical
+// to the dashboard-off twin.
 func TestDashboardOnOffBitIdentical(t *testing.T) {
 	var addr string
 	p := openTestPlane(t, Watch{Dash: true, OnBound: func(a string) { addr = a }})
@@ -74,22 +74,6 @@ func TestDashboardOnOffBitIdentical(t *testing.T) {
 			resp, err := http.Get("http://" + addr + paths[i%len(paths)])
 			if err == nil {
 				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-		}
-	}()
-	wg.Add(1)
-	go func() { // SSE churn
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			resp, err := http.Get("http://" + addr + "/forensics/stream")
-			if err == nil {
-				io.CopyN(io.Discard, resp.Body, 128)
 				resp.Body.Close()
 			}
 		}
@@ -162,14 +146,12 @@ func TestDashboardServesDuringRun(t *testing.T) {
 	}
 	var dc struct {
 		Federations []string `json:"federations"`
-		Live        bool     `json:"live"`
 		Replay      bool     `json:"replay"`
-		Fleet       bool     `json:"fleet"`
 	}
 	if err := json.Unmarshal([]byte(f.config), &dc); err != nil {
 		t.Fatalf("config: %v\n%s", err, f.config)
 	}
-	if !dc.Live || !dc.Replay || !dc.Fleet || len(dc.Federations) != 1 || dc.Federations[0] != "/forensics" {
+	if !dc.Replay || len(dc.Federations) != 1 || dc.Federations[0] != "/forensics" {
 		t.Fatalf("dashboard config = %+v", dc)
 	}
 	var runs []struct {

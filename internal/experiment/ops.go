@@ -137,9 +137,7 @@ func OpenPlane(w Watch, title string, federations ...string) (*Plane, error) {
 			dashboard.Mount(p.mux, dashboard.Config{
 				Title:       title,
 				Federations: prefixes,
-				Fleet:       true,
 				Replay:      len(replay) > 0,
-				Live:        len(prefixes) > 0,
 			})
 		}
 		bound, shutdown, err := telemetry.ServeOps(w.OpsAddr, p.mux)
@@ -210,10 +208,10 @@ func (p *Plane) Sweep(owner string) *telemetry.SweepTelemetry {
 	return telemetry.NewSweepTelemetry(p.reg, p.tracer, owner)
 }
 
-// Close drains the plane newest-first — the collectors (which ends their
-// SSE subscriptions), then the ops listener — then writes the trace files,
-// and returns the first real error. It runs every step whatever failed
-// before it, so a failed run still leaves its trace.
+// Close drains the plane newest-first — the collectors (which flushes and
+// closes their audit journals), then the ops listener — then writes the
+// trace files, and returns the first real error. It runs every step
+// whatever failed before it, so a failed run still leaves its trace.
 func (p *Plane) Close() error {
 	if p == nil {
 		return nil

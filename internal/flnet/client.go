@@ -90,24 +90,11 @@ func (t *AttackTrainer) Train(round int, global, prevGlobal []float64) ([]float6
 	return vecs[0], t.numSamples, nil
 }
 
-// CodecRejectedError is the typed join failure returned when the server
-// refuses the client's requested codec at the handshake, before any round
-// runs.
-type CodecRejectedError struct {
-	// Codec is the spec token the client requested.
-	Codec string
-	// Reason is the server's explanation.
-	Reason string
-}
-
-func (e *CodecRejectedError) Error() string {
-	return fmt.Sprintf("flnet: join rejected: codec %q: %s", e.Codec, e.Reason)
-}
-
-// JoinRejectedError is the typed join failure for non-codec rejections on a
-// multi-tenant host: unknown federation, a full pending-join queue
-// (RejectAdmission — retry after a backoff), or a federation past its join
-// phase (RejectClosed).
+// JoinRejectedError is the typed join failure: the server refused the
+// handshake before any round ran. Code is the machine-readable class — the
+// requested codec is not served (RejectCodec), an unknown federation, a
+// full pending-join queue (RejectAdmission — retry after a backoff), a
+// federation past its join phase (RejectClosed), another wire version.
 type JoinRejectedError struct {
 	// Federation is the ID the client asked for.
 	Federation string
@@ -143,7 +130,8 @@ type Client struct {
 
 // DialCodec connects to the server and negotiates the given update codec at
 // the join handshake. A server that does not serve the codec replies with a
-// rejection before round start, surfaced as *CodecRejectedError.
+// rejection before round start, surfaced as a *JoinRejectedError with
+// Code RejectCodec.
 func DialCodec(addr string, trainer Trainer, timeout time.Duration, spec codec.Spec) (*Client, error) {
 	return DialFederation(addr, "", trainer, timeout, spec)
 }
@@ -151,9 +139,8 @@ func DialCodec(addr string, trainer Trainer, timeout time.Duration, spec codec.S
 // DialFederation connects to a (possibly multi-tenant) host and joins the
 // named federation, negotiating the given update codec at the handshake. An
 // empty federation joins a single-tenant server, or the sole federation of
-// a host. Codec refusals surface as *CodecRejectedError; every other typed
-// rejection (unknown federation, admission control, closed, wire version)
-// as *JoinRejectedError.
+// a host. Every typed refusal (codec, unknown federation, admission
+// control, closed, wire version) surfaces as *JoinRejectedError.
 func DialFederation(addr, federation string, trainer Trainer, timeout time.Duration, spec codec.Spec) (*Client, error) {
 	if trainer == nil {
 		return nil, errors.New("flnet: trainer must not be nil")
@@ -173,7 +160,7 @@ func DialFederation(addr, federation string, trainer Trainer, timeout time.Durat
 	ack, err := conn.Recv()
 	if err != nil || ack.Type != MsgJoinAck {
 		_ = conn.Close()
-		return nil, joinError(ack, err, federation, spec)
+		return nil, joinError(ack, err, federation)
 	}
 	conn.dim = ack.Dim
 	if !spec.Enabled() {
@@ -189,7 +176,7 @@ func DialFederation(addr, federation string, trainer Trainer, timeout time.Durat
 }
 
 // joinError types a handshake that did not end in a JoinAck.
-func joinError(reply *Envelope, err error, federation string, spec codec.Spec) error {
+func joinError(reply *Envelope, err error, federation string) error {
 	var ve *VersionError
 	switch {
 	case errors.As(err, &ve):
@@ -198,8 +185,6 @@ func joinError(reply *Envelope, err error, federation string, spec codec.Spec) e
 		return fmt.Errorf("flnet: join ack: %w", err)
 	case reply.Type != MsgJoinReject:
 		return fmt.Errorf("flnet: expected %s, got %s", MsgJoinAck, reply.Type)
-	case reply.RejectCode == RejectCodec:
-		return &CodecRejectedError{Codec: spec.String(), Reason: reply.Err}
 	}
 	return &JoinRejectedError{Federation: federation, Code: reply.RejectCode, Reason: reply.Err}
 }

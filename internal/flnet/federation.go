@@ -366,6 +366,7 @@ func (f *Federation) runEngine(st *startState) (*ServerResult, error) {
 		return nil, fmt.Errorf("flnet: %w", err)
 	}
 	res := &ServerResult{
+		Rounds:        engRes.Rounds,
 		MaxAccuracy:   engRes.MaxAccuracy,
 		FinalAccuracy: engRes.FinalAccuracy,
 		FinalWeights:  finalWeights,
@@ -374,17 +375,6 @@ func (f *Federation) runEngine(st *startState) (*ServerResult, error) {
 	// keeps the checkpoint's pre-crash accuracy as its final metric.
 	if math.IsNaN(res.FinalAccuracy) && st.resumeFinal >= 0 {
 		res.FinalAccuracy = st.resumeFinal
-	}
-	for _, stx := range engRes.Rounds {
-		res.Rounds = append(res.Rounds, RoundReport{
-			Round:        stx.Round,
-			Selected:     stx.Selected,
-			Dropped:      stx.Dropped,
-			Straggled:    stx.Straggled,
-			Responded:    stx.Responded,
-			Aggregations: stx.Aggregations,
-			Accuracy:     stx.Accuracy,
-		})
 	}
 
 	// Graceful shutdown: hand every client the final model, encoded once.

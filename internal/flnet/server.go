@@ -108,30 +108,12 @@ func (c *ServerConfig) Validate() error {
 	return c.Scenario.Validate()
 }
 
-// RoundReport describes one networked round.
-type RoundReport struct {
-	// Round is the round index.
-	Round int
-	// Selected is the number of clients the sampler picked.
-	Selected int
-	// Dropped and Straggled count the simulated participation losses (the
-	// engine's churn model); clients lost to the real RoundTimeout show up
-	// only as a lower Responded.
-	Dropped, Straggled int
-	// Responded is the number of selected clients that returned an update
-	// before the deadline.
-	Responded int
-	// Aggregations is the number of server aggregations applied (async
-	// buffer flushes; 0 or 1 in sync mode).
-	Aggregations int
-	// Accuracy is the post-aggregation test accuracy.
-	Accuracy float64
-}
-
 // ServerResult summarizes a networked training run.
 type ServerResult struct {
-	// Rounds holds the per-round reports.
-	Rounds []RoundReport
+	// Rounds holds the engine's per-round statistics. Dropped and
+	// Straggled count the engine's simulated churn; clients lost to the
+	// real RoundTimeout show up only as a lower Responded.
+	Rounds []fl.RoundStats
 	// MaxAccuracy and FinalAccuracy mirror the simulator's metrics.
 	MaxAccuracy, FinalAccuracy float64
 	// FinalWeights is the final global weight vector.

@@ -1,6 +1,7 @@
 package forensics
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sync"
@@ -97,11 +98,6 @@ type Collector struct {
 	// ring holds the most recent RoundAudits; next is the write cursor.
 	ring []RoundAudit
 	next int
-
-	// subs are the live-feed subscribers (see stream.go). Empty for every
-	// run without a dashboard attached, in which case the broadcast path
-	// is a single length check.
-	subs []*subscriber
 }
 
 var _ fl.AggregationObserver = (*Collector)(nil)
@@ -250,8 +246,6 @@ func (c *Collector) ObserveAggregation(round int, global []float64, updates []fl
 			c.journalErr = err
 		}
 	}
-
-	c.broadcastLocked(ra)
 }
 
 // offer streams one score pair into the bounded reservoir (Algorithm R
@@ -305,18 +299,49 @@ func (c *Collector) Rounds() []RoundAudit {
 	return append(out, c.ring[:c.next]...)
 }
 
-// Close releases the audit journal and ends every live-feed subscription
-// (their channels close, so attached SSE handlers finish), returning any
-// recorded write failure.
+// Event is one ring entry as GET <prefix>/rounds serves it: the audit's
+// ring cursor (total aggregations observed when it landed, so cursors are
+// dense and strictly increasing) and its encoded jsonRoundAudit.
+type Event struct {
+	Cursor uint64          `json:"cursor"`
+	Audit  json.RawMessage `json:"audit"`
+}
+
+// EventsSince returns the ring entries with cursor > since, oldest first,
+// and the head cursor: the one read of the ring, behind GET
+// <prefix>/rounds. A poller that carries the returned cursor forward reads
+// each audit exactly once while the ring covers its polling gap; one whose
+// gap outran the ring gets the whole ring (the missed middle is gone, not
+// misnumbered). Cursors are derived, not stored: the ring holds the last
+// len(ring) of c.aggs audits, so oldest-first entry i carries cursor
+// aggs − len(ring) + i + 1.
+func (c *Collector) EventsSince(since uint64) ([]Event, uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	total, n := uint64(c.aggs), len(c.ring)
+	out := []Event{} // encodes as [], never null
+	for i := range n {
+		cur := total - uint64(n) + uint64(i) + 1
+		if cur <= since {
+			continue
+		}
+		// Until the ring fills, next == len(ring), so the oldest entry is
+		// at next mod len(ring) either way.
+		data, err := json.Marshal(auditToJSON(c.ring[(c.next+i)%n]))
+		if err != nil {
+			continue
+		}
+		out = append(out, Event{Cursor: cur, Audit: data})
+	}
+	return out, total
+}
+
+// Close releases the audit journal, returning any recorded write failure.
 func (c *Collector) Close() error {
 	c.mu.Lock()
 	j, err := c.journal, c.journalErr
 	c.journal = nil
-	subs := c.closeStreamLocked()
 	c.mu.Unlock()
-	for _, s := range subs {
-		s.shut()
-	}
 	if j != nil {
 		if cerr := j.Close(); err == nil {
 			err = cerr

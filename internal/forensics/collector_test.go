@@ -282,10 +282,10 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("current round = %+v, want round 3", metrics.Current)
 	}
 
-	var rounds []jsonRoundAudit
+	var rounds roundsPage
 	get("/forensics/rounds", &rounds)
-	if len(rounds) != 4 || len(rounds[0].Records) != 5 {
-		t.Fatalf("rounds endpoint returned %d rounds", len(rounds))
+	if rounds.Cursor != 4 || len(rounds.Rounds) != 4 || len(rounds.Rounds[0].Audit.Records) != 5 {
+		t.Fatalf("rounds endpoint returned cursor %d with %d rounds", rounds.Cursor, len(rounds.Rounds))
 	}
 
 	// The top-level spellings are gone, not redirected: /metrics belongs to

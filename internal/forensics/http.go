@@ -2,8 +2,6 @@ package forensics
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -109,7 +107,7 @@ func metricsFromJSON(m jsonRoundMetrics) RoundMetrics {
 }
 
 // jsonRoundAudit is the serialization shape of RoundAudit: the audit
-// journal's line payload and the /rounds endpoint's element.
+// journal's line payload and the audit of each /rounds element.
 type jsonRoundAudit struct {
 	RoundAudit
 	Metrics jsonRoundMetrics `json:"metrics"`
@@ -136,13 +134,14 @@ func jsonHeaders(w http.ResponseWriter) {
 // Mount registers the live detection analytics under prefix on mux:
 //
 //	GET <prefix>/metrics         → {"cumulative": Summary, "current": RoundMetrics|null}
-//	GET <prefix>/rounds          → [RoundAudit…] (the in-memory ring, oldest first)
-//	GET <prefix>/rounds?since=N  → {"cursor": C, "rounds": [{"cursor": n, "audit": RoundAudit}…]}
-//	GET <prefix>/stream          → text/event-stream of RoundAudit events (see ServeSSE)
+//	GET <prefix>/rounds[?since=N] → {"cursor": C, "rounds": [{"cursor": n, "audit": RoundAudit}…]}
 //
-// All JSON responses are uncacheable; NaN-able metrics are null. The
-// collector has no listener of its own: the ops plane mounts it under
-// "/forensics" (or "/forensics/<id>") beside the Prometheus /metrics.
+// /rounds is the one read of the in-memory ring (see EventsSince): the
+// audits with cursor > since (default 0, the whole ring), oldest first,
+// and the head cursor C a poller passes as its next since. All JSON
+// responses are uncacheable; NaN-able metrics are null. The collector has
+// no listener of its own: the ops plane mounts it under "/forensics" (or
+// "/forensics/<id>") beside the Prometheus /metrics.
 func (c *Collector) Mount(mux *http.ServeMux, prefix string) {
 	mux.HandleFunc(prefix+"/metrics", func(w http.ResponseWriter, r *http.Request) {
 		rounds := c.Rounds()
@@ -160,127 +159,20 @@ func (c *Collector) Mount(mux *http.ServeMux, prefix string) {
 		}{c.Summary(), current})
 	})
 	mux.HandleFunc(prefix+"/rounds", func(w http.ResponseWriter, r *http.Request) {
+		var since uint64
 		if s := r.URL.Query().Get("since"); s != "" {
-			since, err := strconv.ParseUint(s, 10, 64)
+			v, err := strconv.ParseUint(s, 10, 64)
 			if err != nil {
 				http.Error(w, "forensics: since must be an unsigned integer", http.StatusBadRequest)
 				return
 			}
-			c.serveRoundsSince(w, since)
-			return
-		}
-		jsonHeaders(w)
-		// Element-wise writes so a disconnected poller aborts the loop
-		// instead of burning CPU re-marshaling the rest of the ring.
-		rounds := c.Rounds()
-		if _, err := io.WriteString(w, "["); err != nil {
-			return
-		}
-		for i, ra := range rounds {
-			if i > 0 {
-				if _, err := io.WriteString(w, ","); err != nil {
-					return
-				}
-			}
-			b, err := json.Marshal(auditToJSON(ra))
-			if err != nil {
-				return
-			}
-			if _, err := w.Write(b); err != nil {
-				return
-			}
-		}
-		_, _ = io.WriteString(w, "]\n")
-	})
-	mux.HandleFunc(prefix+"/stream", c.ServeSSE)
-}
-
-// serveRoundsSince answers the incremental form of /rounds: the audits
-// with cursor > since plus the head cursor the poller carries forward.
-func (c *Collector) serveRoundsSince(w http.ResponseWriter, since uint64) {
-	events, cursor := c.EventsSince(since)
-	jsonHeaders(w)
-	if _, err := fmt.Fprintf(w, "{\"cursor\":%d,\"rounds\":[", cursor); err != nil {
-		return
-	}
-	for i, ev := range events {
-		sep := ""
-		if i > 0 {
-			sep = ","
-		}
-		if _, err := fmt.Fprintf(w, "%s{\"cursor\":%d,\"audit\":", sep, ev.Cursor); err != nil {
-			return
-		}
-		if _, err := w.Write(ev.Data); err != nil {
-			return
-		}
-		if _, err := io.WriteString(w, "}"); err != nil {
-			return
-		}
-	}
-	_, _ = io.WriteString(w, "]}\n")
-}
-
-// ServeSSE streams every aggregation as one Server-Sent Event:
-//
-//	id: <cursor>
-//	event: round
-//	data: <jsonRoundAudit>
-//
-// Resumption follows the SSE contract: the client's Last-Event-ID header
-// (or an explicit ?since=N) selects the backlog cursor, so EventSource's
-// automatic reconnect replays missed rounds from the ring. The
-// subscription queue is bounded with drop-oldest backpressure — a stalled
-// browser loses old events (refetchable via /rounds?since=), never the
-// engine's time. The handler exits when the client disconnects, the
-// server's base context is cancelled (graceful shutdown), or the
-// collector closes.
-func (c *Collector) ServeSSE(w http.ResponseWriter, r *http.Request) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "forensics: streaming unsupported", http.StatusNotImplemented)
-		return
-	}
-	var since uint64
-	if s := r.URL.Query().Get("since"); s != "" {
-		v, err := strconv.ParseUint(s, 10, 64)
-		if err != nil {
-			http.Error(w, "forensics: since must be an unsigned integer", http.StatusBadRequest)
-			return
-		}
-		since = v
-	} else if s := r.Header.Get("Last-Event-ID"); s != "" {
-		if v, err := strconv.ParseUint(s, 10, 64); err == nil {
 			since = v
 		}
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-store")
-	backlog, ch, cancel := c.Subscribe(since, 0)
-	defer cancel()
-	for _, ev := range backlog {
-		if !writeSSE(w, ev) {
-			return
-		}
-	}
-	flusher.Flush()
-	for {
-		select {
-		case ev, open := <-ch:
-			if !open {
-				return
-			}
-			if !writeSSE(w, ev) {
-				return
-			}
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-func writeSSE(w io.Writer, ev StreamEvent) bool {
-	_, err := fmt.Fprintf(w, "id: %d\nevent: round\ndata: %s\n\n", ev.Cursor, ev.Data)
-	return err == nil
+		events, cursor := c.EventsSince(since)
+		jsonHeaders(w)
+		_ = json.NewEncoder(w).Encode(struct { // single write; client-gone needs no cleanup
+			Cursor uint64  `json:"cursor"`
+			Rounds []Event `json:"rounds"`
+		}{cursor, events})
+	})
 }

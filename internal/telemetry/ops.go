@@ -54,7 +54,7 @@ func RegisterPoolGauges(reg *Registry, workers, inUse func() int) {
 }
 
 // opsDrainTimeout bounds how long the shutdown function waits for in-flight
-// scrapes and SSE subscribers to finish before hard-closing connections.
+// requests to finish before hard-closing connections.
 const opsDrainTimeout = 3 * time.Second
 
 // ServeOps serves h on addr (e.g. ":9090", or ":0" for an ephemeral port)
@@ -62,9 +62,9 @@ const opsDrainTimeout = 3 * time.Second
 // bound address and a shutdown function.
 //
 // The shutdown function drains gracefully: it first cancels the server's
-// base context — long-lived streaming handlers (the forensics SSE
-// endpoint) watch their request context and exit on cancellation, which a
-// plain Shutdown would otherwise wait on forever — then calls Shutdown
+// base context — pprof's long /debug/pprof/profile and /trace requests
+// (30 s by default, longer on request) watch their request context and
+// end on cancellation, which a plain Shutdown would wait out — then calls Shutdown
 // with a short deadline so regular scrapes in flight finish their
 // responses, and only hard-closes connections that outlive the deadline.
 // It reports the first real error from either the serve loop or the
@@ -118,7 +118,7 @@ func ServeOps(addr string, h http.Handler) (string, func() error, error) {
 		err := srv.Shutdown(ctx)
 		if err != nil {
 			// Deadline expired with connections still open (a scraper
-			// mid-download, a browser holding the stream past cancellation):
+			// mid-download, a client not reading its response):
 			// hard-close the stragglers, but the drain failure is the error
 			// worth reporting.
 			_ = srv.Close()

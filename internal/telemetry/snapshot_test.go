@@ -120,7 +120,7 @@ func TestOpsMuxServesMetricsJSON(t *testing.T) {
 	}
 }
 
-// TestServeOpsGracefulShutdown pins the drain contract: a streaming handler
+// TestServeOpsGracefulShutdown pins the drain contract: a long handler
 // blocked on its request context must be released by shutdown (via the
 // server's base context) and the whole drain must finish well inside the
 // deadline, returning nil rather than a spurious close error.
@@ -129,7 +129,7 @@ func TestServeOpsGracefulShutdown(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/hang", func(w http.ResponseWriter, r *http.Request) {
 		close(entered)
-		<-r.Context().Done() // exactly how the SSE handler waits
+		<-r.Context().Done() // as pprof's profile and trace handlers wait
 	})
 	bound, shutdown, err := ServeOps("127.0.0.1:0", mux)
 	if err != nil {
@@ -148,7 +148,7 @@ func TestServeOpsGracefulShutdown(t *testing.T) {
 	}
 	start := time.Now()
 	if err := shutdown(); err != nil {
-		t.Fatalf("shutdown with a draining subscriber: %v", err)
+		t.Fatalf("shutdown with a hanging request: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > opsDrainTimeout {
 		t.Fatalf("drain took %v, deadline %v", elapsed, opsDrainTimeout)
