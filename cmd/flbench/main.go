@@ -6,6 +6,7 @@
 //	flbench -exp all -profile full # the whole evaluation, paper settings
 //	flbench -exp all -store run.jsonl  # record cells; rerun to finish a killed sweep
 //	flbench -list                  # enumerate artifacts
+//	flbench -exp fig4 -trace t.json  # one Chrome-trace span per executed cell
 //
 // With -store, every completed grid cell is appended to a durable JSONL
 // run store and cells already recorded there are replayed instead of

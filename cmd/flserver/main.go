@@ -31,6 +31,11 @@
 // time-travel/diff tab:
 //
 //	flserver -addr :7070 -federations alpha,beta -ops-addr :9090 -dash
+//
+// -trace and -trace-journal write every federation's round and phase spans
+// and the host's join handshakes on exit, as in flsim:
+//
+//	flserver -addr :7070 -clients 8 -trace trace.json
 package main
 
 import (
@@ -169,7 +174,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	// Every deployment is a Host: one anonymous federation, or one per
 	// -federations entry.
 	host := flnet.NewHost()
-	host.HandshakeTimeout = *handshake
+	host.HandshakeTimeout, host.Tracer = *handshake, plane.Tracer()
 	feds := make([]*flnet.Federation, len(tenants))
 	for i, tn := range tenants {
 		tcfg := scfg
@@ -192,6 +197,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 			Scenario:       experiment.BuildScenario(scfg, nil),
 			Codec:          codecSpec.String(),
 			Metrics:        plane.Registry(),
+			Tracer:         plane.Tracer(),
 		}
 		if tn.id != "" && *checkpoint != "" {
 			cfg.CheckpointPath += "-" + tn.id

@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -108,13 +109,14 @@ func scrape(t *testing.T, addr, path string) (int, string) {
 // asserts the ops plane while the last round is held open.
 func serveAndCheck(t *testing.T, federations []string, extra ...string) {
 	before := runtime.NumGoroutine()
-	audit := filepath.Join(t.TempDir(), "audit.jsonl")
+	dir := t.TempDir()
+	audit, trace := filepath.Join(dir, "audit.jsonl"), filepath.Join(dir, "trace.json")
 	args := append([]string{
 		"-addr", "127.0.0.1:0", "-dataset", "tiny-sim", "-f", "1",
 		"-clients", strconv.Itoa(testClients), "-per-round", strconv.Itoa(testClients),
 		"-rounds", strconv.Itoa(testRounds), "-seed", strconv.Itoa(testSeed),
 		"-timeout", "20s", "-accept-timeout", "20s",
-		"-ops-addr", "127.0.0.1:0", "-dash", "-audit", audit,
+		"-ops-addr", "127.0.0.1:0", "-dash", "-audit", audit, "-trace", trace,
 	}, extra...)
 	var stdout lineLog
 	done := make(chan error, 1)
@@ -233,6 +235,25 @@ func serveAndCheck(t *testing.T, federations []string, extra ...string) {
 		if fi, err := os.Stat(audit + suffix); err != nil || fi.Size() == 0 {
 			t.Errorf("audit journal %s missing or empty: %v", audit+suffix, err)
 		}
+	}
+
+	// -trace wrote every federation's round spans on exit.
+	raw, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatalf("-trace: %v", err)
+	}
+	var events []struct{ Name, Ph string }
+	if err := json.Unmarshal(raw, &events); err != nil {
+		t.Fatalf("-trace %s is no Chrome trace: %v", trace, err)
+	}
+	rounds := 0
+	for _, ev := range events {
+		if ev.Name == "round" && ev.Ph == "X" {
+			rounds++
+		}
+	}
+	if want := testRounds * len(federations); rounds != want {
+		t.Errorf("-trace holds %d round spans, want %d", rounds, want)
 	}
 
 	// run has returned: listener, accept loop, federations, ops server and

@@ -74,8 +74,6 @@ func run(args []string) error {
 	var opts repro.RunOptions
 	opts.Watch.BindFlags(fs)
 	fs.StringVar(&opts.Watch.AuditPath, "audit", "", "JSONL audit-journal path: one line per aggregation with per-update fingerprints, decisions and scores")
-	fs.StringVar(&opts.Watch.TracePath, "trace", "", "write the run's per-round/per-phase spans as a Chrome trace-event JSON file, loadable in Perfetto or chrome://tracing (never changes results)")
-	fs.StringVar(&opts.Watch.TraceJournal, "trace-journal", "", "append the run's spans to a JSONL trace journal at this path")
 	fs.StringVar(&opts.StorePath, "store", "", "JSONL run-store path: the completed run is recorded, and a run already recorded is replayed instead of recomputed (empty = off)")
 	fs.IntVar(&opts.Threads, "threads", 0, "kernel worker-pool size for training/defense compute (0 = GOMAXPROCS); never changes results")
 	if err := fs.Parse(args); err != nil {

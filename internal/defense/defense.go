@@ -202,36 +202,48 @@ func (s *krumScratch) krumScoresFrom(dist [][]float64, idx []int, f int) []float
 		neighbours = n - 1
 	}
 	s.scores = slices.Grow(s.scores[:0], n)[:n]
-	scores := s.scores
 	chunks := tensor.ChunkCount(n, 32)
 	for len(s.rows) < chunks {
 		s.rows = append(s.rows, nil)
 	}
-	tensor.ParallelForChunksCap(n, 32, chunks, func(lo, hi, chunk int) {
-		row := slices.Grow(s.rows[chunk][:0], n-1)
-		for i := lo; i < hi; i++ {
-			row = row[:0]
-			di := dist[idx[i]]
-			for j := 0; j < n; j++ {
-				if j == i {
-					continue
-				}
-				d := di[idx[j]]
-				if math.IsNaN(d) {
-					d = math.Inf(1)
-				}
-				row = append(row, d)
+	tensor.ParallelChunks(n, 32, chunks, krumRows{s, dist, idx, neighbours}, krumRows.score)
+	return s.scores
+}
+
+// krumRows is one krumScoresFrom call, handed by value to every chunk.
+type krumRows struct {
+	s          *krumScratch
+	dist       [][]float64
+	idx        []int
+	neighbours int
+}
+
+// score scores rows [lo, hi) into the scratch's scores, sorting each row in
+// the chunk's own row buffer.
+func (kr krumRows) score(lo, hi, chunk int) {
+	n, idx := len(kr.idx), kr.idx
+	row := slices.Grow(kr.s.rows[chunk][:0], n-1)
+	for i := lo; i < hi; i++ {
+		row = row[:0]
+		di := kr.dist[idx[i]]
+		for j := 0; j < n; j++ {
+			if j == i {
+				continue
 			}
-			sort.Float64s(row)
-			sum := 0.0
-			for k := 0; k < neighbours; k++ {
-				sum += row[k]
+			d := di[idx[j]]
+			if math.IsNaN(d) {
+				d = math.Inf(1)
 			}
-			scores[i] = sum
+			row = append(row, d)
 		}
-		s.rows[chunk] = row
-	})
-	return scores
+		sort.Float64s(row)
+		sum := 0.0
+		for k := 0; k < kr.neighbours; k++ {
+			sum += row[k]
+		}
+		kr.s.scores[i] = sum
+	}
+	kr.s.rows[chunk] = row
 }
 
 // MultiKrum implements Krum and its multi-update extension mKrum: updates

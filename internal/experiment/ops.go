@@ -53,6 +53,8 @@ func (w *Watch) BindFlags(fs *flag.FlagSet) {
 	fs.StringVar(&w.OpsAddr, "ops-addr", "", "serve the ops endpoint over HTTP at this address, e.g. :9090: Prometheus metrics at /metrics, pprof under /debug/pprof/, forensics JSON under /forensics/ (or /forensics/<id>/ per federation) (empty = off)")
 	fs.BoolVar(&w.Dash, "dash", false, "mount the embedded operator dashboard at /dash/ on the ops endpoint (defaults -ops-addr to 127.0.0.1:0 when unset)")
 	fs.StringVar(&w.DashReplay, "dash-replay", "", "comma-separated journal paths (audit journals or run stores) to load into the dashboard's time-travel/diff tab (requires -dash)")
+	fs.StringVar(&w.TracePath, "trace", "", "write the process's spans (rounds and engine phases of a run or federation, cells of a sweep) as a Chrome trace-event JSON file, loadable in Perfetto or chrome://tracing, on exit (never changes results)")
+	fs.StringVar(&w.TraceJournal, "trace-journal", "", "append the same spans to a JSONL trace journal at this path on exit")
 }
 
 // normalize applies the rules between the watch values.
@@ -189,6 +191,15 @@ func (p *Plane) Registry() *telemetry.Registry {
 		return nil
 	}
 	return p.reg
+}
+
+// Tracer returns the plane's span tracer (nil unless a trace file was asked
+// for), the value flnet.ServerConfig.Tracer and flnet.Host.Tracer take.
+func (p *Plane) Tracer() *telemetry.Tracer {
+	if p == nil {
+		return nil
+	}
+	return p.tracer
 }
 
 // Engine returns the round-engine instruments of one federation ("" for

@@ -156,10 +156,10 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 	if opt == nil {
 		opt = PlainApply{}
 	}
-	async := e.Scenario.Async
-	if async != nil && e.StartRound > 0 {
-		return nil, nil, errors.New("fl: async mode cannot resume mid-run (in-flight updates are not checkpointed)")
+	if err := e.Scenario.CheckResume(e.StartRound); err != nil {
+		return nil, nil, err
 	}
+	async := e.Scenario.Async
 
 	// Three independent streams so new axes never perturb the legacy ones:
 	// selRng and atkRng keep their pre-engine seeds (bit-compatibility),

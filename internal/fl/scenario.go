@@ -29,6 +29,37 @@ type Scenario struct {
 	Async *AsyncConfig
 }
 
+// ResumeError refuses a checkpoint resume (a StartRound past 0) of a run
+// that carries state from round to round which no checkpoint holds: a
+// resumed run would silently diverge from the uninterrupted one.
+type ResumeError struct {
+	// Component names the state's owner: "async" or "fedavgm".
+	Component string
+	// State is what the checkpoint lacks.
+	State string
+}
+
+func (e *ResumeError) Error() string {
+	return fmt.Sprintf("fl: cannot resume a %s run mid-run: its %s is not checkpointed", e.Component, e.State)
+}
+
+// CheckResume returns a *ResumeError when a run of this scenario cannot
+// resume at startRound, and nil for a fresh start or a scenario whose
+// round-carried state a checkpoint restores (the weights, w(t−1) and the
+// selection and participation streams).
+func (sc Scenario) CheckResume(startRound int) error {
+	switch {
+	case startRound <= 0:
+		return nil
+	case sc.Async != nil:
+		return &ResumeError{Component: "async", State: "in-flight update buffer"}
+	}
+	if _, ok := sc.ServerOpt.(*FedAvgM); ok {
+		return &ResumeError{Component: "fedavgm", State: "server momentum velocity"}
+	}
+	return nil
+}
+
 // Validate reports scenario configuration errors.
 func (sc Scenario) Validate() error {
 	type validator interface{ Validate() error }

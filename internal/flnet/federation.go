@@ -254,8 +254,9 @@ func (f *Federation) prepare() (*startState, error) {
 			st.prev = cp.PrevWeights
 		}
 	}
-	if st.startRound > 0 && f.cfg.Scenario.Async != nil {
-		return nil, errors.New("flnet: checkpoint resume is not supported in async mode (in-flight updates are not checkpointed)")
+	// Refused before anyone joins, with the engine's own error.
+	if err := f.cfg.Scenario.CheckResume(st.startRound); err != nil {
+		return nil, fmt.Errorf("flnet: federation %q: checkpoint %s: %w", f.id, f.cfg.CheckpointPath, err)
 	}
 	if st.prev == nil || st.startRound == 0 {
 		st.prev = append([]float64(nil), st.weights...)

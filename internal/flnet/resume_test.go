@@ -1,6 +1,7 @@
 package flnet
 
 import (
+	"errors"
 	"math/rand"
 	"net"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/dataset"
 	"repro/internal/defense"
+	"repro/internal/fl"
 	"repro/internal/nn"
 	"repro/internal/persist"
 )
@@ -177,5 +179,46 @@ func TestServerRejectsMismatchedCheckpoint(t *testing.T) {
 				t.Fatal("mismatched checkpoint must fail fast")
 			}
 		})
+	}
+}
+
+// TestServerRefusesFedAvgMResume: a checkpoint holds no server momentum, so
+// a FedAvgM federation asked to resume from one is refused before anyone
+// joins, with the engine's own *fl.ResumeError naming fedavgm.
+func TestServerRefusesFedAvgMResume(t *testing.T) {
+	spec := dataset.TinySpec()
+	_, test := dataset.Generate(spec, 12)
+	newModel := func(rng *rand.Rand) *nn.Network {
+		return nn.NewFashionCNN(rng, spec.Channels, spec.Size, spec.Classes)
+	}
+	ckpt := filepath.Join(t.TempDir(), "fedavgm.ckpt")
+	cp := persist.Checkpoint{Round: 0, Dataset: spec.Name, Model: "fashion-cnn", Seed: 6, MinClients: 1, PerRound: 1,
+		Weights: newModel(rand.New(rand.NewSource(1))).WeightVector(), Accuracy: -1}
+	if err := persist.Save(ckpt, &cp); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(ServerConfig{
+		MinClients:     1,
+		PerRound:       1,
+		Rounds:         3,
+		RoundTimeout:   time.Second,
+		Seed:           6,
+		Scenario:       fl.Scenario{ServerOpt: fl.NewFedAvgM(1, 0.9)},
+		CheckpointPath: ckpt,
+		DatasetName:    spec.Name,
+		ModelName:      "fashion-cnn",
+	}, defense.FedAvg{}, newModel, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	_, err = srv.Serve(lis)
+	var re *fl.ResumeError
+	if !errors.As(err, &re) || re.Component != "fedavgm" {
+		t.Fatalf("FedAvgM resume: err %v, want a *fl.ResumeError naming fedavgm", err)
 	}
 }

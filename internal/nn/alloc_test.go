@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/tensor"
@@ -14,13 +15,13 @@ import (
 // beside TrainBatch reach the panel products it does not — the forward
 // panels at evaluation batch size, and a generator step (weightᵀ forward and
 // weight backward in ConvTranspose2D, weightᵀ in Conv2D's input half).
+// Each step runs on one worker and again on two workers whose helper slot
+// is held (see budgets): every batch and row-tile fan-out then plans two
+// chunks and runs both inline, which must allocate nothing either.
 func TestTrainBatchZeroSteadyStateAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
 	}
-	// Pin to one worker: the guarantee covers the layer compute itself;
-	// multi-worker fan-out adds a few goroutine-bookkeeping allocations.
-	tensor.SetWorkers(1)
 	defer tensor.SetWorkers(0)
 	trainStep := func(build func(*rand.Rand) *Network) func(*rand.Rand) func() {
 		return func(rng *rand.Rand) func() {
@@ -65,15 +66,41 @@ func TestTrainBatchZeroSteadyStateAlloc(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			step := build(rand.New(rand.NewSource(1)))
-			for i := 0; i < 3; i++ { // warm the arena and the GEMM pack pools
-				step()
-			}
-			if allocs := testing.AllocsPerRun(10, step); allocs > 0 {
-				t.Errorf("steady-state step allocates %v times per run", allocs)
+			for budget, hold := range budgets {
+				t.Run(budget, func(t *testing.T) {
+					defer hold(t)()
+					step := build(rand.New(rand.NewSource(1)))
+					for i := 0; i < 3; i++ { // warm the arena and the GEMM pack pools
+						step()
+					}
+					if allocs := testing.AllocsPerRun(10, step); allocs > 0 {
+						t.Errorf("steady-state step allocates %v times per run", allocs)
+					}
+				})
 			}
 		})
 	}
+}
+
+// budgets are the worker budgets the zero-allocation guards run under, each
+// a func that sets it up and returns its teardown: one worker, and two
+// workers whose one helper slot a blocked tensor.TryGo holds — how a
+// training step or a DFA-R filter step really runs inside a round's
+// tensor.Drain, which holds the slots.
+var budgets = map[string]func(t *testing.T) (release func()){
+	"one-worker": func(*testing.T) func() {
+		tensor.SetWorkers(1)
+		return func() {}
+	},
+	"held-slot": func(t *testing.T) func() {
+		tensor.SetWorkers(2)
+		var wg sync.WaitGroup
+		block := make(chan struct{})
+		if !tensor.TryGo(&wg, func() { <-block }) {
+			t.Fatal("no free helper slot to hold")
+		}
+		return func() { close(block); wg.Wait() }
+	},
 }
 
 // TestFrozenStepZeroSteadyStateAlloc extends the guarantee to the step DFA-R
@@ -83,24 +110,28 @@ func TestFrozenStepZeroSteadyStateAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
 	}
-	tensor.SetWorkers(1)
 	defer tensor.SetWorkers(0)
-	rng := rand.New(rand.NewSource(2))
-	frozen := NewDeepCNN(rng, 3, 16, 10)
-	pool := tensor.NewPool()
-	frozen.SetScratch(pool)
-	x := tensor.New(1, 3, 16, 16)
-	x.FillNormal(rng, 0, 1)
-	uniform := UniformTarget(10)
-	step := func() {
-		pool.Reset()
-		_, grad := CrossEntropySoftPool(pool, frozen.Forward(x, true), uniform)
-		frozen.BackwardInput(grad)
-	}
-	for i := 0; i < 3; i++ {
-		step()
-	}
-	if allocs := testing.AllocsPerRun(10, step); allocs > 0 {
-		t.Errorf("steady-state frozen step allocates %v times per run", allocs)
+	for budget, hold := range budgets {
+		t.Run(budget, func(t *testing.T) {
+			defer hold(t)()
+			rng := rand.New(rand.NewSource(2))
+			frozen := NewDeepCNN(rng, 3, 16, 10)
+			pool := tensor.NewPool()
+			frozen.SetScratch(pool)
+			x := tensor.New(1, 3, 16, 16)
+			x.FillNormal(rng, 0, 1)
+			uniform := UniformTarget(10)
+			step := func() {
+				pool.Reset()
+				_, grad := CrossEntropySoftPool(pool, frozen.Forward(x, true), uniform)
+				frozen.BackwardInput(grad)
+			}
+			for i := 0; i < 3; i++ {
+				step()
+			}
+			if allocs := testing.AllocsPerRun(10, step); allocs > 0 {
+				t.Errorf("steady-state frozen step allocates %v times per run", allocs)
+			}
+		})
 	}
 }

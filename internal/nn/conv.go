@@ -105,6 +105,24 @@ func stageConvBufs(pool *tensor.Pool, colsBufs, xpBufs, dwBufs [][]float64, batc
 	return colsBufs, xpBufs, dwBufs
 }
 
+// conv2DPass and convTPass are one batch pass of each convolution layer,
+// handed by value to every chunk of its batch fan-out: the input, the
+// output (forward) or output gradient (backward), the input gradient (nil
+// when not wanted) and the packed weight operand. Their chunk methods are
+// the fan-out's capture-free bodies, so a pass allocates nothing inline.
+type (
+	conv2DPass struct {
+		c        *Conv2D
+		x, y, dx *tensor.Tensor
+		w        tensor.PackedA
+	}
+	convTPass struct {
+		c        *ConvTranspose2D
+		x, y, dx *tensor.Tensor
+		w        tensor.PackedA
+	}
+)
+
 // reduceConvPartials folds the per-sample weight-gradient partials and the
 // per-sample bias-gradient sums into gradW/gradB in batch order, the fixed
 // reduction both convolution layers rely on for worker-count invariance.
@@ -140,20 +158,15 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := c.scratch.GetTensorUninit(batch, c.OutC, g.posH, g.posW) // forwardChunk bias-fills every row
 	c.colsBufs, c.xpBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.xpBufs, c.dwBufs, batch, tensor.PanelBLen(ck2, oHW), g.xpLen, 0)
 	wp := tensor.PackA(c.weight.Data, c.OutC, ck2, oHW, false)
-	if len(c.colsBufs) == 1 {
-		c.forwardChunk(x, out, wp, 0, batch, 0) // no closure on the serial path
-	} else {
-		tensor.ParallelForChunksCap(batch, 1, len(c.colsBufs), func(lo, hi, ch int) {
-			c.forwardChunk(x, out, wp, lo, hi, ch)
-		})
-	}
+	tensor.ParallelChunks(batch, 1, len(c.colsBufs), conv2DPass{c: c, x: x, y: out, w: wp}, conv2DPass.forwardChunk)
 	wp.Release()
 	return out
 }
 
 // forwardChunk runs the GEMM-lowered forward pass for samples [lo, hi)
-// using the chunk's staged buffers and the packed weights wp.
-func (c *Conv2D) forwardChunk(x, out *tensor.Tensor, wp tensor.PackedA, lo, hi, ch int) {
+// using the chunk's staged buffers and the packed weights.
+func (pass conv2DPass) forwardChunk(lo, hi, ch int) {
+	c, x, out, wp := pass.c, pass.x, pass.y, pass.w
 	inC, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
 	oHW := out.Shape[2] * out.Shape[3]
 	g, cols, xp := &c.geom, c.colsBufs[ch], c.xpBufs[ch]
@@ -203,13 +216,7 @@ func (c *Conv2D) backward(grad *tensor.Tensor, params, input bool) *tensor.Tenso
 	if input {
 		wtp = tensor.PackA(c.weight.Data, ck2, c.OutC, oHW, true)
 	}
-	if len(c.colsBufs) == 1 {
-		c.backwardChunk(x, grad, dx, wtp, 0, batch, 0)
-	} else {
-		tensor.ParallelForChunksCap(batch, 1, len(c.colsBufs), func(lo, hi, ch int) {
-			c.backwardChunk(x, grad, dx, wtp, lo, hi, ch)
-		})
-	}
+	tensor.ParallelChunks(batch, 1, len(c.colsBufs), conv2DPass{c, x, grad, dx, wtp}, conv2DPass.backwardChunk)
 	wtp.Release()
 	if params {
 		reduceConvPartials(c.gradW.Data, c.gradB.Data, c.dwBufs, grad.Data, batch, c.OutC, oHW)
@@ -221,7 +228,8 @@ func (c *Conv2D) backward(grad *tensor.Tensor, params, input bool) *tensor.Tenso
 // the sample's weight-gradient partial when partials were staged, then the
 // input gradient via col2im of the packed weightᵀ times the output gradient
 // when dx was.
-func (c *Conv2D) backwardChunk(x, grad, dx *tensor.Tensor, wtp tensor.PackedA, lo, hi, ch int) {
+func (pass conv2DPass) backwardChunk(lo, hi, ch int) {
+	c, x, grad, dx, wtp := pass.c, pass.x, pass.y, pass.dx, pass.w
 	inC, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
 	outH, outW := grad.Shape[2], grad.Shape[3]
 	oHW := outH * outW
@@ -445,20 +453,15 @@ func (c *ConvTranspose2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := c.scratch.GetTensorUninit(batch, c.OutC, outH, outW) // forwardChunk bias-fills every row
 	c.colsBufs, c.xpBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.xpBufs, c.dwBufs, batch, ock2*hw, 0, 0)
 	wtp := tensor.PackA(c.weight.Data, ock2, inC, hw, true)
-	if len(c.colsBufs) == 1 {
-		c.forwardChunk(x, out, wtp, 0, batch, 0)
-	} else {
-		tensor.ParallelForChunksCap(batch, 1, len(c.colsBufs), func(lo, hi, ch int) {
-			c.forwardChunk(x, out, wtp, lo, hi, ch)
-		})
-	}
+	tensor.ParallelChunks(batch, 1, len(c.colsBufs), convTPass{c: c, x: x, y: out, w: wtp}, convTPass.forwardChunk)
 	wtp.Release()
 	return out
 }
 
 // forwardChunk runs the GEMM-lowered forward scatter for samples [lo, hi)
 // with the packed weightᵀ.
-func (c *ConvTranspose2D) forwardChunk(x, out *tensor.Tensor, wtp tensor.PackedA, lo, hi, ch int) {
+func (pass convTPass) forwardChunk(lo, hi, ch int) {
+	c, x, out, wtp := pass.c, pass.x, pass.y, pass.w
 	inC, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
 	outH, outW := out.Shape[2], out.Shape[3]
 	k, s, p := c.Kernel, c.Stride, c.Pad
@@ -508,13 +511,7 @@ func (c *ConvTranspose2D) backward(grad *tensor.Tensor, params, input bool) *ten
 		dwSize = inC * ock2
 	}
 	c.colsBufs, c.xpBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.xpBufs, c.dwBufs, batch, colsSize, g.xpLen, dwSize)
-	if len(c.colsBufs) == 1 {
-		c.backwardChunk(x, grad, dx, wp, 0, batch, 0)
-	} else {
-		tensor.ParallelForChunksCap(batch, 1, len(c.colsBufs), func(lo, hi, ch int) {
-			c.backwardChunk(x, grad, dx, wp, lo, hi, ch)
-		})
-	}
+	tensor.ParallelChunks(batch, 1, len(c.colsBufs), convTPass{c, x, grad, dx, wp}, convTPass.backwardChunk)
 	wp.Release()
 	if params {
 		reduceConvPartials(c.gradW.Data, c.gradB.Data, c.dwBufs, grad.Data, batch, c.OutC, oHW)
@@ -527,7 +524,8 @@ func (c *ConvTranspose2D) backward(grad *tensor.Tensor, params, input bool) *ten
 // partial when partials were staged and the input gradient when dx was.
 // dCols is the patch matrix of dOut_b with the layer's geometry reversed:
 // output positions of the scatter are the input positions here.
-func (c *ConvTranspose2D) backwardChunk(x, grad, dx *tensor.Tensor, wp tensor.PackedA, lo, hi, ch int) {
+func (pass convTPass) backwardChunk(lo, hi, ch int) {
+	c, x, grad, dx, wp := pass.c, pass.x, pass.y, pass.dx, pass.w
 	inC, hw := x.Shape[1], x.Shape[2]*x.Shape[3]
 	outH, outW := grad.Shape[2], grad.Shape[3]
 	oHW := outH * outW

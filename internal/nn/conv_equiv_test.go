@@ -355,3 +355,63 @@ func TestConvBitEqualRowMajorLowering(t *testing.T) {
 		}
 	}
 }
+
+// TestConvHelperPathBitIdentical: with the worker slots free, a warm
+// Conv2D and ConvTranspose2D training pass at 2 and 8 workers runs its
+// batch chunks on helpers — it allocates their wait state, which the same
+// pass on one worker (and, per the zero-allocation guards, on a held slot)
+// never does — and gives the bits of one worker.
+func TestConvHelperPathBitIdentical(t *testing.T) {
+	defer tensor.SetWorkers(0)
+	rng := rand.New(rand.NewSource(41))
+	for _, layer := range []interface {
+		Layer
+		scratchUser
+		OutSize(int) int
+	}{NewConv2D(rng, 3, 8, 3, 1, 1), NewConvTranspose2D(rng, 8, 3, 4, 2, 1)} {
+		inC := layer.Params()[0].Shape[1]
+		if _, ok := layer.(*ConvTranspose2D); ok {
+			inC = layer.Params()[0].Shape[0]
+		}
+		x := tensor.New(8, inC, 8, 8)
+		x.FillNormal(rng, 0, 1)
+		grad := tensor.New(8, layer.Params()[1].Len(), layer.OutSize(8), layer.OutSize(8))
+		grad.FillNormal(rng, 0, 1)
+		pool := tensor.NewPool()
+		layer.setScratch(pool)
+		var want [][]float64
+		for _, workers := range []int{1, 2, 8} {
+			tensor.SetWorkers(workers)
+			grads := layer.Grads()
+			got := [][]float64{nil, nil, grads[0].Data, grads[1].Data}
+			pass := func() {
+				pool.Reset()
+				for _, g := range grads {
+					g.Zero()
+				}
+				got[0] = layer.Forward(x, true).Data
+				got[1] = layer.Backward(grad).Data
+			}
+			for i := 0; i < 3; i++ { // warm the arena at this width and the GEMM pack pools
+				pass()
+			}
+			if allocs := testing.AllocsPerRun(1, pass); !raceEnabled && (allocs > 0) != (workers > 1) {
+				t.Errorf("%T at %d workers allocates %v objects per pass: helpers started %v, want %v",
+					layer, workers, allocs, allocs > 0, workers > 1)
+			}
+			if want == nil {
+				for _, g := range got {
+					want = append(want, append([]float64(nil), g...))
+				}
+				continue
+			}
+			for i, name := range []string{"out", "dx", "gradW", "gradB"} {
+				for j := range got[i] {
+					if got[i][j] != want[i][j] {
+						t.Fatalf("%T at %d workers: %s[%d] = %v, want %v (bit-exact)", layer, workers, name, j, got[i][j], want[i][j])
+					}
+				}
+			}
+		}
+	}
+}

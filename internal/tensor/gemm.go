@@ -140,11 +140,11 @@ func GemmPackedA(c []float64, pa PackedA, b []float64, transB, acc bool) {
 	if pa.panels != nil {
 		pbp := getPackBuf(PanelBLen(k, n))
 		packB8(*pbp, b, k, n, transB)
-		gemmPanels(c, *pa.panels, *pbp, m, k, n, acc)
+		product{pa: pa, c: c, b: *pbp, acc: acc}.run()
 		packBufs.Put(pbp)
 		return
 	}
-	pa.scalarTiles(c, b, transB, false, acc)
+	product{pa: pa, c: c, b: b, transB: transB, acc: acc}.run()
 }
 
 // PanelBLen returns the length of a k×n right operand in the panel layout
@@ -165,36 +165,40 @@ func GemmPanelB(c []float64, pa PackedA, pb []float64, acc bool) {
 		panic(fmt.Sprintf("tensor: GemmPanelB slice lengths %d/%d for %dx%d · %dx%d (transA %v)",
 			len(pb), len(c), m, k, k, n, pa.trans))
 	}
-	if pa.panels != nil {
-		gemmPanels(c, *pa.panels, pb, m, k, n, acc)
-		return
-	}
-	pa.scalarTiles(c, pb, false, true, acc)
+	product{pa: pa, c: c, b: pb, panelB: true, acc: acc}.run()
 }
 
-// scalarTiles fans the 4-row tiles of the product out over the worker pool
-// on the scalar tiles, which read A in place.
-func (pa PackedA) scalarTiles(c, b []float64, transB, panelB, acc bool) {
-	m := pa.m
-	tiles, grain := rowTiles(m), tileGrain(pa.k, pa.n)
-	if ChunkCount(tiles, grain) <= 1 {
-		pa.scalarRows(c, b, transB, panelB, acc, 0, m) // no closure on the serial path
-		return
-	}
-	ParallelFor(tiles, grain, func(lo, hi int) {
-		pa.scalarRows(c, b, transB, panelB, acc, lo*4, min(hi*4, m))
-	})
+// product is one GEMM over a PackedA, handed by value to every chunk of
+// its row-tile fan-out: C, and B row-major (B_eff = Bᵀ with transB) or,
+// with panelB or where PackA packed panels, in the panel layout.
+type product struct {
+	pa                  PackedA
+	c, b                []float64
+	transB, panelB, acc bool
 }
 
-// scalarRows runs rows [i0, i1) of the product.
-func (pa PackedA) scalarRows(c, b []float64, transB, panelB, acc bool, i0, i1 int) {
+// run fans the product's 4-row tiles out over the worker pool: onto the
+// microkernel where PackA packed panels, onto the scalar tiles, which read
+// A in place, otherwise.
+func (p product) run() {
+	tiles, body := rowTiles(p.pa.m), product.scalarTiles
+	if p.pa.panels != nil {
+		body = product.panelTiles
+	}
+	ParallelChunks(tiles, tileGrain(p.pa.k, p.pa.n), tiles, p, body)
+}
+
+// scalarTiles runs the 4-row tiles [lo, hi) of the product on the scalar
+// tiles.
+func (p product) scalarTiles(lo, hi, _ int) {
+	pa, c, b, i0, i1 := p.pa, p.c, p.b, lo*4, min(hi*4, p.pa.m)
 	switch {
 	case pa.trans:
-		gemmTN(c, pa.a, b, pa.k, pa.m, pa.n, i0, i1, acc)
-	case transB:
-		gemmNT(c, pa.a, b, pa.k, pa.n, i0, i1, acc)
+		gemmTN(c, pa.a, b, pa.k, pa.m, pa.n, i0, i1, p.acc)
+	case p.transB:
+		gemmNT(c, pa.a, b, pa.k, pa.n, i0, i1, p.acc)
 	default:
-		gemmNN(c, pa.a, b, pa.k, pa.n, i0, i1, acc, panelB)
+		gemmNN(c, pa.a, b, pa.k, pa.n, i0, i1, p.acc, p.panelB)
 	}
 }
 

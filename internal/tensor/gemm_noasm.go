@@ -14,9 +14,7 @@ func packPanels(a []float64, m, k int, transA bool) *[]float64 {
 
 func packB8(pb, b []float64, k, n int, transB bool) { panic("tensor: packB8 unavailable") }
 
-func gemmPanels(c, pa, pb []float64, m, k, n int, acc bool) {
-	panic("tensor: gemmPanels unavailable")
-}
+func (p product) panelTiles(lo, hi, _ int) { panic("tensor: panelTiles unavailable") }
 
 func sqDistSIMD(a, b []float64) float64 { panic("tensor: sqDistSIMD unavailable") }
 

@@ -126,26 +126,15 @@ func packPanels(a []float64, m, k int, transA bool) *[]float64 {
 	return pap
 }
 
-// gemmPanels computes C (m×n) = A_eff·B_eff via the 4×8 microkernel, with
-// A_eff already packed by packPanels and B_eff in packB8's layout; acc
-// accumulates onto the existing C values.
-func gemmPanels(c, pa, pb []float64, m, k, n int, acc bool) {
-	tiles := rowTiles(m)
-	grain := tileGrain(k, n)
-	if ChunkCount(tiles, grain) <= 1 {
-		simdRowTiles(c, pa, pb, m, k, n, acc, 0, tiles)
-	} else {
-		ParallelFor(tiles, grain, func(lo, hi int) {
-			simdRowTiles(c, pa, pb, m, k, n, acc, lo, hi)
-		})
-	}
-}
-
-// simdRowTiles runs the 4-row tiles [lo, hi) of the packed-panel product.
-// Full 4×8 tiles are computed in place in C; a tile cut by the last rows or
-// columns goes through a zero-padded staging copy so the kernel never
-// touches memory outside the m×n block.
-func simdRowTiles(c, pa, pb []float64, m, k, n int, acc bool, lo, hi int) {
+// panelTiles runs the 4-row tiles [lo, hi) of a product whose A was packed
+// by packPanels, with B in packB8's layout, on the 4×8 microkernel; acc
+// accumulates onto the existing C values. Full 4×8 tiles are computed in
+// place in C; a tile cut by the last rows or columns goes through a
+// zero-padded staging copy so the kernel never touches memory outside the
+// m×n block.
+func (p product) panelTiles(lo, hi, _ int) {
+	c, pa, pb, acc := p.c, *p.pa.panels, p.b, p.acc
+	m, k, n := p.pa.m, p.pa.k, p.pa.n
 	nt := (n + 7) / 8
 	for t := lo; t < hi; t++ {
 		i0 := t * 4

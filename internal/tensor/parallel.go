@@ -68,13 +68,30 @@ func TryGo(wg *sync.WaitGroup, fn func()) bool {
 	if !acquireSlot() {
 		return false
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer releaseSlot()
-		fn()
-	}()
+	goHelper(&wg, fn, callFunc, 0, 0, 0)
 	return true
+}
+
+func callFunc(fn func(), _, _, _ int) { fn() }
+
+// goHelper runs body(a, lo, hi, c) on a helper goroutine that holds the
+// slot its caller acquired until body returns, counted in *wg, which the
+// first helper makes: every fan-out in the package starts its helpers
+// here, so one that starts none allocates no wait state. The helper gets
+// its own copy of a; with a capture-free body — a top-level func or a
+// method expression — nothing else is allocated for it but the goroutine.
+func goHelper[A any](wg **sync.WaitGroup, a A, body func(a A, lo, hi, c int), lo, hi, c int) {
+	if *wg == nil {
+		*wg = new(sync.WaitGroup)
+	}
+	(*wg).Add(1)
+	go runHelper(*wg, a, body, lo, hi, c)
+}
+
+func runHelper[A any](wg *sync.WaitGroup, a A, body func(a A, lo, hi, c int), lo, hi, c int) {
+	defer wg.Done()
+	defer releaseSlot()
+	body(a, lo, hi, c)
 }
 
 // FanOut runs fn in up to workers goroutines: fn(0) in the calling
@@ -85,15 +102,17 @@ func TryGo(wg *sync.WaitGroup, fn func()) bool {
 // cooperatively drain a shared work queue and use its index only to select
 // per-worker state. Drain is the form for a queue of n indexed jobs.
 func FanOut(workers int, fn func(worker int)) {
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		if !TryGo(&wg, func() { fn(w) }) {
-			break
-		}
+	var wg *sync.WaitGroup
+	for w := 1; w < workers && acquireSlot(); w++ {
+		goHelper(&wg, fn, fanOutWorker, w, 0, 0)
 	}
 	fn(0)
-	wg.Wait()
+	if wg != nil {
+		wg.Wait()
+	}
 }
+
+func fanOutWorker(fn func(worker int), w, _, _ int) { fn(w) }
 
 // Drain runs job(w, i) for every i in [0, n): the caller, as worker 0, and
 // up to workers-1 helpers claim indices from one counter, and w only
@@ -102,33 +121,46 @@ func FanOut(workers int, fn func(worker int)) {
 // on it. The pool is elastic: whoever claims a job while more remain starts
 // the next helper if a slot is free, so a slot another goroutine gives back
 // mid-drain (the round's craft, a finished kernel) joins this queue instead
-// of idling, and the total stays within the global budget throughout.
+// of idling, and the total stays within the global budget throughout. The
+// caller counts its claims locally until a helper starts; only then is the
+// shared queue made.
 func Drain(workers, n int, job func(worker, i int)) {
-	var (
-		wg      sync.WaitGroup
-		next    atomic.Int64
-		mu      sync.Mutex // guards started
-		started = 1
-	)
-	var run func(w int)
-	run = func(w int) {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if i+1 < n {
-				mu.Lock()
-				if h := started; h < workers && TryGo(&wg, func() { run(h) }) {
-					started++
-				}
-				mu.Unlock()
-			}
-			job(w, i)
+	for i := 0; i < n; i++ {
+		if i+1 < n && workers > 1 && acquireSlot() {
+			d := &drain{n: n, workers: workers, job: job, started: 2}
+			d.next.Store(int64(i + 1))
+			goHelper(&d.wg, d, (*drain).run, 1, 0, 0)
+			job(0, i)
+			d.run(0, 0, 0)
+			d.wg.Wait()
+			return
 		}
+		job(0, i)
 	}
-	run(0)
-	wg.Wait()
+}
+
+// drain is the job queue a Drain shares once it has a helper.
+type drain struct {
+	wg                  *sync.WaitGroup // set before the first helper starts
+	next                atomic.Int64
+	mu                  sync.Mutex // guards started
+	started, n, workers int
+	job                 func(worker, i int)
+}
+
+// run claims and runs jobs as worker w until the queue is empty.
+func (d *drain) run(w, _, _ int) {
+	for i := int(d.next.Add(1)) - 1; i < d.n; i = int(d.next.Add(1)) - 1 {
+		if i+1 < d.n {
+			d.mu.Lock()
+			if d.started < d.workers && acquireSlot() {
+				goHelper(&d.wg, d, (*drain).run, d.started, 0, 0)
+				d.started++
+			}
+			d.mu.Unlock()
+		}
+		d.job(w, i)
+	}
 }
 
 // chunkPlan splits [0, n) into contiguous chunks of at least minGrain
@@ -150,8 +182,8 @@ func chunkPlan(n, minGrain int) (chunks, size int) {
 	return chunks, size
 }
 
-// ChunkCount returns the number of chunks ParallelForChunksCap will split
-// [0, n) into under the current worker-pool size, so callers can stage one
+// ChunkCount returns the number of chunks ParallelChunks will split [0, n)
+// into under the current worker-pool size, so callers can stage one
 // scratch buffer per chunk before fanning out.
 func ChunkCount(n, minGrain int) int {
 	if n <= 0 {
@@ -167,69 +199,42 @@ func ChunkCount(n, minGrain int) int {
 // is configured the whole range runs inline. fn must write only to
 // disjoint, index-addressed outputs: the decomposition into chunks must not
 // influence the result, which keeps every kernel built on ParallelFor
-// bit-identical regardless of the worker count.
+// bit-identical regardless of the worker count. It is the closure form of
+// ParallelChunks, for callers off the hot path.
 func ParallelFor(n, minGrain int, fn func(lo, hi int)) {
-	parallelFor(n, minGrain, int(^uint(0)>>1), fn, nil)
+	ParallelChunks(n, minGrain, n, fn, spanChunk) // no plan has more chunks than indices
 }
 
-// ParallelForChunksCap is ParallelFor with the chunk index passed to fn, so
-// each chunk can use a pre-staged scratch buffer (see ChunkCount). Chunk
-// indices are dense in [0, min(ChunkCount(n, minGrain), maxChunks)): the
-// clamp keeps a caller that staged buffers under an earlier ChunkCount
-// reading safe even if the worker-pool size grows concurrently.
-func ParallelForChunksCap(n, minGrain, maxChunks int, fn func(lo, hi, chunk int)) {
-	parallelFor(n, minGrain, maxChunks, nil, fn)
-}
+func spanChunk(fn func(lo, hi int), lo, hi, _ int) { fn(lo, hi) }
 
-// parallelFor is the one body of the ParallelFor family. Exactly one of
-// span and chunked is set, and each chunk calls it directly: wrapping the
-// first in a closure of the second's signature would cost every call a heap
-// object, inline ones included.
-func parallelFor(n, minGrain, maxChunks int, span func(lo, hi int), chunked func(lo, hi, chunk int)) {
+// ParallelChunks is ParallelFor for hot kernels: chunk c, [lo, hi), runs
+// body(a, lo, hi, c), and a capture-free body makes a call that starts no
+// helper allocate nothing (see goHelper). The chunk index lets each chunk
+// use a pre-staged scratch buffer (see ChunkCount). Chunk indices are
+// dense in [0, min(ChunkCount(n, minGrain), maxChunks)): the clamp keeps a
+// caller that staged buffers under an earlier ChunkCount reading safe even
+// if the worker-pool size grows concurrently.
+func ParallelChunks[A any](n, minGrain, maxChunks int, a A, body func(a A, lo, hi, chunk int)) {
 	if n <= 0 {
 		return
 	}
 	chunks, size := chunkPlan(n, minGrain)
 	if chunks > maxChunks {
-		chunks = maxChunks
-		if chunks < 1 {
-			chunks = 1
-		}
+		chunks = max(maxChunks, 1)
 		size = (n + chunks - 1) / chunks
 		chunks = (n + size - 1) / size
 	}
-	if chunks == 1 {
-		runChunk(span, chunked, 0, n, 0)
-		return
-	}
-	var wg sync.WaitGroup
+	var wg *sync.WaitGroup
 	for c := 1; c < chunks; c++ {
-		lo := c * size
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
+		lo, hi := c*size, min(c*size+size, n)
 		if acquireSlot() {
-			wg.Add(1)
-			go func(lo, hi, c int) {
-				defer wg.Done()
-				defer releaseSlot()
-				runChunk(span, chunked, lo, hi, c)
-			}(lo, hi, c)
+			goHelper(&wg, a, body, lo, hi, c)
 		} else {
-			runChunk(span, chunked, lo, hi, c)
+			body(a, lo, hi, c)
 		}
 	}
-	runChunk(span, chunked, 0, size, 0)
-	wg.Wait()
-}
-
-// runChunk runs chunk c, [lo, hi), through whichever of span and chunked
-// is set.
-func runChunk(span func(lo, hi int), chunked func(lo, hi, chunk int), lo, hi, c int) {
-	if chunked != nil {
-		chunked(lo, hi, c)
-		return
+	body(a, 0, size, 0)
+	if wg != nil {
+		wg.Wait()
 	}
-	span(lo, hi)
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -130,6 +131,140 @@ func TestParallelForInlineAllocs(t *testing.T) {
 		allocs := testing.AllocsPerRun(100, func() { ParallelFor(8, 8, func(lo, hi int) {}) })
 		if allocs != 0 {
 			t.Errorf("%d workers: an inline ParallelFor allocates %v objects, want 0", workers, allocs)
+		}
+	}
+}
+
+// holdHelperSlot sets a 2-worker budget and holds its one helper slot with
+// a blocked TryGo, as a round's Drain does while its jobs run kernels; the
+// returned func gives the slot back.
+func holdHelperSlot(t *testing.T) (release func()) {
+	t.Helper()
+	SetWorkers(2)
+	var wg sync.WaitGroup
+	block := make(chan struct{})
+	if !TryGo(&wg, func() { <-block }) {
+		t.Fatal("no free helper slot to hold")
+	}
+	return func() { close(block); wg.Wait() }
+}
+
+// markChunk is a capture-free chunk body: it writes its chunk index over
+// its range.
+func markChunk(out []float64, lo, hi, c int) {
+	for i := lo; i < hi; i++ {
+		out[i] = float64(c)
+	}
+}
+
+// gemmOperands returns the operands of a 64×64·64×64 product, whose row
+// tiles split into more than one chunk on two workers or more: A, B
+// row-major and B in GemmPanelB's layout.
+func gemmOperands() (a, b, pb []float64, m, k, n int) {
+	m, k, n = 64, 64, 64
+	rng := rand.New(rand.NewSource(7))
+	a, b = make([]float64, m*k), make([]float64, k*n)
+	for i := range a {
+		a[i] = rng.NormFloat64()
+	}
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	pb = make([]float64, PanelBLen(k, n))
+	for p := 0; p < k; p++ {
+		for j := 0; j < n; j++ {
+			pb[((j/8)*k+p)*8+j%8] = b[p*n+j]
+		}
+	}
+	return a, b, pb, m, k, n
+}
+
+// TestHeldSlotFanOutAllocs: with the budget's only helper slot held, a warm
+// multi-chunk ParallelChunks with a capture-free body, GemmPackedA and
+// GemmPanelB run every chunk inline and allocate nothing — no wait group,
+// no closure. This is how kernels run inside a round's Drain.
+func TestHeldSlotFanOutAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under -race")
+	}
+	defer SetWorkers(0)
+	release := holdHelperSlot(t)
+	defer release()
+	out := make([]float64, 64)
+	a, b, pb, m, k, n := gemmOperands()
+	if ChunkCount(len(out), 8) < 2 || ChunkCount(rowTiles(m), tileGrain(k, n)) < 2 {
+		t.Fatal("the shapes no longer split into chunks on two workers")
+	}
+	c := make([]float64, m*n)
+	pa := PackA(a, m, k, n, false)
+	defer pa.Release()
+	for name, call := range map[string]func(){
+		"ParallelChunks": func() { ParallelChunks(len(out), 8, len(out), out, markChunk) },
+		"GemmPackedA":    func() { GemmPackedA(c, pa, b, false, false) },
+		"GemmPanelB":     func() { GemmPanelB(c, pa, pb, false) },
+	} {
+		call() // warm the pack-buffer recycler
+		if allocs := testing.AllocsPerRun(100, call); allocs != 0 {
+			t.Errorf("%s with the helper slot held allocates %v objects per call, want 0", name, allocs)
+		}
+	}
+	if InUse() != 1 {
+		t.Errorf("%d slots in use beside the holder, want 1", InUse())
+	}
+}
+
+// TestFanOutHelperPath: with free slots, the chunks past the first run on
+// helper goroutines beside the caller's chunk 0 — each waits for chunk 0
+// to start, which an inline chunk, run before chunk 0, never sees — and
+// GemmPackedA and GemmPanelB start helpers yet give the bits of one worker
+// at 1, 2 and 8.
+func TestFanOutHelperPath(t *testing.T) {
+	defer SetWorkers(0)
+	for _, workers := range []int{2, 8} {
+		SetWorkers(workers)
+		started := make(chan struct{})
+		var helpers atomic.Int32
+		ParallelChunks(64, 8, 64, started, func(started chan struct{}, lo, hi, c int) {
+			if c == 0 {
+				close(started)
+				return
+			}
+			select {
+			case <-started:
+				helpers.Add(1)
+			case <-time.After(30 * time.Second):
+				t.Errorf("workers=%d: chunk %d did not run beside chunk 0", workers, c)
+			}
+		})
+		if want := int32(ChunkCount(64, 8) - 1); helpers.Load() != want {
+			t.Errorf("workers=%d: %d chunks ran on helpers, want %d", workers, helpers.Load(), want)
+		}
+	}
+	a, b, pb, m, k, n := gemmOperands()
+	products := map[string]func(c []float64, pa PackedA){
+		"GemmPackedA": func(c []float64, pa PackedA) { GemmPackedA(c, pa, b, false, false) },
+		"GemmPanelB":  func(c []float64, pa PackedA) { GemmPanelB(c, pa, pb, false) },
+	}
+	for name, product := range products {
+		var want []float64
+		for _, workers := range []int{1, 2, 8} {
+			SetWorkers(workers)
+			pa := PackA(a, m, k, n, false)
+			c := make([]float64, m*n)
+			allocs := testing.AllocsPerRun(1, func() { product(c, pa) })
+			pa.Release()
+			if workers > 1 && allocs == 0 {
+				t.Errorf("%s at %d workers started no helper", name, workers)
+			}
+			if want == nil {
+				want = c
+				continue
+			}
+			for i := range c {
+				if c[i] != want[i] {
+					t.Fatalf("%s at %d workers: element %d = %v, want %v (bit-exact)", name, workers, i, c[i], want[i])
+				}
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -14,16 +15,19 @@ import (
 // relies on: one call takes the whole id list, so the ops endpoint is bound
 // (and its dashboard hint printed) once, and the run store stays open
 // across experiments — the second artifact here resumes every cell the
-// first one journaled a moment earlier.
+// first one journaled a moment earlier. The sweep plane honours the trace
+// flags every binary binds: each executed cell is one span in the journal.
 func TestRunExperimentOptsOpensStoreAndPlaneOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the samplesize grid")
 	}
 	bound := 0
 	var resumed, executed int
+	dir := t.TempDir()
+	traceJournal := filepath.Join(dir, "trace.jsonl")
 	opts := repro.RunOptions{
-		StorePath: filepath.Join(t.TempDir(), "run.jsonl"),
-		Watch:     repro.Watch{Dash: true, OnBound: func(string) { bound++ }},
+		StorePath: filepath.Join(dir, "run.jsonl"),
+		Watch:     repro.Watch{Dash: true, TraceJournal: traceJournal, OnBound: func(string) { bound++ }},
 		Progress: func(ev repro.ProgressEvent) {
 			if ev.Skipped {
 				resumed++
@@ -44,6 +48,9 @@ func TestRunExperimentOptsOpensStoreAndPlaneOnce(t *testing.T) {
 	}
 	if n := strings.Count(out.String(), "## samplesize done in "); n != 2 {
 		t.Fatalf("output has %d completion lines, want 2:\n%s", n, out.String())
+	}
+	if raw, err := os.ReadFile(traceJournal); err != nil || strings.Count(string(raw), `"track":"sweep"`) != executed {
+		t.Fatalf("trace journal (err %v) holds %d cell spans, want the %d executed cells", err, strings.Count(string(raw), `"track":"sweep"`), executed)
 	}
 	if err := repro.RunExperimentOpts([]string{"samplesize", "no-such-artifact"}, opts, &out); err == nil ||
 		!strings.Contains(err.Error(), "no-such-artifact") || bound != 1 {
