@@ -1,30 +1,27 @@
-// Command flclient joins a networked federation as either an honest trainer
-// or an adversary. Benign clients own a Dirichlet shard of the synthetic
-// dataset; malicious clients run one of the simulator's attacks, built by the
-// same catalogue (experiment.NewAttack) from the same Config — above all the
-// data-free DFA variants, which need nothing but the models the server
-// broadcasts. Attacks that craft from the round's benign updates (lie, fang,
-// minmax, minsum, signflip) are refused: over the wire they see none.
+// Command flclient joins a networked federation as one client of the run
+// flsim's flags name: it parses the same flags into the same
+// experiment.Config, and plays the server-assigned client ID as the
+// simulator would (experiment.Recipe) — honest training of that client's
+// shard, or, where the placement puts an attacker, the run's attack. That
+// is the paper's threat model as written: the data-free DFA variants need
+// nothing but the models the server broadcasts. Attacks that craft from the
+// round's benign updates (lie, fang, minmax, minsum, signflip) are refused
+// before dialing: over the wire they see none.
 //
-// Example:
+// Example (one per client, with the server's run flags):
 //
-//	flclient -addr localhost:7070 -role benign -shard 0 -of 6
-//	flclient -addr localhost:7070 -role dfa-g
+//	flclient -addr localhost:7070 -dataset fashion-sim -attack dfa-r -clients 10 -per-round 10
 package main
 
 import (
-	"errors"
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"time"
 
-	"repro/internal/codec"
-	"repro/internal/dataset"
 	"repro/internal/experiment"
-	"repro/internal/fl"
 	"repro/internal/flnet"
 	"repro/internal/telemetry"
 )
@@ -36,81 +33,83 @@ func main() {
 	}
 }
 
-func run(args []string, stdout io.Writer) (retErr error) {
-	fs := flag.NewFlagSet("flclient", flag.ContinueOnError)
-	addr := fs.String("addr", "127.0.0.1:7070", "server address")
-	dsName := fs.String("dataset", "fashion-sim", "dataset spec (must match the server)")
-	role := fs.String("role", "benign", "benign, or a simulator attack that needs no benign updates: dfa-r, dfa-g, dfa-r-static, dfa-g-static, random, freerider, labelflip, real-data")
-	shard := fs.Int("shard", 0, "benign, labelflip, real-data: this client's shard index")
-	of := fs.Int("of", 6, "benign, labelflip, real-data: total number of shards")
-	beta := fs.Float64("beta", 0.5, "Dirichlet heterogeneity of the shards (<=0 for i.i.d.)")
-	lr := fs.Float64("lr", 0.05, "local learning rate (benign and labelflip SGD, the DFA/real-data adversarial classifier)")
-	samples := fs.Int("samples", 20, "DFA and real-data: set size |S|")
-	seed := fs.Int64("seed", 1, "random seed (benign shards must share the server's dataset seed)")
-	timeout := fs.Duration("timeout", 60*time.Second, "connection timeout")
-	federation := fs.String("federation", "", "federation ID to join on a multi-tenant host (empty = the host's sole federation, which is what a single-tenant server serves)")
-	codecToken := fs.String("codec", "", "update codec to negotiate at join, as a codec spec token: raw, fp16, int8, optionally with ,topk=<frac> and ,ef — must match the server's -codec (empty = legacy dense updates)")
-	opsAddr := fs.String("ops-addr", "", "serve this client's ops endpoint over HTTP at this address, e.g. :9091: Prometheus metrics at /metrics (rounds trained, local training time, update coordinates, kernel pool gauges) and pprof under /debug/pprof/ (empty = off)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	codecSpec, err := codec.ParseSpec(*codecToken)
-	if err != nil {
-		return err
-	}
+// options is flclient's command line: the run flags flsim binds, and the
+// client's own.
+type options struct {
+	cfg                       experiment.Config
+	addr, federation, opsAddr string
+	timeout                   time.Duration
+}
 
-	cfg, err := roleConfig(*dsName, *role, *beta, *lr, *samples, *seed)
+func parseFlags(args []string) (*options, error) {
+	fs := flag.NewFlagSet("flclient", flag.ContinueOnError)
+	o := &options{}
+	o.cfg.BindFlags(fs)
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:7070", "server address")
+	fs.DurationVar(&o.timeout, "timeout", 60*time.Second, "connection timeout")
+	fs.StringVar(&o.federation, "federation", "", "federation ID to join on a multi-tenant host (empty = the host's sole federation, which is what a single-tenant server serves)")
+	fs.StringVar(&o.opsAddr, "ops-addr", "", "serve this client's ops endpoint over HTTP at this address, e.g. :9091: Prometheus metrics at /metrics (rounds trained, local training time, update coordinates, kernel pool gauges) and pprof under /debug/pprof/ (empty = off)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	return o, o.cfg.Normalize()
+}
+
+func run(args []string, stdout io.Writer) (retErr error) {
+	o, err := parseFlags(args)
 	if err != nil {
 		return err
 	}
-	trainer, err := newTrainer(cfg, *shard, *of)
+	recipe, err := experiment.NewRecipe(o.cfg)
 	if err != nil {
+		return err
+	}
+	if err := recipe.Networked(); err != nil {
 		return err
 	}
 	plane, err := experiment.OpenPlane(experiment.Watch{
-		OpsAddr: *opsAddr,
+		OpsAddr: o.opsAddr,
 		OnBound: func(bound string) { fmt.Fprintf(stdout, "flclient: ops endpoint at http://%s/metrics\n", bound) },
 	}, "fl client")
 	if err != nil {
 		return err
 	}
 	defer plane.CloseInto(&retErr)
-	if reg := plane.Registry(); reg != nil {
-		trainer = newCountingTrainer(trainer, reg, *role)
-	}
 
-	client, err := flnet.DialFederation(*addr, *federation, trainer, *timeout, codecSpec)
+	// The server assigns the client's ID at the join; the recipe fills the
+	// trainer for it before the first round.
+	var trainer assigned
+	codecSpec := o.cfg.CodecSpec()
+	// A refused join is a *flnet.JoinRejectedError naming its code (codec,
+	// admission, unknown-federation, closed, version) and the server's
+	// reason.
+	client, err := flnet.DialFederation(o.addr, o.federation, &trainer, o.timeout, codecSpec)
 	if err != nil {
-		var jrej *flnet.JoinRejectedError
-		if errors.As(err, &jrej) {
-			switch jrej.Code {
-			case flnet.RejectCodec:
-				return fmt.Errorf("server refused codec %q before round start: %s (retry with a matching -codec)", codecSpec.String(), jrej.Reason)
-			case flnet.RejectAdmission:
-				return fmt.Errorf("host's join queue for federation %q is full: %s (retry after a backoff)", jrej.Federation, jrej.Reason)
-			case flnet.RejectUnknownFederation:
-				return fmt.Errorf("host serves no federation %q: %s (check -federation)", jrej.Federation, jrej.Reason)
-			}
-			return fmt.Errorf("join rejected (%s): %s", jrej.Code, jrej.Reason)
-		}
 		return err
 	}
-	negotiated := codecSpec.String()
-	if negotiated == "" {
-		negotiated = "none"
+	// An ID outside the run (a server started with other run flags) ends
+	// the process, and with it the connection.
+	inner, role, err := recipe.Client(client.ID)
+	if err != nil {
+		return err
 	}
-	fedLabel := *federation
-	if fedLabel == "" {
-		fedLabel = "default"
+	if reg := plane.Registry(); reg != nil {
+		inner = newCountingTrainer(inner, reg, role)
 	}
-	fmt.Fprintf(stdout, "flclient: joined federation %s as client %d (role=%s codec=%s)\n", fedLabel, client.ID, *role, negotiated)
+	trainer.Trainer = inner
+	fmt.Fprintf(stdout, "flclient: joined federation %s as client %d (role=%s codec=%s)\n",
+		cmp.Or(o.federation, "default"), client.ID, role, cmp.Or(codecSpec.String(), "none"))
 	final, err := client.Run()
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "flclient: training finished, received final model with %d weights\n", len(final))
+	fmt.Fprintf(stdout, "flclient: training finished, received final model with %d weights, digest %s\n", len(final), experiment.Digest(final))
 	return nil
 }
+
+// assigned is the trainer a client joins with: the recipe's trainer for the
+// ID the join assigned, filled in before the first round.
+type assigned struct{ flnet.Trainer }
 
 // countingTrainer wraps a Trainer with the client-side instruments served
 // on -ops-addr: rounds trained, failures, local training time, and update
@@ -150,54 +149,4 @@ func (t *countingTrainer) Train(round int, global, prevGlobal []float64) ([]floa
 	t.rounds.Inc()
 	t.coords.Add(int64(len(weights)))
 	return weights, n, err
-}
-
-// roleConfig is the simulator's Config of the run a role plays: the attack
-// is named as flsim names it, and every parameter the flags do not set
-// takes Normalize's value (so a cifar-sim DFA synthesizes for the
-// simulator's 10 epochs). Normalize reads a zero as "default"; -samples and
-// -lr keep their meaning instead.
-func roleConfig(dsName, role string, beta, lr float64, samples int, seed int64) (experiment.Config, error) {
-	cfg := experiment.Config{Dataset: dsName, Attack: role, Beta: beta, Seed: seed}
-	err := cfg.Normalize()
-	cfg.SampleCount, cfg.LR = samples, lr
-	return cfg, err
-}
-
-// newTrainer builds the client's behaviour: honest SGD on its shard for the
-// "benign" role, otherwise the catalogue's attack cfg.Attack names. The
-// data-holding attacks (labelflip, real-data) train on the shard a benign
-// client with the same -shard/-of would own.
-func newTrainer(cfg experiment.Config, shard, of int) (flnet.Trainer, error) {
-	if shard < 0 || shard >= of {
-		return nil, fmt.Errorf("shard %d out of range [0,%d)", shard, of)
-	}
-	spec, err := dataset.SpecByName(cfg.Dataset)
-	if err != nil {
-		return nil, err
-	}
-	train, _ := dataset.Generate(spec, cfg.Seed)
-	prng := rand.New(rand.NewSource(int64(of) * 31))
-	var shards [][]int
-	if cfg.Beta > 0 {
-		shards = dataset.PartitionDirichlet(prng, train.Labels, of, cfg.Beta)
-	} else {
-		shards = dataset.PartitionIID(prng, train.Len(), of)
-	}
-	newModel := experiment.NewModel(spec)
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(shard)*7919 + 17))
-	if cfg.Attack == "benign" {
-		return flnet.NewBenignTrainer(train, shards[shard], newModel, cfg.LR, cfg.LocalEpochs, cfg.BatchSize, rng), nil
-	}
-	atk, err := experiment.NewAttack(cfg, train, shards[shard])
-	switch {
-	case err != nil:
-		return nil, fmt.Errorf("role %q: %w", cfg.Attack, err)
-	case atk == nil:
-		return nil, fmt.Errorf("unknown role %q", cfg.Attack)
-	}
-	if _, oracle := atk.(fl.OracleAttack); oracle {
-		return nil, fmt.Errorf("role %q crafts from the round's benign updates, but a networked adversary sees only the broadcast models; use a data-free role such as dfa-r", cfg.Attack)
-	}
-	return flnet.NewAttackTrainer(atk, newModel, rng, 50), nil
 }

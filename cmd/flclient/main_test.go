@@ -1,15 +1,17 @@
 package main
 
 // Tests of the flclient binary: real clients driven through run against an
-// in-process server over loopback, the roles it refuses before dialing, and
-// the simulator Config a role plays.
+// in-process server over loopback, the runs it refuses before dialing, and
+// the flags it shares with flsim.
 
 import (
 	"bytes"
+	"flag"
 	"io"
 	"net"
 	"net/http"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -75,11 +77,17 @@ func scrape(t *testing.T, addr, path string) string {
 	return string(body)
 }
 
-// TestRunBenignAndDFAR joins a benign and a dfa-r client to a two-round
-// tiny-sim federation and runs both to completion. Between the rounds it
-// scrapes the DFA client's ops endpoint, which the one ops plane serves:
-// the flclient_* instruments and the kernel pool gauges.
-func TestRunBenignAndDFAR(t *testing.T) {
+// tinyArgs are the run flags of a tiny-sim federation of two clients for
+// two rounds, one of them a dfa-r attacker (-frac 0.5 of -clients 2): the
+// placement makes client 0 the attacker, as in the simulator.
+var tinyArgs = []string{"-dataset", "tiny-sim", "-seed", "6", "-attack", "dfa-r", "-frac", "0.5",
+	"-clients", "2", "-per-round", "2", "-rounds", "2", "-samples", "4", "-timeout", "20s"}
+
+// serveTiny serves tinyArgs' federation under FedAvg on loopback, its
+// aggregator wrapped by wrap and observed by obs (either may be nil), and
+// returns the address and the Serve result.
+func serveTiny(t *testing.T, wrap func(fl.Aggregator) fl.Aggregator, obs fl.AggregationObserver) (string, <-chan error) {
+	t.Helper()
 	cfg := experiment.Config{Dataset: "tiny-sim", Seed: testSeed}
 	if err := cfg.Normalize(); err != nil {
 		t.Fatal(err)
@@ -89,15 +97,17 @@ func TestRunBenignAndDFAR(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, test := dataset.Generate(spec, testSeed)
-	fedavg, err := experiment.NewDefense(cfg, test)
+	agg, err := experiment.NewDefense(cfg, test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reached, release := make(chan struct{}, 1), make(chan struct{})
+	if wrap != nil {
+		agg = wrap(agg)
+	}
 	srv, err := flnet.NewServer(flnet.ServerConfig{
-		MinClients: 2, PerRound: 2, Rounds: 2, Seed: testSeed,
+		MinClients: 2, PerRound: 2, Rounds: 2, Seed: testSeed, Observer: obs,
 		RoundTimeout: 20 * time.Second, AcceptTimeout: 20 * time.Second,
-	}, &gatedAggregator{Aggregator: fedavg, reached: reached, release: release}, experiment.NewModel(spec), test)
+	}, agg, experiment.NewModel(spec), test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,24 +120,41 @@ func TestRunBenignAndDFAR(t *testing.T) {
 		_, err := srv.Serve(lis)
 		served <- err
 	}()
+	return lis.Addr().String(), served
+}
 
-	args := func(extra ...string) []string {
-		return append([]string{"-addr", lis.Addr().String(), "-dataset", "tiny-sim",
-			"-seed", "6", "-of", "2", "-timeout", "20s"}, extra...)
-	}
-	var benignOut, dfaOut syncBuffer
+// TestRunBenignAndDFAR joins tinyArgs' two clients and runs both to
+// completion. Between the rounds it scrapes the attacker's ops endpoint,
+// which the one ops plane serves: the flclient_* instruments and the
+// kernel pool gauges.
+func TestRunBenignAndDFAR(t *testing.T) {
+	reached, release := make(chan struct{}, 1), make(chan struct{})
+	addr, served := serveTiny(t, func(agg fl.Aggregator) fl.Aggregator {
+		return &gatedAggregator{Aggregator: agg, reached: reached, release: release}
+	}, nil)
+	args := append([]string{"-addr", addr, "-ops-addr", "127.0.0.1:0"}, tinyArgs...)
+	outs := [2]*syncBuffer{{}, {}}
 	clients := make(chan error, 2)
-	go func() { clients <- run(args("-role", "benign", "-shard", "0"), &benignOut) }()
-	go func() {
-		clients <- run(args("-role", "dfa-r", "-shard", "1", "-samples", "4", "-ops-addr", "127.0.0.1:0"), &dfaOut)
-	}()
+	for _, out := range outs {
+		go func() { clients <- run(args, out) }()
+	}
+	both := func() string { return outs[0].String() + outs[1].String() }
 
 	select {
 	case <-reached:
 	case err := <-clients:
-		t.Fatalf("a client returned before the first aggregation: %v\n%s%s", err, benignOut.String(), dfaOut.String())
+		t.Fatalf("a client returned before the first aggregation: %v\n%s", err, both())
 	case <-time.After(30 * time.Second):
-		t.Fatalf("round 0 never aggregated:\n%s%s", benignOut.String(), dfaOut.String())
+		t.Fatalf("round 0 never aggregated:\n%s", both())
+	}
+	var dfaOut *syncBuffer
+	for _, out := range outs {
+		if strings.Contains(out.String(), "(role=dfa-r codec=none)") {
+			dfaOut = out
+		}
+	}
+	if dfaOut == nil {
+		t.Fatalf("no client joined as the dfa-r attacker:\n%s", both())
 	}
 	m := regexp.MustCompile(`ops endpoint at http://(\S+)/metrics`).FindStringSubmatch(dfaOut.String())
 	if m == nil {
@@ -154,11 +181,9 @@ func TestRunBenignAndDFAR(t *testing.T) {
 	if err := <-served; err != nil {
 		t.Fatalf("server: %v", err)
 	}
-	for role, out := range map[string]string{"benign": benignOut.String(), "dfa-r": dfaOut.String()} {
-		for _, line := range []string{"(role=" + role + " codec=none)", "training finished"} {
-			if !strings.Contains(out, line) {
-				t.Errorf("%s client's stdout lacks %q:\n%s", role, line, out)
-			}
+	for _, line := range []string{"(role=benign codec=none)", "(role=dfa-r codec=none)", "received final model"} {
+		if !strings.Contains(both(), line) {
+			t.Errorf("the clients' stdout lacks %q:\n%s", line, both())
 		}
 	}
 	if resp, err := http.Get("http://" + m[1] + "/metrics"); err == nil {
@@ -167,9 +192,48 @@ func TestRunBenignAndDFAR(t *testing.T) {
 	}
 }
 
+// samplesObserver records the NumSamples each client reported.
+type samplesObserver struct {
+	mu      sync.Mutex
+	samples map[int][]int
+}
+
+func (o *samplesObserver) ObserveAggregation(_ int, _ []float64, updates []fl.Update, _ fl.Selection) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for _, u := range updates {
+		o.samples[u.ClientID] = append(o.samples[u.ClientID], u.NumSamples)
+	}
+}
+
+// TestAttackerReportsMeanShardSize: a networked attacker reports the sample
+// count the simulator's crafted updates report, the mean shard size, so
+// FedAvg, REFD and AdaptiveREFD weigh it as they weigh it in-process.
+// tiny-sim's 240 training samples over two clients make that 120.
+func TestAttackerReportsMeanShardSize(t *testing.T) {
+	obs := &samplesObserver{samples: map[int][]int{}}
+	addr, served := serveTiny(t, nil, obs)
+	clients := make(chan error, 2)
+	for range 2 {
+		go func() { clients <- run(append([]string{"-addr", addr}, tinyArgs...), io.Discard) }()
+	}
+	for range 2 {
+		if err := <-clients; err != nil {
+			t.Fatalf("client: %v", err)
+		}
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("server: %v", err)
+	}
+	if got := obs.samples[0]; !slices.Equal(got, []int{120, 120}) {
+		t.Fatalf("attacker (client 0) reported NumSamples %v over two rounds, want the mean shard size 120 each", got)
+	}
+}
+
 // TestOracleRolesRefused: an attack that crafts from the round's benign
 // updates gets none over the wire, so it would submit the unchanged global
-// model every round. Each such role fails before dialing, saying why.
+// model every round. A run with such an attack fails before dialing,
+// saying why.
 func TestOracleRolesRefused(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -187,29 +251,29 @@ func TestOracleRolesRefused(t *testing.T) {
 			_ = c.Close()
 		}
 	}()
-	for _, role := range []string{"lie", "fang", "minmax", "minsum", "signflip"} {
-		err := run([]string{"-addr", lis.Addr().String(), "-dataset", "tiny-sim", "-role", role, "-timeout", "2s"}, io.Discard)
+	for _, attack := range []string{"lie", "fang", "minmax", "minsum", "signflip"} {
+		err := run([]string{"-addr", lis.Addr().String(), "-dataset", "tiny-sim", "-attack", attack, "-timeout", "2s"}, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), "sees only the broadcast models") {
-			t.Errorf("-role %s: error = %v, want the oracle refusal", role, err)
+			t.Errorf("-attack %s: error = %v, want the oracle refusal", attack, err)
 		}
 	}
 	if n := dialed.Load(); n != 0 {
-		t.Fatalf("oracle roles dialed the server %d times", n)
+		t.Fatalf("oracle attacks dialed the server %d times", n)
 	}
 }
 
-// TestRunRejectsBadRoles: every role or flag value the catalogue cannot
-// build fails before dialing (nothing listens on the address).
+// TestRunRejectsBadRoles: every run the catalogue cannot build fails before
+// dialing (nothing listens on the address).
 func TestRunRejectsBadRoles(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-role", "nosuch"}, `unknown attack "nosuch"`},
-		{[]string{"-role", "none"}, `unknown role "none"`},
-		{[]string{"-role", "dfa-r", "-samples", "0"}, "SampleCount must be positive"},
-		{[]string{"-role", "benign", "-shard", "6", "-of", "6"}, "out of range"},
+		{[]string{"-attack", "nosuch"}, `unknown attack "nosuch"`},
+		{[]string{"-attack", "dfa-r", "-samples", "-1"}, "SampleCount must be positive"},
+		{[]string{"-frac", "0.9"}, "AttackerFrac 0.9 outside"},
 		{[]string{"-dataset", "mnist"}, "unknown spec"},
+		{[]string{"-role", "benign"}, "flag provided but not defined: -role"},
 	} {
 		err := run(append([]string{"-addr", "127.0.0.1:1", "-dataset", "tiny-sim"}, tc.args...), io.Discard)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -218,22 +282,31 @@ func TestRunRejectsBadRoles(t *testing.T) {
 	}
 }
 
-// TestRoleIsTheSimulatorsConfig: a role plays exactly the Config flsim
-// would run for the same names, so a cifar-sim DFA synthesizes for the
+// TestFlagsAreTheSimulators: one argument list parsed by flclient and by the
+// run flags flsim binds gives one normalized Config, so a client plays the
+// run flsim would simulate — a cifar-sim DFA synthesizes for the
 // simulator's 10 epochs, not a client-side constant.
-func TestRoleIsTheSimulatorsConfig(t *testing.T) {
-	got, err := roleConfig("cifar-sim", "dfa-r", 0.5, 0.05, 20, 1)
+func TestFlagsAreTheSimulators(t *testing.T) {
+	args := []string{"-dataset", "cifar-sim", "-attack", "dfa-r", "-defense", "bulyan", "-clients", "20",
+		"-per-round", "8", "-rounds", "3", "-samples", "20", "-seed", "4", "-codec", "int8", "-topk", "0.1",
+		"-error-feedback", "-placement", "first", "-eval-limit", "64"}
+	got, err := parseFlags(args)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := experiment.Config{Dataset: "cifar-sim", Attack: "dfa-r", Beta: 0.5, LR: 0.05, SampleCount: 20, Seed: 1}
+	fs := flag.NewFlagSet("flsim", flag.ContinueOnError)
+	var sim experiment.Config
+	sim.BindFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
 	if err := sim.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if got != sim {
-		t.Fatalf("role config %+v\nsimulator   %+v", got, sim)
+	if got.cfg != sim {
+		t.Fatalf("flclient config %+v\nflsim config    %+v", got.cfg, sim)
 	}
-	if got.SynthesisEpochs != 10 {
-		t.Fatalf("cifar-sim DFA synthesizes for %d epochs, want the simulator's 10", got.SynthesisEpochs)
+	if got.cfg.SynthesisEpochs != 10 {
+		t.Fatalf("cifar-sim DFA synthesizes for %d epochs, want the simulator's 10", got.cfg.SynthesisEpochs)
 	}
 }

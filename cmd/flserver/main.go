@@ -3,18 +3,19 @@
 // robust-aggregation defense, evaluates the global model each round, and
 // distributes the final weights.
 //
-// Example (three terminals):
+// It parses flsim's run flags (experiment.Config.BindFlags), so one
+// argument list names one run for flsim, flserver and each flclient, and
+// the clients play the simulator's clients. Example (a shell per line):
 //
-//	flserver -addr :7070 -clients 8 -per-round 4 -rounds 10 -defense mkrum
-//	flclient -addr localhost:7070 -role benign -shard 0 -of 6
-//	flclient -addr localhost:7070 -role dfa-r
+//	flserver -addr :7070 -attack dfa-r -clients 10 -per-round 10 -rounds 10
+//	flclient -addr localhost:7070 -attack dfa-r -clients 10 -per-round 10 -rounds 10   # ten times
 //
 // Multi-tenant: -federations serves several independent federations over
 // one listener, each with its own defense, round state and checkpoint.
 // Clients pick theirs with -federation:
 //
-//	flserver -addr :7070 -federations alpha=mkrum,beta=refd -clients 4
-//	flclient -addr localhost:7070 -federation alpha -role benign -shard 0 -of 4
+//	flserver -addr :7070 -federations alpha=mkrum,beta=refd -clients 4 -per-round 4
+//	flclient -addr localhost:7070 -federation alpha -clients 4 -per-round 4
 //
 // Observability: -ops-addr serves the ops endpoint — Prometheus metrics at
 // /metrics with per-federation labels, pprof under /debug/pprof/, and the
@@ -35,10 +36,11 @@
 // -trace and -trace-journal write every federation's round and phase spans
 // and the host's join handshakes on exit, as in flsim:
 //
-//	flserver -addr :7070 -clients 8 -trace trace.json
+//	flserver -addr :7070 -clients 8 -per-round 4 -trace trace.json
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -50,7 +52,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/codec"
 	"repro/internal/dataset"
 	"repro/internal/experiment"
 	"repro/internal/flnet"
@@ -71,74 +72,36 @@ type tenant struct{ id, defense string }
 
 func run(args []string, stdout io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("flserver", flag.ContinueOnError)
+	var cfg experiment.Config
+	cfg.BindFlags(fs)
 	addr := fs.String("addr", "127.0.0.1:7070", "listen address")
-	dsName := fs.String("dataset", "fashion-sim", "dataset spec (fashion-sim, cifar-sim, svhn-sim, tiny-sim)")
-	defName := fs.String("defense", "mkrum", "defense, by the simulator's names: fedavg, median, trmean, krum, mkrum, bulyan, foolsgold, refd, refd-adaptive")
-	clients := fs.Int("clients", 8, "population size to wait for")
-	perRound := fs.Int("per-round", 4, "clients selected per round")
-	rounds := fs.Int("rounds", 10, "federated rounds")
-	fproxy := fs.Int("f", 2, "server's assumed attackers per round")
-	refPerClass := fs.Int("ref-per-class", 20, "REFD reference samples per class")
-	rejectX := fs.Int("reject", 2, "REFD rejections per round")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-round client deadline")
 	handshake := fs.Duration("handshake-timeout", 5*time.Second, "per-connection join handshake deadline")
 	acceptTimeout := fs.Duration("accept-timeout", 0, "overall join-phase deadline (0 = wait forever)")
-	seed := fs.Int64("seed", 1, "random seed")
 	checkpoint := fs.String("checkpoint", "", "path for atomic per-round global-model checkpoints (empty = off)")
-	sampler := fs.String("sampler", "uniform", "per-round selection: uniform (K of N), bernoulli (per-client probability)")
-	sampleRate := fs.Float64("sample-rate", 0, "bernoulli participation probability (0 = K/N)")
-	dropout := fs.Float64("dropout", 0, "simulated per-selection dropout probability")
-	straggler := fs.Float64("straggler", 0, "simulated per-selection deadline-miss probability")
-	serverOpt := fs.String("server-opt", "plain", "server optimizer: plain, lr, fedavgm")
-	serverLR := fs.Float64("server-lr", 0, "server learning rate for -server-opt lr/fedavgm (0 = 1)")
-	serverMomentum := fs.Float64("server-momentum", 0, "FedAvgM velocity decay (0 = 0.9)")
-	asyncBuffer := fs.Int("async-buffer", 0, "FedBuff-style async aggregation buffer size B (0 = synchronous)")
-	asyncDelay := fs.Int("async-delay", 0, "max simulated update arrival delay in rounds for async mode (0 = 2)")
 	var watch experiment.Watch
 	watch.BindFlags(fs)
 	fs.StringVar(&watch.AuditPath, "audit", "", "JSONL audit-journal path for per-round defense decisions and update fingerprints (empty = off; multi-tenant: one journal per federation, suffix -<id>)")
-	codecToken := fs.String("codec", "", "update codec served to clients, as a codec spec token: raw, fp16, int8, optionally with ,topk=<frac> and ,ef — e.g. int8,topk=0.1,ef (empty = legacy dense updates only; legacy clients are always served)")
 	federations := fs.String("federations", "", "serve several federations over one listener, as comma-separated id or id=defense entries, e.g. alpha=mkrum,beta=refd (empty = single-tenant; entries without =defense use -defense)")
 	pendingJoins := fs.Int("pending-joins", 0, "admission control: per-federation bound on handshakes queued for admission; joins beyond it are rejected with a typed retryable error (0 = max(clients, 16))")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	codecSpec, err := codec.ParseSpec(*codecToken)
-	if err != nil {
+	if err := cfg.Normalize(); err != nil {
 		return err
 	}
-	// The scenario and defense flags share experiment.Config's normalization
-	// and mapping, so flsim and flserver cannot drift. Weighted sampling needs
-	// per-client shard sizes, which only the clients know in the networked
-	// deployment, so it stays simulator-only.
-	scfg := experiment.Config{
-		Dataset:        *dsName,
-		TotalClients:   *clients,
-		PerRound:       *perRound,
-		Sampler:        *sampler,
-		SampleRate:     *sampleRate,
-		DropoutProb:    *dropout,
-		StragglerProb:  *straggler,
-		ServerOpt:      *serverOpt,
-		ServerLR:       *serverLR,
-		ServerMomentum: *serverMomentum,
-		AsyncBuffer:    *asyncBuffer,
-		AsyncMaxDelay:  *asyncDelay,
-	}
-	if err := scfg.Normalize(); err != nil {
-		return err
-	}
-	if scfg.Sampler == "weighted" {
+	// Weighted sampling needs per-client shard sizes, which only the
+	// clients hold in the networked deployment.
+	if cfg.Sampler == "weighted" {
 		return fmt.Errorf("weighted sampling needs client shard sizes the networked server does not know; use uniform or bernoulli")
 	}
-	// Normalize reads a zero as "default"; these flags keep their meaning
-	// (-f 0 assumes no attackers, -reject 0 rejects nobody).
-	scfg.FProxy, scfg.RefPerClass, scfg.RejectX = *fproxy, *refPerClass, *rejectX
+	codecSpec := cfg.CodecSpec()
 
-	tenants := []tenant{{defense: *defName}}
-	title, forensicsAt := "fl server — "+*defName, "/forensics/"
+	tenants := []tenant{{defense: cfg.Defense}}
+	title, forensicsAt := "fl server — "+cfg.Defense, "/forensics/"
 	if *federations != "" {
-		if tenants, err = parseFederations(*federations, *defName); err != nil {
+		var err error
+		if tenants, err = parseFederations(*federations, cfg.Defense); err != nil {
 			return err
 		}
 		title, forensicsAt = "fl host — "+*federations, "/forensics/<id>/"
@@ -165,11 +128,11 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	}
 	defer plane.CloseInto(&retErr)
 
-	spec, err := dataset.SpecByName(*dsName)
+	spec, err := dataset.SpecByName(cfg.Dataset)
 	if err != nil {
 		return err
 	}
-	_, test := dataset.Generate(spec, *seed)
+	_, test := dataset.Generate(spec, cfg.Seed)
 	newModel := experiment.NewModel(spec)
 	// Every deployment is a Host: one anonymous federation, or one per
 	// -federations entry.
@@ -177,43 +140,44 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	host.HandshakeTimeout, host.Tracer = *handshake, plane.Tracer()
 	feds := make([]*flnet.Federation, len(tenants))
 	for i, tn := range tenants {
-		tcfg := scfg
+		tcfg := cfg
 		tcfg.Defense = tn.defense
 		agg, err := experiment.NewDefense(tcfg, test)
 		if err != nil {
 			return fmt.Errorf("federation %q: %w", tn.id, err)
 		}
-		cfg := flnet.ServerConfig{
-			MinClients:     *clients,
-			PerRound:       *perRound,
-			Rounds:         *rounds,
+		scfg := flnet.ServerConfig{
+			MinClients:     cfg.TotalClients,
+			PerRound:       cfg.PerRound,
+			Rounds:         cfg.Rounds,
 			RoundTimeout:   *timeout,
 			AcceptTimeout:  *acceptTimeout,
 			PendingJoins:   *pendingJoins,
-			Seed:           *seed,
+			EvalLimit:      cfg.EvalLimit,
+			Seed:           cfg.Seed,
 			CheckpointPath: *checkpoint,
 			DatasetName:    spec.Name,
 			ModelName:      "paper-cnn",
-			Scenario:       experiment.BuildScenario(scfg, nil),
+			Scenario:       experiment.BuildScenario(cfg, nil),
 			Codec:          codecSpec.String(),
 			Metrics:        plane.Registry(),
 			Tracer:         plane.Tracer(),
 		}
 		if tn.id != "" && *checkpoint != "" {
-			cfg.CheckpointPath += "-" + tn.id
+			scfg.CheckpointPath += "-" + tn.id
 		}
 		if plane != nil {
 			// The networked server has no ground-truth Malicious flags, so
 			// a watched server's collector provides decision auditing (who
 			// was filtered, with what score and fingerprint) rather than
 			// TPR/FPR joins.
-			col, err := plane.Collector(tn.id, forensics.Options{Defense: agg.Name(), Seed: *seed})
+			col, err := plane.Collector(tn.id, forensics.Options{Defense: agg.Name(), Seed: cfg.Seed})
 			if err != nil {
 				return fmt.Errorf("federation %q: %w", tn.id, err)
 			}
-			cfg.Observer = col
+			scfg.Observer = col
 		}
-		if feds[i], err = flnet.NewFederation(tn.id, cfg, agg, newModel, test); err != nil {
+		if feds[i], err = flnet.NewFederation(tn.id, scfg, agg, newModel, test); err != nil {
 			return fmt.Errorf("federation %q: %w", tn.id, err)
 		}
 		if err := host.Add(feds[i]); err != nil {
@@ -227,18 +191,14 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	}
 	defer lis.Close()
 	if *federations == "" {
-		serveCodec := codecSpec.String()
-		if serveCodec == "" {
-			serveCodec = "none"
-		}
 		fmt.Fprintf(stdout, "flserver: listening on %s, waiting for %d clients (defense=%s dataset=%s codec=%s)\n",
-			lis.Addr(), *clients, *defName, spec.Name, serveCodec)
+			lis.Addr(), cfg.TotalClients, cfg.Defense, spec.Name, cmp.Or(codecSpec.String(), "none"))
 	} else {
 		for _, tn := range tenants {
 			fmt.Fprintf(stdout, "flserver: federation %s (defense=%s)\n", tn.id, tn.defense)
 		}
 		fmt.Fprintf(stdout, "flserver: hosting %d federations on %s, waiting for %d clients each\n",
-			len(feds), lis.Addr(), *clients)
+			len(feds), lis.Addr(), cfg.TotalClients)
 	}
 	return serveHost(lis, host, feds, stdout)
 }
@@ -329,5 +289,5 @@ func printResult(w io.Writer, prefix string, res *flnet.ServerResult) {
 		fmt.Fprintf(w, "%sround %3d  selected %d  responded %d%s  accuracy %s\n",
 			prefix, rr.Round+1, rr.Selected, rr.Responded, churn, acc)
 	}
-	fmt.Fprintf(w, "%sfinal accuracy %.4f (max %.4f)\n", prefix, res.FinalAccuracy, res.MaxAccuracy)
+	fmt.Fprintf(w, "%sfinal accuracy %.4f (max %.4f) digest %s\n", prefix, res.FinalAccuracy, res.MaxAccuracy, experiment.Digest(res.FinalWeights))
 }

@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
@@ -25,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/codec"
-	"repro/internal/dataset"
 	"repro/internal/experiment"
 	"repro/internal/flnet"
 )
@@ -70,17 +68,19 @@ func (l *lineLog) waitFor(t *testing.T, re string) string {
 	return ""
 }
 
-// gatedTrainer is a real benign trainer that announces it has been asked
-// for the last round — so every earlier round is aggregated, audited and
-// counted — and then holds that round open until the test lets go.
+// gatedTrainer is a client's recipe trainer, filled in once the join has
+// assigned its ID. A gated one announces it has been asked for the last
+// round — so every earlier round is aggregated, audited and counted — and
+// then holds that round open until the test lets go.
 type gatedTrainer struct {
 	flnet.Trainer
+	gate    bool
 	reached chan<- struct{}
 	release <-chan struct{}
 }
 
-func (g gatedTrainer) Train(round int, global, prev []float64) ([]float64, int, error) {
-	if round == testRounds-1 {
+func (g *gatedTrainer) Train(round int, global, prev []float64) ([]float64, int, error) {
+	if g.gate && round == testRounds-1 {
 		g.reached <- struct{}{}
 		<-g.release
 	}
@@ -112,7 +112,7 @@ func serveAndCheck(t *testing.T, federations []string, extra ...string) {
 	dir := t.TempDir()
 	audit, trace := filepath.Join(dir, "audit.jsonl"), filepath.Join(dir, "trace.json")
 	args := append([]string{
-		"-addr", "127.0.0.1:0", "-dataset", "tiny-sim", "-f", "1",
+		"-addr", "127.0.0.1:0", "-dataset", "tiny-sim", "-attack", "none",
 		"-clients", strconv.Itoa(testClients), "-per-round", strconv.Itoa(testClients),
 		"-rounds", strconv.Itoa(testRounds), "-seed", strconv.Itoa(testSeed),
 		"-timeout", "20s", "-accept-timeout", "20s",
@@ -127,27 +127,26 @@ func serveAndCheck(t *testing.T, federations []string, extra ...string) {
 		t.Errorf("-dash printed no dashboard hint for %s:\n%s", opsAddr, stdout.String())
 	}
 
-	spec, err := dataset.SpecByName("tiny-sim")
+	recipe, err := experiment.NewRecipe(experiment.Config{Dataset: "tiny-sim", Attack: "none",
+		TotalClients: testClients, PerRound: testClients, Rounds: testRounds, Seed: testSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	train, _ := dataset.Generate(spec, testSeed)
-	shards := dataset.PartitionIID(rand.New(rand.NewSource(31)), train.Len(), testClients)
 	reached := make(chan struct{}, len(federations))
 	release := make(chan struct{})
 	var clients sync.WaitGroup
 	clientErrs := make(chan error, len(federations)*testClients)
 	for _, fed := range federations {
 		for i := 0; i < testClients; i++ {
-			var trainer flnet.Trainer = flnet.NewBenignTrainer(train, shards[i], experiment.NewModel(spec),
-				0.05, 1, 16, rand.New(rand.NewSource(int64(100+i))))
-			if i == 0 {
-				trainer = gatedTrainer{trainer, reached, release}
-			}
+			// The first client of each federation holds its last round open.
+			trainer := &gatedTrainer{reached: reached, release: release, gate: i == 0}
 			clients.Add(1)
 			go func() {
 				defer clients.Done()
 				c, err := flnet.DialFederation(flAddr, fed, trainer, 20*time.Second, codec.Spec{})
+				if err == nil {
+					trainer.Trainer, _, err = recipe.Client(c.ID)
+				}
 				if err == nil {
 					_, err = c.Run()
 				}
@@ -232,6 +231,9 @@ func serveAndCheck(t *testing.T, federations []string, extra ...string) {
 				t.Errorf("stdout lacks the result line %q:\n%s", line, out)
 			}
 		}
+		if !regexp.MustCompile(`\n` + prefix + `final accuracy \S+ \(max \S+\) digest [0-9a-f]{16}\n`).MatchString(out) {
+			t.Errorf("stdout lacks %sfinal accuracy … digest <16 hex>:\n%s", prefix, out)
+		}
 		if fi, err := os.Stat(audit + suffix); err != nil || fi.Size() == 0 {
 			t.Errorf("audit journal %s missing or empty: %v", audit+suffix, err)
 		}
@@ -286,12 +288,13 @@ func TestRunRejectsBadWatch(t *testing.T) {
 }
 
 // TestRunRejectsBadREFD: a REFD the flags cannot build is an error before
-// any port is bound, not a server that starts with no defense.
+// any port is bound, not a server that starts with no defense. tiny-sim's
+// test split holds fewer samples of some class than the 20 per class the
+// reference set needs.
 func TestRunRejectsBadREFD(t *testing.T) {
-	err := run([]string{"-addr", "127.0.0.1:0", "-dataset", "tiny-sim", "-defense", "refd",
-		"-ref-per-class", "2", "-reject", "-1", "-accept-timeout", "1s"}, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "rejectX -1") {
-		t.Fatalf("run error = %v, want the REFD rejectX error", err)
+	err := run([]string{"-addr", "127.0.0.1:0", "-dataset", "tiny-sim", "-defense", "refd", "-accept-timeout", "1s"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "want 20") {
+		t.Fatalf("run error = %v, want the REFD reference-set error", err)
 	}
 }
 

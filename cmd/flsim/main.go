@@ -18,6 +18,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"math"
@@ -38,39 +39,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("flsim", flag.ContinueOnError)
 	cfg := repro.Config{Parallel: true}
-	fs.StringVar(&cfg.Dataset, "dataset", "fashion-sim", "dataset: fashion-sim, cifar-sim, svhn-sim, tiny-sim")
-	fs.StringVar(&cfg.Attack, "attack", "dfa-r", "attack: none, random, labelflip, lie, fang, minmax, minsum, dfa-r, dfa-g, dfa-r-static, dfa-g-static, real-data")
-	fs.StringVar(&cfg.Defense, "defense", "mkrum", "defense: fedavg, median, trmean, krum, mkrum, bulyan, refd")
-	fs.Float64Var(&cfg.Beta, "beta", 0.5, "Dirichlet heterogeneity (<=0 for i.i.d.)")
-	fs.Float64Var(&cfg.AttackerFrac, "frac", 0.2, "fraction of malicious clients")
-	fs.IntVar(&cfg.Rounds, "rounds", 15, "federated rounds")
-	fs.IntVar(&cfg.TotalClients, "clients", 100, "total clients N")
-	fs.IntVar(&cfg.PerRound, "per-round", 10, "clients selected per round K")
-	fs.IntVar(&cfg.SampleCount, "samples", 50, "DFA synthetic set size |S|")
-	fs.IntVar(&cfg.SynthesisEpochs, "synth-epochs", 0, "DFA synthesis epochs E (0 = paper default)")
-	fs.Int64Var(&cfg.Seed, "seed", 1, "random seed")
-	fs.IntVar(&cfg.EvalLimit, "eval-limit", 500, "test samples per evaluation (0 = all)")
-	fs.BoolVar(&cfg.NoReg, "no-reg", false, "disable the distance-based regularization L_d")
-	fs.StringVar(&cfg.Partition, "partition", "label", "shard assignment: label (Dirichlet label skew / i.i.d. by beta), quantity (Dirichlet shard-size skew)")
-	fs.StringVar(&cfg.Sampler, "sampler", "uniform", "per-round selection: uniform (K of N), bernoulli (per-client probability), weighted (by shard size)")
-	fs.Float64Var(&cfg.SampleRate, "sample-rate", 0, "bernoulli participation probability (0 = K/N)")
-	fs.Float64Var(&cfg.DropoutProb, "dropout", 0, "per-selection probability a client is unavailable for the round")
-	fs.Float64Var(&cfg.StragglerProb, "straggler", 0, "per-selection probability a client misses the round deadline")
-	fs.StringVar(&cfg.ServerOpt, "server-opt", "plain", "server optimizer: plain, lr (server learning rate), fedavgm (server momentum)")
-	fs.Float64Var(&cfg.ServerLR, "server-lr", 0, "server learning rate for -server-opt lr/fedavgm (0 = 1)")
-	fs.Float64Var(&cfg.ServerMomentum, "server-momentum", 0, "FedAvgM velocity decay (0 = 0.9)")
-	fs.IntVar(&cfg.AsyncBuffer, "async-buffer", 0, "FedBuff-style async aggregation buffer size B (0 = synchronous rounds)")
-	fs.IntVar(&cfg.AsyncMaxDelay, "async-delay", 0, "max simulated update arrival delay in rounds for async mode (0 = 2)")
-	fs.StringVar(&cfg.Population, "population", "eager", "client-population backend: eager (all shards up front), virtual (lazy O(active)-memory population for N up to 10^6)")
-	fs.IntVar(&cfg.MeanShard, "mean-shard", 0, "virtual population's expected per-client shard size in samples (0 = 32)")
-	fs.IntVar(&cfg.PopCache, "pop-cache", 0, "virtual population's LRU shard-materialization cache in shards (0 = max(4*K, 64)); memory only, never results")
-	fs.StringVar(&cfg.Placement, "placement", "first", "attacker placement: first (the first floor(frac*N) IDs), scatter (seeded spread), sybil (contiguous burst-join block), sizecorr (proportional to shard size)")
-	fs.IntVar(&cfg.Groups, "groups", 0, "hierarchical aggregation with this many group aggregators (0 = flat server)")
-	fs.StringVar(&cfg.GroupDefense, "group-defense", "", "per-group tier-1 rule for -groups (empty = same as -defense)")
-	fs.StringVar(&cfg.Codec, "codec", "none", "update compression: none, raw (lossless transport reshaping), fp16 (half-precision deltas), int8 (block-scaled stochastic 8-bit deltas)")
-	fs.Float64Var(&cfg.TopK, "topk", 0, "keep only this fraction of largest-magnitude delta coordinates per update, in (0,1) (0 = dense; requires -codec)")
-	fs.BoolVar(&cfg.ErrorFeedback, "error-feedback", false, "carry each round's quantization/sparsification residual into the client's next update (requires a lossy -codec)")
-	fs.BoolVar(&cfg.Forensics, "forensics", false, "audit every defense decision and stream detection metrics (TPR/FPR/AUC vs ground truth); implied by -audit and -dash")
+	cfg.BindFlags(fs)
 	var opts repro.RunOptions
 	opts.Watch.BindFlags(fs)
 	fs.StringVar(&opts.Watch.AuditPath, "audit", "", "JSONL audit-journal path: one line per aggregation with per-update fingerprints, decisions and scores")
@@ -105,23 +74,16 @@ func run(args []string) error {
 		responded += rs.Responded
 		aggs += rs.Aggregations
 	}
-	// The normalized config canonicalizes the legacy sampler to "".
-	samplerName := out.Config.Sampler
-	if samplerName == "" {
-		samplerName = "uniform"
-	}
+	// The normalized config canonicalizes the default sampler and placement
+	// to "".
 	if dropped+straggled > 0 || out.Config.AsyncBuffer > 0 || out.Config.Sampler != "" {
 		fmt.Printf("participation: sampler=%s selected=%d dropped=%d straggled=%d responded=%d aggregations=%d\n",
-			samplerName, selected, dropped, straggled, responded, aggs)
+			cmp.Or(out.Config.Sampler, "uniform"), selected, dropped, straggled, responded, aggs)
 	}
 	if out.Config.Population != "" {
-		placement := out.Config.Placement
-		if placement == "" {
-			placement = "first"
-		}
 		fmt.Printf("population: backend=%s N=%d mean-shard=%d placement=%s groups=%d\n",
 			out.Config.Population, out.Config.TotalClients, out.Config.MeanShard,
-			placement, out.Config.Groups)
+			cmp.Or(out.Config.Placement, "first"), out.Config.Groups)
 	}
 	if out.Config.Codec != "" {
 		fmt.Printf("codec: %s topk=%g error-feedback=%t\n",
@@ -142,8 +104,8 @@ func run(args []string) error {
 	if !math.IsNaN(out.DPR) {
 		dpr = fmt.Sprintf("%.2f%%", out.DPR)
 	}
-	fmt.Printf("clean_acc=%.2f%% acc_m=%.2f%% final=%.2f%% ASR=%.2f%% DPR=%s elapsed=%v\n",
-		out.CleanAcc*100, out.MaxAcc*100, out.FinalAcc*100, out.ASR, dpr,
+	fmt.Printf("clean_acc=%.2f%% acc_m=%.2f%% final=%.2f%% ASR=%.2f%% DPR=%s digest=%s elapsed=%v\n",
+		out.CleanAcc*100, out.MaxAcc*100, out.FinalAcc*100, out.ASR, dpr, out.Digest,
 		time.Since(start).Round(time.Millisecond))
 	return nil
 }

@@ -8,6 +8,10 @@
 package experiment
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"flag"
 	"fmt"
 	"math"
 	"math/rand"
@@ -19,6 +23,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/defense"
 	"repro/internal/fl"
+	"repro/internal/flnet"
 	"repro/internal/forensics"
 	"repro/internal/nn"
 	"repro/internal/population"
@@ -158,9 +163,10 @@ type Config struct {
 	ErrorFeedback bool
 }
 
-// codecSpec maps the config's compression axes onto the codec package's
-// spec; zero-valued axes produce the disabled spec.
-func (c Config) codecSpec() codec.Spec {
+// CodecSpec maps the config's compression axes onto the codec package's
+// spec — the encoder the simulator runs and the token flserver serves and
+// flclient negotiates; zero-valued axes produce the disabled spec.
+func (c Config) CodecSpec() codec.Spec {
 	var kind codec.Kind
 	switch c.Codec {
 	case "raw":
@@ -173,6 +179,45 @@ func (c Config) codecSpec() codec.Spec {
 		return codec.Spec{}
 	}
 	return codec.Spec{Quant: kind, TopK: c.TopK, EF: c.ErrorFeedback}
+}
+
+// BindFlags registers the run flags, flsim's defaults included, on fs:
+// flsim, flserver and flclient all bind them, so one argument list names
+// one run in each.
+func (c *Config) BindFlags(fs *flag.FlagSet) {
+	fs.StringVar(&c.Dataset, "dataset", "fashion-sim", "dataset: fashion-sim, cifar-sim, svhn-sim, tiny-sim")
+	fs.StringVar(&c.Attack, "attack", "dfa-r", "attack: none, random, labelflip, lie, fang, minmax, minsum, dfa-r, dfa-g, dfa-r-static, dfa-g-static, real-data")
+	fs.StringVar(&c.Defense, "defense", "mkrum", "defense: fedavg, median, trmean, krum, mkrum, bulyan, refd")
+	fs.Float64Var(&c.Beta, "beta", 0.5, "Dirichlet heterogeneity (<=0 for i.i.d.)")
+	fs.Float64Var(&c.AttackerFrac, "frac", 0.2, "fraction of malicious clients")
+	fs.IntVar(&c.Rounds, "rounds", 15, "federated rounds")
+	fs.IntVar(&c.TotalClients, "clients", 100, "total clients N")
+	fs.IntVar(&c.PerRound, "per-round", 10, "clients selected per round K")
+	fs.IntVar(&c.SampleCount, "samples", 50, "DFA synthetic set size |S|")
+	fs.IntVar(&c.SynthesisEpochs, "synth-epochs", 0, "DFA synthesis epochs E (0 = paper default)")
+	fs.Int64Var(&c.Seed, "seed", 1, "random seed")
+	fs.IntVar(&c.EvalLimit, "eval-limit", 500, "test samples per evaluation (0 = all)")
+	fs.BoolVar(&c.NoReg, "no-reg", false, "disable the distance-based regularization L_d")
+	fs.StringVar(&c.Partition, "partition", "label", "shard assignment: label (Dirichlet label skew / i.i.d. by beta), quantity (Dirichlet shard-size skew)")
+	fs.StringVar(&c.Sampler, "sampler", "uniform", "per-round selection: uniform (K of N), bernoulli (per-client probability), weighted (by shard size)")
+	fs.Float64Var(&c.SampleRate, "sample-rate", 0, "bernoulli participation probability (0 = K/N)")
+	fs.Float64Var(&c.DropoutProb, "dropout", 0, "per-selection probability a client is unavailable for the round")
+	fs.Float64Var(&c.StragglerProb, "straggler", 0, "per-selection probability a client misses the round deadline")
+	fs.StringVar(&c.ServerOpt, "server-opt", "plain", "server optimizer: plain, lr (server learning rate), fedavgm (server momentum)")
+	fs.Float64Var(&c.ServerLR, "server-lr", 0, "server learning rate for -server-opt lr/fedavgm (0 = 1)")
+	fs.Float64Var(&c.ServerMomentum, "server-momentum", 0, "FedAvgM velocity decay (0 = 0.9)")
+	fs.IntVar(&c.AsyncBuffer, "async-buffer", 0, "FedBuff-style async aggregation buffer size B (0 = synchronous rounds)")
+	fs.IntVar(&c.AsyncMaxDelay, "async-delay", 0, "max simulated update arrival delay in rounds for async mode (0 = 2)")
+	fs.StringVar(&c.Population, "population", "eager", "client-population backend: eager (all shards up front), virtual (lazy O(active)-memory population for N up to 10^6)")
+	fs.IntVar(&c.MeanShard, "mean-shard", 0, "virtual population's expected per-client shard size in samples (0 = 32)")
+	fs.IntVar(&c.PopCache, "pop-cache", 0, "virtual population's LRU shard-materialization cache in shards (0 = max(4*K, 64)); memory only, never results")
+	fs.StringVar(&c.Placement, "placement", "first", "attacker placement: first (the first floor(frac*N) IDs), scatter (seeded spread), sybil (contiguous burst-join block), sizecorr (proportional to shard size)")
+	fs.IntVar(&c.Groups, "groups", 0, "hierarchical aggregation with this many group aggregators (0 = flat server)")
+	fs.StringVar(&c.GroupDefense, "group-defense", "", "per-group tier-1 rule for -groups (empty = same as -defense)")
+	fs.StringVar(&c.Codec, "codec", "none", "update compression: none, raw (lossless transport reshaping), fp16 (half-precision deltas), int8 (block-scaled stochastic 8-bit deltas)")
+	fs.Float64Var(&c.TopK, "topk", 0, "keep only this fraction of largest-magnitude delta coordinates per update, in (0,1) (0 = dense; requires -codec)")
+	fs.BoolVar(&c.ErrorFeedback, "error-feedback", false, "carry each round's quantization/sparsification residual into the client's next update (requires a lossy -codec)")
+	fs.BoolVar(&c.Forensics, "forensics", false, "audit every defense decision and stream detection metrics (TPR/FPR/AUC vs ground truth); implied by -audit and -dash")
 }
 
 // Normalize fills defaults in place and validates the names.
@@ -336,7 +381,7 @@ func (c *Config) Normalize() error {
 	if c.Codec == "" && (c.TopK != 0 || c.ErrorFeedback) {
 		return fmt.Errorf("experiment: TopK/ErrorFeedback require Codec")
 	}
-	if err := c.codecSpec().Validate(); err != nil {
+	if err := c.CodecSpec().Validate(); err != nil {
 		return fmt.Errorf("experiment: %w", err)
 	}
 	return nil
@@ -384,6 +429,10 @@ type Outcome struct {
 	// dropped, straggled, responded, aggregations). Under seed averaging it
 	// is the first seed's trace, like SynthesisLoss.
 	Trace []fl.RoundStats
+	// Digest is the final global model's Digest. Under seed averaging it is
+	// the first seed's, like SynthesisLoss; a record stored before the field
+	// existed replays it empty.
+	Digest string
 	// Detection is the forensics subsystem's cumulative detection-quality
 	// summary (TPR/FPR/F1, AUC, TPR@1%FPR); nil when the run did not enable
 	// forensics or was replayed from a forensics-off store entry. Under
@@ -391,16 +440,28 @@ type Outcome struct {
 	Detection *forensics.Summary
 }
 
-// task is the resolved dataset, client source (the eager shard table or a
-// lazy virtual population) and model factory of a config.
-type task struct {
-	train    *dataset.Dataset
-	test     *dataset.Dataset
-	src      fl.ClientSource
-	newModel func(rng *rand.Rand) *nn.Network
+// Recipe is how the run a normalized Config names treats each client id:
+// its shard (the eager partition or the virtual population), its benign
+// training (round r on fl.TrainSeed's stream) and its role (the placement's
+// call; an attacker crafts from fl.AttackStream, trains the data-holding
+// attacks on client 0's shard and reports the mean shard size). run builds
+// the simulator's federation from one and flclient plays one of its
+// clients over a socket (Client), so the binaries train what Run trains.
+type Recipe struct {
+	cfg         Config
+	train, test *dataset.Dataset
+	src         fl.ClientSource
+	newModel    func(rng *rand.Rand) *nn.Network
+	atk         fl.Attack    // the simulator's instance; nil for a clean run
+	place       fl.Placement // nil for a clean run
 }
 
-func buildTask(cfg Config) (*task, error) {
+// NewRecipe normalizes cfg and resolves the run's task, client source,
+// attack and placement.
+func NewRecipe(cfg Config) (*Recipe, error) {
+	if err := cfg.Normalize(); err != nil {
+		return nil, err
+	}
 	spec, err := dataset.SpecByName(cfg.Dataset)
 	if err != nil {
 		return nil, err
@@ -412,7 +473,8 @@ func buildTask(cfg Config) (*task, error) {
 		spec.TestN = cfg.TestN
 	}
 	train, test := dataset.Generate(spec, cfg.Seed)
-	tk := &task{train: train, test: test, newModel: NewModel(spec)}
+	r := &Recipe{cfg: cfg, train: train, test: test, newModel: NewModel(spec)}
+	var pop *population.Population
 	if cfg.Population == "virtual" {
 		kind := population.IID
 		switch {
@@ -423,35 +485,86 @@ func buildTask(cfg Config) (*task, error) {
 		}
 		cache := cfg.PopCache
 		if cache == 0 {
-			cache = 4 * cfg.PerRound
-			if cache < 64 {
-				cache = 64
-			}
+			cache = max(4*cfg.PerRound, 64)
 		}
-		pop, err := population.New(population.Spec{
-			Kind:         kind,
-			TotalClients: cfg.TotalClients,
-			Seed:         cfg.Seed ^ 0x7054,
-			Beta:         cfg.Beta,
-			MeanShard:    cfg.MeanShard,
-			Cache:        cache,
-		}, train)
+		pop, err = population.New(population.Spec{Kind: kind, TotalClients: cfg.TotalClients,
+			Seed: cfg.Seed ^ 0x7054, Beta: cfg.Beta, MeanShard: cfg.MeanShard, Cache: cache}, train)
 		if err != nil {
 			return nil, err
 		}
-		tk.src = pop
+		r.src = pop
 	} else {
 		prng := rand.New(rand.NewSource(cfg.Seed ^ 0x7054))
 		switch {
 		case cfg.Partition == "quantity":
-			tk.src = fl.Shards(dataset.PartitionQuantity(prng, train.Len(), cfg.TotalClients, cfg.Beta))
+			r.src = fl.Shards(dataset.PartitionQuantity(prng, train.Len(), cfg.TotalClients, cfg.Beta))
 		case cfg.Beta > 0:
-			tk.src = fl.Shards(dataset.PartitionDirichlet(prng, train.Labels, cfg.TotalClients, cfg.Beta))
+			r.src = fl.Shards(dataset.PartitionDirichlet(prng, train.Labels, cfg.TotalClients, cfg.Beta))
 		default:
-			tk.src = fl.Shards(dataset.PartitionIID(prng, train.Len(), cfg.TotalClients))
+			r.src = fl.Shards(dataset.PartitionIID(prng, train.Len(), cfg.TotalClients))
 		}
 	}
-	return tk, nil
+	// The data-holding attacks train on client 0's shard: a representative
+	// client-sized sample with the benign users' assignment, independently
+	// of which IDs the placement model actually compromises.
+	if r.atk, err = r.attack(); err != nil {
+		return nil, err
+	}
+	if r.atk != nil {
+		if r.place, err = population.PlacementByName(cfg.Placement, cfg.TotalClients,
+			cfg.AttackerFrac, cfg.Seed^0x506C61, pop); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
+}
+
+// attack builds a fresh instance of the run's attack, nil for a clean run.
+func (r *Recipe) attack() (fl.Attack, error) {
+	return NewAttack(r.cfg, r.train, r.src.Shard(0))
+}
+
+// Networked reports whether every client of the run can play its part over
+// a socket: an attack that crafts from the round's benign updates cannot.
+func (r *Recipe) Networked() error {
+	if _, oracle := r.atk.(fl.OracleAttack); oracle {
+		return fmt.Errorf("experiment: attack %q crafts from the round's benign updates, but a networked adversary sees only the broadcast models; use a data-free attack such as dfa-r", r.cfg.Attack)
+	}
+	return nil
+}
+
+// Client is client id of the run played over a socket, with the role it
+// plays ("benign" or the attack's name): honest training of its shard, or,
+// where the placement puts an attacker, a fresh instance of the attack.
+func (r *Recipe) Client(id int) (flnet.Trainer, string, error) {
+	cfg := r.cfg
+	if id < 0 || id >= cfg.TotalClients {
+		return nil, "", fmt.Errorf("experiment: client %d is not one of the run's %d clients", id, cfg.TotalClients)
+	}
+	if r.place == nil || !r.place.IsMalicious(id) {
+		return flnet.NewBenignTrainer(r.train, r.src.Shard(id), r.newModel, cfg.LR, cfg.LocalEpochs, cfg.BatchSize, cfg.Seed, id), "benign", nil
+	}
+	if err := r.Networked(); err != nil {
+		return nil, "", err
+	}
+	atk, err := r.attack()
+	if err != nil {
+		return nil, "", err
+	}
+	return flnet.NewAttackTrainer(atk, r.newModel, fl.AttackStream(cfg.Seed), r.src.MeanShardSize()), cfg.Attack, nil
+}
+
+// Digest is the first 16 hex digits of SHA-256 over a weight vector's
+// Float64bits, little-endian: Outcome.Digest, and the digest flsim,
+// flserver and flclient print for their final model.
+func Digest(weights []float64) string {
+	h := sha256.New()
+	var word [8]byte
+	for _, v := range weights {
+		binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+		h.Write(word[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
 // NewModel returns the model factory of a dataset: the paper's deep CNN for
@@ -640,21 +753,12 @@ func Run(cfg Config) (*Outcome, error) { return run(cfg, nil) }
 // its decision audit — when the config or the watch asks for one — is
 // journaled and served by the plane. A nil plane changes no result bit.
 func run(cfg Config, p *Plane) (*Outcome, error) {
-	if err := cfg.Normalize(); err != nil {
-		return nil, err
-	}
-	tk, err := buildTask(cfg)
+	r, err := NewRecipe(cfg)
 	if err != nil {
 		return nil, err
 	}
-	// The data-holding attacks train on client 0's shard: a representative
-	// client-sized sample with the benign users' assignment, independently
-	// of which IDs the placement model actually compromises.
-	atk, err := NewAttack(cfg, tk.train, tk.src.Shard(0))
-	if err != nil {
-		return nil, err
-	}
-	agg, err := NewDefense(cfg, tk.test)
+	cfg = r.cfg
+	agg, err := NewDefense(cfg, r.test)
 	if err != nil {
 		return nil, err
 	}
@@ -681,28 +785,19 @@ func run(cfg Config, p *Plane) (*Outcome, error) {
 		Seed:         cfg.Seed,
 		EvalLimit:    cfg.EvalLimit,
 		Parallel:     cfg.Parallel,
-		Scenario:     BuildScenario(cfg, tk.src),
-		Codec:        cfg.codecSpec(),
+		Scenario:     BuildScenario(cfg, r.src),
+		Codec:        cfg.CodecSpec(),
 		Telemetry:    p.Engine(""),
 	}
 	if col != nil {
 		flCfg.Observer = col
 	}
-	pop, _ := tk.src.(*population.Population)
-	if pop != nil && flCfg.Scenario.Sampler == nil {
+	if _, lazy := r.src.(*population.Population); lazy && flCfg.Scenario.Sampler == nil {
 		// The engine's default, fl.UniformSampler, permutes all N IDs per
 		// round: 8 MB at N = 10⁶, the O(N) cost the virtual backend avoids.
 		flCfg.Scenario.Sampler = population.FloydSampler{K: cfg.PerRound}
 	}
-	var place fl.Placement
-	if atk != nil {
-		place, err = population.PlacementByName(cfg.Placement, cfg.TotalClients,
-			cfg.AttackerFrac, cfg.Seed^0x506C61, pop)
-		if err != nil {
-			return nil, err
-		}
-	}
-	sim, err := fl.NewSimulation(flCfg, tk.train, tk.test, tk.src, place, tk.newModel, agg, atk)
+	sim, err := fl.NewSimulation(flCfg, r.train, r.test, r.src, r.place, r.newModel, agg, r.atk)
 	if err != nil {
 		return nil, err
 	}
@@ -717,12 +812,13 @@ func run(cfg Config, p *Plane) (*Outcome, error) {
 		FinalAcc: res.FinalAccuracy,
 		ASR:      math.NaN(),
 		DPR:      res.DPR(),
+		Digest:   Digest(sim.GlobalWeights()),
 	}
 	for _, rs := range res.Rounds {
 		out.AccTimeline = append(out.AccTimeline, rs.Accuracy)
 	}
 	out.Trace = res.Rounds
-	if tracer, ok := atk.(lossTracer); ok {
+	if tracer, ok := r.atk.(lossTracer); ok {
 		out.SynthesisLoss = tracer.LossTrace()
 	}
 	if col != nil {

@@ -64,7 +64,7 @@ func TestOracleDeclarationMatchesBehaviour(t *testing.T) {
 		if err := cfg.Normalize(); err != nil {
 			t.Fatal(err)
 		}
-		tk, err := buildTask(cfg)
+		tk, err := NewRecipe(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestOracleDeclarationMatchesBehaviour(t *testing.T) {
 		// A fresh attack and an equally seeded stream per craft, so the
 		// benign updates are the only thing that differs.
 		craft := func(benign [][]float64) [][]float64 {
-			atk, err := NewAttack(cfg, tk.train, tk.src.Shard(0))
+			atk, err := tk.attack()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,11 +96,7 @@ func TestOracleDeclarationMatchesBehaviour(t *testing.T) {
 			return out
 		}
 		reads := !reflect.DeepEqual(craft(nil), craft(benign))
-		atk, err := NewAttack(cfg, tk.train, tk.src.Shard(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, declares := atk.(fl.OracleAttack)
+		_, declares := tk.atk.(fl.OracleAttack)
 		if reads != declares {
 			t.Errorf("%s: output depends on BenignUpdates = %v, implements fl.OracleAttack = %v", name, reads, declares)
 		}

@@ -72,6 +72,7 @@ type storedOutcome struct {
 	SynthesisLoss [][]*float64       `json:"synthesisLoss,omitempty"`
 	Trace         []storedRound      `json:"trace,omitempty"`
 	Detection     *forensics.Summary `json:"detection,omitempty"`
+	Digest        string             `json:"digest,omitempty"`
 }
 
 // Detection travels as *forensics.Summary directly: Summary owns its own
@@ -138,6 +139,7 @@ func encodeOutcome(o *Outcome) storedOutcome {
 		DPR:         encFloat(o.DPR),
 		AccTimeline: encFloats(o.AccTimeline),
 		Detection:   o.Detection,
+		Digest:      o.Digest,
 	}
 	if o.SynthesisLoss != nil {
 		s.SynthesisLoss = make([][]*float64, len(o.SynthesisLoss))
@@ -174,6 +176,7 @@ func decodeOutcome(s storedOutcome) *Outcome {
 		DPR:         decFloat(s.DPR),
 		AccTimeline: decFloats(s.AccTimeline),
 		Detection:   s.Detection,
+		Digest:      s.Digest,
 	}
 	if s.SynthesisLoss != nil {
 		o.SynthesisLoss = make([][]float64, len(s.SynthesisLoss))

@@ -14,10 +14,11 @@ import (
 //
 // A client does not have to own a model: TrainWith trains on a model its
 // caller passes, so a 100-client population does not hold 100 model
-// replicas. Standalone clients (the network protocol, examples) construct
-// one with a model and call Train. The simulation's training workers are
-// BenignClients too, each re-targeted at every client it trains, so the
-// shuffle order, the minibatch and the RNG are reused across clients.
+// replicas. Its randomness is the rng it was built with; a caller that
+// trains rounds reseeds that rng with TrainSeed before each one, so round r
+// of client id draws the same stream wherever it is trained. The
+// simulation's training workers are BenignClients re-targeted at every
+// client they train, and flnet.BenignTrainer is one client over a socket.
 type BenignClient struct {
 	id          int
 	data        *dataset.Dataset
@@ -35,9 +36,9 @@ type BenignClient struct {
 	labels []int
 }
 
-// NewBenignClient creates a client training on data[shard]. model may be
-// nil when every caller provides the model via TrainWith; a non-nil model
-// is owned by the client and gets a scratch arena attached.
+// NewBenignClient creates a client training on data[shard] with the
+// training stream rng. model may be nil when the caller keeps the models
+// it passes to TrainWith; a non-nil model gets a scratch arena attached.
 func NewBenignClient(id int, data *dataset.Dataset, shard []int, model *nn.Network, lr float64, localEpochs, batchSize int, rng *rand.Rand) *BenignClient {
 	if model != nil && model.Scratch() == nil {
 		model.SetScratch(tensor.NewPool())
@@ -54,28 +55,22 @@ func NewBenignClient(id int, data *dataset.Dataset, shard []int, model *nn.Netwo
 	}
 }
 
-// Train runs local training from the given global weights on the client's
-// own model and returns the client's update.
-func (c *BenignClient) Train(global []float64) (Update, error) {
-	return c.TrainWith(global, c.model)
-}
-
 // TrainWith runs local training from the given global weights on the
 // provided model (typically a reused worker model). The model's parameters
 // are fully overwritten before training, so which worker trains which
-// client never influences the result; the client's private randomness
-// drives the shard shuffle exactly as if it owned the model. The update's
-// weight vector is freshly allocated: the caller owns it.
+// client never influences the result; the client's stream drives the shard
+// shuffle. The update's weight vector is freshly allocated: the caller owns
+// it.
 func (c *BenignClient) TrainWith(global []float64, model *nn.Network) (Update, error) {
 	return c.trainInto(make([]float64, 0, model.NumParams()), global, model)
 }
 
-// retarget points the client at client id: its shard (shared, and only ever
-// read) and its training stream, seeded in place — the same stream
-// rand.New(rand.NewSource(seed)) yields.
-func (c *BenignClient) retarget(id int, shard []int, seed int64) {
+// retarget points the client at round of client id of the run seeded seed:
+// its shard (shared, and only ever read) and its training stream, seeded in
+// place.
+func (c *BenignClient) retarget(seed int64, round, id int, shard []int) {
 	c.id, c.shard = id, shard
-	c.rng.Seed(seed)
+	c.rng.Seed(TrainSeed(seed, round, id))
 }
 
 // trainInto is TrainWith writing the weights into dst's storage, which

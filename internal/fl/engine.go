@@ -165,7 +165,7 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 	// selRng and atkRng keep their pre-engine seeds (bit-compatibility),
 	// partRng and asyncRng are consumed only by non-default scenarios.
 	selRng := rand.New(rand.NewSource(e.Seed ^ 0x5DEECE66D))
-	atkRng := rand.New(rand.NewSource(e.Seed ^ 0x2545F4914F6CDD1D))
+	atkRng := AttackStream(e.Seed)
 	partRng := rand.New(rand.NewSource(e.Seed ^ 0x6A09E667F3BCC909))
 	asyncRng := rand.New(rand.NewSource(e.Seed ^ 0x3C6EF372FE94F82A))
 

@@ -5,8 +5,3 @@ package fl
 func (s *Simulation) RunThrough(wrap func(Transport) Transport) (*Result, error) {
 	return s.run(wrap(s))
 }
-
-// GlobalWeights returns a copy of the current global weight vector.
-func (s *Simulation) GlobalWeights() []float64 {
-	return s.global.WeightVector()
-}

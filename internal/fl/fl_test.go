@@ -278,7 +278,7 @@ func TestBenignClientTrains(t *testing.T) {
 	if c.id != 0 || len(c.shard) != len(shards[0]) {
 		t.Fatalf("client id %d with %d samples, want 0 with %d", c.id, len(c.shard), len(shards[0]))
 	}
-	u, err := c.Train(global)
+	u, err := c.TrainWith(global, model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestBenignClientTrains(t *testing.T) {
 		t.Fatal("training produced identical weights")
 	}
 	// Wrong-length global must error.
-	if _, err := c.Train(global[:10]); err == nil {
+	if _, err := c.TrainWith(global[:10], model); err == nil {
 		t.Fatal("expected error for truncated global vector")
 	}
 }

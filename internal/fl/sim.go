@@ -241,6 +241,12 @@ func (s *Simulation) run(tr Transport) (*Result, error) {
 	return res, nil
 }
 
+// GlobalWeights returns a copy of the current global weight vector: after
+// Run, the final model.
+func (s *Simulation) GlobalWeights() []float64 {
+	return s.global.WeightVector()
+}
+
 // Mix64 is the SplitMix64 finalizer over two mixed words: a cheap,
 // high-quality hash from (seed, client) to an RNG seed. The population
 // package derives its per-client shard streams from the same function.
@@ -254,15 +260,28 @@ func Mix64(a, b uint64) int64 {
 	return int64(x >> 1) // rand.NewSource ignores sign; keep it non-negative for readability
 }
 
-// trainClient trains client id for one round on one worker model. The
-// client's training randomness is a pure function of (seed, round, id) —
-// persistent per-client RNGs cannot exist for a million clients — so results
-// are independent of which clients earlier rounds touched, of shard
-// materialization and of scheduling order. The 0x7 tag keeps the stream
-// disjoint from the population's per-client shard-derivation streams.
-// worker is re-targeted at the client and writes the weights into dst.
+// TrainSeed seeds client id's training stream for round of a run seeded
+// seed: a pure function of (seed, round, id), so a round's result does not
+// depend on earlier rounds, scheduling or where the client trains — the
+// simulator's workers and flnet.BenignTrainer draw one stream, and a
+// restarted client retrains a round exactly. The 0x7 tag keeps it disjoint
+// from the population's shard-derivation streams.
+func TrainSeed(seed int64, round, id int) int64 {
+	return Mix64(uint64(seed)^uint64(round)*0x9E3779B97F4A7C15, uint64(id)<<8|0x7)
+}
+
+// AttackStream is the adversary's craft stream of a run seeded seed: the
+// engine's in-process crafts draw from it, and so does each networked
+// attacker of the same run.
+func AttackStream(seed int64) *rand.Rand {
+	return rand.New(rand.NewSource(seed ^ 0x2545F4914F6CDD1D))
+}
+
+// trainClient trains client id for one round on one worker model: the
+// worker is re-targeted at the client's shard and TrainSeed stream and
+// writes the weights into dst.
 func (s *Simulation) trainClient(round, id int, global, dst []float64, worker *BenignClient) (Update, error) {
-	worker.retarget(id, s.src.Shard(id), Mix64(uint64(s.cfg.Seed)^uint64(round)*0x9E3779B97F4A7C15, uint64(id)<<8|0x7))
+	worker.retarget(s.cfg.Seed, round, id, s.src.Shard(id))
 	return worker.trainInto(dst, global, worker.model)
 }
 

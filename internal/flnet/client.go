@@ -27,23 +27,35 @@ type Trainer interface {
 	Train(round int, global, prevGlobal []float64) (weights []float64, numSamples int, err error)
 }
 
-// BenignTrainer runs honest local SGD on a private shard (Eq. 1).
+// BenignTrainer runs honest local SGD on a private shard (Eq. 1) as client
+// id of a run seeded seed: round r trains on fl.TrainSeed's stream, the one
+// the simulator's workers draw for the same client and round, so a client
+// trains what the simulator trains and a restarted client retrains a round
+// exactly.
 type BenignTrainer struct {
 	client *fl.BenignClient
+	model  *nn.Network
+	rng    *rand.Rand
+	seed   int64
+	id     int
 }
 
 var _ Trainer = (*BenignTrainer)(nil)
 
-// NewBenignTrainer builds the honest behaviour over data[shard].
-func NewBenignTrainer(data *dataset.Dataset, shard []int, newModel func(rng *rand.Rand) *nn.Network, lr float64, localEpochs, batchSize int, rng *rand.Rand) *BenignTrainer {
+// NewBenignTrainer builds client id's honest behaviour over data[shard].
+func NewBenignTrainer(data *dataset.Dataset, shard []int, newModel func(rng *rand.Rand) *nn.Network, lr float64, localEpochs, batchSize int, seed int64, id int) *BenignTrainer {
+	rng := rand.New(rand.NewSource(seed))
+	model := newModel(rng)
 	return &BenignTrainer{
-		client: fl.NewBenignClient(0, data, shard, newModel(rng), lr, localEpochs, batchSize, rng),
+		client: fl.NewBenignClient(id, data, shard, model, lr, localEpochs, batchSize, rng),
+		model:  model, rng: rng, seed: seed, id: id,
 	}
 }
 
 // Train implements Trainer.
-func (t *BenignTrainer) Train(_ int, global, _ []float64) ([]float64, int, error) {
-	u, err := t.client.Train(global)
+func (t *BenignTrainer) Train(round int, global, _ []float64) ([]float64, int, error) {
+	t.rng.Seed(fl.TrainSeed(t.seed, round, t.id))
+	u, err := t.client.TrainWith(global, t.model)
 	if err != nil {
 		return nil, 0, err
 	}

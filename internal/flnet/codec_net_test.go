@@ -62,8 +62,7 @@ func runCodecFederation(t *testing.T, cfg ServerConfig, agg fl.Aggregator, clien
 	addr := lis.Addr().String()
 	clients := make([]*Client, n)
 	for i, cs := range clientSpecs {
-		rng := rand.New(rand.NewSource(int64(100 + i)))
-		var trainer Trainer = NewBenignTrainer(train, shards[i], newModel, 0.05, 1, 8, rng)
+		var trainer Trainer = NewBenignTrainer(train, shards[i], newModel, 0.05, 1, 8, 100, i)
 		if wrap != nil {
 			trainer = wrap(i, trainer)
 		}
@@ -269,8 +268,7 @@ func TestCodecNegotiationReject(t *testing.T) {
 
 	addr := lis.Addr().String()
 	mk := func(i int) Trainer {
-		rng := rand.New(rand.NewSource(int64(40 + i)))
-		return NewBenignTrainer(train, shards[i], newModel, 0.05, 1, 8, rng)
+		return NewBenignTrainer(train, shards[i], newModel, 0.05, 1, 8, 40, i)
 	}
 
 	// A client requesting a codec the server does not serve must get the

@@ -54,8 +54,7 @@ func (f *netFixture) listen(t *testing.T) net.Listener {
 
 // runBenign dials and serves one honest client until the server finishes.
 func (f *netFixture) runBenign(addr string, shard int, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	trainer := NewBenignTrainer(f.train, f.shards[shard], f.newModel, 0.05, 1, 8, rng)
+	trainer := NewBenignTrainer(f.train, f.shards[shard], f.newModel, 0.05, 1, 8, seed, shard)
 	client, err := DialCodec(addr, trainer, 10*time.Second, codec.Spec{})
 	if err != nil {
 		return

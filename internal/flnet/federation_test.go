@@ -46,8 +46,7 @@ func runTenantClients(t testing.TB, addr string, tn tenant, train *dataset.Datas
 	t.Helper()
 	var wg sync.WaitGroup
 	for i := 0; i < tn.cfg.MinClients; i++ {
-		rng := rand.New(rand.NewSource(int64(100 + i)))
-		trainer := NewBenignTrainer(train, shards[i], newModel, 0.05, 1, 8, rng)
+		trainer := NewBenignTrainer(train, shards[i], newModel, 0.05, 1, 8, 100, i)
 		client, err := DialFederation(addr, tn.id, trainer, 10*time.Second, tn.spec)
 		if err != nil {
 			t.Fatalf("tenant %q client %d: %v", tn.id, i, err)

@@ -190,10 +190,9 @@ func TestEndToEndTraining(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(100 + i)))
 			var trainer Trainer
 			if i < 6 {
-				trainer = NewBenignTrainer(train, shards[i], newModel, 0.05, 1, 8, rng)
+				trainer = NewBenignTrainer(train, shards[i], newModel, 0.05, 1, 8, int64(100+i), i)
 			} else {
 				dfa, err := core.NewDFAR(core.DFAConfig{
 					Classes:         spec.Classes,
@@ -207,7 +206,7 @@ func TestEndToEndTraining(t *testing.T) {
 					errs[i] = err
 					return
 				}
-				trainer = NewAttackTrainer(dfa, newModel, rng, 40)
+				trainer = NewAttackTrainer(dfa, newModel, rand.New(rand.NewSource(int64(100+i))), 40)
 			}
 			client, err := DialCodec(addr, trainer, 10*time.Second, codec.Spec{})
 			if err != nil {
@@ -292,8 +291,7 @@ func TestStragglerToleration(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(10 + i)))
-			trainer := NewBenignTrainer(train, shards[i], newModel, 0.05, 1, 8, rng)
+			trainer := NewBenignTrainer(train, shards[i], newModel, 0.05, 1, 8, int64(10+i), i)
 			client, err := DialCodec(addr, trainer, 5*time.Second, codec.Spec{})
 			if err != nil {
 				return
@@ -384,8 +382,7 @@ func TestServerRejectsBadHandshake(t *testing.T) {
 	_ = bogus.Close()
 
 	// A real client arrives afterwards and completes the session.
-	rng := rand.New(rand.NewSource(9))
-	trainer := NewBenignTrainer(train, shards[0], newModel, 0.05, 1, 8, rng)
+	trainer := NewBenignTrainer(train, shards[0], newModel, 0.05, 1, 8, 9, 0)
 	client, err := DialCodec(addr, trainer, 5*time.Second, codec.Spec{})
 	if err != nil {
 		t.Fatal(err)

@@ -17,8 +17,9 @@ import (
 	"repro/internal/persist"
 )
 
-// runCheckpointedFederation runs a 2-client federation for the given total
-// round budget against a shared checkpoint path and returns the result.
+// runCheckpointedFederation runs a 2-client FedAvg federation with the plain
+// server optimizer for the given total round budget against a shared
+// checkpoint path, with fresh clients, and returns the result.
 func runCheckpointedFederation(t *testing.T, ckpt string, rounds int) *ServerResult {
 	t.Helper()
 	spec := dataset.TinySpec()
@@ -57,23 +58,21 @@ func runCheckpointedFederation(t *testing.T, ckpt string, rounds int) *ServerRes
 		serverDone <- serveOut{res, err}
 	}()
 
-	addr := lis.Addr().String()
+	// Sequential joins get sequential IDs, so client i trains shard i.
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
+		trainer := NewBenignTrainer(train, shards[i], newModel, 0.05, 1, 8, 20, i)
+		client, err := DialCodec(lis.Addr().String(), trainer, 10*time.Second, codec.Spec{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(20 + i)))
-			trainer := NewBenignTrainer(train, shards[i], newModel, 0.05, 1, 8, rng)
-			client, err := DialCodec(addr, trainer, 10*time.Second, codec.Spec{})
-			if err != nil {
-				t.Error(err)
-				return
-			}
 			if _, err := client.Run(); err != nil {
 				t.Error(err)
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
 	out := <-serverDone
@@ -121,6 +120,25 @@ func TestServerResumesFromCheckpoint(t *testing.T) {
 	}
 	if res3.Rounds[0].Round != 2 || res3.Rounds[1].Round != 3 {
 		t.Fatalf("resumed rounds %d,%d, want 2,3", res3.Rounds[0].Round, res3.Rounds[1].Round)
+	}
+}
+
+// TestResumedFederationIsExact kills a checkpointed federation after round
+// 2 and restarts it with fresh clients: it must end on the uninterrupted
+// run's weights bit for bit. The checkpoint carries the server's state, and
+// a benign client trains round r on its per-(seed, round, id) stream, so a
+// restarted one retrains the remaining rounds exactly.
+func TestResumedFederationIsExact(t *testing.T) {
+	dir := t.TempDir()
+	whole := runCheckpointedFederation(t, filepath.Join(dir, "whole.ckpt"), 4)
+	ckpt := filepath.Join(dir, "killed.ckpt")
+	runCheckpointedFederation(t, ckpt, 2)
+	resumed := runCheckpointedFederation(t, ckpt, 4)
+	if len(resumed.Rounds) != 2 {
+		t.Fatalf("resumed federation ran %d rounds, want the 2 remaining", len(resumed.Rounds))
+	}
+	if got, want := weightsDigest(resumed.FinalWeights), weightsDigest(whole.FinalWeights); got != want {
+		t.Fatalf("resumed final weights %s, uninterrupted %s", got, want)
 	}
 }
 
