@@ -221,6 +221,155 @@ sq3done:
 	VZEROUPPER
 	RET
 
+// func avx512SqDist2x4Blocks(a0, a1, b0, b1, b2, b3, sums *float64, blocks int)
+//
+// The two-row form of avxSqDist3Blocks for AVX-512: the squared distances of
+// rows a0, a1 to partners b0..b3, eight pairs per pass over blocks*16
+// elements, each block of a row loaded once for four partners and each
+// block of a partner once for two rows. Pair p = 4r+c (row r, partner c)
+// keeps avxSqDistBlocks' sixteen lanes in two accumulators: Z(2p) holds
+// lanes 0..7, which are its Y0|Y1, and Z(2p+1) lanes 8..15, which are
+// Y2|Y3. The reduction is avxSqDistBlocks' (Y0+Y1)+(Y2+Y3), written to
+// sums[4p:4p+4], so every pair's lanes are bit-identical to an
+// avxSqDistBlocks call on that pair. Z16..Z19 hold the rows' blocks,
+// Z20..Z31 two alternating sets of a partner block and four differences.
+TEXT ·avx512SqDist2x4Blocks(SB), NOSPLIT, $0-64
+	MOVQ a0+0(FP), SI
+	MOVQ a1+8(FP), DI
+	MOVQ b0+16(FP), R8
+	MOVQ b1+24(FP), R9
+	MOVQ b2+32(FP), R10
+	MOVQ b3+40(FP), R11
+	MOVQ sums+48(FP), DX
+	MOVQ blocks+56(FP), CX
+	XORQ AX, AX             // byte offset of the block
+
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+
+	TESTQ CX, CX
+	JZ    sq24done
+
+sq24loop:
+	VMOVUPD (SI)(AX*1), Z16   // a0 lanes 0..7
+	VMOVUPD 64(SI)(AX*1), Z17 // a0 lanes 8..15
+	VMOVUPD (DI)(AX*1), Z18   // a1 lanes 0..7
+	VMOVUPD 64(DI)(AX*1), Z19 // a1 lanes 8..15
+
+	VMOVUPD (R8)(AX*1), Z20
+	VMOVUPD 64(R8)(AX*1), Z21
+	VSUBPD  Z20, Z16, Z22
+	VSUBPD  Z21, Z17, Z23
+	VSUBPD  Z20, Z18, Z24
+	VSUBPD  Z21, Z19, Z25
+	VFMADD231PD Z22, Z22, Z0
+	VFMADD231PD Z23, Z23, Z1
+	VFMADD231PD Z24, Z24, Z8
+	VFMADD231PD Z25, Z25, Z9
+
+	VMOVUPD (R9)(AX*1), Z26
+	VMOVUPD 64(R9)(AX*1), Z27
+	VSUBPD  Z26, Z16, Z28
+	VSUBPD  Z27, Z17, Z29
+	VSUBPD  Z26, Z18, Z30
+	VSUBPD  Z27, Z19, Z31
+	VFMADD231PD Z28, Z28, Z2
+	VFMADD231PD Z29, Z29, Z3
+	VFMADD231PD Z30, Z30, Z10
+	VFMADD231PD Z31, Z31, Z11
+
+	VMOVUPD (R10)(AX*1), Z20
+	VMOVUPD 64(R10)(AX*1), Z21
+	VSUBPD  Z20, Z16, Z22
+	VSUBPD  Z21, Z17, Z23
+	VSUBPD  Z20, Z18, Z24
+	VSUBPD  Z21, Z19, Z25
+	VFMADD231PD Z22, Z22, Z4
+	VFMADD231PD Z23, Z23, Z5
+	VFMADD231PD Z24, Z24, Z12
+	VFMADD231PD Z25, Z25, Z13
+
+	VMOVUPD (R11)(AX*1), Z26
+	VMOVUPD 64(R11)(AX*1), Z27
+	VSUBPD  Z26, Z16, Z28
+	VSUBPD  Z27, Z17, Z29
+	VSUBPD  Z26, Z18, Z30
+	VSUBPD  Z27, Z19, Z31
+	VFMADD231PD Z28, Z28, Z6
+	VFMADD231PD Z29, Z29, Z7
+	VFMADD231PD Z30, Z30, Z14
+	VFMADD231PD Z31, Z31, Z15
+
+	ADDQ $128, AX
+	DECQ CX
+	JNZ  sq24loop
+
+sq24done:
+	VEXTRACTF64X4 $1, Z0, Y16
+	VADDPD Z16, Z0, Z0     // lanes 0..3: Y0+Y1
+	VEXTRACTF64X4 $1, Z1, Y17
+	VADDPD Z17, Z1, Z1     // lanes 0..3: Y2+Y3
+	VADDPD Z1, Z0, Z0
+	VMOVUPD Y0, (DX)
+	VEXTRACTF64X4 $1, Z2, Y16
+	VADDPD Z16, Z2, Z2
+	VEXTRACTF64X4 $1, Z3, Y17
+	VADDPD Z17, Z3, Z3
+	VADDPD Z3, Z2, Z2
+	VMOVUPD Y2, 32(DX)
+	VEXTRACTF64X4 $1, Z4, Y16
+	VADDPD Z16, Z4, Z4
+	VEXTRACTF64X4 $1, Z5, Y17
+	VADDPD Z17, Z5, Z5
+	VADDPD Z5, Z4, Z4
+	VMOVUPD Y4, 64(DX)
+	VEXTRACTF64X4 $1, Z6, Y16
+	VADDPD Z16, Z6, Z6
+	VEXTRACTF64X4 $1, Z7, Y17
+	VADDPD Z17, Z7, Z7
+	VADDPD Z7, Z6, Z6
+	VMOVUPD Y6, 96(DX)
+	VEXTRACTF64X4 $1, Z8, Y16
+	VADDPD Z16, Z8, Z8
+	VEXTRACTF64X4 $1, Z9, Y17
+	VADDPD Z17, Z9, Z9
+	VADDPD Z9, Z8, Z8
+	VMOVUPD Y8, 128(DX)
+	VEXTRACTF64X4 $1, Z10, Y16
+	VADDPD Z16, Z10, Z10
+	VEXTRACTF64X4 $1, Z11, Y17
+	VADDPD Z17, Z11, Z11
+	VADDPD Z11, Z10, Z10
+	VMOVUPD Y10, 160(DX)
+	VEXTRACTF64X4 $1, Z12, Y16
+	VADDPD Z16, Z12, Z12
+	VEXTRACTF64X4 $1, Z13, Y17
+	VADDPD Z17, Z13, Z13
+	VADDPD Z13, Z12, Z12
+	VMOVUPD Y12, 192(DX)
+	VEXTRACTF64X4 $1, Z14, Y16
+	VADDPD Z16, Z14, Z14
+	VEXTRACTF64X4 $1, Z15, Y17
+	VADDPD Z17, Z15, Z15
+	VADDPD Z15, Z14, Z14
+	VMOVUPD Y14, 224(DX)
+	VZEROUPPER
+	RET
+
 // func avxDotBlocks(a, b, sums *float64, blocks int)
 //
 // Accumulates the dot product of blocks*16 elements into sums[0:4].

@@ -4,7 +4,7 @@ package tensor
 
 // Non-amd64 (or purego) builds always use the scalar blocked kernels.
 
-var simdOn = false
+var simdOn, avx512On = false, false
 
 func simdWorthIt(m, k, n int) bool { return false }
 
@@ -20,6 +20,10 @@ func sqDistSIMD(a, b []float64) float64 { panic("tensor: sqDistSIMD unavailable"
 
 func sqDist3SIMD(a, b0, b1, b2 []float64) (d0, d1, d2 float64) {
 	panic("tensor: sqDist3SIMD unavailable")
+}
+
+func sqDist2x4SIMD(a0, a1 []float64, bs [][]float64, out0, out1 []float64) {
+	panic("tensor: sqDist2x4SIMD unavailable")
 }
 
 func dotSIMD(a, b []float64) float64 { panic("tensor: dotSIMD unavailable") }

@@ -20,6 +20,18 @@ func xgetbv0() (eax, edx uint32)
 
 var simdOn = detectAVX2FMA()
 
+// avx512On selects the two-row distance kernel: AVX-512F on a CPU whose OS
+// saves the opmask and all 32 ZMM registers (XCR0 bits 1, 2 and 5..7).
+var avx512On = simdOn && detectAVX512F()
+
+func detectAVX512F() bool {
+	if xa, _ := xgetbv0(); xa&0xE6 != 0xE6 {
+		return false
+	}
+	_, b7, _, _ := cpuidx(7, 0)
+	return b7&(1<<16) != 0
+}
+
 func detectAVX2FMA() bool {
 	maxID, _, _, _ := cpuidx(0, 0)
 	if maxID < 7 {
@@ -175,6 +187,9 @@ func avxSqDistBlocks(a, b, sums *float64, blocks int)
 func avxSqDist3Blocks(a, b0, b1, b2, sums *float64, blocks int)
 
 //go:noescape
+func avx512SqDist2x4Blocks(a0, a1, b0, b1, b2, b3, sums *float64, blocks int)
+
+//go:noescape
 func avxDotBlocks(a, b, sums *float64, blocks int)
 
 //go:noescape
@@ -194,11 +209,26 @@ func sqDist3SIMD(a, b0, b1, b2 []float64) (d0, d1, d2 float64) {
 	blocks := len(a) >> 4
 	var sums [12]float64
 	avxSqDist3Blocks(&a[0], &b0[0], &b1[0], &b2[0], &sums[0], blocks)
-	t0, t1, t2 := sqDist3Scalar(a, b0, b1, b2, blocks<<4)
-	d0 = ((sums[0] + sums[1]) + sums[2]) + sums[3] + t0
-	d1 = ((sums[4] + sums[5]) + sums[6]) + sums[7] + t1
-	d2 = ((sums[8] + sums[9]) + sums[10]) + sums[11] + t2
+	i := blocks << 4
+	d0 = ((sums[0] + sums[1]) + sums[2]) + sums[3] + sqDistScalar(a, b0, i)
+	d1 = ((sums[4] + sums[5]) + sums[6]) + sums[7] + sqDistScalar(a, b1, i)
+	d2 = ((sums[8] + sums[9]) + sums[10]) + sums[11] + sqDistScalar(a, b2, i)
 	return d0, d1, d2
+}
+
+// sqDist2x4SIMD adds the distances of rows a0, a1 to partners bs[0:4] to
+// out0[0:4] and out1[0:4], with sqDistSIMD's reduction and scalar tail per
+// pair.
+func sqDist2x4SIMD(a0, a1 []float64, bs [][]float64, out0, out1 []float64) {
+	blocks := len(a0) >> 4
+	var sums [32]float64
+	avx512SqDist2x4Blocks(&a0[0], &a1[0], &bs[0][0], &bs[1][0], &bs[2][0], &bs[3][0], &sums[0], blocks)
+	for c, b := range bs[:4] {
+		s := sums[4*c : 4*c+4]
+		out0[c] += ((s[0] + s[1]) + s[2]) + s[3] + sqDistScalar(a0, b, blocks<<4)
+		s = sums[16+4*c : 20+4*c]
+		out1[c] += ((s[0] + s[1]) + s[2]) + s[3] + sqDistScalar(a1, b, blocks<<4)
+	}
 }
 
 func dotSIMD(a, b []float64) float64 {

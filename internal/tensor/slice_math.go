@@ -6,7 +6,10 @@ package tensor
 // These are the primitives the shared distance-matrix service and the
 // aggregation rules are built on.
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 func checkSameLen(op string, a, b []float64) {
 	if len(a) != len(b) {
@@ -17,36 +20,95 @@ func checkSameLen(op string, a, b []float64) {
 // SqDistSlice returns the squared Euclidean distance between a and b.
 func SqDistSlice(a, b []float64) float64 {
 	checkSameLen("SqDistSlice", a, b)
-	if simdOn && len(a) >= 64 {
-		return sqDistSIMD(a, b)
-	}
-	return sqDistScalar(a, b, 0)
+	return sqDist(a, b)
 }
 
-// SqDistRow writes out[k] = SqDistSlice(a, bs[k]) for every partner,
-// bit-identical to that call per partner. Partners are taken three at a
-// time through a shared-operand kernel that loads each element of a once
-// for all three, which is what lets a tile of a distance matrix run near
-// the pair kernel's L2 rate; a remainder of one or two goes through
-// SqDistSlice itself.
-func SqDistRow(a []float64, bs [][]float64, out []float64) {
-	if len(out) != len(bs) {
-		panic(fmt.Sprintf("tensor: SqDistRow has %d partners, %d outputs", len(bs), len(out)))
+// sqDist is SqDistSlice without the length check. From 64 elements on,
+// every tier runs one lane map: element k of each 16-element block goes to
+// FMA chain k, the lanes reduce as (Y0+Y1)+(Y2+Y3) and then
+// ((s0+s1)+s2)+s3, and the tail takes sqDistScalar's four chains — so the
+// SIMD and scalar builds return the same bits.
+func sqDist(a, b []float64) float64 {
+	switch {
+	case len(a) < 64:
+		return sqDistScalar(a, b, 0)
+	case simdOn:
+		return sqDistSIMD(a, b)
 	}
+	var l [16]float64
+	i := 0
+	for ; i+16 <= len(a); i += 16 {
+		ab, bb := a[i:i+16], b[i:i+16]
+		for k := range l {
+			d := ab[k] - bb[k]
+			l[k] = math.FMA(d, d, l[k])
+		}
+	}
+	var s [4]float64
+	for k := range s {
+		s[k] = (l[k] + l[4+k]) + (l[8+k] + l[12+k])
+	}
+	return ((s[0] + s[1]) + s[2]) + s[3] + sqDistScalar(a, b, i)
+}
+
+// SqDistTile adds SqDistSlice(rows[r], cols[c]) to out[r][c] for every pair
+// of a tile of a distance matrix, bit-identical to that call per pair. With
+// upper set the tile is on the diagonal — cols are the rows — and only the
+// pairs c > r are computed. The CPU picks the tier: on AVX-512 two rows run
+// against four partners per kernel call, each block of a row loaded once
+// for four pairs; on AVX2 a row runs against three partners per call; the
+// scalar twin goes pair by pair. Remainders take the next tier down.
+func SqDistTile(rows, cols, out [][]float64, upper bool) {
+	if len(out) != len(rows) || upper && len(cols) != len(rows) {
+		panic(fmt.Sprintf("tensor: SqDistTile has %d rows, %d partners, %d outputs", len(rows), len(cols), len(out)))
+	}
+	if len(rows) == 0 {
+		return
+	}
+	for _, v := range rows {
+		checkSameLen("SqDistTile", rows[0], v)
+	}
+	for _, v := range cols {
+		checkSameLen("SqDistTile", rows[0], v)
+	}
+	r := 0
+	if avx512On && len(rows[0]) >= 64 {
+		for ; r+2 <= len(rows); r += 2 {
+			c := 0
+			if upper {
+				out[r][r+1] += sqDist(rows[r], cols[r+1])
+				c = r + 2
+			}
+			for ; c+4 <= len(cols); c += 4 {
+				sqDist2x4SIMD(rows[r], rows[r+1], cols[c:c+4], out[r][c:c+4], out[r+1][c:c+4])
+			}
+			sqDistRow(rows[r], cols[c:], out[r][c:])
+			sqDistRow(rows[r+1], cols[c:], out[r+1][c:])
+		}
+	}
+	for ; r < len(rows); r++ {
+		c := 0
+		if upper {
+			c = r + 1
+		}
+		sqDistRow(rows[r], cols[c:], out[r][c:])
+	}
+}
+
+// sqDistRow adds sqDist(a, bs[k]) to out[k] for every partner; on AVX2
+// three partners share each load of a.
+func sqDistRow(a []float64, bs [][]float64, out []float64) {
 	k := 0
-	for ; k+3 <= len(bs); k += 3 {
-		b0, b1, b2 := bs[k], bs[k+1], bs[k+2]
-		checkSameLen("SqDistRow", a, b0)
-		checkSameLen("SqDistRow", a, b1)
-		checkSameLen("SqDistRow", a, b2)
-		if simdOn && len(a) >= 64 {
-			out[k], out[k+1], out[k+2] = sqDist3SIMD(a, b0, b1, b2)
-		} else {
-			out[k], out[k+1], out[k+2] = sqDist3Scalar(a, b0, b1, b2, 0)
+	if simdOn && len(a) >= 64 {
+		for ; k+3 <= len(bs); k += 3 {
+			d0, d1, d2 := sqDist3SIMD(a, bs[k], bs[k+1], bs[k+2])
+			out[k] += d0
+			out[k+1] += d1
+			out[k+2] += d2
 		}
 	}
 	for ; k < len(bs); k++ {
-		out[k] = SqDistSlice(a, bs[k])
+		out[k] += sqDist(a, bs[k])
 	}
 }
 
@@ -71,7 +133,8 @@ func AddSlice(dst, src []float64) {
 }
 
 // sqDistScalar accumulates the squared distance of a[i:] vs b[i:] with four
-// independent chains.
+// independent chains: all of a vector under 64 elements, the tail past the
+// last 16-element block otherwise.
 func sqDistScalar(a, b []float64, i int) float64 {
 	var s0, s1, s2, s3 float64
 	for ; i+4 <= len(a); i += 4 {
@@ -89,43 +152,6 @@ func sqDistScalar(a, b []float64, i int) float64 {
 		s0 += d * d
 	}
 	return ((s0 + s1) + s2) + s3
-}
-
-// sqDist3Scalar is sqDistScalar for three partners of one a: each pair
-// keeps sqDistScalar's four chains, tail and reduction, so every result is
-// bit-identical to its own sqDistScalar call; a[i] is loaded once for all
-// three.
-func sqDist3Scalar(a, b0, b1, b2 []float64, i int) (d0, d1, d2 float64) {
-	var p0, p1, p2, p3 float64
-	var q0, q1, q2, q3 float64
-	var r0, r1, r2, r3 float64
-	b0, b1, b2 = b0[:len(a)], b1[:len(a)], b2[:len(a)]
-	for ; i+4 <= len(a); i += 4 {
-		a0, a1, a2, a3 := a[i], a[i+1], a[i+2], a[i+3]
-		e0, e1, e2, e3 := a0-b0[i], a1-b0[i+1], a2-b0[i+2], a3-b0[i+3]
-		p0 += e0 * e0
-		p1 += e1 * e1
-		p2 += e2 * e2
-		p3 += e3 * e3
-		e0, e1, e2, e3 = a0-b1[i], a1-b1[i+1], a2-b1[i+2], a3-b1[i+3]
-		q0 += e0 * e0
-		q1 += e1 * e1
-		q2 += e2 * e2
-		q3 += e3 * e3
-		e0, e1, e2, e3 = a0-b2[i], a1-b2[i+1], a2-b2[i+2], a3-b2[i+3]
-		r0 += e0 * e0
-		r1 += e1 * e1
-		r2 += e2 * e2
-		r3 += e3 * e3
-	}
-	for ; i < len(a); i++ {
-		ai := a[i]
-		e0, e1, e2 := ai-b0[i], ai-b1[i], ai-b2[i]
-		p0 += e0 * e0
-		q0 += e1 * e1
-		r0 += e2 * e2
-	}
-	return ((p0 + p1) + p2) + p3, ((q0 + q1) + q2) + q3, ((r0 + r1) + r2) + r3
 }
 
 func dotScalar(a, b []float64, i int) float64 {

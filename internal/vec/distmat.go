@@ -24,12 +24,13 @@ const dBlock = 4096
 // rows being written and to whatever else the round has in flight.
 const l2Budget = 1 << 20
 
-// TileEdge is the edge T of the T×T tiles of pairs PairTiles hands out. A
-// tile reads 2·T vectors; T is the largest edge at which one dBlock-long
-// float64 block of each fits in l2Budget, so a worker that consumes a tile
-// block by block streams every partner from L2, not from L3. Geometry
-// kernels size their per-worker scratch by it.
-const TileEdge = l2Budget / (2 * dBlock * 8)
+// TileEdge is the edge T of the T×T tiles of pairs PairTiles hands out. On
+// one dBlock-long block of a tile, each row goes through once and the T
+// partners are read again for every row or pair of rows; T is the largest
+// edge at which the partners' float64 blocks fit in l2Budget, so a worker
+// that consumes a tile block by block streams every partner from L2, not
+// from L3. Geometry kernels size their per-worker scratch by it.
+const TileEdge = l2Budget / (dBlock * 8)
 
 // Tile is one rectangle of the strict upper triangle: the pairs i < j with
 // i in [I0, I1) and j in [J0, J1). Tiles on the diagonal have I0 == J0; all
@@ -101,10 +102,10 @@ func SqDistMatrix(vs [][]float64) [][]float64 { return SqDistMatrixInto(nil, vs)
 // replaces dst. Vectors of unequal length panic.
 //
 // High-dimensional vectors are consumed in dBlock-long blocks: a worker
-// runs a tile's pairs over one block of the tile's vectors before moving
-// to the next block, so the blocks it is reading stay in its L2, and each
-// row's partners go through the shared-operand kernel three at a time.
-// Each pair accumulates its block partials in ascending dimension order.
+// runs a tile's pairs over one block of the tile's vectors, in one
+// tensor.SqDistTile call, before moving to the next block, so the blocks
+// it is reading stay in its L2. Each pair accumulates its block partials
+// in ascending dimension order.
 func SqDistMatrixInto(dst, vs [][]float64) [][]float64 {
 	n := len(vs)
 	dim := mustSameLens("SqDistMatrix", vs)
@@ -114,23 +115,22 @@ func SqDistMatrixInto(dst, vs [][]float64) [][]float64 {
 		block = dim // short enough for one kernel call per pair
 	}
 	PairTiles(n, func(tiles iter.Seq[Tile]) {
-		cols := make([][]float64, TileEdge)
-		dists := make([]float64, TileEdge)
+		scratch := make([][]float64, 3*TileEdge)
+		rows, cols, out := scratch[:TileEdge], scratch[TileEdge:2*TileEdge], scratch[2*TileEdge:]
 		for t := range tiles {
+			nr, nc := t.I1-t.I0, t.J1-t.J0
+			for r := range nr {
+				out[r] = m[t.I0+r][t.J0:t.J1]
+			}
 			for d0 := 0; d0 < dim; d0 += block {
 				d1 := min(d0+block, dim)
-				for j := t.J0; j < t.J1; j++ {
-					cols[j-t.J0] = vs[j][d0:d1]
+				for r := range nr {
+					rows[r] = vs[t.I0+r][d0:d1]
 				}
-				for i := t.I0; i < t.I1; i++ {
-					lo := max(t.J0, i+1)
-					part := dists[:t.J1-lo]
-					tensor.SqDistRow(vs[i][d0:d1], cols[lo-t.J0:t.J1-t.J0], part)
-					row := m[i][lo:t.J1]
-					for k, d := range part {
-						row[k] += d
-					}
+				for c := range nc {
+					cols[c] = vs[t.J0+c][d0:d1]
 				}
+				tensor.SqDistTile(rows[:nr], cols[:nc], out[:nr], t.I0 == t.J0)
 			}
 			for i := t.I0; i < t.I1; i++ {
 				for j := max(t.J0, i+1); j < t.J1; j++ {

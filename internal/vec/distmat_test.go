@@ -1,7 +1,9 @@
 package vec
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"iter"
 	"math"
 	"math/rand"
@@ -119,10 +121,13 @@ func refCosineMatrix(vs [][]float64) [][]float64 {
 	return m
 }
 
-// The matrix sizes and dimensions the tile walk is pinned on: sizes around the tile edge plus a ragged 67, dimensions around the
-// SIMD threshold, the block length and the one-call/blocked boundary.
+// The matrix sizes and dimensions the tile walk is pinned on: sizes around
+// the tile edge, 3·T+1…3·T+3, whose full tiles end in a column of 1, 2 and
+// 3 partners and whose last diagonal tile has an odd row left over from
+// the two-row kernel, and a ragged 67; dimensions around the SIMD
+// threshold, the block length and the one-call/blocked boundary.
 var (
-	walkSizes = []int{1, 2, 3, TileEdge - 1, TileEdge, TileEdge + 1, 67}
+	walkSizes = []int{1, 2, 3, TileEdge - 1, TileEdge, TileEdge + 1, 3*TileEdge + 1, 3*TileEdge + 2, 3*TileEdge + 3, 67}
 	walkDims  = []int{1, 63, 64, 65, 4096, 8192, 8193, 10010}
 )
 
@@ -210,5 +215,30 @@ func TestMatricesPanicOnLengthMismatch(t *testing.T) {
 				matrix(vs)
 			}()
 		}
+	}
+}
+
+// TestSqDistGoldenBits pins the bits of a few pair distances and of a small
+// matrix, so the SIMD tiers and the scalar twin (purego, arm64) must keep
+// summing in one lane order: the same test passes on every build.
+func TestSqDistGoldenBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, tc := range []struct {
+		dim  int
+		want uint64
+	}{{63, 0x405888c17da134e6}, {64, 0x405db8202f17fb7d}, {1000, 0x409f211a3583f338}, {10010, 0x40d399cf0505a184}} {
+		ab := randVecs(rng, 2, tc.dim)
+		if got := math.Float64bits(tensor.SqDistSlice(ab[0], ab[1])); got != tc.want {
+			t.Errorf("dim=%d: SqDistSlice bits %#x, want %#x", tc.dim, got, tc.want)
+		}
+	}
+	h := fnv.New64a()
+	for _, row := range SqDistMatrix(randVecs(rng, 7, 1000)) {
+		for _, d := range row {
+			binary.Write(h, binary.LittleEndian, d)
+		}
+	}
+	if got, want := h.Sum64(), uint64(0xa052141984ddb8a5); got != want {
+		t.Errorf("K=7, d=1000 matrix hash %#x, want %#x", got, want)
 	}
 }
