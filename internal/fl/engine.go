@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/nn"
+	"repro/internal/persist"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
@@ -49,10 +50,6 @@ type Engine struct {
 	PerRound int
 	// Rounds is the number of engine steps.
 	Rounds int
-	// StartRound skips rounds before it, replaying the selection and
-	// participation RNG streams so a checkpoint-resumed run selects the same
-	// clients per round as an uninterrupted one (sync mode only).
-	StartRound int
 	// Seed derives every engine RNG stream.
 	Seed int64
 
@@ -101,15 +98,17 @@ type Engine struct {
 	// evaluation (the flnet server without a test set).
 	Evaluate func(weights []float64) (float64, error)
 	// OnRound, when non-nil, runs after every completed round with the
-	// round's stats, the current and previous global weights and the running
-	// maximum accuracy — the checkpoint hook.
-	OnRound func(stats RoundStats, weights, prev []float64, maxAcc float64) error
+	// round's stats, the global weights and the state a run resumed after
+	// this round needs — the checkpoint hook.
+	OnRound func(stats RoundStats, weights []float64, at persist.Resume) error
 
-	// InitialMax seeds the running maximum accuracy (checkpoint resume).
-	InitialMax float64
-	// InitialPrev overrides the initial previous-global vector (checkpoint
-	// resume hands the w(t−1) an uninterrupted run would have had).
-	InitialPrev []float64
+	// Resume, when non-nil, continues a checkpointed run after its Round
+	// from the initial weights Run is given: the selection and
+	// participation streams are replayed up to it, so the same clients are
+	// selected per round as in an uninterrupted run; the first resumed round
+	// hands out its w(t−1); and the result's accuracies start from its own.
+	// Nil is a fresh start.
+	Resume *persist.Resume
 
 	// Telemetry, when non-nil, receives per-round and per-phase spans and
 	// the codec byte counts. Pure observation: it never touches the RNG
@@ -156,8 +155,19 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 	if opt == nil {
 		opt = PlainApply{}
 	}
-	if err := e.Scenario.CheckResume(e.StartRound); err != nil {
+	if err := e.Scenario.CheckResume(e.Resume); err != nil {
 		return nil, nil, err
+	}
+	res := &Result{FinalAccuracy: math.NaN()}
+	global := initial
+	prev := append([]float64(nil), global...)
+	start := 0
+	if r := e.Resume; r != nil {
+		if r.Round < 0 || len(r.Prev) != len(global) {
+			return nil, nil, fmt.Errorf("fl: resume after round %d with %d previous weights for %d weights", r.Round, len(r.Prev), len(global))
+		}
+		start, prev = r.Round+1, r.Prev
+		res.MaxAccuracy, res.FinalAccuracy = r.MaxAccuracy, r.Accuracy
 	}
 	async := e.Scenario.Async
 
@@ -171,7 +181,7 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 
 	// Replay the streams a checkpoint-resumed run consumed before the
 	// checkpoint, so it selects the same clients as an uninterrupted one.
-	for r := 0; r < e.StartRound; r++ {
+	for r := 0; r < start; r++ {
 		for _, id := range sampler.Sample(selRng, r, e.TotalClients) {
 			_ = part.Outcome(partRng, r, id)
 		}
@@ -185,20 +195,13 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 	// whole run.
 	enc := codec.NewEncoder(e.Codec)
 
-	res := &Result{MaxAccuracy: e.InitialMax, FinalAccuracy: math.NaN()}
-	global := initial
-	prev := append([]float64(nil), global...)
-	if len(e.InitialPrev) == len(global) && e.StartRound > 0 {
-		prev = e.InitialPrev
-	}
-
 	var arrivals [][]pendingUpdate
 	var buffer []pendingUpdate
 	if async != nil {
 		arrivals = make([][]pendingUpdate, e.Rounds)
 	}
 
-	for round := e.StartRound; round < e.Rounds; round++ {
+	for round := start; round < e.Rounds; round++ {
 		// Spans use explicit End calls (not defer) so the telemetry-nil path
 		// stays allocation-free; error returns may drop an open span, which
 		// is fine — the run is over.
@@ -370,7 +373,7 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 		res.Rounds = append(res.Rounds, stats)
 		if e.OnRound != nil {
 			spCkpt := e.Telemetry.Phase(telemetry.PhaseCheckpoint)
-			err := e.OnRound(stats, global, prev, res.MaxAccuracy)
+			err := e.OnRound(stats, global, persist.Resume{Round: round, Prev: prev, Accuracy: stats.Accuracy, MaxAccuracy: res.MaxAccuracy})
 			spCkpt.End()
 			if err != nil {
 				return nil, nil, err

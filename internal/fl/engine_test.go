@@ -11,6 +11,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/persist"
 )
 
 // runScenario executes one tiny simulation under the given scenario.
@@ -235,13 +237,14 @@ func TestAsyncResumeRejected(t *testing.T) {
 		TotalClients: 4,
 		PerRound:     2,
 		Rounds:       3,
-		StartRound:   1,
+		Resume:       &persist.Resume{Round: 0, Prev: []float64{0}},
 		Scenario:     Scenario{Async: &AsyncConfig{Buffer: 2}},
 		Transport:    transportFunc(func(int, []int, []float64, []float64) ([]Update, error) { return nil, nil }),
 		Aggregator:   meanAggregator{},
 	}
-	if _, _, err := eng.Run([]float64{0}); err == nil {
-		t.Fatal("async resume must be rejected")
+	_, _, err := eng.Run([]float64{0})
+	if re, ok := err.(*ResumeError); !ok || re.Component != "async" {
+		t.Fatalf("async resume: err %v, want a *ResumeError naming async", err)
 	}
 }
 

@@ -2,8 +2,12 @@ package fl
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
+
+	"repro/internal/persist"
 )
 
 // driftTransport trains nothing: client id's update pulls the global toward
@@ -22,56 +26,97 @@ var driftTransport = transportFunc(func(round int, ids []int, global, prev []flo
 	return ups, nil
 })
 
-// runResumable runs 10 clients, 4 a round, through rounds [start, rounds)
-// from initial (and w(t−1) prev when resuming), and returns the final
-// weights with the checkpoint its last round would write: that round's
-// global and w(t−1).
-func runResumable(opt func() ServerOptimizer, start, rounds int, initial, prev []float64) (final, cpPrev []float64, err error) {
+// driftAccuracy scores a global by a fixed function of its weights, so a
+// resumed run's accuracies are comparable with the uninterrupted run's.
+func driftAccuracy(w []float64) (float64, error) {
+	s := 0.0
+	for _, x := range w {
+		s += x
+	}
+	return math.Abs(math.Sin(s)), nil
+}
+
+// runResumable runs 10 clients of sc for rounds rounds from initial — after
+// at's round when at is non-nil — and returns the result, the final
+// weights, and the Resume the checkpoint hook received for the last round.
+func runResumable(sc func() Scenario, rounds int, initial []float64, at *persist.Resume) (*Result, []float64, persist.Resume, error) {
+	var last persist.Resume
 	eng := &Engine{
 		TotalClients: 10,
 		PerRound:     4,
 		Rounds:       rounds,
-		StartRound:   start,
 		Seed:         3,
-		Scenario:     Scenario{ServerOpt: opt()},
+		Scenario:     sc(),
 		Transport:    driftTransport,
 		Aggregator:   meanAggregator{},
-		InitialPrev:  prev,
-		OnRound: func(_ RoundStats, _, p []float64, _ float64) error {
-			cpPrev = append(cpPrev[:0], p...)
+		Evaluate:     driftAccuracy,
+		Resume:       at,
+		OnRound: func(_ RoundStats, _ []float64, r persist.Resume) error {
+			last = r
+			last.Prev = slices.Clone(r.Prev)
 			return nil
 		},
 	}
-	_, final, err = eng.Run(append([]float64(nil), initial...))
-	return final, cpPrev, err
+	res, final, err := eng.Run(slices.Clone(initial))
+	return res, final, last, err
 }
 
-// TestResumeBitIdentical: killed after round 2 and resumed from its
-// checkpoint, a run under a stateless server optimizer ends bit-identical
-// to the uninterrupted one.
+// TestResumeBitIdentical: killed after any round r ∈ [1, R−1] and resumed
+// from its checkpoint's Resume, a run ends bit-identical to the
+// uninterrupted one, accuracies included, under every sampler,
+// participation model and stateless server optimizer.
 func TestResumeBitIdentical(t *testing.T) {
+	const rounds = 5
 	initial := []float64{0.5, -0.25, 1, 0}
-	for name, opt := range map[string]func() ServerOptimizer{
+	samplers := map[string]ClientSampler{
+		"uniform":   nil,
+		"bernoulli": BernoulliSampler{P: 0.4},
+		"weighted":  WeightedSampler{K: 4, Weights: []float64{1, 2, 3, 4, 5, 5, 4, 3, 2, 1}},
+	}
+	parts := map[string]ParticipationModel{
+		"full":  nil,
+		"churn": RandomChurn{DropoutProb: 0.2, StragglerProb: 0.1},
+	}
+	opts := map[string]func() ServerOptimizer{
 		"plain":     func() ServerOptimizer { return PlainApply{} },
 		"server-lr": func() ServerOptimizer { return ServerLRApply{Eta: 0.7} },
-	} {
-		straight, _, err := runResumable(opt, 0, 5, initial, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cp, cpPrev, err := runResumable(opt, 0, 2, initial, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resumed, _, err := runResumable(opt, 2, 5, cp, cpPrev)
-		if err != nil {
-			t.Fatalf("%s: resume refused: %v", name, err)
-		}
-		for i := range straight {
-			if resumed[i] != straight[i] {
-				t.Fatalf("%s: resumed weight %d = %v, uninterrupted %v", name, i, resumed[i], straight[i])
+	}
+	for sName, sampler := range samplers {
+		for pName, part := range parts {
+			for oName, opt := range opts {
+				sc := func() Scenario { return Scenario{Sampler: sampler, Participation: part, ServerOpt: opt()} }
+				straight, want, _, err := runResumable(sc, rounds, initial, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for kill := 1; kill < rounds; kill++ {
+					name := fmt.Sprintf("%s/%s/%s/kill-%d", sName, pName, oName, kill)
+					_, cp, at, err := runResumable(sc, kill, initial, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, got, _, err := runResumable(sc, rounds, cp, &at)
+					if err != nil {
+						t.Fatalf("%s: resume refused: %v", name, err)
+					}
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s: resumed weight %d = %v, uninterrupted %v", name, i, got[i], want[i])
+						}
+					}
+					if res.MaxAccuracy != straight.MaxAccuracy || res.FinalAccuracy != straight.FinalAccuracy {
+						t.Fatalf("%s: resumed accuracy %v (max %v), uninterrupted %v (max %v)",
+							name, res.FinalAccuracy, res.MaxAccuracy, straight.FinalAccuracy, straight.MaxAccuracy)
+					}
+				}
 			}
 		}
+	}
+	// A resume always carries w(t−1): one without it is refused, never run
+	// from a guessed previous global.
+	plain := func() Scenario { return Scenario{} }
+	if _, _, _, err := runResumable(plain, rounds, initial, &persist.Resume{Round: 1}); err == nil {
+		t.Fatal("a resume without w(t−1) ran")
 	}
 }
 
@@ -80,19 +125,15 @@ func TestResumeBitIdentical(t *testing.T) {
 // from the uninterrupted one; the engine refuses it with a typed error
 // naming the component.
 func TestFedAvgMResumeRefused(t *testing.T) {
-	opt := func() ServerOptimizer { return NewFedAvgM(1, 0.9) }
+	sc := func() Scenario { return Scenario{ServerOpt: NewFedAvgM(1, 0.9)} }
 	initial := []float64{0.5, -0.25, 1, 0}
-	straight, _, err := runResumable(opt, 0, 5, initial, nil)
+	_, cp, at, err := runResumable(sc, 2, initial, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, cpPrev, err := runResumable(opt, 0, 2, initial, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, _, err := runResumable(opt, 2, 5, cp, cpPrev)
+	_, _, _, err = runResumable(sc, 5, cp, &at)
 	var re *ResumeError
 	if !errors.As(err, &re) || re.Component != "fedavgm" {
-		t.Fatalf("FedAvgM resume: err %v, want a *ResumeError naming fedavgm (resumed %v, uninterrupted %v)", err, resumed, straight)
+		t.Fatalf("FedAvgM resume: err %v, want a *ResumeError naming fedavgm", err)
 	}
 }

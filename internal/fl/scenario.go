@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"repro/internal/persist"
 )
 
 // Scenario bundles the pluggable participation and aggregation axes of the
@@ -29,7 +31,7 @@ type Scenario struct {
 	Async *AsyncConfig
 }
 
-// ResumeError refuses a checkpoint resume (a StartRound past 0) of a run
+// ResumeError refuses a checkpoint resume (a non-nil Engine.Resume) of a run
 // that carries state from round to round which no checkpoint holds: a
 // resumed run would silently diverge from the uninterrupted one.
 type ResumeError struct {
@@ -44,12 +46,12 @@ func (e *ResumeError) Error() string {
 }
 
 // CheckResume returns a *ResumeError when a run of this scenario cannot
-// resume at startRound, and nil for a fresh start or a scenario whose
+// continue from r, and nil for a fresh start (r nil) or a scenario whose
 // round-carried state a checkpoint restores (the weights, w(t−1) and the
 // selection and participation streams).
-func (sc Scenario) CheckResume(startRound int) error {
+func (sc Scenario) CheckResume(r *persist.Resume) error {
 	switch {
-	case startRound <= 0:
+	case r == nil:
 		return nil
 	case sc.Async != nil:
 		return &ResumeError{Component: "async", State: "in-flight update buffer"}

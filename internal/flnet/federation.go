@@ -212,56 +212,60 @@ func (f *Federation) close() {
 	}
 }
 
-// startState is the resolved initial condition of the round loop: fresh
-// weights or a validated checkpoint.
-type startState struct {
-	weights, prev []float64
-	startRound    int
-	resumeMax     float64
-	resumeFinal   float64
-	global        *nn.Network
-}
-
-// prepare resolves the starting state before any client joins, so an
-// incompatible checkpoint fails fast instead of after the handshakes.
-func (f *Federation) prepare() (*startState, error) {
+// prepare resolves the round loop's starting state before any client joins,
+// so an incompatible checkpoint fails fast instead of after the handshakes:
+// the engine, minus what the admitted sessions fix, and its initial weights
+// (fresh, or a validated checkpoint's with its Resume).
+func (f *Federation) prepare() (*fl.Engine, []float64, error) {
 	global := f.newModel(rand.New(rand.NewSource(f.cfg.Seed)))
-	st := &startState{
-		global:      global,
-		weights:     global.WeightVector(),
-		resumeFinal: -1.0,
+	weights := global.WeightVector()
+	f.dim = len(weights)
+	eng := &fl.Engine{
+		PerRound:   f.cfg.PerRound,
+		Rounds:     f.cfg.Rounds,
+		Seed:       f.cfg.Seed,
+		Scenario:   f.cfg.Scenario,
+		Aggregator: f.agg,
+		Observer:   f.cfg.Observer,
+		Telemetry:  f.tel.engineTelemetry(),
 	}
-	f.dim = len(st.weights)
-	cp, err := f.loadCheckpoint(len(st.weights))
+	cp, err := f.loadCheckpoint(len(weights))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if cp != nil {
-		st.weights = cp.Weights
-		st.startRound = cp.Round + 1
-		// Restore the pre-crash metrics so acc_m covers the whole run even
-		// when its peak predates the restart (older checkpoints lack
-		// MaxAccuracy; the last round's accuracy is the best floor then).
-		for _, v := range []float64{cp.MaxAccuracy, cp.Accuracy} {
-			if !math.IsNaN(v) && v > st.resumeMax {
-				st.resumeMax = v
+		weights, eng.Resume = cp.Weights, &cp.Resume
+		// Refused before anyone joins, with the engine's own error.
+		if err := f.cfg.Scenario.CheckResume(eng.Resume); err != nil {
+			return nil, nil, fmt.Errorf("flnet: federation %q: checkpoint %s: %w", f.id, f.cfg.CheckpointPath, err)
+		}
+	}
+	if f.test != nil {
+		eng.Evaluate = func(w []float64) (float64, error) {
+			if err := global.SetWeightVector(w); err != nil {
+				return 0, err
 			}
-		}
-		st.resumeFinal = cp.Accuracy
-		// The first resumed round must hand clients the same w(t-1) an
-		// uninterrupted run would have; only a fresh start uses prev == w(0).
-		if len(cp.PrevWeights) == len(st.weights) {
-			st.prev = cp.PrevWeights
+			return f.eval.Accuracy(global, true), nil
 		}
 	}
-	// Refused before anyone joins, with the engine's own error.
-	if err := f.cfg.Scenario.CheckResume(st.startRound); err != nil {
-		return nil, fmt.Errorf("flnet: federation %q: checkpoint %s: %w", f.id, f.cfg.CheckpointPath, err)
+	if f.cfg.CheckpointPath != "" {
+		eng.OnRound = func(_ fl.RoundStats, w []float64, at persist.Resume) error {
+			cp := &persist.Checkpoint{
+				Dataset:    f.cfg.DatasetName,
+				Model:      f.cfg.ModelName,
+				Seed:       f.cfg.Seed,
+				MinClients: f.cfg.MinClients,
+				PerRound:   f.cfg.PerRound,
+				Weights:    w,
+				Resume:     at,
+			}
+			if err := persist.Save(f.cfg.CheckpointPath, cp); err != nil {
+				return fmt.Errorf("flnet: round %d checkpoint: %w", at.Round, err)
+			}
+			return nil
+		}
 	}
-	if st.prev == nil || st.startRound == 0 {
-		st.prev = append([]float64(nil), st.weights...)
-	}
-	return st, nil
+	return eng, weights, nil
 }
 
 // Run waits for the federation to fill (admitting host-routed joins from the
@@ -276,7 +280,7 @@ func (f *Federation) run(loopDone <-chan struct{}) (*ServerResult, error) {
 	// However Run ends, the federation admits no one afterwards and no
 	// handshake stays parked in its queue.
 	defer f.close()
-	st, err := f.prepare()
+	eng, weights, err := f.prepare()
 	if err != nil {
 		return nil, err
 	}
@@ -303,12 +307,12 @@ joining:
 		}
 	}
 	f.close() // joins queued while the federation filled
-	return f.runEngine(st)
+	return f.runEngine(eng, weights)
 }
 
-// runEngine drives the shared fl.Engine over the admitted sessions and
+// runEngine drives the prepared engine over the admitted sessions and
 // broadcasts the final model.
-func (f *Federation) runEngine(st *startState) (*ServerResult, error) {
+func (f *Federation) runEngine(eng *fl.Engine, weights []float64) (*ServerResult, error) {
 	f.mu.Lock()
 	sessions := append([]*session(nil), f.sessions...)
 	f.mu.Unlock()
@@ -319,50 +323,8 @@ func (f *Federation) runEngine(st *startState) (*ServerResult, error) {
 	}()
 
 	tr := &netTransport{fed: f, sessions: sessions}
-	eng := &fl.Engine{
-		TotalClients: len(sessions),
-		PerRound:     f.cfg.PerRound,
-		Rounds:       f.cfg.Rounds,
-		StartRound:   st.startRound,
-		Seed:         f.cfg.Seed,
-		Scenario:     f.cfg.Scenario,
-		Transport:    tr,
-		Aggregator:   f.agg,
-		Observer:     f.cfg.Observer,
-		InitialMax:   st.resumeMax,
-		InitialPrev:  st.prev,
-		Telemetry:    f.tel.engineTelemetry(),
-	}
-	if f.test != nil {
-		eng.Evaluate = func(w []float64) (float64, error) {
-			if err := st.global.SetWeightVector(w); err != nil {
-				return 0, err
-			}
-			return f.eval.Accuracy(st.global, true), nil
-		}
-	}
-	if f.cfg.CheckpointPath != "" {
-		eng.OnRound = func(stats fl.RoundStats, w, p []float64, maxAcc float64) error {
-			cp := &persist.Checkpoint{
-				Round:       stats.Round,
-				Dataset:     f.cfg.DatasetName,
-				Model:       f.cfg.ModelName,
-				Seed:        f.cfg.Seed,
-				MinClients:  f.cfg.MinClients,
-				PerRound:    f.cfg.PerRound,
-				Weights:     w,
-				PrevWeights: p,
-				Accuracy:    stats.Accuracy,
-				MaxAccuracy: maxAcc,
-			}
-			if err := persist.Save(f.cfg.CheckpointPath, cp); err != nil {
-				return fmt.Errorf("flnet: round %d checkpoint: %w", stats.Round, err)
-			}
-			return nil
-		}
-	}
-
-	engRes, finalWeights, err := eng.Run(st.weights)
+	eng.TotalClients, eng.Transport = len(sessions), tr
+	engRes, finalWeights, err := eng.Run(weights)
 	if err != nil {
 		return nil, fmt.Errorf("flnet: %w", err)
 	}
@@ -371,11 +333,6 @@ func (f *Federation) runEngine(st *startState) (*ServerResult, error) {
 		MaxAccuracy:   engRes.MaxAccuracy,
 		FinalAccuracy: engRes.FinalAccuracy,
 		FinalWeights:  finalWeights,
-	}
-	// A run that evaluated nothing (no test set, or zero remaining rounds)
-	// keeps the checkpoint's pre-crash accuracy as its final metric.
-	if math.IsNaN(res.FinalAccuracy) && st.resumeFinal >= 0 {
-		res.FinalAccuracy = st.resumeFinal
 	}
 
 	// Graceful shutdown: hand every client the final model, encoded once.
@@ -406,32 +363,24 @@ func (f *Federation) loadCheckpoint(wantLen int) (*persist.Checkpoint, error) {
 		}
 		return nil, fmt.Errorf("flnet: resume: %w", err)
 	}
-	if f.cfg.DatasetName != "" && cp.Dataset != "" && cp.Dataset != f.cfg.DatasetName {
+	switch {
+	case cp.Dataset != f.cfg.DatasetName:
 		return nil, fmt.Errorf("flnet: resume: checkpoint dataset %q, server dataset %q", cp.Dataset, f.cfg.DatasetName)
-	}
-	if f.cfg.ModelName != "" && cp.Model != "" && cp.Model != f.cfg.ModelName {
+	case cp.Model != f.cfg.ModelName:
 		return nil, fmt.Errorf("flnet: resume: checkpoint model %q, server model %q", cp.Model, f.cfg.ModelName)
-	}
-	if len(cp.Weights) != wantLen {
+	case len(cp.Weights) != wantLen:
 		return nil, fmt.Errorf("flnet: resume: checkpoint has %d weights, model has %d", len(cp.Weights), wantLen)
-	}
-	if len(cp.PrevWeights) != 0 && len(cp.PrevWeights) != wantLen {
-		return nil, fmt.Errorf("flnet: resume: checkpoint has %d prev weights, model has %d", len(cp.PrevWeights), wantLen)
-	}
-	// MinClients > 0 marks a checkpoint that records the federation shape;
-	// a different seed or population would make the selection-stream
-	// replay produce a silent hybrid of two runs.
-	if cp.MinClients > 0 {
-		switch {
-		case cp.Seed != f.cfg.Seed:
-			return nil, fmt.Errorf("flnet: resume: checkpoint seed %d, server seed %d", cp.Seed, f.cfg.Seed)
-		case cp.MinClients != f.cfg.MinClients:
-			return nil, fmt.Errorf("flnet: resume: checkpoint population %d, server %d", cp.MinClients, f.cfg.MinClients)
-		case cp.PerRound != f.cfg.PerRound:
-			return nil, fmt.Errorf("flnet: resume: checkpoint selects %d per round, server %d", cp.PerRound, f.cfg.PerRound)
-		}
-	}
-	if cp.Round < 0 || cp.Round >= f.cfg.Rounds {
+	case len(cp.Prev) != wantLen:
+		return nil, fmt.Errorf("flnet: resume: checkpoint has %d prev weights, model has %d", len(cp.Prev), wantLen)
+	// A different seed or population would make the selection-stream replay
+	// produce a silent hybrid of two runs.
+	case cp.Seed != f.cfg.Seed:
+		return nil, fmt.Errorf("flnet: resume: checkpoint seed %d, server seed %d", cp.Seed, f.cfg.Seed)
+	case cp.MinClients != f.cfg.MinClients:
+		return nil, fmt.Errorf("flnet: resume: checkpoint population %d, server %d", cp.MinClients, f.cfg.MinClients)
+	case cp.PerRound != f.cfg.PerRound:
+		return nil, fmt.Errorf("flnet: resume: checkpoint selects %d per round, server %d", cp.PerRound, f.cfg.PerRound)
+	case cp.Round < 0 || cp.Round >= f.cfg.Rounds:
 		return nil, fmt.Errorf("flnet: resume: checkpoint round %d outside 0..%d", cp.Round, f.cfg.Rounds-1)
 	}
 	return cp, nil

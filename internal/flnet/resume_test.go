@@ -2,9 +2,12 @@ package flnet
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"net"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,8 +22,9 @@ import (
 
 // runCheckpointedFederation runs a 2-client FedAvg federation with the plain
 // server optimizer for the given total round budget against a shared
-// checkpoint path, with fresh clients, and returns the result.
-func runCheckpointedFederation(t *testing.T, ckpt string, rounds int) *ServerResult {
+// checkpoint path, with fresh clients, and returns the result. Without
+// evaluate the server has no test set and evaluates nothing.
+func runCheckpointedFederation(t *testing.T, ckpt string, rounds int, evaluate bool) *ServerResult {
 	t.Helper()
 	spec := dataset.TinySpec()
 	train, test := dataset.Generate(spec, 11)
@@ -28,6 +32,9 @@ func runCheckpointedFederation(t *testing.T, ckpt string, rounds int) *ServerRes
 		return nn.NewFashionCNN(rng, spec.Channels, spec.Size, spec.Classes)
 	}
 	shards := dataset.PartitionIID(rand.New(rand.NewSource(8)), train.Len(), 2)
+	if !evaluate {
+		test = nil
+	}
 
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -89,7 +96,7 @@ func TestServerResumesFromCheckpoint(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "federation.ckpt")
 
 	// First life: rounds 0 and 1, checkpointing each.
-	res1 := runCheckpointedFederation(t, ckpt, 2)
+	res1 := runCheckpointedFederation(t, ckpt, 2, true)
 	if len(res1.Rounds) != 2 || res1.Rounds[0].Round != 0 {
 		t.Fatalf("first run rounds: %+v", res1.Rounds)
 	}
@@ -97,7 +104,7 @@ func TestServerResumesFromCheckpoint(t *testing.T) {
 	// Restart with the same round budget: the checkpoint says everything is
 	// done, so the server runs zero rounds and redistributes the
 	// checkpointed weights untouched.
-	res2 := runCheckpointedFederation(t, ckpt, 2)
+	res2 := runCheckpointedFederation(t, ckpt, 2, true)
 	if len(res2.Rounds) != 0 {
 		t.Fatalf("fully-checkpointed server re-ran %d rounds", len(res2.Rounds))
 	}
@@ -114,7 +121,7 @@ func TestServerResumesFromCheckpoint(t *testing.T) {
 	}
 
 	// Restart with a larger budget: training continues at round 2.
-	res3 := runCheckpointedFederation(t, ckpt, 4)
+	res3 := runCheckpointedFederation(t, ckpt, 4, true)
 	if len(res3.Rounds) != 2 {
 		t.Fatalf("resumed server ran %d rounds, want the 2 remaining", len(res3.Rounds))
 	}
@@ -127,23 +134,35 @@ func TestServerResumesFromCheckpoint(t *testing.T) {
 // 2 and restarts it with fresh clients: it must end on the uninterrupted
 // run's weights bit for bit. The checkpoint carries the server's state, and
 // a benign client trains round r on its per-(seed, round, id) stream, so a
-// restarted one retrains the remaining rounds exactly.
+// restarted one retrains the remaining rounds exactly. A federation without
+// a test set checkpoints a NaN accuracy every round and resumes the same
+// way; its final accuracy stays NaN, as nothing was evaluated.
 func TestResumedFederationIsExact(t *testing.T) {
-	dir := t.TempDir()
-	whole := runCheckpointedFederation(t, filepath.Join(dir, "whole.ckpt"), 4)
-	ckpt := filepath.Join(dir, "killed.ckpt")
-	runCheckpointedFederation(t, ckpt, 2)
-	resumed := runCheckpointedFederation(t, ckpt, 4)
-	if len(resumed.Rounds) != 2 {
-		t.Fatalf("resumed federation ran %d rounds, want the 2 remaining", len(resumed.Rounds))
-	}
-	if got, want := weightsDigest(resumed.FinalWeights), weightsDigest(whole.FinalWeights); got != want {
-		t.Fatalf("resumed final weights %s, uninterrupted %s", got, want)
+	for _, evaluate := range []bool{true, false} {
+		dir := t.TempDir()
+		whole := runCheckpointedFederation(t, filepath.Join(dir, "whole.ckpt"), 4, evaluate)
+		ckpt := filepath.Join(dir, "killed.ckpt")
+		runCheckpointedFederation(t, ckpt, 2, evaluate)
+		resumed := runCheckpointedFederation(t, ckpt, 4, evaluate)
+		if len(resumed.Rounds) != 2 || resumed.Rounds[0].Round != 2 {
+			t.Fatalf("evaluate=%v: resumed rounds %+v, want rounds 2 and 3", evaluate, resumed.Rounds)
+		}
+		if got, want := weightsDigest(resumed.FinalWeights), weightsDigest(whole.FinalWeights); got != want {
+			t.Fatalf("evaluate=%v: resumed final weights %s, uninterrupted %s", evaluate, got, want)
+		}
+		if math.IsNaN(resumed.FinalAccuracy) == evaluate || resumed.MaxAccuracy != whole.MaxAccuracy {
+			t.Fatalf("evaluate=%v: resumed accuracy %v (max %v), uninterrupted %v (max %v)",
+				evaluate, resumed.FinalAccuracy, resumed.MaxAccuracy, whole.FinalAccuracy, whole.MaxAccuracy)
+		}
 	}
 }
 
-// TestServerRejectsMismatchedCheckpoint: resuming across a different task
-// or architecture must fail before any client joins.
+// TestServerRejectsMismatchedCheckpoint: resuming from a checkpoint of
+// another run — another task, architecture, seed, population or round
+// budget, or one that lacks w(t−1) — must fail before any client joins,
+// and so must a file that holds no v2 record. Every identity field is
+// compared as it is: the zero-valued ones included, which checkpoints
+// written before a field existed once carried and resumed past.
 func TestServerRejectsMismatchedCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	spec := dataset.TinySpec()
@@ -152,28 +171,50 @@ func TestServerRejectsMismatchedCheckpoint(t *testing.T) {
 		return nn.NewFashionCNN(rng, spec.Channels, spec.Size, spec.Classes)
 	}
 	wantLen := len(newModel(rand.New(rand.NewSource(1))).WeightVector())
-
+	// matching is a checkpoint of the server below; each case breaks one field.
+	matching := func() persist.Checkpoint {
+		return persist.Checkpoint{Dataset: spec.Name, Model: "fashion-cnn", Seed: 6, MinClients: 1, PerRound: 1,
+			Weights: make([]float64, wantLen), Resume: persist.Resume{Prev: make([]float64, wantLen), Accuracy: -1}}
+	}
 	cases := []struct {
-		name string
-		cp   persist.Checkpoint
+		name, want string
+		edit       func(*persist.Checkpoint)
 	}{
-		{"dataset", persist.Checkpoint{Round: 0, Dataset: "cifar-sim", Model: "fashion-cnn", Weights: make([]float64, wantLen), Accuracy: -1}},
-		{"model", persist.Checkpoint{Round: 0, Dataset: spec.Name, Model: "deep-cnn", Weights: make([]float64, wantLen), Accuracy: -1}},
-		{"weights", persist.Checkpoint{Round: 0, Dataset: spec.Name, Model: "fashion-cnn", Weights: make([]float64, wantLen+1), Accuracy: -1}},
-		{"round", persist.Checkpoint{Round: 9, Dataset: spec.Name, Model: "fashion-cnn", Weights: make([]float64, wantLen), Accuracy: -1}},
-		{"prev-weights", persist.Checkpoint{Round: 0, Dataset: spec.Name, Model: "fashion-cnn", Weights: make([]float64, wantLen), PrevWeights: make([]float64, 3), Accuracy: -1}},
-		{"seed", persist.Checkpoint{Round: 0, Dataset: spec.Name, Model: "fashion-cnn", Seed: 99, MinClients: 1, PerRound: 1, Weights: make([]float64, wantLen), Accuracy: -1}},
-		{"population", persist.Checkpoint{Round: 0, Dataset: spec.Name, Model: "fashion-cnn", Seed: 6, MinClients: 5, PerRound: 1, Weights: make([]float64, wantLen), Accuracy: -1}},
+		{"dataset", "checkpoint dataset", func(cp *persist.Checkpoint) { cp.Dataset = "cifar-sim" }},
+		{"model", "checkpoint model", func(cp *persist.Checkpoint) { cp.Model = "deep-cnn" }},
+		{"weights", "weights, model has", func(cp *persist.Checkpoint) { cp.Weights = make([]float64, wantLen+1) }},
+		{"round", "checkpoint round", func(cp *persist.Checkpoint) { cp.Round = 9 }},
+		{"prev-weights", "prev weights", func(cp *persist.Checkpoint) { cp.Prev = make([]float64, 3) }},
+		{"seed", "checkpoint seed", func(cp *persist.Checkpoint) { cp.Seed = 99 }},
+		{"population", "checkpoint population", func(cp *persist.Checkpoint) { cp.MinClients = 5 }},
+		{"zero-dataset", "checkpoint dataset", func(cp *persist.Checkpoint) { cp.Dataset = "" }},
+		{"zero-model", "checkpoint model", func(cp *persist.Checkpoint) { cp.Model = "" }},
+		{"zero-seed", "checkpoint seed", func(cp *persist.Checkpoint) { cp.Seed = 0 }},
+		{"zero-population", "checkpoint population", func(cp *persist.Checkpoint) { cp.MinClients, cp.PerRound = 0, 0 }},
+		{"zero-per-round", "per round", func(cp *persist.Checkpoint) { cp.PerRound = 0 }},
+		{"no-prev-weights", "prev weights", func(cp *persist.Checkpoint) { cp.Prev = nil }},
+		{"v1-file", "no intact", nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ckpt := filepath.Join(dir, tc.name+".ckpt")
-			cp := tc.cp
-			for i := range cp.Weights {
-				cp.Weights[i] = 0.01
-			}
-			if err := persist.Save(ckpt, &cp); err != nil {
-				t.Fatal(err)
+			if tc.edit == nil {
+				v1, err := os.ReadFile(filepath.Join("..", "persist", "testdata", "v1.ckpt"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(ckpt, v1, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				cp := matching()
+				tc.edit(&cp)
+				for i := range cp.Weights {
+					cp.Weights[i] = 0.01
+				}
+				if err := persist.Save(ckpt, &cp); err != nil {
+					t.Fatal(err)
+				}
 			}
 			srv, err := NewServer(ServerConfig{
 				MinClients:     1,
@@ -193,8 +234,13 @@ func TestServerRejectsMismatchedCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer lis.Close()
-			if _, err := srv.Serve(lis); err == nil {
-				t.Fatal("mismatched checkpoint must fail fast")
+			_, err = srv.Serve(lis)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("mismatched checkpoint: err %v, want one naming %q before anyone joins", err, tc.want)
+			}
+			var fe *persist.FormatError
+			if tc.edit == nil && !errors.As(err, &fe) {
+				t.Fatalf("v1 checkpoint: err %v, want a *persist.FormatError", err)
 			}
 		})
 	}
@@ -210,8 +256,9 @@ func TestServerRefusesFedAvgMResume(t *testing.T) {
 		return nn.NewFashionCNN(rng, spec.Channels, spec.Size, spec.Classes)
 	}
 	ckpt := filepath.Join(t.TempDir(), "fedavgm.ckpt")
-	cp := persist.Checkpoint{Round: 0, Dataset: spec.Name, Model: "fashion-cnn", Seed: 6, MinClients: 1, PerRound: 1,
-		Weights: newModel(rand.New(rand.NewSource(1))).WeightVector(), Accuracy: -1}
+	w := newModel(rand.New(rand.NewSource(1))).WeightVector()
+	cp := persist.Checkpoint{Dataset: spec.Name, Model: "fashion-cnn", Seed: 6, MinClients: 1, PerRound: 1,
+		Weights: w, Resume: persist.Resume{Prev: w, Accuracy: -1}}
 	if err := persist.Save(ckpt, &cp); err != nil {
 		t.Fatal(err)
 	}

@@ -172,15 +172,11 @@ func (rp *Replay) Mount(mux *http.ServeMux, prefix string) {
 			}
 			n = v
 		}
-		if from > len(run.Rounds) {
-			from = len(run.Rounds)
-		}
-		end := from + n
-		if end > len(run.Rounds) {
-			end = len(run.Rounds)
-		}
-		rounds := make([]jsonReplayRound, 0, end-from)
-		for _, rr := range run.Rounds[from:end] {
+		// Clamped before adding, so from+n cannot wrap past int's range.
+		from = min(from, len(run.Rounds))
+		n = min(n, len(run.Rounds)-from)
+		rounds := make([]jsonReplayRound, 0, n)
+		for _, rr := range run.Rounds[from : from+n] {
 			rounds = append(rounds, replayRoundToJSON(rr))
 		}
 		writeJSON(w, struct {

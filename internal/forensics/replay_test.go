@@ -127,6 +127,14 @@ func TestReplayRoundsSeekStep(t *testing.T) {
 	if len(page.Rounds) != 0 {
 		t.Fatalf("past-end window returned %d rounds", len(page.Rounds))
 	}
+	// A window size near int's maximum clamps as well: from+n must not wrap
+	// into a negative capacity.
+	if code := get("/api/replay/rounds?run=seek&from=1&n=9223372036854775807", &page); code != http.StatusOK {
+		t.Fatalf("huge-n status %d", code)
+	}
+	if page.From != 1 || len(page.Rounds) != 9 || page.Rounds[0].Audit.Round != 1 {
+		t.Fatalf("huge-n window from %d with %d rounds, want from 1 with 9", page.From, len(page.Rounds))
+	}
 	if code := get("/api/replay/rounds?run=nope", &page); code != http.StatusNotFound {
 		t.Fatalf("unknown run status %d, want 404", code)
 	}

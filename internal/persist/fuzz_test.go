@@ -121,3 +121,53 @@ func FuzzJournalRecover(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCheckpointLoad throws arbitrary bytes at LoadFile. It never panics:
+// the bytes either error, or load a checkpoint that Save writes back and
+// LoadFile reads again bit for bit — a loaded checkpoint is always one the
+// format can hold.
+func FuzzCheckpointLoad(f *testing.F) {
+	dir := f.TempDir()
+	good := filepath.Join(dir, "seed.ckpt")
+	if err := Save(good, sample()); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(good)
+	if err != nil {
+		f.Fatal(err)
+	}
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1.ckpt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(v1)
+	f.Add([]byte{})
+	f.Add(valid[:len(valid)/2])
+	f.Add(bytes.TrimSuffix(valid, []byte("\n")))
+	f.Add(append(append([]byte{}, valid...), valid...))
+	f.Add([]byte(`{"key":"flckpt/v2","payload":{"weights":"AAAAAAAA+H8=","prev":null,"accuracy":null,"round":-3}}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "in.ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := LoadFile(path)
+		if err != nil {
+			return
+		}
+		again := filepath.Join(dir, "again.ckpt")
+		if err := Save(again, cp); err != nil {
+			t.Fatalf("a loaded checkpoint does not save: %v", err)
+		}
+		re, err := LoadFile(again)
+		if err != nil {
+			t.Fatalf("a re-saved checkpoint does not load: %v", err)
+		}
+		if !sameCheckpoint(re, cp) {
+			t.Fatalf("re-saved checkpoint %+v, loaded %+v", re, cp)
+		}
+	})
+}

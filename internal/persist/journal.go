@@ -17,7 +17,7 @@ import (
 // leaves at most one damaged final line — and every reader of it (the
 // write-only Journal stream, the SharedJournal behind the run store, and
 // ReadEntries) splits the bytes with the one scanner below, so all three
-// agree on what a file holds.
+// agree on what a file holds. A checkpoint file is one such line.
 
 // journalLine is the on-disk shape of one entry.
 type journalLine struct {

@@ -1,109 +1,92 @@
-// Package persist stores and restores global-model checkpoints. The
-// networked server can checkpoint the federation after every round, and a
-// restarted server (or an offline evaluation tool) can resume from the
-// saved weights — the minimum durability a deployable FL server needs.
+// Package persist stores and restores global-model checkpoints and the
+// append-only JSONL journal. The networked server can checkpoint the
+// federation after every round, and a restarted server (or an offline
+// evaluation tool) can resume from the saved state — the minimum durability
+// a deployable FL server needs.
 package persist
 
 import (
-	"encoding/gob"
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"io/fs"
+	"math"
 	"os"
+	"path/filepath"
 )
 
-// magic identifies checkpoint streams; version gates format evolution.
-const (
-	magic   = "FLCKPT"
-	version = 1
-)
+// checkpointKey keys a checkpoint file's one journal line and names its
+// format version. Version 1 was a gob stream; it is refused, not migrated.
+const checkpointKey = "flckpt/v2"
 
-// Checkpoint is a durable snapshot of the federation state.
-type Checkpoint struct {
-	// Round is the last completed round.
+// Resume is what a resumed round engine needs beyond the weights to
+// continue as the uninterrupted run would. The engine takes it as one value
+// (fl.Engine.Resume) and hands one to its per-round checkpoint hook.
+type Resume struct {
+	// Round is the last completed round; a resumed run starts at Round+1.
 	Round int
-	// Dataset and Model document which task/architecture the weights
-	// belong to; Load-side validation prevents cross-architecture loads.
-	Dataset string
-	Model   string
-	// Seed, MinClients and PerRound record the federation shape that
-	// produced the weights: resuming under a different seed or population
-	// would silently replay the wrong client-selection stream, so the
-	// server validates them. All zero in checkpoints written before the
-	// fields existed (MinClients is positive in any valid run).
-	Seed       int64
-	MinClients int
-	PerRound   int
-	// Weights is the flat global weight vector.
+	// Prev is w(t−1), the global before the last aggregation, of the
+	// weights' length: the first resumed round hands clients the previous
+	// global an uninterrupted run would, which DFA-R and DFA-G estimate the
+	// benign direction from.
+	Prev []float64
+	// Accuracy is Round's evaluation accuracy (NaN when the run evaluates
+	// nothing) and MaxAccuracy the best one up to Round, so a resumed run
+	// reports the whole run's acc_m even when its peak predates the crash.
+	Accuracy, MaxAccuracy float64
+}
+
+// Checkpoint is a durable snapshot of a federation after a round.
+type Checkpoint struct {
+	// Dataset, Model, Seed, MinClients and PerRound identify the run the
+	// weights belong to. A loader compares every one with its own: other
+	// weights would not fit or not train, and another seed or population
+	// would replay the wrong client-selection stream.
+	Dataset, Model       string
+	Seed                 int64
+	MinClients, PerRound int
+	// Weights is the flat global weight vector after Round.
 	Weights []float64
-	// PrevWeights is the previous round's global weight vector w(t-1),
-	// which the wire protocol hands to clients so data-free attackers can
-	// estimate the benign update direction. Persisting it lets a resumed
-	// round send the same PrevWeights an uninterrupted run would have.
-	// Empty in checkpoints written before the field existed.
-	PrevWeights []float64
-	// Accuracy is the evaluation accuracy at checkpoint time (NaN-free;
-	// use a negative value when unknown).
-	Accuracy float64
-	// MaxAccuracy is the best accuracy observed over the whole run up to
-	// this checkpoint, so a resumed run reports the true acc_m even when
-	// the peak predates the crash. Zero in checkpoints written before the
-	// field existed; use a negative value when unknown.
-	MaxAccuracy float64
+	Resume
 }
 
-// header precedes the gob payload.
-type header struct {
-	Magic   string
-	Version int
+// record is a checkpoint's payload on disk: its fields shadow the
+// checkpoint's vectors and accuracies in encoding/json. Vectors are
+// little-endian float64 bits, which encoding/json base64s, so every bit
+// pattern (−0, subnormals, NaN payloads) survives; a NaN accuracy is null.
+type record struct {
+	Checkpoint
+	Weights, Prev         []byte
+	Accuracy, MaxAccuracy *float64
 }
 
-// Write serializes the checkpoint to w.
-func Write(w io.Writer, cp *Checkpoint) error {
-	if cp == nil {
-		return errors.New("persist: nil checkpoint")
-	}
-	if len(cp.Weights) == 0 {
+// FormatError refuses a checkpoint file that holds no intact v2 record:
+// foreign bytes, a torn or truncated write, or a version 1 (gob)
+// checkpoint. Resuming from none of these is possible, and treating one as
+// a fresh start would silently throw the recorded run away.
+type FormatError struct {
+	Path, Reason string
+}
+
+func (e *FormatError) Error() string {
+	return fmt.Sprintf("persist: %s holds no intact %s checkpoint record: %s", e.Path, checkpointKey, e.Reason)
+}
+
+// Save writes the checkpoint as one journal line, atomically: to a
+// temporary file in the target's directory, synced, then renamed over the
+// destination, so a crash mid-write never corrupts the previous checkpoint.
+func Save(path string, cp *Checkpoint) error {
+	if cp == nil || len(cp.Weights) == 0 {
 		return errors.New("persist: checkpoint has no weights")
 	}
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(header{Magic: magic, Version: version}); err != nil {
-		return fmt.Errorf("persist: header: %w", err)
+	line, err := marshalLine(checkpointKey, record{*cp,
+		floatBits(cp.Weights), floatBits(cp.Prev), nullNaN(cp.Accuracy), nullNaN(cp.MaxAccuracy)})
+	if err != nil {
+		return err
 	}
-	if err := enc.Encode(cp); err != nil {
-		return fmt.Errorf("persist: payload: %w", err)
-	}
-	return nil
-}
-
-// Read deserializes a checkpoint from r, validating magic and version.
-func Read(r io.Reader) (*Checkpoint, error) {
-	dec := gob.NewDecoder(r)
-	var h header
-	if err := dec.Decode(&h); err != nil {
-		return nil, fmt.Errorf("persist: header: %w", err)
-	}
-	if h.Magic != magic {
-		return nil, fmt.Errorf("persist: bad magic %q", h.Magic)
-	}
-	if h.Version != version {
-		return nil, fmt.Errorf("persist: unsupported version %d", h.Version)
-	}
-	var cp Checkpoint
-	if err := dec.Decode(&cp); err != nil {
-		return nil, fmt.Errorf("persist: payload: %w", err)
-	}
-	if len(cp.Weights) == 0 {
-		return nil, errors.New("persist: checkpoint has no weights")
-	}
-	return &cp, nil
-}
-
-// Save writes the checkpoint atomically: to a temporary file in the target
-// directory, then renamed over the destination, so a crash mid-write never
-// corrupts the previous checkpoint.
-func Save(path string, cp *Checkpoint) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".flckpt-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".flckpt-*")
 	if err != nil {
 		return fmt.Errorf("persist: temp file: %w", err)
 	}
@@ -111,9 +94,9 @@ func Save(path string, cp *Checkpoint) error {
 	defer func() {
 		_ = os.Remove(tmpName) // no-op after successful rename
 	}()
-	if err := Write(tmp, cp); err != nil {
+	if _, err := tmp.Write(line); err != nil {
 		_ = tmp.Close()
-		return err
+		return fmt.Errorf("persist: write: %w", err)
 	}
 	if err := tmp.Sync(); err != nil {
 		_ = tmp.Close()
@@ -128,21 +111,66 @@ func Save(path string, cp *Checkpoint) error {
 	return nil
 }
 
-// LoadFile reads a checkpoint from disk.
+// LoadFile reads the checkpoint at path. A file that cannot be opened or
+// read is an I/O error (fs.ErrNotExist for a missing one); a file that
+// holds anything but exactly one intact v2 record is a *FormatError.
 func LoadFile(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
+	entries, err := ReadEntries(path)
 	if err != nil {
-		return nil, fmt.Errorf("persist: open: %w", err)
+		var ioErr *fs.PathError
+		if errors.As(err, &ioErr) {
+			return nil, err
+		}
+		return nil, &FormatError{Path: path, Reason: err.Error()}
 	}
-	defer f.Close()
-	return Read(f)
+	if len(entries) != 1 || entries[0].Key != checkpointKey {
+		return nil, &FormatError{Path: path, Reason: fmt.Sprintf("%d intact lines, want one keyed %q", len(entries), checkpointKey)}
+	}
+	var rec record
+	dec := json.NewDecoder(bytes.NewReader(entries[0].Payload))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&rec); err != nil {
+		return nil, &FormatError{Path: path, Reason: err.Error()}
+	}
+	switch {
+	case len(rec.Weights) == 0:
+		return nil, &FormatError{Path: path, Reason: "no weights"}
+	case len(rec.Weights)%8 != 0 || len(rec.Prev)%8 != 0:
+		return nil, &FormatError{Path: path, Reason: "a vector is not a whole number of float64s"}
+	}
+	cp := rec.Checkpoint
+	cp.Weights, cp.Prev = bitsFloat(rec.Weights), bitsFloat(rec.Prev)
+	cp.Accuracy, cp.MaxAccuracy = nanNull(rec.Accuracy), nanNull(rec.MaxAccuracy)
+	return &cp, nil
 }
 
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
+func floatBits(v []float64) []byte {
+	b := make([]byte, 8*len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
-	return "."
+	return b
+}
+
+func bitsFloat(b []byte) []float64 {
+	v := make([]float64, len(b)/8)
+	for i := range v {
+		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return v
+}
+
+// nullNaN and nanNull map a NaN accuracy to JSON null and back.
+func nullNaN(v float64) *float64 {
+	if math.IsNaN(v) {
+		return nil
+	}
+	return &v
+}
+
+func nanNull(p *float64) float64 {
+	if p == nil {
+		return math.NaN()
+	}
+	return *p
 }

@@ -1,7 +1,9 @@
 package persist
 
 import (
-	"bytes"
+	"errors"
+	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,71 +11,158 @@ import (
 
 func sample() *Checkpoint {
 	return &Checkpoint{
-		Round:    7,
-		Dataset:  "fashion-sim",
-		Model:    "fashion-cnn",
-		Weights:  []float64{0.5, -1.25, 3e-9, 42},
-		Accuracy: 0.731,
+		Dataset:    "fashion-sim",
+		Model:      "fashion-cnn",
+		Seed:       6,
+		MinClients: 10,
+		PerRound:   4,
+		Weights:    []float64{0.5, -1.25, 3e-9, 42},
+		Resume: Resume{
+			Round:       7,
+			Prev:        []float64{0.25, -1, 0, 41},
+			Accuracy:    0.731,
+			MaxAccuracy: 0.75,
+		},
 	}
 }
 
+// sameCheckpoint reports whether two checkpoints are equal bit for bit.
+func sameCheckpoint(a, b *Checkpoint) bool {
+	sameBits := func(x, y []float64) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Dataset == b.Dataset && a.Model == b.Model && a.Seed == b.Seed &&
+		a.MinClients == b.MinClients && a.PerRound == b.PerRound && a.Round == b.Round &&
+		sameBits(a.Weights, b.Weights) && sameBits(a.Prev, b.Prev) &&
+		sameBits([]float64{a.Accuracy, a.MaxAccuracy}, []float64{b.Accuracy, b.MaxAccuracy})
+}
+
+// TestWriteReadRoundTrip: Save then LoadFile returns every field bit for
+// bit, the float64 values JSON numbers cannot carry included: −0,
+// subnormals, the extremes, NaN (with its payload) and ±Inf weights, and a
+// NaN accuracy (a federation without a test set evaluates nothing).
 func TestWriteReadRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, sample()); err != nil {
-		t.Fatal(err)
+	extremes := []float64{
+		math.Copysign(0, -1), 5e-324, -2.2250738585072014e-308 / 3,
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+		math.NaN(), math.Float64frombits(0x7ff8_dead_beef_0001), math.Inf(1), math.Inf(-1),
 	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sample()
-	if got.Round != want.Round || got.Dataset != want.Dataset || got.Model != want.Model || got.Accuracy != want.Accuracy {
-		t.Fatalf("metadata lost: %+v", got)
-	}
-	if len(got.Weights) != len(want.Weights) {
-		t.Fatalf("weights length %d", len(got.Weights))
-	}
-	for i := range want.Weights {
-		if got.Weights[i] != want.Weights[i] {
-			t.Fatalf("weight %d = %v, want %v", i, got.Weights[i], want.Weights[i])
+	nanAcc := sample()
+	nanAcc.Accuracy = math.NaN()
+	bits := sample()
+	bits.Weights = extremes
+	bits.Prev = append([]float64{1}, extremes[1:]...)
+	for name, cp := range map[string]*Checkpoint{"sample": sample(), "nan-accuracy": nanAcc, "extremes": bits} {
+		path := filepath.Join(t.TempDir(), "global.ckpt")
+		if err := Save(path, cp); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := LoadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !sameCheckpoint(got, cp) {
+			t.Fatalf("%s: loaded %+v, saved %+v", name, got, cp)
 		}
 	}
 }
 
 func TestWriteRejectsEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, nil); err == nil {
+	path := filepath.Join(t.TempDir(), "global.ckpt")
+	if err := Save(path, nil); err == nil {
 		t.Fatal("expected error for nil checkpoint")
 	}
-	if err := Write(&buf, &Checkpoint{Round: 1}); err == nil {
+	if err := Save(path, &Checkpoint{Resume: Resume{Round: 1}}); err == nil {
 		t.Fatal("expected error for empty weights")
 	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("not a checkpoint"))); err == nil {
-		t.Fatal("expected error for garbage stream")
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("a refused Save left a file: %v", err)
 	}
 }
 
-func TestReadRejectsWrongMagic(t *testing.T) {
-	var buf bytes.Buffer
-	// Hand-craft a stream with a wrong magic via the same encoder types.
-	bad := sample()
-	if err := Write(&buf, bad); err != nil {
+// wantFormatError loads path and requires the typed refusal.
+func wantFormatError(t *testing.T, path string) {
+	t.Helper()
+	cp, err := LoadFile(path)
+	var fe *FormatError
+	if !errors.As(err, &fe) {
+		t.Fatalf("LoadFile = %+v, %v; want a *FormatError", cp, err)
+	}
+}
+
+// TestReadRejectsGarbage: foreign bytes, a record that is not a complete
+// checkpoint, and a record cut anywhere — the journal scanner's torn tail —
+// are refused, not loaded and not taken for a fresh start. Save's rename
+// never leaves a cut record; a disk or a copy can.
+func TestReadRejectsGarbage(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "global.ckpt")
+	if err := Save(path, sample()); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt a byte inside the magic region.
-	data := buf.Bytes()
-	for i := range data {
-		if data[i] == 'F' && i+5 < len(data) && data[i+1] == 'L' {
-			data[i] = 'X'
-			break
+	record, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every cut but the one that drops only the newline, whose intact
+	// record the scanner keeps.
+	for n := 0; n < len(record)-1; n++ {
+		cut := filepath.Join(dir, "cut.ckpt")
+		if err := os.WriteFile(cut, record[:n], 0o644); err != nil {
+			t.Fatal(err)
 		}
+		wantFormatError(t, cut)
 	}
-	if _, err := Read(bytes.NewReader(data)); err == nil {
-		t.Fatal("expected error for corrupted magic")
+	for name, data := range map[string]string{
+		"empty":         "",
+		"text":          "not a checkpoint",
+		"json":          `{"key":"flckpt/v2","payload":[1,2]}` + "\n",
+		"no-weights":    `{"key":"flckpt/v2","payload":{"round":1}}` + "\n",
+		"ragged":        `{"key":"flckpt/v2","payload":{"weights":"AAAAAAAA8D8A"}}` + "\n",
+		"unknown-field": `{"key":"flckpt/v2","payload":{"weights":"AAAAAAAA8D8=","momentum":"AAAAAAAA8D8="}}` + "\n",
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		wantFormatError(t, path)
 	}
+}
+
+// TestReadRejectsWrongMagic: only a v2 record loads. A version 1 file (a
+// gob stream written by the previous format, kept under testdata) and a
+// journal line under any other key are typed refusals — never a fresh
+// start, never a silent load.
+func TestReadRejectsWrongMagic(t *testing.T) {
+	wantFormatError(t, filepath.Join("testdata", "v1.ckpt"))
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, "global.ckpt")
+	if err := Save(path, sample()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := filepath.Join(dir, "v3.ckpt")
+	if err := os.WriteFile(other, []byte(`{"key":"flckpt/v3"`+string(data[len(`{"key":"flckpt/v2"`):])), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wantFormatError(t, other)
+	twice := filepath.Join(dir, "twice.ckpt")
+	if err := os.WriteFile(twice, append(append([]byte{}, data...), data...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wantFormatError(t, twice)
 }
 
 func TestSaveLoadFileAtomic(t *testing.T) {
@@ -113,16 +202,7 @@ func TestSaveLoadFileAtomic(t *testing.T) {
 }
 
 func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "absent.ckpt")); err == nil {
-		t.Fatal("expected error for missing file")
-	}
-}
-
-func TestDirOf(t *testing.T) {
-	if dirOf("/a/b/c.ckpt") != "/a/b" {
-		t.Fatalf("dirOf = %q", dirOf("/a/b/c.ckpt"))
-	}
-	if dirOf("c.ckpt") != "." {
-		t.Fatalf("dirOf = %q", dirOf("c.ckpt"))
+	if _, err := LoadFile(filepath.Join(t.TempDir(), "absent.ckpt")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("missing file: err %v, want fs.ErrNotExist", err)
 	}
 }
