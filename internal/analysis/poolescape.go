@@ -6,8 +6,8 @@ import (
 )
 
 // PoolEscape machine-checks the tensor.Pool arena ownership rules that
-// were previously README prose: storage handed out by Get/GetTensor, by
-// their non-clearing twins GetUninit/GetTensorUninit and by GetView is
+// were previously README prose: storage handed out by Get, by the
+// non-clearing GetUninit/GetTensorUninit and by GetView is
 // valid only until the owning pool's next Reset and the arena is
 // single-goroutine. A pooled buffer must never (a) be stored into a
 // struct field that outlives the call frame, (b) be captured by a spawned
@@ -26,8 +26,8 @@ var PoolEscape = &Analyzer{
 	Name: "poolescape",
 	Doc: `forbid tensor.Pool buffers from escaping their arena frame
 
-Values obtained from tensor.Pool Get/GetTensor/GetUninit/GetTensorUninit/
-GetView are arena scratch,
+Values obtained from tensor.Pool Get/GetUninit/GetTensorUninit/GetView
+are arena scratch,
 recycled wholesale at Reset. Storing them into struct fields, capturing
 them in go statements, sending them on channels, or returning them from
 the function that owns the pool makes a buffer outlive its arena cycle —
@@ -37,10 +37,10 @@ results without ever crashing. Returning scratch from a caller-supplied
 	Run: runPoolEscape,
 }
 
-// poolMethods are the arena hand-out entry points: the zeroed ones, their
-// contents-undefined twins, and the view over existing storage.
+// poolMethods are the arena hand-out entry points: the zeroed one, the
+// contents-undefined ones, and the view over existing storage.
 var poolMethods = map[string]bool{
-	"Get": true, "GetTensor": true,
+	"Get":       true,
 	"GetUninit": true, "GetTensorUninit": true,
 	"GetView": true,
 }

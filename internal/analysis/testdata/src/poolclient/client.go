@@ -20,7 +20,7 @@ func returnOwned() []float32 {
 }
 
 func returnOwnedTensor() *tensor.Tensor {
-	t := pkgPool.GetTensor(2, 4)
+	t := pkgPool.GetTensorUninit(2, 4)
 	return t // want `function-owned tensor.Pool is returned`
 }
 

@@ -22,19 +22,17 @@ func (p *Pool) Get(n int) []float32 {
 	return p.arena[start : start+n : start+n]
 }
 
-func (p *Pool) GetTensor(shape ...int) *Tensor {
+// GetUninit and GetTensorUninit mirror the real arena's non-clearing
+// hand-outs; the analyzer tells hand-outs apart by name only.
+func (p *Pool) GetUninit(n int) []float32 { return p.Get(n) }
+
+func (p *Pool) GetTensorUninit(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		n *= d
 	}
 	return &Tensor{Data: p.Get(n), Shape: shape}
 }
-
-// GetUninit and GetTensorUninit mirror the real arena's non-clearing
-// hand-outs; the analyzer tells hand-outs apart by name only.
-func (p *Pool) GetUninit(n int) []float32 { return p.Get(n) }
-
-func (p *Pool) GetTensorUninit(shape ...int) *Tensor { return p.GetTensor(shape...) }
 
 func (p *Pool) GetView(data []float32, shape ...int) *Tensor {
 	return &Tensor{Data: data, Shape: shape}

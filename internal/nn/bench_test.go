@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -146,6 +147,25 @@ func BenchmarkFashionCNNShard32(b *testing.B) {
 	}
 }
 
+// zooConvs are the conv layers of the two zoo models on 16×16 inputs, by
+// the image each one expands: its input.
+type zooConv struct {
+	name            string
+	ch, size        int
+	kk, stride, pad int
+}
+
+var zooConvs = []zooConv{
+	{"fashion1", 1, 16, 3, 2, 1},
+	{"fashion2", 8, 8, 3, 2, 1},
+	{"deep1", 3, 16, 3, 1, 1},
+	{"deep2", 8, 16, 3, 2, 1},
+	{"deep3", 8, 8, 3, 1, 1},
+	{"deep4", 16, 8, 3, 2, 1},
+	{"deep5", 16, 4, 3, 1, 1},
+	{"deep6", 32, 4, 3, 2, 1},
+}
+
 // BenchmarkPatchPanels measures what a convolution does to one sample
 // before each of its two patch-matrix products, per conv layer of the two
 // zoo models on 16×16 inputs: the padded copy and the expansion into panels
@@ -153,20 +173,7 @@ func BenchmarkFashionCNNShard32(b *testing.B) {
 // product does (dW). tensor.BenchmarkGemmZoo's panelB rows are the products.
 func BenchmarkPatchPanels(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	for _, l := range []struct {
-		name            string
-		ch, size        int
-		kk, stride, pad int
-	}{
-		{"fashion1", 1, 16, 3, 2, 1},
-		{"fashion2", 8, 8, 3, 2, 1},
-		{"deep1", 3, 16, 3, 1, 1},
-		{"deep2", 8, 16, 3, 2, 1},
-		{"deep3", 8, 8, 3, 1, 1},
-		{"deep4", 16, 8, 3, 2, 1},
-		{"deep5", 16, 4, 3, 1, 1},
-		{"deep6", 32, 4, 3, 2, 1},
-	} {
+	for _, l := range zooConvs {
 		x := tensor.New(l.ch, l.size, l.size)
 		x.FillNormal(rng, 0, 1)
 		var g patchGeom
@@ -174,16 +181,42 @@ func BenchmarkPatchPanels(b *testing.B) {
 		xp := make([]float64, g.xpLen)
 		pb := make([]float64, max(tensor.PanelBLen(len(g.off), len(g.pos)), tensor.PanelBLen(len(g.pos), len(g.off))))
 		for _, order := range []struct {
-			name        string
-			depth, cols []int
-		}{{"forward", g.off, g.pos}, {"dW", g.pos, g.off}} {
+			name       string
+			transposed bool
+		}{{"forward", false}, {"dW", true}} {
 			b.Run(l.name+"/"+order.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					padInto(xp, x.Data, l.ch, l.size, l.size, l.pad)
-					patchPanels(pb, xp, order.depth, order.cols)
+					g.moves.GatherPanels(pb, xp, order.transposed)
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkScatterRows measures what a convolution does to one sample after
+// the product that yields its row-major patch-matrix gradient: the scatter
+// onto the padded buffer, the interior copied out and the buffer cleared
+// (scatterInto). One case per image a zoo layer scatters onto: each conv
+// layer's input gradient (the first layer's only in DFA synthesis) and the
+// generator's transposed convolutions, whose forward pass is this scatter
+// onto their output.
+func BenchmarkScatterRows(b *testing.B) {
+	rng := rand.New(rand.NewSource(8))
+	layers := append(slices.Clone(zooConvs), zooConv{"generatorT1", 16, 8, 4, 2, 1}, zooConv{"generatorT2", 8, 16, 4, 2, 1})
+	for _, l := range layers {
+		var g patchGeom
+		g.at(l.ch, l.size, l.size, l.kk, l.stride, l.pad)
+		xp := make([]float64, g.xpLen)
+		x := make([]float64, l.ch*l.size*l.size)
+		cols := tensor.New(len(g.off) * len(g.pos))
+		cols.FillNormal(rng, 0, 1)
+		b.Run(l.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				scatterInto(x, xp, cols.Data, &g, l.ch, l.size, l.size, l.pad)
+			}
+		})
 	}
 }

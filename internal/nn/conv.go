@@ -17,20 +17,20 @@ import (
 // image B, trained through the frozen global model.
 //
 // Both passes are GEMMs against the patch matrix of the sample, which is
-// never stored row-major: the sample is zero-padded once (padInto) and
-// patchPanels expands it straight into the panels the GEMM kernel reads.
-// Per sample, the forward pass is weight[outC, inC·k²] times the patch
-// matrix, the weight gradient is the output gradient times the patch matrix
-// transposed — the same expansion with its two offset tables swapped — and
-// the input gradient is col2im of weightᵀ times the output gradient. The
+// never stored row-major: the sample is zero-padded once (padInto) and the
+// patch gather (tensor.PatchTables) expands it straight into the panels the
+// GEMM kernel reads. Per sample, the forward pass is weight[outC, inC·k²]
+// times the patch matrix, the weight gradient is the output gradient times
+// the patch matrix transposed — the same gather with its two offset tables
+// swapped — and the input gradient is weightᵀ times the output gradient,
+// scattered back onto the zeroed padded buffer, whose interior is then the
+// sample's input gradient (scatterInto). The
 // weights are the left operand of the forward and the input-gradient
 // products: they are packed once per layer call (PackA), before the batch
 // fan-out, and every sample multiplies against the same panels. Samples are
 // fanned out over the kernel worker pool with per-chunk panel buffers and
 // padded copies; the per-sample weight-gradient partials are reduced in
-// batch order so results do not depend on the worker count. The original
-// scalar loops are retained as forwardNaive/backwardNaive for the
-// equivalence tests.
+// batch order so results do not depend on the worker count.
 type Conv2D struct {
 	InC, OutC   int
 	Kernel      int
@@ -74,8 +74,8 @@ func NewConv2D(rng *rand.Rand, inC, outC, kernel, stride, pad int) *Conv2D {
 	return c
 }
 
-// OutSize returns the spatial output size for a given input size.
-func (c *Conv2D) OutSize(in int) int {
+// outSize returns the spatial output size for a given input size.
+func (c *Conv2D) outSize(in int) int {
 	return (in+2*c.Pad-c.Kernel)/c.Stride + 1
 }
 
@@ -83,12 +83,13 @@ func (c *Conv2D) setScratch(p *tensor.Pool) { c.scratch = p }
 
 // stageConvBufs refills the persistent buffer holders of a convolution
 // layer from its scratch pool: per parallel chunk one patch buffer and one
-// padded sample (empty for a pass that expands nothing); when dwSize > 0,
-// one weight-gradient partial per sample. Both Conv2D and ConvTranspose2D
-// stage through this one helper. Patch buffers and partials are handed out uninitialised:
-// patchPanels or a non-accumulating GEMM writes every element of the one, a
-// non-accumulating GEMM of the other. A padded sample is handed out zeroed:
-// padInto writes its interior per sample and its border stays zero.
+// padded sample; when dwSize > 0, one weight-gradient partial per sample.
+// Both Conv2D and ConvTranspose2D stage through this one helper. Patch
+// buffers and partials are handed out uninitialised: the patch gather or a
+// non-accumulating GEMM writes every element of the one, a non-accumulating
+// GEMM of the other. A padded sample is handed out zeroed: padInto and
+// ConvTranspose2D's bias fill write only its interior, and scatterInto
+// clears it again, border and all, once it has copied the interior out.
 func stageConvBufs(pool *tensor.Pool, colsBufs, xpBufs, dwBufs [][]float64, batch, colsSize, xpSize, dwSize int) (cols, xp, dw [][]float64) {
 	nch := tensor.ChunkCount(batch, 1)
 	colsBufs, xpBufs = colsBufs[:0], xpBufs[:0]
@@ -128,10 +129,7 @@ type (
 // reduction both convolution layers rely on for worker-count invariance.
 func reduceConvPartials(gradW, gradB []float64, dwBufs [][]float64, grad []float64, batch, outC, oHW int) {
 	for b := 0; b < batch; b++ {
-		dwb := dwBufs[b]
-		for i := range gradW {
-			gradW[i] += dwb[i]
-		}
+		tensor.AddSlice(gradW, dwBufs[b])
 		gb := grad[b*outC*oHW : (b+1)*outC*oHW]
 		for oc := 0; oc < outC; oc++ {
 			sum := gradB[oc]
@@ -172,7 +170,7 @@ func (pass conv2DPass) forwardChunk(lo, hi, ch int) {
 	g, cols, xp := &c.geom, c.colsBufs[ch], c.xpBufs[ch]
 	for b := lo; b < hi; b++ {
 		padInto(xp, x.Data[b*inC*h*w:(b+1)*inC*h*w], inC, h, w, c.Pad)
-		patchPanels(cols, xp, g.off, g.pos)
+		g.moves.GatherPanels(cols, xp, false)
 		ob := out.Data[b*c.OutC*oHW : (b+1)*c.OutC*oHW]
 		for oc := 0; oc < c.OutC; oc++ {
 			row := ob[oc*oHW : (oc+1)*oHW]
@@ -194,7 +192,8 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // patch expansion of the cached input, one weight-gradient partial per
 // sample and their in-order reduction; the input half is weightᵀ times the
 // output gradient, written row-major into the storage the parameter half is
-// done with and scattered back by col2im. Neither reads the other's result.
+// done with and scattered back through the padded buffer. Neither reads the
+// other's result.
 func (c *Conv2D) backward(grad *tensor.Tensor, params, input bool) *tensor.Tensor {
 	x := c.lastInput
 	batch, inC, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
@@ -203,14 +202,14 @@ func (c *Conv2D) backward(grad *tensor.Tensor, params, input bool) *tensor.Tenso
 	ck2 := inC * c.Kernel * c.Kernel
 	var dx *tensor.Tensor
 	if input {
-		dx = c.scratch.GetTensor(batch, inC, h, w)
+		dx = c.scratch.GetTensorUninit(batch, inC, h, w) // scatterInto writes every element
 	}
-	colsSize, xpSize, dwSize := ck2*oHW, 0, 0
+	colsSize, dwSize := ck2*oHW, 0
 	if params {
 		colsSize = tensor.PanelBLen(oHW, ck2) // at least ck2*oHW
-		xpSize = c.geom.at(inC, h, w, c.Kernel, c.Stride, c.Pad).xpLen
 		dwSize = c.OutC * ck2
 	}
+	xpSize := c.geom.at(inC, h, w, c.Kernel, c.Stride, c.Pad).xpLen
 	c.colsBufs, c.xpBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.xpBufs, c.dwBufs, batch, colsSize, xpSize, dwSize)
 	var wtp tensor.PackedA // weightᵀ, the left operand of the input half
 	if input {
@@ -225,22 +224,20 @@ func (c *Conv2D) backward(grad *tensor.Tensor, params, input bool) *tensor.Tenso
 }
 
 // backwardChunk runs the GEMM-lowered backward pass for samples [lo, hi):
-// the sample's weight-gradient partial when partials were staged, then the
-// input gradient via col2im of the packed weightᵀ times the output gradient
-// when dx was.
+// the sample's weight-gradient partial when partials were staged, then,
+// when dx was, the input gradient: the packed weightᵀ times the output
+// gradient, scattered onto the zeroed padded buffer and cropped out of it.
 func (pass conv2DPass) backwardChunk(lo, hi, ch int) {
 	c, x, grad, dx, wtp := pass.c, pass.x, pass.y, pass.dx, pass.w
 	inC, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
-	outH, outW := grad.Shape[2], grad.Shape[3]
-	oHW := outH * outW
-	k, s, p := c.Kernel, c.Stride, c.Pad
-	ck2 := inC * k * k
+	oHW := grad.Shape[2] * grad.Shape[3]
+	ck2 := inC * c.Kernel * c.Kernel
 	g, cols, xp := &c.geom, c.colsBufs[ch], c.xpBufs[ch]
 	for b := lo; b < hi; b++ {
 		gb := grad.Data[b*c.OutC*oHW : (b+1)*c.OutC*oHW]
 		if len(c.dwBufs) > 0 {
-			padInto(xp, x.Data[b*inC*h*w:(b+1)*inC*h*w], inC, h, w, p)
-			patchPanels(cols, xp, g.pos, g.off)
+			padInto(xp, x.Data[b*inC*h*w:(b+1)*inC*h*w], inC, h, w, c.Pad)
+			g.moves.GatherPanels(cols, xp, true)
 			// dW_b = dOut_b · patchesᵀ, into this sample's partial.
 			gp := tensor.PackA(gb, c.OutC, oHW, ck2, false)
 			tensor.GemmPanelB(c.dwBufs[b], gp, cols, false)
@@ -249,105 +246,12 @@ func (pass conv2DPass) backwardChunk(lo, hi, ch int) {
 		if dx != nil {
 			// dCols = weightᵀ · dOut_b, row-major over the patch buffer.
 			tensor.GemmPackedA(cols, wtp, gb, false, false)
-			col2im(dx.Data[b*inC*h*w:(b+1)*inC*h*w], cols, inC, h, w, k, s, p, outH, outW)
-		}
-	}
-}
-
-// forwardNaive is the original 7-deep scalar-loop forward pass, retained as
-// the reference the GEMM lowering is tested against.
-func (c *Conv2D) forwardNaive(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if train {
-		c.lastInput = x
-	}
-	batch, inC, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	if inC != c.InC {
-		panic(fmt.Sprintf("nn: conv input channels %d, want %d", inC, c.InC))
-	}
-	outH, outW := c.OutSize(h), c.OutSize(w)
-	out := tensor.New(batch, c.OutC, outH, outW)
-	k, s, p := c.Kernel, c.Stride, c.Pad
-
-	for b := 0; b < batch; b++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			bv := c.bias.Data[oc]
-			for oh := 0; oh < outH; oh++ {
-				ihBase := oh*s - p
-				for ow := 0; ow < outW; ow++ {
-					iwBase := ow*s - p
-					sum := bv
-					for ic := 0; ic < inC; ic++ {
-						xBase := ((b*inC + ic) * h) * w
-						wBase := ((oc*inC + ic) * k) * k
-						for kh := 0; kh < k; kh++ {
-							ih := ihBase + kh
-							if ih < 0 || ih >= h {
-								continue
-							}
-							xRow := xBase + ih*w
-							wRow := wBase + kh*k
-							for kw := 0; kw < k; kw++ {
-								iw := iwBase + kw
-								if iw < 0 || iw >= w {
-									continue
-								}
-								sum += x.Data[xRow+iw] * c.weight.Data[wRow+kw]
-							}
-						}
-					}
-					out.Data[((b*c.OutC+oc)*outH+oh)*outW+ow] = sum
-				}
+			if len(c.dwBufs) > 0 {
+				clear(xp) // the scatter starts from +0
 			}
+			scatterInto(dx.Data[b*inC*h*w:(b+1)*inC*h*w], xp, cols, g, inC, h, w, c.Pad)
 		}
 	}
-	return out
-}
-
-// backwardNaive is the original scalar-loop backward pass, retained as the
-// reference the GEMM lowering is tested against.
-func (c *Conv2D) backwardNaive(grad *tensor.Tensor) *tensor.Tensor {
-	x := c.lastInput
-	batch, inC, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	outH, outW := grad.Shape[2], grad.Shape[3]
-	dx := tensor.New(batch, inC, h, w)
-	k, s, p := c.Kernel, c.Stride, c.Pad
-
-	for b := 0; b < batch; b++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			for oh := 0; oh < outH; oh++ {
-				ihBase := oh*s - p
-				for ow := 0; ow < outW; ow++ {
-					iwBase := ow*s - p
-					g := grad.Data[((b*c.OutC+oc)*outH+oh)*outW+ow]
-					if g == 0 {
-						continue
-					}
-					c.gradB.Data[oc] += g
-					for ic := 0; ic < inC; ic++ {
-						xBase := ((b*inC + ic) * h) * w
-						wBase := ((oc*inC + ic) * k) * k
-						for kh := 0; kh < k; kh++ {
-							ih := ihBase + kh
-							if ih < 0 || ih >= h {
-								continue
-							}
-							xRow := xBase + ih*w
-							wRow := wBase + kh*k
-							for kw := 0; kw < k; kw++ {
-								iw := iwBase + kw
-								if iw < 0 || iw >= w {
-									continue
-								}
-								c.gradW.Data[wRow+kw] += g * x.Data[xRow+iw]
-								dx.Data[xRow+iw] += g * c.weight.Data[wRow+kw]
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return dx
 }
 
 // Params implements Layer.
@@ -379,11 +283,11 @@ func (c *Conv2D) Clone() Layer {
 // transposed convolutions upsample a latent noise block into an image.
 //
 // Like Conv2D, both passes are GEMM-lowered with the weights packed once
-// per layer call: the forward pass col2im-scatters weightᵀ·x, the backward
-// pass expands the output gradient with Conv2D's padInto and patchPanels —
-// one padded copy per sample, its transposed patch matrix for the weight
-// gradient and its patch matrix for the input gradient. The original
-// scatter loops are retained as forwardNaive/backwardNaive.
+// per layer call: the forward pass scatters weightᵀ·x onto a padded buffer
+// whose interior holds the bias (Conv2D's input-gradient scatter), the
+// backward pass pads the output gradient and gathers its patches — one
+// padded copy per sample, its transposed patch matrix for the weight
+// gradient and its patch matrix for the input gradient.
 type ConvTranspose2D struct {
 	InC, OutC   int
 	Kernel      int
@@ -428,8 +332,8 @@ func NewConvTranspose2D(rng *rand.Rand, inC, outC, kernel, stride, pad int) *Con
 	return c
 }
 
-// OutSize returns the spatial output size for a given input size.
-func (c *ConvTranspose2D) OutSize(in int) int {
+// outSize returns the spatial output size for a given input size.
+func (c *ConvTranspose2D) outSize(in int) int {
 	return (in-1)*c.Stride - 2*c.Pad + c.Kernel
 }
 
@@ -444,14 +348,15 @@ func (c *ConvTranspose2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if inC != c.InC {
 		panic(fmt.Sprintf("nn: convT input channels %d, want %d", inC, c.InC))
 	}
-	outH, outW := c.OutSize(h), c.OutSize(w)
+	outH, outW := c.outSize(h), c.outSize(w)
 	if outH <= 0 || outW <= 0 {
 		panic(fmt.Sprintf("nn: convT output size %dx%d not positive", outH, outW))
 	}
 	hw := h * w
 	ock2 := c.OutC * c.Kernel * c.Kernel
-	out := c.scratch.GetTensorUninit(batch, c.OutC, outH, outW) // forwardChunk bias-fills every row
-	c.colsBufs, c.xpBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.xpBufs, c.dwBufs, batch, ock2*hw, 0, 0)
+	out := c.scratch.GetTensorUninit(batch, c.OutC, outH, outW) // scatterInto writes every element
+	g := c.geom.at(c.OutC, outH, outW, c.Kernel, c.Stride, c.Pad)
+	c.colsBufs, c.xpBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.xpBufs, c.dwBufs, batch, ock2*hw, g.xpLen, 0)
 	wtp := tensor.PackA(c.weight.Data, ock2, inC, hw, true)
 	tensor.ParallelChunks(batch, 1, len(c.colsBufs), convTPass{c: c, x: x, y: out, w: wtp}, convTPass.forwardChunk)
 	wtp.Release()
@@ -459,27 +364,30 @@ func (c *ConvTranspose2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // forwardChunk runs the GEMM-lowered forward scatter for samples [lo, hi)
-// with the packed weightᵀ.
+// with the packed weightᵀ: each output pixel is its bias plus its taps in
+// ascending (ki, kj) order.
 func (pass convTPass) forwardChunk(lo, hi, ch int) {
 	c, x, out, wtp := pass.c, pass.x, pass.y, pass.w
-	inC, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
+	inC, hw := x.Shape[1], x.Shape[2]*x.Shape[3]
 	outH, outW := out.Shape[2], out.Shape[3]
-	k, s, p := c.Kernel, c.Stride, c.Pad
-	hw := h * w
 	oHW := outH * outW
-	cols := c.colsBufs[ch]
+	hp, wp := outH+2*c.Pad, outW+2*c.Pad
+	g, cols, xp := &c.geom, c.colsBufs[ch], c.xpBufs[ch]
 	for b := lo; b < hi; b++ {
 		// cols = weightᵀ · x_b over [inC, outC·k²] × [inC, hw].
 		tensor.GemmPackedA(cols, wtp, x.Data[b*inC*hw:(b+1)*inC*hw], false, false)
-		ob := out.Data[b*c.OutC*oHW : (b+1)*c.OutC*oHW]
+		// The padded buffer's interior starts at the bias; the scatter adds
+		// the taps onto it and crops it into the output.
 		for oc := 0; oc < c.OutC; oc++ {
-			row := ob[oc*oHW : (oc+1)*oHW]
 			bv := c.bias.Data[oc]
-			for i := range row {
-				row[i] = bv
+			for i := 0; i < outH; i++ {
+				row := xp[(oc*hp+c.Pad+i)*wp+c.Pad:][:outW]
+				for j := range row {
+					row[j] = bv
+				}
 			}
 		}
-		col2im(ob, cols, c.OutC, outH, outW, k, s, p, h, w)
+		scatterInto(out.Data[b*c.OutC*oHW:(b+1)*c.OutC*oHW], xp, cols, g, c.OutC, outH, outW, c.Pad)
 	}
 }
 
@@ -535,141 +443,17 @@ func (pass convTPass) backwardChunk(lo, hi, ch int) {
 		padInto(xp, grad.Data[b*c.OutC*oHW:(b+1)*c.OutC*oHW], c.OutC, outH, outW, c.Pad)
 		if len(c.dwBufs) > 0 {
 			// dW_b = x_b · dColsᵀ.
-			patchPanels(cols, xp, g.pos, g.off)
+			g.moves.GatherPanels(cols, xp, true)
 			xa := tensor.PackA(x.Data[b*inC*hw:(b+1)*inC*hw], inC, hw, ock2, false)
 			tensor.GemmPanelB(c.dwBufs[b], xa, cols, false)
 			xa.Release()
 		}
 		if dx != nil {
 			// dx_b = weight · dCols.
-			patchPanels(cols, xp, g.off, g.pos)
+			g.moves.GatherPanels(cols, xp, false)
 			tensor.GemmPanelB(dx.Data[b*inC*hw:(b+1)*inC*hw], wp, cols, false)
 		}
 	}
-}
-
-// forwardNaive is the original scatter-loop forward pass, retained as the
-// reference the GEMM lowering is tested against.
-func (c *ConvTranspose2D) forwardNaive(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if train {
-		c.lastInput = x
-	}
-	batch, inC, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	if inC != c.InC {
-		panic(fmt.Sprintf("nn: convT input channels %d, want %d", inC, c.InC))
-	}
-	outH, outW := c.OutSize(h), c.OutSize(w)
-	if outH <= 0 || outW <= 0 {
-		panic(fmt.Sprintf("nn: convT output size %dx%d not positive", outH, outW))
-	}
-	out := tensor.New(batch, c.OutC, outH, outW)
-	k, s, p := c.Kernel, c.Stride, c.Pad
-
-	// Bias.
-	for b := 0; b < batch; b++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			base := ((b*c.OutC + oc) * outH) * outW
-			bv := c.bias.Data[oc]
-			for i := 0; i < outH*outW; i++ {
-				out.Data[base+i] = bv
-			}
-		}
-	}
-	// Scatter contributions.
-	for b := 0; b < batch; b++ {
-		for ic := 0; ic < inC; ic++ {
-			xBase := ((b*inC + ic) * h) * w
-			for ih := 0; ih < h; ih++ {
-				ohBase := ih*s - p
-				for iw := 0; iw < w; iw++ {
-					xv := x.Data[xBase+ih*w+iw]
-					if xv == 0 {
-						continue
-					}
-					owBase := iw*s - p
-					for oc := 0; oc < c.OutC; oc++ {
-						oBase := ((b*c.OutC + oc) * outH) * outW
-						wBase := ((ic*c.OutC + oc) * k) * k
-						for kh := 0; kh < k; kh++ {
-							oh := ohBase + kh
-							if oh < 0 || oh >= outH {
-								continue
-							}
-							oRow := oBase + oh*outW
-							wRow := wBase + kh*k
-							for kw := 0; kw < k; kw++ {
-								ow := owBase + kw
-								if ow < 0 || ow >= outW {
-									continue
-								}
-								out.Data[oRow+ow] += xv * c.weight.Data[wRow+kw]
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-// backwardNaive is the original scalar-loop backward pass, retained as the
-// reference the GEMM lowering is tested against.
-func (c *ConvTranspose2D) backwardNaive(grad *tensor.Tensor) *tensor.Tensor {
-	x := c.lastInput
-	batch, inC, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	outH, outW := grad.Shape[2], grad.Shape[3]
-	dx := tensor.New(batch, inC, h, w)
-	k, s, p := c.Kernel, c.Stride, c.Pad
-
-	// Bias gradient.
-	for b := 0; b < batch; b++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			base := ((b*c.OutC + oc) * outH) * outW
-			sum := 0.0
-			for i := 0; i < outH*outW; i++ {
-				sum += grad.Data[base+i]
-			}
-			c.gradB.Data[oc] += sum
-		}
-	}
-	// Weight and input gradients: mirror the forward scatter.
-	for b := 0; b < batch; b++ {
-		for ic := 0; ic < inC; ic++ {
-			xBase := ((b*inC + ic) * h) * w
-			for ih := 0; ih < h; ih++ {
-				ohBase := ih*s - p
-				for iw := 0; iw < w; iw++ {
-					owBase := iw*s - p
-					xv := x.Data[xBase+ih*w+iw]
-					var dxv float64
-					for oc := 0; oc < c.OutC; oc++ {
-						oBase := ((b*c.OutC + oc) * outH) * outW
-						wBase := ((ic*c.OutC + oc) * k) * k
-						for kh := 0; kh < k; kh++ {
-							oh := ohBase + kh
-							if oh < 0 || oh >= outH {
-								continue
-							}
-							oRow := oBase + oh*outW
-							wRow := wBase + kh*k
-							for kw := 0; kw < k; kw++ {
-								ow := owBase + kw
-								if ow < 0 || ow >= outW {
-									continue
-								}
-								g := grad.Data[oRow+ow]
-								c.gradW.Data[wRow+kw] += g * xv
-								dxv += g * c.weight.Data[wRow+kw]
-							}
-						}
-					}
-					dx.Data[xBase+ih*w+iw] = dxv
-				}
-			}
-		}
-	}
-	return dx
 }
 
 // Params implements Layer.

@@ -25,8 +25,228 @@ func maxRelDiff(t *testing.T, got, want *tensor.Tensor) float64 {
 	return worst
 }
 
+// forwardNaive is the original 7-deep scalar-loop forward pass of Conv2D,
+// the reference the GEMM lowering is tested against.
+func (c *Conv2D) forwardNaive(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if train {
+		c.lastInput = x
+	}
+	batch, inC, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	if inC != c.InC {
+		panic(fmt.Sprintf("nn: conv input channels %d, want %d", inC, c.InC))
+	}
+	outH, outW := c.outSize(h), c.outSize(w)
+	out := tensor.New(batch, c.OutC, outH, outW)
+	k, s, p := c.Kernel, c.Stride, c.Pad
+
+	for b := 0; b < batch; b++ {
+		for oc := 0; oc < c.OutC; oc++ {
+			bv := c.bias.Data[oc]
+			for oh := 0; oh < outH; oh++ {
+				ihBase := oh*s - p
+				for ow := 0; ow < outW; ow++ {
+					iwBase := ow*s - p
+					sum := bv
+					for ic := 0; ic < inC; ic++ {
+						xBase := ((b*inC + ic) * h) * w
+						wBase := ((oc*inC + ic) * k) * k
+						for kh := 0; kh < k; kh++ {
+							ih := ihBase + kh
+							if ih < 0 || ih >= h {
+								continue
+							}
+							xRow := xBase + ih*w
+							wRow := wBase + kh*k
+							for kw := 0; kw < k; kw++ {
+								iw := iwBase + kw
+								if iw < 0 || iw >= w {
+									continue
+								}
+								sum += x.Data[xRow+iw] * c.weight.Data[wRow+kw]
+							}
+						}
+					}
+					out.Data[((b*c.OutC+oc)*outH+oh)*outW+ow] = sum
+				}
+			}
+		}
+	}
+	return out
+}
+
+// backwardNaive is the original scalar-loop backward pass of Conv2D, the
+// reference the GEMM lowering is tested against.
+func (c *Conv2D) backwardNaive(grad *tensor.Tensor) *tensor.Tensor {
+	x := c.lastInput
+	batch, inC, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	outH, outW := grad.Shape[2], grad.Shape[3]
+	dx := tensor.New(batch, inC, h, w)
+	k, s, p := c.Kernel, c.Stride, c.Pad
+
+	for b := 0; b < batch; b++ {
+		for oc := 0; oc < c.OutC; oc++ {
+			for oh := 0; oh < outH; oh++ {
+				ihBase := oh*s - p
+				for ow := 0; ow < outW; ow++ {
+					iwBase := ow*s - p
+					g := grad.Data[((b*c.OutC+oc)*outH+oh)*outW+ow]
+					if g == 0 {
+						continue
+					}
+					c.gradB.Data[oc] += g
+					for ic := 0; ic < inC; ic++ {
+						xBase := ((b*inC + ic) * h) * w
+						wBase := ((oc*inC + ic) * k) * k
+						for kh := 0; kh < k; kh++ {
+							ih := ihBase + kh
+							if ih < 0 || ih >= h {
+								continue
+							}
+							xRow := xBase + ih*w
+							wRow := wBase + kh*k
+							for kw := 0; kw < k; kw++ {
+								iw := iwBase + kw
+								if iw < 0 || iw >= w {
+									continue
+								}
+								c.gradW.Data[wRow+kw] += g * x.Data[xRow+iw]
+								dx.Data[xRow+iw] += g * c.weight.Data[wRow+kw]
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return dx
+}
+
+// forwardNaive is the original scatter-loop forward pass of
+// ConvTranspose2D, the reference the GEMM lowering is tested against.
+func (c *ConvTranspose2D) forwardNaive(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if train {
+		c.lastInput = x
+	}
+	batch, inC, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	if inC != c.InC {
+		panic(fmt.Sprintf("nn: convT input channels %d, want %d", inC, c.InC))
+	}
+	outH, outW := c.outSize(h), c.outSize(w)
+	if outH <= 0 || outW <= 0 {
+		panic(fmt.Sprintf("nn: convT output size %dx%d not positive", outH, outW))
+	}
+	out := tensor.New(batch, c.OutC, outH, outW)
+	k, s, p := c.Kernel, c.Stride, c.Pad
+
+	// Bias.
+	for b := 0; b < batch; b++ {
+		for oc := 0; oc < c.OutC; oc++ {
+			base := ((b*c.OutC + oc) * outH) * outW
+			bv := c.bias.Data[oc]
+			for i := 0; i < outH*outW; i++ {
+				out.Data[base+i] = bv
+			}
+		}
+	}
+	// Scatter contributions.
+	for b := 0; b < batch; b++ {
+		for ic := 0; ic < inC; ic++ {
+			xBase := ((b*inC + ic) * h) * w
+			for ih := 0; ih < h; ih++ {
+				ohBase := ih*s - p
+				for iw := 0; iw < w; iw++ {
+					xv := x.Data[xBase+ih*w+iw]
+					if xv == 0 {
+						continue
+					}
+					owBase := iw*s - p
+					for oc := 0; oc < c.OutC; oc++ {
+						oBase := ((b*c.OutC + oc) * outH) * outW
+						wBase := ((ic*c.OutC + oc) * k) * k
+						for kh := 0; kh < k; kh++ {
+							oh := ohBase + kh
+							if oh < 0 || oh >= outH {
+								continue
+							}
+							oRow := oBase + oh*outW
+							wRow := wBase + kh*k
+							for kw := 0; kw < k; kw++ {
+								ow := owBase + kw
+								if ow < 0 || ow >= outW {
+									continue
+								}
+								out.Data[oRow+ow] += xv * c.weight.Data[wRow+kw]
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// backwardNaive is the original scalar-loop backward pass of
+// ConvTranspose2D, the reference the GEMM lowering is tested against.
+func (c *ConvTranspose2D) backwardNaive(grad *tensor.Tensor) *tensor.Tensor {
+	x := c.lastInput
+	batch, inC, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	outH, outW := grad.Shape[2], grad.Shape[3]
+	dx := tensor.New(batch, inC, h, w)
+	k, s, p := c.Kernel, c.Stride, c.Pad
+
+	// Bias gradient.
+	for b := 0; b < batch; b++ {
+		for oc := 0; oc < c.OutC; oc++ {
+			base := ((b*c.OutC + oc) * outH) * outW
+			sum := 0.0
+			for i := 0; i < outH*outW; i++ {
+				sum += grad.Data[base+i]
+			}
+			c.gradB.Data[oc] += sum
+		}
+	}
+	// Weight and input gradients: mirror the forward scatter.
+	for b := 0; b < batch; b++ {
+		for ic := 0; ic < inC; ic++ {
+			xBase := ((b*inC + ic) * h) * w
+			for ih := 0; ih < h; ih++ {
+				ohBase := ih*s - p
+				for iw := 0; iw < w; iw++ {
+					owBase := iw*s - p
+					xv := x.Data[xBase+ih*w+iw]
+					var dxv float64
+					for oc := 0; oc < c.OutC; oc++ {
+						oBase := ((b*c.OutC + oc) * outH) * outW
+						wBase := ((ic*c.OutC + oc) * k) * k
+						for kh := 0; kh < k; kh++ {
+							oh := ohBase + kh
+							if oh < 0 || oh >= outH {
+								continue
+							}
+							oRow := oBase + oh*outW
+							wRow := wBase + kh*k
+							for kw := 0; kw < k; kw++ {
+								ow := owBase + kw
+								if ow < 0 || ow >= outW {
+									continue
+								}
+								g := grad.Data[oRow+ow]
+								c.gradW.Data[wRow+kw] += g * xv
+								dxv += g * c.weight.Data[wRow+kw]
+							}
+						}
+					}
+					dx.Data[xBase+ih*w+iw] = dxv
+				}
+			}
+		}
+	}
+	return dx
+}
+
 // checkConvCase runs one forward+backward through the GEMM-lowered Conv2D
-// and through the retained naive reference on an identically initialized
+// and through the naive reference on an identically initialized
 // clone, asserting outputs, input gradients and parameter gradients agree.
 func checkConvCase(t *testing.T, rng *rand.Rand, batch, inC, outC, size, kernel, stride, pad int) {
 	t.Helper()
@@ -37,7 +257,7 @@ func checkConvCase(t *testing.T, rng *rand.Rand, batch, inC, outC, size, kernel,
 
 	x := tensor.New(batch, inC, size, size)
 	x.FillNormal(rng, 0, 1)
-	outH := fast.OutSize(size)
+	outH := fast.outSize(size)
 	if outH <= 0 {
 		t.Fatalf("invalid case: outH %d", outH)
 	}
@@ -104,7 +324,7 @@ func checkConvTCase(t *testing.T, rng *rand.Rand, batch, inC, outC, size, kernel
 
 	x := tensor.New(batch, inC, size, size)
 	x.FillNormal(rng, 0, 1)
-	outH := fast.OutSize(size)
+	outH := fast.outSize(size)
 	if outH <= 0 {
 		t.Fatalf("invalid case: outH %d", outH)
 	}
@@ -167,7 +387,7 @@ func TestConvWorkerCountInvariance(t *testing.T) {
 		l.setScratch(tensor.NewPool())
 		x := tensor.New(9, 3, 12, 12)
 		x.FillNormal(rng, 0, 1)
-		g := tensor.New(9, 8, l.OutSize(12), l.OutSize(12))
+		g := tensor.New(9, 8, l.outSize(12), l.outSize(12))
 		g.FillNormal(rng, 0, 1)
 		return l, x, g
 	}
@@ -313,7 +533,7 @@ func TestConvBitEqualRowMajorLowering(t *testing.T) {
 		var layer interface {
 			Layer
 			scratchUser
-			OutSize(int) int
+			outSize(int) int
 		}
 		if c.transposed {
 			layer = NewConvTranspose2D(rng, c.inC, c.outC, c.kk, c.stride, c.pad)
@@ -326,7 +546,7 @@ func TestConvBitEqualRowMajorLowering(t *testing.T) {
 		}
 		x := tensor.New(c.batch, c.inC, c.size, c.size)
 		x.FillNormal(rng, 0, 1)
-		outSize := layer.OutSize(c.size)
+		outSize := layer.outSize(c.size)
 		grad := tensor.New(c.batch, c.outC, outSize, outSize)
 		grad.FillNormal(rng, 0, 1)
 		ref := rowMajorConv
@@ -367,7 +587,7 @@ func TestConvHelperPathBitIdentical(t *testing.T) {
 	for _, layer := range []interface {
 		Layer
 		scratchUser
-		OutSize(int) int
+		outSize(int) int
 	}{NewConv2D(rng, 3, 8, 3, 1, 1), NewConvTranspose2D(rng, 8, 3, 4, 2, 1)} {
 		inC := layer.Params()[0].Shape[1]
 		if _, ok := layer.(*ConvTranspose2D); ok {
@@ -375,7 +595,7 @@ func TestConvHelperPathBitIdentical(t *testing.T) {
 		}
 		x := tensor.New(8, inC, 8, 8)
 		x.FillNormal(rng, 0, 1)
-		grad := tensor.New(8, layer.Params()[1].Len(), layer.OutSize(8), layer.OutSize(8))
+		grad := tensor.New(8, layer.Params()[1].Len(), layer.outSize(8), layer.outSize(8))
 		grad.FillNormal(rng, 0, 1)
 		pool := tensor.NewPool()
 		layer.setScratch(pool)

@@ -1,6 +1,10 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/tensor"
+)
 
 // patchGeom is the geometry of one patch expansion: an image [ch, h, w]
 // seen through a kk×kk kernel at posH×posW output positions. Element (r, p)
@@ -8,14 +12,17 @@ import "fmt"
 // pixel tap (ki, kj) of channel c sees at output (i, j), or 0 in the
 // padding — is xp[off[r]+pos[p]], where xp is the image zero-padded to
 // [ch, h+2·pad, w+2·pad] (padInto). The tables depend on the geometry
-// alone. A layer keeps one patchGeom for the image size of its last call;
-// it lives on the heap, not in the arena, and Clone does not share it.
+// alone; moves holds them checked and classified for the tensor kernels
+// that gather and scatter through them. A layer keeps one patchGeom for
+// the image size of its last call; it lives on the heap, not in the arena,
+// and Clone does not share it.
 type patchGeom struct {
 	h, w       int // the image size the tables are for; 0×0 before the first call
 	posH, posW int
 	xpLen      int   // ch·(h+2·pad)·(w+2·pad)
 	off        []int // per patch row: (c·hp + ki)·wp + kj
 	pos        []int // per position: (i·wp + j)·stride
+	moves      tensor.PatchTables
 }
 
 // at returns g set up for an h×w image, rebuilding the tables only when the
@@ -41,103 +48,32 @@ func (g *patchGeom) at(ch, h, w, kk, stride, pad int) *patchGeom {
 	for p := range g.pos {
 		g.pos[p] = (p/posW*wp + p%posW) * stride
 	}
+	g.moves = tensor.NewPatchTables(g.off, g.pos, g.xpLen)
 	return g
 }
 
 // padInto copies one sample x ([ch, h, w], flat) into the interior of xp
 // ([ch, h+2·pad, w+2·pad], flat). It never touches the border, which the
-// arena handed out zeroed.
+// arena handed out zeroed and every scatterInto leaves zeroed.
 func padInto(xp, x []float64, ch, h, w, pad int) {
 	hp, wp := h+2*pad, w+2*pad
 	for c := 0; c < ch; c++ {
-		for i := 0; i < h; i++ {
-			di := (c*hp+i+pad)*wp + pad
-			copy(xp[di:di+w], x[(c*h+i)*w:(c*h+i+1)*w])
-		}
+		tensor.CopyBlock(xp[(c*hp+pad)*wp+pad:], wp, x[c*h*w:], w, h, w)
 	}
 }
 
-// patchPanels writes the matrix B[p][j] = xp[depth[p]+cols[j]] in the
-// 8-column panel layout tensor.GemmPanelB reads: every element of
-// pb[:tensor.PanelBLen(len(depth), len(cols))], the zero columns that fill
-// the last panel included. With (g.off, g.pos) B is the patch matrix, the
-// right operand of the forward product weight·B; with (g.pos, g.off) it is
-// the patch matrix transposed, the right operand of the weight-gradient
-// product dOut·B. Per full panel the eight column offsets are loop
-// invariants and each element is one load and one store.
-func patchPanels(pb, xp []float64, depth, cols []int) {
-	k := len(depth)
-	for j0 := 0; j0 < len(cols); j0 += 8 {
-		panel := pb[j0*k : (j0+8)*k]
-		if cs := cols[j0:]; len(cs) < 8 { // the ragged last panel
-			for p, d := range depth {
-				row := panel[p*8 : p*8+8]
-				for c := range row {
-					row[c] = 0
-				}
-				for c, o := range cs {
-					row[c] = xp[d+o]
-				}
-			}
-			return
-		}
-		c0, c1, c2, c3 := cols[j0], cols[j0+1], cols[j0+2], cols[j0+3]
-		c4, c5, c6, c7 := cols[j0+4], cols[j0+5], cols[j0+6], cols[j0+7]
-		for p, d := range depth {
-			row, src := panel[p*8:p*8+8], xp[d:]
-			row[0], row[1], row[2], row[3] = src[c0], src[c1], src[c2], src[c3]
-			row[4], row[5], row[6], row[7] = src[c4], src[c5], src[c6], src[c7]
-		}
+// scatterInto is the adjoint of the patch gather. It adds the row-major
+// patch matrix cols ([len(g.off), len(g.pos)]) onto the padded image xp,
+// whose interior holds the starting values, in ScatterAddRows' order: each
+// pixel takes its kernel taps in ascending (ki, kj) order. It then writes
+// xp's interior to x ([ch, h, w], every element) and zeroes xp for the
+// next padInto or scatter, since taps that fall into the padding land on
+// the border.
+func scatterInto(x, xp, cols []float64, g *patchGeom, ch, h, w, pad int) {
+	g.moves.ScatterAddRows(xp, cols)
+	hp, wp := h+2*pad, w+2*pad
+	for c := 0; c < ch; c++ {
+		tensor.CopyBlock(x[c*h*w:], w, xp[(c*hp+pad)*wp+pad:], wp, h, w)
 	}
-}
-
-// tapSpan returns the output positions [lo, hi) along one axis whose kernel
-// tap reads a real pixel: those p in [0, pos) with 0 <= p*stride-pad+tap <
-// size. It depends on the tap alone, so col2im computes it once per tap and
-// runs its inner loops without a bounds test.
-func tapSpan(tap, size, pos, stride, pad int) (lo, hi int) {
-	if pad > tap { // smallest p with p*stride >= pad-tap
-		lo = min((pad-tap+stride-1)/stride, pos)
-	}
-	hi = lo
-	if end := size + pad - tap; end > 0 { // smallest p with p*stride >= end
-		hi = max(lo, min((end+stride-1)/stride, pos))
-	}
-	return lo, hi
-}
-
-// col2im scatters a row-major patch matrix ([ch*kk*kk, posH*posW], flat)
-// back into image space: for every kernel tap and position it accumulates
-// cols[(c*kk+ki)*kk+kj][i*posW+j] into x[c][i*stride-pad+ki][j*stride-pad+kj],
-// skipping taps in padding. x is accumulated into, not overwritten; callers
-// zero or bias-fill it first. This is the adjoint of the patch expansion,
-// used for the convolution's input gradient and the transposed
-// convolution's forward scatter.
-func col2im(x, cols []float64, ch, h, w, kk, stride, pad, posH, posW int) {
-	posHW := posH * posW
-	for ki := 0; ki < kk; ki++ {
-		iLo, iHi := tapSpan(ki, h, posH, stride, pad)
-		for kj := 0; kj < kk; kj++ {
-			jLo, jHi := tapSpan(kj, w, posW, stride, pad)
-			n := jHi - jLo
-			if n == 0 {
-				continue
-			}
-			dst0 := (iLo*stride-pad+ki)*w + jLo*stride - pad + kj
-			src0 := iLo*posW + jLo
-			for c := 0; c < ch; c++ {
-				row := cols[((c*kk+ki)*kk+kj)*posHW : ((c*kk+ki)*kk+kj+1)*posHW]
-				di, si := c*h*w+dst0, src0
-				for i := iLo; i < iHi; i++ {
-					d, dj := x[di:], 0
-					for _, v := range row[si : si+n] {
-						d[dj] += v
-						dj += stride
-					}
-					di += stride * w
-					si += posW
-				}
-			}
-		}
-	}
+	clear(xp)
 }

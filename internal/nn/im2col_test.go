@@ -48,8 +48,9 @@ func refPanels(b []float64, k, n int, trans bool) []float64 {
 	return pb
 }
 
-// refCol2im accumulates in the order col2im documents: taps outermost per
-// channel, positions row-major inside.
+// refCol2im is the col2im the layers ran before the table scatter: it
+// accumulates taps outermost per channel, positions row-major inside, and
+// skips the taps that fall into padding.
 func refCol2im(x, cols []float64, ch, h, w, kk, stride, pad, posH, posW int) {
 	for c := 0; c < ch; c++ {
 		for ki := 0; ki < kk; ki++ {
@@ -67,16 +68,19 @@ func refCol2im(x, cols []float64, ch, h, w, kk, stride, pad, posH, posW int) {
 	}
 }
 
-// TestIm2colCol2imGeometryProperty drives the patch expansion and col2im
-// over random geometry — kernels 1–5, strides 1–3, padding 0–3 (so also
-// padding at least as wide as the kernel, where whole taps see no pixel),
-// non-square images, widths that are no multiple of anything, position and
-// patch-row counts that leave a ragged last panel, single-pixel outputs —
-// against the per-element references, bit for bit on random reals:
-// padInto + patchPanels in both call orders against refIm2col packed by
-// refPanels, zero columns of the last panel included. It also checks that
-// the two are adjoint, ⟨patches(x), y⟩ = ⟨x, col2im(y)⟩ exactly, on small
-// integers whose sums float64 represents without rounding.
+// TestIm2colCol2imGeometryProperty drives the patch gather and the table
+// scatter over random geometry — kernels 1–5, strides 1–3, padding 0–3 (so
+// also padding at least as wide as the kernel, where whole taps see no
+// pixel), non-square images, widths that are no multiple of anything,
+// position and patch-row counts that leave a ragged last panel,
+// single-pixel outputs — against the per-element references, bit for bit
+// on random reals: padInto + GatherPanels in both table orders
+// against refIm2col packed by refPanels, zero columns of the last panel
+// included, and scatterInto onto a padded buffer holding starting values
+// against refCol2im onto the same values, after which the buffer must be
+// all zeros again. It also checks that the two are adjoint,
+// ⟨patches(x), y⟩ = ⟨x, scatter(y)⟩ exactly, on small integers whose sums
+// float64 represents without rounding.
 func TestIm2colCol2imGeometryProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	poison := math.Float64frombits(0x7FF8_0000_0BAD_F00D)
@@ -118,20 +122,17 @@ func TestIm2colCol2imGeometryProperty(t *testing.T) {
 		padInto(xp, x, ch, h, w, pad)
 		cols := refIm2col(x, ch, h, w, kk, stride, pad, posH, posW)
 		got := make([]float64, max(tensor.PanelBLen(rows, npos), tensor.PanelBLen(npos, rows)))
-		for name, order := range map[string]struct {
-			depth, cols []int
-			want        []float64
-		}{
-			"patchPanels(off, pos)": {g.off, g.pos, refPanels(cols, rows, npos, false)},
-			"patchPanels(pos, off)": {g.pos, g.off, refPanels(cols, npos, rows, true)},
+		for transposed, want := range map[bool][]float64{
+			false: refPanels(cols, rows, npos, false),
+			true:  refPanels(cols, npos, rows, true),
 		} {
 			for i := range got {
-				got[i] = poison // patchPanels must write every element
+				got[i] = poison // GatherPanels must write every element
 			}
-			patchPanels(got, xp, order.depth, order.cols)
-			for i, want := range order.want {
-				if math.Float64bits(got[i]) != math.Float64bits(want) {
-					t.Fatalf("%s %v: pb[%d] = %v, want %v", name, geom, i, got[i], want)
+			g.moves.GatherPanels(got, xp, transposed)
+			for i, w := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(w) {
+					t.Fatalf("GatherPanels(transposed=%v) %v: pb[%d] = %v, want %v", transposed, geom, i, got[i], w)
 				}
 			}
 		}
@@ -142,14 +143,21 @@ func TestIm2colCol2imGeometryProperty(t *testing.T) {
 		}
 		gotX, wantX := make([]float64, len(x)), make([]float64, len(x))
 		for i := range gotX {
-			gotX[i] = rng.NormFloat64() // col2im accumulates onto what is there
-			wantX[i] = gotX[i]
+			gotX[i] = poison             // scatterInto must write every element
+			wantX[i] = rng.NormFloat64() // the scatter adds onto what is there
 		}
-		col2im(gotX, y, ch, h, w, kk, stride, pad, posH, posW)
+		clear(xp)
+		padInto(xp, wantX, ch, h, w, pad)
+		scatterInto(gotX, xp, y, &g, ch, h, w, pad)
 		refCol2im(wantX, y, ch, h, w, kk, stride, pad, posH, posW)
 		for i := range gotX {
 			if math.Float64bits(gotX[i]) != math.Float64bits(wantX[i]) {
-				t.Fatalf("col2im %v: x[%d] = %v, want %v", geom, i, gotX[i], wantX[i])
+				t.Fatalf("scatterInto %v: x[%d] = %v, want %v", geom, i, gotX[i], wantX[i])
+			}
+		}
+		for i, v := range xp {
+			if math.Float64bits(v) != 0 {
+				t.Fatalf("scatterInto %v: padded buffer left %v at %d, want +0", geom, v, i)
 			}
 		}
 
@@ -160,9 +168,9 @@ func TestIm2colCol2imGeometryProperty(t *testing.T) {
 			y[i] = float64(rng.Intn(17) - 8)
 		}
 		padInto(xp, x, ch, h, w, pad)
-		patchPanels(got, xp, g.off, g.pos)
-		clear(gotX)
-		col2im(gotX, y, ch, h, w, kk, stride, pad, posH, posW)
+		g.moves.GatherPanels(got, xp, false)
+		clear(xp)
+		scatterInto(gotX, xp, y, &g, ch, h, w, pad)
 		var lhs, rhs float64
 		for r := 0; r < rows; r++ {
 			for p := 0; p < npos; p++ {
@@ -173,7 +181,7 @@ func TestIm2colCol2imGeometryProperty(t *testing.T) {
 			rhs += x[i] * gotX[i]
 		}
 		if lhs != rhs {
-			t.Fatalf("adjoint %v: <patches(x), y> = %v, <x, col2im(y)> = %v", geom, lhs, rhs)
+			t.Fatalf("adjoint %v: <patches(x), y> = %v, <x, scatter(y)> = %v", geom, lhs, rhs)
 		}
 	}
 	if seen.raggedPos == 0 || seen.raggedRows == 0 || seen.onePixel == 0 || seen.widePad == 0 {

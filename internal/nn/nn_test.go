@@ -363,16 +363,16 @@ func TestConvOutSize(t *testing.T) {
 	}
 	for _, tc := range tests {
 		c := NewConv2D(rng, 1, 1, tc.k, tc.s, tc.p)
-		if got := c.OutSize(tc.in); got != tc.want {
-			t.Errorf("Conv OutSize(%d,k%d,s%d,p%d) = %d, want %d", tc.in, tc.k, tc.s, tc.p, got, tc.want)
+		if got := c.outSize(tc.in); got != tc.want {
+			t.Errorf("Conv outSize(%d,k%d,s%d,p%d) = %d, want %d", tc.in, tc.k, tc.s, tc.p, got, tc.want)
 		}
 	}
 	ct := NewConvTranspose2D(rng, 1, 1, 4, 2, 1)
-	if got := ct.OutSize(4); got != 8 {
-		t.Errorf("ConvT OutSize(4) = %d, want 8", got)
+	if got := ct.outSize(4); got != 8 {
+		t.Errorf("ConvT outSize(4) = %d, want 8", got)
 	}
 	// Conv with stride 2 then convT with stride 2 restores the size.
-	if got := ct.OutSize(NewConv2D(rng, 1, 1, 4, 2, 1).OutSize(16)); got != 16 {
+	if got := ct.outSize(NewConv2D(rng, 1, 1, 4, 2, 1).outSize(16)); got != 16 {
 		t.Errorf("round trip size = %d, want 16", got)
 	}
 }

@@ -74,9 +74,13 @@ func (e *FormatError) Error() string {
 	return fmt.Sprintf("persist: %s holds no intact %s checkpoint record: %s", e.Path, checkpointKey, e.Reason)
 }
 
-// Save writes the checkpoint as one journal line, atomically: to a
-// temporary file in the target's directory, synced, then renamed over the
-// destination, so a crash mid-write never corrupts the previous checkpoint.
+// Save writes the checkpoint as one journal line, atomically and durably:
+// to a temporary file in the target's directory, synced, then renamed over
+// the destination and the directory synced, so a crash mid-write never
+// corrupts the previous checkpoint and a power loss after Save returns
+// never brings it back. A directory that cannot be opened or synced is an
+// error although the new checkpoint is already in place: the server stops
+// the run rather than go on with a round it cannot promise to keep.
 func Save(path string, cp *Checkpoint) error {
 	if cp == nil || len(cp.Weights) == 0 {
 		return errors.New("persist: checkpoint has no weights")
@@ -107,6 +111,16 @@ func Save(path string, cp *Checkpoint) error {
 	}
 	if err := os.Rename(tmpName, path); err != nil {
 		return fmt.Errorf("persist: rename: %w", err)
+	}
+	// The rename is an entry of the directory: until the directory is
+	// synced too, a power loss can bring the previous checkpoint back.
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return fmt.Errorf("persist: open directory: %w", err)
+	}
+	defer dir.Close()
+	if err := dir.Sync(); err != nil {
+		return fmt.Errorf("persist: sync directory: %w", err)
 	}
 	return nil
 }

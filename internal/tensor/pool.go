@@ -9,9 +9,9 @@ package tensor
 //
 // Hand-outs differ in what the storage holds:
 //
-//   - Get and GetTensor return zeroed storage, for buffers that are
-//     accumulated into (a col2im target, a += destination) or only partly
-//     written (a padded sample, whose border must read zero).
+//   - Get returns zeroed storage, for buffers that are accumulated into (a
+//     += destination) or only partly written (a padded sample, whose border
+//     must read zero).
 //   - GetUninit and GetTensorUninit return storage whose contents are
 //     undefined — whatever the previous cycle left there. They are for
 //     buffers whose every element the caller overwrites before reading any
@@ -103,19 +103,15 @@ func (p *Pool) carve(n int) (out []float64, dirty bool) {
 	return s[:n:n], false
 }
 
-// GetTensor returns a zeroed tensor of the given shape whose storage,
+// GetTensorUninit returns a tensor of the given shape whose storage,
 // header and shape slice all live in the arena, valid until the next Reset.
-func (p *Pool) GetTensor(shape ...int) *Tensor { return p.tensor(shape, true) }
-
-// GetTensorUninit is GetTensor over GetUninit storage: the caller must
-// overwrite every element of Data before reading any.
-func (p *Pool) GetTensorUninit(shape ...int) *Tensor { return p.tensor(shape, false) }
-
-func (p *Pool) tensor(shape []int, zero bool) *Tensor {
+// Its storage is GetUninit's: the caller must overwrite every element of
+// Data before reading any.
+func (p *Pool) GetTensorUninit(shape ...int) *Tensor {
 	n := 1
 	for _, s := range shape {
 		if s <= 0 {
-			panic("tensor: Pool.GetTensor invalid shape")
+			panic("tensor: Pool.GetTensorUninit invalid shape")
 		}
 		n *= s
 	}
@@ -129,11 +125,7 @@ func (p *Pool) tensor(shape []int, zero bool) *Tensor {
 	t := p.header()
 	t.Shape = p.shape(len(shape))
 	copy(t.Shape, shape)
-	data, dirty := p.carve(n)
-	if zero && dirty {
-		clear(data)
-	}
-	t.Data = data
+	t.Data, _ = p.carve(n)
 	return t
 }
 

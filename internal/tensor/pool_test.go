@@ -3,14 +3,14 @@ package tensor
 import "testing"
 
 // TestPoolRecycles checks that storage handed out after a Reset reuses the
-// previous cycle's slabs and arrives zeroed.
+// previous cycle's slabs, and that Get's arrives zeroed.
 func TestPoolRecycles(t *testing.T) {
 	p := NewPool()
 	a := p.Get(100)
 	for i := range a {
 		a[i] = 1
 	}
-	b := p.GetTensor(4, 25)
+	b := p.GetTensorUninit(4, 25)
 	b.fill(2)
 	p.Reset()
 	a2 := p.Get(100)
@@ -22,14 +22,9 @@ func TestPoolRecycles(t *testing.T) {
 			t.Fatalf("recycled storage not zeroed at %d: %v", i, v)
 		}
 	}
-	b2 := p.GetTensor(4, 25)
+	b2 := p.GetTensorUninit(4, 25)
 	if &b.Data[0] != &b2.Data[0] {
-		t.Error("GetTensor after Reset did not reuse the slab")
-	}
-	for i, v := range b2.Data {
-		if v != 0 {
-			t.Fatalf("recycled tensor not zeroed at %d: %v", i, v)
-		}
+		t.Error("GetTensorUninit after Reset did not reuse the slab")
 	}
 	if b2.Shape[0] != 4 || b2.Shape[1] != 25 {
 		t.Fatalf("recycled tensor shape %v", b2.Shape)
@@ -42,9 +37,9 @@ func TestPoolSteadyStateZeroAlloc(t *testing.T) {
 	p := NewPool()
 	cycle := func() {
 		p.Reset()
-		_ = p.GetTensor(16, 8, 8, 8)
+		_ = p.GetTensorUninit(16, 8, 8, 8)
 		_ = p.Get(3000)
-		_ = p.GetTensor(2, 5)
+		_ = p.GetTensorUninit(2, 5)
 		_ = p.Get(minSlab + 1) // larger than one slab
 	}
 	cycle() // warm up: size the slabs
@@ -61,9 +56,9 @@ func TestPoolNilFallsBack(t *testing.T) {
 	if len(s) != 10 {
 		t.Fatalf("nil pool Get len %d", len(s))
 	}
-	tt := p.GetTensor(2, 3)
+	tt := p.GetTensorUninit(2, 3)
 	if tt.Len() != 6 {
-		t.Fatalf("nil pool GetTensor len %d", tt.Len())
+		t.Fatalf("nil pool GetTensorUninit len %d", tt.Len())
 	}
 	p.Reset() // must not panic
 }
