@@ -22,15 +22,14 @@ import (
 // GEMM kernel reads. Per sample, the forward pass is weight[outC, inC·k²]
 // times the patch matrix, the weight gradient is the output gradient times
 // the patch matrix transposed — the same gather with its two offset tables
-// swapped — and the input gradient is weightᵀ times the output gradient,
-// scattered back onto the zeroed padded buffer, whose interior is then the
-// sample's input gradient (scatterInto). The
-// weights are the left operand of the forward and the input-gradient
-// products: they are packed once per layer call (PackA), before the batch
-// fan-out, and every sample multiplies against the same panels. Samples are
-// fanned out over the kernel worker pool with per-chunk panel buffers and
-// padded copies; the per-sample weight-gradient partials are reduced in
-// batch order so results do not depend on the worker count.
+// swapped, over the padded sample the train-mode forward pass kept — and
+// the input gradient is weightᵀ times the output gradient, scattered back
+// onto a zeroed padded buffer, whose interior is then the sample's input
+// gradient (scatterInto). The GEMM reads the weights and the output
+// gradient where they lie. Samples are fanned out over the kernel worker
+// pool with per-chunk panel buffers and padded copies; the per-sample
+// weight-gradient partials are reduced in batch order so results do not
+// depend on the worker count.
 type Conv2D struct {
 	InC, OutC   int
 	Kernel      int
@@ -41,8 +40,8 @@ type Conv2D struct {
 	gradW  *tensor.Tensor
 	gradB  *tensor.Tensor
 
-	lastInput *tensor.Tensor
-	geom      patchGeom // of the input
+	padded *tensor.Tensor // the train-mode input, zero-padded: [batch, inC, h+2·pad, w+2·pad]
+	geom   patchGeom      // of the input
 
 	scratch  *tensor.Pool
 	colsBufs [][]float64
@@ -83,7 +82,8 @@ func (c *Conv2D) setScratch(p *tensor.Pool) { c.scratch = p }
 
 // stageConvBufs refills the persistent buffer holders of a convolution
 // layer from its scratch pool: per parallel chunk one patch buffer and one
-// padded sample; when dwSize > 0, one weight-gradient partial per sample.
+// padded sample of xpSize (0 where the pass pads into kept slots or
+// scatters nothing); when dwSize > 0, one weight-gradient partial per sample.
 // Both Conv2D and ConvTranspose2D stage through this one helper. Patch
 // buffers and partials are handed out uninitialised: the patch gather or a
 // non-accumulating GEMM writes every element of the one, a non-accumulating
@@ -107,15 +107,17 @@ func stageConvBufs(pool *tensor.Pool, colsBufs, xpBufs, dwBufs [][]float64, batc
 }
 
 // conv2DPass and convTPass are one batch pass of each convolution layer,
-// handed by value to every chunk of its batch fan-out: the input, the
+// handed by value to every chunk of its batch fan-out: the input (for
+// Conv2D's backward pass, the padded input its forward pass kept), the
 // output (forward) or output gradient (backward), the input gradient (nil
-// when not wanted) and the packed weight operand. Their chunk methods are
+// when not wanted) and the weight operand; slots, in Conv2D's train-mode
+// forward pass, is where each sample is padded. Their chunk methods are
 // the fan-out's capture-free bodies, so a pass allocates nothing inline.
 type (
 	conv2DPass struct {
-		c        *Conv2D
-		x, y, dx *tensor.Tensor
-		w        tensor.PackedA
+		c               *Conv2D
+		x, y, dx, slots *tensor.Tensor
+		w               tensor.PackedA
 	}
 	convTPass struct {
 		c        *ConvTranspose2D
@@ -142,10 +144,10 @@ func reduceConvPartials(gradW, gradB []float64, dwBufs [][]float64, grad []float
 }
 
 // Forward implements Layer.
+// In train mode each sample is padded into its own zeroed slot of c.padded,
+// which the backward pass gathers its weight gradient from; otherwise into
+// the chunk's padded buffer.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if train {
-		c.lastInput = x
-	}
 	batch, inC, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	if inC != c.InC {
 		panic(fmt.Sprintf("nn: conv input channels %d, want %d", inC, c.InC))
@@ -154,21 +156,29 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	oHW := g.posH * g.posW
 	ck2 := inC * c.Kernel * c.Kernel
 	out := c.scratch.GetTensorUninit(batch, c.OutC, g.posH, g.posW) // forwardChunk bias-fills every row
-	c.colsBufs, c.xpBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.xpBufs, c.dwBufs, batch, tensor.PanelBLen(ck2, oHW), g.xpLen, 0)
-	wp := tensor.PackA(c.weight.Data, c.OutC, ck2, oHW, false)
-	tensor.ParallelChunks(batch, 1, len(c.colsBufs), conv2DPass{c: c, x: x, y: out, w: wp}, conv2DPass.forwardChunk)
-	wp.Release()
+	xpSize, pass := g.xpLen, conv2DPass{c: c, x: x, y: out, w: tensor.PackA(c.weight.Data, c.OutC, ck2, oHW, false)}
+	if train {
+		//lint:allow poolescape read back by the Backward of the same arena cycle, in place of the input the other layers keep
+		c.padded = c.scratch.GetView(c.scratch.Get(batch*g.xpLen), batch, inC, h+2*c.Pad, w+2*c.Pad)
+		xpSize, pass.slots = 0, c.padded
+	}
+	c.colsBufs, c.xpBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.xpBufs, c.dwBufs, batch, tensor.PanelBLen(ck2, oHW), xpSize, 0)
+	tensor.ParallelChunks(batch, 1, len(c.colsBufs), pass, conv2DPass.forwardChunk)
 	return out
 }
 
 // forwardChunk runs the GEMM-lowered forward pass for samples [lo, hi)
-// using the chunk's staged buffers and the packed weights.
+// using the chunk's staged buffers, padding each sample into its slot
+// where the pass keeps them.
 func (pass conv2DPass) forwardChunk(lo, hi, ch int) {
 	c, x, out, wp := pass.c, pass.x, pass.y, pass.w
 	inC, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
 	oHW := out.Shape[2] * out.Shape[3]
 	g, cols, xp := &c.geom, c.colsBufs[ch], c.xpBufs[ch]
 	for b := lo; b < hi; b++ {
+		if pass.slots != nil {
+			xp = pass.slots.Data[b*g.xpLen : (b+1)*g.xpLen]
+		}
 		padInto(xp, x.Data[b*inC*h*w:(b+1)*inC*h*w], inC, h, w, c.Pad)
 		g.moves.GatherPanels(cols, xp, false)
 		ob := out.Data[b*c.OutC*oHW : (b+1)*c.OutC*oHW]
@@ -189,14 +199,14 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 }
 
 // backward implements halfBackward. The parameter half is the transposed
-// patch expansion of the cached input, one weight-gradient partial per
-// sample and their in-order reduction; the input half is weightᵀ times the
-// output gradient, written row-major into the storage the parameter half is
-// done with and scattered back through the padded buffer. Neither reads the
-// other's result.
+// patch expansion of the padded input the forward pass kept, one
+// weight-gradient partial per sample and their in-order reduction; the
+// input half is weightᵀ times the output gradient, written row-major into
+// the storage the parameter half is done with and scattered back through
+// the chunk's padded buffer. Neither reads the other's result.
 func (c *Conv2D) backward(grad *tensor.Tensor, params, input bool) *tensor.Tensor {
-	x := c.lastInput
-	batch, inC, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	xp := c.padded
+	batch, inC, h, w := xp.Shape[0], xp.Shape[1], xp.Shape[2]-2*c.Pad, xp.Shape[3]-2*c.Pad
 	outH, outW := grad.Shape[2], grad.Shape[3]
 	oHW := outH * outW
 	ck2 := inC * c.Kernel * c.Kernel
@@ -209,46 +219,43 @@ func (c *Conv2D) backward(grad *tensor.Tensor, params, input bool) *tensor.Tenso
 		colsSize = tensor.PanelBLen(oHW, ck2) // at least ck2*oHW
 		dwSize = c.OutC * ck2
 	}
-	xpSize := c.geom.at(inC, h, w, c.Kernel, c.Stride, c.Pad).xpLen
-	c.colsBufs, c.xpBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.xpBufs, c.dwBufs, batch, colsSize, xpSize, dwSize)
+	g := c.geom.at(inC, h, w, c.Kernel, c.Stride, c.Pad)
+	xpSize := 0            // a chunk's padded buffer is the input half's scatter target
 	var wtp tensor.PackedA // weightᵀ, the left operand of the input half
 	if input {
+		xpSize = g.xpLen
 		wtp = tensor.PackA(c.weight.Data, ck2, c.OutC, oHW, true)
 	}
-	tensor.ParallelChunks(batch, 1, len(c.colsBufs), conv2DPass{c, x, grad, dx, wtp}, conv2DPass.backwardChunk)
-	wtp.Release()
+	c.colsBufs, c.xpBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.xpBufs, c.dwBufs, batch, colsSize, xpSize, dwSize)
+	tensor.ParallelChunks(batch, 1, len(c.colsBufs), conv2DPass{c: c, x: xp, y: grad, dx: dx, w: wtp}, conv2DPass.backwardChunk)
 	if params {
 		reduceConvPartials(c.gradW.Data, c.gradB.Data, c.dwBufs, grad.Data, batch, c.OutC, oHW)
 	}
 	return dx
 }
 
-// backwardChunk runs the GEMM-lowered backward pass for samples [lo, hi):
-// the sample's weight-gradient partial when partials were staged, then,
-// when dx was, the input gradient: the packed weightᵀ times the output
-// gradient, scattered onto the zeroed padded buffer and cropped out of it.
+// backwardChunk runs the GEMM-lowered backward pass for samples [lo, hi)
+// of the padded input pass.x: the sample's weight-gradient partial when
+// partials were staged, then, when dx was, the input gradient: weightᵀ
+// times the output gradient, scattered onto the chunk's zeroed padded
+// buffer and cropped out of it.
 func (pass conv2DPass) backwardChunk(lo, hi, ch int) {
-	c, x, grad, dx, wtp := pass.c, pass.x, pass.y, pass.dx, pass.w
-	inC, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
+	c, xpad, grad, dx, wtp := pass.c, pass.x, pass.y, pass.dx, pass.w
+	inC := xpad.Shape[1]
+	h, w := xpad.Shape[2]-2*c.Pad, xpad.Shape[3]-2*c.Pad
 	oHW := grad.Shape[2] * grad.Shape[3]
 	ck2 := inC * c.Kernel * c.Kernel
 	g, cols, xp := &c.geom, c.colsBufs[ch], c.xpBufs[ch]
 	for b := lo; b < hi; b++ {
 		gb := grad.Data[b*c.OutC*oHW : (b+1)*c.OutC*oHW]
 		if len(c.dwBufs) > 0 {
-			padInto(xp, x.Data[b*inC*h*w:(b+1)*inC*h*w], inC, h, w, c.Pad)
-			g.moves.GatherPanels(cols, xp, true)
+			g.moves.GatherPanels(cols, xpad.Data[b*g.xpLen:(b+1)*g.xpLen], true)
 			// dW_b = dOut_b · patchesᵀ, into this sample's partial.
-			gp := tensor.PackA(gb, c.OutC, oHW, ck2, false)
-			tensor.GemmPanelB(c.dwBufs[b], gp, cols, false)
-			gp.Release()
+			tensor.GemmPanelB(c.dwBufs[b], tensor.PackA(gb, c.OutC, oHW, ck2, false), cols, false)
 		}
 		if dx != nil {
 			// dCols = weightᵀ · dOut_b, row-major over the patch buffer.
 			tensor.GemmPackedA(cols, wtp, gb, false, false)
-			if len(c.dwBufs) > 0 {
-				clear(xp) // the scatter starts from +0
-			}
 			scatterInto(dx.Data[b*inC*h*w:(b+1)*inC*h*w], xp, cols, g, inC, h, w, c.Pad)
 		}
 	}
@@ -282,8 +289,7 @@ func (c *Conv2D) Clone() Layer {
 // The DFA-G generator follows the WGAN recipe cited by the paper: two
 // transposed convolutions upsample a latent noise block into an image.
 //
-// Like Conv2D, both passes are GEMM-lowered with the weights packed once
-// per layer call: the forward pass scatters weightᵀ·x onto a padded buffer
+// Like Conv2D, both passes are GEMM-lowered: the forward pass scatters weightᵀ·x onto a padded buffer
 // whose interior holds the bias (Conv2D's input-gradient scatter), the
 // backward pass pads the output gradient and gathers its patches — one
 // padded copy per sample, its transposed patch matrix for the weight
@@ -359,12 +365,11 @@ func (c *ConvTranspose2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	c.colsBufs, c.xpBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.xpBufs, c.dwBufs, batch, ock2*hw, g.xpLen, 0)
 	wtp := tensor.PackA(c.weight.Data, ock2, inC, hw, true)
 	tensor.ParallelChunks(batch, 1, len(c.colsBufs), convTPass{c: c, x: x, y: out, w: wtp}, convTPass.forwardChunk)
-	wtp.Release()
 	return out
 }
 
 // forwardChunk runs the GEMM-lowered forward scatter for samples [lo, hi)
-// with the packed weightᵀ: each output pixel is its bias plus its taps in
+// with weightᵀ: each output pixel is its bias plus its taps in
 // ascending (ki, kj) order.
 func (pass convTPass) forwardChunk(lo, hi, ch int) {
 	c, x, out, wtp := pass.c, pass.x, pass.y, pass.w
@@ -420,7 +425,6 @@ func (c *ConvTranspose2D) backward(grad *tensor.Tensor, params, input bool) *ten
 	}
 	c.colsBufs, c.xpBufs, c.dwBufs = stageConvBufs(c.scratch, c.colsBufs, c.xpBufs, c.dwBufs, batch, colsSize, g.xpLen, dwSize)
 	tensor.ParallelChunks(batch, 1, len(c.colsBufs), convTPass{c, x, grad, dx, wp}, convTPass.backwardChunk)
-	wp.Release()
 	if params {
 		reduceConvPartials(c.gradW.Data, c.gradB.Data, c.dwBufs, grad.Data, batch, c.OutC, oHW)
 	}
@@ -444,9 +448,7 @@ func (pass convTPass) backwardChunk(lo, hi, ch int) {
 		if len(c.dwBufs) > 0 {
 			// dW_b = x_b · dColsᵀ.
 			g.moves.GatherPanels(cols, xp, true)
-			xa := tensor.PackA(x.Data[b*inC*hw:(b+1)*inC*hw], inC, hw, ock2, false)
-			tensor.GemmPanelB(c.dwBufs[b], xa, cols, false)
-			xa.Release()
+			tensor.GemmPanelB(c.dwBufs[b], tensor.PackA(x.Data[b*inC*hw:(b+1)*inC*hw], inC, hw, ock2, false), cols, false)
 		}
 		if dx != nil {
 			// dx_b = weight · dCols.

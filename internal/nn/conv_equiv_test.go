@@ -27,10 +27,7 @@ func maxRelDiff(t *testing.T, got, want *tensor.Tensor) float64 {
 
 // forwardNaive is the original 7-deep scalar-loop forward pass of Conv2D,
 // the reference the GEMM lowering is tested against.
-func (c *Conv2D) forwardNaive(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if train {
-		c.lastInput = x
-	}
+func (c *Conv2D) forwardNaive(x *tensor.Tensor) *tensor.Tensor {
 	batch, inC, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	if inC != c.InC {
 		panic(fmt.Sprintf("nn: conv input channels %d, want %d", inC, c.InC))
@@ -74,10 +71,10 @@ func (c *Conv2D) forwardNaive(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// backwardNaive is the original scalar-loop backward pass of Conv2D, the
-// reference the GEMM lowering is tested against.
-func (c *Conv2D) backwardNaive(grad *tensor.Tensor) *tensor.Tensor {
-	x := c.lastInput
+// backwardNaive is the original scalar-loop backward pass of Conv2D over
+// the input x of the forward pass, the reference the GEMM lowering is
+// tested against.
+func (c *Conv2D) backwardNaive(x, grad *tensor.Tensor) *tensor.Tensor {
 	batch, inC, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	outH, outW := grad.Shape[2], grad.Shape[3]
 	dx := tensor.New(batch, inC, h, w)
@@ -265,12 +262,12 @@ func checkConvCase(t *testing.T, rng *rand.Rand, batch, inC, outC, size, kernel,
 	grad.FillNormal(rng, 0, 1)
 
 	outFast := fast.Forward(x, true)
-	outSlow := slow.forwardNaive(x, true)
+	outSlow := slow.forwardNaive(x)
 	if d := maxRelDiff(t, outFast, outSlow); d > 1e-9 {
 		t.Errorf("conv fwd b=%d c=%d→%d s=%d k=%d st=%d p=%d: rel diff %g", batch, inC, outC, size, kernel, stride, pad, d)
 	}
 	dxFast := fast.Backward(grad)
-	dxSlow := slow.backwardNaive(grad)
+	dxSlow := slow.backwardNaive(x, grad)
 	if d := maxRelDiff(t, dxFast, dxSlow); d > 1e-9 {
 		t.Errorf("conv bwd dx b=%d c=%d→%d s=%d k=%d st=%d p=%d: rel diff %g", batch, inC, outC, size, kernel, stride, pad, d)
 	}

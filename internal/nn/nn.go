@@ -94,7 +94,7 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // BackwardInput returns the gradient with respect to the network input and
-// computes nothing else: a convolution neither pads nor expands its cached
+// computes nothing else: a convolution does not expand its kept padded
 // input into panels, no layer forms weight or bias gradients, and Grads are
 // left exactly as they were. It is the backward
 // pass of a frozen model — DFA synthesis differentiates the global model

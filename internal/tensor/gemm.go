@@ -6,13 +6,14 @@ import (
 )
 
 // Blocked, register-tiled matrix kernels. All three product shapes
-// (A·B, Aᵀ·B, A·Bᵀ) are one routine: PackA prepares the left operand,
+// (A·B, Aᵀ·B, A·Bᵀ) are one routine: PackA describes the left operand,
 // GemmPackedA multiplies it by a row-major right operand, GemmPanelB by one
 // its producer wrote in the panel layout. The output is partitioned
 // into register tiles (4×8 on the SIMD microkernel, 4×4 on the scalar
 // path), each tile accumulates over the shared dimension in ascending
 // order, and row-tile blocks are distributed over the package worker pool
-// for large problems.
+// for large problems. Both paths read A where it lies; the microkernel
+// reads B there too unless it is transposed or narrower than one panel.
 //
 // Determinism: every output element is produced by exactly one goroutine and
 // its accumulation order over the shared dimension is fixed (ascending, one
@@ -53,34 +54,29 @@ func checkRaw(op string, c, a, b []float64, am, an, bm, bn, m, n int) {
 // GemmNN computes the row-major product C (m×n) = A (m×k) · B (k×n) over
 // raw slices, accumulating onto C's existing values when acc is set. The
 // raw Gemm entry points are the header-free core used by the neural-network
-// layers. All three are PackA followed by one GemmPackedA.
+// layers. All three are one GemmPackedA.
 func GemmNN(c, a, b []float64, m, k, n int, acc bool) {
 	checkRaw("GemmNN", c, a, b, m, k, k, n, m, n)
-	pa := PackA(a, m, k, n, false)
-	GemmPackedA(c, pa, b, false, acc)
-	pa.Release()
+	GemmPackedA(c, PackA(a, m, k, n, false), b, false, acc)
 }
 
 // GemmTN computes C (m×n) = Aᵀ·B for row-major A (k×m) and B (k×n) over
 // raw slices, accumulating onto C when acc is set.
 func GemmTN(c, a, b []float64, m, k, n int, acc bool) {
 	checkRaw("GemmTN", c, a, b, k, m, k, n, m, n)
-	pa := PackA(a, m, k, n, true)
-	GemmPackedA(c, pa, b, false, acc)
-	pa.Release()
+	GemmPackedA(c, PackA(a, m, k, n, true), b, false, acc)
 }
 
 // GemmNT computes C (m×n) = A·Bᵀ for row-major A (m×k) and B (n×k) over
 // raw slices, accumulating onto C when acc is set.
 func GemmNT(c, a, b []float64, m, k, n int, acc bool) {
 	checkRaw("GemmNT", c, a, b, m, k, n, k, m, n)
-	pa := PackA(a, m, k, n, false)
-	GemmPackedA(c, pa, b, true, acc)
-	pa.Release()
+	GemmPackedA(c, PackA(a, m, k, n, false), b, true, acc)
 }
 
-// packBufs recycles packing panels across GEMM calls; sync.Pool keeps the
-// steady state allocation-free while staying safe for concurrent workers.
+// packBufs recycles the panels a product packs its right operand into;
+// sync.Pool keeps the steady state allocation-free while staying safe for
+// concurrent workers.
 var packBufs = sync.Pool{New: func() any { s := make([]float64, 0, 8192); return &s }}
 
 func getPackBuf(n int) *[]float64 {
@@ -93,58 +89,48 @@ func getPackBuf(n int) *[]float64 {
 }
 
 // PackedA is the left operand A_eff (m×k) of products C (m×n) = A_eff·B_eff,
-// prepared once by PackA and multiplied against any number of right
+// described once by PackA and multiplied against any number of right
 // operands by GemmPackedA — a convolution's weights against every sample
-// of a batch. It is read-only after PackA, so concurrent GemmPackedA calls
-// may share it. It borrows the caller's slice and, where the shape runs on
-// the SIMD microkernel, a panel buffer from the package recycler: the
-// caller must not modify a before Release, and must call Release exactly
-// once, after the last product.
+// of a batch. It is a plain descriptor over the caller's slice, which every
+// product reads in place: the caller must not modify a while products that
+// use it run.
 type PackedA struct {
 	a       []float64
 	m, k, n int
 	trans   bool
-	panels  *[]float64 // zero-padded 4-row panels for the microkernel; nil where the scalar tiles run
 }
 
-// PackA prepares A_eff (m×k) for products with n-column right operands.
+// PackA describes A_eff (m×k) for products with n-column right operands.
 // With trans set A_eff = aᵀ for a stored k×m.
 func PackA(a []float64, m, k, n int, trans bool) PackedA {
 	if len(a) < m*k || m <= 0 || n <= 0 {
 		panic(fmt.Sprintf("tensor: PackA slice length %d for a %dx%d left operand of a %dx%d product", len(a), m, k, m, n))
 	}
-	pa := PackedA{a: a, m: m, k: k, n: n, trans: trans}
-	if simdWorthIt(m, k, n) {
-		pa.panels = packPanels(a, m, k, trans)
-	}
-	return pa
-}
-
-// Release returns the panel buffer to the recycler.
-func (pa PackedA) Release() {
-	if pa.panels != nil {
-		packBufs.Put(pa.panels)
-	}
+	return PackedA{a: a, m: m, k: k, n: n, trans: trans}
 }
 
 // GemmPackedA computes C (m×n) = A_eff·B_eff for the left operand and shape
 // fixed by PackA, over row-major B (k×n) — or B (n×k) with B_eff = Bᵀ when
 // transB is set — accumulating onto C's existing values when acc is set.
-// Aᵀ·Bᵀ is not offered: no layer asks for it.
+// Aᵀ·Bᵀ is not offered: no layer asks for it. Where the microkernel runs it
+// reads a row-major B of 8 columns or more in place and packs only what it
+// cannot read that way: a transposed B, or a B narrower than one panel.
 func GemmPackedA(c []float64, pa PackedA, b []float64, transB, acc bool) {
 	m, k, n := pa.m, pa.k, pa.n
 	if len(b) < k*n || len(c) < m*n || (pa.trans && transB) {
 		panic(fmt.Sprintf("tensor: GemmPackedA slice lengths %d/%d for %dx%d · %dx%d (transA %v, transB %v)",
 			len(b), len(c), m, k, k, n, pa.trans, transB))
 	}
-	if pa.panels != nil {
-		pbp := getPackBuf(PanelBLen(k, n))
-		packB8(*pbp, b, k, n, transB)
-		product{pa: pa, c: c, b: *pbp, acc: acc}.run()
-		packBufs.Put(pbp)
+	p := product{pa: pa, c: c, b: b, transB: transB, acc: acc}
+	if !simdWorthIt(m, k, n) || (!transB && n >= 8) {
+		p.run()
 		return
 	}
-	product{pa: pa, c: c, b: b, transB: transB, acc: acc}.run()
+	pbp := getPackBuf(PanelBLen(k, n))
+	packB8(*pbp, b, k, n, transB)
+	p.b, p.transB, p.panelB = *pbp, false, true
+	p.run()
+	packBufs.Put(pbp)
 }
 
 // PanelBLen returns the length of a k×n right operand in the panel layout
@@ -154,10 +140,9 @@ func PanelBLen(k, n int) int { return 8 * k * ((n + 7) / 8) }
 // GemmPanelB is GemmPackedA for a right operand B_eff (k×n) that is not
 // stored row-major but was written by its producer in zero-padded 8-column
 // panels, pb[(t*k+p)*8+c] = B_eff[p][8t+c] with columns past n zero — the
-// layout the microkernel reads, so nothing is packed per product. This is
-// how a convolution hands over its patch matrix on every build: where
-// PackA packed nothing, the scalar tiles of A·B index B through the same
-// formula (bColumn).
+// layout the microkernel reads with row stride 8. This is how a
+// convolution hands over its patch matrix on every build: the scalar tiles
+// of A·B index B through the same formula (bColumn).
 // A transposed left operand is not offered: no layer asks for it.
 func GemmPanelB(c []float64, pa PackedA, pb []float64, acc bool) {
 	m, k, n := pa.m, pa.k, pa.n
@@ -170,7 +155,7 @@ func GemmPanelB(c []float64, pa PackedA, pb []float64, acc bool) {
 
 // product is one GEMM over a PackedA, handed by value to every chunk of
 // its row-tile fan-out: C, and B row-major (B_eff = Bᵀ with transB) or,
-// with panelB or where PackA packed panels, in the panel layout.
+// with panelB, in the panel layout.
 type product struct {
 	pa                  PackedA
 	c, b                []float64
@@ -178,12 +163,11 @@ type product struct {
 }
 
 // run fans the product's 4-row tiles out over the worker pool: onto the
-// microkernel where PackA packed panels, onto the scalar tiles, which read
-// A in place, otherwise.
+// microkernel where simdWorthIt says so, onto the scalar tiles otherwise.
 func (p product) run() {
 	tiles, body := rowTiles(p.pa.m), product.scalarTiles
-	if p.pa.panels != nil {
-		body = product.panelTiles
+	if simdWorthIt(p.pa.m, p.pa.k, p.pa.n) {
+		body = product.kernelTiles
 	}
 	ParallelChunks(tiles, tileGrain(p.pa.k, p.pa.n), tiles, p, body)
 }

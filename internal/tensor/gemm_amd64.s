@@ -2,42 +2,33 @@
 
 #include "textflag.h"
 
-// func dgemmKernel4x8(k int, a, b, c *float64, ldc int, acc bool)
+// func dgemmKernel4x8(k int, a0, a1, a2, a3 *float64, lda int, b *float64, ldb int, c *float64, ldc int, acc bool)
 //
-// Computes the 4×8 register tile c (+)= aᵀ·b over the packed panels
-//   a: [k][4]  (column of the A row-tile at each depth step)
-//   b: [k][8]  (row of the B col-tile at each depth step)
-//   c: [4][8]  in place, rows ldc elements apart; the accumulators start
-//              from the tile's values when acc is set and from +0 otherwise.
-//
-// Accumulation runs in ascending depth order with one FMA chain per output
-// element, so results are identical for any row/col tiling of the caller.
-TEXT ·dgemmKernel4x8(SB), NOSPLIT, $0-41
+// c (+)= A·B for one 4×8 register tile, both operands read where they lie:
+// A[r][p] = ar[p*lda] (lda 1 for a row-major A, m for a transposed one; a
+// tile short of rows points the missing ones at its last real row),
+// B[p][0:8] = b[p*ldb:] (ldb 8 for a panel, n for a row-major B), c rows
+// ldc apart, its accumulators starting from the tile when acc is set and
+// from +0 otherwise. One FMA chain per output element in ascending depth,
+// so any tiling of the caller gives the same bits.
+TEXT ·dgemmKernel4x8(SB), NOSPLIT, $0-81
 	MOVQ k+0(FP), CX
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DI
-	MOVQ c+24(FP), DX
-	MOVQ ldc+32(FP), R8
-	SHLQ $3, R8             // row stride in bytes
+	MOVQ a0+8(FP), SI
+	MOVQ a1+16(FP), R12
+	MOVQ a2+24(FP), R13
+	MOVQ lda+40(FP), AX
+	SHLQ $3, AX             // depth stride of A in bytes
+	MOVQ b+48(FP), DI
+	MOVQ ldb+56(FP), BX
+	SHLQ $3, BX             // depth stride of B in bytes
+	MOVQ c+64(FP), DX
+	MOVQ ldc+72(FP), R8
+	SHLQ $3, R8             // row stride of C in bytes
 	LEAQ (DX)(R8*1), R9     // row 1
 	LEAQ (R9)(R8*1), R10    // row 2
 	LEAQ (R10)(R8*1), R11   // row 3
+	MOVQ a3+32(FP), R8
 
-	MOVBLZX acc+40(FP), AX
-	TESTL   AX, AX
-	JZ      zero
-
-	VMOVUPD (DX), Y0
-	VMOVUPD 32(DX), Y1
-	VMOVUPD (R9), Y2
-	VMOVUPD 32(R9), Y3
-	VMOVUPD (R10), Y4
-	VMOVUPD 32(R10), Y5
-	VMOVUPD (R11), Y6
-	VMOVUPD 32(R11), Y7
-	JMP     depth
-
-zero:
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -46,33 +37,39 @@ zero:
 	VXORPD Y5, Y5, Y5
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
+	CMPB   acc+80(FP), $0
+	JEQ    depth
+	VMOVUPD (DX), Y0
+	VMOVUPD 32(DX), Y1
+	VMOVUPD (R9), Y2
+	VMOVUPD 32(R9), Y3
+	VMOVUPD (R10), Y4
+	VMOVUPD 32(R10), Y5
+	VMOVUPD (R11), Y6
+	VMOVUPD 32(R11), Y7
 
 depth:
+	XORQ  R14, R14          // byte offset of depth p in each row of A
 	TESTQ CX, CX
 	JZ    done
 
 loop:
-	VMOVUPD (DI), Y8        // b[p][0:4]
-	VMOVUPD 32(DI), Y9      // b[p][4:8]
-
-	VBROADCASTSD (SI), Y10  // a[p][0]
+	VMOVUPD (DI), Y8               // B[p][0:4]
+	VMOVUPD 32(DI), Y9             // B[p][4:8]
+	VBROADCASTSD (SI)(R14*1), Y10  // A[0][p]
 	VFMADD231PD  Y8, Y10, Y0
 	VFMADD231PD  Y9, Y10, Y1
-
-	VBROADCASTSD 8(SI), Y10 // a[p][1]
-	VFMADD231PD  Y8, Y10, Y2
-	VFMADD231PD  Y9, Y10, Y3
-
-	VBROADCASTSD 16(SI), Y10 // a[p][2]
-	VFMADD231PD  Y8, Y10, Y4
-	VFMADD231PD  Y9, Y10, Y5
-
-	VBROADCASTSD 24(SI), Y10 // a[p][3]
-	VFMADD231PD  Y8, Y10, Y6
-	VFMADD231PD  Y9, Y10, Y7
-
-	ADDQ $32, SI
-	ADDQ $64, DI
+	VBROADCASTSD (R12)(R14*1), Y11 // A[1][p]
+	VFMADD231PD  Y8, Y11, Y2
+	VFMADD231PD  Y9, Y11, Y3
+	VBROADCASTSD (R13)(R14*1), Y12 // A[2][p]
+	VFMADD231PD  Y8, Y12, Y4
+	VFMADD231PD  Y9, Y12, Y5
+	VBROADCASTSD (R8)(R14*1), Y13  // A[3][p]
+	VFMADD231PD  Y8, Y13, Y6
+	VFMADD231PD  Y9, Y13, Y7
+	ADDQ AX, R14
+	ADDQ BX, DI
 	DECQ CX
 	JNZ  loop
 

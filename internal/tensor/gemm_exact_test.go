@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 )
 
@@ -62,12 +63,19 @@ func refPanelB(k, n int, bt func(p, j int) float64) []float64 {
 // DeepCNN's first dense layer at batch 16.
 var modelShapes = [][3]int{{8, 9, 64}, {16, 72, 16}, {8, 27, 256}, {32, 288, 4}, {16, 256, 10}}
 
-// TestGEMMBitExact holds GemmNN, GemmTN, GemmNT and the two packed-A entry
+// TestGEMMBitExact holds GemmNN, GemmTN, GemmNT and the two PackA entry
 // points (row-major B and panelled B) to the reference bit for bit, over every small shape (each edge-tile
 // combination of the 4×8 microkernel and of the 4×4 scalar tiles) and the
 // model shapes, accumulating and not, serial and fanned out. C sits inside
-// a buffer of sentinels, so a tile stored outside the m×n block fails.
+// a buffer of sentinels, so a tile stored outside the m×n block fails; the
+// guard-page placement (gemmGuarded) catches a read past any operand.
 func TestGEMMBitExact(t *testing.T) {
+	if simdOn {
+		t.Log("gemm tier: avx2 in-place 4x8 microkernel at >= 2048 multiply-adds, scalar 4x4 tiles below")
+	} else {
+		t.Log("gemm tier: scalar 4x4 tiles")
+	}
+	gemmGuarded(t)
 	var shapes [][3]int
 	step := 1
 	if testing.Short() {
@@ -127,8 +135,8 @@ func TestGEMMBitExact(t *testing.T) {
 				check("GemmTN", exactGemm(c0, m, k, n, acc, fused, aTN, bNN), func(c []float64) { GemmTN(c, a, b, m, k, n, acc) })
 				check("GemmNT", exactGemm(c0, m, k, n, acc, fused, aNN, bNT), func(c []float64) { GemmNT(c, a, b, m, k, n, acc) })
 
-				// One PackA, several products: the panels must survive the
-				// first multiplication unchanged.
+				// One PackA, several products: the descriptor serves every
+				// right operand.
 				for _, trans := range []bool{false, true} {
 					at := aNN
 					if trans {
@@ -147,7 +155,109 @@ func TestGEMMBitExact(t *testing.T) {
 						check("GemmPanelB", exactGemm(c0, m, k, n, acc, fused, at, bNN), func(c []float64) { GemmPanelB(c, pa, pb, acc) })
 						check("GemmPanelB transposed source", exactGemm(c0, m, k, n, acc, fused, at, bNT), func(c []float64) { GemmPanelB(c, pa, pbT, acc) })
 					}
-					pa.Release()
+				}
+			}
+		}
+	}
+}
+
+// gemmGuarded is TestGEMMBitExact's guard-page placement: for every (m, k,
+// n) in 1…17 and each entry point, accumulating and not, A, B and C each
+// end flush against a PROT_NONE page, so reading past an operand — a tile
+// short of rows that did not repeat its last real row, a ragged B panel
+// read in place — faults. A second pass poisons A_eff's last real row with
+// NaN and ±Inf: every other row must still equal the reference bit for
+// bit, so the repeated row's outputs never leak, and the poisoned row must
+// read NaN.
+func gemmGuarded(t *testing.T) {
+	ga, gb, gc := guardedFloats(t), guardedFloats(t), guardedFloats(t)
+	if ga == nil {
+		t.Log("guard pages unavailable here: placement skipped")
+		return
+	}
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer SetWorkers(0)
+	SetWorkers(1) // a fault must happen on this goroutine to be recovered
+	rng := rand.New(rand.NewSource(15))
+	entries := []struct {
+		name           string
+		transA, transB bool
+		run            func(c, a, b []float64, m, k, n int, acc bool)
+	}{
+		{"GemmNN", false, false, GemmNN},
+		{"GemmTN", true, false, GemmTN},
+		{"GemmNT", false, true, GemmNT},
+		{"GemmPanelB", false, false, func(c, a, pb []float64, m, k, n int, acc bool) { GemmPanelB(c, PackA(a, m, k, n, false), pb, acc) }},
+	}
+	for m := 1; m <= 17; m++ {
+		for k := 1; k <= 17; k++ {
+			for n := 1; n <= 17; n++ {
+				fused := simdWorthIt(m, k, n)
+				for _, e := range entries {
+					for _, acc := range []bool{false, true} {
+						for _, poison := range []bool{false, true} {
+							name := fmt.Sprintf("%s %dx%dx%d acc=%v poison=%v", e.name, m, k, n, acc, poison)
+							a := ga(m * k)
+							at := func(i, p int) float64 { return a[i*k+p] }
+							if e.transA {
+								at = func(i, p int) float64 { return a[p*m+i] }
+							}
+							for i := range a {
+								a[i] = rng.NormFloat64()
+							}
+							if poison {
+								for p := 0; p < k; p++ {
+									v := [3]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[p%3]
+									if e.transA {
+										a[p*m+m-1] = v
+									} else {
+										a[(m-1)*k+p] = v
+									}
+								}
+							}
+							bv := make([]float64, k*n)
+							for i := range bv {
+								bv[i] = rng.NormFloat64()
+							}
+							bt := func(p, j int) float64 { return bv[p*n+j] }
+							if e.transB {
+								bt = func(p, j int) float64 { return bv[j*k+p] }
+							}
+							b := gb(len(bv))
+							if e.name == "GemmPanelB" {
+								b = gb(PanelBLen(k, n))
+								copy(b, refPanelB(k, n, bt))
+							} else {
+								copy(b, bv)
+							}
+							c0 := make([]float64, m*n)
+							for i := range c0 {
+								c0[i] = rng.NormFloat64()
+							}
+							c := gc(m * n)
+							copy(c, c0)
+							want := exactGemm(c0, m, k, n, acc, fused, at, bt)
+							func() {
+								defer func() {
+									if r := recover(); r != nil {
+										t.Fatalf("%s: %v", name, r)
+									}
+								}()
+								e.run(c, a, b, m, k, n, acc)
+							}()
+							for i, v := range c {
+								if poison && i/n == m-1 {
+									if !math.IsNaN(v) {
+										t.Fatalf("%s: poisoned row gave C[%d] = %v, want NaN", name, i, v)
+									}
+									continue
+								}
+								if math.Float64bits(v) != math.Float64bits(want[i]) {
+									t.Fatalf("%s: C[%d] = %x, want %x", name, i, math.Float64bits(v), math.Float64bits(want[i]))
+								}
+							}
+						}
+					}
 				}
 			}
 		}
@@ -159,7 +269,6 @@ func TestGEMMBitExact(t *testing.T) {
 func TestGemmPackedARejectsDoubleTranspose(t *testing.T) {
 	a, b, c := make([]float64, 6), make([]float64, PanelBLen(3, 2)), make([]float64, 4)
 	pa := PackA(a, 2, 3, 2, true)
-	defer pa.Release()
 	for name, run := range map[string]func(){
 		"GemmPackedA accepted Aᵀ·Bᵀ":             func() { GemmPackedA(c, pa, b, true, false) },
 		"GemmPanelB accepted a transposed PackA": func() { GemmPanelB(c, pa, b, false) },

@@ -8,13 +8,9 @@ var simdOn, avx512On = false, false
 
 func simdWorthIt(m, k, n int) bool { return false }
 
-func packPanels(a []float64, m, k int, transA bool) *[]float64 {
-	panic("tensor: packPanels unavailable")
-}
-
 func packB8(pb, b []float64, k, n int, transB bool) { panic("tensor: packB8 unavailable") }
 
-func (p product) panelTiles(lo, hi, _ int) { panic("tensor: panelTiles unavailable") }
+func (p product) kernelTiles(lo, hi, _ int) { panic("tensor: kernelTiles unavailable") }
 
 func sqDistSIMD(a, b []float64) float64 { panic("tensor: sqDistSIMD unavailable") }
 

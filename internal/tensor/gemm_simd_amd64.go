@@ -3,16 +3,16 @@
 package tensor
 
 // AVX2+FMA fast path: the three product variants are lowered onto one 4×8
-// register-tile microkernel (gemm_amd64.s) over zero-padded packed panels —
-// A once per PackA; a row-major B once per product (packB8), a B that
-// arrives in panels (GemmPanelB) never — that writes its C tile in place.
-// Packing fixes the depth-ascending accumulation order per output element,
-// so the SIMD path is — like the scalar path — bit-identical for any worker
-// count; versus the scalar path it differs only by the fused rounding of
-// hardware FMA.
+// register-tile microkernel (gemm_amd64.s) that reads both operands where
+// they lie — A row-major or transposed, B row-major or in 8-column panels
+// (GemmPanelB's, or the ones packB8 writes for a transposed B and for a B
+// narrower than one panel) — and writes its C tile in place.
+// Every output element is one depth-ascending FMA chain, so the SIMD path
+// is — like the scalar path — bit-identical for any worker count; versus
+// the scalar path it differs only by the fused rounding of hardware FMA.
 
 //go:noescape
-func dgemmKernel4x8(k int, a, b, c *float64, ldc int, acc bool)
+func dgemmKernel4x8(k int, a0, a1, a2, a3 *float64, lda int, b *float64, ldb int, c *float64, ldc int, acc bool)
 
 func cpuidx(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
@@ -52,130 +52,80 @@ func detectAVX2FMA() bool {
 }
 
 // packB8 packs B_eff (k×n) into zero-padded 8-column panels, tile-major:
-// pb[(t2*k+p)*8+c] = B_eff[p][8*t2+c]. transB selects B_eff = bᵀ with b
+// pb[(t*k+p)*8+c] = B_eff[p][8t+c]. transB selects B_eff = bᵀ with b
 // stored n×k.
 func packB8(pb, b []float64, k, n int, transB bool) {
-	nt := (n + 7) / 8
-	if transB {
-		for t2 := 0; t2 < nt; t2++ {
-			j0 := t2 * 8
-			for c := 0; c < 8; c++ {
-				j := j0 + c
-				dst := pb[t2*k*8+c:]
-				if j >= n {
-					for p := 0; p < k; p++ {
-						dst[p*8] = 0
-					}
-					continue
-				}
-				src := b[j*k : j*k+k]
-				for p := 0; p < k; p++ {
-					dst[p*8] = src[p]
-				}
+	for j := 0; j < (n+7)&^7; j++ {
+		dst := pb[(j>>3)*k*8+j&7:]
+		switch {
+		case j >= n:
+			for p := 0; p < k; p++ {
+				dst[p*8] = 0
 			}
-		}
-		return
-	}
-	for t2 := 0; t2 < nt; t2++ {
-		j0 := t2 * 8
-		w := n - j0
-		if w > 8 {
-			w = 8
-		}
-		for p := 0; p < k; p++ {
-			dst := pb[(t2*k+p)*8 : (t2*k+p)*8+8]
-			src := b[p*n+j0 : p*n+j0+w]
-			copy(dst[:w], src)
-			for c := w; c < 8; c++ {
-				dst[c] = 0
+		case transB:
+			for p, v := range b[j*k : j*k+k] {
+				dst[p*8] = v
+			}
+		default:
+			for p := 0; p < k; p++ {
+				dst[p*8] = b[p*n+j]
 			}
 		}
 	}
 }
 
-// packA4 packs the 4-row tile starting at row i0 of A_eff (m×k) into
-// pa[p*4+r] = A_eff[i0+r][p], zero-padding rows past m. transA selects
-// A_eff = aᵀ with a stored k×m.
-func packA4(pa, a []float64, i0, m, k int, transA bool) {
-	rows := m - i0
-	if rows > 4 {
-		rows = 4
-	}
-	if transA {
-		for p := 0; p < k; p++ {
-			src := a[p*m+i0:]
-			dst := pa[p*4 : p*4+4]
-			for r := 0; r < rows; r++ {
-				dst[r] = src[r]
-			}
-			for r := rows; r < 4; r++ {
-				dst[r] = 0
-			}
-		}
-		return
-	}
-	for r := 0; r < rows; r++ {
-		src := a[(i0+r)*k : (i0+r)*k+k]
-		for p := 0; p < k; p++ {
-			pa[p*4+r] = src[p]
-		}
-	}
-	for r := rows; r < 4; r++ {
-		for p := 0; p < k; p++ {
-			pa[p*4+r] = 0
-		}
-	}
-}
-
-// packPanels packs every 4-row tile of A_eff (m×k) into one recycled
-// buffer, tile t at [t*k*4, (t+1)*k*4).
-func packPanels(a []float64, m, k int, transA bool) *[]float64 {
-	tiles := rowTiles(m)
-	pap := getPackBuf(tiles * k * 4)
-	for t := 0; t < tiles; t++ {
-		packA4((*pap)[t*k*4:(t+1)*k*4], a, t*4, m, k, transA)
-	}
-	return pap
-}
-
-// panelTiles runs the 4-row tiles [lo, hi) of a product whose A was packed
-// by packPanels, with B in packB8's layout, on the 4×8 microkernel; acc
-// accumulates onto the existing C values. Full 4×8 tiles are computed in
-// place in C; a tile cut by the last rows or columns goes through a
-// zero-padded staging copy so the kernel never touches memory outside the
-// m×n block.
-func (p product) panelTiles(lo, hi, _ int) {
-	c, pa, pb, acc := p.c, *p.pa.panels, p.b, p.acc
+// kernelTiles runs the 4-row tiles [lo, hi) of the product on the 4×8
+// microkernel; acc accumulates onto the existing C values. A is read in
+// place, a tile short of rows repeating its last real row. B is read from
+// its panels with panelB, in place otherwise, where a ragged last panel is
+// read as the 8 columns that end at n (n ≥ 8 here). Full 4×8 tiles are
+// computed in place in C; a tile cut by the last rows or columns goes
+// through a staging copy, so the kernel never touches memory outside the
+// m×n block, and only its new columns of its real rows are copied out.
+func (p product) kernelTiles(lo, hi, _ int) {
+	a, c, acc := p.pa.a, p.c, p.acc
 	m, k, n := p.pa.m, p.pa.k, p.pa.n
-	nt := (n + 7) / 8
-	for t := lo; t < hi; t++ {
-		i0 := t * 4
+	lda, rowStep := 1, k // A_eff[i][q] = a[i*rowStep+q*lda]
+	if p.pa.trans {
+		lda, rowStep = m, 1
+	}
+	for i0 := lo * 4; i0 < min(hi*4, m); i0 += 4 {
 		rows := min(m-i0, 4)
-		pat := &pa[t*k*4]
-		for t2 := 0; t2 < nt; t2++ {
-			j0 := t2 * 8
-			w := min(n-j0, 8)
-			ctile := c[i0*n+j0:]
+		last := i0 + rows - 1
+		a0, a1 := &a[i0*rowStep], &a[min(i0+1, last)*rowStep]
+		a2, a3 := &a[min(i0+2, last)*rowStep], &a[min(i0+3, last)*rowStep]
+		for j0 := 0; j0 < n; j0 += 8 {
+			w, skip := min(n-j0, 8), 0 // the tile's new columns, and the ones left of j0 it recomputes
+			bp, ldb := (*float64)(nil), n
+			if p.panelB {
+				bp, ldb = &p.b[j0*k], 8
+			} else {
+				skip = 8 - w
+				bp = &p.b[j0-skip]
+			}
+			ctile := c[i0*n+j0-skip:]
 			if rows == 4 && w == 8 {
-				dgemmKernel4x8(k, pat, &pb[t2*k*8], &ctile[0], n, acc)
+				dgemmKernel4x8(k, a0, a1, a2, a3, lda, bp, ldb, &ctile[0], n, acc)
 				continue
 			}
 			var ct [32]float64
 			if acc {
 				for r := 0; r < rows; r++ {
-					copy(ct[r*8:r*8+w], ctile[r*n:r*n+w])
+					copy(ct[r*8:r*8+skip+w], ctile[r*n:r*n+skip+w])
 				}
 			}
-			dgemmKernel4x8(k, pat, &pb[t2*k*8], &ct[0], 8, acc)
+			dgemmKernel4x8(k, a0, a1, a2, a3, lda, bp, ldb, &ct[0], 8, acc)
 			for r := 0; r < rows; r++ {
-				copy(ctile[r*n:r*n+w], ct[r*8:r*8+w])
+				copy(ctile[r*n+skip:r*n+skip+w], ct[r*8+skip:r*8+skip+w])
 			}
 		}
 	}
 }
 
-// simdWorthIt reports whether the packing overhead of the SIMD path is
-// amortized for this problem shape.
+// simdWorthIt reports whether a product runs on the microkernel. With A
+// read in place there is no packing to amortize: the threshold decides
+// which rounding a product gets, fused at 2048 multiply-adds and above, a
+// rounded product and sum below.
 func simdWorthIt(m, k, n int) bool {
 	return simdOn && m*k*n >= 2048
 }

@@ -180,7 +180,8 @@ func gemmOperands() (a, b, pb []float64, m, k, n int) {
 }
 
 // TestHeldSlotFanOutAllocs: with the budget's only helper slot held, a warm
-// multi-chunk ParallelChunks with a capture-free body, GemmPackedA and
+// multi-chunk ParallelChunks with a capture-free body, GemmPackedA (B read
+// in place, with a ragged last panel, or packed from its transpose) and
 // GemmPanelB run every chunk inline and allocate nothing — no wait group,
 // no closure. This is how kernels run inside a round's Drain.
 func TestHeldSlotFanOutAllocs(t *testing.T) {
@@ -196,12 +197,13 @@ func TestHeldSlotFanOutAllocs(t *testing.T) {
 		t.Fatal("the shapes no longer split into chunks on two workers")
 	}
 	c := make([]float64, m*n)
-	pa := PackA(a, m, k, n, false)
-	defer pa.Release()
+	pa, ragged := PackA(a, m, k, n, false), PackA(a, m, k, n-3, false)
 	for name, call := range map[string]func(){
-		"ParallelChunks": func() { ParallelChunks(len(out), 8, len(out), out, markChunk) },
-		"GemmPackedA":    func() { GemmPackedA(c, pa, b, false, false) },
-		"GemmPanelB":     func() { GemmPanelB(c, pa, pb, false) },
+		"ParallelChunks":           func() { ParallelChunks(len(out), 8, len(out), out, markChunk) },
+		"GemmPackedA":              func() { GemmPackedA(c, pa, b, false, false) },
+		"GemmPackedA transB":       func() { GemmPackedA(c, pa, b, true, false) },
+		"GemmPackedA ragged panel": func() { GemmPackedA(c, ragged, b, false, false) },
+		"GemmPanelB":               func() { GemmPanelB(c, pa, pb, false) },
 	} {
 		call() // warm the pack-buffer recycler
 		if allocs := testing.AllocsPerRun(100, call); allocs != 0 {
@@ -252,7 +254,6 @@ func TestFanOutHelperPath(t *testing.T) {
 			pa := PackA(a, m, k, n, false)
 			c := make([]float64, m*n)
 			allocs := testing.AllocsPerRun(1, func() { product(c, pa) })
-			pa.Release()
 			if workers > 1 && allocs == 0 {
 				t.Errorf("%s at %d workers started no helper", name, workers)
 			}

@@ -102,7 +102,7 @@ func (t *Tensor) sum() float64 {
 	return s
 }
 
-// The matrix kernels (the raw-slice GemmNN, GemmTN and GemmNT, and the
-// packed-operand GemmPackedA and GemmPanelB beneath them) live in gemm.go;
+// The matrix kernels (the raw-slice GemmNN, GemmTN and GemmNT, and
+// GemmPackedA and GemmPanelB beneath them) live in gemm.go;
 // the original scalar loops are retained in naive.go as reference
 // implementations for equivalence tests.
