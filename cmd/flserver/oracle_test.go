@@ -26,10 +26,12 @@ import (
 // its server-assigned ID by the simulator's recipe, so the final-weight
 // digest (the server's, and every client's copy), the per-round accuracy
 // and the per-round accepted client IDs — and with them the DPR — must be
-// equal. The cells are exact because every attacker is selected each round
-// and mKrum's mean is taken in score order; README ("Binaries ≡ simulator")
-// names the two shapes that are not. The binaries are built without the
-// race detector, so under -race only flserver's run is instrumented.
+// equal. Every draw of round r comes from (seed, r) and each update sits at
+// its selection slot on both sides, so the cells are exact whether or not
+// every attacker is selected each round and whatever order the rule sums
+// in; README ("Binaries ≡ simulator") names the one shape that is not. The
+// binaries are built without the race detector, so under -race only
+// flserver's run is instrumented.
 func TestBinariesAreTheSimulator(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds flsim and flclient and runs federations of their processes")
@@ -48,6 +50,10 @@ func TestBinariesAreTheSimulator(t *testing.T) {
 			"-clients", "10", "-per-round", "10", "-frac", "0.2", "-rounds", "3", "-samples", "10", "-eval-limit", "200"}},
 		{"clean-n20-k10", []string{"-dataset", "fashion-sim", "-attack", "none", "-defense", "mkrum",
 			"-clients", "20", "-per-round", "10", "-rounds", "3", "-eval-limit", "200"}},
+		{"dfa-r-fedavg", []string{"-dataset", "fashion-sim", "-attack", "dfa-r", "-defense", "fedavg",
+			"-clients", "10", "-per-round", "10", "-frac", "0.2", "-rounds", "3", "-samples", "10", "-eval-limit", "200"}},
+		{"dfa-r-mkrum-n20-k10", []string{"-dataset", "fashion-sim", "-attack", "dfa-r", "-defense", "mkrum",
+			"-clients", "20", "-per-round", "10", "-frac", "0.2", "-rounds", "3", "-samples", "10", "-eval-limit", "200"}},
 	} {
 		t.Run(cell.name, func(t *testing.T) {
 			simAudit := filepath.Join(t.TempDir(), "sim-audit.jsonl")
@@ -162,7 +168,7 @@ func accepted(audit forensics.ReplayRun) [][]int {
 // dpr is Eq. 5 over the server's decisions as flsim prints it: the share of
 // submitted attacker updates the server accepted, where the attackers are
 // the clients the simulator's audit marks malicious (the server knows no
-// roles); N/A when no attacker ever submitted.
+// roles); N/A when no attacker update ever met a rule that selects.
 func dpr(server, sim forensics.ReplayRun) string {
 	malicious := map[int]bool{}
 	for _, rr := range sim.Rounds {
@@ -175,7 +181,7 @@ func dpr(server, sim forensics.ReplayRun) string {
 	submitted, passed := 0, 0
 	for _, rr := range server.Rounds {
 		for _, rec := range rr.Audit.Records {
-			if malicious[rec.ClientID] {
+			if malicious[rec.ClientID] && rec.Decided {
 				submitted++
 				if rec.Accepted {
 					passed++

@@ -43,23 +43,23 @@ func ExampleRunConfigOpts() {
 	}
 	// Output:
 	// DFA-R vs Multi-Krum on fashion-sim (β = 0.5, 20% attackers)
-	//   clean accuracy (no attack, no defense): 71.6%
-	//   best accuracy under attack (acc_m):     55.6%
-	//   attack success rate (ASR):              22.3%
-	//   defense pass rate (DPR):                85.2%
+	//   clean accuracy (no attack, no defense): 65.0%
+	//   best accuracy under attack (acc_m):     47.0%
+	//   attack success rate (ASR):              27.7%
+	//   defense pass rate (DPR):                78.6%
 	// per-round global model accuracy:
-	//   round  1  0.114  #####
-	//   round  2  0.094  ####
-	//   round  3  0.128  ######
-	//   round  4  0.150  #######
-	//   round  5  0.240  ############
-	//   round  6  0.164  ########
-	//   round  7  0.236  ###########
-	//   round  8  0.332  ################
-	//   round  9  0.306  ###############
-	//   round 10  0.380  ###################
-	//   round 11  0.462  #######################
-	//   round 12  0.556  ###########################
+	//   round  1  0.120  ######
+	//   round  2  0.102  #####
+	//   round  3  0.168  ########
+	//   round  4  0.180  #########
+	//   round  5  0.130  ######
+	//   round  6  0.142  #######
+	//   round  7  0.160  ########
+	//   round  8  0.196  #########
+	//   round  9  0.212  ##########
+	//   round 10  0.384  ###################
+	//   round 11  0.438  #####################
+	//   round 12  0.470  #######################
 }
 
 // A million-client cross-device federation in O(active clients) memory.
@@ -108,7 +108,7 @@ func ExampleRunConfigOpts_population() {
 
 	// Output:
 	// N=1000000 per-round=40 attacker-frac=0.001 placement=scatter groups=4
-	// clean=97.50% acc_m=93.75% ASR=3.85% DPR=N/A malicious-selections=0
+	// clean=97.50% acc_m=95.00% ASR=2.56% DPR=50.00% malicious-selections=2
 }
 
 // The round engine's production-participation axes. The paper evaluates
@@ -167,9 +167,9 @@ func ExampleRunConfigOpts_scenarios() {
 			c.name, out.MaxAcc*100, out.ASR, percent(out.DPR), selected, dropped, straggled, responded, aggs)
 	}
 	// Output:
-	// paper shape (sync uniform)     acc_m=32.40% ASR= 52.91% DPR=100.00% selected=64 dropped=0 straggled=0 responded=64 aggregations=8
-	// bernoulli + churn + fedavgm    acc_m=35.20% ASR= 53.44% DPR=77.78% selected=64 dropped=11 straggled=6 responded=47 aggregations=8
-	// async buffered (FedBuff-style) acc_m=33.20% ASR= 31.40% DPR=75.00% selected=64 dropped=0 straggled=0 responded=64 aggregations=13
+	// paper shape (sync uniform)     acc_m=35.60% ASR= 51.10% DPR=100.00% selected=64 dropped=0 straggled=0 responded=64 aggregations=8
+	// bernoulli + churn + fedavgm    acc_m=54.40% ASR= 32.67% DPR=90.00% selected=60 dropped=15 straggled=4 responded=41 aggregations=8
+	// async buffered (FedBuff-style) acc_m=28.40% ASR= 47.41% DPR=91.67% selected=64 dropped=0 straggled=0 responded=64 aggregations=13
 }
 
 // Auditing every defense decision and reading the detection-quality metrics
@@ -225,10 +225,10 @@ func ExampleRunConfigOpts_forensics() {
 	// every round.
 
 	// Output:
-	// endpoint view:  acc_m=67.50% ASR=6.90% DPR=100.00%
-	// detection view: TPR=0.000 FPR=0.245 precision=0.000 F1=0.000
-	// ROC over dscore scores: AUC=0.505 TPR@1%FPR=0.000 (60 score pairs, reservoir 60)
-	// audited 6 aggregations (0 zero-selection) over 60 updates, 11 malicious
+	// endpoint view:  acc_m=66.25% ASR=18.46% DPR=100.00%
+	// detection view: TPR=0.000 FPR=0.261 precision=0.000 F1=0.000
+	// ROC over dscore scores: AUC=0.322 TPR@1%FPR=0.000 (50 score pairs, reservoir 50)
+	// audited 6 aggregations (0 zero-selection) over 60 updates, 14 malicious
 	// audit journal: 6 rounds of per-update fingerprints and decisions
 }
 

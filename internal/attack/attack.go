@@ -23,35 +23,18 @@ import (
 // observe this round; callers fall back to submitting the global model.
 var errNoBenign = errors.New("attack: no benign updates observed")
 
-// replicate returns n copies of v (the paper allows all attackers to submit
-// the same update). When perturb > 0, each copy receives i.i.d. Gaussian
-// noise of that scale, the standard trick to evade Sybil defenses.
-func replicate(ctx *fl.AttackContext, v []float64, perturb float64) [][]float64 {
-	out := make([][]float64, ctx.NumAttackers)
-	for i := range out {
-		c := vec.Clone(v)
-		if perturb > 0 {
-			for j := range c {
-				c[j] += ctx.Rng.NormFloat64() * perturb
-			}
-		}
-		out[i] = c
-	}
-	return out
-}
-
 // fallback is used when an oracle-based attack cannot observe any benign
 // update in a round: the attackers submit the unchanged global model, which
 // is harmless and maximally inconspicuous.
 func fallback(ctx *fl.AttackContext) [][]float64 {
-	return replicate(ctx, ctx.Global, 0)
+	return fl.Replicate(ctx, ctx.Global, 0)
 }
 
 // RandomWeights is the naive attack of Section III-B: submit a model whose
 // every weight is drawn uniformly from the per-coordinate range of the
 // current global model. The paper reports it almost never passes defenses
 // (2.62%/6.57% DPR under mKrum), which motivates DFA's optimization
-// approach.
+// approach. Each attacker draws its vector from its own Noise stream.
 type RandomWeights struct{}
 
 var _ fl.Attack = RandomWeights{}
@@ -72,9 +55,10 @@ func (RandomWeights) Craft(ctx *fl.AttackContext) ([][]float64, error) {
 	}
 	out := make([][]float64, ctx.NumAttackers)
 	for i := range out {
+		rng := ctx.Noise(i)
 		v := make([]float64, len(ctx.Global))
 		for j := range v {
-			v[j] = lo + ctx.Rng.Float64()*(hi-lo)
+			v[j] = lo + rng.Float64()*(hi-lo)
 		}
 		out[i] = v
 	}
@@ -135,7 +119,7 @@ func (a LIE) Craft(ctx *fl.AttackContext) ([][]float64, error) {
 	for j := range mal {
 		mal[j] = mean[j] - z*std[j]
 	}
-	return replicate(ctx, mal, 0), nil
+	return fl.Replicate(ctx, mal, 0), nil
 }
 
 // Fang is the local-model-poisoning attack of Fang et al., in the
@@ -181,10 +165,11 @@ func (a Fang) Craft(ctx *fl.AttackContext) ([][]float64, error) {
 	}
 	out := make([][]float64, ctx.NumAttackers)
 	for i := range out {
+		rng := ctx.Noise(i)
 		v := make([]float64, dim)
 		for j := 0; j < dim; j++ {
 			dir := mean[j] - ctx.Global[j] // estimated benign change direction
-			u := ctx.Rng.Float64()
+			u := rng.Float64()
 			if dir > 0 {
 				// Benign clients push the coordinate up; submit below the
 				// benign minimum.
@@ -278,7 +263,7 @@ func (a MinMax) Craft(ctx *fl.AttackContext) ([][]float64, error) {
 		}
 		return nil, err
 	}
-	return replicate(ctx, mal, 0), nil
+	return fl.Replicate(ctx, mal, 0), nil
 }
 
 func (a MinMax) vector(benign [][]float64) ([]float64, error) {
@@ -367,5 +352,5 @@ func (a MinSum) Craft(ctx *fl.AttackContext) ([][]float64, error) {
 		}
 		return sum <= bound
 	})
-	return replicate(ctx, shift(cand, mean, p, gamma), 0), nil
+	return fl.Replicate(ctx, shift(cand, mean, p, gamma), 0), nil
 }

@@ -358,7 +358,7 @@ func TestReplicatePerturbs(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	ctx := testCtx(rng, nil, 3, []float64{0, 0, 0, 0})
 	base := []float64{1, 2, 3, 4}
-	out := replicate(ctx, base, 0.01)
+	out := fl.Replicate(ctx, base, 0.01)
 	if len(out) != 3 {
 		t.Fatalf("got %d copies", len(out))
 	}

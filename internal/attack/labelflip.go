@@ -69,5 +69,5 @@ func (a *LabelFlip) Craft(ctx *fl.AttackContext) ([][]float64, error) {
 			nn.TrainBatch(model, opt, a.x, a.labels)
 		}
 	}
-	return replicate(ctx, model.WeightVector(), 0), nil
+	return fl.Replicate(ctx, model.WeightVector(), 0), nil
 }

@@ -23,7 +23,7 @@ func (FreeRider) Name() string { return "freerider" }
 
 // Craft implements fl.Attack.
 func (a FreeRider) Craft(ctx *fl.AttackContext) ([][]float64, error) {
-	return replicate(ctx, ctx.Global, a.NoiseStd), nil
+	return fl.Replicate(ctx, ctx.Global, a.NoiseStd), nil
 }
 
 // SignFlip is the reversed-gradient model poisoning of Section II-B ("submit
@@ -55,5 +55,5 @@ func (a SignFlip) Craft(ctx *fl.AttackContext) ([][]float64, error) {
 	mean := vec.Mean(ctx.BenignUpdates)
 	step := vec.Sub(mean, ctx.Global) // benign direction of change
 	mal := vec.Add(ctx.Global, vec.Scale(step, -gamma))
-	return replicate(ctx, mal, 0), nil
+	return fl.Replicate(ctx, mal, 0), nil
 }

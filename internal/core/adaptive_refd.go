@@ -27,7 +27,8 @@ type AdaptiveREFD struct {
 	inner *REFD
 	// MinAlpha and MaxAlpha clamp the adapted value.
 	MinAlpha, MaxAlpha float64
-	// lastAlpha records the α used in the most recent round.
+	// lastAlpha records the α used in the most recent round. No round reads
+	// it, so it carries nothing a resumed run would lack.
 	lastAlpha float64
 }
 
@@ -65,7 +66,7 @@ func (a *AdaptiveREFD) Aggregate(global []float64, updates []fl.Update) ([]float
 	// the two signals across this round's updates.
 	cvB := coeffVar(bs)
 	cvV := coeffVar(vs)
-	alpha := a.lastAlpha
+	var alpha float64
 	switch {
 	case cvB == 0 && cvV == 0:
 		alpha = 1

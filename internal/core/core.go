@@ -30,7 +30,6 @@ import (
 	"repro/internal/fl"
 	"repro/internal/nn"
 	"repro/internal/tensor"
-	"repro/internal/vec"
 )
 
 // DFAConfig collects the hyper-parameters shared by the DFA attack family.
@@ -184,20 +183,4 @@ func newFrozen(ctx *fl.AttackContext, arena *tensor.Pool) *nn.Network {
 	m := ctx.NewModel(rand.New(rand.NewSource(1)))
 	m.SetScratch(arena)
 	return m
-}
-
-// replicate returns ctx.NumAttackers copies of v with optional Gaussian
-// perturbation, mirroring the all-attackers-submit-the-same-update model.
-func replicate(ctx *fl.AttackContext, v []float64, perturb float64) [][]float64 {
-	out := make([][]float64, ctx.NumAttackers)
-	for i := range out {
-		c := vec.Clone(v)
-		if perturb > 0 {
-			for j := range c {
-				c[j] += ctx.Rng.NormFloat64() * perturb
-			}
-		}
-		out[i] = c
-	}
-	return out
 }

@@ -138,7 +138,7 @@ func TestDFARMatchesSerialReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(got, replicate(refCtx, w, cfg.PerturbStd)) {
+				if !reflect.DeepEqual(got, fl.Replicate(refCtx, w, cfg.PerturbStd)) {
 					t.Errorf("%s trained=%v round %d: Craft vectors differ from the serial reference", spec.Name, trained, r)
 				}
 			}

@@ -111,5 +111,5 @@ func (a *DFAG) Craft(ctx *fl.AttackContext) ([][]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return replicate(ctx, w, cfg.PerturbStd), nil
+	return fl.Replicate(ctx, w, cfg.PerturbStd), nil
 }

@@ -72,7 +72,7 @@ func (a *DFAR) Craft(ctx *fl.AttackContext) ([][]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return replicate(ctx, w, cfg.PerturbStd), nil
+	return fl.Replicate(ctx, w, cfg.PerturbStd), nil
 }
 
 // synthesizeSet performs step 1: it returns the round's synthetic set S

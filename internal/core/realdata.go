@@ -53,5 +53,5 @@ func (a *RealData) Craft(ctx *fl.AttackContext) ([][]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return replicate(ctx, w, a.cfg.PerturbStd), nil
+	return fl.Replicate(ctx, w, a.cfg.PerturbStd), nil
 }

@@ -336,6 +336,20 @@ func selectedMean(global []float64, updates []fl.Update, selected []int) []float
 	return out
 }
 
+// spread is update idx[i]'s summed squared distance to every update in idx,
+// a NaN distance counting as +Inf as in krumScoresFrom.
+func spread(dist [][]float64, idx []int, i int) float64 {
+	sum := 0.0
+	for _, j := range idx {
+		d := dist[idx[i]][j]
+		if math.IsNaN(d) {
+			d = math.Inf(1)
+		}
+		sum += d
+	}
+	return sum
+}
+
 // Bulyan implements the two-stage defense of El Mhamdi et al.: first an
 // iterative Multi-Krum selection of θ = n − 2F updates, then for every
 // coordinate the average of the β = θ − 2F values closest to the
@@ -368,7 +382,11 @@ func (b *Bulyan) Aggregate(global []float64, updates []fl.Update) ([]float64, fl
 	// Stage 1: iterative Krum selection of theta updates. The O(n²·d)
 	// pairwise distances are computed once (compressed-domain when the
 	// round's frames allow); each iteration re-scores the shrinking
-	// remainder from the shared matrix.
+	// remainder from the shared matrix. Once the remainder is small the
+	// score has one neighbour, and two mutual nearest neighbours tie
+	// exactly: a tie goes to the update nearer to the whole remainder, not
+	// to the earlier slot, so the selection does not depend on the order
+	// the updates arrived in.
 	sc := &b.scratch
 	dist, distNanos := sc.roundSqDist(global, updates)
 	remaining := sc.iota(n)
@@ -377,7 +395,7 @@ func (b *Bulyan) Aggregate(global []float64, updates []fl.Update) ([]float64, fl
 		scores := sc.krumScoresFrom(dist, remaining, b.F)
 		best := 0
 		for i, s := range scores {
-			if s < scores[best] {
+			if s < scores[best] || s == scores[best] && spread(dist, remaining, i) < spread(dist, remaining, best) {
 				best = i
 			}
 		}

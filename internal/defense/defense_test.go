@@ -338,6 +338,45 @@ func TestMultiKrumPermutationProperty(t *testing.T) {
 	}
 }
 
+// TestBulyanSelectionIgnoresOrder: with F = 2, ten updates and four
+// mutually distant outliers, Bulyan's last pick scores one neighbour, so
+// the last benign update and its nearest outlier tie exactly. The tie must
+// go to the benign update whichever slot either holds.
+func TestBulyanSelectionIgnoresOrder(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var vs [][]float64
+		var mal []bool
+		for i := 0; i < 10; i++ {
+			v := make([]float64, 50)
+			for d := range v {
+				if i < 4 {
+					v[d] = rng.Float64()*2 - 1 // random weights
+				} else {
+					v[d] = rng.NormFloat64() * 0.01
+				}
+			}
+			vs = append(vs, v)
+			mal = append(mal, i < 4)
+		}
+		for _, perm := range [][]int{rng.Perm(10), {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, {9, 8, 7, 6, 5, 4, 3, 2, 1, 0}} {
+			pv, pm := make([][]float64, 10), make([]bool, 10)
+			for i, p := range perm {
+				pv[i], pm[i] = vs[p], mal[p]
+			}
+			_, sel, err := (&Bulyan{F: 2}).Aggregate(nil, mkUpdates(pv, pm))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, idx := range sel.Accepted {
+				if pm[idx] {
+					t.Fatalf("seed %d, order %v: Bulyan accepted outlier %d", seed, perm, perm[idx])
+				}
+			}
+		}
+	}
+}
+
 // TestBulyanTrimsCoordinateOutliers checks stage 2: even among selected
 // updates, per-coordinate extremes are discarded.
 func TestBulyanStage2(t *testing.T) {

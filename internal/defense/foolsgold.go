@@ -37,6 +37,11 @@ func NewFoolsGold(kappa float64) *FoolsGold {
 // Name implements fl.Aggregator.
 func (*FoolsGold) Name() string { return "foolsgold" }
 
+// CarriedState implements fl.RoundState: the history.
+func (*FoolsGold) CarriedState() error {
+	return &fl.ResumeError{Component: "foolsgold", State: "per-client update history"}
+}
+
 // Aggregate implements fl.Aggregator. The Selection reports the logit
 // weights both as Scores (higher = more benign; the ROC input for the
 // forensics subsystem) and, normalized, as the actual aggregation Weights.

@@ -443,10 +443,11 @@ type Outcome struct {
 // Recipe is how the run a normalized Config names treats each client id:
 // its shard (the eager partition or the virtual population), its benign
 // training (round r on fl.TrainSeed's stream) and its role (the placement's
-// call; an attacker crafts from fl.AttackStream, trains the data-holding
-// attacks on client 0's shard and reports the mean shard size). run builds
-// the simulator's federation from one and flclient plays one of its
-// clients over a socket (Client), so the binaries train what Run trains.
+// call; an attacker crafts round r as the engine crafts for it, trains the
+// data-holding attacks on client 0's shard and reports the mean shard
+// size). run builds the simulator's federation from one and flclient plays
+// one of its clients over a socket (Client), so the binaries train what Run
+// trains.
 type Recipe struct {
 	cfg         Config
 	train, test *dataset.Dataset
@@ -551,7 +552,7 @@ func (r *Recipe) Client(id int) (flnet.Trainer, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	return flnet.NewAttackTrainer(atk, r.newModel, fl.AttackStream(cfg.Seed), r.src.MeanShardSize()), cfg.Attack, nil
+	return flnet.NewAttackTrainer(atk, r.newModel, cfg.Seed, id, r.src.MeanShardSize()), cfg.Attack, nil
 }
 
 // Digest is the first 16 hex digits of SHA-256 over a weight vector's

@@ -33,8 +33,8 @@ func TestLifetimeDigests(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"async", async, "58e540de46a75ee7"},
-		{"codec", compressed, "84f1f533864c73b7"},
+		{"async", async, "af826ec39b3d6956"},
+		{"codec", compressed, "3d1d12f7a49700cf"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out, err := Run(tc.cfg)

@@ -93,24 +93,24 @@ func TestVerdict(t *testing.T) {
 // change here must be deliberate.
 func TestGridKeysGolden(t *testing.T) {
 	want := map[string]string{
-		"table2":          "0d3abb3586fc415e43440cc5eb921699052cada4910169719d88379edc474d07",
-		"fig4":            "4af3629001b42d58d0b0401e93c37d99d664aecf119ecf96f4f6b361cd58664d",
-		"fig5":            "cc50ef705445bf033440e568197e27bbcd6468645003dc961c51151ee9739f1c",
-		"fig6":            "3f1e21acb4c181190eab5cbe423739eed2974cf05a02eb0b093bd077d4c5db47",
-		"fig7":            "26f39d95d07191b87e3380793d0be380f0b27462f3569e502828f04e9c36aa15",
-		"table3":          "b82a0b73fcd0fb510f7efa7ec73ca693d551d27009f5a38ceb08a0801e5f93f2",
-		"table4":          "d4c5cbe64514c27855e6d04a19ab66a7ee850a16be961066ad038c09ce3c836d",
-		"fig8":            "17757ff18e2b27437f9b6c2cd18855d6883f7c5530d3e21e549a450bb9ff1fd9",
-		"fig9":            "49f18d020c4bb452d52b09dda2d1a7a03d92d055aa278d7e1ef66d18ef654a67",
-		"fig10":           "9c3ebc22c622370d3585182b296bb5c64e1209727d008fcf6a714fdd8bbb149c",
-		"randomweights":   "1b0dd6f7dbd8832388fa6aa52f08596d53bfd71ad5dbd71321c1d09db66dd2c4",
-		"samplesize":      "10d4f2603f80cd8a3409ccc68f47a708a3cee088da32992db97289116c5d466c",
-		"sybil":           "faff8b0bb1202ea22545eb6a3fe6e591b34e7b5e0b7afce52d3536111a0d724f",
-		"adaptivealpha":   "5fd8c834af17b403d4f41987fe5b2576706459a3ff2b1bc0612287941b55be6c",
-		"participation":   "58148a0e91b324cc204d9fd9a4943b2e5a7c38b3751556d0d5bfbb045457b463",
-		"productionscale": "89ddbfc29bd98362fe308fad955ad91afe0a44ff4bf4a592e7a09305013de7bd",
-		"detection":       "735d37be730a6fc096d83ec61c0a669b0cb8259ef135a8d27ccc7481bdb2a9f8",
-		"compression":     "5419971fc750aec0b43b1d0bc8faef4e7e558d7d8dfe61094ab8b0bfc65b6783",
+		"table2":          "7a1bbc327d92e3a0270cddbd63d2792e2b4114c4af77dcd90ffaaf44a7e8383d",
+		"fig4":            "5fa529fb163524b3cf9c25733d0822fe0bd78caadcdd7c18f69f8c0620f2e515",
+		"fig5":            "0994393f2168529aa7ba764ae35489466bfe45dcb79ec6fd670a432795a18b7f",
+		"fig6":            "9e4aa4b55aaa8bdf5a1944b738be440594026c6552b7155d61a41f369c012087",
+		"fig7":            "c0ca5b20d64d6b791e08e9452a47690317a695fd2e0084031f4fc21e4089bc62",
+		"table3":          "b0ed178e0d471ecc7256dd21ea4bc730ca11736d5e22e1408234c2acd44415d3",
+		"table4":          "5efef7b6ce9460f9130d81ba5b1f74a4535b7be26645bcfa0a34a664435314a8",
+		"fig8":            "f671dccf330bedd91033c95d98b1d86c52e8fb0198890ba44cd903fb8f65e0d9",
+		"fig9":            "6d24cd4544856d54aaab6d977f6685eb558e60c5341666d73926081638d193eb",
+		"fig10":           "57de995713f2c537261e0f014c56f5961f1b5dc3c452265886d51bdad7fc435b",
+		"randomweights":   "5160f2a56902c6b9f4ecafdb3e871e5b9231e1e329f0101eafec42a8a30b10bc",
+		"samplesize":      "43294b96fc094e3c168371a92efd39ca3a405c628e448bf7af5c06fa98961c32",
+		"sybil":           "27f51bc4a928beac74fc92f347e77656c788d53ca08a89568c5c4966a3ed90c7",
+		"adaptivealpha":   "8faee9182922c98e71a1d2a6d926350edd2d6a250ce1aab238c961fd6c251f62",
+		"participation":   "f53e2cb21db3011f32932d5521dabcc9cc25b138233f5026c2f403c1529cfb9f",
+		"productionscale": "7390a978db7fac34a9083c995eb7f23c2a0eee3d558dc64886c89495f5822b5d",
+		"detection":       "312af83a424cef86c9d981df545253811a70145ab7c08c2b5660918bfa923ad4",
+		"compression":     "c15ebdc3005a48ce4bbec6165ca7486d33faa48d7f0f096b280b706eafb045c8",
 	}
 	p := QuickProfile()
 	for _, e := range All() {
@@ -134,13 +134,21 @@ func TestGridKeysGolden(t *testing.T) {
 // three seeds, so no verdict rests on one seed's luck.
 var claimsProfile = Profile{Name: "claims", Rounds: 8, EvalLimit: 250, SampleCount: 10, SeedCount: 3}
 
-// notReproduced are the registered claims the quick profile does not
-// reproduce. Their verdicts are printed but not required; the claims are
-// not loosened until they pass.
+// notReproduced are the registered claims whose verdict the seeds decide:
+// they have held and failed at the quick profile. Their verdicts are
+// printed but not required; the claims are not loosened until they pass.
 var notReproduced = map[string]string{
-	// Table III. At claimsProfile it holds by two points (38.00 > 35.94):
-	// too seed-sensitive to call reproduced.
-	"claim: ASR trained > static (fashion-sim, dfa-g, mkrum)": "fails at quick, seed 1: 19.61 vs 37.65",
+	// Table III holds by under four points (quick 39.59 > 37.96,
+	// claimsProfile 47.44 > 43.87) and has failed at quick (19.61 vs
+	// 37.65): too seed-sensitive to call reproduced.
+	"claim: ASR trained > static (fashion-sim, dfa-g, mkrum)": "holds by under four points",
+	// §III-B. A round that selects 5 of its 10 clients from the attackers
+	// makes Bulyan, which keeps 6, accept one, and one acceptance lifts the
+	// 3-seed mean above 1, so the verdict is whether a seed draws such a
+	// round: it holds for 55 of the seed triples (s, s+1000003, s+2000006),
+	// s = 1..100. The paper itself reports random weights passing mKrum
+	// 2.62%/6.57% of the time.
+	"claim: DPR bulyan < 1 (fashion-sim)": "fails at quick (6.67 vs 1) and claimsProfile (3.33 vs 1)",
 }
 
 // TestPaperClaims runs the cells every registered claim names at

@@ -19,8 +19,10 @@ import (
 // replaying numbers the code can no longer reproduce. A new Config field
 // needs no bump: it re-keys every cell by itself. v3: every field of the
 // normalized Config is hashed, Forensics included, and baselines are keyed
-// by the run key of their own clean config.
-const keyVersion = "v3|"
+// by the run key of their own clean config. v4: every draw of round r comes
+// from (seed, r) and crafted updates sit at their selection slots, which
+// moves every outcome.
+const keyVersion = "v4|"
 
 // runKey is the canonical identity of one grid cell: a hash of the key
 // version, the whole normalized configuration and the seed-averaging width,

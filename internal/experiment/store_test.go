@@ -391,12 +391,12 @@ func TestRunKey(t *testing.T) {
 	if ka == hex.EncodeToString(v1[:]) {
 		t.Fatal("run key equals the unversioned v1 derivation")
 	}
-	if bk := baselineKeyOf(t, a); !strings.HasPrefix(bk, "baseline|v3|") {
-		t.Fatalf("baseline key %q lacks the baseline|v3| prefix", bk)
+	if bk := baselineKeyOf(t, a); !strings.HasPrefix(bk, "baseline|v4|") {
+		t.Fatalf("baseline key %q lacks the baseline|v4| prefix", bk)
 	}
 }
 
-// TestRunKeyGolden pins v3 run keys to bytes (seed-averaging widths 1 and
+// TestRunKeyGolden pins v4 run keys to bytes (seed-averaging widths 1 and
 // 3), so a store resumes with zero recomputed cells across refactors. A
 // change that moves one of these re-keys every existing v3 store: that is
 // right only when a Config field was added or a code change moves outcomes
@@ -407,21 +407,21 @@ func TestRunKeyGolden(t *testing.T) {
 		one, three string
 	}{
 		{Config{},
-			"541b7909c373c0c78286336309d2aeba6065e78ee6e6bc38b5dee1bedd5d5938",
-			"136ce0289b4e60246b79630ebc406a291a1f2a23692e84ba23c02a84ff645f20"},
+			"20a1f2dd8eb86faba681d974845a76c6124908961e5191909c8e0a906f52cd7d",
+			"f24aedaac2134c2dc8db1452ac9a627d26779b4d007f7e4999af93b81e89f9d1"},
 		{Config{Dataset: "cifar-sim", Attack: "dfa-g", Defense: "bulyan", Beta: .5, Seed: 7},
-			"2e32237dd98ff6884f0e82e02e4953d94e8448013b8aa47f9e8e696dd41c8971",
-			"c0d3f417f4f1a664446847f18f3d3a223a4ffe229544534d3f16246e1b6cb513"},
+			"0291a1db43f6472308bad5b8180e105377dcac4916ef4df2581c83c760e167ad",
+			"56c556eb98f3bb077597c9ccfb793ccbb7257253a9b14eadb0dc962e2184b972"},
 		{Config{Dataset: "fashion-sim", Attack: "dfa-r", Defense: "mkrum", Beta: .5, Seed: 3,
 			TotalClients: 100000, PerRound: 50, AttackerFrac: .01, Population: "virtual",
 			Placement: "scatter", Groups: 10, Forensics: true},
-			"1e53009c65103d656e087de4b652765abe0fc6c68d0ba0982d9fb922d60fc846",
-			"19a825e4e324cd3058259641c6da8ef1a7754a3f402c5097a0109f7846eccc6e"},
+			"6d38d577cbba1cd59471f0f77be0866e67fc9016ce289b604cc0d0ce549ba287",
+			"5597f0a4099050d357e8a238e7bded6cd367787b326762954ed82fd54da734ef"},
 		{Config{Dataset: "tiny-sim", Attack: "minmax", Defense: "refd", Seed: 11, Codec: "int8",
 			TopK: .1, ErrorFeedback: true, Sampler: "bernoulli", DropoutProb: .1,
 			ServerOpt: "fedavgm", AsyncBuffer: 5},
-			"bcb307e4982cc73d509d5227007b1915d5ffc53bde3d21c7e19dbb7aa057316b",
-			"3925c5bccae0c687db29e95dc6615f8215f71b22f80c0b45913f1d542f99ff97"},
+			"46935dd46afde8b92e2aaf9a3e97fe0350205cfcd09c2e85d5e8944d62e44977",
+			"cfffa0c187b49d3e808f576b0e52637b6e2345050154e001e35aba69ff3f89eb"},
 	} {
 		for seeds, want := range map[int]string{1: tc.one, 3: tc.three} {
 			got, err := runKey(tc.cfg, seeds)

@@ -30,9 +30,10 @@ import (
 // async buffer is the one — copies what it keeps.
 type Transport interface {
 	// Collect obtains updates from ids, training from global (with prev
-	// available to adversarial trainers). Clients that fail to deliver in
-	// time are simply absent from the returned slice, which is valid until
-	// the next Collect.
+	// available to adversarial trainers). The updates come in ids' order,
+	// each with its ClientID set. Clients that fail to deliver in time are
+	// simply absent from the returned slice, which is valid until the next
+	// Collect.
 	Collect(round int, ids []int, global, prev []float64) ([]Update, error)
 }
 
@@ -103,11 +104,9 @@ type Engine struct {
 	OnRound func(stats RoundStats, weights []float64, at persist.Resume) error
 
 	// Resume, when non-nil, continues a checkpointed run after its Round
-	// from the initial weights Run is given: the selection and
-	// participation streams are replayed up to it, so the same clients are
-	// selected per round as in an uninterrupted run; the first resumed round
-	// hands out its w(t−1); and the result's accuracies start from its own.
-	// Nil is a fresh start.
+	// from the initial weights Run is given: the first resumed round hands
+	// out its w(t−1), and the result's accuracies start from its own. Nil
+	// is a fresh start; CheckResume names the runs that refuse one.
 	Resume *persist.Resume
 
 	// Telemetry, when non-nil, receives per-round and per-phase spans and
@@ -155,7 +154,7 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 	if opt == nil {
 		opt = PlainApply{}
 	}
-	if err := e.Scenario.CheckResume(e.Resume); err != nil {
+	if err := e.CheckResume(); err != nil {
 		return nil, nil, err
 	}
 	res := &Result{FinalAccuracy: math.NaN()}
@@ -171,21 +170,18 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 	}
 	async := e.Scenario.Async
 
-	// Three independent streams so new axes never perturb the legacy ones:
-	// selRng and atkRng keep their pre-engine seeds (bit-compatibility),
-	// partRng and asyncRng are consumed only by non-default scenarios.
-	selRng := rand.New(rand.NewSource(e.Seed ^ 0x5DEECE66D))
-	atkRng := AttackStream(e.Seed)
-	partRng := rand.New(rand.NewSource(e.Seed ^ 0x6A09E667F3BCC909))
-	asyncRng := rand.New(rand.NewSource(e.Seed ^ 0x3C6EF372FE94F82A))
-
-	// Replay the streams a checkpoint-resumed run consumed before the
-	// checkpoint, so it selects the same clients as an uninterrupted one.
-	for r := 0; r < start; r++ {
-		for _, id := range sampler.Sample(selRng, r, e.TotalClients) {
-			_ = part.Outcome(partRng, r, id)
-		}
+	// The round's streams, re-seeded from (Seed, round) at its top (see
+	// DrawSeed): reused, never carried from one round to the next.
+	draws := [...]uint64{drawSelect, drawPart, DrawCraft, drawAsync}
+	var rngs [len(draws)]*rand.Rand
+	for i := range rngs {
+		rngs[i] = rand.New(rand.NewSource(0))
 	}
+	selRng, partRng, asyncRng := rngs[0], rngs[1], rngs[3]
+	// Attacked rounds reuse one context and one slice of merged updates.
+	craft := AttackContext{Seed: e.Seed, TotalClients: e.TotalClients,
+		TotalAttackers: e.TotalAttackers, NewModel: e.NewModel, Rng: rngs[2]}
+	var merged []Update
 
 	if err := e.Codec.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("fl: codec: %w", err)
@@ -207,6 +203,9 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 		// is fine — the run is over.
 		roundSpan := e.Telemetry.Round()
 		spSelect := e.Telemetry.Phase(telemetry.PhaseSelect)
+		for i, tag := range draws {
+			rngs[i].Seed(DrawSeed(e.Seed, tag, round, 0))
+		}
 		selected := sampler.Sample(selRng, round, e.TotalClients)
 		stats := RoundStats{
 			Round:           round,
@@ -247,7 +246,8 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 		if len(attackerIDs) == 0 {
 			updates, err = e.collect(round, benignIDs, global, prev)
 		} else {
-			updates, err = e.collectAttacked(round, len(selected), benignIDs, attackerIDs, global, prev, atkRng)
+			updates, err = e.collectAttacked(round, len(selected), responders, benignIDs, attackerIDs, global, prev, &craft, merged)
+			merged = updates
 		}
 		if err != nil {
 			return nil, nil, err
@@ -384,6 +384,19 @@ func (e *Engine) Run(initial []float64) (*Result, []float64, error) {
 	return res, global, nil
 }
 
+// CheckResume returns a *ResumeError when the run cannot continue from
+// Resume: an async run's in-flight buffer, or what its server optimizer or
+// aggregator carries (RoundState), is in no checkpoint.
+func (e *Engine) CheckResume() error {
+	switch {
+	case e.Resume == nil:
+		return nil
+	case e.Scenario.Async != nil:
+		return &ResumeError{Component: "async", State: "in-flight update buffer"}
+	}
+	return RefuseResume(e.Scenario.ServerOpt, e.Aggregator)
+}
+
 // collect is the transport round-trip for the round's benign responders.
 func (e *Engine) collect(round int, ids []int, global, prev []float64) ([]Update, error) {
 	sp := e.Telemetry.Phase(telemetry.PhaseCollect)
@@ -397,28 +410,21 @@ func (e *Engine) collect(round int, ids []int, global, prev []float64) ([]Update
 }
 
 // collectAttacked is collect for a round that selected attackers: it
-// returns the benign updates followed by one crafted update per attacker.
+// returns the round's updates in responders' order, each crafted update at
+// its attacker's slot, as a server keeps each reply at its selection slot;
+// they are appended to merged[:0].
 // An attack that is no OracleAttack needs nothing the round produces, so
 // its Craft starts now, on a helper goroutine holding one slot of tensor's
 // budget, beside the transport round-trip — as a real attacker computes
 // beside the honest clients — and cannot eavesdrop: BenignUpdates is nil.
 // An oracle, or any attack when no slot is free, runs the same closure on
 // this goroutine once Collect has returned. Either way the craft alone
-// draws from atkRng and the crafted updates follow the benign ones, so
-// where it ran changes no number. Kept apart from Run so the variables the
-// closure captures cost an unattacked round nothing.
-func (e *Engine) collectAttacked(round, numSelected int, benignIDs, attackerIDs []int, global, prev []float64, atkRng *rand.Rand) ([]Update, error) {
-	ctx := &AttackContext{
-		Round:          round,
-		Global:         global,
-		PrevGlobal:     prev,
-		NumAttackers:   len(attackerIDs),
-		NumSelected:    numSelected,
-		TotalClients:   e.TotalClients,
-		TotalAttackers: e.TotalAttackers,
-		NewModel:       e.NewModel,
-		Rng:            atkRng,
-	}
+// draws from the round's craft stream, so where it ran changes no number.
+// Kept apart from Run so the variables the closure captures cost an
+// unattacked round nothing.
+func (e *Engine) collectAttacked(round, numSelected int, responders, benignIDs, attackerIDs []int, global, prev []float64, ctx *AttackContext, merged []Update) ([]Update, error) {
+	ctx.Round, ctx.Global, ctx.PrevGlobal, ctx.BenignUpdates = round, global, prev, nil
+	ctx.NumAttackers, ctx.AttackerIDs, ctx.NumSelected = len(attackerIDs), attackerIDs, numSelected
 	var (
 		malVecs  [][]float64
 		craftErr error
@@ -436,9 +442,9 @@ func (e *Engine) collectAttacked(round, numSelected int, benignIDs, attackerIDs 
 		craft()
 	})
 	updates, err := e.collect(round, benignIDs, global, prev)
-	// The craft owns atkRng until it returns: not even a failed Collect
-	// leaves it running, and its panic is raised here, where an inline
-	// craft's would be.
+	// The craft owns the craft stream until it returns: not even a failed
+	// Collect leaves it running, and its panic is raised here, where an
+	// inline craft's would be.
 	wg.Wait()
 	if panicked != nil {
 		panic(panicked)
@@ -461,15 +467,24 @@ func (e *Engine) collectAttacked(round, numSelected int, benignIDs, attackerIDs 
 	if len(malVecs) != len(attackerIDs) {
 		return nil, fmt.Errorf("round %d: attack returned %d vectors for %d attackers", round, len(malVecs), len(attackerIDs))
 	}
-	for i, id := range attackerIDs {
-		updates = append(updates, Update{
-			ClientID:   id,
-			Weights:    malVecs[i],
-			NumSamples: e.AttackSamples,
-			Malicious:  true,
-		})
+	// Both benignIDs (minus what the transport lost) and attackerIDs are
+	// in responders' order.
+	merged = merged[:0]
+	b, m := 0, 0
+	for _, id := range responders {
+		switch {
+		case m < len(attackerIDs) && attackerIDs[m] == id:
+			merged = append(merged, Update{ClientID: id, Weights: malVecs[m], NumSamples: e.AttackSamples, Malicious: true})
+			m++
+		case b < len(updates) && updates[b].ClientID == id:
+			merged = append(merged, updates[b])
+			b++
+		}
 	}
-	return updates, nil
+	if b != len(updates) {
+		return nil, fmt.Errorf("round %d: transport returned updates out of order or without their client IDs", round)
+	}
+	return merged, nil
 }
 
 // intake applies Intake to the round's updates, crafted ones included:

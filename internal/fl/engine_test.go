@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/persist"
@@ -32,13 +33,13 @@ func runScenario(t *testing.T, sc Scenario) *Result {
 	return res
 }
 
-// TestUniformSamplerMatchesLegacyStream pins the bit-compatibility
-// guarantee the refactor rests on: the default sampler consumes the
-// selection RNG exactly like the pre-engine `selRng.Perm(N)[:K]` loop.
+// TestUniformSamplerMatchesLegacyStream pins what the default sampler
+// draws: the first K of one Perm(N) of the stream it is handed, round after
+// round, and nothing else.
 func TestUniformSamplerMatchesLegacyStream(t *testing.T) {
 	const seed, total, k, rounds = 3, 17, 5, 8
-	legacy := rand.New(rand.NewSource(seed ^ 0x5DEECE66D))
-	engine := rand.New(rand.NewSource(seed ^ 0x5DEECE66D))
+	legacy := rand.New(rand.NewSource(seed))
+	engine := rand.New(rand.NewSource(seed))
 	s := UniformSampler{K: k}
 	for r := 0; r < rounds; r++ {
 		want := legacy.Perm(total)[:k]
@@ -262,6 +263,69 @@ func TestEngineAttackRequiresPredicate(t *testing.T) {
 	if _, _, err := eng.Run([]float64{0}); err == nil {
 		t.Fatal("attack without IsMalicious must be rejected")
 	}
+}
+
+// TestAttackedRoundNeedsOrderedUpdates: each crafted update sits at its
+// attacker's selection slot, merged by ClientID, so a transport that breaks
+// the Collect contract (ids' order, ClientID set) fails the round instead
+// of losing updates.
+func TestAttackedRoundNeedsOrderedUpdates(t *testing.T) {
+	order := []int{5, 4, 3, 2, 1, 0} // attackers 3 and 0
+	for _, tc := range []struct {
+		name    string
+		reorder func(us []Update)
+		ok      bool
+	}{
+		{"ids order", func([]Update) {}, true},
+		{"reversed", slices.Reverse[[]Update], false},
+		{"no client IDs", func(us []Update) {
+			for i := range us {
+				us[i].ClientID = 0
+			}
+		}, false},
+	} {
+		agg := &idsAggregator{}
+		eng := &Engine{
+			TotalClients: 6,
+			Rounds:       1,
+			Scenario:     Scenario{Sampler: fixedSampler(order)},
+			Transport: transportFunc(func(_ int, ids []int, global, _ []float64) ([]Update, error) {
+				us := make([]Update, len(ids))
+				for i, id := range ids {
+					us[i] = Update{ClientID: id, Weights: slices.Clone(global), NumSamples: 1}
+				}
+				tc.reorder(us)
+				return us, nil
+			}),
+			Aggregator:  agg,
+			Attack:      zeroAttack{},
+			IsMalicious: func(id int) bool { return id%3 == 0 },
+		}
+		_, _, err := eng.Run([]float64{1})
+		if (err == nil) != tc.ok {
+			t.Fatalf("%s: err = %v, want ok = %v", tc.name, err, tc.ok)
+		}
+		if tc.ok && !slices.Equal(agg.ids, order) {
+			t.Fatalf("%s: aggregated clients %v, want the selection order %v", tc.name, agg.ids, order)
+		}
+	}
+}
+
+// fixedSampler selects the same clients, in the same order, every round.
+type fixedSampler []int
+
+func (s fixedSampler) Sample(*rand.Rand, int, int) []int { return slices.Clone(s) }
+
+// idsAggregator records the client IDs of the updates it aggregates.
+type idsAggregator struct{ ids []int }
+
+func (*idsAggregator) Name() string { return "ids" }
+
+func (a *idsAggregator) Aggregate(global []float64, updates []Update) ([]float64, Selection, error) {
+	for _, u := range updates {
+		a.ids = append(a.ids, u.ClientID)
+	}
+	return global, Selection{}, nil
 }
 
 // transportFunc adapts a function to the Transport interface.

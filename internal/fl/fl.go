@@ -8,6 +8,7 @@ package fl
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/codec"
@@ -205,6 +206,10 @@ type AttackContext struct {
 	BenignUpdates [][]float64
 	// NumAttackers is the number of malicious clients selected this round.
 	NumAttackers int
+	// AttackerIDs lists them in selection order: copy i of Craft's result
+	// is AttackerIDs[i]'s. Seed is the run's. Both key Noise.
+	AttackerIDs []int
+	Seed        int64
 	// NumSelected is the total number of clients selected this round.
 	NumSelected int
 	// TotalClients and TotalAttackers describe the whole population.
@@ -213,8 +218,42 @@ type AttackContext struct {
 	// adversary legitimately knows the architecture because the server
 	// distributes the model.
 	NewModel func(rng *rand.Rand) *nn.Network
-	// Rng is the adversary's private randomness source.
+	// Rng is round Round's craft stream (DrawCraft), shared by every
+	// attacker selected in it, so colluding attackers craft one update.
 	Rng *rand.Rand
+
+	noise *rand.Rand
+}
+
+// Noise returns copy i's own draws: one reused stream, seeded from (Seed,
+// Round) and the copy's attacker ID (i itself when AttackerIDs is nil), so
+// a networked attacker draws what the engine draws for it.
+func (ctx *AttackContext) Noise(i int) *rand.Rand {
+	if ctx.AttackerIDs != nil {
+		i = ctx.AttackerIDs[i]
+	}
+	if ctx.noise == nil {
+		ctx.noise = rand.New(rand.NewSource(0))
+	}
+	ctx.noise.Seed(DrawSeed(ctx.Seed, drawNoise, ctx.Round, i))
+	return ctx.noise
+}
+
+// Replicate returns ctx.NumAttackers copies of v (the paper lets all
+// attackers submit one update), each perturbed by Gaussian noise of scale
+// perturb from its Noise when perturb > 0, to evade Sybil defenses.
+func Replicate(ctx *AttackContext, v []float64, perturb float64) [][]float64 {
+	out := make([][]float64, ctx.NumAttackers)
+	for i := range out {
+		out[i] = slices.Clone(v)
+		if perturb > 0 {
+			rng := ctx.Noise(i)
+			for j := range out[i] {
+				out[i][j] += rng.NormFloat64() * perturb
+			}
+		}
+	}
+	return out
 }
 
 // Attack crafts the adversary's submissions for a round. The engine may

@@ -5,21 +5,18 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"repro/internal/persist"
 )
 
 // Scenario bundles the pluggable participation and aggregation axes of the
-// round engine. The zero value reproduces the paper's fixed federation
-// shape bit-exactly: uniform K-of-N selection, full participation, plain
-// synchronous FedAvg-style application of the aggregate.
+// round engine. The zero value is the paper's fixed federation shape:
+// uniform K-of-N selection, full participation, plain synchronous
+// FedAvg-style application of the aggregate.
 type Scenario struct {
 	// Sampler selects the participating clients each round; nil means
-	// uniform K-of-N selection (K = the engine's PerRound), which consumes
-	// the selection RNG stream exactly as the pre-engine round loops did.
+	// uniform K-of-N selection (K = the engine's PerRound).
 	Sampler ClientSampler
 	// Participation models per-selection churn; nil means every selected
-	// client responds (and the participation RNG stream is never consumed).
+	// client responds.
 	Participation ParticipationModel
 	// ServerOpt post-processes the robust aggregate into the next global
 	// model; nil means plain application (the aggregate becomes the global).
@@ -35,7 +32,7 @@ type Scenario struct {
 // that carries state from round to round which no checkpoint holds: a
 // resumed run would silently diverge from the uninterrupted one.
 type ResumeError struct {
-	// Component names the state's owner: "async" or "fedavgm".
+	// Component names the state's owner: "async", "fedavgm", "foolsgold".
 	Component string
 	// State is what the checkpoint lacks.
 	State string
@@ -45,19 +42,22 @@ func (e *ResumeError) Error() string {
 	return fmt.Sprintf("fl: cannot resume a %s run mid-run: its %s is not checkpointed", e.Component, e.State)
 }
 
-// CheckResume returns a *ResumeError when a run of this scenario cannot
-// continue from r, and nil for a fresh start (r nil) or a scenario whose
-// round-carried state a checkpoint restores (the weights, w(t−1) and the
-// selection and participation streams).
-func (sc Scenario) CheckResume(r *persist.Resume) error {
-	switch {
-	case r == nil:
-		return nil
-	case sc.Async != nil:
-		return &ResumeError{Component: "async", State: "in-flight update buffer"}
-	}
-	if _, ok := sc.ServerOpt.(*FedAvgM); ok {
-		return &ResumeError{Component: "fedavgm", State: "server momentum velocity"}
+// RoundState is a server optimizer or aggregator that may carry state from
+// round to round which no checkpoint holds: CarriedState refuses a resume
+// with a *ResumeError naming it, or returns nil (a rule composed of others
+// that carry none).
+type RoundState interface {
+	CarriedState() error
+}
+
+// RefuseResume returns the first of parts' CarriedState refusals, or nil.
+func RefuseResume(parts ...any) error {
+	for _, p := range parts {
+		if s, ok := p.(RoundState); ok {
+			if err := s.CarriedState(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -84,18 +84,17 @@ func (sc Scenario) Validate() error {
 }
 
 // ClientSampler selects the client IDs that participate in one round.
-// Implementations must be deterministic functions of the provided RNG so
-// identical seeds reproduce identical participation traces.
+// Implementations must be deterministic functions of the provided RNG,
+// which the engine seeds from (seed, round), so identical seeds reproduce
+// identical participation traces.
 type ClientSampler interface {
 	// Sample returns the participating client IDs (subset of 0..total-1).
 	// An empty return is legal and yields a round with no responders.
 	Sample(rng *rand.Rand, round, total int) []int
 }
 
-// UniformSampler selects K of N clients uniformly without replacement. Its
-// RNG consumption (one Perm(total) per round) is bit-compatible with the
-// pre-engine round loops of fl.Simulation and flnet.Server, so fixed-seed
-// runs select the same clients per round as before the refactor.
+// UniformSampler selects K of N clients uniformly without replacement: the
+// first K of one Perm(total).
 type UniformSampler struct {
 	// K is the number of clients selected per round.
 	K int
@@ -264,9 +263,8 @@ type ParticipationModel interface {
 	Outcome(rng *rand.Rand, round, client int) ClientFate
 }
 
-// FullParticipation is the legacy behaviour: every selected client responds.
-// It consumes no randomness, keeping the zero-value Scenario bit-compatible
-// with the pre-engine round loops.
+// FullParticipation is the default: every selected client responds. It
+// draws nothing.
 type FullParticipation struct{}
 
 // Outcome implements ParticipationModel.
@@ -366,6 +364,11 @@ type FedAvgM struct {
 	Momentum float64
 
 	velocity []float64
+}
+
+// CarriedState implements RoundState: the velocity.
+func (*FedAvgM) CarriedState() error {
+	return &ResumeError{Component: "fedavgm", State: "server momentum velocity"}
 }
 
 // NewFedAvgM constructs a server-momentum optimizer.

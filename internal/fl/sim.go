@@ -260,22 +260,29 @@ func Mix64(a, b uint64) int64 {
 	return int64(x >> 1) // rand.NewSource ignores sign; keep it non-negative for readability
 }
 
-// TrainSeed seeds client id's training stream for round of a run seeded
-// seed: a pure function of (seed, round, id), so a round's result does not
-// depend on earlier rounds, scheduling or where the client trains — the
-// simulator's workers and flnet.BenignTrainer draw one stream, and a
-// restarted client retrains a round exactly. The 0x7 tag keeps it disjoint
-// from the population's shard-derivation streams.
-func TrainSeed(seed int64, round, id int) int64 {
-	return Mix64(uint64(seed)^uint64(round)*0x9E3779B97F4A7C15, uint64(id)<<8|0x7)
+// The tags of DrawSeed, disjoint from one another and from the
+// population's shard stream (0x5).
+const (
+	drawTrain  = 0x7 // client id's local training (TrainSeed)
+	drawSelect = 0x8 // the round's client sampler
+	drawPart   = 0x9 // the round's participation model
+	drawAsync  = 0xA // the round's async arrival delays
+	DrawCraft  = 0xB // the round's craft stream, shared by its attackers
+	drawNoise  = 0xC // attacker id's own draws (AttackContext.Noise)
+)
+
+// DrawSeed seeds the draws tagged tag in round of a run seeded seed, for
+// client id where they are one client's (0 where they are the round's). A
+// pure function leaves no stream to carry from round to round: a resumed
+// run, a restarted client and a socket client draw what an uninterrupted
+// simulation draws, whatever ran before.
+func DrawSeed(seed int64, tag uint64, round, id int) int64 {
+	return Mix64(uint64(seed)^uint64(round)*0x9E3779B97F4A7C15, uint64(id)<<8|tag)
 }
 
-// AttackStream is the adversary's craft stream of a run seeded seed: the
-// engine's in-process crafts draw from it, and so does each networked
-// attacker of the same run.
-func AttackStream(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed ^ 0x2545F4914F6CDD1D))
-}
+// TrainSeed seeds client id's training stream for round of a run seeded
+// seed, drawn alike by the simulator's workers and flnet.BenignTrainer.
+func TrainSeed(seed int64, round, id int) int64 { return DrawSeed(seed, drawTrain, round, id) }
 
 // trainClient trains client id for one round on one worker model: the
 // worker is re-targeted at the client's shard and TrainSeed stream and

@@ -63,13 +63,15 @@ func (t *BenignTrainer) Train(round int, global, _ []float64) ([]float64, int, e
 }
 
 // AttackTrainer adapts any fl.Attack (including the data-free DFA variants)
-// to the networked client loop. Each networked attacker crafts one update
-// per request, with exactly the knowledge the wire gives it: the global
-// model, the previous global model, and nothing else.
+// to the networked client loop as attacker id of a run seeded seed. Each
+// request crafts one update with exactly the knowledge the wire gives it —
+// the global model and the previous global model — from round r's craft
+// stream and id's own noise, the draws the simulator's engine makes for id
+// in round r whoever else the round selected, so a restarted attacker
+// crafts a round exactly.
 type AttackTrainer struct {
 	attack     fl.Attack
-	newModel   func(rng *rand.Rand) *nn.Network
-	rng        *rand.Rand
+	ctx        fl.AttackContext
 	numSamples int
 }
 
@@ -77,21 +79,18 @@ var _ Trainer = (*AttackTrainer)(nil)
 
 // NewAttackTrainer wraps an attack; numSamples is the plausible n_i the
 // adversary reports.
-func NewAttackTrainer(attack fl.Attack, newModel func(rng *rand.Rand) *nn.Network, rng *rand.Rand, numSamples int) *AttackTrainer {
-	return &AttackTrainer{attack: attack, newModel: newModel, rng: rng, numSamples: numSamples}
+func NewAttackTrainer(attack fl.Attack, newModel func(rng *rand.Rand) *nn.Network, seed int64, id, numSamples int) *AttackTrainer {
+	return &AttackTrainer{attack: attack, numSamples: numSamples, ctx: fl.AttackContext{
+		NumAttackers: 1, AttackerIDs: []int{id}, Seed: seed, NumSelected: 1,
+		NewModel: newModel, Rng: rand.New(rand.NewSource(0)),
+	}}
 }
 
 // Train implements Trainer.
 func (t *AttackTrainer) Train(round int, global, prevGlobal []float64) ([]float64, int, error) {
-	ctx := &fl.AttackContext{
-		Round:        round,
-		Global:       global,
-		PrevGlobal:   prevGlobal,
-		NumAttackers: 1,
-		NumSelected:  1,
-		NewModel:     t.newModel,
-		Rng:          t.rng,
-	}
+	ctx := &t.ctx
+	ctx.Round, ctx.Global, ctx.PrevGlobal = round, global, prevGlobal
+	ctx.Rng.Seed(fl.DrawSeed(ctx.Seed, fl.DrawCraft, round, 0))
 	vecs, err := t.attack.Craft(ctx)
 	if err != nil {
 		return nil, 0, err

@@ -236,7 +236,7 @@ func (f *Federation) prepare() (*fl.Engine, []float64, error) {
 	if cp != nil {
 		weights, eng.Resume = cp.Weights, &cp.Resume
 		// Refused before anyone joins, with the engine's own error.
-		if err := f.cfg.Scenario.CheckResume(eng.Resume); err != nil {
+		if err := eng.CheckResume(); err != nil {
 			return nil, nil, fmt.Errorf("flnet: federation %q: checkpoint %s: %w", f.id, f.cfg.CheckpointPath, err)
 		}
 	}
@@ -372,8 +372,8 @@ func (f *Federation) loadCheckpoint(wantLen int) (*persist.Checkpoint, error) {
 		return nil, fmt.Errorf("flnet: resume: checkpoint has %d weights, model has %d", len(cp.Weights), wantLen)
 	case len(cp.Prev) != wantLen:
 		return nil, fmt.Errorf("flnet: resume: checkpoint has %d prev weights, model has %d", len(cp.Prev), wantLen)
-	// A different seed or population would make the selection-stream replay
-	// produce a silent hybrid of two runs.
+	// A different seed or population would draw other clients than the
+	// checkpointed rounds did: a silent hybrid of two runs.
 	case cp.Seed != f.cfg.Seed:
 		return nil, fmt.Errorf("flnet: resume: checkpoint seed %d, server seed %d", cp.Seed, f.cfg.Seed)
 	case cp.MinClients != f.cfg.MinClients:

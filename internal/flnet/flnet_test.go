@@ -206,7 +206,7 @@ func TestEndToEndTraining(t *testing.T) {
 					errs[i] = err
 					return
 				}
-				trainer = NewAttackTrainer(dfa, newModel, rand.New(rand.NewSource(int64(100+i))), 40)
+				trainer = NewAttackTrainer(dfa, newModel, int64(100+i), i, 40)
 			}
 			client, err := DialCodec(addr, trainer, 10*time.Second, codec.Spec{})
 			if err != nil {
@@ -400,7 +400,7 @@ func TestAttackTrainerWrongCount(t *testing.T) {
 	newModel := func(rng *rand.Rand) *nn.Network {
 		return nn.NewFashionCNN(rng, spec.Channels, spec.Size, spec.Classes)
 	}
-	at := NewAttackTrainer(badCountAttack{}, newModel, rand.New(rand.NewSource(1)), 10)
+	at := NewAttackTrainer(badCountAttack{}, newModel, 1, 0, 10)
 	global := newModel(rand.New(rand.NewSource(2))).WeightVector()
 	if _, _, err := at.Train(0, global, global); err == nil {
 		t.Fatal("expected error for multi-vector attack response")

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/codec"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/defense"
 	"repro/internal/fl"
@@ -23,8 +24,9 @@ import (
 // runCheckpointedFederation runs a 2-client FedAvg federation with the plain
 // server optimizer for the given total round budget against a shared
 // checkpoint path, with fresh clients, and returns the result. Without
-// evaluate the server has no test set and evaluates nothing.
-func runCheckpointedFederation(t *testing.T, ckpt string, rounds int, evaluate bool) *ServerResult {
+// evaluate the server has no test set and evaluates nothing; with attacker
+// client 1 is a DFA-R attacker.
+func runCheckpointedFederation(t *testing.T, ckpt string, rounds int, evaluate, attacker bool) *ServerResult {
 	t.Helper()
 	spec := dataset.TinySpec()
 	train, test := dataset.Generate(spec, 11)
@@ -68,7 +70,15 @@ func runCheckpointedFederation(t *testing.T, ckpt string, rounds int, evaluate b
 	// Sequential joins get sequential IDs, so client i trains shard i.
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
-		trainer := NewBenignTrainer(train, shards[i], newModel, 0.05, 1, 8, 20, i)
+		var trainer Trainer = NewBenignTrainer(train, shards[i], newModel, 0.05, 1, 8, 20, i)
+		if attacker && i == 1 {
+			dfa, err := core.NewDFAR(core.DFAConfig{Classes: spec.Classes, ImgC: spec.Channels, ImgSize: spec.Size,
+				SampleCount: 4, SynthesisEpochs: 2, Trained: true, PerturbStd: 1e-3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			trainer = NewAttackTrainer(dfa, newModel, 20, i, 40)
+		}
 		client, err := DialCodec(lis.Addr().String(), trainer, 10*time.Second, codec.Spec{})
 		if err != nil {
 			t.Fatal(err)
@@ -96,7 +106,7 @@ func TestServerResumesFromCheckpoint(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "federation.ckpt")
 
 	// First life: rounds 0 and 1, checkpointing each.
-	res1 := runCheckpointedFederation(t, ckpt, 2, true)
+	res1 := runCheckpointedFederation(t, ckpt, 2, true, false)
 	if len(res1.Rounds) != 2 || res1.Rounds[0].Round != 0 {
 		t.Fatalf("first run rounds: %+v", res1.Rounds)
 	}
@@ -104,7 +114,7 @@ func TestServerResumesFromCheckpoint(t *testing.T) {
 	// Restart with the same round budget: the checkpoint says everything is
 	// done, so the server runs zero rounds and redistributes the
 	// checkpointed weights untouched.
-	res2 := runCheckpointedFederation(t, ckpt, 2, true)
+	res2 := runCheckpointedFederation(t, ckpt, 2, true, false)
 	if len(res2.Rounds) != 0 {
 		t.Fatalf("fully-checkpointed server re-ran %d rounds", len(res2.Rounds))
 	}
@@ -121,7 +131,7 @@ func TestServerResumesFromCheckpoint(t *testing.T) {
 	}
 
 	// Restart with a larger budget: training continues at round 2.
-	res3 := runCheckpointedFederation(t, ckpt, 4, true)
+	res3 := runCheckpointedFederation(t, ckpt, 4, true, false)
 	if len(res3.Rounds) != 2 {
 		t.Fatalf("resumed server ran %d rounds, want the 2 remaining", len(res3.Rounds))
 	}
@@ -132,27 +142,30 @@ func TestServerResumesFromCheckpoint(t *testing.T) {
 
 // TestResumedFederationIsExact kills a checkpointed federation after round
 // 2 and restarts it with fresh clients: it must end on the uninterrupted
-// run's weights bit for bit. The checkpoint carries the server's state, and
-// a benign client trains round r on its per-(seed, round, id) stream, so a
-// restarted one retrains the remaining rounds exactly. A federation without
-// a test set checkpoints a NaN accuracy every round and resumes the same
-// way; its final accuracy stays NaN, as nothing was evaluated.
+// run's weights bit for bit. The checkpoint carries the server's state, a
+// benign client trains round r on its per-(seed, round, id) stream and a
+// DFA-R attacker crafts round r from the round's craft stream and its own
+// noise, so a restarted one redoes the remaining rounds exactly. A
+// federation without a test set checkpoints a NaN accuracy every round and
+// resumes the same way; its final accuracy stays NaN, as nothing was
+// evaluated.
 func TestResumedFederationIsExact(t *testing.T) {
-	for _, evaluate := range []bool{true, false} {
+	for _, c := range []struct{ evaluate, attacker bool }{{true, false}, {false, false}, {true, true}} {
+		evaluate := c.evaluate
 		dir := t.TempDir()
-		whole := runCheckpointedFederation(t, filepath.Join(dir, "whole.ckpt"), 4, evaluate)
+		whole := runCheckpointedFederation(t, filepath.Join(dir, "whole.ckpt"), 4, evaluate, c.attacker)
 		ckpt := filepath.Join(dir, "killed.ckpt")
-		runCheckpointedFederation(t, ckpt, 2, evaluate)
-		resumed := runCheckpointedFederation(t, ckpt, 4, evaluate)
+		runCheckpointedFederation(t, ckpt, 2, evaluate, c.attacker)
+		resumed := runCheckpointedFederation(t, ckpt, 4, evaluate, c.attacker)
 		if len(resumed.Rounds) != 2 || resumed.Rounds[0].Round != 2 {
-			t.Fatalf("evaluate=%v: resumed rounds %+v, want rounds 2 and 3", evaluate, resumed.Rounds)
+			t.Fatalf("%+v: resumed rounds %+v, want rounds 2 and 3", c, resumed.Rounds)
 		}
 		if got, want := weightsDigest(resumed.FinalWeights), weightsDigest(whole.FinalWeights); got != want {
-			t.Fatalf("evaluate=%v: resumed final weights %s, uninterrupted %s", evaluate, got, want)
+			t.Fatalf("%+v: resumed final weights %s, uninterrupted %s", c, got, want)
 		}
 		if math.IsNaN(resumed.FinalAccuracy) == evaluate || resumed.MaxAccuracy != whole.MaxAccuracy {
-			t.Fatalf("evaluate=%v: resumed accuracy %v (max %v), uninterrupted %v (max %v)",
-				evaluate, resumed.FinalAccuracy, resumed.MaxAccuracy, whole.FinalAccuracy, whole.MaxAccuracy)
+			t.Fatalf("%+v: resumed accuracy %v (max %v), uninterrupted %v (max %v)",
+				c, resumed.FinalAccuracy, resumed.MaxAccuracy, whole.FinalAccuracy, whole.MaxAccuracy)
 		}
 	}
 }
@@ -246,44 +259,56 @@ func TestServerRejectsMismatchedCheckpoint(t *testing.T) {
 	}
 }
 
-// TestServerRefusesFedAvgMResume: a checkpoint holds no server momentum, so
-// a FedAvgM federation asked to resume from one is refused before anyone
-// joins, with the engine's own *fl.ResumeError naming fedavgm.
+// TestServerRefusesFedAvgMResume: a checkpoint holds no server momentum
+// and no FoolsGold history, so a federation carrying either asked to
+// resume from one is refused before anyone joins, with the engine's own
+// *fl.ResumeError naming the component.
 func TestServerRefusesFedAvgMResume(t *testing.T) {
 	spec := dataset.TinySpec()
 	_, test := dataset.Generate(spec, 12)
 	newModel := func(rng *rand.Rand) *nn.Network {
 		return nn.NewFashionCNN(rng, spec.Channels, spec.Size, spec.Classes)
 	}
-	ckpt := filepath.Join(t.TempDir(), "fedavgm.ckpt")
-	w := newModel(rand.New(rand.NewSource(1))).WeightVector()
-	cp := persist.Checkpoint{Dataset: spec.Name, Model: "fashion-cnn", Seed: 6, MinClients: 1, PerRound: 1,
-		Weights: w, Resume: persist.Resume{Prev: w, Accuracy: -1}}
-	if err := persist.Save(ckpt, &cp); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(ServerConfig{
-		MinClients:     1,
-		PerRound:       1,
-		Rounds:         3,
-		RoundTimeout:   time.Second,
-		Seed:           6,
-		Scenario:       fl.Scenario{ServerOpt: fl.NewFedAvgM(1, 0.9)},
-		CheckpointPath: ckpt,
-		DatasetName:    spec.Name,
-		ModelName:      "fashion-cnn",
-	}, defense.FedAvg{}, newModel, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	_, err = srv.Serve(lis)
-	var re *fl.ResumeError
-	if !errors.As(err, &re) || re.Component != "fedavgm" {
-		t.Fatalf("FedAvgM resume: err %v, want a *fl.ResumeError naming fedavgm", err)
+	for _, tc := range []struct {
+		component string
+		scenario  fl.Scenario
+		agg       fl.Aggregator
+	}{
+		{"fedavgm", fl.Scenario{ServerOpt: fl.NewFedAvgM(1, 0.9)}, defense.FedAvg{}},
+		{"foolsgold", fl.Scenario{}, defense.NewFoolsGold(1)},
+	} {
+		t.Run(tc.component, func(t *testing.T) {
+			ckpt := filepath.Join(t.TempDir(), tc.component+".ckpt")
+			w := newModel(rand.New(rand.NewSource(1))).WeightVector()
+			cp := persist.Checkpoint{Dataset: spec.Name, Model: "fashion-cnn", Seed: 6, MinClients: 1, PerRound: 1,
+				Weights: w, Resume: persist.Resume{Prev: w, Accuracy: -1}}
+			if err := persist.Save(ckpt, &cp); err != nil {
+				t.Fatal(err)
+			}
+			srv, err := NewServer(ServerConfig{
+				MinClients:     1,
+				PerRound:       1,
+				Rounds:         3,
+				RoundTimeout:   time.Second,
+				Seed:           6,
+				Scenario:       tc.scenario,
+				CheckpointPath: ckpt,
+				DatasetName:    spec.Name,
+				ModelName:      "fashion-cnn",
+			}, tc.agg, newModel, test)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lis.Close()
+			_, err = srv.Serve(lis)
+			var re *fl.ResumeError
+			if !errors.As(err, &re) || re.Component != tc.component {
+				t.Fatalf("resume: err %v, want a *fl.ResumeError naming %s", err, tc.component)
+			}
+		})
 	}
 }

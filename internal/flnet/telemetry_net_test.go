@@ -74,7 +74,8 @@ func TestTelemetryOnOffBitIdenticalOverSockets(t *testing.T) {
 func TestDistanceTelemetryPerFederation(t *testing.T) {
 	alpha := testTenants()[0] // mkrum, 3 rounds
 	gamma := alpha
-	gamma.id, gamma.cfg.Rounds, gamma.cfg.Seed, gamma.genSeed = "gamma", 2, 13, 17
+	// A rule of its own: one goroutine drives an aggregator (fl.Aggregator).
+	gamma.id, gamma.agg, gamma.cfg.Rounds, gamma.cfg.Seed, gamma.genSeed = "gamma", &defense.MultiKrum{F: 1}, 2, 13, 17
 	delta := alpha
 	delta.id, delta.agg, delta.genSeed = "delta", defense.Median{}, 29
 	tenants := []tenant{alpha, gamma, delta}

@@ -143,7 +143,7 @@ func TestPrevElisionMatchesEnginePrev(t *testing.T) {
 			cfg.Rounds = rounds
 			trainers := make([]Trainer, clients)
 			for i, a := range attacks {
-				trainers[i] = NewAttackTrainer(a, tinyModel, rand.New(rand.NewSource(int64(i))), 10)
+				trainers[i] = NewAttackTrainer(a, tinyModel, int64(i), i, 10)
 			}
 			federate(t, cfg, trainers)
 		}

@@ -197,9 +197,13 @@ func (c *Collector) ObserveAggregation(round int, global []float64, updates []fl
 		// updates converge), which would let a benign early round outrank a
 		// malicious late one. Rank-normalize within the round first — the
 		// same transform the hierarchy applies across groups; per-round AUC
-		// above is rank-invariant and needs no transform.
-		for i, rank := range fl.ScoreRanks(sel.Scores) {
-			c.offer(scorePair{suspicion: 1 - rank, malicious: updates[i].Malicious})
+		// above is rank-invariant and needs no transform. A round holding
+		// one class only is not pooled: its ranks separate nothing, yet its
+		// most suspicious update would outrank other rounds' attackers.
+		if rm.Malicious > 0 && rm.Malicious < rm.Updates {
+			for i, rank := range fl.ScoreRanks(sel.Scores) {
+				c.offer(scorePair{suspicion: 1 - rank, malicious: updates[i].Malicious})
+			}
 		}
 	}
 

@@ -58,6 +58,9 @@ func (h *Hierarchical) Name() string {
 	return fmt.Sprintf("hier-%d(%s/%s)", h.Groups, h.Group.Name(), h.Server.Name())
 }
 
+// CarriedState implements fl.RoundState: its tiers' state.
+func (h *Hierarchical) CarriedState() error { return fl.RefuseResume(h.Group, h.Server) }
+
 // Validate reports configuration errors.
 func (h *Hierarchical) Validate() error {
 	if h.Groups <= 0 {

@@ -1,6 +1,7 @@
 package population
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -206,6 +207,26 @@ func TestHierarchicalValidate(t *testing.T) {
 	for i, h := range bad {
 		if _, _, err := h.Aggregate([]float64{0}, mkUpdates(1, 2)); err == nil {
 			t.Errorf("config %d should fail: %+v", i, h)
+		}
+	}
+}
+
+// TestHierarchicalCarriesItsTiersState: a hierarchy carries round state
+// exactly when one of its tiers does, so a resume of one over FoolsGold is
+// refused like a flat FoolsGold's.
+func TestHierarchicalCarriesItsTiersState(t *testing.T) {
+	for _, tc := range []struct {
+		group, server fl.Aggregator
+		want          string
+	}{
+		{defense.FedAvg{}, defense.FedAvg{}, ""},
+		{defense.NewFoolsGold(1), defense.FedAvg{}, "foolsgold"},
+		{defense.FedAvg{}, defense.NewFoolsGold(1), "foolsgold"},
+	} {
+		h := &Hierarchical{Groups: 2, Group: tc.group, Server: tc.server}
+		var re *fl.ResumeError
+		if err := fl.RefuseResume(h); (tc.want == "") != (err == nil) || err != nil && (!errors.As(err, &re) || re.Component != tc.want) {
+			t.Errorf("%s refuses a resume with %v, want one naming %q", h.Name(), err, tc.want)
 		}
 	}
 }
