@@ -1,7 +1,7 @@
 package repro_test
 
 import (
-	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"log"
 	"math"
@@ -217,8 +217,11 @@ func ExampleRunConfigOpts_forensics() {
 		d.ScoreName, d.AUC, d.TPRAt1FPR, d.ScorePairs, d.ReservoirLen)
 	fmt.Printf("audited %d aggregations (%d zero-selection) over %d updates, %d malicious\n",
 		d.Aggregations, d.ZeroSelectionRounds, d.Updates, d.MaliciousSeen)
+	// The journal's bytes, every fingerprint and decision of every round,
+	// are the same on every build.
 	if journal, err := os.ReadFile(auditPath); err == nil {
-		fmt.Printf("audit journal: %d rounds of per-update fingerprints and decisions\n", bytes.Count(journal, []byte("\n")))
+		sum := sha256.Sum256(journal)
+		fmt.Printf("audit journal sha256: %x…\n", sum[:8])
 	}
 	// DPR counts only the attackers that slipped through; the FPR is what a
 	// production operator pays for the defense: benign clients filtered
@@ -229,7 +232,7 @@ func ExampleRunConfigOpts_forensics() {
 	// detection view: TPR=0.000 FPR=0.261 precision=0.000 F1=0.000
 	// ROC over dscore scores: AUC=0.322 TPR@1%FPR=0.000 (50 score pairs, reservoir 50)
 	// audited 6 aggregations (0 zero-selection) over 60 updates, 14 malicious
-	// audit journal: 6 rounds of per-update fingerprints and decisions
+	// audit journal sha256: cce5249082063557…
 }
 
 // percent renders a rate in percent, or N/A where it is undefined (NaN).

@@ -123,10 +123,6 @@ type Config struct {
 	// MeanShard is the virtual population's expected per-client shard size
 	// in samples (0 = 32; virtual only).
 	MeanShard int
-	// PopCache bounds the virtual population's LRU shard-materialization
-	// cache in shards (0 = max(4×PerRound, 64)). Pure cache: never changes
-	// results, only memory.
-	PopCache int
 	// Placement assigns the malicious client IDs on either backend: "" or
 	// "first" (the first ⌊frac·N⌋ IDs), "scatter" (seeded hash spread
 	// through the ID space — the production model, exact at 0.1%/0.01%
@@ -210,7 +206,6 @@ func (c *Config) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.AsyncMaxDelay, "async-delay", 0, "max simulated update arrival delay in rounds for async mode (0 = 2)")
 	fs.StringVar(&c.Population, "population", "eager", "client-population backend: eager (all shards up front), virtual (lazy O(active)-memory population for N up to 10^6)")
 	fs.IntVar(&c.MeanShard, "mean-shard", 0, "virtual population's expected per-client shard size in samples (0 = 32)")
-	fs.IntVar(&c.PopCache, "pop-cache", 0, "virtual population's LRU shard-materialization cache in shards (0 = max(4*K, 64)); memory only, never results")
 	fs.StringVar(&c.Placement, "placement", "first", "attacker placement: first (the first floor(frac*N) IDs), scatter (seeded spread), sybil (contiguous burst-join block), sizecorr (proportional to shard size)")
 	fs.IntVar(&c.Groups, "groups", 0, "hierarchical aggregation with this many group aggregators (0 = flat server)")
 	fs.StringVar(&c.GroupDefense, "group-defense", "", "per-group tier-1 rule for -groups (empty = same as -defense)")
@@ -349,11 +344,11 @@ func (c *Config) Normalize() error {
 			// the virtual population exists to avoid.
 			return fmt.Errorf("experiment: weighted sampler requires the eager population")
 		}
-	} else if c.MeanShard != 0 || c.PopCache != 0 {
-		return fmt.Errorf("experiment: MeanShard/PopCache require Population=virtual")
+	} else if c.MeanShard != 0 {
+		return fmt.Errorf("experiment: MeanShard requires Population=virtual")
 	}
-	if c.MeanShard < 0 || c.PopCache < 0 {
-		return fmt.Errorf("experiment: population parameters (%d, %d) must be non-negative", c.MeanShard, c.PopCache)
+	if c.MeanShard < 0 {
+		return fmt.Errorf("experiment: MeanShard %d must be non-negative", c.MeanShard)
 	}
 	switch c.Placement {
 	case "", "first":
@@ -484,12 +479,8 @@ func NewRecipe(cfg Config) (*Recipe, error) {
 		case cfg.Beta > 0:
 			kind = population.Label
 		}
-		cache := cfg.PopCache
-		if cache == 0 {
-			cache = max(4*cfg.PerRound, 64)
-		}
 		pop, err = population.New(population.Spec{Kind: kind, TotalClients: cfg.TotalClients,
-			Seed: cfg.Seed ^ 0x7054, Beta: cfg.Beta, MeanShard: cfg.MeanShard, Cache: cache}, train)
+			Seed: cfg.Seed ^ 0x7054, Beta: cfg.Beta, MeanShard: cfg.MeanShard, Cache: max(4*cfg.PerRound, 64)}, train)
 		if err != nil {
 			return nil, err
 		}

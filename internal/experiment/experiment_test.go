@@ -188,7 +188,6 @@ func TestNormalizeScenarioDefaults(t *testing.T) {
 		{Placement: "scatter"}, // requires Population=virtual
 		{Placement: "wormhole", Population: "virtual"},
 		{MeanShard: 16}, // requires Population=virtual
-		{PopCache: 8},   // requires Population=virtual
 		{Groups: -1},
 		{GroupDefense: "mkrum"},                      // requires Groups > 0
 		{Population: "virtual", Sampler: "weighted"}, // O(N) weights

@@ -93,24 +93,24 @@ func TestVerdict(t *testing.T) {
 // change here must be deliberate.
 func TestGridKeysGolden(t *testing.T) {
 	want := map[string]string{
-		"table2":          "7a1bbc327d92e3a0270cddbd63d2792e2b4114c4af77dcd90ffaaf44a7e8383d",
-		"fig4":            "5fa529fb163524b3cf9c25733d0822fe0bd78caadcdd7c18f69f8c0620f2e515",
-		"fig5":            "0994393f2168529aa7ba764ae35489466bfe45dcb79ec6fd670a432795a18b7f",
-		"fig6":            "9e4aa4b55aaa8bdf5a1944b738be440594026c6552b7155d61a41f369c012087",
-		"fig7":            "c0ca5b20d64d6b791e08e9452a47690317a695fd2e0084031f4fc21e4089bc62",
-		"table3":          "b0ed178e0d471ecc7256dd21ea4bc730ca11736d5e22e1408234c2acd44415d3",
-		"table4":          "5efef7b6ce9460f9130d81ba5b1f74a4535b7be26645bcfa0a34a664435314a8",
-		"fig8":            "f671dccf330bedd91033c95d98b1d86c52e8fb0198890ba44cd903fb8f65e0d9",
-		"fig9":            "6d24cd4544856d54aaab6d977f6685eb558e60c5341666d73926081638d193eb",
-		"fig10":           "57de995713f2c537261e0f014c56f5961f1b5dc3c452265886d51bdad7fc435b",
-		"randomweights":   "5160f2a56902c6b9f4ecafdb3e871e5b9231e1e329f0101eafec42a8a30b10bc",
-		"samplesize":      "43294b96fc094e3c168371a92efd39ca3a405c628e448bf7af5c06fa98961c32",
-		"sybil":           "27f51bc4a928beac74fc92f347e77656c788d53ca08a89568c5c4966a3ed90c7",
-		"adaptivealpha":   "8faee9182922c98e71a1d2a6d926350edd2d6a250ce1aab238c961fd6c251f62",
-		"participation":   "f53e2cb21db3011f32932d5521dabcc9cc25b138233f5026c2f403c1529cfb9f",
-		"productionscale": "7390a978db7fac34a9083c995eb7f23c2a0eee3d558dc64886c89495f5822b5d",
-		"detection":       "312af83a424cef86c9d981df545253811a70145ab7c08c2b5660918bfa923ad4",
-		"compression":     "c15ebdc3005a48ce4bbec6165ca7486d33faa48d7f0f096b280b706eafb045c8",
+		"table2":          "92ad9582b031a7278bdf26f54c00d95f037f2ef956882b33c886a8accae9a96f",
+		"fig4":            "3c0129927935760e75729391789f97ec821e1d2bd5bb218d3b0a80ac81118a0c",
+		"fig5":            "27bcd21c5485ffbcb61cbb14a270d77af3e2de565dcf2b7f6e425943d9a64dd7",
+		"fig6":            "3305e7c65a4ee19c7332b0a563f2cbd074b21487b57029d15f1507dac7c7207c",
+		"fig7":            "fee1d828cf9cfa24a65a659428939181e6f48c80799cac793713e2e369e25f68",
+		"table3":          "0fde8936aee91f34f49b478bd35d9947dd0c470c8438847faedc41c38814c7a9",
+		"table4":          "09182bd1669ca06051478bcd9368b587a2b1a1e6241ccab535313882ceca6b81",
+		"fig8":            "578db6ca8a72d4ab9a59c021e7a0d5aa99bf8e73b429816564a3ddaf56d65b9e",
+		"fig9":            "503520dcabd92f15d658dc66a83689b7c2638ce4a11ff59b06f93f3f9758d09d",
+		"fig10":           "dd9e116b7ca9726887160d1d9656cc56b51c73d7bb47548dd886cb3bd9a8933a",
+		"randomweights":   "bd47a8cf0b86640663ef46294755a89393047a885797033fb84e949da6ec0db3",
+		"samplesize":      "bb78d4c993cfec42a45219773bf21700ee1fe20ace7d1b4009c3aa599942ceb3",
+		"sybil":           "dd43db7183d4197506b5ced9e538b3d25611bae486e6663f00f62b075a52a0e8",
+		"adaptivealpha":   "a013b1aca85de3c86431346540adbfe906d171aaf87bc25d6feed75450bb9a64",
+		"participation":   "e7d5564796bd12e174a6e2614673200c9eefb105478adc681efe331ad347ed64",
+		"productionscale": "45254ef29fa679e656baa33d327c99c795ef1dbd4ddbe5aa3128ab7f9481de62",
+		"detection":       "d1e0825b0ef6f01ddaa36db0d8dae57b5069b2b13e04fdd32c0dedc78172b748",
+		"compression":     "4e122c7fd361e6c5469fe9651615236f170995192cada10386bef075179df38e",
 	}
 	p := QuickProfile()
 	for _, e := range All() {

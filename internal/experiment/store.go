@@ -21,8 +21,11 @@ import (
 // normalized Config is hashed, Forensics included, and baselines are keyed
 // by the run key of their own clean config. v4: every draw of round r comes
 // from (seed, r) and crafted updates sit at their selection slots, which
-// moves every outcome.
-const keyVersion = "v4|"
+// moves every outcome. v5: every GEMM output and every dot product is one
+// fused chain on every build, which moves the outcomes of cells whose small
+// products, or whose purego and arm64 products, rounded twice; PopCache,
+// which never changed a result, left the Config.
+const keyVersion = "v5|"
 
 // runKey is the canonical identity of one grid cell: a hash of the key
 // version, the whole normalized configuration and the seed-averaging width,

@@ -391,12 +391,12 @@ func TestRunKey(t *testing.T) {
 	if ka == hex.EncodeToString(v1[:]) {
 		t.Fatal("run key equals the unversioned v1 derivation")
 	}
-	if bk := baselineKeyOf(t, a); !strings.HasPrefix(bk, "baseline|v4|") {
-		t.Fatalf("baseline key %q lacks the baseline|v4| prefix", bk)
+	if bk := baselineKeyOf(t, a); !strings.HasPrefix(bk, "baseline|v5|") {
+		t.Fatalf("baseline key %q lacks the baseline|v5| prefix", bk)
 	}
 }
 
-// TestRunKeyGolden pins v4 run keys to bytes (seed-averaging widths 1 and
+// TestRunKeyGolden pins v5 run keys to bytes (seed-averaging widths 1 and
 // 3), so a store resumes with zero recomputed cells across refactors. A
 // change that moves one of these re-keys every existing v3 store: that is
 // right only when a Config field was added or a code change moves outcomes
@@ -407,21 +407,21 @@ func TestRunKeyGolden(t *testing.T) {
 		one, three string
 	}{
 		{Config{},
-			"20a1f2dd8eb86faba681d974845a76c6124908961e5191909c8e0a906f52cd7d",
-			"f24aedaac2134c2dc8db1452ac9a627d26779b4d007f7e4999af93b81e89f9d1"},
+			"adddb951d162ef593de1cba25b925cef8a3098079b1ca6e14f6738f41ce64bf0",
+			"a642647f06e76ee31cb10aa635326706e9e42f9664285ff2db5093698991d741"},
 		{Config{Dataset: "cifar-sim", Attack: "dfa-g", Defense: "bulyan", Beta: .5, Seed: 7},
-			"0291a1db43f6472308bad5b8180e105377dcac4916ef4df2581c83c760e167ad",
-			"56c556eb98f3bb077597c9ccfb793ccbb7257253a9b14eadb0dc962e2184b972"},
+			"9501e38fcd241a1272cb401db18ec153d7544f1cf8197becf6e578f0bc9cebfd",
+			"c2323e5b989e41ce0dc8ab1b2156292f560a26f163bbe4f5b3222e8caf29f2f6"},
 		{Config{Dataset: "fashion-sim", Attack: "dfa-r", Defense: "mkrum", Beta: .5, Seed: 3,
 			TotalClients: 100000, PerRound: 50, AttackerFrac: .01, Population: "virtual",
 			Placement: "scatter", Groups: 10, Forensics: true},
-			"6d38d577cbba1cd59471f0f77be0866e67fc9016ce289b604cc0d0ce549ba287",
-			"5597f0a4099050d357e8a238e7bded6cd367787b326762954ed82fd54da734ef"},
+			"4ce10f20c783258a131494549dd7fefb18cf138c112e708c97460392761a1d64",
+			"04ca7aed49d005a6d3d6e79ef676e3b3df43d0ece18643ca524b6303214de7ef"},
 		{Config{Dataset: "tiny-sim", Attack: "minmax", Defense: "refd", Seed: 11, Codec: "int8",
 			TopK: .1, ErrorFeedback: true, Sampler: "bernoulli", DropoutProb: .1,
 			ServerOpt: "fedavgm", AsyncBuffer: 5},
-			"46935dd46afde8b92e2aaf9a3e97fe0350205cfcd09c2e85d5e8944d62e44977",
-			"cfffa0c187b49d3e808f576b0e52637b6e2345050154e001e35aba69ff3f89eb"},
+			"a4646979e811b6d1e282e97c5dacfb0560b5619a6bfa57882bdb38d78e14a61c",
+			"50102abb8acb7e2a4f5fa991db898ca301695f8d9b35dc145aa297d890bdecef"},
 	} {
 		for seeds, want := range map[int]string{1: tc.one, 3: tc.three} {
 			got, err := runKey(tc.cfg, seeds)

@@ -483,10 +483,9 @@ func reduceRef(gradW, gradB, dw, gb []float64, oHW int) {
 // TestConvBitEqualRowMajorLowering holds forward, dW, dB and dx of Conv2D
 // and ConvTranspose2D to the row-major lowering with ==: the zoo's conv
 // layers, the generator's transposed convolutions, DFA-R's filter layer,
-// shapes whose products stay below the microkernel's threshold, ragged
-// panels in both orders and a single-pixel output, at 1, 2 and 8 workers,
-// pooled and not. It runs on the purego build too, where both sides are the
-// scalar tiles.
+// shapes with small products, ragged panels in both orders and a
+// single-pixel output, at 1, 2 and 8 workers, pooled and not. It runs on
+// the purego build too, where both sides are the scalar tile.
 func TestConvBitEqualRowMajorLowering(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	equal := func(t *testing.T, what string, got, want []float64) {

@@ -2,24 +2,25 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
 // Blocked, register-tiled matrix kernels. All three product shapes
 // (A·B, Aᵀ·B, A·Bᵀ) are one routine: PackA describes the left operand,
 // GemmPackedA multiplies it by a row-major right operand, GemmPanelB by one
-// its producer wrote in the panel layout. The output is partitioned
-// into register tiles (4×8 on the SIMD microkernel, 4×4 on the scalar
-// path), each tile accumulates over the shared dimension in ascending
-// order, and row-tile blocks are distributed over the package worker pool
-// for large problems. Both paths read A where it lies; the microkernel
-// reads B there too unless it is transposed or narrower than one panel.
+// its producer wrote in the panel layout. The output is partitioned into
+// 4-row tiles, and row-tile blocks are distributed over the package worker
+// pool for large problems. A SIMD build runs every tile on the 4×8
+// microkernel, every other build on its scalar twin (scalarTiles). Both
+// read A where it lies; the microkernel reads B there too unless it is
+// transposed or narrower than one panel.
 //
-// Determinism: every output element is produced by exactly one goroutine and
-// its accumulation order over the shared dimension is fixed (ascending, one
-// register chain per element), so results are bit-identical for any worker
-// count — and bit-identical to the retained naive kernels up to the sign of
-// zero (the naive loops skip zero operands, the tiled ones add ±0).
+// One arithmetic: every output element is one chain of fused multiply-adds
+// (VFMADD231PD, or math.FMA: one rounding per step) over the shared
+// dimension in ascending order, from +0 or, when accumulating, from C's
+// value. Each element is produced by exactly one goroutine, so a product
+// returns the same bits on every build and tier and for any worker count.
 
 // parGrainMACs is the minimum number of multiply-accumulates a worker chunk
 // should amortize before the row loop is worth fanning out.
@@ -122,7 +123,7 @@ func GemmPackedA(c []float64, pa PackedA, b []float64, transB, acc bool) {
 			len(b), len(c), m, k, k, n, pa.trans, transB))
 	}
 	p := product{pa: pa, c: c, b: b, transB: transB, acc: acc}
-	if !simdWorthIt(m, k, n) || (!transB && n >= 8) {
+	if !simdOn || (!transB && n >= 8) {
 		p.run()
 		return
 	}
@@ -141,8 +142,8 @@ func PanelBLen(k, n int) int { return 8 * k * ((n + 7) / 8) }
 // stored row-major but was written by its producer in zero-padded 8-column
 // panels, pb[(t*k+p)*8+c] = B_eff[p][8t+c] with columns past n zero — the
 // layout the microkernel reads with row stride 8. This is how a
-// convolution hands over its patch matrix on every build: the scalar tiles
-// of A·B index B through the same formula (bColumn).
+// convolution hands over its patch matrix on every build: the scalar tile
+// indexes B through the same formula (bColumn).
 // A transposed left operand is not offered: no layer asks for it.
 func GemmPanelB(c []float64, pa PackedA, pb []float64, acc bool) {
 	m, k, n := pa.m, pa.k, pa.n
@@ -163,336 +164,80 @@ type product struct {
 }
 
 // run fans the product's 4-row tiles out over the worker pool: onto the
-// microkernel where simdWorthIt says so, onto the scalar tiles otherwise.
+// microkernel on a SIMD build, onto the scalar tile otherwise.
 func (p product) run() {
 	tiles, body := rowTiles(p.pa.m), product.scalarTiles
-	if simdWorthIt(p.pa.m, p.pa.k, p.pa.n) {
+	if simdOn {
 		body = product.kernelTiles
 	}
 	ParallelChunks(tiles, tileGrain(p.pa.k, p.pa.n), tiles, p, body)
 }
 
-// scalarTiles runs the 4-row tiles [lo, hi) of the product on the scalar
-// tiles.
+// scalarTiles is kernelTiles' scalar twin, the tile every build without the
+// microkernel runs: it computes the 4-row tiles [lo, hi) of the product two
+// rows by four columns at a time, each output one ascending-depth math.FMA
+// chain from +0 or, with acc, from C's value. It reads A as the microkernel
+// does, A_eff[i][q] = a[i*rowStep+q*lda], and B through bColumn. A tile cut
+// by the last row or column repeats that row or column and stores only its
+// real outputs.
 func (p product) scalarTiles(lo, hi, _ int) {
-	pa, c, b, i0, i1 := p.pa, p.c, p.b, lo*4, min(hi*4, p.pa.m)
+	a, b, c := p.pa.a, p.b, p.c
+	m, k, n := p.pa.m, p.pa.k, p.pa.n
+	lda, rowStep := 1, k
+	if p.pa.trans {
+		lda, rowStep = m, 1
+	}
+	for i := lo * 4; i < min(hi*4, m); i += 2 {
+		i1 := min(i+1, m-1)
+		x0, x1 := i*rowStep, i1*rowStep
+		for j := 0; j < n; j += 4 {
+			j1, j2, j3 := min(j+1, n-1), min(j+2, n-1), min(j+3, n-1)
+			y0, ldb := p.bColumn(j)
+			y1, _ := p.bColumn(j1)
+			y2, _ := p.bColumn(j2)
+			y3, _ := p.bColumn(j3)
+			var s00, s01, s02, s03, s10, s11, s12, s13 float64
+			if p.acc {
+				r0, r1 := c[i*n:i*n+n], c[i1*n:i1*n+n]
+				s00, s01, s02, s03 = r0[j], r0[j1], r0[j2], r0[j3]
+				s10, s11, s12, s13 = r1[j], r1[j1], r1[j2], r1[j3]
+			}
+			for qa, qb := 0, 0; qa < k*lda; qa, qb = qa+lda, qb+ldb {
+				a0, a1 := a[x0+qa], a[x1+qa]
+				b0, b1, b2, b3 := b[y0+qb], b[y1+qb], b[y2+qb], b[y3+qb]
+				s00 = math.FMA(a0, b0, s00)
+				s01 = math.FMA(a0, b1, s01)
+				s02 = math.FMA(a0, b2, s02)
+				s03 = math.FMA(a0, b3, s03)
+				s10 = math.FMA(a1, b0, s10)
+				s11 = math.FMA(a1, b1, s11)
+				s12 = math.FMA(a1, b2, s12)
+				s13 = math.FMA(a1, b3, s13)
+			}
+			if i+2 <= m && j+4 <= n {
+				r0, r1 := c[i*n+j:i*n+j+4], c[i1*n+j:i1*n+j+4]
+				r0[0], r0[1], r0[2], r0[3] = s00, s01, s02, s03
+				r1[0], r1[1], r1[2], r1[3] = s10, s11, s12, s13
+				continue
+			}
+			out := [8]float64{s00, s01, s02, s03, s10, s11, s12, s13}
+			for r := 0; r < min(m-i, 2); r++ {
+				copy(c[(i+r)*n+j:(i+r)*n+min(j+4, n)], out[r*4:])
+			}
+		}
+	}
+}
+
+// bColumn returns where column j of B_eff starts in b and the distance
+// between its consecutive depths: B_eff[q][j] = b[off+q*ldb], with ldb n for
+// a row-major B (k×n), 1 for a transposed one (n×k) and 8 for GemmPanelB's
+// layout, where off is the column's place in its panel.
+func (p product) bColumn(j int) (off, ldb int) {
 	switch {
-	case pa.trans:
-		gemmTN(c, pa.a, b, pa.k, pa.m, pa.n, i0, i1, p.acc)
+	case p.panelB:
+		return (j>>3)*p.pa.k*8 + j&7, 8
 	case p.transB:
-		gemmNT(c, pa.a, b, pa.k, pa.n, i0, i1, p.acc)
-	default:
-		gemmNN(c, pa.a, b, pa.k, pa.n, i0, i1, p.acc, p.panelB)
+		return j * p.pa.k, 1
 	}
-}
-
-// bColumn returns B_eff from element (0, j) on and the distance between
-// consecutive depths of a column: b[j:] and n for row-major B (k×n); for B
-// in GemmPanelB's layout the panel holding column j from that column on, and
-// 8. A 4-column tile starts at a multiple of 4 and so never straddles an
-// 8-column panel: either way its four values of depth p are bj[p*ldb:p*ldb+4].
-func bColumn(b []float64, k, n, j int, panelB bool) (bj []float64, ldb int) {
-	if panelB {
-		return b[(j>>3)*k*8+j&7:], 8
-	}
-	return b[j:], n
-}
-
-// gemmNN computes rows [i0, i1) of C = A·B (or C += A·B when acc is set)
-// for row-major A (lda = k) and C (ldc = n), and B either row-major
-// (ldb = n) or, with panelB, in GemmPanelB's layout.
-func gemmNN(c, a, b []float64, k, n, i0, i1 int, acc, panelB bool) {
-	n4 := n &^ 3
-	for i := i0; i < i1; i += 4 {
-		if i+4 <= i1 {
-			a0 := a[i*k : i*k+k]
-			a1 := a[(i+1)*k : (i+1)*k+k]
-			a2 := a[(i+2)*k : (i+2)*k+k]
-			a3 := a[(i+3)*k : (i+3)*k+k]
-			c0 := c[i*n : i*n+n]
-			c1 := c[(i+1)*n : (i+1)*n+n]
-			c2 := c[(i+2)*n : (i+2)*n+n]
-			c3 := c[(i+3)*n : (i+3)*n+n]
-			for j := 0; j < n4; j += 4 {
-				bj, ldb := bColumn(b, k, n, j, panelB)
-				var s00, s01, s02, s03 float64
-				var s10, s11, s12, s13 float64
-				var s20, s21, s22, s23 float64
-				var s30, s31, s32, s33 float64
-				if acc {
-					s00, s01, s02, s03 = c0[j], c0[j+1], c0[j+2], c0[j+3]
-					s10, s11, s12, s13 = c1[j], c1[j+1], c1[j+2], c1[j+3]
-					s20, s21, s22, s23 = c2[j], c2[j+1], c2[j+2], c2[j+3]
-					s30, s31, s32, s33 = c3[j], c3[j+1], c3[j+2], c3[j+3]
-				}
-				for p := 0; p < k; p++ {
-					bp := bj[p*ldb : p*ldb+4]
-					b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
-					av := a0[p]
-					s00 += av * b0
-					s01 += av * b1
-					s02 += av * b2
-					s03 += av * b3
-					av = a1[p]
-					s10 += av * b0
-					s11 += av * b1
-					s12 += av * b2
-					s13 += av * b3
-					av = a2[p]
-					s20 += av * b0
-					s21 += av * b1
-					s22 += av * b2
-					s23 += av * b3
-					av = a3[p]
-					s30 += av * b0
-					s31 += av * b1
-					s32 += av * b2
-					s33 += av * b3
-				}
-				c0[j], c0[j+1], c0[j+2], c0[j+3] = s00, s01, s02, s03
-				c1[j], c1[j+1], c1[j+2], c1[j+3] = s10, s11, s12, s13
-				c2[j], c2[j+1], c2[j+2], c2[j+3] = s20, s21, s22, s23
-				c3[j], c3[j+1], c3[j+2], c3[j+3] = s30, s31, s32, s33
-			}
-			for j := n4; j < n; j++ {
-				bj, ldb := bColumn(b, k, n, j, panelB)
-				var s0, s1, s2, s3 float64
-				if acc {
-					s0, s1, s2, s3 = c0[j], c1[j], c2[j], c3[j]
-				}
-				for p := 0; p < k; p++ {
-					bv := bj[p*ldb]
-					s0 += a0[p] * bv
-					s1 += a1[p] * bv
-					s2 += a2[p] * bv
-					s3 += a3[p] * bv
-				}
-				c0[j], c1[j], c2[j], c3[j] = s0, s1, s2, s3
-			}
-			continue
-		}
-		for ; i < i1; i++ {
-			ar := a[i*k : i*k+k]
-			cr := c[i*n : i*n+n]
-			for j := 0; j < n4; j += 4 {
-				bj, ldb := bColumn(b, k, n, j, panelB)
-				var s0, s1, s2, s3 float64
-				if acc {
-					s0, s1, s2, s3 = cr[j], cr[j+1], cr[j+2], cr[j+3]
-				}
-				for p := 0; p < k; p++ {
-					bp := bj[p*ldb : p*ldb+4]
-					av := ar[p]
-					s0 += av * bp[0]
-					s1 += av * bp[1]
-					s2 += av * bp[2]
-					s3 += av * bp[3]
-				}
-				cr[j], cr[j+1], cr[j+2], cr[j+3] = s0, s1, s2, s3
-			}
-			for j := n4; j < n; j++ {
-				bj, ldb := bColumn(b, k, n, j, panelB)
-				var s float64
-				if acc {
-					s = cr[j]
-				}
-				for p := 0; p < k; p++ {
-					s += ar[p] * bj[p*ldb]
-				}
-				cr[j] = s
-			}
-		}
-	}
-}
-
-// gemmTN computes rows [i0, i1) of C = Aᵀ·B (or C += Aᵀ·B when acc is set)
-// for row-major A (k×m), B (k×n), C (m×n).
-func gemmTN(c, a, b []float64, k, m, n, i0, i1 int, acc bool) {
-	n4 := n &^ 3
-	for i := i0; i < i1; i += 4 {
-		if i+4 <= i1 {
-			c0 := c[i*n : i*n+n]
-			c1 := c[(i+1)*n : (i+1)*n+n]
-			c2 := c[(i+2)*n : (i+2)*n+n]
-			c3 := c[(i+3)*n : (i+3)*n+n]
-			for j := 0; j < n4; j += 4 {
-				var s00, s01, s02, s03 float64
-				var s10, s11, s12, s13 float64
-				var s20, s21, s22, s23 float64
-				var s30, s31, s32, s33 float64
-				if acc {
-					s00, s01, s02, s03 = c0[j], c0[j+1], c0[j+2], c0[j+3]
-					s10, s11, s12, s13 = c1[j], c1[j+1], c1[j+2], c1[j+3]
-					s20, s21, s22, s23 = c2[j], c2[j+1], c2[j+2], c2[j+3]
-					s30, s31, s32, s33 = c3[j], c3[j+1], c3[j+2], c3[j+3]
-				}
-				for p := 0; p < k; p++ {
-					ap := a[p*m+i : p*m+i+4]
-					bp := b[p*n+j : p*n+j+4]
-					b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
-					av := ap[0]
-					s00 += av * b0
-					s01 += av * b1
-					s02 += av * b2
-					s03 += av * b3
-					av = ap[1]
-					s10 += av * b0
-					s11 += av * b1
-					s12 += av * b2
-					s13 += av * b3
-					av = ap[2]
-					s20 += av * b0
-					s21 += av * b1
-					s22 += av * b2
-					s23 += av * b3
-					av = ap[3]
-					s30 += av * b0
-					s31 += av * b1
-					s32 += av * b2
-					s33 += av * b3
-				}
-				c0[j], c0[j+1], c0[j+2], c0[j+3] = s00, s01, s02, s03
-				c1[j], c1[j+1], c1[j+2], c1[j+3] = s10, s11, s12, s13
-				c2[j], c2[j+1], c2[j+2], c2[j+3] = s20, s21, s22, s23
-				c3[j], c3[j+1], c3[j+2], c3[j+3] = s30, s31, s32, s33
-			}
-			for j := n4; j < n; j++ {
-				var s0, s1, s2, s3 float64
-				if acc {
-					s0, s1, s2, s3 = c0[j], c1[j], c2[j], c3[j]
-				}
-				for p := 0; p < k; p++ {
-					ap := a[p*m+i : p*m+i+4]
-					bv := b[p*n+j]
-					s0 += ap[0] * bv
-					s1 += ap[1] * bv
-					s2 += ap[2] * bv
-					s3 += ap[3] * bv
-				}
-				c0[j], c1[j], c2[j], c3[j] = s0, s1, s2, s3
-			}
-			continue
-		}
-		for ; i < i1; i++ {
-			cr := c[i*n : i*n+n]
-			for j := 0; j < n4; j += 4 {
-				var s0, s1, s2, s3 float64
-				if acc {
-					s0, s1, s2, s3 = cr[j], cr[j+1], cr[j+2], cr[j+3]
-				}
-				for p := 0; p < k; p++ {
-					av := a[p*m+i]
-					bp := b[p*n+j : p*n+j+4]
-					s0 += av * bp[0]
-					s1 += av * bp[1]
-					s2 += av * bp[2]
-					s3 += av * bp[3]
-				}
-				cr[j], cr[j+1], cr[j+2], cr[j+3] = s0, s1, s2, s3
-			}
-			for j := n4; j < n; j++ {
-				var s float64
-				if acc {
-					s = cr[j]
-				}
-				for p := 0; p < k; p++ {
-					s += a[p*m+i] * b[p*n+j]
-				}
-				cr[j] = s
-			}
-		}
-	}
-}
-
-// gemmNT computes rows [i0, i1) of C = A·Bᵀ (or C += A·Bᵀ when acc is set)
-// for row-major A (m×k), B (n×k), C (m×n): every output element is the dot
-// product of two contiguous rows.
-func gemmNT(c, a, b []float64, k, n, i0, i1 int, acc bool) {
-	n4 := n &^ 3
-	for i := i0; i < i1; i += 4 {
-		if i+4 <= i1 {
-			a0 := a[i*k : i*k+k]
-			a1 := a[(i+1)*k : (i+1)*k+k]
-			a2 := a[(i+2)*k : (i+2)*k+k]
-			a3 := a[(i+3)*k : (i+3)*k+k]
-			c0 := c[i*n : i*n+n]
-			c1 := c[(i+1)*n : (i+1)*n+n]
-			c2 := c[(i+2)*n : (i+2)*n+n]
-			c3 := c[(i+3)*n : (i+3)*n+n]
-			for j := 0; j < n4; j += 4 {
-				b0 := b[j*k : j*k+k]
-				b1 := b[(j+1)*k : (j+1)*k+k]
-				b2 := b[(j+2)*k : (j+2)*k+k]
-				b3 := b[(j+3)*k : (j+3)*k+k]
-				var s00, s01, s02, s03 float64
-				var s10, s11, s12, s13 float64
-				var s20, s21, s22, s23 float64
-				var s30, s31, s32, s33 float64
-				if acc {
-					s00, s01, s02, s03 = c0[j], c0[j+1], c0[j+2], c0[j+3]
-					s10, s11, s12, s13 = c1[j], c1[j+1], c1[j+2], c1[j+3]
-					s20, s21, s22, s23 = c2[j], c2[j+1], c2[j+2], c2[j+3]
-					s30, s31, s32, s33 = c3[j], c3[j+1], c3[j+2], c3[j+3]
-				}
-				for p := 0; p < k; p++ {
-					bv0, bv1, bv2, bv3 := b0[p], b1[p], b2[p], b3[p]
-					av := a0[p]
-					s00 += av * bv0
-					s01 += av * bv1
-					s02 += av * bv2
-					s03 += av * bv3
-					av = a1[p]
-					s10 += av * bv0
-					s11 += av * bv1
-					s12 += av * bv2
-					s13 += av * bv3
-					av = a2[p]
-					s20 += av * bv0
-					s21 += av * bv1
-					s22 += av * bv2
-					s23 += av * bv3
-					av = a3[p]
-					s30 += av * bv0
-					s31 += av * bv1
-					s32 += av * bv2
-					s33 += av * bv3
-				}
-				c0[j], c0[j+1], c0[j+2], c0[j+3] = s00, s01, s02, s03
-				c1[j], c1[j+1], c1[j+2], c1[j+3] = s10, s11, s12, s13
-				c2[j], c2[j+1], c2[j+2], c2[j+3] = s20, s21, s22, s23
-				c3[j], c3[j+1], c3[j+2], c3[j+3] = s30, s31, s32, s33
-			}
-			for j := n4; j < n; j++ {
-				bj := b[j*k : j*k+k]
-				var s0, s1, s2, s3 float64
-				if acc {
-					s0, s1, s2, s3 = c0[j], c1[j], c2[j], c3[j]
-				}
-				for p := 0; p < k; p++ {
-					bv := bj[p]
-					s0 += a0[p] * bv
-					s1 += a1[p] * bv
-					s2 += a2[p] * bv
-					s3 += a3[p] * bv
-				}
-				c0[j], c1[j], c2[j], c3[j] = s0, s1, s2, s3
-			}
-			continue
-		}
-		for ; i < i1; i++ {
-			ar := a[i*k : i*k+k]
-			cr := c[i*n : i*n+n]
-			for j := 0; j < n; j++ {
-				bj := b[j*k : j*k+k]
-				var s float64
-				if acc {
-					s = cr[j]
-				}
-				for p := 0; p < k; p++ {
-					s += ar[p] * bj[p]
-				}
-				cr[j] = s
-			}
-		}
-	}
+	return j, p.pa.n
 }

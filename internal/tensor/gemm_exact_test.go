@@ -8,14 +8,13 @@ import (
 	"testing"
 )
 
-// exactGemm is the bit-exact reference of every GEMM entry point: each
-// output element is one chain over ascending depth, starting from the
-// existing C value when acc is set and from +0 otherwise. Where the
-// microkernel runs the chain is fused (math.FMA rounds once per step, like
-// VFMADD231PD); where the scalar tiles run it is a rounded product and a
-// rounded sum per step. at and bt read element (i, p) of A_eff and (p, j)
-// of B_eff from the caller's storage order.
-func exactGemm(c []float64, m, k, n int, acc, fused bool, at, bt func(i, j int) float64) []float64 {
+// exactGemm is the bit-exact reference of every GEMM entry point on every
+// tier: each output element is one fused chain over ascending depth
+// (math.FMA rounds once per step, like VFMADD231PD), starting from the
+// existing C value when acc is set and from +0 otherwise. at and bt read
+// element (i, p) of A_eff and (p, j) of B_eff from the caller's storage
+// order.
+func exactGemm(c []float64, m, k, n int, acc bool, at, bt func(i, j int) float64) []float64 {
 	want := make([]float64, m*n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
@@ -24,11 +23,7 @@ func exactGemm(c []float64, m, k, n int, acc, fused bool, at, bt func(i, j int) 
 				s = c[i*n+j]
 			}
 			for p := 0; p < k; p++ {
-				if fused {
-					s = math.FMA(at(i, p), bt(p, j), s)
-				} else {
-					s += at(i, p) * bt(p, j)
-				}
+				s = math.FMA(at(i, p), bt(p, j), s)
 			}
 			want[i*n+j] = s
 		}
@@ -64,18 +59,31 @@ func refPanelB(k, n int, bt func(p, j int) float64) []float64 {
 var modelShapes = [][3]int{{8, 9, 64}, {16, 72, 16}, {8, 27, 256}, {32, 288, 4}, {16, 256, 10}}
 
 // TestGEMMBitExact holds GemmNN, GemmTN, GemmNT and the two PackA entry
-// points (row-major B and panelled B) to the reference bit for bit, over every small shape (each edge-tile
-// combination of the 4×8 microkernel and of the 4×4 scalar tiles) and the
-// model shapes, accumulating and not, serial and fanned out. C sits inside
-// a buffer of sentinels, so a tile stored outside the m×n block fails; the
-// guard-page placement (gemmGuarded) catches a read past any operand.
+// points (row-major B and panelled B) to the one fused reference bit for
+// bit, on every tier the build has: the 4×8 microkernel where the CPU has
+// it, and always the scalar tile, with the microkernel switched off. It
+// covers every small shape (each edge-tile combination of both tiles) and
+// the model shapes, accumulating and not, serial and fanned out. C sits
+// inside a buffer of sentinels, so a tile stored outside the m×n block
+// fails; the guard-page placement (gemmGuarded) catches a read past any
+// operand.
 func TestGEMMBitExact(t *testing.T) {
+	tiers := []string{"scalar 2x4 FMA tile"}
 	if simdOn {
-		t.Log("gemm tier: avx2 in-place 4x8 microkernel at >= 2048 multiply-adds, scalar 4x4 tiles below")
-	} else {
-		t.Log("gemm tier: scalar 4x4 tiles")
+		tiers = append([]string{"avx2 in-place 4x8 microkernel"}, tiers...)
 	}
-	gemmGuarded(t)
+	defer func(on bool) { simdOn = on }(simdOn)
+	for _, tier := range tiers {
+		t.Log("gemm tier:", tier)
+		simdOn = tier != "scalar 2x4 FMA tile"
+		gemmGuarded(t)
+		gemmExact(t)
+	}
+}
+
+// gemmExact is TestGEMMBitExact's check of every entry point on the tier
+// simdOn selects.
+func gemmExact(t *testing.T) {
 	var shapes [][3]int
 	step := 1
 	if testing.Short() {
@@ -88,8 +96,6 @@ func TestGEMMBitExact(t *testing.T) {
 			}
 		}
 	}
-	// 13…17 cubed crosses the microkernel's threshold; the model shapes and
-	// these make sure both kinds of tile are held to their reference.
 	shapes = append(shapes, modelShapes...)
 	shapes = append(shapes, [3]int{17, 17, 17}, [3]int{9, 33, 15}, [3]int{5, 64, 9})
 
@@ -105,7 +111,6 @@ func TestGEMMBitExact(t *testing.T) {
 			b := randTensor(rng, k, n).Data  // k×n, or n×k read transposed
 			b2 := randTensor(rng, k, n).Data // a second right operand for the shared panels
 			c0 := randTensor(rng, m, n).Data
-			fused := simdWorthIt(m, k, n)
 			for _, acc := range []bool{false, true} {
 				check := func(name string, want []float64, run func(c []float64)) {
 					t.Helper()
@@ -131,9 +136,9 @@ func TestGEMMBitExact(t *testing.T) {
 				aTN := func(i, p int) float64 { return a[p*m+i] }
 				bNN := func(p, j int) float64 { return b[p*n+j] }
 				bNT := func(p, j int) float64 { return b[j*k+p] }
-				check("GemmNN", exactGemm(c0, m, k, n, acc, fused, aNN, bNN), func(c []float64) { GemmNN(c, a, b, m, k, n, acc) })
-				check("GemmTN", exactGemm(c0, m, k, n, acc, fused, aTN, bNN), func(c []float64) { GemmTN(c, a, b, m, k, n, acc) })
-				check("GemmNT", exactGemm(c0, m, k, n, acc, fused, aNN, bNT), func(c []float64) { GemmNT(c, a, b, m, k, n, acc) })
+				check("GemmNN", exactGemm(c0, m, k, n, acc, aNN, bNN), func(c []float64) { GemmNN(c, a, b, m, k, n, acc) })
+				check("GemmTN", exactGemm(c0, m, k, n, acc, aTN, bNN), func(c []float64) { GemmTN(c, a, b, m, k, n, acc) })
+				check("GemmNT", exactGemm(c0, m, k, n, acc, aNN, bNT), func(c []float64) { GemmNT(c, a, b, m, k, n, acc) })
 
 				// One PackA, several products: the descriptor serves every
 				// right operand.
@@ -144,16 +149,16 @@ func TestGEMMBitExact(t *testing.T) {
 					}
 					pa := PackA(a, m, k, n, trans)
 					name := fmt.Sprintf("GemmPackedA(trans=%v)", trans)
-					check(name, exactGemm(c0, m, k, n, acc, fused, at, bNN), func(c []float64) { GemmPackedA(c, pa, b, false, acc) })
-					check(name+" second operand", exactGemm(c0, m, k, n, acc, fused, at, func(p, j int) float64 { return b2[p*n+j] }),
+					check(name, exactGemm(c0, m, k, n, acc, at, bNN), func(c []float64) { GemmPackedA(c, pa, b, false, acc) })
+					check(name+" second operand", exactGemm(c0, m, k, n, acc, at, func(p, j int) float64 { return b2[p*n+j] }),
 						func(c []float64) { GemmPackedA(c, pa, b2, false, acc) })
 					if !trans {
-						check(name+" transB", exactGemm(c0, m, k, n, acc, fused, at, bNT), func(c []float64) { GemmPackedA(c, pa, b, true, acc) })
+						check(name+" transB", exactGemm(c0, m, k, n, acc, at, bNT), func(c []float64) { GemmPackedA(c, pa, b, true, acc) })
 						// The panelled right operand in both roles a convolution
 						// gives it: the patch matrix and its transpose.
 						pb, pbT := refPanelB(k, n, bNN), refPanelB(k, n, bNT)
-						check("GemmPanelB", exactGemm(c0, m, k, n, acc, fused, at, bNN), func(c []float64) { GemmPanelB(c, pa, pb, acc) })
-						check("GemmPanelB transposed source", exactGemm(c0, m, k, n, acc, fused, at, bNT), func(c []float64) { GemmPanelB(c, pa, pbT, acc) })
+						check("GemmPanelB", exactGemm(c0, m, k, n, acc, at, bNN), func(c []float64) { GemmPanelB(c, pa, pb, acc) })
+						check("GemmPanelB transposed source", exactGemm(c0, m, k, n, acc, at, bNT), func(c []float64) { GemmPanelB(c, pa, pbT, acc) })
 					}
 				}
 			}
@@ -192,7 +197,6 @@ func gemmGuarded(t *testing.T) {
 	for m := 1; m <= 17; m++ {
 		for k := 1; k <= 17; k++ {
 			for n := 1; n <= 17; n++ {
-				fused := simdWorthIt(m, k, n)
 				for _, e := range entries {
 					for _, acc := range []bool{false, true} {
 						for _, poison := range []bool{false, true} {
@@ -236,7 +240,7 @@ func gemmGuarded(t *testing.T) {
 							}
 							c := gc(m * n)
 							copy(c, c0)
-							want := exactGemm(c0, m, k, n, acc, fused, at, bt)
+							want := exactGemm(c0, m, k, n, acc, at, bt)
 							func() {
 								defer func() {
 									if r := recover(); r != nil {

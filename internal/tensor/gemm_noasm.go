@@ -2,11 +2,9 @@
 
 package tensor
 
-// Non-amd64 (or purego) builds always use the scalar blocked kernels.
+// Non-amd64 (or purego) builds run the scalar twins of every kernel.
 
 var simdOn, avx512On = false, false
-
-func simdWorthIt(m, k, n int) bool { return false }
 
 func packB8(pb, b []float64, k, n int, transB bool) { panic("tensor: packB8 unavailable") }
 

@@ -7,9 +7,9 @@ package tensor
 // they lie — A row-major or transposed, B row-major or in 8-column panels
 // (GemmPanelB's, or the ones packB8 writes for a transposed B and for a B
 // narrower than one panel) — and writes its C tile in place.
-// Every output element is one depth-ascending FMA chain, so the SIMD path
-// is — like the scalar path — bit-identical for any worker count; versus
-// the scalar path it differs only by the fused rounding of hardware FMA.
+// Every output element is one depth-ascending FMA chain, the chain the
+// scalar tile (scalarTiles) computes with math.FMA, so the SIMD and scalar
+// builds return the same bits.
 
 //go:noescape
 func dgemmKernel4x8(k int, a0, a1, a2, a3 *float64, lda int, b *float64, ldb int, c *float64, ldc int, acc bool)
@@ -120,14 +120,6 @@ func (p product) kernelTiles(lo, hi, _ int) {
 			}
 		}
 	}
-}
-
-// simdWorthIt reports whether a product runs on the microkernel. With A
-// read in place there is no packing to amortize: the threshold decides
-// which rounding a product gets, fused at 2048 multiply-adds and above, a
-// rounded product and sum below.
-func simdWorthIt(m, k, n int) bool {
-	return simdOn && m*k*n >= 2048
 }
 
 //go:noescape

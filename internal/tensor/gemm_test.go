@@ -59,7 +59,7 @@ func mulNT(a, b *Tensor) *Tensor {
 
 // TestGEMMEquivalence checks the blocked kernels against the retained naive
 // references over randomized shapes, including single-row/column edges and
-// shapes not divisible by the 4×4 tile.
+// shapes not divisible by the tiles.
 func TestGEMMEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	shapes := [][3]int{{1, 1, 1}, {1, 7, 1}, {4, 4, 4}, {5, 3, 9}, {8, 16, 10}, {13, 29, 7}, {64, 9, 33}, {31, 77, 12}}
@@ -112,8 +112,8 @@ func TestGEMMAccumulate(t *testing.T) {
 }
 
 // TestGEMMScalarPathEquivalence re-runs the randomized equivalence checks
-// with the SIMD fast path disabled, so the scalar blocked kernels stay
-// covered on machines where the fast path would otherwise always win.
+// with the SIMD fast path disabled, so the scalar tile stays covered on
+// machines where the microkernel would otherwise always run.
 func TestGEMMScalarPathEquivalence(t *testing.T) {
 	old := simdOn
 	simdOn = false

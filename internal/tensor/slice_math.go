@@ -1,8 +1,9 @@
 package tensor
 
 // Flat-slice math kernels shared by the vector layer: squared distance and
-// dot product (SIMD-accelerated where available, falling back to unrolled
-// scalar loops) and element-wise addition (bit-identical on every path).
+// dot product (SIMD-accelerated where available, with scalar twins that sum
+// in the same lane order) and element-wise addition (bit-identical on every
+// path).
 // These are the primitives the shared distance-matrix service and the
 // aggregation rules are built on.
 
@@ -24,10 +25,8 @@ func SqDistSlice(a, b []float64) float64 {
 }
 
 // sqDist is SqDistSlice without the length check. From 64 elements on,
-// every tier runs one lane map: element k of each 16-element block goes to
-// FMA chain k, the lanes reduce as (Y0+Y1)+(Y2+Y3) and then
-// ((s0+s1)+s2)+s3, and the tail takes sqDistScalar's four chains — so the
-// SIMD and scalar builds return the same bits.
+// every tier runs one lane map (fmaLanes), so the SIMD and scalar builds
+// return the same bits.
 func sqDist(a, b []float64) float64 {
 	switch {
 	case len(a) < 64:
@@ -35,10 +34,27 @@ func sqDist(a, b []float64) float64 {
 	case simdOn:
 		return sqDistSIMD(a, b)
 	}
+	s, i := fmaLanes(a, b, true)
+	return s + sqDistScalar(a, b, i)
+}
+
+// fmaLanes is the scalar twin of the SIMD distance and dot lanes: element k
+// of each whole 16-element block goes to FMA chain k, of the squared
+// difference with diff set and of the product otherwise, and the lanes
+// reduce as (Y0+Y1)+(Y2+Y3) and then ((s0+s1)+s2)+s3. It returns that sum
+// and the index where the tail, which the caller's four scalar chains take,
+// starts.
+func fmaLanes(a, b []float64, diff bool) (float64, int) {
 	var l [16]float64
 	i := 0
 	for ; i+16 <= len(a); i += 16 {
 		ab, bb := a[i:i+16], b[i:i+16]
+		if !diff {
+			for k := range l {
+				l[k] = math.FMA(ab[k], bb[k], l[k])
+			}
+			continue
+		}
 		for k := range l {
 			d := ab[k] - bb[k]
 			l[k] = math.FMA(d, d, l[k])
@@ -48,7 +64,7 @@ func sqDist(a, b []float64) float64 {
 	for k := range s {
 		s[k] = (l[k] + l[4+k]) + (l[8+k] + l[12+k])
 	}
-	return ((s[0] + s[1]) + s[2]) + s[3] + sqDistScalar(a, b, i)
+	return ((s[0] + s[1]) + s[2]) + s[3], i
 }
 
 // SqDistTile adds SqDistSlice(rows[r], cols[c]) to out[r][c] for every pair
@@ -112,13 +128,18 @@ func sqDistRow(a []float64, bs [][]float64, out []float64) {
 	}
 }
 
-// DotSlice returns the inner product of a and b.
+// DotSlice returns the inner product of a and b, in sqDist's lane order on
+// every tier.
 func DotSlice(a, b []float64) float64 {
 	checkSameLen("DotSlice", a, b)
-	if simdOn && len(a) >= 64 {
+	switch {
+	case len(a) < 64:
+		return dotScalar(a, b, 0)
+	case simdOn:
 		return dotSIMD(a, b)
 	}
-	return dotScalar(a, b, 0)
+	s, i := fmaLanes(a, b, false)
+	return s + dotScalar(a, b, i)
 }
 
 // AddSlice performs dst += src element-wise. The SIMD and scalar paths are

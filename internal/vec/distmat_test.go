@@ -242,3 +242,28 @@ func TestSqDistGoldenBits(t *testing.T) {
 		t.Errorf("K=7, d=1000 matrix hash %#x, want %#x", got, want)
 	}
 }
+
+// TestDotGoldenBits is TestSqDistGoldenBits for the inner product: DotSlice's
+// SIMD tier and its scalar twin run one lane map, so a few inner products and
+// a small cosine matrix have the same bits on every build.
+func TestDotGoldenBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, tc := range []struct {
+		dim  int
+		want uint64
+	}{{63, 0xc022bc8a3d872e29}, {64, 0xc01a4c119f7b5100}, {1000, 0x4056f2e2ae32ac43}, {10010, 0xc0285aae73b6d71f}} {
+		ab := randVecs(rng, 2, tc.dim)
+		if got := math.Float64bits(tensor.DotSlice(ab[0], ab[1])); got != tc.want {
+			t.Errorf("dim=%d: DotSlice bits %#x, want %#x", tc.dim, got, tc.want)
+		}
+	}
+	h := fnv.New64a()
+	for _, row := range CosineMatrix(randVecs(rng, 7, 1000)) {
+		for _, d := range row {
+			binary.Write(h, binary.LittleEndian, d)
+		}
+	}
+	if got, want := h.Sum64(), uint64(0xa6aaa7875b51b2cc); got != want {
+		t.Errorf("K=7, d=1000 cosine matrix hash %#x, want %#x", got, want)
+	}
+}

@@ -46,13 +46,13 @@ import (
 // defense, heterogeneity) it exposes the round engine's production
 // participation axes — Partition, Sampler/SampleRate, DropoutProb/
 // StragglerProb, ServerOpt/ServerLR/ServerMomentum, AsyncBuffer/
-// AsyncMaxDelay — and the population axes: Population/MeanShard/PopCache
-// (which client source the one round driver trains over: the eager shard
-// table, or a lazy O(active)-memory population of up to 10⁶ clients),
-// Placement (attacker placement models) and Groups/GroupDefense
-// (hierarchical two-tier aggregation). Zero values select the paper's
-// fixed federation shape; the numbers a fixed seed produces on the eager
-// backend moved once, with run-key version v2.
+// AsyncMaxDelay — and the population axes: Population/MeanShard (which
+// client source the one round driver trains over: the eager shard table,
+// or a lazy O(active)-memory population of up to 10⁶ clients), Placement
+// (attacker placement models) and Groups/GroupDefense (hierarchical
+// two-tier aggregation). Zero values select the paper's fixed federation
+// shape. A Config's outcome is the same on both amd64 builds (SIMD and
+// purego); a code change that moves it bumps the run-key version, now v5.
 type Config = experiment.Config
 
 // Watch says how a run or sweep is watched while it executes — ops endpoint,
