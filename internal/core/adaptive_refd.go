@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/fl"
@@ -81,34 +80,8 @@ func (a *AdaptiveREFD) Aggregate(global []float64, updates []fl.Update) ([]float
 
 	// Second pass: score with the adapted α and reject the X lowest,
 	// mirroring REFD.Aggregate.
-	scores := make([]float64, len(updates))
-	for i := range updates {
-		scores[i] = combineD(bs[i], vs[i], alpha)
-	}
-	order := make([]int, len(updates))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(x, y int) bool { return scores[order[x]] < scores[order[y]] })
-	reject := a.inner.rejectX
-	if reject >= len(updates) {
-		reject = len(updates) - 1
-	}
-	selected := append([]int(nil), order[reject:]...)
-	sort.Ints(selected)
-
-	chosen := make([][]float64, len(selected))
-	weights := make([]float64, len(selected))
-	for i, idx := range selected {
-		chosen[i] = updates[idx].Vector(global)
-		n := updates[idx].NumSamples
-		if n <= 0 {
-			n = 1
-		}
-		weights[i] = float64(n)
-	}
-	sel := fl.Selection{Accepted: selected, Scores: scores, ScoreName: "dscore"}
-	return vec.WeightedMean(chosen, weights), sel, nil
+	out, sel := keepHighest(global, updates, dScores(bs, vs, alpha), a.inner.rejectX)
+	return out, sel, nil
 }
 
 func coeffVar(xs []float64) float64 {

@@ -176,19 +176,41 @@ func (r *REFD) Aggregate(global []float64, updates []fl.Update) ([]float64, fl.S
 	if len(updates) == 0 {
 		return nil, fl.Selection{}, errRefdNoUpdates
 	}
-	scores, err := r.scoreAll(global, updates)
+	bs, vs, err := r.signalsAll(global, updates)
 	if err != nil {
 		return nil, fl.Selection{}, err
 	}
+	out, sel := keepHighest(global, updates, dScores(bs, vs, r.alpha), r.rejectX)
+	return out, sel, nil
+}
+
+// dScores folds every update's balance and confidence values into its
+// D-score (Eq. 8).
+func dScores(bs, vs []float64, alpha float64) []float64 {
+	scores := make([]float64, len(bs))
+	for i := range scores {
+		scores[i] = combineD(bs[i], vs[i], alpha)
+	}
+	return scores
+}
+
+// keepHighest rejects the rejectX lowest-scoring updates, keeping at least
+// one, and returns the sample-weighted mean of the rest with the round's
+// Selection. Equal scores rank by client ID, so which of a Sybil's
+// identical copies is rejected never depends on the order updates arrived
+// in. REFD and AdaptiveREFD both select through it.
+func keepHighest(global []float64, updates []fl.Update, scores []float64, rejectX int) ([]float64, fl.Selection) {
 	order := make([]int, len(updates))
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return scores[order[a]] < scores[order[b]] })
-	reject := r.rejectX
-	if reject >= len(updates) {
-		reject = len(updates) - 1 // always keep at least one update
-	}
+	sort.Slice(order, func(a, b int) bool {
+		if sa, sb := scores[order[a]], scores[order[b]]; sa != sb {
+			return sa < sb
+		}
+		return updates[order[a]].ClientID < updates[order[b]].ClientID
+	})
+	reject := min(rejectX, len(updates)-1) // always keep at least one update
 	selected := append([]int(nil), order[reject:]...)
 	sort.Ints(selected)
 
@@ -196,28 +218,10 @@ func (r *REFD) Aggregate(global []float64, updates []fl.Update) ([]float64, fl.S
 	weights := make([]float64, len(selected))
 	for i, idx := range selected {
 		vs[i] = updates[idx].Vector(global)
-		n := updates[idx].NumSamples
-		if n <= 0 {
-			n = 1
-		}
-		weights[i] = float64(n)
+		weights[i] = float64(max(updates[idx].NumSamples, 1))
 	}
 	sel := fl.Selection{Accepted: selected, Scores: scores, ScoreName: "dscore"}
-	return vec.WeightedMean(vs, weights), sel, nil
-}
-
-// scoreAll computes the D-score of every update via the shared parallel
-// scoring path.
-func (r *REFD) scoreAll(global []float64, updates []fl.Update) ([]float64, error) {
-	bs, vs, err := r.signalsAll(global, updates)
-	if err != nil {
-		return nil, err
-	}
-	scores := make([]float64, len(updates))
-	for i := range scores {
-		scores[i] = combineD(bs[i], vs[i], r.alpha)
-	}
-	return scores, nil
+	return vec.WeightedMean(vs, weights), sel
 }
 
 // BalancedReference extracts a class-balanced labelled subset of perClass

@@ -1,12 +1,18 @@
 package defense
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/fl"
+	"repro/internal/nn"
+	"repro/internal/population"
 	"repro/internal/vec"
 )
 
@@ -307,34 +313,109 @@ func TestAggregateWithinHullProperty(t *testing.T) {
 	}
 }
 
-// Property: Krum-family selection is permutation-consistent — the same set
-// of vectors yields the same selected *vectors* regardless of input order.
+// TestMultiKrumPermutationProperty is the aggregators' order oracle: every
+// rule ByName builds, REFD, adaptive REFD and the two-tier hierarchy
+// accept the same multiset of vectors, and as many malicious updates, and
+// reach the same aggregate, whatever order a round's updates arrive in —
+// also when the attackers are Sybils sending identical copies. Among
+// identical copies a rule may pick another copy, so the oracle compares
+// vectors, never client IDs; an update keeps its ID through the shuffle.
 func TestMultiKrumPermutationProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 5 + rng.Intn(5)
-		vs := make([][]float64, n)
-		for i := range vs {
-			vs[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
-		}
-		agg := &MultiKrum{F: 1}
-		out1, _, err := agg.Aggregate(nil, mkUpdates(vs, nil))
-		if err != nil {
-			return false
-		}
-		perm := rng.Perm(n)
-		shuffled := make([][]float64, n)
-		for i, p := range perm {
-			shuffled[i] = vs[p]
-		}
-		out2, _, err := agg.Aggregate(nil, mkUpdates(shuffled, nil))
-		if err != nil {
-			return false
-		}
-		return vec.SqDist(out1, out2) < 1e-18
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	spec := dataset.TinySpec()
+	_, test := dataset.Generate(spec, 9)
+	ref, err := core.BalancedReference(test, 4)
+	if err != nil {
 		t.Fatal(err)
+	}
+	newModel := func(rng *rand.Rand) *nn.Network {
+		return nn.NewFashionCNN(rng, spec.Channels, spec.Size, spec.Classes)
+	}
+	global := newModel(rand.New(rand.NewSource(1))).WeightVector()
+	type rule struct {
+		name  string
+		build func() (fl.Aggregator, error) // a fresh instance: FoolsGold keeps history
+	}
+	var rules []rule
+	for _, name := range []string{"fedavg", "median", "trmean", "krum", "mkrum", "bulyan", "foolsgold"} {
+		rules = append(rules, rule{name, func() (fl.Aggregator, error) { return ByName(name, 2) }})
+	}
+	rules = append(rules,
+		rule{"refd", func() (fl.Aggregator, error) { return core.NewREFD(ref, newModel, 1, 2) }},
+		rule{"refd-adaptive", func() (fl.Aggregator, error) { return core.NewAdaptiveREFD(ref, newModel, 2, 0.5, 2) }},
+		rule{"hier-3(mkrum/median)", func() (fl.Aggregator, error) {
+			return &population.Hierarchical{Groups: 3, Group: &MultiKrum{F: 1}, Server: Median{}}, nil
+		}})
+	// accepted sorts the vectors sel accepts and counts the malicious ones;
+	// nil vectors mean the rule reports no selection.
+	accepted := func(us []fl.Update, sel fl.Selection) ([][]float64, int) {
+		if sel.Accepted == nil {
+			return nil, 0
+		}
+		vs, mal := [][]float64{}, 0
+		for _, i := range sel.Accepted {
+			vs = append(vs, us[i].Weights)
+			if us[i].Malicious {
+				mal++
+			}
+		}
+		slices.SortFunc(vs, slices.Compare)
+		return vs, mal
+	}
+	for _, sybil := range []bool{false, true} {
+		for seed := int64(1); seed <= 8; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			// 12 updates near the global model; the first 3 are attackers,
+			// each pushed its own way, or all one way as identical copies.
+			const n, attackers = 12, 3
+			us := make([]fl.Update, n)
+			shared := make([]float64, len(global))
+			for d := range shared {
+				shared[d] = rng.NormFloat64() * 0.3
+			}
+			for i := range us {
+				w := slices.Clone(global)
+				for d := range w {
+					switch {
+					case i < attackers && sybil:
+						w[d] += shared[d]
+					case i < attackers:
+						w[d] += rng.NormFloat64() * 0.3
+					default:
+						w[d] += rng.NormFloat64() * 0.01
+					}
+				}
+				us[i] = fl.Update{ClientID: i, Weights: w, NumSamples: 10 + i, Malicious: i < attackers}
+			}
+			shuffled := slices.Clone(us)
+			rng.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			for _, r := range rules {
+				var outs [2][]float64
+				var vs [2][][]float64
+				var mal [2]int
+				for k, round := range [][]fl.Update{us, shuffled} {
+					agg, err := r.build()
+					if err != nil {
+						t.Fatal(err)
+					}
+					out, sel, err := agg.Aggregate(global, round)
+					if err != nil {
+						t.Fatalf("%s: %v", r.name, err)
+					}
+					outs[k] = slices.Clone(out)
+					vs[k], mal[k] = accepted(round, sel)
+				}
+				where := fmt.Sprintf("%s, sybil %v, seed %d", r.name, sybil, seed)
+				if (vs[0] == nil) != (vs[1] == nil) || !slices.EqualFunc(vs[0], vs[1], slices.Equal) {
+					t.Errorf("%s: the shuffle changed the accepted vectors", where)
+				}
+				if mal[0] != mal[1] {
+					t.Errorf("%s: %d malicious accepted in order, %d shuffled", where, mal[0], mal[1])
+				}
+				if d := vec.SqDist(outs[0], outs[1]); d > 1e-18 {
+					t.Errorf("%s: the shuffle moved the aggregate by %g", where, d)
+				}
+			}
+		}
 	}
 }
 

@@ -31,7 +31,7 @@ func TestCrashReclaimHelper(t *testing.T) {
 		t.Skip("helper: run only as a subprocess")
 	}
 	cfg := tinyCfg("lie", "mkrum")
-	key, err := runKey(cfg, 1)
+	key, err := runKey(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestCrashReclaimHelper(t *testing.T) {
 func TestCrashedWorkerLeaseReclaim(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shared.jsonl")
 	cfg := tinyCfg("lie", "mkrum")
-	key, err := runKey(cfg, 1)
+	key, err := runKey(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

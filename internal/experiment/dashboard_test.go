@@ -179,7 +179,7 @@ func TestLoadDashReplaySniffsSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := runKey(cfg, 1)
+	key, err := runKey(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -414,24 +414,19 @@ type Outcome struct {
 	// defense does not select ("N/A" in the paper).
 	DPR float64
 	// AccTimeline holds per-round accuracies (NaN where not evaluated).
-	// Under seed averaging it is the element-wise mean across seeds.
 	AccTimeline []float64
 	// SynthesisLoss holds the DFA per-round per-epoch synthesis losses
-	// (Fig. 7); nil for other attacks. Under seed averaging it is the
-	// first seed's trace: the loss curves are per-run diagnostics.
+	// (Fig. 7); nil for other attacks.
 	SynthesisLoss [][]float64
 	// Trace holds the engine's per-round participation record (selected,
-	// dropped, straggled, responded, aggregations). Under seed averaging it
-	// is the first seed's trace, like SynthesisLoss.
+	// dropped, straggled, responded, aggregations).
 	Trace []fl.RoundStats
-	// Digest is the final global model's Digest. Under seed averaging it is
-	// the first seed's, like SynthesisLoss; a record stored before the field
-	// existed replays it empty.
+	// Digest is the final global model's Digest; a record stored before
+	// the field existed replays it empty.
 	Digest string
 	// Detection is the forensics subsystem's cumulative detection-quality
 	// summary (TPR/FPR/F1, AUC, TPR@1%FPR); nil when the run did not enable
-	// forensics or was replayed from a forensics-off store entry. Under
-	// seed averaging it is the first seed's summary, like SynthesisLoss.
+	// forensics or was replayed from a forensics-off store entry.
 	Detection *forensics.Summary
 }
 

@@ -3,6 +3,7 @@ package experiment
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -290,7 +291,7 @@ func TestConfigIsIdentity(t *testing.T) {
 		"Codec":        func(c *Config) { c.Codec = "fp16" },
 	}
 	runKeyOf := func(c Config) string {
-		key, err := runKey(c, 1)
+		key, err := runKey(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -468,19 +469,43 @@ func TestRunnerFillsASRAndCachesBaseline(t *testing.T) {
 	}
 }
 
-func TestRunnerSeedAveraging(t *testing.T) {
-	r := NewRunner()
-	r.AverageSeeds = 2
-	out, err := r.Run(tinyCfg("lie", "median"))
-	if err != nil {
-		t.Fatal(err)
+// TestExperimentSeedCells: Experiment.Run drains a config as one cell per
+// seed, each with its own clean baseline, prints the row of the seeds'
+// mean and pairs a claim over the seeds.
+func TestExperimentSeedCells(t *testing.T) {
+	cfg := tinyCfg("lie", "median")
+	e := Experiment{
+		Grid:    func(Profile) []Config { return []Config{cfg} },
+		Columns: []Column{colAttack, colAccM},
+		Claims:  []Claim{{Metric: accM, Hi: Cell{"attack": "lie"}, Bound: 0}},
 	}
-	if out.MaxAcc <= 0 || out.MaxAcc > 1 {
-		t.Fatalf("averaged accuracy %v out of range", out.MaxAcc)
+	r := NewRunner()
+	var got strings.Builder
+	if err := e.Run(r, Profile{SeedCount: 2}, &got); err != nil {
+		t.Fatal(err)
 	}
 	// Two baseline cache entries: one per seed.
 	if len(r.cleanCache) != 2 {
 		t.Fatalf("cache has %d entries, want 2", len(r.cleanCache))
+	}
+	var seeds []*Outcome
+	for i := range 2 {
+		c := cfg
+		c.Seed += int64(i) * seedStride
+		out, err := NewRunner().Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds = append(seeds, out)
+	}
+	mean := row(e.Columns, meanOf(seeds))
+	if !slices.ContainsFunc(strings.Split(got.String(), "\n"), func(l string) bool {
+		return slices.Equal(strings.Fields(l), strings.Split(mean, "\t"))
+	}) {
+		t.Fatalf("table\n%s\nlacks the seeds' mean row %q", got.String(), mean)
+	}
+	if want := "claim: acc_m lie > 0 undecided (2/2 seeds"; !strings.Contains(got.String(), want) {
+		t.Fatalf("table\n%s\nlacks %q", got.String(), want)
 	}
 }
 

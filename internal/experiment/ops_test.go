@@ -87,7 +87,7 @@ func assertWatchKeepsIdentity(t *testing.T, watched Config, w Watch, twin Config
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := runKey(twin, 1)
+	key, err := runKey(twin)
 	if err != nil {
 		t.Fatal(err)
 	}

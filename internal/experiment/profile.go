@@ -15,7 +15,8 @@ type Profile struct {
 	EvalLimit int
 	// SampleCount is |S| for the DFA family.
 	SampleCount int
-	// SeedCount averages runs over this many seeds (paper: 3).
+	// SeedCount runs each grid config as this many cells, one per seed;
+	// tables print the seeds' means (paper: 3).
 	SeedCount int
 }
 

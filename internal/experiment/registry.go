@@ -8,6 +8,8 @@ import (
 	"slices"
 	"strings"
 	"text/tabwriter"
+
+	"repro/internal/stats"
 )
 
 // Experiment is one reproducible unit of the paper's evaluation, declared
@@ -50,9 +52,9 @@ type Metric struct {
 }
 
 // Claim is one ordering the paper reads off a table: Metric(Hi) >
-// Metric(Lo). Each side is the row named by Shared plus its own key values,
-// or, when its own values are nil, the constant Bound. A side must match
-// exactly one row, and a NaN metric fails the claim.
+// Metric(Lo), seed by seed. Each side is the row named by Shared plus its
+// own key values, or, when its own values are nil, the constant Bound. A
+// side must match exactly one row, and a NaN metric loses its seed.
 type Claim struct {
 	Metric Metric
 	Shared Cell
@@ -76,20 +78,25 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// Run drains the grid under p, prints the table, then one verdict line per
-// claim. A failing claim is printed, not returned: the table is the
-// artifact, and its verdicts are read beside it.
+// Run drains the grid under p, p.SeedCount cells per config, prints the
+// table of the configs' seed means, then one verdict line per claim. A
+// failing claim is printed, not returned: the table is the artifact, and
+// its verdicts are read beside it.
 func (e Experiment) Run(r *Runner, p Profile, w io.Writer) error {
-	outs, err := r.RunGrid(e.Grid(p), 0)
+	cells, err := r.runSeeds(e.Grid(p), p.SeedCount)
 	if err != nil {
 		return err
 	}
+	means := make([]*Outcome, len(cells))
+	for i, seeds := range cells {
+		means[i] = meanOf(seeds)
+	}
 	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
 	if e.render != nil {
-		e.render(tw, e.Columns, outs)
+		e.render(tw, e.Columns, means)
 	} else {
 		fmt.Fprintln(tw, header(e.Columns))
-		for _, o := range outs {
+		for _, o := range means {
 			fmt.Fprintln(tw, row(e.Columns, o))
 		}
 	}
@@ -97,12 +104,42 @@ func (e Experiment) Run(r *Runner, p Profile, w io.Writer) error {
 		return err
 	}
 	for _, c := range e.Claims {
-		line, _ := e.verdict(c, outs)
+		line, _ := e.verdict(c, cells)
 		if _, err := fmt.Fprintln(w, line); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// meanOf reduces one config's cells, in seed order, to the row its table
+// prints. CleanAcc, MaxAcc, FinalAcc, ASR, DPR and AccTimeline are the
+// seeds' means: summed in seed order, then scaled by 1/N (a NaN DPR stays
+// NaN; the timeline keeps the first seed's length). Config, SynthesisLoss,
+// Trace, Digest and Detection are the first seed's: the loss curves, the
+// participation record, the model digest and the detection summary are
+// per-run diagnostics, not averaged quantities.
+func meanOf(seeds []*Outcome) *Outcome {
+	m := *seeds[0]
+	m.AccTimeline = slices.Clone(m.AccTimeline)
+	fields := func(o *Outcome) []*float64 { return []*float64{&o.CleanAcc, &o.MaxAcc, &o.FinalAcc, &o.ASR, &o.DPR} }
+	sums := fields(&m)
+	for _, o := range seeds[1:] {
+		for i, v := range fields(o) {
+			*sums[i] += *v
+		}
+		for i := range m.AccTimeline[:min(len(m.AccTimeline), len(o.AccTimeline))] {
+			m.AccTimeline[i] += o.AccTimeline[i]
+		}
+	}
+	inv := 1.0 / float64(len(seeds))
+	for _, sum := range sums {
+		*sum *= inv
+	}
+	for i := range m.AccTimeline {
+		m.AccTimeline[i] *= inv
+	}
+	return &m
 }
 
 func header(cols []Column) string {
@@ -146,47 +183,74 @@ func (e Experiment) describe(c Claim) string {
 	return line
 }
 
-// verdict checks c against the outcomes and renders it with its numbers,
-// for example "claim: DPR dfa-r > fang (fashion-sim, mkrum) holds (80.95 >
-// 19.05)".
-func (e Experiment) verdict(c Claim, outs []*Outcome) (string, bool) {
+// claimAlpha is the sign test's level: a claim holds when as many seeds
+// as it won, or more, would come out its way by chance with probability at
+// most claimAlpha, and fails when its losses would.
+const claimAlpha = 0.05
+
+// verdict pairs c's two sides seed by seed — cells holds one or more rows,
+// each one config's outcomes in seed order; a constant side is Bound — and
+// decides it by the exact one-sided sign test over the untied seeds. A seed
+// is a win when hi > lo, a tie when hi = lo, and a loss otherwise, a NaN on
+// either side included. The line carries the wins and the median effect hi
+// − lo with its quartiles, for example "claim: DPR dfa-r > fang
+// (fashion-sim, mkrum) holds (10/10 seeds, median effect 56.67 [43.33,
+// 66.67])". Under five seeds no count reaches claimAlpha: the verdict reads
+// undecided.
+func (e Experiment) verdict(c Claim, cells [][]*Outcome) (string, string) {
 	line := e.describe(c)
-	a, errA := e.side(c, c.Hi, outs)
-	b, errB := e.side(c, c.Lo, outs)
-	if err := cmp.Or(errA, errB); err != nil {
-		return line + " fails (" + err.Error() + ")", false
+	hi, errHi := e.side(c, c.Hi, cells)
+	lo, errLo := e.side(c, c.Lo, cells)
+	if err := cmp.Or(errHi, errLo); err != nil {
+		return line + " fails (" + err.Error() + ")", "fails"
 	}
-	holds := a > b // false when either is NaN
-	verdict, nums := "fails", fmtPct(a)+" > "+fmtPct(b)
-	if holds {
-		verdict = "holds"
+	wins, ties := stats.Wins(hi, lo)
+	untied := len(hi) - ties
+	v := "undecided"
+	switch {
+	case stats.SignTest(wins, untied) <= claimAlpha:
+		v = "holds"
+	case stats.SignTest(untied-wins, untied) <= claimAlpha:
+		v = "fails"
 	}
-	if c.Hi == nil {
-		nums = fmtPct(b) + " < " + fmtPct(a)
+	var effects []float64
+	for i := range hi {
+		if d := hi[i] - lo[i]; !math.IsNaN(d) {
+			effects = append(effects, d)
+		}
 	}
-	return line + " " + verdict + " (" + nums + ")", holds
+	q1, q3 := stats.Quartiles(effects)
+	return fmt.Sprintf("%s %s (%d/%d seeds, median effect %s [%s, %s])", line, v, wins, len(hi),
+		fmtPct(stats.Median(effects)), fmtPct(q1), fmtPct(q3)), v
 }
 
-// side resolves one side of c: the constant Bound when own is nil, else the
-// metric of the one row Shared and own name.
-func (e Experiment) side(c Claim, own Cell, outs []*Outcome) (float64, error) {
+// side resolves one side of c at every seed: the constant Bound when own
+// is nil, else the metric of the one row Shared and own name.
+func (e Experiment) side(c Claim, own Cell, cells [][]*Outcome) ([]float64, error) {
+	var v []float64
 	if own == nil {
-		return c.Bound, nil
+		for range cells[0] {
+			v = append(v, c.Bound)
+		}
+		return v, nil
 	}
-	rows := e.rows(c, own, outs)
+	rows := e.rows(c, own, cells)
 	if len(rows) != 1 {
-		return 0, fmt.Errorf("%v matches %d rows", own, len(rows))
+		return nil, fmt.Errorf("%v matches %d rows", own, len(rows))
 	}
-	return c.Metric.Of(rows[0]), nil
+	for _, o := range rows[0] {
+		v = append(v, c.Metric.Of(o))
+	}
+	return v, nil
 }
 
-// rows returns the outcomes whose key columns print every value of Shared
-// and own.
-func (e Experiment) rows(c Claim, own Cell, outs []*Outcome) []*Outcome {
-	var found []*Outcome
-	for _, o := range outs {
-		if e.matches(o, c.Shared) && e.matches(o, own) {
-			found = append(found, o)
+// rows returns the rows — each one config's outcomes in seed order — whose
+// key columns print every value of Shared and own.
+func (e Experiment) rows(c Claim, own Cell, cells [][]*Outcome) [][]*Outcome {
+	var found [][]*Outcome
+	for _, seeds := range cells {
+		if e.matches(seeds[0], c.Shared) && e.matches(seeds[0], own) {
+			found = append(found, seeds)
 		}
 	}
 	return found

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -19,10 +20,6 @@ import (
 type Runner struct {
 	mu         sync.Mutex
 	cleanCache map[string]*baselineCell
-	// AverageSeeds runs every config with this many consecutive seeds and
-	// averages the metrics, as the paper averages over three runs.
-	// 0 means a single run.
-	AverageSeeds int
 	// Store, when non-nil, records every completed grid cell and clean
 	// baseline and adopts the ones already recorded — by an earlier, killed
 	// run or by another process draining the same store right now — instead
@@ -107,11 +104,10 @@ func NewRunner() *Runner {
 	}
 }
 
-// Watch hands p to the first run this runner starts — the first seed of its
-// first cell — and to nothing else: baselines, later seeds and every other
-// cell run unwatched because nobody gives them a plane. It is for a runner
-// that executes one cell (repro.RunConfigOpts); a grid's cells would race
-// for the plane.
+// Watch hands p to the first run this runner starts — its first cell — and
+// to nothing else: baselines and every other cell run unwatched because
+// nobody gives them a plane. It is for a runner that executes one cell
+// (repro.RunConfigOpts); a grid's cells would race for the plane.
 func (r *Runner) Watch(p *Plane) {
 	var first sync.Once
 	r.runFn = func(cfg Config) (*Outcome, error) {
@@ -183,64 +179,9 @@ func (r *Runner) computeBaseline(key string, clean Config) (float64, error) {
 	}
 }
 
-// Run executes cfg (averaging over seeds when configured) and fills
-// CleanAcc and ASR from the matching clean baseline. The per-round
-// AccTimeline is averaged element-wise across seeds; SynthesisLoss is the
-// first seed's trace (the loss curves of Fig. 7 are per-run diagnostics,
-// not averaged quantities).
+// Run executes cfg and fills CleanAcc and ASR from the matching clean
+// baseline.
 func (r *Runner) Run(cfg Config) (*Outcome, error) {
-	if err := cfg.Normalize(); err != nil {
-		return nil, err
-	}
-	seeds := r.AverageSeeds
-	if seeds <= 1 {
-		return r.runOne(cfg)
-	}
-	var agg *Outcome
-	for s := 0; s < seeds; s++ {
-		c := cfg
-		c.Seed = cfg.Seed + int64(s)*1000003
-		if s > 0 {
-			// Forensics follows first-seed semantics like SynthesisLoss:
-			// only the first seed's Detection summary is kept, so later
-			// seeds skip the whole pipeline — paying per-round
-			// fingerprinting for a discarded summary would be waste. The
-			// cell's key is derived from cfg, so its identity is unaffected.
-			c.Forensics = false
-		}
-		out, err := r.runOne(c)
-		if err != nil {
-			return nil, err
-		}
-		if agg == nil {
-			agg = out
-			continue
-		}
-		agg.CleanAcc += out.CleanAcc
-		agg.MaxAcc += out.MaxAcc
-		agg.FinalAcc += out.FinalAcc
-		agg.ASR += out.ASR
-		agg.DPR += out.DPR // NaN propagates, as desired
-		for i := range agg.AccTimeline {
-			if i < len(out.AccTimeline) {
-				agg.AccTimeline[i] += out.AccTimeline[i]
-			}
-		}
-	}
-	inv := 1.0 / float64(seeds)
-	agg.CleanAcc *= inv
-	agg.MaxAcc *= inv
-	agg.FinalAcc *= inv
-	agg.ASR *= inv
-	agg.DPR *= inv
-	for i := range agg.AccTimeline {
-		agg.AccTimeline[i] *= inv
-	}
-	agg.Config = cfg
-	return agg, nil
-}
-
-func (r *Runner) runOne(cfg Config) (*Outcome, error) {
 	out, err := r.runFn(cfg)
 	if err != nil {
 		return nil, err
@@ -252,6 +193,27 @@ func (r *Runner) runOne(cfg Config) (*Outcome, error) {
 	out.CleanAcc = clean
 	out.ASR = fl.ASR(clean*100, out.MaxAcc*100)
 	return out, nil
+}
+
+// seedStride spaces a config's seeds: seed i runs at cfg.Seed + i·seedStride.
+const seedStride = 1000003
+
+// runSeeds expands each config into n cells (n < 1 means 1) at the seeds
+// cfg.Seed + i·seedStride, drains them all in one RunGrid, so a config's
+// seeds run in parallel like any other cells, and returns each config's
+// outcomes in seed order.
+func (r *Runner) runSeeds(cfgs []Config, n int) ([][]*Outcome, error) {
+	n = max(n, 1)
+	cells := make([]Config, 0, len(cfgs)*n)
+	for _, cfg := range cfgs {
+		for i := range n {
+			c := cfg
+			c.Seed += int64(i) * seedStride
+			cells = append(cells, c)
+		}
+	}
+	outs, err := r.RunGrid(cells, 0)
+	return slices.Collect(slices.Chunk(outs, n)), err
 }
 
 // progressTracker serializes ProgressEvent delivery and derives the ETA and
@@ -344,7 +306,7 @@ func (r *Runner) RunGrid(cfgs []Config, workers int) ([]*Outcome, error) {
 	// Resolve cell identities up front; a malformed config fails fast.
 	keys := make([]string, len(cfgs))
 	for i, cfg := range cfgs {
-		key, err := runKey(cfg, r.AverageSeeds)
+		key, err := runKey(cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -166,7 +166,7 @@ func TestWorkersDrainSharedGrid(t *testing.T) {
 func TestLeasedGridReclaimsStalledLease(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shared.jsonl")
 	cfgs := []Config{tinyCfg("lie", "mkrum")}
-	key, err := runKey(cfgs[0], 1)
+	key, err := runKey(cfgs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestLeasedGridReclaimsStalledLease(t *testing.T) {
 func TestLeasedGridDoesNotStealLiveLease(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shared.jsonl")
 	cfgs := []Config{tinyCfg("lie", "mkrum")}
-	key, err := runKey(cfgs[0], 1)
+	key, err := runKey(cfgs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

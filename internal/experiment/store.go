@@ -24,20 +24,19 @@ import (
 // moves every outcome. v5: every GEMM output and every dot product is one
 // fused chain on every build, which moves the outcomes of cells whose small
 // products, or whose purego and arm64 products, rounded twice; PopCache,
-// which never changed a result, left the Config.
-const keyVersion = "v5|"
+// which never changed a result, left the Config. v6: a cell is one seed's
+// run — seed means are the report's reduction, not a stored record — so
+// the key drops the seed-averaging width it used to carry.
+const keyVersion = "v6|"
 
 // runKey is the canonical identity of one grid cell: a hash of the key
-// version, the whole normalized configuration and the seed-averaging width,
-// so the same cell resolves to the same key across processes while any
-// parameter change (including AverageSeeds) yields a fresh one.
-func runKey(cfg Config, seeds int) (string, error) {
+// version and the whole normalized configuration, seed included, so the
+// same cell resolves to the same key across processes while any parameter
+// change yields a fresh one.
+func runKey(cfg Config) (string, error) {
 	c := cfg
 	if err := c.Normalize(); err != nil {
 		return "", err
-	}
-	if seeds < 1 {
-		seeds = 1
 	}
 	// The identity hash must fail loudly on a non-finite parameter: mapping
 	// NaN to null here would silently alias distinct configs onto one key.
@@ -45,7 +44,7 @@ func runKey(cfg Config, seeds int) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("experiment: key: %w", err)
 	}
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%s%s|seeds=%d", keyVersion, raw, seeds)))
+	sum := sha256.Sum256(append([]byte(keyVersion), raw...))
 	return hex.EncodeToString(sum[:]), nil
 }
 
@@ -55,7 +54,7 @@ func runKey(cfg Config, seeds int) (string, error) {
 // "baseline|" namespace keeps a clean grid cell's own outcome (which
 // carries filled CleanAcc/ASR) from colliding with its raw baseline record.
 func baselineKey(clean Config) (string, error) {
-	key, err := runKey(clean, 1)
+	key, err := runKey(clean)
 	if err != nil {
 		return "", err
 	}
@@ -112,50 +111,32 @@ func decFloat(p *float64) float64 {
 	return *p
 }
 
-func encFloats(vs []float64) []*float64 {
-	if vs == nil {
+// convert maps f over in, keeping nil as nil.
+func convert[T, U any](in []T, f func(T) U) []U {
+	if in == nil {
 		return nil
 	}
-	out := make([]*float64, len(vs))
-	for i, v := range vs {
-		out[i] = encFloat(v)
-	}
-	return out
-}
-
-func decFloats(ps []*float64) []float64 {
-	if ps == nil {
-		return nil
-	}
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		out[i] = decFloat(p)
+	out := make([]U, len(in))
+	for i, v := range in {
+		out[i] = f(v)
 	}
 	return out
 }
 
 func encodeOutcome(o *Outcome) storedOutcome {
-	s := storedOutcome{
+	return storedOutcome{
 		Config:      o.Config,
 		CleanAcc:    encFloat(o.CleanAcc),
 		MaxAcc:      encFloat(o.MaxAcc),
 		FinalAcc:    encFloat(o.FinalAcc),
 		ASR:         encFloat(o.ASR),
 		DPR:         encFloat(o.DPR),
-		AccTimeline: encFloats(o.AccTimeline),
-		Detection:   o.Detection,
-		Digest:      o.Digest,
-	}
-	if o.SynthesisLoss != nil {
-		s.SynthesisLoss = make([][]*float64, len(o.SynthesisLoss))
-		for i, round := range o.SynthesisLoss {
-			s.SynthesisLoss[i] = encFloats(round)
-		}
-	}
-	if o.Trace != nil {
-		s.Trace = make([]storedRound, len(o.Trace))
-		for i, rs := range o.Trace {
-			s.Trace[i] = storedRound{
+		AccTimeline: convert(o.AccTimeline, encFloat),
+		SynthesisLoss: convert(o.SynthesisLoss, func(round []float64) []*float64 {
+			return convert(round, encFloat)
+		}),
+		Trace: convert(o.Trace, func(rs fl.RoundStats) storedRound {
+			return storedRound{
 				Round:             rs.Round,
 				Accuracy:          encFloat(rs.Accuracy),
 				SelectedMalicious: rs.SelectedMalicious,
@@ -166,33 +147,26 @@ func encodeOutcome(o *Outcome) storedOutcome {
 				Responded:         rs.Responded,
 				Aggregations:      rs.Aggregations,
 			}
-		}
+		}),
+		Detection: o.Detection,
+		Digest:    o.Digest,
 	}
-	return s
 }
 
 func decodeOutcome(s storedOutcome) *Outcome {
-	o := &Outcome{
+	return &Outcome{
 		Config:      s.Config,
 		CleanAcc:    decFloat(s.CleanAcc),
 		MaxAcc:      decFloat(s.MaxAcc),
 		FinalAcc:    decFloat(s.FinalAcc),
 		ASR:         decFloat(s.ASR),
 		DPR:         decFloat(s.DPR),
-		AccTimeline: decFloats(s.AccTimeline),
-		Detection:   s.Detection,
-		Digest:      s.Digest,
-	}
-	if s.SynthesisLoss != nil {
-		o.SynthesisLoss = make([][]float64, len(s.SynthesisLoss))
-		for i, round := range s.SynthesisLoss {
-			o.SynthesisLoss[i] = decFloats(round)
-		}
-	}
-	if s.Trace != nil {
-		o.Trace = make([]fl.RoundStats, len(s.Trace))
-		for i, sr := range s.Trace {
-			o.Trace[i] = fl.RoundStats{
+		AccTimeline: convert(s.AccTimeline, decFloat),
+		SynthesisLoss: convert(s.SynthesisLoss, func(round []*float64) []float64 {
+			return convert(round, decFloat)
+		}),
+		Trace: convert(s.Trace, func(sr storedRound) fl.RoundStats {
+			return fl.RoundStats{
 				Round:             sr.Round,
 				Accuracy:          decFloat(sr.Accuracy),
 				SelectedMalicious: sr.SelectedMalicious,
@@ -203,9 +177,10 @@ func decodeOutcome(s storedOutcome) *Outcome {
 				Responded:         sr.Responded,
 				Aggregations:      sr.Aggregations,
 			}
-		}
+		}),
+		Detection: s.Detection,
+		Digest:    s.Digest,
 	}
-	return o
 }
 
 // Store is the run store: a persist.SharedJournal holding one JSONL record

@@ -300,38 +300,22 @@ func TestRunGridStoreIsInvisible(t *testing.T) {
 	}
 }
 
-// TestRunnerSeedAveragingTimeline: AverageSeeds must average the per-round
-// accuracy timeline element-wise, not keep only the first seed's trace.
-func TestRunnerSeedAveragingTimeline(t *testing.T) {
-	r := NewRunner()
-	r.AverageSeeds = 2
-	base := tinyCfg("lie", "mkrum")
-	if err := base.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	r.runFn = func(cfg Config) (*Outcome, error) {
-		// Seed 0 contributes a flat 0.2 timeline, seed 1 a flat 0.4.
-		v := 0.2
-		var loss [][]float64
-		if cfg.Seed != base.Seed {
-			v = 0.4
-			loss = [][]float64{{9, 9}}
-		} else {
-			loss = [][]float64{{1, 2}}
-		}
+// TestMeanOfTimeline: meanOf averages the per-round accuracy timeline
+// element-wise, not keeping only the first seed's trace, keeps the first
+// seed's SynthesisLoss and leaves the seeds' own outcomes untouched.
+func TestMeanOfTimeline(t *testing.T) {
+	seed := func(v, loss float64) *Outcome {
 		return &Outcome{
-			Config:        cfg,
 			MaxAcc:        v,
 			FinalAcc:      v,
 			DPR:           math.NaN(),
 			AccTimeline:   []float64{v, v, v},
-			SynthesisLoss: loss,
-		}, nil
+			SynthesisLoss: [][]float64{{loss, loss}},
+		}
 	}
-	out, err := r.Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Seed 0 contributes a flat 0.2 timeline, seed 1 a flat 0.4.
+	first, second := seed(0.2, 1), seed(0.4, 9)
+	out := meanOf([]*Outcome{first, second})
 	if len(out.AccTimeline) != 3 {
 		t.Fatalf("timeline length %d", len(out.AccTimeline))
 	}
@@ -340,8 +324,14 @@ func TestRunnerSeedAveragingTimeline(t *testing.T) {
 			t.Fatalf("timeline[%d] = %v, want element-wise mean 0.3", i, acc)
 		}
 	}
+	if !math.IsNaN(out.DPR) {
+		t.Fatalf("DPR %v, want NaN to propagate", out.DPR)
+	}
 	if len(out.SynthesisLoss) != 1 || out.SynthesisLoss[0][0] != 1 {
 		t.Fatalf("SynthesisLoss should be the first seed's trace, got %v", out.SynthesisLoss)
+	}
+	if first.MaxAcc != 0.2 || first.AccTimeline[0] != 0.2 {
+		t.Fatalf("meanOf wrote into the first seed's outcome: %+v", first)
 	}
 }
 
@@ -350,11 +340,11 @@ func TestRunnerSeedAveragingTimeline(t *testing.T) {
 func TestRunKey(t *testing.T) {
 	a := tinyCfg("lie", "mkrum")
 	b := a
-	ka, err := runKey(a, 1)
+	ka, err := runKey(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kb, err := runKey(b, 1)
+	kb, err := runKey(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,16 +355,18 @@ func TestRunKey(t *testing.T) {
 	// canonical name are the same cell.
 	alias := a
 	alias.Dataset = "tiny"
-	if kalias, _ := runKey(alias, 1); kalias != ka {
+	if kalias, _ := runKey(alias); kalias != ka {
 		t.Fatal("dataset alias must normalize to the same key")
 	}
 	c := a
 	c.Beta = 0.9
-	if kc, _ := runKey(c, 1); kc == ka {
+	if kc, _ := runKey(c); kc == ka {
 		t.Fatal("different beta must change the key")
 	}
-	if k2, _ := runKey(a, 2); k2 == ka {
-		t.Fatal("different seed-averaging width must change the key")
+	d := a
+	d.Seed += seedStride
+	if kd, _ := runKey(d); kd == ka {
+		t.Fatal("another seed must be another cell")
 	}
 	// The key carries the store version: the unversioned derivation of the
 	// same cell can never match, so a store written before a version bump
@@ -387,50 +379,44 @@ func TestRunKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := sha256.Sum256(append(raw, []byte("|seeds=1")...))
-	if ka == hex.EncodeToString(v1[:]) {
-		t.Fatal("run key equals the unversioned v1 derivation")
+	unversioned := sha256.Sum256(raw)
+	if ka == hex.EncodeToString(unversioned[:]) {
+		t.Fatal("run key equals the unversioned derivation")
 	}
-	if bk := baselineKeyOf(t, a); !strings.HasPrefix(bk, "baseline|v5|") {
-		t.Fatalf("baseline key %q lacks the baseline|v5| prefix", bk)
+	if bk := baselineKeyOf(t, a); !strings.HasPrefix(bk, "baseline|v6|") {
+		t.Fatalf("baseline key %q lacks the baseline|v6| prefix", bk)
 	}
 }
 
-// TestRunKeyGolden pins v5 run keys to bytes (seed-averaging widths 1 and
-// 3), so a store resumes with zero recomputed cells across refactors. A
-// change that moves one of these re-keys every existing v3 store: that is
-// right only when a Config field was added or a code change moves outcomes
-// (then bump keyVersion), never as a side effect.
+// TestRunKeyGolden pins v6 run keys to bytes, so a store resumes with zero
+// recomputed cells across refactors. A change that moves one of these
+// re-keys every existing v6 store: that is right only when a Config field
+// was added or a code change moves outcomes (then bump keyVersion), never
+// as a side effect.
 func TestRunKeyGolden(t *testing.T) {
 	for _, tc := range []struct {
-		cfg        Config
-		one, three string
+		cfg  Config
+		want string
 	}{
 		{Config{},
-			"adddb951d162ef593de1cba25b925cef8a3098079b1ca6e14f6738f41ce64bf0",
-			"a642647f06e76ee31cb10aa635326706e9e42f9664285ff2db5093698991d741"},
+			"411a6bedab762e4caa1c82cabf4a822dd7292cc4cfecba371eb0a25e5cc4cffb"},
 		{Config{Dataset: "cifar-sim", Attack: "dfa-g", Defense: "bulyan", Beta: .5, Seed: 7},
-			"9501e38fcd241a1272cb401db18ec153d7544f1cf8197becf6e578f0bc9cebfd",
-			"c2323e5b989e41ce0dc8ab1b2156292f560a26f163bbe4f5b3222e8caf29f2f6"},
+			"32fc4b5b0b3b8e21dfc0d50624fbc7ff089a45f0fbc7d7fed6e5197d5499a1ad"},
 		{Config{Dataset: "fashion-sim", Attack: "dfa-r", Defense: "mkrum", Beta: .5, Seed: 3,
 			TotalClients: 100000, PerRound: 50, AttackerFrac: .01, Population: "virtual",
 			Placement: "scatter", Groups: 10, Forensics: true},
-			"4ce10f20c783258a131494549dd7fefb18cf138c112e708c97460392761a1d64",
-			"04ca7aed49d005a6d3d6e79ef676e3b3df43d0ece18643ca524b6303214de7ef"},
+			"4323964a9ca9a6aeefb2e98d93ee15e536529eedc53f9f7ec80d7cb59e8f0f52"},
 		{Config{Dataset: "tiny-sim", Attack: "minmax", Defense: "refd", Seed: 11, Codec: "int8",
 			TopK: .1, ErrorFeedback: true, Sampler: "bernoulli", DropoutProb: .1,
 			ServerOpt: "fedavgm", AsyncBuffer: 5},
-			"a4646979e811b6d1e282e97c5dacfb0560b5619a6bfa57882bdb38d78e14a61c",
-			"50102abb8acb7e2a4f5fa991db898ca301695f8d9b35dc145aa297d890bdecef"},
+			"9afa9dd7aa37ddb340d824996f46db69e34dbea21b31a1c452bfbca2e8e498a0"},
 	} {
-		for seeds, want := range map[int]string{1: tc.one, 3: tc.three} {
-			got, err := runKey(tc.cfg, seeds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Errorf("runKey(%+v, %d) = %s, want %s", tc.cfg, seeds, got, want)
-			}
+		got, err := runKey(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("runKey(%+v) = %s, want %s", tc.cfg, got, tc.want)
 		}
 	}
 }

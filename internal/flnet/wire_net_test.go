@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -593,6 +594,80 @@ func TestRejectedUpdateKeepsStreamInSync(t *testing.T) {
 	}
 }
 
+// TestFramingRejectKeepsSession: a well-framed update that decodeUpdate
+// refuses — here one under another client's ID — is counted as a framing
+// reject, leaves its round without that client, and does not break the
+// session: the same peer counts in every later round.
+func TestFramingRejectKeepsSession(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	srv, err := NewServer(ServerConfig{
+		MinClients: 2, PerRound: 2, Rounds: 3, RoundTimeout: 10 * time.Second, Seed: 3, Metrics: reg,
+	}, defense.FedAvg{}, tinyModel, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan *ServerResult, 1)
+	go func() {
+		res, err := srv.Serve(lis)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
+	addr := lis.Addr().String()
+	good, err := DialCodec(addr, funcTrainer(echo), 10*time.Second, codec.Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _, _ = good.Run() }()
+
+	// The misframing peer answers round 0 under a foreign ID, then every
+	// later round as itself.
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	conn := NewConn(raw, 5*time.Second)
+	if err := conn.Send(&Envelope{Type: MsgJoin}); err != nil {
+		t.Fatal(err)
+	}
+	ack, err := conn.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.dim = ack.Dim
+	for round := range 3 {
+		req, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := ack.ClientID
+		if round == 0 {
+			id += 7
+		}
+		if err := conn.Send(&Envelope{Type: MsgUpdate, Round: req.Round, ClientID: id, NumSamples: 1, Weights: req.Weights}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	res := <-done
+	if got, want := responded(res), []int{1, 2, 2}; !slices.Equal(got, want) {
+		t.Fatalf("responders per round %v, want %v", got, want)
+	}
+	if n := reg.Counter("flnet_updates_rejected_total", "").Value(); n != 1 {
+		t.Errorf("%d framing rejects counted, want 1", n)
+	}
+	if n := reg.Counter("flnet_sessions_broken_total", "").Value(); n != 0 {
+		t.Errorf("%d sessions broken, want 0", n)
+	}
+}
+
 // TestDeadlineInsideMessageBreaksSession: a reply whose body stalls past the
 // deadline leaves the stream out of sync, so the session is closed, counted
 // and never waited for again.
@@ -734,5 +809,11 @@ func TestOtherWireVersion(t *testing.T) {
 	var jr *JoinRejectedError
 	if !errors.As(err, &jr) || jr.Code != RejectVersion {
 		t.Fatalf("dial against another wire version: %v, want a %s JoinRejectedError", err, RejectVersion)
+	}
+	// The message names the federation, the code and the reason.
+	want := fmt.Sprintf(`flnet: join rejected: federation "": version: flnet: peer speaks wire version %d, this build speaks %d`,
+		wireVersion+1, wireVersion)
+	if jr.Error() != want {
+		t.Errorf("join rejection reads %q, want %q", jr.Error(), want)
 	}
 }

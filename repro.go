@@ -202,7 +202,6 @@ func RunExperimentOpts(ids []string, opts RunOptions, w io.Writer) (retErr error
 		return err
 	}
 	defer closeAll(&retErr)
-	runner.AverageSeeds = profile.SeedCount
 	for _, exp := range exps {
 		start := time.Now()
 		if _, err := fmt.Fprintf(w, "# %s [profile=%s]\n", exp.Title, profile.Name); err != nil {

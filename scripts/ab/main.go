@@ -26,6 +26,8 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+
+	"repro/internal/stats"
 )
 
 // record is the last line a benchmark run prints.
@@ -101,8 +103,8 @@ func run(ref string, workloads []string, pairs int, seed int64) error {
 		fmt.Printf("%s: %d pairs, seeds %d-%d, parent %s\n", w, pairs, seed, seed+int64(pairs)-1, ref)
 		fmt.Printf("%-20s %-32s %-12s %-7s %s\n", "metric", "parent median [q1, q3]", "change", "ratio", "wins")
 		for _, s := range sums {
-			q1, q3 := quartiles(s.parent)
-			p, c := median(s.parent), median(s.change)
+			q1, q3 := stats.Quartiles(s.parent)
+			p, c := stats.Median(s.parent), stats.Median(s.change)
 			verdict := ""
 			if s.outOfBound() {
 				verdict = fmt.Sprintf("  OUT OF BOUND (%.1f %% worse, bound %.0f %%)", 100*s.loss(), 100*s.Bound)

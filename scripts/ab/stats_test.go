@@ -1,34 +1,6 @@
 package main
 
-import (
-	"math"
-	"testing"
-)
-
-func TestMedianAndQuartiles(t *testing.T) {
-	for _, c := range []struct {
-		v           []float64
-		med, q1, q3 float64
-	}{
-		// statistics.quantiles(range(1, 11), n=4) == [2.75, 5.5, 8.25]
-		{[]float64{10, 1, 9, 2, 8, 3, 7, 4, 6, 5}, 5.5, 2.75, 8.25},
-		// statistics.quantiles([1, 2, 3, 4, 5], n=4) == [1.5, 3.0, 4.5]
-		{[]float64{5, 4, 3, 2, 1}, 3, 1.5, 4.5},
-		{[]float64{7}, 7, 7, 7},
-		// statistics.quantiles([1, 3], n=4) == [0.5, 2.0, 3.5]
-		{[]float64{1, 3}, 2, 0.5, 3.5},
-	} {
-		if m := median(c.v); m != c.med {
-			t.Errorf("median(%v) = %v, want %v", c.v, m, c.med)
-		}
-		if q1, q3 := quartiles(c.v); q1 != c.q1 || q3 != c.q3 {
-			t.Errorf("quartiles(%v) = %v, %v, want %v, %v", c.v, q1, q3, c.q1, c.q3)
-		}
-	}
-	if !math.IsNaN(median(nil)) {
-		t.Error("median of nothing is a number")
-	}
-}
+import "testing"
 
 func TestWinsAndBound(t *testing.T) {
 	rate := metric{Name: "rounds_per_s", Better: "higher", Bound: 0.25}
