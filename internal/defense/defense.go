@@ -384,7 +384,8 @@ func (b *Bulyan) Aggregate(global []float64, updates []fl.Update) ([]float64, fl
 	// round's frames allow); each iteration re-scores the shrinking
 	// remainder from the shared matrix. Once the remainder is small the
 	// score has one neighbour, and two mutual nearest neighbours tie
-	// exactly: a tie goes to the update nearer to the whole remainder, not
+	// exactly: a tie goes to the update nearer to the whole remainder, and
+	// a tie there (a Sybil's identical copies) to the lower client ID, not
 	// to the earlier slot, so the selection does not depend on the order
 	// the updates arrived in.
 	sc := &b.scratch
@@ -395,8 +396,14 @@ func (b *Bulyan) Aggregate(global []float64, updates []fl.Update) ([]float64, fl
 		scores := sc.krumScoresFrom(dist, remaining, b.F)
 		best := 0
 		for i, s := range scores {
-			if s < scores[best] || s == scores[best] && spread(dist, remaining, i) < spread(dist, remaining, best) {
+			switch {
+			case s < scores[best]:
 				best = i
+			case s == scores[best]:
+				si, sb := spread(dist, remaining, i), spread(dist, remaining, best)
+				if si < sb || si == sb && updates[remaining[i]].ClientID < updates[remaining[best]].ClientID {
+					best = i
+				}
 			}
 		}
 		selected = append(selected, remaining[best])

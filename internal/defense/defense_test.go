@@ -318,8 +318,10 @@ func TestAggregateWithinHullProperty(t *testing.T) {
 // accept the same multiset of vectors, and as many malicious updates, and
 // reach the same aggregate, whatever order a round's updates arrive in —
 // also when the attackers are Sybils sending identical copies. Among
-// identical copies a rule may pick another copy, so the oracle compares
-// vectors, never client IDs; an update keeps its ID through the shuffle.
+// identical copies most rules may pick another copy, so the oracle compares
+// vectors; Krum and Bulyan break such ties by client ID, so for them it
+// compares the accepted client IDs too. (mKrum still ranks equal scores by
+// arrival slot.) An update keeps its ID through the shuffle.
 func TestMultiKrumPermutationProperty(t *testing.T) {
 	spec := dataset.TinySpec()
 	_, test := dataset.Generate(spec, 9)
@@ -361,6 +363,7 @@ func TestMultiKrumPermutationProperty(t *testing.T) {
 		slices.SortFunc(vs, slices.Compare)
 		return vs, mal
 	}
+	byClientID := map[string]bool{"krum": true, "bulyan": true}
 	for _, sybil := range []bool{false, true} {
 		for seed := int64(1); seed <= 8; seed++ {
 			rng := rand.New(rand.NewSource(seed))
@@ -392,6 +395,7 @@ func TestMultiKrumPermutationProperty(t *testing.T) {
 				var outs [2][]float64
 				var vs [2][][]float64
 				var mal [2]int
+				var ids [2][]int
 				for k, round := range [][]fl.Update{us, shuffled} {
 					agg, err := r.build()
 					if err != nil {
@@ -403,10 +407,19 @@ func TestMultiKrumPermutationProperty(t *testing.T) {
 					}
 					outs[k] = slices.Clone(out)
 					vs[k], mal[k] = accepted(round, sel)
+					for _, i := range sel.Accepted {
+						ids[k] = append(ids[k], round[i].ClientID)
+					}
+					slices.Sort(ids[k])
 				}
 				where := fmt.Sprintf("%s, sybil %v, seed %d", r.name, sybil, seed)
 				if (vs[0] == nil) != (vs[1] == nil) || !slices.EqualFunc(vs[0], vs[1], slices.Equal) {
 					t.Errorf("%s: the shuffle changed the accepted vectors", where)
+				}
+				// A Sybil's copies tie exactly; a rule that breaks the tie
+				// by client ID passes the same clients either way.
+				if byClientID[r.name] && !slices.Equal(ids[0], ids[1]) {
+					t.Errorf("%s: the shuffle changed the accepted clients from %v to %v", where, ids[0], ids[1])
 				}
 				if mal[0] != mal[1] {
 					t.Errorf("%s: %d malicious accepted in order, %d shuffled", where, mal[0], mal[1])

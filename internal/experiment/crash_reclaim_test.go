@@ -119,12 +119,11 @@ func TestCrashedWorkerLeaseReclaim(t *testing.T) {
 
 	// Bit-identical to a direct storeless run: determinism makes the
 	// reclaimed execution indistinguishable from an undisturbed one.
-	direct := NewRunner()
-	want, err := direct.Run(cfg)
+	direct, err := NewRunner().RunGrid([]Config{cfg}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := outs[0]
+	got, want := outs[0], direct[0]
 	same := func(a, b float64) bool {
 		return a == b || (math.IsNaN(a) && math.IsNaN(b))
 	}

@@ -2,9 +2,9 @@
 // named experimental configurations of the paper's evaluation (Section IV
 // and V). It owns the mapping from human-readable names ("fashion-sim",
 // "dfa-r", "bulyan") to concrete components — NewModel, NewAttack and
-// NewDefense, which the simulator and the networked binaries share — caches
-// the clean "no attack, no defense" accuracy baselines the ASR metric needs,
-// and runs grids of configurations concurrently for the benchmark harness.
+// NewDefense, which the simulator and the networked binaries share — and
+// runs grids of configurations concurrently, each cell paired with the
+// clean "no attack, no defense" baseline the ASR metric needs.
 package experiment
 
 import (
@@ -421,8 +421,7 @@ type Outcome struct {
 	// Trace holds the engine's per-round participation record (selected,
 	// dropped, straggled, responded, aggregations).
 	Trace []fl.RoundStats
-	// Digest is the final global model's Digest; a record stored before
-	// the field existed replays it empty.
+	// Digest is the final global model's Digest.
 	Digest string
 	// Detection is the forensics subsystem's cumulative detection-quality
 	// summary (TPR/FPR/F1, AUC, TPR@1%FPR); nil when the run did not enable
@@ -730,9 +729,8 @@ func BuildScenario(cfg Config, src fl.ClientSource) fl.Scenario {
 	return sc
 }
 
-// Run executes a single configuration, unwatched and without clean-baseline
-// bookkeeping; most callers want Runner.Run, which also fills CleanAcc and
-// ASR.
+// Run executes a single configuration, unwatched and without its clean
+// baseline: CleanAcc and ASR are NaN. Runner.RunGrid joins them on.
 func Run(cfg Config) (*Outcome, error) { return run(cfg, nil) }
 
 // run is Run observed through p (see Runner.Watch for the watched entry):

@@ -5,7 +5,10 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/fl"
 )
 
 // tinyCfg returns a configuration that exercises the full pipeline in
@@ -210,18 +213,24 @@ func TestNormalizeScenarioDefaults(t *testing.T) {
 	}
 }
 
-// baselineKeyOf is the baseline key of cfg's clean projection.
-func baselineKeyOf(t *testing.T, cfg Config) string {
+// runKeyOf is cfg's run key.
+func runKeyOf(t *testing.T, cfg Config) string {
+	t.Helper()
+	key, err := runKey(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
+}
+
+// cleanKeyOf is the run key of cfg's clean baseline.
+func cleanKeyOf(t *testing.T, cfg Config) string {
 	t.Helper()
 	clean, err := cleanOf(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := baselineKey(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return key
+	return runKeyOf(t, clean)
 }
 
 // TestCleanKeyScenarioAxes: participation axes change the clean baseline,
@@ -245,7 +254,7 @@ func TestCleanKeyScenarioAxes(t *testing.T) {
 	for i, mut := range variants {
 		cfg := tinyCfg("none", "fedavg")
 		mut(&cfg)
-		key := baselineKeyOf(t, cfg)
+		key := cleanKeyOf(t, cfg)
 		if seen[key] {
 			t.Errorf("variant %d: clean key collides: %s", i, key)
 		}
@@ -290,14 +299,7 @@ func TestConfigIsIdentity(t *testing.T) {
 		"GroupDefense": func(c *Config) { c.GroupDefense = "median" },
 		"Codec":        func(c *Config) { c.Codec = "fp16" },
 	}
-	runKeyOf := func(c Config) string {
-		key, err := runKey(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return key
-	}
-	baseRun, baseClean := runKeyOf(base), baselineKeyOf(t, base)
+	baseRun, baseClean := runKeyOf(t, base), cleanKeyOf(t, base)
 
 	typ := reflect.TypeOf(Config{})
 	for i := 0; i < typ.NumField(); i++ {
@@ -326,10 +328,10 @@ func TestConfigIsIdentity(t *testing.T) {
 			t.Errorf("Config.%s: no perturbation for kind %s", f.Name, v.Kind())
 			continue
 		}
-		if runKeyOf(c) == baseRun {
+		if runKeyOf(t, c) == baseRun {
 			t.Errorf("perturbing Config.%s leaves the run key unchanged", f.Name)
 		}
-		if split := baselineKeyOf(t, c) != baseClean; split == cleanOnly[f.Name] {
+		if split := cleanKeyOf(t, c) != baseClean; split == cleanOnly[f.Name] {
 			t.Errorf("perturbing Config.%s: baseline key split %v, want %v", f.Name, split, !cleanOnly[f.Name])
 		}
 	}
@@ -443,29 +445,38 @@ func TestDFAExposesSynthesisLoss(t *testing.T) {
 	}
 }
 
+// TestRunnerFillsASRAndCachesBaseline: two cells sharing one clean
+// baseline run it once, and each gets its MaxAcc as CleanAcc and the ASR of
+// Eq. 4 against it.
 func TestRunnerFillsASRAndCachesBaseline(t *testing.T) {
 	r := NewRunner()
-	cfg := tinyCfg("lie", "mkrum")
-	out, err := r.Run(cfg)
+	var cleanRuns atomic.Int64
+	r.runFn = func(cfg Config) (*Outcome, error) {
+		if cfg.Attack == "none" {
+			cleanRuns.Add(1)
+		}
+		return Run(cfg)
+	}
+	cfgs := []Config{tinyCfg("lie", "mkrum"), tinyCfg("lie", "median")}
+	outs, err := r.RunGrid(cfgs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.IsNaN(out.CleanAcc) || math.IsNaN(out.ASR) {
-		t.Fatal("Runner.Run must fill CleanAcc and ASR")
+	if got := cleanRuns.Load(); got != 1 {
+		t.Fatalf("the shared baseline ran %d times, want 1", got)
 	}
-	clean1, err := r.CleanAccuracy(cfg)
+	clean, err := cleanOf(cfgs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.cleanCache) != 1 {
-		t.Fatalf("cache has %d entries, want 1", len(r.cleanCache))
-	}
-	clean2, err := r.CleanAccuracy(cfg)
+	base, err := Run(clean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clean1 != clean2 || clean1 != out.CleanAcc {
-		t.Fatal("baseline cache inconsistent")
+	for i, out := range outs {
+		if !sameBits(out.CleanAcc, base.MaxAcc) || !sameBits(out.ASR, fl.ASR(base.MaxAcc*100, out.MaxAcc*100)) {
+			t.Fatalf("cell %d: CleanAcc %v ASR %v, want the baseline's MaxAcc %v and its ASR", i, out.CleanAcc, out.ASR, base.MaxAcc)
+		}
 	}
 }
 
@@ -480,23 +491,30 @@ func TestExperimentSeedCells(t *testing.T) {
 		Claims:  []Claim{{Metric: accM, Hi: Cell{"attack": "lie"}, Bound: 0}},
 	}
 	r := NewRunner()
+	var cleanRuns atomic.Int64
+	r.runFn = func(c Config) (*Outcome, error) {
+		if c.Attack == "none" {
+			cleanRuns.Add(1)
+		}
+		return Run(c)
+	}
 	var got strings.Builder
 	if err := e.Run(r, Profile{SeedCount: 2}, &got); err != nil {
 		t.Fatal(err)
 	}
-	// Two baseline cache entries: one per seed.
-	if len(r.cleanCache) != 2 {
-		t.Fatalf("cache has %d entries, want 2", len(r.cleanCache))
+	// Two baselines: one per seed.
+	if n := cleanRuns.Load(); n != 2 {
+		t.Fatalf("ran %d clean baselines, want 2", n)
 	}
-	var seeds []*Outcome
+	var cells []Config
 	for i := range 2 {
 		c := cfg
 		c.Seed += int64(i) * seedStride
-		out, err := NewRunner().Run(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seeds = append(seeds, out)
+		cells = append(cells, c)
+	}
+	seeds, err := NewRunner().RunGrid(cells, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	mean := row(e.Columns, meanOf(seeds))
 	if !slices.ContainsFunc(strings.Split(got.String(), "\n"), func(l string) bool {
@@ -600,17 +618,17 @@ func TestCleanKeyDistinguishesRuns(t *testing.T) {
 	a := tinyCfg("none", "fedavg")
 	b := a
 	b.Beta = 0.1
-	if baselineKeyOf(t, a) == baselineKeyOf(t, b) {
+	if cleanKeyOf(t, a) == cleanKeyOf(t, b) {
 		t.Fatal("different beta must produce different clean keys")
 	}
 	c := a
 	c.Seed = 99
-	if baselineKeyOf(t, a) == baselineKeyOf(t, c) {
+	if cleanKeyOf(t, a) == cleanKeyOf(t, c) {
 		t.Fatal("different seed must produce different clean keys")
 	}
 	d := a
 	d.Dataset = "fashion-sim"
-	if baselineKeyOf(t, a) == baselineKeyOf(t, d) {
+	if cleanKeyOf(t, a) == cleanKeyOf(t, d) {
 		t.Fatal("different dataset must produce different clean keys")
 	}
 }

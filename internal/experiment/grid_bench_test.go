@@ -10,11 +10,10 @@ import (
 const simulatedCellCost = 2 * time.Millisecond
 
 // BenchmarkRunGridScheduling measures the grid engine's wall-clock on a
-// sweep with several distinct clean baselines. The seed runner prewarmed
-// every baseline serially before the worker pool started; the singleflight
-// scheduler overlaps baseline computation with the rest of the grid, so
-// with >= 4 workers this benchmark completes in roughly
-// ceil(cells/workers) x cost instead of baselines x cost + grid time.
+// sweep with several distinct clean baselines. A baseline is one more cell
+// of the drain, leased and run by whichever worker claims it, so with 4
+// workers the 12 cells and 4 baselines complete in roughly
+// ceil(16/4) x cost, and no worker waits on another's baseline.
 func BenchmarkRunGridScheduling(b *testing.B) {
 	var cfgs []Config
 	for _, seed := range []int64{1, 2, 3, 4} { // four distinct baselines

@@ -82,7 +82,7 @@ func assertWatchKeepsIdentity(t *testing.T, watched Config, w Watch, twin Config
 	defer store.Close()
 	r := NewRunner()
 	r.Store = store
-	r.Watch(openTestPlane(t, w))
+	r.Watch(openTestPlane(t, w), watched)
 	first, err := r.RunGrid([]Config{watched}, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -103,43 +104,40 @@ func TestVerdict(t *testing.T) {
 	}
 }
 
-// TestGridKeysGolden pins each experiment's grid under the quick profile:
-// a sha256 over the sorted v6 run keys of its cells, whose union is the
-// result keys of a store `flbench -exp all` writes. A refactor that moves
-// one cell orphans every stored sweep of that experiment, so a change here
-// must be deliberate.
+// TestGridKeysGolden pins each experiment's drain under the quick profile:
+// a sha256 over the sorted, distinct v7 run keys of its cells and their
+// clean baselines, whose union is the result keys of a store `flbench -exp
+// all` writes. A refactor that moves one cell orphans every stored sweep of
+// that experiment, so a change here must be deliberate.
 func TestGridKeysGolden(t *testing.T) {
 	want := map[string]string{
-		"table2":          "4a149a425980b25aa3b06349dfd15124239df4380b26d8debc7991adbf0a9a87",
-		"fig4":            "e3f4f1a9a8b6aab17a0decefa0b6025c69e37330883c2168805823a6254a81c6",
-		"fig5":            "c5966644b848e01394176851a418d6d0b259d527fce68b899cc446b2d4f52471",
-		"fig6":            "f32e01a23996192ce2d12e9c1e010556d5b406d1eebac87a48ef18979123110d",
-		"fig7":            "0a0dee8d4a117f075ebda1e00d304dda15339cf4039e67febe5631c43e93aaea",
-		"table3":          "a051725fa775d8e46a94488595bdfa8bd91dd65686f45d955c1f3f70142b255a",
-		"table4":          "be520f58e6dd8f6b8e60ed2f3ddf48220aaa8620134b916c8bfb64bb79731f6d",
-		"fig8":            "b1dfb3176710551a9aeeb01f326efbe3dd1e5ff9b0f5a8c851afd128bb088780",
-		"fig9":            "2938aa5d5846fc0b895ce63d425800a5125e7ddc7b534a770373ddd8ed2aa480",
-		"fig10":           "e64634038ca193b27c18e269679eec8421198fbeee93b12210ad78b664609665",
-		"randomweights":   "2a8b78d4511a3ad36348637d055e01d85e89e296156f9032d629ada4a331163b",
-		"samplesize":      "991353757dafaf63dee57916550d44aee0f866cd1f39b8e47c8777f40a5b5af7",
-		"sybil":           "30660d620e5883dc7e28e689fc757c279ec14812507d42cb752d867d2126b087",
-		"adaptivealpha":   "4e11ad900c2be2d0075300b5efefdf7cacb66907cf7d4cf83764be818ed3cd4a",
-		"participation":   "123efa57fd2a270a84e1fe9889b0b7b74fd37156ee8c638b17ea08cee5ea42a6",
-		"productionscale": "659061b169b88a9cb00d3f4cb0f03d7d654b70c75afe068ea8da4eec85f6227e",
-		"detection":       "85f8b6077f20c72f1a19128f44ab950ac726b4854d8b3b4ea1559d7c4d2d2795",
-		"compression":     "4d12c74bcdd41e70fea8a034e8b333a5837b3f64d2fc4aa3494d106c4da2a139",
+		"table2":          "80e2850424a028b7053850d951710d6ae6ef137ac28c6e19fbb2e64fe035b017",
+		"fig4":            "8ec76aba0d0fcfe36faa4ebb4555a04a0b62d7962e4ee8af9fa8b2768a2458ed",
+		"fig5":            "9312ed3e62bb16da8fc6e48eba390a98ff7103ae69a86840405eb3299aaf7ee0",
+		"fig6":            "9fcaccfe0b7096b77edca77aade4e433b79a04bee891a7e22a851f772538a8fd",
+		"fig7":            "a95db8e986265bec2ccd0137e2f1cc6fd469176c6e0e8c97e40bcd34a2029bf0",
+		"table3":          "0e0ae512aaad1a2cd026f4077879b992df17f286863c38d7e2f84231c5260fee",
+		"table4":          "bb5eacaf9a887b35e4ce71d1ec2a141d922b40783f1f3ba950bcd9fad8499b96",
+		"fig8":            "ef6f684f8676fc95f3221934d6627686c57c740beb45d635560971319e8fcecb",
+		"fig9":            "b4f86b772933d78ff649eedc7d0ee1d0426013fb2c630f7776042b7a59d6cf07",
+		"fig10":           "5ed918665b5112761ac0e2bf3cb5baeee33aa618a10b8e26c84b45fe6feb4285",
+		"randomweights":   "2f29a7254936d96353d74af9fe88b23941e1757e098e9f73dbe614bdfa956bc9",
+		"samplesize":      "073afd624ca446b78b7f10011ba7464b29a67e9a8e320d09aac428600cc38410",
+		"sybil":           "9edcbc6c4402de1c61d4fa12c44e7c81007b719c394fdd7f4ca2163d255e407f",
+		"adaptivealpha":   "744533c432f56f7967c3a7f4c31b668eba20fc80c32ca1a76a09fe7d62639d68",
+		"participation":   "807bb30f620bc2a46eb8131ceaabafd532e10883b1ec226ba8f15dcc8156fb05",
+		"productionscale": "66f079ab35e0831835151225e447ec89e7b6cae710bde2d7d8cef151f4162736",
+		"detection":       "2a4a1b8d2fab774ce0c82e10f0c18c9090ec05b24da795cfdd1799068a900fd9",
+		"compression":     "302eccc9631e958308a1d34baba8a0a2b81ecf2e996f995a83eef6bc7a2a6d19",
 	}
 	p := QuickProfile()
 	for _, e := range All() {
 		var keys []string
 		for _, cfg := range e.Grid(p) {
-			key, err := runKey(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			keys = append(keys, key)
+			keys = append(keys, runKeyOf(t, cfg), cleanKeyOf(t, cfg))
 		}
 		sort.Strings(keys)
+		keys = slices.Compact(keys)
 		sum := sha256.Sum256([]byte(strings.Join(keys, "\n")))
 		if got := hex.EncodeToString(sum[:]); got != want[e.ID] {
 			t.Errorf("%s: grid keys hash %s, want %s", e.ID, got, want[e.ID])

@@ -67,7 +67,7 @@ func outcomeReplayRuns(entries []persist.Entry, source string) ([]forensics.Repl
 	var runs []forensics.ReplayRun
 	seen := map[string]int{} // journal is last-wins: later records replace
 	for _, e := range entries {
-		if strings.HasPrefix(e.Key, "baseline|") || strings.HasPrefix(e.Key, "lease|") {
+		if persist.IsLeaseKey(e.Key) {
 			continue
 		}
 		var rec storedOutcome

@@ -11,18 +11,15 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Runner executes configurations and caches the clean "no attack, no
-// defense" accuracy baselines (the acc of Eq. 4), so that a grid of attacked
-// runs over one dataset pays for its baseline only once. Baselines are
-// deduplicated by a per-key singleflight latch: the first cell that needs a
-// baseline computes it while cells with other (or no) baseline needs keep
-// running — there is no serial warm-up phase.
+// Runner drains grids of configurations. Every cell is paired with its
+// clean "no attack, no defense" baseline (the acc of Eq. 4), and that
+// baseline is one more cell of the same drain: a grid of attacked runs over
+// one federation pays for it once, and CleanAcc and ASR are joined onto
+// each cell when the drain finishes.
 type Runner struct {
-	mu         sync.Mutex
-	cleanCache map[string]*baselineCell
-	// Store, when non-nil, records every completed grid cell and clean
-	// baseline and adopts the ones already recorded — by an earlier, killed
-	// run or by another process draining the same store right now — instead
+	// Store, when non-nil, records every completed cell — baselines are
+	// cells — and adopts the ones already recorded, by an earlier, killed
+	// run or by another process draining the same store right now, instead
 	// of recomputing them. Nil runs every cell.
 	Store *Store
 	// Progress, when non-nil, receives one event per completed grid cell
@@ -49,17 +46,10 @@ type Runner struct {
 	leaseRenewEvery  time.Duration
 }
 
-// baselineCell is the singleflight latch for one clean baseline: the first
-// goroutine to arrive computes, everyone else waits on the Once.
-type baselineCell struct {
-	once sync.Once
-	acc  float64
-	err  error
-}
-
 // ProgressEvent reports the completion of one grid cell.
 type ProgressEvent struct {
-	// Done and Total count completed and scheduled cells.
+	// Done and Total count completed and scheduled cells, clean baselines
+	// included.
 	Done, Total int
 	// Config identifies the cell, whether it succeeded or failed.
 	Config Config
@@ -69,7 +59,9 @@ type ProgressEvent struct {
 	// store while this sweep was running (Skipped is false: the cell
 	// finished during the sweep, it just wasn't ours).
 	Remote bool
-	// Outcome is the completed cell's result (nil when the cell failed).
+	// Outcome is the completed cell's own result (nil when the cell
+	// failed); CleanAcc and ASR are joined on when the grid finishes, so
+	// here they are NaN.
 	Outcome *Outcome
 	// Err is the cell's failure, surfaced as it happens rather than only
 	// in RunGrid's aggregate error after the sweep drains.
@@ -93,10 +85,9 @@ type ProgressEvent struct {
 	LeaseConflicts int64
 }
 
-// NewRunner returns a Runner with an empty baseline cache.
+// NewRunner returns a Runner with no store, progress or telemetry.
 func NewRunner() *Runner {
 	return &Runner{
-		cleanCache:       make(map[string]*baselineCell),
 		runFn:            Run,
 		leasePoll:        500 * time.Millisecond,
 		leaseExpirePolls: 5,
@@ -104,95 +95,17 @@ func NewRunner() *Runner {
 	}
 }
 
-// Watch hands p to the first run this runner starts — its first cell — and
-// to nothing else: baselines and every other cell run unwatched because
-// nobody gives them a plane. It is for a runner that executes one cell
-// (repro.RunConfigOpts); a grid's cells would race for the plane.
-func (r *Runner) Watch(p *Plane) {
-	var first sync.Once
-	r.runFn = func(cfg Config) (*Outcome, error) {
-		var watched *Plane
-		first.Do(func() { watched = p })
-		return run(cfg, watched)
-	}
-}
-
-// CleanAccuracy returns the cached or freshly computed accuracy of cfg's
-// clean baseline (cleanOf). Concurrent callers sharing a baseline block
-// only each other: the first computes, the rest wait on its latch, and
-// callers with different keys proceed independently.
-func (r *Runner) CleanAccuracy(cfg Config) (float64, error) {
-	clean, err := cleanOf(cfg)
-	if err != nil {
-		return 0, err
-	}
-	key, err := baselineKey(clean)
-	if err != nil {
-		return 0, err
-	}
-
-	r.mu.Lock()
-	cell, ok := r.cleanCache[key]
-	if !ok {
-		cell = &baselineCell{}
-		r.cleanCache[key] = cell
-	}
-	r.mu.Unlock()
-
-	cell.once.Do(func() {
-		cell.acc, cell.err = r.computeBaseline(key, clean)
-	})
-	if cell.err != nil {
-		// Evict the failed cell so a later caller retries instead of
-		// replaying a possibly transient error (e.g. a store write
-		// failure) forever; successes stay cached.
-		r.mu.Lock()
-		if r.cleanCache[key] == cell {
-			delete(r.cleanCache, key)
+// Watch hands p to the run of cfg and to nothing else: its clean baseline
+// and every other cell run unwatched because nobody gives them a plane. It
+// is for a runner that executes one configured cell (repro.RunConfigOpts).
+func (r *Runner) Watch(p *Plane, cfg Config) {
+	_ = cfg.Normalize() // a config that fails here fails RunGrid first
+	r.runFn = func(c Config) (*Outcome, error) {
+		if c == cfg {
+			return run(c, p)
 		}
-		r.mu.Unlock()
+		return run(c, nil)
 	}
-	return cell.acc, cell.err
-}
-
-// computeBaseline resolves one clean baseline behind CleanAccuracy's
-// in-process latch: adopted when some process recorded it, else leased, so
-// exactly one process computes it while the others poll for its record —
-// the cross-process analogue of the latch.
-func (r *Runner) computeBaseline(key string, clean Config) (float64, error) {
-	var obs leaseObserver
-	for {
-		if err := r.Store.Refresh(); err != nil {
-			return 0, fmt.Errorf("experiment: clean baseline store: %w", err)
-		}
-		out, mine, err := r.acquire(key, &obs)
-		if err == nil && mine {
-			out, err = r.runLeased(key, func() (*Outcome, error) { return r.runFn(clean) })
-		}
-		if err != nil {
-			return 0, fmt.Errorf("experiment: clean baseline: %w", err)
-		}
-		if out != nil {
-			return out.MaxAcc, nil
-		}
-		time.Sleep(r.leasePoll)
-	}
-}
-
-// Run executes cfg and fills CleanAcc and ASR from the matching clean
-// baseline.
-func (r *Runner) Run(cfg Config) (*Outcome, error) {
-	out, err := r.runFn(cfg)
-	if err != nil {
-		return nil, err
-	}
-	clean, err := r.CleanAccuracy(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out.CleanAcc = clean
-	out.ASR = fl.ASR(clean*100, out.MaxAcc*100)
-	return out, nil
 }
 
 // seedStride spaces a config's seeds: seed i runs at cfg.Seed + i·seedStride.
@@ -287,11 +200,12 @@ func cellName(c Config) string {
 }
 
 // RunGrid executes the configurations concurrently (bounded by workers;
-// workers <= 0 uses GOMAXPROCS) and returns outcomes in input order. Clean
-// baselines are deduplicated in-flight by CleanAccuracy's singleflight
-// latch, so the grid starts on all cells immediately instead of prewarming
-// baselines serially. Every cell is leased from the Store before it runs
-// and recorded when it completes; cells the store already holds are
+// workers <= 0 uses GOMAXPROCS) and returns outcomes in input order, each
+// with CleanAcc and ASR joined from its clean baseline's MaxAcc. The drain
+// is one set of cells: the input cells, then their baselines, with
+// duplicate keys dropped, so a baseline shared by many cells — or equal to
+// an input cell — runs once. Every cell is leased from the Store before it
+// runs and recorded when it completes; cells the store already holds are
 // returned without execution, so a killed sweep re-run against the same
 // store completes only the remaining cells, and N processes on one store
 // cover the grid exactly once between them. With a nil Store every claim
@@ -303,24 +217,52 @@ func (r *Runner) RunGrid(cfgs []Config, workers int) ([]*Outcome, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// Resolve cell identities up front; a malformed config fails fast.
-	keys := make([]string, len(cfgs))
-	for i, cfg := range cfgs {
+	// The drain is one set of keys: the input cells, then their clean
+	// baselines in the order first seen. Resolving them up front makes a
+	// malformed config fail fast.
+	var cells []Config // normalized
+	var keys []string
+	at := make(map[string]int)
+	add := func(cfg Config) (int, error) {
+		if err := cfg.Normalize(); err != nil {
+			return 0, err
+		}
 		key, err := runKey(cfg)
+		if err != nil {
+			return 0, err
+		}
+		if i, ok := at[key]; ok {
+			return i, nil
+		}
+		at[key] = len(cells)
+		cells, keys = append(cells, cfg), append(keys, key)
+		return len(cells) - 1, nil
+	}
+	cellAt, cleanAt := make([]int, len(cfgs)), make([]int, len(cfgs))
+	for i, cfg := range cfgs {
+		var err error
+		if cellAt[i], err = add(cfg); err != nil {
+			return nil, err
+		}
+	}
+	for i, cfg := range cfgs {
+		clean, err := cleanOf(cfg)
 		if err != nil {
 			return nil, err
 		}
-		keys[i] = key
+		if cleanAt[i], err = add(clean); err != nil {
+			return nil, err
+		}
 	}
 
 	// Replay recorded cells before scheduling workers.
-	outcomes := make([]*Outcome, len(cfgs))
-	errs := make([]error, len(cfgs))
+	outcomes := make([]*Outcome, len(cells))
+	errs := make([]error, len(cells))
 	if err := r.Store.Refresh(); err != nil {
 		return nil, fmt.Errorf("experiment: store refresh: %w", err)
 	}
 	var pending []int
-	for i := range cfgs {
+	for i := range cells {
 		out, ok, err := r.Store.Lookup(keys[i])
 		if err != nil {
 			return nil, fmt.Errorf("experiment: grid cell %d: store: %w", i, err)
@@ -331,7 +273,7 @@ func (r *Runner) RunGrid(cfgs []Config, workers int) ([]*Outcome, error) {
 		}
 		pending = append(pending, i)
 	}
-	prog := newProgressTracker(r.Progress, len(cfgs), r.Telemetry)
+	prog := newProgressTracker(r.Progress, len(cells), r.Telemetry)
 	for _, out := range outcomes {
 		if out != nil {
 			prog.report(out.Config, out, nil, true, false)
@@ -350,20 +292,15 @@ func (r *Runner) RunGrid(cfgs []Config, workers int) ([]*Outcome, error) {
 					return
 				}
 				out, err := r.runLeased(keys[i], func() (*Outcome, error) {
-					sp := r.Telemetry.Cell(cellName(cfgs[i]))
+					sp := r.Telemetry.Cell(cellName(cells[i]))
 					defer sp.End()
-					return r.Run(cfgs[i])
+					return r.runFn(cells[i])
 				})
-				outcomes[i], errs[i] = out, err
 				if err != nil {
-					// Report the normalized config so a cell renders the
-					// same whether it executed, failed, or was resumed.
-					c := cfgs[i]
-					_ = c.Normalize() // validated by runKey
-					prog.report(c, nil, err, false, false)
-					continue
+					out = nil
 				}
-				prog.report(out.Config, out, nil, false, false)
+				outcomes[i], errs[i] = out, err
+				prog.report(cells[i], out, err, false, false)
 			}
 		}()
 	}
@@ -374,8 +311,18 @@ func (r *Runner) RunGrid(cfgs []Config, workers int) ([]*Outcome, error) {
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("experiment: grid cell %d (%s/%s/%s): %w",
-				i, cfgs[i].Dataset, cfgs[i].Attack, cfgs[i].Defense, err)
+				i, cells[i].Dataset, cells[i].Attack, cells[i].Defense, err)
 		}
 	}
-	return outcomes, nil
+
+	// The join: each cell's CleanAcc is its baseline's MaxAcc, and its ASR
+	// (Eq. 4) compares the two.
+	joined := make([]*Outcome, len(cfgs))
+	for i := range cfgs {
+		out := *outcomes[cellAt[i]]
+		out.CleanAcc = outcomes[cleanAt[i]].MaxAcc
+		out.ASR = fl.ASR(out.CleanAcc*100, out.MaxAcc*100)
+		joined[i] = &out
+	}
+	return joined, nil
 }

@@ -46,9 +46,10 @@ func fastLease(r *Runner) {
 
 // TestWorkersDrainSharedGrid: two worker "processes" (independent Runners
 // over independently opened Stores on one path) drain one grid
-// concurrently. Every cell and the shared baseline must execute exactly once
-// fleet-wide, both workers must return the complete grid, and each worker's
-// progress events must account for every cell as locally executed, remotely
+// concurrently. Every cell and the shared baseline — one more cell of the
+// drain — must execute exactly once fleet-wide, both workers must return
+// the complete grid, and each worker's progress events must account for
+// every cell, the baseline included, as locally executed, remotely
 // completed, or replayed.
 func TestWorkersDrainSharedGrid(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shared.jsonl")
@@ -122,8 +123,9 @@ func TestWorkersDrainSharedGrid(t *testing.T) {
 				t.Fatalf("worker %d outcome %d missing baseline metrics", w, i)
 			}
 		}
-		if len(res.events) != len(cfgs) {
-			t.Fatalf("worker %d saw %d progress events, want %d", w, len(res.events), len(cfgs))
+		cells := len(cfgs) + 1 // the grid and its shared baseline
+		if len(res.events) != cells {
+			t.Fatalf("worker %d saw %d progress events, want %d", w, len(res.events), cells)
 		}
 		local, remote := 0, 0
 		for _, ev := range res.events {
@@ -134,8 +136,8 @@ func TestWorkersDrainSharedGrid(t *testing.T) {
 				local++
 			}
 		}
-		if local+remote != len(cfgs) {
-			t.Fatalf("worker %d events: %d local + %d remote != %d cells", w, local, remote, len(cfgs))
+		if local+remote != cells {
+			t.Fatalf("worker %d events: %d local + %d remote != %d cells", w, local, remote, cells)
 		}
 		if local == 0 {
 			t.Fatalf("worker %d executed nothing — the grid was not shared", w)

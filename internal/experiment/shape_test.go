@@ -33,11 +33,11 @@ func TestDFADegradesUndefendedFederation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape test skipped in -short mode")
 	}
-	r := NewRunner()
-	out, err := r.Run(shapeCfg("dfa-r", "fedavg"))
+	outs, err := NewRunner().RunGrid([]Config{shapeCfg("dfa-r", "fedavg")}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := outs[0]
 	if out.ASR < 10 {
 		t.Fatalf("DFA-R vs undefended FedAvg should reach ASR >= 10%%, got %.2f%% (clean %.1f%%, attacked %.1f%%)",
 			out.ASR, out.CleanAcc*100, out.MaxAcc*100)
@@ -50,15 +50,11 @@ func TestREFDBeatsNoDefenseUnderDFAG(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape test skipped in -short mode")
 	}
-	r := NewRunner()
-	undefended, err := r.Run(shapeCfg("dfa-g", "fedavg"))
+	outs, err := NewRunner().RunGrid([]Config{shapeCfg("dfa-g", "fedavg"), shapeCfg("dfa-g", "refd")}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defended, err := r.Run(shapeCfg("dfa-g", "refd"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	undefended, defended := outs[0], outs[1]
 	if defended.MaxAcc <= undefended.MaxAcc {
 		t.Fatalf("REFD (%.1f%%) should beat no defense (%.1f%%) under DFA-G",
 			defended.MaxAcc*100, undefended.MaxAcc*100)

@@ -13,21 +13,24 @@ import (
 	"repro/internal/persist"
 )
 
-// keyVersion is hashed into every run key and prefixed to every baseline
-// key. Bump it when a code change moves the outcomes existing configurations
-// produce, so a store written before the change recomputes instead of
-// replaying numbers the code can no longer reproduce. A new Config field
-// needs no bump: it re-keys every cell by itself. v3: every field of the
-// normalized Config is hashed, Forensics included, and baselines are keyed
-// by the run key of their own clean config. v4: every draw of round r comes
-// from (seed, r) and crafted updates sit at their selection slots, which
-// moves every outcome. v5: every GEMM output and every dot product is one
-// fused chain on every build, which moves the outcomes of cells whose small
-// products, or whose purego and arm64 products, rounded twice; PopCache,
-// which never changed a result, left the Config. v6: a cell is one seed's
-// run — seed means are the report's reduction, not a stored record — so
-// the key drops the seed-averaging width it used to carry.
-const keyVersion = "v6|"
+// keyVersion is hashed into every run key. Bump it when a code change moves
+// the outcomes existing configurations produce, so a store written before
+// the change recomputes instead of replaying numbers the code can no longer
+// reproduce. A new Config field needs no bump: it re-keys every cell by
+// itself. v3: every field of the normalized Config is hashed, Forensics
+// included, and baselines are keyed by the run key of their own clean
+// config. v4: every draw of round r comes from (seed, r) and crafted updates
+// sit at their selection slots, which moves every outcome. v5: every GEMM
+// output and every dot product is one fused chain on every build, which
+// moves the outcomes of cells whose small products, or whose purego and
+// arm64 products, rounded twice; PopCache, which never changed a result,
+// left the Config. v6: a cell is one seed's run — seed means are the
+// report's reduction, not a stored record — so the key drops the
+// seed-averaging width it used to carry. v7: a clean baseline is an ordinary
+// cell under its own run key, and a record holds only what its run produced
+// — CleanAcc and ASR are joined when a grid finishes, so they left the
+// record.
+const keyVersion = "v7|"
 
 // runKey is the canonical identity of one grid cell: a hash of the key
 // version and the whole normalized configuration, seed included, so the
@@ -48,29 +51,15 @@ func runKey(cfg Config) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// baselineKey is the journal identity of the clean baseline cleanOf
-// returned: its run key, so cells that differ only in attack-side
-// parameters (SampleCount, NoReg, …) share one journaled baseline. The
-// "baseline|" namespace keeps a clean grid cell's own outcome (which
-// carries filled CleanAcc/ASR) from colliding with its raw baseline record.
-func baselineKey(clean Config) (string, error) {
-	key, err := runKey(clean)
-	if err != nil {
-		return "", err
-	}
-	return "baseline|" + keyVersion + key, nil
-}
-
 // storedOutcome is the JSON shape of an Outcome in the run store. The
 // paper's metrics use NaN for "not applicable" (DPR on non-selecting
 // defenses, unevaluated rounds), which encoding/json rejects, so every
-// NaN-able float travels as a nullable pointer.
+// NaN-able float travels as a nullable pointer. CleanAcc and ASR are not
+// stored: they join the cell with its baseline's record (RunGrid).
 type storedOutcome struct {
 	Config        Config             `json:"config"`
-	CleanAcc      *float64           `json:"cleanAcc"`
 	MaxAcc        *float64           `json:"maxAcc"`
 	FinalAcc      *float64           `json:"finalAcc"`
-	ASR           *float64           `json:"asr"`
 	DPR           *float64           `json:"dpr"`
 	AccTimeline   []*float64         `json:"accTimeline,omitempty"`
 	SynthesisLoss [][]*float64       `json:"synthesisLoss,omitempty"`
@@ -126,10 +115,8 @@ func convert[T, U any](in []T, f func(T) U) []U {
 func encodeOutcome(o *Outcome) storedOutcome {
 	return storedOutcome{
 		Config:      o.Config,
-		CleanAcc:    encFloat(o.CleanAcc),
 		MaxAcc:      encFloat(o.MaxAcc),
 		FinalAcc:    encFloat(o.FinalAcc),
-		ASR:         encFloat(o.ASR),
 		DPR:         encFloat(o.DPR),
 		AccTimeline: convert(o.AccTimeline, encFloat),
 		SynthesisLoss: convert(o.SynthesisLoss, func(round []float64) []*float64 {
@@ -156,10 +143,10 @@ func encodeOutcome(o *Outcome) storedOutcome {
 func decodeOutcome(s storedOutcome) *Outcome {
 	return &Outcome{
 		Config:      s.Config,
-		CleanAcc:    decFloat(s.CleanAcc),
+		CleanAcc:    math.NaN(),
 		MaxAcc:      decFloat(s.MaxAcc),
 		FinalAcc:    decFloat(s.FinalAcc),
-		ASR:         decFloat(s.ASR),
+		ASR:         math.NaN(),
 		DPR:         decFloat(s.DPR),
 		AccTimeline: convert(s.AccTimeline, decFloat),
 		SynthesisLoss: convert(s.SynthesisLoss, func(round []*float64) []float64 {
@@ -184,9 +171,9 @@ func decodeOutcome(s storedOutcome) *Outcome {
 }
 
 // Store is the run store: a persist.SharedJournal holding one JSONL record
-// per completed grid cell (under its runKey) and clean baseline (under its
-// baselineKey), plus the work-claiming leases under the "lease|" namespace,
-// which never collide with either. Every sweep drains its grid through it:
+// per completed grid cell (under its runKey; a clean baseline is a cell),
+// plus the work-claiming leases under the "lease|" namespace, which never
+// collide with a run key. Every sweep drains its grid through it:
 // recorded cells are adopted, never recomputed, so a killed sweep rerun
 // against the same path executes only the missing cells, and N processes
 // started on one path split the grid between them — each cell runs once
@@ -289,8 +276,7 @@ func (s *Store) Release(key string) error {
 	return s.j.Release(key, s.owner)
 }
 
-// len reports the number of stored runs and baselines (lease records
-// excluded).
+// len reports the number of stored cells (lease records excluded).
 func (s *Store) len() int {
 	if s == nil {
 		return 0

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -66,6 +65,42 @@ func TestRunGridBaselineSingleflight(t *testing.T) {
 		if math.IsNaN(o.CleanAcc) || math.IsNaN(o.ASR) {
 			t.Fatalf("outcome %d missing baseline-derived metrics", i)
 		}
+	}
+}
+
+// TestRunGridCleanCellIsItsBaseline: a grid of a cell and its own clean
+// baseline holds one key for the baseline, so the clean config runs once,
+// and the attacked cell's CleanAcc is the clean cell's MaxAcc bit for bit.
+func TestRunGridCleanCellIsItsBaseline(t *testing.T) {
+	cfg := tinyCfg("lie", "mkrum")
+	clean, err := cleanOf(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner()
+	var cleanRuns, runs atomic.Int64
+	r.runFn = func(c Config) (*Outcome, error) {
+		runs.Add(1)
+		if c == clean {
+			cleanRuns.Add(1)
+		}
+		return fakeRun(c)
+	}
+	outs, err := r.RunGrid([]Config{cfg, clean}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := cleanRuns.Load(); n != 1 {
+		t.Fatalf("the clean config ran %d times, want once", n)
+	}
+	if n := runs.Load(); n != 2 {
+		t.Fatalf("the grid ran %d cells, want 2", n)
+	}
+	if !sameBits(outs[0].CleanAcc, outs[1].MaxAcc) || !sameBits(outs[1].CleanAcc, outs[1].MaxAcc) {
+		t.Fatalf("CleanAcc %v and %v, want the clean cell's MaxAcc %v", outs[0].CleanAcc, outs[1].CleanAcc, outs[1].MaxAcc)
+	}
+	if outs[0].ASR <= 0 || outs[1].ASR != 0 {
+		t.Fatalf("ASR %v and %v, want > 0 for the attacked cell and 0 for the clean one", outs[0].ASR, outs[1].ASR)
 	}
 }
 
@@ -223,12 +258,14 @@ func TestRunGridProgressEvents(t *testing.T) {
 	if _, err := r2.RunGrid(cfgs, 2); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != len(cfgs) {
-		t.Fatalf("got %d progress events, want %d", len(events), len(cfgs))
+	// The three cells and their one shared clean baseline.
+	cells := len(cfgs) + 1
+	if len(events) != cells {
+		t.Fatalf("got %d progress events, want %d", len(events), cells)
 	}
 	skipped := 0
 	for i, ev := range events {
-		if ev.Done != i+1 || ev.Total != len(cfgs) {
+		if ev.Done != i+1 || ev.Total != cells {
 			t.Fatalf("event %d: done %d/%d", i, ev.Done, ev.Total)
 		}
 		if ev.Outcome == nil {
@@ -241,8 +278,8 @@ func TestRunGridProgressEvents(t *testing.T) {
 			skipped++
 		}
 	}
-	if skipped != 1 {
-		t.Fatalf("%d events marked skipped, want 1 (the journaled cell)", skipped)
+	if skipped != 2 {
+		t.Fatalf("%d events marked skipped, want 2 (the journaled cell and baseline)", skipped)
 	}
 }
 
@@ -383,14 +420,11 @@ func TestRunKey(t *testing.T) {
 	if ka == hex.EncodeToString(unversioned[:]) {
 		t.Fatal("run key equals the unversioned derivation")
 	}
-	if bk := baselineKeyOf(t, a); !strings.HasPrefix(bk, "baseline|v6|") {
-		t.Fatalf("baseline key %q lacks the baseline|v6| prefix", bk)
-	}
 }
 
-// TestRunKeyGolden pins v6 run keys to bytes, so a store resumes with zero
+// TestRunKeyGolden pins v7 run keys to bytes, so a store resumes with zero
 // recomputed cells across refactors. A change that moves one of these
-// re-keys every existing v6 store: that is right only when a Config field
+// re-keys every existing v7 store: that is right only when a Config field
 // was added or a code change moves outcomes (then bump keyVersion), never
 // as a side effect.
 func TestRunKeyGolden(t *testing.T) {
@@ -399,17 +433,17 @@ func TestRunKeyGolden(t *testing.T) {
 		want string
 	}{
 		{Config{},
-			"411a6bedab762e4caa1c82cabf4a822dd7292cc4cfecba371eb0a25e5cc4cffb"},
+			"95f1e0dd32efa26464d507cf9561227a89361b45deb604ff54ae3d9f320fa16a"},
 		{Config{Dataset: "cifar-sim", Attack: "dfa-g", Defense: "bulyan", Beta: .5, Seed: 7},
-			"32fc4b5b0b3b8e21dfc0d50624fbc7ff089a45f0fbc7d7fed6e5197d5499a1ad"},
+			"e87e2b7ca231d15d039d08e800475eeefaf47ad8460876f180347b1af1d82fd8"},
 		{Config{Dataset: "fashion-sim", Attack: "dfa-r", Defense: "mkrum", Beta: .5, Seed: 3,
 			TotalClients: 100000, PerRound: 50, AttackerFrac: .01, Population: "virtual",
 			Placement: "scatter", Groups: 10, Forensics: true},
-			"4323964a9ca9a6aeefb2e98d93ee15e536529eedc53f9f7ec80d7cb59e8f0f52"},
+			"d8747825fdf93abf1f3543665dd8646d9c637d146808215911394e41a4470950"},
 		{Config{Dataset: "tiny-sim", Attack: "minmax", Defense: "refd", Seed: 11, Codec: "int8",
 			TopK: .1, ErrorFeedback: true, Sampler: "bernoulli", DropoutProb: .1,
 			ServerOpt: "fedavgm", AsyncBuffer: 5},
-			"9afa9dd7aa37ddb340d824996f46db69e34dbea21b31a1c452bfbca2e8e498a0"},
+			"545e8e554879f53fb91c3ea832ec838b11dd26ed8280f57e5b8eb13b2f46a018"},
 	} {
 		got, err := runKey(tc.cfg)
 		if err != nil {

@@ -140,15 +140,17 @@ func TestRunGridFleetTelemetry(t *testing.T) {
 	var last ProgressEvent
 	r.Progress = func(ev ProgressEvent) { last = ev }
 
+	// Three cells and the one clean baseline they share.
 	cfgs := []Config{tinyCfg("none", "fedavg"), tinyCfg("lie", "mkrum"), tinyCfg("lie", "trmean")}
 	if _, err := r.RunGrid(cfgs, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Telemetry.Cells(); got != int64(len(cfgs)) {
-		t.Fatalf("sweep telemetry counted %d cells, want %d", got, len(cfgs))
+	want := int64(len(cfgs) + 1)
+	if got := r.Telemetry.Cells(); got != want {
+		t.Fatalf("sweep telemetry counted %d cells, want %d", got, want)
 	}
-	if last.WorkerCells != int64(len(cfgs)) {
-		t.Fatalf("final ProgressEvent reports %d worker cells, want %d", last.WorkerCells, len(cfgs))
+	if last.WorkerCells != want {
+		t.Fatalf("final ProgressEvent reports %d worker cells, want %d", last.WorkerCells, want)
 	}
 	if last.CellsPerMin <= 0 {
 		t.Fatalf("final ProgressEvent reports throughput %v, want > 0", last.CellsPerMin)
@@ -157,7 +159,7 @@ func TestRunGridFleetTelemetry(t *testing.T) {
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), `sweep_cells_total{worker="w0"} 3`) {
+	if !strings.Contains(b.String(), `sweep_cells_total{worker="w0"} 4`) {
 		t.Fatalf("registry missing executed-cell count:\n%s", b.String())
 	}
 }

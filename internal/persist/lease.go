@@ -30,9 +30,8 @@ type Lease struct {
 	Held bool `json:"held"`
 }
 
-// leasePrefix namespaces lease entries away from result cells, so runKey
-// hashing, baseline keys and legacy journals are untouched by the claiming
-// substrate.
+// leasePrefix namespaces lease entries away from result cells, so run keys
+// and legacy journals are untouched by the claiming substrate.
 const leasePrefix = "lease|"
 
 // LeaseKey returns the journal key of the lease guarding key.

@@ -52,7 +52,7 @@ import (
 // (attacker placement models) and Groups/GroupDefense (hierarchical
 // two-tier aggregation). Zero values select the paper's fixed federation
 // shape. A Config's outcome is the same on both amd64 builds (SIMD and
-// purego); a code change that moves it bumps the run-key version, now v5.
+// purego); a code change that moves it bumps the run-key version.
 type Config = experiment.Config
 
 // Watch says how a run or sweep is watched while it executes — ops endpoint,
@@ -116,7 +116,7 @@ func RunConfigOpts(cfg Config, opts RunOptions) (out *Outcome, retErr error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
-	runner, closeAll, err := openRunner(opts, "fl run — "+cfg.Dataset+"/"+cfg.Defense, "")
+	runner, closeAll, err := openRunner(opts, "fl run — "+cfg.Dataset+"/"+cfg.Defense, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -130,17 +130,21 @@ func RunConfigOpts(cfg Config, opts RunOptions) (out *Outcome, retErr error) {
 
 // openRunner builds the runner the options describe: kernel threads pinned,
 // run store attached, ops plane opened (title heads its dashboard) with the
-// runner's sweep instruments on it. With federations — the one "" of a
-// single run — the plane is also handed to the runner's first run. The
-// returned func closes plane and store, reporting a close failure through
-// *err unless the work already failed.
-func openRunner(opts RunOptions, title string, federations ...string) (*experiment.Runner, func(err *error), error) {
+// runner's sweep instruments on it. With a watched config — a single run's
+// — the plane serves that run's one federation and is handed to its run
+// alone. The returned func closes plane and store, reporting a close
+// failure through *err unless the work already failed.
+func openRunner(opts RunOptions, title string, watched ...Config) (*experiment.Runner, func(err *error), error) {
 	if opts.Threads > 0 {
 		SetThreads(opts.Threads)
 	}
 	store, err := experiment.OpenStore(opts.StorePath, opts.Owner)
 	if err != nil {
 		return nil, nil, err
+	}
+	var federations []string
+	if len(watched) > 0 {
+		federations = []string{""}
 	}
 	plane, err := experiment.OpenPlane(opts.Watch, title, federations...)
 	if err != nil {
@@ -151,8 +155,8 @@ func openRunner(opts RunOptions, title string, federations ...string) (*experime
 	runner.Progress = opts.Progress
 	runner.Store = store
 	runner.Telemetry = plane.Sweep(opts.Owner)
-	if len(federations) > 0 {
-		runner.Watch(plane)
+	if len(watched) > 0 {
+		runner.Watch(plane, watched[0])
 	}
 	return runner, func(err *error) {
 		plane.CloseInto(err)

@@ -1,9 +1,11 @@
 package repro_test
 
 import (
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -60,8 +62,8 @@ func TestRunExperimentOptsOpensStoreAndPlaneOnce(t *testing.T) {
 
 // TestRunConfigOptsReplaysFromStore: a store always resumes. The second
 // call on one StorePath — with no other option — replays the recorded run
-// instead of recomputing it, returns a bit-equal outcome, and leaves the
-// cell in the store exactly once.
+// and its clean baseline instead of recomputing them, returns a bit-equal
+// outcome, and leaves each of the two cells in the store exactly once.
 func TestRunConfigOptsReplaysFromStore(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	cfg := repro.Config{Dataset: "tiny-sim", Attack: "lie", Defense: "mkrum", Beta: 0.5,
@@ -80,8 +82,8 @@ func TestRunConfigOptsReplaysFromStore(t *testing.T) {
 	}
 	first, ev1 := run()
 	second, ev2 := run()
-	if len(ev1) != 1 || ev1[0].Skipped || len(ev2) != 1 || !ev2[0].Skipped {
-		t.Fatalf("want one executed then one skipped event, got %+v then %+v", ev1, ev2)
+	if len(ev1) != 2 || ev1[0].Skipped || ev1[1].Skipped || len(ev2) != 2 || !ev2[0].Skipped || !ev2[1].Skipped {
+		t.Fatalf("want the run and its baseline executed, then both skipped, got %+v then %+v", ev1, ev2)
 	}
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	if !same(first.MaxAcc, second.MaxAcc) || !same(first.FinalAcc, second.FinalAcc) ||
@@ -98,13 +100,13 @@ func TestRunConfigOptsReplaysFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := 0
+	cells := map[string]int{}
 	for _, e := range entries {
-		if !persist.IsLeaseKey(e.Key) && !strings.HasPrefix(e.Key, "baseline|") {
-			cells++
+		if !persist.IsLeaseKey(e.Key) {
+			cells[e.Key]++
 		}
 	}
-	if cells != 1 {
-		t.Fatalf("store holds the cell %d times, want exactly once", cells)
+	if len(cells) != 2 || slices.Max(slices.Collect(maps.Values(cells))) != 1 {
+		t.Fatalf("store holds %v, want the run and its baseline exactly once each", cells)
 	}
 }

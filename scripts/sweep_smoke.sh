@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # sweep_smoke.sh — end-to-end smoke test of the run store: two flbench
-# processes drain one 6-cell grid (the samplesize experiment) against a
-# single -store, then the script asserts full coverage, zero duplicate
-# result records and identical rendered tables from both; a third plain run
-# against the finished store must execute nothing, render the same table
-# and leave the result records untouched.
+# processes drain one grid (the samplesize experiment: 6 cells and the one
+# clean baseline they share, itself a cell) against a single -store, then
+# the script asserts full coverage, zero duplicate result records and
+# identical rendered tables from both; a third plain run against the
+# finished store must execute nothing, render the same table and leave the
+# result records untouched.
 #
 # Usage: scripts/sweep_smoke.sh [workdir]
 set -euo pipefail
@@ -66,13 +67,14 @@ if ! diff <(grep -v '^## ' "$work/out1.log") <(grep -v '^## ' "$work/out2.log");
 	exit 1
 fi
 
-# A store always resumes: a plain rerun replays all 6 cells, executes none,
-# renders the same table and records nothing new.
+# A store always resumes: a plain rerun replays all 7 cells (the baseline
+# reports progress like any cell), executes none, renders the same table
+# and records nothing new.
 "$work/flbench" -exp samplesize -store "$store" -progress >"$work/out3.log" 2>"$work/w3.log"
 cells="$(grep -c '^\[' "$work/w3.log" || true)"
 replayed="$(grep -c '(resumed from store)' "$work/w3.log" || true)"
-if [[ "$cells" != 6 || "$replayed" != 6 ]]; then
-	echo "sweep_smoke: rerun on the finished store replayed $replayed of $cells cells, want 6 of 6" >&2
+if [[ "$cells" != 7 || "$replayed" != 7 ]]; then
+	echo "sweep_smoke: rerun on the finished store replayed $replayed of $cells cells, want 7 of 7" >&2
 	cat "$work/w3.log" >&2
 	exit 1
 fi
@@ -82,4 +84,4 @@ if ! diff <(grep -v '^## ' "$work/out1.log") <(grep -v '^## ' "$work/out3.log");
 fi
 check_records "after the rerun"
 
-echo "sweep_smoke: OK — 2 processes, 6 cells + 1 baseline, zero duplicates, identical tables; rerun replayed 6/6"
+echo "sweep_smoke: OK — 2 processes, 6 cells + 1 baseline, zero duplicates, identical tables; rerun replayed 7/7"
