@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/forensics"
+	"repro/internal/persist"
 )
 
 // TestBinariesAreTheSimulator runs each cell twice from one argument list:
@@ -142,7 +143,11 @@ func serve(t *testing.T, client string, args []string) (string, forensics.Replay
 
 func loadAudit(t *testing.T, path string) forensics.ReplayRun {
 	t.Helper()
-	audit, err := forensics.LoadAuditJournal(path, filepath.Base(path))
+	entries, err := persist.ReadEntries(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	audit, err := forensics.AuditRun(entries, filepath.Base(path))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/persist"
 	"repro/internal/report"
 )
 
@@ -90,11 +91,11 @@ func run(args []string) error {
 			out.Config.Codec, out.Config.TopK, out.Config.ErrorFeedback)
 	}
 	if d := out.Detection; d != nil {
-		na := func(v float64) string {
-			if math.IsNaN(v) {
+		na := func(v persist.Float) string {
+			if math.IsNaN(float64(v)) {
 				return "N/A"
 			}
-			return fmt.Sprintf("%.3f", v)
+			return fmt.Sprintf("%.3f", float64(v))
 		}
 		fmt.Printf("detection: aggregations=%d zero_sel=%d TPR=%s FPR=%s precision=%s F1=%s AUC=%s TPR@1%%FPR=%s score=%s\n",
 			d.Aggregations, d.ZeroSelectionRounds, na(d.TPR), na(d.FPR),

@@ -16,9 +16,9 @@ var nanjsonPackages = map[string]bool{"forensics": true, "report": true, "experi
 // NaNJSON machine-checks the NaN→null discipline of the persistence
 // boundaries: every struct reaching json.Marshal or (*json.Encoder).Encode
 // in forensics, report or experiment must carry its NaN-able floats as
-// nullable pointers (the jf/encFloat convention) or own a MarshalJSON that
-// does so. Raw float64 fields in a marshaled type are flagged with the
-// field path that can smuggle a NaN to the encoder.
+// persist.Float (which writes NaN as null) or nullable pointers, or own a
+// MarshalJSON that guards them. Raw float64 fields in a marshaled type are
+// flagged with the field path that can smuggle a NaN to the encoder.
 var NaNJSON = &Analyzer{
 	Name: "nanjson",
 	Doc: `enforce NaN→null guards on every JSON boundary of the result path
@@ -26,10 +26,10 @@ var NaNJSON = &Analyzer{
 In forensics, report and experiment, any value passed to json.Marshal,
 json.MarshalIndent or (*json.Encoder).Encode must not expose raw float
 fields: the paper's metrics use NaN for "N/A", encoding/json rejects NaN,
-and an unguarded field fails the entire marshal at runtime. Guard floats
-as *float64 via the jf/encFloat helpers or implement MarshalJSON on the
-carrying type. Interface-typed arguments are not checkable and are
-skipped.`,
+and an unguarded field fails the entire marshal at runtime. Make a
+NaN-able float a persist.Float, which writes every non-finite value as
+null, or implement MarshalJSON on the carrying type. Interface-typed
+arguments are not checkable and are skipped.`,
 	Run: runNaNJSON,
 }
 
@@ -53,7 +53,7 @@ func runNaNJSON(pass *Pass) error {
 			}
 			if path, found := unguardedFloat(t, nil); found {
 				pass.Reportf(arg.Pos(),
-					"%s of %s: unguarded float at %s can carry NaN and fail the whole marshal; guard it as *float64 (jf/encFloat) or give the type a MarshalJSON",
+					"%s of %s: unguarded float at %s can carry NaN and fail the whole marshal; make it a persist.Float or give the type a MarshalJSON",
 					what, types.TypeString(t, types.RelativeTo(pass.Pkg)), path)
 			}
 			return true

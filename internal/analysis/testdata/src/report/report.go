@@ -1,7 +1,8 @@
 // Fixture for the nanjson analyzer: package name "report" puts it in the
 // NaN-guard scope, so raw float fields reaching json.Marshal /
 // MarshalIndent / (*json.Encoder).Encode must be flagged, while the guard
-// idioms (*float64 fields, a MarshalJSON owner) stay silent. Also hosts
+// idioms (*float64 fields, a MarshalJSON owner, a named float with a
+// MarshalJSON) stay silent. Also hosts
 // the reasonless-allow check: an exemption without a reason is itself a
 // violation and exempts nothing.
 package report
@@ -9,6 +10,7 @@ package report
 import (
 	"encoding/json"
 	"os"
+	"strconv"
 )
 
 type Metrics struct {
@@ -32,6 +34,23 @@ func (s Summary) MarshalJSON() ([]byte, error) {
 		m["mean"] = &s.Mean
 	}
 	return json.Marshal(m)
+}
+
+// NullFloat owns its NaN discipline the way persist.Float does: a named
+// float with a MarshalJSON.
+type NullFloat float64
+
+func (f NullFloat) MarshalJSON() ([]byte, error) {
+	if f != f {
+		return []byte("null"), nil
+	}
+	return strconv.AppendFloat(nil, float64(f), 'g', -1, 64), nil
+}
+
+type Record struct {
+	Acc      NullFloat
+	Timeline []NullFloat
+	Loss     [][]NullFloat
 }
 
 func writeRaw(m Metrics) ([]byte, error) {
@@ -59,6 +78,12 @@ func writeGuarded(g Guarded) ([]byte, error) {
 // writeSummary marshals a type that owns its NaN discipline.
 func writeSummary(s Summary) ([]byte, error) {
 	return json.Marshal(s)
+}
+
+// writeRecord marshals self-marshaling named floats as a field, a slice
+// and a slice of slices; nothing to flag.
+func writeRecord(r Record) ([]byte, error) {
+	return json.Marshal(r)
 }
 
 // writeExempt demonstrates the //lint:allow escape hatch.

@@ -127,8 +127,8 @@ func TestFrameOnlyUpdatesMatchReconstructed(t *testing.T) {
 					want := forensics.Fingerprints(global, full, dist)
 					for c := range got {
 						g, w := got[c], want[c]
-						sameBits(t, "fingerprints", []float64{g.L2, g.CosMean, g.MinNeighbor, g.MedNeighbor},
-							[]float64{w.L2, w.CosMean, w.MinNeighbor, w.MedNeighbor})
+						sameBits(t, "fingerprints", []float64{float64(g.L2), float64(g.CosMean), float64(g.MinNeighbor), float64(g.MedNeighbor)},
+							[]float64{float64(w.L2), float64(w.CosMean), float64(w.MinNeighbor), float64(w.MedNeighbor)})
 					}
 				}
 				global = full[0].Weights

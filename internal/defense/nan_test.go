@@ -10,6 +10,7 @@ import (
 	"repro/internal/defense"
 	"repro/internal/fl"
 	"repro/internal/forensics"
+	"repro/internal/persist"
 	"repro/internal/population"
 )
 
@@ -80,7 +81,11 @@ func TestKrumFamilyRejectsNaNUpdate(t *testing.T) {
 			if err := col.Close(); err != nil {
 				t.Fatal(err)
 			}
-			run, err := forensics.LoadAuditJournal(path, name)
+			entries, err := persist.ReadEntries(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := forensics.AuditRun(entries, name)
 			if err != nil {
 				t.Fatal(err)
 			}

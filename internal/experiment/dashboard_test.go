@@ -229,7 +229,7 @@ func TestLoadDashReplaySniffsSources(t *testing.T) {
 		if !math.IsNaN(m.FPR()) {
 			t.Fatalf("round %d FPR = %v, want NaN (no benign-rejection data in the trace)", i, m.FPR())
 		}
-		if rr.Accuracy != out.AccTimeline[i] {
+		if float64(rr.Accuracy) != out.AccTimeline[i] {
 			t.Fatalf("round %d accuracy %v, want timeline %v", i, rr.Accuracy, out.AccTimeline[i])
 		}
 	}

@@ -319,8 +319,8 @@ var (
 	colAccM     = value("acc_m%", pct(accM.Of))
 	colASR      = value("ASR%", pct(asr.Of))
 	colDPR      = value("DPR%", pct(dpr.Of))
-	colAUC      = value("AUC", detected(func(o *Outcome) float64 { return o.Detection.AUC }))
-	colTPRAt    = value("TPR@1%FPR", detected(func(o *Outcome) float64 { return o.Detection.TPRAt1FPR }))
+	colAUC      = value("AUC", detected(func(o *Outcome) float64 { return float64(o.Detection.AUC) }))
+	colTPRAt    = value("TPR@1%FPR", detected(func(o *Outcome) float64 { return float64(o.Detection.TPRAt1FPR) }))
 )
 
 // axis is one dimension of a grid: each entry derives one variant of a
@@ -669,8 +669,8 @@ var detection = Experiment{
 	Grid: grid(virtual100k, withForensics, fractions(0.2, 0.01, 0.001),
 		defenses("refd", "mkrum", "foolsgold", "bulyan"), attacks("dfa-r", "minmax", "labelflip")),
 	Columns: []Column{colAttacker, colDefense, colAttack, colAUC, colTPRAt,
-		value("TPR%", detected(func(o *Outcome) float64 { return o.Detection.TPR * 100 })),
-		value("FPR%", detected(func(o *Outcome) float64 { return o.Detection.FPR * 100 })),
+		value("TPR%", detected(func(o *Outcome) float64 { return float64(o.Detection.TPR) * 100 })),
+		value("FPR%", detected(func(o *Outcome) float64 { return float64(o.Detection.FPR) * 100 })),
 		colDPR,
 		value("zero_sel", func(o *Outcome) string {
 			if o.Detection == nil {

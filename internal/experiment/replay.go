@@ -39,9 +39,9 @@ func LoadDashReplay(spec string) ([]forensics.ReplayRun, error) {
 		}
 		base := filepath.Base(path)
 		if auditKeyRe.MatchString(entries[0].Key) {
-			run, err := forensics.LoadAuditJournal(path, base)
+			run, err := forensics.AuditRun(entries, base)
 			if err != nil {
-				return nil, fmt.Errorf("experiment: dash replay: %w", err)
+				return nil, fmt.Errorf("experiment: dash replay %s: %w", path, err)
 			}
 			runs = append(runs, run)
 			continue
@@ -86,7 +86,7 @@ func outcomeReplayRuns(entries []persist.Entry, source string) ([]forensics.Repl
 				Malicious:     rs.SelectedMalicious,
 				Known:         rs.PassedMalicious >= 0,
 				ZeroSelection: rs.Aggregations == 0,
-				AUC:           math.NaN(),
+				AUC:           persist.Float(math.NaN()),
 			}
 			if rm.Known {
 				rm.TP = rs.SelectedMalicious - rs.PassedMalicious
@@ -103,7 +103,7 @@ func outcomeReplayRuns(entries []persist.Entry, source string) ([]forensics.Repl
 					ZeroSelection: rm.ZeroSelection,
 					Metrics:       rm,
 				},
-				Accuracy: acc,
+				Accuracy: persist.Float(acc),
 			})
 		}
 		if prev, ok := seen[run.Name]; ok {

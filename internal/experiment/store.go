@@ -53,51 +53,35 @@ func runKey(cfg Config) (string, error) {
 
 // storedOutcome is the JSON shape of an Outcome in the run store. The
 // paper's metrics use NaN for "not applicable" (DPR on non-selecting
-// defenses, unevaluated rounds), which encoding/json rejects, so every
-// NaN-able float travels as a nullable pointer. CleanAcc and ASR are not
-// stored: they join the cell with its baseline's record (RunGrid).
+// defenses, unevaluated rounds), so every NaN-able float is a
+// persist.Float, which writes NaN as null; Detection is a
+// forensics.Summary, whose rates are persist.Floats too. CleanAcc and ASR
+// are not stored: they join the cell with its baseline's record (RunGrid).
 type storedOutcome struct {
 	Config        Config             `json:"config"`
-	MaxAcc        *float64           `json:"maxAcc"`
-	FinalAcc      *float64           `json:"finalAcc"`
-	DPR           *float64           `json:"dpr"`
-	AccTimeline   []*float64         `json:"accTimeline,omitempty"`
-	SynthesisLoss [][]*float64       `json:"synthesisLoss,omitempty"`
+	MaxAcc        persist.Float      `json:"maxAcc"`
+	FinalAcc      persist.Float      `json:"finalAcc"`
+	DPR           persist.Float      `json:"dpr"`
+	AccTimeline   []persist.Float    `json:"accTimeline,omitempty"`
+	SynthesisLoss [][]persist.Float  `json:"synthesisLoss,omitempty"`
 	Trace         []storedRound      `json:"trace,omitempty"`
 	Detection     *forensics.Summary `json:"detection,omitempty"`
 	Digest        string             `json:"digest,omitempty"`
 }
 
-// Detection travels as *forensics.Summary directly: Summary owns its own
-// NaN-safe JSON shape (Marshal/UnmarshalJSON), shared with the audit
-// journal and the HTTP endpoint, so the store cannot drift from them.
-
-// storedRound is the JSON shape of one fl.RoundStats entry; the accuracy
-// travels as a nullable pointer because unevaluated rounds carry NaN.
+// storedRound is the JSON shape of one fl.RoundStats entry, under short
+// keys; the accuracy is a persist.Float because unevaluated rounds carry
+// NaN.
 type storedRound struct {
-	Round             int      `json:"round"`
-	Accuracy          *float64 `json:"acc"`
-	SelectedMalicious int      `json:"selMal"`
-	PassedMalicious   int      `json:"passMal"`
-	Selected          int      `json:"selected"`
-	Dropped           int      `json:"dropped"`
-	Straggled         int      `json:"straggled"`
-	Responded         int      `json:"responded"`
-	Aggregations      int      `json:"aggs"`
-}
-
-func encFloat(v float64) *float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return nil
-	}
-	return &v
-}
-
-func decFloat(p *float64) float64 {
-	if p == nil {
-		return math.NaN()
-	}
-	return *p
+	Round             int           `json:"round"`
+	Accuracy          persist.Float `json:"acc"`
+	SelectedMalicious int           `json:"selMal"`
+	PassedMalicious   int           `json:"passMal"`
+	Selected          int           `json:"selected"`
+	Dropped           int           `json:"dropped"`
+	Straggled         int           `json:"straggled"`
+	Responded         int           `json:"responded"`
+	Aggregations      int           `json:"aggs"`
 }
 
 // convert maps f over in, keeping nil as nil.
@@ -112,20 +96,24 @@ func convert[T, U any](in []T, f func(T) U) []U {
 	return out
 }
 
+// floats converts between []float64 and []persist.Float, keeping nil as
+// nil.
+func floats[U, T ~float64](in []T) []U {
+	return convert(in, func(v T) U { return U(v) })
+}
+
 func encodeOutcome(o *Outcome) storedOutcome {
 	return storedOutcome{
-		Config:      o.Config,
-		MaxAcc:      encFloat(o.MaxAcc),
-		FinalAcc:    encFloat(o.FinalAcc),
-		DPR:         encFloat(o.DPR),
-		AccTimeline: convert(o.AccTimeline, encFloat),
-		SynthesisLoss: convert(o.SynthesisLoss, func(round []float64) []*float64 {
-			return convert(round, encFloat)
-		}),
+		Config:        o.Config,
+		MaxAcc:        persist.Float(o.MaxAcc),
+		FinalAcc:      persist.Float(o.FinalAcc),
+		DPR:           persist.Float(o.DPR),
+		AccTimeline:   floats[persist.Float](o.AccTimeline),
+		SynthesisLoss: convert(o.SynthesisLoss, floats[persist.Float, float64]),
 		Trace: convert(o.Trace, func(rs fl.RoundStats) storedRound {
 			return storedRound{
 				Round:             rs.Round,
-				Accuracy:          encFloat(rs.Accuracy),
+				Accuracy:          persist.Float(rs.Accuracy),
 				SelectedMalicious: rs.SelectedMalicious,
 				PassedMalicious:   rs.PassedMalicious,
 				Selected:          rs.Selected,
@@ -142,20 +130,18 @@ func encodeOutcome(o *Outcome) storedOutcome {
 
 func decodeOutcome(s storedOutcome) *Outcome {
 	return &Outcome{
-		Config:      s.Config,
-		CleanAcc:    math.NaN(),
-		MaxAcc:      decFloat(s.MaxAcc),
-		FinalAcc:    decFloat(s.FinalAcc),
-		ASR:         math.NaN(),
-		DPR:         decFloat(s.DPR),
-		AccTimeline: convert(s.AccTimeline, decFloat),
-		SynthesisLoss: convert(s.SynthesisLoss, func(round []*float64) []float64 {
-			return convert(round, decFloat)
-		}),
+		Config:        s.Config,
+		CleanAcc:      math.NaN(),
+		MaxAcc:        float64(s.MaxAcc),
+		FinalAcc:      float64(s.FinalAcc),
+		ASR:           math.NaN(),
+		DPR:           float64(s.DPR),
+		AccTimeline:   floats[float64](s.AccTimeline),
+		SynthesisLoss: convert(s.SynthesisLoss, floats[float64, persist.Float]),
 		Trace: convert(s.Trace, func(sr storedRound) fl.RoundStats {
 			return fl.RoundStats{
 				Round:             sr.Round,
-				Accuracy:          decFloat(sr.Accuracy),
+				Accuracy:          float64(sr.Accuracy),
 				SelectedMalicious: sr.SelectedMalicious,
 				PassedMalicious:   sr.PassedMalicious,
 				Selected:          sr.Selected,

@@ -6,10 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/persist"
 )
 
 // fakeRun is a deterministic, config-dependent stand-in for the real
@@ -456,7 +459,7 @@ func TestRunKeyGolden(t *testing.T) {
 }
 
 // TestStoreRoundTrip: the journal-backed store survives a reopen and
-// preserves NaN metrics via nullable encoding.
+// preserves NaN metrics, which it writes as null.
 func TestStoreRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	store, err := OpenStore(path, "")
@@ -528,5 +531,48 @@ func TestRunGridRealPipelineWithStore(t *testing.T) {
 	}
 	if replayed[0].MaxAcc != first[0].MaxAcc || replayed[0].ASR != first[0].ASR {
 		t.Fatalf("replayed outcome diverges: %+v vs %+v", replayed[0], first[0])
+	}
+}
+
+// TestGoldenStoreRecord: a run-store record written by an earlier build,
+// with a null DPR, null timeline and trace accuracies and a detection
+// summary with null rates, decodes with its NaNs and records back to
+// identical bytes.
+func TestGoldenStoreRecord(t *testing.T) {
+	const golden = "testdata/golden_store.jsonl"
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := persist.ReadEntries(golden)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("golden store holds %d entries: %v", len(entries), err)
+	}
+	var rec storedOutcome
+	if err := json.Unmarshal(entries[0].Payload, &rec); err != nil {
+		t.Fatal(err)
+	}
+	out := decodeOutcome(rec)
+	if !math.IsNaN(out.DPR) || !math.IsNaN(out.AccTimeline[1]) || !math.IsNaN(out.Trace[1].Accuracy) ||
+		!math.IsNaN(float64(out.Detection.AUC)) || math.IsNaN(out.MaxAcc) {
+		t.Fatalf("golden record decodes without its NaNs: %+v", out)
+	}
+	path := filepath.Join(t.TempDir(), "re.jsonl")
+	store, err := OpenStore(path, "golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Record(entries[0].Key, out); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("re-recorded outcome differs:\n got %s\nwant %s", got, want)
 	}
 }

@@ -34,6 +34,15 @@ type AuditRecord struct {
 	Fingerprint Fingerprint `json:"fingerprint"`
 }
 
+// jf is a Weight or Score as an AuditRecord carries it: nil, and so
+// omitted, when the value is not finite.
+func jf(v float64) *float64 {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return nil
+	}
+	return &v
+}
+
 // RoundAudit is one aggregation's full audit entry: every update's record
 // plus the aggregation's detection metrics.
 type RoundAudit struct {
@@ -50,7 +59,7 @@ type RoundAudit struct {
 	// Records holds one entry per update, in submission order.
 	Records []AuditRecord `json:"records"`
 	// Metrics is the aggregation's detection snapshot.
-	Metrics RoundMetrics `json:"-"`
+	Metrics RoundMetrics `json:"metrics"`
 }
 
 // Options configures a Collector. The zero value of every bound selects a
@@ -152,7 +161,7 @@ func (c *Collector) ObserveAggregation(round int, global []float64, updates []fl
 		Updates:       len(updates),
 		Known:         sel.Known(),
 		ZeroSelection: len(updates) == 0 || (sel.Known() && len(sel.Accepted) == 0),
-		AUC:           math.NaN(),
+		AUC:           persist.Float(math.NaN()),
 	}
 	for _, u := range updates {
 		if u.Malicious {
@@ -191,7 +200,7 @@ func (c *Collector) ObserveAggregation(round int, global []float64, updates []fl
 		for i, u := range updates {
 			pairs[i] = scorePair{suspicion: -sel.Scores[i], malicious: u.Malicious}
 		}
-		rm.AUC = detectionAUC(pairs)
+		rm.AUC = persist.Float(detectionAUC(pairs))
 		// The cumulative reservoir pools pairs across rounds, but raw score
 		// scales drift with training (Krum distances and D-scores shrink as
 		// updates converge), which would let a benign early round outrank a
@@ -246,7 +255,7 @@ func (c *Collector) ObserveAggregation(round int, global []float64, updates []fl
 
 	if c.journal != nil && c.journalErr == nil {
 		key := fmt.Sprintf("r%08d.%04d", round, seq)
-		if err := c.journal.Append(key, auditToJSON(ra)); err != nil {
+		if err := c.journal.Append(key, ra); err != nil {
 			c.journalErr = err
 		}
 	}
@@ -280,12 +289,12 @@ func (c *Collector) Summary() Summary {
 		Updates:             c.updates,
 		MaliciousSeen:       c.malicious,
 		Confusion:           c.cum,
-		TPR:                 c.cum.TPR(),
-		FPR:                 c.cum.FPR(),
-		Precision:           c.cum.Precision(),
-		F1:                  c.cum.F1(),
-		AUC:                 detectionAUC(c.reservoir),
-		TPRAt1FPR:           tprAtFPR(c.reservoir, 0.01),
+		TPR:                 persist.Float(c.cum.TPR()),
+		FPR:                 persist.Float(c.cum.FPR()),
+		Precision:           persist.Float(c.cum.Precision()),
+		F1:                  persist.Float(c.cum.F1()),
+		AUC:                 persist.Float(detectionAUC(c.reservoir)),
+		TPRAt1FPR:           persist.Float(tprAtFPR(c.reservoir, 0.01)),
 		ScorePairs:          c.pairsSeen,
 		ReservoirLen:        len(c.reservoir),
 	}
@@ -305,7 +314,7 @@ func (c *Collector) Rounds() []RoundAudit {
 
 // Event is one ring entry as GET <prefix>/rounds serves it: the audit's
 // ring cursor (total aggregations observed when it landed, so cursors are
-// dense and strictly increasing) and its encoded jsonRoundAudit.
+// dense and strictly increasing) and its encoded RoundAudit.
 type Event struct {
 	Cursor uint64          `json:"cursor"`
 	Audit  json.RawMessage `json:"audit"`
@@ -331,7 +340,7 @@ func (c *Collector) EventsSince(since uint64) ([]Event, uint64) {
 		}
 		// Until the ring fills, next == len(ring), so the oldest entry is
 		// at next mod len(ring) either way.
-		data, err := json.Marshal(auditToJSON(c.ring[(c.next+i)%n]))
+		data, err := json.Marshal(c.ring[(c.next+i)%n])
 		if err != nil {
 			continue
 		}

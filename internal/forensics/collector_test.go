@@ -112,7 +112,7 @@ func TestCollectorUnknownSelection(t *testing.T) {
 	if (s.Confusion != Confusion{}) {
 		t.Fatalf("confusion should stay empty, got %+v", s.Confusion)
 	}
-	if !math.IsNaN(s.TPR) || !math.IsNaN(s.AUC) {
+	if !math.IsNaN(float64(s.TPR)) || !math.IsNaN(float64(s.AUC)) {
 		t.Fatalf("undecided metrics should be NaN, got TPR=%v AUC=%v", s.TPR, s.AUC)
 	}
 }
@@ -202,7 +202,7 @@ func TestCollectorAuditJournal(t *testing.T) {
 	if len(entries) != 3 {
 		t.Fatalf("journal has %d entries, want 3", len(entries))
 	}
-	var entry jsonRoundAudit
+	var entry RoundAudit
 	if e := entries[1]; e.Key != "r00000001.0000" || json.Unmarshal(e.Payload, &entry) != nil {
 		t.Fatalf("round 1 audit missing: entry 1 is %s", e.Key)
 	}
@@ -224,8 +224,8 @@ func TestCollectorAuditJournal(t *testing.T) {
 	if mal != 1 {
 		t.Fatalf("journaled %d malicious records, want 1", mal)
 	}
-	if entry.Metrics.TPR == nil || *entry.Metrics.TPR != 1 {
-		t.Fatalf("journaled round TPR = %v, want 1", entry.Metrics.TPR)
+	if entry.Metrics.TPR() != 1 {
+		t.Fatalf("journaled round TPR = %v, want 1", entry.Metrics.TPR())
 	}
 }
 
@@ -268,8 +268,8 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 
 	var metrics struct {
-		Cumulative Summary           `json:"cumulative"`
-		Current    *jsonRoundMetrics `json:"current"`
+		Cumulative Summary       `json:"cumulative"`
+		Current    *RoundMetrics `json:"current"`
 	}
 	get("/forensics/metrics", &metrics)
 	if metrics.Cumulative.Aggregations != 4 {

@@ -32,6 +32,7 @@ import (
 	"sort"
 
 	"repro/internal/fl"
+	"repro/internal/persist"
 	"repro/internal/tensor"
 	"repro/internal/vec"
 )
@@ -39,22 +40,23 @@ import (
 // Fingerprint is the cheap geometric summary of one update in one round.
 // All four signals are functions of the round's update set and the global
 // model the updates were trained from; none require ground truth, so they
-// are computable in a real deployment.
+// are computable in a real deployment. Each is a persist.Float: an update
+// with a non-finite coordinate makes it NaN, which a record writes as null.
 type Fingerprint struct {
 	// L2 is ‖w_i − w(t)‖₂, the update's displacement from the global model.
 	// Boosted or scaled updates (LIE, Min-Max at large γ) stand out here.
-	L2 float64 `json:"l2"`
+	L2 persist.Float `json:"l2"`
 	// CosMean is the cosine similarity between the update's displacement
 	// and the round's mean displacement. Direction-flipping attacks
 	// (sign-flip, DFA-R at high λ) sit near −1, colluding copies near +1.
-	CosMean float64 `json:"cosMean"`
+	CosMean persist.Float `json:"cosMean"`
 	// MinNeighbor is the Euclidean distance to the nearest other update.
 	// Near-zero values expose Sybil near-duplicates.
-	MinNeighbor float64 `json:"minNeighbor"`
+	MinNeighbor persist.Float `json:"minNeighbor"`
 	// MedNeighbor is the square root of the median squared distance to the
 	// other updates — the robust "how far from the crowd" signal Krum-style
 	// defenses threshold on.
-	MedNeighbor float64 `json:"medNeighbor"`
+	MedNeighbor persist.Float `json:"medNeighbor"`
 }
 
 // Fingerprints computes the fingerprint of every update. dist, when it is
@@ -100,9 +102,9 @@ func Fingerprints(global []float64, updates []fl.Update, dist [][]float64) []Fin
 				sq += d * d
 			}
 			l2 := math.Sqrt(sq)
-			fp := Fingerprint{L2: l2}
+			fp := Fingerprint{L2: persist.Float(l2)}
 			if l2 > 0 && mdNorm > 0 {
-				fp.CosMean = dot / (l2 * mdNorm)
+				fp.CosMean = persist.Float(dot / (l2 * mdNorm))
 			}
 			if n > 1 {
 				row = row[:0]
@@ -112,12 +114,12 @@ func Fingerprints(global []float64, updates []fl.Update, dist [][]float64) []Fin
 					}
 				}
 				sort.Float64s(row)
-				fp.MinNeighbor = math.Sqrt(row[0])
+				fp.MinNeighbor = persist.Float(math.Sqrt(row[0]))
 				m := len(row)
 				if m%2 == 1 {
-					fp.MedNeighbor = math.Sqrt(row[m/2])
+					fp.MedNeighbor = persist.Float(math.Sqrt(row[m/2]))
 				} else {
-					fp.MedNeighbor = math.Sqrt(0.5 * (row[m/2-1] + row[m/2]))
+					fp.MedNeighbor = persist.Float(math.Sqrt(0.5 * (row[m/2-1] + row[m/2])))
 				}
 			}
 			fps[i] = fp

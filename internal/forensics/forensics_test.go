@@ -47,14 +47,14 @@ func TestFingerprintsGeometry(t *testing.T) {
 		t.Fatalf("MinNeighbor = %v, want 1", fps[0].MinNeighbor)
 	}
 	wantMed := math.Sqrt((1.0 + 16.0) / 2)
-	if math.Abs(fps[0].MedNeighbor-wantMed) > 1e-12 {
+	if math.Abs(float64(fps[0].MedNeighbor)-wantMed) > 1e-12 {
 		t.Fatalf("MedNeighbor = %v, want %v", fps[0].MedNeighbor, wantMed)
 	}
 
 	// A non-degenerate mean: drop the flipped update.
 	us2 := us[:2]
 	fps2 := Fingerprints(global, us2, nil)
-	if math.Abs(fps2[0].CosMean-1) > 1e-12 || math.Abs(fps2[1].CosMean-1) > 1e-12 {
+	if math.Abs(float64(fps2[0].CosMean)-1) > 1e-12 || math.Abs(float64(fps2[1].CosMean)-1) > 1e-12 {
 		t.Fatalf("aligned updates should have CosMean 1, got %v %v", fps2[0].CosMean, fps2[1].CosMean)
 	}
 }

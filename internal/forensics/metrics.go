@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"math"
 	"sort"
+
+	"repro/internal/persist"
 )
 
 // Confusion is the per-decision confusion matrix of a defense viewed as a
@@ -55,21 +57,38 @@ func (c Confusion) F1() float64 { return ratio(2*c.TP, 2*c.TP+c.FP+c.FN) }
 type RoundMetrics struct {
 	// Round is the engine round; Seq distinguishes multiple aggregations in
 	// one round (async buffer flushes).
-	Round, Seq int
+	Round int `json:"round"`
+	Seq   int `json:"seq"`
 	// Updates and Malicious count the aggregation's inputs.
-	Updates, Malicious int
+	Updates   int `json:"updates"`
+	Malicious int `json:"malicious"`
 	// Known reports whether the defense exposed its selection; the
 	// confusion matrix is meaningful only when it did.
-	Known bool
+	Known bool `json:"known"`
 	// ZeroSelection marks a round with no responders or with every update
 	// rejected — recorded, never skipped, so streaks of dead rounds are
 	// visible in the audit stream.
-	ZeroSelection bool
-	Confusion
+	ZeroSelection bool `json:"zeroSelection"`
+	Confusion     `json:"confusion"`
 	// AUC is this round's ROC area over the defense's score vector; NaN
 	// when the defense produced no scores or the round lacked one of the
 	// two classes.
-	AUC float64
+	AUC persist.Float `json:"auc"`
+}
+
+// MarshalJSON writes the metrics with the Confusion's rates between the
+// confusion matrix and the AUC. Decoding needs no counterpart: the rates
+// are methods over the decoded Confusion, so their keys are ignored.
+func (m RoundMetrics) MarshalJSON() ([]byte, error) {
+	type fields RoundMetrics // the fields without this method
+	return json.Marshal(struct {
+		fields
+		TPR       persist.Float `json:"tpr"`
+		FPR       persist.Float `json:"fpr"`
+		Precision persist.Float `json:"precision"`
+		F1        persist.Float `json:"f1"`
+		AUC       persist.Float `json:"auc"` // shadows fields.AUC, to come last
+	}{fields(m), persist.Float(m.TPR()), persist.Float(m.FPR()), persist.Float(m.Precision()), persist.Float(m.F1()), m.AUC})
 }
 
 // scorePair is one (suspicion, ground truth) observation. Suspicion is the
@@ -177,107 +196,39 @@ func tprAtFPR(pairs []scorePair, budget float64) float64 {
 	return best
 }
 
-// Summary is the cumulative detection report of a run.
+// Summary is the cumulative detection report of a run, in the one JSON
+// shape the run store, the audit journal and the HTTP endpoint share.
 type Summary struct {
 	// Defense names the audited aggregation rule.
-	Defense string
+	Defense string `json:"defense"`
 	// ScoreName names the score semantic of the ROC metrics; empty when the
 	// defense produced no scores.
-	ScoreName string
+	ScoreName string `json:"scoreName,omitempty"`
 	// Aggregations counts observed aggregations; DecisionRounds those with
 	// a known selection; ZeroSelectionRounds those with no responders or an
 	// all-filtered selection.
-	Aggregations, DecisionRounds, ZeroSelectionRounds int
+	Aggregations        int `json:"aggregations"`
+	DecisionRounds      int `json:"decisionRounds"`
+	ZeroSelectionRounds int `json:"zeroSelectionRounds"`
 	// Updates and MaliciousSeen count the audited inputs.
-	Updates, MaliciousSeen int
+	Updates       int `json:"updates"`
+	MaliciousSeen int `json:"maliciousSeen"`
 	// Confusion is the cumulative confusion matrix over decision rounds.
-	Confusion Confusion
+	Confusion Confusion `json:"confusion"`
 	// TPR/FPR/Precision/F1 are the cumulative rates (NaN-guarded).
-	TPR, FPR, Precision, F1 float64
+	TPR       persist.Float `json:"tpr"`
+	FPR       persist.Float `json:"fpr"`
+	Precision persist.Float `json:"precision"`
+	F1        persist.Float `json:"f1"`
 	// AUC is the cumulative ROC area over the score-pair reservoir, and
 	// TPRAt1FPR the best TPR at a 1% false-positive budget — the two
 	// scoreboard columns of the detection sweep. Both NaN without scores.
-	AUC, TPRAt1FPR float64
+	AUC       persist.Float `json:"auc"`
+	TPRAt1FPR persist.Float `json:"tprAt1pctFpr"`
 	// ScorePairs counts all (score, truth) pairs observed; ReservoirLen how
 	// many the bounded reservoir currently holds.
-	ScorePairs, ReservoirLen int
-}
-
-// summaryJSON is Summary's one serialization shape — shared by the run
-// store, the audit journal and the HTTP endpoint — with every NaN-able
-// rate as a nullable pointer (encoding/json rejects NaN).
-type summaryJSON struct {
-	Defense             string    `json:"defense"`
-	ScoreName           string    `json:"scoreName,omitempty"`
-	Aggregations        int       `json:"aggregations"`
-	DecisionRounds      int       `json:"decisionRounds"`
-	ZeroSelectionRounds int       `json:"zeroSelectionRounds"`
-	Updates             int       `json:"updates"`
-	MaliciousSeen       int       `json:"maliciousSeen"`
-	Confusion           Confusion `json:"confusion"`
-	TPR                 *float64  `json:"tpr"`
-	FPR                 *float64  `json:"fpr"`
-	Precision           *float64  `json:"precision"`
-	F1                  *float64  `json:"f1"`
-	AUC                 *float64  `json:"auc"`
-	TPRAt1FPR           *float64  `json:"tprAt1pctFpr"`
-	ScorePairs          int       `json:"scorePairs"`
-	ReservoirLen        int       `json:"reservoirLen"`
-}
-
-// MarshalJSON implements json.Marshaler with the nullable-rate shape.
-func (s Summary) MarshalJSON() ([]byte, error) {
-	return json.Marshal(summaryJSON{
-		Defense:             s.Defense,
-		ScoreName:           s.ScoreName,
-		Aggregations:        s.Aggregations,
-		DecisionRounds:      s.DecisionRounds,
-		ZeroSelectionRounds: s.ZeroSelectionRounds,
-		Updates:             s.Updates,
-		MaliciousSeen:       s.MaliciousSeen,
-		Confusion:           s.Confusion,
-		TPR:                 jf(s.TPR),
-		FPR:                 jf(s.FPR),
-		Precision:           jf(s.Precision),
-		F1:                  jf(s.F1),
-		AUC:                 jf(s.AUC),
-		TPRAt1FPR:           jf(s.TPRAt1FPR),
-		ScorePairs:          s.ScorePairs,
-		ReservoirLen:        s.ReservoirLen,
-	})
-}
-
-// UnmarshalJSON implements json.Unmarshaler: null rates decode to NaN.
-func (s *Summary) UnmarshalJSON(data []byte) error {
-	var raw summaryJSON
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	nan := func(p *float64) float64 {
-		if p == nil {
-			return math.NaN()
-		}
-		return *p
-	}
-	*s = Summary{
-		Defense:             raw.Defense,
-		ScoreName:           raw.ScoreName,
-		Aggregations:        raw.Aggregations,
-		DecisionRounds:      raw.DecisionRounds,
-		ZeroSelectionRounds: raw.ZeroSelectionRounds,
-		Updates:             raw.Updates,
-		MaliciousSeen:       raw.MaliciousSeen,
-		Confusion:           raw.Confusion,
-		TPR:                 nan(raw.TPR),
-		FPR:                 nan(raw.FPR),
-		Precision:           nan(raw.Precision),
-		F1:                  nan(raw.F1),
-		AUC:                 nan(raw.AUC),
-		TPRAt1FPR:           nan(raw.TPRAt1FPR),
-		ScorePairs:          raw.ScorePairs,
-		ReservoirLen:        raw.ReservoirLen,
-	}
-	return nil
+	ScorePairs   int `json:"scorePairs"`
+	ReservoirLen int `json:"reservoirLen"`
 }
 
 // splitmix64 is the deterministic hash behind the reservoir's replacement

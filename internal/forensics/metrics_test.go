@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/persist"
 )
 
 func pairsOf(suspicion []float64, mal []bool) []scorePair {
@@ -129,7 +131,7 @@ func TestSummaryJSONRoundTrip(t *testing.T) {
 		Updates: 70, MaliciousSeen: 9,
 		Confusion: Confusion{TP: 5, FP: 2, TN: 59, FN: 4},
 		TPR:       5.0 / 9, FPR: 2.0 / 61, Precision: 5.0 / 7, F1: 10.0 / 16,
-		AUC: math.NaN(), TPRAt1FPR: math.NaN(),
+		AUC: persist.Float(math.NaN()), TPRAt1FPR: persist.Float(math.NaN()),
 		ScorePairs: 70, ReservoirLen: 70,
 	}
 	raw, err := json.Marshal(s)
@@ -143,7 +145,7 @@ func TestSummaryJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if !math.IsNaN(back.AUC) || !math.IsNaN(back.TPRAt1FPR) {
+	if !math.IsNaN(float64(back.AUC)) || !math.IsNaN(float64(back.TPRAt1FPR)) {
 		t.Fatalf("null rates should decode to NaN: %+v", back)
 	}
 	back.AUC, back.TPRAt1FPR = 0, 0

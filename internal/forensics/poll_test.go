@@ -18,8 +18,8 @@ import (
 type roundsPage struct {
 	Cursor uint64 `json:"cursor"`
 	Rounds []struct {
-		Cursor uint64         `json:"cursor"`
-		Audit  jsonRoundAudit `json:"audit"`
+		Cursor uint64     `json:"cursor"`
+		Audit  RoundAudit `json:"audit"`
 	} `json:"rounds"`
 }
 
@@ -53,7 +53,7 @@ func TestEventsSinceCursor(t *testing.T) {
 		if ev.Cursor != uint64(i+1) {
 			t.Fatalf("event %d carries cursor %d, want %d", i, ev.Cursor, i+1)
 		}
-		var audit jsonRoundAudit
+		var audit RoundAudit
 		if err := json.Unmarshal(ev.Audit, &audit); err != nil {
 			t.Fatalf("event %d payload: %v", i, err)
 		}
@@ -91,7 +91,7 @@ func TestEventsSinceRingOverflow(t *testing.T) {
 		if ev.Cursor != want {
 			t.Fatalf("wrapped event %d carries cursor %d, want %d", i, ev.Cursor, want)
 		}
-		var audit jsonRoundAudit
+		var audit RoundAudit
 		if err := json.Unmarshal(ev.Audit, &audit); err != nil {
 			t.Fatal(err)
 		}

@@ -15,8 +15,8 @@ import (
 // global-model accuracy at that round when the source recorded one
 // (run-store Outcomes carry an accuracy timeline; audit journals do not).
 type ReplayRound struct {
-	Audit    RoundAudit
-	Accuracy float64 // NaN when the source has none
+	Audit    RoundAudit    `json:"audit"`
+	Accuracy persist.Float `json:"accuracy"` // NaN when the source has none
 }
 
 // ReplayRun is a finished run loaded for time-travel: an ordered round
@@ -27,22 +27,17 @@ type ReplayRun struct {
 	Rounds []ReplayRound
 }
 
-// LoadAuditJournal loads a PR-5 JSONL audit journal as a ReplayRun. Lines
-// are the journal's jsonRoundAudit payloads keyed r%08d.%04d; entries come
-// back in (round, seq) order regardless of file order, and a torn final
-// line is tolerated exactly as the live journal's replay would tolerate it.
-func LoadAuditJournal(path, name string) (ReplayRun, error) {
-	entries, err := persist.ReadEntries(path)
-	if err != nil {
-		return ReplayRun{}, err
-	}
+// AuditRun turns the entries of an audit journal (persist.ReadEntries)
+// into a ReplayRun. Each entry is a RoundAudit keyed r%08d.%04d; rounds
+// come back in (round, seq) order regardless of file order.
+func AuditRun(entries []persist.Entry, name string) (ReplayRun, error) {
 	run := ReplayRun{Name: name, Source: "audit-journal"}
 	for _, e := range entries {
-		var ja jsonRoundAudit
-		if err := json.Unmarshal(e.Payload, &ja); err != nil {
-			return ReplayRun{}, fmt.Errorf("forensics: audit journal %s entry %s: %w", path, e.Key, err)
+		rr := ReplayRound{Accuracy: persist.Float(math.NaN())}
+		if err := json.Unmarshal(e.Payload, &rr.Audit); err != nil {
+			return ReplayRun{}, fmt.Errorf("forensics: audit journal entry %s: %w", e.Key, err)
 		}
-		run.Rounds = append(run.Rounds, ReplayRound{Audit: auditFromJSON(ja), Accuracy: math.NaN()})
+		run.Rounds = append(run.Rounds, rr)
 	}
 	sort.SliceStable(run.Rounds, func(i, j int) bool {
 		a, b := run.Rounds[i].Audit, run.Rounds[j].Audit
@@ -71,25 +66,15 @@ func NewReplay(runs []ReplayRun) *Replay {
 	return rp
 }
 
-// jsonReplayRound is the wire shape of one replayed round.
-type jsonReplayRound struct {
-	Audit    jsonRoundAudit `json:"audit"`
-	Accuracy *float64       `json:"accuracy"`
-}
-
-func replayRoundToJSON(rr ReplayRound) jsonReplayRound {
-	return jsonReplayRound{Audit: auditToJSON(rr.Audit), Accuracy: jf(rr.Accuracy)}
-}
-
 // diffSide is one run's metric snapshot at an aligned round index.
 type diffSide struct {
-	Round    int      `json:"round"`
-	TPR      *float64 `json:"tpr"`
-	FPR      *float64 `json:"fpr"`
-	AUC      *float64 `json:"auc"`
-	Accuracy *float64 `json:"accuracy"`
-	Accepted int      `json:"accepted"`
-	Rejected int      `json:"rejected"`
+	Round    int           `json:"round"`
+	TPR      persist.Float `json:"tpr"`
+	FPR      persist.Float `json:"fpr"`
+	AUC      persist.Float `json:"auc"`
+	Accuracy persist.Float `json:"accuracy"`
+	Accepted int           `json:"accepted"`
+	Rejected int           `json:"rejected"`
 }
 
 func diffSideOf(rr ReplayRound) diffSide {
@@ -107,23 +92,13 @@ func diffSideOf(rr ReplayRound) diffSide {
 	}
 	return diffSide{
 		Round:    m.Round,
-		TPR:      jf(m.TPR()),
-		FPR:      jf(m.FPR()),
-		AUC:      jf(m.AUC),
-		Accuracy: jf(rr.Accuracy),
+		TPR:      persist.Float(m.TPR()),
+		FPR:      persist.Float(m.FPR()),
+		AUC:      m.AUC,
+		Accuracy: rr.Accuracy,
 		Accepted: acc,
 		Rejected: rej,
 	}
-}
-
-// delta subtracts metric pointers, propagating null: a delta exists only
-// when both sides measured the value.
-func delta(a, b *float64) *float64 {
-	if a == nil || b == nil {
-		return nil
-	}
-	d := *a - *b
-	return &d
 }
 
 // Mount registers the replay API under prefix on mux:
@@ -175,16 +150,12 @@ func (rp *Replay) Mount(mux *http.ServeMux, prefix string) {
 		// Clamped before adding, so from+n cannot wrap past int's range.
 		from = min(from, len(run.Rounds))
 		n = min(n, len(run.Rounds)-from)
-		rounds := make([]jsonReplayRound, 0, n)
-		for _, rr := range run.Rounds[from : from+n] {
-			rounds = append(rounds, replayRoundToJSON(rr))
-		}
 		writeJSON(w, struct {
-			Run    string            `json:"run"`
-			Total  int               `json:"total"`
-			From   int               `json:"from"`
-			Rounds []jsonReplayRound `json:"rounds"`
-		}{run.Name, len(run.Rounds), from, rounds})
+			Run    string        `json:"run"`
+			Total  int           `json:"total"`
+			From   int           `json:"from"`
+			Rounds []ReplayRound `json:"rounds"`
+		}{run.Name, len(run.Rounds), from, run.Rounds[from : from+n]})
 	})
 	mux.HandleFunc(prefix+"/diff", func(w http.ResponseWriter, r *http.Request) {
 		ai, aok := rp.byName[r.URL.Query().Get("a")]
@@ -203,20 +174,22 @@ func (rp *Replay) Mount(mux *http.ServeMux, prefix string) {
 			A     diffSide `json:"a"`
 			B     diffSide `json:"b"`
 			Delta struct {
-				TPR      *float64 `json:"tpr"`
-				FPR      *float64 `json:"fpr"`
-				AUC      *float64 `json:"auc"`
-				Accuracy *float64 `json:"accuracy"`
+				TPR      persist.Float `json:"tpr"`
+				FPR      persist.Float `json:"fpr"`
+				AUC      persist.Float `json:"auc"`
+				Accuracy persist.Float `json:"accuracy"`
 			} `json:"delta"`
 		}
 		rows := make([]diffRow, n)
 		for i := 0; i < n; i++ {
+			// A delta exists only when both sides measured the value: NaN
+			// propagates through the subtraction and writes as null.
 			sa, sb := diffSideOf(a.Rounds[i]), diffSideOf(b.Rounds[i])
 			row := diffRow{Index: i, A: sa, B: sb}
-			row.Delta.TPR = delta(sa.TPR, sb.TPR)
-			row.Delta.FPR = delta(sa.FPR, sb.FPR)
-			row.Delta.AUC = delta(sa.AUC, sb.AUC)
-			row.Delta.Accuracy = delta(sa.Accuracy, sb.Accuracy)
+			row.Delta.TPR = sa.TPR - sb.TPR
+			row.Delta.FPR = sa.FPR - sb.FPR
+			row.Delta.AUC = sa.AUC - sb.AUC
+			row.Delta.Accuracy = sa.Accuracy - sb.Accuracy
 			rows[i] = row
 		}
 		writeJSON(w, struct {

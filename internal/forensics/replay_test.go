@@ -9,8 +9,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/persist"
 )
 
 // writeAuditJournal runs a collector over a synthetic stream and returns
@@ -31,12 +34,23 @@ func writeAuditJournal(t *testing.T, rounds, benign, malicious int) string {
 	return path
 }
 
-func TestLoadAuditJournal(t *testing.T) {
-	path := writeAuditJournal(t, 5, 3, 1)
-	run, err := LoadAuditJournal(path, "fixture")
+// loadAuditJournal reads the journal at path back as a ReplayRun.
+func loadAuditJournal(t *testing.T, path, name string) ReplayRun {
+	t.Helper()
+	entries, err := persist.ReadEntries(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	run, err := AuditRun(entries, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
+func TestLoadAuditJournal(t *testing.T) {
+	path := writeAuditJournal(t, 5, 3, 1)
+	run := loadAuditJournal(t, path, "fixture")
 	if run.Name != "fixture" || run.Source != "audit-journal" {
 		t.Fatalf("run identity = %q/%q", run.Name, run.Source)
 	}
@@ -51,7 +65,7 @@ func TestLoadAuditJournal(t *testing.T) {
 			t.Fatalf("round %d has %d records, want 4", i, len(rr.Audit.Records))
 		}
 		// Audit journals carry no accuracy timeline.
-		if !math.IsNaN(rr.Accuracy) {
+		if !math.IsNaN(float64(rr.Accuracy)) {
 			t.Fatalf("round %d accuracy = %v, want NaN", i, rr.Accuracy)
 		}
 		// The metrics decode must restore ratios through the confusion, not
@@ -60,17 +74,14 @@ func TestLoadAuditJournal(t *testing.T) {
 			t.Fatalf("round %d replayed TPR = %v, want 1", i, got)
 		}
 	}
-	if _, err := LoadAuditJournal(filepath.Join(t.TempDir(), "missing.jsonl"), "x"); err == nil {
-		t.Fatal("loading a missing journal should fail")
+	if _, err := AuditRun([]persist.Entry{{Key: "r00000000.0000", Payload: []byte(`{"round":"x"}`)}}, "x"); err == nil {
+		t.Fatal("an entry that is no audit should fail")
 	}
 }
 
 func TestReplayRoundsSeekStep(t *testing.T) {
 	path := writeAuditJournal(t, 10, 2, 1)
-	run, err := LoadAuditJournal(path, "seek")
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := loadAuditJournal(t, path, "seek")
 	mux := http.NewServeMux()
 	NewReplay([]ReplayRun{run}).Mount(mux, "/api/replay")
 	srv := httptest.NewServer(mux)
@@ -108,7 +119,7 @@ func TestReplayRoundsSeekStep(t *testing.T) {
 		Total  int    `json:"total"`
 		From   int    `json:"from"`
 		Rounds []struct {
-			Audit jsonRoundAudit `json:"audit"`
+			Audit RoundAudit `json:"audit"`
 		} `json:"rounds"`
 	}
 	if code := get("/api/replay/rounds?run=seek&from=4&n=3", &page); code != http.StatusOK {
@@ -149,14 +160,7 @@ func TestReplayDiff(t *testing.T) {
 	// overhang.
 	pathA := writeAuditJournal(t, 6, 3, 1)
 	pathB := writeAuditJournal(t, 4, 3, 0)
-	runA, err := LoadAuditJournal(pathA, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	runB, err := LoadAuditJournal(pathB, "b")
-	if err != nil {
-		t.Fatal(err)
-	}
+	runA, runB := loadAuditJournal(t, pathA, "a"), loadAuditJournal(t, pathB, "b")
 	mux := http.NewServeMux()
 	NewReplay([]ReplayRun{runA, runB}).Mount(mux, "/api/replay")
 	srv := httptest.NewServer(mux)
@@ -190,13 +194,13 @@ func TestReplayDiff(t *testing.T) {
 		t.Fatalf("alignment = %d aligned, %d/%d extra, want 4, 2/0", diff.Aligned, diff.AExtra, diff.BExtra)
 	}
 	row := diff.Rounds[0]
-	if row.A.TPR == nil || *row.A.TPR != 1 {
+	if row.A.TPR != 1 {
 		t.Fatalf("run A round 0 TPR = %v, want 1", row.A.TPR)
 	}
 	// Run B saw no attackers, so its TPR is 0/0 — null — and the delta must
 	// propagate the null rather than fabricate a number.
-	if row.B.TPR != nil {
-		t.Fatalf("run B round 0 TPR = %v, want null", *row.B.TPR)
+	if !math.IsNaN(float64(row.B.TPR)) {
+		t.Fatalf("run B round 0 TPR = %v, want null", row.B.TPR)
 	}
 	if row.Delta.TPR != nil {
 		t.Fatalf("TPR delta = %v, want null (one side unmeasured)", *row.Delta.TPR)
@@ -219,8 +223,8 @@ func TestReplayDiff(t *testing.T) {
 	}
 }
 
-// TestFingerprintJSONRoundTrip pins the nanjson-mandated codec: finite
-// fingerprints render exactly as the raw struct used to, and NaN components
+// TestFingerprintJSONRoundTrip pins the fingerprint's JSON: finite
+// fingerprints render as plain float64 fields would, and NaN components
 // become nulls that decode back to NaN.
 func TestFingerprintJSONRoundTrip(t *testing.T) {
 	fin := Fingerprint{L2: 1.5, CosMean: -0.25, MinNeighbor: 0.125, MedNeighbor: 2}
@@ -240,7 +244,7 @@ func TestFingerprintJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip drifted: %+v vs %+v", back, fin)
 	}
 
-	nan := Fingerprint{L2: 3, CosMean: math.NaN(), MinNeighbor: math.Inf(1), MedNeighbor: math.NaN()}
+	nan := Fingerprint{L2: 3, CosMean: persist.Float(math.NaN()), MinNeighbor: persist.Float(math.Inf(1)), MedNeighbor: persist.Float(math.NaN())}
 	b, err = json.Marshal(nan)
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +255,53 @@ func TestFingerprintJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.L2 != 3 || !math.IsNaN(back.CosMean) || !math.IsNaN(back.MinNeighbor) || !math.IsNaN(back.MedNeighbor) {
+	if back.L2 != 3 || !math.IsNaN(float64(back.CosMean)) || !math.IsNaN(float64(back.MinNeighbor)) || !math.IsNaN(float64(back.MedNeighbor)) {
 		t.Fatalf("NaN round trip = %+v", back)
+	}
+}
+
+// TestGoldenAuditJournal: audit lines written by an earlier build (scored
+// and unscored rules, a second aggregation in a round, null rates and an
+// empty round) decode as RoundAudits and journal back to identical bytes.
+func TestGoldenAuditJournal(t *testing.T) {
+	const golden = "testdata/golden_audit.jsonl"
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := persist.ReadEntries(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "re.jsonl")
+	j, err := persist.OpenJournalStream(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unscored := 0
+	for _, e := range entries {
+		var ra RoundAudit
+		if err := json.Unmarshal(e.Payload, &ra); err != nil {
+			t.Fatal(err)
+		}
+		if len(ra.Records) > 0 && ra.Records[0].Score == nil {
+			unscored++
+		}
+		if err := j.Append(e.Key, ra); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if unscored == 0 {
+		t.Fatal("golden journal holds no line of an unscored rule")
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("re-journaled audits differ:\n got %s\nwant %s", got, want)
 	}
 }

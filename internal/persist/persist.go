@@ -59,7 +59,7 @@ type Checkpoint struct {
 type record struct {
 	Checkpoint
 	Weights, Prev         []byte
-	Accuracy, MaxAccuracy *float64
+	Accuracy, MaxAccuracy Float
 }
 
 // FormatError refuses a checkpoint file that holds no intact v2 record:
@@ -86,7 +86,7 @@ func Save(path string, cp *Checkpoint) error {
 		return errors.New("persist: checkpoint has no weights")
 	}
 	line, err := marshalLine(checkpointKey, record{*cp,
-		floatBits(cp.Weights), floatBits(cp.Prev), nullNaN(cp.Accuracy), nullNaN(cp.MaxAccuracy)})
+		floatBits(cp.Weights), floatBits(cp.Prev), Float(cp.Accuracy), Float(cp.MaxAccuracy)})
 	if err != nil {
 		return err
 	}
@@ -154,7 +154,7 @@ func LoadFile(path string) (*Checkpoint, error) {
 	}
 	cp := rec.Checkpoint
 	cp.Weights, cp.Prev = bitsFloat(rec.Weights), bitsFloat(rec.Prev)
-	cp.Accuracy, cp.MaxAccuracy = nanNull(rec.Accuracy), nanNull(rec.MaxAccuracy)
+	cp.Accuracy, cp.MaxAccuracy = float64(rec.Accuracy), float64(rec.MaxAccuracy)
 	return &cp, nil
 }
 
@@ -172,19 +172,4 @@ func bitsFloat(b []byte) []float64 {
 		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return v
-}
-
-// nullNaN and nanNull map a NaN accuracy to JSON null and back.
-func nullNaN(v float64) *float64 {
-	if math.IsNaN(v) {
-		return nil
-	}
-	return &v
-}
-
-func nanNull(p *float64) float64 {
-	if p == nil {
-		return math.NaN()
-	}
-	return *p
 }

@@ -206,3 +206,31 @@ func TestLoadFileMissing(t *testing.T) {
 		t.Fatalf("missing file: err %v, want fs.ErrNotExist", err)
 	}
 }
+
+// TestGoldenCheckpoint: a v2 checkpoint with a NaN accuracy, written by an
+// earlier build, loads with its NaN and saves back to identical bytes.
+func TestGoldenCheckpoint(t *testing.T) {
+	const golden = "testdata/golden_v2.ckpt"
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := LoadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(cp.Accuracy) || cp.MaxAccuracy != 0.4375 {
+		t.Fatalf("accuracies = %v, %v; want NaN, 0.4375", cp.Accuracy, cp.MaxAccuracy)
+	}
+	path := filepath.Join(t.TempDir(), "re.ckpt")
+	if err := Save(path, cp); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("re-encoded checkpoint differs:\n got %s\nwant %s", got, want)
+	}
+}
